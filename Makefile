@@ -3,15 +3,28 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check bench bench-multicore benchcmp allocguard clean recovery-soak head-soak fuzz-smoke lint cluster-smoke
+.PHONY: all build test loc race vet fmt-check bench bench-multicore benchcmp allocguard clean recovery-soak head-soak fuzz-smoke lint cluster-smoke
 
 all: build test
 
 build:
 	$(GO) build ./...
 
+# Tier-1 on one core and on several (a stream that only stalls when ranks
+# really run in parallel must fail here, not in production), then the
+# benchmark harness — a nested module `./...` never reaches.
 test:
-	$(GO) test ./...
+	GOMAXPROCS=1 $(GO) test ./...
+	GOMAXPROCS=4 $(GO) test ./...
+	$(GO) vet -C bench .
+	$(GO) test -C bench .
+
+# Non-test Go lines per package, one line each — the number ROADMAP aim 2
+# tracks. Quote it before/after in CHANGES.md when a PR moves it.
+loc:
+	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' ./... | while read pkg dir files; do \
+		printf '%6d %s\n' $$(cd $$dir && cat $$files | wc -l) $$pkg; \
+	done
 
 race:
 	$(GO) test -race ./...

@@ -6,6 +6,7 @@
 package kronlab_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -27,6 +28,7 @@ var (
 
 	benchA    *graph.Graph // RMAT scale-6 factor
 	benchB    *graph.Graph // RMAT scale-6 factor
+	benchCh   *core.Chain  // A⊗B as the generator takes it
 	benchFacA *groundtruth.Factor
 	benchFacB *groundtruth.Factor
 
@@ -51,6 +53,10 @@ func fixtures(b *testing.B) {
 		benchFacA = groundtruth.NewFactor(benchA)
 		benchFacB = groundtruth.NewFactor(benchB)
 		var err error
+		benchCh, err = core.NewChain(benchA, benchB)
+		if err != nil {
+			panic(err)
+		}
 		benchCPlain, err = core.Product(benchA, benchB)
 		if err != nil {
 			panic(err)
@@ -95,7 +101,7 @@ func BenchmarkE2Generate1D(b *testing.B) {
 	for _, r := range []int{1, 4, 16} {
 		b.Run(rankName(r), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := dist.Generate1D(benchA, benchB, r, nil)
+				res, err := dist.GenerateChain(benchCh, r, nil, false)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -110,7 +116,7 @@ func BenchmarkE2Generate2D(b *testing.B) {
 	for _, r := range []int{4, 16} {
 		b.Run(rankName(r), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := dist.Generate2D(benchA, benchB, r, nil)
+				res, err := dist.GenerateChain(benchCh, r, nil, true)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -170,7 +176,7 @@ func BenchmarkThroughputSweep(b *testing.B) {
 				b.SetBytes(edges * 16)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := dist.Generate1D(benchA, benchB, r, nil); err != nil {
+					if _, err := dist.GenerateChain(benchCh, r, nil, false); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -194,13 +200,21 @@ func BenchmarkE2SerialProduct(b *testing.B) {
 func BenchmarkE3WeakScaling(b *testing.B) {
 	tiny := gen.Ring(16) // 32 arcs: R beyond 32 starves 1D ranks
 	big := gen.MustRMAT(gen.Graph500Params(6, 12))
+	ch, err := core.NewChain(tiny, big)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, mode := range []struct {
 		name string
-		twoD bool
-	}{{"1D", false}, {"2D", true}} {
+		plan func(*core.Chain, int) (dist.Plan, error)
+	}{{"1D", dist.PlanChain1D}, {"2D", dist.PlanChain2D}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := dist.CountOnly(tiny, big, 64, mode.twoD); err != nil {
+				plan, err := mode.plan(ch, 64)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := dist.Run(context.Background(), dist.Config{Plan: plan, Sink: &dist.CountSink{}}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -6,9 +6,9 @@ import (
 	"os"
 	"time"
 
+	"kronlab/internal/core"
 	"kronlab/internal/dist"
 	"kronlab/internal/gen"
-	"kronlab/internal/store"
 )
 
 // runGenerator reproduces the Sec. III generator cost model: generation
@@ -23,11 +23,15 @@ func runGenerator(w io.Writer) error {
 	fmt.Fprintf(w, "Factors: two Graph500 RMAT scale-7 graphs (paper used two scale-18\n")
 	fmt.Fprintf(w, "Graph500 graphs for the trillion-edge CORAL2 run).\n")
 	fmt.Fprintf(w, "A: %v, B: %v, |arcs_C| = %s.\n\n", a, b, fmtInt(a.NumArcs()*b.NumArcs()))
+	ch, err := core.NewChain(a, b)
+	if err != nil {
+		return err
+	}
 
 	var rows [][]string
 	for _, r := range []int{1, 2, 4, 8, 16} {
 		start := time.Now()
-		res, err := dist.Generate1D(a, b, r, nil)
+		res, err := dist.GenerateChain(ch, r, nil, false)
 		if err != nil {
 			return err
 		}
@@ -62,17 +66,14 @@ func runGenerator(w io.Writer) error {
 	// both decompositions through the same engine.
 	for _, mode := range []struct {
 		name string
-		gen  func(string) (*store.Store, dist.Stats, error)
-	}{
-		{"1D", func(dir string) (*store.Store, dist.Stats, error) { return dist.Generate1DToStore(a, b, 8, dir) }},
-		{"2D", func(dir string) (*store.Store, dist.Stats, error) { return dist.Generate2DToStore(a, b, 8, dir) }},
-	} {
+		twoD bool
+	}{{"1D", false}, {"2D", true}} {
 		dir, err := os.MkdirTemp("", "kron-e2-store")
 		if err != nil {
 			return err
 		}
 		start := time.Now()
-		st, stats, err := mode.gen(dir)
+		st, stats, err := dist.GenerateChainToStore(ch, 8, dir, mode.twoD)
 		if err != nil {
 			os.RemoveAll(dir)
 			return err

@@ -42,17 +42,18 @@ func runWeakScaling(w io.Writer) error {
 	fmt.Fprintf(w, "so 1D max work/rank stops shrinking, while 2D keeps scaling toward\n")
 	fmt.Fprintf(w, "O(|E_C|) ranks. Verified against actual count-only engine runs:\n\n")
 
+	ch, err := core.NewChain(a, b)
+	if err != nil {
+		return err
+	}
 	var rows2 [][]string
 	for _, r := range []int{32, 128} {
 		for _, twoD := range []bool{false, true} {
 			// Run the engine's count-only sink directly so the measured
 			// per-rank expansion counters confirm the predicted skew.
-			var plan dist.Plan
-			var err error
+			plan, err := dist.PlanChain1D(ch, r)
 			if twoD {
-				plan, err = dist.Plan2D(a, b, r)
-			} else {
-				plan, err = dist.Plan1D(a, b, r)
+				plan, err = dist.PlanChain2D(ch, r)
 			}
 			if err != nil {
 				return err

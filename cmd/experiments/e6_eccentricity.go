@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"kronlab/internal/analytics"
+	"kronlab/internal/core"
 	"kronlab/internal/dist"
 	"kronlab/internal/gen"
 	"kronlab/internal/groundtruth"
@@ -58,7 +59,11 @@ func runEccentricity(w io.Writer) error {
 	sl := small.WithFullSelfLoops()
 	fs := groundtruth.NewFactor(sl)
 	fs.EnsureDistances()
-	res, err := dist.Generate1D(sl, sl, 4, nil)
+	ch, err := core.NewChain(sl, sl)
+	if err != nil {
+		return err
+	}
+	res, err := dist.GenerateChain(ch, 4, nil, false)
 	if err != nil {
 		return err
 	}

@@ -13,7 +13,7 @@
 //	-cache-mb       factor summary cache budget in MiB (default 256)
 //	-timeout        per ground-truth request timeout (default 30s)
 //	-gen-timeout    per generation stream timeout (default 5m)
-//	-gen-retries    supervised-recovery budget for generation runs (default 1)
+//	-gen-retries    retry budget for generation runs (default 1; negative: zero retries)
 //	-max-upload-mb  factor upload size cap in MiB (default 64)
 //	-max-ranks      cap on the ranks= generation parameter (default 64)
 //	-ledger         run-ledger path reported via /healthz (default none)
@@ -70,7 +70,7 @@ func main() {
 	cacheMB := flag.Int64("cache-mb", 256, "summary cache budget in MiB")
 	timeout := flag.Duration("timeout", 30*time.Second, "ground-truth request timeout")
 	genTimeout := flag.Duration("gen-timeout", 5*time.Minute, "generation stream timeout")
-	genRetries := flag.Int("gen-retries", 1, "supervised-recovery budget for generation runs (negative disables)")
+	genRetries := flag.Int("gen-retries", 1, "retry budget for generation runs (negative: zero retries, the first fault ends the stream)")
 	uploadMB := flag.Int64("max-upload-mb", 64, "factor upload cap in MiB")
 	maxRanks := flag.Int("max-ranks", 64, "cap on the ranks= generation parameter")
 	ledgerPath := flag.String("ledger", "", "run-ledger path of the fronted cluster deployment, reported via /healthz")

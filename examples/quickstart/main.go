@@ -31,9 +31,14 @@ func main() {
 	}
 	fmt.Printf("product C = A ⊗ B: %v\n\n", c)
 
-	// The same product on a simulated 4-rank cluster; every edge lands on
-	// the rank chosen by the owner function.
-	res, err := dist.Generate1D(a, b, 4, dist.OwnerBySource)
+	// The same product on a simulated 4-rank cluster, as the two-factor
+	// chain A ⊗ B under 1D partitioning; every edge lands on the rank
+	// chosen by the owner function.
+	ch, err := core.NewChain(a, b)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := dist.GenerateChain(ch, 4, dist.OwnerBySource, false)
 	if err != nil {
 		log.Fatal(err)
 	}

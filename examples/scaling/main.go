@@ -12,6 +12,7 @@ import (
 	"os"
 	"text/tabwriter"
 
+	"kronlab/internal/core"
 	"kronlab/internal/dist"
 	"kronlab/internal/gen"
 )
@@ -24,17 +25,21 @@ func main() {
 	fmt.Printf("A: %v (%d arcs), B: %v (%d arcs), product arcs: %d\n\n",
 		a, a.NumArcs(), b, b.NumArcs(), a.NumArcs()*b.NumArcs())
 
+	ch, err := core.NewChain(a, b)
+	if err != nil {
+		log.Fatal(err)
+	}
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "R\tmode\tbusy ranks\tmax stored/rank\trouted edges\tbytes sent")
 	for _, r := range []int{1, 2, 4, 8, 16, 32} {
-		res1, err := dist.Generate1D(a, b, r, dist.OwnerByEdge)
+		res1, err := dist.GenerateChain(ch, r, dist.OwnerByEdge, false)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(tw, "%d\t1D\t%d\t%d\t%d\t%d\n",
 			r, dist.EffectiveParallelism1D(a, r), res1.MaxRankStorage(),
 			res1.Stats.EdgesRouted, res1.Stats.BytesSent)
-		res2, err := dist.Generate2D(a, b, r, dist.OwnerByEdge)
+		res2, err := dist.GenerateChain(ch, r, dist.OwnerByEdge, true)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -23,6 +23,20 @@ import (
 	"kronlab/internal/store"
 )
 
+// generate runs the distributed generator on the two-factor chain a ⊗ b.
+func generate(t *testing.T, a, b *graph.Graph, r int, twoD bool) *dist.Result {
+	t.Helper()
+	ch, err := core.NewChain(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := dist.GenerateChain(ch, r, nil, twoD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestFilePipeline walks the krongen user journey in-process: write factor
 // edge lists, load them, generate distributedly, write C, reload C, and
 // validate ground truth on the reloaded graph.
@@ -50,10 +64,7 @@ func TestFilePipeline(t *testing.T) {
 		t.Fatal("file round trip lost structure")
 	}
 
-	res, err := dist.Generate2D(aLoaded, bLoaded, 6, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := generate(t, aLoaded, bLoaded, 6, true)
 	c, err := res.Collect()
 	if err != nil {
 		t.Fatal(err)
@@ -98,10 +109,7 @@ func TestFullStackEccentricity(t *testing.T) {
 	fa := groundtruth.NewFactor(al)
 	fa.EnsureDistances()
 
-	res, err := dist.Generate1D(al, al, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := generate(t, al, al, 3, false)
 	dg, err := havoq.BuildFromParts(res.NC, 3, res.PerRank)
 	if err != nil {
 		t.Fatal(err)
@@ -133,10 +141,7 @@ func TestFullStackEccentricity(t *testing.T) {
 // checks the joint-family property end to end.
 func TestRejectionOnDistributedProduct(t *testing.T) {
 	a := gen.ER(12, 0.4, 5)
-	res, err := dist.Generate1D(a, a, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := generate(t, a, a, 4, false)
 	c, err := res.Collect()
 	if err != nil {
 		t.Fatal(err)
@@ -474,5 +479,23 @@ func TestKrongenPowerCLI(t *testing.T) {
 	// -power with -b must be rejected.
 	if err := exec.Command(bin, "-a", aPath, "-b", aPath, "-power", "2").Run(); err == nil {
 		t.Error("krongen should reject -power with -b")
+	}
+}
+
+// TestBenchModule vets and smoke-tests the benchmark harness. bench/ is a
+// nested module that `go build ./...` and `go test ./...` never compile,
+// so without this a moved internal/ signature the benchmark uses would
+// only be noticed by the next benchmark run.
+func TestBenchModule(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles and runs a second module")
+	}
+	for _, args := range [][]string{
+		{"vet", "-C", "bench", "."},
+		{"test", "-C", "bench", "-count=1", "."},
+	} {
+		if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
+			t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, out)
+		}
 	}
 }

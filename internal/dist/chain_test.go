@@ -94,33 +94,26 @@ func TestGenerateChainMatchesSerial(t *testing.T) {
 }
 
 // TestStreamChainMatchesSerial: the bounded-memory stream path carries
-// exactly the chain's arc multiset.
+// exactly the chain's arc multiset, at every retry budget.
 func TestStreamChainMatchesSerial(t *testing.T) {
 	ch, want := heteroChain3(t)
-	got := map[graph.Edge]int{}
-	var mu sync.Mutex
-	_, err := StreamChain(context.Background(), ch, 4, true, 7,
-		Recovery{}, func(batch []graph.Edge) error {
-			mu.Lock()
-			for _, e := range batch {
-				got[e]++
-			}
-			mu.Unlock()
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total int64
-	want.Arcs(func(u, v int64) bool {
-		if got[graph.Edge{U: u, V: v}] != 1 {
-			t.Fatalf("arc (%d,%d) streamed %d times", u, v, got[graph.Edge{U: u, V: v}])
+	for _, retries := range streamBudgets {
+		arcs, _ := streamArcs(t, ch, 4, true, 7, 0, -1, Recovery{MaxRetries: retries})
+		got := map[graph.Edge]int{}
+		for _, e := range arcs {
+			got[e]++
 		}
-		total++
-		return true
-	})
-	if int64(len(got)) != total {
-		t.Fatalf("stream carried %d distinct arcs, want %d", len(got), total)
+		var total int64
+		want.Arcs(func(u, v int64) bool {
+			if got[graph.Edge{U: u, V: v}] != 1 {
+				t.Fatalf("retries=%d: arc (%d,%d) streamed %d times", retries, u, v, got[graph.Edge{U: u, V: v}])
+			}
+			total++
+			return true
+		})
+		if int64(len(got)) != total {
+			t.Fatalf("retries=%d: stream carried %d distinct arcs, want %d", retries, len(got), total)
+		}
 	}
 }
 

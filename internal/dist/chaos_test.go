@@ -105,7 +105,7 @@ func TestChaosSoak(t *testing.T) {
 			routed = (i/16)%2 == 0
 		}
 
-		plan, err := planFor(a, b, r, twoD)
+		plan, err := planForChain(mustChain(a, b), r, twoD)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -463,7 +463,7 @@ func TestStatsConsistentWhenCancelledMidExchange(t *testing.T) {
 	a := gen.ER(30, 0.5, 61)
 	b := gen.ER(30, 0.5, 62)
 	const r = 4
-	plan, err := Plan1D(a, b, r)
+	plan, err := PlanChain1D(mustChain(a, b), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +510,7 @@ func TestStatsConsistentWhenCancelledMidExchange(t *testing.T) {
 func TestChaosReplayDeterministic(t *testing.T) {
 	a := gen.ER(8, 0.5, 71)
 	b := gen.ER(7, 0.5, 72)
-	plan, err := planFor(a, b, 3, false)
+	plan, err := planForChain(mustChain(a, b), 3, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,7 +583,7 @@ func TestRecoverCrashEachPoint(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
 				const r = 3
-				plan, err := planFor(a, b, r, twoD)
+				plan, err := planForChain(mustChain(a, b), r, twoD)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -640,7 +640,7 @@ func TestRecoverLostBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	const r = 3
-	plan, err := Plan1D(a, b, r)
+	plan, err := PlanChain1D(mustChain(a, b), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -680,7 +680,7 @@ func TestRecoverCrashPlusLostBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	const r = 4
-	plan, err := planFor(a, b, r, true)
+	plan, err := planForChain(mustChain(a, b), r, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -723,7 +723,7 @@ func TestRecoverExhaustedBudgetStaysLoud(t *testing.T) {
 	a := gen.ER(6, 0.5, 231)
 	b := gen.ER(6, 0.5, 232)
 	const r = 3
-	plan, err := Plan1D(a, b, r)
+	plan, err := PlanChain1D(mustChain(a, b), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -762,7 +762,7 @@ func TestPartitionDetectedLoudly(t *testing.T) {
 	a := gen.ER(8, 0.5, 251)
 	b := gen.ER(7, 0.5, 252)
 	const r = 3
-	plan, err := Plan1D(a, b, r)
+	plan, err := PlanChain1D(mustChain(a, b), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -799,7 +799,7 @@ func TestRecoverPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	const r = 3
-	plan, err := Plan1D(a, b, r)
+	plan, err := PlanChain1D(mustChain(a, b), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -844,7 +844,7 @@ func TestRespawnReassignBrokenRank(t *testing.T) {
 		t.Fatal(err)
 	}
 	const r = 4
-	plan, err := planFor(a, b, r, true) // 2D: several tiles per rank to move
+	plan, err := planForChain(mustChain(a, b), r, true) // 2D: several tiles per rank to move
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -944,7 +944,7 @@ func TestRecoverSoak(t *testing.T) {
 		doubleFault := routed && i%3 == 0
 		const budget = 4
 
-		plan, err := planFor(a, b, r, twoD)
+		plan, err := planForChain(mustChain(a, b), r, twoD)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1017,7 +1017,7 @@ func TestRecoverAsyncStoreSink(t *testing.T) {
 		t.Run(fmt.Sprint(point), func(t *testing.T) {
 			t.Parallel()
 			const r = 3
-			plan, err := planFor(a, b, r, false)
+			plan, err := planForChain(mustChain(a, b), r, false)
 			if err != nil {
 				t.Fatal(err)
 			}

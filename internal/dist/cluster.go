@@ -3,7 +3,7 @@
 // default cluster is simulated: R ranks run as goroutines and exchange
 // edge batches over channels (transport/chan). Cluster mode runs the
 // same code across processes over length-prefixed TCP (transport/tcp,
-// see RunClusterProc). The partitioning, expansion and owner-routing
+// see RunCluster). The partitioning, expansion and owner-routing
 // code paths are exactly those of the MPI implementation the paper
 // describes (HavoqGT on Sequoia); only the transport differs, and the
 // cluster accounts messages and bytes so communication volume can be
@@ -12,7 +12,7 @@
 // All generation paths are wrappers over one Plan→Expand→Route→Sink
 // engine (engine.go): a Plan decomposes the factors into per-rank tiles,
 // the Expand stage streams each tile's share of C, an optional OwnerFunc
-// routes edges over the all-to-all Exchange, and a pluggable Sink stores
+// routes edges over the all-to-all exchange, and a pluggable Sink stores
 // them (in memory, on disk, to a streaming consumer, or as a count).
 package dist
 
@@ -59,9 +59,9 @@ type Stats struct {
 	PerRankGenerated []int64 // edges expanded by each rank (engine runs)
 	PerRankStored    []int64 // edges stored by each rank's sink (engine runs)
 
-	// Supervised-recovery counters (populated by supervise; zero on
-	// unsupervised runs). EdgesGenerated/PerRankGenerated then include
-	// replayed expansion work, while stored counts remain exactly-once.
+	// Recovery counters (zero on a run that needed no retry). After a
+	// retry EdgesGenerated/PerRankGenerated include replayed expansion
+	// work, while stored counts remain exactly-once.
 	RetriesPerRank    []int64 // attempts re-run, attributed to the faulty rank
 	TilesReassigned   int64   // tiles moved off a crashed rank to survivors
 	RecoveredRuns     int64   // 1 when the run succeeded only after retries
@@ -77,7 +77,7 @@ type Stats struct {
 	HeartbeatMisses int64
 
 	// OutstandingBufs snapshots pooled batch buffers still checked out.
-	// A clean (or supervised-and-drained) run ends at 0; the chaos suite
+	// Every run ends at 0, however many attempts it took; the chaos suite
 	// asserts it as the buffer-leak probe.
 	OutstandingBufs int64
 }
@@ -129,7 +129,7 @@ type Cluster struct {
 	epoch int64
 
 	// Run context: cancelled (with cause) when any rank's body returns an
-	// error, so ranks blocked in Exchange tear down instead of waiting for
+	// error, so ranks blocked in an exchange tear down instead of waiting for
 	// EOF markers that will never arrive.
 	ctx    context.Context
 	cancel context.CancelCauseFunc
@@ -154,7 +154,7 @@ var ErrClusterUsed = errors.New("dist: cluster already ran; NewCluster or Reset 
 // NewCluster returns a simulated cluster of r ranks on the in-process
 // channel transport: all ranks local, zero-copy delivery, buffered
 // inboxes so the generate-then-drain pattern cannot deadlock as long as
-// each rank runs its inline receive progress (see Rank.Exchange).
+// each rank runs its inline receive progress (see exchangeBlocks).
 func NewCluster(r int) (*Cluster, error) {
 	if r < 1 {
 		return nil, fmt.Errorf("dist: cluster needs ≥ 1 rank, got %d", r)
@@ -262,7 +262,7 @@ func (c *Cluster) Run(body func(rk *Rank) error) error {
 }
 
 // RunContext is Run with cancellation: when ctx is cancelled, or any
-// local rank's body returns an error, every rank blocked in Exchange
+// local rank's body returns an error, every rank blocked in an exchange
 // (sending or waiting for EOF markers) is released. The root cause — the
 // first rank error, or the external cancellation — is returned in
 // preference to the secondary context errors the other ranks observe.

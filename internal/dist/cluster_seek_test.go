@@ -74,7 +74,7 @@ func TestClusterSeekParity(t *testing.T) {
 				go func(p int) {
 					defer wg.Done()
 					cc := ClusterConfig{Procs: procs, Self: p, Node: nodes[p]}
-					st, _, err := GenerateChainClusterToStoreFrom(ctx, ch, dir, tc.twoD, offset, limit, cc, Recovery{})
+					st, _, err := GenerateChainClusterToStoreOpts(ctx, ch, dir, tc.twoD, offset, limit, cc, Recovery{}, nil)
 					stores[p] = &storeResult{st: st, err: err}
 				}(p)
 			}

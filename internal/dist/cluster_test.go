@@ -39,25 +39,25 @@ import (
 func TestPlanHash(t *testing.T) {
 	a := gen.PrefAttach(12, 2, 31)
 	b := gen.ER(9, 0.5, 32)
-	p1, err := Plan1D(a, b, 4)
+	p1, err := PlanChain1D(mustChain(a, b), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := Plan1D(a, b, 4)
+	p2, err := PlanChain1D(mustChain(a, b), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if PlanHash(p1) != PlanHash(p2) {
 		t.Fatal("identical plans hash differently")
 	}
-	p3, err := Plan1D(a, b, 5)
+	p3, err := PlanChain1D(mustChain(a, b), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if PlanHash(p1) == PlanHash(p3) {
 		t.Fatal("different rank counts collide")
 	}
-	p4, err := Plan2D(a, b, 4)
+	p4, err := PlanChain2D(mustChain(a, b), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestClusterParity(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const nprocs = 4
-			plan, err := planFor(a, b, tc.r, tc.twoD)
+			plan, err := planForChain(mustChain(a, b), tc.r, tc.twoD)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +118,7 @@ func TestClusterParity(t *testing.T) {
 				go func(p int) {
 					defer wg.Done()
 					cc := ClusterConfig{Procs: procs, Self: p, Node: nodes[p]}
-					stores[p], stats[p], errs[p] = GenerateClusterToStore(ctx, a, b, dir, tc.twoD, cc, Recovery{})
+					stores[p], stats[p], errs[p] = GenerateChainClusterToStore(ctx, mustChain(a, b), dir, tc.twoD, cc, Recovery{})
 				}(p)
 			}
 			wg.Wait()
@@ -202,7 +202,7 @@ func killTestFactors() (*graph.Graph, *graph.Graph) {
 // driver (head) and every helper (worker) derive it independently.
 func killTestConfig(dir string, r int) (Config, Plan, error) {
 	a, b := killTestFactors()
-	plan, err := Plan1D(a, b, r)
+	plan, err := PlanChain1D(mustChain(a, b), r)
 	if err != nil {
 		return Config{}, Plan{}, err
 	}

@@ -213,6 +213,20 @@ type ctrlMsg struct {
 	Traffic     trafficStats          `json:"traffic,omitempty"`
 	RunErr      string                `json:"run_err,omitempty"`
 	Recoverable bool                  `json:"recoverable,omitempty"`
+
+	// err is RunErr as the error value it was, for the process that ran
+	// the attempt (classification and blame need the chain; it does not
+	// cross the wire).
+	err error
+}
+
+// fail records a non-nil attempt error in the report.
+func (m *ctrlMsg) fail(err error) {
+	if err != nil {
+		m.err = err
+		m.RunErr = err.Error()
+		m.Recoverable = clusterRecoverable(err)
+	}
 }
 
 type trafficStats struct {
@@ -230,19 +244,12 @@ type trafficStats struct {
 // process death (the respawned peer simply has not come back yet).
 var errMeshDown = errors.New("dist: cluster mesh establishment failed")
 
-// clusterRecoverable classifies a cluster attempt error: peer-link
-// deaths, in-proc injected faults and mesh-establishment failures are
-// the detect-and-reexecute faults; everything else (a sink error, a
-// handshake refusal, a bad plan) stays loud.
+// clusterRecoverable is classify for a cluster attempt: the faults
+// classify blames on a rank, plus a failed mesh establishment (which has
+// no rank to blame — the respawned peer is simply not back yet).
 func clusterRecoverable(err error) bool {
-	if err == nil {
-		return false
-	}
-	var pe *transport.PeerError
-	var rc *RankCrashError
-	var ml *MessageLostError
-	return errors.As(err, &pe) || errors.As(err, &rc) || errors.As(err, &ml) ||
-		errors.Is(err, errMeshDown)
+	_, ok := classify(err)
+	return ok || errors.Is(err, errMeshDown)
 }
 
 // latePool adapts the engine's accounted buffer pool for the TCP
@@ -269,53 +276,44 @@ func (p *latePool) Put(b []graph.Edge) {
 	}
 }
 
-// procState is one process's cross-attempt state in a cluster run.
+// procState is one process's cross-attempt state in a cluster run: the
+// rank host every run has, plus this process's place in the mesh.
 type procState struct {
+	*rankHost
 	cc       ClusterConfig
-	cfg      Config
 	r        int
-	lo, hi   int
 	planHash uint64
 	faults   *tcp.FaultState
-	byID     map[int]Tile
-	sinks    []*fencedRankSink // local ranks, indexed rank-lo
 
-	// cum is this process's cumulative per-(rank, tile) stored prefixes
-	// across all attempts — the durable truth a worker announces in its
-	// join message after every control (re)dial, and the floor under
-	// every fence it accepts from the head. It is what keeps delivery
-	// exactly-once across a head generation change: a respawned head's
-	// ledger may lag the worker's shards, but the worker never fences
-	// below what it already stored.
-	cum map[int]map[int]int64
+	// mesh is the previous attempt's transport when that attempt succeeded
+	// here. It stays up until the head, having heard from every process,
+	// speaks again (the next begin, or done): a process that hung up right
+	// after its own release would look dead to a peer still inside the
+	// teardown collective and fail that peer's finished attempt. A failed
+	// attempt's mesh is closed at once — link death is how peers learn.
+	mesh *tcp.Transport
+}
+
+func (ps *procState) closeMesh() {
+	if ps.mesh != nil {
+		ps.mesh.Close()
+		ps.mesh = nil
+	}
 }
 
 func newProcState(cc ClusterConfig, cfg Config) *procState {
 	p := cc.Procs[cc.Self]
 	ps := &procState{
-		cc: cc, cfg: cfg,
+		rankHost: newRankHost(cfg, p.Lo, p.Hi),
+		cc:       cc,
 		r:        cfg.Plan.R,
-		lo:       p.Lo,
-		hi:       p.Hi,
 		planHash: PlanHash(cfg.Plan),
-		byID:     make(map[int]Tile),
-	}
-	for _, tiles := range cfg.Plan.Tiles {
-		for _, t := range tiles {
-			ps.byID[t.ID] = t
-		}
 	}
 	if cfg.Faults != nil && cfg.Faults.TCP != (transport.TCPFaults{}) {
 		// Armed once per process lifetime: the frame countdowns must keep
 		// counting across attempts, like the in-proc one-shot crash
 		// counters, so a fault that fired stays fired on the replay.
 		ps.faults = tcp.NewFaultState(cfg.Faults.TCP)
-	}
-	ps.sinks = make([]*fencedRankSink, p.Hi-p.Lo)
-	ps.cum = make(map[int]map[int]int64, p.Hi-p.Lo)
-	for i := range ps.sinks {
-		ps.sinks[i] = &fencedRankSink{rank: p.Lo + i, curTile: -1}
-		ps.cum[p.Lo+i] = make(map[int]int64)
 	}
 	return ps
 }
@@ -334,66 +332,13 @@ func (ps *procState) joinMsg() ctrlMsg {
 	return m
 }
 
-func (ps *procState) sinkFor(rk *Rank) (attemptSink, error) {
-	f := ps.sinks[rk.ID()-ps.lo]
-	if f.under == nil {
-		rs, err := ps.cfg.Sink.Rank(rk)
-		if err != nil {
-			return nil, err
-		}
-		f.under = rs
-		f.bs, _ = rs.(BlockStorer)
-		f.tbs, _ = rs.(TileBlockStorer)
-	}
-	return f, nil
-}
-
-// resolveTiles turns a begin message's tile-ID assignment into the
-// engine's per-rank tile arrays (local ranks only — runAttempt never
-// touches remote ranks' entries).
-func (ps *procState) resolveTiles(ids map[int][]int) ([][]Tile, error) {
-	assigned := make([][]Tile, ps.r)
-	for rk := ps.lo; rk < ps.hi; rk++ {
-		for _, id := range ids[rk] {
-			t, ok := ps.byID[id]
-			if !ok {
-				return nil, fmt.Errorf("dist: cluster assignment names unknown tile %d", id)
-			}
-			assigned[rk] = append(assigned[rk], t)
-		}
-	}
-	return assigned, nil
-}
-
 // attempt runs one epoch of the engine on this process: build the mesh,
-// run the local rank range, harvest the fenced sinks, tear the mesh
-// down. The returned report is ready to send (or, on the head, to fold
+// run the local rank range on it (rankHost.attempt), tear the mesh down.
+// The returned report is ready to send (or, on the head, to fold
 // directly).
-func (ps *procState) attempt(ctx context.Context, epoch int64, assigned [][]Tile, skip map[int]map[int]int64) ctrlMsg {
+func (ps *procState) attempt(ctx context.Context, epoch int64, ids map[int][]int, skip map[int]map[int]int64) ctrlMsg {
+	ps.closeMesh()
 	rep := ctrlMsg{Kind: ctrlReport, Epoch: epoch}
-	fail := func(err error) ctrlMsg {
-		rep.RunErr = err.Error()
-		rep.Recoverable = clusterRecoverable(err)
-		return rep
-	}
-	for i, f := range ps.sinks {
-		rk := ps.lo + i
-		f.skip = make(map[int]int64, len(skip[rk]))
-		for id, n := range skip[rk] {
-			f.skip[id] = n
-		}
-		// Fence floor: never below what this process already stored. A
-		// head generation whose ledger lagged the shards can only ask for
-		// too little suppression; the local cumulative count corrects it.
-		for id, c := range ps.cum[rk] {
-			if c > f.skip[id] {
-				f.skip[id] = c
-			}
-		}
-		f.stored = make(map[int]int64)
-		f.skipped = 0
-		f.curTile = -1
-	}
 	pool := &latePool{}
 	tr, err := tcp.Connect(ctx, ps.cc.Node, tcp.Config{
 		Procs: ps.cc.Procs, Self: ps.cc.Self, PlanHash: ps.planHash,
@@ -409,69 +354,37 @@ func (ps *procState) attempt(ctx context.Context, epoch int64, assigned [][]Tile
 		if ctx.Err() == nil && !errors.Is(err, tcp.ErrHandshake) {
 			err = fmt.Errorf("%w: %v", errMeshDown, err)
 		}
-		return fail(err)
+		rep.fail(err)
+		return rep
 	}
 	c, err := NewClusterOn(tr)
 	if err != nil {
 		tr.Close()
-		return fail(err)
+		rep.fail(err)
+		return rep
 	}
 	pool.c.Store(c)
-	c.epoch = epoch
-
-	perGen := make([]int64, ps.r)
-	perStored := make([]int64, ps.r)
-	runErr := runAttempt(ctx, c, ps.cfg.Owner, assigned, ps.sinkFor, perGen, perStored, ps.cfg.batchSize())
-	st := c.Stats()
-
-	rep.Stored = make(map[int]map[int]int64, len(ps.sinks))
-	rep.Gen = make(map[int]int64, len(ps.sinks))
-	rep.StoredN = make(map[int]int64, len(ps.sinks))
-	for i, f := range ps.sinks {
-		rk := ps.lo + i
-		f.flushCur()
-		m := make(map[int]int64, len(f.stored))
-		for id, n := range f.stored {
-			if n > 0 {
-				m[id] = n
-				ps.cum[rk][id] += n
-			}
-		}
-		rep.Stored[rk] = m
-		rep.Skipped += f.skipped
-		rep.Gen[rk] = perGen[rk]
-		rep.StoredN[rk] = perStored[rk]
-	}
-	rep.Traffic = trafficStats{
-		Generated: st.EdgesGenerated, Routed: st.EdgesRouted,
-		Bytes: st.BytesSent, Messages: st.Messages,
-		Stale: st.StaleBatches + tr.StaleFrames(), MaxDepth: st.MaxInboxDepth,
-		HBMisses: tr.HeartbeatMisses(),
-	}
-	// Drain inbox residue back to the pool before the mesh dies, then
-	// tear it down — the next attempt builds a fresh one at its epoch.
+	rep = ps.rankHost.attempt(ctx, c, epoch, ids, skip)
+	rep.Traffic.Stale += tr.StaleFrames()
+	rep.Traffic.HBMisses = tr.HeartbeatMisses()
+	// Drain inbox residue back to the pool before the mesh dies — the
+	// next attempt builds a fresh one at its epoch.
 	c.Reset()
-	tr.Close()
-	if runErr != nil {
-		rep.RunErr = runErr.Error()
-		rep.Recoverable = clusterRecoverable(runErr)
+	if rep.err != nil {
+		tr.Close()
+	} else {
+		ps.mesh = tr
 	}
 	return rep
 }
 
-// finalize closes every locally created RankSink exactly once.
-func (ps *procState) finalize() error {
-	var first error
-	for _, f := range ps.sinks {
-		if f.under == nil {
-			continue
-		}
-		if err := f.under.Close(); err != nil && first == nil {
-			first = err
-		}
-		f.under = nil
+// newRunStats returns the aggregate a run folds its attempt reports into.
+func newRunStats(r int) Stats {
+	return Stats{
+		PerRankGenerated: make([]int64, r),
+		PerRankStored:    make([]int64, r),
+		RetriesPerRank:   make([]int64, r),
 	}
-	return first
 }
 
 // foldReport merges one proc's attempt report into the aggregate stats.
@@ -520,27 +433,6 @@ func RunCluster(ctx context.Context, cc ClusterConfig, cfg Config) (Stats, error
 	return runClusterWorker(ctx, ps)
 }
 
-// sleepJitter sleeps an exponentially growing, jittered backoff (retry
-// counts from 1): base·2^(retry-1), capped at maxBackoff, scaled by a
-// uniform factor in [0.5, 1.5) so a whole cluster of workers re-dialing
-// a respawned head doesn't arrive as a thundering herd.
-func sleepJitter(ctx context.Context, rng *rand.Rand, base time.Duration, retry int) error {
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	d := base << (retry - 1)
-	if d > maxBackoff || d <= 0 {
-		d = maxBackoff
-	}
-	d = time.Duration(float64(d) * (0.5 + rng.Float64()))
-	select {
-	case <-time.After(d):
-		return nil
-	case <-ctx.Done():
-		return context.Cause(ctx)
-	}
-}
-
 // runClusterWorker is the non-head process loop: obey begin/done from
 // the head until the run concludes. A broken head control link is no
 // longer terminal: the worker parks with its sinks open and re-dials
@@ -549,6 +441,7 @@ func sleepJitter(ctx context.Context, rng *rand.Rand, base time.Duration, retry 
 // stored prefixes. A head that never comes back exhausts the budget and
 // fails loudly; a worker must never hang on a silent cluster.
 func runClusterWorker(ctx context.Context, ps *procState) (Stats, error) {
+	defer ps.closeMesh()
 	rng := rand.New(rand.NewSource(int64(ps.planHash) ^ int64(ps.cc.Self)<<32 ^ time.Now().UnixNano()))
 	dial := func() (*tcp.CtrlConn, error) {
 		dctx, cancel := context.WithTimeout(ctx, ps.cc.dialTimeout())
@@ -569,7 +462,7 @@ func runClusterWorker(ctx context.Context, ps *procState) (Stats, error) {
 		return Stats{}, fmt.Errorf("dist: worker %d joining head: %w", ps.cc.Self, err)
 	}
 	defer func() { cc.Close() }()
-	agg := Stats{PerRankGenerated: make([]int64, ps.r), PerRankStored: make([]int64, ps.r)}
+	agg := newRunStats(ps.r)
 	redials := 0
 	// park re-dials the head after a control-link break, consuming the
 	// budget; on success the loop continues with the fresh connection
@@ -584,7 +477,15 @@ func runClusterWorker(ctx context.Context, ps *procState) (Stats, error) {
 				return cause
 			}
 			redials++
-			if err := sleepJitter(ctx, rng, ps.cfg.Backoff, redials); err != nil {
+			// Jittered: the backoff is scaled by a uniform factor in
+			// [0.5, 1.5) so a whole cluster of workers re-dialing a
+			// respawned head doesn't arrive as a thundering herd.
+			base := ps.cfg.Backoff
+			if base <= 0 {
+				base = 50 * time.Millisecond
+			}
+			d := time.Duration(float64(backoff(base, redials)) * (0.5 + rng.Float64()))
+			if err := sleepCtx(ctx, d); err != nil {
 				return err
 			}
 			ncc, err := dial()
@@ -607,13 +508,7 @@ func runClusterWorker(ctx context.Context, ps *procState) (Stats, error) {
 		}
 		switch m.Kind {
 		case ctrlBegin:
-			assigned, err := ps.resolveTiles(m.Tiles)
-			var rep ctrlMsg
-			if err != nil {
-				rep = ctrlMsg{Kind: ctrlReport, Epoch: m.Epoch, RunErr: err.Error()}
-			} else {
-				rep = ps.attempt(ctx, m.Epoch, assigned, m.Skip)
-			}
+			rep := ps.attempt(ctx, m.Epoch, m.Tiles, m.Skip)
 			foldReport(&agg, &rep)
 			if err := cc.Send(rep); err != nil {
 				// The head died before taking the report. The stored edges
@@ -673,19 +568,13 @@ const ledgerRotateBytes = 1 << 20
 // With a ledger armed, every state change is journaled durably, and a
 // respawned head resumes from the replayed table instead of restarting.
 func runClusterHead(ctx context.Context, ps *procState) (Stats, error) {
+	defer ps.closeMesh()
 	n := len(ps.cc.Procs)
 
-	// The checkpoint table, exactly the in-process supervisor's, but
-	// per-proc instead of per-goroutine on the recovery side.
-	var tiles []*tileState
-	byID := make(map[int]*tileState)
-	for rk, ts := range ps.cfg.Plan.Tiles {
-		for _, t := range ts {
-			st := &tileState{tile: t, owner: rk, stored: make([]int64, ps.r)}
-			tiles = append(tiles, st)
-			byID[t.ID] = st
-		}
-	}
+	// The checkpoint table every run has; recovery here is per process,
+	// not per goroutine.
+	cp := newCheckpoints(ps.cfg.Plan, ps.cfg.Owner != nil)
+	tiles := cp.tiles
 
 	// Durable run ledger (optional): replay, validate identity, seed the
 	// table, open the next head generation.
@@ -717,10 +606,8 @@ func runClusterHead(ctx context.Context, ps *procState) (Stats, error) {
 						ts.stored[rk] = cnt
 					}
 				}
-				for rk := ps.lo; rk < ps.hi; rk++ {
-					ts.stored[rk] = 0
-				}
 			}
+			cp.zeroRanks(ps.lo, ps.hi)
 		} else {
 			if err := l.Append(ledger.Record{Kind: ledger.KindIdentity,
 				PlanHash: ps.planHash, Digest: digest, Procs: n, Ranks: ps.r}); err != nil {
@@ -815,17 +702,13 @@ func runClusterHead(ctx context.Context, ps *procState) (Stats, error) {
 	// with the announced absolutes.
 	applyJoin := func(peer int, jm *ctrlMsg) {
 		pr := ps.cc.Procs[peer]
-		for _, ts := range tiles {
-			for d := pr.Lo; d < pr.Hi; d++ {
-				ts.stored[d] = 0
-			}
-		}
+		cp.zeroRanks(pr.Lo, pr.Hi)
 		for rk, m := range jm.Stored {
 			if rk < pr.Lo || rk >= pr.Hi {
 				continue // a worker only speaks for its own ranks
 			}
 			for id, cnt := range m {
-				if st := byID[id]; st != nil {
+				if st := cp.byID[id]; st != nil {
 					st.stored[rk] = cnt
 				}
 			}
@@ -871,50 +754,20 @@ func runClusterHead(ctx context.Context, ps *procState) (Stats, error) {
 		}
 	}
 
-	routed := ps.cfg.Owner != nil
-	agg := Stats{
-		PerRankGenerated: make([]int64, ps.r),
-		PerRankStored:    make([]int64, ps.r),
-		RetriesPerRank:   make([]int64, ps.r),
-		HeadGeneration:   headGen,
-	}
+	agg := newRunStats(ps.r)
+	agg.HeadGeneration = headGen
 	var runErr error
 	for attempt := 0; ; attempt++ {
 		if err := ensureWorkers(); err != nil {
 			runErr = err
 			break
 		}
-		// Commitment is recomputed, never sticky: joins may have zeroed a
-		// respawned proc's rows since the last check, un-committing tiles
-		// whose edges lived there.
-		for _, ts := range tiles {
-			ts.committed = ts.storedTotal() == ts.tile.Arcs()
-		}
 		// Assignment: every uncommitted tile at its owner, with the skip
-		// prefixes recovery fencing needs at each destination.
-		assignIDs := make(map[int][]int)
-		skip := make(map[int]map[int]int64)
-		addSkip := func(rank, tile int, cnt int64) {
-			if skip[rank] == nil {
-				skip[rank] = make(map[int]int64)
-			}
-			skip[rank][tile] = cnt
-		}
-		for _, ts := range tiles {
-			if ts.committed {
-				continue
-			}
-			assignIDs[ts.owner] = append(assignIDs[ts.owner], ts.tile.ID)
-			if routed {
-				for d, cnt := range ts.stored {
-					if cnt > 0 {
-						addSkip(d, ts.tile.ID, cnt)
-					}
-				}
-			} else if cnt := ts.storedTotal(); cnt > 0 {
-				addSkip(ts.owner, ts.tile.ID, cnt)
-			}
-		}
+		// prefixes recovery fencing needs at each destination. Commitment
+		// is recomputed first: joins may have zeroed a respawned proc's
+		// rows since the last check, un-committing tiles whose edges lived
+		// there.
+		assignIDs, skip := cp.assign()
 		epoch := epochBase + int64(attempt)
 		agg.LastEpoch = epoch
 		// The epoch transition goes durable before any worker acts at it,
@@ -939,12 +792,7 @@ func runClusterHead(ctx context.Context, ps *procState) (Stats, error) {
 			}
 		}
 
-		assigned, err := ps.resolveTiles(assignIDs)
-		if err != nil {
-			runErr = err
-			break
-		}
-		rep0 := ps.attempt(ctx, epoch, assigned, skip)
+		rep0 := ps.attempt(ctx, epoch, assignIDs, skip)
 
 		// Collect: the final collective synchronized every live proc with
 		// the head's own attempt, so live workers report promptly; only a
@@ -980,11 +828,7 @@ func runClusterHead(ctx context.Context, ps *procState) (Stats, error) {
 				continue
 			}
 			foldReport(&agg, rep)
-			for rk, m := range rep.Stored {
-				for id, cnt := range m {
-					byID[id].stored[rk] += cnt
-				}
-			}
+			cp.harvest(rep.Stored)
 			if rep.RunErr != "" {
 				ok = false
 				if attemptErr == nil || !rep.Recoverable {
@@ -998,18 +842,9 @@ func runClusterHead(ctx context.Context, ps *procState) (Stats, error) {
 		// A dead proc's durable output dies with it: its ShardWriters
 		// truncate on respawn, so every stored count at its ranks resets.
 		for _, p := range deadProcs {
-			pr := ps.cc.Procs[p]
-			for _, ts := range tiles {
-				for d := pr.Lo; d < pr.Hi; d++ {
-					ts.stored[d] = 0
-				}
-			}
+			cp.zeroRanks(ps.cc.Procs[p].Lo, ps.cc.Procs[p].Hi)
 		}
-		// Commitment is recomputed, not sticky: a tile whose edges lived
-		// on a dead proc un-commits and replays.
-		for _, ts := range tiles {
-			ts.committed = ts.storedTotal() == ts.tile.Arcs()
-		}
+		cp.recommit()
 		// The harvest goes durable — stored prefixes and commitment flips
 		// — before the outcome is decided, so a head death from here on
 		// costs at most the joins' worth of re-announcement, never a
@@ -1039,7 +874,7 @@ func runClusterHead(ctx context.Context, ps *procState) (Stats, error) {
 		}
 		agg.RetriesPerRank[blameRank]++
 		runErr = nil
-		if err := sleepBackoff(ctx, ps.cfg.Backoff, attempt+1); err != nil {
+		if err := sleepCtx(ctx, backoff(ps.cfg.Backoff, attempt+1)); err != nil {
 			runErr = err
 			break
 		}
@@ -1088,44 +923,27 @@ func runClusterHead(ctx context.Context, ps *procState) (Stats, error) {
 	return agg, runErr
 }
 
-// GenerateClusterToStore is the cluster-mode generateToStore: every
-// process streams its local ranks' owned edges to shard files under the
-// shared dir (shard index = global rank, so the processes never
-// collide), and the head finalizes the manifest from the shard files
-// themselves once every worker has flushed — store.Recover derives the
-// exact counts, which stays correct even when a respawned worker
-// truncated and rewrote its shards mid-run. Workers return a nil store.
-func GenerateClusterToStore(ctx context.Context, a, b *graph.Graph, dir string, twoD bool, cc ClusterConfig, rec Recovery) (*store.Store, Stats, error) {
-	ch, err := core.NewChain(a, b)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return GenerateChainClusterToStore(ctx, ch, dir, twoD, cc, rec)
-}
-
-// GenerateChainClusterToStore is GenerateClusterToStore over a factor
-// chain A₁⊗…⊗Aₖ: the same head-supervised attempts, checkpoint table
-// and respawn recovery, with every process expanding chain tiles. The
-// plan hash covers the chain's dimensions, so mixed-depth clusters
-// refuse to form.
+// GenerateChainClusterToStore runs the chain generator across the static
+// cluster in cc with a store sink: every process streams its local ranks'
+// owned edges to shard files under the shared dir (shard index = global
+// rank, so the processes never collide), and the head finalizes the
+// manifest from the shard files themselves once every worker has flushed
+// — store.Recover derives the exact counts, which stays correct even when
+// a respawned worker truncated and rewrote its shards mid-run. Workers
+// return a nil store. The plan hash covers the chain's dimensions, so
+// mixed-depth clusters refuse to form.
 func GenerateChainClusterToStore(ctx context.Context, ch *core.Chain, dir string, twoD bool, cc ClusterConfig, rec Recovery) (*store.Store, Stats, error) {
-	return GenerateChainClusterToStoreFrom(ctx, ch, dir, twoD, 0, -1, cc, rec)
+	return GenerateChainClusterToStoreOpts(ctx, ch, dir, twoD, 0, -1, cc, rec, nil)
 }
 
-// GenerateChainClusterToStoreFrom is GenerateChainClusterToStore over a
-// contiguous window of the stream (see GenerateChainToStoreFrom). Every
-// process must pass the same offset and limit: the window is folded into
-// the tiles before planning, so PlanHash covers it and a cluster whose
-// processes sliced at different positions refuses to form instead of
-// silently mixing windows.
-func GenerateChainClusterToStoreFrom(ctx context.Context, ch *core.Chain, dir string, twoD bool, offset, limit int64, cc ClusterConfig, rec Recovery) (*store.Store, Stats, error) {
-	return GenerateChainClusterToStoreOpts(ctx, ch, dir, twoD, offset, limit, cc, rec, nil)
-}
-
-// GenerateChainClusterToStoreOpts is GenerateChainClusterToStoreFrom
-// with an optional fault plan — the chaos suites' and the smoke
-// script's entry point for arming this process's TCP fault schedule
-// (kill, reset, partition) on a real cluster run.
+// GenerateChainClusterToStoreOpts is GenerateChainClusterToStore over a
+// contiguous window of the stream (see GenerateChainToStoreFrom) with an
+// optional fault plan — the chaos suites' and the smoke script's way to
+// arm this process's TCP fault schedule (kill, reset, partition) on a real
+// cluster run. Every process must pass the same offset and limit: the
+// window is folded into the tiles before planning, so PlanHash covers it
+// and a cluster whose processes sliced at different positions refuses to
+// form instead of silently mixing windows.
 func GenerateChainClusterToStoreOpts(ctx context.Context, ch *core.Chain, dir string, twoD bool, offset, limit int64, cc ClusterConfig, rec Recovery, faults *FaultPlan) (*store.Store, Stats, error) {
 	r := cc.Procs[len(cc.Procs)-1].Hi
 	plan, err := sliceForChain(ch, r, twoD, offset, limit)

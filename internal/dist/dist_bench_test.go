@@ -28,7 +28,7 @@ func BenchmarkOwnerMapAblation(b *testing.B) {
 		b.Run(o.name, func(b *testing.B) {
 			var imbalance float64
 			for i := 0; i < b.N; i++ {
-				res, err := Generate1D(a, bb, 8, o.f)
+				res, err := GenerateChain(mustChain(a, bb), 8, o.f, false)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -48,7 +48,7 @@ func BenchmarkOwnedVsRouted(b *testing.B) {
 	nC := a.NumVertices() * bb.NumVertices()
 	b.Run("routedBlock", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Generate1D(a, bb, 8, OwnerByBlock(nC)); err != nil {
+			if _, err := GenerateChain(mustChain(a, bb), 8, OwnerByBlock(nC), false); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -62,28 +62,6 @@ func BenchmarkOwnedVsRouted(b *testing.B) {
 	})
 }
 
-// Sustained edge-generation rate of the blocked kernel across the rank
-// sweep the scaling argument is about — the headline metric of this
-// generator family (Sanders et al., Kepner et al.). Reports edges/s so
-// regressions in the routed hot path show up as rate, not just ns/op.
-func BenchmarkKernelRSweep(b *testing.B) {
-	a := gen.MustRMAT(gen.Graph500Params(5, 10))
-	bb := gen.MustRMAT(gen.Graph500Params(5, 11))
-	edges := a.NumArcs() * bb.NumArcs()
-	for _, r := range []int{1, 4, 16, 32} {
-		b.Run(fmt.Sprintf("R=%d", r), func(b *testing.B) {
-			b.SetBytes(edges * 16)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Generate1D(a, bb, r, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(edges)*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
-		})
-	}
-}
-
 // Batch-size sweep of the routed kernel at a fixed rank count — the
 // measurement behind DefaultBatchSize (README §Performance): too small
 // pays per-message overhead, too large blows the staging working set.
@@ -93,7 +71,7 @@ func BenchmarkKernelBatchSize(b *testing.B) {
 	edges := a.NumArcs() * bb.NumArcs()
 	for _, batch := range []int{64, 256, 1024, 4096} {
 		b.Run(fmt.Sprintf("B=%d", batch), func(b *testing.B) {
-			plan, err := Plan1D(a, bb, 16)
+			plan, err := PlanChain1D(mustChain(a, bb), 16)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -101,7 +79,7 @@ func BenchmarkKernelBatchSize(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sink := NewMemorySink(16)
-				sink.Hints = sourceHashLoads(a, bb, 16)
+				sink.Hints = chainSourceHashLoads(mustChain(a, bb), 16)
 				cfg := Config{Plan: plan, Owner: sourceHashOwner{}, Sink: sink, BatchSize: batch}
 				if _, err := Run(context.Background(), cfg); err != nil {
 					b.Fatal(err)

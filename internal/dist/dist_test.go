@@ -162,7 +162,7 @@ func TestGenerateMatchesSerial(t *testing.T) {
 	}
 	for name, owner := range owners {
 		for _, r := range []int{1, 2, 3, 4, 7, 16} {
-			res1, err := Generate1D(a, b, r, owner)
+			res1, err := GenerateChain(mustChain(a, b), r, owner, false)
 			if err != nil {
 				t.Fatalf("%s R=%d 1D: %v", name, r, err)
 			}
@@ -173,7 +173,7 @@ func TestGenerateMatchesSerial(t *testing.T) {
 			if !got1.Equal(want) {
 				t.Fatalf("%s R=%d: 1D product differs from serial", name, r)
 			}
-			res2, err := Generate2D(a, b, r, owner)
+			res2, err := GenerateChain(mustChain(a, b), r, owner, true)
 			if err != nil {
 				t.Fatalf("%s R=%d 2D: %v", name, r, err)
 			}
@@ -202,7 +202,7 @@ func TestPropertyDistributedEqualsSerial(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res1, err := Generate1D(a, b, r, nil)
+		res1, err := GenerateChain(mustChain(a, b), r, nil, false)
 		if err != nil {
 			return false
 		}
@@ -210,7 +210,7 @@ func TestPropertyDistributedEqualsSerial(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res2, err := Generate2D(a, b, r, nil)
+		res2, err := GenerateChain(mustChain(a, b), r, nil, true)
 		if err != nil {
 			return false
 		}
@@ -228,7 +228,7 @@ func TestPropertyDistributedEqualsSerial(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	a := gen.ER(8, 0.5, 3)
 	b := gen.ER(8, 0.5, 4)
-	res, err := Generate1D(a, b, 4, OwnerBySource)
+	res, err := GenerateChain(mustChain(a, b), 4, OwnerBySource, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestStatsAccounting(t *testing.T) {
 		t.Errorf("MaxRankStorage %d out of range", res.MaxRankStorage())
 	}
 	// R=1: nothing is routed off-rank.
-	res1, err := Generate1D(a, b, 1, OwnerBySource)
+	res1, err := GenerateChain(mustChain(a, b), 1, OwnerBySource, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestCountOnly(t *testing.T) {
 	want := a.NumArcs() * b.NumArcs()
 	for _, r := range []int{1, 3, 8} {
 		for _, twoD := range []bool{false, true} {
-			got, err := CountOnly(a, b, r, twoD)
+			got, err := countOnly(mustChain(a, b), r, twoD)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -314,14 +314,14 @@ func TestEffectiveParallelism(t *testing.T) {
 
 func TestGenerateInvalidR(t *testing.T) {
 	a := gen.ER(4, 0.5, 9)
-	if _, err := Generate1D(a, a, 0, nil); err == nil {
+	if _, err := GenerateChain(mustChain(a, a), 0, nil, false); err == nil {
 		t.Error("R=0 should error")
 	}
-	if _, err := Generate2D(a, a, -1, nil); err == nil {
+	if _, err := GenerateChain(mustChain(a, a), -1, nil, true); err == nil {
 		t.Error("R<0 should error")
 	}
-	if _, err := CountOnly(a, a, 0, false); err == nil {
-		t.Error("CountOnly R=0 should error")
+	if _, err := countOnly(mustChain(a, a), 0, false); err == nil {
+		t.Error("count-only R=0 should error")
 	}
 }
 
@@ -374,7 +374,7 @@ func TestPropertyOwnedEqualsRouted(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		routed, err := Generate1D(a, b, r, OwnerByBlock(nC))
+		routed, err := GenerateChain(mustChain(a, b), r, OwnerByBlock(nC), false)
 		if err != nil {
 			return false
 		}
@@ -398,7 +398,7 @@ func TestPropertyOwnedEqualsRouted(t *testing.T) {
 	}
 }
 
-// Generate1DToStore must stream exactly the serial product to disk with
+// GenerateChainToStore under 1D must stream exactly the serial product to disk with
 // zero in-memory accumulation of C.
 func TestGenerate1DToStore(t *testing.T) {
 	a := gen.PrefAttach(10, 2, 11)
@@ -409,7 +409,7 @@ func TestGenerate1DToStore(t *testing.T) {
 	}
 	for _, r := range []int{1, 3, 5} {
 		dir := t.TempDir()
-		st, stats, err := Generate1DToStore(a, b, r, dir)
+		st, stats, err := GenerateChainToStore(mustChain(a, b), r, dir, false)
 		if err != nil {
 			t.Fatalf("R=%d: %v", r, err)
 		}

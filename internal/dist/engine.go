@@ -158,25 +158,6 @@ func PlanChain2D(ch *core.Chain, r int) (Plan, error) {
 	return Plan{R: r, NC: ch.NumVertices(), Dims: ch.Index().Dims(), Tiles: tiles}, nil
 }
 
-// Plan1D is the k = 2 special case of PlanChain1D, preserved as the
-// two-factor API of Sec. III.
-func Plan1D(a, b *graph.Graph, r int) (Plan, error) {
-	ch, err := core.NewChain(a, b)
-	if err != nil {
-		return Plan{}, err
-	}
-	return PlanChain1D(ch, r)
-}
-
-// Plan2D is the k = 2 special case of PlanChain2D (Rem. 1).
-func Plan2D(a, b *graph.Graph, r int) (Plan, error) {
-	ch, err := core.NewChain(a, b)
-	if err != nil {
-		return Plan{}, err
-	}
-	return PlanChain2D(ch, r)
-}
-
 // planForChain dispatches between the two decompositions.
 func planForChain(ch *core.Chain, r int, twoD bool) (Plan, error) {
 	if twoD {
@@ -185,47 +166,39 @@ func planForChain(ch *core.Chain, r int, twoD bool) (Plan, error) {
 	return PlanChain1D(ch, r)
 }
 
-// planFor is planForChain for a two-factor product.
-func planFor(a, b *graph.Graph, r int, twoD bool) (Plan, error) {
-	ch, err := core.NewChain(a, b)
-	if err != nil {
-		return Plan{}, err
-	}
-	return planForChain(ch, r, twoD)
-}
-
-// RankSink consumes the edges owned by one rank. Store and Close are
-// called from that rank's goroutines only; a Sink that aggregates across
-// ranks must synchronize in Close (or use atomics). Under supervision
-// (Recovery.MaxRetries > 0) a rank's RankSink lives across run attempts —
-// Store may be called from a later attempt's goroutines (attempt
-// boundaries give happens-before) and Close still happens exactly once,
-// after the final attempt.
+// RankSink consumes the edges owned by one rank. It lives across the
+// run's attempts: Store (and the block fast paths) are called from the
+// rank's goroutine of whichever attempt is running — attempt boundaries
+// give happens-before — and Close from the goroutine driving the run,
+// after the last attempt's rank goroutines have been joined. No two calls
+// ever overlap; a Sink that aggregates across ranks must still
+// synchronize between its RankSinks (or use atomics).
 type RankSink interface {
 	// Store accepts one owned edge. An error aborts the whole run.
 	Store(e graph.Edge) error
 	// Close flushes the rank's output; it is called exactly once, after
-	// the rank's exchange (or direct expansion) has finished — even when
-	// the run is being cancelled.
+	// the run's last attempt has ended — even when the run failed or was
+	// cancelled. It must not wait on a consumer that is itself waiting for
+	// the run to finish.
 	Close() error
 }
 
 // Sink fans a generation run out to per-rank consumers. Rank is called
-// once per rank, inside the rank's goroutine, before expansion starts; an
+// once per rank, inside the rank's goroutine, before the rank's first
+// expansion starts (a replayed attempt reuses the RankSink); an
 // error aborts the run on every rank (no deadlock: the other ranks'
 // exchanges are cancelled rather than left waiting for EOF markers).
 type Sink interface {
 	Rank(rk *Rank) (RankSink, error)
 }
 
-// Recovery tunes the run supervisor (supervisor.go). The zero value
-// disables supervision entirely: the run fails loudly on the first fault,
-// the pre-recovery behavior.
+// Recovery is the run's retry policy (supervisor.go). The zero value is
+// zero retries: the first fault is returned unchanged.
 type Recovery struct {
 	// MaxRetries bounds re-run attempts after a recoverable fault (a
-	// rank crash or a lost message). The run makes at most 1+MaxRetries
-	// attempts; exhausting the budget surfaces the last injected fault
-	// loudly, exactly like an unsupervised run.
+	// rank crash, a lost message or a dead peer). The run makes at most
+	// 1+MaxRetries attempts; with the budget exhausted the last fault is
+	// returned unchanged.
 	MaxRetries int
 	// Backoff is the base delay before a retry; attempt n waits
 	// Backoff·2^(n-1), capped at one second. Zero retries immediately.
@@ -259,102 +232,9 @@ type Config struct {
 	// fault schedule (see fault.go) — chaos testing of the teardown,
 	// redelivery and recovery paths. Nil injects nothing.
 	Faults *FaultPlan
-	// Recovery (embedded: MaxRetries, Backoff, Reassign) arms the run
-	// supervisor; see the Recovery type.
+	// Recovery (embedded: MaxRetries, Backoff, Reassign) is the retry
+	// policy; see the Recovery type.
 	Recovery
-}
-
-// attemptSink is the engine-internal per-rank sink used by one run
-// attempt: a tile-aware block store plus an end-of-attempt hook. The
-// plain adapter forwards to a RankSink and closes it when the attempt
-// ends; the supervisor's fenced sink suppresses replayed duplicate
-// prefixes and keeps the underlying RankSink open across attempts.
-type attemptSink interface {
-	// storeBlock accepts one tile-framed batch of owned edges. stored
-	// reports how many of them were appended to the underlying sink
-	// (fewer: a replayed prefix was suppressed, or a store failed partway
-	// — checkpoint accounting needs the exact count either way). The
-	// block aliases an engine buffer recycled after the call returns.
-	storeBlock(tile int, edges []graph.Edge) (stored int64, err error)
-	// endAttempt runs after the rank's exchange (or direct expansion)
-	// has finished — even on teardown. It returns the number of
-	// duplicates suppressed this attempt (the balance collective's
-	// adjustment) and any close/flush error.
-	endAttempt() (skipped int64, err error)
-}
-
-// plainAttemptSink adapts a RankSink for an unsupervised single-attempt
-// run: every edge stores, and the attempt's end closes the sink.
-type plainAttemptSink struct {
-	rs  RankSink
-	bs  BlockStorer     // non-nil when rs implements the block fast path
-	tbs TileBlockStorer // preferred over bs when rs needs the tile framing
-}
-
-func newPlainAttemptSink(rs RankSink) plainAttemptSink {
-	bs, _ := rs.(BlockStorer)
-	tbs, _ := rs.(TileBlockStorer)
-	return plainAttemptSink{rs: rs, bs: bs, tbs: tbs}
-}
-
-func (p plainAttemptSink) storeBlock(tile int, edges []graph.Edge) (int64, error) {
-	if p.tbs != nil {
-		return p.tbs.StoreTileBlock(tile, edges)
-	}
-	if p.bs != nil {
-		return p.bs.StoreBlock(edges)
-	}
-	for i, e := range edges {
-		if err := p.rs.Store(e); err != nil {
-			return int64(i), err
-		}
-	}
-	return int64(len(edges)), nil
-}
-
-func (p plainAttemptSink) endAttempt() (int64, error) { return 0, p.rs.Close() }
-
-// Run executes the Plan→Expand→Route→Sink engine: every rank expands its
-// planned tiles through the blocked kernel (core.ExpandBlock, one A-arc
-// against all of B per block), routes whole blocks through Config.Owner
-// over the batched exchange (or locally when Owner is nil), and hands
-// owned edge batches to its RankSink — via BlockStorer when the sink
-// implements it, per-edge Store otherwise.
-//
-// Cancelling ctx tears the run down mid-exchange on every rank; the first
-// real error (a failed sink, or the cancellation cause) is returned.
-// The returned Stats carry the transport counters plus per-rank
-// generated/stored counts and the deepest inbox backlog observed.
-//
-// With Recovery.MaxRetries > 0 the run is supervised: a rank crash or
-// lost message triggers a bounded-backoff replay from tile-level
-// checkpoints instead of a loud failure, with epoch-fenced sinks keeping
-// delivery exactly-once (see supervisor.go).
-func Run(ctx context.Context, cfg Config) (Stats, error) {
-	if cfg.MaxRetries > 0 {
-		return supervise(ctx, cfg)
-	}
-	p := cfg.Plan
-	c, err := NewCluster(p.R)
-	if err != nil {
-		return Stats{}, err
-	}
-	if cfg.Faults != nil {
-		c.InjectFaults(*cfg.Faults)
-	}
-	perGen := make([]int64, p.R)
-	perStored := make([]int64, p.R)
-	runErr := runAttempt(ctx, c, cfg.Owner, p.Tiles, func(rk *Rank) (attemptSink, error) {
-		rs, err := cfg.Sink.Rank(rk)
-		if err != nil {
-			return nil, err
-		}
-		return newPlainAttemptSink(rs), nil
-	}, perGen, perStored, cfg.batchSize())
-	st := c.Stats()
-	st.PerRankGenerated = perGen
-	st.PerRankStored = perStored
-	return st, runErr
 }
 
 // batchSize resolves Config.BatchSize against the default.
@@ -370,7 +250,7 @@ func (cfg Config) batchSize() int {
 // blocked kernel (core.ExpandBlock into a reused scratch block), routes
 // whole blocks via the plan-bound owner over the epoch-fenced exchange
 // (or stores them locally when owner is nil), and hands owned batches to
-// the attemptSink sinkFor returns for it. perGen/perStored receive this
+// the fenced sink sinkFor returns for it. perGen/perStored receive this
 // attempt's per-rank counters.
 //
 // Expansion order is exactly the reference order — head arcs in tile
@@ -381,7 +261,7 @@ func (cfg Config) batchSize() int {
 // across attempts. That determinism is what tile checkpoints and
 // prefix-dedup recovery key on; the blocked kernel changes batching
 // granularity, never order.
-func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, sinkFor func(*Rank) (attemptSink, error), perGen, perStored []int64, batch int) error {
+func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, sinkFor func(*Rank) (*fencedRankSink, error), perGen, perStored []int64, batch int) error {
 	var bound BoundOwnerFunc
 	if owner != nil {
 		bound = owner.Bind(c.r)
@@ -589,7 +469,7 @@ func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, si
 		atomic.AddInt64(&rk.c.stats.EdgesGenerated, generated)
 		perGen[rk.ID()] = generated
 		perStored[rk.ID()] = stored
-		skipped, closeErr := as.endAttempt()
+		skipped := as.endAttempt()
 		switch {
 		case sinkErr != nil:
 			return sinkErr
@@ -597,8 +477,6 @@ func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, si
 			return crashErr
 		case xErr != nil:
 			return xErr
-		case closeErr != nil:
-			return closeErr
 		}
 		// Teardown collective: every rank must report a balanced run
 		// before the engine declares success — an edge batch that went

@@ -17,18 +17,18 @@ import (
 
 func TestPlanValidation(t *testing.T) {
 	a := gen.Ring(4)
-	if _, err := Plan1D(a, a, 0); err == nil {
-		t.Error("Plan1D with 0 ranks should error")
+	if _, err := PlanChain1D(mustChain(a, a), 0); err == nil {
+		t.Error("PlanChain1D with 0 ranks should error")
 	}
-	if _, err := Plan2D(a, a, -3); err == nil {
-		t.Error("Plan2D with negative ranks should error")
+	if _, err := PlanChain2D(mustChain(a, a), -3); err == nil {
+		t.Error("PlanChain2D with negative ranks should error")
 	}
-	p, err := Plan2D(a, a, 6)
+	p, err := PlanChain2D(mustChain(a, a), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.R != 6 || p.NC != 16 {
-		t.Errorf("Plan2D(6) = R=%d NC=%d", p.R, p.NC)
+		t.Errorf("PlanChain2D r=6: R=%d NC=%d", p.R, p.NC)
 	}
 	// Every tile of the grid is assigned to exactly one rank.
 	var tiles int
@@ -67,7 +67,7 @@ func randFactor(n int64, seed int64, undirected, loops bool) *graph.Graph {
 
 // The cross-path equivalence property: for random small factors
 // (directed/undirected, with/without self loops) every generation path —
-// Generate1D, Generate2D, Stream, Generate1DToStore, Generate2DToStore —
+// GenerateChain, StreamChainFrom and GenerateChainToStore, 1D and 2D —
 // yields the identical edge set of A ⊗ B, under each OwnerFunc where the
 // path takes one. Run under -race in CI.
 func TestPropertyAllPathsEquivalent(t *testing.T) {
@@ -83,7 +83,7 @@ func TestPropertyAllPathsEquivalent(t *testing.T) {
 		owners := []OwnerFunc{OwnerBySource, OwnerByEdge, OwnerByBlock(nC)}
 		for _, owner := range owners {
 			for _, twoD := range []bool{false, true} {
-				res, err := generate(a, b, r, owner, twoD)
+				res, err := GenerateChain(mustChain(a, b), r, owner, twoD)
 				if err != nil {
 					return false
 				}
@@ -94,7 +94,7 @@ func TestPropertyAllPathsEquivalent(t *testing.T) {
 			}
 		}
 		var streamed []graph.Edge
-		if _, err := Stream(context.Background(), a, b, r, true, 32, Recovery{}, func(batch []graph.Edge) error {
+		if _, err := StreamChainFrom(context.Background(), mustChain(a, b), r, true, 32, 0, -1, Recovery{}, func(batch []graph.Edge) error {
 			streamed = append(streamed, batch...)
 			return nil
 		}); err != nil {
@@ -105,7 +105,7 @@ func TestPropertyAllPathsEquivalent(t *testing.T) {
 			return false
 		}
 		for _, twoD := range []bool{false, true} {
-			st, _, err := generateToStore(a, b, r, t.TempDir(), twoD)
+			st, _, err := GenerateChainToStore(mustChain(a, b), r, t.TempDir(), twoD)
 			if err != nil {
 				return false
 			}
@@ -121,7 +121,7 @@ func TestPropertyAllPathsEquivalent(t *testing.T) {
 	}
 }
 
-// Generate2DToStore must stream exactly the serial product to disk, with
+// GenerateChainToStore under 2D must stream exactly the serial product to disk, with
 // each shard holding only its rank's owned edges — the path that "falls
 // out for free" from the unified engine.
 func TestGenerate2DToStore(t *testing.T) {
@@ -133,7 +133,7 @@ func TestGenerate2DToStore(t *testing.T) {
 	}
 	for _, r := range []int{1, 3, 6} {
 		dir := t.TempDir()
-		st, stats, err := Generate2DToStore(a, b, r, dir)
+		st, stats, err := GenerateChainToStore(mustChain(a, b), r, dir, true)
 		if err != nil {
 			t.Fatalf("R=%d: %v", r, err)
 		}
@@ -181,7 +181,7 @@ func (s *failSink) Rank(rk *Rank) (RankSink, error) {
 func TestRankSinkFailureDoesNotDeadlock(t *testing.T) {
 	a := gen.ER(20, 0.5, 31)
 	b := gen.ER(20, 0.5, 32)
-	plan, err := Plan1D(a, b, 4)
+	plan, err := PlanChain1D(mustChain(a, b), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,11 +214,11 @@ func TestGenerateToStoreBadDirPropagates(t *testing.T) {
 	bad := filepath.Join(file, "store")
 	done := make(chan error, 2)
 	go func() {
-		_, _, err := Generate1DToStore(a, a, 3, bad)
+		_, _, err := GenerateChainToStore(mustChain(a, a), 3, bad, false)
 		done <- err
 	}()
 	go func() {
-		_, _, err := Generate2DToStore(a, a, 3, bad)
+		_, _, err := GenerateChainToStore(mustChain(a, a), 3, bad, true)
 		done <- err
 	}()
 	for i := 0; i < 2; i++ {
@@ -253,7 +253,7 @@ func (s *cancelSink) Close() error { return nil }
 func TestRunCancellationTearsDownExchange(t *testing.T) {
 	a := gen.ER(40, 0.5, 41)
 	b := gen.ER(40, 0.5, 42)
-	plan, err := Plan1D(a, b, 1) // single rank: sink is single-goroutine
+	plan, err := PlanChain1D(mustChain(a, b), 1) // single rank: sink is single-goroutine
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestPerRankStatsAndInboxDepth(t *testing.T) {
 	a := gen.ER(12, 0.5, 51)
 	b := gen.ER(12, 0.5, 52)
 	const r = 4
-	res, err := Generate1D(a, b, r, OwnerBySource)
+	res, err := GenerateChain(mustChain(a, b), r, OwnerBySource, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,8 +313,8 @@ func TestPerRankStatsAndInboxDepth(t *testing.T) {
 	if st.MaxInboxDepth < 0 {
 		t.Errorf("negative MaxInboxDepth %d", st.MaxInboxDepth)
 	}
-	// CountOnly populates per-rank counters through the same engine.
-	plan, err := Plan2D(a, b, 6)
+	// A count-only run populates per-rank counters through the same engine.
+	plan, err := PlanChain2D(mustChain(a, b), 6)
 	if err != nil {
 		t.Fatal(err)
 	}

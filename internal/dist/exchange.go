@@ -17,33 +17,6 @@ import (
 // measurable throughput gain.
 const DefaultBatchSize = 1024
 
-// Exchange runs one all-to-all edge exchange on this rank. produce is
-// called with an emit function that routes a single edge to a destination
-// rank; handle receives every edge delivered to this rank (from any rank,
-// including itself). Exchange returns when this rank has produced all its
-// edges and received the EOF markers of every rank, or with the
-// cancellation cause when the run is torn down mid-exchange (another rank
-// failed, or RunContext's context was cancelled).
-//
-// emit reports whether the edge was accepted; it returns false once the
-// exchange is cancelled, after which produce should stop generating.
-// Batch buffers are pooled: a delivered Message's Edges slice is recycled
-// after handle has seen its edges, so handle must copy any edge it
-// retains (graph.Edge values are copied by normal assignment/append).
-//
-// Exchange is the legacy per-edge surface over exchangeBlocks, kept for
-// callers that route edges one at a time; the engine itself ships whole
-// expansion blocks through shipper.route.
-func (rk *Rank) Exchange(produce func(emit func(to int, e graph.Edge) bool), handle func(e graph.Edge)) error {
-	return rk.exchangeBlocks(DefaultBatchSize, func(s *shipper) {
-		produce(func(to int, e graph.Edge) bool { return s.stage(to, 0, e) })
-	}, func(_ int, edges []graph.Edge) {
-		for _, e := range edges {
-			handle(e)
-		}
-	})
-}
-
 // shipper stages outgoing edges into pooled per-destination batch
 // buffers and flushes them through Rank.send. Buffers flush at tile
 // boundaries (so a batch never mixes tiles — the framing recovering
@@ -106,7 +79,7 @@ const spareCap = 64
 // getBuf returns an empty staging buffer: the rank-local spare stack
 // first — every batch this rank receives refills it, so in steady state
 // recycling never touches the shared freelist or its lock — then a bulk
-// refill from the shared freelist, then a fresh allocation. Exchange is
+// refill from the shared freelist, then a fresh allocation. An exchange is
 // single-goroutine per rank (inline progress engine), which is what
 // makes the spare stack safe without synchronization.
 func (s *shipper) getBuf() []graph.Edge {
@@ -397,9 +370,9 @@ func (s *shipper) route(tile int, block []graph.Edge, owner BoundOwnerFunc) bool
 	return true
 }
 
-// stage routes a single edge — the per-edge reference path used by the
-// legacy Exchange surface and by fault-armed runs, which need
-// edge-granular crash windows between stages. Identical staging and
+// stage routes a single edge — the per-edge reference path used by
+// fault-armed runs, which need edge-granular crash windows between
+// stages, and by the tests' per-edge exchange helper. Identical staging and
 // flush behavior to route, one edge at a time.
 func (s *shipper) stage(to, tile int, e graph.Edge) bool {
 	if s.aborted {
@@ -549,8 +522,7 @@ var OwnerByEdge OwnerFunc = func(u, v int64, r int) int {
 // the layout a CSR-partitioned distributed graph store would use. It is
 // the plan-resolved form of OwnerByBlock: Bind fixes the block size
 // once, so the per-edge hot loop is a bare division (benchmarked in
-// owner_bench_test.go against the unbound and the retired
-// atomically-cached forms).
+// owner_bench_test.go against the unbound form).
 type BlockOwner struct {
 	NC int64 // product vertex count n_A·n_B
 }

@@ -13,7 +13,7 @@ package dist
 // The invariant the chaos soak (chaos_test.go) asserts against armed
 // clusters is the verifiability contract: every run either produces the
 // exact reference edge set or returns the injected fault as its error —
-// no hangs, no partial silent success. Under supervision (supervisor.go)
+// no hangs, no partial silent success. With a retry budget (supervisor.go)
 // the contract strengthens for recoverable schedules: the exact edge set
 // *despite* the fault, because crashes and losses are one-shot — a
 // machine that died does not re-die identically on the replay attempt,

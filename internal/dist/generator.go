@@ -63,9 +63,15 @@ func PartitionArcs(arcs []graph.Edge, parts int) [][]graph.Edge {
 	return out
 }
 
-// generateChain runs the engine with an in-memory sink — the shared body
-// of GenerateChain, Generate1D and Generate2D.
-func generateChain(ch *core.Chain, r int, owner OwnerFunc, twoD bool) (*Result, error) {
+// GenerateChain runs the distributed generator over a factor chain
+// A₁⊗…⊗Aₖ on a simulated cluster of r ranks with an in-memory sink: the
+// head's arcs are the split dimension — evenly distributed under the
+// paper's Sec. III 1D partitioning, crossed with parts of the first tail
+// factor under Rem. 1's 2D grid (twoD) — each rank folds the replicated
+// tail lazily through the chain kernel, and every generated edge is routed
+// to owner(u, v, r) for storage (nil: OwnerBySource). Per-rank memory is
+// O(|E_A₁|/R + Σ|E_tail| + stored), time O(|E_C|/R).
+func GenerateChain(ch *core.Chain, r int, owner OwnerFunc, twoD bool) (*Result, error) {
 	// A nil owner means OwnerBySource; bind the pre-specialized form so
 	// the default routed hot loop pays a single indirect call per edge.
 	var ownr Owner = sourceHashOwner{}
@@ -138,58 +144,6 @@ func chainSourceHashLoads(ch *core.Chain, r int) []int64 {
 	return loads
 }
 
-// generate is generateChain for a two-factor product.
-func generate(a, b *graph.Graph, r int, owner OwnerFunc, twoD bool) (*Result, error) {
-	ch, err := core.NewChain(a, b)
-	if err != nil {
-		return nil, err
-	}
-	return generateChain(ch, r, owner, twoD)
-}
-
-// sourceHashLoads is chainSourceHashLoads for a two-factor product.
-func sourceHashLoads(a, b *graph.Graph, r int) []int64 {
-	ch, err := core.NewChain(a, b)
-	if err != nil {
-		panic(err) // two validated factors cannot fail
-	}
-	return chainSourceHashLoads(ch, r)
-}
-
-// GenerateChain runs the distributed generator over a factor chain
-// A₁⊗…⊗Aₖ: the head's arcs are the split dimension, each rank folds the
-// replicated tail lazily through the chain kernel, and every generated
-// edge is routed to owner(u, v, r) for storage. k = 2 is exactly
-// Generate1D/2D.
-func GenerateChain(ch *core.Chain, r int, owner OwnerFunc, twoD bool) (*Result, error) {
-	return generateChain(ch, r, owner, twoD)
-}
-
-// Generate1D runs the paper's Sec. III generator on a simulated cluster
-// of r ranks: B is replicated on every rank, the arcs of A are evenly
-// distributed, rank ρ expands C_ρ = A_ρ ⊗ B, and every generated edge is
-// routed to owner(u, v, r) for storage. Per-rank memory is
-// O(|E_A|/R + |E_B| + stored), time O(|E_A|·|E_B|/R).
-func Generate1D(a, b *graph.Graph, r int, owner OwnerFunc) (*Result, error) {
-	ch, err := core.NewChain(a, b)
-	if err != nil {
-		return nil, err
-	}
-	return generateChain(ch, r, owner, false)
-}
-
-// Generate2D runs the Rem. 1 generator: both factors' arcs are
-// partitioned (A into R½ parts, B into Q parts) and each rank expands its
-// tile(s) A_i ⊗ B_j. Per-rank replicated storage drops from O(|E_B|) to
-// O(|E_A|/R½ + |E_B|/Q), enabling weak scaling to O(|E_C|) processors.
-func Generate2D(a, b *graph.Graph, r int, owner OwnerFunc) (*Result, error) {
-	ch, err := core.NewChain(a, b)
-	if err != nil {
-		return nil, err
-	}
-	return generateChain(ch, r, owner, true)
-}
-
 // Grid2D is the processor grid of Rem. 1: R½ = ⌈√R⌉ columns of A-parts by
 // Q = ⌈R/R½⌉ rows of B-parts. The paper's assignment
 // C_ρ = A_{ρ%R½} ⊗ B_{⌊ρ/R½⌋} covers every (A-part, B-part) tile only when
@@ -212,31 +166,6 @@ func (g Grid2D) Tiles() int { return g.RHalf * g.Q }
 
 // TileOf returns the (A-part, B-part) coordinates of tile t.
 func (g Grid2D) TileOf(t int) (aPart, bPart int) { return t % g.RHalf, t / g.RHalf }
-
-// CountOnly generates the product on r ranks without routing or storing
-// edges — the pure expansion throughput used by the generation benchmarks
-// (experiment E2). It returns the number of edges generated.
-func CountOnly(a, b *graph.Graph, r int, twoD bool) (int64, error) {
-	ch, err := core.NewChain(a, b)
-	if err != nil {
-		return 0, err
-	}
-	return CountOnlyChain(ch, r, twoD)
-}
-
-// CountOnlyChain is CountOnly over a factor chain — the chain-depth
-// expansion throughput probe of the weak-scaling experiment (E3).
-func CountOnlyChain(ch *core.Chain, r int, twoD bool) (int64, error) {
-	plan, err := planForChain(ch, r, twoD)
-	if err != nil {
-		return 0, err
-	}
-	sink := &CountSink{}
-	if _, err := Run(context.Background(), Config{Plan: plan, Sink: sink}); err != nil {
-		return 0, err
-	}
-	return sink.Total(), nil
-}
 
 // EffectiveParallelism1D returns the number of ranks that receive any work
 // under 1D partitioning: min(R, |arcs_A|) — the Rem. 1 scalability wall.
@@ -266,21 +195,12 @@ func EffectiveParallelism2D(a, b *graph.Graph, r int) int {
 	return busy
 }
 
-// generateToStore runs the engine with a per-rank shard-writer sink. The
-// owner map is forced to shard-per-rank routing (OwnerBySource, matching
-// store.BySource) so shard i holds exactly rank i's owned edges.
-func generateToStore(a, b *graph.Graph, r int, dir string, twoD bool) (*store.Store, Stats, error) {
-	ch, err := core.NewChain(a, b)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return GenerateChainToStore(ch, r, dir, twoD)
-}
-
 // GenerateChainToStore runs the chain generator with each rank streaming
 // its owned edges to its own shard of an on-disk store — the full
 // generate-route-store pipeline at any chain depth with O(batch) memory
-// per rank regardless of |E_C|.
+// per rank regardless of |E_C|. The owner map is forced to shard-per-rank
+// routing (OwnerBySource, matching store.BySource) so shard i holds
+// exactly rank i's owned edges.
 func GenerateChainToStore(ch *core.Chain, r int, dir string, twoD bool) (*store.Store, Stats, error) {
 	return GenerateChainToStoreFrom(ch, r, dir, twoD, 0, -1)
 }
@@ -306,19 +226,4 @@ func GenerateChainToStoreFrom(ch *core.Chain, r int, dir string, twoD bool, offs
 		return nil, Stats{}, err
 	}
 	return s, st, nil
-}
-
-// Generate1DToStore runs the 1D generator with each rank streaming its
-// owned edges to its own shard of an on-disk store — the full
-// generate-route-store pipeline of Sec. III with O(batch) memory per rank
-// regardless of |E_C|.
-func Generate1DToStore(a, b *graph.Graph, r int, dir string) (*store.Store, Stats, error) {
-	return generateToStore(a, b, r, dir, false)
-}
-
-// Generate2DToStore is Generate1DToStore under the Rem. 1 decomposition:
-// tiled expansion with per-rank shard storage, combining 2D weak scaling
-// with O(batch) generation memory.
-func Generate2DToStore(a, b *graph.Graph, r int, dir string) (*store.Store, Stats, error) {
-	return generateToStore(a, b, r, dir, true)
 }

@@ -1,0 +1,50 @@
+package dist
+
+import (
+	"context"
+
+	"kronlab/internal/core"
+	"kronlab/internal/graph"
+)
+
+// mustChain composes test factors into a chain; validated factors cannot
+// fail, so an error is a bug in the test.
+func mustChain(gs ...*graph.Graph) *core.Chain {
+	ch, err := core.NewChain(gs...)
+	if err != nil {
+		panic(err)
+	}
+	return ch
+}
+
+// countOnly expands the chain on r ranks into a CountSink — no routing, no
+// storage — and returns the number of edges the sink counted.
+func countOnly(ch *core.Chain, r int, twoD bool) (int64, error) {
+	plan, err := planForChain(ch, r, twoD)
+	if err != nil {
+		return 0, err
+	}
+	sink := &CountSink{}
+	if _, err := Run(context.Background(), Config{Plan: plan, Sink: sink}); err != nil {
+		return 0, err
+	}
+	return sink.Total(), nil
+}
+
+// Exchange runs one all-to-all exchange on this rank one edge at a time —
+// the per-edge surface over exchangeBlocks the transport tests and
+// benchmarks drive. produce is called with an emit function that routes a
+// single edge to a destination rank and reports whether it was accepted
+// (false once the exchange is cancelled); handle receives every edge
+// delivered to this rank. Exchange returns when this rank has produced all
+// its edges and received every rank's EOF marker, or with the cancellation
+// cause when the run is torn down mid-exchange.
+func (rk *Rank) Exchange(produce func(emit func(to int, e graph.Edge) bool), handle func(e graph.Edge)) error {
+	return rk.exchangeBlocks(DefaultBatchSize, func(s *shipper) {
+		produce(func(to int, e graph.Edge) bool { return s.stage(to, 0, e) })
+	}, func(_ int, edges []graph.Edge) {
+		for _, e := range edges {
+			handle(e)
+		}
+	})
+}

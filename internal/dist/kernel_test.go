@@ -65,7 +65,7 @@ func TestKernelEquivalence(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						t.Parallel()
 						const r = 3
-						plan, err := planFor(f.a, f.b, r, twoD)
+						plan, err := planForChain(mustChain(f.a, f.b), r, twoD)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -103,7 +103,7 @@ func TestRecoverKernelOddBatchSoak(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
 				const r = 3
-				plan, err := planFor(a, b, r, twoD)
+				plan, err := planForChain(mustChain(a, b), r, twoD)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -15,7 +15,7 @@ import (
 // its owned arcs, with zero communication.
 //
 // The trade-off the paper notes is modularity: this couples generation to
-// the storage map (only block maps work), whereas Generate1D/Generate2D
+// the storage map (only block maps work), whereas GenerateChain runs
 // route edges to arbitrary owner functions.
 func GenerateOwned(a, b *graph.Graph, r int) (*Result, error) {
 	c, err := NewCluster(r)

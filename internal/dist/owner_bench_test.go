@@ -1,57 +1,15 @@
 package dist
 
-import (
-	"sync/atomic"
-	"testing"
-)
-
-// legacyCachedBlockOwner reconstructs the retired OwnerByBlock
-// implementation: the ⌈NC/r⌉ block size was memoized behind an
-// atomic.Pointer so repeat calls with the same r could skip the
-// division. The cache made every per-edge call pay an atomic load, a
-// pointer chase and an r-match check — and the memo missed whenever two
-// cluster sizes interleaved. It exists here only as the baseline the
-// plan-time-bound BlockOwner (BlockOwner.Bind, a bare division per edge)
-// is measured against.
-func legacyCachedBlockOwner(nC int64) OwnerFunc {
-	type memo struct {
-		r   int
-		per int64
-	}
-	var cache atomic.Pointer[memo]
-	return func(u, _ int64, r int) int {
-		m := cache.Load()
-		if m == nil || m.r != r {
-			m = &memo{r: r, per: (nC + int64(r) - 1) / int64(r)}
-			cache.Store(m)
-		}
-		o := int(u / m.per)
-		if o >= r {
-			o = r - 1
-		}
-		return o
-	}
-}
+import "testing"
 
 // BenchmarkOwnerByBlock measures one owner-map evaluation per iteration —
 // the unit of work the routed kernel pays once per generated edge — for
-// the three OwnerByBlock generations: the retired atomic.Pointer cache,
-// the current recompute-per-call OwnerFunc, and the plan-time-bound
-// BlockOwner. The bound form is the one the engine routes with; the
-// other two quantify what binding at plan time buys (satellite of the
-// blocked-kernel PR: the cache was both slower per edge and wrong-ish —
-// interleaved cluster sizes thrashed it).
+// the two forms of the block owner: the recompute-per-call OwnerFunc and
+// the plan-time-bound BlockOwner. The bound form is the one the engine
+// routes with; the other quantifies what binding at plan time buys.
 func BenchmarkOwnerByBlock(b *testing.B) {
 	const nC = int64(1) << 40
 	const r = 16
-	b.Run("legacyAtomicCache", func(b *testing.B) {
-		f := legacyCachedBlockOwner(nC)
-		var acc int
-		for i := 0; i < b.N; i++ {
-			acc += f(int64(i)&(nC-1), 0, r)
-		}
-		sinkOwner = acc
-	})
 	b.Run("unbound", func(b *testing.B) {
 		f := OwnerByBlock(nC)
 		var acc int
@@ -73,18 +31,17 @@ func BenchmarkOwnerByBlock(b *testing.B) {
 // sinkOwner defeats dead-code elimination of the benchmarked owner calls.
 var sinkOwner int
 
-// TestLegacyCachedBlockOwnerAgrees pins the three generations to the
-// same routing decisions, so the benchmark compares implementations of
-// one function rather than three different owner maps.
-func TestLegacyCachedBlockOwnerAgrees(t *testing.T) {
+// TestBlockOwnerFormsAgree pins the two forms to the same routing
+// decisions, so the benchmark compares implementations of one function
+// rather than two different owner maps.
+func TestBlockOwnerFormsAgree(t *testing.T) {
 	const nC = int64(1000)
-	legacy := legacyCachedBlockOwner(nC)
 	unbound := OwnerByBlock(nC)
 	for _, r := range []int{1, 3, 16} {
 		bound := BlockOwner{NC: nC}.Bind(r)
 		for u := int64(0); u < nC; u += 7 {
-			if l, ub, bd := legacy(u, 0, r), unbound(u, 0, r), bound(u, 0); l != ub || ub != bd {
-				t.Fatalf("r=%d u=%d: legacy=%d unbound=%d bound=%d", r, u, l, ub, bd)
+			if ub, bd := unbound(u, 0, r), bound(u, 0); ub != bd {
+				t.Fatalf("r=%d u=%d: unbound=%d bound=%d", r, u, ub, bd)
 			}
 		}
 	}

@@ -21,7 +21,7 @@ import (
 
 // orderedTiles returns every tile of the plan in ascending ID order —
 // the canonical stream order. Per-rank tile lists are already
-// ID-increasing (Plan1D: one tile per rank, ID = rank; Plan2D:
+// ID-increasing (PlanChain1D: one tile per rank, ID = rank; PlanChain2D:
 // round-robin assignment appends in increasing tile ID), so the global
 // sort is a merge of sorted lists; sort.Slice handles the general case.
 func (p Plan) orderedTiles() []Tile {

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -16,14 +15,7 @@ import (
 // edge for edge.
 func chainStreamRef(t testing.TB, ch *core.Chain, r int, twoD bool) []graph.Edge {
 	t.Helper()
-	var out []graph.Edge
-	_, err := StreamChain(context.Background(), ch, r, twoD, 64, Recovery{}, func(batch []graph.Edge) error {
-		out = append(out, batch...)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, _ := streamArcs(t, ch, r, twoD, 64, 0, -1, Recovery{})
 	return out
 }
 
@@ -38,7 +30,7 @@ func TestPlanLocate(t *testing.T) {
 		{"1d-3", 3, false}, {"2d-5", 5, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			plan, err := planFor(a, b, tc.r, tc.twoD)
+			plan, err := planForChain(mustChain(a, b), tc.r, tc.twoD)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,7 +72,7 @@ func TestPlanLocate(t *testing.T) {
 func TestPlanSliceComposes(t *testing.T) {
 	a := gen.ER(8, 0.5, 53)
 	b := gen.ER(6, 0.6, 54)
-	plan, err := planFor(a, b, 4, true)
+	plan, err := planForChain(mustChain(a, b), 4, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,13 +124,15 @@ func TestPlanSliceComposes(t *testing.T) {
 	}
 }
 
-// TestStreamChainFromParity is the tentpole's core guarantee: a stream
-// started at offset N with limit L is edge-for-edge the [N, N+L) window
-// of the full stream — at every layout, chain depth, and window shape.
+// TestStreamChainFromParity is the seekable stream's core guarantee: a
+// stream started at offset N with limit L is edge-for-edge the [N, N+L)
+// window of the full stream — at every layout, chain depth, window shape
+// and retry budget. The er20 chain's tiles are no multiple of the batch.
 func TestStreamChainFromParity(t *testing.T) {
 	chains := map[string][]*graph.Graph{
-		"k2": {gen.PrefAttach(9, 2, 61), gen.ER(7, 0.5, 62)},
-		"k3": {gen.ER(5, 0.5, 63), gen.Ring(4), gen.ER(3, 0.8, 64)},
+		"k2":   {gen.PrefAttach(9, 2, 61), gen.ER(7, 0.5, 62)},
+		"k3":   {gen.ER(5, 0.5, 63), gen.Ring(4), gen.ER(3, 0.8, 64)},
+		"er20": {gen.ER(20, 0.5, 1), gen.ER(20, 0.5, 2)},
 	}
 	layouts := []struct {
 		name string
@@ -173,29 +167,17 @@ func TestStreamChainFromParity(t *testing.T) {
 						}
 					}
 				}
-				for _, off := range offsets {
-					for _, limit := range []int64{-1, 0, 1, (total - off) / 2} {
-						var got []graph.Edge
-						_, err := StreamChainFrom(context.Background(), ch, lt.r, lt.twoD, 16, off, limit, Recovery{},
-							func(batch []graph.Edge) error {
-								got = append(got, batch...)
-								return nil
-							})
-						if err != nil {
-							t.Fatalf("StreamChainFrom(off=%d, limit=%d): %v", off, limit, err)
-						}
+				for i, off := range offsets {
+					for j, limit := range []int64{-1, 0, 1, (total - off) / 2} {
+						// Every window at some budget, every budget at some window.
+						rec := Recovery{MaxRetries: streamBudgets[(i+j)%len(streamBudgets)]}
+						got, _ := streamArcs(t, ch, lt.r, lt.twoD, 16, off, limit, rec)
 						wantN := total - off
 						if limit >= 0 && limit < wantN {
 							wantN = limit
 						}
-						if int64(len(got)) != wantN {
-							t.Fatalf("off=%d limit=%d: got %d arcs, want %d", off, limit, len(got), wantN)
-						}
-						for i, e := range got {
-							if e != want[off+int64(i)] {
-								t.Fatalf("off=%d limit=%d: arc %d = %v, want %v", off, limit, i, e, want[off+int64(i)])
-							}
-						}
+						assertSameOrder(t, fmt.Sprintf("off=%d limit=%d retries=%d", off, limit, rec.MaxRetries),
+							got, want[off:off+wantN])
 					}
 				}
 			})
@@ -208,34 +190,17 @@ func TestStreamChainFromParity(t *testing.T) {
 // enumeration regardless of rank count, so a seeked 1D stream is the
 // serial enumeration's tail.
 func TestStream1DOrderMatchesSerial(t *testing.T) {
-	ch, err := core.NewChain(gen.PrefAttach(8, 2, 71), gen.ER(6, 0.5, 72))
+	ch := mustChain(gen.PrefAttach(8, 2, 71), gen.ER(6, 0.5, 72))
+	total, err := ch.NumArcs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var serial []graph.Edge
-	ch.Arcs(func(u, v int64) bool {
-		serial = append(serial, graph.Edge{U: u, V: v})
-		return true
-	})
-	total := int64(len(serial))
+	off := total / 2
+	serial := serialArcs(t, ch, off)
 	for _, r := range []int{1, 3, 5} {
-		off := total / 2
-		var got []graph.Edge
-		_, err := StreamChainFrom(context.Background(), ch, r, false, 32, off, -1, Recovery{},
-			func(batch []graph.Edge) error {
-				got = append(got, batch...)
-				return nil
-			})
-		if err != nil {
-			t.Fatalf("r=%d: %v", r, err)
-		}
-		if int64(len(got)) != total-off {
-			t.Fatalf("r=%d: got %d arcs, want %d", r, len(got), total-off)
-		}
-		for i, e := range got {
-			if e != serial[off+int64(i)] {
-				t.Fatalf("r=%d: arc %d = %v, want serial %v", r, i, e, serial[off+int64(i)])
-			}
+		for _, retries := range streamBudgets {
+			got, _ := streamArcs(t, ch, r, false, 32, off, -1, Recovery{MaxRetries: retries})
+			assertSameOrder(t, fmt.Sprintf("r=%d retries=%d", r, retries), got, serial)
 		}
 	}
 }
@@ -246,11 +211,11 @@ func TestStreamChainFromBadWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	emit := func([]graph.Edge) error { return nil }
-	if _, err := StreamChainFrom(context.Background(), ch, 2, false, 0, -1, -1, Recovery{}, emit); err == nil {
+	if _, err := StreamChainFrom(watchdogCtx(t), ch, 2, false, 0, -1, -1, Recovery{}, emit); err == nil {
 		t.Error("negative offset should error")
 	}
 	total, _ := ch.NumArcs()
-	if _, err := StreamChainFrom(context.Background(), ch, 2, false, 0, total+1, -1, Recovery{}, emit); err == nil {
+	if _, err := StreamChainFrom(watchdogCtx(t), ch, 2, false, 0, total+1, -1, Recovery{}, emit); err == nil {
 		t.Error("offset past the end should error")
 	}
 }
@@ -263,24 +228,26 @@ func TestStreamEmitErrorReturnsBuffers(t *testing.T) {
 	a := gen.ER(30, 0.4, 81)
 	b := gen.ER(30, 0.4, 82)
 	sentinel := errors.New("client went away")
-	calls := 0
-	stats, err := Stream(context.Background(), a, b, 4, true, 32, Recovery{}, func([]graph.Edge) error {
-		calls++
-		if calls >= 3 {
-			return sentinel
+	for _, retries := range streamBudgets {
+		calls := 0
+		stats, err := StreamChainFrom(watchdogCtx(t), mustChain(a, b), 4, true, 32, 0, -1, Recovery{MaxRetries: retries}, func([]graph.Edge) error {
+			calls++
+			if calls >= 3 {
+				return sentinel
+			}
+			return nil
+		})
+		if !errors.Is(err, sentinel) {
+			t.Fatalf("retries=%d: want sentinel, got %v", retries, err)
 		}
-		return nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("want sentinel, got %v", err)
-	}
-	if stats.OutstandingBufs != 0 {
-		t.Fatalf("emit error leaked %d stream buffers", stats.OutstandingBufs)
+		if stats.OutstandingBufs != 0 {
+			t.Fatalf("retries=%d: emit error leaked %d stream buffers", retries, stats.OutstandingBufs)
+		}
 	}
 }
 
 // TestStreamCleanFinishReturnsBuffers: the happy path must balance too,
-// including Close-time residual batches from sub-batch tile tails.
+// sub-batch tile tails included, at every retry budget.
 func TestStreamCleanFinishReturnsBuffers(t *testing.T) {
 	a := gen.PrefAttach(11, 2, 83)
 	b := gen.ER(9, 0.5, 84)
@@ -292,13 +259,11 @@ func TestStreamCleanFinishReturnsBuffers(t *testing.T) {
 		{"1d-4", 4, false}, {"2d-7", 7, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			stats, err := Stream(context.Background(), a, b, tc.r, tc.twoD, 64, Recovery{},
-				func([]graph.Edge) error { return nil })
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats.OutstandingBufs != 0 {
-				t.Fatalf("clean finish left %d stream buffers outstanding", stats.OutstandingBufs)
+			for _, retries := range streamBudgets {
+				_, stats := streamArcs(t, mustChain(a, b), tc.r, tc.twoD, 64, 0, -1, Recovery{MaxRetries: retries})
+				if stats.OutstandingBufs != 0 {
+					t.Fatalf("retries=%d: clean finish left %d stream buffers outstanding", retries, stats.OutstandingBufs)
+				}
 			}
 		})
 	}

@@ -11,11 +11,10 @@ import (
 	"kronlab/internal/store"
 )
 
-// The sinks below are supervision-agnostic: under Recovery the engine
-// wraps each RankSink in a fencing layer (supervisor.go) that suppresses
-// replayed duplicates and defers Close to the end of the whole run, so a
-// sink observes exactly the same Store/Close sequence a fault-free run
-// would deliver. "Durable" in the simulation means the Go object
+// The sinks below never see a retry: the engine wraps every RankSink in
+// a fencing layer (supervisor.go) that suppresses replayed duplicates and
+// closes the sink once, after the run's last attempt, so a sink observes
+// exactly the same Store/Close sequence a fault-free run would deliver. "Durable" in the simulation means the Go object
 // survives the simulated rank's death — which it does, because a crashed
 // rank is a returned goroutine, not a lost process image.
 
@@ -41,7 +40,7 @@ type TileBlockStorer interface {
 }
 
 // MemorySink collects each rank's owned edges in an in-memory slice —
-// the Result-producing sink behind Generate1D/Generate2D.
+// the Result-producing sink behind GenerateChain.
 type MemorySink struct {
 	PerRank [][]graph.Edge
 	// Hint, when > 0, pre-sizes each rank's buffer — typically the ideal
@@ -53,7 +52,7 @@ type MemorySink struct {
 	// overrides Hint — for owner maps whose exact per-rank loads are
 	// ground truth too (product out-degrees factor as
 	// deg_C(γ(i,k)) = deg_A(i)·deg_B(k), so source-keyed owners have
-	// exactly computable storage; see generate).
+	// exactly computable storage; see GenerateChain).
 	Hints []int64
 }
 
@@ -98,8 +97,8 @@ func (m *memRankSink) Close() error {
 }
 
 // CountSink discards edges and counts them — the pure expansion
-// throughput sink behind CountOnly (experiment E2). Use with a nil
-// Owner so no routing traffic is simulated.
+// throughput sink of experiments E2/E3. Use with a nil Owner so no
+// routing traffic is simulated.
 type CountSink struct {
 	total int64
 }
@@ -148,10 +147,9 @@ func (c *countRankSink) Close() error {
 // (tearing the run down through the engine's sink-error path) and again
 // at Close, so a failed flush can never silently drop edges.
 //
-// Exactly-once under recovery follows the stream sink's precedent:
-// edges count as stored once buffered, and both the staging block and
-// the writer goroutine belong to the sink instance, which survives run
-// attempts (supervision defers Close to the end of the whole run) — so
+// Exactly-once under recovery: edges count as stored once buffered, and
+// both the staging block and the writer goroutine belong to the sink
+// instance, which survives run attempts (Close comes after the last) — so
 // every edge a checkpoint counted is either on disk or still in this
 // pipeline, and replayed duplicates are fenced off before they reach it.
 type StoreSink struct {
@@ -322,22 +320,27 @@ type streamBatch struct {
 
 // streamSink feeds a single consumer from every expander rank through
 // per-rank channels of tile-framed batches — the serving sink behind
-// Stream. Per-rank channels (rather than one shared channel) are what
-// make the stream deterministic: each rank's channel is FIFO and its
+// StreamChainFrom. Per-rank channels (rather than one shared channel) are
+// what make the stream deterministic: each rank's channel is FIFO and its
 // tile sequence is ID-increasing, so the consumer can walk tiles in
 // global ID order pulling each tile's batches from its owning rank,
 // with backpressure (small channel depth) bounding how far ahead other
 // ranks run. Batches are pooled; the consumer returns each batch after
 // use via recycle, and the outstanding counter is the leak probe.
+//
+// Delivery never depends on Close: a rank hands every batch over from
+// inside an attempt, on its own goroutine — full batches as they fill,
+// and a tile's sub-batch tail the moment the tile's closed-form arc count
+// (arcs, from the plan) is complete. Close runs after the run's last
+// attempt, when the consumer may already be waiting for the run itself.
 type streamSink struct {
 	ctx   context.Context
 	chans []chan streamBatch // one per rank
 	batch int
+	arcs  map[int]int64 // Tile.Arcs per plan tile ID
 
-	mu       sync.Mutex
-	free     [][]graph.Edge
-	residual []*streamBatch  // per-rank Close-time tail, delivered out of band
-	done     []chan struct{} // closed by rank i's sink Close: residual[i] is ready
+	mu   sync.Mutex
+	free [][]graph.Edge
 
 	outstanding int64 // buffers checked out and not yet recycled
 	messages    int64
@@ -350,44 +353,22 @@ type streamSink struct {
 // ranks buffer unboundedly (per-rank stream memory stays O(batch)).
 const streamChanDepth = 2
 
-func newStreamSink(ctx context.Context, batch, ranks int) *streamSink {
+func newStreamSink(ctx context.Context, batch int, plan Plan) *streamSink {
 	s := &streamSink{
-		ctx:      ctx,
-		chans:    make([]chan streamBatch, ranks),
-		batch:    batch,
-		residual: make([]*streamBatch, ranks),
-		done:     make([]chan struct{}, ranks),
+		ctx:   ctx,
+		chans: make([]chan streamBatch, plan.R),
+		batch: batch,
+		arcs:  make(map[int]int64),
 	}
 	for i := range s.chans {
 		s.chans[i] = make(chan streamBatch, streamChanDepth)
-		s.done[i] = make(chan struct{})
+	}
+	for _, tiles := range plan.Tiles {
+		for _, t := range tiles {
+			s.arcs[t.ID] = t.Arcs()
+		}
 	}
 	return s
-}
-
-// setResidual parks a rank's Close-time tail for out-of-band pickup. Close
-// cannot deliver through the channel: it may run at attempt teardown
-// (consumer not draining this rank) or from the supervisor's sequential
-// finalize loop (whose rank order can cross the consumer's global tile
-// order), and a blocking send from either can deadlock. The consumer
-// learns the residual is ready from the rank's done signal — closed
-// after the park, so the handoff is ordered.
-func (s *streamSink) setResidual(rank int, b streamBatch) {
-	atomic.AddInt64(&s.messages, 1)
-	atomic.AddInt64(&s.routed, int64(len(b.edges)))
-	atomic.AddInt64(&s.bytes, int64(len(b.edges))*edgeWireBytes)
-	s.mu.Lock()
-	s.residual[rank] = &b
-	s.mu.Unlock()
-}
-
-// takeResidual removes and returns rank's parked tail, or nil.
-func (s *streamSink) takeResidual(rank int) *streamBatch {
-	s.mu.Lock()
-	b := s.residual[rank]
-	s.residual[rank] = nil
-	s.mu.Unlock()
-	return b
 }
 
 func (s *streamSink) getBuf() []graph.Edge {
@@ -422,17 +403,25 @@ func (s *streamSink) Rank(rk *Rank) (RankSink, error) {
 	return &streamRankSink{s: s, rk: rk, rank: rk.ID(), tile: -1, buf: s.getBuf()}, nil
 }
 
-// streamRankSink buffers one rank's edges between flushes, flushing at
-// tile boundaries so every delivered batch carries a single tile. Under
-// supervision the same instance spans run attempts: edges accepted (and
-// checkpoint-counted) by a failed attempt stay in buf and reach the
-// consumer on a later flush, which is what keeps a recovered stream
-// exactly-once end to end.
+// streamRankSink buffers one rank's edges between hand-offs; every
+// delivered batch carries a single tile.
+//
+// What "stored" means here, for the checkpoint table: an edge counts as
+// stored once it is in buf — the instance and its buffer outlive a
+// torn-down attempt, so buffered edges reach the consumer on a later
+// hand-off and the fence must not let them be generated again — with one
+// exception: the edge that completes a tile is acknowledged only when the
+// tile's tail has been handed over. A tile therefore commits exactly when
+// the consumer has all of it. A tail hand-off that teardown interrupts
+// leaves the tile one edge short of its closed-form count; the ordinary
+// fence-and-replay brings the rank back to that tile, suppresses all but
+// its last edge, and the hand-off is made again.
 type streamRankSink struct {
 	s    *streamSink
-	rk   *Rank // for the attempt context — flushes must not outlive teardown
+	rk   *Rank // for the attempt context — hand-offs must not outlive teardown
 	rank int
-	tile int // tile the buffered edges belong to; -1 when empty
+	tile int   // tile the rank is on; -1 before the first
+	left int64 // edges of that tile not yet accepted
 	buf  []graph.Edge
 }
 
@@ -442,17 +431,13 @@ func (t *streamRankSink) Store(graph.Edge) error {
 	return fmt.Errorf("dist: stream sink requires tile-framed block delivery")
 }
 
-// StoreTileBlock implements TileBlockStorer: a tile switch flushes the
-// previous tile's remainder, then the batch is copied into the rank
-// buffer in chunks that honor the flush threshold. Edges count as stored
-// once buffered — buffered edges survive attempts (see the type comment),
-// so this matches the fenced sinks' exactly-once accounting.
+// StoreTileBlock implements TileBlockStorer: the batch is copied into the
+// rank buffer in chunks that honor the hand-off threshold, and the chunk
+// that completes the tile takes the tile's tail with it. A rank leaves a
+// tile only when it is complete, so a tile switch finds the buffer empty.
 func (t *streamRankSink) StoreTileBlock(tile int, edges []graph.Edge) (int64, error) {
 	if tile != t.tile {
-		if err := t.flush(); err != nil {
-			return 0, err
-		}
-		t.tile = tile
+		t.tile, t.left = tile, t.s.arcs[tile]
 	}
 	var stored int64
 	for len(edges) > 0 {
@@ -463,10 +448,17 @@ func (t *streamRankSink) StoreTileBlock(tile int, edges []graph.Edge) (int64, er
 			}
 			t.buf = append(t.buf, edges[:n]...)
 			stored += int64(n)
+			t.left -= int64(n)
 			edges = edges[n:]
 		}
-		if len(t.buf) >= t.s.batch {
-			if err := t.flush(); err != nil {
+		if len(t.buf) >= t.s.batch || t.left == 0 {
+			if err := t.handOff(); err != nil {
+				if t.left == 0 {
+					// Hold the tile's last edge back (see the type comment).
+					t.buf = t.buf[:len(t.buf)-1]
+					t.left++
+					stored--
+				}
 				return stored, err
 			}
 		}
@@ -474,17 +466,15 @@ func (t *streamRankSink) StoreTileBlock(tile int, edges []graph.Edge) (int64, er
 	return stored, nil
 }
 
-// flush hands the current batch to the consumer, accounting it as routed
-// traffic only on successful delivery — a batch dropped by cancellation
-// is never counted. It runs on the rank goroutine during an attempt, so
-// it also watches the attempt context: when another rank crashes, the
-// consumer is waiting on that rank's channel in tile order and may never
-// drain this one — the attempt teardown must be allowed to unblock the
-// send, leaving the buffered edges in buf for the next attempt.
-func (t *streamRankSink) flush() error {
-	if len(t.buf) == 0 {
-		return nil
-	}
+// handOff sends the buffered batch to the consumer, accounting it as
+// routed traffic only on successful delivery — a batch dropped by
+// cancellation is never counted. It runs on the rank goroutine during an
+// attempt, so it also watches the attempt context: when another rank
+// crashes, the consumer is waiting on that rank's channel in tile order
+// and may never drain this one — the attempt teardown must be allowed to
+// unblock the send, leaving the buffered edges in buf for the next
+// attempt.
+func (t *streamRankSink) handOff() error {
 	select {
 	case t.s.chans[t.rank] <- streamBatch{tile: t.tile, edges: t.buf}:
 		atomic.AddInt64(&t.s.messages, 1)
@@ -499,21 +489,11 @@ func (t *streamRankSink) flush() error {
 	}
 }
 
-// Close parks the final partial batch as the rank's residual instead of
-// flushing: Close runs either at attempt teardown (where the consumer may
-// not be draining this channel) or from the supervisor's sequential
-// finalize loop (whose rank order can cross the consumer's global tile
-// order), and a blocking send from either would deadlock. The consumer
-// picks residuals up after the channels close. Either way the sink leaves
-// no buffer checked out — the outstanding counter must return to zero on
-// every path.
+// Close returns the rank's buffer to the pool. After a run that succeeded
+// it is empty — every tile's tail went out with the tile; after one that
+// failed, whatever is left was never owed to the consumer.
 func (t *streamRankSink) Close() error {
-	if len(t.buf) > 0 && t.tile >= 0 {
-		t.s.setResidual(t.rank, streamBatch{tile: t.tile, edges: t.buf})
-	} else if t.buf != nil {
-		t.s.recycle(t.buf)
-	}
+	t.s.recycle(t.buf)
 	t.buf = nil
-	close(t.s.done[t.rank]) // no more sends on this rank's channel
 	return nil
 }

@@ -9,53 +9,31 @@ import (
 	"kronlab/internal/graph"
 )
 
-// DefaultStreamBatch is the batch size Stream uses when the caller passes
-// batch ≤ 0: large enough to amortize channel traffic, small enough to
-// keep cancellation latency and per-rank buffering low.
+// DefaultStreamBatch is the batch size StreamChainFrom uses when the
+// caller passes batch ≤ 0: large enough to amortize channel traffic, small
+// enough to keep cancellation latency and per-rank buffering low.
 const DefaultStreamBatch = 1024
 
-// Stream runs the Sec. III generator (1D partitioning, or Rem. 1's 2D
-// grid with twoD) on r concurrent expander ranks and delivers every
-// generated product arc of C = A ⊗ B to emit in batches. It is the
-// engine run with the single-consumer streaming sink: instead of routing
-// edges to per-rank storage, all ranks feed one consumer — kronserve's
-// HTTP response writer — so memory stays O(r·batch) no matter how large
-// |E_C| is.
+// StreamChainFrom runs the Sec. III generator (1D partitioning, or Rem.
+// 1's 2D grid with twoD) over the factor chain A₁⊗…⊗Aₖ on r concurrent
+// expander ranks and delivers a contiguous range of the product's
+// deterministic edge stream to emit in batches: limit arcs (< 0 = through
+// the end) starting at global arc offset. It is the engine run with the
+// single-consumer streaming sink: instead of routing edges to per-rank
+// storage, all ranks feed one consumer — kronserve's HTTP response writer
+// — so memory stays O(r·batch) no matter how large |E_C| is. The skipped
+// prefix is never generated — the plan is sliced up front (Plan.Slice
+// locates the start tile and in-tile position in O(tiles) from
+// closed-form arc counts) and each boundary rank starts mid-tile via the
+// kernel's windowed expansion.
 //
-// emit is called from a single goroutine (Stream's caller), in the
-// plan's deterministic stream order (see StreamChainFrom); the batch
-// slice is recycled after emit returns and must not be retained. Stream
+// emit is called from a single goroutine (the caller's); the batch slice
+// is recycled after emit returns and must not be retained. The stream
 // stops early when ctx is cancelled or emit returns an error; either way
-// the expander ranks are torn down before Stream returns — every failure
-// mode completes or errors, never hangs (see DESIGN.md §3a, "Failure
-// semantics"). Stats counters follow the Generate* conventions, with
-// every delivered edge accounted as routed traffic to the consumer.
-//
-// rec arms the run supervisor (see Recovery); the zero value streams
-// unsupervised. Because the stream sink holds undelivered edges in the
-// per-rank batch buffer across attempts and the fenced sinks suppress
-// replayed prefixes, a recovered stream delivers every edge exactly once.
-func Stream(ctx context.Context, a, b *graph.Graph, r int, twoD bool, batch int, rec Recovery, emit func([]graph.Edge) error) (Stats, error) {
-	ch, err := core.NewChain(a, b)
-	if err != nil {
-		return Stats{}, err
-	}
-	return StreamChain(ctx, ch, r, twoD, batch, rec, emit)
-}
-
-// StreamChain is Stream over a factor chain A₁⊗…⊗Aₖ — the /gen serving
-// path at any chain depth, with the same exactly-once recovery
-// semantics. It is StreamChainFrom at offset 0 with no limit.
-func StreamChain(ctx context.Context, ch *core.Chain, r int, twoD bool, batch int, rec Recovery, emit func([]graph.Edge) error) (Stats, error) {
-	return StreamChainFrom(ctx, ch, r, twoD, batch, 0, -1, rec, emit)
-}
-
-// StreamChainFrom streams a contiguous range of the chain product's
-// deterministic edge stream: limit arcs (< 0 = through the end) starting
-// at global arc offset. The skipped prefix is never generated — the
-// plan is sliced up front (Plan.Slice locates the start tile and
-// in-tile position in O(tiles) from closed-form arc counts) and each
-// boundary rank starts mid-tile via the kernel's windowed expansion.
+// the expander ranks are torn down before StreamChainFrom returns — every
+// failure mode completes or errors, never hangs (see DESIGN.md §3a,
+// "Failure semantics"). Stats counters follow the Generate* conventions,
+// with every delivered edge accounted as routed traffic to the consumer.
 //
 // The stream order is canonical and reproducible: tiles in ascending
 // plan-ID order, each tile's edges in the kernel's fixed expansion
@@ -65,31 +43,40 @@ func StreamChain(ctx context.Context, ch *core.Chain, r int, twoD bool, batch in
 // offset) always yield the identical byte stream — the property HTTP
 // Range/resume-token serving depends on.
 //
-// Recovery.Reassign is forced off: ordered delivery pins each tile to
-// its planned rank, so recovery respawns the crashed rank's assignment
-// instead of moving tiles (exactly-once fencing is unaffected).
+// rec is the retry policy (see Recovery). A recovered stream delivers
+// every edge exactly once: the fenced sinks suppress replayed prefixes,
+// and a tile commits only once the consumer has all of it (see
+// streamRankSink). Recovery.Reassign is forced off: ordered delivery pins
+// each tile to its planned rank, so recovery respawns the crashed rank's
+// assignment instead of moving tiles.
 func StreamChainFrom(ctx context.Context, ch *core.Chain, r int, twoD bool, batch int, offset, limit int64, rec Recovery, emit func([]graph.Edge) error) (Stats, error) {
 	if r < 1 {
 		return Stats{}, fmt.Errorf("dist: stream needs ≥ 1 rank, got %d", r)
-	}
-	if batch <= 0 {
-		batch = DefaultStreamBatch
 	}
 	plan, err := sliceForChain(ch, r, twoD, offset, limit)
 	if err != nil {
 		return Stats{}, err
 	}
+	return streamPlan(ctx, plan, batch, rec, nil, emit)
+}
+
+// streamPlan is StreamChainFrom on an already-built plan, with an
+// optional fault schedule for the recovery suites.
+func streamPlan(ctx context.Context, plan Plan, batch int, rec Recovery, faults *FaultPlan, emit func([]graph.Edge) error) (Stats, error) {
+	if batch <= 0 {
+		batch = DefaultStreamBatch
+	}
 	rec.Reassign = false
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	sink := newStreamSink(ctx, batch, r)
+	sink := newStreamSink(ctx, batch, plan)
 	var st Stats
 	var runErr error
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		st, runErr = Run(ctx, Config{Plan: plan, Sink: sink, Recovery: rec, BatchSize: batch})
+		st, runErr = Run(ctx, Config{Plan: plan, Sink: sink, Recovery: rec, BatchSize: batch, Faults: faults})
 		for _, c := range sink.chans {
 			close(c)
 		}
@@ -119,46 +106,13 @@ func StreamChainFrom(ctx context.Context, ch *core.Chain, r int, twoD bool, batc
 		}
 	}
 
-	// nextBatch blocks for the expected rank's next delivery: a channel
-	// batch, or — once the rank's sink has closed (its done signal) — the
-	// remaining buffered batches and finally the parked residual (see
-	// streamRankSink.Close). The done signal is what lets the consumer
-	// collect a rank's sub-batch tail while other ranks are still running:
-	// waiting for the whole run to finish would deadlock against ranks
-	// blocked on their (bounded) channels. false means the rank delivers
-	// nothing more for this stream.
-	nextBatch := func(tr tileRef) (streamBatch, bool) {
-		select {
-		case b, ok := <-sink.chans[tr.rank]:
-			if ok {
-				return b, true
-			}
-		case <-sink.done[tr.rank]:
-			// Sink closed, so no further sends: drain what is buffered.
-			select {
-			case b, ok := <-sink.chans[tr.rank]:
-				if ok {
-					return b, true
-				}
-			default:
-			}
-		}
-		if res := sink.takeResidual(tr.rank); res != nil {
-			if res.tile == tr.id {
-				return *res, true
-			}
-			sink.recycle(res.edges)
-		}
-		return streamBatch{}, false
-	}
-
 	var emitErr error
 consume:
 	for _, tr := range order {
 		for got := int64(0); got < tr.expect; {
-			b, ok := nextBatch(tr)
+			b, ok := <-sink.chans[tr.rank]
 			if !ok {
-				break consume // the stream ended early (error or cancel)
+				break consume // the run is over: the stream ended early (error or cancel)
 			}
 			if b.tile != tr.id {
 				emitErr = fmt.Errorf("dist: stream order violated: got tile %d, want %d", b.tile, tr.id)
@@ -181,19 +135,14 @@ consume:
 			}
 		}
 	}
-	// Drain so expander ranks blocked on a flush can exit; every leftover
-	// batch — channel or residual — goes back to the pool.
+	// Drain so expander ranks blocked on a hand-off can exit; every
+	// leftover batch goes back to the pool.
 	for _, c := range sink.chans {
 		for b := range c {
 			sink.recycle(b.edges)
 		}
 	}
 	<-done
-	for i := range sink.chans {
-		if res := sink.takeResidual(i); res != nil {
-			sink.recycle(res.edges)
-		}
-	}
 
 	// The engine's transport counters are idle here (no Owner routing);
 	// delivery to the consumer is the stream's communication.

@@ -12,6 +12,20 @@ import (
 	"kronlab/internal/graph"
 )
 
+// generate runs the distributed generator on the two-factor chain a ⊗ b.
+func generate(t *testing.T, a, b *graph.Graph, r int, twoD bool) *dist.Result {
+	t.Helper()
+	ch, err := core.NewChain(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := dist.GenerateChain(ch, r, nil, twoD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func mustBuild(t *testing.T, g *graph.Graph, r int) *DistGraph {
 	t.Helper()
 	dg, err := Build(g, r)
@@ -49,10 +63,7 @@ func TestStoreAccessors(t *testing.T) {
 func TestBuildFromParts(t *testing.T) {
 	a := gen.ER(6, 0.5, 2)
 	b := gen.ER(5, 0.5, 3)
-	res, err := dist.Generate1D(a, b, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := generate(t, a, b, 4, false)
 	dg, err := BuildFromParts(res.NC, 4, res.PerRank)
 	if err != nil {
 		t.Fatal(err)
@@ -231,10 +242,7 @@ func TestEngineEmptySeeds(t *testing.T) {
 func TestEndToEndEccentricityPipeline(t *testing.T) {
 	a := gen.PrefAttach(12, 2, 23)
 	al := a.WithFullSelfLoops()
-	res, err := dist.Generate1D(al, al, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := generate(t, al, al, 3, false)
 	dg, err := BuildFromParts(res.NC, 3, res.PerRank)
 	if err != nil {
 		t.Fatal(err)

@@ -55,7 +55,7 @@ func Build(g *graph.Graph, r int) (*DistGraph, error) {
 }
 
 // BuildFromParts assembles a DistGraph directly from per-rank edge sets,
-// such as the output of dist.Generate1D with an OwnerBySource-compatible
+// such as the output of dist.GenerateChain with an OwnerBySource-compatible
 // mapping. Edges may land on any rank; they are re-homed to the owner of
 // their source vertex. n is the product vertex count.
 func BuildFromParts(n int64, r int, parts [][]graph.Edge) (*DistGraph, error) {

@@ -63,10 +63,11 @@ type Config struct {
 	// propagates as context.WithTimeout into the dist engine, which tears
 	// the expander ranks down when it fires. Default 5m.
 	GenTimeout time.Duration
-	// GenRetries is the supervised-recovery budget passed to generation
-	// runs (dist.Recovery.MaxRetries): a rank crash or lost batch inside
-	// the engine is replayed exactly-once instead of tearing the stream.
-	// Default 1; negative disables supervision.
+	// GenRetries is the retry budget passed to generation runs
+	// (dist.Recovery.MaxRetries): a rank crash or lost batch inside the
+	// engine is replayed exactly-once instead of tearing the stream.
+	// Default 1; negative means zero retries: the first fault is returned
+	// unchanged and ends the stream.
 	GenRetries int
 	// LedgerPath is the durable run-ledger file of the cluster deployment
 	// this server fronts, if any. Informational: it is reported through
