@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test loc race vet fmt-check bench bench-multicore benchcmp allocguard clean recovery-soak head-soak fuzz-smoke lint cluster-smoke
+.PHONY: all build test loc race vet fmt-check bench bench-multicore bench-route benchcmp allocguard clean recovery-soak head-soak fuzz-smoke lint cluster-smoke
 
 all: build test
 
@@ -91,6 +91,24 @@ bench:
 bench-multicore:
 	BENCH=ThroughputSweep OUT=BENCH_$$(date +%Y-%m-%d)_multicore.json \
 		sh scripts/bench.sh .
+
+# Router gate: BenchmarkRoute times the run router, the per-edge loop and
+# the per-edge reference on the same blocks in one process, so the check
+# is a ratio that survives a change of machine — routing OwnerBySource by
+# source runs must not cost more per edge than staging edge by edge
+# (measured ≈ 0.25×) — plus 0 allocs/op on every row. Mirrors the CI step.
+bench-route:
+	$(GO) test -run '^$$' -bench BenchmarkRoute -benchtime 50x -benchmem ./internal/dist/ | awk ' \
+		{ print } \
+		/^BenchmarkRoute\// { for (i = 2; i <= NF; i++) { \
+			if ($$i == "ns/edge") ns = $$(i-1); \
+			if ($$i == "allocs/op" && $$(i-1) != 0) bad = 1 } } \
+		/^BenchmarkRoute\/bySource/ { run = ns } \
+		/^BenchmarkRoute\/perEdgeReference/ { ref = ns } \
+		END { \
+			if (run == "" || ref == "" || bad || run + 0 > ref + 0) { \
+				print "bench-route: FAIL — rows missing, a row allocates, or bySource is slower than perEdgeReference"; exit 1 } \
+			printf "bench-route: bySource / perEdgeReference = %.2f\n", run / ref }'
 
 # Compares the two newest BENCH_*.json snapshots (or any two passed as
 # OLD=/NEW=) benchmark by benchmark — benchstat when installed, an awk

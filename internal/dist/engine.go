@@ -215,11 +215,14 @@ type Recovery struct {
 type Config struct {
 	Plan Plan
 	// Owner routes each generated edge to the rank that stores it, over
-	// the batched all-to-all exchange. It is bound once per attempt
-	// (Owner.Bind(R)), so r-dependent owner parameters resolve at plan
-	// time, not per edge. A nil Owner skips the Route stage entirely:
-	// every edge goes straight to the generating rank's sink with zero
-	// communication (count-only and streaming runs).
+	// the batched all-to-all exchange. It is bound once per attempt, so
+	// r-dependent owner parameters resolve at plan time. A SourceOwner
+	// (BlockOwner{NC}; also OwnerBySource passed as is) is evaluated once
+	// per run of equal sources and the run is copied whole; any other
+	// owner — OwnerByEdge, an OwnerByBlock(nC) closure, a caller's own
+	// function — is evaluated once per edge. A nil Owner skips the Route
+	// stage entirely: every edge goes straight to the generating rank's
+	// sink with zero communication (count-only and streaming runs).
 	Owner Owner
 	Sink  Sink
 	// BatchSize is the per-destination edge count a routed exchange
@@ -260,11 +263,22 @@ func (cfg Config) batchSize() int {
 // order, so the per-(tile, destination) substream is byte-identical
 // across attempts. That determinism is what tile checkpoints and
 // prefix-dedup recovery key on; the blocked kernel changes batching
-// granularity, never order.
+// granularity, never order — and the three routers (shipper.routeRuns
+// for a SourceOwner, shipper.route for any other owner, shipper.stage
+// edge by edge under an armed fault schedule) cut batches at the same
+// edges.
 func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, sinkFor func(*Rank) (*fencedRankSink, error), perGen, perStored []int64, batch int) error {
+	// Both forms are bound once per attempt and shared by the ranks: they
+	// are pure. bySource stays nil for an owner that looks at more than
+	// the source.
 	var bound BoundOwnerFunc
+	var bySource func(u int64) int
 	if owner != nil {
+		owner = resolveOwner(owner)
 		bound = owner.Bind(c.r)
+		if so, ok := owner.(SourceOwner); ok {
+			bySource = so.BindSource(c.r)
+		}
 	}
 	return c.RunContext(ctx, func(rk *Rank) error {
 		if err := rk.crashAt(FaultBeforeSinkSetup); err != nil {
@@ -439,7 +453,11 @@ func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, si
 					if faulty {
 						return perEdge(tile, block, stageOne)
 					}
-					if !s.route(tile, block, bound) {
+					if bySource != nil {
+						if !s.routeRuns(tile, block, bySource) {
+							return false
+						}
+					} else if !s.route(tile, block, bound) {
 						return false
 					}
 					generated += int64(len(block))

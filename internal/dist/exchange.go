@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"reflect"
 	"sync/atomic"
 
 	"kronlab/internal/dist/transport"
@@ -217,16 +218,12 @@ func (s *shipper) send(to int, m Message) bool {
 		}
 		return false
 	}
-	atomic.AddInt64(&c.stats.Messages, 1)
-	if len(m.Edges) > 0 {
-		atomic.AddInt64(&c.stats.EdgesRouted, int64(len(m.Edges)))
-		atomic.AddInt64(&c.stats.BytesSent, int64(len(m.Edges))*edgeWireBytes)
-	}
+	s.sendStats(m)
 	return true
 }
 
-// sendStats updates the traffic counters for one accepted batch — the
-// same accounting shipper.send does after a successful SendBatch.
+// sendStats updates the traffic counters for one batch the transport
+// accepted, by SendBatch or by TrySendBatch.
 func (s *shipper) sendStats(m Message) {
 	c := s.c
 	atomic.AddInt64(&c.stats.Messages, 1)
@@ -334,10 +331,80 @@ func (s *shipper) flush(to int, eof bool) bool {
 	return true
 }
 
-// route radix-partitions one expansion block across the per-destination
-// staging buffers: owner is bound at plan time, so the loop body is the
-// owner hash, an append and a threshold check per edge — the routed hot
-// path of the blocked kernel.
+// staged returns destination to's staging buffer ready to take edges of
+// tile: checked out if the destination has none yet, and with the
+// previous tile's partial batch shipped first so a batch never mixes
+// tiles. Tile boundaries are rare (tiles are large). The caller appends
+// and stores the buffer back; false means the flush failed.
+func (s *shipper) staged(to, tile int) ([]graph.Edge, bool) {
+	b := s.bufs[to]
+	if len(b) == 0 {
+		if b == nil {
+			b = s.getBuf()
+		}
+		s.tile[to] = tile
+	} else if s.tile[to] != tile {
+		if !s.flush(to, false) {
+			return nil, false
+		}
+		b = s.bufs[to]
+		s.tile[to] = tile
+	}
+	return b, true
+}
+
+// routeRuns partitions one expansion block across the per-destination
+// staging buffers for an owner that is a function of the source alone
+// (SourceOwner). Blocks arrive in CSR order, so equal sources are
+// adjacent: the router scans for the maximal stretch of one U, resolves
+// its destination once and block-copies the stretch, cutting it exactly
+// where route would have flushed — a full batch, a tile change. Batches,
+// their order per (tile, destination) and every counter are therefore
+// those of the per-edge loop; only the owner evaluations (one per run
+// instead of one per edge) and the copy granularity differ. The router
+// looks at nothing but the block, so how it was produced — ExpandBlock,
+// TailCursor, a 2D part, a window that cuts a row — does not matter, and
+// a block that is not sorted merely yields shorter runs.
+func (s *shipper) routeRuns(tile int, block []graph.Edge, owner func(u int64) int) bool {
+	if s.aborted {
+		return false
+	}
+	for len(block) > 0 {
+		u := block[0].U
+		n := 1
+		for n < len(block) && block[n].U == u {
+			n++
+		}
+		run := block[:n]
+		block = block[n:]
+		to := owner(u)
+		b, ok := s.staged(to, tile)
+		if !ok {
+			return false
+		}
+		for len(run) > 0 {
+			// len(b) < batch here: a buffer that reaches the threshold is
+			// flushed before anything else is staged for its destination.
+			k := min(s.batch-len(b), len(run))
+			b = append(b, run[:k]...)
+			s.bufs[to] = b
+			run = run[k:]
+			if len(b) >= s.batch {
+				if !s.flush(to, false) {
+					return false
+				}
+				b = s.bufs[to]
+			}
+		}
+	}
+	return true
+}
+
+// route partitions one expansion block edge by edge — the loop for
+// owners that look at the target too (OwnerByEdge) or are opaque
+// functions: owner is bound at plan time, so the body is the owner call,
+// an append and a threshold check per edge. It inlines staged and stage
+// because a call per edge is measurable here; stage is the reference.
 func (s *shipper) route(tile int, block []graph.Edge, owner BoundOwnerFunc) bool {
 	if s.aborted {
 		return false
@@ -373,30 +440,18 @@ func (s *shipper) route(tile int, block []graph.Edge, owner BoundOwnerFunc) bool
 // stage routes a single edge — the per-edge reference path used by
 // fault-armed runs, which need edge-granular crash windows between
 // stages, and by the tests' per-edge exchange helper. Identical staging and
-// flush behavior to route, one edge at a time.
+// flush behavior to route and routeRuns, one edge at a time.
 func (s *shipper) stage(to, tile int, e graph.Edge) bool {
 	if s.aborted {
 		return false
 	}
-	b := s.bufs[to]
-	if len(b) == 0 {
-		if b == nil {
-			b = s.getBuf()
-		}
-		s.tile[to] = tile
-	} else if s.tile[to] != tile {
-		if !s.flush(to, false) {
-			return false
-		}
-		b = s.bufs[to]
-		s.tile[to] = tile
+	b, ok := s.staged(to, tile)
+	if !ok {
+		return false
 	}
 	b = append(b, e)
 	s.bufs[to] = b
-	if len(b) >= s.batch && !s.flush(to, false) {
-		return false
-	}
-	return true
+	return len(b) < s.batch || s.flush(to, false)
 }
 
 // exchangeBlocks is the batched all-to-all transport the engine runs on:
@@ -466,13 +521,15 @@ func (rk *Rank) exchangeBlocks(batch int, produce func(s *shipper), handle func(
 // OwnerFunc maps a product edge to the rank that stores it, given the
 // cluster size. The paper leaves the storage mapping open ("some mapping
 // scheme"); the functions below provide the common choices. An OwnerFunc
-// is an Owner: its generic Bind closes over r. Owners whose per-edge
-// work depends on r (OwnerByBlock's block size) should implement Owner
-// directly so Bind resolves that work once — see BlockOwner.
+// is an Owner: its generic Bind closes over r. The engine cannot see
+// inside a function value, so an OwnerFunc is routed edge by edge — with
+// one exception, the package's own OwnerBySource, which it recognises.
+// Owners of the source alone should implement SourceOwner so whole CSR
+// rows route at once — see BlockOwner.
 type OwnerFunc func(u, v int64, r int) int
 
 // BoundOwnerFunc is an owner map with the cluster size already resolved —
-// what the routed kernel calls per edge in its hottest loop.
+// what the per-edge router calls once per edge, and the run router never.
 type BoundOwnerFunc func(u, v int64) int
 
 // Owner maps generated edges to storing ranks. Bind is called once per
@@ -484,32 +541,75 @@ type Owner interface {
 	Bind(r int) BoundOwnerFunc
 }
 
+// SourceOwner is an Owner that places an edge by its source alone — 1D
+// vertex partitioning in any form. An implementer promises that for
+// every r, u and v, BindSource(r)(u) == Bind(r)(u, v), and that the
+// returned function is pure. In exchange the engine routes by source
+// runs: expansion emits each product vertex's arcs adjacently (CSR
+// order), so it asks for the owner once per run of equal sources and
+// block-copies the run, instead of asking once per edge. What reaches
+// each rank, in what batches and in what order, is unchanged.
+type SourceOwner interface {
+	Owner
+	BindSource(r int) func(u int64) int
+}
+
+// bindBySource derives a SourceOwner's Bind from its BindSource, so the
+// two forms cannot disagree.
+func bindBySource(o SourceOwner, r int) BoundOwnerFunc {
+	f := o.BindSource(r)
+	return func(u, _ int64) int { return f(u) }
+}
+
 // Bind implements Owner by closing over r.
 func (f OwnerFunc) Bind(r int) BoundOwnerFunc {
 	return func(u, v int64) int { return f(u, v, r) }
 }
 
 // OwnerBySource assigns edges to ranks by a multiplicative hash of the
-// source endpoint — 1D vertex partitioning of the product graph.
-var OwnerBySource OwnerFunc = func(u, _ int64, r int) int {
+// source endpoint — 1D vertex partitioning of the product graph. Passed
+// as is (not wrapped in another function), it is routed by source runs
+// like a SourceOwner.
+var OwnerBySource OwnerFunc = ownerBySource
+
+func ownerBySource(u, _ int64, r int) int {
 	h := uint64(u) * 0x9e3779b97f4a7c15
 	return int(h % uint64(r))
 }
 
-// sourceHashOwner is OwnerBySource in pre-bound form: Bind returns a
-// closure with the hash inlined, so the routed hot loop pays one
-// indirect call per edge instead of the two (bound wrapper → OwnerFunc)
-// the generic OwnerFunc.Bind costs. The engine substitutes it for a nil
-// owner; both forms compute identical destinations.
+// ownerBySourcePC is ownerBySource's code pointer, what recognition
+// compares against: func values are not comparable in Go, and
+// OwnerBySource has to stay a plain OwnerFunc value for its callers.
+var ownerBySourcePC = reflect.ValueOf(ownerBySource).Pointer()
+
+// resolveOwner returns the owner the engine routes with: the package's
+// OwnerBySource value becomes its SourceOwner form, everything else is
+// returned as is. Recognition is by code pointer, once per attempt: a
+// closure with the same body, or any other OwnerFunc, stays opaque and
+// per-edge.
+func resolveOwner(o Owner) Owner {
+	if f, ok := o.(OwnerFunc); ok && reflect.ValueOf(f).Pointer() == ownerBySourcePC {
+		return sourceHashOwner{}
+	}
+	return o
+}
+
+// sourceHashOwner is OwnerBySource as a SourceOwner: the hash with r
+// resolved, keyed by the source. The engine routes with it whenever it
+// is handed OwnerBySource (resolveOwner), and GenerateChain substitutes
+// it for a nil owner; both forms compute identical destinations.
 type sourceHashOwner struct{}
 
-// Bind implements Owner.
-func (sourceHashOwner) Bind(r int) BoundOwnerFunc {
+// BindSource implements SourceOwner.
+func (sourceHashOwner) BindSource(r int) func(u int64) int {
 	rr := uint64(r)
-	return func(u, _ int64) int {
+	return func(u int64) int {
 		return int((uint64(u) * 0x9e3779b97f4a7c15) % rr)
 	}
 }
+
+// Bind implements Owner.
+func (o sourceHashOwner) Bind(r int) BoundOwnerFunc { return bindBySource(o, r) }
 
 // OwnerByEdge hashes both endpoints, spreading even a single hub vertex's
 // edges across ranks (2D-style edge partitioning).
@@ -520,18 +620,18 @@ var OwnerByEdge OwnerFunc = func(u, v int64, r int) int {
 
 // BlockOwner assigns contiguous source-vertex blocks of size ⌈NC/r⌉ —
 // the layout a CSR-partitioned distributed graph store would use. It is
-// the plan-resolved form of OwnerByBlock: Bind fixes the block size
-// once, so the per-edge hot loop is a bare division (benchmarked in
-// owner_bench_test.go against the unbound form).
+// the plan-resolved form of OwnerByBlock and a SourceOwner: the block
+// size is fixed once per attempt and the engine evaluates the division
+// once per run of equal sources.
 type BlockOwner struct {
 	NC int64 // product vertex count n_A·n_B
 }
 
-// Bind implements Owner.
-func (o BlockOwner) Bind(r int) BoundOwnerFunc {
+// BindSource implements SourceOwner.
+func (o BlockOwner) BindSource(r int) func(u int64) int {
 	per := (o.NC + int64(r) - 1) / int64(r)
 	last := r - 1
-	return func(u, _ int64) int {
+	return func(u int64) int {
 		d := int(u / per)
 		if d > last {
 			d = last
@@ -540,10 +640,13 @@ func (o BlockOwner) Bind(r int) BoundOwnerFunc {
 	}
 }
 
+// Bind implements Owner.
+func (o BlockOwner) Bind(r int) BoundOwnerFunc { return bindBySource(o, r) }
+
 // OwnerByBlock is BlockOwner in OwnerFunc form, for callers that carry
-// owner maps as plain functions. The block size is recomputed per call;
-// routed engine runs should pass BlockOwner directly so it is resolved
-// once at plan time instead.
+// owner maps as plain functions. The block size is recomputed per call
+// and, being an opaque function, it is routed edge by edge: routed
+// engine runs should pass BlockOwner{NC} instead.
 func OwnerByBlock(nC int64) OwnerFunc {
 	return func(u, _ int64, r int) int {
 		per := (nC + int64(r) - 1) / int64(r)

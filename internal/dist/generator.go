@@ -72,12 +72,13 @@ func PartitionArcs(arcs []graph.Edge, parts int) [][]graph.Edge {
 // to owner(u, v, r) for storage (nil: OwnerBySource). Per-rank memory is
 // O(|E_A₁|/R + Σ|E_tail| + stored), time O(|E_C|/R).
 func GenerateChain(ch *core.Chain, r int, owner OwnerFunc, twoD bool) (*Result, error) {
-	// A nil owner means OwnerBySource; bind the pre-specialized form so
-	// the default routed hot loop pays a single indirect call per edge.
+	// A nil owner means OwnerBySource, and naming the default must not
+	// cost its fast paths: both become the source-keyed form here.
 	var ownr Owner = sourceHashOwner{}
 	if owner != nil {
-		ownr = owner
+		ownr = resolveOwner(owner)
 	}
+	_, bySourceHash := ownr.(sourceHashOwner)
 	plan, err := planForChain(ch, r, twoD)
 	if err != nil {
 		return nil, err
@@ -99,7 +100,7 @@ func GenerateChain(ch *core.Chain, r int, owner OwnerFunc, twoD bool) (*Result, 
 	// expansion. With power-law factors the hash-partitioned loads are
 	// skewed enough that the ideal-share hint under-sizes hot ranks and
 	// growslice doubling dominates allocations.
-	if limit, ok := core.CheckedMul(4, arcs); owner == nil && ok && plan.NC <= limit {
+	if limit, ok := core.CheckedMul(4, arcs); bySourceHash && ok && plan.NC <= limit {
 		sink.Hints = chainSourceHashLoads(ch, r)
 	} else {
 		sink.Hint = arcs/int64(r) + 1
@@ -118,7 +119,7 @@ func GenerateChain(ch *core.Chain, r int, owner OwnerFunc, twoD bool) (*Result, 
 // mixed-radix digit space.
 func chainSourceHashLoads(ch *core.Chain, r int) []int64 {
 	loads := make([]int64, r)
-	owner := sourceHashOwner{}.Bind(r)
+	owner := sourceHashOwner{}.BindSource(r)
 	factors := ch.Factors()
 	ci := ch.Index()
 	var rec func(d int, base, deg int64)
@@ -128,7 +129,7 @@ func chainSourceHashLoads(ch *core.Chain, r int) []int64 {
 		if d == len(factors)-1 {
 			for k := int64(0); k < n; k++ {
 				if dk := g.Degree(k); dk > 0 {
-					loads[owner(base+k, 0)] += deg * dk
+					loads[owner(base+k)] += deg * dk
 				}
 			}
 			return

@@ -3,10 +3,12 @@ package dist
 // Cross-path equivalence for the blocked expansion/routing kernel: every
 // engine configuration — 1D and 2D plans, routed (hash and block owner
 // maps) and unrouted sinks, factors with and without full self loops,
-// batch sizes down to 1 — must emit exactly the edge multiset of the
-// per-edge reference generator core.StreamProduct. The kernel reorders
-// work (blocks, radix partitions, batch flushes) but may never change
-// what is generated; this test is the property pinning that.
+// two- and three-factor chains, whole streams and windows, batch sizes
+// down to 1 — must emit exactly the edge multiset of the per-edge
+// reference generator. The kernel reorders work (blocks, per-run or
+// per-edge partitioning, batch flushes) but may never change what is
+// generated or where it is stored; this test is the property pinning
+// that.
 
 import (
 	"context"
@@ -19,29 +21,66 @@ import (
 	"kronlab/internal/graph"
 )
 
-// referenceArcs collects the product edge multiset from the per-edge
-// reference path the paper's Sec. II describes and the kernel replaced.
-func referenceArcs(a, b *graph.Graph) []graph.Edge {
+// referenceArcs collects the chain's arc stream from the serial per-edge
+// reference: core.StreamProduct, the path the paper's Sec. II describes
+// and the kernel replaced, for a two-factor product; core.Chain.Arcs for
+// a deeper chain.
+func referenceArcs(ch *core.Chain) []graph.Edge {
 	var arcs []graph.Edge
-	core.StreamProduct(a, b, func(u, v int64) bool {
+	yield := func(u, v int64) bool {
 		arcs = append(arcs, graph.Edge{U: u, V: v})
 		return true
-	})
+	}
+	if f := ch.Factors(); len(f) == 2 {
+		core.StreamProduct(f[0], f[1], yield)
+	} else {
+		ch.Arcs(yield)
+	}
 	return arcs
 }
 
-// TestKernelEquivalence sweeps the engine matrix against StreamProduct.
-// Batch sizes include 1 (every edge flushes — maximal message count,
-// every tile-boundary and threshold path taken) and small odd values
-// that misalign batches with block and tile sizes.
+// midRunWindow returns a window [lo, hi) of the serial stream whose two
+// ends both fall strictly inside a run of equal sources, so a plan sliced
+// to it starts (Skip) and stops (Take) in the middle of a CSR row.
+func midRunWindow(t *testing.T, arcs []graph.Edge) (lo, hi int) {
+	t.Helper()
+	inRun := func(i int) bool { return arcs[i-1].U == arcs[i].U }
+	lo, hi = len(arcs)/5, 4*len(arcs)/5
+	for lo < hi && !inRun(lo) {
+		lo++
+	}
+	for hi > lo && !inRun(hi) {
+		hi--
+	}
+	if lo >= hi {
+		t.Fatal("no window with both ends inside a run; pick denser factors")
+	}
+	return lo, hi
+}
+
+// TestKernelEquivalence sweeps the engine matrix against the serial
+// reference: every arc exactly once (multiset equality, not set
+// equality) and, when routed, on the rank the owner map names. Batch
+// sizes include 1 (every edge flushes — maximal message count, every
+// tile-boundary and threshold path taken) and small odd values that
+// misalign batches with blocks, tiles and source runs. The owners cover
+// all three routing forms: a v-dependent OwnerFunc (per-edge loop), a
+// SourceOwner, and OwnerBySource as the plain OwnerFunc value every
+// caller passes (recognised, run-routed). The windowed case slices the
+// 1D plan — whose stream order is the serial order — so that Skip and
+// Take both cut a run.
 func TestKernelEquivalence(t *testing.T) {
-	factors := []struct {
-		name string
-		a, b *graph.Graph
+	chains := []struct {
+		name   string
+		ch     *core.Chain
+		window bool
 	}{
-		{"er_x_ba", gen.ER(7, 0.5, 401), gen.PrefAttach(6, 2, 402)},
-		{"loops_x_rmat", gen.ER(5, 0.6, 403).WithFullSelfLoops(), gen.MustRMAT(gen.Graph500Params(3, 404))},
-		{"rmat_x_loops", gen.MustRMAT(gen.Graph500Params(3, 405)), gen.PrefAttach(5, 2, 406).WithFullSelfLoops()},
+		{"er_x_ba", mustChain(gen.ER(7, 0.5, 401), gen.PrefAttach(6, 2, 402)), false},
+		{"loops_x_rmat", mustChain(gen.ER(5, 0.6, 403).WithFullSelfLoops(), gen.MustRMAT(gen.Graph500Params(3, 404))), false},
+		{"rmat_x_loops", mustChain(gen.MustRMAT(gen.Graph500Params(3, 405)), gen.PrefAttach(5, 2, 406).WithFullSelfLoops()), false},
+		{"k3", mustChain(gen.ER(4, 0.6, 407), gen.PrefAttach(4, 2, 408), gen.ER(3, 0.7, 409).WithFullSelfLoops()), false},
+		{"window", mustChain(gen.ER(7, 0.5, 401), gen.PrefAttach(6, 2, 402)), true},
+		{"k3_window", mustChain(gen.ER(4, 0.6, 407), gen.PrefAttach(4, 2, 408), gen.ER(3, 0.7, 409).WithFullSelfLoops()), true},
 	}
 	owners := []struct {
 		name  string
@@ -50,24 +89,35 @@ func TestKernelEquivalence(t *testing.T) {
 		{"unrouted", func(int64) Owner { return nil }},
 		{"byEdge", func(int64) Owner { return OwnerByEdge }},
 		{"blockBound", func(nC int64) Owner { return BlockOwner{NC: nC} }},
+		{"bySource", func(int64) Owner { return OwnerBySource }},
 	}
-	for _, f := range factors {
-		want, err := graph.New(f.a.NumVertices()*f.b.NumVertices(), referenceArcs(f.a, f.b))
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range chains {
+		want := referenceArcs(c.ch)
+		lo, hi := 0, len(want)
+		if c.window {
+			lo, hi = midRunWindow(t, want)
 		}
+		want = sortedArcs(want[lo:hi])
 		for _, twoD := range []bool{false, true} {
+			if c.window && twoD {
+				continue // a 2D plan streams in tile-grid order, not serial order
+			}
 			for _, o := range owners {
 				for _, batch := range []int{1, 3, 5, DefaultBatchSize} {
-					f, twoD, o, batch := f, twoD, o, batch
-					name := fmt.Sprintf("%s_%s_%s_batch%d", f.name,
+					c, twoD, o, batch := c, twoD, o, batch
+					name := fmt.Sprintf("%s_%s_%s_batch%d", c.name,
 						map[bool]string{false: "1d", true: "2d"}[twoD], o.name, batch)
 					t.Run(name, func(t *testing.T) {
 						t.Parallel()
 						const r = 3
-						plan, err := planForChain(mustChain(f.a, f.b), r, twoD)
+						plan, err := planForChain(c.ch, r, twoD)
 						if err != nil {
 							t.Fatal(err)
+						}
+						if c.window {
+							if plan, err = plan.Slice(int64(lo), int64(hi-lo)); err != nil {
+								t.Fatal(err)
+							}
 						}
 						ms := NewMemorySink(r)
 						cfg := Config{Plan: plan, Sink: ms, BatchSize: batch,
@@ -75,9 +125,25 @@ func TestKernelEquivalence(t *testing.T) {
 						if _, err := Run(context.Background(), cfg); err != nil {
 							t.Fatal(err)
 						}
-						assertExact(t, plan.NC, mergedArcs(ms), want)
+						assertSameOrder(t, "sorted arcs", sortedArcs(mergedArcs(ms)), want)
+						if cfg.Owner != nil {
+							assertPlacement(t, ms, cfg.Owner.Bind(r))
+						}
 					})
 				}
+			}
+		}
+	}
+}
+
+// assertPlacement checks that every arc a routed run stored sits on the
+// rank the owner map names.
+func assertPlacement(t *testing.T, ms *MemorySink, owner BoundOwnerFunc) {
+	t.Helper()
+	for rank, arcs := range ms.PerRank {
+		for _, e := range arcs {
+			if to := owner(e.U, e.V); to != rank {
+				t.Fatalf("arc %v stored on rank %d, owner says %d", e, rank, to)
 			}
 		}
 	}

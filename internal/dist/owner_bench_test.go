@@ -1,12 +1,82 @@
 package dist
 
-import "testing"
+import (
+	"testing"
 
-// BenchmarkOwnerByBlock measures one owner-map evaluation per iteration —
-// the unit of work the routed kernel pays once per generated edge — for
-// the two forms of the block owner: the recompute-per-call OwnerFunc and
-// the plan-time-bound BlockOwner. The bound form is the one the engine
-// routes with; the other quantifies what binding at plan time buys.
+	"kronlab/internal/gen"
+	"kronlab/internal/graph"
+)
+
+// BenchmarkRoute measures the Route stage where it lives: one shipper
+// partitioning pre-expanded RMAT(7)² blocks (the engine's k = 2 blocks:
+// one head arc against ≤ DefaultBatchSize tail arcs) across R = 4
+// destinations, every flushed batch handed back through a loopback
+// transport to a discarding handler — so the time is scan, owner call,
+// copy, flush and buffer recycling, with no expansion, no sink and no
+// second goroutine. Rows: bySource and blockBound take the run router
+// (OwnerBySource as callers pass it, and BlockOwner); byEdge takes the
+// per-edge loop; perEdgeReference is stage, one call per edge, with the
+// source hash — what a fault-armed run pays, and the per-edge cost the
+// run router is measured against. CI (make bench-route) holds bySource
+// to ≤ perEdgeReference in ns/edge, a same-process ratio, and every row
+// to 0 allocs/op.
+func BenchmarkRoute(b *testing.B) {
+	const r = 4
+	a, bb := gen.MustRMAT(gen.Graph500Params(7, 21)), gen.MustRMAT(gen.Graph500Params(7, 22))
+	blocks := expandBlocks(a, bb, DefaultBatchSize, 1)
+	var edges int64
+	for _, tb := range blocks {
+		edges += int64(len(tb.block))
+	}
+	hash := resolveOwner(OwnerBySource).(SourceOwner)
+	hashRuns, hashEdge := hash.BindSource(r), hash.Bind(r)
+	blockRuns := BlockOwner{NC: a.NumVertices() * bb.NumVertices()}.BindSource(r)
+	edgeHash := OwnerByEdge.Bind(r)
+	rows := []struct {
+		name  string
+		route func(s *shipper, block []graph.Edge) bool
+	}{
+		{"bySource", func(s *shipper, block []graph.Edge) bool { return s.routeRuns(0, block, hashRuns) }},
+		{"blockBound", func(s *shipper, block []graph.Edge) bool { return s.routeRuns(0, block, blockRuns) }},
+		{"byEdge", func(s *shipper, block []graph.Edge) bool { return s.route(0, block, edgeHash) }},
+		{"perEdgeReference", func(s *shipper, block []graph.Edge) bool {
+			for _, e := range block {
+				if !s.stage(hashEdge(e.U, e.V), 0, e) {
+					return false
+				}
+			}
+			return true
+		}},
+	}
+	for _, row := range rows {
+		b.Run(row.name, func(b *testing.B) {
+			rk, _ := loopbackRank(b, r)
+			s := newShipper(rk, DefaultBatchSize, func(int, []graph.Edge) {})
+			pass := func() {
+				for _, tb := range blocks {
+					if !row.route(s, tb.block) {
+						b.Fatal("router refused a block")
+					}
+				}
+			}
+			pass() // check out the staging buffers and fill the spare stack
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pass()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*edges), "ns/edge")
+		})
+	}
+}
+
+// BenchmarkOwnerByBlock measures one owner-map evaluation per iteration
+// for the two forms of the block owner: the recompute-per-call OwnerFunc
+// and the plan-time-bound BlockOwner. It is what the per-edge router
+// pays per edge for an opaque OwnerByBlock(nC) closure, and what the run
+// router pays once per run of equal sources for BlockOwner — routed runs
+// should pass the latter (BenchmarkRoute measures the routers
+// themselves).
 func BenchmarkOwnerByBlock(b *testing.B) {
 	const nC = int64(1) << 40
 	const r = 16
@@ -19,10 +89,10 @@ func BenchmarkOwnerByBlock(b *testing.B) {
 		sinkOwner = acc
 	})
 	b.Run("bound", func(b *testing.B) {
-		f := BlockOwner{NC: nC}.Bind(r)
+		f := BlockOwner{NC: nC}.BindSource(r)
 		var acc int
 		for i := 0; i < b.N; i++ {
-			acc += f(int64(i)&(nC-1), 0)
+			acc += f(int64(i) & (nC - 1))
 		}
 		sinkOwner = acc
 	})

@@ -1,0 +1,301 @@
+package dist
+
+// Shipper-level tests of the routers: the run router (routeRuns) and the
+// per-edge loop (route) against the per-edge reference (stage), on the
+// same blocks, message for message; and the SourceOwner contract the run
+// router rests on, including which OwnerFunc values are recognised.
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"kronlab/internal/core"
+	"kronlab/internal/dist/transport"
+	"kronlab/internal/gen"
+	"kronlab/internal/graph"
+)
+
+// loopback is a Transport with one live rank: every batch that rank
+// sends is handed straight back to it through the progress callback, as
+// if a peer had sent the same batch the other way. That drives one
+// shipper through its real flush, accounting and buffer-recycling paths
+// (a rank in a balanced exchange receives about as many batches as it
+// sends, which is what keeps its spare stack full) with no peer
+// goroutines — so a test sees every message in order and a benchmark
+// times the router, not the scheduler. dest is the destination of the
+// batch being handed back, for handlers that record per destination.
+type loopback struct {
+	r    int
+	dest int
+}
+
+func (l *loopback) R() int              { return l.r }
+func (l *loopback) Local() (lo, hi int) { return 0, l.r }
+func (l *loopback) SendBatch(_ context.Context, b transport.Batch, progress func(transport.Batch)) error {
+	l.dest = b.Dest
+	progress(b)
+	l.dest = b.From
+	return nil
+}
+func (l *loopback) TryRecv(int) (transport.Batch, bool) { return transport.Batch{}, false }
+func (l *loopback) Recv(context.Context, int) (transport.Batch, error) {
+	return transport.Batch{}, errors.New("loopback: every batch was already delivered inside SendBatch")
+}
+func (l *loopback) Barrier(context.Context, int) error { return nil }
+func (l *loopback) AllReduceSum(_ context.Context, _ int, v int64) (int64, error) {
+	return v, nil
+}
+func (l *loopback) Reset(func(transport.Batch)) {}
+func (l *loopback) Close() error                { return nil }
+
+// loopbackRank returns rank 0 of an r-rank cluster over a loopback
+// transport.
+func loopbackRank(tb testing.TB, r int) (*Rank, *loopback) {
+	tb.Helper()
+	lb := &loopback{r: r}
+	c, err := NewClusterOn(lb)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &Rank{id: 0, c: c}, lb
+}
+
+// tileBlock is one expansion block and the tile it belongs to.
+type tileBlock struct {
+	tile  int
+	block []graph.Edge
+}
+
+// expandBlocks pre-expands a ⊗ b the way the engine's k = 2 path does —
+// each head arc against chunks of ≤ chunk tail arcs in CSR order — and
+// splits the head arcs evenly over the given number of tiles.
+func expandBlocks(a, b *graph.Graph, chunk, tiles int) []tileBlock {
+	var out []tileBlock
+	bArcs, nB := b.ArcSlice(), b.NumVertices()
+	for tile, part := range PartitionArcs(a.ArcSlice(), tiles) {
+		for _, aArc := range part {
+			for lo := 0; lo < len(bArcs); lo += chunk {
+				hi := min(lo+chunk, len(bArcs))
+				out = append(out, tileBlock{tile, core.ExpandBlock(aArc, bArcs[lo:hi], nB, nil)})
+			}
+		}
+	}
+	return out
+}
+
+// sentMsg is one delivered batch as the handler saw it.
+type sentMsg struct {
+	tile  int
+	edges []graph.Edge
+}
+
+// routeAll runs one exchange on a loopback rank, feeding every block to
+// routeBlock, and returns the message sequence per destination plus the
+// traffic counters.
+func routeAll(t *testing.T, r, batch int, blocks []tileBlock, routeBlock func(s *shipper, tile int, block []graph.Edge) bool) ([][]sentMsg, Stats) {
+	t.Helper()
+	rk, lb := loopbackRank(t, r)
+	got := make([][]sentMsg, r)
+	err := rk.exchangeBlocks(batch, func(s *shipper) {
+		for _, tb := range blocks {
+			if !routeBlock(s, tb.tile, tb.block) {
+				t.Error("router refused a block on a healthy run")
+				return
+			}
+		}
+	}, func(tile int, edges []graph.Edge) {
+		got[lb.dest] = append(got[lb.dest], sentMsg{tile, append([]graph.Edge(nil), edges...)})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := rk.c.Stats()
+	if st.OutstandingBufs != 0 {
+		t.Fatalf("exchange leaked %d pooled buffers", st.OutstandingBufs)
+	}
+	return got, st
+}
+
+// TestRouteRunsEquivalence holds both block routers to the per-edge
+// reference: for the same blocks, the same messages — tile, length and
+// edges, in order, per destination — and the same counters. The blocks
+// span two tiles and are cut at 7 and at 64 tail arcs, so runs are split
+// by block ends as well as by batches that do (1) and do not (3, 5, 7,
+// 64, 1024) divide them.
+func TestRouteRunsEquivalence(t *testing.T) {
+	a := gen.MustRMAT(gen.Graph500Params(4, 431))
+	b := gen.MustRMAT(gen.Graph500Params(5, 432))
+	nC := a.NumVertices() * b.NumVertices()
+	owners := []struct {
+		name  string
+		owner SourceOwner
+	}{
+		{"bySource", sourceHashOwner{}},
+		{"blockBound", BlockOwner{NC: nC}},
+	}
+	for _, chunk := range []int{7, 64} {
+		blocks := expandBlocks(a, b, chunk, 2)
+		for _, o := range owners {
+			for _, r := range []int{1, 2, 3, 16} {
+				for _, batch := range []int{1, 3, 5, 7, 64, DefaultBatchSize} {
+					t.Run(fmt.Sprintf("%s_chunk%d_r%d_batch%d", o.name, chunk, r, batch), func(t *testing.T) {
+						bound, bySource := o.owner.Bind(r), o.owner.BindSource(r)
+						want, wantSt := routeAll(t, r, batch, blocks, func(s *shipper, tile int, block []graph.Edge) bool {
+							for _, e := range block {
+								if !s.stage(bound(e.U, e.V), tile, e) {
+									return false
+								}
+							}
+							return true
+						})
+						routers := map[string]func(*shipper, int, []graph.Edge) bool{
+							"routeRuns": func(s *shipper, tile int, block []graph.Edge) bool {
+								return s.routeRuns(tile, block, bySource)
+							},
+							"route": func(s *shipper, tile int, block []graph.Edge) bool {
+								return s.route(tile, block, bound)
+							},
+						}
+						for name, router := range routers {
+							got, gotSt := routeAll(t, r, batch, blocks, router)
+							if !reflect.DeepEqual(got, want) {
+								t.Fatalf("%s: per-destination message sequences differ from the per-edge reference", name)
+							}
+							if gotSt.Messages != wantSt.Messages || gotSt.EdgesRouted != wantSt.EdgesRouted || gotSt.BytesSent != wantSt.BytesSent {
+								t.Fatalf("%s: messages/routed/bytes = %d/%d/%d, reference %d/%d/%d", name,
+									gotSt.Messages, gotSt.EdgesRouted, gotSt.BytesSent,
+									wantSt.Messages, wantSt.EdgesRouted, wantSt.BytesSent)
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestSourceOwnerContract checks the promise every SourceOwner in the
+// package makes: the source-keyed form and the edge form name the same
+// rank, whatever the target.
+func TestSourceOwnerContract(t *testing.T) {
+	const nC = int64(1) << 20
+	owners := map[string]SourceOwner{
+		"sourceHashOwner": sourceHashOwner{},
+		"BlockOwner":      BlockOwner{NC: nC},
+	}
+	rng := rand.New(rand.NewSource(441))
+	for name, o := range owners {
+		for _, r := range []int{1, 2, 3, 7, 16} {
+			bound, bySource := o.Bind(r), o.BindSource(r)
+			for i := 0; i < 2000; i++ {
+				u, v := rng.Int63n(nC), rng.Int63n(nC)
+				if s, e := bySource(u), bound(u, v); s != e || s < 0 || s >= r {
+					t.Fatalf("%s r=%d (%d,%d): BindSource says %d, Bind says %d", name, r, u, v, s, e)
+				}
+			}
+		}
+	}
+}
+
+// TestOwnerBySourceRecognition pins recognition to exactly one value:
+// the package's OwnerBySource resolves to a SourceOwner that agrees with
+// calling it; a closure with the same body and an OwnerByBlock closure —
+// both functions of the source alone, but opaque — do not, and a run
+// routed by them still places every arc where the function says.
+func TestOwnerBySourceRecognition(t *testing.T) {
+	so, ok := resolveOwner(OwnerBySource).(SourceOwner)
+	if !ok {
+		t.Fatal("OwnerBySource was not recognised as source-keyed")
+	}
+	rng := rand.New(rand.NewSource(442))
+	for _, r := range []int{1, 2, 3, 7, 16} {
+		bySource := so.BindSource(r)
+		for i := 0; i < 2000; i++ {
+			u, v := rng.Int63(), rng.Int63()
+			if got, want := bySource(u), OwnerBySource(u, v, r); got != want {
+				t.Fatalf("r=%d u=%d: recognised form says %d, OwnerBySource says %d", r, u, got, want)
+			}
+		}
+	}
+
+	ch := mustChain(gen.ER(7, 0.5, 443), gen.PrefAttach(6, 2, 444))
+	const r = 3
+	want := sortedArcs(referenceArcs(ch))
+	opaque := map[string]OwnerFunc{
+		"sameBody": func(u, _ int64, r int) int {
+			h := uint64(u) * 0x9e3779b97f4a7c15
+			return int(h % uint64(r))
+		},
+		"byBlock": OwnerByBlock(ch.NumVertices()),
+		"byEdge":  OwnerByEdge,
+	}
+	for name, f := range opaque {
+		if _, ok := resolveOwner(f).(SourceOwner); ok {
+			t.Fatalf("%s: an opaque OwnerFunc was taken for source-keyed", name)
+		}
+		res, err := GenerateChain(ch, r, f, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms := &MemorySink{PerRank: res.PerRank}
+		assertSameOrder(t, name, sortedArcs(mergedArcs(ms)), want)
+		assertPlacement(t, ms, f.Bind(r))
+	}
+}
+
+// TestGenerateChainNamedDefaultOwner checks that naming the default owner
+// costs nothing: GenerateChain(…, OwnerBySource, …) sizes every rank's
+// buffer exactly, as GenerateChain(…, nil, …) does, and stores the same
+// arcs on the same ranks.
+func TestGenerateChainNamedDefaultOwner(t *testing.T) {
+	ch := mustChain(gen.MustRMAT(gen.Graph500Params(5, 445)), gen.MustRMAT(gen.Graph500Params(4, 446)))
+	const r = 4
+	byNil, err := GenerateChain(ch, r, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName, err := GenerateChain(ch, r, OwnerBySource, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rank := range byNil.PerRank {
+		assertSameOrder(t, fmt.Sprintf("rank %d", rank), sortedArcs(byName.PerRank[rank]), sortedArcs(byNil.PerRank[rank]))
+		if n, c := len(byName.PerRank[rank]), cap(byName.PerRank[rank]); c != n {
+			t.Fatalf("rank %d: %d arcs in a buffer of %d — the exact per-rank hint was not applied", rank, n, c)
+		}
+	}
+}
+
+// TestFaultArmedRunKeepsPerEdgeCadence: an armed fault schedule must
+// keep edge-granular crash windows even for an owner the clean path
+// routes by runs — the crash fires after exactly the scheduled number of
+// generated edges, not at the next block end (and not never, which is
+// what a block router that skips the injection point would do).
+func TestFaultArmedRunKeepsPerEdgeCadence(t *testing.T) {
+	ch := mustChain(gen.ER(7, 0.5, 447), gen.PrefAttach(6, 2, 448))
+	const r, victim, after = 2, 1, 37
+	plan, err := PlanChain1D(ch, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st Stats
+	runErr := runWithWatchdog(t, chaosWatchdog, func() error {
+		var err error
+		st, err = Run(context.Background(), Config{
+			Plan: plan, Owner: OwnerBySource, Sink: &CountSink{}, BatchSize: 5,
+			Faults: &FaultPlan{Seed: 449, Crashes: []CrashSpec{{Rank: victim, Point: FaultMidExpansion, After: after}}},
+		})
+		return err
+	})
+	var ce *RankCrashError
+	if !errors.As(runErr, &ce) || ce.Rank != victim || ce.Point != FaultMidExpansion {
+		t.Fatalf("want the injected mid-expansion crash of rank %d, got %v", victim, runErr)
+	}
+	if got := st.PerRankGenerated[victim]; got != after {
+		t.Fatalf("rank %d generated %d edges before its crash, schedule says %d", victim, got, after)
+	}
+}
