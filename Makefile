@@ -116,9 +116,10 @@ bench-route:
 benchcmp:
 	sh scripts/benchcmp.sh $(OLD) $(NEW)
 
-# Allocation regression guard on the end-to-end generation benchmark:
-# fails when allocs/op exceeds the committed snapshot by more than 20%.
-# Mirrors the CI step.
+# Allocation regression guard on the end-to-end generation benchmarks:
+# fails when allocs/op exceeds the committed BENCH_*_allocguard.json
+# snapshot by more than 20%, or when no row could be compared. Mirrors
+# the CI step.
 allocguard:
 	sh scripts/allocguard.sh
 

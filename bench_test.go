@@ -126,11 +126,10 @@ func BenchmarkE2Generate2D(b *testing.B) {
 	}
 }
 
-// BenchmarkE2GenerateChain drives the generator through the chain
-// kernel at increasing depth: K=2 takes the direct two-factor expansion
-// branch, K=3 the lazy tail-cursor fold. The allocguard budget on this
-// benchmark pins the chain path to the same zero-per-arc allocation
-// discipline as the two-factor kernel.
+// BenchmarkE2GenerateChain drives the generator through the kernel at
+// increasing depth: a one-factor tail at K=2, a two-factor lazy fold at
+// K=3 — the same core.TailCursor loop. The allocguard budget on this
+// benchmark pins it to zero allocations per arc at either depth.
 func BenchmarkE2GenerateChain(b *testing.B) {
 	base := gen.PrefAttach(16, 2, 21)
 	for _, k := range []int{2, 3} {

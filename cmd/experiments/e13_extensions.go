@@ -114,16 +114,23 @@ func runExtensions(w io.Writer) error {
 		return err
 	}
 	pcTri := analytics.Triangles(pc)
-	powM, err := groundtruth.PowerNumEdges(pf, k)
+	pfs := make([]*groundtruth.Factor, k) // A^{⊗k} is the chain of k copies
+	for i := range pfs {
+		pfs[i] = pf
+	}
+	powM, err := groundtruth.ChainNumEdges(pfs)
 	if err != nil {
 		return err
 	}
-	powOK := powM == pc.NumEdges() &&
-		groundtruth.PowerGlobalTriangles(pf, k) == pcTri.Global
+	powTau, err := groundtruth.ChainGlobalTriangles(pfs)
+	if err != nil {
+		return err
+	}
+	powOK := powM == pc.NumEdges() && powTau == pcTri.Global
 	fmt.Fprintln(w)
 	table(w, []string{"Power law (A^{⊗3})", "Predicted", "Measured", "OK"}, [][]string{
 		{"m = 2^{k−1}·m_A^k", fmtInt(powM), fmtInt(pc.NumEdges()), check(powOK)},
-		{"τ = 6^{k−1}·τ_A^k", fmtInt(groundtruth.PowerGlobalTriangles(pf, k)), fmtInt(pcTri.Global), check(powOK)},
+		{"τ = 6^{k−1}·τ_A^k", fmtInt(powTau), fmtInt(pcTri.Global), check(powOK)},
 	})
 	fmt.Fprintf(w, "\n(Extension beyond the paper's evaluation; laws follow by induction\n")
 	fmt.Fprintf(w, "from the two-factor results and are unit-tested per entry.)\n")

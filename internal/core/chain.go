@@ -10,7 +10,7 @@ import (
 // product fits in int64. Every closed-form count in a factor chain is a
 // product over factors, so a single checked multiply is the primitive
 // behind all of them (chain vertex counts, arc counts, the groundtruth
-// Power*/Chain* laws).
+// Chain* laws).
 func CheckedMul(a, b int64) (int64, bool) {
 	if a < 0 || b < 0 {
 		return 0, false
@@ -41,7 +41,7 @@ func CheckedProduct(vals ...int64) (int64, error) {
 
 // ChainIndex maps between a vertex of A₁⊗A₂⊗…⊗Aₖ and its k factor
 // coordinates — the mixed-radix generalization of the two-factor α/β/γ
-// maps and of PowerIndex. Vertex p decomposes as p = Σ_d digit[d]·stride[d]
+// maps (Index). Vertex p decomposes as p = Σ_d digit[d]·stride[d]
 // with stride[d] = Π_{e>d} n_e: the leftmost digit is the outermost
 // factor, matching the left-fold associativity of KronPower and
 // Chain.Materialize.
@@ -332,9 +332,11 @@ func (c *Chain) Materialize() (*graph.Graph, error) {
 // ArcSlice would, so the deterministic per-tile expansion order that
 // checkpoints and prefix-dedup recovery key on is preserved at k > 2.
 //
-// The zero-allocation contract of the k = 2 kernel carries over:
 // ExpandNext appends into a caller-owned scratch buffer and the cursor
-// itself allocates only at construction.
+// itself allocates only at construction, so expansion is allocation-free
+// per arc. Over a single factor the odometer is empty and the cursor is
+// a position in that factor's ArcSlice: the k = 2 product needs no
+// kernel of its own.
 type TailCursor struct {
 	arcs     [][]graph.Edge // per-factor CSR arc slices (shared; read-only)
 	strides  []int64        // vertex strides within the tail space

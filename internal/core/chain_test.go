@@ -17,38 +17,6 @@ func chainOf(t *testing.T, factors ...*graph.Graph) *Chain {
 	return c
 }
 
-func TestChainIndexMatchesPowerIndex(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		n := 2 + rng.Int63n(6)
-		k := 1 + rng.Intn(5)
-		px := NewPowerIndex(n, k)
-		dims := make([]int64, k)
-		for d := range dims {
-			dims[d] = n
-		}
-		ci, err := NewChainIndex(dims)
-		if err != nil {
-			t.Fatalf("NewChainIndex(%v): %v", dims, err)
-		}
-		if ci.NumVertices() != px.NumVertices() {
-			t.Fatalf("NumVertices: chain %d, power %d", ci.NumVertices(), px.NumVertices())
-		}
-		for i := 0; i < 20; i++ {
-			p := rng.Int63n(ci.NumVertices())
-			cs, ps := ci.Split(p), px.Split(p)
-			for d := range cs {
-				if cs[d] != ps[d] {
-					t.Fatalf("Split(%d): chain %v, power %v", p, cs, ps)
-				}
-			}
-			if got := ci.Join(cs); got != px.Join(ps) || got != p {
-				t.Fatalf("Join(Split(%d)) = %d", p, got)
-			}
-		}
-	}
-}
-
 func TestChainIndexDigitsAndStrides(t *testing.T) {
 	ci := MustChainIndex(3, 4, 5)
 	if ci.NumVertices() != 60 {
@@ -104,6 +72,21 @@ func TestChainIndexSplitJoinRoundTrip(t *testing.T) {
 				t.Fatalf("Join(Split(%d)) = %d (dims %v)", p, got, dims)
 			}
 		}
+	}
+	// A coordinate vector of the wrong length is a caller bug, not a vertex.
+	ci := MustChainIndex(3, 4, 5)
+	for name, f := range map[string]func(){
+		"Join":      func() { ci.Join([]int64{1, 2}) },
+		"SplitInto": func() { ci.SplitInto(7, make([]int64, 2)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with 2 slots on a 3-factor index should panic", name)
+				}
+			}()
+			f()
+		}()
 	}
 }
 

@@ -92,12 +92,6 @@ func TestNewIndexPanicsOnNonPositive(t *testing.T) {
 	}
 }
 
-func TestPackageLevelIndexHelpers(t *testing.T) {
-	if Alpha(10, 4) != 2 || Beta(10, 4) != 2 || Gamma(2, 2, 4) != 10 {
-		t.Error("package-level α/β/γ disagree with Index methods")
-	}
-}
-
 // Product vs the dense-matrix oracle: pattern(A) ⊗ pattern(B) as a matrix
 // equals the adjacency of Product(A, B).
 func TestProductMatchesMatrixOracle(t *testing.T) {
@@ -332,34 +326,6 @@ func TestProductIdentity(t *testing.T) {
 	if !l.Equal(a) || !r.Equal(a) {
 		t.Fatal("I₁ must be the ⊗ unit")
 	}
-}
-
-func TestPowerIndexInCore(t *testing.T) {
-	px := NewPowerIndex(3, 4)
-	if px.NumVertices() != 81 {
-		t.Fatalf("3^4 = %d?", px.NumVertices())
-	}
-	for _, p := range []int64{0, 1, 40, 80} {
-		if got := px.Join(px.Split(p)); got != p {
-			t.Fatalf("Join(Split(%d)) = %d", p, got)
-		}
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("bad power index should panic")
-			}
-		}()
-		NewPowerIndex(0, 2)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("wrong coord length should panic")
-			}
-		}()
-		px.Join([]int64{1, 2})
-	}()
 }
 
 func TestStreamProductArcsEarlyStop(t *testing.T) {

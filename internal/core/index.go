@@ -37,13 +37,3 @@ func (ix Index) Gamma(i, k int64) int64 { return i*ix.NB + k }
 
 // Split returns (Alpha(p), Beta(p)) in one call.
 func (ix Index) Split(p int64) (i, k int64) { return p / ix.NB, p % ix.NB }
-
-// Alpha is the package-level form of Index.Alpha for callers that don't
-// want to build an Index: α_n(p) = ⌊p/n⌋.
-func Alpha(p, n int64) int64 { return p / n }
-
-// Beta is the package-level form of Index.Beta: β_n(p) = p mod n.
-func Beta(p, n int64) int64 { return p % n }
-
-// Gamma is the package-level form of Index.Gamma: γ_n(i, k) = i·n + k.
-func Gamma(i, k, n int64) int64 { return i*n + k }

@@ -10,7 +10,7 @@ import (
 // A ⊗ A ⊗ … ⊗ A (k ≥ 1). Repeated powers of a single small factor are
 // the nonstochastic analogue of the recursive R-MAT construction; all of
 // the paper's two-factor laws extend to powers by induction (see
-// groundtruth's *Power functions).
+// groundtruth's Chain* functions, which take k copies of one factor).
 func KronPower(a *graph.Graph, k int) (*graph.Graph, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: KronPower needs k ≥ 1, got %d", k)
@@ -24,53 +24,4 @@ func KronPower(a *graph.Graph, k int) (*graph.Graph, error) {
 		}
 	}
 	return c, nil
-}
-
-// PowerIndex maps between a vertex of A^{⊗k} and its k factor
-// coordinates, generalizing the α/β/γ maps: with n = n_A, vertex p
-// decomposes in base n as p = Σ digits[d]·n^{k−1−d}, the leftmost digit
-// being the outermost factor (matching the associativity of KronPower,
-// which folds left).
-type PowerIndex struct {
-	N int64 // factor vertex count
-	K int   // number of factors
-}
-
-// NewPowerIndex returns the index map for A^{⊗k} with n-vertex A.
-func NewPowerIndex(n int64, k int) PowerIndex {
-	if n <= 0 || k < 1 {
-		panic(fmt.Sprintf("core: bad power index (n=%d, k=%d)", n, k))
-	}
-	return PowerIndex{N: n, K: k}
-}
-
-// Split returns the k factor coordinates of product vertex p.
-func (px PowerIndex) Split(p int64) []int64 {
-	out := make([]int64, px.K)
-	for d := px.K - 1; d >= 0; d-- {
-		out[d] = p % px.N
-		p /= px.N
-	}
-	return out
-}
-
-// Join inverts Split.
-func (px PowerIndex) Join(coords []int64) int64 {
-	if len(coords) != px.K {
-		panic(fmt.Sprintf("core: Join got %d coords, want %d", len(coords), px.K))
-	}
-	var p int64
-	for _, c := range coords {
-		p = p*px.N + c
-	}
-	return p
-}
-
-// NumVertices returns n^k.
-func (px PowerIndex) NumVertices() int64 {
-	out := int64(1)
-	for i := 0; i < px.K; i++ {
-		out *= px.N
-	}
-	return out
 }

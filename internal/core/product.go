@@ -49,18 +49,19 @@ func StreamProductArcs(aArcs []graph.Edge, b *graph.Graph, yield func(u, v int64
 
 // ExpandBlock expands one A-arc against an explicit slice of B-arcs,
 // appending the len(bArcs) product arcs to out and returning it. It is
-// the blocked form of the paper's Sec. III expansion and the kernel
-// behind the distributed engine's Expand stage: the γ offsets of the
-// A-arc are hoisted out of the loop, so the body is two adds and an
-// append — no interface or closure calls per product arc (contrast
-// StreamProductArcs, which stays as the per-edge reference
-// implementation).
+// the blocked form of the paper's Sec. III expansion for two factors:
+// the γ offsets of the A-arc are hoisted out of the loop, so the body is
+// two adds and an append — no interface or closure calls per product arc
+// (contrast StreamProductArcs, the per-edge reference). The distributed
+// engine runs TailCursor.ExpandNext, the same loop over a factor list;
+// ExpandBlock is what that kernel is tested against
+// (TestTailCursorExpandMatchesExpandBlock) and the bare-kernel row of
+// the benchmark ladder.
 //
 // Pass bArcs = b.ArcSlice() and nB = b.NumVertices(); reuse out (len 0,
 // cap ≥ len(bArcs)) across calls to make expansion allocation-free.
 // Output order is bArcs order — B's CSR arc order — which matches
-// StreamProduct exactly; the deterministic per-tile expansion order that
-// tile checkpoints and prefix-dedup recovery key on is preserved.
+// StreamProduct exactly.
 func ExpandBlock(aArc graph.Edge, bArcs []graph.Edge, nB int64, out []graph.Edge) []graph.Edge {
 	uBase := aArc.U * nB
 	vBase := aArc.V * nB

@@ -28,9 +28,9 @@ var (
 // Tile is one unit of expansion work: a slice of head-factor arcs
 // crossed with the chain's tail factors (the whole tail under 1D
 // partitioning; under 2D the first tail factor is a part and the rest
-// ride whole). For a two-factor product the tail is just [B]. ID is the
-// tile's plan-wide identity: it is stable across run attempts and across
-// reassignment to another rank, which is what checkpoints and the
+// ride whole). A two-factor product is the chain whose tail is [B]. ID
+// is the tile's plan-wide identity: it is stable across run attempts and
+// across reassignment to another rank, which is what checkpoints and the
 // exactly-once sink fence key on — at any chain depth, because the tail
 // expansion order is the deterministic lexicographic odometer order of
 // core.TailCursor.
@@ -48,7 +48,9 @@ type Tile struct {
 }
 
 // FullArcs returns the number of product arcs the unwindowed tile
-// expands to — deterministic ground truth (|A_i|·Π|E_{T_d}|).
+// expands to — deterministic ground truth (|A_i|·Π|E_{T_d}|). It divides
+// the chain's arc count, which PlanChain1D/2D refuse to plan unless it
+// fits in int64, so the product here cannot wrap.
 func (t Tile) FullArcs() int64 {
 	n := int64(len(t.AArcs))
 	for _, g := range t.Tail {
@@ -95,19 +97,33 @@ func identityTail() *graph.Graph {
 	return g
 }
 
+// planFactors validates a plan request and splits the chain into the
+// rank-split head and a non-empty tail. A chain whose arc count overflows
+// int64 is refused here: a wrapped Tile.FullArcs would otherwise plan a
+// run that expands nothing and reports success.
+func planFactors(ch *core.Chain, r int) (head *graph.Graph, tail []*graph.Graph, err error) {
+	if r < 1 {
+		return nil, nil, fmt.Errorf("dist: plan needs ≥ 1 rank, got %d", r)
+	}
+	if _, err := ch.NumArcs(); err != nil {
+		return nil, nil, fmt.Errorf("dist: cannot plan: %w", err)
+	}
+	tail = ch.Tail()
+	if len(tail) == 0 {
+		tail = []*graph.Graph{identityTail()}
+	}
+	return ch.Head(), tail, nil
+}
+
 // PlanChain1D builds the Sec. III decomposition of a factor chain: the
 // tail A₂⊗…⊗Aₖ is replicated on every rank and the arcs of the head A₁
 // are evenly distributed, so rank ρ expands the single tile
 // A₁,ρ ⊗ (A₂⊗…⊗Aₖ). Per-rank replicated storage is O(|E_A₁|/R + Σ|E_T|)
 // — the tail is held as factors, never materialized.
 func PlanChain1D(ch *core.Chain, r int) (Plan, error) {
-	if r < 1 {
-		return Plan{}, fmt.Errorf("dist: plan needs ≥ 1 rank, got %d", r)
-	}
-	head := ch.Head()
-	tail := ch.Tail()
-	if len(tail) == 0 {
-		tail = []*graph.Graph{identityTail()}
+	head, tail, err := planFactors(ch, r)
+	if err != nil {
+		return Plan{}, err
 	}
 	// ArcSlice shares the factor's cached flat arc list: tiles only read
 	// their head-arc windows, so no per-plan copy is needed.
@@ -127,13 +143,9 @@ func PlanChain1D(ch *core.Chain, r int) (Plan, error) {
 // per-rank storage term that matters. The R½·Q tiles are assigned
 // round-robin to ranks.
 func PlanChain2D(ch *core.Chain, r int) (Plan, error) {
-	if r < 1 {
-		return Plan{}, fmt.Errorf("dist: plan needs ≥ 1 rank, got %d", r)
-	}
-	head := ch.Head()
-	tail := ch.Tail()
-	if len(tail) == 0 {
-		tail = []*graph.Graph{identityTail()}
+	head, tail, err := planFactors(ch, r)
+	if err != nil {
+		return Plan{}, err
 	}
 	b, rest := tail[0], tail[1:]
 	grid := NewGrid2D(r)
@@ -250,11 +262,12 @@ func (cfg Config) batchSize() int {
 
 // runAttempt executes one attempt of the engine on an already-built
 // cluster: every rank expands the tiles assigned to it through the
-// blocked kernel (core.ExpandBlock into a reused scratch block), routes
-// whole blocks via the plan-bound owner over the epoch-fenced exchange
-// (or stores them locally when owner is nil), and hands owned batches to
-// the fenced sink sinkFor returns for it. perGen/perStored receive this
-// attempt's per-rank counters.
+// blocked kernel (core.TailCursor.ExpandNext into a reused scratch
+// block — one loop for every chain depth), routes whole blocks via the
+// plan-bound owner over the epoch-fenced exchange (or stores them locally
+// when owner is nil), and hands owned batches to the fenced sink sinkFor
+// returns for it. perGen/perStored receive this attempt's per-rank
+// counters.
 //
 // Expansion order is exactly the reference order — head arcs in tile
 // order, each crossed with the tail's composed arcs in lexicographic CSR
@@ -341,14 +354,14 @@ func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, si
 		// handleBlock routes or stores it. handleBlock returns false to
 		// stop early (teardown, sink failure, or an injected crash).
 		//
-		// A single-factor tail (the k = 2 product) takes the direct
-		// ArcSlice path — byte-for-byte the pre-chain kernel, so the
-		// two-factor allocation and throughput budgets are untouched.
-		// Deeper tails are folded lazily through a core.TailCursor: the
-		// composed tail arcs are generated block-by-block in lexicographic
-		// CSR order (what a materialized tail's ArcSlice order would be),
-		// never materialized, and the inner loop stays the kernel's two
-		// adds + append.
+		// The tail is folded lazily through a core.TailCursor at every
+		// depth: the composed tail arcs are generated block-by-block in
+		// lexicographic CSR order (what a materialized tail's ArcSlice
+		// order would be), never materialized, and the inner loop is two
+		// adds + append. Over a one-factor tail (the k = 2 product) the
+		// cursor is just a position in B's ArcSlice, so the blocks are
+		// B's CSR order cut every batch arcs and at each row of A —
+		// kernel_test.go holds every depth to the per-edge reference.
 		expandTiles := func(handleBlock func(tile int, block []graph.Edge) bool) {
 			for _, t := range tiles[rk.ID()] {
 				// rem is the tile's windowed arc budget; Skip locates the
@@ -357,40 +370,6 @@ func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, si
 				// seek cost is independent of Skip's magnitude.
 				rem := t.Arcs()
 				if rem == 0 {
-					continue
-				}
-				if len(t.Tail) == 1 {
-					b := t.Tail[0]
-					bArcs := b.ArcSlice()
-					nB := b.NumVertices()
-					nTail := int64(len(bArcs))
-					aStart := int(t.Skip / nTail)
-					tailPos := int(t.Skip % nTail)
-					for ai := aStart; ai < len(t.AArcs) && rem > 0; ai++ {
-						aArc := t.AArcs[ai]
-						lo := 0
-						if ai == aStart {
-							lo = tailPos
-						}
-						for ; lo < len(bArcs) && rem > 0; lo += batch {
-							hi := lo + batch
-							if hi > len(bArcs) {
-								hi = len(bArcs)
-							}
-							pprof.SetGoroutineLabels(expandLabels)
-							// Chunks walk bArcs in CSR order, so the
-							// reference expansion order is preserved exactly.
-							block := core.ExpandBlock(aArc, bArcs[lo:hi], nB, scratch)
-							if int64(len(block)) > rem {
-								block = block[:rem]
-							}
-							rem -= int64(len(block))
-							scratch = block[:0]
-							if !handleBlock(t.ID, block) {
-								return
-							}
-						}
-					}
 					continue
 				}
 				cur := core.NewTailCursor(t.Tail)

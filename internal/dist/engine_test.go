@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -37,6 +38,29 @@ func TestPlanValidation(t *testing.T) {
 	}
 	if grid := NewGrid2D(6); tiles != grid.Tiles() {
 		t.Errorf("plan assigns %d tiles, grid has %d", tiles, grid.Tiles())
+	}
+}
+
+// TestPlanChainRefusesArcOverflow: K17^{⊗8} has 272⁸ ≈ 3e19 arcs. Its
+// vertex count (17⁸) fits, so the chain constructs — but Tile.FullArcs
+// would wrap (to a count Tile.Arcs clamps to 0 at r=1, to positive
+// garbage at r=4) and a run over such a plan would return nil having
+// generated nothing. Planning must refuse, in both layouts, at every r.
+func TestPlanChainRefusesArcOverflow(t *testing.T) {
+	ch, err := core.PowerChain(gen.Clique(17), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []int{1, 2, 4} {
+		for _, twoD := range []bool{false, true} {
+			if _, err := planForChain(ch, r, twoD); err == nil || !strings.Contains(err.Error(), "overflow") {
+				t.Errorf("r=%d twoD=%t: planned an overflowing chain (err = %v)", r, twoD, err)
+			}
+		}
+	}
+	if _, err := StreamChainFrom(context.Background(), ch, 1, false, 0, 0, -1, Recovery{},
+		func([]graph.Edge) error { return nil }); err == nil {
+		t.Error("whole-stream StreamChainFrom over an overflowing chain returned nil")
 	}
 }
 

@@ -362,8 +362,8 @@ func (s *shipper) staged(to, tile int) ([]graph.Edge, bool) {
 // their order per (tile, destination) and every counter are therefore
 // those of the per-edge loop; only the owner evaluations (one per run
 // instead of one per edge) and the copy granularity differ. The router
-// looks at nothing but the block, so how it was produced — ExpandBlock,
-// TailCursor, a 2D part, a window that cuts a row — does not matter, and
+// looks at nothing but the block, so how it was produced — the tail's
+// depth, a 2D part, a window that cuts a row — does not matter, and
 // a block that is not sorted merely yields shorter runs.
 func (s *shipper) routeRuns(tile int, block []graph.Edge, owner func(u int64) int) bool {
 	if s.aborted {

@@ -3,8 +3,8 @@ package dist
 // Cross-path equivalence for the blocked expansion/routing kernel: every
 // engine configuration — 1D and 2D plans, routed (hash and block owner
 // maps) and unrouted sinks, factors with and without full self loops,
-// two- and three-factor chains, whole streams and windows, batch sizes
-// down to 1 — must emit exactly the edge multiset of the per-edge
+// one-, two- and three-factor chains, whole streams and windows, batch
+// sizes down to 1 — must emit exactly the edge multiset of the per-edge
 // reference generator. The kernel reorders work (blocks, per-run or
 // per-edge partitioning, batch flushes) but may never change what is
 // generated or where it is stored; this test is the property pinning
@@ -66,9 +66,10 @@ func midRunWindow(t *testing.T, arcs []graph.Edge) (lo, hi int) {
 // misalign batches with blocks, tiles and source runs. The owners cover
 // all three routing forms: a v-dependent OwnerFunc (per-edge loop), a
 // SourceOwner, and OwnerBySource as the plain OwnerFunc value every
-// caller passes (recognised, run-routed). The windowed case slices the
+// caller passes (recognised, run-routed). The windowed cases slice the
 // 1D plan — whose stream order is the serial order — so that Skip and
-// Take both cut a run.
+// Take both cut a run; on the two-factor chain that is
+// core.TailCursor.SeekTo over a one-factor tail.
 func TestKernelEquivalence(t *testing.T) {
 	chains := []struct {
 		name   string
@@ -79,6 +80,7 @@ func TestKernelEquivalence(t *testing.T) {
 		{"loops_x_rmat", mustChain(gen.ER(5, 0.6, 403).WithFullSelfLoops(), gen.MustRMAT(gen.Graph500Params(3, 404))), false},
 		{"rmat_x_loops", mustChain(gen.MustRMAT(gen.Graph500Params(3, 405)), gen.PrefAttach(5, 2, 406).WithFullSelfLoops()), false},
 		{"k3", mustChain(gen.ER(4, 0.6, 407), gen.PrefAttach(4, 2, 408), gen.ER(3, 0.7, 409).WithFullSelfLoops()), false},
+		{"k1", mustChain(gen.MustRMAT(gen.Graph500Params(4, 410))), false}, // head × identityTail
 		{"window", mustChain(gen.ER(7, 0.5, 401), gen.PrefAttach(6, 2, 402)), true},
 		{"k3_window", mustChain(gen.ER(4, 0.6, 407), gen.PrefAttach(4, 2, 408), gen.ER(3, 0.7, 409).WithFullSelfLoops()), true},
 	}

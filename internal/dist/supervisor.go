@@ -471,11 +471,12 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 // Run executes the Plan→Expand→Route→Sink engine: every rank expands its
-// planned tiles through the blocked kernel (core.ExpandBlock, one A-arc
-// against all of B per block), routes whole blocks through Config.Owner
-// over the batched exchange (or locally when Owner is nil), and hands
-// owned edge batches to its RankSink — via BlockStorer when the sink
-// implements it, per-edge Store otherwise.
+// planned tiles through the blocked kernel (core.TailCursor.ExpandNext,
+// one head arc against the tile's tail, ≤ BatchSize arcs per block),
+// routes whole blocks through Config.Owner over the batched exchange (or
+// locally when Owner is nil), and hands owned edge batches to its
+// RankSink — via BlockStorer when the sink implements it, per-edge Store
+// otherwise.
 //
 // Cancelling ctx tears the run down mid-exchange on every rank; the first
 // real error (a failed sink, or the cancellation cause) is returned.

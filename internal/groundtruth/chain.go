@@ -9,10 +9,11 @@ import (
 
 // Ground-truth laws for heterogeneous factor chains C = A₁⊗A₂⊗…⊗Aₖ,
 // obtained from the paper's two-factor laws by induction over the chain.
-// The Power* functions are the all-factors-equal special case. Counting
-// laws return explicit errors on int64 overflow (a chain a handful of
-// factors deep overflows easily) so callers plan against real numbers or
-// refuse loudly — never against wrapped garbage.
+// A Kronecker power A^{⊗k} is the chain of k copies of one Factor (the
+// same pointer k times; nothing is recomputed). Counting laws return
+// explicit errors on int64 overflow (a chain a handful of factors deep
+// overflows easily) so callers plan against real numbers or refuse
+// loudly — never against wrapped garbage.
 
 // ChainNumVertices returns n_C = Π n_d, checked.
 func ChainNumVertices(fs []*Factor) (int64, error) {
@@ -169,6 +170,59 @@ func ChainEccentricityHistogram(fs []*Factor) map[int64]int64 {
 		cur = maxLawFold(cur, next)
 	}
 	return cur
+}
+
+// maxLawFold combines two value→count histograms under the max law.
+func maxLawFold(x, y map[int64]int64) map[int64]int64 {
+	xs := histToSorted(x)
+	ys := histToSorted(y)
+	out := map[int64]int64{}
+	var cumX, cumY int64
+	// Merge over the union of keys in ascending order.
+	i, j := 0, 0
+	for i < len(xs) || j < len(ys) {
+		var v int64
+		switch {
+		case i >= len(xs):
+			v = ys[j].val
+		case j >= len(ys):
+			v = xs[i].val
+		case xs[i].val < ys[j].val:
+			v = xs[i].val
+		default:
+			v = ys[j].val
+		}
+		var cx, cy int64
+		if i < len(xs) && xs[i].val == v {
+			cx = xs[i].cnt
+			i++
+		}
+		if j < len(ys) && ys[j].val == v {
+			cy = ys[j].cnt
+			j++
+		}
+		if c := cx*(cumY+cy) + cumX*cy; c > 0 {
+			out[v] = c
+		}
+		cumX += cx
+		cumY += cy
+	}
+	return out
+}
+
+type valCnt struct{ val, cnt int64 }
+
+func histToSorted(h map[int64]int64) []valCnt {
+	out := make([]valCnt, 0, len(h))
+	for v, c := range h {
+		out = append(out, valCnt{v, c})
+	}
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && out[j].val < out[j-1].val; j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
+	}
+	return out
 }
 
 // ChainCoordsOf returns the mixed-radix coordinates of product vertex p.

@@ -150,12 +150,8 @@ func TestChainCoordsOf(t *testing.T) {
 func TestChainAndPowerCountOverflow(t *testing.T) {
 	// A 3-vertex, 9-arc clique-with-loops factor: n^k fits far past the
 	// point where arcs^k overflows.
-	ga := clique3WithLoops(t)
-	f := NewFactor(ga)
-	fs := make([]*Factor, 21)
-	for i := range fs {
-		fs[i] = f
-	}
+	f := NewFactor(clique3WithLoops(t))
+	fs := copies(f, 21)
 	if _, err := ChainNumArcs(fs); err == nil {
 		t.Error("want arc-count overflow at 9^21")
 	}
@@ -163,24 +159,21 @@ func TestChainAndPowerCountOverflow(t *testing.T) {
 		t.Error("want edge-count overflow at 9^21")
 	}
 	// Vertex overflow: 40 factors of 3 vertices is 3^40 > 2^63.
-	fs40 := make([]*Factor, 40)
-	for i := range fs40 {
-		fs40[i] = f
-	}
-	if _, err := ChainNumVertices(fs40); err == nil {
+	if _, err := ChainNumVertices(copies(f, 40)); err == nil {
 		t.Error("want vertex-count overflow at 3^40")
 	}
-	if _, err := PowerNumVertices(f, 40); err == nil {
-		t.Error("want PowerNumVertices overflow at 3^40")
-	}
-	// PowerNumEdges overflow: a loop-free 3-clique has m=3; 2^{k−1}·3^k
-	// overflows for k = 40 (6^40 ≫ 2^63).
+	// The power laws are the chain laws over k copies: a loop-free
+	// 3-clique has m = 3 and τ = 1, so m_C = 2^{k−1}·3^k and τ_C = 6^{k−1}
+	// both overflow at k = 40 (6^39 ≫ 2^63).
 	lf := NewFactor(triangleGraph(t))
-	if _, err := PowerNumEdges(lf, 40); err == nil {
-		t.Error("want PowerNumEdges overflow at k=40")
+	if _, err := ChainNumEdges(copies(lf, 40)); err == nil {
+		t.Error("want ChainNumEdges overflow at k=40")
 	}
-	if m, err := PowerNumEdges(lf, 3); err != nil || m != 108 {
-		t.Errorf("PowerNumEdges(triangle, 3) = %d (err %v), want 108", m, err)
+	if _, err := ChainGlobalTriangles(copies(lf, 40)); err == nil {
+		t.Error("want ChainGlobalTriangles overflow at k=40")
+	}
+	if m, err := ChainNumEdges(copies(lf, 3)); err != nil || m != 108 {
+		t.Errorf("ChainNumEdges(triangle ×3) = %d (err %v), want 108", m, err)
 	}
 }
 

@@ -3,40 +3,22 @@ package groundtruth
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"kronlab/internal/analytics"
 	"kronlab/internal/core"
 )
 
-func TestPowerIndexRoundTrip(t *testing.T) {
-	f := func(pRaw int64, nRaw, kRaw uint8) bool {
-		n := int64(nRaw%9) + 2
-		k := int(kRaw%4) + 1
-		px := core.NewPowerIndex(n, k)
-		p := pRaw
-		if p < 0 {
-			p = -p
-		}
-		p %= px.NumVertices()
-		return px.Join(px.Split(p)) == p
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
+// The Kronecker power A^{⊗k} is the chain of k copies of A: these tests
+// hold the Chain* laws, fed one Factor k times, to the materialized
+// core.KronPower.
 
-func TestPowerIndexConsistentWithPairIndex(t *testing.T) {
-	// A^{⊗2} coordinates must agree with the two-factor γ map.
-	px := core.NewPowerIndex(7, 2)
-	ix := core.NewIndex(7)
-	for p := int64(0); p < 49; p++ {
-		i, k := ix.Split(p)
-		coords := px.Split(p)
-		if coords[0] != i || coords[1] != k {
-			t.Fatalf("p=%d: power coords %v, pair (%d,%d)", p, coords, i, k)
-		}
+// copies returns the factor list of A^{⊗k}.
+func copies(a *Factor, k int) []*Factor {
+	fs := make([]*Factor, k)
+	for i := range fs {
+		fs[i] = a
 	}
+	return fs
 }
 
 func TestKronPowerMatchesIteratedProduct(t *testing.T) {
@@ -67,29 +49,30 @@ func TestPowerLawsAgainstMaterializedCube(t *testing.T) {
 	ga := randomConnectedLoopFree(rng, 5)
 	a := NewFactor(ga)
 	const k = 3
+	fs := copies(a, k)
 	c, err := core.KronPower(ga, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := PowerNumVertices(a, k); err != nil || n != c.NumVertices() {
+	if n, err := ChainNumVertices(fs); err != nil || n != c.NumVertices() {
 		t.Errorf("n law: %d (err %v) != %d", n, err, c.NumVertices())
 	}
-	if m, err := PowerNumEdges(a, k); err != nil || m != c.NumEdges() {
+	if m, err := ChainNumEdges(fs); err != nil || m != c.NumEdges() {
 		t.Errorf("m law: %d (err %v) != %d", m, err, c.NumEdges())
 	}
 	exact := analytics.Triangles(c)
-	if got := PowerGlobalTriangles(a, k); got != exact.Global {
-		t.Errorf("τ law: %d != %d", got, exact.Global)
+	if got, err := ChainGlobalTriangles(fs); err != nil || got != exact.Global {
+		t.Errorf("τ law: %d (err %v) != %d", got, err, exact.Global)
 	}
-	px := core.NewPowerIndex(a.N(), k)
+	px := core.MustChainIndex(a.N(), a.N(), a.N()) // k = 3 equal radices
 	for p := int64(0); p < c.NumVertices(); p++ {
 		coords := px.Split(p)
-		if PowerDegreeAt(a, coords) != c.Degree(p) {
+		if ChainDegreeAt(fs, coords) != c.Degree(p) {
 			t.Fatalf("degree law fails at %d", p)
 		}
-		if PowerVertexTrianglesAt(a, coords) != exact.Vertex[p] {
+		if ChainVertexTrianglesAt(fs, coords) != exact.Vertex[p] {
 			t.Fatalf("triangle law fails at %d: %d != %d",
-				p, PowerVertexTrianglesAt(a, coords), exact.Vertex[p])
+				p, ChainVertexTrianglesAt(fs, coords), exact.Vertex[p])
 		}
 	}
 }
@@ -99,25 +82,28 @@ func TestPowerDistanceLaws(t *testing.T) {
 	ga := randomConnectedLoopFree(rng, 4).WithFullSelfLoops()
 	a := NewFactor(ga)
 	const k = 3
+	fs := copies(a, k)
 	c, err := core.KronPower(ga, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	exactEcc := analytics.Eccentricities(c)
-	px := core.NewPowerIndex(a.N(), k)
+	px := core.MustChainIndex(a.N(), a.N(), a.N()) // k = 3 equal radices
 	for p := int64(0); p < c.NumVertices(); p++ {
-		if got := PowerEccentricityAt(a, px.Split(p)); got != exactEcc[p] {
+		if got := ChainEccentricityAt(fs, px.Split(p)); got != exactEcc[p] {
 			t.Fatalf("ε law fails at %d: %d != %d", p, got, exactEcc[p])
 		}
 	}
-	if PowerDiameter(a) != analytics.Diameter(c) {
-		t.Errorf("diameter law: %d != %d", PowerDiameter(a), analytics.Diameter(c))
+	// Cor. 3 collapses under identical factors: diam(A^{⊗k}) = diam(A).
+	a.EnsureDistances()
+	if d := ChainDiameter(fs); d != analytics.Diameter(c) || d != a.Diam {
+		t.Errorf("diameter law: %d, materialized %d, diam(A) %d", d, analytics.Diameter(c), a.Diam)
 	}
 	// Hop law spot checks.
 	rows := analytics.AllPairsHops(c)
 	for p := int64(0); p < c.NumVertices(); p += 5 {
 		for q := int64(0); q < c.NumVertices(); q += 7 {
-			if got := PowerHopsAt(a, px.Split(p), px.Split(q)); got != rows[p][q] {
+			if got := ChainHopsAt(fs, px.Split(p), px.Split(q)); got != rows[p][q] {
 				t.Fatalf("hops law fails at (%d,%d): %d != %d", p, q, got, rows[p][q])
 			}
 		}
@@ -137,7 +123,7 @@ func TestPowerEccentricityHistogram(t *testing.T) {
 		for _, e := range analytics.Eccentricities(c) {
 			want[e]++
 		}
-		got := PowerEccentricityHistogram(a, k)
+		got := ChainEccentricityHistogram(copies(a, k))
 		if len(got) != len(want) {
 			t.Fatalf("k=%d: histogram sizes %d != %d", k, len(got), len(want))
 		}
@@ -146,15 +132,5 @@ func TestPowerEccentricityHistogram(t *testing.T) {
 				t.Fatalf("k=%d: hist[%d] = %d, want %d", k, v, got[v], cnt)
 			}
 		}
-	}
-}
-
-func TestPowerCoordsOf(t *testing.T) {
-	rng := rand.New(rand.NewSource(317))
-	ga := randomLoopFree(rng, 6)
-	a := NewFactor(ga)
-	coords := PowerCoordsOf(a, 3, 0)
-	if len(coords) != 3 {
-		t.Fatalf("coords = %v", coords)
 	}
 }

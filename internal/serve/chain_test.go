@@ -111,11 +111,11 @@ func TestChainPowerQuery(t *testing.T) {
 
 	// Chain keys resolve like factor keys: by name too.
 	sum := getJSON(t, ts.URL+"/gt/alpha/summary?power=3", http.StatusOK)
-	wantN, err := groundtruth.PowerNumVertices(fa, 3)
+	wantN, err := groundtruth.ChainNumVertices([]*groundtruth.Factor{fa, fa, fa})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantM, err := groundtruth.PowerNumEdges(fa, 3)
+	wantM, err := groundtruth.ChainNumEdges([]*groundtruth.Factor{fa, fa, fa})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"encoding/binary"
 	"net/http"
+	"strconv"
+	"strings"
 
 	"kronlab/internal/graph"
 )
@@ -80,4 +82,56 @@ func (s *Server) resolveFactor(w http.ResponseWriter, key string) (*graph.Graph,
 	}
 	g, _, _ := s.reg.Get(hash)
 	return g, hash, true
+}
+
+// maxChainPower caps power=k: past this even 2-vertex factors overflow
+// int64 vertex counts, so larger k only buys a bigger error message.
+const maxChainPower = 64
+
+// resolveChain maps the factor list a /gt or /gen request names to the
+// registered graphs and their hashes. The list is spelled either
+// {a}/{b} — the paper's two-factor form, pair = true — or {chain}, a
+// comma-separated list of registry keys (hash, ≥8-char prefix, or name)
+// for C = A₁⊗A₂⊗…⊗Aₖ; a single-key {chain} with power=k names the
+// Kronecker power A^{⊗k} without registering k copies. Both spellings
+// run the same laws and the same engine. It writes the failure response
+// itself: 404 for unknown keys, 400 for a malformed spec.
+func (s *Server) resolveChain(w http.ResponseWriter, r *http.Request) (gs []*graph.Graph, hashes []string, pair, ok bool) {
+	keys := []string{r.PathValue("a"), r.PathValue("b")}
+	raw := r.PathValue("chain")
+	pair = raw == "" // the {a}/{b} patterns have no {chain} segment
+	if !pair {
+		keys = strings.Split(raw, ",")
+		for i := range keys {
+			keys[i] = strings.TrimSpace(keys[i])
+			if keys[i] == "" {
+				writeError(w, http.StatusBadRequest, "empty factor key in chain %q", raw)
+				return nil, nil, false, false
+			}
+		}
+		if rawK := r.URL.Query().Get("power"); rawK != "" {
+			k, err := strconv.Atoi(rawK)
+			if err != nil || k < 1 || k > maxChainPower {
+				writeError(w, http.StatusBadRequest, "power must be an integer in [1,%d], got %q", maxChainPower, rawK)
+				return nil, nil, false, false
+			}
+			if len(keys) != 1 {
+				writeError(w, http.StatusBadRequest, "power=%d needs a single-factor chain, got %d keys", k, len(keys))
+				return nil, nil, false, false
+			}
+			key := keys[0]
+			keys = make([]string, k)
+			for i := range keys {
+				keys[i] = key
+			}
+		}
+	}
+	gs = make([]*graph.Graph, len(keys))
+	hashes = make([]string, len(keys))
+	for i, key := range keys {
+		if gs[i], hashes[i], ok = s.resolveFactor(w, key); !ok {
+			return nil, nil, false, false
+		}
+	}
+	return gs, hashes, pair, true
 }

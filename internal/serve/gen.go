@@ -20,20 +20,16 @@ import (
 // it truncates the stream without being an error to report.
 var errStreamLimit = errors.New("serve: stream limit reached")
 
-// handleGenerate serves GET /gen/{a}/{b}/edges — the two-factor spelling
-// of the chain generate endpoint. Parsing, counting, emission, Range and
-// resume handling all live in streamChainEdges, shared with
-// /gen/{chain}/edges, so the two routes cannot drift.
+// handleGenerate serves GET /gen/{a}/{b}/edges and GET /gen/{chain}/edges
+// — two spellings of one stream over the factor list resolveChain
+// returns; parsing, counting, emission, Range and resume handling all
+// live in streamChainEdges.
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
-	ga, hashA, ok := s.resolveFactor(w, r.PathValue("a"))
+	gs, hashes, _, ok := s.resolveChain(w, r)
 	if !ok {
 		return
 	}
-	gb, hashB, ok := s.resolveFactor(w, r.PathValue("b"))
-	if !ok {
-		return
-	}
-	s.streamChainEdges(w, r, []*graph.Graph{ga, gb}, []string{hashA, hashB})
+	s.streamChainEdges(w, r, gs, hashes)
 }
 
 // resumeTokenPrefix versions the resume-token format; a token is

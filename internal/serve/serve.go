@@ -141,13 +141,16 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /factors", s.instrument("factors", s.handleRegister))
 	s.mux.HandleFunc("GET /factors", s.instrument("factors", s.handleListFactors))
 	s.mux.HandleFunc("GET /factors/{hash}", s.instrument("factors", s.handleGetFactor))
-	s.mux.HandleFunc("GET /gt/{a}/{b}/{property}", s.instrument("gt", s.admitted(s.timed(s.handleGroundTruth))))
-	s.mux.HandleFunc("GET /gen/{a}/{b}/edges", s.instrument("gen", s.admitted(s.genTimed(s.handleGenerate))))
-	// Chain routes: {chain} is a comma-separated factor key list (with
-	// optional power=k), so these two-segment patterns coexist with the
-	// three-segment two-factor routes above.
-	s.mux.HandleFunc("GET /gt/{chain}/{property}", s.instrument("gt", s.admitted(s.timed(s.handleChainGroundTruth))))
-	s.mux.HandleFunc("GET /gen/{chain}/edges", s.instrument("gen", s.admitted(s.genTimed(s.handleChainGenerate))))
+	// /gt and /gen each take the factor list in two spellings — {a}/{b},
+	// or {chain}: a comma-separated key list (with optional power=k) — so
+	// the two-segment chain patterns coexist with the three-segment
+	// two-factor ones, and each pair of patterns shares one handler.
+	gt := s.instrument("gt", s.admitted(s.timed(s.handleGroundTruth)))
+	gen := s.instrument("gen", s.admitted(s.genTimed(s.handleGenerate)))
+	s.mux.HandleFunc("GET /gt/{a}/{b}/{property}", gt)
+	s.mux.HandleFunc("GET /gt/{chain}/{property}", gt)
+	s.mux.HandleFunc("GET /gen/{a}/{b}/edges", gen)
+	s.mux.HandleFunc("GET /gen/{chain}/edges", gen)
 	return s
 }
 

@@ -1,81 +1,72 @@
 #!/bin/sh
 # Allocation regression guard for the end-to-end generation benchmarks
-# (two-factor and chain) and the TCP transport exchange benchmark.
+# (two-factor and chain), the multicore sweep and the TCP transport
+# exchange benchmark.
 #
 # Runs BenchmarkE2Generate1D, BenchmarkE2GenerateChain,
 # BenchmarkThroughputSweep and BenchmarkTCPExchangeThroughput with
 # -benchmem and compares allocs/op per sub-benchmark against the newest
-# committed BENCH_*.json snapshot (chain rows come from the newest
-# BENCH_*_chain.json, multicore sweep rows from the newest
-# BENCH_*_multicore.json — either may be an older file than the overall
-# newest snapshot). Fails when any sub-benchmark allocates more than
-# ALLOW× the snapshot figure (default 1.2 — a 20% regression budget;
-# allocs/op is deterministic enough that this never flakes while still
-# catching a reintroduced per-batch allocation, in the engine, the tail
-# fold, or on the wire path).
+# committed BENCH_*_allocguard.json snapshot. Fails when any
+# sub-benchmark allocates more than ALLOW× the snapshot figure (default
+# 1.2 — a 20% regression budget; allocs/op is deterministic enough that
+# this never flakes while still catching a reintroduced per-batch
+# allocation, in the engine, the tail fold, or on the wire path), and
+# exits 2 when it compared nothing.
 #
-# Record guard baselines with the same short regime the guard measures
-# under (BENCHTIME=10x scripts/bench.sh . ./internal/dist): cold-start
-# allocations amortize differently at long benchtimes, so a 1s snapshot
-# under-reports a 10x measurement by a few allocs/op on the small rows.
+# Rows are joined on the benchmark name without the trailing
+# -<GOMAXPROCS> the testing package appends on a box with more than one
+# CPU, so a snapshot recorded on one machine guards a run on another; a
+# sweep row for a GOMAXPROCS the other machine lacks has no counterpart
+# and is skipped.
+#
+# Record a baseline with the same short regime the guard measures under
+# (cold-start allocations amortize differently at long benchtimes, so a
+# 1s snapshot under-reports a 10x measurement by a few allocs/op on the
+# small rows):
+#   BENCHTIME=10x OUT=BENCH_$(date +%Y-%m-%d)_allocguard.json \
+#     BENCH='E2Generate1D|E2GenerateChain|ThroughputSweep|TCPExchangeThroughput' \
+#     scripts/bench.sh . ./internal/dist
 #
 # Usage:
-#   scripts/allocguard.sh                 # guard against newest BENCH_*.json
+#   scripts/allocguard.sh                 # newest BENCH_*_allocguard.json
 #   SNAPSHOT=BENCH_foo.json scripts/allocguard.sh
 #   ALLOW=1.5 scripts/allocguard.sh
 set -eu
 
 cd "$(dirname "$0")/.."
 
-SNAPSHOT="${SNAPSHOT:-$(ls -1 BENCH_*.json 2>/dev/null | tail -1)}"
-CHAIN_SNAPSHOT="${CHAIN_SNAPSHOT:-$(ls -1 BENCH_*_chain.json 2>/dev/null | tail -1)}"
-MULTICORE_SNAPSHOT="${MULTICORE_SNAPSHOT:-$(ls -1 BENCH_*_multicore.json 2>/dev/null | tail -1)}"
+SNAPSHOT="${SNAPSHOT:-$(ls -1 BENCH_*_allocguard.json 2>/dev/null | tail -1)}"
 ALLOW="${ALLOW:-1.2}"
 if [ -z "$SNAPSHOT" ] || [ ! -f "$SNAPSHOT" ]; then
-    echo "allocguard: no BENCH_*.json snapshot found" >&2
+    echo "allocguard: no BENCH_*_allocguard.json snapshot found" >&2
     exit 2
 fi
 
-echo "allocguard: baseline $SNAPSHOT${CHAIN_SNAPSHOT:+ + $CHAIN_SNAPSHOT}${MULTICORE_SNAPSHOT:+ + $MULTICORE_SNAPSHOT}, budget ${ALLOW}x" >&2
+echo "allocguard: baseline $SNAPSHOT, budget ${ALLOW}x" >&2
 
-# Reassemble a JSON event stream into plain bench output: a benchmark's
-# name and its numbers usually arrive as separate events.
-extract() {
-    grep -o '"Output":"[^"]*' "$1" | sed 's/"Output":"//' | tr -d '\n' |
-        sed 's/\\n/\n/g; s/\\t/\t/g' |
-        grep 'allocs/op' || true
-}
-
-baseline() {
-    extract "$SNAPSHOT" |
-        grep -e '^BenchmarkE2Generate1D' -e '^BenchmarkTCPExchangeThroughput' || true
-    if [ -n "$CHAIN_SNAPSHOT" ] && [ -f "$CHAIN_SNAPSHOT" ]; then
-        extract "$CHAIN_SNAPSHOT" | grep '^BenchmarkE2GenerateChain' || true
-    fi
-    if [ -n "$MULTICORE_SNAPSHOT" ] && [ -f "$MULTICORE_SNAPSHOT" ]; then
-        extract "$MULTICORE_SNAPSHOT" | grep '^BenchmarkThroughputSweep' || true
-    fi
-}
+GUARDED='BenchmarkE2Generate1D|BenchmarkE2GenerateChain|BenchmarkThroughputSweep|BenchmarkTCPExchangeThroughput'
 
 CUR=$(mktemp) && BASE=$(mktemp)
 trap 'rm -f "$CUR" "$BASE"' EXIT
-baseline >"$BASE"
-if ! grep -q '^BenchmarkE2Generate1D' "$BASE"; then
-    echo "allocguard: $SNAPSHOT has no BenchmarkE2Generate1D results" >&2
+
+# Reassemble the snapshot's JSON event stream into plain bench output: a
+# benchmark's name and its numbers usually arrive as separate events.
+grep -o '"Output":"[^"]*' "$SNAPSHOT" | sed 's/"Output":"//' | tr -d '\n' |
+    sed 's/\\n/\n/g; s/\\t/\t/g' | grep 'allocs/op' | grep -E "^($GUARDED)" >"$BASE" || true
+
+if [ ! -s "$BASE" ]; then
+    echo "allocguard: $SNAPSHOT has no guarded benchmark rows" >&2
     exit 2
 fi
 
 # benchtime 10x keeps the guard fast; allocs/op does not depend on the
-# iteration count once pools are warm. The TCP, chain and multicore
-# guards only bite when a snapshot contains comparable rows (older
-# snapshots have none, and a sweep row for a GOMAXPROCS the other
-# machine lacks has no counterpart; the join below skips them).
-go test -run '^$' -bench 'BenchmarkE2Generate1D|BenchmarkE2GenerateChain|BenchmarkThroughputSweep' -benchmem -benchtime 10x . >"$CUR"
-go test -run '^$' -bench 'BenchmarkTCPExchangeThroughput' -benchmem -benchtime 10x ./internal/dist/ >>"$CUR"
+# iteration count once pools are warm.
+go test -run '^$' -bench "$GUARDED" -benchmem -benchtime 10x . ./internal/dist/ >"$CUR"
 
 awk -v allow="$ALLOW" '
 {
     name = $1
+    sub(/-[0-9]+$/, "", name)
     for (i = 2; i <= NF; i++) if ($(i) == "allocs/op") a[FILENAME, name] = $(i - 1)
     if (FILENAME == ARGV[1] && !(name in seen)) { order[++n_] = name; seen[name] = 1 }
 }
@@ -85,10 +76,11 @@ END {
         name = order[i]
         o = a[ARGV[1], name]; n = a[ARGV[2], name]
         if (o == "" || n == "") continue
+        compared++
         status = "ok"
         if (n > o * allow) { status = "FAIL"; bad = 1 }
         printf "%-40s snapshot %6d  current %6d  budget %6.0f  %s\n", name, o, n, o * allow, status
     }
-    if (n_ == 0) { print "allocguard: no comparable benchmarks" > "/dev/stderr"; exit 2 }
+    if (compared == 0) { print "allocguard: no comparable benchmarks — the guard compared nothing" > "/dev/stderr"; exit 2 }
     exit bad
 }' "$BASE" "$CUR"
