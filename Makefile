@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test loc race vet fmt-check bench bench-multicore bench-route benchcmp allocguard clean recovery-soak head-soak fuzz-smoke lint cluster-smoke
+.PHONY: all build test loc race vet fmt-check bench-route allocguard clean recovery-soak head-soak fuzz-smoke lint cluster-smoke
 
 all: build test
 
@@ -78,20 +78,6 @@ lint:
 cluster-smoke:
 	sh scripts/cluster_local.sh
 
-# Runs every Benchmark* suite with -benchmem and writes the go test -json
-# event stream to BENCH_<date>.json. BENCHTIME=10x make bench for a quick
-# pass.
-bench:
-	sh scripts/bench.sh
-
-# Multicore throughput sweep (the repo's headline edges/sec metric):
-# BenchmarkThroughputSweep over R ranks × GOMAXPROCS, captured as
-# BENCH_<date>_multicore.json. Diff snapshots with
-# `sh scripts/benchcmp.sh -multicore`.
-bench-multicore:
-	BENCH=ThroughputSweep OUT=BENCH_$$(date +%Y-%m-%d)_multicore.json \
-		sh scripts/bench.sh .
-
 # Router gate: BenchmarkRoute times the run router, the per-edge loop and
 # the per-edge reference on the same blocks in one process, so the check
 # is a ratio that survives a change of machine — routing OwnerBySource by
@@ -110,16 +96,9 @@ bench-route:
 				print "bench-route: FAIL — rows missing, a row allocates, or bySource is slower than perEdgeReference"; exit 1 } \
 			printf "bench-route: bySource / perEdgeReference = %.2f\n", run / ref }'
 
-# Compares the two newest BENCH_*.json snapshots (or any two passed as
-# OLD=/NEW=) benchmark by benchmark — benchstat when installed, an awk
-# delta table otherwise.
-benchcmp:
-	sh scripts/benchcmp.sh $(OLD) $(NEW)
-
 # Allocation regression guard on the end-to-end generation benchmarks:
-# fails when allocs/op exceeds the committed BENCH_*_allocguard.json
-# snapshot by more than 20%, or when no row could be compared. Mirrors
-# the CI step.
+# fails when allocs/op exceeds the committed allocguard_baseline.txt by
+# more than 20%, or when no row could be compared. Mirrors the CI step.
 allocguard:
 	sh scripts/allocguard.sh
 

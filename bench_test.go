@@ -156,10 +156,9 @@ func BenchmarkE2GenerateChain(b *testing.B) {
 // cluster size R and GOMAXPROCS P. The P axis is what the freelist
 // sharding, double-buffered sends and async store sink buy: on multicore
 // hardware the R=16 rows should scale with P until the machine
-// saturates, and a committed BENCH_<date>_multicore.json snapshot of
-// this sweep is the record of where that happened. P values above
-// runtime.NumCPU() still run (the scheduler timeslices), so snapshots
-// from narrow machines keep every row — flat, but comparable.
+// saturates. P values above runtime.NumCPU() still run (the scheduler
+// timeslices), so runs on narrow machines keep every row — flat, but
+// comparable.
 func BenchmarkThroughputSweep(b *testing.B) {
 	fixtures(b)
 	edges := benchA.NumArcs() * benchB.NumArcs()

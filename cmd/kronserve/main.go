@@ -16,7 +16,6 @@
 //	-gen-retries    retry budget for generation runs (default 1; negative: zero retries)
 //	-max-upload-mb  factor upload size cap in MiB (default 64)
 //	-max-ranks      cap on the ranks= generation parameter (default 64)
-//	-ledger         run-ledger path reported via /healthz (default none)
 //	-drain          graceful shutdown deadline after SIGTERM/SIGINT (default 15s)
 //	-pprof          side listener address for net/http/pprof (default off)
 //	-pprof-mutex    mutex profile sampling fraction (default 0 = off)
@@ -73,7 +72,6 @@ func main() {
 	genRetries := flag.Int("gen-retries", 1, "retry budget for generation runs (negative: zero retries, the first fault ends the stream)")
 	uploadMB := flag.Int64("max-upload-mb", 64, "factor upload cap in MiB")
 	maxRanks := flag.Int("max-ranks", 64, "cap on the ranks= generation parameter")
-	ledgerPath := flag.String("ledger", "", "run-ledger path of the fronted cluster deployment, reported via /healthz")
 	drain := flag.Duration("drain", 15*time.Second, "graceful shutdown deadline after SIGTERM/SIGINT")
 	pprofAddr := flag.String("pprof", "", "side listener address for net/http/pprof (empty = disabled)")
 	pprofMutex := flag.Int("pprof-mutex", 0, "mutex profile sampling fraction, 1-in-N contention events (0 = off)")
@@ -119,7 +117,6 @@ func main() {
 		GenRetries:     *genRetries,
 		MaxUploadBytes: *uploadMB << 20,
 		MaxRanks:       *maxRanks,
-		LedgerPath:     *ledgerPath,
 	})
 	hs := &http.Server{
 		Addr:              *addr,

@@ -67,18 +67,19 @@ type Stats struct {
 	RecoveredRuns     int64   // 1 when the run succeeded only after retries
 	DuplicatesSkipped int64   // replayed edges suppressed by checkpoint fencing
 
-	// Cluster-mode robustness counters (populated by RunCluster; zero
-	// elsewhere). HeadGeneration counts head incarnations across the run's
-	// ledger (1 = the head never died); LastEpoch is the final attempt
-	// epoch; HeartbeatMisses counts heartbeat intervals some peer spent
-	// silent — early smoke for slow or partitioned links.
+	// Robustness counters. HeadGeneration counts head incarnations across
+	// the run's ledger (1 = the head never died, and every in-process
+	// run); LastEpoch is the final attempt's epoch (the attempt number
+	// without a ledger); HeartbeatMisses counts heartbeat intervals some
+	// TCP peer spent silent — early smoke for slow or partitioned links.
 	HeadGeneration  int64
 	LastEpoch       int64
 	HeartbeatMisses int64
 
-	// OutstandingBufs snapshots pooled batch buffers still checked out.
-	// Every run ends at 0, however many attempts it took; the chaos suite
-	// asserts it as the buffer-leak probe.
+	// OutstandingBufs snapshots pooled batch buffers still checked out by
+	// the process that drove the run. Every in-process run ends at 0,
+	// however many attempts it took; the chaos suite asserts it as the
+	// buffer-leak probe.
 	OutstandingBufs int64
 }
 

@@ -12,6 +12,7 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -517,4 +518,103 @@ func TestClusterHeadKillRecovery(t *testing.T) {
 	if !got.Equal(want) {
 		t.Fatal("store after head respawn differs from serial reference")
 	}
+}
+
+// TestClusterHeadFaultUnchanged: the head ran its own attempt, so its own
+// fault comes back as the error value it was — a caller's sentinel, a
+// cancellation, a PeerError — not flattened to a string the way a worker's
+// report has to be to cross the wire.
+func TestClusterHeadFaultUnchanged(t *testing.T) {
+	const r = 2
+	plan, err := PlanChain1D(mustChain(killTestFactors()), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := tcp.NewNode("127.0.0.1:0", 0, PlanHash(plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	sentinel := errors.New("sink setup refused")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	_, err = RunCluster(ctx,
+		ClusterConfig{Procs: transport.SplitRanks([]string{node.Addr()}, r), Node: node},
+		Config{Plan: plan, Owner: OwnerBySource, Sink: &failSink{inner: NewMemorySink(r), failID: 1, err: sentinel}})
+	if !errors.Is(err, sentinel) {
+		t.Fatalf("head returned %v, want the sink's own error value", err)
+	}
+}
+
+// TestClusterBlameAndReassign: a two-process cluster (goroutines over
+// loopback, as in TestClusterParity) whose worker resets its link to the
+// head mid-exchange. The head's own report names the worker process, and
+// the retry must be booked on that process's first rank — not on rank 0 —
+// and, with Reassign, that rank's uncommitted tile must move to another
+// rank, across the process boundary, with the store still holding exactly
+// core.Chain.Arcs.
+func TestClusterBlameAndReassign(t *testing.T) {
+	const nprocs, r = 2, 4
+	ch := mustChain(killTestFactors())
+	dir := t.TempDir()
+	cfg, plan, err := killTestConfig(dir, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Reassign = true
+	nodes := make([]*tcp.Node, nprocs)
+	addrs := make([]string, nprocs)
+	for i := range nodes {
+		n, err := tcp.NewNode("127.0.0.1:0", i, PlanHash(plan))
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+		defer n.Close()
+		nodes[i], addrs[i] = n, n.Addr()
+	}
+	procs := transport.SplitRanks(addrs, r)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	var wg sync.WaitGroup
+	stats := make([]Stats, nprocs)
+	errs := make([]error, nprocs)
+	for p := 0; p < nprocs; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			pcfg := cfg
+			if p == 1 {
+				pcfg.Faults = &FaultPlan{TCP: transport.TCPFaults{ResetAfterFrames: 5}}
+			}
+			stats[p], errs[p] = RunCluster(ctx, ClusterConfig{Procs: procs, Self: p, Node: nodes[p]}, pcfg)
+		}(p)
+	}
+	wg.Wait()
+	for p, err := range errs {
+		if err != nil {
+			t.Fatalf("proc %d: %v", p, err)
+		}
+	}
+	st := stats[0]
+	blamed := procs[1].Lo
+	if st.TotalRetries() != 1 || st.RetriesPerRank[blamed] != 1 {
+		t.Fatalf("RetriesPerRank = %v, want the one retry on rank %d (the resetting process's first rank)", st.RetriesPerRank, blamed)
+	}
+	if st.TilesReassigned != 1 {
+		t.Fatalf("TilesReassigned = %d, want rank %d's one uncommitted tile moved", st.TilesReassigned, blamed)
+	}
+	if st.RecoveredRuns != 1 {
+		t.Fatalf("RecoveredRuns = %d, want 1", st.RecoveredRuns)
+	}
+	stored, err := store.Recover(dir, plan.NC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want []graph.Edge
+	if err := stored.Iter(func(u, v int64) bool { got = append(got, graph.Edge{U: u, V: v}); return true }); err != nil {
+		t.Fatal(err)
+	}
+	ch.Arcs(func(u, v int64) bool { want = append(want, graph.Edge{U: u, V: v}); return true })
+	assertSameOrder(t, "reassigned cluster store", sortedArcs(got), sortedArcs(want))
 }

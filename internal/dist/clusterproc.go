@@ -1,16 +1,17 @@
 package dist
 
-// Cluster mode: the Plan→Expand→Route→Sink engine spread across N OS
-// processes over the TCP transport. Every process deterministically
-// reconstructs the same Plan from the factor files, hosts a contiguous
-// rank range from the static peer list, and runs the very runAttempt the
-// in-process engine runs — only the transport under it differs.
+// The attempt loop and cluster mode: the Plan→Expand→Route→Sink engine
+// spread across N OS processes over the TCP transport. Every process
+// deterministically reconstructs the same Plan from the factor files,
+// hosts a contiguous rank range from the static peer list, and runs the
+// same rankHost.attempt — only how it comes by a Cluster differs.
 //
 // Process 0 (the head) doubles as the run supervisor: it owns the
 // tile-checkpoint table, assigns each attempt's uncommitted tiles and
 // skip prefixes over persistent control connections, and collects
-// per-attempt reports. Recovery extends PR 4's posture from a killed
-// goroutine to a killed *process*:
+// per-attempt reports. Its loop is the only one: an in-process Run is one
+// process on the chan transport with no ledger. Recovery extends PR 4's
+// posture from a killed goroutine to a killed *process*:
 //
 //   - A worker that dies (SIGKILL, OOM, a yanked cable) surfaces as a
 //     broken control connection at the head and as PeerErrors on the
@@ -52,6 +53,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -72,15 +74,11 @@ type ClusterConfig struct {
 	Self int
 	// Node is the process's persistent listening endpoint, shared across
 	// run attempts (NewNode with this proc's address and the plan hash).
+	// A single process may leave it nil: the run then stays on the
+	// in-process chan transport — that is Run.
 	Node *tcp.Node
 	// DialTimeout bounds mesh establishment per attempt; ≤ 0 means 10s.
 	DialTimeout time.Duration
-	// ReportTimeout bounds how long the head waits for a worker's
-	// post-attempt report before declaring the worker dead; ≤ 0 means
-	// 30s. By the time the head collects, its own attempt has finished —
-	// the final collective synchronizes every live proc — so only a dead
-	// worker ever runs the timeout down.
-	ReportTimeout time.Duration
 	// LedgerPath, when non-empty on the head, arms the durable run
 	// ledger: supervision state is journaled there at every state change,
 	// and a respawned head resumes from it instead of restarting the run.
@@ -100,12 +98,11 @@ type ClusterConfig struct {
 	HeartbeatDeadline time.Duration
 }
 
-func (cc ClusterConfig) reportTimeout() time.Duration {
-	if cc.ReportTimeout > 0 {
-		return cc.ReportTimeout
-	}
-	return 30 * time.Second
-}
+// reportTimeout bounds how long the head waits for a worker's join,
+// post-attempt report or bye before declaring the worker dead. By the time
+// the head collects, its own attempt has finished — the final collective
+// synchronizes every live proc — so only a dead worker runs it down.
+const reportTimeout = 30 * time.Second
 
 func (cc ClusterConfig) dialTimeout() time.Duration {
 	if cc.DialTimeout > 0 {
@@ -213,6 +210,9 @@ type ctrlMsg struct {
 	Traffic     trafficStats          `json:"traffic,omitempty"`
 	RunErr      string                `json:"run_err,omitempty"`
 	Recoverable bool                  `json:"recoverable,omitempty"`
+	// Blame is the rank a failed attempt's fault names, resolved by the
+	// process that ran it; -1 when the fault names none.
+	Blame int `json:"blame,omitempty"`
 
 	// err is RunErr as the error value it was, for the process that ran
 	// the attempt (classification and blame need the chain; it does not
@@ -225,6 +225,7 @@ func (m *ctrlMsg) fail(err error) {
 	if err != nil {
 		m.err = err
 		m.RunErr = err.Error()
+		m.Blame, _ = classify(err)
 		m.Recoverable = clusterRecoverable(err)
 	}
 }
@@ -276,53 +277,11 @@ func (p *latePool) Put(b []graph.Edge) {
 	}
 }
 
-// procState is one process's cross-attempt state in a cluster run: the
-// rank host every run has, plus this process's place in the mesh.
-type procState struct {
-	*rankHost
-	cc       ClusterConfig
-	r        int
-	planHash uint64
-	faults   *tcp.FaultState
-
-	// mesh is the previous attempt's transport when that attempt succeeded
-	// here. It stays up until the head, having heard from every process,
-	// speaks again (the next begin, or done): a process that hung up right
-	// after its own release would look dead to a peer still inside the
-	// teardown collective and fail that peer's finished attempt. A failed
-	// attempt's mesh is closed at once — link death is how peers learn.
-	mesh *tcp.Transport
-}
-
-func (ps *procState) closeMesh() {
-	if ps.mesh != nil {
-		ps.mesh.Close()
-		ps.mesh = nil
-	}
-}
-
-func newProcState(cc ClusterConfig, cfg Config) *procState {
-	p := cc.Procs[cc.Self]
-	ps := &procState{
-		rankHost: newRankHost(cfg, p.Lo, p.Hi),
-		cc:       cc,
-		r:        cfg.Plan.R,
-		planHash: PlanHash(cfg.Plan),
-	}
-	if cfg.Faults != nil && cfg.Faults.TCP != (transport.TCPFaults{}) {
-		// Armed once per process lifetime: the frame countdowns must keep
-		// counting across attempts, like the in-proc one-shot crash
-		// counters, so a fault that fired stays fired on the replay.
-		ps.faults = tcp.NewFaultState(cfg.Faults.TCP)
-	}
-	return ps
-}
-
 // joinMsg is the worker's opening announcement on every control
 // (re)connect: its cumulative stored prefixes, absolute.
-func (ps *procState) joinMsg() ctrlMsg {
-	m := ctrlMsg{Kind: ctrlJoin, Stored: make(map[int]map[int]int64, len(ps.cum))}
-	for rk, tiles := range ps.cum {
+func (h *rankHost) joinMsg() ctrlMsg {
+	m := ctrlMsg{Kind: ctrlJoin, Stored: make(map[int]map[int]int64, len(h.cum))}
+	for rk, tiles := range h.cum {
 		cp := make(map[int]int64, len(tiles))
 		for id, n := range tiles {
 			cp[id] = n
@@ -330,52 +289,6 @@ func (ps *procState) joinMsg() ctrlMsg {
 		m.Stored[rk] = cp
 	}
 	return m
-}
-
-// attempt runs one epoch of the engine on this process: build the mesh,
-// run the local rank range on it (rankHost.attempt), tear the mesh down.
-// The returned report is ready to send (or, on the head, to fold
-// directly).
-func (ps *procState) attempt(ctx context.Context, epoch int64, ids map[int][]int, skip map[int]map[int]int64) ctrlMsg {
-	ps.closeMesh()
-	rep := ctrlMsg{Kind: ctrlReport, Epoch: epoch}
-	pool := &latePool{}
-	tr, err := tcp.Connect(ctx, ps.cc.Node, tcp.Config{
-		Procs: ps.cc.Procs, Self: ps.cc.Self, PlanHash: ps.planHash,
-		Pool: pool, Faults: ps.faults, DialTimeout: ps.cc.DialTimeout,
-		HeartbeatInterval: ps.cc.heartbeatInterval(),
-		HeartbeatDeadline: ps.cc.heartbeatDeadline(),
-	}, epoch)
-	if err != nil {
-		// A peer that is down during mesh establishment is the same
-		// recoverable fault as one that dies mid-run — unless the peer
-		// refused the handshake (a different plan is a config error no
-		// retry can fix) or the run itself was cancelled.
-		if ctx.Err() == nil && !errors.Is(err, tcp.ErrHandshake) {
-			err = fmt.Errorf("%w: %v", errMeshDown, err)
-		}
-		rep.fail(err)
-		return rep
-	}
-	c, err := NewClusterOn(tr)
-	if err != nil {
-		tr.Close()
-		rep.fail(err)
-		return rep
-	}
-	pool.c.Store(c)
-	rep = ps.rankHost.attempt(ctx, c, epoch, ids, skip)
-	rep.Traffic.Stale += tr.StaleFrames()
-	rep.Traffic.HBMisses = tr.HeartbeatMisses()
-	// Drain inbox residue back to the pool before the mesh dies — the
-	// next attempt builds a fresh one at its epoch.
-	c.Reset()
-	if rep.err != nil {
-		tr.Close()
-	} else {
-		ps.mesh = tr
-	}
-	return rep
 }
 
 // newRunStats returns the aggregate a run folds its attempt reports into.
@@ -412,8 +325,8 @@ func foldReport(agg *Stats, rep *ctrlMsg) {
 // it with an identical Plan (PlanHash enforces this at every connection)
 // and a Sink able to host its local rank range. Config.Recovery arms
 // process-level recovery exactly as it arms rank-level recovery
-// in-process; Config.Faults contributes only its TCP schedule here (the
-// in-proc crash/link fields govern simulated clusters).
+// in-process; Config.Faults contributes only its TCP schedule to a process
+// with a Node (the in-proc crash/link fields govern simulated clusters).
 //
 // On the head the returned Stats aggregate the whole cluster across all
 // attempts; workers return their local share. The error (or nil) is
@@ -426,11 +339,17 @@ func RunCluster(ctx context.Context, cc ClusterConfig, cfg Config) (Stats, error
 	if got := cc.Procs[len(cc.Procs)-1].Hi; got != cfg.Plan.R {
 		return Stats{}, fmt.Errorf("dist: cluster hosts %d ranks, plan has %d", got, cfg.Plan.R)
 	}
-	ps := newProcState(cc, cfg)
-	if cc.Self == 0 {
-		return runClusterHead(ctx, ps)
+	if cc.Node == nil && len(cc.Procs) > 1 {
+		return Stats{}, fmt.Errorf("dist: a cluster of %d processes needs a Node", len(cc.Procs))
 	}
-	return runClusterWorker(ctx, ps)
+	h, err := newRankHost(cc, cfg)
+	if err != nil {
+		return Stats{}, err
+	}
+	if cc.Self == 0 {
+		return runClusterHead(ctx, h)
+	}
+	return runClusterWorker(ctx, h)
 }
 
 // runClusterWorker is the non-head process loop: obey begin/done from
@@ -440,18 +359,18 @@ func RunCluster(ctx context.Context, cc ClusterConfig, cfg Config) (Stats, error
 // each (re)connection with a join message that announces its cumulative
 // stored prefixes. A head that never comes back exhausts the budget and
 // fails loudly; a worker must never hang on a silent cluster.
-func runClusterWorker(ctx context.Context, ps *procState) (Stats, error) {
-	defer ps.closeMesh()
-	rng := rand.New(rand.NewSource(int64(ps.planHash) ^ int64(ps.cc.Self)<<32 ^ time.Now().UnixNano()))
+func runClusterWorker(ctx context.Context, h *rankHost) (Stats, error) {
+	defer h.closeMesh()
+	rng := rand.New(rand.NewSource(int64(h.planHash) ^ int64(h.cc.Self)<<32 ^ time.Now().UnixNano()))
 	dial := func() (*tcp.CtrlConn, error) {
-		dctx, cancel := context.WithTimeout(ctx, ps.cc.dialTimeout())
+		dctx, cancel := context.WithTimeout(ctx, h.cc.dialTimeout())
 		defer cancel()
-		cc, err := tcp.DialControl(dctx, ps.cc.Procs[0].Addr, ps.cc.Self, ps.planHash, ps.cc.DialTimeout)
+		cc, err := tcp.DialControl(dctx, h.cc.Procs[0].Addr, h.cc.Self, h.planHash, h.cc.DialTimeout)
 		if err != nil {
 			return nil, err
 		}
-		cc.StartHeartbeat(ps.cc.heartbeatInterval(), ps.cc.heartbeatDeadline())
-		if err := cc.Send(ps.joinMsg()); err != nil {
+		cc.StartHeartbeat(h.cc.heartbeatInterval(), h.cc.heartbeatDeadline())
+		if err := cc.Send(h.joinMsg()); err != nil {
 			cc.Close()
 			return nil, err
 		}
@@ -459,10 +378,10 @@ func runClusterWorker(ctx context.Context, ps *procState) (Stats, error) {
 	}
 	cc, err := dial()
 	if err != nil {
-		return Stats{}, fmt.Errorf("dist: worker %d joining head: %w", ps.cc.Self, err)
+		return Stats{}, fmt.Errorf("dist: worker %d joining head: %w", h.cc.Self, err)
 	}
 	defer func() { cc.Close() }()
-	agg := newRunStats(ps.r)
+	agg := newRunStats(h.cfg.Plan.R)
 	redials := 0
 	// park re-dials the head after a control-link break, consuming the
 	// budget; on success the loop continues with the fresh connection
@@ -473,14 +392,14 @@ func runClusterWorker(ctx context.Context, ps *procState) (Stats, error) {
 			if ctx.Err() != nil {
 				return context.Cause(ctx)
 			}
-			if redials >= ps.cc.HeadRetries {
+			if redials >= h.cc.HeadRetries {
 				return cause
 			}
 			redials++
 			// Jittered: the backoff is scaled by a uniform factor in
 			// [0.5, 1.5) so a whole cluster of workers re-dialing a
 			// respawned head doesn't arrive as a thundering herd.
-			base := ps.cfg.Backoff
+			base := h.cfg.Backoff
 			if base <= 0 {
 				base = 50 * time.Millisecond
 			}
@@ -501,34 +420,34 @@ func runClusterWorker(ctx context.Context, ps *procState) (Stats, error) {
 		var m ctrlMsg
 		if err := cc.Recv(ctx, &m); err != nil {
 			if perr := park(err); perr != nil {
-				_ = ps.finalize()
-				return agg, fmt.Errorf("dist: worker %d lost head control link: %w", ps.cc.Self, perr)
+				_ = h.finalize()
+				return agg, fmt.Errorf("dist: worker %d lost head control link: %w", h.cc.Self, perr)
 			}
 			continue
 		}
 		switch m.Kind {
 		case ctrlBegin:
-			rep := ps.attempt(ctx, m.Epoch, m.Tiles, m.Skip)
+			rep := h.attempt(ctx, m.Epoch, m.Tiles, m.Skip)
 			foldReport(&agg, &rep)
 			if err := cc.Send(rep); err != nil {
 				// The head died before taking the report. The stored edges
-				// are safe on disk and in ps.cum; re-dial and let the next
+				// are safe on disk and in h.cum; re-dial and let the next
 				// head generation reassign from our join.
 				if perr := park(err); perr != nil {
-					ps.finalize()
-					return agg, fmt.Errorf("dist: worker %d reporting to head: %w", ps.cc.Self, perr)
+					h.finalize()
+					return agg, fmt.Errorf("dist: worker %d reporting to head: %w", h.cc.Self, perr)
 				}
 			}
 		case ctrlDone:
-			ferr := ps.finalize()
+			ferr := h.finalize()
 			_ = cc.Send(ctrlMsg{Kind: ctrlBye})
 			if m.Err != "" {
 				return agg, errors.New(m.Err)
 			}
 			return agg, ferr
 		default:
-			ps.finalize()
-			return agg, fmt.Errorf("dist: worker %d: unexpected control message %q", ps.cc.Self, m.Kind)
+			h.finalize()
+			return agg, fmt.Errorf("dist: worker %d: unexpected control message %q", h.cc.Self, m.Kind)
 		}
 	}
 }
@@ -537,63 +456,64 @@ func runClusterWorker(ctx context.Context, ps *procState) (Stats, error) {
 // layout, routing mode, batch size — for the ledger's identity record:
 // resuming a ledger written under a different configuration must refuse,
 // not silently mix accounting regimes.
-func (ps *procState) configDigest() uint64 {
-	h := fnv.New64a()
+func (h *rankHost) configDigest() uint64 {
+	d := fnv.New64a()
 	var b [8]byte
 	w := func(v int64) {
 		binary.LittleEndian.PutUint64(b[:], uint64(v))
-		h.Write(b[:])
+		d.Write(b[:])
 	}
-	w(int64(len(ps.cc.Procs)))
-	for _, p := range ps.cc.Procs {
+	w(int64(len(h.cc.Procs)))
+	for _, p := range h.cc.Procs {
 		w(int64(p.Lo))
 		w(int64(p.Hi))
 	}
-	if ps.cfg.Owner != nil {
+	if h.cfg.Owner != nil {
 		w(1)
 	} else {
 		w(0)
 	}
-	w(int64(ps.cfg.batchSize()))
-	return h.Sum64()
+	w(int64(h.cfg.batchSize()))
+	return d.Sum64()
 }
 
 // ledgerRotateBytes triggers compaction of the head's ledger: past this
 // size the file is atomically replaced by a snapshot of the live table.
 const ledgerRotateBytes = 1 << 20
 
-// runClusterHead is the supervising process: it owns the checkpoint
-// table, drives attempts over the control connections, participates in
-// each attempt with its own rank range, and decides the run's outcome.
-// With a ledger armed, every state change is journaled durably, and a
-// respawned head resumes from the replayed table instead of restarting.
-func runClusterHead(ctx context.Context, ps *procState) (Stats, error) {
-	defer ps.closeMesh()
-	n := len(ps.cc.Procs)
+// runClusterHead is the supervising process and the only attempt loop: it
+// owns the checkpoint table, drives attempts over the control connections
+// (none when it is the only process), runs its own rank range in each, and
+// decides the run's outcome. With a ledger armed, every state change is
+// journaled durably, and a respawned head resumes from the replayed table
+// instead of restarting.
+func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
+	defer h.closeMesh()
+	n := len(h.cc.Procs)
 
-	// The checkpoint table every run has; recovery here is per process,
-	// not per goroutine.
-	cp := newCheckpoints(ps.cfg.Plan, ps.cfg.Owner != nil)
+	cp := newCheckpoints(h.cfg.Plan, h.cfg.Owner != nil)
 	tiles := cp.tiles
 
 	// Durable run ledger (optional): replay, validate identity, seed the
 	// table, open the next head generation.
 	var led *ledger.Ledger
+	var identity ledger.Record
 	headGen, epochBase := int64(1), int64(0)
-	if path := ps.cc.LedgerPath; path != "" {
+	if path := h.cc.LedgerPath; path != "" {
+		identity = ledger.Record{Kind: ledger.KindIdentity,
+			PlanHash: h.planHash, Digest: h.configDigest(), Procs: n, Ranks: h.cfg.Plan.R}
 		l, lst, err := ledger.Open(path)
 		if err != nil {
 			return Stats{}, fmt.Errorf("dist: head ledger %s: %w", path, err)
 		}
-		digest := ps.configDigest()
-		if lst.Identity != nil {
-			if lst.Identity.PlanHash != ps.planHash || lst.Identity.Digest != digest ||
-				lst.Identity.Procs != n || lst.Identity.Ranks != ps.r {
-				l.Close()
+		defer l.Close()
+		if was := lst.Identity; was != nil {
+			if was.PlanHash != identity.PlanHash || was.Digest != identity.Digest ||
+				was.Procs != n || was.Ranks != h.cfg.Plan.R {
 				return Stats{}, fmt.Errorf("%w: %s holds plan %016x cfg %016x (%d procs, %d ranks); this run is plan %016x cfg %016x (%d procs, %d ranks)",
 					ledger.ErrIdentity, path,
-					lst.Identity.PlanHash, lst.Identity.Digest, lst.Identity.Procs, lst.Identity.Ranks,
-					ps.planHash, digest, n, ps.r)
+					was.PlanHash, was.Digest, was.Procs, was.Ranks,
+					identity.PlanHash, identity.Digest, n, h.cfg.Plan.R)
 			}
 			// Resume: the replayed prefixes seed the table. The head's own
 			// ranks are zeroed — this process's ShardWriters truncate their
@@ -602,18 +522,14 @@ func runClusterHead(ctx context.Context, ps *procState) (Stats, error) {
 			// overwrite them with the live truth.
 			for _, ts := range tiles {
 				for rk, cnt := range lst.Stored[ts.tile.ID] {
-					if rk >= 0 && rk < ps.r {
+					if rk >= 0 && rk < h.cfg.Plan.R {
 						ts.stored[rk] = cnt
 					}
 				}
 			}
-			cp.zeroRanks(ps.lo, ps.hi)
-		} else {
-			if err := l.Append(ledger.Record{Kind: ledger.KindIdentity,
-				PlanHash: ps.planHash, Digest: digest, Procs: n, Ranks: ps.r}); err != nil {
-				l.Close()
-				return Stats{}, fmt.Errorf("dist: head ledger %s: %w", path, err)
-			}
+			cp.zeroRanks(h.lo, h.hi)
+		} else if err := l.Append(identity); err != nil {
+			return Stats{}, fmt.Errorf("dist: head ledger %s: %w", path, err)
 		}
 		headGen = lst.Gen + 1
 		epochBase = lst.LastEpoch + 1
@@ -622,17 +538,17 @@ func runClusterHead(ctx context.Context, ps *procState) (Stats, error) {
 			lerr = l.Commit()
 		}
 		if lerr != nil {
-			l.Close()
 			return Stats{}, fmt.Errorf("dist: head ledger %s: %w", path, lerr)
 		}
 		led = l
-		defer led.Close()
 	}
 	// logged mirrors what the ledger already holds, so each attempt
 	// journals only the (tile, rank) prefixes and commitments that moved.
-	logged := make(map[int][]int64, len(tiles))
-	loggedCommit := make(map[int]bool, len(tiles))
+	var logged map[int][]int64
+	var loggedCommit map[int]bool
 	if led != nil {
+		logged = make(map[int][]int64, len(tiles))
+		loggedCommit = make(map[int]bool, len(tiles))
 		for _, ts := range tiles {
 			logged[ts.tile.ID] = append([]int64(nil), ts.stored...)
 		}
@@ -663,9 +579,8 @@ func runClusterHead(ctx context.Context, ps *procState) (Stats, error) {
 		}
 		if led.Size() > ledgerRotateBytes {
 			st := ledger.State{
-				Identity: &ledger.Record{Kind: ledger.KindIdentity,
-					PlanHash: ps.planHash, Digest: ps.configDigest(), Procs: n, Ranks: ps.r},
-				Gen: headGen, LastEpoch: lastEpoch,
+				Identity: &identity,
+				Gen:      headGen, LastEpoch: lastEpoch,
 				Stored:    make(map[int]map[int]int64, len(tiles)),
 				Committed: make(map[int]bool, len(tiles)),
 			}
@@ -701,7 +616,7 @@ func runClusterHead(ctx context.Context, ps *procState) (Stats, error) {
 	// respawn's truncated shards really hold nothing), then overwrite
 	// with the announced absolutes.
 	applyJoin := func(peer int, jm *ctrlMsg) {
-		pr := ps.cc.Procs[peer]
+		pr := h.cc.Procs[peer]
 		cp.zeroRanks(pr.Lo, pr.Hi)
 		for rk, m := range jm.Stored {
 			if rk < pr.Lo || rk >= pr.Hi {
@@ -719,17 +634,8 @@ func runClusterHead(ctx context.Context, ps *procState) (Stats, error) {
 	// after a death while the external supervisor (script, orchestrator)
 	// respawns the process.
 	ensureWorkers := func() error {
-		for {
-			missing := false
-			for p := 1; p < n; p++ {
-				if conns[p] == nil {
-					missing = true
-				}
-			}
-			if !missing {
-				return nil
-			}
-			cc, err := ps.cc.Node.AcceptControl(ctx)
+		for slices.Contains(conns[1:], nil) {
+			cc, err := h.cc.Node.AcceptControl(ctx)
 			if err != nil {
 				return fmt.Errorf("dist: head waiting for workers: %w", err)
 			}
@@ -737,8 +643,8 @@ func runClusterHead(ctx context.Context, ps *procState) (Stats, error) {
 				cc.Close()
 				continue
 			}
-			cc.StartHeartbeat(ps.cc.heartbeatInterval(), ps.cc.heartbeatDeadline())
-			jctx, cancel := context.WithTimeout(ctx, ps.cc.reportTimeout())
+			cc.StartHeartbeat(h.cc.heartbeatInterval(), h.cc.heartbeatDeadline())
+			jctx, cancel := context.WithTimeout(ctx, reportTimeout)
 			var jm ctrlMsg
 			jerr := cc.Recv(jctx, &jm)
 			cancel()
@@ -752,9 +658,10 @@ func runClusterHead(ctx context.Context, ps *procState) (Stats, error) {
 			}
 			conns[cc.Peer] = cc
 		}
+		return nil
 	}
 
-	agg := newRunStats(ps.r)
+	agg := newRunStats(h.cfg.Plan.R)
 	agg.HeadGeneration = headGen
 	var runErr error
 	for attempt := 0; ; attempt++ {
@@ -792,20 +699,41 @@ func runClusterHead(ctx context.Context, ps *procState) (Stats, error) {
 			}
 		}
 
-		rep0 := ps.attempt(ctx, epoch, assignIDs, skip)
+		// fold merges one process's report into the stats and the checkpoint
+		// table. This process's own report carries the fault as the error
+		// value it was, returned unchanged; a worker's crossed the wire as a
+		// string. blame is the first rank a report names.
+		var attemptErr error
+		recoverable, blame := true, -1
+		fold := func(rep *ctrlMsg) {
+			foldReport(&agg, rep)
+			cp.harvest(rep.Stored)
+			if rep.RunErr == "" {
+				return
+			}
+			if attemptErr == nil || !rep.Recoverable {
+				if attemptErr = rep.err; attemptErr == nil {
+					attemptErr = errors.New(rep.RunErr)
+				}
+			}
+			recoverable = recoverable && rep.Recoverable
+			if blame < 0 {
+				blame = rep.Blame
+			}
+		}
+		rep0 := h.attempt(ctx, epoch, assignIDs, skip)
+		fold(&rep0)
 
 		// Collect: the final collective synchronized every live proc with
 		// the head's own attempt, so live workers report promptly; only a
 		// dead one runs the timeout down.
-		reports := make([]*ctrlMsg, n)
-		reports[0] = &rep0
 		var deadProcs []int
 		for p := 1; p < n; p++ {
 			if conns[p] == nil {
 				deadProcs = append(deadProcs, p)
 				continue
 			}
-			rctx, cancel := context.WithTimeout(ctx, ps.cc.reportTimeout())
+			rctx, cancel := context.WithTimeout(ctx, reportTimeout)
 			var m ctrlMsg
 			err := conns[p].Recv(rctx, &m)
 			cancel()
@@ -815,34 +743,19 @@ func runClusterHead(ctx context.Context, ps *procState) (Stats, error) {
 				deadProcs = append(deadProcs, p)
 				continue
 			}
-			reports[p] = &m
-		}
-
-		// Harvest into the checkpoint table; fold stats.
-		ok := true
-		var attemptErr error
-		recoverable := true
-		for _, rep := range reports {
-			if rep == nil {
-				ok = false
-				continue
-			}
-			foldReport(&agg, rep)
-			cp.harvest(rep.Stored)
-			if rep.RunErr != "" {
-				ok = false
-				if attemptErr == nil || !rep.Recoverable {
-					attemptErr = errors.New(rep.RunErr)
-				}
-				if !rep.Recoverable {
-					recoverable = false
-				}
-			}
+			fold(&m)
 		}
 		// A dead proc's durable output dies with it: its ShardWriters
 		// truncate on respawn, so every stored count at its ranks resets.
+		// It is also the one to blame, whatever the survivors saw.
 		for _, p := range deadProcs {
-			cp.zeroRanks(ps.cc.Procs[p].Lo, ps.cc.Procs[p].Hi)
+			cp.zeroRanks(h.cc.Procs[p].Lo, h.cc.Procs[p].Hi)
+		}
+		if len(deadProcs) > 0 {
+			blame = h.cc.Procs[deadProcs[0]].Lo
+			if attemptErr == nil {
+				attemptErr = fmt.Errorf("dist: proc(s) %v died mid-attempt", deadProcs)
+			}
 		}
 		cp.recommit()
 		// The harvest goes durable — stored prefixes and commitment flips
@@ -853,28 +766,25 @@ func runClusterHead(ctx context.Context, ps *procState) (Stats, error) {
 			runErr = fmt.Errorf("dist: head ledger: %w", err)
 			break
 		}
-		if ok {
+		if runErr = attemptErr; runErr == nil {
 			if attempt > 0 || headGen > 1 {
 				agg.RecoveredRuns = 1
 			}
 			break
 		}
-		if len(deadProcs) > 0 && attemptErr == nil {
-			attemptErr = fmt.Errorf("dist: proc(s) %v died mid-attempt", deadProcs)
-		}
-		runErr = attemptErr
-		if !recoverable || attempt >= ps.cfg.MaxRetries {
+		if !recoverable || attempt >= h.cfg.MaxRetries {
 			break
 		}
-		// Attribute the retry to the first blamed proc's first rank (or
-		// rank 0 for in-run faults the reports did not localize).
-		blameRank := 0
-		if len(deadProcs) > 0 {
-			blameRank = ps.cc.Procs[deadProcs[0]].Lo
+		// Book the retry on the blamed rank and, with Reassign, move its
+		// uncommitted tiles to the others — whichever process hosts it. A
+		// fault no report localized (a mesh that never formed) is booked on
+		// rank 0 and moves nothing.
+		if blame >= 0 && h.cfg.Reassign {
+			agg.TilesReassigned += cp.reassign(blame, h.cfg.Plan.R)
 		}
-		agg.RetriesPerRank[blameRank]++
+		agg.RetriesPerRank[max(blame, 0)]++
 		runErr = nil
-		if err := sleepCtx(ctx, backoff(ps.cfg.Backoff, attempt+1)); err != nil {
+		if err := sleepCtx(ctx, backoff(h.cfg.Backoff, attempt+1)); err != nil {
 			runErr = err
 			break
 		}
@@ -900,14 +810,15 @@ func runClusterHead(ctx context.Context, ps *procState) (Stats, error) {
 		if conns[p] == nil {
 			continue
 		}
-		rctx, cancel := context.WithTimeout(ctx, ps.cc.reportTimeout())
+		rctx, cancel := context.WithTimeout(ctx, reportTimeout)
 		var m ctrlMsg
 		_ = conns[p].Recv(rctx, &m)
 		cancel()
 	}
-	if ferr := ps.finalize(); runErr == nil {
+	if ferr := h.finalize(); runErr == nil {
 		runErr = ferr
 	}
+	agg.OutstandingBufs = h.bufsOut
 	if led != nil {
 		rec := ledger.Record{Kind: ledger.KindDone}
 		if runErr != nil {

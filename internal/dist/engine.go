@@ -204,7 +204,7 @@ type Sink interface {
 	Rank(rk *Rank) (RankSink, error)
 }
 
-// Recovery is the run's retry policy (supervisor.go). The zero value is
+// Recovery is the run's retry policy (runClusterHead). The zero value is
 // zero retries: the first fault is returned unchanged.
 type Recovery struct {
 	// MaxRetries bounds re-run attempts after a recoverable fault (a

@@ -292,9 +292,9 @@ func (s *faultState) deliver(ctx context.Context, from, to int) (bool, error) {
 		}
 	}
 	if lf.DropProb > 0 {
-		for attempt := 0; rng.Float64() < lf.DropProb; attempt++ {
-			if attempt >= s.plan.MaxRedeliver {
-				return false, &MessageLostError{From: from, To: to, Attempts: attempt + 1}
+		for redelivered := 0; rng.Float64() < lf.DropProb; redelivered++ {
+			if redelivered >= s.plan.MaxRedeliver {
+				return false, &MessageLostError{From: from, To: to, Attempts: redelivered + 1}
 			}
 		}
 	}

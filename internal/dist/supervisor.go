@@ -1,11 +1,11 @@
 package dist
 
-// Run supervision: the one attempt protocol every engine run uses — in
-// process, cluster worker or cluster head, fault-armed or clean, with a
-// retry budget of zero or more. The paper's expansion is embarrassingly
-// parallel over factor tile pairs, so a crashed rank's work is safely
-// re-executable — the detect-and-reexecute posture MapReduce-lineage
-// systems take for idempotent partitioned work:
+// Run supervision: what the one attempt loop (runClusterHead, of which Run
+// is the one-process case) drives — the tile checkpoint table, the fenced
+// per-rank sinks, and the per-process host that runs an epoch. The paper's
+// expansion is embarrassingly parallel over factor tile pairs, so a
+// crashed rank's work is safely re-executable — the detect-and-reexecute
+// posture MapReduce-lineage systems take for idempotent partitioned work:
 //
 //   - Checkpoints are tile-level and deterministic: for each plan tile
 //     the table (checkpoints) tracks how many of its edges each rank's
@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"kronlab/internal/dist/transport"
+	"kronlab/internal/dist/transport/tcp"
 	"kronlab/internal/graph"
 )
 
@@ -60,9 +61,9 @@ func (ts *tileState) storedTotal() int64 {
 	return t
 }
 
-// checkpoints is a run's tile checkpoint table, owned by whoever drives
-// the attempts: Run in process, the head in cluster mode (which also
-// journals it to the ledger). It is touched only between attempts.
+// checkpoints is a run's tile checkpoint table, owned by the attempt loop
+// (which journals it when a ledger is armed). It is touched only between
+// attempts.
 type checkpoints struct {
 	routed bool
 	tiles  []*tileState // plan order: by planned rank, then position
@@ -267,10 +268,12 @@ func (f *fencedRankSink) endAttempt() int64 {
 }
 
 // rankHost is one process's share of a run across attempts: the sinks of
-// its local ranks [lo, hi) — every rank of an in-process run — and what
-// they have stored so far.
+// its local ranks [lo, hi) — every rank of an in-process run — what they
+// have stored so far, and how the process comes by the Cluster an attempt
+// runs on.
 type rankHost struct {
 	cfg    Config
+	cc     ClusterConfig
 	lo, hi int
 	byID   map[int]Tile
 	sinks  []*fencedRankSink // local ranks, indexed rank-lo
@@ -283,23 +286,63 @@ type rankHost struct {
 	// ledger may lag the worker's shards, but the worker never fences
 	// below what it already stored.
 	cum map[int]map[int]int64
+
+	// local is the in-process run's one chan-transport Cluster (no Node),
+	// armed with the fault schedule once and Reset after every attempt. A
+	// process with a Node dials a fresh TCP mesh per attempt; see cluster.
+	local *Cluster
+
+	// planHash is set only where a handshake or the ledger reads it: it
+	// walks every head arc, and an in-process Run is timed end to end.
+	planHash uint64
+	faults   *tcp.FaultState
+
+	// mesh is the previous attempt's TCP transport when that attempt
+	// succeeded here. It stays up until the head, having heard from every
+	// process, speaks again (the next begin, or done): a process that hung
+	// up right after its own release would look dead to a peer still inside
+	// the teardown collective and fail that peer's finished attempt. A
+	// failed attempt's mesh is closed at once — link death is how peers
+	// learn.
+	mesh *tcp.Transport
+
+	bufsOut int64 // leak probe: buffers still checked out after each attempt's Reset
 }
 
-func newRankHost(cfg Config, lo, hi int) *rankHost {
-	h := &rankHost{cfg: cfg, lo: lo, hi: hi,
-		byID:  make(map[int]Tile),
-		sinks: make([]*fencedRankSink, hi-lo),
-		cum:   make(map[int]map[int]int64, hi-lo)}
+func newRankHost(cc ClusterConfig, cfg Config) (*rankHost, error) {
+	p := cc.Procs[cc.Self]
+	h := &rankHost{cfg: cfg, cc: cc, lo: p.Lo, hi: p.Hi}
+	if cc.Node == nil {
+		c, err := NewCluster(cfg.Plan.R)
+		if err != nil {
+			return nil, err
+		}
+		if cfg.Faults != nil {
+			c.InjectFaults(*cfg.Faults)
+		}
+		h.local = c
+	} else if cfg.Faults != nil && cfg.Faults.TCP != (transport.TCPFaults{}) {
+		// Armed once per process lifetime: the frame countdowns must keep
+		// counting across attempts, like the in-proc one-shot crash
+		// counters, so a fault that fired stays fired on the replay.
+		h.faults = tcp.NewFaultState(cfg.Faults.TCP)
+	}
+	if cc.Node != nil || cc.LedgerPath != "" {
+		h.planHash = PlanHash(cfg.Plan)
+	}
+	h.byID = make(map[int]Tile)
 	for _, tiles := range cfg.Plan.Tiles {
 		for _, t := range tiles {
 			h.byID[t.ID] = t
 		}
 	}
+	h.sinks = make([]*fencedRankSink, h.hi-h.lo)
+	h.cum = make(map[int]map[int]int64, len(h.sinks))
 	for i := range h.sinks {
-		h.sinks[i] = &fencedRankSink{rank: lo + i, curTile: -1}
-		h.cum[lo+i] = make(map[int]int64)
+		h.sinks[i] = &fencedRankSink{rank: h.lo + i, curTile: -1}
+		h.cum[h.lo+i] = make(map[int]int64)
 	}
-	return h
+	return h, nil
 }
 
 // sinkFor is runAttempt's per-rank sink factory: the underlying RankSink
@@ -336,17 +379,83 @@ func (h *rankHost) resolveTiles(ids map[int][]int) ([][]Tile, error) {
 	return assigned, nil
 }
 
-// attempt runs one epoch of the engine for the local ranks on c: resolve
-// the assignment, arm the fences, run, harvest what each sink newly
-// stored per tile. The returned report is what a cluster worker sends to
-// the head and what Run and the head fold directly.
-func (h *rankHost) attempt(ctx context.Context, c *Cluster, epoch int64, ids map[int][]int, skip map[int]map[int]int64) ctrlMsg {
+func (h *rankHost) closeMesh() {
+	if h.mesh != nil {
+		h.mesh.Close()
+		h.mesh = nil
+	}
+}
+
+// cluster is the one step of an attempt that depends on where the run
+// lives: it returns the Cluster the epoch runs on and the function that
+// gives it back once the report is written. In process that is local,
+// Reset for the next attempt. A process with a Node dials a fresh TCP mesh
+// at the epoch; giving it back adds the transport's counters to the
+// report, resolves a blamed peer to its first rank (TCP names a process
+// where the chan transport names a rank), and closes or parks the mesh.
+func (h *rankHost) cluster(ctx context.Context, epoch int64) (*Cluster, func(*ctrlMsg), error) {
+	if h.local != nil {
+		return h.local, func(*ctrlMsg) { h.local.Reset() }, nil
+	}
+	h.closeMesh()
+	pool := &latePool{}
+	tr, err := tcp.Connect(ctx, h.cc.Node, tcp.Config{
+		Procs: h.cc.Procs, Self: h.cc.Self, PlanHash: h.planHash,
+		Pool: pool, Faults: h.faults, DialTimeout: h.cc.DialTimeout,
+		HeartbeatInterval: h.cc.heartbeatInterval(),
+		HeartbeatDeadline: h.cc.heartbeatDeadline(),
+	}, epoch)
+	if err != nil {
+		// A peer that is down during mesh establishment is the same
+		// recoverable fault as one that dies mid-run — unless the peer
+		// refused the handshake (a different plan is a config error no
+		// retry can fix) or the run itself was cancelled.
+		if ctx.Err() == nil && !errors.Is(err, tcp.ErrHandshake) {
+			err = fmt.Errorf("%w: %v", errMeshDown, err)
+		}
+		return nil, nil, err
+	}
+	c, err := NewClusterOn(tr)
+	if err != nil {
+		tr.Close()
+		return nil, nil, err
+	}
+	pool.c.Store(c)
+	return c, func(rep *ctrlMsg) {
+		rep.Traffic.Stale += tr.StaleFrames()
+		rep.Traffic.HBMisses = tr.HeartbeatMisses()
+		var pe *transport.PeerError
+		if errors.As(rep.err, &pe) {
+			rep.Blame = h.cc.Procs[pe.Proc].Lo
+		}
+		// Drain inbox residue back to the pool before the mesh dies — the
+		// next attempt builds a fresh one at its epoch.
+		c.Reset()
+		if rep.err != nil {
+			tr.Close()
+		} else {
+			h.mesh = tr
+		}
+	}, nil
+}
+
+// attempt runs one epoch of the engine for the local ranks: resolve the
+// assignment, get a Cluster, arm the fences, run, harvest what each sink
+// newly stored per tile. The returned report is what a cluster worker
+// sends to the head and what the head folds directly.
+func (h *rankHost) attempt(ctx context.Context, epoch int64, ids map[int][]int, skip map[int]map[int]int64) ctrlMsg {
 	rep := ctrlMsg{Kind: ctrlReport, Epoch: epoch}
 	assigned, err := h.resolveTiles(ids)
 	if err != nil {
 		rep.fail(err)
 		return rep
 	}
+	c, release, err := h.cluster(ctx, epoch)
+	if err != nil {
+		rep.fail(err)
+		return rep
+	}
+	held := c.outstandingBufs()
 	for _, f := range h.sinks {
 		f.skip = make(map[int]int64, len(skip[f.rank]))
 		for id, n := range skip[f.rank] {
@@ -394,6 +503,8 @@ func (h *rankHost) attempt(ctx context.Context, c *Cluster, epoch int64, ids map
 		rep.StoredN[f.rank] = perStored[f.rank]
 	}
 	rep.fail(err)
+	release(&rep)
+	h.bufsOut += c.outstandingBufs() - held
 	return rep
 }
 
@@ -415,12 +526,13 @@ func (h *rankHost) finalize() error {
 }
 
 // classify splits run errors into recoverable faults with a blamed rank
-// (a crashed rank, the sender of a lost message, or a rank the failure
-// detector declared partitioned or dead) and everything else — a sink
+// (a crashed rank, the sender of a lost message, or a peer the failure
+// detector declared partitioned or dead) and everything else (-1) — a sink
 // error, a handshake refusal, a bad plan stay loud. A PeerError is
 // recoverable because Reset heals the simulated partition and a cluster
 // replay builds a fresh mesh, while the blamed rank's uncommitted tiles
-// are replayed exactly-once like any other fault's.
+// are replayed exactly-once like any other fault's (its Proc is a rank on
+// the chan transport; rankHost.cluster resolves TCP's process index).
 func classify(err error) (int, bool) {
 	var rc *RankCrashError
 	if errors.As(err, &rc) {
@@ -434,7 +546,7 @@ func classify(err error) (int, bool) {
 	if errors.As(err, &pe) {
 		return pe.Proc, true
 	}
-	return 0, false
+	return -1, false
 }
 
 // maxBackoff caps the exponential backoff so a large retry budget cannot
@@ -481,62 +593,15 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // Cancelling ctx tears the run down mid-exchange on every rank; the first
 // real error (a failed sink, or the cancellation cause) is returned.
 //
-// One cluster is reused across up to 1+MaxRetries attempts (Reset between
-// them), with the attempt number as the transport epoch: a rank crash or
+// Run is RunCluster with one process, the chan transport and no ledger:
+// one cluster is reused across up to 1+MaxRetries attempts (Reset between
+// them), with the attempt number as the transport epoch. A rank crash or
 // lost message triggers a bounded-backoff replay from tile-level
 // checkpoints, with the fenced sinks keeping delivery exactly-once; with
 // no budget left the fault is returned unchanged. Stats aggregate across
 // attempts — generated and traffic counters include replayed work, stored
-// counts stay exactly-once — and the recovery counters (RetriesPerRank,
-// TilesReassigned, RecoveredRuns, DuplicatesSkipped) record what recovery
-// did.
+// counts stay exactly-once — and the recovery counters record what
+// recovery did.
 func Run(ctx context.Context, cfg Config) (Stats, error) {
-	p := cfg.Plan
-	c, err := NewCluster(p.R)
-	if err != nil {
-		return Stats{}, err
-	}
-	if cfg.Faults != nil {
-		c.InjectFaults(*cfg.Faults)
-	}
-	cp := newCheckpoints(p, cfg.Owner != nil)
-	host := newRankHost(cfg, 0, p.R)
-	agg := newRunStats(p.R)
-	var runErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			c.Reset()
-		}
-		ids, skip := cp.assign()
-		rep := host.attempt(ctx, c, int64(attempt), ids, skip)
-		foldReport(&agg, &rep)
-		cp.harvest(rep.Stored)
-		if runErr = rep.err; runErr == nil {
-			if attempt > 0 {
-				agg.RecoveredRuns = 1
-			}
-			break
-		}
-		blame, recoverable := classify(runErr)
-		if !recoverable || attempt >= cfg.MaxRetries {
-			break
-		}
-		agg.RetriesPerRank[blame]++
-		if cfg.Reassign {
-			agg.TilesReassigned += cp.reassign(blame, p.R)
-		}
-		if err := sleepCtx(ctx, backoff(cfg.Backoff, attempt+1)); err != nil {
-			runErr = err
-			break
-		}
-	}
-	if cerr := host.finalize(); runErr == nil {
-		runErr = cerr
-	}
-	// Drain any stale inbox residue the last attempt left behind, then
-	// snapshot the leak probe: a run must hand back every pooled buffer no
-	// matter how many attempts it took.
-	c.Reset()
-	agg.OutstandingBufs = c.outstandingBufs()
-	return agg, runErr
+	return RunCluster(ctx, ClusterConfig{Procs: []transport.Proc{{Hi: cfg.Plan.R}}}, cfg)
 }

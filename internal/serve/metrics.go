@@ -53,13 +53,6 @@ type Metrics struct {
 	GenReassigned atomic.Int64
 	GenDupSkipped atomic.Int64
 	GenStale      atomic.Int64
-	GenHBMisses   atomic.Int64
-
-	// Cluster-robustness gauges from the most recent run that reported
-	// them: head incarnation count and final attempt epoch. Zero until a
-	// cluster-backed run folds its stats in.
-	HeadGeneration atomic.Int64
-	LastEpoch      atomic.Int64
 }
 
 // ObserveHeavy folds one admitted heavy-request duration into the
@@ -131,11 +124,6 @@ func (m *Metrics) AddGenStats(st dist.Stats) {
 	m.GenReassigned.Add(st.TilesReassigned)
 	m.GenDupSkipped.Add(st.DuplicatesSkipped)
 	m.GenStale.Add(st.StaleBatches)
-	m.GenHBMisses.Add(st.HeartbeatMisses)
-	if st.HeadGeneration > 0 {
-		m.HeadGeneration.Store(st.HeadGeneration)
-		m.LastEpoch.Store(st.LastEpoch)
-	}
 }
 
 // WriteText renders the counters in Prometheus text exposition format.
@@ -214,10 +202,4 @@ func (m *Metrics) WriteText(w io.Writer, cache *SummaryCache, lim *Limiter, fact
 	fmt.Fprintf(w, "kronserve_gen_duplicates_skipped_total %d\n", m.GenDupSkipped.Load())
 	fmt.Fprintf(w, "# TYPE kronserve_gen_stale_batches_total counter\n")
 	fmt.Fprintf(w, "kronserve_gen_stale_batches_total %d\n", m.GenStale.Load())
-	fmt.Fprintf(w, "# TYPE kronserve_gen_heartbeat_misses_total counter\n")
-	fmt.Fprintf(w, "kronserve_gen_heartbeat_misses_total %d\n", m.GenHBMisses.Load())
-	fmt.Fprintf(w, "# TYPE kronserve_gen_head_generation gauge\n")
-	fmt.Fprintf(w, "kronserve_gen_head_generation %d\n", m.HeadGeneration.Load())
-	fmt.Fprintf(w, "# TYPE kronserve_gen_last_epoch gauge\n")
-	fmt.Fprintf(w, "kronserve_gen_last_epoch %d\n", m.LastEpoch.Load())
 }

@@ -69,11 +69,6 @@ type Config struct {
 	// Default 1; negative means zero retries: the first fault is returned
 	// unchanged and ends the stream.
 	GenRetries int
-	// LedgerPath is the durable run-ledger file of the cluster deployment
-	// this server fronts, if any. Informational: it is reported through
-	// /healthz so an operator can confirm which ledger a respawned head
-	// would replay. Empty means no ledger is configured.
-	LedgerPath string
 }
 
 func (c Config) withDefaults() Config {
@@ -306,13 +301,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		// operator can spot a version-skewed deployment before the
 		// transport handshake refuses it.
 		"transport_protocol": wire.Version,
-		// Cluster-robustness state: the configured run ledger (empty when
-		// none), plus the head generation and attempt epoch of the most
-		// recent run that reported them (0 / -0 until one does). A head
-		// generation above 1 means some run survived a head respawn.
-		"ledger":          s.cfg.LedgerPath,
-		"head_generation": s.metrics.HeadGeneration.Load(),
-		"last_epoch":      s.metrics.LastEpoch.Load(),
 	})
 }
 

@@ -5,13 +5,12 @@
 #
 # Runs BenchmarkE2Generate1D, BenchmarkE2GenerateChain,
 # BenchmarkThroughputSweep and BenchmarkTCPExchangeThroughput with
-# -benchmem and compares allocs/op per sub-benchmark against the newest
-# committed BENCH_*_allocguard.json snapshot. Fails when any
-# sub-benchmark allocates more than ALLOW× the snapshot figure (default
-# 1.2 — a 20% regression budget; allocs/op is deterministic enough that
-# this never flakes while still catching a reintroduced per-batch
-# allocation, in the engine, the tail fold, or on the wire path), and
-# exits 2 when it compared nothing.
+# -benchmem and compares allocs/op per sub-benchmark against the committed
+# allocguard_baseline.txt. Fails when any sub-benchmark allocates more
+# than ALLOW× the snapshot figure (default 1.2 — a 20% regression budget;
+# allocs/op is deterministic enough that this never flakes while still
+# catching a reintroduced per-batch allocation, in the engine, the tail
+# fold, or on the wire path), and exits 2 when it compared nothing.
 #
 # Rows are joined on the benchmark name without the trailing
 # -<GOMAXPROCS> the testing package appends on a box with more than one
@@ -19,52 +18,39 @@
 # sweep row for a GOMAXPROCS the other machine lacks has no counterpart
 # and is skipped.
 #
-# Record a baseline with the same short regime the guard measures under
-# (cold-start allocations amortize differently at long benchtimes, so a
-# 1s snapshot under-reports a 10x measurement by a few allocs/op on the
-# small rows):
-#   BENCHTIME=10x OUT=BENCH_$(date +%Y-%m-%d)_allocguard.json \
-#     BENCH='E2Generate1D|E2GenerateChain|ThroughputSweep|TCPExchangeThroughput' \
-#     scripts/bench.sh . ./internal/dist
+# The snapshot is the plain output of the very command below (cold-start
+# allocations amortize differently at long benchtimes, so the baseline
+# must be recorded in the guard's own 10x regime). Record one, with
+# GUARDED as set below, by
+#   go test -run '^$' -bench "$GUARDED" -benchmem -benchtime 10x . ./internal/dist/ >allocguard_baseline.txt
 #
 # Usage:
-#   scripts/allocguard.sh                 # newest BENCH_*_allocguard.json
-#   SNAPSHOT=BENCH_foo.json scripts/allocguard.sh
+#   scripts/allocguard.sh
+#   SNAPSHOT=other.txt scripts/allocguard.sh
 #   ALLOW=1.5 scripts/allocguard.sh
 set -eu
 
 cd "$(dirname "$0")/.."
 
-SNAPSHOT="${SNAPSHOT:-$(ls -1 BENCH_*_allocguard.json 2>/dev/null | tail -1)}"
+SNAPSHOT="${SNAPSHOT:-allocguard_baseline.txt}"
 ALLOW="${ALLOW:-1.2}"
-if [ -z "$SNAPSHOT" ] || [ ! -f "$SNAPSHOT" ]; then
-    echo "allocguard: no BENCH_*_allocguard.json snapshot found" >&2
-    exit 2
-fi
-
-echo "allocguard: baseline $SNAPSHOT, budget ${ALLOW}x" >&2
-
 GUARDED='BenchmarkE2Generate1D|BenchmarkE2GenerateChain|BenchmarkThroughputSweep|BenchmarkTCPExchangeThroughput'
 
-CUR=$(mktemp) && BASE=$(mktemp)
-trap 'rm -f "$CUR" "$BASE"' EXIT
-
-# Reassemble the snapshot's JSON event stream into plain bench output: a
-# benchmark's name and its numbers usually arrive as separate events.
-grep -o '"Output":"[^"]*' "$SNAPSHOT" | sed 's/"Output":"//' | tr -d '\n' |
-    sed 's/\\n/\n/g; s/\\t/\t/g' | grep 'allocs/op' | grep -E "^($GUARDED)" >"$BASE" || true
-
-if [ ! -s "$BASE" ]; then
+if ! grep -E "^($GUARDED)" "$SNAPSHOT" 2>/dev/null | grep -q 'allocs/op'; then
     echo "allocguard: $SNAPSHOT has no guarded benchmark rows" >&2
     exit 2
 fi
+echo "allocguard: baseline $SNAPSHOT, budget ${ALLOW}x" >&2
+
+CUR=$(mktemp)
+trap 'rm -f "$CUR"' EXIT
 
 # benchtime 10x keeps the guard fast; allocs/op does not depend on the
 # iteration count once pools are warm.
 go test -run '^$' -bench "$GUARDED" -benchmem -benchtime 10x . ./internal/dist/ >"$CUR"
 
 awk -v allow="$ALLOW" '
-{
+/allocs\/op/ {
     name = $1
     sub(/-[0-9]+$/, "", name)
     for (i = 2; i <= NF; i++) if ($(i) == "allocs/op") a[FILENAME, name] = $(i - 1)
@@ -83,4 +69,4 @@ END {
     }
     if (compared == 0) { print "allocguard: no comparable benchmarks — the guard compared nothing" > "/dev/stderr"; exit 2 }
     exit bad
-}' "$BASE" "$CUR"
+}' "$SNAPSHOT" "$CUR"
