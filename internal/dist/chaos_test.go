@@ -781,7 +781,7 @@ func TestPartitionDetectedLoudly(t *testing.T) {
 	if pe.Proc != 1 {
 		t.Fatalf("PeerError names rank %d, want the partitioned rank 1", pe.Proc)
 	}
-	if !errors.Is(pe.Err, chantransport.ErrHeartbeat) {
+	if !errors.Is(pe.Err, transport.ErrHeartbeat) {
 		t.Fatalf("PeerError cause = %v, want the failure-detection verdict", pe.Err)
 	}
 }
@@ -826,6 +826,9 @@ func TestRecoverPartition(t *testing.T) {
 	}
 	if st.RecoveredRuns != 1 {
 		t.Fatalf("RecoveredRuns = %d, want 1", st.RecoveredRuns)
+	}
+	if st.HeartbeatMisses == 0 {
+		t.Fatal("the simulated detector's verdict left no heartbeat miss in Stats")
 	}
 	if st.OutstandingBufs != 0 {
 		t.Fatalf("recovered run leaked %d pooled buffers", st.OutstandingBufs)

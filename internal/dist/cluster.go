@@ -70,8 +70,9 @@ type Stats struct {
 	// Robustness counters. HeadGeneration counts head incarnations across
 	// the run's ledger (1 = the head never died, and every in-process
 	// run); LastEpoch is the final attempt's epoch (the attempt number
-	// without a ledger); HeartbeatMisses counts heartbeat intervals some
-	// TCP peer spent silent — early smoke for slow or partitioned links.
+	// without a ledger); HeartbeatMisses counts liveness ticks some peer —
+	// a TCP process, or a rank under the simulated failure detector —
+	// spent silent: early smoke for slow or partitioned links.
 	HeadGeneration  int64
 	LastEpoch       int64
 	HeartbeatMisses int64
@@ -241,9 +242,12 @@ func (c *Cluster) Reset() {
 
 // Stats returns a snapshot of the traffic counters.
 func (c *Cluster) Stats() Stats {
-	var depth int64
-	if d, ok := c.tr.(interface{ MaxDepth() int64 }); ok {
-		depth = d.MaxDepth()
+	var depth, misses int64
+	if d, ok := c.tr.(interface {
+		MaxDepth() int64
+		HeartbeatMisses() int64
+	}); ok {
+		depth, misses = d.MaxDepth(), d.HeartbeatMisses()
 	}
 	return Stats{
 		EdgesGenerated:  atomic.LoadInt64(&c.stats.EdgesGenerated),
@@ -252,6 +256,7 @@ func (c *Cluster) Stats() Stats {
 		Messages:        atomic.LoadInt64(&c.stats.Messages),
 		MaxInboxDepth:   depth,
 		StaleBatches:    atomic.LoadInt64(&c.stats.StaleBatches),
+		HeartbeatMisses: misses,
 		OutstandingBufs: atomic.LoadInt64(&c.bufsOut),
 	}
 }

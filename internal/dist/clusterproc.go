@@ -104,13 +104,6 @@ type ClusterConfig struct {
 // synchronizes every live proc — so only a dead worker runs it down.
 const reportTimeout = 30 * time.Second
 
-func (cc ClusterConfig) dialTimeout() time.Duration {
-	if cc.DialTimeout > 0 {
-		return cc.DialTimeout
-	}
-	return 10 * time.Second
-}
-
 func (cc ClusterConfig) heartbeatInterval() time.Duration {
 	switch {
 	case cc.HeartbeatInterval > 0:
@@ -119,13 +112,6 @@ func (cc ClusterConfig) heartbeatInterval() time.Duration {
 		return 0 // disabled
 	}
 	return 2 * time.Second
-}
-
-func (cc ClusterConfig) heartbeatDeadline() time.Duration {
-	if cc.HeartbeatDeadline > 0 {
-		return cc.HeartbeatDeadline
-	}
-	return 5 * cc.heartbeatInterval()
 }
 
 // PlanHash fingerprints a plan for the cluster handshake: rank count,
@@ -363,13 +349,11 @@ func runClusterWorker(ctx context.Context, h *rankHost) (Stats, error) {
 	defer h.closeMesh()
 	rng := rand.New(rand.NewSource(int64(h.planHash) ^ int64(h.cc.Self)<<32 ^ time.Now().UnixNano()))
 	dial := func() (*tcp.CtrlConn, error) {
-		dctx, cancel := context.WithTimeout(ctx, h.cc.dialTimeout())
-		defer cancel()
-		cc, err := tcp.DialControl(dctx, h.cc.Procs[0].Addr, h.cc.Self, h.planHash, h.cc.DialTimeout)
+		cc, err := tcp.DialControl(ctx, h.cc.Procs[0].Addr, h.cc.Self, h.planHash, h.cc.DialTimeout)
 		if err != nil {
 			return nil, err
 		}
-		cc.StartHeartbeat(h.cc.heartbeatInterval(), h.cc.heartbeatDeadline())
+		cc.StartHeartbeat(h.cc.heartbeatInterval(), h.cc.HeartbeatDeadline)
 		if err := cc.Send(h.joinMsg()); err != nil {
 			cc.Close()
 			return nil, err
@@ -643,7 +627,7 @@ func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
 				cc.Close()
 				continue
 			}
-			cc.StartHeartbeat(h.cc.heartbeatInterval(), h.cc.heartbeatDeadline())
+			cc.StartHeartbeat(h.cc.heartbeatInterval(), h.cc.HeartbeatDeadline)
 			jctx, cancel := context.WithTimeout(ctx, reportTimeout)
 			var jm ctrlMsg
 			jerr := cc.Recv(jctx, &jm)

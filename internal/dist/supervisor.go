@@ -403,7 +403,7 @@ func (h *rankHost) cluster(ctx context.Context, epoch int64) (*Cluster, func(*ct
 		Procs: h.cc.Procs, Self: h.cc.Self, PlanHash: h.planHash,
 		Pool: pool, Faults: h.faults, DialTimeout: h.cc.DialTimeout,
 		HeartbeatInterval: h.cc.heartbeatInterval(),
-		HeartbeatDeadline: h.cc.heartbeatDeadline(),
+		HeartbeatDeadline: h.cc.HeartbeatDeadline,
 	}, epoch)
 	if err != nil {
 		// A peer that is down during mesh establishment is the same
@@ -423,7 +423,6 @@ func (h *rankHost) cluster(ctx context.Context, epoch int64) (*Cluster, func(*ct
 	pool.c.Store(c)
 	return c, func(rep *ctrlMsg) {
 		rep.Traffic.Stale += tr.StaleFrames()
-		rep.Traffic.HBMisses = tr.HeartbeatMisses()
 		var pe *transport.PeerError
 		if errors.As(rep.err, &pe) {
 			rep.Blame = h.cc.Procs[pe.Proc].Lo
@@ -488,6 +487,7 @@ func (h *rankHost) attempt(ctx context.Context, epoch int64, ids map[int][]int, 
 		Generated: st.EdgesGenerated, Routed: st.EdgesRouted,
 		Bytes: st.BytesSent, Messages: st.Messages,
 		Stale: st.StaleBatches, MaxDepth: st.MaxInboxDepth,
+		HBMisses: st.HeartbeatMisses,
 	}
 	for _, f := range h.sinks {
 		m := make(map[int]int64, len(f.stored))

@@ -1,16 +1,15 @@
 // Package chantransport is the in-process Transport: R ranks in one
 // address space exchanging batches over buffered Go channels — the
 // simulated cluster the repo ran on before cluster mode existed, now as
-// one implementation of the transport contract. Delivery is zero-copy
-// (the receiver gets the sender's very slice), per-link FIFO follows
-// from channel semantics, and the collectives are a generation-counted
-// channel barrier shared by all ranks.
+// one implementation of the transport contract: a transport.Mailbox over
+// all R ranks plus the partition simulation. Delivery is zero-copy (the
+// receiver gets the sender's very slice), per-link FIFO follows from
+// channel semantics, and the collectives are the Mailbox's local stage
+// with no cross-process phase behind it.
 package chantransport
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,20 +17,9 @@ import (
 	"kronlab/internal/dist/transport"
 )
 
-// ErrHeartbeat marks a failure-detection verdict: a partitioned rank
-// went silent past the armed deadline. It is always wrapped in a
-// *transport.PeerError naming the silent rank, mirroring the TCP
-// transport's heartbeat posture so callers handle both identically.
-var ErrHeartbeat = errors.New("chan: failure-detection deadline exceeded")
-
 // Transport is the in-process channel transport for r ranks.
 type Transport struct {
-	r       int
-	inboxes []chan transport.Batch
-
-	// maxDepth tracks the deepest observed inbox backlog, the
-	// simulated-cluster load metric surfaced as Stats.MaxInboxDepth.
-	maxDepth int64
+	*transport.Mailbox
 
 	// Partition simulation: a partitioned rank's traffic is silently
 	// black-holed — sends involving it "succeed" without delivering,
@@ -42,236 +30,58 @@ type Transport struct {
 	// buffers back through release; a partition must not leak buffers.
 	voidMu sync.Mutex
 	voided []transport.Batch
-
-	// Failure detection (EnableFailureDetection): dead is closed — with
-	// deadErr, a *transport.PeerError, written first — when a
-	// partitioned rank stays silent past the deadline. Every blocking
-	// call selects on it, so a black-holed cluster fails loudly instead
-	// of hanging on channels that will never fill.
-	dead     chan struct{}
-	deadOnce sync.Once
-	deadErr  error
-	fdStop   chan struct{}
-	fdOnce   sync.Once
-	fdDone   chan struct{} // non-nil once a detector was started; closed on its exit
-	hbMisses int64
-
-	// Collective state: one accumulator and one generation channel,
-	// closed when the r-th rank arrives. total is written under mu
-	// before the close, so waiters reading it after <-gen observe it via
-	// the close's happens-before edge; a later generation cannot
-	// overwrite it until every waiter of this one has re-entered.
-	mu    sync.Mutex
-	cnt   int
-	acc   int64
-	total int64
-	gen   chan struct{}
 }
 
-// New returns a transport hosting all r ranks in-process. Inboxes are
-// buffered (4r+16 batches) so the generate-then-drain pattern keeps
-// senders and receivers loosely coupled without unbounded memory.
+// New returns a transport hosting all r ranks in-process.
 func New(r int) *Transport {
-	t := &Transport{r: r, inboxes: make([]chan transport.Batch, r),
-		partitioned: make([]atomic.Bool, r),
-		dead:        make(chan struct{}), fdStop: make(chan struct{}),
-		gen: make(chan struct{})}
-	for i := range t.inboxes {
-		t.inboxes[i] = make(chan transport.Batch, 4*r+16)
-	}
-	return t
+	return &Transport{Mailbox: transport.NewMailbox(0, r, r, nil), partitioned: make([]atomic.Bool, r)}
 }
 
-// R implements Transport.
-func (t *Transport) R() int { return t.r }
+// void black-holes a cross-rank batch from or to a partitioned rank: the
+// send "succeeds" (the channel is open, the caller cannot tell) but
+// nothing is delivered. The batch is parked for Reset so its pooled
+// buffer is not leaked. The verdict is checked first — a refused batch
+// stays with the caller, so it must not also be parked.
+func (t *Transport) void(b transport.Batch) (bool, error) {
+	if err := t.Err(); err != nil || b.Dest == b.From ||
+		!(t.partitioned[b.From].Load() || t.partitioned[b.Dest].Load()) {
+		return false, err
+	}
+	t.voidMu.Lock()
+	t.voided = append(t.voided, b)
+	t.voidMu.Unlock()
+	return true, nil
+}
 
-// Local implements Transport: every rank is local.
-func (t *Transport) Local() (lo, hi int) { return 0, t.r }
-
-// SendBatch implements Transport. A self-addressed batch is applied
-// through progress directly, as an MPI rank does for local traffic.
-// While a cross-rank send blocks on a full inbox, batches addressed to
-// the sender are delivered through progress instead of spinning — the
-// inline progress that makes the all-to-all deadlock-free.
+// SendBatch implements Transport: the Mailbox's local delivery, behind the
+// partition's black hole.
 func (t *Transport) SendBatch(ctx context.Context, b transport.Batch, progress func(transport.Batch)) error {
-	select {
-	case <-t.dead:
-		return t.deadErr
-	default:
+	if voided, err := t.void(b); voided || err != nil {
+		return err
 	}
-	if b.Dest == b.From {
-		progress(b)
-		return nil
-	}
-	if t.partitioned[b.From].Load() || t.partitioned[b.Dest].Load() {
-		// Black-hole: the send "succeeds" (the channel is open, the
-		// caller cannot tell) but nothing is delivered. The batch is
-		// parked for Reset so its pooled buffer is not leaked.
-		t.voidMu.Lock()
-		t.voided = append(t.voided, b)
-		t.voidMu.Unlock()
-		return nil
-	}
-	own := t.inboxes[b.From]
-	for {
-		select {
-		case t.inboxes[b.Dest] <- b:
-			if d := int64(len(t.inboxes[b.Dest])); d > 0 {
-				atomicMax(&t.maxDepth, d)
-			}
-			return nil
-		case m := <-own:
-			progress(m)
-		case <-t.dead:
-			return t.deadErr
-		case <-ctx.Done():
-			return context.Cause(ctx)
-		}
-	}
+	return t.Send(ctx, b, progress)
 }
 
-// TrySendBatch implements transport.TrySender: a non-blocking SendBatch.
-// It accepts the batch only when the destination inbox has room right
-// now; a full inbox returns (false, nil) with the buffer left with the
-// caller, who retries after making progress. Self-addressed batches are
-// refused — the caller's inline receive path handles those without the
-// transport. Partition black-holing and the failure-detector verdict
-// behave exactly as in SendBatch, so double-buffered runs see the same
-// fault surface as blocking ones.
+// TrySendBatch implements transport.TrySender. Partition black-holing and
+// the failure-detector verdict behave exactly as in SendBatch, so
+// double-buffered runs see the same fault surface as blocking ones.
 func (t *Transport) TrySendBatch(b transport.Batch) (bool, error) {
-	select {
-	case <-t.dead:
-		return false, t.deadErr
-	default:
+	if voided, err := t.void(b); voided || err != nil {
+		return voided, err
 	}
-	if b.Dest == b.From {
-		return false, nil
-	}
-	if t.partitioned[b.From].Load() || t.partitioned[b.Dest].Load() {
-		t.voidMu.Lock()
-		t.voided = append(t.voided, b)
-		t.voidMu.Unlock()
-		return true, nil
-	}
-	select {
-	case t.inboxes[b.Dest] <- b:
-		if d := int64(len(t.inboxes[b.Dest])); d > 0 {
-			atomicMax(&t.maxDepth, d)
-		}
-		return true, nil
-	default:
-		return false, nil
-	}
-}
-
-// TryRecv implements Transport.
-func (t *Transport) TryRecv(rank int) (transport.Batch, bool) {
-	select {
-	case b := <-t.inboxes[rank]:
-		return b, true
-	default:
-		return transport.Batch{}, false
-	}
-}
-
-// Recv implements Transport.
-func (t *Transport) Recv(ctx context.Context, rank int) (transport.Batch, error) {
-	select {
-	case b := <-t.inboxes[rank]:
-		return b, nil
-	case <-t.dead:
-		return transport.Batch{}, t.deadErr
-	case <-ctx.Done():
-		return transport.Batch{}, context.Cause(ctx)
-	}
-}
-
-// Barrier implements Transport.
-func (t *Transport) Barrier(ctx context.Context, rank int) error {
-	_, err := t.collective(ctx, 0)
-	return err
-}
-
-// AllReduceSum implements Transport.
-func (t *Transport) AllReduceSum(ctx context.Context, rank int, v int64) (int64, error) {
-	return t.collective(ctx, v)
-}
-
-// collective is the shared body of both collectives: add v, and either
-// complete the generation (last arriver) or wait for its channel to
-// close. A rank that withdraws on cancellation un-counts itself, so the
-// collective state stays consistent for Reset and later generations.
-func (t *Transport) collective(ctx context.Context, v int64) (int64, error) {
-	t.mu.Lock()
-	t.acc += v
-	t.cnt++
-	if t.cnt == t.r {
-		t.total = t.acc
-		t.cnt, t.acc = 0, 0
-		ch := t.gen
-		t.gen = make(chan struct{})
-		total := t.total
-		close(ch)
-		t.mu.Unlock()
-		return total, nil
-	}
-	ch := t.gen
-	t.mu.Unlock()
-	select {
-	case <-ch:
-		return t.total, nil
-	case <-t.dead:
-		// Withdraw as on cancellation: a detector verdict must not
-		// strand the collective's count for later generations.
-		t.mu.Lock()
-		select {
-		case <-ch:
-			t.mu.Unlock()
-			return t.total, nil
-		default:
-		}
-		t.cnt--
-		t.acc -= v
-		t.mu.Unlock()
-		return 0, t.deadErr
-	case <-ctx.Done():
-		t.mu.Lock()
-		select {
-		case <-ch:
-			// Completed while we were acquiring the lock: honor it.
-			t.mu.Unlock()
-			return t.total, nil
-		default:
-		}
-		t.cnt--
-		t.acc -= v
-		t.mu.Unlock()
-		return 0, context.Cause(ctx)
-	}
+	return t.TrySend(b)
 }
 
 // Reset implements Transport: drains every inbox through release and
 // rewinds the collective state. Partitions heal and the failure
-// detector is disarmed — a supervised replay starts on an intact
-// network, matching fault.go's one-shot posture (the partition that
-// killed attempt N does not re-fire on attempt N+1); re-arm detection
-// with EnableFailureDetection if the next run wants it. Must not be
-// called concurrently with a run.
+// detector is disarmed, its verdict cleared — a supervised replay starts
+// on an intact network, matching fault.go's one-shot posture (the
+// partition that killed attempt N does not re-fire on attempt N+1);
+// re-arm detection with EnableFailureDetection if the next run wants it.
+// Must not be called concurrently with a run.
 func (t *Transport) Reset(release func(transport.Batch)) {
-	t.stopDetector()
-	for _, ch := range t.inboxes {
-	drain:
-		for {
-			select {
-			case b := <-ch:
-				if release != nil {
-					release(b)
-				}
-			default:
-				break drain
-			}
-		}
-	}
+	t.Stop()
+	t.Mailbox.Reset(release)
 	t.voidMu.Lock()
 	voided := t.voided
 	t.voided = nil
@@ -284,16 +94,7 @@ func (t *Transport) Reset(release func(transport.Batch)) {
 	for i := range t.partitioned {
 		t.partitioned[i].Store(false)
 	}
-	t.dead = make(chan struct{})
-	t.deadOnce = sync.Once{}
-	t.deadErr = nil
-	t.fdStop = make(chan struct{})
-	t.fdOnce = sync.Once{}
-	t.fdDone = nil
-	t.mu.Lock()
-	t.cnt, t.acc, t.total = 0, 0, 0
-	t.mu.Unlock()
-	atomic.StoreInt64(&t.maxDepth, 0)
+	t.Monitor = transport.NewMonitor()
 }
 
 // Close implements Transport. The channel transport holds no external
@@ -301,80 +102,32 @@ func (t *Transport) Reset(release func(transport.Batch)) {
 // an aborted run can never send on a closed channel — but a running
 // failure detector is stopped.
 func (t *Transport) Close() error {
-	t.stopDetector()
+	t.Stop()
 	return nil
 }
 
-// EnableFailureDetection arms the simulated failure detector: a monitor
-// that stands in for the TCP transport's application heartbeats. Each
-// interval tick counts as "traffic heard" from every reachable rank; a
-// rank black-holed by Partition stops being heard from, and once its
-// silence exceeds deadline (≤0 defaults to 5× interval) the whole
-// transport fails with a *transport.PeerError naming that rank —
-// released through every blocked SendBatch, Recv and collective, so a
-// partitioned run dies loudly within the deadline instead of hanging.
-// Call before the run starts; a second call while a detector is armed
-// is a no-op.
+// EnableFailureDetection arms the simulated failure detector: the
+// liveness monitor standing in for the TCP transport's application
+// heartbeats. Each tick counts as "traffic heard" from every reachable
+// rank; a rank black-holed by Partition stops being heard from, and once
+// its silence exceeds the deadline the whole transport fails with a
+// *transport.PeerError naming that rank — released through every blocked
+// SendBatch and Recv, so a partitioned run dies loudly within the
+// deadline instead of hanging. Call before the run starts; a second call
+// while a detector is armed is a no-op.
 func (t *Transport) EnableFailureDetection(interval, deadline time.Duration) {
-	if interval <= 0 || t.fdDone != nil {
-		return
+	ranks := make([]int, t.R())
+	heard := make([]int64, t.R()) // touched by the liveness loop only
+	for i := range ranks {
+		ranks[i], heard[i] = i, time.Now().UnixNano()
 	}
-	if deadline <= 0 {
-		deadline = 5 * interval
-	}
-	done := make(chan struct{})
-	t.fdDone = done
-	stop := t.fdStop
-	go func() {
-		defer close(done)
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		last := make([]time.Time, t.r)
-		now := time.Now()
-		for i := range last {
-			last[i] = now
-		}
-		for {
-			select {
-			case <-stop:
-				return
-			case now := <-tick.C:
-				for i := range last {
-					if !t.partitioned[i].Load() {
-						last[i] = now
-						continue
-					}
-					silent := now.Sub(last[i])
-					if silent > interval {
-						atomic.AddInt64(&t.hbMisses, 1)
-					}
-					if silent > deadline {
-						t.fail(i, fmt.Errorf("%w: no traffic from rank %d for %v (deadline %v)",
-							ErrHeartbeat, i, silent.Round(time.Millisecond), deadline))
-						return
-					}
-				}
+	t.Watch(interval, deadline, ranks,
+		func(rank int) {
+			if !t.partitioned[rank].Load() {
+				heard[rank] = time.Now().UnixNano()
 			}
-		}
-	}()
-}
-
-// stopDetector halts a running failure-detection monitor and waits for
-// it to exit, so Reset can rebuild detector state without racing it.
-func (t *Transport) stopDetector() {
-	t.fdOnce.Do(func() { close(t.fdStop) })
-	if t.fdDone != nil {
-		<-t.fdDone
-	}
-}
-
-// fail records the detector's verdict exactly once and releases every
-// blocked call.
-func (t *Transport) fail(rank int, err error) {
-	t.deadOnce.Do(func() {
-		t.deadErr = &transport.PeerError{Proc: rank, Err: err}
-		close(t.dead)
-	})
+		},
+		func(rank int) int64 { return heard[rank] })
 }
 
 // Partition black-holes one rank: from now on every cross-rank send
@@ -384,32 +137,3 @@ func (t *Transport) fail(rank int, err error) {
 // simply hang waiting on batches that never arrive, exactly like an
 // undetected real partition. Reset heals all partitions.
 func (t *Transport) Partition(rank int) { t.partitioned[rank].Store(true) }
-
-// Partitioned reports whether rank is currently black-holed.
-func (t *Transport) Partitioned(rank int) bool { return t.partitioned[rank].Load() }
-
-// HeartbeatMisses reports how many detector ticks found a partitioned
-// rank silent past the interval — the chan-transport analogue of the
-// TCP transport's heartbeat-miss counter.
-func (t *Transport) HeartbeatMisses() int64 { return atomic.LoadInt64(&t.hbMisses) }
-
-// MaxDepth reports the deepest observed inbox backlog, in batches.
-func (t *Transport) MaxDepth() int64 { return atomic.LoadInt64(&t.maxDepth) }
-
-// Depth reports the current backlog of one rank's inbox — test and
-// diagnostics surface, not part of the Transport contract.
-func (t *Transport) Depth(rank int) int { return len(t.inboxes[rank]) }
-
-// Inject enqueues a batch directly into its destination inbox, skipping
-// fault injection and flow control — the smuggling hook the epoch-fence
-// and conformance tests use to forge residue from another attempt.
-func (t *Transport) Inject(b transport.Batch) { t.inboxes[b.Dest] <- b }
-
-func atomicMax(addr *int64, v int64) {
-	for {
-		cur := atomic.LoadInt64(addr)
-		if v <= cur || atomic.CompareAndSwapInt64(addr, cur, v) {
-			return
-		}
-	}
-}

@@ -356,7 +356,8 @@ func TestConformanceCollectives(t *testing.T) {
 // (a black-holed network partition — no RST, no FIN, nothing to trip
 // on) must surface as a loud *transport.PeerError naming the silent
 // peer within the armed failure-detection deadline, released through
-// blocked Recvs and subsequent sends. The chan fixture uses the
+// blocked Recvs and subsequent sends as transport.ErrHeartbeat, and a
+// rank parked in a collective is released with it. The chan fixture uses the
 // simulated detector (EnableFailureDetection + Partition); the tcp
 // fixture uses real application heartbeats and a FaultState partition.
 func TestConformanceFailureDetection(t *testing.T) {
@@ -424,17 +425,29 @@ func TestConformanceFailureDetection(t *testing.T) {
 	for _, im := range impls {
 		t.Run(im.name, func(t *testing.T) {
 			tr, silent, partition := im.build(t)
-			ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-			defer cancel()
+			// As the engine does, the first failure a rank sees cancels
+			// the run with that failure as the cause.
+			ctx, cancel := context.WithCancelCause(context.Background())
+			defer cancel(nil)
+			ctx, stop := context.WithTimeout(ctx, 15*time.Second)
+			defer stop()
 
 			recvErr := make(chan error, 1)
 			go func() {
 				for {
 					if _, err := tr.Recv(ctx, 0); err != nil {
 						recvErr <- err
+						cancel(err)
 						return
 					}
 				}
+			}()
+			// A second local rank is parked in a collective the partition
+			// will never let complete.
+			waiterErr := make(chan error, 1)
+			go func() {
+				_, err := tr.AllReduceSum(ctx, 1, 1)
+				waiterErr <- err
 			}()
 			start := time.Now()
 			partition()
@@ -445,22 +458,39 @@ func TestConformanceFailureDetection(t *testing.T) {
 				t.Fatal("blocked Recv never observed the partition — an undetected black hole")
 			}
 			elapsed := time.Since(start)
-			var pe *transport.PeerError
-			if !errors.As(err, &pe) {
-				t.Fatalf("Recv error = %v, want *transport.PeerError", err)
+			checkVerdict := func(who string, err error) {
+				t.Helper()
+				var pe *transport.PeerError
+				if !errors.As(err, &pe) {
+					t.Fatalf("%s error = %v, want *transport.PeerError", who, err)
+				}
+				if pe.Proc != silent {
+					t.Fatalf("%s: PeerError names proc %d, want the partitioned peer %d", who, pe.Proc, silent)
+				}
+				if !errors.Is(err, transport.ErrHeartbeat) {
+					t.Fatalf("%s error = %v, want the liveness verdict transport.ErrHeartbeat", who, err)
+				}
 			}
-			if pe.Proc != silent {
-				t.Fatalf("PeerError names proc %d, want the partitioned peer %d", pe.Proc, silent)
-			}
+			checkVerdict("Recv", err)
 			// The deadlines above are ≤120ms; allow generous scheduler
 			// slop but insist detection is prompt, not eventual.
 			if elapsed > 5*time.Second {
 				t.Fatalf("partition surfaced after %v — far beyond the armed deadline", elapsed)
 			}
+			// The collective waiter is released too — by the failure or by
+			// the run's cancellation carrying it — never left parked.
+			select {
+			case err := <-waiterErr:
+				checkVerdict("AllReduceSum", err)
+			case <-time.After(5 * time.Second):
+				t.Fatal("rank parked in AllReduceSum never returned after the verdict")
+			}
 			// The verdict must also poison later sends on the dead link.
+			sctx, done := context.WithTimeout(context.Background(), 5*time.Second)
+			defer done()
 			b := transport.Batch{From: 0, Dest: r - 1, Epoch: confEpoch, Tile: 1,
 				Edges: []graph.Edge{{U: 1, V: 2}}}
-			if err := tr.SendBatch(ctx, b, nopProgress); err == nil {
+			if err := tr.SendBatch(sctx, b, nopProgress); err == nil {
 				t.Fatal("SendBatch to the partitioned peer succeeded after the verdict")
 			}
 		})

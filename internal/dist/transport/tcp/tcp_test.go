@@ -1,14 +1,18 @@
 package tcp
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"kronlab/internal/dist/transport"
+	"kronlab/internal/dist/transport/wire"
 	"kronlab/internal/graph"
 )
 
@@ -412,5 +416,152 @@ func TestControlConn(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestControlConnSlowWriter writes one control frame in two pieces with a
+// pause between them longer than any read deadline the link could be
+// polling with: the reader must deliver the whole message, not lose the
+// bytes it had already consumed when the pause began.
+func TestControlConnSlowWriter(t *testing.T) {
+	n0, err := NewNode("127.0.0.1:0", 0, testHash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n0.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	// A hand-rolled worker: Hello, Ack, then the torn write.
+	conn, err := net.Dial("tcp", n0.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello := append([]byte{purposeCtrl}, binary.LittleEndian.AppendUint64(nil, testHash)...)
+	if _, err := conn.Write(smallFrame(wire.KindHello, 1, 0, -1, 0, hello)); err != nil {
+		t.Fatal(err)
+	}
+	if h, ack, err := readFrame(bufio.NewReader(conn)); err != nil || h.Kind != wire.KindAck || ack[0] != ackOK {
+		t.Fatalf("handshake: kind %d ack %v err %v", h.Kind, ack, err)
+	}
+	frame := smallFrame(wire.KindControl, 1, 0, 0, 0, []byte(`{"kind":"report","n":41}`))
+	go func() {
+		conn.Write(frame[:wire.HeaderSize+5])
+		time.Sleep(400 * time.Millisecond)
+		conn.Write(frame[wire.HeaderSize+5:])
+	}()
+
+	cc, err := n0.AcceptControl(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	var m struct {
+		Kind string `json:"kind"`
+		N    int    `json:"n"`
+	}
+	if err := cc.Recv(ctx, &m); err != nil {
+		t.Fatalf("Recv across a slow write: %v", err)
+	}
+	if m.Kind != "report" || m.N != 41 {
+		t.Fatalf("control message mangled by a slow write: %+v", m)
+	}
+}
+
+// TestControlConnsClosedWithNode joins control connections nobody
+// accepts, then closes the Node: every one of them, each waiting in its
+// handshake for an AcceptControl that never comes, must be closed, which
+// its dialer sees as the link's death.
+func TestControlConnsClosedWithNode(t *testing.T) {
+	n0, err := NewNode("127.0.0.1:0", 0, testHash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	ccs := make([]*CtrlConn, 4)
+	for i := range ccs {
+		if ccs[i], err = DialControl(ctx, n0.Addr(), i+1, testHash, 0); err != nil {
+			t.Fatalf("dial %d: %v", i, err)
+		}
+		defer ccs[i].Close()
+	}
+	n0.Close()
+	for i, cc := range ccs {
+		var m struct{}
+		var pe *transport.PeerError
+		if err := cc.Recv(ctx, &m); !errors.As(err, &pe) {
+			t.Fatalf("control conn %d after Node.Close: Recv = %v, want the link's death", i, err)
+		}
+	}
+}
+
+// TestFaultShortCollectiveFrame puts a reduce frame with a 4-byte payload
+// on a live link: the receiving process must fail the link with a
+// PeerError naming the sender, not panic decoding it.
+func TestFaultShortCollectiveFrame(t *testing.T) {
+	ts := mesh(t, 2, 2, 1, nil)
+	l := ts[1].links[0]
+	l.outQ <- l.frame(wire.KindReduce, 0, []byte{1, 2, 3, 4})
+	select {
+	case <-ts[0].Dead():
+	case <-time.After(5 * time.Second):
+		t.Fatal("short reduce frame never failed the link")
+	}
+	var pe *transport.PeerError
+	if err := ts[0].Err(); !errors.As(err, &pe) || pe.Proc != 1 {
+		t.Fatalf("mesh failure = %v, want PeerError{Proc: 1}", err)
+	}
+}
+
+// TestCloseFlushesQueuedBatchFrames sends a short burst and closes at
+// once, many times over, so that some Close lands while the writer is
+// inside a flush with frames queued behind it: every batch accepted
+// before Close must reach the peer ahead of the link's death.
+func TestCloseFlushesQueuedBatchFrames(t *testing.T) {
+	const rounds, k = 300, 12
+	nodes := make([]*Node, 2)
+	addrs := make([]string, 2)
+	for i := range nodes {
+		n, err := NewNode("127.0.0.1:0", i, testHash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		nodes[i], addrs[i] = n, n.Addr()
+	}
+	procs := transport.SplitRanks(addrs, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	edges := make([]graph.Edge, 1024)
+	for round := 0; round < rounds; round++ {
+		var ts [2]*Transport
+		var errs [2]error
+		var wg sync.WaitGroup
+		for i := range ts {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				ts[i], errs[i] = Connect(ctx, nodes[i], Config{Procs: procs, Self: i, PlanHash: testHash}, int64(round))
+			}(i)
+		}
+		wg.Wait()
+		if errs[0] != nil || errs[1] != nil {
+			t.Fatalf("round %d connect: %v, %v", round, errs[0], errs[1])
+		}
+		for i := 0; i < k; i++ {
+			b := transport.Batch{From: 1, Dest: 0, Epoch: int64(round), Tile: i, Edges: edges}
+			if err := ts[1].SendBatch(ctx, b, func(transport.Batch) {}); err != nil {
+				t.Fatalf("round %d send %d: %v", round, i, err)
+			}
+		}
+		ts[1].Close()
+		for i := 0; i < k; i++ {
+			if b, err := ts[0].Recv(ctx, 0); err != nil || b.Tile != i {
+				t.Fatalf("round %d: batch %d of %d accepted before Close: got tile %d, err %v", round, i, k, b.Tile, err)
+			}
+		}
+		ts[0].Close()
 	}
 }

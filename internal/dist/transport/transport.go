@@ -146,9 +146,6 @@ type Proc struct {
 	Lo, Hi int
 }
 
-// Ranks returns the number of ranks the process hosts.
-func (p Proc) Ranks() int { return p.Hi - p.Lo }
-
 // SplitRanks assigns r ranks contiguously and near-evenly across the
 // given addresses — the static peer layout of cluster mode. Process i
 // owns [i·r/n, (i+1)·r/n).

@@ -21,7 +21,7 @@
 //	    32     4  payloadLen (bytes following the header)
 //	    36     …  payload: Batch → count·store.RecordSize edge records;
 //	              Control → opaque control bytes (JSON in cluster mode);
-//	              Reduce/Release → 16 bytes (sequence, value)
+//	              Reduce/Release → 8 bytes, the value (sequence in tile)
 //
 // Decoding is defensive at every step: short header, bad magic, version
 // skew, payload over MaxPayload, or a Batch payload that is not a
