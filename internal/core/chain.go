@@ -332,13 +332,15 @@ func (c *Chain) Materialize() (*graph.Graph, error) {
 // ArcSlice would, so the deterministic per-tile expansion order that
 // checkpoints and prefix-dedup recovery key on is preserved at k > 2.
 //
-// ExpandNext appends into a caller-owned scratch buffer and the cursor
-// itself allocates only at construction, so expansion is allocation-free
-// per arc. Over a single factor the odometer is empty and the cursor is
-// a position in that factor's ArcSlice: the k = 2 product needs no
-// kernel of its own.
+// ExpandNext appends into a caller-owned scratch buffer, NextRun hands
+// out sub-slices of the innermost factor's shared ArcSlice, and the
+// cursor itself allocates only at construction, so expansion is
+// allocation-free per arc. Over a single factor the odometer is empty
+// and the cursor is a position in that factor's ArcSlice: the k = 2
+// product needs no kernel of its own.
 type TailCursor struct {
 	arcs     [][]graph.Edge // per-factor CSR arc slices (shared; read-only)
+	rowOff   []int64        // innermost factor's CSR row offsets (shared; read-only)
 	strides  []int64        // vertex strides within the tail space
 	idx      []int          // odometer over arcs[0..m-2]
 	uPre     int64          // Σ_{d<m-1} arcs[d][idx[d]].U·strides[d]
@@ -370,6 +372,7 @@ func NewTailCursor(tail []*graph.Graph) *TailCursor {
 		tc.total *= int64(len(tc.arcs[d]))
 	}
 	tc.nTail = stride
+	tc.rowOff = tail[len(tail)-1].RowOffsets()
 	tc.Reset()
 	return tc
 }
@@ -450,14 +453,15 @@ func (tc *TailCursor) advance() {
 // ExpandNext appends up to max product arcs to out and returns it,
 // composing each pending tail arc (tu, tv) with the caller's bases as
 // (uBase+tu, vBase+tv). With uBase = aArc.U·n_T and vBase = aArc.V·n_T
-// (n_T the tail vertex count) this is exactly ExpandBlock with the
-// B-arc block generated on the fly — the chain form of the kernel. With
-// bases 0 it yields the raw tail arcs. An empty return means the cursor
-// is exhausted; call Reset to rewind.
+// (n_T the tail vertex count) these are the product arcs of one head arc
+// against the tail, the tail generated on the fly — the one expansion
+// kernel, at every chain depth (the two-factor reference ExpandBlock is
+// what the tests hold it to). With bases 0 it yields the raw tail arcs.
+// An empty return means the cursor is exhausted; call Reset to rewind.
 //
-// The inner loop is the same two adds + append as ExpandBlock: the outer
-// digits' contribution is prefix-summed into uPre/vPre and only changes
-// once per innermost-factor sweep.
+// The inner loop is two adds and an append per arc: the outer digits'
+// contribution is prefix-summed into uPre/vPre and only changes once per
+// innermost-factor sweep.
 func (tc *TailCursor) ExpandNext(uBase, vBase int64, out []graph.Edge, max int) []graph.Edge {
 	inner := tc.arcs[len(tc.arcs)-1]
 	for !tc.done && len(out) < max {
@@ -477,4 +481,36 @@ func (tc *TailCursor) ExpandNext(uBase, vBase int64, out []graph.Edge, max int) 
 		}
 	}
 	return out
+}
+
+// NextRun is ExpandNext without the writing: it advances the cursor over
+// the next run of composed arcs that share a source — at most max of
+// them — and returns the run as a sub-slice of the innermost factor's
+// shared ArcSlice (read-only) together with the outer prefix, so the
+// arcs are (uPre+e.U, vPre+e.V) for e in run, plus the caller's bases,
+// and e.U is the same for every e. The run ends at the innermost factor's
+// CSR row end, read from its offset array rather than found by scanning,
+// or after max arcs; a row cut by max (or entered mid-row after SeekTo)
+// continues in the next call. Concatenated, the runs are exactly
+// ExpandNext's stream. An empty run means the cursor is exhausted.
+//
+// It is what lets a caller that places arcs by source decide once per
+// row and write each product arc once, straight to where it belongs.
+func (tc *TailCursor) NextRun(max int) (run []graph.Edge, uPre, vPre int64) {
+	if tc.done || max <= 0 {
+		return nil, 0, 0
+	}
+	inner := tc.arcs[len(tc.arcs)-1]
+	pos := tc.innerPos
+	end := int(tc.rowOff[inner[pos].U+1])
+	if end-pos > max {
+		end = pos + max
+	}
+	uPre, vPre = tc.uPre, tc.vPre
+	tc.innerPos = end
+	if end == len(inner) {
+		tc.innerPos = 0
+		tc.advance()
+	}
+	return inner[pos:end], uPre, vPre
 }

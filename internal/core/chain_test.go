@@ -381,3 +381,98 @@ func TestTailCursorEmptyFactor(t *testing.T) {
 		t.Fatalf("empty tail yielded %d arcs", len(block))
 	}
 }
+
+// TestTailCursorNextRunMatchesExpandNext is the contract the row router
+// rests on: from every SeekTo position, for every max and for a budget that
+// stops at the end or mid-row, the concatenation of NextRun's runs — prefix
+// and bases applied — is ExpandNext's stream, every run has one source, and
+// rows are not cut short of their end or of max. The tails are depths 1–3
+// over an innermost factor with a row longer than the small maxes, isolated
+// vertices first, in the middle and last, a 2D-style part of it (its arc
+// window starts and ends mid-row), and an empty factor.
+func TestTailCursorNextRunMatchesExpandNext(t *testing.T) {
+	// Star on 1,3,5,6,7 around vertex 2, plus the edge 5–6; 0, 4 and 8 isolated.
+	star, err := graph.NewUndirected(9, []graph.Edge{{U: 2, V: 1}, {U: 2, V: 3}, {U: 2, V: 5}, {U: 2, V: 6}, {U: 2, V: 7}, {U: 5, V: 6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arcs := star.ArcSlice()
+	part, err := graph.New(star.NumVertices(), arcs[2:len(arcs)-4]) // (2,3) … (5,2): mid-row 2 to mid-row 5
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := graph.New(3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(59))
+	outer1, outer2 := randomGraph(rng, 3, true), randomGraph(rng, 3, false)
+	tails := map[string][]*graph.Graph{
+		"depth1":      {star},
+		"depth1_part": {part},
+		"depth2":      {outer1, star},
+		"depth2_part": {outer1, part},
+		"depth3":      {outer2, outer1, star},
+		"empty_inner": {outer1, empty},
+		"empty_outer": {empty, star},
+	}
+	const uBase, vBase = 1000, 2000
+	for name, tail := range tails {
+		ref, tc := NewTailCursor(tail), NewTailCursor(tail)
+		total := tc.Total()
+		inner := tail[len(tail)-1]
+		var rows int64 // nonempty rows of the innermost factor
+		for v := int64(0); v < inner.NumVertices(); v++ {
+			if inner.Degree(v) > 0 {
+				rows++
+			}
+		}
+		for pos := int64(0); pos <= total; pos++ {
+			for _, max := range []int{1, 2, 3, 7, 1024} {
+				for _, budget := range []int64{total - pos, (total - pos) / 2} {
+					ref.SeekTo(pos)
+					var want []graph.Edge
+					for int64(len(want)) < budget {
+						want = ref.ExpandNext(uBase, vBase, want, int(budget))
+					}
+					tc.SeekTo(pos)
+					var got []graph.Edge
+					runs := int64(0)
+					for int64(len(got)) < budget {
+						lim := max
+						if rem := budget - int64(len(got)); rem < int64(lim) {
+							lim = int(rem)
+						}
+						run, uPre, vPre := tc.NextRun(lim)
+						if len(run) == 0 || len(run) > lim {
+							t.Fatalf("%s pos %d max %d: run of %d arcs with %d of %d still due", name, pos, max, len(run), budget-int64(len(got)), budget)
+						}
+						runs++
+						for _, e := range run {
+							if e.U != run[0].U {
+								t.Fatalf("%s pos %d max %d: run mixes sources %d and %d", name, pos, max, run[0].U, e.U)
+							}
+							got = append(got, graph.Edge{U: uBase + uPre + e.U, V: vBase + vPre + e.V})
+						}
+					}
+					if len(got) != len(want) {
+						t.Fatalf("%s pos %d max %d budget %d: %d arcs, want %d", name, pos, max, budget, len(got), len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s pos %d max %d budget %d: arc %d = %v, ExpandNext says %v", name, pos, max, budget, i, got[i], want[i])
+						}
+					}
+					if pos == 0 && budget == total && max == 1024 && total > 0 && runs != total/inner.NumArcs()*rows {
+						wantRuns := total / inner.NumArcs() * rows
+						t.Fatalf("%s: %d runs over the whole tail, want one per nonempty row per sweep = %d", name, runs, wantRuns)
+					}
+				}
+			}
+		}
+		tc.SeekTo(total)
+		if run, _, _ := tc.NextRun(16); len(run) != 0 {
+			t.Fatalf("%s: exhausted cursor yielded a run of %d", name, len(run))
+		}
+	}
+}

@@ -144,8 +144,16 @@ type Cluster struct {
 	// cluster; it must return to the number of stale inbox messages after
 	// teardown (zero after Reset), which is how the abort-path leak
 	// regression is asserted. The buffers themselves live in the
-	// package-level edgeBufPool.
+	// package-level edgeBufPool. Shippers settle their tallies as their
+	// exchange ends: the count is only meaningful between runs.
 	bufsOut int64
+
+	// returns[rank-lo] is a hosted rank's return stack: batch buffers it
+	// filled, handed back by the local peer that received them and staged
+	// into again by the filler (shipper.release, getBuf), so a buffer stays
+	// in the cache of the one core that writes it. A full stack refuses,
+	// never blocks; Reset moves what is parked to the shared freelist.
+	returns []chan []graph.Edge
 }
 
 // ErrClusterUsed reports a second run on a one-shot cluster. Build a
@@ -178,7 +186,10 @@ func NewClusterOn(tr transport.Transport) (*Cluster, error) {
 	if lo < 0 || hi > r || lo >= hi {
 		return nil, fmt.Errorf("dist: transport local range [%d,%d) invalid for R=%d", lo, hi, r)
 	}
-	c := &Cluster{r: r, lo: lo, hi: hi, tr: tr}
+	c := &Cluster{r: r, lo: lo, hi: hi, tr: tr, returns: make([]chan []graph.Edge, hi-lo)}
+	for i := range c.returns {
+		c.returns[i] = make(chan []graph.Edge, spareCap)
+	}
 	c.ctx, c.cancel = context.WithCancelCause(context.Background())
 	return c, nil
 }
@@ -231,6 +242,11 @@ func (c *Cluster) InjectFaults(plan FaultPlan) {
 // installed. It must not be called concurrently with a run.
 func (c *Cluster) Reset() {
 	c.tr.Reset(func(b Message) { c.putBuf(b.Edges) })
+	for i, ch := range c.returns {
+		for len(ch) > 0 {
+			poolSpill(shardFor(c.lo+i), [][]graph.Edge{<-ch})
+		}
+	}
 	c.stats = Stats{}
 	if c.faults != nil {
 		c.faults.reset()

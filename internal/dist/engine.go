@@ -15,6 +15,7 @@ import (
 // engine run attribute samples to the kernel stage (phase=expand|route|
 // store) that was executing. Built once — SetGoroutineLabels per block is
 // a pointer swap, so labeling costs nothing measurable on the hot path.
+// Under a SourceOwner the router expands too: phase=route covers both.
 var (
 	expandLabels = pprof.WithLabels(context.Background(), pprof.Labels("phase", "expand"))
 	routeLabels  = pprof.WithLabels(context.Background(), pprof.Labels("phase", "route"))
@@ -230,8 +231,8 @@ type Config struct {
 	// the batched all-to-all exchange. It is bound once per attempt, so
 	// r-dependent owner parameters resolve at plan time. A SourceOwner
 	// (BlockOwner{NC}; also OwnerBySource passed as is) is evaluated once
-	// per run of equal sources and the run is copied whole; any other
-	// owner — OwnerByEdge, an OwnerByBlock(nC) closure, a caller's own
+	// per CSR row and the row expands straight into its owner's batch; any
+	// other owner — OwnerByEdge, an OwnerByBlock(nC) closure, a caller's own
 	// function — is evaluated once per edge. A nil Owner skips the Route
 	// stage entirely: every edge goes straight to the generating rank's
 	// sink with zero communication (count-only and streaming runs).
@@ -261,35 +262,34 @@ func (cfg Config) batchSize() int {
 }
 
 // runAttempt executes one attempt of the engine on an already-built
-// cluster: every rank expands the tiles assigned to it through the
-// blocked kernel (core.TailCursor.ExpandNext into a reused scratch
-// block — one loop for every chain depth), routes whole blocks via the
-// plan-bound owner over the epoch-fenced exchange (or stores them locally
-// when owner is nil), and hands owned batches to the fenced sink sinkFor
-// returns for it. perGen/perStored receive this attempt's per-rank
-// counters.
+// cluster: every rank walks its tiles with a core.TailCursor — one loop
+// for every chain depth. With no owner, ExpandNext fills a reused scratch
+// block that goes to the rank's own sink; with an owner that looks at the
+// target, the block is routed edge by edge over the epoch-fenced exchange;
+// with a SourceOwner there is no block — the row router expands each run
+// of equal sources into its owner's staging buffer. Owned batches go to the
+// fenced sink sinkFor returns; perGen/perStored get the per-rank counters.
 //
 // Expansion order is exactly the reference order — head arcs in tile
 // order, each crossed with the tail's composed arcs in lexicographic CSR
-// order (StreamProductArcs for k = 2, core.Chain.Arcs generally) — and
-// blocks are partitioned into per-destination batches in encounter
-// order, so the per-(tile, destination) substream is byte-identical
-// across attempts. That determinism is what tile checkpoints and
-// prefix-dedup recovery key on; the blocked kernel changes batching
-// granularity, never order — and the three routers (shipper.routeRuns
-// for a SourceOwner, shipper.route for any other owner, shipper.stage
-// edge by edge under an armed fault schedule) cut batches at the same
-// edges.
+// order (core.Chain.Arcs) — and arcs are partitioned into per-destination
+// batches in encounter order, so the per-(tile, destination) substream is
+// byte-identical across attempts. That determinism is what tile
+// checkpoints and prefix-dedup recovery key on; the step size changes
+// polling granularity, never order — and the three routers
+// (shipper.routeRows for a SourceOwner, shipper.route for any other owner,
+// shipper.stage edge by edge under an armed fault schedule) cut batches at
+// the same edges.
 func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, sinkFor func(*Rank) (*fencedRankSink, error), perGen, perStored []int64, batch int) error {
 	// Both forms are bound once per attempt and shared by the ranks: they
 	// are pure. bySource stays nil for an owner that looks at more than
-	// the source.
+	// the source, and on a fault-armed run (per-edge cadence, see faulty).
 	var bound BoundOwnerFunc
 	var bySource func(u int64) int
 	if owner != nil {
 		owner = resolveOwner(owner)
 		bound = owner.Bind(c.r)
-		if so, ok := owner.(SourceOwner); ok {
+		if so, ok := owner.(SourceOwner); ok && c.faults == nil {
 			bySource = so.BindSource(c.r)
 		}
 	}
@@ -307,13 +307,16 @@ func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, si
 		// crash countdowns keep edge granularity; clean runs never branch
 		// into it.
 		faulty := c.faults != nil
-		// Scratch block reused across every A-arc of every tile. A-arcs
-		// expand against B in chunks of ≤ batch arcs, so the scratch is
-		// the exchange's buffer size class and checks out of the same
-		// freelist — expansion allocates nothing in steady state and
-		// per-rank memory stays O(|E_A|/R + |E_B| + R·batch) even when
-		// this rank's B factor is large.
-		scratch := c.getBuf(rk.ID(), batch)
+		// Scratch block reused across every A-arc of every tile (the row
+		// router expands into staging buffers and takes none). A-arcs
+		// expand against B in chunks of ≤ batch arcs, so the scratch is the
+		// exchange's buffer size class and checks out of the same freelist
+		// — expansion allocates nothing in steady state and per-rank memory
+		// stays O(|E_A|/R + |E_B| + R·batch) even when this rank's B is large.
+		var scratch []graph.Edge
+		if bySource == nil {
+			scratch = c.getBuf(rk.ID(), batch)
+		}
 		// poll checks for run teardown: sends only notice a torn-down run
 		// when a flush fails, and the buffered inboxes can absorb a lot
 		// before one does — poll once per block (or per batch of edges on
@@ -349,20 +352,16 @@ func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, si
 			}
 			return true
 		}
-		// expandTiles is the Expand stage: each A-arc of each tile expands
-		// against the tile's tail factors into the scratch block, and
-		// handleBlock routes or stores it. handleBlock returns false to
-		// stop early (teardown, sink failure, or an injected crash).
+		// expandTiles is the Expand stage's walk: each A-arc of each tile
+		// against the tile's tail factors. step generates and places up to
+		// max (≤ batch) arcs from the cursor and reports how many; false
+		// stops early (teardown, sink failure, or an injected crash).
 		//
 		// The tail is folded lazily through a core.TailCursor at every
-		// depth: the composed tail arcs are generated block-by-block in
-		// lexicographic CSR order (what a materialized tail's ArcSlice
-		// order would be), never materialized, and the inner loop is two
-		// adds + append. Over a one-factor tail (the k = 2 product) the
-		// cursor is just a position in B's ArcSlice, so the blocks are
-		// B's CSR order cut every batch arcs and at each row of A —
+		// depth: composed tail arcs come in lexicographic CSR order (a
+		// materialized tail's ArcSlice order), never materialized —
 		// kernel_test.go holds every depth to the per-edge reference.
-		expandTiles := func(handleBlock func(tile int, block []graph.Edge) bool) {
+		expandTiles := func(step func(tile int, cur *core.TailCursor, uBase, vBase int64, max int) (int, bool)) {
 			for _, t := range tiles[rk.ID()] {
 				// rem is the tile's windowed arc budget; Skip locates the
 				// start position arithmetically (A-arc index + in-tail
@@ -386,23 +385,27 @@ func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, si
 					}
 					uBase, vBase := aArc.U*nT, aArc.V*nT
 					for rem > 0 {
-						pprof.SetGoroutineLabels(expandLabels)
-						max := batch
-						if rem < int64(max) {
-							max = int(rem)
-						}
-						block := cur.ExpandNext(uBase, vBase, scratch, max)
-						if len(block) == 0 {
-							break
-						}
-						rem -= int64(len(block))
-						scratch = block[:0]
-						if !handleBlock(t.ID, block) {
+						n, ok := step(t.ID, cur, uBase, vBase, int(min(rem, int64(batch))))
+						if !ok {
 							return
 						}
+						if n == 0 {
+							break
+						}
+						rem -= int64(n)
 					}
 				}
 			}
+		}
+		// expandBlocks walks with the step that fills the scratch block for
+		// handleBlock to route or store.
+		expandBlocks := func(handleBlock func(tile int, block []graph.Edge) bool) {
+			expandTiles(func(tile int, cur *core.TailCursor, uBase, vBase int64, max int) (int, bool) {
+				pprof.SetGoroutineLabels(expandLabels)
+				block := cur.ExpandNext(uBase, vBase, scratch, max)
+				scratch = block[:0]
+				return len(block), len(block) == 0 || handleBlock(tile, block)
+			})
 		}
 		// deliver hands one owned batch to the rank's sink. Under routing
 		// it runs inline from the exchange's progress engine — same
@@ -427,16 +430,21 @@ func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, si
 					e := es[0]
 					return s.stage(bound(e.U, e.V), tile, e)
 				}
-				expandTiles(func(tile int, block []graph.Edge) bool {
+				if bySource != nil {
+					expandTiles(func(tile int, cur *core.TailCursor, uBase, vBase int64, max int) (int, bool) {
+						pprof.SetGoroutineLabels(routeLabels)
+						n, ok := s.routeRows(tile, cur, uBase, vBase, max, bySource)
+						generated += int64(n)
+						return n, ok && !poll()
+					})
+					return
+				}
+				expandBlocks(func(tile int, block []graph.Edge) bool {
 					pprof.SetGoroutineLabels(routeLabels)
 					if faulty {
 						return perEdge(tile, block, stageOne)
 					}
-					if bySource != nil {
-						if !s.routeRuns(tile, block, bySource) {
-							return false
-						}
-					} else if !s.route(tile, block, bound) {
+					if !s.route(tile, block, bound) {
 						return false
 					}
 					generated += int64(len(block))
@@ -450,7 +458,7 @@ func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, si
 				deliver(tile, edges)
 			})
 		} else {
-			expandTiles(func(tile int, block []graph.Edge) bool {
+			expandBlocks(func(tile int, block []graph.Edge) bool {
 				pprof.SetGoroutineLabels(storeLabels)
 				if faulty {
 					return perEdge(tile, block, deliver)

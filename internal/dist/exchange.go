@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync/atomic"
 
+	"kronlab/internal/core"
 	"kronlab/internal/dist/transport"
 	"kronlab/internal/graph"
 )
@@ -42,12 +43,14 @@ type shipper struct {
 	onRecv  func(Message) // rx.recv as a stored method value: one alloc per exchange, reused by every SendBatch
 	batch   int
 	shard   int                 // home freelist shard (shardFor(rank)) for bulk fill/spill
+	home    chan []graph.Edge   // this rank's return stack (c.returns): buffers it filled, handed back by local peers
 	try     transport.TrySender // non-nil on clean runs over a TrySender transport
 	bufs    [][]graph.Edge      // staged batch per destination (nil until targeted)
 	pending []Message           // parked in-flight batch per destination (Edges nil when none)
 	tile    []int               // tile of the staged batch, per destination
 	nspare  int
 	spare   [spareCap][]graph.Edge // rank-local recycled buffers (lock-free)
+	out     int64                  // buffers checked out less buffers released; settled into c.bufsOut when the exchange ends
 	aborted bool
 }
 
@@ -57,7 +60,7 @@ type shipper struct {
 // an outbound send blocks.
 func newShipper(rk *Rank, batch int, handle func(tile int, edges []graph.Edge)) *shipper {
 	c := rk.c
-	s := &shipper{rk: rk, c: c, batch: batch, shard: shardFor(rk.id),
+	s := &shipper{rk: rk, c: c, batch: batch, shard: shardFor(rk.id), home: c.returns[rk.id-c.lo],
 		rx:   &receiver{c: c, id: rk.id, epoch: c.epoch, handle: handle},
 		bufs: make([][]graph.Edge, c.r), tile: make([]int, c.r)}
 	s.rx.s = s
@@ -78,16 +81,21 @@ func newShipper(rk *Rank, batch int, handle func(tile int, edges []graph.Edge)) 
 const spareCap = 64
 
 // getBuf returns an empty staging buffer: the rank-local spare stack
-// first — every batch this rank receives refills it, so in steady state
-// recycling never touches the shared freelist or its lock — then a bulk
-// refill from the shared freelist, then a fresh allocation. An exchange is
-// single-goroutine per rank (inline progress engine), which is what
-// makes the spare stack safe without synchronization.
+// first, then one this rank filled and a peer handed back (Cluster.returns)
+// — in steady state a rank stages only into buffers its own core wrote
+// last and never touches the shared freelist or its lock — then a bulk
+// refill from the freelist, then a fresh allocation. One goroutine per
+// rank (inline progress engine) makes the spare stack safe without locks.
 func (s *shipper) getBuf() []graph.Edge {
+	s.out++
 	if s.nspare == 0 {
-		s.nspare = len(poolFill(s.shard, s.spare[:0], 8))
+		select {
+		case b := <-s.home:
+			return b
+		default:
+			s.nspare = len(poolFill(s.shard, s.spare[:0], 8))
+		}
 	}
-	atomic.AddInt64(&s.c.bufsOut, 1)
 	if s.nspare > 0 {
 		s.nspare--
 		b := s.spare[s.nspare]
@@ -97,15 +105,23 @@ func (s *shipper) getBuf() []graph.Edge {
 	return make([]graph.Edge, 0, s.batch)
 }
 
-// release recycles a delivered or abandoned batch buffer into the spare
-// stack. Buffers in spare are in the same not-checked-out state as the
-// shared freelist's, so the exchange spills them back there when it ends
-// (one lock for the lot).
-func (s *shipper) release(b []graph.Edge) {
+// release recycles a delivered or abandoned batch buffer: home to the
+// return stack of the rank that filled it when that is another rank of
+// this process, else (self-addressed, decoded off a link, stack full) onto
+// this rank's spare stack, never blocking. Both hold buffers in the
+// freelist's not-checked-out state; the exchange's end spills the spares.
+func (s *shipper) release(from int, b []graph.Edge) {
 	if cap(b) == 0 {
 		return
 	}
-	atomic.AddInt64(&s.c.bufsOut, -1)
+	s.out--
+	if c := s.c; from != s.rk.id && from >= c.lo && from < c.hi {
+		select {
+		case c.returns[from-c.lo] <- b[:0]:
+			return
+		default:
+		}
+	}
 	if s.nspare < spareCap {
 		s.spare[s.nspare] = b[:0]
 		s.nspare++
@@ -139,13 +155,13 @@ func (rx *receiver) recv(m Message) {
 		// (its EOF marker included — the attempt it ends is already
 		// torn down).
 		atomic.AddInt64(&rx.c.stats.StaleBatches, 1)
-		rx.s.release(m.Edges)
+		rx.s.release(m.From, m.Edges)
 		return
 	}
 	if len(m.Edges) > 0 {
 		rx.handle(m.Tile, m.Edges)
 	}
-	rx.s.release(m.Edges)
+	rx.s.release(m.From, m.Edges)
 	if m.EOF {
 		rx.eofs++
 	}
@@ -353,51 +369,48 @@ func (s *shipper) staged(to, tile int) ([]graph.Edge, bool) {
 	return b, true
 }
 
-// routeRuns partitions one expansion block across the per-destination
-// staging buffers for an owner that is a function of the source alone
-// (SourceOwner). Blocks arrive in CSR order, so equal sources are
-// adjacent: the router scans for the maximal stretch of one U, resolves
-// its destination once and block-copies the stretch, cutting it exactly
-// where route would have flushed — a full batch, a tile change. Batches,
-// their order per (tile, destination) and every counter are therefore
-// those of the per-edge loop; only the owner evaluations (one per run
-// instead of one per edge) and the copy granularity differ. The router
-// looks at nothing but the block, so how it was produced — the tail's
-// depth, a 2D part, a window that cuts a row — does not matter, and
-// a block that is not sorted merely yields shorter runs.
-func (s *shipper) routeRuns(tile int, block []graph.Edge, owner func(u int64) int) bool {
+// routeRows is the router for a SourceOwner: it takes up to max arcs from
+// the cursor one run of equal sources at a time (core.TailCursor.NextRun: a
+// stretch of one CSR row, its end read from the offsets, not scanned for),
+// resolves the run's destination once and expands the run straight into
+// that destination's staging buffer — each arc is written once and never
+// copied. A run is cut exactly where route would have flushed (a full
+// batch, a tile change), so batches, their order per (tile, destination)
+// and every counter are route's. n is the arcs taken; false, a failed flush.
+func (s *shipper) routeRows(tile int, cur *core.TailCursor, uBase, vBase int64, max int, owner func(u int64) int) (n int, _ bool) {
 	if s.aborted {
-		return false
+		return 0, false
 	}
-	for len(block) > 0 {
-		u := block[0].U
-		n := 1
-		for n < len(block) && block[n].U == u {
-			n++
+	for n < max {
+		run, uPre, vPre := cur.NextRun(max - n)
+		if len(run) == 0 {
+			break
 		}
-		run := block[:n]
-		block = block[n:]
+		n += len(run)
+		u, v0 := uBase+uPre+run[0].U, vBase+vPre
 		to := owner(u)
 		b, ok := s.staged(to, tile)
 		if !ok {
-			return false
+			return n, false
 		}
 		for len(run) > 0 {
 			// len(b) < batch here: a buffer that reaches the threshold is
 			// flushed before anything else is staged for its destination.
 			k := min(s.batch-len(b), len(run))
-			b = append(b, run[:k]...)
+			for _, e := range run[:k] {
+				b = append(b, graph.Edge{U: u, V: v0 + e.V})
+			}
 			s.bufs[to] = b
 			run = run[k:]
 			if len(b) >= s.batch {
 				if !s.flush(to, false) {
-					return false
+					return n, false
 				}
 				b = s.bufs[to]
 			}
 		}
 	}
-	return true
+	return n, true
 }
 
 // route partitions one expansion block edge by edge — the loop for
@@ -440,7 +453,7 @@ func (s *shipper) route(tile int, block []graph.Edge, owner BoundOwnerFunc) bool
 // stage routes a single edge — the per-edge reference path used by
 // fault-armed runs, which need edge-granular crash windows between
 // stages, and by the tests' per-edge exchange helper. Identical staging and
-// flush behavior to route and routeRuns, one edge at a time.
+// flush behavior to route and routeRows, one edge at a time.
 func (s *shipper) stage(to, tile int, e graph.Edge) bool {
 	if s.aborted {
 		return false
@@ -476,9 +489,11 @@ func (rk *Rank) exchangeBlocks(batch int, produce func(s *shipper), handle func(
 	s := newShipper(rk, batch, handle)
 	defer func() {
 		// Return the rank-local spares to the shared freelist in one
-		// locked push, so the next run (or cluster) starts warm.
+		// locked push, so the next run (or cluster) starts warm, and settle
+		// the checkout tally (once per exchange, not twice per batch).
 		poolSpill(s.shard, s.spare[:s.nspare])
 		s.nspare = 0
+		atomic.AddInt64(&c.bufsOut, s.out)
 	}()
 	produce(s)
 	for to := 0; to < c.r && !s.aborted; to++ {
@@ -501,7 +516,7 @@ func (rk *Rank) exchangeBlocks(batch int, produce func(s *shipper), handle func(
 		// they leak from the pool on every aborted run.
 		for to := range s.bufs {
 			if s.bufs[to] != nil {
-				s.release(s.bufs[to])
+				s.release(rk.id, s.bufs[to])
 				s.bufs[to] = nil
 			}
 		}
@@ -509,7 +524,7 @@ func (rk *Rank) exchangeBlocks(batch int, produce func(s *shipper), handle func(
 		// so their buffers are still ours to recycle.
 		for to := range s.pending {
 			if s.pending[to].Edges != nil {
-				s.release(s.pending[to].Edges)
+				s.release(rk.id, s.pending[to].Edges)
 				s.pending[to] = Message{}
 			}
 		}
@@ -522,14 +537,14 @@ func (rk *Rank) exchangeBlocks(batch int, produce func(s *shipper), handle func(
 // cluster size. The paper leaves the storage mapping open ("some mapping
 // scheme"); the functions below provide the common choices. An OwnerFunc
 // is an Owner: its generic Bind closes over r. The engine cannot see
-// inside a function value, so an OwnerFunc is routed edge by edge — with
-// one exception, the package's own OwnerBySource, which it recognises.
-// Owners of the source alone should implement SourceOwner so whole CSR
-// rows route at once — see BlockOwner.
+// inside a function value, so an OwnerFunc is asked about every edge —
+// with one exception, the package's own OwnerBySource, which it recognises.
+// Owners of the source alone should implement SourceOwner so a whole CSR
+// row is placed with one call — see BlockOwner.
 type OwnerFunc func(u, v int64, r int) int
 
 // BoundOwnerFunc is an owner map with the cluster size already resolved —
-// what the per-edge router calls once per edge, and the run router never.
+// what the per-edge router calls once per edge, and the row router never.
 type BoundOwnerFunc func(u, v int64) int
 
 // Owner maps generated edges to storing ranks. Bind is called once per
@@ -544,11 +559,11 @@ type Owner interface {
 // SourceOwner is an Owner that places an edge by its source alone — 1D
 // vertex partitioning in any form. An implementer promises that for
 // every r, u and v, BindSource(r)(u) == Bind(r)(u, v), and that the
-// returned function is pure. In exchange the engine routes by source
-// runs: expansion emits each product vertex's arcs adjacently (CSR
-// order), so it asks for the owner once per run of equal sources and
-// block-copies the run, instead of asking once per edge. What reaches
-// each rank, in what batches and in what order, is unchanged.
+// returned function is pure. In exchange the engine routes by rows: it
+// asks for the owner once per CSR row of the innermost factor (the row's
+// end comes from the factor's offsets) and expands the row's arcs directly
+// into that rank's batch, instead of expanding a block and asking once per
+// edge. What reaches each rank, in what batches and order, is unchanged.
 type SourceOwner interface {
 	Owner
 	BindSource(r int) func(u int64) int
@@ -568,8 +583,8 @@ func (f OwnerFunc) Bind(r int) BoundOwnerFunc {
 
 // OwnerBySource assigns edges to ranks by a multiplicative hash of the
 // source endpoint — 1D vertex partitioning of the product graph. Passed
-// as is (not wrapped in another function), it is routed by source runs
-// like a SourceOwner.
+// as is (not wrapped in another function), it is routed row by row like
+// a SourceOwner.
 var OwnerBySource OwnerFunc = ownerBySource
 
 func ownerBySource(u, _ int64, r int) int {
@@ -595,9 +610,9 @@ func resolveOwner(o Owner) Owner {
 }
 
 // sourceHashOwner is OwnerBySource as a SourceOwner: the hash with r
-// resolved, keyed by the source. The engine routes with it whenever it
-// is handed OwnerBySource (resolveOwner), and GenerateChain substitutes
-// it for a nil owner; both forms compute identical destinations.
+// resolved, keyed by the source (evaluated once per CSR row). The engine
+// routes with it whenever it is handed OwnerBySource (resolveOwner), and
+// GenerateChain substitutes it for a nil owner; both forms agree.
 type sourceHashOwner struct{}
 
 // BindSource implements SourceOwner.
@@ -622,7 +637,7 @@ var OwnerByEdge OwnerFunc = func(u, v int64, r int) int {
 // the layout a CSR-partitioned distributed graph store would use. It is
 // the plan-resolved form of OwnerByBlock and a SourceOwner: the block
 // size is fixed once per attempt and the engine evaluates the division
-// once per run of equal sources.
+// once per CSR row.
 type BlockOwner struct {
 	NC int64 // product vertex count n_A·n_B
 }

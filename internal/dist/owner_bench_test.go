@@ -8,55 +8,47 @@ import (
 )
 
 // BenchmarkRoute measures the Route stage where it lives: one shipper
-// partitioning pre-expanded RMAT(7)² blocks (the engine's k = 2 blocks:
-// one head arc against ≤ DefaultBatchSize tail arcs) across R = 4
+// walking RMAT(7)² the way the engine does (each head arc against the
+// tail, ≤ DefaultBatchSize arcs a step) and partitioning it across R = 4
 // destinations, every flushed batch handed back through a loopback
-// transport to a discarding handler — so the time is scan, owner call,
-// copy, flush and buffer recycling, with no expansion, no sink and no
-// second goroutine. Rows: bySource and blockBound take the run router
-// (OwnerBySource as callers pass it, and BlockOwner); byEdge takes the
-// per-edge loop; perEdgeReference is stage, one call per edge, with the
+// transport to a discarding handler — no sink and no second goroutine.
+// Every row generates its arcs from the cursor, so every row includes
+// expansion: bySource and blockBound take the row router (OwnerBySource
+// as callers pass it, and BlockOwner), which expands straight into the
+// staging buffers; byEdge expands a block and takes the per-edge loop;
+// perEdgeReference expands a block and calls stage once per edge with the
 // source hash — what a fault-armed run pays, and the per-edge cost the
-// run router is measured against. CI (make bench-route) holds bySource
-// to ≤ perEdgeReference in ns/edge, a same-process ratio, and every row
-// to 0 allocs/op.
+// row router is measured against. expand is the bare ExpandNext into a
+// scratch block, the cost to subtract from a row to read its routing
+// alone. CI (make bench-route) holds bySource to ≤ perEdgeReference in
+// ns/edge, a same-process ratio, and every row to 0 allocs/op.
 func BenchmarkRoute(b *testing.B) {
 	const r = 4
 	a, bb := gen.MustRMAT(gen.Graph500Params(7, 21)), gen.MustRMAT(gen.Graph500Params(7, 22))
-	blocks := expandBlocks(a, bb, DefaultBatchSize, 1)
-	var edges int64
-	for _, tb := range blocks {
-		edges += int64(len(tb.block))
-	}
+	work := splitTiles(a, []*graph.Graph{bb}, 1)
+	edges := a.NumArcs() * bb.NumArcs()
 	hash := resolveOwner(OwnerBySource).(SourceOwner)
 	hashRuns, hashEdge := hash.BindSource(r), hash.Bind(r)
 	blockRuns := BlockOwner{NC: a.NumVertices() * bb.NumVertices()}.BindSource(r)
 	edgeHash := OwnerByEdge.Bind(r)
+	scratch := make([]graph.Edge, 0, DefaultBatchSize)
 	rows := []struct {
-		name  string
-		route func(s *shipper, block []graph.Edge) bool
+		name string
+		step routeStep
 	}{
-		{"bySource", func(s *shipper, block []graph.Edge) bool { return s.routeRuns(0, block, hashRuns) }},
-		{"blockBound", func(s *shipper, block []graph.Edge) bool { return s.routeRuns(0, block, blockRuns) }},
-		{"byEdge", func(s *shipper, block []graph.Edge) bool { return s.route(0, block, edgeHash) }},
-		{"perEdgeReference", func(s *shipper, block []graph.Edge) bool {
-			for _, e := range block {
-				if !s.stage(hashEdge(e.U, e.V), 0, e) {
-					return false
-				}
-			}
-			return true
-		}},
+		{"bySource", rowStep(hashRuns)},
+		{"blockBound", rowStep(blockRuns)},
+		{"byEdge", viaBlock(&scratch, func(s *shipper, tile int, block []graph.Edge) bool { return s.route(tile, block, edgeHash) })},
+		{"perEdgeReference", viaBlock(&scratch, stageEach(hashEdge))},
+		{"expand", viaBlock(&scratch, func(*shipper, int, []graph.Edge) bool { return true })},
 	}
 	for _, row := range rows {
 		b.Run(row.name, func(b *testing.B) {
 			rk, _ := loopbackRank(b, r)
 			s := newShipper(rk, DefaultBatchSize, func(int, []graph.Edge) {})
 			pass := func() {
-				for _, tb := range blocks {
-					if !row.route(s, tb.block) {
-						b.Fatal("router refused a block")
-					}
+				if !walkTiles(s, work, DefaultBatchSize, row.step) {
+					b.Fatal("router refused work")
 				}
 			}
 			pass() // check out the staging buffers and fill the spare stack
@@ -73,7 +65,7 @@ func BenchmarkRoute(b *testing.B) {
 // BenchmarkOwnerByBlock measures one owner-map evaluation per iteration
 // for the two forms of the block owner: the recompute-per-call OwnerFunc
 // and the plan-time-bound BlockOwner. It is what the per-edge router
-// pays per edge for an opaque OwnerByBlock(nC) closure, and what the run
+// pays per edge for an opaque OwnerByBlock(nC) closure, and what the row
 // router pays once per run of equal sources for BlockOwner — routed runs
 // should pass the latter (BenchmarkRoute measures the routers
 // themselves).

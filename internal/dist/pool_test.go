@@ -1,10 +1,14 @@
 package dist
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
+	chantransport "kronlab/internal/dist/transport/chan"
 	"kronlab/internal/graph"
 )
 
@@ -94,5 +98,132 @@ func TestClusterBufPoolStress(t *testing.T) {
 	}
 	if out := c.Stats().OutstandingBufs; out != 0 {
 		t.Fatalf("pool stress leaked %d checked-out buffers", out)
+	}
+}
+
+// TestBatchBufferGoesHome: a buffer rank 0 fills and sends to rank 1 comes
+// back through rank 0's return stack and is the very buffer — same backing
+// array — rank 0 stages into next, so a staging buffer is only ever written
+// by one core.
+func TestBatchBufferGoesHome(t *testing.T) {
+	c, err := NewCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batch = 4
+	var sent, again *graph.Edge
+	runErr := runWithWatchdog(t, chaosWatchdog, func() error {
+		return c.Run(func(rk *Rank) error {
+			return rk.exchangeBlocks(batch, func(s *shipper) {
+				if rk.ID() != 0 {
+					return // rank 1 only receives: its EOF drain delivers what it is sent
+				}
+				for i := 0; i < batch; i++ {
+					if i == batch-1 {
+						sent = &s.bufs[1][0]
+					}
+					s.stage(1, 0, graph.Edge{U: 1, V: int64(i)}) // the last one fills the batch and ships it
+				}
+				for len(s.home) == 0 {
+					runtime.Gosched() // until rank 1 has delivered it and handed the buffer back
+				}
+				// Leave getBuf nothing to find before the return stack.
+				poolSpill(s.shard, s.spare[:s.nspare])
+				s.nspare = 0
+				b := s.getBuf()
+				again = &b[:1][0]
+				s.release(rk.ID(), b)
+			}, func(int, []graph.Edge) {})
+		})
+	})
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	if sent == nil || sent != again {
+		t.Fatalf("rank 0 sent the buffer at %p and staged next into the one at %p: the delivered buffer did not come home", sent, again)
+	}
+	if n := c.outstandingBufs(); n != 0 {
+		t.Fatalf("%d pooled buffers outstanding after the exchange", n)
+	}
+}
+
+// TestFullReturnStackFallsBackToSpare: when the filler's return stack is
+// full the receiver keeps the buffer on its own spare stack — today's path
+// — without blocking and without dropping it.
+func TestFullReturnStackFallsBackToSpare(t *testing.T) {
+	c, err := NewCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for len(c.returns[0]) < cap(c.returns[0]) {
+		c.returns[0] <- make([]graph.Edge, 0, 1)
+	}
+	s := newShipper(&Rank{id: 1, c: c}, 4, func(int, []graph.Edge) {})
+	buf := make([]graph.Edge, 1, 4)
+	s.rx.recv(Message{From: 0, Dest: 1, Epoch: c.epoch, Edges: buf})
+	if s.nspare != 1 || &s.spare[0][:1][0] != &buf[0] {
+		t.Fatalf("delivered buffer is not on the receiver's spare stack (nspare = %d)", s.nspare)
+	}
+	if len(c.returns[0]) != cap(c.returns[0]) {
+		t.Fatalf("return stack holds %d of %d after a refused push", len(c.returns[0]), cap(c.returns[0]))
+	}
+}
+
+// TestFaultAbortLeavesNoBuffersParked extends the abort-path leak
+// regression to the return stacks: an exchange aborted by an injected crash
+// while delivered buffers sit in a rank's return stack reads zero
+// outstanding buffers — and empty stacks — after Reset, on one core and on
+// several.
+func TestFaultAbortLeavesNoBuffersParked(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			c, err := NewCluster(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Rank 1 survives its first send and dies in its second.
+			c.InjectFaults(FaultPlan{Seed: 1, Crashes: []CrashSpec{{Rank: 1, Point: FaultMidExchange, After: 1}}})
+			tr := c.tr.(*chantransport.Transport)
+			const batch = 4
+			runErr := runWithWatchdog(t, chaosWatchdog, func() error {
+				return c.Run(func(rk *Rank) error {
+					return rk.exchangeBlocks(batch, func(s *shipper) {
+						peer := 1 - rk.ID()
+						if rk.ID() == 0 {
+							// Two full batches to rank 1 and a staged partial
+							// one, then idle: rank 0 never drains its returns.
+							for i := 0; i <= 2*batch; i++ {
+								s.stage(peer, 0, graph.Edge{V: int64(i)})
+							}
+							<-rk.Context().Done()
+							return
+						}
+						for tr.Depth(1) < 2 {
+							runtime.Gosched()
+						}
+						// The first flush's progress delivers rank 0's two
+						// batches and hands their buffers back; the second
+						// flush is the crash.
+						for i := 0; i <= 2*batch && s.stage(peer, 0, graph.Edge{V: int64(i)}); i++ {
+						}
+					}, func(int, []graph.Edge) {})
+				})
+			})
+			var ce *RankCrashError
+			if !errors.As(runErr, &ce) || ce.Rank != 1 {
+				t.Fatalf("want the injected crash of rank 1, got %v", runErr)
+			}
+			if len(c.returns[0]) != 2 {
+				t.Fatalf("precondition: %d buffers parked in rank 0's return stack, want the 2 rank 1 delivered", len(c.returns[0]))
+			}
+			c.Reset()
+			if n := c.outstandingBufs(); n != 0 {
+				t.Fatalf("%d pooled buffers outstanding after Reset", n)
+			}
+			if n := len(c.returns[0]) + len(c.returns[1]); n != 0 {
+				t.Fatalf("%d buffers still parked in return stacks after Reset", n)
+			}
+		})
 	}
 }

@@ -1,8 +1,8 @@
 package dist
 
-// Shipper-level tests of the routers: the run router (routeRuns) and the
-// per-edge loop (route) against the per-edge reference (stage), on the
-// same blocks, message for message; and the SourceOwner contract the run
+// Shipper-level tests of the routers: the row router (routeRows) and the
+// per-edge loop (route) against the per-edge reference (stage), over the
+// same tiles, message for message; and the SourceOwner contract the row
 // router rests on, including which OwnerFunc values are recognised.
 
 import (
@@ -64,27 +64,77 @@ func loopbackRank(tb testing.TB, r int) (*Rank, *loopback) {
 	return &Rank{id: 0, c: c}, lb
 }
 
-// tileBlock is one expansion block and the tile it belongs to.
-type tileBlock struct {
+// tileWork is one tile as the routers see it: head arcs and a cursor over
+// the tail factors each of them is crossed with.
+type tileWork struct {
 	tile  int
-	block []graph.Edge
+	aArcs []graph.Edge
+	cur   *core.TailCursor
 }
 
-// expandBlocks pre-expands a ⊗ b the way the engine's k = 2 path does —
-// each head arc against chunks of ≤ chunk tail arcs in CSR order — and
-// splits the head arcs evenly over the given number of tiles.
-func expandBlocks(a, b *graph.Graph, chunk, tiles int) []tileBlock {
-	var out []tileBlock
-	bArcs, nB := b.ArcSlice(), b.NumVertices()
-	for tile, part := range PartitionArcs(a.ArcSlice(), tiles) {
-		for _, aArc := range part {
-			for lo := 0; lo < len(bArcs); lo += chunk {
-				hi := min(lo+chunk, len(bArcs))
-				out = append(out, tileBlock{tile, core.ExpandBlock(aArc, bArcs[lo:hi], nB, nil)})
+// splitTiles splits head's arcs evenly over the given number of tiles of
+// head ⊗ tail.
+func splitTiles(head *graph.Graph, tail []*graph.Graph, tiles int) []tileWork {
+	var out []tileWork
+	for tile, part := range PartitionArcs(head.ArcSlice(), tiles) {
+		out = append(out, tileWork{tile, part, core.NewTailCursor(tail)})
+	}
+	return out
+}
+
+// routeStep is the engine's step (expandTiles): generate and place up to
+// max arcs from the cursor, report how many.
+type routeStep func(s *shipper, tile int, cur *core.TailCursor, uBase, vBase int64, max int) (int, bool)
+
+// walkTiles drives step over the tiles the way the engine's expandTiles
+// does: each head arc against the tail, ≤ chunk arcs a step.
+func walkTiles(s *shipper, work []tileWork, chunk int, step routeStep) bool {
+	for _, w := range work {
+		cur := w.cur
+		nT := cur.NumVertices()
+		for _, a := range w.aArcs {
+			cur.Reset()
+			for {
+				n, ok := step(s, w.tile, cur, a.U*nT, a.V*nT, chunk)
+				if !ok {
+					return false
+				}
+				if n == 0 {
+					break
+				}
 			}
 		}
 	}
-	return out
+	return true
+}
+
+// viaBlock is a step that expands a block first and hands it to place —
+// how route and the per-edge reference are fed. scratch is reused.
+func viaBlock(scratch *[]graph.Edge, place func(s *shipper, tile int, block []graph.Edge) bool) routeStep {
+	return func(s *shipper, tile int, cur *core.TailCursor, uBase, vBase int64, max int) (int, bool) {
+		block := cur.ExpandNext(uBase, vBase, (*scratch)[:0], max)
+		*scratch = block
+		return len(block), place(s, tile, block)
+	}
+}
+
+// rowStep is the row router as a step, as the engine calls it.
+func rowStep(owner func(u int64) int) routeStep {
+	return func(s *shipper, tile int, cur *core.TailCursor, uBase, vBase int64, max int) (int, bool) {
+		return s.routeRows(tile, cur, uBase, vBase, max, owner)
+	}
+}
+
+// stageEach is the per-edge reference: stage, one call per edge.
+func stageEach(bound BoundOwnerFunc) func(s *shipper, tile int, block []graph.Edge) bool {
+	return func(s *shipper, tile int, block []graph.Edge) bool {
+		for _, e := range block {
+			if !s.stage(bound(e.U, e.V), tile, e) {
+				return false
+			}
+		}
+		return true
+	}
 }
 
 // sentMsg is one delivered batch as the handler saw it.
@@ -93,19 +143,16 @@ type sentMsg struct {
 	edges []graph.Edge
 }
 
-// routeAll runs one exchange on a loopback rank, feeding every block to
-// routeBlock, and returns the message sequence per destination plus the
-// traffic counters.
-func routeAll(t *testing.T, r, batch int, blocks []tileBlock, routeBlock func(s *shipper, tile int, block []graph.Edge) bool) ([][]sentMsg, Stats) {
+// routeAll runs one exchange on a loopback rank, walking the tiles with
+// step, and returns the message sequence per destination plus the traffic
+// counters.
+func routeAll(t *testing.T, r, batch int, work []tileWork, chunk int, step routeStep) ([][]sentMsg, Stats) {
 	t.Helper()
 	rk, lb := loopbackRank(t, r)
 	got := make([][]sentMsg, r)
 	err := rk.exchangeBlocks(batch, func(s *shipper) {
-		for _, tb := range blocks {
-			if !routeBlock(s, tb.tile, tb.block) {
-				t.Error("router refused a block on a healthy run")
-				return
-			}
+		if !walkTiles(s, work, chunk, step) {
+			t.Error("router refused work on a healthy run")
 		}
 	}, func(tile int, edges []graph.Edge) {
 		got[lb.dest] = append(got[lb.dest], sentMsg{tile, append([]graph.Edge(nil), edges...)})
@@ -120,58 +167,69 @@ func routeAll(t *testing.T, r, batch int, blocks []tileBlock, routeBlock func(s 
 	return got, st
 }
 
-// TestRouteRunsEquivalence holds both block routers to the per-edge
-// reference: for the same blocks, the same messages — tile, length and
-// edges, in order, per destination — and the same counters. The blocks
-// span two tiles and are cut at 7 and at 64 tail arcs, so runs are split
-// by block ends as well as by batches that do (1) and do not (3, 5, 7,
-// 64, 1024) divide them.
+// TestRouteRunsEquivalence holds the row router and the per-edge loop to
+// the per-edge reference: over the same tiles, the same messages — tile,
+// length and edges, in order, per destination — and the same counters.
+// Each shape spans two tiles and is walked 7 and 64 arcs a step, so rows
+// are cut by step ends as well as by batches that do (1) and do not (3, 5,
+// 7, 64, 1024) divide them; the k = 3 shape puts an odometer step between
+// the rows and gives the innermost factor isolated vertices.
 func TestRouteRunsEquivalence(t *testing.T) {
 	a := gen.MustRMAT(gen.Graph500Params(4, 431))
 	b := gen.MustRMAT(gen.Graph500Params(5, 432))
-	nC := a.NumVertices() * b.NumVertices()
-	owners := []struct {
-		name  string
-		owner SourceOwner
-	}{
-		{"bySource", sourceHashOwner{}},
-		{"blockBound", BlockOwner{NC: nC}},
+	head, mid := gen.MustRMAT(gen.Graph500Params(3, 433)), gen.MustRMAT(gen.Graph500Params(2, 434))
+	// a on the even vertices of twice as many: every other CSR row empty.
+	var spread []graph.Edge
+	for _, e := range a.ArcSlice() {
+		spread = append(spread, graph.Edge{U: 2 * e.U, V: 2 * e.V})
 	}
-	for _, chunk := range []int{7, 64} {
-		blocks := expandBlocks(a, b, chunk, 2)
-		for _, o := range owners {
-			for _, r := range []int{1, 2, 3, 16} {
-				for _, batch := range []int{1, 3, 5, 7, 64, DefaultBatchSize} {
-					t.Run(fmt.Sprintf("%s_chunk%d_r%d_batch%d", o.name, chunk, r, batch), func(t *testing.T) {
-						bound, bySource := o.owner.Bind(r), o.owner.BindSource(r)
-						want, wantSt := routeAll(t, r, batch, blocks, func(s *shipper, tile int, block []graph.Edge) bool {
-							for _, e := range block {
-								if !s.stage(bound(e.U, e.V), tile, e) {
-									return false
+	gappy, err := graph.New(2*a.NumVertices(), spread)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes := []struct {
+		name string
+		work []tileWork
+		nC   int64
+	}{
+		{"", splitTiles(a, []*graph.Graph{b}, 2), a.NumVertices() * b.NumVertices()},
+		{"k3_", splitTiles(head, []*graph.Graph{mid, gappy}, 2), head.NumVertices() * mid.NumVertices() * gappy.NumVertices()},
+	}
+	for _, sh := range shapes {
+		owners := []struct {
+			name  string
+			owner SourceOwner
+		}{
+			{"bySource", sourceHashOwner{}},
+			{"blockBound", BlockOwner{NC: sh.nC}},
+		}
+		for _, chunk := range []int{7, 64} {
+			for _, o := range owners {
+				for _, r := range []int{1, 2, 3, 16} {
+					for _, batch := range []int{1, 3, 5, 7, 64, DefaultBatchSize} {
+						t.Run(fmt.Sprintf("%s%s_chunk%d_r%d_batch%d", sh.name, o.name, chunk, r, batch), func(t *testing.T) {
+							bound, bySource := o.owner.Bind(r), o.owner.BindSource(r)
+							var scratch []graph.Edge
+							want, wantSt := routeAll(t, r, batch, sh.work, chunk, viaBlock(&scratch, stageEach(bound)))
+							routers := map[string]routeStep{
+								"routeRows": rowStep(bySource),
+								"route": viaBlock(&scratch, func(s *shipper, tile int, block []graph.Edge) bool {
+									return s.route(tile, block, bound)
+								}),
+							}
+							for name, router := range routers {
+								got, gotSt := routeAll(t, r, batch, sh.work, chunk, router)
+								if !reflect.DeepEqual(got, want) {
+									t.Fatalf("%s: per-destination message sequences differ from the per-edge reference", name)
+								}
+								if gotSt.Messages != wantSt.Messages || gotSt.EdgesRouted != wantSt.EdgesRouted || gotSt.BytesSent != wantSt.BytesSent {
+									t.Fatalf("%s: messages/routed/bytes = %d/%d/%d, reference %d/%d/%d", name,
+										gotSt.Messages, gotSt.EdgesRouted, gotSt.BytesSent,
+										wantSt.Messages, wantSt.EdgesRouted, wantSt.BytesSent)
 								}
 							}
-							return true
 						})
-						routers := map[string]func(*shipper, int, []graph.Edge) bool{
-							"routeRuns": func(s *shipper, tile int, block []graph.Edge) bool {
-								return s.routeRuns(tile, block, bySource)
-							},
-							"route": func(s *shipper, tile int, block []graph.Edge) bool {
-								return s.route(tile, block, bound)
-							},
-						}
-						for name, router := range routers {
-							got, gotSt := routeAll(t, r, batch, blocks, router)
-							if !reflect.DeepEqual(got, want) {
-								t.Fatalf("%s: per-destination message sequences differ from the per-edge reference", name)
-							}
-							if gotSt.Messages != wantSt.Messages || gotSt.EdgesRouted != wantSt.EdgesRouted || gotSt.BytesSent != wantSt.BytesSent {
-								t.Fatalf("%s: messages/routed/bytes = %d/%d/%d, reference %d/%d/%d", name,
-									gotSt.Messages, gotSt.EdgesRouted, gotSt.BytesSent,
-									wantSt.Messages, wantSt.EdgesRouted, wantSt.BytesSent)
-							}
-						}
-					})
+					}
 				}
 			}
 		}

@@ -248,14 +248,21 @@ func (g *Graph) ArcList() []Edge {
 }
 
 // ArcSlice returns all arcs in CSR order as a flat slice, built once and
-// cached on the graph — the plain-loop input the blocked expansion
-// kernel (core.ExpandBlock) iterates, with no callback per arc. The
-// returned slice is shared across callers and must not be modified; use
-// ArcList for a private copy. Safe for concurrent use.
+// cached on the graph — the plain-loop input the expansion kernel
+// (core.TailCursor) iterates, with no callback per arc. The returned
+// slice is shared across callers and must not be modified; use ArcList
+// for a private copy. Safe for concurrent use.
 func (g *Graph) ArcSlice() []Edge {
 	g.arcsOnce.Do(func() { g.arcs = g.ArcList() })
 	return g.arcs
 }
+
+// RowOffsets returns the CSR row boundaries (length n+1): the arcs of
+// source u are ArcSlice()[off[u]:off[u+1]], empty for an isolated
+// vertex. It is how a reader of ArcSlice finds where a run of equal
+// sources ends without scanning for it. The slice aliases internal
+// storage and must not be modified.
+func (g *Graph) RowOffsets() []int64 { return g.offsets }
 
 // IsSymmetric reports whether for every arc (u,v) the reverse arc (v,u) is
 // also present, i.e. the graph is undirected.
