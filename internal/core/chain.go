@@ -455,25 +455,22 @@ func (tc *TailCursor) advance() {
 // (uBase+tu, vBase+tv). With uBase = aArc.U·n_T and vBase = aArc.V·n_T
 // (n_T the tail vertex count) these are the product arcs of one head arc
 // against the tail, the tail generated on the fly — the one expansion
-// kernel, at every chain depth (the two-factor reference ExpandBlock is
-// what the tests hold it to). With bases 0 it yields the raw tail arcs.
+// loop, at every chain depth (the tests hold it to the two-factor
+// ExpandBlock and to Chain.Arcs). With bases 0 it yields the raw tail arcs.
 // An empty return means the cursor is exhausted; call Reset to rewind.
 //
-// The inner loop is two adds and an append per arc: the outer digits'
-// contribution is prefix-summed into uPre/vPre and only changes once per
-// innermost-factor sweep.
+// There is no per-arc loop here: the outer digits' contribution is
+// prefix-summed into uPre/vPre and only changes once per innermost-factor
+// sweep, so each sweep (or the part of it max admits) is one ExpandRun
+// call with bases (uBase+uPre, vBase+vPre).
 func (tc *TailCursor) ExpandNext(uBase, vBase int64, out []graph.Edge, max int) []graph.Edge {
 	inner := tc.arcs[len(tc.arcs)-1]
 	for !tc.done && len(out) < max {
-		u0 := uBase + tc.uPre
-		v0 := vBase + tc.vPre
 		n := max - len(out)
 		if rem := len(inner) - tc.innerPos; rem < n {
 			n = rem
 		}
-		for _, e := range inner[tc.innerPos : tc.innerPos+n] {
-			out = append(out, graph.Edge{U: u0 + e.U, V: v0 + e.V})
-		}
+		out = ExpandRun(out, inner[tc.innerPos:tc.innerPos+n], uBase+tc.uPre, vBase+tc.vPre)
 		tc.innerPos += n
 		if tc.innerPos == len(inner) {
 			tc.innerPos = 0

@@ -1,0 +1,42 @@
+package core
+
+import (
+	"slices"
+
+	"kronlab/internal/graph"
+)
+
+// ExpandRun appends (u0+e.U, v0+e.V) for every e of run to out and
+// returns it — the one "add a base pair to a run of arcs" primitive under
+// every expansion path: ExpandBlock (u0, v0 the head arc's γ offsets),
+// TailCursor.ExpandNext (one call per innermost-factor sweep) and the
+// distributed row router (one call per CSR row piece; every e.U of a row
+// is the row index, so the same add yields the row's constant source).
+//
+// It has append's semantics: out[:len(out)] is kept, out is grown by
+// append's rule when its capacity is short (recycled buffers may have any
+// capacity), nothing past the new length is written, and run is only
+// read. The adds wrap like Go's + on int64. out's spare capacity and run
+// must not overlap.
+//
+// A graph.Edge is two int64s — exactly one 128-bit lane — so on amd64 the
+// body is an SSE2 load / PADDQ / store per arc (expand_amd64.s: baseline
+// GOAMD64=v1, no feature detection); elsewhere it is addEdgesGo, the
+// portable loop the assembly is tested against.
+func ExpandRun(out, run []graph.Edge, u0, v0 int64) []graph.Edge {
+	n := len(out)
+	out = slices.Grow(out, len(run))[:n+len(run)]
+	addEdges(out[n:], run, u0, v0)
+	return out
+}
+
+// addEdgesGo writes dst[i] = (u0+src[i].U, v0+src[i].V) for every i; dst
+// must be at least as long as src. It is the portable body of ExpandRun —
+// one bounds check per run, no append in the loop — compiled on every
+// platform because it is also the reference for the amd64 assembly.
+func addEdgesGo(dst, src []graph.Edge, u0, v0 int64) {
+	dst = dst[:len(src)]
+	for i, e := range src {
+		dst[i] = graph.Edge{U: u0 + e.U, V: v0 + e.V}
+	}
+}

@@ -1,0 +1,7 @@
+//go:build !amd64
+
+package core
+
+import "kronlab/internal/graph"
+
+func addEdges(dst, src []graph.Edge, u0, v0 int64) { addEdgesGo(dst, src, u0, v0) }

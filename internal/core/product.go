@@ -50,25 +50,19 @@ func StreamProductArcs(aArcs []graph.Edge, b *graph.Graph, yield func(u, v int64
 // ExpandBlock expands one A-arc against an explicit slice of B-arcs,
 // appending the len(bArcs) product arcs to out and returning it. It is
 // the blocked form of the paper's Sec. III expansion for two factors:
-// the γ offsets of the A-arc are hoisted out of the loop, so the body is
-// two adds and an append — no interface or closure calls per product arc
-// (contrast StreamProductArcs, the per-edge reference). The distributed
-// engine runs TailCursor.ExpandNext, the same loop over a factor list;
-// ExpandBlock is what that kernel is tested against
-// (TestTailCursorExpandMatchesExpandBlock) and the bare-kernel row of
-// the benchmark ladder.
+// the γ offsets of the A-arc are hoisted out and the rest is ExpandRun —
+// no interface or closure calls per product arc (contrast
+// StreamProductArcs, the per-edge reference). The distributed engine runs
+// TailCursor.ExpandNext, the same primitive over a factor list;
+// ExpandBlock is the bare-kernel row of the benchmark ladder and what
+// TestTailCursorExpandMatchesExpandBlock holds the cursor to.
 //
 // Pass bArcs = b.ArcSlice() and nB = b.NumVertices(); reuse out (len 0,
 // cap ≥ len(bArcs)) across calls to make expansion allocation-free.
 // Output order is bArcs order — B's CSR arc order — which matches
 // StreamProduct exactly.
 func ExpandBlock(aArc graph.Edge, bArcs []graph.Edge, nB int64, out []graph.Edge) []graph.Edge {
-	uBase := aArc.U * nB
-	vBase := aArc.V * nB
-	for _, e := range bArcs {
-		out = append(out, graph.Edge{U: uBase + e.U, V: vBase + e.V})
-	}
-	return out
+	return ExpandRun(out, bArcs, aArc.U*nB, aArc.V*nB)
 }
 
 // Product materializes C = A ⊗ B as a Graph on n_A·n_B vertices.

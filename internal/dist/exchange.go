@@ -373,8 +373,9 @@ func (s *shipper) staged(to, tile int) ([]graph.Edge, bool) {
 // the cursor one run of equal sources at a time (core.TailCursor.NextRun: a
 // stretch of one CSR row, its end read from the offsets, not scanned for),
 // resolves the run's destination once and expands the run straight into
-// that destination's staging buffer — each arc is written once and never
-// copied. A run is cut exactly where route would have flushed (a full
+// that destination's staging buffer (core.ExpandRun; every arc of the run
+// carries the row index as its U, so the one add yields the run's constant
+// source) — each arc is written once and never copied. A run is cut exactly where route would have flushed (a full
 // batch, a tile change), so batches, their order per (tile, destination)
 // and every counter are route's. n is the arcs taken; false, a failed flush.
 func (s *shipper) routeRows(tile int, cur *core.TailCursor, uBase, vBase int64, max int, owner func(u int64) int) (n int, _ bool) {
@@ -387,8 +388,8 @@ func (s *shipper) routeRows(tile int, cur *core.TailCursor, uBase, vBase int64, 
 			break
 		}
 		n += len(run)
-		u, v0 := uBase+uPre+run[0].U, vBase+vPre
-		to := owner(u)
+		u0, v0 := uBase+uPre, vBase+vPre
+		to := owner(u0 + run[0].U)
 		b, ok := s.staged(to, tile)
 		if !ok {
 			return n, false
@@ -397,9 +398,7 @@ func (s *shipper) routeRows(tile int, cur *core.TailCursor, uBase, vBase int64, 
 			// len(b) < batch here: a buffer that reaches the threshold is
 			// flushed before anything else is staged for its destination.
 			k := min(s.batch-len(b), len(run))
-			for _, e := range run[:k] {
-				b = append(b, graph.Edge{U: u, V: v0 + e.V})
-			}
+			b = core.ExpandRun(b, run[:k], u0, v0)
 			s.bufs[to] = b
 			run = run[k:]
 			if len(b) >= s.batch {

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	chantransport "kronlab/internal/dist/transport/chan"
+	"kronlab/internal/gen"
 	"kronlab/internal/graph"
 )
 
@@ -98,6 +100,48 @@ func TestClusterBufPoolStress(t *testing.T) {
 	}
 	if out := c.Stats().OutstandingBufs; out != 0 {
 		t.Fatalf("pool stress leaked %d checked-out buffers", out)
+	}
+}
+
+// TestShortRecycledBuffersGrow: a recycled buffer may have any capacity
+// (batch sizes vary across runs), so whatever writes a run of arcs into one
+// must grow it the way append does. The freelist is left holding only
+// capacity-16 buffers; unrouted jobs (ExpandNext into the scratch block)
+// and OwnerBySource jobs (the row router into staging buffers) at a batch
+// of 1024 must still emit exactly the chain's arcs.
+func TestShortRecycledBuffersGrow(t *testing.T) {
+	ch := mustChain(gen.MustRMAT(gen.Graph500Params(5, 501)), gen.MustRMAT(gen.Graph500Params(6, 502)))
+	var want []graph.Edge
+	ch.Arcs(func(u, v int64) bool {
+		want = append(want, graph.Edge{U: u, V: v})
+		return true
+	})
+	want = sortedArcs(want)
+	const r = 3
+	plan, err := planForChain(ch, r, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []struct {
+		name  string
+		owner Owner
+	}{{"unrouted", nil}, {"bySource", OwnerBySource}} {
+		t.Run(o.name, func(t *testing.T) {
+			warm := poolFill(0, nil, poolShards*edgeBufPoolShardCap) // steals every shard empty
+			defer poolSpill(0, warm)
+			for shard := 0; shard < poolShards; shard++ {
+				short := make([][]graph.Edge, 32)
+				for i := range short {
+					short[i] = make([]graph.Edge, 0, 16)
+				}
+				poolSpill(shard, short)
+			}
+			ms := NewMemorySink(r)
+			if _, err := Run(context.Background(), Config{Plan: plan, Sink: ms, BatchSize: 1024, Owner: o.owner}); err != nil {
+				t.Fatal(err)
+			}
+			assertSameOrder(t, "sorted arcs", sortedArcs(mergedArcs(ms)), want)
+		})
 	}
 }
 
