@@ -13,10 +13,13 @@ import (
 
 // runGenerator reproduces the Sec. III generator cost model: generation
 // time O(|E_A|·|E_B|/R), per-rank storage O(|E_A|/R + |E_B| + owned), and
-// the communication volume of owner routing, swept over rank counts. The
-// paper's CORAL2 anecdote (trillion edges on 1.57M cores) becomes an
-// edges/second throughput row at laptop scale — the shape to check is
-// that work per rank, not wall clock on one OS thread, scales as 1/R.
+// what storing by an owner map costs, swept over rank counts under both
+// placements: owner-side generation (a map of the source alone — the
+// default; each rank generates only the edges it must store, Sec. III's
+// CSR remark) and routing (a map that reads both endpoints). The paper's
+// CORAL2 anecdote (trillion edges on 1.57M cores) becomes an edges/second
+// throughput row at laptop scale — the shape to check is that work per
+// rank, not wall clock on one OS thread, scales as 1/R.
 func runGenerator(w io.Writer) error {
 	a := gen.MustRMAT(gen.Graph500Params(7, 101))
 	b := gen.MustRMAT(gen.Graph500Params(7, 202))
@@ -28,38 +31,52 @@ func runGenerator(w io.Writer) error {
 		return err
 	}
 
-	var rows [][]string
-	for _, r := range []int{1, 2, 4, 8, 16} {
-		start := time.Now()
-		res, err := dist.GenerateChain(ch, r, nil, false)
-		if err != nil {
-			return err
+	for _, place := range []struct {
+		title string
+		owner dist.OwnerFunc
+		law   string
+	}{
+		{"Owner-side generation (`OwnerBySource`, the default: a rank generates what it stores)", nil,
+			"Expected shape: edges generated is constant (= |arcs_A|·|arcs_B|) and every\n" +
+				"rank generates exactly what it stores — gen skew is the owner map's storage\n" +
+				"skew — with nothing routed: 0 edges, 0 bytes, at every R.\n\n"},
+		{"Routing (`OwnerByEdge`: the owner reads the target too, so edges cross the exchange)", dist.OwnerByEdge,
+			"Expected shape: edges generated is constant, per-rank work is the even head\n" +
+				"split (gen skew ≈ 1), and routed volume approaches (1 − 1/R) of generated\n" +
+				"edges under a hashed owner map.\n\n"},
+	} {
+		var rows [][]string
+		for _, r := range []int{1, 2, 4, 8, 16} {
+			start := time.Now()
+			res, err := dist.GenerateChain(ch, r, place.owner, false)
+			if err != nil {
+				return err
+			}
+			elapsed := time.Since(start)
+			st := res.Stats
+			// Ideal per-rank expansion work vs the engine's measured per-rank
+			// counters: the max/ideal skew is the Rem. 1 load-balance signal.
+			ideal := st.EdgesGenerated / int64(r)
+			skew := 1.0
+			if ideal > 0 {
+				skew = float64(st.MaxGenerated()) / float64(ideal)
+			}
+			rows = append(rows, []string{
+				fmt.Sprint(r),
+				fmtInt(st.EdgesGenerated),
+				fmtInt(ideal),
+				fmt.Sprintf("%.2f", skew),
+				fmtInt(res.MaxRankStorage()),
+				fmtInt(st.EdgesRouted),
+				fmtInt(st.BytesSent),
+				fmt.Sprint(st.MaxInboxDepth),
+				fmt.Sprintf("%.1fM/s", float64(st.EdgesGenerated)/elapsed.Seconds()/1e6),
+			})
 		}
-		elapsed := time.Since(start)
-		st := res.Stats
-		// Ideal per-rank expansion work vs the engine's measured per-rank
-		// counters: the max/ideal skew is the Rem. 1 load-balance signal.
-		ideal := st.EdgesGenerated / int64(r)
-		skew := 1.0
-		if ideal > 0 {
-			skew = float64(st.MaxGenerated()) / float64(ideal)
-		}
-		rows = append(rows, []string{
-			fmt.Sprint(r),
-			fmtInt(st.EdgesGenerated),
-			fmtInt(ideal),
-			fmt.Sprintf("%.2f", skew),
-			fmtInt(res.MaxRankStorage()),
-			fmtInt(st.EdgesRouted),
-			fmtInt(st.BytesSent),
-			fmt.Sprint(st.MaxInboxDepth),
-			fmt.Sprintf("%.1fM/s", float64(st.EdgesGenerated)/elapsed.Seconds()/1e6),
-		})
+		fmt.Fprintf(w, "%s:\n\n", place.title)
+		table(w, []string{"R", "edges generated", "ideal edges/rank", "gen skew max/ideal", "max stored/rank", "edges routed", "bytes sent", "max inbox", "throughput"}, rows)
+		fmt.Fprintf(w, "\n%s", place.law)
 	}
-	table(w, []string{"R", "edges generated", "ideal edges/rank", "gen skew max/ideal", "max stored/rank", "edges routed", "bytes sent", "max inbox", "throughput"}, rows)
-	fmt.Fprintf(w, "\nExpected shape: edges generated is constant (= |arcs_A|·|arcs_B|),\n")
-	fmt.Fprintf(w, "ideal per-rank work falls as 1/R, and routed volume approaches\n")
-	fmt.Fprintf(w, "(1 − 1/R) of generated edges under a hashed owner map.\n\n")
 
 	// Generation straight to a sharded on-disk store (the "if edges are
 	// being stored" path of Sec. III) — O(batch) memory per rank, under

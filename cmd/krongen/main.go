@@ -61,6 +61,8 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
+	"syscall"
 	"time"
 
 	"kronlab/internal/core"
@@ -268,8 +270,7 @@ func main() {
 			elapsed := time.Since(start)
 			fmt.Fprintf(os.Stderr, "streamed %d arcs to %s (%d shards) in %v (%.0f edges/s)\n",
 				st.TotalEdges(), *storeDir, st.Shards(), elapsed, float64(st.TotalEdges())/elapsed.Seconds())
-			fmt.Fprintf(os.Stderr, "ranks=%d routed=%d edges, %d bytes, %d messages, max stored/rank=%d\n",
-				*ranks, genStats.EdgesRouted, genStats.BytesSent, genStats.Messages, genStats.MaxStored())
+			fmt.Fprintf(os.Stderr, "ranks=%d %s, max stored/rank=%d\n", *ranks, placed(genStats), genStats.MaxStored())
 		}
 		return
 	}
@@ -415,10 +416,48 @@ func main() {
 		fmt.Fprintf(os.Stderr, "generated in %v (%.0f edges/s)\n",
 			elapsed, float64(c.NumArcs())/elapsed.Seconds())
 		if *mode != "serial" {
-			fmt.Fprintf(os.Stderr, "ranks=%d routed=%d edges, %d bytes, %d messages\n",
-				*ranks, genStats.EdgesRouted, genStats.BytesSent, genStats.Messages)
+			fmt.Fprintf(os.Stderr, "ranks=%d %s\n", *ranks, placed(genStats))
 		}
 	}
+}
+
+// killSink SIGKILLs the process inside its Nth StoreBlock, whichever of its
+// ranks gets there (KRONLAB_TCP_KILL_FRAMES): a real death mid-generation,
+// whatever the sink had buffered lost with it.
+type killSink struct {
+	dist.Sink
+	left atomic.Int64
+}
+
+func (k *killSink) Rank(rk *dist.Rank) (dist.RankSink, error) {
+	rs, err := k.Sink.Rank(rk)
+	if err != nil {
+		return nil, err
+	}
+	return &killRankSink{RankSink: rs, k: k}, nil
+}
+
+type killRankSink struct {
+	dist.RankSink
+	k *killSink
+}
+
+func (t *killRankSink) StoreBlock(edges []graph.Edge) (int64, error) {
+	if t.k.left.Add(-1) == 0 {
+		syscall.Kill(os.Getpid(), syscall.SIGKILL)
+	}
+	return t.RankSink.(dist.BlockStorer).StoreBlock(edges)
+}
+
+// placed reports what storing by owner cost a run. Every krongen run stores
+// by source (OwnerBySource), so each rank generated the edges it stores and
+// nothing crossed the exchange; what it paid instead is the owner calls and
+// the arcs copied into the ranks' picks of owned rows, printed as shares of
+// the edges generated (replayed work included).
+func placed(st dist.Stats) string {
+	share := func(n int64) float64 { return 100 * float64(n) / float64(max(st.EdgesGenerated, 1)) }
+	return fmt.Sprintf("owner-side: %d routed (%d bytes, %d messages); filter: %d owner rows tested (%.2f%% of edges generated), %d arcs compacted (%.2f%%)",
+		st.EdgesRouted, st.BytesSent, st.Messages, st.OwnerRowsTested, share(st.OwnerRowsTested), st.ArcsCompacted, share(st.ArcsCompacted))
 }
 
 // openOut opens the -out file, or stdout when unset.
@@ -451,10 +490,13 @@ type clusterOpts struct {
 // whose plan disagrees. Process 0 finalizes the store and prints the
 // -stats summary; workers exit silently on success.
 //
-// The env var KRONLAB_TCP_KILL_FRAMES (> 0) arms the wire-level
-// self-SIGKILL after that many outbound batch frames — the chaos hook
-// scripts/cluster_local.sh uses to murder a process mid-exchange and
-// exercise respawn recovery against a real process tree.
+// The env var KRONLAB_TCP_KILL_FRAMES (> 0) arms a self-SIGKILL — the chaos
+// hook scripts/cluster_local.sh uses to murder a process mid-run and
+// exercise respawn recovery against a real process tree. The run stores by
+// source, so every rank generates what it stores and no batch frame is ever
+// written for the wire-level schedule to count: the count is taken in
+// blocks handed to this process's store sink instead (killSink), which is
+// what the frames carried when these edges were routed.
 func runCluster(ch *core.Chain, twoD bool, dir, peers string, self, ranks, retries int, stats bool, offset, limit int64, opts clusterOpts) {
 	addrs := strings.Split(peers, ",")
 	for i, s := range addrs {
@@ -474,10 +516,8 @@ func runCluster(ch *core.Chain, twoD bool, dir, peers string, self, ranks, retri
 	if err != nil {
 		log.Fatalf("planning: %v", err)
 	}
-	// The handshake hash must cover the -offset/-limit window: every
-	// process must be dumping the same slice, or the shards are garbage.
-	// The unwindowed case must NOT slice — the generation path keeps the
-	// original plan then (explicit Take values would change the hash).
+	// The handshake hash covers the -offset/-limit window: every process
+	// must be dumping the same slice, or the shards are garbage.
 	if offset != 0 || limit >= 0 {
 		plan, err = plan.Slice(offset, limit)
 		if err != nil {
@@ -493,13 +533,15 @@ func runCluster(ch *core.Chain, twoD bool, dir, peers string, self, ranks, retri
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
 
-	var faults *dist.FaultPlan
-	if kf, _ := strconv.ParseInt(os.Getenv("KRONLAB_TCP_KILL_FRAMES"), 10, 64); kf > 0 {
-		faults = &dist.FaultPlan{TCP: transport.TCPFaults{KillAfterFrames: kf}}
+	var sink dist.Sink = dist.NewStoreSink(dir, ranks)
+	if n, _ := strconv.ParseInt(os.Getenv("KRONLAB_TCP_KILL_FRAMES"), 10, 64); n > 0 {
+		dying := &killSink{Sink: sink}
+		dying.left.Store(n)
+		sink = dying
 	}
 
 	start := time.Now()
-	st, genStats, err := dist.GenerateChainClusterToStoreOpts(ctx, ch, dir, twoD, offset, limit,
+	genStats, err := dist.RunCluster(ctx,
 		dist.ClusterConfig{
 			Procs:             transport.SplitRanks(addrs, ranks),
 			Self:              self,
@@ -510,18 +552,26 @@ func runCluster(ch *core.Chain, twoD bool, dir, peers string, self, ranks, retri
 			HeartbeatDeadline: opts.hbDeadline,
 			DialTimeout:       opts.dialTimeout,
 		},
-		dist.Recovery{MaxRetries: retries, Backoff: 250 * time.Millisecond}, faults)
+		dist.Config{Plan: plan, Owner: dist.OwnerBySource, Sink: sink,
+			Recovery: dist.Recovery{MaxRetries: retries, Backoff: 250 * time.Millisecond}})
 	if err != nil {
 		log.Fatalf("cluster generation (proc %d): %v", self, err)
 	}
-	if st == nil {
+	if self != 0 {
 		return // worker: the head owns the manifest and the summary
+	}
+	// The head finalizes the manifest from the shard files themselves once
+	// every worker has flushed: exact even when a respawned worker
+	// truncated and rewrote its shards mid-run.
+	st, err := store.Recover(dir, plan.NC)
+	if err != nil {
+		log.Fatalf("finalizing cluster store: %v", err)
 	}
 	if stats {
 		elapsed := time.Since(start)
 		fmt.Fprintf(os.Stderr, "streamed %d arcs to %s (%d shards) in %v (%.0f edges/s)\n",
 			st.TotalEdges(), dir, st.Shards(), elapsed, float64(st.TotalEdges())/elapsed.Seconds())
-		fmt.Fprintf(os.Stderr, "procs=%d ranks=%d routed=%d edges, %d bytes, %d messages, max stored/rank=%d, recovered runs=%d, head generation=%d\n",
-			len(addrs), ranks, genStats.EdgesRouted, genStats.BytesSent, genStats.Messages, genStats.MaxStored(), genStats.RecoveredRuns, genStats.HeadGeneration)
+		fmt.Fprintf(os.Stderr, "procs=%d ranks=%d %s, max stored/rank=%d, recovered runs=%d, head generation=%d\n",
+			len(addrs), ranks, placed(genStats), genStats.MaxStored(), genStats.RecoveredRuns, genStats.HeadGeneration)
 	}
 }

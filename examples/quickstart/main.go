@@ -33,7 +33,8 @@ func main() {
 
 	// The same product on a simulated 4-rank cluster, as the two-factor
 	// chain A ⊗ B under 1D partitioning; every edge lands on the rank
-	// chosen by the owner function.
+	// chosen by the owner function — and, the owner being a function of the
+	// source alone, is generated there: nothing is routed.
 	ch, err := core.NewChain(a, b)
 	if err != nil {
 		log.Fatal(err)
@@ -42,7 +43,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("distributed generation on %d ranks: %d edges generated, %d routed, %d bytes\n",
+	fmt.Printf("distributed generation on %d ranks: %d edges generated owner-side, %d routed, %d bytes\n",
 		4, res.Stats.EdgesGenerated, res.Stats.EdgesRouted, res.Stats.BytesSent)
 	collected, err := res.Collect()
 	if err != nil {

@@ -332,15 +332,14 @@ func (c *Chain) Materialize() (*graph.Graph, error) {
 // ArcSlice would, so the deterministic per-tile expansion order that
 // checkpoints and prefix-dedup recovery key on is preserved at k > 2.
 //
-// ExpandNext appends into a caller-owned scratch buffer, NextRun hands
-// out sub-slices of the innermost factor's shared ArcSlice, and the
+// ExpandNext appends into a caller-owned scratch buffer, NextSweep hands
+// out index windows of the innermost factor's shared ArcSlice, and the
 // cursor itself allocates only at construction, so expansion is
 // allocation-free per arc. Over a single factor the odometer is empty
 // and the cursor is a position in that factor's ArcSlice: the k = 2
 // product needs no kernel of its own.
 type TailCursor struct {
 	arcs     [][]graph.Edge // per-factor CSR arc slices (shared; read-only)
-	rowOff   []int64        // innermost factor's CSR row offsets (shared; read-only)
 	strides  []int64        // vertex strides within the tail space
 	idx      []int          // odometer over arcs[0..m-2]
 	uPre     int64          // Σ_{d<m-1} arcs[d][idx[d]].U·strides[d]
@@ -372,7 +371,6 @@ func NewTailCursor(tail []*graph.Graph) *TailCursor {
 		tc.total *= int64(len(tc.arcs[d]))
 	}
 	tc.nTail = stride
-	tc.rowOff = tail[len(tail)-1].RowOffsets()
 	tc.Reset()
 	return tc
 }
@@ -480,34 +478,30 @@ func (tc *TailCursor) ExpandNext(uBase, vBase int64, out []graph.Edge, max int) 
 	return out
 }
 
-// NextRun is ExpandNext without the writing: it advances the cursor over
-// the next run of composed arcs that share a source — at most max of
-// them — and returns the run as a sub-slice of the innermost factor's
-// shared ArcSlice (read-only) together with the outer prefix, so the
-// arcs are (uPre+e.U, vPre+e.V) for e in run, plus the caller's bases,
-// and e.U is the same for every e. The run ends at the innermost factor's
-// CSR row end, read from its offset array rather than found by scanning,
-// or after max arcs; a row cut by max (or entered mid-row after SeekTo)
-// continues in the next call. Concatenated, the runs are exactly
-// ExpandNext's stream. An empty run means the cursor is exhausted.
-//
-// It is what lets a caller that places arcs by source decide once per
-// row and write each product arc once, straight to where it belongs.
-func (tc *TailCursor) NextRun(max int) (run []graph.Edge, uPre, vPre int64) {
+// NextSweep is ExpandNext without the writing, a sweep at a time: it
+// advances the cursor over the rest of the current sweep of the innermost
+// factor's arc list — at most max arcs of it — and returns the window
+// [lo, hi) of that list it stepped over, with the outer prefix: the arcs
+// are (uPre+e.U, vPre+e.V) for e in the innermost ArcSlice[lo:hi], plus the
+// caller's bases. Concatenated, the windows are exactly ExpandNext's stream;
+// only a window cut by max or entered after SeekTo is less than the whole
+// list. lo == hi means the cursor is exhausted (or max ≤ 0). uPre is
+// constant over a sweep, so a caller that keeps only some rows of the
+// innermost factor — the distributed engine's owner-side walk — picks them
+// once per source base and expands every sweep from that pick.
+func (tc *TailCursor) NextSweep(max int64) (lo, hi int, uPre, vPre int64) {
 	if tc.done || max <= 0 {
-		return nil, 0, 0
+		return 0, 0, 0, 0
 	}
-	inner := tc.arcs[len(tc.arcs)-1]
-	pos := tc.innerPos
-	end := int(tc.rowOff[inner[pos].U+1])
-	if end-pos > max {
-		end = pos + max
+	n := len(tc.arcs[len(tc.arcs)-1])
+	lo, hi, uPre, vPre = tc.innerPos, n, tc.uPre, tc.vPre
+	if int64(hi-lo) > max {
+		hi = lo + int(max)
 	}
-	uPre, vPre = tc.uPre, tc.vPre
-	tc.innerPos = end
-	if end == len(inner) {
+	tc.innerPos = hi
+	if hi == n {
 		tc.innerPos = 0
 		tc.advance()
 	}
-	return inner[pos:end], uPre, vPre
+	return lo, hi, uPre, vPre
 }

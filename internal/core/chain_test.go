@@ -382,15 +382,15 @@ func TestTailCursorEmptyFactor(t *testing.T) {
 	}
 }
 
-// TestTailCursorNextRunMatchesExpandNext is the contract the row router
-// rests on: from every SeekTo position, for every max and for a budget that
-// stops at the end or mid-row, the concatenation of NextRun's runs — prefix
-// and bases applied — is ExpandNext's stream, every run has one source, and
-// rows are not cut short of their end or of max. The tails are depths 1–3
-// over an innermost factor with a row longer than the small maxes, isolated
-// vertices first, in the middle and last, a 2D-style part of it (its arc
-// window starts and ends mid-row), and an empty factor.
-func TestTailCursorNextRunMatchesExpandNext(t *testing.T) {
+// TestTailCursorNextSweepMatchesExpandNext is the contract the owner-side
+// walk rests on: from every SeekTo position, for every max and for a budget
+// that stops at the end or mid-sweep, the concatenation of NextSweep's
+// windows — prefix and bases applied — is ExpandNext's stream, and a window
+// stops short of its sweep's end only where max cut it. The tails are
+// depths 1–3 over an innermost factor with isolated vertices first, in the
+// middle and last, a 2D-style part of it (its arc window starts and ends
+// mid-row), and an empty factor.
+func TestTailCursorNextSweepMatchesExpandNext(t *testing.T) {
 	// Star on 1,3,5,6,7 around vertex 2, plus the edge 5–6; 0, 4 and 8 isolated.
 	star, err := graph.NewUndirected(9, []graph.Edge{{U: 2, V: 1}, {U: 2, V: 3}, {U: 2, V: 5}, {U: 2, V: 6}, {U: 2, V: 7}, {U: 5, V: 6}})
 	if err != nil {
@@ -420,15 +420,9 @@ func TestTailCursorNextRunMatchesExpandNext(t *testing.T) {
 	for name, tail := range tails {
 		ref, tc := NewTailCursor(tail), NewTailCursor(tail)
 		total := tc.Total()
-		inner := tail[len(tail)-1]
-		var rows int64 // nonempty rows of the innermost factor
-		for v := int64(0); v < inner.NumVertices(); v++ {
-			if inner.Degree(v) > 0 {
-				rows++
-			}
-		}
+		inner := tail[len(tail)-1].ArcSlice()
 		for pos := int64(0); pos <= total; pos++ {
-			for _, max := range []int{1, 2, 3, 7, 1024} {
+			for _, max := range []int64{1, 2, 3, 7, 1024} {
 				for _, budget := range []int64{total - pos, (total - pos) / 2} {
 					ref.SeekTo(pos)
 					var want []graph.Edge
@@ -437,21 +431,18 @@ func TestTailCursorNextRunMatchesExpandNext(t *testing.T) {
 					}
 					tc.SeekTo(pos)
 					var got []graph.Edge
-					runs := int64(0)
+					windows := int64(0)
 					for int64(len(got)) < budget {
-						lim := max
-						if rem := budget - int64(len(got)); rem < int64(lim) {
-							lim = int(rem)
+						lim := min(max, budget-int64(len(got)))
+						lo, hi, uPre, vPre := tc.NextSweep(lim)
+						if n := int64(hi - lo); n <= 0 || n > lim || hi > len(inner) {
+							t.Fatalf("%s pos %d max %d: window [%d,%d) of %d arcs with %d of %d still due", name, pos, max, lo, hi, len(inner), budget-int64(len(got)), budget)
 						}
-						run, uPre, vPre := tc.NextRun(lim)
-						if len(run) == 0 || len(run) > lim {
-							t.Fatalf("%s pos %d max %d: run of %d arcs with %d of %d still due", name, pos, max, len(run), budget-int64(len(got)), budget)
+						if hi < len(inner) && int64(hi-lo) < lim {
+							t.Fatalf("%s pos %d max %d: window [%d,%d) stops short of the sweep's end %d and of max", name, pos, max, lo, hi, len(inner))
 						}
-						runs++
-						for _, e := range run {
-							if e.U != run[0].U {
-								t.Fatalf("%s pos %d max %d: run mixes sources %d and %d", name, pos, max, run[0].U, e.U)
-							}
+						windows++
+						for _, e := range inner[lo:hi] {
 							got = append(got, graph.Edge{U: uBase + uPre + e.U, V: vBase + vPre + e.V})
 						}
 					}
@@ -463,16 +454,19 @@ func TestTailCursorNextRunMatchesExpandNext(t *testing.T) {
 							t.Fatalf("%s pos %d max %d budget %d: arc %d = %v, ExpandNext says %v", name, pos, max, budget, i, got[i], want[i])
 						}
 					}
-					if pos == 0 && budget == total && max == 1024 && total > 0 && runs != total/inner.NumArcs()*rows {
-						wantRuns := total / inner.NumArcs() * rows
-						t.Fatalf("%s: %d runs over the whole tail, want one per nonempty row per sweep = %d", name, runs, wantRuns)
+					if pos == 0 && budget == total && max == 1024 && total > 0 && windows != total/int64(len(inner)) {
+						t.Fatalf("%s: %d windows over the whole tail, want one per sweep = %d", name, windows, total/int64(len(inner)))
 					}
 				}
 			}
 		}
 		tc.SeekTo(total)
-		if run, _, _ := tc.NextRun(16); len(run) != 0 {
-			t.Fatalf("%s: exhausted cursor yielded a run of %d", name, len(run))
+		if lo, hi, _, _ := tc.NextSweep(16); lo != hi {
+			t.Fatalf("%s: exhausted cursor yielded the window [%d,%d)", name, lo, hi)
+		}
+		tc.Reset()
+		if lo, hi, _, _ := tc.NextSweep(0); lo != hi {
+			t.Fatalf("%s: max 0 yielded the window [%d,%d)", name, lo, hi)
 		}
 	}
 }

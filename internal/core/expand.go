@@ -10,8 +10,8 @@ import (
 // returns it — the one "add a base pair to a run of arcs" primitive under
 // every expansion path: ExpandBlock (u0, v0 the head arc's γ offsets),
 // TailCursor.ExpandNext (one call per innermost-factor sweep) and the
-// distributed row router (one call per CSR row piece; every e.U of a row
-// is the row index, so the same add yields the row's constant source).
+// distributed engine's owner-side walk (one call per piece of the rows a
+// rank owns of a sweep: run is then a compacted copy of those rows).
 //
 // It has append's semantics: out[:len(out)] is kept, out is grown by
 // append's rule when its capacity is short (recycled buffers may have any

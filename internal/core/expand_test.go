@@ -172,9 +172,10 @@ func FuzzExpandRun(f *testing.F) {
 
 // BenchmarkExpandRun times the primitive (the assembly on amd64), the
 // portable loop and the per-edge append loop it replaced on the two run
-// lengths the engine feeds it: a whole batch (ExpandNext over a long
-// innermost sweep) and a CSR row of a skewed factor (the row router;
-// ≈ 20 arcs).
+// lengths the engine has fed it: a whole batch (ExpandNext over a long
+// innermost sweep) and a CSR row of a skewed factor (≈ 20 arcs: the row
+// router's calls, until owner-side generation replaced it — and what a
+// rank's share of a short sweep still is at large R).
 func BenchmarkExpandRun(b *testing.B) {
 	bodies := []struct {
 		name string

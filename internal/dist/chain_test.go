@@ -270,7 +270,8 @@ const envChainHelper = "KRONLAB_CHAIN_CLUSTER_HELPER"
 func chainKillFactor() *graph.Graph { return gen.PrefAttach(7, 2, 61) }
 
 // chainKillConfig is the shared shape of the chain crash-recovery
-// cluster, derived independently by driver and helpers.
+// cluster, derived independently by driver and helpers; routed by edge, as
+// killTestConfig is, so that the kill has frames to count.
 func chainKillConfig(dir string, r int) (Config, Plan, error) {
 	ch, err := core.PowerChain(chainKillFactor(), 3)
 	if err != nil {
@@ -282,7 +283,7 @@ func chainKillConfig(dir string, r int) (Config, Plan, error) {
 	}
 	return Config{
 		Plan:      plan,
-		Owner:     OwnerBySource,
+		Owner:     OwnerByEdge,
 		Sink:      NewStoreSink(dir, r),
 		BatchSize: 32,
 		Recovery:  Recovery{MaxRetries: 3, Backoff: 10 * time.Millisecond},

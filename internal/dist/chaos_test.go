@@ -78,6 +78,24 @@ func plannedWork(p Plan) (rank int, edges int64) {
 	return rank, edges
 }
 
+// busiestOwner returns the rank that stores the most arcs of g under the
+// owner map and how many — the deterministic target for a mid-expansion
+// crash of a run that generates where it stores, whose ranks each expand
+// what they own of every tile instead of the tiles they were planned.
+func busiestOwner(g *graph.Graph, owner BoundOwnerFunc, r int) (rank int, arcs int64) {
+	load := make([]int64, r)
+	g.Arcs(func(u, v int64) bool {
+		load[owner(u, v)]++
+		return true
+	})
+	for rk, n := range load {
+		if n > arcs {
+			rank, arcs = rk, n
+		}
+	}
+	return rank, arcs
+}
+
 // TestChaosSoak drives ≥64 seeded fault schedules through the engine.
 // Every schedule must finish within the watchdog and either yield the
 // exact reference edge set or surface the injected fault as the run's
@@ -152,9 +170,11 @@ func TestChaosSoak(t *testing.T) {
 		var verify func(t *testing.T)
 		switch {
 		case kind == chaosDelay && i >= 32:
-			// Routed on-disk path: shards must reassemble the product.
+			// Routed on-disk path: shards must reassemble the product. By
+			// edge, so that there are links for the delays to sit on — a
+			// source owner sends nothing.
 			ss := NewStoreSink(t.TempDir(), r)
-			cfg.Owner, cfg.Sink = OwnerBySource, ss
+			cfg.Owner, cfg.Sink = OwnerByEdge, ss
 			verify = func(t *testing.T) {
 				st, err := ss.Finalize(nC)
 				if err != nil {
@@ -506,7 +526,8 @@ func TestStatsConsistentWhenCancelledMidExchange(t *testing.T) {
 }
 
 // TestChaosReplayDeterministic pins the seeded-schedule property: the
-// same FaultPlan on a Reset cluster surfaces the same fault.
+// same FaultPlan on a Reset cluster surfaces the same fault. (Routed by
+// edge: a link fault needs messages, and a source owner sends none.)
 func TestChaosReplayDeterministic(t *testing.T) {
 	a := gen.ER(8, 0.5, 71)
 	b := gen.ER(7, 0.5, 72)
@@ -518,7 +539,7 @@ func TestChaosReplayDeterministic(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		runErr := runWithWatchdog(t, chaosWatchdog, func() error {
 			_, err := Run(context.Background(), Config{
-				Plan: plan, Owner: OwnerBySource, Sink: NewMemorySink(3), Faults: &fp,
+				Plan: plan, Owner: OwnerByEdge, Sink: NewMemorySink(3), Faults: &fp,
 			})
 			return err
 		})
@@ -557,9 +578,11 @@ func assertExact(t *testing.T, nC int64, arcs []graph.Edge, want *graph.Graph) {
 	}
 }
 
-// TestRecoverCrashEachPoint crashes one rank at each injection point and
-// asserts the supervised run still delivers the exact product, with the
-// retry surfaced in Stats and every pooled buffer returned.
+// TestRecoverCrashEachPoint crashes one rank at each injection point,
+// under each placement — routed by edge, unrouted, and owned (a source
+// owner: every rank generates what it stores) — and asserts the supervised
+// run still delivers the exact product, with the retry surfaced in Stats
+// and every pooled buffer returned.
 func TestRecoverCrashEachPoint(t *testing.T) {
 	a := gen.ER(6, 0.5, 201).WithFullSelfLoops()
 	b := gen.PrefAttach(5, 2, 202)
@@ -570,16 +593,20 @@ func TestRecoverCrashEachPoint(t *testing.T) {
 	nC := a.NumVertices() * b.NumVertices()
 
 	points := []FaultPoint{FaultBeforeSinkSetup, FaultMidExpansion, FaultMidExchange, FaultInCollective}
+	placements := []struct {
+		name  string
+		owner Owner
+	}{{"routed", OwnerByEdge}, {"unrouted", nil}, {"owned", OwnerBySource}}
 	for pi, point := range points {
-		for _, routed := range []bool{true, false} {
-			if point == FaultMidExchange && !routed {
-				continue // unrouted runs never send, the point is unreachable
+		for _, place := range placements {
+			if point == FaultMidExchange && place.name != "routed" {
+				// Only a routed run sends: unrouted and owned ranks store
+				// what they generate, so the point is unreachable there.
+				continue
 			}
-			point, routed := point, routed
+			point, place := point, place
 			twoD := pi%2 == 1
-			name := fmt.Sprintf("%s_%s_%s", point,
-				map[bool]string{false: "1d", true: "2d"}[twoD],
-				map[bool]string{false: "unrouted", true: "routed"}[routed])
+			name := fmt.Sprintf("%s_%s_%s", point, map[bool]string{false: "1d", true: "2d"}[twoD], place.name)
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
 				const r = 3
@@ -590,17 +617,18 @@ func TestRecoverCrashEachPoint(t *testing.T) {
 				crash := CrashSpec{Rank: 1, Point: point}
 				if point == FaultMidExpansion {
 					rank, work := plannedWork(plan)
+					if place.name == "owned" {
+						rank, work = busiestOwner(want, place.owner.Bind(r), r)
+					}
 					crash.Rank, crash.After = rank, work/2
 				}
 				ms := NewMemorySink(r)
 				cfg := Config{
 					Plan:     plan,
+					Owner:    place.owner,
 					Sink:     ms,
 					Faults:   &FaultPlan{Seed: int64(300 + pi), Crashes: []CrashSpec{crash}},
 					Recovery: Recovery{MaxRetries: 2, Backoff: time.Millisecond},
-				}
-				if routed {
-					cfg.Owner = OwnerByEdge
 				}
 				var st Stats
 				runErr := runWithWatchdog(t, chaosWatchdog, func() error {
@@ -624,6 +652,12 @@ func TestRecoverCrashEachPoint(t *testing.T) {
 				if st.OutstandingBufs != 0 {
 					t.Fatalf("recovered run leaked %d pooled buffers", st.OutstandingBufs)
 				}
+				if place.name == "owned" {
+					assertPlacement(t, ms, place.owner.Bind(r))
+					if st.Messages != 0 || st.EdgesRouted != 0 {
+						t.Fatalf("owned run sent %d messages, %d edges", st.Messages, st.EdgesRouted)
+					}
+				}
 			})
 		}
 	}
@@ -631,7 +665,8 @@ func TestRecoverCrashEachPoint(t *testing.T) {
 
 // TestRecoverLostBatch schedules one deterministic permanent message loss
 // and asserts the supervised replay gets the batch through, blaming the
-// sending rank for the retry.
+// sending rank for the retry. (Routed by edge: there is no batch to lose
+// under a source owner.)
 func TestRecoverLostBatch(t *testing.T) {
 	a := gen.ER(7, 0.5, 211)
 	b := gen.ER(6, 0.5, 212)
@@ -649,7 +684,7 @@ func TestRecoverLostBatch(t *testing.T) {
 	runErr := runWithWatchdog(t, chaosWatchdog, func() error {
 		var err error
 		st, err = Run(context.Background(), Config{
-			Plan: plan, Owner: OwnerBySource, Sink: ms,
+			Plan: plan, Owner: OwnerByEdge, Sink: ms,
 			Faults:   &FaultPlan{Seed: 213, LoseAfter: 2, LoseDeliveries: 1},
 			Recovery: Recovery{MaxRetries: 1, Backoff: time.Millisecond},
 		})
@@ -757,7 +792,8 @@ func TestRecoverExhaustedBudgetStaysLoud(t *testing.T) {
 // channel still open — the failure mode nothing trips on except a
 // failure detector — and asserts the unsupervised run dies promptly with
 // a PeerError naming the partitioned rank, rather than hanging on
-// batches that will never arrive.
+// batches that will never arrive. (Routed by edge: the partition is
+// scheduled in sends, and a source owner makes none.)
 func TestPartitionDetectedLoudly(t *testing.T) {
 	a := gen.ER(8, 0.5, 251)
 	b := gen.ER(7, 0.5, 252)
@@ -769,7 +805,7 @@ func TestPartitionDetectedLoudly(t *testing.T) {
 	ms := NewMemorySink(r)
 	runErr := runWithWatchdog(t, chaosWatchdog, func() error {
 		_, err := Run(context.Background(), Config{
-			Plan: plan, Owner: OwnerBySource, Sink: ms,
+			Plan: plan, Owner: OwnerByEdge, Sink: ms,
 			Faults: &FaultPlan{Seed: 253, PartitionRank: 1, PartitionAfterSends: 3},
 		})
 		return err
@@ -808,7 +844,7 @@ func TestRecoverPartition(t *testing.T) {
 	runErr := runWithWatchdog(t, chaosWatchdog, func() error {
 		var err error
 		st, err = Run(context.Background(), Config{
-			Plan: plan, Owner: OwnerBySource, Sink: ms,
+			Plan: plan, Owner: OwnerByEdge, Sink: ms,
 			Faults:   &FaultPlan{Seed: 263, PartitionRank: 1, PartitionAfterSends: 4},
 			Recovery: Recovery{MaxRetries: 2, Backoff: time.Millisecond},
 		})
@@ -926,8 +962,10 @@ func TestEpochFencingDropsStaleBatch(t *testing.T) {
 }
 
 // TestRecoverSoak sweeps seeded crash-then-recover schedules — every
-// injection point, single and double faults, 1D/2D, routed and unrouted —
-// asserting the exact edge set and a retry count bounded by the budget.
+// injection point, single and double faults, 1D/2D, routed, unrouted and
+// (schedules 24 on; the three points a run without messages reaches) owned
+// by source — asserting the exact edge set and a retry count bounded by
+// the budget.
 func TestRecoverSoak(t *testing.T) {
 	a := gen.ER(6, 0.5, 251).WithFullSelfLoops()
 	b := gen.PrefAttach(5, 2, 252)
@@ -937,13 +975,18 @@ func TestRecoverSoak(t *testing.T) {
 	}
 	nC := a.NumVertices() * b.NumVertices()
 
-	const schedules = 24
+	const schedules = 36
 	for i := 0; i < schedules; i++ {
 		i := i
 		point := []FaultPoint{FaultBeforeSinkSetup, FaultMidExpansion, FaultMidExchange, FaultInCollective}[i%4]
 		r := 2 + i%3
 		twoD := (i/4)%2 == 1
 		routed := point == FaultMidExchange || (i/8)%2 == 0
+		owned := i >= 24
+		if owned {
+			point = []FaultPoint{FaultBeforeSinkSetup, FaultMidExpansion, FaultInCollective}[i%3]
+			r, routed = 2+(i/3)%4, false
+		}
 		doubleFault := routed && i%3 == 0
 		const budget = 4
 
@@ -954,6 +997,10 @@ func TestRecoverSoak(t *testing.T) {
 		crash := CrashSpec{Rank: i % r, Point: point, After: int64(i % 2)}
 		if point == FaultMidExpansion {
 			rank, work := plannedWork(plan)
+			if owned {
+				rank, work = busiestOwner(want, OwnerBySource.Bind(r), r)
+				crash.After = work / int64(1+i%3)
+			}
 			if work <= crash.After {
 				crash.After = 0
 			}
@@ -968,13 +1015,16 @@ func TestRecoverSoak(t *testing.T) {
 			Plan: plan, Sink: ms, Faults: fp,
 			Recovery: Recovery{MaxRetries: budget, Backoff: time.Millisecond},
 		}
-		if routed {
-			cfg.Owner = OwnerByEdge
+		placement := "unrouted"
+		switch {
+		case routed:
+			cfg.Owner, placement = OwnerByEdge, "routed"
+		case owned:
+			cfg.Owner, placement = OwnerBySource, "owned"
 		}
 
 		name := fmt.Sprintf("%02d_%s_r%d_%s_%s%s", i, crash.Point, r,
-			map[bool]string{false: "1d", true: "2d"}[twoD],
-			map[bool]string{false: "unrouted", true: "routed"}[routed],
+			map[bool]string{false: "1d", true: "2d"}[twoD], placement,
 			map[bool]string{false: "", true: "_lossy"}[doubleFault])
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -1024,20 +1074,28 @@ func TestRecoverAsyncStoreSink(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The mid-expansion crash comes halfway through the busiest
+			// rank's expansion, so the sink already staged (and possibly
+			// flushed) edges that the replay will regenerate behind the fence.
 			crash := CrashSpec{Rank: 1, Point: point}
-			if point == FaultMidExpansion {
-				// Crash halfway through the busiest rank's expansion so
-				// the sink already staged (and possibly flushed) edges
-				// that the replay will regenerate behind the fence.
-				rank, work := plannedWork(plan)
+			// By source, as every store run is: the rank that stores an arc
+			// generates it, and the busiest one dies halfway through its
+			// share. The mid-exchange crash needs an exchange to fire in, so
+			// that cell alone routes (by edge; the store reassembles either way).
+			var owner Owner = OwnerBySource
+			switch point {
+			case FaultMidExpansion:
+				rank, work := busiestOwner(want, owner.Bind(r), r)
 				crash.Rank, crash.After = rank, work/2
+			case FaultMidExchange:
+				owner = OwnerByEdge
 			}
 			ss := NewStoreSink(t.TempDir(), r)
 			var st Stats
 			runErr := runWithWatchdog(t, chaosWatchdog, func() error {
 				var err error
 				st, err = Run(context.Background(), Config{
-					Plan: plan, Owner: OwnerBySource, Sink: ss,
+					Plan: plan, Owner: owner, Sink: ss,
 					Faults:   &FaultPlan{Seed: int64(400 + pi), Crashes: []CrashSpec{crash}},
 					Recovery: Recovery{MaxRetries: 2, Backoff: time.Millisecond},
 				})

@@ -9,11 +9,13 @@
 // cluster accounts messages and bytes so communication volume can be
 // reported in the benchmarks.
 //
-// All generation paths are wrappers over one Plan→Expand→Route→Sink
+// All generation paths are wrappers over one Plan→Expand→Place→Sink
 // engine (engine.go): a Plan decomposes the factors into per-rank tiles,
-// the Expand stage streams each tile's share of C, an optional OwnerFunc
-// routes edges over the all-to-all exchange, and a pluggable Sink stores
-// them (in memory, on disk, to a streaming consumer, or as a count).
+// the Expand stage streams each tile's share of C, an optional Owner names
+// the rank that stores each edge — a map of the source alone is inverted,
+// each rank generating what it stores; any other routes edges over the
+// all-to-all exchange — and a pluggable Sink stores them (in memory, on
+// disk, to a streaming consumer, or as a count).
 package dist
 
 import (
@@ -55,6 +57,11 @@ type Stats struct {
 	Messages       int64 // batches sent (including EOF markers)
 	MaxInboxDepth  int64 // deepest observed inbox backlog, in messages
 	StaleBatches   int64 // batches dropped by the receiver's epoch fence
+
+	// What placing cost a source-owner run, which routes nothing (read
+	// them against EdgesGenerated; see ownedRows).
+	OwnerRowsTested int64 // owner calls: one per non-empty innermost row per change of source base, on every rank
+	ArcsCompacted   int64 // arcs copied into the ranks' picks of owned rows
 
 	PerRankGenerated []int64 // edges expanded by each rank (engine runs)
 	PerRankStored    []int64 // edges stored by each rank's sink (engine runs)
@@ -272,6 +279,8 @@ func (c *Cluster) Stats() Stats {
 		Messages:        atomic.LoadInt64(&c.stats.Messages),
 		MaxInboxDepth:   depth,
 		StaleBatches:    atomic.LoadInt64(&c.stats.StaleBatches),
+		OwnerRowsTested: atomic.LoadInt64(&c.stats.OwnerRowsTested),
+		ArcsCompacted:   atomic.LoadInt64(&c.stats.ArcsCompacted),
 		HeartbeatMisses: misses,
 		OutstandingBufs: atomic.LoadInt64(&c.bufsOut),
 	}

@@ -200,7 +200,10 @@ func killTestFactors() (*graph.Graph, *graph.Graph) {
 }
 
 // killTestConfig is the shared shape of the crash-recovery cluster: the
-// driver (head) and every helper (worker) derive it independently.
+// driver (head) and every helper (worker) derive it independently. It
+// routes by edge because its faults are scheduled in outbound batch frames,
+// and only an owner that is not a source owner puts any on the wire
+// (TestClusterOwnedDeathRecovery kills a process that sends none).
 func killTestConfig(dir string, r int) (Config, Plan, error) {
 	a, b := killTestFactors()
 	plan, err := PlanChain1D(mustChain(a, b), r)
@@ -209,7 +212,7 @@ func killTestConfig(dir string, r int) (Config, Plan, error) {
 	}
 	return Config{
 		Plan:      plan,
-		Owner:     OwnerBySource,
+		Owner:     OwnerByEdge,
 		Sink:      NewStoreSink(dir, r),
 		BatchSize: 32,
 		Recovery:  Recovery{MaxRetries: 3, Backoff: 10 * time.Millisecond},
@@ -230,6 +233,16 @@ func TestClusterHelperProcess(t *testing.T) {
 	}
 	kill, _ := strconv.ParseInt(os.Getenv(envClusterKill), 10, 64)
 	cfg, plan, err := killTestConfig(os.Getenv(envClusterDir), len(addrs))
+	if exit, owned := os.LookupEnv(envOwnedExit); owned {
+		// TestClusterOwnedDeathRecovery's worker: two ranks a process, by
+		// source blocks, dying (if told to) in a StoreBlock.
+		cfg, plan, err = ownedKillConfig(os.Getenv(envClusterDir), 2*len(addrs))
+		if n, _ := strconv.ParseInt(exit, 10, 64); n > 0 {
+			dying := &exitAfterSink{Sink: cfg.Sink}
+			dying.left.Store(n)
+			cfg.Sink = dying
+		}
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

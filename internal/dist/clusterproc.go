@@ -217,13 +217,15 @@ func (m *ctrlMsg) fail(err error) {
 }
 
 type trafficStats struct {
-	Generated int64 `json:"generated,omitempty"`
-	Routed    int64 `json:"routed,omitempty"`
-	Bytes     int64 `json:"bytes,omitempty"`
-	Messages  int64 `json:"messages,omitempty"`
-	Stale     int64 `json:"stale,omitempty"`
-	MaxDepth  int64 `json:"max_depth,omitempty"`
-	HBMisses  int64 `json:"hb_misses,omitempty"`
+	Generated  int64 `json:"generated,omitempty"`
+	Routed     int64 `json:"routed,omitempty"`
+	Bytes      int64 `json:"bytes,omitempty"`
+	Messages   int64 `json:"messages,omitempty"`
+	Stale      int64 `json:"stale,omitempty"`
+	MaxDepth   int64 `json:"max_depth,omitempty"`
+	HBMisses   int64 `json:"hb_misses,omitempty"`
+	RowsTested int64 `json:"rows_tested,omitempty"`
+	Compacted  int64 `json:"compacted,omitempty"`
 }
 
 // errMeshDown marks a failed mesh establishment whose cause was a peer
@@ -297,6 +299,8 @@ func foldReport(agg *Stats, rep *ctrlMsg) {
 		agg.MaxInboxDepth = rep.Traffic.MaxDepth
 	}
 	agg.HeartbeatMisses += rep.Traffic.HBMisses
+	agg.OwnerRowsTested += rep.Traffic.RowsTested
+	agg.ArcsCompacted += rep.Traffic.Compacted
 	agg.DuplicatesSkipped += rep.Skipped
 	for rk, n := range rep.Gen {
 		agg.PerRankGenerated[rk] += n
@@ -762,8 +766,9 @@ func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
 		// Book the retry on the blamed rank and, with Reassign, move its
 		// uncommitted tiles to the others — whichever process hosts it. A
 		// fault no report localized (a mesh that never formed) is booked on
-		// rank 0 and moves nothing.
-		if blame >= 0 && h.cfg.Reassign {
+		// rank 0 and moves nothing, and neither does a source-owner run:
+		// every rank walks every tile there (resolveTiles).
+		if blame >= 0 && h.cfg.Reassign && sourceOwner(h.cfg.Owner) == nil {
 			agg.TilesReassigned += cp.reassign(blame, h.cfg.Plan.R)
 		}
 		agg.RetriesPerRank[max(blame, 0)]++
@@ -828,18 +833,17 @@ func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
 // return a nil store. The plan hash covers the chain's dimensions, so
 // mixed-depth clusters refuse to form.
 func GenerateChainClusterToStore(ctx context.Context, ch *core.Chain, dir string, twoD bool, cc ClusterConfig, rec Recovery) (*store.Store, Stats, error) {
-	return GenerateChainClusterToStoreOpts(ctx, ch, dir, twoD, 0, -1, cc, rec, nil)
+	return GenerateChainClusterToStoreOpts(ctx, ch, dir, twoD, 0, -1, cc, rec)
 }
 
 // GenerateChainClusterToStoreOpts is GenerateChainClusterToStore over a
-// contiguous window of the stream (see GenerateChainToStoreFrom) with an
-// optional fault plan — the chaos suites' and the smoke script's way to
-// arm this process's TCP fault schedule (kill, reset, partition) on a real
-// cluster run. Every process must pass the same offset and limit: the
-// window is folded into the tiles before planning, so PlanHash covers it
-// and a cluster whose processes sliced at different positions refuses to
-// form instead of silently mixing windows.
-func GenerateChainClusterToStoreOpts(ctx context.Context, ch *core.Chain, dir string, twoD bool, offset, limit int64, cc ClusterConfig, rec Recovery, faults *FaultPlan) (*store.Store, Stats, error) {
+// contiguous window of the stream (see GenerateChainToStoreFrom). Every
+// process must pass the same offset and limit: the window is folded into
+// the tiles before planning, so PlanHash covers it and a cluster whose
+// processes sliced at different positions refuses to form instead of
+// silently mixing windows. (No fault plan: a store run sends no batch for a
+// wire-level schedule to count — cmd/krongen kills from its sink.)
+func GenerateChainClusterToStoreOpts(ctx context.Context, ch *core.Chain, dir string, twoD bool, offset, limit int64, cc ClusterConfig, rec Recovery) (*store.Store, Stats, error) {
 	r := cc.Procs[len(cc.Procs)-1].Hi
 	plan, err := sliceForChain(ch, r, twoD, offset, limit)
 	if err != nil {
@@ -850,7 +854,6 @@ func GenerateChainClusterToStoreOpts(ctx context.Context, ch *core.Chain, dir st
 		Owner:    OwnerBySource,
 		Sink:     NewStoreSink(dir, r),
 		Recovery: rec,
-		Faults:   faults,
 	}
 	st, err := RunCluster(ctx, cc, cfg)
 	if err != nil {

@@ -40,8 +40,11 @@ func BenchmarkOwnerMapAblation(b *testing.B) {
 	}
 }
 
-// Owned (communication-free CSR) generation vs routed generation at the
-// same block storage map — the Sec. III optimization ablation.
+// Owner-side (communication-free CSR) generation vs routed generation at
+// the same block storage map — the Sec. III optimization ablation: owned is
+// BlockOwner{NC}, a source owner the engine generates in place for
+// (GenerateOwned); routedBlock is the OwnerByBlock(nC) closure, the same map
+// as an opaque function, which it can only ask edge by edge and route.
 func BenchmarkOwnedVsRouted(b *testing.B) {
 	a := gen.MustRMAT(gen.Graph500Params(5, 3))
 	bb := gen.MustRMAT(gen.Graph500Params(5, 4))
@@ -65,6 +68,7 @@ func BenchmarkOwnedVsRouted(b *testing.B) {
 // Batch-size sweep of the routed kernel at a fixed rank count — the
 // measurement behind DefaultBatchSize (README §Performance): too small
 // pays per-message overhead, too large blows the staging working set.
+// Routed by edge: a source owner has no batches to size.
 func BenchmarkKernelBatchSize(b *testing.B) {
 	a := gen.MustRMAT(gen.Graph500Params(5, 10))
 	bb := gen.MustRMAT(gen.Graph500Params(5, 11))
@@ -79,8 +83,8 @@ func BenchmarkKernelBatchSize(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sink := NewMemorySink(16)
-				sink.Hints = chainSourceHashLoads(mustChain(a, bb), 16)
-				cfg := Config{Plan: plan, Owner: sourceHashOwner{}, Sink: sink, BatchSize: batch}
+				sink.Hint = edges/16 + 1
+				cfg := Config{Plan: plan, Owner: OwnerByEdge, Sink: sink, BatchSize: batch}
 				if _, err := Run(context.Background(), cfg); err != nil {
 					b.Fatal(err)
 				}

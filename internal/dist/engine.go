@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/pprof"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -12,12 +13,14 @@ import (
 )
 
 // Phase label contexts for runtime/pprof goroutine labels: profiles of an
-// engine run attribute samples to the kernel stage (phase=expand|route|
-// store) that was executing. Built once — SetGoroutineLabels per block is
-// a pointer swap, so labeling costs nothing measurable on the hot path.
-// Under a SourceOwner the router expands too: phase=route covers both.
+// engine run attribute samples to the kernel stage (phase=expand|filter|
+// route|store) that was executing. Built once — SetGoroutineLabels per
+// block is a pointer swap, so labeling costs nothing measurable on the hot
+// path. phase=filter is a source owner's pick of its rows (ownedRows.pick);
+// phase=route the per-edge exchange, which only other owners reach.
 var (
 	expandLabels = pprof.WithLabels(context.Background(), pprof.Labels("phase", "expand"))
+	filterLabels = pprof.WithLabels(context.Background(), pprof.Labels("phase", "filter"))
 	routeLabels  = pprof.WithLabels(context.Background(), pprof.Labels("phase", "route"))
 	storeLabels  = pprof.WithLabels(context.Background(), pprof.Labels("phase", "store"))
 	// sinkFlushLabels marks the async store sink's writer goroutines
@@ -220,29 +223,33 @@ type Recovery struct {
 	// ranks instead of respawning the same assignment — recovery
 	// completes even when a rank is permanently broken (at the cost of
 	// load skew). Without it the crashed rank is respawned with its
-	// original tiles.
+	// original tiles. It is a no-op under a source owner: every rank
+	// generates its own share of every unfinished tile there, so there is
+	// no producer to move.
 	Reassign bool
 }
 
 // Config describes one engine run.
 type Config struct {
 	Plan Plan
-	// Owner routes each generated edge to the rank that stores it, over
-	// the batched all-to-all exchange. It is bound once per attempt, so
-	// r-dependent owner parameters resolve at plan time. A SourceOwner
-	// (BlockOwner{NC}; also OwnerBySource passed as is) is evaluated once
-	// per CSR row and the row expands straight into its owner's batch; any
-	// other owner — OwnerByEdge, an OwnerByBlock(nC) closure, a caller's own
-	// function — is evaluated once per edge. A nil Owner skips the Route
-	// stage entirely: every edge goes straight to the generating rank's
-	// sink with zero communication (count-only and streaming runs).
+	// Owner names the rank that stores each edge, and by its kind alone
+	// decides where the edge is generated. It is bound once per attempt, so
+	// r-dependent owner parameters resolve at plan time. Under a SourceOwner
+	// (BlockOwner{NC}; also OwnerBySource passed as is) every rank generates
+	// exactly the edges it stores — it walks every tile and expands the rows
+	// it owns straight into its own sink — and nothing is routed, on any
+	// transport. Any other owner — OwnerByEdge, an OwnerByBlock(nC) closure, a
+	// caller's own function — is evaluated once per edge and the edge is
+	// routed over the batched all-to-all exchange. A nil Owner places
+	// nothing: every edge goes to the sink of the rank whose tile produced
+	// it, with zero communication (count-only and streaming runs).
 	Owner Owner
 	Sink  Sink
-	// BatchSize is the per-destination edge count a routed exchange
-	// buffers before flushing a message (and the cadence of cancellation
-	// polls during fault-armed expansion). ≤ 0 selects DefaultBatchSize
-	// (1024, the benchmarked default). Correct for any value ≥ 1; per-rank
-	// staging memory is O(R·BatchSize).
+	// BatchSize is the largest block a sink is handed, the per-destination
+	// edge count a routed exchange buffers before flushing a message, and
+	// the cadence of cancellation polls during fault-armed expansion. ≤ 0
+	// selects DefaultBatchSize (1024, the benchmarked default). Correct for
+	// any value ≥ 1; a routed run stages O(R·BatchSize) per rank.
 	BatchSize int
 	// Faults, when non-nil, arms the run's cluster with an injected
 	// fault schedule (see fault.go) — chaos testing of the teardown,
@@ -263,35 +270,30 @@ func (cfg Config) batchSize() int {
 
 // runAttempt executes one attempt of the engine on an already-built
 // cluster: every rank walks its tiles with a core.TailCursor — one loop
-// for every chain depth. With no owner, ExpandNext fills a reused scratch
-// block that goes to the rank's own sink; with an owner that looks at the
-// target, the block is routed edge by edge over the epoch-fenced exchange;
-// with a SourceOwner there is no block — the row router expands each run
-// of equal sources into its owner's staging buffer. Owned batches go to the
-// fenced sink sinkFor returns; perGen/perStored get the per-rank counters.
+// for every chain depth — and where an arc is generated is decided by the
+// owner alone. With no owner, ExpandNext fills a reused scratch block that
+// goes to the rank's own sink. With a source owner (sourceOwner) every rank
+// walks every tile and expands only the rows it owns (ownedRows), straight
+// into its own sink: nothing is staged, batched or sent, at any R and on
+// any transport. With any other owner the block is routed edge by edge over
+// the epoch-fenced exchange. Owned batches go to the fenced sink sinkFor
+// returns; perGen/perStored get the per-rank counters.
 //
 // Expansion order is exactly the reference order — head arcs in tile
 // order, each crossed with the tail's composed arcs in lexicographic CSR
-// order (core.Chain.Arcs) — and arcs are partitioned into per-destination
-// batches in encounter order, so the per-(tile, destination) substream is
-// byte-identical across attempts. That determinism is what tile
-// checkpoints and prefix-dedup recovery key on; the step size changes
-// polling granularity, never order — and the three routers
-// (shipper.routeRows for a SourceOwner, shipper.route for any other owner,
-// shipper.stage edge by edge under an armed fault schedule) cut batches at
-// the same edges.
+// order (core.Chain.Arcs) — so what reaches a rank's sink per (tile, rank)
+// is the tile's stream filtered by the owner map, in order, byte-identical
+// across attempts and across the two placements. That determinism is what
+// tile checkpoints and prefix-dedup recovery key on; the step size changes
+// polling granularity, never order.
 func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, sinkFor func(*Rank) (*fencedRankSink, error), perGen, perStored []int64, batch int) error {
-	// Both forms are bound once per attempt and shared by the ranks: they
-	// are pure. bySource stays nil for an owner that looks at more than
-	// the source, and on a fault-armed run (per-edge cadence, see faulty).
+	// Bound once per attempt and shared by the ranks: both forms are pure.
 	var bound BoundOwnerFunc
 	var bySource func(u int64) int
-	if owner != nil {
-		owner = resolveOwner(owner)
+	if so := sourceOwner(owner); so != nil {
+		bySource = so.BindSource(c.r)
+	} else if owner != nil {
 		bound = owner.Bind(c.r)
-		if so, ok := owner.(SourceOwner); ok && c.faults == nil {
-			bySource = so.BindSource(c.r)
-		}
 	}
 	return c.RunContext(ctx, func(rk *Rank) error {
 		if err := rk.crashAt(FaultBeforeSinkSetup); err != nil {
@@ -307,16 +309,12 @@ func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, si
 		// crash countdowns keep edge granularity; clean runs never branch
 		// into it.
 		faulty := c.faults != nil
-		// Scratch block reused across every A-arc of every tile (the row
-		// router expands into staging buffers and takes none). A-arcs
+		// Scratch block reused across every A-arc of every tile. A-arcs
 		// expand against B in chunks of ≤ batch arcs, so the scratch is the
 		// exchange's buffer size class and checks out of the same freelist
 		// — expansion allocates nothing in steady state and per-rank memory
 		// stays O(|E_A|/R + |E_B| + R·batch) even when this rank's B is large.
-		var scratch []graph.Edge
-		if bySource == nil {
-			scratch = c.getBuf(rk.ID(), batch)
-		}
+		scratch := c.getBuf(rk.ID(), batch)
 		// poll checks for run teardown: sends only notice a torn-down run
 		// when a flush fails, and the buffered inboxes can absorb a lot
 		// before one does — poll once per block (or per batch of edges on
@@ -353,16 +351,21 @@ func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, si
 			return true
 		}
 		// expandTiles is the Expand stage's walk: each A-arc of each tile
-		// against the tile's tail factors. step generates and places up to
-		// max (≤ batch) arcs from the cursor and reports how many; false
-		// stops early (teardown, sink failure, or an injected crash).
+		// against the tile's tail factors. step generates and places arcs
+		// from the cursor — at most rem of the tile's stream, which is what
+		// it reports having stepped over (a source owner's step places only
+		// the arcs it owns among them); false stops early (teardown, sink
+		// failure, or an injected crash).
 		//
 		// The tail is folded lazily through a core.TailCursor at every
 		// depth: composed tail arcs come in lexicographic CSR order (a
 		// materialized tail's ArcSlice order), never materialized —
 		// kernel_test.go holds every depth to the per-edge reference.
-		expandTiles := func(step func(tile int, cur *core.TailCursor, uBase, vBase int64, max int) (int, bool)) {
-			for _, t := range tiles[rk.ID()] {
+		expandTiles := func(step func(t *Tile, cur *core.TailCursor, uBase, vBase, rem int64) (int64, bool)) {
+			var cur *core.TailCursor // one per tail: a source owner's rank walks R tiles of one
+			var tail []*graph.Graph
+			for ti := range tiles[rk.ID()] {
+				t := &tiles[rk.ID()][ti]
 				// rem is the tile's windowed arc budget; Skip locates the
 				// start position arithmetically (A-arc index + in-tail
 				// offset) so the skipped prefix is never generated — the
@@ -371,7 +374,9 @@ func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, si
 				if rem == 0 {
 					continue
 				}
-				cur := core.NewTailCursor(t.Tail)
+				if !slices.Equal(tail, t.Tail) {
+					cur, tail = core.NewTailCursor(t.Tail), t.Tail
+				}
 				nT := cur.NumVertices()
 				nTail := cur.Total()
 				aStart := int(t.Skip / nTail)
@@ -385,14 +390,14 @@ func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, si
 					}
 					uBase, vBase := aArc.U*nT, aArc.V*nT
 					for rem > 0 {
-						n, ok := step(t.ID, cur, uBase, vBase, int(min(rem, int64(batch))))
+						n, ok := step(t, cur, uBase, vBase, rem)
 						if !ok {
 							return
 						}
 						if n == 0 {
 							break
 						}
-						rem -= int64(n)
+						rem -= n
 					}
 				}
 			}
@@ -400,11 +405,11 @@ func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, si
 		// expandBlocks walks with the step that fills the scratch block for
 		// handleBlock to route or store.
 		expandBlocks := func(handleBlock func(tile int, block []graph.Edge) bool) {
-			expandTiles(func(tile int, cur *core.TailCursor, uBase, vBase int64, max int) (int, bool) {
+			expandTiles(func(t *Tile, cur *core.TailCursor, uBase, vBase, rem int64) (int64, bool) {
 				pprof.SetGoroutineLabels(expandLabels)
-				block := cur.ExpandNext(uBase, vBase, scratch, max)
+				block := cur.ExpandNext(uBase, vBase, scratch, int(min(rem, int64(batch))))
 				scratch = block[:0]
-				return len(block), len(block) == 0 || handleBlock(tile, block)
+				return int64(len(block)), len(block) == 0 || handleBlock(t.ID, block)
 			})
 		}
 		// deliver hands one owned batch to the rank's sink. Under routing
@@ -424,20 +429,36 @@ func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, si
 			}
 			return true
 		}
-		if owner != nil {
+		// storeOwn is handleBlock for a rank that stores what it generates:
+		// no owner, or a source owner.
+		storeOwn := func(tile int, block []graph.Edge) bool {
+			pprof.SetGoroutineLabels(storeLabels)
+			if faulty {
+				return perEdge(tile, block, deliver)
+			}
+			generated += int64(len(block))
+			if !deliver(tile, block) {
+				return false
+			}
+			return !poll()
+		}
+		switch {
+		case bySource != nil:
+			// The pick's buffer is checked out like scratch; the first pick
+			// sizes it for the innermost factor.
+			own := ownedRows{owner: bySource, rank: rk.ID(), batch: batch, scratch: scratch, buf: c.getBuf(rk.ID(), batch)}
+			expandTiles(func(t *Tile, cur *core.TailCursor, uBase, vBase, rem int64) (int64, bool) {
+				return own.step(t, cur, uBase, vBase, rem, storeOwn)
+			})
+			scratch = own.scratch
+			c.putBuf(own.buf)
+			atomic.AddInt64(&rk.c.stats.OwnerRowsTested, own.rows)
+			atomic.AddInt64(&rk.c.stats.ArcsCompacted, own.copied)
+		case bound != nil:
 			xErr = rk.exchangeBlocks(batch, func(s *shipper) {
 				stageOne := func(tile int, es []graph.Edge) bool {
 					e := es[0]
 					return s.stage(bound(e.U, e.V), tile, e)
-				}
-				if bySource != nil {
-					expandTiles(func(tile int, cur *core.TailCursor, uBase, vBase int64, max int) (int, bool) {
-						pprof.SetGoroutineLabels(routeLabels)
-						n, ok := s.routeRows(tile, cur, uBase, vBase, max, bySource)
-						generated += int64(n)
-						return n, ok && !poll()
-					})
-					return
 				}
 				expandBlocks(func(tile int, block []graph.Edge) bool {
 					pprof.SetGoroutineLabels(routeLabels)
@@ -457,18 +478,8 @@ func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, si
 				pprof.SetGoroutineLabels(storeLabels)
 				deliver(tile, edges)
 			})
-		} else {
-			expandBlocks(func(tile int, block []graph.Edge) bool {
-				pprof.SetGoroutineLabels(storeLabels)
-				if faulty {
-					return perEdge(tile, block, deliver)
-				}
-				generated += int64(len(block))
-				if !deliver(tile, block) {
-					return false
-				}
-				return !poll()
-			})
+		default:
+			expandBlocks(storeOwn)
 		}
 		c.putBuf(scratch)
 		atomic.AddInt64(&rk.c.stats.EdgesGenerated, generated)
@@ -487,8 +498,9 @@ func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, si
 		// before the engine declares success — an edge batch that went
 		// missing without an error would otherwise be a silent partial
 		// result. Replayed duplicates a fenced sink suppressed count as
-		// accounted for. The reduce doubles as the in-collective fault
-		// injection point, and because a rank that died earlier never
+		// accounted for. A rank that stores what it generates contributes 0
+		// and still enters: the reduce is the run's barrier and in-collective
+		// fault injection point, and because a rank that died earlier never
 		// arrives, it completes for the survivors only through
 		// BarrierContext's cancellation awareness.
 		delta, rerr := rk.AllReduceSumContext(generated - stored - skipped)

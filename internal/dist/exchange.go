@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"sync/atomic"
 
-	"kronlab/internal/core"
 	"kronlab/internal/dist/transport"
 	"kronlab/internal/graph"
 )
@@ -20,7 +19,8 @@ import (
 const DefaultBatchSize = 1024
 
 // shipper stages outgoing edges into pooled per-destination batch
-// buffers and flushes them through Rank.send. Buffers flush at tile
+// buffers and flushes them through Rank.send — the exchange, which only an
+// owner that is not a source owner reaches (runAttempt). Buffers flush at tile
 // boundaries (so a batch never mixes tiles — the framing recovering
 // sinks deduplicate on) and at the batch threshold. Each flush hands the
 // staged buffer to the transport and immediately checks out a fresh one
@@ -347,76 +347,11 @@ func (s *shipper) flush(to int, eof bool) bool {
 	return true
 }
 
-// staged returns destination to's staging buffer ready to take edges of
-// tile: checked out if the destination has none yet, and with the
-// previous tile's partial batch shipped first so a batch never mixes
-// tiles. Tile boundaries are rare (tiles are large). The caller appends
-// and stores the buffer back; false means the flush failed.
-func (s *shipper) staged(to, tile int) ([]graph.Edge, bool) {
-	b := s.bufs[to]
-	if len(b) == 0 {
-		if b == nil {
-			b = s.getBuf()
-		}
-		s.tile[to] = tile
-	} else if s.tile[to] != tile {
-		if !s.flush(to, false) {
-			return nil, false
-		}
-		b = s.bufs[to]
-		s.tile[to] = tile
-	}
-	return b, true
-}
-
-// routeRows is the router for a SourceOwner: it takes up to max arcs from
-// the cursor one run of equal sources at a time (core.TailCursor.NextRun: a
-// stretch of one CSR row, its end read from the offsets, not scanned for),
-// resolves the run's destination once and expands the run straight into
-// that destination's staging buffer (core.ExpandRun; every arc of the run
-// carries the row index as its U, so the one add yields the run's constant
-// source) — each arc is written once and never copied. A run is cut exactly where route would have flushed (a full
-// batch, a tile change), so batches, their order per (tile, destination)
-// and every counter are route's. n is the arcs taken; false, a failed flush.
-func (s *shipper) routeRows(tile int, cur *core.TailCursor, uBase, vBase int64, max int, owner func(u int64) int) (n int, _ bool) {
-	if s.aborted {
-		return 0, false
-	}
-	for n < max {
-		run, uPre, vPre := cur.NextRun(max - n)
-		if len(run) == 0 {
-			break
-		}
-		n += len(run)
-		u0, v0 := uBase+uPre, vBase+vPre
-		to := owner(u0 + run[0].U)
-		b, ok := s.staged(to, tile)
-		if !ok {
-			return n, false
-		}
-		for len(run) > 0 {
-			// len(b) < batch here: a buffer that reaches the threshold is
-			// flushed before anything else is staged for its destination.
-			k := min(s.batch-len(b), len(run))
-			b = core.ExpandRun(b, run[:k], u0, v0)
-			s.bufs[to] = b
-			run = run[k:]
-			if len(b) >= s.batch {
-				if !s.flush(to, false) {
-					return n, false
-				}
-				b = s.bufs[to]
-			}
-		}
-	}
-	return n, true
-}
-
-// route partitions one expansion block edge by edge — the loop for
+// route partitions one expansion block edge by edge — the router, for
 // owners that look at the target too (OwnerByEdge) or are opaque
 // functions: owner is bound at plan time, so the body is the owner call,
-// an append and a threshold check per edge. It inlines staged and stage
-// because a call per edge is measurable here; stage is the reference.
+// an append and a threshold check per edge. It inlines stage because a
+// call per edge is measurable here; stage is the reference.
 func (s *shipper) route(tile int, block []graph.Edge, owner BoundOwnerFunc) bool {
 	if s.aborted {
 		return false
@@ -452,14 +387,23 @@ func (s *shipper) route(tile int, block []graph.Edge, owner BoundOwnerFunc) bool
 // stage routes a single edge — the per-edge reference path used by
 // fault-armed runs, which need edge-granular crash windows between
 // stages, and by the tests' per-edge exchange helper. Identical staging and
-// flush behavior to route and routeRows, one edge at a time.
+// flush behavior to route, one edge at a time.
 func (s *shipper) stage(to, tile int, e graph.Edge) bool {
 	if s.aborted {
 		return false
 	}
-	b, ok := s.staged(to, tile)
-	if !ok {
-		return false
+	b := s.bufs[to]
+	if len(b) == 0 {
+		if b == nil {
+			b = s.getBuf()
+		}
+		s.tile[to] = tile
+	} else if s.tile[to] != tile {
+		if !s.flush(to, false) {
+			return false
+		}
+		b = s.bufs[to]
+		s.tile[to] = tile
 	}
 	b = append(b, e)
 	s.bufs[to] = b
@@ -536,14 +480,14 @@ func (rk *Rank) exchangeBlocks(batch int, produce func(s *shipper), handle func(
 // cluster size. The paper leaves the storage mapping open ("some mapping
 // scheme"); the functions below provide the common choices. An OwnerFunc
 // is an Owner: its generic Bind closes over r. The engine cannot see
-// inside a function value, so an OwnerFunc is asked about every edge —
-// with one exception, the package's own OwnerBySource, which it recognises.
-// Owners of the source alone should implement SourceOwner so a whole CSR
-// row is placed with one call — see BlockOwner.
+// inside a function value, so an OwnerFunc is asked about every edge and
+// its edges cross the exchange — with one exception, the package's own
+// OwnerBySource, which it recognises. Owners of the source alone should
+// implement SourceOwner, and nothing is routed at all — see BlockOwner.
 type OwnerFunc func(u, v int64, r int) int
 
 // BoundOwnerFunc is an owner map with the cluster size already resolved —
-// what the per-edge router calls once per edge, and the row router never.
+// what the router calls once per edge.
 type BoundOwnerFunc func(u, v int64) int
 
 // Owner maps generated edges to storing ranks. Bind is called once per
@@ -558,14 +502,26 @@ type Owner interface {
 // SourceOwner is an Owner that places an edge by its source alone — 1D
 // vertex partitioning in any form. An implementer promises that for
 // every r, u and v, BindSource(r)(u) == Bind(r)(u, v), and that the
-// returned function is pure. In exchange the engine routes by rows: it
-// asks for the owner once per CSR row of the innermost factor (the row's
-// end comes from the factor's offsets) and expands the row's arcs directly
-// into that rank's batch, instead of expanding a block and asking once per
-// edge. What reaches each rank, in what batches and order, is unchanged.
+// returned function is pure. In exchange the engine does not route: every
+// rank walks every tile, asks for the owner once per non-empty CSR row of
+// the innermost factor per change of source base, and generates the rows
+// it owns straight into its own sink (ownedRows) — the paper's Sec. III
+// "generate only the edges it must store". What reaches each rank per tile,
+// and in what order, is what routing delivered; no message is sent. The
+// price: a rank steps over every sweep of every tile, owned or not, and
+// holds one more copy of its share of the innermost factor.
 type SourceOwner interface {
 	Owner
 	BindSource(r int) func(u int64) int
+}
+
+// sourceOwner returns o's source-keyed form — non-nil exactly when the run
+// generates where it stores instead of routing: the one rule, read from the
+// owner alone, by runAttempt (placement), rankHost.resolveTiles (the tiles a
+// rank walks) and the head (no reassignment).
+func sourceOwner(o Owner) SourceOwner {
+	so, _ := resolveOwner(o).(SourceOwner)
+	return so
 }
 
 // bindBySource derives a SourceOwner's Bind from its BindSource, so the
@@ -582,8 +538,8 @@ func (f OwnerFunc) Bind(r int) BoundOwnerFunc {
 
 // OwnerBySource assigns edges to ranks by a multiplicative hash of the
 // source endpoint — 1D vertex partitioning of the product graph. Passed
-// as is (not wrapped in another function), it is routed row by row like
-// a SourceOwner.
+// as is (not wrapped in another function), it is a SourceOwner: nothing
+// is routed.
 var OwnerBySource OwnerFunc = ownerBySource
 
 func ownerBySource(u, _ int64, r int) int {
@@ -596,7 +552,7 @@ func ownerBySource(u, _ int64, r int) int {
 // OwnerBySource has to stay a plain OwnerFunc value for its callers.
 var ownerBySourcePC = reflect.ValueOf(ownerBySource).Pointer()
 
-// resolveOwner returns the owner the engine routes with: the package's
+// resolveOwner returns the owner the engine places with: the package's
 // OwnerBySource value becomes its SourceOwner form, everything else is
 // returned as is. Recognition is by code pointer, once per attempt: a
 // closure with the same body, or any other OwnerFunc, stays opaque and
@@ -609,9 +565,9 @@ func resolveOwner(o Owner) Owner {
 }
 
 // sourceHashOwner is OwnerBySource as a SourceOwner: the hash with r
-// resolved, keyed by the source (evaluated once per CSR row). The engine
-// routes with it whenever it is handed OwnerBySource (resolveOwner), and
-// GenerateChain substitutes it for a nil owner; both forms agree.
+// resolved, keyed by the source. The engine places with it whenever it is
+// handed OwnerBySource (resolveOwner), and GenerateChain substitutes it for
+// a nil owner; both forms agree.
 type sourceHashOwner struct{}
 
 // BindSource implements SourceOwner.
@@ -635,8 +591,8 @@ var OwnerByEdge OwnerFunc = func(u, v int64, r int) int {
 // BlockOwner assigns contiguous source-vertex blocks of size ⌈NC/r⌉ —
 // the layout a CSR-partitioned distributed graph store would use. It is
 // the plan-resolved form of OwnerByBlock and a SourceOwner: the block
-// size is fixed once per attempt and the engine evaluates the division
-// once per CSR row.
+// size is fixed once per attempt, and a rank copies nothing for a sweep
+// its block covers and steps over one it has no row of.
 type BlockOwner struct {
 	NC int64 // product vertex count n_A·n_B
 }
@@ -659,8 +615,8 @@ func (o BlockOwner) Bind(r int) BoundOwnerFunc { return bindBySource(o, r) }
 
 // OwnerByBlock is BlockOwner in OwnerFunc form, for callers that carry
 // owner maps as plain functions. The block size is recomputed per call
-// and, being an opaque function, it is routed edge by edge: routed
-// engine runs should pass BlockOwner{NC} instead.
+// and, being an opaque function, it is routed edge by edge: engine runs
+// should pass BlockOwner{NC} instead, which routes nothing.
 func OwnerByBlock(nC int64) OwnerFunc {
 	return func(u, _ int64, r int) int {
 		per := (nC + int64(r) - 1) / int64(r)

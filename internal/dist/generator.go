@@ -10,7 +10,7 @@ import (
 )
 
 // Result is the outcome of a distributed generation: the product edges
-// stored at each rank (owner-routed) plus traffic statistics.
+// stored at each rank (by the owner map) plus traffic statistics.
 type Result struct {
 	NC      int64          // product vertex count n_A·n_B
 	PerRank [][]graph.Edge // arcs stored by each rank
@@ -68,16 +68,22 @@ func PartitionArcs(arcs []graph.Edge, parts int) [][]graph.Edge {
 // head's arcs are the split dimension — evenly distributed under the
 // paper's Sec. III 1D partitioning, crossed with parts of the first tail
 // factor under Rem. 1's 2D grid (twoD) — each rank folds the replicated
-// tail lazily through the chain kernel, and every generated edge is routed
-// to owner(u, v, r) for storage (nil: OwnerBySource). Per-rank memory is
-// O(|E_A₁|/R + Σ|E_tail| + stored), time O(|E_C|/R).
+// tail lazily through the chain kernel, and every edge is stored at
+// owner(u, v, r) (nil: OwnerBySource — a source owner, under which each
+// rank generates what it stores; any other function is routed to). Per-rank
+// memory is O(|E_A₁|/R + Σ|E_tail| + stored), time O(|E_C|/R).
 func GenerateChain(ch *core.Chain, r int, owner OwnerFunc, twoD bool) (*Result, error) {
 	// A nil owner means OwnerBySource, and naming the default must not
-	// cost its fast paths: both become the source-keyed form here.
-	var ownr Owner = sourceHashOwner{}
-	if owner != nil {
-		ownr = resolveOwner(owner)
+	// cost its exact sizing: both become the source-keyed form here.
+	if owner == nil {
+		return generateChain(ch, r, sourceHashOwner{}, twoD)
 	}
+	return generateChain(ch, r, resolveOwner(owner), twoD)
+}
+
+// generateChain is GenerateChain for any Owner (GenerateOwned's BlockOwner
+// is not a function).
+func generateChain(ch *core.Chain, r int, ownr Owner, twoD bool) (*Result, error) {
 	_, bySourceHash := ownr.(sourceHashOwner)
 	plan, err := planForChain(ch, r, twoD)
 	if err != nil {
@@ -198,10 +204,11 @@ func EffectiveParallelism2D(a, b *graph.Graph, r int) int {
 
 // GenerateChainToStore runs the chain generator with each rank streaming
 // its owned edges to its own shard of an on-disk store — the full
-// generate-route-store pipeline at any chain depth with O(batch) memory
-// per rank regardless of |E_C|. The owner map is forced to shard-per-rank
-// routing (OwnerBySource, matching store.BySource) so shard i holds
-// exactly rank i's owned edges.
+// generate-and-store pipeline at any chain depth with O(batch) memory per
+// rank regardless of |E_C|. The owner map is forced to shard-per-rank
+// placement (OwnerBySource, matching store.BySource) so shard i holds
+// exactly rank i's owned edges — which rank i generates itself: a store run
+// routes nothing.
 func GenerateChainToStore(ch *core.Chain, r int, dir string, twoD bool) (*store.Store, Stats, error) {
 	return GenerateChainToStoreFrom(ch, r, dir, twoD, 0, -1)
 }

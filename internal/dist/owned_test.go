@@ -1,0 +1,617 @@
+package dist
+
+// Owner-side generation against the exchange it replaces. Under a source
+// owner every rank walks every tile and expands only the rows it owns
+// (ownedRows); the same owner map asked edge by edge through the exchange
+// (shipper.stage) must have delivered each rank the very same arcs — per
+// (tile, rank) substream in the same order, because that order is what
+// checkpoints and the replay fence count in — and no message may be sent.
+
+import (
+	"context"
+	"fmt"
+	"io"
+	"os"
+	"os/exec"
+	"reflect"
+	"strconv"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"kronlab/internal/core"
+	"kronlab/internal/dist/transport"
+	"kronlab/internal/dist/transport/tcp"
+	"kronlab/internal/gen"
+	"kronlab/internal/graph"
+	"kronlab/internal/store"
+)
+
+// tileRecorder is a sink that keeps what each rank was handed, per tile and
+// in arrival order.
+type tileRecorder struct {
+	byTile []map[int][]graph.Edge // [rank][tile]
+	flat   [][]graph.Edge         // [rank], every tile, in arrival order
+}
+
+func newTileRecorder(r int) *tileRecorder {
+	s := &tileRecorder{byTile: make([]map[int][]graph.Edge, r), flat: make([][]graph.Edge, r)}
+	for i := range s.byTile {
+		s.byTile[i] = make(map[int][]graph.Edge)
+	}
+	return s
+}
+
+func (s *tileRecorder) Rank(rk *Rank) (RankSink, error) {
+	return &tileRecorderRank{s: s, id: rk.ID()}, nil
+}
+
+type tileRecorderRank struct {
+	s  *tileRecorder
+	id int
+}
+
+func (t *tileRecorderRank) Store(graph.Edge) error {
+	return fmt.Errorf("tileRecorder wants tile-framed blocks")
+}
+
+func (t *tileRecorderRank) StoreTileBlock(tile int, edges []graph.Edge) (int64, error) {
+	t.s.byTile[t.id][tile] = append(t.s.byTile[t.id][tile], edges...)
+	t.s.flat[t.id] = append(t.s.flat[t.id], edges...)
+	return int64(len(edges)), nil
+}
+
+func (t *tileRecorderRank) Close() error { return nil }
+
+// starvedOwner is OwnerBySource with rank 1's sources given to rank 0: a
+// source owner under which one rank (when there are two or more) owns
+// nothing at all, and so steps over every sweep of every tile empty-handed.
+type starvedOwner struct{}
+
+func (starvedOwner) BindSource(r int) func(u int64) int {
+	f := sourceHashOwner{}.BindSource(r)
+	return func(u int64) int {
+		if to := f(u); to != 1 {
+			return to
+		}
+		return 0
+	}
+}
+
+func (o starvedOwner) Bind(r int) BoundOwnerFunc { return bindBySource(o, r) }
+
+// perEdgeOwner hides a source owner's BindSource from the engine, so that
+// the same map is asked edge by edge and its arcs cross the exchange.
+type perEdgeOwner struct{ so SourceOwner }
+
+func (o perEdgeOwner) Bind(r int) BoundOwnerFunc { return bindBySource(o.so, r) }
+
+// TestOwnerSideMatchesPerEdgeExchange is the differential safety net of
+// owner-side generation: for every cell of chain shape (k = 1 with its
+// identity tail, 2 and 3; empty rows in the innermost factor and in the
+// head, a loop-only factor, a one-row head, an empty factor) × layout × R × batch size
+// (dividing sweeps and not) × source owner (hash, block, and one that
+// starves a rank) × stream window, the run under the source owner must
+// store per (tile, rank) exactly the substream, in order, that the
+// fault-armed exchange — shipper.stage, one edge at a time, under the same
+// map made opaque — delivers, and send nothing. The windows of the 1D
+// stream, whose order is the serial order, start and stop mid-row, on a
+// row boundary, on a sweep boundary and inside the first and the last head
+// arc; there the ranks' outputs are also held to the serial oracle, in
+// canonical order.
+func TestOwnerSideMatchesPerEdgeExchange(t *testing.T) {
+	evens := func(g *graph.Graph) *graph.Graph { // g on the even vertices of twice as many: every other row empty
+		var arcs []graph.Edge
+		for _, e := range g.ArcSlice() {
+			arcs = append(arcs, graph.Edge{U: 2 * e.U, V: 2 * e.V})
+		}
+		out, err := graph.New(2*g.NumVertices(), arcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	loops := func(n int64) *graph.Graph {
+		g, err := graph.New(n, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g.WithFullSelfLoops()
+	}
+	empty, err := graph.New(3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One source row: under 2D every tile has the same source base, and only
+	// the part of the second factor it is crossed with tells two tiles apart.
+	fan, err := graph.New(4, []graph.Edge{{U: 1, V: 0}, {U: 1, V: 1}, {U: 1, V: 2}, {U: 1, V: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes := []struct {
+		name    string
+		ch      *core.Chain
+		windows int // kinds of window the shape's stream has positions for
+	}{
+		{"k1", mustChain(gen.MustRMAT(gen.Graph500Params(3, 451))), 2}, // a sweep is one arc, and so is a head arc's share
+		{"k2", mustChain(gen.ER(6, 0.5, 452), gen.PrefAttach(6, 2, 453)), 4},
+		{"k2_gappy_inner", mustChain(gen.PrefAttach(5, 2, 454), evens(gen.ER(4, 0.6, 455))), 4},
+		{"k2_gappy_head", mustChain(evens(gen.ER(4, 0.6, 456)), gen.PrefAttach(5, 2, 457)), 4},
+		{"k2_loops_inner", mustChain(gen.ER(5, 0.6, 458), loops(4)), 3}, // a row is one arc: none to be inside of
+		{"k2_loops_head", mustChain(loops(4), gen.ER(5, 0.6, 459)), 4},
+		{"k3", mustChain(gen.ER(4, 0.6, 460), gen.PrefAttach(4, 2, 461), evens(gen.ER(3, 0.7, 462))), 4},
+		{"k3_loops_mid", mustChain(gen.ER(4, 0.6, 463), loops(3), gen.PrefAttach(4, 2, 464)), 4},
+		{"k2_one_head_row", mustChain(fan, gen.PrefAttach(6, 2, 468)), 4},
+		{"k2_empty_inner", mustChain(gen.ER(4, 0.6, 465), empty), 0},
+		{"k3_empty_head", mustChain(empty, gen.ER(4, 0.6, 466), gen.PrefAttach(4, 2, 467)), 0},
+	}
+	owners := []struct {
+		name  string
+		owner func(nC int64) SourceOwner
+	}{
+		{"hash", func(int64) SourceOwner { return sourceHashOwner{} }},
+		{"block", func(nC int64) SourceOwner { return BlockOwner{NC: nC} }},
+		{"starved", func(int64) SourceOwner { return starvedOwner{} }},
+	}
+	for _, sh := range shapes {
+		sh := sh
+		t.Run(sh.name, func(t *testing.T) {
+			t.Parallel()
+			serial := referenceArcs(sh.ch)
+			windows := serialWindows(sh.ch, serial)
+			if len(windows) != sh.windows {
+				t.Fatalf("%d kinds of window found, want %d; pick other factors", len(windows), sh.windows)
+			}
+			for _, twoD := range []bool{false, true} {
+				for _, r := range []int{1, 2, 3, 5, 16} {
+					whole, err := planForChain(sh.ch, r, twoD)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for wi := -1; wi < len(windows); wi++ {
+						plan, want := whole, serial
+						if wi >= 0 {
+							w := windows[wi]
+							if plan, err = whole.Slice(int64(w[0]), int64(w[1]-w[0])); err != nil {
+								t.Fatal(err)
+							}
+							want = serial[w[0]:w[1]]
+						}
+						if twoD {
+							want = nil // a 2D plan streams in tile-grid order: the serial order is no oracle for it
+						}
+						for _, o := range owners {
+							so := o.owner(plan.NC)
+							cell := fmt.Sprintf("%s r=%d window=%d owner=%s", map[bool]string{false: "1d", true: "2d"}[twoD], r, wi, o.name)
+							ref := newTileRecorder(r)
+							if _, err := Run(context.Background(), Config{Plan: plan, Owner: perEdgeOwner{so}, Sink: ref, BatchSize: 5, Faults: &FaultPlan{}}); err != nil {
+								t.Fatalf("%s: per-edge reference: %v", cell, err)
+							}
+							for _, batch := range []int{1, 5, DefaultBatchSize} {
+								got := newTileRecorder(r)
+								st, err := Run(context.Background(), Config{Plan: plan, Owner: so, Sink: got, BatchSize: batch})
+								if err != nil {
+									t.Fatalf("%s batch=%d: %v", cell, batch, err)
+								}
+								assertOwnedCell(t, fmt.Sprintf("%s batch=%d", cell, batch), got, ref, st, so.BindSource(r), want)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// serialWindows returns windows [lo, hi) of the chain's serial stream whose
+// ends land, in turn, inside a row of the product, on a row boundary inside
+// a sweep, on a sweep boundary, and inside the first and the last head arc
+// — each kind where the stream has such a position in its first and in its
+// last third.
+func serialWindows(ch *core.Chain, arcs []graph.Edge) [][2]int {
+	f := ch.Factors()
+	sweep := int(f[len(f)-1].NumArcs()) // one pass over the innermost factor
+	if len(f) == 1 {
+		sweep = 1 // head × identity tail
+	}
+	if len(arcs) == 0 || sweep == 0 {
+		return nil
+	}
+	perHead := len(arcs) / int(f[0].NumArcs())
+	kinds := []func(i int) bool{
+		func(i int) bool { return arcs[i-1].U == arcs[i].U },
+		func(i int) bool { return arcs[i-1].U != arcs[i].U && i%sweep != 0 },
+		func(i int) bool { return i%sweep == 0 },
+	}
+	find := func(from, to int, ok func(int) bool) int {
+		for i := max(from, 1); i < to; i++ {
+			if ok(i) {
+				return i
+			}
+		}
+		return -1
+	}
+	var out [][2]int
+	for _, ok := range kinds {
+		lo, hi := find(1, len(arcs)/3, ok), find(2*len(arcs)/3, len(arcs), ok)
+		if lo > 0 && hi > 0 {
+			out = append(out, [2]int{lo, hi})
+		}
+	}
+	if perHead > 1 && len(arcs) > 2*perHead {
+		out = append(out, [2]int{perHead / 2, len(arcs) - perHead/2})
+	}
+	return out
+}
+
+// assertOwnedCell holds one owner-side run to the per-edge reference and,
+// where the cell has one (want, in stream order), to the serial oracle.
+func assertOwnedCell(t *testing.T, cell string, got, ref *tileRecorder, st Stats, owner func(u int64) int, want []graph.Edge) {
+	t.Helper()
+	var total int64
+	for rank := range ref.byTile {
+		if !reflect.DeepEqual(got.byTile[rank], ref.byTile[rank]) {
+			t.Fatalf("%s: rank %d's per-tile substreams differ from what the per-edge exchange delivers:\n got %v\nwant %v", cell, rank, got.byTile[rank], ref.byTile[rank])
+		}
+		assertSameOrder(t, fmt.Sprintf("%s: rank %d multiset", cell, rank), sortedArcs(got.flat[rank]), sortedArcs(ref.flat[rank]))
+		if n := int64(len(got.flat[rank])); st.PerRankStored[rank] != n || st.PerRankGenerated[rank] != n {
+			t.Fatalf("%s: rank %d holds %d arcs, Stats say generated %d, stored %d", cell, rank, n, st.PerRankGenerated[rank], st.PerRankStored[rank])
+		}
+		total += int64(len(got.flat[rank]))
+		for _, e := range got.flat[rank] {
+			if to := owner(e.U); to != rank {
+				t.Fatalf("%s: arc %v stored on rank %d, owner says %d", cell, e, rank, to)
+			}
+		}
+		if want != nil {
+			// Tiles are walked in ID order and a 1D plan's stream is the
+			// serial stream: the rank holds the canonical-order subsequence.
+			var sub []graph.Edge
+			for _, e := range want {
+				if owner(e.U) == rank {
+					sub = append(sub, e)
+				}
+			}
+			assertSameOrder(t, fmt.Sprintf("%s: rank %d against the serial oracle", cell, rank), got.flat[rank], sub)
+		}
+	}
+	if st.Messages != 0 || st.EdgesRouted != 0 || st.BytesSent != 0 || st.MaxInboxDepth != 0 {
+		t.Fatalf("%s: a source-owner run sent %d messages, %d edges, %d bytes (inbox depth %d)", cell, st.Messages, st.EdgesRouted, st.BytesSent, st.MaxInboxDepth)
+	}
+	if st.EdgesGenerated != total || (want != nil && total != int64(len(want))) {
+		t.Fatalf("%s: generated %d, stored %d, oracle has %d", cell, st.EdgesGenerated, total, len(want))
+	}
+	if st.OutstandingBufs != 0 {
+		t.Fatalf("%s: leaked %d pooled buffers", cell, st.OutstandingBufs)
+	}
+}
+
+// TestGenerateChainPerRankCanonicalOrder: under 1D and a source owner,
+// Result.PerRank[ρ] is the canonical-order subsequence of the product's arcs
+// that ρ owns — the same slice run after run (it was interleaved by arrival
+// when the arcs were routed).
+func TestGenerateChainPerRankCanonicalOrder(t *testing.T) {
+	ch := mustChain(gen.MustRMAT(gen.Graph500Params(4, 471)), gen.PrefAttach(7, 2, 472), gen.ER(4, 0.6, 473))
+	const r = 5
+	serial := referenceArcs(ch)
+	for round := 0; round < 3; round++ {
+		res, err := GenerateChain(ch, r, OwnerBySource, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rank, got := range res.PerRank {
+			var want []graph.Edge
+			for _, e := range serial {
+				if OwnerBySource(e.U, e.V, r) == rank {
+					want = append(want, e)
+				}
+			}
+			assertSameOrder(t, fmt.Sprintf("round %d rank %d", round, rank), got, want)
+		}
+	}
+}
+
+// TestOwnerSideCountersAndReassign: what placing cost shows in Stats — the
+// owner is asked once per non-empty row of the innermost factor per change
+// of source base, by every rank, and a rank that owns only some rows copies
+// exactly those — and Reassign moves nothing under a source owner, whose
+// ranks each walk every tile whichever rank it was planned on.
+func TestOwnerSideCountersAndReassign(t *testing.T) {
+	a, b := gen.PrefAttach(8, 2, 481), gen.ER(7, 0.5, 482)
+	const r = 4
+	plan, err := PlanChain1D(mustChain(a, b), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The source base of a sweep is its head arc's source row, and head arcs
+	// come in CSR order through every tile: one pick per non-isolated head
+	// vertex (a tile boundary inside a head row does not make a second).
+	var rows, bases int64
+	for u := int64(0); u < b.NumVertices(); u++ {
+		if b.Degree(u) > 0 {
+			rows++
+		}
+	}
+	for u := int64(0); u < a.NumVertices(); u++ {
+		if a.Degree(u) > 0 {
+			bases++
+		}
+	}
+	for _, c := range []struct {
+		owner  Owner
+		copied int64
+	}{
+		// The hash splits every sweep's rows over the ranks: each copies
+		// the rows it owns, all of them the factor's arcs once per base.
+		{OwnerBySource, bases * b.NumArcs()},
+		// ⌈NC/4⌉ is n_A/4 whole sweeps: a rank owns all of a sweep's rows
+		// or none, and neither is copied.
+		{BlockOwner{NC: plan.NC}, 0},
+	} {
+		st, err := Run(context.Background(), Config{Plan: plan, Owner: c.owner, Sink: NewMemorySink(r)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := r * rows * bases; st.OwnerRowsTested != want {
+			t.Fatalf("%T: OwnerRowsTested = %d, want %d ranks × %d rows × %d source bases = %d", c.owner, st.OwnerRowsTested, r, rows, bases, want)
+		}
+		if st.ArcsCompacted != c.copied {
+			t.Fatalf("%T: ArcsCompacted = %d, want %d", c.owner, st.ArcsCompacted, c.copied)
+		}
+	}
+
+	rank, work := busiestOwner(mustProduct(t, a, b), OwnerBySource.Bind(r), r)
+	rs, err := Run(context.Background(), Config{
+		Plan: plan, Owner: OwnerBySource, Sink: NewMemorySink(r),
+		Faults:   &FaultPlan{Seed: 483, Crashes: []CrashSpec{{Rank: rank, Point: FaultMidExpansion, After: work / 2}}},
+		Recovery: Recovery{MaxRetries: 1, Reassign: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.TilesReassigned != 0 || rs.RecoveredRuns != 1 || rs.RetriesPerRank[rank] != 1 {
+		t.Fatalf("TilesReassigned = %d, RecoveredRuns = %d, RetriesPerRank = %v; want 0, 1 and the retry on rank %d", rs.TilesReassigned, rs.RecoveredRuns, rs.RetriesPerRank, rank)
+	}
+}
+
+func mustProduct(t *testing.T, a, b *graph.Graph) *graph.Graph {
+	t.Helper()
+	g, err := core.Product(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// --- A process that dies while it generates ------------------------------
+
+// envOwnedExit, set on a TestClusterHelperProcess child, selects the
+// owner-side cluster (ownedKillConfig); a value > 0 arms exitAfterSink.
+const envOwnedExit = "KRONLAB_OWNED_EXIT_AFTER"
+
+// ownedKillConfig is the shared shape of the owner-side death cluster,
+// derived independently by the driver and its helper: the kill factors by
+// source blocks, so that a rank's arcs come from a few tiles only.
+func ownedKillConfig(dir string, r int) (Config, Plan, error) {
+	cfg, plan, err := killTestConfig(dir, r)
+	cfg.Owner = BlockOwner{NC: plan.NC}
+	return cfg, plan, err
+}
+
+// exitAfterSink is a process that dies mid-generation with nothing on any
+// wire to count: os.Exit inside the process's Nth StoreBlock, once its
+// stdin has been closed — the driver's word that the surviving process has
+// stored its whole share, which makes what recovery must replay exact.
+type exitAfterSink struct {
+	Sink
+	left atomic.Int64
+}
+
+func (s *exitAfterSink) Rank(rk *Rank) (RankSink, error) {
+	rs, err := s.Sink.Rank(rk)
+	if err != nil {
+		return nil, err
+	}
+	return &exitAfterRankSink{RankSink: rs, s: s}, nil
+}
+
+type exitAfterRankSink struct {
+	RankSink
+	s *exitAfterSink
+}
+
+func (t *exitAfterRankSink) StoreBlock(edges []graph.Edge) (int64, error) {
+	if t.s.left.Add(-1) == 0 {
+		io.Copy(io.Discard, os.Stdin)
+		os.Exit(3)
+	}
+	return t.RankSink.(BlockStorer).StoreBlock(edges)
+}
+
+// sharesStoredSink calls done once every rank it hosts has stored the
+// share it was told to expect.
+type sharesStoredSink struct {
+	Sink
+	want    []int64 // per rank
+	pending atomic.Int64
+	done    func()
+}
+
+func (s *sharesStoredSink) Rank(rk *Rank) (RankSink, error) {
+	rs, err := s.Sink.Rank(rk)
+	if err != nil {
+		return nil, err
+	}
+	return &sharesStoredRankSink{RankSink: rs, s: s, left: s.want[rk.ID()]}, nil
+}
+
+type sharesStoredRankSink struct {
+	RankSink
+	s    *sharesStoredSink
+	left int64
+}
+
+func (t *sharesStoredRankSink) StoreBlock(edges []graph.Edge) (int64, error) {
+	n, err := t.RankSink.(BlockStorer).StoreBlock(edges)
+	if t.left -= n; t.left == 0 && t.s.pending.Add(-1) == 0 {
+		t.s.done()
+	}
+	return n, err
+}
+
+// TestClusterOwnedDeathRecovery is the crash-then-recover contract for a
+// run that sends no batches, across a real process boundary: a two-process
+// cluster under BlockOwner whose worker exits inside a StoreBlock — after
+// the head's ranks have stored all they own, so the outcome is exact — and
+// is respawned clean. The recovered store must hold exactly the serial
+// product; only the tiles with arcs on the dead process's ranks replay
+// (every rank walks them again: the head's ranks regenerate what they hold
+// of them and the fence suppresses it, the respawned ranks store their
+// share anew); nothing is reassigned and nothing is routed.
+func TestClusterOwnedDeathRecovery(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process test")
+	}
+	const nprocs, r = 2, 4
+	addrs := reservePorts(t, nprocs)
+	dir := t.TempDir()
+	cfg, plan, err := ownedKillConfig(dir, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := killTestFactors()
+	want := mustProduct(t, a, b)
+	procs := transport.SplitRanks(addrs, r)
+	dead := procs[1]
+
+	// Closed form of what each rank stores of each tile, and from it what
+	// recovery has to do.
+	owner := cfg.Owner.Bind(r)
+	share := make([]int64, r)
+	var replayArcs, replayDup, headShare int64
+	replayed, tiles := 0, 0
+	for _, ts := range plan.Tiles {
+		for _, tl := range ts {
+			perRank := make([]int64, r)
+			for _, ha := range tl.AArcs {
+				for _, ba := range b.ArcSlice() {
+					perRank[owner(ha.U*b.NumVertices()+ba.U, 0)]++
+				}
+			}
+			var onDead, onHead int64
+			for rank, n := range perRank {
+				share[rank] += n
+				if rank >= dead.Lo && rank < dead.Hi {
+					onDead += n
+				} else {
+					onHead += n
+				}
+			}
+			tiles++
+			headShare += onHead
+			if onDead > 0 {
+				replayed++
+				replayArcs += tl.Arcs()
+				replayDup += onHead
+			}
+		}
+	}
+	if replayed == 0 || replayed == tiles {
+		t.Fatalf("%d of %d tiles hold arcs of the dead process's ranks; the test needs some but not all", replayed, tiles)
+	}
+
+	node, err := tcp.NewNode(addrs[0], 0, PlanHash(plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spawn := func(exitAfter int) *exec.Cmd {
+		cmd := exec.Command(exe, "-test.run", "^TestClusterHelperProcess$", "-test.count=1")
+		cmd.Env = append(os.Environ(),
+			envClusterHelper+"=1",
+			envClusterAddrs+"="+strings.Join(addrs, ","),
+			envClusterSelf+"=1",
+			envClusterDir+"="+dir,
+			envOwnedExit+"="+strconv.Itoa(exitAfter),
+		)
+		cmd.Stderr = os.Stderr
+		return cmd
+	}
+	victim := spawn(3)
+	release, err := victim.StdinPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release.Close()
+	if err := victim.Start(); err != nil {
+		t.Fatal(err)
+	}
+	victimDied := make(chan error, 1)
+	respawnDone := make(chan error, 1)
+	go func() {
+		victimDied <- victim.Wait()
+		re := spawn(0)
+		if err := re.Start(); err != nil {
+			respawnDone <- err
+			return
+		}
+		respawnDone <- re.Wait()
+	}()
+
+	hosted := &sharesStoredSink{Sink: cfg.Sink, want: share, done: func() { release.Close() }}
+	for rank := procs[0].Lo; rank < procs[0].Hi; rank++ {
+		if share[rank] > 0 {
+			hosted.pending.Add(1)
+		}
+	}
+	cfg.Sink = hosted
+	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
+	defer cancel()
+	stats, err := RunCluster(ctx, ClusterConfig{Procs: procs, Self: 0, Node: node}, cfg)
+	if err != nil {
+		t.Fatalf("head: %v", err)
+	}
+	if err := <-victimDied; err == nil {
+		t.Fatal("victim worker exited cleanly; it never reached the StoreBlock it was to die in")
+	}
+	if err := <-respawnDone; err != nil {
+		t.Fatalf("respawned worker: %v", err)
+	}
+
+	if stats.RecoveredRuns != 1 || stats.TotalRetries() != 1 || stats.RetriesPerRank[dead.Lo] != 1 || stats.TilesReassigned != 0 {
+		t.Fatalf("RecoveredRuns = %d, RetriesPerRank = %v, TilesReassigned = %d; want one recovering retry on rank %d and nothing moved",
+			stats.RecoveredRuns, stats.RetriesPerRank, stats.TilesReassigned, dead.Lo)
+	}
+	if stats.Messages != 0 || stats.EdgesRouted != 0 {
+		t.Fatalf("a source-owner cluster run sent %d messages, %d edges", stats.Messages, stats.EdgesRouted)
+	}
+	// Attempt 0: the head's ranks generated all they own (the victim's count
+	// died with it). Attempt 1: every rank walked the replayed tiles, and the
+	// head's ranks' share of those was suppressed behind the fence.
+	if got, want := stats.EdgesGenerated, headShare+replayArcs; got != want {
+		t.Fatalf("EdgesGenerated = %d, want %d: the head's share %d plus the %d arcs of the %d/%d tiles with arcs on ranks [%d,%d)",
+			got, want, headShare, replayArcs, replayed, tiles, dead.Lo, dead.Hi)
+	}
+	if stats.DuplicatesSkipped != replayDup {
+		t.Fatalf("DuplicatesSkipped = %d, want the %d arcs the head's ranks hold of the replayed tiles", stats.DuplicatesSkipped, replayDup)
+	}
+	st, err := store.Recover(dir, plan.NC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.TotalEdges() != want.NumArcs() {
+		t.Fatalf("recovered store holds %d arcs, want %d", st.TotalEdges(), want.NumArcs())
+	}
+	got, err := st.LoadGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatal("recovered cluster product differs from serial reference")
+	}
+}

@@ -106,9 +106,11 @@ func TestClusterBufPoolStress(t *testing.T) {
 // TestShortRecycledBuffersGrow: a recycled buffer may have any capacity
 // (batch sizes vary across runs), so whatever writes a run of arcs into one
 // must grow it the way append does. The freelist is left holding only
-// capacity-16 buffers; unrouted jobs (ExpandNext into the scratch block)
-// and OwnerBySource jobs (the row router into staging buffers) at a batch
-// of 1024 must still emit exactly the chain's arcs.
+// capacity-16 buffers; unrouted jobs (ExpandNext into the scratch block),
+// OwnerBySource jobs (ExpandRun into the scratch block from a pick whose
+// buffer is as short) and OwnerByEdge jobs (the router's appends into
+// staging buffers) at a batch of 1024 must still emit exactly the chain's
+// arcs.
 func TestShortRecycledBuffersGrow(t *testing.T) {
 	ch := mustChain(gen.MustRMAT(gen.Graph500Params(5, 501)), gen.MustRMAT(gen.Graph500Params(6, 502)))
 	var want []graph.Edge
@@ -125,7 +127,7 @@ func TestShortRecycledBuffersGrow(t *testing.T) {
 	for _, o := range []struct {
 		name  string
 		owner Owner
-	}{{"unrouted", nil}, {"bySource", OwnerBySource}} {
+	}{{"unrouted", nil}, {"bySource", OwnerBySource}, {"byEdge", OwnerByEdge}} {
 		t.Run(o.name, func(t *testing.T) {
 			warm := poolFill(0, nil, poolShards*edgeBufPoolShardCap) // steals every shard empty
 			defer poolSpill(0, warm)

@@ -1,9 +1,9 @@
 package dist
 
-// Shipper-level tests of the routers: the row router (routeRows) and the
-// per-edge loop (route) against the per-edge reference (stage), over the
-// same tiles, message for message; and the SourceOwner contract the row
-// router rests on, including which OwnerFunc values are recognised.
+// Shipper-level tests of the router: the per-edge loop (route) against the
+// per-edge reference (stage), over the same tiles, message for message; and
+// the SourceOwner contract owner-side generation rests on, including which
+// OwnerFunc values are recognised.
 
 import (
 	"context"
@@ -69,6 +69,7 @@ func loopbackRank(tb testing.TB, r int) (*Rank, *loopback) {
 type tileWork struct {
 	tile  int
 	aArcs []graph.Edge
+	tail  []*graph.Graph
 	cur   *core.TailCursor
 }
 
@@ -77,9 +78,33 @@ type tileWork struct {
 func splitTiles(head *graph.Graph, tail []*graph.Graph, tiles int) []tileWork {
 	var out []tileWork
 	for tile, part := range PartitionArcs(head.ArcSlice(), tiles) {
-		out = append(out, tileWork{tile, part, core.NewTailCursor(tail)})
+		out = append(out, tileWork{tile, part, tail, core.NewTailCursor(tail)})
 	}
 	return out
+}
+
+// walkOwned drives one rank's owner-side walk over whole tiles the way the
+// engine's expandTiles does, with the engine's own step.
+func walkOwned(o *ownedRows, work []tileWork, emit func(tile int, block []graph.Edge) bool) bool {
+	for _, w := range work {
+		t := Tile{ID: w.tile, AArcs: w.aArcs, Tail: w.tail}
+		nT := w.cur.NumVertices()
+		rem := t.Arcs()
+		for _, a := range w.aArcs {
+			w.cur.Reset()
+			for {
+				n, ok := o.step(&t, w.cur, a.U*nT, a.V*nT, rem, emit)
+				if !ok {
+					return false
+				}
+				if n == 0 {
+					break
+				}
+				rem -= n
+			}
+		}
+	}
+	return true
 }
 
 // routeStep is the engine's step (expandTiles): generate and place up to
@@ -115,13 +140,6 @@ func viaBlock(scratch *[]graph.Edge, place func(s *shipper, tile int, block []gr
 		block := cur.ExpandNext(uBase, vBase, (*scratch)[:0], max)
 		*scratch = block
 		return len(block), place(s, tile, block)
-	}
-}
-
-// rowStep is the row router as a step, as the engine calls it.
-func rowStep(owner func(u int64) int) routeStep {
-	return func(s *shipper, tile int, cur *core.TailCursor, uBase, vBase int64, max int) (int, bool) {
-		return s.routeRows(tile, cur, uBase, vBase, max, owner)
 	}
 }
 
@@ -167,13 +185,15 @@ func routeAll(t *testing.T, r, batch int, work []tileWork, chunk int, step route
 	return got, st
 }
 
-// TestRouteRunsEquivalence holds the row router and the per-edge loop to
-// the per-edge reference: over the same tiles, the same messages — tile,
-// length and edges, in order, per destination — and the same counters.
-// Each shape spans two tiles and is walked 7 and 64 arcs a step, so rows
-// are cut by step ends as well as by batches that do (1) and do not (3, 5,
-// 7, 64, 1024) divide them; the k = 3 shape puts an odometer step between
-// the rows and gives the innermost factor isolated vertices.
+// TestRouteRunsEquivalence holds the per-edge loop to the per-edge
+// reference: over the same tiles, the same messages — tile, length and
+// edges, in order, per destination — and the same counters. Each shape
+// spans two tiles and is walked 7 and 64 arcs a step, so rows are cut by
+// step ends as well as by batches that do (1) and do not (3, 5, 7, 64,
+// 1024) divide them; the k = 3 shape puts an odometer step between the rows
+// and gives the innermost factor isolated vertices. (The owners are the
+// source-keyed ones in their per-edge form: what they place where is also
+// the reference owner-side generation is held to, in owned_test.go.)
 func TestRouteRunsEquivalence(t *testing.T) {
 	a := gen.MustRMAT(gen.Graph500Params(4, 431))
 	b := gen.MustRMAT(gen.Graph500Params(5, 432))
@@ -208,25 +228,19 @@ func TestRouteRunsEquivalence(t *testing.T) {
 				for _, r := range []int{1, 2, 3, 16} {
 					for _, batch := range []int{1, 3, 5, 7, 64, DefaultBatchSize} {
 						t.Run(fmt.Sprintf("%s%s_chunk%d_r%d_batch%d", sh.name, o.name, chunk, r, batch), func(t *testing.T) {
-							bound, bySource := o.owner.Bind(r), o.owner.BindSource(r)
+							bound := o.owner.Bind(r)
 							var scratch []graph.Edge
 							want, wantSt := routeAll(t, r, batch, sh.work, chunk, viaBlock(&scratch, stageEach(bound)))
-							routers := map[string]routeStep{
-								"routeRows": rowStep(bySource),
-								"route": viaBlock(&scratch, func(s *shipper, tile int, block []graph.Edge) bool {
-									return s.route(tile, block, bound)
-								}),
+							got, gotSt := routeAll(t, r, batch, sh.work, chunk, viaBlock(&scratch, func(s *shipper, tile int, block []graph.Edge) bool {
+								return s.route(tile, block, bound)
+							}))
+							if !reflect.DeepEqual(got, want) {
+								t.Fatal("route: per-destination message sequences differ from the per-edge reference")
 							}
-							for name, router := range routers {
-								got, gotSt := routeAll(t, r, batch, sh.work, chunk, router)
-								if !reflect.DeepEqual(got, want) {
-									t.Fatalf("%s: per-destination message sequences differ from the per-edge reference", name)
-								}
-								if gotSt.Messages != wantSt.Messages || gotSt.EdgesRouted != wantSt.EdgesRouted || gotSt.BytesSent != wantSt.BytesSent {
-									t.Fatalf("%s: messages/routed/bytes = %d/%d/%d, reference %d/%d/%d", name,
-										gotSt.Messages, gotSt.EdgesRouted, gotSt.BytesSent,
-										wantSt.Messages, wantSt.EdgesRouted, wantSt.BytesSent)
-								}
+							if gotSt.Messages != wantSt.Messages || gotSt.EdgesRouted != wantSt.EdgesRouted || gotSt.BytesSent != wantSt.BytesSent {
+								t.Fatalf("route: messages/routed/bytes = %d/%d/%d, reference %d/%d/%d",
+									gotSt.Messages, gotSt.EdgesRouted, gotSt.BytesSent,
+									wantSt.Messages, wantSt.EdgesRouted, wantSt.BytesSent)
 							}
 						})
 					}

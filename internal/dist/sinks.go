@@ -97,8 +97,8 @@ func (m *memRankSink) Close() error {
 }
 
 // CountSink discards edges and counts them — the pure expansion
-// throughput sink of experiments E2/E3. Use with a nil Owner so no
-// routing traffic is simulated.
+// throughput sink of experiments E2/E3. With a nil Owner, or a source
+// owner, nothing is routed to it either.
 type CountSink struct {
 	total int64
 }
@@ -134,7 +134,7 @@ func (c *countRankSink) Close() error {
 
 // StoreSink streams each rank's owned edges to its own shard of an
 // on-disk store (one store.ShardWriter per rank), keeping per-rank memory
-// O(batch) regardless of |E_C|. Route with an owner map that matches the
+// O(batch) regardless of |E_C|. Place with an owner map that matches the
 // shard layout (OwnerBySource, the store's BySource) so readers can
 // address shards; Finalize writes the manifest once the run succeeds.
 //

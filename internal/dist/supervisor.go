@@ -35,6 +35,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"kronlab/internal/dist/transport"
@@ -47,8 +48,8 @@ type tileState struct {
 	tile  Tile
 	owner int // rank currently assigned to expand the tile
 	// stored[d] counts the tile's edges durably stored by rank d's sink —
-	// the destination rank under owner routing, the producing rank on
-	// unrouted runs. Written only between attempts.
+	// the owning rank under an owner map (routed to, or generated there),
+	// the producing rank on runs without one. Written only between attempts.
 	stored    []int64
 	committed bool
 }
@@ -114,12 +115,13 @@ func (cp *checkpoints) zeroRanks(lo, hi int) {
 }
 
 // assign recomputes commitment and returns the next attempt's work: the
-// uncommitted tile IDs per rank, and the prefix each rank's fence must
-// suppress per tile. Routed runs skip per (tile, destination); unrouted
-// runs skip the tile's full stored total at its current producer
-// (previously stored edges may live in another rank's sink after
-// reassignment — verification merges per-rank outputs, so placement does
-// not matter, only the count).
+// uncommitted tile IDs per rank (under a source owner only their union
+// matters: every rank walks it, see rankHost.resolveTiles), and the prefix
+// each rank's fence must suppress per tile. Runs with an owner map (routed)
+// skip per (tile, storing rank); runs without one skip the tile's full
+// stored total at its current producer (previously stored edges may live
+// in another rank's sink after reassignment — verification merges per-rank
+// outputs, so placement does not matter, only the count).
 func (cp *checkpoints) assign() (tiles map[int][]int, skip map[int]map[int]int64) {
 	cp.recommit()
 	tiles = make(map[int][]int)
@@ -364,16 +366,31 @@ func (h *rankHost) sinkFor(rk *Rank) (*fencedRankSink, error) {
 
 // resolveTiles turns a tile-ID assignment into the engine's per-rank tile
 // arrays (local ranks only — runAttempt never touches remote ranks'
-// entries).
+// entries). Under a source owner every rank generates its own share of
+// every tile, so each local rank gets the whole assignment (the begin
+// message carries all ranks' IDs) in tile-ID order, whoever it names.
 func (h *rankHost) resolveTiles(ids map[int][]int) ([][]Tile, error) {
 	assigned := make([][]Tile, h.cfg.Plan.R)
-	for rk := h.lo; rk < h.hi; rk++ {
-		for _, id := range ids[rk] {
+	ownerSide := sourceOwner(h.cfg.Owner) != nil
+	for rk, list := range ids {
+		if ownerSide {
+			rk = h.lo
+		} else if rk < h.lo || rk >= h.hi {
+			continue
+		}
+		for _, id := range list {
 			t, ok := h.byID[id]
 			if !ok {
 				return nil, fmt.Errorf("dist: assignment names unknown tile %d", id)
 			}
 			assigned[rk] = append(assigned[rk], t)
+		}
+	}
+	if ownerSide {
+		all := assigned[h.lo]
+		sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
+		for rk := h.lo; rk < h.hi; rk++ {
+			assigned[rk] = all
 		}
 	}
 	return assigned, nil
@@ -487,7 +504,8 @@ func (h *rankHost) attempt(ctx context.Context, epoch int64, ids map[int][]int, 
 		Generated: st.EdgesGenerated, Routed: st.EdgesRouted,
 		Bytes: st.BytesSent, Messages: st.Messages,
 		Stale: st.StaleBatches, MaxDepth: st.MaxInboxDepth,
-		HBMisses: st.HeartbeatMisses,
+		HBMisses:   st.HeartbeatMisses,
+		RowsTested: st.OwnerRowsTested, Compacted: st.ArcsCompacted,
 	}
 	for _, f := range h.sinks {
 		m := make(map[int]int64, len(f.stored))
@@ -582,13 +600,13 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Run executes the Plan→Expand→Route→Sink engine: every rank expands its
-// planned tiles through the blocked kernel (core.TailCursor.ExpandNext,
-// one head arc against the tile's tail, ≤ BatchSize arcs per block),
-// routes whole blocks through Config.Owner over the batched exchange (or
-// locally when Owner is nil), and hands owned edge batches to its
-// RankSink — via BlockStorer when the sink implements it, per-edge Store
-// otherwise.
+// Run executes the Plan→Expand→Place→Sink engine: every rank expands
+// tiles through the blocked kernel (core.TailCursor, one head arc against
+// the tile's tail, ≤ BatchSize arcs per block) — its planned tiles, or under
+// a source owner its own rows of every tile — routes blocks through
+// Config.Owner over the batched exchange when the owner is of the kind that
+// needs it (see Config.Owner), and hands owned edge batches to its RankSink
+// — via BlockStorer when the sink implements it, per-edge Store otherwise.
 //
 // Cancelling ctx tears the run down mid-exchange on every rank; the first
 // real error (a failed sink, or the cancellation cause) is returned.
