@@ -59,6 +59,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -453,11 +454,19 @@ func (t *killRankSink) StoreBlock(edges []graph.Edge) (int64, error) {
 // by source (OwnerBySource), so each rank generated the edges it stores and
 // nothing crossed the exchange; what it paid instead is the owner calls and
 // the arcs copied into the ranks' picks of owned rows, printed as shares of
-// the edges generated (replayed work included).
+// the edges generated (replayed work included) — and the busiest rank's
+// share, which is the run's wall: max stored over the ideal 1/R (of what this
+// head generation's attempts stored: a head resumed from a ledger counts only
+// what was stored since).
 func placed(st dist.Stats) string {
 	share := func(n int64) float64 { return 100 * float64(n) / float64(max(st.EdgesGenerated, 1)) }
-	return fmt.Sprintf("owner-side: %d routed (%d bytes, %d messages); filter: %d owner rows tested (%.2f%% of edges generated), %d arcs compacted (%.2f%%)",
-		st.EdgesRouted, st.BytesSent, st.Messages, st.OwnerRowsTested, share(st.OwnerRowsTested), st.ArcsCompacted, share(st.ArcsCompacted))
+	var stored int64
+	for _, n := range st.PerRankStored {
+		stored += n
+	}
+	return fmt.Sprintf("owner-side: %d routed (%d bytes, %d messages); filter: %d owner rows tested (%.2f%% of edges generated), %d arcs compacted (%.2f%%); load max/ideal = %.2f (rank %d)",
+		st.EdgesRouted, st.BytesSent, st.Messages, st.OwnerRowsTested, share(st.OwnerRowsTested), st.ArcsCompacted, share(st.ArcsCompacted),
+		float64(st.MaxStored())*float64(len(st.PerRankStored))/float64(max(stored, 1)), slices.Index(st.PerRankStored, st.MaxStored()))
 }
 
 // openOut opens the -out file, or stdout when unset.

@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 
 	"kronlab/internal/analytics"
 	"kronlab/internal/core"
@@ -45,6 +46,10 @@ func main() {
 	}
 	fmt.Printf("distributed generation on %d ranks: %d edges generated owner-side, %d routed, %d bytes\n",
 		4, res.Stats.EdgesGenerated, res.Stats.EdgesRouted, res.Stats.BytesSent)
+	// A rank generates what it stores, so the busiest rank's share is the
+	// run's wall: max stored over the ideal 1/R.
+	fmt.Printf("load max/ideal = %.2f (rank %d)\n",
+		float64(res.Stats.MaxStored())*4/float64(res.TotalStored()), slices.Index(res.Stats.PerRankStored, res.Stats.MaxStored()))
 	collected, err := res.Collect()
 	if err != nil {
 		log.Fatal(err)

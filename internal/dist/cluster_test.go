@@ -559,6 +559,69 @@ func TestClusterHeadFaultUnchanged(t *testing.T) {
 	}
 }
 
+// TestLedgerIdentityRefusesOtherRun: a ledger belongs to one run
+// configuration. Its per-(tile, rank) prefixes count positions in the
+// substream one owner map sends a rank in batches of one size, so a head
+// handed a finished run's ledger under any other owner map — another kind, or
+// the source hash as it was before it kept the high bits — another batch size
+// or another process split must refuse by identity, where seeding its fences
+// would suppress the wrong arcs of tiles whose counts still match. The same
+// configuration is accepted: that is a resume.
+func TestLedgerIdentityRefusesOtherRun(t *testing.T) {
+	const r = 4
+	plan, err := PlanChain1D(mustChain(killTestFactors()), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := tcp.NewNode("127.0.0.1:0", 0, PlanHash(plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	oneProc := ClusterConfig{Procs: []transport.Proc{{Hi: r}}}
+	run := func(cc ClusterConfig, path string, owner Owner, batch int) error {
+		cc.LedgerPath = path
+		_, err := RunCluster(ctx, cc, Config{Plan: plan, Owner: owner, Sink: &CountSink{}, BatchSize: batch})
+		return err
+	}
+	owners := map[string]Owner{
+		"BlockOwner":    BlockOwner{NC: plan.NC},
+		"OwnerBySource": OwnerBySource,
+		"OwnerByEdge":   OwnerByEdge,
+		"lowBitsHash": OwnerFunc(func(u, _ int64, r int) int {
+			return int(uint64(u) * 0x9e3779b97f4a7c15 % uint64(r))
+		}),
+	}
+	for was, x := range owners {
+		path := t.TempDir() + "/ledger"
+		if err := run(oneProc, path, x, 0); err != nil {
+			t.Fatalf("%s: %v", was, err)
+		}
+		if err := run(oneProc, path, x, 0); err != nil {
+			t.Fatalf("%s: the run's own ledger refused: %v", was, err)
+		}
+		for now, y := range owners {
+			if now == was {
+				continue
+			}
+			if err := run(oneProc, path, y, 0); !errors.Is(err, ledger.ErrIdentity) {
+				t.Errorf("ledger written under %s, resumed under %s: got %v, want ledger.ErrIdentity", was, now, err)
+			}
+		}
+		if err := run(oneProc, path, x, DefaultBatchSize/2); !errors.Is(err, ledger.ErrIdentity) {
+			t.Errorf("%s, another batch size: got %v, want ledger.ErrIdentity", was, err)
+		}
+		// The head reads the ledger before it waits for anyone, so the second
+		// process of the other split need not exist.
+		split := ClusterConfig{Procs: transport.SplitRanks([]string{node.Addr(), "127.0.0.1:0"}, r), Node: node}
+		if err := run(split, path, x, 0); !errors.Is(err, ledger.ErrIdentity) {
+			t.Errorf("%s, two processes on a one-process ledger: got %v, want ledger.ErrIdentity", was, err)
+		}
+	}
+}
+
 // TestClusterBlameAndReassign: a two-process cluster (goroutines over
 // loopback, as in TestClusterParity) whose worker resets its link to the
 // head mid-exchange. The head's own report names the worker process, and

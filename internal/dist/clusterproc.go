@@ -441,9 +441,15 @@ func runClusterWorker(ctx context.Context, h *rankHost) (Stats, error) {
 }
 
 // configDigest fingerprints the run configuration beyond the plan —
-// layout, routing mode, batch size — for the ledger's identity record:
+// process split, owner map, batch size — for the ledger's identity record:
 // resuming a ledger written under a different configuration must refuse,
-// not silently mix accounting regimes.
+// not silently mix accounting regimes. The owner is fingerprinted by what it
+// does, its answers on 64 probe edges spread over the product's vertices
+// (high and low bits both vary): the ledger's per-(tile, rank) prefixes
+// count positions in the substream *this* map sends to a rank, so a ledger
+// written under another map — another kind, or the same name at another
+// commit — would fence the wrong arcs out of tiles whose counts still match.
+// One mechanism for every owner kind, pure by the Owner contract.
 func (h *rankHost) configDigest() uint64 {
 	d := fnv.New64a()
 	var b [8]byte
@@ -458,6 +464,11 @@ func (h *rankHost) configDigest() uint64 {
 	}
 	if h.cfg.Owner != nil {
 		w(1)
+		owner, nc := h.cfg.Owner.Bind(h.cfg.Plan.R), max(h.cfg.Plan.NC, 1)
+		probe := func(j int64) int64 { return (j*(nc/64) + j) % nc }
+		for j := int64(0); j < 64; j++ {
+			w(int64(owner(probe(j), probe(63-j))))
+		}
 	} else {
 		w(0)
 	}

@@ -2,11 +2,13 @@ package dist
 
 import (
 	"context"
+	"math/bits"
 	"reflect"
 	"sync/atomic"
 
 	"kronlab/internal/dist/transport"
 	"kronlab/internal/graph"
+	"kronlab/internal/store"
 )
 
 // DefaultBatchSize is the number of edges buffered per destination before
@@ -537,20 +539,17 @@ func (f OwnerFunc) Bind(r int) BoundOwnerFunc {
 }
 
 // OwnerBySource assigns edges to ranks by a multiplicative hash of the
-// source endpoint — 1D vertex partitioning of the product graph. Passed
-// as is (not wrapped in another function), it is a SourceOwner: nothing
-// is routed.
-var OwnerBySource OwnerFunc = ownerBySource
+// source endpoint — 1D vertex partitioning of the product graph, and the
+// shard map of internal/store: it is store.BySource, the map's one
+// definition, which keeps the hash's high bits so that every rank owns 1/r
+// of the arcs but for the hubs' share. Passed as is (not wrapped in another
+// function), it is a SourceOwner: nothing is routed.
+var OwnerBySource OwnerFunc = store.BySource
 
-func ownerBySource(u, _ int64, r int) int {
-	h := uint64(u) * 0x9e3779b97f4a7c15
-	return int(h % uint64(r))
-}
-
-// ownerBySourcePC is ownerBySource's code pointer, what recognition
+// ownerBySourcePC is OwnerBySource's code pointer, what recognition
 // compares against: func values are not comparable in Go, and
 // OwnerBySource has to stay a plain OwnerFunc value for its callers.
-var ownerBySourcePC = reflect.ValueOf(ownerBySource).Pointer()
+var ownerBySourcePC = reflect.ValueOf(OwnerBySource).Pointer()
 
 // resolveOwner returns the owner the engine places with: the package's
 // OwnerBySource value becomes its SourceOwner form, everything else is
@@ -567,25 +566,27 @@ func resolveOwner(o Owner) Owner {
 // sourceHashOwner is OwnerBySource as a SourceOwner: the hash with r
 // resolved, keyed by the source. The engine places with it whenever it is
 // handed OwnerBySource (resolveOwner), and GenerateChain substitutes it for
-// a nil owner; both forms agree.
+// a nil owner; both forms call the one function.
 type sourceHashOwner struct{}
 
 // BindSource implements SourceOwner.
 func (sourceHashOwner) BindSource(r int) func(u int64) int {
-	rr := uint64(r)
-	return func(u int64) int {
-		return int((uint64(u) * 0x9e3779b97f4a7c15) % rr)
-	}
+	return func(u int64) int { return store.BySource(u, 0, r) }
 }
 
 // Bind implements Owner.
 func (o sourceHashOwner) Bind(r int) BoundOwnerFunc { return bindBySource(o, r) }
 
 // OwnerByEdge hashes both endpoints, spreading even a single hub vertex's
-// edges across ranks (2D-style edge partitioning).
+// edges across ranks (2D-style edge partitioning): the two endpoints'
+// products folded through one xor-shift-multiply round, then the same
+// high-word reduction as store.BySource — a remainder would keep the low
+// bits of u and v, the skewed ones.
 var OwnerByEdge OwnerFunc = func(u, v int64, r int) int {
 	h := uint64(u)*0x9e3779b97f4a7c15 ^ (uint64(v)*0xc2b2ae3d27d4eb4f + 0x165667b19e3779f9)
-	return int(h % uint64(r))
+	h = (h ^ h>>32) * 0xd6e8feb86659fd93
+	hi, _ := bits.Mul64(h, uint64(r))
+	return int(hi)
 }
 
 // BlockOwner assigns contiguous source-vertex blocks of size ⌈NC/r⌉ —

@@ -103,9 +103,10 @@ func generateChain(ch *core.Chain, r int, ownr Owner, twoD bool) (*Result, error
 	// (deg_C(p) = Π deg_d(digit_d(p))), so summing the degree products of
 	// each rank's owned product vertices gives exact buffer sizes in
 	// O(|V_C|) — which the gate keeps a small fraction of the O(|E_C|)
-	// expansion. With power-law factors the hash-partitioned loads are
-	// skewed enough that the ideal-share hint under-sizes hot ranks and
-	// growslice doubling dominates allocations.
+	// expansion. A hashed share is never exactly 1/r (the hubs' arcs land
+	// whole, a percent of skew at r = 16 and tens at r ≥ 64), so the
+	// ideal-share hint under-sizes the busier ranks and each pays one
+	// growslice doubling of its whole buffer.
 	if limit, ok := core.CheckedMul(4, arcs); bySourceHash && ok && plan.NC <= limit {
 		sink.Hints = chainSourceHashLoads(ch, r)
 	} else {

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"cmp"
+	"math/bits"
 	"runtime/pprof"
 	"slices"
 
@@ -40,6 +41,8 @@ type ownedRows struct {
 	s0      int64        // its source base
 	inner   []graph.Edge // g.ArcSlice()
 	rowOff  []int64      // g.RowOffsets()
+	nz      []int64      // g's non-empty rows
+	mine    []uint64     // the owner's answer for each of nz at s0, a bit a row
 	arcs    []graph.Edge // the pick: inner itself when every row is owned, else a prefix of buf
 	buf     []graph.Edge // grown to len(inner) by the first pick over a factor that large
 	scratch []graph.Edge // the emitted block, reused
@@ -79,33 +82,53 @@ func (o *ownedRows) step(t *Tile, cur *core.TailCursor, uBase, vBase, rem int64,
 	return int64(hi - lo), true
 }
 
-// pick asks the owner about every non-empty row of g at source base s0.
-// Nothing is copied while every row so far is owned — the pick is then a
-// prefix of inner, and all of it for the one rank of R = 1 or a BlockOwner
-// block that covers the sweep.
+// pick asks the owner about every non-empty row of g at source base s0, in
+// two passes: first the answers, a bit a row, then one copy per set bit. Under
+// a map that mixes its bits the answer is a coin flip per row, and kept as
+// data it costs a SETcc where a branch on it mispredicts every other row.
+// Nothing is copied when every row is owned — the pick is then inner itself:
+// the one rank of R = 1, or a BlockOwner block that covers the sweep.
 func (o *ownedRows) pick(g *graph.Graph, s0 int64) {
 	pprof.SetGoroutineLabels(filterLabels)
-	o.g, o.s0, o.inner, o.rowOff = g, s0, g.ArcSlice(), g.RowOffsets()
-	o.buf = slices.Grow(o.buf[:0], len(o.inner))
-	buf, all := o.buf, true
-	for u := 0; u+1 < len(o.rowOff); u++ {
-		lo, hi := o.rowOff[u], o.rowOff[u+1]
-		if lo == hi {
-			continue
+	if g != o.g { // list the factor's non-empty rows once
+		o.g, o.inner, o.rowOff = g, g.ArcSlice(), g.RowOffsets()
+		o.nz = slices.Grow(o.nz[:0], len(o.rowOff))
+		for u := 0; u+1 < len(o.rowOff); u++ {
+			if o.rowOff[u] != o.rowOff[u+1] {
+				o.nz = append(o.nz, int64(u))
+			}
 		}
-		o.rows++
-		switch mine := o.owner(s0+int64(u)) == o.rank; {
-		case mine && !all:
-			buf = append(buf, o.inner[lo:hi]...)
-		case !mine && all:
-			all = false
-			buf = append(buf, o.inner[:lo]...)
+		words := (len(o.nz) + 63) / 64
+		o.mine = slices.Grow(o.mine[:0], words)[:words]
+		o.buf = slices.Grow(o.buf[:0], len(o.inner))
+	}
+	o.s0 = s0
+	o.rows += int64(len(o.nz))
+	owned := 0
+	for w := range o.mine {
+		var m uint64
+		for i, u := range o.nz[w*64 : min(len(o.nz), w*64+64)] {
+			var bit uint64
+			if o.owner(s0+u) == o.rank {
+				bit = 1
+			}
+			m |= bit << i
+		}
+		o.mine[w] = m
+		owned += bits.OnesCount64(m)
+	}
+	if o.arcs = o.inner; owned == len(o.nz) {
+		return
+	}
+	buf := o.buf[:0]
+	for w, m := range o.mine {
+		for ; m != 0; m &= m - 1 {
+			u := o.nz[w*64+bits.TrailingZeros64(m)]
+			buf = append(buf, o.inner[o.rowOff[u]:o.rowOff[u+1]]...)
 		}
 	}
-	if o.arcs = o.inner; !all {
-		o.arcs = buf
-		o.copied += int64(len(buf))
-	}
+	o.arcs = buf
+	o.copied += int64(len(buf))
 }
 
 // index maps position pos of inner to the pick: the owned arcs before it.

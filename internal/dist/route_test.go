@@ -9,14 +9,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"kronlab/internal/core"
 	"kronlab/internal/dist/transport"
 	"kronlab/internal/gen"
 	"kronlab/internal/graph"
+	"kronlab/internal/store"
 )
 
 // loopback is a Transport with one live rank: every batch that rank
@@ -299,8 +303,8 @@ func TestOwnerBySourceRecognition(t *testing.T) {
 	want := sortedArcs(referenceArcs(ch))
 	opaque := map[string]OwnerFunc{
 		"sameBody": func(u, _ int64, r int) int {
-			h := uint64(u) * 0x9e3779b97f4a7c15
-			return int(h % uint64(r))
+			hi, _ := bits.Mul64(uint64(u)*0x9e3779b97f4a7c15, uint64(r))
+			return int(hi)
 		},
 		"byBlock": OwnerByBlock(ch.NumVertices()),
 		"byEdge":  OwnerByEdge,
@@ -316,6 +320,86 @@ func TestOwnerBySourceRecognition(t *testing.T) {
 		ms := &MemorySink{PerRank: res.PerRank}
 		assertSameOrder(t, name, sortedArcs(mergedArcs(ms)), want)
 		assertPlacement(t, ms, f.Bind(r))
+	}
+}
+
+// TestOwnerMapsBalance holds both hashed owner maps to an even split on
+// R-MAT products, whose vertex ids are the adversarial input: every bit of
+// one is 0 with probability a+b = 0.76, so a map that keeps low bits (the
+// remainder of a hash, as both maps were) piles 0.76^log₂r of the arcs on
+// rank 0 — max/ideal read 1.4–3.2 by source and up to 1.33 by edge on these
+// chains. Loads by source are the closed form generateChain sizes buffers
+// from, held to enumeration wherever the chain is small enough to enumerate;
+// RMAT(6)³ is 4.7e8 arcs, so by edge a smaller cube stands in for it.
+func TestOwnerMapsBalance(t *testing.T) {
+	rs := []int{2, 3, 4, 16}
+	for _, c := range []struct {
+		scales    []int
+		enumerate bool
+	}{{[]int{7, 7}, true}, {[]int{6, 6, 6}, false}, {[]int{4, 4, 4}, true}} {
+		gs := make([]*graph.Graph, len(c.scales))
+		for i, scale := range c.scales {
+			gs[i] = gen.MustRMAT(gen.Graph500Params(scale, int64(451+i)))
+		}
+		ch := mustChain(gs...)
+		arcs, err := ch.NumArcs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bySource, byEdge := make([][]int64, len(rs)), make([][]int64, len(rs))
+		for i, r := range rs {
+			bySource[i], byEdge[i] = make([]int64, r), make([]int64, r)
+		}
+		if c.enumerate {
+			ch.Arcs(func(u, v int64) bool {
+				for i, r := range rs {
+					bySource[i][OwnerBySource(u, v, r)]++
+					byEdge[i][OwnerByEdge(u, v, r)]++
+				}
+				return true
+			})
+		}
+		for i, r := range rs {
+			check := func(name string, loads []int64) {
+				if skew := float64(maxOf(loads)) * float64(r) / float64(arcs); skew > 1.05 {
+					t.Errorf("RMAT%v r=%d %s: busiest rank stores %.3f × ideal, want ≤ 1.05 (loads %v)", c.scales, r, name, skew, loads)
+				}
+			}
+			loads := chainSourceHashLoads(ch, r)
+			check("OwnerBySource", loads)
+			if c.enumerate {
+				if !slices.Equal(loads, bySource[i]) {
+					t.Fatalf("RMAT%v r=%d: closed-form loads %v, enumerated %v", c.scales, r, loads, bySource[i])
+				}
+				check("OwnerByEdge", byEdge[i])
+			}
+		}
+	}
+}
+
+// TestOwnerMapsRange: both hashed maps answer in [0, r) for every r ≥ 1 and
+// every source an int64 holds — the high-word reduction needs no power of
+// two and no headroom — and the source map's three spellings (the store's
+// shard map, the OwnerFunc, the bound SourceOwner) are one function.
+func TestOwnerMapsRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(454))
+	ends := []int64{0, 1, 1<<31 - 1, 1 << 32, 1 << 62, math.MaxInt64 - 1, math.MaxInt64}
+	for _, r := range []int{1, 2, 3, 7, 16, 9999} {
+		bound := sourceHashOwner{}.BindSource(r)
+		for i := 0; i < 2000+len(ends); i++ {
+			u, v := rng.Int63(), rng.Int63()
+			if i < len(ends) {
+				u = ends[i]
+			}
+			s := store.BySource(u, v, r)
+			if s < 0 || s >= r || OwnerBySource(u, v, r) != s || bound(u) != s {
+				t.Fatalf("r=%d u=%d: store.BySource %d, OwnerBySource %d, BindSource %d, want one value in [0,%d)",
+					r, u, s, OwnerBySource(u, v, r), bound(u), r)
+			}
+			if e := OwnerByEdge(u, v, r); e < 0 || e >= r {
+				t.Fatalf("r=%d (%d,%d): OwnerByEdge = %d, out of [0,%d)", r, u, v, e, r)
+			}
+		}
 	}
 }
 

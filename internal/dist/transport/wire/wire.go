@@ -47,8 +47,13 @@ import (
 // handshake refusal. Version 3: plan hashes fold the per-tile stream
 // windows (Tile.Skip/Take, seekable generation), shifting every plan's
 // hash — same posture, a version refusal instead of a baffling plan
-// mismatch against a v2 peer.
-const Version = 3
+// mismatch against a v2 peer. Version 4: the source owner map changed
+// (store.BySource keeps the hash's high bits). Under a source owner each
+// process computes its own share of every tile from the map alone and
+// nothing crosses the wire that could expose a disagreement, so a peer
+// built before the map changed must be refused here, at the handshake,
+// rather than found out by tiles that never commit.
+const Version = 4
 
 // Magic opens every frame — a cheap desynchronization tripwire: if a
 // torn or corrupt frame shifts the stream, the next header read fails

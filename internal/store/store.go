@@ -5,6 +5,11 @@
 // directory with a small text manifest and S binary shard files of raw
 // little-endian (u, v) int64 pairs; edges are routed to shards by a
 // pluggable shard function, mirroring the owner maps of internal/dist.
+// Placement is the writer's business alone: Open, Iter, IterShard,
+// LoadGraph and Recover walk shards by index and never ask which shard a
+// vertex belongs to, so the manifest does not name the map, and a store
+// placed by another one — BySource as it was before it kept the hash's
+// high bits, say — reads back the same.
 //
 // Layout:
 //
@@ -18,6 +23,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -47,9 +53,16 @@ func GetRecord(b []byte) (u, v int64) {
 // ShardFunc routes an edge to one of s shards.
 type ShardFunc func(u, v int64, s int) int
 
-// BySource hashes the source endpoint (matches dist.OwnerBySource).
+// BySource places an edge by its source alone, evenly: the source times
+// 2⁶⁴/φ (Fibonacci hashing), reduced to [0, s) by the high word of its
+// product with s — no division, in range for every s ≥ 1. The high bits are
+// the point. A remainder keeps the product's low bits, for a power-of-two s
+// a permutation of u mod s, and each low bit of an R-MAT vertex id is 0 with
+// probability a+b = 0.76: shard 0 then holds 0.76^log₂s of the arcs. This is
+// the one definition of the map; dist.OwnerBySource is this function.
 func BySource(u, _ int64, s int) int {
-	return int((uint64(u) * 0x9e3779b97f4a7c15) % uint64(s))
+	hi, _ := bits.Mul64(uint64(u)*0x9e3779b97f4a7c15, uint64(s))
+	return int(hi)
 }
 
 const manifestName = "MANIFEST"

@@ -302,3 +302,75 @@ func TestStoreProductPipeline(t *testing.T) {
 		t.Fatal("streamed store differs from in-memory product")
 	}
 }
+
+// TestOldPlacementStoresKeepReading pins what let BySource change without a
+// manifest field: no reader consults the shard map. A store whose shards
+// were placed by the map as it was before (the product's low bits) opens,
+// iterates, loads and recovers to the same arcs as one placed by BySource.
+func TestOldPlacementStoresKeepReading(t *testing.T) {
+	g := gen.MustRMAT(gen.Graph500Params(5, 14))
+	const shards = 4
+	dir := t.TempDir()
+	var counts [shards]int64
+	var ws [shards]*ShardWriter
+	for i := range ws {
+		w, err := NewShardWriter(dir, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws[i] = w
+	}
+	moved := 0
+	g.Arcs(func(u, v int64) bool {
+		s := int((uint64(u) * 0x9e3779b97f4a7c15) % shards)
+		if s != BySource(u, v, shards) {
+			moved++
+		}
+		if err := ws[s].Append(u, v); err != nil {
+			t.Fatal(err)
+		}
+		counts[s]++
+		return true
+	})
+	if moved == 0 {
+		t.Fatal("the old expression places every arc where BySource does: the test distinguishes nothing")
+	}
+	for _, w := range ws {
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := WriteManifest(dir, g.NumVertices(), counts[:]); err != nil {
+		t.Fatal(err)
+	}
+	check := func(how string, st *Store, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", how, err)
+		}
+		var iterated int64
+		if err := st.Iter(func(u, v int64) bool {
+			if !g.HasArc(u, v) {
+				t.Fatalf("%s: Iter yields (%d,%d), not an arc of the graph", how, u, v)
+			}
+			iterated++
+			return true
+		}); err != nil {
+			t.Fatalf("%s: Iter: %v", how, err)
+		}
+		loaded, err := st.LoadGraph()
+		if err != nil {
+			t.Fatalf("%s: LoadGraph: %v", how, err)
+		}
+		if iterated != g.NumArcs() || !loaded.Equal(g) {
+			t.Fatalf("%s: %d arcs iterated, want %d; loaded graph equal: %v", how, iterated, g.NumArcs(), loaded.Equal(g))
+		}
+	}
+	st, err := Open(dir)
+	check("Open", st, err)
+	if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
+		t.Fatal(err)
+	}
+	st, err = Recover(dir, g.NumVertices())
+	check("Recover", st, err)
+}
