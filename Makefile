@@ -33,10 +33,13 @@ race:
 
 # The second line cross-compiles (stdlib only, works offline) so the
 # portable body of core.ExpandRun — which amd64 never links — cannot rot;
-# the first already runs asmdecl over expand_amd64.s.
+# the first already runs asmdecl over expand_amd64.s. The third builds and
+# tests the kernel with the compiler allowed AVX2 everywhere (GOAMD64=v3):
+# the assembly still picks its loop at run time, and must not care.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/core/
+	GOAMD64=v3 $(GO) build ./... && GOAMD64=v3 $(GO) test ./internal/core/
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \
@@ -91,13 +94,19 @@ cluster-smoke:
 # arc once, so every row includes expansion and the expand row is that cost
 # alone — so the checks are ratios that survive a change of machine:
 # generating OwnerBySource's arcs where they are stored must cost no more
-# than twice the bare expansion (measured 1.3–1.8× at R = 4) and no more than
-# staging them edge by edge for the exchange (≈ 0.05×), with 0 allocs/op on
+# than three times the bare expansion and no more than staging them edge by
+# edge for the exchange (≈ 0.04×), with 0 allocs/op on
 # every row. Balance is gated by a count, not a clock: the ownerSide row's
 # skew — the busiest rank's arcs over the ideal 1/R share, what a run's wall
 # follows — must be ≤ 1.10 (reads 1.008; the hash reduced by remainder read
 # 1.86). The tinyInner row is the stated worst case (a 4-vertex innermost
-# factor at R = 16); it is printed, not gated. Mirrors the CI step.
+# factor at R = 16); it is printed, not gated. The expand bound was 2 ×
+# (read 1.3–1.9) until the kernel got its 256-bit loop: a clock ratio moves
+# when its denominator does. Ten runs a side across that change: ownerSide
+# 0.39–0.40 → 0.30–0.32 ns/edge, expand 0.20–0.26 → 0.12–0.17, so the ratio
+# reads 1.3–2.6 (2 × failed 2–3 of 10) although placing got cheaper in
+# absolute terms — on RMAT(7)² at R = 4 most of ownerSide is per-sweep work
+# no kernel touches. 3 × passed ten of ten. Mirrors the CI step.
 bench-route:
 	$(GO) test -run '^$$' -bench BenchmarkRoute -benchtime 50x -benchmem ./internal/dist/ | awk ' \
 		{ print } \
@@ -109,8 +118,8 @@ bench-route:
 		/^BenchmarkRoute\/perEdgeReference/ { ref = ns } \
 		/^BenchmarkRoute\/expand/ { bare = ns } \
 		END { \
-			if (own == "" || ref == "" || bare == "" || ownskew == "" || bad || own + 0 > ref + 0 || own + 0 > 2 * bare || ownskew + 0 > 1.10) { \
-				print "bench-route: FAIL — rows missing, a row allocates, ownerSide costs more than perEdgeReference or than 2 × expand, or its skew is over 1.10"; exit 1 } \
+			if (own == "" || ref == "" || bare == "" || ownskew == "" || bad || own + 0 > ref + 0 || own + 0 > 3 * bare || ownskew + 0 > 1.10) { \
+				print "bench-route: FAIL — rows missing, a row allocates, ownerSide costs more than perEdgeReference or than 3 × expand, or its skew is over 1.10"; exit 1 } \
 			printf "bench-route: ownerSide / expand = %.2f, ownerSide / perEdgeReference = %.2f, ownerSide skew = %.3f\n", own / bare, own / ref, ownskew }'
 
 # Allocation regression guard on the end-to-end generation benchmarks:

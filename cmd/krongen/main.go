@@ -269,8 +269,8 @@ func main() {
 		}
 		if *stats {
 			elapsed := time.Since(start)
-			fmt.Fprintf(os.Stderr, "streamed %d arcs to %s (%d shards) in %v (%.0f edges/s)\n",
-				st.TotalEdges(), *storeDir, st.Shards(), elapsed, float64(st.TotalEdges())/elapsed.Seconds())
+			fmt.Fprintf(os.Stderr, "streamed %d arcs to %s (%d shards) in %s\n",
+				st.TotalEdges(), *storeDir, st.Shards(), rate(st.TotalEdges(), elapsed))
 			fmt.Fprintf(os.Stderr, "ranks=%d %s, max stored/rank=%d\n", *ranks, placed(genStats), genStats.MaxStored())
 		}
 		return
@@ -309,8 +309,8 @@ func main() {
 		}
 		if *stats {
 			elapsed := time.Since(start)
-			fmt.Fprintf(os.Stderr, "streamed %d arcs to %s (%d shards) in %v (%.0f edges/s)\n",
-				count, *storeDir, *shards, elapsed, float64(count)/elapsed.Seconds())
+			fmt.Fprintf(os.Stderr, "streamed %d arcs to %s (%d shards) in %s\n",
+				count, *storeDir, *shards, rate(count, elapsed))
 		}
 		return
 	}
@@ -369,8 +369,8 @@ func main() {
 		}
 		if *stats {
 			elapsed := time.Since(start)
-			fmt.Fprintf(os.Stderr, "wrote %d arcs from offset %d in %v (%.0f edges/s)\n",
-				count, *offset, elapsed, float64(count)/elapsed.Seconds())
+			fmt.Fprintf(os.Stderr, "wrote %d arcs from offset %d in %s\n",
+				count, *offset, rate(count, elapsed))
 		}
 		return
 	}
@@ -414,8 +414,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "A%d: %v\n", i+1, g)
 		}
 		fmt.Fprintf(os.Stderr, "C: %v\n", c)
-		fmt.Fprintf(os.Stderr, "generated in %v (%.0f edges/s)\n",
-			elapsed, float64(c.NumArcs())/elapsed.Seconds())
+		fmt.Fprintf(os.Stderr, "generated in %s\n", rate(c.NumArcs(), elapsed))
 		if *mode != "serial" {
 			fmt.Fprintf(os.Stderr, "ranks=%d %s\n", *ranks, placed(genStats))
 		}
@@ -467,6 +466,13 @@ func placed(st dist.Stats) string {
 	return fmt.Sprintf("owner-side: %d routed (%d bytes, %d messages); filter: %d owner rows tested (%.2f%% of edges generated), %d arcs compacted (%.2f%%); load max/ideal = %.2f (rank %d)",
 		st.EdgesRouted, st.BytesSent, st.Messages, st.OwnerRowsTested, share(st.OwnerRowsTested), st.ArcsCompacted, share(st.ArcsCompacted),
 		float64(st.MaxStored())*float64(len(st.PerRankStored))/float64(max(stored, 1)), slices.Index(st.PerRankStored, st.MaxStored()))
+}
+
+// rate is the tail of every -stats timing line: the time, the rate, and
+// the expansion kernel that produced it (core.Kernel) — without which two
+// hosts' edges/s do not compare.
+func rate(arcs int64, elapsed time.Duration) string {
+	return fmt.Sprintf("%v (%.0f edges/s, %s kernel)", elapsed, float64(arcs)/elapsed.Seconds(), core.Kernel())
 }
 
 // openOut opens the -out file, or stdout when unset.
@@ -578,8 +584,8 @@ func runCluster(ch *core.Chain, twoD bool, dir, peers string, self, ranks, retri
 	}
 	if stats {
 		elapsed := time.Since(start)
-		fmt.Fprintf(os.Stderr, "streamed %d arcs to %s (%d shards) in %v (%.0f edges/s)\n",
-			st.TotalEdges(), dir, st.Shards(), elapsed, float64(st.TotalEdges())/elapsed.Seconds())
+		fmt.Fprintf(os.Stderr, "streamed %d arcs to %s (%d shards) in %s\n",
+			st.TotalEdges(), dir, st.Shards(), rate(st.TotalEdges(), elapsed))
 		fmt.Fprintf(os.Stderr, "procs=%d ranks=%d %s, max stored/rank=%d, recovered runs=%d, head generation=%d\n",
 			len(addrs), ranks, placed(genStats), genStats.MaxStored(), genStats.RecoveredRuns, genStats.HeadGeneration)
 	}

@@ -20,9 +20,13 @@ import (
 // must not overlap.
 //
 // A graph.Edge is two int64s — exactly one 128-bit lane — so on amd64 the
-// body is an SSE2 load / PADDQ / store per arc (expand_amd64.s: baseline
-// GOAMD64=v1, no feature detection); elsewhere it is addEdgesGo, the
-// portable loop the assembly is tested against.
+// body is one assembly routine (expand_amd64.s) with two loops: where one
+// CPUID/XCR0 probe at start-up found AVX2, two arcs per 256-bit VPADDQ
+// behind a software prefetch of run, which is usually a factor's arc slice
+// and lives in L2; under it, and on every other amd64, SSE2's load / PADDQ
+// / store per arc. The machine picks; nothing selects a body by hand, and
+// Kernel names the one in use. Elsewhere the body is addEdgesGo, the
+// portable loop both are tested against.
 func ExpandRun(out, run []graph.Edge, u0, v0 int64) []graph.Edge {
 	n := len(out)
 	out = slices.Grow(out, len(run))[:n+len(run)]

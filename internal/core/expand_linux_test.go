@@ -1,0 +1,57 @@
+package core
+
+import (
+	"runtime/debug"
+	"slices"
+	"syscall"
+	"testing"
+	"unsafe"
+
+	"kronlab/internal/graph"
+)
+
+// TestExpandRunGuardPage ends run, and then out, exactly at the boundary
+// of an inaccessible page, for every length 0–40 on every body: a load or
+// a store one byte past len is a fault (a prefetch is not, and the wide
+// loop issues them pfDist past every line it reads).
+func TestExpandRunGuardPage(t *testing.T) {
+	page := syscall.Getpagesize()
+	mem, err := syscall.Mmap(-1, 0, 2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Skipf("mmap: %v", err)
+	}
+	defer syscall.Munmap(mem)
+	if err := syscall.Mprotect(mem[page:], syscall.PROT_NONE); err != nil {
+		t.Skipf("mprotect: %v", err)
+	}
+	// atGuard is n arcs whose last byte is the last accessible one.
+	atGuard := func(n int) []graph.Edge {
+		return unsafe.Slice((*graph.Edge)(unsafe.Pointer(&mem[page-16*n])), n)
+	}
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+
+	arcs := make([]graph.Edge, 40)
+	for i := range arcs {
+		arcs[i] = graph.Edge{U: int64(i) << 33, V: -int64(i)}
+	}
+	eachTier(func(tier string) {
+		for n := 0; n <= len(arcs); n++ {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("%s, len %d: ExpandRun touched the guard page: %v", tier, n, r)
+					}
+				}()
+				want := expandRunPerEdge(nil, arcs[:n], 5, -9)
+				run := atGuard(n)
+				copy(run, arcs)
+				if got := ExpandRun(make([]graph.Edge, 0, n), run, 5, -9); !slices.Equal(got, want) {
+					t.Fatalf("%s, len %d, run at the guard: got %v, want %v", tier, n, got, want)
+				}
+				if got := ExpandRun(atGuard(n)[:0], arcs[:n], 5, -9); !slices.Equal(got, want) {
+					t.Fatalf("%s, len %d, out at the guard: got %v, want %v", tier, n, got, want)
+				}
+			}()
+		}
+	}, func(tier, missing string) { t.Logf("%s not run: host lacks %s", tier, missing) })
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -49,8 +48,9 @@ type expandShape struct {
 	u0, v0             int64
 }
 
-// checkExpandRun holds ExpandRun (the assembly on amd64) and addEdgesGo
-// (the portable loop) to the per-edge loop for one run and call shape.
+// checkExpandRun holds ExpandRun (on amd64 the assembly, in whichever body
+// eachTier has forced) and addEdgesGo (the portable loop) to the per-edge
+// loop for one run and call shape.
 // Every arc of out's backing array outside the window is a canary.
 // Checked: the result; the prefix and the canaries before the window and
 // past len(out)+len(run) untouched; run unmodified; out grown exactly when
@@ -105,15 +105,23 @@ func checkExpandRun(t *testing.T, arcs []graph.Edge, sh expandShape) {
 	}
 }
 
-// TestExpandRunDifferential walks every run length 0–67 (every remainder
-// of the 4-way unroll, many times over) at every start offset 0–3 of
-// 16-byte-aligned and misaligned source and destination arrays, with and
+// TestExpandRunDifferential walks, on every body of the kernel this host
+// can run (eachTier), every run length 0–67 — every remainder of the 8-way
+// and 4-way unrolls many times over, 8k+4+{1,2,3} among them: the wide
+// loop, VZEROUPPER, then loop4 and loop1 — and a few long ones, at every
+// start offset 0–3 of 16-byte-aligned and misaligned source and
+// destination arrays (so every residue of a 32-byte access too), with and
 // without a prefix already in out, with exact, spare and short capacity,
 // over bases that include negatives and sums that wrap int64.
 func TestExpandRunDifferential(t *testing.T) {
 	if misaligned16(arcArray(8, false)) || !misaligned16(arcArray(8, true)) {
 		t.Fatal("arcArray does not control 16-byte alignment on this platform; the misaligned cases would test nothing")
 	}
+	eachTier(func(tier string) { t.Run(tier, testExpandRunDifferential) },
+		func(tier, missing string) { t.Run(tier, func(t *testing.T) { t.Skip("host lacks " + missing) }) })
+}
+
+func testExpandRunDifferential(t *testing.T) {
 	bases := [][2]int64{
 		{0, 0},
 		{1 << 40, 3 << 33},
@@ -121,12 +129,17 @@ func TestExpandRunDifferential(t *testing.T) {
 		{math.MaxInt64, math.MinInt64},
 		{math.MinInt64, math.MaxInt64},
 	}
-	arcs := make([]graph.Edge, 67)
+	arcs := make([]graph.Edge, 492) // with off, prefix, spare and guard, fits a skewed
 	for i := range arcs {
 		arcs[i] = graph.Edge{U: int64(i) * 0x9e3779b97f4a7c, V: math.MaxInt64 - int64(i)*0x1234567}
 	}
 	arcs[2] = graph.Edge{U: math.MaxInt64, V: math.MinInt64}
+	var lengths []int
 	for n := 0; n <= 67; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 135, 263, 492) // 8k+4+3 twice, 8k+4
+	for _, n := range lengths {
 		for off := 0; off <= 3; off++ {
 			base := bases[(n+off)%len(bases)]
 			for align := 0; align < 4; align++ {
@@ -151,7 +164,8 @@ func TestExpandRunDifferential(t *testing.T) {
 }
 
 // FuzzExpandRun derives a run, a call shape and the bases from raw bytes
-// and holds ExpandRun and addEdgesGo to the per-edge loop (checkExpandRun).
+// and holds ExpandRun, on every body this host can run, and addEdgesGo to
+// the per-edge loop (checkExpandRun).
 func FuzzExpandRun(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint8(0), uint8(0), int64(0), int64(0))
 	f.Add(make([]byte, 16*5), uint8(1|4), uint8(2), uint8(5), int64(-1), int64(math.MaxInt64))
@@ -163,42 +177,55 @@ func FuzzExpandRun(f *testing.F) {
 			rec := raw[i*16:]
 			arcs[i] = graph.Edge{U: int64(binary.LittleEndian.Uint64(rec)), V: int64(binary.LittleEndian.Uint64(rec[8:]))}
 		}
-		checkExpandRun(t, arcs, expandShape{
+		sh := expandShape{
 			off: int(shape % 4), prefix: int(prefix % 8), spare: int(spare),
 			skewOut: shape&4 != 0, skewRun: shape&8 != 0, u0: u0, v0: v0,
-		})
+		}
+		eachTier(func(string) { checkExpandRun(t, arcs, sh) }, func(string, string) {})
 	})
 }
 
-// BenchmarkExpandRun times the primitive (the assembly on amd64), the
-// portable loop and the per-edge append loop it replaced on the two run
-// lengths the engine has fed it: a whole batch (ExpandNext over a long
-// innermost sweep) and a CSR row of a skewed factor (≈ 20 arcs: the row
-// router's calls, until owner-side generation replaced it — and what a
-// rank's share of a short sweep still is at large R).
+// sweepPiece is dist.DefaultBatchSize — the most arcs the engine asks of
+// one ExpandRun call — spelled out because core cannot import dist.
+const sweepPiece = 1024
+
+// BenchmarkExpandRun times the primitive in the shapes the engine feeds
+// it, in ns/arc, per body: each body of the assembly (eachTier), the
+// portable loop and the per-edge append loop it replaced. sweep21k is the
+// engine's k = 2 shape — the source is RMAT(10)'s arc slice (20 964 arcs,
+// 335 KB: L2-resident), swept in ≤ sweepPiece pieces into one reused,
+// L1-resident block; sweep1k is the same walk over a source that fits L1
+// beside the block; len20 is one CSR row of a skewed factor, call
+// included (a rank's share of a short sweep at large R). A benchmark that
+// reads one long run into an equally long out is bound by store misses
+// instead and cannot tell the bodies apart.
 func BenchmarkExpandRun(b *testing.B) {
-	bodies := []struct {
-		name string
-		f    func(out, run []graph.Edge, u0, v0 int64) []graph.Edge
-	}{
-		{"ExpandRun", ExpandRun},
-		{"portable", func(out, run []graph.Edge, u0, v0 int64) []graph.Edge {
-			out = out[:len(run)]
-			addEdgesGo(out, run, u0, v0)
-			return out
-		}},
-		{"perEdge", expandRunPerEdge},
-	}
-	for _, n := range []int{20, 4096} {
-		run := make([]graph.Edge, n)
-		out := make([]graph.Edge, 0, n)
-		for _, body := range bodies {
-			b.Run(fmt.Sprintf("%s/len%d", body.name, n), func(b *testing.B) {
-				b.SetBytes(int64(n) * 16)
+	shapes := []struct {
+		name       string
+		src, piece int
+	}{{"len20", 20, 20}, {"sweep1k", 1024, sweepPiece}, {"sweep21k", 20964, sweepPiece}}
+	rows := func(name string, body func(out, run []graph.Edge, u0, v0 int64) []graph.Edge) {
+		for _, sh := range shapes {
+			src := make([]graph.Edge, sh.src)
+			block := make([]graph.Edge, 0, sh.piece)
+			b.Run(name+"/"+sh.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					out = body.f(out[:0], run, int64(i), 7)
+					for lo := 0; lo < len(src); lo += sh.piece {
+						block = body(block[:0], src[lo:min(lo+sh.piece, len(src))], int64(i), 7)
+					}
 				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(len(src))), "ns/arc")
 			})
 		}
 	}
+	eachTier(func(tier string) { rows(tier, ExpandRun) },
+		func(tier, missing string) { b.Run(tier, func(b *testing.B) { b.Skip("host lacks " + missing) }) })
+	if Kernel() != "portable" { // elsewhere the row above is this one
+		rows("portable", func(out, run []graph.Edge, u0, v0 int64) []graph.Edge {
+			out = out[:len(run)]
+			addEdgesGo(out, run, u0, v0)
+			return out
+		})
+	}
+	rows("perEdge", expandRunPerEdge)
 }

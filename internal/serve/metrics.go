@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"kronlab/internal/core"
 	"kronlab/internal/dist"
 )
 
@@ -132,6 +133,8 @@ func (m *Metrics) WriteText(w io.Writer, cache *SummaryCache, lim *Limiter, fact
 	fmt.Fprintf(w, "kronserve_uptime_seconds %g\n", time.Since(m.Start).Seconds())
 	fmt.Fprintf(w, "# TYPE kronserve_factors_registered gauge\n")
 	fmt.Fprintf(w, "kronserve_factors_registered %d\n", factors)
+	fmt.Fprintf(w, "# TYPE kronlab_kernel_info gauge\n")
+	fmt.Fprintf(w, "kronlab_kernel_info{impl=%q} 1\n", core.Kernel())
 
 	names := make([]string, 0, len(m.routes))
 	for name := range m.routes {

@@ -37,6 +37,7 @@ import (
 	"sync"
 	"time"
 
+	"kronlab/internal/core"
 	"kronlab/internal/dist/transport/wire"
 )
 
@@ -301,6 +302,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		// operator can spot a version-skewed deployment before the
 		// transport handshake refuses it.
 		"transport_protocol": wire.Version,
+		// The expansion kernel this host runs; rates compare only next to it.
+		"kernel": core.Kernel(),
 	})
 }
 

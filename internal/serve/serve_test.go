@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"kronlab/internal/core"
 	"kronlab/internal/gen"
 	"kronlab/internal/graph"
 	"kronlab/internal/groundtruth"
@@ -406,7 +407,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	a := gen.PrefAttach(9, 2, 8)
 	ha := registerText(t, ts, a, "")
 	getJSON(t, fmt.Sprintf("%s/gt/%s/%s/triangles", ts.URL, ha, ha), http.StatusOK)
-	getJSON(t, ts.URL+"/healthz", http.StatusOK)
+	if h := getJSON(t, ts.URL+"/healthz", http.StatusOK); h["kernel"] != core.Kernel() {
+		t.Errorf("/healthz kernel = %v, want %q", h["kernel"], core.Kernel())
+	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -420,6 +423,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`kronserve_requests_total{route="gt"} 1`,
 		"kronserve_summary_builds_total 1", // A ⊗ A: one factor, one build
 		"kronserve_factors_registered 1",
+		fmt.Sprintf("kronlab_kernel_info{impl=%q} 1", core.Kernel()),
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, text)
