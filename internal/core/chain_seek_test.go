@@ -87,33 +87,35 @@ func TestChainArcsFromMatchesArcs(t *testing.T) {
 		{"k3", []*graph.Graph{gen.ER(4, 0.6, 23), gen.Ring(3), gen.ER(3, 0.8, 24)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ch, err := NewChain(tc.factors...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := chainArcsRef(t, ch)
-			total := int64(len(want))
-			for _, off := range []int64{0, 1, total / 3, total / 2, total - 1, total} {
-				var got []graph.Edge
-				n, err := ch.ArcsFrom(off, func(u, v int64) bool {
-					got = append(got, graph.Edge{U: u, V: v})
-					return true
-				})
+			eachTierRun(t, func(t *testing.T) {
+				ch, err := NewChain(tc.factors...)
 				if err != nil {
-					t.Fatalf("ArcsFrom(%d): %v", off, err)
+					t.Fatal(err)
 				}
-				if n != total {
-					t.Fatalf("ArcsFrom(%d) total = %d, want %d", off, n, total)
-				}
-				if int64(len(got)) != total-off {
-					t.Fatalf("ArcsFrom(%d): %d arcs, want %d", off, len(got), total-off)
-				}
-				for i, e := range got {
-					if e != want[off+int64(i)] {
-						t.Fatalf("ArcsFrom(%d): arc %d = %v, want %v", off, i, e, want[off+int64(i)])
+				want := chainArcsRef(t, ch)
+				total := int64(len(want))
+				for _, off := range []int64{0, 1, total / 3, total / 2, total - 1, total} {
+					var got []graph.Edge
+					n, err := ch.ArcsFrom(off, func(u, v int64) bool {
+						got = append(got, graph.Edge{U: u, V: v})
+						return true
+					})
+					if err != nil {
+						t.Fatalf("ArcsFrom(%d): %v", off, err)
+					}
+					if n != total {
+						t.Fatalf("ArcsFrom(%d) total = %d, want %d", off, n, total)
+					}
+					if int64(len(got)) != total-off {
+						t.Fatalf("ArcsFrom(%d): %d arcs, want %d", off, len(got), total-off)
+					}
+					for i, e := range got {
+						if e != want[off+int64(i)] {
+							t.Fatalf("ArcsFrom(%d): arc %d = %v, want %v", off, i, e, want[off+int64(i)])
+						}
 					}
 				}
-			}
+			})
 		})
 	}
 }

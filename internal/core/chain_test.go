@@ -296,76 +296,80 @@ func tailCursorReference(t *testing.T, tail []*graph.Graph) []graph.Edge {
 }
 
 func TestTailCursorMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for trial := 0; trial < 30; trial++ {
-		m := 1 + rng.Intn(3)
-		tail := make([]*graph.Graph, m)
-		for d := range tail {
-			tail[d] = randomGraph(rng, 4, d%2 == 0)
-		}
-		want := tailCursorReference(t, tail)
-		tc := NewTailCursor(tail)
-		if tc.Total() != int64(len(want)) {
-			t.Fatalf("Total = %d, want %d", tc.Total(), len(want))
-		}
-		for _, batch := range []int{1, 3, 7, 1024} {
-			tc.Reset()
-			var got []graph.Edge
-			buf := make([]graph.Edge, 0, batch)
-			for {
-				block := tc.ExpandNext(0, 0, buf[:0], batch)
-				if len(block) == 0 {
-					break
+	eachTierRun(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(47))
+		for trial := 0; trial < 30; trial++ {
+			m := 1 + rng.Intn(3)
+			tail := make([]*graph.Graph, m)
+			for d := range tail {
+				tail[d] = randomGraph(rng, 4, d%2 == 0)
+			}
+			want := tailCursorReference(t, tail)
+			tc := NewTailCursor(tail)
+			if tc.Total() != int64(len(want)) {
+				t.Fatalf("Total = %d, want %d", tc.Total(), len(want))
+			}
+			for _, batch := range []int{1, 3, 7, 1024} {
+				tc.Reset()
+				var got []graph.Edge
+				buf := make([]graph.Edge, 0, batch)
+				for {
+					block := tc.ExpandNext(0, 0, buf[:0], batch)
+					if len(block) == 0 {
+						break
+					}
+					got = append(got, block...)
 				}
-				got = append(got, block...)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("trial %d batch %d: %d arcs, want %d", trial, batch, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d batch %d arc %d: got %v, want %v", trial, batch, i, got[i], want[i])
+				if len(got) != len(want) {
+					t.Fatalf("trial %d batch %d: %d arcs, want %d", trial, batch, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("trial %d batch %d arc %d: got %v, want %v", trial, batch, i, got[i], want[i])
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestTailCursorExpandMatchesExpandBlock(t *testing.T) {
-	// With a materialized tail, ExpandNext(aU·nT, aV·nT, …) must equal
-	// ExpandBlock(aArc, tailArcs, nT, …) — the cursor IS the kernel's
-	// B-block, generated on the fly.
-	rng := rand.New(rand.NewSource(53))
-	tail := []*graph.Graph{randomGraph(rng, 4, true), randomGraph(rng, 3, true)}
-	tailG, err := chainOf(t, tail...).Materialize()
-	if err != nil {
-		t.Fatalf("Materialize: %v", err)
-	}
-	nT := tailG.NumVertices()
-	aArc := graph.Edge{U: 2, V: 5}
-	want := ExpandBlock(aArc, tailG.ArcSlice(), nT, nil)
+	eachTierRun(t, func(t *testing.T) {
+		// With a materialized tail, ExpandNext(aU·nT, aV·nT, …) must equal
+		// ExpandBlock(aArc, tailArcs, nT, …) — the cursor IS the kernel's
+		// B-block, generated on the fly.
+		rng := rand.New(rand.NewSource(53))
+		tail := []*graph.Graph{randomGraph(rng, 4, true), randomGraph(rng, 3, true)}
+		tailG, err := chainOf(t, tail...).Materialize()
+		if err != nil {
+			t.Fatalf("Materialize: %v", err)
+		}
+		nT := tailG.NumVertices()
+		aArc := graph.Edge{U: 2, V: 5}
+		want := ExpandBlock(aArc, tailG.ArcSlice(), nT, nil)
 
-	tc := NewTailCursor(tail)
-	if tc.NumVertices() != nT {
-		t.Fatalf("cursor NumVertices = %d, want %d", tc.NumVertices(), nT)
-	}
-	var got []graph.Edge
-	buf := make([]graph.Edge, 0, 5)
-	for {
-		block := tc.ExpandNext(aArc.U*nT, aArc.V*nT, buf[:0], 5)
-		if len(block) == 0 {
-			break
+		tc := NewTailCursor(tail)
+		if tc.NumVertices() != nT {
+			t.Fatalf("cursor NumVertices = %d, want %d", tc.NumVertices(), nT)
 		}
-		got = append(got, block...)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d arcs, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("arc %d: got %v, want %v", i, got[i], want[i])
+		var got []graph.Edge
+		buf := make([]graph.Edge, 0, 5)
+		for {
+			block := tc.ExpandNext(aArc.U*nT, aArc.V*nT, buf[:0], 5)
+			if len(block) == 0 {
+				break
+			}
+			got = append(got, block...)
 		}
-	}
+		if len(got) != len(want) {
+			t.Fatalf("%d arcs, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("arc %d: got %v, want %v", i, got[i], want[i])
+			}
+		}
+	})
 }
 
 func TestTailCursorEmptyFactor(t *testing.T) {
@@ -391,82 +395,84 @@ func TestTailCursorEmptyFactor(t *testing.T) {
 // middle and last, a 2D-style part of it (its arc window starts and ends
 // mid-row), and an empty factor.
 func TestTailCursorNextSweepMatchesExpandNext(t *testing.T) {
-	// Star on 1,3,5,6,7 around vertex 2, plus the edge 5–6; 0, 4 and 8 isolated.
-	star, err := graph.NewUndirected(9, []graph.Edge{{U: 2, V: 1}, {U: 2, V: 3}, {U: 2, V: 5}, {U: 2, V: 6}, {U: 2, V: 7}, {U: 5, V: 6}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	arcs := star.ArcSlice()
-	part, err := graph.New(star.NumVertices(), arcs[2:len(arcs)-4]) // (2,3) … (5,2): mid-row 2 to mid-row 5
-	if err != nil {
-		t.Fatal(err)
-	}
-	empty, err := graph.New(3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(59))
-	outer1, outer2 := randomGraph(rng, 3, true), randomGraph(rng, 3, false)
-	tails := map[string][]*graph.Graph{
-		"depth1":      {star},
-		"depth1_part": {part},
-		"depth2":      {outer1, star},
-		"depth2_part": {outer1, part},
-		"depth3":      {outer2, outer1, star},
-		"empty_inner": {outer1, empty},
-		"empty_outer": {empty, star},
-	}
-	const uBase, vBase = 1000, 2000
-	for name, tail := range tails {
-		ref, tc := NewTailCursor(tail), NewTailCursor(tail)
-		total := tc.Total()
-		inner := tail[len(tail)-1].ArcSlice()
-		for pos := int64(0); pos <= total; pos++ {
-			for _, max := range []int64{1, 2, 3, 7, 1024} {
-				for _, budget := range []int64{total - pos, (total - pos) / 2} {
-					ref.SeekTo(pos)
-					var want []graph.Edge
-					for int64(len(want)) < budget {
-						want = ref.ExpandNext(uBase, vBase, want, int(budget))
-					}
-					tc.SeekTo(pos)
-					var got []graph.Edge
-					windows := int64(0)
-					for int64(len(got)) < budget {
-						lim := min(max, budget-int64(len(got)))
-						lo, hi, uPre, vPre := tc.NextSweep(lim)
-						if n := int64(hi - lo); n <= 0 || n > lim || hi > len(inner) {
-							t.Fatalf("%s pos %d max %d: window [%d,%d) of %d arcs with %d of %d still due", name, pos, max, lo, hi, len(inner), budget-int64(len(got)), budget)
+	eachTierRun(t, func(t *testing.T) {
+		// Star on 1,3,5,6,7 around vertex 2, plus the edge 5–6; 0, 4 and 8 isolated.
+		star, err := graph.NewUndirected(9, []graph.Edge{{U: 2, V: 1}, {U: 2, V: 3}, {U: 2, V: 5}, {U: 2, V: 6}, {U: 2, V: 7}, {U: 5, V: 6}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		arcs := star.ArcSlice()
+		part, err := graph.New(star.NumVertices(), arcs[2:len(arcs)-4]) // (2,3) … (5,2): mid-row 2 to mid-row 5
+		if err != nil {
+			t.Fatal(err)
+		}
+		empty, err := graph.New(3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(59))
+		outer1, outer2 := randomGraph(rng, 3, true), randomGraph(rng, 3, false)
+		tails := map[string][]*graph.Graph{
+			"depth1":      {star},
+			"depth1_part": {part},
+			"depth2":      {outer1, star},
+			"depth2_part": {outer1, part},
+			"depth3":      {outer2, outer1, star},
+			"empty_inner": {outer1, empty},
+			"empty_outer": {empty, star},
+		}
+		const uBase, vBase = 1000, 2000
+		for name, tail := range tails {
+			ref, tc := NewTailCursor(tail), NewTailCursor(tail)
+			total := tc.Total()
+			inner := tail[len(tail)-1].ArcSlice()
+			for pos := int64(0); pos <= total; pos++ {
+				for _, max := range []int64{1, 2, 3, 7, 1024} {
+					for _, budget := range []int64{total - pos, (total - pos) / 2} {
+						ref.SeekTo(pos)
+						var want []graph.Edge
+						for int64(len(want)) < budget {
+							want = ref.ExpandNext(uBase, vBase, want, int(budget))
 						}
-						if hi < len(inner) && int64(hi-lo) < lim {
-							t.Fatalf("%s pos %d max %d: window [%d,%d) stops short of the sweep's end %d and of max", name, pos, max, lo, hi, len(inner))
+						tc.SeekTo(pos)
+						var got []graph.Edge
+						windows := int64(0)
+						for int64(len(got)) < budget {
+							lim := min(max, budget-int64(len(got)))
+							lo, hi, uPre, vPre := tc.NextSweep(lim)
+							if n := int64(hi - lo); n <= 0 || n > lim || hi > len(inner) {
+								t.Fatalf("%s pos %d max %d: window [%d,%d) of %d arcs with %d of %d still due", name, pos, max, lo, hi, len(inner), budget-int64(len(got)), budget)
+							}
+							if hi < len(inner) && int64(hi-lo) < lim {
+								t.Fatalf("%s pos %d max %d: window [%d,%d) stops short of the sweep's end %d and of max", name, pos, max, lo, hi, len(inner))
+							}
+							windows++
+							for _, e := range inner[lo:hi] {
+								got = append(got, graph.Edge{U: uBase + uPre + e.U, V: vBase + vPre + e.V})
+							}
 						}
-						windows++
-						for _, e := range inner[lo:hi] {
-							got = append(got, graph.Edge{U: uBase + uPre + e.U, V: vBase + vPre + e.V})
+						if len(got) != len(want) {
+							t.Fatalf("%s pos %d max %d budget %d: %d arcs, want %d", name, pos, max, budget, len(got), len(want))
 						}
-					}
-					if len(got) != len(want) {
-						t.Fatalf("%s pos %d max %d budget %d: %d arcs, want %d", name, pos, max, budget, len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("%s pos %d max %d budget %d: arc %d = %v, ExpandNext says %v", name, pos, max, budget, i, got[i], want[i])
+						for i := range want {
+							if got[i] != want[i] {
+								t.Fatalf("%s pos %d max %d budget %d: arc %d = %v, ExpandNext says %v", name, pos, max, budget, i, got[i], want[i])
+							}
 						}
-					}
-					if pos == 0 && budget == total && max == 1024 && total > 0 && windows != total/int64(len(inner)) {
-						t.Fatalf("%s: %d windows over the whole tail, want one per sweep = %d", name, windows, total/int64(len(inner)))
+						if pos == 0 && budget == total && max == 1024 && total > 0 && windows != total/int64(len(inner)) {
+							t.Fatalf("%s: %d windows over the whole tail, want one per sweep = %d", name, windows, total/int64(len(inner)))
+						}
 					}
 				}
 			}
+			tc.SeekTo(total)
+			if lo, hi, _, _ := tc.NextSweep(16); lo != hi {
+				t.Fatalf("%s: exhausted cursor yielded the window [%d,%d)", name, lo, hi)
+			}
+			tc.Reset()
+			if lo, hi, _, _ := tc.NextSweep(0); lo != hi {
+				t.Fatalf("%s: max 0 yielded the window [%d,%d)", name, lo, hi)
+			}
 		}
-		tc.SeekTo(total)
-		if lo, hi, _, _ := tc.NextSweep(16); lo != hi {
-			t.Fatalf("%s: exhausted cursor yielded the window [%d,%d)", name, lo, hi)
-		}
-		tc.Reset()
-		if lo, hi, _, _ := tc.NextSweep(0); lo != hi {
-			t.Fatalf("%s: max 0 yielded the window [%d,%d)", name, lo, hi)
-		}
-	}
+	})
 }

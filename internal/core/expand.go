@@ -24,9 +24,11 @@ import (
 // CPUID/XCR0 probe at start-up found AVX2, two arcs per 256-bit VPADDQ
 // behind a software prefetch of run, which is usually a factor's arc slice
 // and lives in L2; under it, and on every other amd64, SSE2's load / PADDQ
-// / store per arc. The machine picks; nothing selects a body by hand, and
-// Kernel names the one in use. Elsewhere the body is addEdgesGo, the
-// portable loop both are tested against.
+// / store per arc. The machine picks; nothing selects a body by hand.
+// Elsewhere the body is addEdgesGo, the portable loop both are tested
+// against. (Where the probe also found AVX-512, TailCursor.ExpandNext
+// reads a packed copy of the factor through addPacked instead; Kernel
+// names the body the cursor runs.)
 func ExpandRun(out, run []graph.Edge, u0, v0 int64) []graph.Edge {
 	n := len(out)
 	out = slices.Grow(out, len(run))[:n+len(run)]

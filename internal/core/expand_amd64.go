@@ -8,23 +8,31 @@ import "kronlab/internal/graph"
 //go:noescape
 func addEdges(dst, src []graph.Edge, u0, v0 int64)
 
+// addPacked is addEdges over a graph.PackedArcs source: dst[i] = (u0 +
+// uint32(src[i]), v0 + src[i]>>32), four arcs per 512-bit VPMOVZXDQ. It
+// runs only where hasAVX512 is set; len(dst) ≥ len(src).
+//
+//go:noescape
+func addPacked(dst []graph.Edge, src []uint64, u0, v0 int64)
+
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax uint32)
 
-// hasAVX2 puts addEdges' 256-bit loop in front of its SSE2 one. It is
-// probed once, here, and only tests set it afterwards: the machine picks
-// the lane width, not a flag.
-var hasAVX2 = probeAVX2()
+// hasAVX2 puts addEdges' 256-bit loop in front of its SSE2 one, and
+// hasAVX512 sends TailCursor.ExpandNext's sweeps through addPacked. They
+// are probed once, here, and only tests set them afterwards: the machine
+// picks the body, not a flag.
+var hasAVX2, hasAVX512 = probe()
 
-func probeAVX2() bool {
+func probe() (avx2, avx512 bool) {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	_, _, leaf1ECX, _ := cpuid(1, 0)
-	_, leaf7EBX, _, _ := cpuid(7, 0) // junk past maxLeaf, which avx2From checks
+	_, leaf7EBX, _, _ := cpuid(7, 0) // junk past maxLeaf, which the From functions check
 	var xcr0 uint32
 	if leaf1ECX&(1<<27) != 0 { // XGETBV faults without OSXSAVE
 		xcr0 = xgetbv()
 	}
-	return avx2From(maxLeaf, leaf1ECX, xcr0, leaf7EBX)
+	return avx2From(maxLeaf, leaf1ECX, xcr0, leaf7EBX), avx512From(maxLeaf, leaf1ECX, xcr0, leaf7EBX)
 }
 
 // avx2From decides from raw registers whether YMM code may run: the CPU
@@ -37,10 +45,23 @@ func avx2From(maxLeaf, leaf1ECX, xcr0, leaf7EBX uint32) bool {
 		xcr0&6 == 6 && leaf7EBX&(1<<5) != 0
 }
 
-// Kernel names the body ExpandRun runs on this machine — "avx2", "sse2",
-// or off amd64 "portable": rates from two hosts compare only next to it.
+// avx512From decides likewise whether ZMM code may run: the CPU has
+// AVX512F (CPUID.7.0:EBX bit 16), the OS has enabled XSAVE and saves XMM,
+// YMM, opmask and both halves of ZMM state (XCR0 bits 1, 2, 5, 6 and 7).
+func avx512From(maxLeaf, leaf1ECX, xcr0, leaf7EBX uint32) bool {
+	const osxsave = 1 << 27
+	return maxLeaf >= 7 && leaf1ECX&osxsave != 0 && xcr0&0xe6 == 0xe6 && leaf7EBX&(1<<16) != 0
+}
+
+// Kernel names the body the tail cursor runs on this machine — "avx512"
+// (addPacked; the owner-side walk and ExpandBlock still run addEdges'
+// 256-bit loop there), "avx2", "sse2", or off amd64 "portable": rates from
+// two hosts compare only next to it.
 func Kernel() string {
-	if hasAVX2 {
+	switch {
+	case hasAVX512:
+		return "avx512"
+	case hasAVX2:
 		return "avx2"
 	}
 	return "sse2"

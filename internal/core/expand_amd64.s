@@ -8,10 +8,11 @@
 // PREFETCHT0 of src pfDist bytes ahead, one per cache line consumed: src is
 // a factor's arc slice in L2 and the loop waits on its fills, not on the
 // store port (DESIGN §3a). A prefetch past the end of src never faults; the
-// loads never leave src[:len]. Then VZEROUPPER and the SSE2 code
-// (GOAMD64=v1), the whole body when hasAVX2 is clear: four arcs per
-// iteration, then one. Every move is the unaligned form: a []Edge is only
-// 8-byte aligned.
+// loads never leave src[:len]. A dst ≡ 16 (mod 32) first takes one SSE2
+// arc, or half the 256-bit stores would split a line. Then VZEROUPPER and
+// the SSE2 code (GOAMD64=v1), the whole body when hasAVX2 is clear: four
+// arcs per iteration, then one. Every move is the unaligned form: a []Edge
+// is only 8-byte aligned.
 #define pfDist 1024
 
 TEXT ·addEdges(SB), NOSPLIT, $0-64
@@ -26,6 +27,18 @@ TEXT ·addEdges(SB), NOSPLIT, $0-64
 	JE   sse2
 	CMPQ CX, $8
 	JB   sse2
+	TESTQ $16, DI
+	JZ    wide
+	MOVOU (SI), X1
+	PADDQ X0, X1
+	MOVOU X1, (DI)
+	ADDQ  $16, SI
+	ADDQ  $16, DI
+	DECQ  CX
+	CMPQ  CX, $8
+	JB    sse2
+
+wide:
 	VINSERTI128 $1, X0, Y0, Y0 // Y0 = (u0, v0, u0, v0)
 
 loop8:
@@ -83,6 +96,72 @@ loop1:
 	JNZ   loop1
 
 done:
+	RET
+
+// func addPacked(dst []graph.Edge, src []uint64, u0, v0 int64)
+//
+// src is graph.PackedArcs: VPMOVZXDQ widens an arc's dwords (u, v) into
+// exactly one Edge lane, so with Z0 = (u0, v0)×4 four arcs are a 32-byte
+// load, VPADDQ Z0 and a 64-byte store, sixteen an iteration behind two
+// PREFETCHT0 pfDist ahead, one per line consumed. Around that loop runs one
+// single-arc step with 8-byte loads, which never leave src[:len]: first
+// until a 16-byte-aligned dst reaches a 64-byte boundary (a store that
+// splits a line costs ×1.8; any other dst is not peeled), then for the
+// remainder. Runs only where hasAVX512 is set.
+TEXT ·addPacked(SB), NOSPLIT, $0-64
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ src_len+32(FP), CX
+	MOVQ u0+48(FP), X0
+	MOVQ v0+56(FP), X1
+	PUNPCKLQDQ X1, X0         // X0 = (u0, v0)
+	VSHUFI64X2 $0, Z0, Z0, Z0 // Z0 = (u0, v0)×4
+	TESTQ      $15, DI
+	JNZ        wide16
+
+peel:
+	TESTQ $63, DI
+	JZ    wide16
+
+one:
+	TESTQ     CX, CX
+	JZ        packedDone
+	VPMOVZXDQ (SI), X1
+	VPADDQ    X0, X1, X1
+	VMOVDQU   X1, (DI)
+	ADDQ      $8, SI
+	ADDQ      $16, DI
+	DECQ      CX
+	JMP       peel
+
+wide16:
+	CMPQ CX, $16
+	JB   one
+
+loop16:
+	PREFETCHT0 pfDist(SI)
+	PREFETCHT0 pfDist+64(SI)
+	VPMOVZXDQ  0(SI), Z1
+	VPMOVZXDQ  32(SI), Z2
+	VPMOVZXDQ  64(SI), Z3
+	VPMOVZXDQ  96(SI), Z4
+	VPADDQ     Z0, Z1, Z1
+	VPADDQ     Z0, Z2, Z2
+	VPADDQ     Z0, Z3, Z3
+	VPADDQ     Z0, Z4, Z4
+	VMOVDQU64  Z1, 0(DI)
+	VMOVDQU64  Z2, 64(DI)
+	VMOVDQU64  Z3, 128(DI)
+	VMOVDQU64  Z4, 192(DI)
+	ADDQ       $128, SI
+	ADDQ       $256, DI
+	SUBQ       $16, CX
+	CMPQ       CX, $16
+	JAE        loop16
+	JMP        one
+
+packedDone:
+	VZEROUPPER
 	RET
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

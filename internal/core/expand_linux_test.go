@@ -11,9 +11,10 @@ import (
 )
 
 // TestExpandRunGuardPage ends run, and then out, exactly at the boundary
-// of an inaccessible page, for every length 0–40 on every body: a load or
-// a store one byte past len is a fault (a prefetch is not, and the wide
-// loop issues them pfDist past every line it reads).
+// of an inaccessible page, for every length 0–40 on every body — in the
+// packed tier also addPacked's src, and then its dst: a load or a store
+// one byte past len is a fault (a prefetch is not, and the wide loops
+// issue them pfDist and pfPacked past every line they read).
 func TestExpandRunGuardPage(t *testing.T) {
 	page := syscall.Getpagesize()
 	mem, err := syscall.Mmap(-1, 0, 2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
@@ -27,6 +28,9 @@ func TestExpandRunGuardPage(t *testing.T) {
 	// atGuard is n arcs whose last byte is the last accessible one.
 	atGuard := func(n int) []graph.Edge {
 		return unsafe.Slice((*graph.Edge)(unsafe.Pointer(&mem[page-16*n])), n)
+	}
+	packedAtGuard := func(n int) []uint64 {
+		return unsafe.Slice((*uint64)(unsafe.Pointer(&mem[page-8*n])), n)
 	}
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 
@@ -50,6 +54,20 @@ func TestExpandRunGuardPage(t *testing.T) {
 				}
 				if got := ExpandRun(atGuard(n)[:0], arcs[:n], 5, -9); !slices.Equal(got, want) {
 					t.Fatalf("%s, len %d, out at the guard: got %v, want %v", tier, n, got, want)
+				}
+				if tier != "avx512" {
+					return
+				}
+				packed, twin := packedTwin(arcs[:n], 0)
+				want = expandRunPerEdge(nil, twin, 5, -9)
+				src := packedAtGuard(n)
+				copy(src, packed)
+				got := make([]graph.Edge, n)
+				if addPacked(got, src, 5, -9); !slices.Equal(got, want) {
+					t.Fatalf("%s, len %d, packed src at the guard: got %v, want %v", tier, n, got, want)
+				}
+				if addPacked(atGuard(n), packed, 5, -9); !slices.Equal(atGuard(n), want) {
+					t.Fatalf("%s, len %d, packed dst at the guard: got %v, want %v", tier, n, atGuard(n), want)
 				}
 			}()
 		}

@@ -19,6 +19,27 @@ func expandRunPerEdge(out, run []graph.Edge, u0, v0 int64) []graph.Edge {
 	return out
 }
 
+// canary is what arc i of a destination's backing array holds where the
+// body under test must not write.
+func canary(i int) graph.Edge { return graph.Edge{U: -0x5ca1ab1e - int64(i), V: 0x0ddba11 + int64(i)} }
+
+// wrapBases are (u0, v0) pairs that include negatives and sums that wrap
+// int64.
+var wrapBases = [][2]int64{
+	{0, 0},
+	{1 << 40, 3 << 33},
+	{-7, -1 << 50},
+	{math.MaxInt64, math.MinInt64},
+	{math.MinInt64, math.MaxInt64},
+}
+
+// eachTierRun runs f as one sub-test per body eachTier forces, and a body
+// this host cannot run as a skipped sub-test naming what it lacks.
+func eachTierRun(t *testing.T, f func(t *testing.T)) {
+	eachTier(func(tier string) { t.Run(tier, f) },
+		func(tier, missing string) { t.Run(tier, func(t *testing.T) { t.Skip("host lacks " + missing) }) })
+}
+
 // skewed is an array of arcs that starts 8 bytes into a 16-byte-aligned
 // allocation: slices of arcs are misaligned for a 128-bit access, which
 // slices of a make([]graph.Edge, n) — whose size classes are all
@@ -58,7 +79,6 @@ type expandShape struct {
 func checkExpandRun(t *testing.T, arcs []graph.Edge, sh expandShape) {
 	t.Helper()
 	const guard = 3
-	canary := func(i int) graph.Edge { return graph.Edge{U: -0x5ca1ab1e - int64(i), V: 0x0ddba11 + int64(i)} }
 	n, lo := len(arcs), sh.off+sh.prefix
 	run := arcArray(sh.off+n, sh.skewRun)[sh.off:]
 	copy(run, arcs)
@@ -110,25 +130,18 @@ func checkExpandRun(t *testing.T, arcs []graph.Edge, sh expandShape) {
 // and 4-way unrolls many times over, 8k+4+{1,2,3} among them: the wide
 // loop, VZEROUPPER, then loop4 and loop1 — and a few long ones, at every
 // start offset 0–3 of 16-byte-aligned and misaligned source and
-// destination arrays (so every residue of a 32-byte access too), with and
+// destination arrays (so every residue of a 32-byte access too, among
+// them the destinations ≡ 16 mod 32 the wide loop peels an arc off), with and
 // without a prefix already in out, with exact, spare and short capacity,
 // over bases that include negatives and sums that wrap int64.
 func TestExpandRunDifferential(t *testing.T) {
 	if misaligned16(arcArray(8, false)) || !misaligned16(arcArray(8, true)) {
 		t.Fatal("arcArray does not control 16-byte alignment on this platform; the misaligned cases would test nothing")
 	}
-	eachTier(func(tier string) { t.Run(tier, testExpandRunDifferential) },
-		func(tier, missing string) { t.Run(tier, func(t *testing.T) { t.Skip("host lacks " + missing) }) })
+	eachTierRun(t, testExpandRunDifferential)
 }
 
 func testExpandRunDifferential(t *testing.T) {
-	bases := [][2]int64{
-		{0, 0},
-		{1 << 40, 3 << 33},
-		{-7, -1 << 50},
-		{math.MaxInt64, math.MinInt64},
-		{math.MinInt64, math.MaxInt64},
-	}
 	arcs := make([]graph.Edge, 492) // with off, prefix, spare and guard, fits a skewed
 	for i := range arcs {
 		arcs[i] = graph.Edge{U: int64(i) * 0x9e3779b97f4a7c, V: math.MaxInt64 - int64(i)*0x1234567}
@@ -141,7 +154,7 @@ func testExpandRunDifferential(t *testing.T) {
 	lengths = append(lengths, 135, 263, 492) // 8k+4+3 twice, 8k+4
 	for _, n := range lengths {
 		for off := 0; off <= 3; off++ {
-			base := bases[(n+off)%len(bases)]
+			base := wrapBases[(n+off)%len(wrapBases)]
 			for align := 0; align < 4; align++ {
 				for _, prefix := range []int{0, 1, 6} {
 					sh := expandShape{off: off, prefix: prefix, skewOut: align&1 != 0, skewRun: align&2 != 0, u0: base[0], v0: base[1]}
@@ -163,9 +176,92 @@ func testExpandRunDifferential(t *testing.T) {
 	}
 }
 
+// packedTwin returns arcs the way graph.PackedArcs lays them out, u |
+// v<<32, starting off words into its array, and the arcs that stand for:
+// each endpoint cut to its low 32 bits.
+func packedTwin(arcs []graph.Edge, off int) ([]uint64, []graph.Edge) {
+	src, twin := make([]uint64, off+len(arcs))[off:], make([]graph.Edge, len(arcs))
+	for i, e := range arcs {
+		u, v := uint32(e.U), uint32(e.V)
+		src[i], twin[i] = uint64(u)|uint64(v)<<32, graph.Edge{U: int64(u), V: int64(v)}
+	}
+	return src, twin
+}
+
+// arcsAt returns a backing array of at least n arcs past index at, whose
+// arc at sits rem bytes (a multiple of 8) past a 64-byte boundary.
+func arcsAt(n int, rem uintptr) (backing []graph.Edge, at int) {
+	backing = arcArray(n+3, rem%16 != 0)
+	for at = 0; reflect.ValueOf(backing[at:]).Pointer()%64 != rem; at++ {
+	}
+	return backing, at
+}
+
+// checkAddPacked holds addPacked to addEdgesGo on the unpacked twin for
+// one run, a source starting srcOff words into its array, a destination
+// rem bytes past a 64-byte boundary and the bases: the result, every
+// canary before and past the destination untouched, the source unmodified.
+func checkAddPacked(t *testing.T, arcs []graph.Edge, srcOff int, rem uintptr, u0, v0 int64) {
+	t.Helper()
+	const guard = 3
+	n := len(arcs)
+	src, twin := packedTwin(arcs, srcOff)
+	orig := slices.Clone(src)
+	want := make([]graph.Edge, n)
+	addEdgesGo(want, twin, u0, v0)
+	backing, at := arcsAt(n+guard, rem)
+	for i := range backing {
+		backing[i] = canary(i)
+	}
+	addPacked(backing[at:at+n], src, u0, v0)
+	for i, e := range backing {
+		w := canary(i)
+		if i >= at && i < at+n {
+			w = want[i-at]
+		}
+		if e != w {
+			t.Fatalf("addPacked(len %d, dst %d past 64, src +%d, base (%d, %d)): backing[%d] = %v, want %v", n, rem, srcOff, u0, v0, i-at, e, w)
+		}
+	}
+	if !slices.Equal(src, orig) {
+		t.Fatalf("addPacked(len %d, dst %d past 64) modified src", n, rem)
+	}
+}
+
+// TestAddPackedDifferential holds the cursor's packed body to addEdgesGo
+// on the unpacked twin (checkAddPacked) for every length 0–67 — every
+// remainder of the 16-arc loop behind every peel — and 79 and 303
+// (16k + 15), at a destination 0, 16, 32 and 48 bytes past a 64-byte
+// boundary (peels of 0, 3, 2 and 1 arcs) and 8 past (not 16-byte aligned:
+// unpeeled), from a source at either 16-byte phase, over bases that wrap
+// int64 and endpoints with bit 31 set (zero-extended, not sign-extended).
+func TestAddPackedDifferential(t *testing.T) {
+	if !hasAVX512 {
+		t.Skip("host lacks AVX512F or OS-enabled opmask and ZMM state: addPacked never runs here")
+	}
+	arcs := make([]graph.Edge, 303)
+	for i := range arcs {
+		arcs[i] = graph.Edge{U: int64(uint32(i) * 0x9e3779b9), V: int64(math.MaxUint32 - uint32(i)*0x1234567)}
+	}
+	arcs[2] = graph.Edge{U: math.MaxUint32, V: 1 << 31}
+	var lengths []int
+	for n := 0; n <= 67; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 79, 303)
+	for _, n := range lengths {
+		for i, rem := range []uintptr{0, 16, 32, 48, 8} {
+			base := wrapBases[(n+i)%len(wrapBases)]
+			checkAddPacked(t, arcs[:n], (n+i)%2, rem, base[0], base[1])
+		}
+	}
+}
+
 // FuzzExpandRun derives a run, a call shape and the bases from raw bytes
 // and holds ExpandRun, on every body this host can run, and addEdgesGo to
-// the per-edge loop (checkExpandRun).
+// the per-edge loop (checkExpandRun) — and, in the packed tier, addPacked
+// on the run cut to 32-bit endpoints to its twin (checkAddPacked), the
+// destination at the shape's offset and 16-byte phase.
 func FuzzExpandRun(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint8(0), uint8(0), int64(0), int64(0))
 	f.Add(make([]byte, 16*5), uint8(1|4), uint8(2), uint8(5), int64(-1), int64(math.MaxInt64))
@@ -181,7 +277,16 @@ func FuzzExpandRun(f *testing.F) {
 			off: int(shape % 4), prefix: int(prefix % 8), spare: int(spare),
 			skewOut: shape&4 != 0, skewRun: shape&8 != 0, u0: u0, v0: v0,
 		}
-		eachTier(func(string) { checkExpandRun(t, arcs, sh) }, func(string, string) {})
+		eachTier(func(tier string) {
+			checkExpandRun(t, arcs, sh)
+			if tier == "avx512" {
+				rem := uintptr(16 * sh.off)
+				if sh.skewOut {
+					rem += 8
+				}
+				checkAddPacked(t, arcs, int(prefix%2), rem, u0, v0)
+			}
+		}, func(string, string) {})
 	})
 }
 
@@ -190,42 +295,60 @@ func FuzzExpandRun(f *testing.F) {
 const sweepPiece = 1024
 
 // BenchmarkExpandRun times the primitive in the shapes the engine feeds
-// it, in ns/arc, per body: each body of the assembly (eachTier), the
-// portable loop and the per-edge append loop it replaced. sweep21k is the
-// engine's k = 2 shape — the source is RMAT(10)'s arc slice (20 964 arcs,
-// 335 KB: L2-resident), swept in ≤ sweepPiece pieces into one reused,
-// L1-resident block; sweep1k is the same walk over a source that fits L1
-// beside the block; len20 is one CSR row of a skewed factor, call
-// included (a rank's share of a short sweep at large R). A benchmark that
-// reads one long run into an equally long out is bound by store misses
-// instead and cannot tell the bodies apart.
+// it, in ns/arc, per body: each body eachTier forces — in the packed tier
+// the cursor's, addPacked over the 8-byte copy — the portable loop and the
+// per-edge append loop ExpandRun replaced. sweep21k is the engine's k = 2
+// shape — the source is RMAT(10)'s arc slice (20 964 arcs, 335 KB
+// wide, 168 KB packed: L2-resident), swept in ≤ sweepPiece pieces into one
+// reused, L1-resident block; sweep1k is the same walk over a source that
+// fits L1 beside the block; sweep21k_dst16 is sweep21k into a block 16
+// bytes past a 32-byte boundary (the 256-bit loop peels an arc there, the
+// packed one up to a 64-byte boundary); len20 is one CSR row of a skewed
+// factor, call included (a rank's share of a short sweep at large R). A
+// benchmark that reads one long run into an equally long out is bound by
+// store misses instead and cannot tell the bodies apart.
 func BenchmarkExpandRun(b *testing.B) {
 	shapes := []struct {
 		name       string
 		src, piece int
-	}{{"len20", 20, 20}, {"sweep1k", 1024, sweepPiece}, {"sweep21k", 20964, sweepPiece}}
-	rows := func(name string, body func(out, run []graph.Edge, u0, v0 int64) []graph.Edge) {
+		dstRem     uintptr // the block's first arc, in bytes past a 64-byte boundary
+	}{{"len20", 20, 20, 0}, {"sweep1k", 1024, sweepPiece, 0}, {"sweep21k", 20964, sweepPiece, 0}, {"sweep21k_dst16", 20964, sweepPiece, 16}}
+	rows := func(name string, body func(out, run []graph.Edge, packed []uint64, u0, v0 int64) []graph.Edge) {
 		for _, sh := range shapes {
-			src := make([]graph.Edge, sh.src)
-			block := make([]graph.Edge, 0, sh.piece)
+			src, packed := make([]graph.Edge, sh.src), make([]uint64, sh.src)
+			backing, at := arcsAt(sh.piece, sh.dstRem)
+			block := backing[at : at : at+sh.piece]
 			b.Run(name+"/"+sh.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					for lo := 0; lo < len(src); lo += sh.piece {
-						block = body(block[:0], src[lo:min(lo+sh.piece, len(src))], int64(i), 7)
+						hi := min(lo+sh.piece, len(src))
+						block = body(block[:0], src[lo:hi], packed[lo:hi], int64(i), 7)
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(len(src))), "ns/arc")
 			})
 		}
 	}
-	eachTier(func(tier string) { rows(tier, ExpandRun) },
-		func(tier, missing string) { b.Run(tier, func(b *testing.B) { b.Skip("host lacks " + missing) }) })
+	expandRun := func(out, run []graph.Edge, _ []uint64, u0, v0 int64) []graph.Edge { return ExpandRun(out, run, u0, v0) }
+	eachTier(func(tier string) {
+		if tier != "avx512" {
+			rows(tier, expandRun)
+			return
+		}
+		rows(tier, func(out, _ []graph.Edge, packed []uint64, u0, v0 int64) []graph.Edge {
+			out = out[:len(packed)]
+			addPacked(out, packed, u0, v0)
+			return out
+		})
+	}, func(tier, missing string) { b.Run(tier, func(b *testing.B) { b.Skip("host lacks " + missing) }) })
 	if Kernel() != "portable" { // elsewhere the row above is this one
-		rows("portable", func(out, run []graph.Edge, u0, v0 int64) []graph.Edge {
+		rows("portable", func(out, run []graph.Edge, _ []uint64, u0, v0 int64) []graph.Edge {
 			out = out[:len(run)]
 			addEdgesGo(out, run, u0, v0)
 			return out
 		})
 	}
-	rows("perEdge", expandRunPerEdge)
+	rows("perEdge", func(out, run []graph.Edge, _ []uint64, u0, v0 int64) []graph.Edge {
+		return expandRunPerEdge(out, run, u0, v0)
+	})
 }

@@ -249,7 +249,10 @@ type Config struct {
 	// edge count a routed exchange buffers before flushing a message, and
 	// the cadence of cancellation polls during fault-armed expansion. ≤ 0
 	// selects DefaultBatchSize (1024, the benchmarked default). Correct for
-	// any value ≥ 1; a routed run stages O(R·BatchSize) per rank.
+	// any value ≥ 1; a routed run stages O(R·BatchSize) per rank. Larger is
+	// not free: the expansion block is 16 B × BatchSize and must stay in L1
+	// beside the streaming innermost factor — at 2048 it leaves and
+	// unrouted expansion halves (DefaultBatchSize).
 	BatchSize int
 	// Faults, when non-nil, arms the run's cluster with an injected
 	// fault schedule (see fault.go) — chaos testing of the teardown,

@@ -13,11 +13,15 @@ import (
 
 // DefaultBatchSize is the number of edges buffered per destination before
 // a message is flushed when Config.BatchSize is unset, mirroring the
-// aggregation HPC generators use to amortize message overhead. 1024 is
-// the benchmarked sweet spot on the simulated transport (README
-// §Performance): smaller batches pay per-message overhead, much larger
-// ones only grow per-rank staging memory (O(R·BatchSize)) without
-// measurable throughput gain.
+// aggregation HPC generators use to amortize message overhead, and the
+// size of the scratch block every rank expands into. 1024 is the top of a
+// cliff (DESIGN §3a): smaller blocks pay the per-block path more often;
+// the block — 16 B × BatchSize, 16 KB here — must stay in a 48 KB L1 next
+// to the innermost factor streaming through it, and at 2048 it does not:
+// unrouted expansion (dist.Run, RMAT(10)², R = 2) reads 8.6–8.9 / 9.8–10.1
+// / 4.8–4.9 / 4.7–4.9 / 4.7–4.8 e9 arcs/s at 512 / 1024 / 2048 / 4096 /
+// 8192 on addEdges' 256-bit loop, and 9.8–10.2 / 11.6–12.2 / 5.8–6.0 /
+// 5.2–5.3 / 5.2 on the cursor's packed AVX-512 body.
 const DefaultBatchSize = 1024
 
 // shipper stages outgoing edges into pooled per-destination batch

@@ -48,6 +48,9 @@ type Graph struct {
 
 	arcsOnce sync.Once
 	arcs     []Edge // flat CSR-order arc list, built lazily by ArcSlice
+
+	packedOnce sync.Once
+	packed     []uint64 // ArcSlice as u | v<<32, built lazily by PackedArcs
 }
 
 // New builds a Graph on n vertices from the given arcs. Each arc is
@@ -256,6 +259,25 @@ func (g *Graph) ArcSlice() []Edge {
 	g.arcsOnce.Do(func() { g.arcs = g.ArcList() })
 	return g.arcs
 }
+
+// PackedArcs returns ArcSlice at 8 bytes an arc, u | v<<32 — the
+// little-endian dwords [u₀ v₀ u₁ v₁ …], which zero-extend into exactly the
+// Edge{U, V} lanes — built once and cached like it; nil when a vertex id
+// does not fit 32 bits (packable). Shared, read-only, safe for concurrent use.
+func (g *Graph) PackedArcs() []uint64 {
+	g.packedOnce.Do(func() {
+		if packable(g.n) {
+			g.packed = make([]uint64, len(g.adj))
+			for i, e := range g.ArcSlice() {
+				g.packed[i] = uint64(e.U) | uint64(e.V)<<32
+			}
+		}
+	})
+	return g.packed
+}
+
+// packable reports whether every vertex id of an n-vertex graph fits 32 bits.
+func packable(n int64) bool { return n <= 1<<32 }
 
 // RowOffsets returns the CSR row boundaries (length n+1): the arcs of
 // source u are ArcSlice()[off[u]:off[u+1]], empty for an isolated

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -414,5 +415,52 @@ func TestStringer(t *testing.T) {
 	want := "graph{n=3 m=2 loops=1}"
 	if g.String() != want {
 		t.Errorf("String = %q, want %q", g.String(), want)
+	}
+}
+
+// TestPackedArcs holds PackedArcs to ArcSlice packed as u | v<<32, checks
+// that a second call — and calls from several goroutines at once, as the
+// ranks of one run make them — hand out the same backing array, and pins
+// the 2³² rule on the vertex count (a graph that large cannot be built
+// here).
+func TestPackedArcs(t *testing.T) {
+	g := mustUnd(t, 5, []Edge{{0, 1}, {1, 2}, {3, 3}})
+	got := make([][]uint64, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() { defer wg.Done(); got[i] = g.PackedArcs() }()
+	}
+	wg.Wait()
+	for _, p := range got {
+		if len(p) != 5 || &p[0] != &got[0][0] {
+			t.Fatalf("concurrent PackedArcs: %d arcs at %p, first call %p", len(p), p, got[0])
+		}
+	}
+
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 20; i++ {
+		g := randomGraph(rng, 60)
+		p := g.PackedArcs()
+		arcs := g.ArcSlice()
+		if p == nil || len(p) != len(arcs) {
+			t.Fatalf("%v: PackedArcs has %d arcs, ArcSlice %d", g, len(p), len(arcs))
+		}
+		for j, e := range arcs {
+			if p[j] != uint64(e.U)|uint64(e.V)<<32 {
+				t.Fatalf("%v: PackedArcs[%d] = %#x, arc %v", g, j, p[j], e)
+			}
+		}
+		if q := g.PackedArcs(); len(p) > 0 && &q[0] != &p[0] {
+			t.Fatalf("%v: PackedArcs rebuilt on the second call", g)
+		}
+	}
+	for _, c := range []struct {
+		n    int64
+		want bool
+	}{{0, true}, {1, true}, {1 << 32, true}, {1<<32 + 1, false}, {1 << 62, false}} {
+		if got := packable(c.n); got != c.want {
+			t.Errorf("packable(%d) = %v, want %v", c.n, got, c.want)
+		}
 	}
 }
