@@ -95,19 +95,18 @@ cluster-smoke:
 # generates every arc once, so every row includes expansion — so the checks
 # are ratios that survive a change of machine: generating OwnerBySource's
 # arcs where they are stored must cost no more than three times the same
-# walk at R = 1 and no more than staging them edge by edge for the exchange
-# (≈ 0.05×), with 0 allocs/op on every row. Balance is gated by a count,
-# not a clock: the ownerSide row's skew — the busiest rank's arcs over the
-# ideal 1/R share, what a run's wall follows — must be ≤ 1.10 (reads 1.008;
-# the hash reduced by remainder read 1.86). The tinyInner row is the stated
-# worst case (a 4-vertex innermost factor at R = 16); it is printed, not
-# gated. The expand row (the bare ExpandNext) is printed, not gated: where
-# the probe finds AVX-512 the cursor reads the factor's packed copy and the
-# owner-side walk does not, so ownerSide / expand compares two kernel
-# bodies (2.06–2.57 in ten runs there; 1.83–2.68 on one body at the
-# parent, whose 3 × bound it had already reached 2.59 against).
-# ownerSideOne runs ownerSide's body on every host: ownerSide /
-# ownerSideOne read 1.29–1.74 in ten runs. Mirrors the CI step.
+# walk at R = 1, no more than 3.5 times the bare expansion (the expand row,
+# ExpandNext) and no more than staging them edge by edge for the exchange
+# (≈ 0.05×), with 0 allocs/op on every row. The walk and the cursor run one
+# kernel body on every host — the packed one where the probe finds AVX-512
+# — so ownerSide / expand is the walk's whole cost of placing; ten runs on
+# a 2-CPU AVX-512 VM read 1.65–2.68 (median 2.0), and ownerSide /
+# ownerSideOne 1.45–2.05. Balance is gated by a count, not a clock: the
+# ownerSide row's skew — the busiest rank's arcs over the ideal 1/R share,
+# what a run's wall follows — must be ≤ 1.10 (reads 1.008; the hash reduced
+# by remainder read 1.86). The tinyInner row is the stated worst case (a
+# 4-vertex innermost factor at R = 16); it is printed, not gated. Mirrors
+# the CI step.
 bench-route:
 	$(GO) test -run '^$$' -bench BenchmarkRoute -benchtime 50x -benchmem ./internal/dist/ | awk ' \
 		{ print } \
@@ -120,9 +119,9 @@ bench-route:
 		/^BenchmarkRoute\/perEdgeReference/ { ref = ns } \
 		/^BenchmarkRoute\/expand/ { bare = ns } \
 		END { \
-			if (own == "" || one == "" || ref == "" || bare == "" || ownskew == "" || bad || own + 0 > ref + 0 || own + 0 > 3 * one || ownskew + 0 > 1.10) { \
-				print "bench-route: FAIL — rows missing, a row allocates, ownerSide costs more than perEdgeReference or than 3 × ownerSideOne, or its skew is over 1.10"; exit 1 } \
-			printf "bench-route: ownerSide / ownerSideOne = %.2f, ownerSide / perEdgeReference = %.2f, ownerSide skew = %.3f (ownerSide / expand = %.2f, not gated)\n", own / one, own / ref, ownskew, own / bare }'
+			if (own == "" || one == "" || ref == "" || bare == "" || ownskew == "" || bad || own + 0 > ref + 0 || own + 0 > 3 * one || own + 0 > 3.5 * bare || ownskew + 0 > 1.10) { \
+				print "bench-route: FAIL — rows missing, a row allocates, ownerSide costs more than perEdgeReference, than 3 × ownerSideOne or than 3.5 × expand, or its skew is over 1.10"; exit 1 } \
+			printf "bench-route: ownerSide / ownerSideOne = %.2f, ownerSide / expand = %.2f, ownerSide / perEdgeReference = %.2f, ownerSide skew = %.3f\n", own / one, own / bare, own / ref, ownskew }'
 
 # Allocation regression guard on the end-to-end generation benchmarks:
 # fails when allocs/op exceeds the committed allocguard_baseline.txt by

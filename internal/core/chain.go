@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"kronlab/internal/graph"
 )
@@ -335,14 +334,14 @@ func (c *Chain) Materialize() (*graph.Graph, error) {
 //
 // ExpandNext appends into a caller-owned scratch buffer, NextSweep hands
 // out index windows of the innermost factor's shared ArcSlice, and the
-// cursor itself allocates only at construction (the packed copy
-// ExpandNext may build is the factor's, once per graph), so expansion is
+// cursor itself allocates only at construction (the packed copy Packed
+// may build is the factor's, once per graph), so expansion is
 // allocation-free per arc. Over a single factor the odometer is empty
 // and the cursor is a position in that factor's ArcSlice: the k = 2
 // product needs no kernel of its own.
 type TailCursor struct {
 	arcs     [][]graph.Edge // per-factor CSR arc slices (shared; read-only)
-	inner    *graph.Graph   // the innermost factor, whose PackedArcs ExpandNext reads
+	inner    *graph.Graph   // the innermost factor, whose PackedArcs Packed returns
 	strides  []int64        // vertex strides within the tail space
 	idx      []int          // odometer over arcs[0..m-2]
 	uPre     int64          // Σ_{d<m-1} arcs[d][idx[d]].U·strides[d]
@@ -464,17 +463,12 @@ func (tc *TailCursor) advance() {
 // There is no per-arc loop here: the outer digits' contribution is
 // prefix-summed into uPre/vPre and only changes once per innermost-factor
 // sweep, so each sweep (or the part of it max admits) is one ExpandRun
-// call with bases (uBase+uPre, vBase+vPre) — or, where the start-up probe
-// found AVX-512 and the innermost factor packs (graph.PackedArcs, fetched
-// on the first call, so a walk that only calls NextSweep never builds
-// it), one addPacked call over the same window of the 8-byte copy: the
+// call with bases (uBase+uPre, vBase+vPre) — or, where Packed returns
+// the 8-byte copy, one ExpandPacked call over the same window of it: the
 // sweep's source lives in L2, and half the bytes is half the fill.
 func (tc *TailCursor) ExpandNext(uBase, vBase int64, out []graph.Edge, max int) []graph.Edge {
 	inner := tc.arcs[len(tc.arcs)-1]
-	var packed []uint64
-	if hasAVX512 {
-		packed = tc.inner.PackedArcs()
-	}
+	packed := tc.Packed()
 	for !tc.done && len(out) < max {
 		n := max - len(out)
 		if rem := len(inner) - tc.innerPos; rem < n {
@@ -482,9 +476,7 @@ func (tc *TailCursor) ExpandNext(uBase, vBase int64, out []graph.Edge, max int) 
 		}
 		lo, u0, v0 := tc.innerPos, uBase+tc.uPre, vBase+tc.vPre
 		if packed != nil {
-			k := len(out)
-			out = slices.Grow(out, n)[:k+n]
-			addPacked(out[k:], packed[lo:lo+n], u0, v0)
+			out = ExpandPacked(out, packed[lo:lo+n], u0, v0)
 		} else {
 			out = ExpandRun(out, inner[lo:lo+n], u0, v0)
 		}
@@ -495,6 +487,21 @@ func (tc *TailCursor) ExpandNext(uBase, vBase int64, out []graph.Edge, max int) 
 		}
 	}
 	return out
+}
+
+// Packed returns what ExpandNext sweeps where it does not sweep the
+// innermost factor's ArcSlice: that factor's graph.PackedArcs (8 bytes an
+// arc, built on the first call) where the start-up probe found AVX-512, and
+// nil elsewhere or when the factor does not pack (more than 2³² vertices).
+// It is the one place the expansion body is decided: a caller that expands
+// NextSweep's windows itself reads them from the packed copy through
+// ExpandPacked when it is non-nil, and from ArcSlice through ExpandRun
+// when it is nil.
+func (tc *TailCursor) Packed() []uint64 {
+	if hasAVX512 {
+		return tc.inner.PackedArcs()
+	}
+	return nil
 }
 
 // NextSweep is ExpandNext without the writing, a sweep at a time: it

@@ -11,7 +11,10 @@ import (
 // every expansion path: ExpandBlock (u0, v0 the head arc's γ offsets),
 // TailCursor.ExpandNext (one call per innermost-factor sweep) and the
 // distributed engine's owner-side walk (one call per piece of the rows a
-// rank owns of a sweep: run is then a compacted copy of those rows).
+// rank owns of a sweep: run is then a compacted copy of those rows). The
+// last two call it only where TailCursor.Packed is nil; where it is not,
+// they call ExpandPacked, the same primitive over the packed copy, so on
+// an AVX-512 host only ExpandBlock runs this one.
 //
 // It has append's semantics: out[:len(out)] is kept, out is grown by
 // append's rule when its capacity is short (recycled buffers may have any
@@ -26,13 +29,29 @@ import (
 // and lives in L2; under it, and on every other amd64, SSE2's load / PADDQ
 // / store per arc. The machine picks; nothing selects a body by hand.
 // Elsewhere the body is addEdgesGo, the portable loop both are tested
-// against. (Where the probe also found AVX-512, TailCursor.ExpandNext
-// reads a packed copy of the factor through addPacked instead; Kernel
-// names the body the cursor runs.)
+// against. Kernel names the body the cursor runs.
 func ExpandRun(out, run []graph.Edge, u0, v0 int64) []graph.Edge {
 	n := len(out)
 	out = slices.Grow(out, len(run))[:n+len(run)]
 	addEdges(out[n:], run, u0, v0)
+	return out
+}
+
+// ExpandPacked is ExpandRun over a graph.PackedArcs run — each arc u |
+// v<<32 — with the same append semantics: it appends (u0+u, v0+v) for
+// every arc of run to out. Where the start-up probe found AVX-512 the body
+// is addPacked, four arcs per 512-bit VPMOVZXDQ: half the bytes of a wide
+// run for the L2→L1 fill to bring. Elsewhere it is addPackedGo, so it is
+// correct on every host, though the engine calls it only with the copy
+// TailCursor.Packed returns, which it does only there.
+func ExpandPacked(out []graph.Edge, run []uint64, u0, v0 int64) []graph.Edge {
+	n := len(out)
+	out = slices.Grow(out, len(run))[:n+len(run)]
+	if hasAVX512 {
+		addPacked(out[n:], run, u0, v0)
+	} else {
+		addPackedGo(out[n:], run, u0, v0)
+	}
 	return out
 }
 
@@ -44,5 +63,15 @@ func addEdgesGo(dst, src []graph.Edge, u0, v0 int64) {
 	dst = dst[:len(src)]
 	for i, e := range src {
 		dst[i] = graph.Edge{U: u0 + e.U, V: v0 + e.V}
+	}
+}
+
+// addPackedGo is addEdgesGo over a packed source: dst[i] = (u0 +
+// uint32(src[i]), v0 + src[i]>>32). It is ExpandPacked's body where the
+// probe found no AVX-512, and the reference addPacked is tested against.
+func addPackedGo(dst []graph.Edge, src []uint64, u0, v0 int64) {
+	dst = dst[:len(src)]
+	for i, p := range src {
+		dst[i] = graph.Edge{U: u0 + int64(uint32(p)), V: v0 + int64(p>>32)}
 	}
 }

@@ -19,7 +19,8 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax uint32)
 
 // hasAVX2 puts addEdges' 256-bit loop in front of its SSE2 one, and
-// hasAVX512 sends TailCursor.ExpandNext's sweeps through addPacked. They
+// hasAVX512 gives the tail cursor a packed copy to sweep (TailCursor.Packed)
+// and ExpandPacked addPacked for its body. They
 // are probed once, here, and only tests set them afterwards: the machine
 // picks the body, not a flag.
 var hasAVX2, hasAVX512 = probe()
@@ -53,8 +54,8 @@ func avx512From(maxLeaf, leaf1ECX, xcr0, leaf7EBX uint32) bool {
 	return maxLeaf >= 7 && leaf1ECX&osxsave != 0 && xcr0&0xe6 == 0xe6 && leaf7EBX&(1<<16) != 0
 }
 
-// Kernel names the body the tail cursor runs on this machine — "avx512"
-// (addPacked; the owner-side walk and ExpandBlock still run addEdges'
+// Kernel names the body the tail cursor and the owner-side walk run on
+// this machine — "avx512" (addPacked; only ExpandBlock still runs addEdges'
 // 256-bit loop there), "avx2", "sse2", or off amd64 "portable": rates from
 // two hosts compare only next to it.
 func Kernel() string {

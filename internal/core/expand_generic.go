@@ -6,13 +6,11 @@ import "kronlab/internal/graph"
 
 func addEdges(dst, src []graph.Edge, u0, v0 int64) { addEdgesGo(dst, src, u0, v0) }
 
-// hasAVX512 is amd64's probe (expand_amd64.go); here the cursor never
-// takes the packed path and addPacked is never reached.
+// hasAVX512 is amd64's probe (expand_amd64.go); here the cursor has no
+// packed copy to sweep and ExpandPacked runs addPackedGo.
 const hasAVX512 = false
 
-func addPacked(dst []graph.Edge, src []uint64, u0, v0 int64) {
-	panic("core: addPacked off amd64")
-}
+func addPacked(dst []graph.Edge, src []uint64, u0, v0 int64) { addPackedGo(dst, src, u0, v0) }
 
 // Kernel names the body ExpandRun runs: here the portable loop.
 func Kernel() string { return "portable" }

@@ -197,11 +197,13 @@ func arcsAt(n int, rem uintptr) (backing []graph.Edge, at int) {
 	return backing, at
 }
 
-// checkAddPacked holds addPacked to addEdgesGo on the unpacked twin for
-// one run, a source starting srcOff words into its array, a destination
-// rem bytes past a 64-byte boundary and the bases: the result, every
-// canary before and past the destination untouched, the source unmodified.
-func checkAddPacked(t *testing.T, arcs []graph.Edge, srcOff int, rem uintptr, u0, v0 int64) {
+// checkAddPacked holds a packed body to addEdgesGo on the unpacked twin
+// for one run, a source starting srcOff words into its array, a destination
+// rem bytes past a 64-byte boundary and the bases: the result, every canary
+// before and past the destination untouched, the source unmodified — and
+// ExpandPacked, in the tier eachTier has forced, to the same result with a
+// prefix in out.
+func checkAddPacked(t *testing.T, name string, body func([]graph.Edge, []uint64, int64, int64), arcs []graph.Edge, srcOff int, rem uintptr, u0, v0 int64) {
 	t.Helper()
 	const guard = 3
 	n := len(arcs)
@@ -213,32 +215,35 @@ func checkAddPacked(t *testing.T, arcs []graph.Edge, srcOff int, rem uintptr, u0
 	for i := range backing {
 		backing[i] = canary(i)
 	}
-	addPacked(backing[at:at+n], src, u0, v0)
+	body(backing[at:at+n], src, u0, v0)
 	for i, e := range backing {
 		w := canary(i)
 		if i >= at && i < at+n {
 			w = want[i-at]
 		}
 		if e != w {
-			t.Fatalf("addPacked(len %d, dst %d past 64, src +%d, base (%d, %d)): backing[%d] = %v, want %v", n, rem, srcOff, u0, v0, i-at, e, w)
+			t.Fatalf("%s(len %d, dst %d past 64, src +%d, base (%d, %d)): backing[%d] = %v, want %v", name, n, rem, srcOff, u0, v0, i-at, e, w)
 		}
 	}
 	if !slices.Equal(src, orig) {
-		t.Fatalf("addPacked(len %d, dst %d past 64) modified src", n, rem)
+		t.Fatalf("%s(len %d, dst %d past 64) modified src", name, n, rem)
+	}
+	prefix := []graph.Edge{canary(-1)}
+	if got := ExpandPacked(prefix, src, u0, v0); !slices.Equal(got, append(prefix, want...)) {
+		t.Fatalf("ExpandPacked(len %d, base (%d, %d)) = %v, want %v after the prefix", n, u0, v0, got, want)
 	}
 }
 
-// TestAddPackedDifferential holds the cursor's packed body to addEdgesGo
-// on the unpacked twin (checkAddPacked) for every length 0–67 — every
-// remainder of the 16-arc loop behind every peel — and 79 and 303
-// (16k + 15), at a destination 0, 16, 32 and 48 bytes past a 64-byte
-// boundary (peels of 0, 3, 2 and 1 arcs) and 8 past (not 16-byte aligned:
-// unpeeled), from a source at either 16-byte phase, over bases that wrap
-// int64 and endpoints with bit 31 set (zero-extended, not sign-extended).
+// TestAddPackedDifferential holds each body of ExpandPacked — addPackedGo,
+// and addPacked where the probe found AVX-512 — to addEdgesGo on the
+// unpacked twin (checkAddPacked) for every length 0–67 —
+// every remainder of addPacked's 16-arc loop behind every peel — and 79
+// and 303 (16k + 15), at a destination 0, 16, 32 and 48 bytes past a
+// 64-byte boundary (peels of 0, 3, 2 and 1 arcs) and 8 past (not 16-byte
+// aligned: unpeeled), from a source at either 16-byte phase, over bases that
+// wrap int64 and endpoints with bit 31 set (zero-extended, not
+// sign-extended). A body this host cannot run is a skipped sub-test.
 func TestAddPackedDifferential(t *testing.T) {
-	if !hasAVX512 {
-		t.Skip("host lacks AVX512F or OS-enabled opmask and ZMM state: addPacked never runs here")
-	}
 	arcs := make([]graph.Edge, 303)
 	for i := range arcs {
 		arcs[i] = graph.Edge{U: int64(uint32(i) * 0x9e3779b9), V: int64(math.MaxUint32 - uint32(i)*0x1234567)}
@@ -249,19 +254,31 @@ func TestAddPackedDifferential(t *testing.T) {
 		lengths = append(lengths, n)
 	}
 	lengths = append(lengths, 79, 303)
-	for _, n := range lengths {
-		for i, rem := range []uintptr{0, 16, 32, 48, 8} {
-			base := wrapBases[(n+i)%len(wrapBases)]
-			checkAddPacked(t, arcs[:n], (n+i)%2, rem, base[0], base[1])
-		}
+	for _, b := range []struct {
+		name string
+		f    func([]graph.Edge, []uint64, int64, int64)
+		runs bool
+	}{{"addPackedGo", addPackedGo, true}, {"addPacked", addPacked, hasAVX512}} {
+		t.Run(b.name, func(t *testing.T) {
+			if !b.runs {
+				t.Skip("host lacks AVX512F or OS-enabled opmask and ZMM state: addPacked never runs here")
+			}
+			for _, n := range lengths {
+				for i, rem := range []uintptr{0, 16, 32, 48, 8} {
+					base := wrapBases[(n+i)%len(wrapBases)]
+					checkAddPacked(t, b.name, b.f, arcs[:n], (n+i)%2, rem, base[0], base[1])
+				}
+			}
+		})
 	}
 }
 
 // FuzzExpandRun derives a run, a call shape and the bases from raw bytes
 // and holds ExpandRun, on every body this host can run, and addEdgesGo to
-// the per-edge loop (checkExpandRun) — and, in the packed tier, addPacked
-// on the run cut to 32-bit endpoints to its twin (checkAddPacked), the
-// destination at the shape's offset and 16-byte phase.
+// the per-edge loop (checkExpandRun) — and, on the run cut to 32-bit
+// endpoints, addPackedGo in every tier and addPacked in the packed one to
+// its twin (checkAddPacked), the destination at the shape's offset and
+// 16-byte phase.
 func FuzzExpandRun(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint8(0), uint8(0), int64(0), int64(0))
 	f.Add(make([]byte, 16*5), uint8(1|4), uint8(2), uint8(5), int64(-1), int64(math.MaxInt64))
@@ -277,14 +294,15 @@ func FuzzExpandRun(f *testing.F) {
 			off: int(shape % 4), prefix: int(prefix % 8), spare: int(spare),
 			skewOut: shape&4 != 0, skewRun: shape&8 != 0, u0: u0, v0: v0,
 		}
+		rem := uintptr(16 * sh.off)
+		if sh.skewOut {
+			rem += 8
+		}
 		eachTier(func(tier string) {
 			checkExpandRun(t, arcs, sh)
+			checkAddPacked(t, "addPackedGo", addPackedGo, arcs, int(prefix%2), rem, u0, v0)
 			if tier == "avx512" {
-				rem := uintptr(16 * sh.off)
-				if sh.skewOut {
-					rem += 8
-				}
-				checkAddPacked(t, arcs, int(prefix%2), rem, u0, v0)
+				checkAddPacked(t, "addPacked", addPacked, arcs, int(prefix%2), rem, u0, v0)
 			}
 		}, func(string, string) {})
 	})
@@ -296,7 +314,7 @@ const sweepPiece = 1024
 
 // BenchmarkExpandRun times the primitive in the shapes the engine feeds
 // it, in ns/arc, per body: each body eachTier forces — in the packed tier
-// the cursor's, addPacked over the 8-byte copy — the portable loop and the
+// the cursor's, ExpandPacked over the 8-byte copy — the portable loop and the
 // per-edge append loop ExpandRun replaced. sweep21k is the engine's k = 2
 // shape — the source is RMAT(10)'s arc slice (20 964 arcs, 335 KB
 // wide, 168 KB packed: L2-resident), swept in ≤ sweepPiece pieces into one
@@ -336,9 +354,7 @@ func BenchmarkExpandRun(b *testing.B) {
 			return
 		}
 		rows(tier, func(out, _ []graph.Edge, packed []uint64, u0, v0 int64) []graph.Edge {
-			out = out[:len(packed)]
-			addPacked(out, packed, u0, v0)
-			return out
+			return ExpandPacked(out, packed, u0, v0)
 		})
 	}, func(tier, missing string) { b.Run(tier, func(b *testing.B) { b.Skip("host lacks " + missing) }) })
 	if Kernel() != "portable" { // elsewhere the row above is this one

@@ -353,8 +353,10 @@ func TestChainClusterKillRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
+	defer cancel()
 	spawn := func(self int, kill int64) *exec.Cmd {
-		cmd := exec.Command(exe, "-test.run", "^TestChainClusterHelperProcess$", "-test.count=1")
+		cmd := exec.CommandContext(ctx, exe, "-test.run", "^TestChainClusterHelperProcess$", "-test.count=1")
 		cmd.Env = append(os.Environ(),
 			envChainHelper+"=1",
 			envClusterAddrs+"="+strings.Join(addrs, ","),
@@ -366,50 +368,24 @@ func TestChainClusterKillRecovery(t *testing.T) {
 		return cmd
 	}
 
-	workers := make(map[int]*exec.Cmd)
+	exits := make(chan childExit, nprocs-1)
 	for p := 1; p < nprocs; p++ {
 		kill := int64(0)
 		if p == victim {
 			kill = 5
 		}
-		workers[p] = spawn(p, kill)
-		if err := workers[p].Start(); err != nil {
+		w := spawn(p, kill)
+		if err := w.Start(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	victimDied := make(chan error, 1)
-	respawnDone := make(chan error, 1)
-	go func() {
-		victimDied <- workers[victim].Wait()
-		re := spawn(victim, 0)
-		if err := re.Start(); err != nil {
-			respawnDone <- err
-			return
-		}
-		respawnDone <- re.Wait()
-	}()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
-	defer cancel()
-	stats, err := RunCluster(ctx, ClusterConfig{Procs: transport.SplitRanks(addrs, nprocs), Self: 0, Node: node}, cfg)
-	if err != nil {
-		t.Fatalf("head: %v", err)
-	}
-
-	if err := <-victimDied; err == nil {
-		t.Fatal("victim worker exited cleanly; the kill fault never fired")
-	}
-	if err := <-respawnDone; err != nil {
-		t.Fatalf("respawned worker: %v", err)
-	}
-	for p := 1; p < nprocs; p++ {
 		if p == victim {
-			continue
-		}
-		if err := workers[p].Wait(); err != nil {
-			t.Fatalf("worker %d: %v", p, err)
+			respawnAfter(exits, "worker "+strconv.Itoa(p), w, func() *exec.Cmd { return spawn(victim, 0) })
+		} else {
+			waitChild(exits, "worker "+strconv.Itoa(p), w)
 		}
 	}
+	var stats Stats
+	awaitCluster(t, goHead(ctx, ClusterConfig{Procs: transport.SplitRanks(addrs, nprocs), Self: 0, Node: node}, cfg, &stats), exits, nprocs-1)
 
 	if stats.RecoveredRuns != 1 {
 		t.Fatalf("RecoveredRuns = %d, want 1", stats.RecoveredRuns)

@@ -286,6 +286,74 @@ func reservePorts(t *testing.T, n int) []string {
 	return addrs
 }
 
+// childExit is a cluster test's child process ending: which child, and what
+// its Wait returned.
+type childExit struct {
+	name string
+	err  error
+}
+
+// waitChild reports cmd's exit on exits.
+func waitChild(exits chan<- childExit, name string, cmd *exec.Cmd) {
+	go func() { exits <- childExit{name, cmd.Wait()} }()
+}
+
+// respawnAfter waits for victim, which must die by its fault schedule,
+// starts respawn() in its place as an external supervisor would, and
+// reports that one's exit on exits — or, at once, a victim that exited
+// cleanly or a respawn that would not start.
+func respawnAfter(exits chan<- childExit, name string, victim *exec.Cmd, respawn func() *exec.Cmd) {
+	go func() {
+		if err := victim.Wait(); err == nil {
+			exits <- childExit{name, errors.New("exited cleanly; its fault never fired")}
+			return
+		}
+		re := respawn()
+		if err := re.Start(); err != nil {
+			exits <- childExit{"respawned " + name, err}
+			return
+		}
+		exits <- childExit{"respawned " + name, re.Wait()}
+	}()
+}
+
+// goHead runs the head's RunCluster on its own goroutine and returns the
+// channel its error arrives on, *stats set before.
+func goHead(ctx context.Context, cc ClusterConfig, cfg Config, stats *Stats) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		*stats, err = RunCluster(ctx, cc, cfg)
+		done <- err
+	}()
+	return done
+}
+
+// awaitCluster waits for the head (nil when the head is itself a child
+// process) and for n child exits, and fails the test at the first error
+// among them: a worker that exits early with an error, or a respawn that
+// fails, ends the test at once with the child's cause instead of after the
+// head has waited out its deadline for a process that is not coming. The
+// children are started with the test's context, so whatever still runs
+// then is killed when the test returns.
+func awaitCluster(t *testing.T, head <-chan error, exits <-chan childExit, n int) {
+	t.Helper()
+	for head != nil || n > 0 {
+		select {
+		case err := <-head:
+			if err != nil {
+				t.Fatalf("head: %v", err)
+			}
+			head = nil
+		case e := <-exits:
+			if e.err != nil {
+				t.Fatalf("%s: %v", e.name, e.err)
+			}
+			n--
+		}
+	}
+}
+
 // TestClusterKillRecovery is the crash-then-recover contract across real
 // process boundaries: a 4-process cluster in which one worker SIGKILLs
 // itself mid-exchange (wire fault, buffered state lost with it), the
@@ -319,8 +387,10 @@ func TestClusterKillRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
+	defer cancel()
 	spawn := func(self int, kill int64) *exec.Cmd {
-		cmd := exec.Command(exe, "-test.run", "^TestClusterHelperProcess$", "-test.count=1")
+		cmd := exec.CommandContext(ctx, exe, "-test.run", "^TestClusterHelperProcess$", "-test.count=1")
 		cmd.Env = append(os.Environ(),
 			envClusterHelper+"=1",
 			envClusterAddrs+"="+strings.Join(addrs, ","),
@@ -332,52 +402,25 @@ func TestClusterKillRecovery(t *testing.T) {
 		return cmd
 	}
 
-	workers := make(map[int]*exec.Cmd)
+	exits := make(chan childExit, nprocs-1)
 	for p := 1; p < nprocs; p++ {
 		kill := int64(0)
 		if p == victim {
 			kill = 5 // SIGKILL after the 5th outbound batch frame
 		}
-		workers[p] = spawn(p, kill)
-		if err := workers[p].Start(); err != nil {
+		w := spawn(p, kill)
+		if err := w.Start(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// The victim dies by its own fault schedule; respawn it clean as an
-	// external supervisor would, and surface both exit statuses.
-	victimDied := make(chan error, 1)
-	respawnDone := make(chan error, 1)
-	go func() {
-		victimDied <- workers[victim].Wait()
-		re := spawn(victim, 0)
-		if err := re.Start(); err != nil {
-			respawnDone <- err
-			return
-		}
-		respawnDone <- re.Wait()
-	}()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
-	defer cancel()
-	stats, err := RunCluster(ctx, ClusterConfig{Procs: transport.SplitRanks(addrs, nprocs), Self: 0, Node: node}, cfg)
-	if err != nil {
-		t.Fatalf("head: %v", err)
-	}
-
-	if err := <-victimDied; err == nil {
-		t.Fatal("victim worker exited cleanly; the kill fault never fired")
-	}
-	if err := <-respawnDone; err != nil {
-		t.Fatalf("respawned worker: %v", err)
-	}
-	for p := 1; p < nprocs; p++ {
 		if p == victim {
-			continue
-		}
-		if err := workers[p].Wait(); err != nil {
-			t.Fatalf("worker %d: %v", p, err)
+			// It dies by its own fault schedule and is respawned clean.
+			respawnAfter(exits, "worker "+strconv.Itoa(p), w, func() *exec.Cmd { return spawn(victim, 0) })
+		} else {
+			waitChild(exits, "worker "+strconv.Itoa(p), w)
 		}
 	}
+	var stats Stats
+	awaitCluster(t, goHead(ctx, ClusterConfig{Procs: transport.SplitRanks(addrs, nprocs), Self: 0, Node: node}, cfg, &stats), exits, nprocs-1)
 
 	if stats.RecoveredRuns != 1 {
 		t.Fatalf("RecoveredRuns = %d, want 1", stats.RecoveredRuns)
@@ -437,8 +480,10 @@ func TestClusterHeadKillRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
+	defer cancel()
 	spawn := func(self int, kill int64) *exec.Cmd {
-		cmd := exec.Command(exe, "-test.run", "^TestClusterHelperProcess$", "-test.count=1")
+		cmd := exec.CommandContext(ctx, exe, "-test.run", "^TestClusterHelperProcess$", "-test.count=1")
 		cmd.Env = append(os.Environ(),
 			envClusterHelper+"=1",
 			envClusterAddrs+"="+strings.Join(addrs, ","),
@@ -454,43 +499,22 @@ func TestClusterHeadKillRecovery(t *testing.T) {
 
 	// Workers first (they park dialing the head), then the doomed head:
 	// SIGKILL after its 5th outbound batch frame, mid-exchange of epoch 0.
-	workers := make(map[int]*exec.Cmd)
+	// It dies by its own schedule and is respawned clean; the second
+	// generation, like every worker, must exit successfully.
+	exits := make(chan childExit, nprocs)
 	for p := 1; p < nprocs; p++ {
-		workers[p] = spawn(p, 0)
-		if err := workers[p].Start(); err != nil {
+		w := spawn(p, 0)
+		if err := w.Start(); err != nil {
 			t.Fatal(err)
 		}
+		waitChild(exits, "worker "+strconv.Itoa(p), w)
 	}
 	head := spawn(0, 5)
 	if err := head.Start(); err != nil {
 		t.Fatal(err)
 	}
-
-	// The head dies by its own schedule; respawn it clean. The second
-	// generation must exit successfully.
-	headDied := make(chan error, 1)
-	respawnDone := make(chan error, 1)
-	go func() {
-		headDied <- head.Wait()
-		re := spawn(0, 0)
-		if err := re.Start(); err != nil {
-			respawnDone <- err
-			return
-		}
-		respawnDone <- re.Wait()
-	}()
-
-	if err := <-headDied; err == nil {
-		t.Fatal("head exited cleanly; the kill fault never fired")
-	}
-	if err := <-respawnDone; err != nil {
-		t.Fatalf("respawned head: %v", err)
-	}
-	for p := 1; p < nprocs; p++ {
-		if err := workers[p].Wait(); err != nil {
-			t.Fatalf("worker %d: %v", p, err)
-		}
-	}
+	respawnAfter(exits, "head", head, func() *exec.Cmd { return spawn(0, 0) })
+	awaitCluster(t, nil, exits, nprocs)
 
 	// The ledger must replay to a completed generation-2 run with the
 	// exact committed-tile set.

@@ -447,14 +447,11 @@ func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, si
 		}
 		switch {
 		case bySource != nil:
-			// The pick's buffer is checked out like scratch; the first pick
-			// sizes it for the innermost factor.
-			own := ownedRows{owner: bySource, rank: rk.ID(), batch: batch, scratch: scratch, buf: c.getBuf(rk.ID(), batch)}
+			own := ownedRows{owner: bySource, rank: rk.ID(), batch: batch, scratch: scratch}
 			expandTiles(func(t *Tile, cur *core.TailCursor, uBase, vBase, rem int64) (int64, bool) {
 				return own.step(t, cur, uBase, vBase, rem, storeOwn)
 			})
 			scratch = own.scratch
-			c.putBuf(own.buf)
 			atomic.AddInt64(&rk.c.stats.OwnerRowsTested, own.rows)
 			atomic.AddInt64(&rk.c.stats.ArcsCompacted, own.copied)
 		case bound != nil:

@@ -17,6 +17,15 @@ func mustChain(gs ...*graph.Graph) *core.Chain {
 	return ch
 }
 
+// mustGraph builds a test factor from arcs the test wrote in range.
+func mustGraph(n int64, arcs []graph.Edge) *graph.Graph {
+	g, err := graph.New(n, arcs)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
 // countOnly expands the chain on r ranks into a CountSink — no routing, no
 // storage — and returns the number of edges the sink counted.
 func countOnly(ch *core.Chain, r int, twoD bool) (int64, error) {

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"cmp"
 	"math/bits"
 	"runtime/pprof"
 	"slices"
@@ -32,49 +31,106 @@ func GenerateOwned(a, b *graph.Graph, r int) (*Result, error) {
 // with that s0 expands arcs[i:j] like any other run — the cost of placing
 // does not grow with the rank count the way a per-row test in the walk
 // would (R row visits for every row produced).
+//
+// The pick holds the factor in the form the cursor sweeps it
+// (core.TailCursor.Packed): its graph.PackedArcs, 8 bytes an arc, expanded
+// through core.ExpandPacked, where that is non-nil, else its ArcSlice
+// through core.ExpandRun. The form is fixed when the walk meets the factor
+// (load); one of wide and packed is then empty.
 type ownedRows struct {
 	owner func(u int64) int
 	rank  int
 	batch int // arcs per emitted block
 
 	g       *graph.Graph // innermost factor of the pick
-	s0      int64        // its source base
-	inner   []graph.Edge // g.ArcSlice()
-	rowOff  []int64      // g.RowOffsets()
+	s0      int64        // its source base; -1 until the first pick
 	nz      []int64      // g's non-empty rows
+	from    []int64      // from[k] is nz[k]'s first arc, from[len(nz)] g's arc count
 	mine    []uint64     // the owner's answer for each of nz at s0, a bit a row
-	arcs    []graph.Edge // the pick: inner itself when every row is owned, else a prefix of buf
-	buf     []graph.Edge // grown to len(inner) by the first pick over a factor that large
+	picked  int          // arcs in the pick
+	wide    pickOf[graph.Edge]
+	packed  pickOf[uint64]
 	scratch []graph.Edge // the emitted block, reused
 
 	rows, copied int64 // Stats.OwnerRowsTested, Stats.ArcsCompacted
 }
 
+// pickOf is the pick in one element type: a graph.Edge of the factor's
+// ArcSlice or a word of its PackedArcs.
+type pickOf[E graph.Edge | uint64] struct {
+	inner []E // the factor's arcs in this form; nil when the walk reads the other
+	arcs  []E // the pick: inner itself when every row is owned, else a prefix of buf
+	buf   []E // grown to len(inner) when the factor is loaded
+}
+
+func (p *pickOf[E]) load(inner []E) {
+	p.inner, p.arcs = inner, nil
+	p.buf = slices.Grow(p.buf[:0], len(inner))
+}
+
+// copyOwned points arcs at the rows o.mine marks and returns how many arcs
+// that is: inner itself when all of them are, else a copy into buf with one
+// append per maximal run of consecutive owned non-empty rows — the rows
+// between two non-empty rows hold no arcs, so such a run is contiguous in
+// inner. Bit i of up (down) marks a run starting (ending) at nz[64w+i], whose
+// first arc is from[64w+i]; the two alternate, up first.
+func (p *pickOf[E]) copyOwned(o *ownedRows, all bool) int {
+	if p.arcs = p.inner; all {
+		return len(p.arcs)
+	}
+	buf, start := p.buf[:0], int64(-1)
+	var prev uint64 // the previous word's last bit, as bit 0
+	for w, m := range o.mine {
+		up, down := m&^(m<<1|prev), ^m&(m<<1|prev)
+		for t := up | down; t != 0; t &= t - 1 {
+			if at := o.from[w*64+bits.TrailingZeros64(t)]; start < 0 {
+				start = at
+			} else {
+				buf, start = append(buf, p.inner[start:at]...), -1
+			}
+		}
+		prev = m >> 63
+	}
+	if start >= 0 { // the last run ends at the last row, on a word edge
+		buf = append(buf, p.inner[start:]...)
+	}
+	p.arcs = buf
+	o.copied += int64(len(buf))
+	return len(buf)
+}
+
 // step is the walk's step under a source owner (runAttempt's expandTiles):
 // it advances cur over one sweep — at most rem arcs of t's stream, which is
 // what it reports — and hands emit the arcs of it this rank owns, expanded,
-// in blocks of ≤ batch: ExpandNext's loop over the pick. A sweep the rank
-// owns nothing of costs the odometer step.
+// in blocks of ≤ batch: ExpandNext's loop over the pick, in the pick's form.
+// A sweep the rank owns nothing of costs the odometer step.
 func (o *ownedRows) step(t *Tile, cur *core.TailCursor, uBase, vBase, rem int64, emit func(tile int, block []graph.Edge) bool) (int64, bool) {
 	lo, hi, uPre, vPre := cur.NextSweep(rem)
 	if lo == hi {
 		return 0, true
 	}
-	s0 := uBase + uPre
-	if g := t.Tail[len(t.Tail)-1]; g != o.g || s0 != o.s0 {
-		o.pick(g, s0)
+	if g := t.Tail[len(t.Tail)-1]; g != o.g {
+		o.load(g, cur.Packed())
+	}
+	if s0 := uBase + uPre; s0 != o.s0 {
+		o.pick(s0)
 	}
 	// Owned rows are whole and in order, so a sweep cut short (by a tile's
 	// Skip or Take: at most its first and its last) maps into the pick by row.
-	run := o.arcs
-	if hi-lo < len(o.inner) {
-		run = run[o.index(lo):o.index(hi)]
+	i, j := 0, o.picked
+	if hi-lo < int(o.from[len(o.nz)]) {
+		i, j = o.index(lo), o.index(hi)
 	}
-	for len(run) > 0 {
-		n := min(len(run), o.batch)
+	for i < j {
+		n := min(j-i, o.batch)
 		pprof.SetGoroutineLabels(expandLabels)
-		block := core.ExpandRun(o.scratch, run[:n], s0, vBase+vPre)
-		o.scratch, run = block[:0], run[n:]
+		var block []graph.Edge
+		if o.packed.inner != nil {
+			block = core.ExpandPacked(o.scratch, o.packed.arcs[i:i+n], o.s0, vBase+vPre)
+		} else {
+			block = core.ExpandRun(o.scratch, o.wide.arcs[i:i+n], o.s0, vBase+vPre)
+		}
+		o.scratch, i = block[:0], i+n
 		if !emit(t.ID, block) {
 			return 0, false
 		}
@@ -82,26 +138,40 @@ func (o *ownedRows) step(t *Tile, cur *core.TailCursor, uBase, vBase, rem int64,
 	return int64(hi - lo), true
 }
 
-// pick asks the owner about every non-empty row of g at source base s0, in
-// two passes: first the answers, a bit a row, then one copy per set bit. Under
-// a map that mixes its bits the answer is a coin flip per row, and kept as
-// data it costs a SETcc where a branch on it mispredicts every other row.
-// Nothing is copied when every row is owned — the pick is then inner itself:
-// the one rank of R = 1, or a BlockOwner block that covers the sweep.
-func (o *ownedRows) pick(g *graph.Graph, s0 int64) {
-	pprof.SetGoroutineLabels(filterLabels)
-	if g != o.g { // list the factor's non-empty rows once
-		o.g, o.inner, o.rowOff = g, g.ArcSlice(), g.RowOffsets()
-		o.nz = slices.Grow(o.nz[:0], len(o.rowOff))
-		for u := 0; u+1 < len(o.rowOff); u++ {
-			if o.rowOff[u] != o.rowOff[u+1] {
-				o.nz = append(o.nz, int64(u))
-			}
+// load makes g the factor of the pick, read packed when packed (g's
+// PackedArcs) is non-nil and wide otherwise: it lists g's non-empty rows and
+// where their arcs start, and sizes the answer bits and the form's buffer,
+// once per factor.
+func (o *ownedRows) load(g *graph.Graph, packed []uint64) {
+	rowOff := g.RowOffsets()
+	o.g, o.s0 = g, -1
+	o.nz, o.from = slices.Grow(o.nz[:0], len(rowOff)), slices.Grow(o.from[:0], len(rowOff))
+	for u := 0; u+1 < len(rowOff); u++ {
+		if rowOff[u] != rowOff[u+1] {
+			o.nz, o.from = append(o.nz, int64(u)), append(o.from, rowOff[u])
 		}
-		words := (len(o.nz) + 63) / 64
-		o.mine = slices.Grow(o.mine[:0], words)[:words]
-		o.buf = slices.Grow(o.buf[:0], len(o.inner))
 	}
+	o.from = append(o.from, rowOff[len(rowOff)-1])
+	words := (len(o.nz) + 63) / 64
+	o.mine = slices.Grow(o.mine[:0], words)[:words]
+	if packed != nil {
+		o.wide.load(nil)
+		o.packed.load(packed)
+	} else {
+		o.wide.load(g.ArcSlice())
+		o.packed.load(nil)
+	}
+}
+
+// pick asks the owner about every non-empty row of the factor at source
+// base s0, in two passes: first the answers, a bit a row, then one copy per
+// run of set bits. Under a map that mixes its bits the answer is a coin flip
+// per row, and kept as data it costs a SETcc where a branch on it
+// mispredicts every other row. Nothing is copied when every row is owned —
+// the pick is then the factor itself: the one rank of R = 1, or a
+// BlockOwner block that covers the sweep.
+func (o *ownedRows) pick(s0 int64) {
+	pprof.SetGoroutineLabels(filterLabels)
 	o.s0 = s0
 	o.rows += int64(len(o.nz))
 	owned := 0
@@ -117,29 +187,26 @@ func (o *ownedRows) pick(g *graph.Graph, s0 int64) {
 		o.mine[w] = m
 		owned += bits.OnesCount64(m)
 	}
-	if o.arcs = o.inner; owned == len(o.nz) {
-		return
+	if all := owned == len(o.nz); o.packed.inner != nil {
+		o.picked = o.packed.copyOwned(o, all)
+	} else {
+		o.picked = o.wide.copyOwned(o, all)
 	}
-	buf := o.buf[:0]
-	for w, m := range o.mine {
-		for ; m != 0; m &= m - 1 {
-			u := o.nz[w*64+bits.TrailingZeros64(m)]
-			buf = append(buf, o.inner[o.rowOff[u]:o.rowOff[u+1]]...)
-		}
-	}
-	o.arcs = buf
-	o.copied += int64(len(buf))
 }
 
-// index maps position pos of inner to the pick: the owned arcs before it.
+// index maps position pos of the factor's arcs to the pick: the owned arcs
+// before it. It reads the rows' offsets and the answer bits, not the pick,
+// so it is the same in both forms.
 func (o *ownedRows) index(pos int) int {
-	if pos == len(o.inner) {
-		return len(o.arcs)
+	n := 0
+	for k := range o.nz {
+		lo := int(o.from[k])
+		if lo >= pos {
+			break
+		}
+		if o.mine[k/64]&(1<<(k%64)) != 0 {
+			n += min(int(o.from[k+1]), pos) - lo
+		}
 	}
-	u := o.inner[pos].U
-	i, owned := slices.BinarySearchFunc(o.arcs, u, func(e graph.Edge, u int64) int { return cmp.Compare(e.U, u) })
-	if owned { // i is the row's first arc in the pick
-		i += pos - int(o.rowOff[u])
-	}
-	return i
+	return n
 }

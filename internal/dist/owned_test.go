@@ -14,6 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -101,34 +102,11 @@ func (o perEdgeOwner) Bind(r int) BoundOwnerFunc { return bindBySource(o.so, r) 
 // arc; there the ranks' outputs are also held to the serial oracle, in
 // canonical order.
 func TestOwnerSideMatchesPerEdgeExchange(t *testing.T) {
-	evens := func(g *graph.Graph) *graph.Graph { // g on the even vertices of twice as many: every other row empty
-		var arcs []graph.Edge
-		for _, e := range g.ArcSlice() {
-			arcs = append(arcs, graph.Edge{U: 2 * e.U, V: 2 * e.V})
-		}
-		out, err := graph.New(2*g.NumVertices(), arcs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	loops := func(n int64) *graph.Graph {
-		g, err := graph.New(n, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g.WithFullSelfLoops()
-	}
-	empty, err := graph.New(3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loops := func(n int64) *graph.Graph { return mustGraph(n, nil).WithFullSelfLoops() }
+	empty := mustGraph(3, nil)
 	// One source row: under 2D every tile has the same source base, and only
 	// the part of the second factor it is crossed with tells two tiles apart.
-	fan, err := graph.New(4, []graph.Edge{{U: 1, V: 0}, {U: 1, V: 1}, {U: 1, V: 2}, {U: 1, V: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fan := mustGraph(4, []graph.Edge{{U: 1, V: 0}, {U: 1, V: 1}, {U: 1, V: 2}, {U: 1, V: 3}})
 	shapes := []struct {
 		name    string
 		ch      *core.Chain
@@ -201,6 +179,165 @@ func TestOwnerSideMatchesPerEdgeExchange(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// evens returns g on the even vertices of twice as many: every other row
+// empty.
+func evens(g *graph.Graph) *graph.Graph {
+	var arcs []graph.Edge
+	for _, e := range g.ArcSlice() {
+		arcs = append(arcs, graph.Edge{U: 2 * e.U, V: 2 * e.V})
+	}
+	return mustGraph(2*g.NumVertices(), arcs)
+}
+
+// TestOwnedRowsBothForms holds the owner-side walk to core.Chain.Arcs in
+// both forms of its pick, on any host: ownedRows is loaded with a nil packed
+// source (the factor's ArcSlice, expanded through core.ExpandRun) and with
+// the factor's PackedArcs (through core.ExpandPacked, whose portable body
+// runs where the probe found no AVX-512), and each cell's walk — R ∈ {1, 2,
+// 3, 16}, every rank, under OwnerBySource's hash and BlockOwner, batch 1, 7
+// and 1024 — must emit exactly the window of the chain's arcs its owner
+// gives the rank, in order, in blocks of ≤ batch. The innermost factors have
+// empty rows, a single row, and runs of owned rows that end on, and cross,
+// a 64-bit word edge of the answer bits; the windows are the whole stream
+// and one whose Skip and Take cut its first and last sweep mid-row (index).
+// Every pick the walk makes must equal the per-row pick — the owned rows
+// appended one at a time — element for element, and ArcsCompacted and
+// OwnerRowsTested must count what the per-row pick copied and asked.
+func TestOwnedRowsBothForms(t *testing.T) {
+	// ring is n vertices, row u holding u → u+1 and u → 3u+1 (mod n) unless
+	// u ≡ gap−1 (mod gap): with gap 0 every row is non-empty.
+	ring := func(n, gap int64) *graph.Graph {
+		var arcs []graph.Edge
+		for u := int64(0); u < n; u++ {
+			if gap == 0 || u%gap != gap-1 {
+				arcs = append(arcs, graph.Edge{U: u, V: (u + 1) % n}, graph.Edge{U: u, V: (3*u + 1) % n})
+			}
+		}
+		return mustGraph(n, arcs)
+	}
+	fan := mustGraph(4, []graph.Edge{{U: 1, V: 0}, {U: 1, V: 1}, {U: 1, V: 2}, {U: 1, V: 3}})
+	shapes := []struct {
+		name string
+		ch   *core.Chain
+	}{
+		{"gappy", mustChain(gen.ER(5, 0.6, 491), evens(gen.PrefAttach(6, 2, 492)))},
+		{"one_row", mustChain(gen.ER(6, 0.6, 493), fan)},
+		{"word64", mustChain(gen.ER(5, 0.6, 494), ring(64, 0))},          // one full word of answer bits
+		{"word128_gappy", mustChain(gen.ER(4, 0.7, 495), ring(136, 17))}, // two full words, eight empty rows
+		{"k3", mustChain(gen.ER(3, 0.7, 496), gen.PrefAttach(3, 2, 497), ring(70, 9))},
+	}
+	for _, sh := range shapes {
+		sh := sh
+		t.Run(sh.name, func(t *testing.T) {
+			t.Parallel()
+			f := sh.ch.Factors()
+			inner := f[len(f)-1]
+			var serial []graph.Edge
+			sh.ch.Arcs(func(u, v int64) bool { serial = append(serial, graph.Edge{U: u, V: v}); return true })
+			midRow := func(from, to int) int {
+				for i := max(from, 1); i < to; i++ {
+					if serial[i-1].U == serial[i].U {
+						return i
+					}
+				}
+				t.Fatalf("no position inside a row in [%d, %d)", from, to)
+				return 0
+			}
+			lo, hi := midRow(1, len(serial)/3), midRow(2*len(serial)/3, len(serial))
+			for _, win := range [][2]int{{0, len(serial)}, {lo, hi}} {
+				tile := Tile{AArcs: f[0].ArcSlice(), Tail: f[1:], Skip: int64(win[0]), Take: int64(win[1] - win[0])}
+				for _, so := range []SourceOwner{sourceHashOwner{}, BlockOwner{NC: sh.ch.NumVertices()}} {
+					for _, r := range []int{1, 2, 3, 16} {
+						owner := so.BindSource(r)
+						for rank := 0; rank < r; rank++ {
+							var want []graph.Edge
+							for _, e := range serial[win[0]:win[1]] {
+								if owner(e.U) == rank {
+									want = append(want, e)
+								}
+							}
+							for _, batch := range []int{1, 7, DefaultBatchSize} {
+								for _, packed := range [][]uint64{nil, inner.PackedArcs()} {
+									cell := fmt.Sprintf("window %v, %T r=%d rank %d batch %d packed=%v", win, so, r, rank, batch, packed != nil)
+									checkOwnedWalk(t, cell, &tile, packed, ownedRows{owner: owner, rank: rank, batch: batch}, want)
+								}
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// checkOwnedWalk loads o with the tile's innermost factor in the form packed
+// names, walks the tile as runAttempt's expandTiles does, and holds what it
+// emits to want, each pick to the per-row pick and its counters to what the
+// per-row pick copied and asked.
+func checkOwnedWalk(t *testing.T, cell string, tile *Tile, packed []uint64, o ownedRows, want []graph.Edge) {
+	t.Helper()
+	inner := tile.Tail[len(tile.Tail)-1]
+	off := inner.RowOffsets()
+	o.load(inner, packed)
+	var got []graph.Edge
+	emit := func(_ int, block []graph.Edge) bool {
+		if len(block) == 0 || len(block) > o.batch {
+			t.Fatalf("%s: a block of %d arcs", cell, len(block))
+		}
+		got = append(got, block...)
+		return true
+	}
+	var picks, copied int64
+	checked := int64(-1)
+	step := func(cur *core.TailCursor, uBase, vBase, rem int64) (int64, bool) {
+		n, ok := o.step(tile, cur, uBase, vBase, rem, emit)
+		if o.s0 == checked {
+			return n, ok
+		}
+		checked, picks = o.s0, picks+1
+		var wide []graph.Edge
+		var words []uint64
+		for u := int64(0); u < inner.NumVertices(); u++ {
+			if off[u] < off[u+1] && o.owner(o.s0+u) == o.rank {
+				wide = append(wide, inner.ArcSlice()[off[u]:off[u+1]]...)
+				words = append(words, inner.PackedArcs()[off[u]:off[u+1]]...)
+			}
+		}
+		if int64(len(wide)) < inner.NumArcs() {
+			copied += int64(len(wide))
+		}
+		if packed != nil && (!slices.Equal(o.packed.arcs, words) || o.wide.inner != nil) ||
+			packed == nil && (!slices.Equal(o.wide.arcs, wide) || o.packed.inner != nil) {
+			t.Fatalf("%s: the pick at s0 = %d differs from the per-row pick:\n got %v %v\nwant %v %v", cell, o.s0, o.wide.arcs, o.packed.arcs, wide, words)
+		}
+		return n, ok
+	}
+	cur := core.NewTailCursor(tile.Tail)
+	nT, nTail, rem := cur.NumVertices(), cur.Total(), tile.Arcs()
+	for ai := int(tile.Skip / nTail); ai < len(tile.AArcs) && rem > 0; ai++ {
+		if ai == int(tile.Skip/nTail) {
+			cur.SeekTo(tile.Skip % nTail)
+		} else {
+			cur.Reset()
+		}
+		a := tile.AArcs[ai]
+		for rem > 0 {
+			n, ok := step(cur, a.U*nT, a.V*nT, rem)
+			if !ok {
+				t.Fatalf("%s: the walk refused work", cell)
+			}
+			if n == 0 {
+				break
+			}
+			rem -= n
+		}
+	}
+	assertSameOrder(t, cell, got, want)
+	if o.copied != copied || o.rows != picks*int64(len(o.nz)) {
+		t.Fatalf("%s: ArcsCompacted %d, OwnerRowsTested %d; the per-row pick copied %d and asked %d picks × %d rows", cell, o.copied, o.rows, copied, picks, len(o.nz))
 	}
 }
 
@@ -530,8 +667,10 @@ func TestClusterOwnedDeathRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
+	defer cancel()
 	spawn := func(exitAfter int) *exec.Cmd {
-		cmd := exec.Command(exe, "-test.run", "^TestClusterHelperProcess$", "-test.count=1")
+		cmd := exec.CommandContext(ctx, exe, "-test.run", "^TestClusterHelperProcess$", "-test.count=1")
 		cmd.Env = append(os.Environ(),
 			envClusterHelper+"=1",
 			envClusterAddrs+"="+strings.Join(addrs, ","),
@@ -551,17 +690,8 @@ func TestClusterOwnedDeathRecovery(t *testing.T) {
 	if err := victim.Start(); err != nil {
 		t.Fatal(err)
 	}
-	victimDied := make(chan error, 1)
-	respawnDone := make(chan error, 1)
-	go func() {
-		victimDied <- victim.Wait()
-		re := spawn(0)
-		if err := re.Start(); err != nil {
-			respawnDone <- err
-			return
-		}
-		respawnDone <- re.Wait()
-	}()
+	exits := make(chan childExit, 1)
+	respawnAfter(exits, "worker", victim, func() *exec.Cmd { return spawn(0) })
 
 	hosted := &sharesStoredSink{Sink: cfg.Sink, want: share, done: func() { release.Close() }}
 	for rank := procs[0].Lo; rank < procs[0].Hi; rank++ {
@@ -570,18 +700,8 @@ func TestClusterOwnedDeathRecovery(t *testing.T) {
 		}
 	}
 	cfg.Sink = hosted
-	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
-	defer cancel()
-	stats, err := RunCluster(ctx, ClusterConfig{Procs: procs, Self: 0, Node: node}, cfg)
-	if err != nil {
-		t.Fatalf("head: %v", err)
-	}
-	if err := <-victimDied; err == nil {
-		t.Fatal("victim worker exited cleanly; it never reached the StoreBlock it was to die in")
-	}
-	if err := <-respawnDone; err != nil {
-		t.Fatalf("respawned worker: %v", err)
-	}
+	var stats Stats
+	awaitCluster(t, goHead(ctx, ClusterConfig{Procs: procs, Self: 0, Node: node}, cfg, &stats), exits, 1)
 
 	if stats.RecoveredRuns != 1 || stats.TotalRetries() != 1 || stats.RetriesPerRank[dead.Lo] != 1 || stats.TilesReassigned != 0 {
 		t.Fatalf("RecoveredRuns = %d, RetriesPerRank = %v, TilesReassigned = %d; want one recovering retry on rank %d and nothing moved",
