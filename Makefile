@@ -97,31 +97,41 @@ cluster-smoke:
 # arcs where they are stored must cost no more than three times the same
 # walk at R = 1, no more than 3.5 times the bare expansion (the expand row,
 # ExpandNext) and no more than staging them edge by edge for the exchange
-# (≈ 0.05×), with 0 allocs/op on every row. The walk and the cursor run one
-# kernel body on every host — the packed one where the probe finds AVX-512
-# — so ownerSide / expand is the walk's whole cost of placing; ten runs on
+# (≈ 0.05×), with 0 allocs/op on every row but engine. The walk and the
+# cursor run one kernel body on every host — the packed one where the probe
+# finds AVX-512 — so ownerSide / expand is the walk's whole cost of placing; ten runs on
 # a 2-CPU AVX-512 VM read 1.65–2.68 (median 2.0), and ownerSide /
 # ownerSideOne 1.45–2.05. Balance is gated by a count, not a clock: the
 # ownerSide row's skew — the busiest rank's arcs over the ideal 1/R share,
 # what a run's wall follows — must be ≤ 1.10 (reads 1.008; the hash reduced
 # by remainder read 1.86). The tinyInner row is the stated worst case (a
-# 4-vertex innermost factor at R = 16); it is printed, not gated. Mirrors
-# the CI step.
+# 4-vertex innermost factor at R = 16); it is printed, not gated. The engine
+# row is Run itself (no owner, a CountSink, the product on one rank): the
+# expand row's work plus the engine's per-block path — the sink call
+# through the fence and one atomic load — and one run's set-up, which is
+# why it alone allocates (78 allocs/op; make allocguard guards those). It
+# must cost ≤ 2 × expand: ten runs on the same 2-CPU VM read 0.82–1.15
+# (median 1.09) when it was quiet and 0.74–1.56 under load, where the loop
+# that swapped two goroutine labels and polled a channel per block read
+# 1.25–1.68 (median 1.26) in ten runs of the same row — a bound that
+# catches a per-block cost the size of the kernel call, not one of a
+# quarter of it, without flaking on a loaded box. Mirrors the CI step.
 bench-route:
 	$(GO) test -run '^$$' -bench BenchmarkRoute -benchtime 50x -benchmem ./internal/dist/ | awk ' \
 		{ print } \
 		/^BenchmarkRoute\// { skew = ""; for (i = 2; i <= NF; i++) { \
 			if ($$i == "ns/edge") ns = $$(i-1); \
 			if ($$i == "skew") skew = $$(i-1); \
-			if ($$i == "allocs/op" && $$(i-1) != 0) bad = 1 } } \
+			if ($$i == "allocs/op" && $$(i-1) != 0 && $$1 !~ /^BenchmarkRoute\/engine/) bad = 1 } } \
 		/^BenchmarkRoute\/ownerSide(-[0-9]+)?[ \t]/ { own = ns; ownskew = skew } \
 		/^BenchmarkRoute\/ownerSideOne(-[0-9]+)?[ \t]/ { one = ns } \
 		/^BenchmarkRoute\/perEdgeReference/ { ref = ns } \
 		/^BenchmarkRoute\/expand/ { bare = ns } \
+		/^BenchmarkRoute\/engine/ { eng = ns } \
 		END { \
-			if (own == "" || one == "" || ref == "" || bare == "" || ownskew == "" || bad || own + 0 > ref + 0 || own + 0 > 3 * one || own + 0 > 3.5 * bare || ownskew + 0 > 1.10) { \
-				print "bench-route: FAIL — rows missing, a row allocates, ownerSide costs more than perEdgeReference, than 3 × ownerSideOne or than 3.5 × expand, or its skew is over 1.10"; exit 1 } \
-			printf "bench-route: ownerSide / ownerSideOne = %.2f, ownerSide / expand = %.2f, ownerSide / perEdgeReference = %.2f, ownerSide skew = %.3f\n", own / one, own / bare, own / ref, ownskew }'
+			if (own == "" || one == "" || ref == "" || bare == "" || eng == "" || ownskew == "" || bad || own + 0 > ref + 0 || own + 0 > 3 * one || own + 0 > 3.5 * bare || ownskew + 0 > 1.10 || eng + 0 > 2 * bare) { \
+				print "bench-route: FAIL — rows missing, a row other than engine allocates, ownerSide costs more than perEdgeReference, than 3 × ownerSideOne or than 3.5 × expand, its skew is over 1.10, or engine costs more than 2 × expand"; exit 1 } \
+			printf "bench-route: ownerSide / ownerSideOne = %.2f, ownerSide / expand = %.2f, ownerSide / perEdgeReference = %.2f, ownerSide skew = %.3f, engine / expand = %.2f\n", own / one, own / bare, own / ref, ownskew, eng / bare }'
 
 # Allocation regression guard on the end-to-end generation benchmarks:
 # fails when allocs/op exceeds the committed allocguard_baseline.txt by

@@ -24,7 +24,10 @@
 // -pprof serves the runtime profiling endpoints on a separate listener
 // (own mux, never the service address), so profiles of a live server —
 // including the engine's phase labels phase=expand|route|store|sink-flush
-// — stay off the public surface. Point it at loopback, e.g. -pprof
+// — stay off the public surface. A generating rank is phase=expand, its
+// sink calls included; phase=store is a rank blocked handing a batch to
+// a stream consumer that is behind (a slow client), or storing what the
+// exchange delivered. Point it at loopback, e.g. -pprof
 // localhost:6060, then:
 //
 //	go tool pprof http://localhost:6060/debug/pprof/profile?seconds=10

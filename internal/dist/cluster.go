@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,7 +70,7 @@ type Stats struct {
 	// Recovery counters (zero on a run that needed no retry). After a
 	// retry EdgesGenerated/PerRankGenerated include replayed expansion
 	// work, while stored counts remain exactly-once.
-	RetriesPerRank    []int64 // attempts re-run, attributed to the faulty rank
+	RetriesPerRank    []int64 // attempts re-run, attributed to the rank at fault
 	TilesReassigned   int64   // tiles moved off a crashed rank to survivors
 	RecoveredRuns     int64   // 1 when the run succeeded only after retries
 	DuplicatesSkipped int64   // replayed edges suppressed by checkpoint fencing
@@ -139,9 +140,16 @@ type Cluster struct {
 
 	// Run context: cancelled (with cause) when any rank's body returns an
 	// error, so ranks blocked in an exchange tear down instead of waiting for
-	// EOF markers that will never arrive.
-	ctx    context.Context
-	cancel context.CancelCauseFunc
+	// EOF markers that will never arrive. Every cancel the package issues
+	// raises stop right after it (cancel), so a walking rank sees teardown
+	// with one atomic load per block (walk.place).
+	ctx       context.Context
+	cancelCtx context.CancelCauseFunc
+	stop      atomic.Bool
+
+	// ranks are the hosted ranks [lo, hi), one value each for the cluster's
+	// lifetime, so a sink that keeps its Rank sees the walk's phase.
+	ranks []Rank
 
 	// faults, when non-nil, is the armed fault-injection schedule
 	// (see fault.go) consulted by the transport and the collectives.
@@ -193,11 +201,12 @@ func NewClusterOn(tr transport.Transport) (*Cluster, error) {
 	if lo < 0 || hi > r || lo >= hi {
 		return nil, fmt.Errorf("dist: transport local range [%d,%d) invalid for R=%d", lo, hi, r)
 	}
-	c := &Cluster{r: r, lo: lo, hi: hi, tr: tr, returns: make([]chan []graph.Edge, hi-lo)}
+	c := &Cluster{r: r, lo: lo, hi: hi, tr: tr, returns: make([]chan []graph.Edge, hi-lo), ranks: make([]Rank, hi-lo)}
 	for i := range c.returns {
 		c.returns[i] = make(chan []graph.Edge, spareCap)
+		c.ranks[i] = Rank{id: lo + i, c: c}
 	}
-	c.ctx, c.cancel = context.WithCancelCause(context.Background())
+	c.ctx, c.cancelCtx = context.WithCancelCause(context.Background())
 	return c, nil
 }
 
@@ -259,8 +268,15 @@ func (c *Cluster) Reset() {
 		c.faults.reset()
 	}
 	c.cancel(nil) // retire the previous run's context
-	c.ctx, c.cancel = context.WithCancelCause(context.Background())
+	c.ctx, c.cancelCtx = context.WithCancelCause(context.Background())
 	c.used.Store(false)
+}
+
+// cancel tears the run down with cause: the context first, then the stop
+// flag, so a walk that sees the flag finds the cause set.
+func (c *Cluster) cancel(cause error) {
+	c.cancelCtx(cause)
+	c.stop.Store(true)
 }
 
 // Stats returns a snapshot of the traffic counters.
@@ -292,32 +308,34 @@ func (c *Cluster) Run(body func(rk *Rank) error) error {
 	return c.RunContext(context.Background(), body)
 }
 
-// RunContext is Run with cancellation: when ctx is cancelled, or any
+// RunContext is Run with cancellation: when parent is cancelled, or any
 // local rank's body returns an error, every rank blocked in an exchange
-// (sending or waiting for EOF markers) is released. The root cause — the
-// first rank error, or the external cancellation — is returned in
-// preference to the secondary context errors the other ranks observe.
+// (sending or waiting for EOF markers) is released and every walking rank
+// stops at its next block. The root cause — the first rank error, or the
+// external cancellation — is returned in preference to the secondary
+// context errors the other ranks observe.
 // On a multi-process transport only the local rank range runs here;
 // remote failures surface as transport errors on blocked calls.
-func (c *Cluster) RunContext(ctx context.Context, body func(rk *Rank) error) error {
+func (c *Cluster) RunContext(parent context.Context, body func(rk *Rank) error) error {
 	if !c.used.CompareAndSwap(false, true) {
 		return ErrClusterUsed
 	}
-	ctx, cancel := context.WithCancelCause(ctx)
-	c.ctx, c.cancel = ctx, cancel
+	ctx, cancel := context.WithCancelCause(parent)
+	c.ctx, c.cancelCtx = ctx, cancel
+	c.stop.Store(false)
 	defer cancel(nil)
 	n := c.hi - c.lo
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for id := c.lo; id < c.hi; id++ {
+	for i := range c.ranks {
 		wg.Add(1)
-		go func(id int) {
+		go func(rk *Rank) {
 			defer wg.Done()
-			errs[id-c.lo] = body(&Rank{id: id, c: c})
-			if errs[id-c.lo] != nil {
-				cancel(errs[id-c.lo])
+			errs[rk.id-c.lo] = body(rk)
+			if errs[rk.id-c.lo] != nil {
+				c.cancel(errs[rk.id-c.lo])
 			}
-		}(id)
+		}(&c.ranks[i])
 	}
 	wg.Wait()
 	if cause := context.Cause(ctx); cause != nil && !errors.Is(cause, context.Canceled) {
@@ -466,6 +484,24 @@ func (c *Cluster) outstandingBufs() int64 { return atomic.LoadInt64(&c.bufsOut) 
 type Rank struct {
 	id int
 	c  *Cluster
+	// phase is the walk's goroutine label (engine.go), recorded so a sink
+	// hand-off that blocks can label its wait phase=store and put it back.
+	phase context.Context
+}
+
+func (rk *Rank) setPhase(labels context.Context) {
+	rk.phase = labels
+	pprof.SetGoroutineLabels(labels)
+}
+
+// waitStore and endWaitStore bracket a sink hand-off's blocking send, which
+// only the slow path reaches, after a non-blocking send failed.
+func (rk *Rank) waitStore() { pprof.SetGoroutineLabels(storeLabels) }
+
+func (rk *Rank) endWaitStore() {
+	if rk.phase != nil {
+		pprof.SetGoroutineLabels(rk.phase)
+	}
 }
 
 // ID returns this rank's global index in [0, Size).
@@ -484,7 +520,8 @@ func (rk *Rank) crashAt(p FaultPoint) error {
 	if rk.c.faults == nil {
 		return nil
 	}
-	return rk.c.faults.crash(rk.id, p)
+	_, err := rk.c.faults.crashWithin(rk.id, p, 1)
+	return err
 }
 
 // Barrier blocks until all ranks have entered it, or until the run is

@@ -14,10 +14,12 @@ import (
 
 // Phase label contexts for runtime/pprof goroutine labels: profiles of an
 // engine run attribute samples to the kernel stage (phase=expand|filter|
-// route|store) that was executing. Built once — SetGoroutineLabels per
-// block is a pointer swap, so labeling costs nothing measurable on the hot
-// path. phase=filter is a source owner's pick of its rows (ownedRows.pick);
-// phase=route the per-edge exchange, which only other owners reach.
+// route|store) that was executing. Built once and swapped at phase
+// boundaries, not per block (a swap is a context lookup; two per block cost
+// the unrouted walk 7 %): a walk is phase=expand from each tile on, sink
+// calls included; phase=filter a source owner's pick (ownedRows.pick);
+// phase=route the per-edge exchange, swapped per block, and phase=store the
+// batches it delivers and a rank blocked in a sink hand-off.
 var (
 	expandLabels = pprof.WithLabels(context.Background(), pprof.Labels("phase", "expand"))
 	filterLabels = pprof.WithLabels(context.Background(), pprof.Labels("phase", "filter"))
@@ -245,9 +247,9 @@ type Config struct {
 	// it, with zero communication (count-only and streaming runs).
 	Owner Owner
 	Sink  Sink
-	// BatchSize is the largest block a sink is handed, the per-destination
-	// edge count a routed exchange buffers before flushing a message, and
-	// the cadence of cancellation polls during fault-armed expansion. ≤ 0
+	// BatchSize is the largest block a sink is handed and the
+	// per-destination edge count a routed exchange buffers before flushing a
+	// message; clean and fault-armed runs walk in the same blocks. ≤ 0
 	// selects DefaultBatchSize (1024, the benchmarked default). Correct for
 	// any value ≥ 1; a routed run stages O(R·BatchSize) per rank. Larger is
 	// not free: the expansion block is 16 B × BatchSize and must stay in L1
@@ -288,7 +290,7 @@ func (cfg Config) batchSize() int {
 // is the tile's stream filtered by the owner map, in order, byte-identical
 // across attempts and across the two placements. That determinism is what
 // tile checkpoints and prefix-dedup recovery key on; the step size changes
-// polling granularity, never order.
+// polling granularity, never order. A fault-armed run walks the same blocks.
 func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, sinkFor func(*Rank) (*fencedRankSink, error), perGen, perStored []int64, batch int) error {
 	// Bound once per attempt and shared by the ranks: both forms are pure.
 	var bound BoundOwnerFunc
@@ -306,193 +308,46 @@ func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, si
 		if err != nil {
 			return fmt.Errorf("dist: rank %d sink: %w", rk.ID(), err)
 		}
-		var generated, stored int64
-		var sinkErr, crashErr, xErr error
-		// Fault-armed runs take the per-edge reference cadence below so
-		// crash countdowns keep edge granularity; clean runs never branch
-		// into it.
-		faulty := c.faults != nil
-		// Scratch block reused across every A-arc of every tile. A-arcs
+		// The scratch block is reused across every A-arc of every tile. A-arcs
 		// expand against B in chunks of ≤ batch arcs, so the scratch is the
 		// exchange's buffer size class and checks out of the same freelist
 		// — expansion allocates nothing in steady state and per-rank memory
 		// stays O(|E_A|/R + |E_B| + R·batch) even when this rank's B is large.
-		scratch := c.getBuf(rk.ID(), batch)
-		// poll checks for run teardown: sends only notice a torn-down run
-		// when a flush fails, and the buffered inboxes can absorb a lot
-		// before one does — poll once per block (or per batch of edges on
-		// the fault-armed path) so cancellation stops expansion promptly.
-		poll := func() bool {
-			select {
-			case <-rk.c.ctx.Done():
-				xErr = context.Cause(rk.c.ctx)
-				return true
-			default:
-				return false
-			}
-		}
-		// perEdge drives a block through edge-granular fault windows — the
-		// cadence the chaos schedules count mid-expansion crash hits in. A
-		// scheduled crash cancels the run immediately: a dead process
-		// stops sending, it does not flush EOF markers. f receives
-		// one-edge sub-blocks so both paths share the block plumbing.
-		perEdge := func(tile int, block []graph.Edge, f func(tile int, es []graph.Edge) bool) bool {
-			for i := range block {
-				if err := rk.crashAt(FaultMidExpansion); err != nil {
-					crashErr = err
-					rk.c.cancel(err)
-					return false
-				}
-				generated++
-				if !f(tile, block[i:i+1:i+1]) {
-					return false
-				}
-				if generated%int64(batch) == 0 && poll() {
-					return false
-				}
-			}
-			return true
-		}
-		// expandTiles is the Expand stage's walk: each A-arc of each tile
-		// against the tile's tail factors. step generates and places arcs
-		// from the cursor — at most rem of the tile's stream, which is what
-		// it reports having stepped over (a source owner's step places only
-		// the arcs it owns among them); false stops early (teardown, sink
-		// failure, or an injected crash).
-		//
-		// The tail is folded lazily through a core.TailCursor at every
-		// depth: composed tail arcs come in lexicographic CSR order (a
-		// materialized tail's ArcSlice order), never materialized —
-		// kernel_test.go holds every depth to the per-edge reference.
-		expandTiles := func(step func(t *Tile, cur *core.TailCursor, uBase, vBase, rem int64) (int64, bool)) {
-			var cur *core.TailCursor // one per tail: a source owner's rank walks R tiles of one
-			var tail []*graph.Graph
-			for ti := range tiles[rk.ID()] {
-				t := &tiles[rk.ID()][ti]
-				// rem is the tile's windowed arc budget; Skip locates the
-				// start position arithmetically (A-arc index + in-tail
-				// offset) so the skipped prefix is never generated — the
-				// seek cost is independent of Skip's magnitude.
-				rem := t.Arcs()
-				if rem == 0 {
-					continue
-				}
-				if !slices.Equal(tail, t.Tail) {
-					cur, tail = core.NewTailCursor(t.Tail), t.Tail
-				}
-				nT := cur.NumVertices()
-				nTail := cur.Total()
-				aStart := int(t.Skip / nTail)
-				tailPos := t.Skip % nTail
-				for ai := aStart; ai < len(t.AArcs) && rem > 0; ai++ {
-					aArc := t.AArcs[ai]
-					if ai == aStart {
-						cur.SeekTo(tailPos)
-					} else {
-						cur.Reset()
-					}
-					uBase, vBase := aArc.U*nT, aArc.V*nT
-					for rem > 0 {
-						n, ok := step(t, cur, uBase, vBase, rem)
-						if !ok {
-							return
-						}
-						if n == 0 {
-							break
-						}
-						rem -= n
-					}
-				}
-			}
-		}
-		// expandBlocks walks with the step that fills the scratch block for
-		// handleBlock to route or store.
-		expandBlocks := func(handleBlock func(tile int, block []graph.Edge) bool) {
-			expandTiles(func(t *Tile, cur *core.TailCursor, uBase, vBase, rem int64) (int64, bool) {
-				pprof.SetGoroutineLabels(expandLabels)
-				block := cur.ExpandNext(uBase, vBase, scratch, int(min(rem, int64(batch))))
-				scratch = block[:0]
-				return int64(len(block)), len(block) == 0 || handleBlock(t.ID, block)
-			})
-		}
-		// deliver hands one owned batch to the rank's sink. Under routing
-		// it runs inline from the exchange's progress engine — same
-		// goroutine as expansion — and the cancel tears down the other
-		// ranks' producers.
-		deliver := func(tile int, edges []graph.Edge) bool {
-			if sinkErr != nil {
-				return false
-			}
-			n, err := as.storeBlock(tile, edges)
-			stored += n
-			if err != nil {
-				sinkErr = err
-				rk.c.cancel(err)
-				return false
-			}
-			return true
-		}
-		// storeOwn is handleBlock for a rank that stores what it generates:
-		// no owner, or a source owner.
-		storeOwn := func(tile int, block []graph.Edge) bool {
-			pprof.SetGoroutineLabels(storeLabels)
-			if faulty {
-				return perEdge(tile, block, deliver)
-			}
-			generated += int64(len(block))
-			if !deliver(tile, block) {
-				return false
-			}
-			return !poll()
-		}
+		w := walk{rk: rk, as: as, faults: c.faults, batch: batch, scratch: c.getBuf(rk.ID(), batch)}
 		switch {
 		case bySource != nil:
-			own := ownedRows{owner: bySource, rank: rk.ID(), batch: batch, scratch: scratch}
-			expandTiles(func(t *Tile, cur *core.TailCursor, uBase, vBase, rem int64) (int64, bool) {
-				return own.step(t, cur, uBase, vBase, rem, storeOwn)
-			})
-			scratch = own.scratch
-			atomic.AddInt64(&rk.c.stats.OwnerRowsTested, own.rows)
-			atomic.AddInt64(&rk.c.stats.ArcsCompacted, own.copied)
+			w.own = &ownedRows{owner: bySource, rank: rk.ID(), batch: batch, scratch: w.scratch}
+			w.tiles(tiles[rk.ID()])
+			w.scratch = w.own.scratch
+			atomic.AddInt64(&rk.c.stats.OwnerRowsTested, w.own.rows)
+			atomic.AddInt64(&rk.c.stats.ArcsCompacted, w.own.copied)
 		case bound != nil:
-			xErr = rk.exchangeBlocks(batch, func(s *shipper) {
-				stageOne := func(tile int, es []graph.Edge) bool {
-					e := es[0]
-					return s.stage(bound(e.U, e.V), tile, e)
-				}
-				expandBlocks(func(tile int, block []graph.Edge) bool {
-					pprof.SetGoroutineLabels(routeLabels)
-					if faulty {
-						return perEdge(tile, block, stageOne)
-					}
-					if !s.route(tile, block, bound) {
-						return false
-					}
-					generated += int64(len(block))
-					return !poll()
-				})
+			w.bound = bound
+			w.xErr = rk.exchangeBlocks(batch, func(s *shipper) {
+				w.s = s
+				w.tiles(tiles[rk.ID()])
 			}, func(tile int, edges []graph.Edge) {
 				// Delivery runs inline on this goroutine (progress on
 				// send), so the store label is swapped in per batch; the
-				// next block's expand/route labels swap it back out.
-				pprof.SetGoroutineLabels(storeLabels)
-				deliver(tile, edges)
+				// walk swaps expand back in when route returns.
+				rk.setPhase(storeLabels)
+				w.deliver(tile, edges)
 			})
 		default:
-			expandBlocks(storeOwn)
+			w.tiles(tiles[rk.ID()])
 		}
-		c.putBuf(scratch)
-		atomic.AddInt64(&rk.c.stats.EdgesGenerated, generated)
-		perGen[rk.ID()] = generated
-		perStored[rk.ID()] = stored
+		c.putBuf(w.scratch)
+		atomic.AddInt64(&rk.c.stats.EdgesGenerated, w.generated)
+		perGen[rk.ID()] = w.generated
+		perStored[rk.ID()] = w.stored
 		skipped := as.endAttempt()
 		switch {
-		case sinkErr != nil:
-			return sinkErr
-		case crashErr != nil:
-			return crashErr
-		case xErr != nil:
-			return xErr
+		case w.sinkErr != nil:
+			return w.sinkErr
+		case w.crashErr != nil:
+			return w.crashErr
+		case w.xErr != nil:
+			return w.xErr
 		}
 		// Teardown collective: every rank must report a balanced run
 		// before the engine declares success — an edge batch that went
@@ -503,7 +358,7 @@ func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, si
 		// fault injection point, and because a rank that died earlier never
 		// arrives, it completes for the survivors only through
 		// BarrierContext's cancellation awareness.
-		delta, rerr := rk.AllReduceSumContext(generated - stored - skipped)
+		delta, rerr := rk.AllReduceSumContext(w.generated - w.stored - skipped)
 		if rerr != nil {
 			return rerr
 		}
@@ -512,4 +367,151 @@ func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, si
 		}
 		return nil
 	})
+}
+
+// walk is one rank's Expand stage in one attempt. A block costs the kernel
+// call, the sink call (or the router) and one atomic load (Cluster.stop).
+type walk struct {
+	rk      *Rank
+	as      *fencedRankSink
+	faults  *faultState // nil unless the run is fault-armed
+	batch   int
+	scratch []graph.Edge
+
+	own   *ownedRows     // a source owner's pick; nil otherwise
+	s     *shipper       // the exchange, under any other owner; nil otherwise
+	bound BoundOwnerFunc // the owner s routes by
+
+	generated, stored       int64
+	blocks                  uint32 // placed, for the context poll
+	sinkErr, crashErr, xErr error
+}
+
+// contextPoll is how many blocks apart a walk reads the run's context, which
+// is where a caller's cancellation arrives (the package's own cancels raise
+// the stop flag): 64 blocks of 1024 arcs are a few microseconds. A
+// context.AfterFunc raising the flag would instead wait, on one P, for the
+// walking goroutine to be preempted (≈ 10 ms), longer than a small run.
+const contextPoll = 64
+
+// tiles walks each A-arc of each tile against the tile's tail factors, a
+// block at a time into place, and stops when place refuses one. A block is
+// the cursor's next ≤ batch arcs (ExpandNext), or under a source owner the
+// next ≤ batch owned arcs of the sweep (ownedRows). The tail is folded
+// lazily through a core.TailCursor at every depth, in lexicographic CSR
+// order — kernel_test.go holds every depth to the per-edge reference.
+func (w *walk) tiles(tiles []Tile) {
+	var cur *core.TailCursor // one per tail: a source owner's rank walks R tiles of one
+	var tail []*graph.Graph
+	for ti := range tiles {
+		t := &tiles[ti]
+		// rem is the tile's windowed arc budget; Skip locates the start
+		// position arithmetically (A-arc index + in-tail offset) so the
+		// skipped prefix is never generated — the seek cost is independent
+		// of Skip's magnitude.
+		rem := t.Arcs()
+		if rem == 0 {
+			continue
+		}
+		if !slices.Equal(tail, t.Tail) {
+			cur, tail = core.NewTailCursor(t.Tail), t.Tail
+		}
+		w.rk.setPhase(expandLabels)
+		nT := cur.NumVertices()
+		nTail := cur.Total()
+		aStart := int(t.Skip / nTail)
+		tailPos := t.Skip % nTail
+		for ai := aStart; ai < len(t.AArcs) && rem > 0; ai++ {
+			aArc := t.AArcs[ai]
+			if ai == aStart {
+				cur.SeekTo(tailPos)
+			} else {
+				cur.Reset()
+			}
+			uBase, vBase := aArc.U*nT, aArc.V*nT
+			for rem > 0 {
+				var n int64
+				if w.own != nil {
+					n = w.own.sweep(t, cur, uBase, vBase, rem)
+					for block := w.own.next(); len(block) > 0; block = w.own.next() {
+						if !w.place(t.ID, block) {
+							return
+						}
+					}
+				} else {
+					block := cur.ExpandNext(uBase, vBase, w.scratch, int(min(rem, int64(w.batch))))
+					w.scratch = block[:0]
+					if len(block) > 0 && !w.place(t.ID, block) {
+						return
+					}
+					n = int64(len(block))
+				}
+				if n == 0 {
+					break
+				}
+				rem -= n
+			}
+		}
+	}
+}
+
+// place routes or stores one block and reports whether the walk goes on. A
+// crash due inside the block fires after the arcs before it are placed, and
+// cancels the run at once: a dead process does not flush EOF markers.
+func (w *walk) place(tile int, block []graph.Edge) bool {
+	var crash error
+	if w.faults != nil {
+		var n int64
+		n, crash = w.faults.crashWithin(w.rk.id, FaultMidExpansion, int64(len(block)))
+		block = block[:n]
+	}
+	w.generated += int64(len(block))
+	if w.s != nil {
+		w.rk.setPhase(routeLabels)
+		ok := w.s.route(tile, block, w.bound)
+		w.rk.setPhase(expandLabels)
+		if !ok {
+			return false
+		}
+	} else if len(block) > 0 && !w.deliver(tile, block) {
+		return false
+	}
+	if crash != nil {
+		w.crashErr = crash
+		w.rk.c.cancel(crash)
+		return false
+	}
+	// A run with nothing to send would never notice teardown otherwise. The
+	// poll only reads the context: every rank polls the same one, and Err
+	// would take its lock.
+	stop := w.rk.c.stop.Load()
+	if w.blocks++; !stop && w.blocks%contextPoll == 0 {
+		select {
+		case <-w.rk.c.ctx.Done():
+			stop = true
+		default:
+		}
+	}
+	if stop {
+		w.xErr = context.Cause(w.rk.c.ctx)
+		return false
+	}
+	return true
+}
+
+// deliver hands one owned batch to the rank's sink. Under routing it runs
+// inline from the exchange's progress engine — same goroutine as expansion
+// — and the cancel tears down the other ranks' producers.
+func (w *walk) deliver(tile int, edges []graph.Edge) bool {
+	if w.sinkErr != nil {
+		return false
+	}
+	n, err := w.as.storeBlock(tile, edges)
+	w.stored += n
+	if err != nil {
+		w.sinkErr = err
+		w.rk.c.cancel(err)
+		return false
+	}
+	return true
 }

@@ -3,10 +3,14 @@ package dist
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -356,5 +360,240 @@ func TestPerRankStatsAndInboxDepth(t *testing.T) {
 	}
 	if perStored != cs.Total() {
 		t.Errorf("per-rank stored %d != counted %d", perStored, cs.Total())
+	}
+}
+
+// failOnBlock fails rank 0's k-th block and counts the blocks rank 0 was
+// handed; the other ranks' blocks are stored.
+type failOnBlock struct {
+	k      int
+	err    error
+	blocks int // rank 0's, touched by its goroutine only
+}
+
+func (s *failOnBlock) Rank(rk *Rank) (RankSink, error) {
+	return &failOnBlockRank{s: s, rank: rk.ID()}, nil
+}
+
+type failOnBlockRank struct {
+	s    *failOnBlock
+	rank int
+}
+
+func (t *failOnBlockRank) Store(graph.Edge) error { return errors.New("failOnBlock wants blocks") }
+func (t *failOnBlockRank) Close() error           { return nil }
+
+func (t *failOnBlockRank) StoreBlock(edges []graph.Edge) (int64, error) {
+	if t.rank == 0 {
+		if t.s.blocks++; t.s.blocks == t.s.k {
+			return 0, t.s.err
+		}
+	}
+	return int64(len(edges)), nil
+}
+
+// TestSinkErrorStopsWalkAtItsBlock: a sink error stops its rank's walk at
+// the failing block — the run returns that error, and the rank was handed
+// exactly the blocks up to it — with no owner and under a source owner.
+func TestSinkErrorStopsWalkAtItsBlock(t *testing.T) {
+	ch := mustChain(gen.ER(30, 0.4, 35), gen.ER(20, 0.5, 36))
+	plan, err := PlanChain1D(ch, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, owner := range []Owner{nil, OwnerBySource} {
+		const k = 3
+		boom := errors.New("rank 0's disk is full")
+		sink := &failOnBlock{k: k, err: boom}
+		runErr := runWithWatchdog(t, chaosWatchdog, func() error {
+			_, err := Run(context.Background(), Config{Plan: plan, Owner: owner, Sink: sink, BatchSize: 64})
+			return err
+		})
+		if !errors.Is(runErr, boom) {
+			t.Fatalf("owner %v: want the sink's error, got %v", owner != nil, runErr)
+		}
+		if sink.blocks != k {
+			t.Fatalf("owner %v: rank 0 was handed %d blocks, its sink failed on block %d", owner != nil, sink.blocks, k)
+		}
+	}
+}
+
+// cancelOnBlock cancels the run's parent context from inside the first
+// StoreBlock any rank makes, and counts what it was handed.
+type cancelOnBlock struct {
+	cancel context.CancelFunc
+	stored atomic.Int64
+}
+
+func (s *cancelOnBlock) Rank(*Rank) (RankSink, error) { return s, nil }
+func (s *cancelOnBlock) Store(graph.Edge) error       { return errors.New("cancelOnBlock wants blocks") }
+func (s *cancelOnBlock) Close() error                 { return nil }
+
+func (s *cancelOnBlock) StoreBlock(edges []graph.Edge) (int64, error) {
+	s.cancel()
+	s.stored.Add(int64(len(edges)))
+	return int64(len(edges)), nil
+}
+
+// TestParentCancelStopsWalk: a caller's cancellation reaches a walk through
+// the context it reads every contextPoll blocks. Cancelled from inside the
+// first StoreBlock of a product of billions of arcs, a run with nothing to
+// send must return context.Canceled having handed over a small part of them
+// — on one thread and on several.
+func TestParentCancelStopsWalk(t *testing.T) {
+	ch := mustChain(gen.MustRMAT(gen.Graph500Params(11, 37)), gen.MustRMAT(gen.Graph500Params(11, 38)))
+	total, err := ch.NumArcs()
+	if err != nil || total < 1e9 {
+		t.Fatalf("the product has %d arcs (%v); the test wants ≥ 1e9", total, err)
+	}
+	plan, err := PlanChain1D(ch, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		ctx, cancel := context.WithCancel(context.Background())
+		sink := &cancelOnBlock{cancel: cancel}
+		runErr := runWithWatchdog(t, chaosWatchdog, func() error {
+			_, err := Run(ctx, Config{Plan: plan, Sink: sink})
+			return err
+		})
+		cancel()
+		if !errors.Is(runErr, context.Canceled) {
+			t.Fatalf("GOMAXPROCS=%d: want context.Canceled, got %v", procs, runErr)
+		}
+		if n := sink.stored.Load(); n >= total {
+			t.Fatalf("GOMAXPROCS=%d: cancellation did not stop the walk: %d of %d arcs handed over", procs, n, total)
+		}
+	}
+}
+
+// TestResetClearsStopFlag: a rank's failure raises the cluster's stop flag,
+// and the next run after Reset starts with it down — a flag left up would
+// stop every walk of that run at its first block with no cause.
+func TestResetClearsStopFlag(t *testing.T) {
+	c, err := NewCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("rank 1 failed")
+	if err := c.Run(func(rk *Rank) error {
+		if rk.ID() == 1 {
+			return boom
+		}
+		return nil
+	}); !errors.Is(err, boom) {
+		t.Fatalf("want the rank's error, got %v", err)
+	}
+	if !c.stop.Load() {
+		t.Fatal("a failed rank left the stop flag down")
+	}
+	c.Reset()
+	if err := c.Run(func(rk *Rank) error {
+		if c.stop.Load() {
+			return fmt.Errorf("rank %d starts the run with the stop flag up", rk.ID())
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// blockingSink hands each rank's first block to a channel the test reads
+// and then holds the rank in StoreBlock until the test closes release.
+type blockingSink struct {
+	entered chan int
+	release chan struct{}
+	first   []bool // per rank, touched by its goroutine only
+}
+
+func (s *blockingSink) Rank(rk *Rank) (RankSink, error) {
+	return &blockingRankSink{s: s, rank: rk.ID()}, nil
+}
+
+type blockingRankSink struct {
+	s    *blockingSink
+	rank int
+}
+
+func (t *blockingRankSink) Store(graph.Edge) error { return errors.New("blockingSink wants blocks") }
+func (t *blockingRankSink) Close() error           { return nil }
+
+func (t *blockingRankSink) StoreBlock(edges []graph.Edge) (int64, error) {
+	if !t.s.first[t.rank] {
+		t.s.first[t.rank] = true
+		t.s.entered <- t.rank
+		<-t.s.release
+	}
+	return int64(len(edges)), nil
+}
+
+// goroutineRecord returns the debug=1 goroutine-profile record — a stack
+// with its count and labels — whose frames include fn, or "" when no
+// goroutine is there.
+func goroutineRecord(fn string) string {
+	var b strings.Builder
+	if err := pprof.Lookup("goroutine").WriteTo(&b, 1); err != nil {
+		return ""
+	}
+	for _, rec := range strings.Split(b.String(), "\n\n") {
+		if strings.Contains(rec, fn) {
+			return rec
+		}
+	}
+	return ""
+}
+
+// TestPhaseLabels: the walk is labelled at phase boundaries, so a rank is
+// named by what it is doing without a swap per block. A rank held inside
+// its sink mid-walk reads phase=expand — also under a source owner, whose
+// pick runs as phase=filter and puts expand back — and a rank blocked in a
+// stream hand-off, waiting on the consumer, reads phase=store.
+func TestPhaseLabels(t *testing.T) {
+	ch := mustChain(gen.ER(20, 0.5, 39), gen.ER(20, 0.5, 40))
+	plan, err := PlanChain1D(ch, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, owner := range []Owner{nil, OwnerBySource} {
+		sink := &blockingSink{entered: make(chan int, 1), release: make(chan struct{}), first: make([]bool, 1)}
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(context.Background(), Config{Plan: plan, Owner: owner, Sink: sink})
+			done <- err
+		}()
+		<-sink.entered
+		rec := goroutineRecord("dist.(*blockingRankSink).StoreBlock")
+		close(sink.release)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(rec, `"phase":"expand"`) {
+			t.Fatalf("owner %v: a rank inside its sink mid-walk is not labelled phase=expand:\n%s", owner != nil, rec)
+		}
+	}
+
+	release := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		_, err := streamPlan(context.Background(), plan, 16, Recovery{}, nil, func([]graph.Edge) error {
+			<-release
+			return nil
+		})
+		done <- err
+	}()
+	// The rank passes through the hand-off's fast path, labelled expand,
+	// until the channel is full; from then on it waits in the hand-off.
+	var rec string
+	for deadline := time.Now().Add(10 * time.Second); !strings.Contains(rec, `"phase":"store"`) && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		rec = goroutineRecord("dist.(*streamRankSink).handOff")
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(rec, `"phase":"store"`) {
+		t.Fatalf("a rank blocked in a stream hand-off is not labelled phase=store:\n%s", rec)
 	}
 }

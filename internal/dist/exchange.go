@@ -206,7 +206,7 @@ func (s *shipper) send(to int, m Message) bool {
 	m.Dest = to
 	m.Epoch = c.epoch
 	if f := c.faults; f != nil {
-		if err := f.crash(rk.id, FaultMidExchange); err != nil {
+		if _, err := f.crashWithin(rk.id, FaultMidExchange, 1); err != nil {
 			c.cancel(err)
 			return false
 		}
@@ -356,8 +356,8 @@ func (s *shipper) flush(to int, eof bool) bool {
 // route partitions one expansion block edge by edge — the router, for
 // owners that look at the target too (OwnerByEdge) or are opaque
 // functions: owner is bound at plan time, so the body is the owner call,
-// an append and a threshold check per edge. It inlines stage because a
-// call per edge is measurable here; stage is the reference.
+// an append and a threshold check per edge. The tests hold it to stage,
+// their one-edge-at-a-time reference (helpers_test.go).
 func (s *shipper) route(tile int, block []graph.Edge, owner BoundOwnerFunc) bool {
 	if s.aborted {
 		return false
@@ -388,32 +388,6 @@ func (s *shipper) route(tile int, block []graph.Edge, owner BoundOwnerFunc) bool
 		}
 	}
 	return true
-}
-
-// stage routes a single edge — the per-edge reference path used by
-// fault-armed runs, which need edge-granular crash windows between
-// stages, and by the tests' per-edge exchange helper. Identical staging and
-// flush behavior to route, one edge at a time.
-func (s *shipper) stage(to, tile int, e graph.Edge) bool {
-	if s.aborted {
-		return false
-	}
-	b := s.bufs[to]
-	if len(b) == 0 {
-		if b == nil {
-			b = s.getBuf()
-		}
-		s.tile[to] = tile
-	} else if s.tile[to] != tile {
-		if !s.flush(to, false) {
-			return false
-		}
-		b = s.bufs[to]
-		s.tile[to] = tile
-	}
-	b = append(b, e)
-	s.bufs[to] = b
-	return len(b) < s.batch || s.flush(to, false)
 }
 
 // exchangeBlocks is the batched all-to-all transport the engine runs on:

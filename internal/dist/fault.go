@@ -41,7 +41,10 @@ const (
 	FaultNone FaultPoint = iota
 	// FaultBeforeSinkSetup crashes the rank before its sink is created.
 	FaultBeforeSinkSetup
-	// FaultMidExpansion crashes the rank while it expands its tiles.
+	// FaultMidExpansion crashes the rank while it expands its tiles. Its
+	// countdown is in arcs the rank generates, taken a block at a time: the
+	// arcs of a block that come before the crash are placed as usual and the
+	// rank dies at that block's boundary, having generated exactly After.
 	FaultMidExpansion
 	// FaultMidExchange crashes the rank as it sends an exchange message.
 	FaultMidExchange
@@ -238,21 +241,29 @@ func (s *faultState) reset() {
 	}
 }
 
-// crash reports a scheduled RankCrashError when rank hits an armed
-// injection point, nil otherwise. One-shot specs fire on exactly the hit
-// that exhausts their countdown; Repeat specs fire on that hit and every
-// later one.
-func (s *faultState) crash(rank int, p FaultPoint) error {
+// crashWithin takes n hits of an armed injection point by rank at once —
+// one, or a block of n arcs at FaultMidExpansion — and reports how many of
+// them the rank survives, with a RankCrashError when a scheduled crash is
+// due among them (n and nil otherwise). One-shot specs fire on exactly the
+// hit that exhausts their countdown; Repeat specs fire on that hit and
+// every later one. The countdowns move by the hits taken, the firing one
+// included, as they would one hit at a time.
+func (s *faultState) crashWithin(rank int, p FaultPoint, n int64) (int64, error) {
+	fire := n + 1 // the first hit that fires a spec; n+1 when none does
 	for i, sp := range s.specs {
-		if sp.Point != p || sp.Rank != rank {
-			continue
-		}
-		left := atomic.AddInt64(&s.crashLeft[i], -1)
-		if left == 0 || (sp.Repeat && left < 0) {
-			return &RankCrashError{Rank: rank, Point: p}
+		if left := atomic.LoadInt64(&s.crashLeft[i]); sp.Point == p && sp.Rank == rank && (left >= 1 || sp.Repeat) {
+			fire = min(fire, max(left, 1))
 		}
 	}
-	return nil
+	for i, sp := range s.specs {
+		if sp.Point == p && sp.Rank == rank {
+			atomic.AddInt64(&s.crashLeft[i], -min(fire, n))
+		}
+	}
+	if fire > n {
+		return n, nil
+	}
+	return fire - 1, &RankCrashError{Rank: rank, Point: p}
 }
 
 func (s *faultState) linkFor(from, to int) LinkFault {

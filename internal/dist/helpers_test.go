@@ -40,6 +40,44 @@ func countOnly(ch *core.Chain, r int, twoD bool) (int64, error) {
 	return sink.Total(), nil
 }
 
+// step is one sweep of the owner-side walk as walk.tiles takes it —
+// ownedRows.sweep, then every block of it out of ownedRows.next — with the
+// blocks handed to emit; the walk tests and BenchmarkRoute drive it.
+func (o *ownedRows) step(t *Tile, cur *core.TailCursor, uBase, vBase, rem int64, emit func(tile int, block []graph.Edge) bool) (int64, bool) {
+	n := o.sweep(t, cur, uBase, vBase, rem)
+	for block := o.next(); len(block) > 0; block = o.next() {
+		if !emit(t.ID, block) {
+			return 0, false
+		}
+	}
+	return n, true
+}
+
+// stage routes a single edge — the per-edge reference route is held to
+// (TestRouteRunsEquivalence), and what Exchange stages with. Identical
+// staging and flush behavior to route, one edge at a time.
+func (s *shipper) stage(to, tile int, e graph.Edge) bool {
+	if s.aborted {
+		return false
+	}
+	b := s.bufs[to]
+	if len(b) == 0 {
+		if b == nil {
+			b = s.getBuf()
+		}
+		s.tile[to] = tile
+	} else if s.tile[to] != tile {
+		if !s.flush(to, false) {
+			return false
+		}
+		b = s.bufs[to]
+		s.tile[to] = tile
+	}
+	b = append(b, e)
+	s.bufs[to] = b
+	return len(b) < s.batch || s.flush(to, false)
+}
+
 // Exchange runs one all-to-all exchange on this rank one edge at a time —
 // the per-edge surface over exchangeBlocks the transport tests and
 // benchmarks drive. produce is called with an emit function that routes a

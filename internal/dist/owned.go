@@ -50,6 +50,8 @@ type ownedRows struct {
 	picked  int          // arcs in the pick
 	wide    pickOf[graph.Edge]
 	packed  pickOf[uint64]
+	i, j    int          // the current sweep's owned arcs in the pick not yet expanded
+	v0      int64        // the current sweep's target base
 	scratch []graph.Edge // the emitted block, reused
 
 	rows, copied int64 // Stats.OwnerRowsTested, Stats.ArcsCompacted
@@ -99,15 +101,15 @@ func (p *pickOf[E]) copyOwned(o *ownedRows, all bool) int {
 	return len(buf)
 }
 
-// step is the walk's step under a source owner (runAttempt's expandTiles):
-// it advances cur over one sweep — at most rem arcs of t's stream, which is
-// what it reports — and hands emit the arcs of it this rank owns, expanded,
-// in blocks of ≤ batch: ExpandNext's loop over the pick, in the pick's form.
-// A sweep the rank owns nothing of costs the odometer step.
-func (o *ownedRows) step(t *Tile, cur *core.TailCursor, uBase, vBase, rem int64, emit func(tile int, block []graph.Edge) bool) (int64, bool) {
+// sweep is the walk's step under a source owner (runAttempt's walk): it
+// advances cur over one sweep — at most rem arcs of t's stream, which is
+// what it reports — and makes the arcs of it this rank owns what next
+// expands. A sweep the rank owns nothing of costs the odometer step.
+func (o *ownedRows) sweep(t *Tile, cur *core.TailCursor, uBase, vBase, rem int64) int64 {
 	lo, hi, uPre, vPre := cur.NextSweep(rem)
 	if lo == hi {
-		return 0, true
+		o.i, o.j = 0, 0
+		return 0
 	}
 	if g := t.Tail[len(t.Tail)-1]; g != o.g {
 		o.load(g, cur.Packed())
@@ -117,25 +119,29 @@ func (o *ownedRows) step(t *Tile, cur *core.TailCursor, uBase, vBase, rem int64,
 	}
 	// Owned rows are whole and in order, so a sweep cut short (by a tile's
 	// Skip or Take: at most its first and its last) maps into the pick by row.
-	i, j := 0, o.picked
+	o.i, o.j, o.v0 = 0, o.picked, vBase+vPre
 	if hi-lo < int(o.from[len(o.nz)]) {
-		i, j = o.index(lo), o.index(hi)
+		o.i, o.j = o.index(lo), o.index(hi)
 	}
-	for i < j {
-		n := min(j-i, o.batch)
-		pprof.SetGoroutineLabels(expandLabels)
-		var block []graph.Edge
-		if o.packed.inner != nil {
-			block = core.ExpandPacked(o.scratch, o.packed.arcs[i:i+n], o.s0, vBase+vPre)
-		} else {
-			block = core.ExpandRun(o.scratch, o.wide.arcs[i:i+n], o.s0, vBase+vPre)
-		}
-		o.scratch, i = block[:0], i+n
-		if !emit(t.ID, block) {
-			return 0, false
-		}
+	return int64(hi - lo)
+}
+
+// next expands the sweep's next ≤ batch owned arcs into the scratch block,
+// and returns an empty block once they are all out: ExpandNext's loop over
+// the pick, in the pick's form.
+func (o *ownedRows) next() []graph.Edge {
+	n := min(o.j-o.i, o.batch)
+	if n == 0 {
+		return nil
 	}
-	return int64(hi - lo), true
+	var block []graph.Edge
+	if o.packed.inner != nil {
+		block = core.ExpandPacked(o.scratch, o.packed.arcs[o.i:o.i+n], o.s0, o.v0)
+	} else {
+		block = core.ExpandRun(o.scratch, o.wide.arcs[o.i:o.i+n], o.s0, o.v0)
+	}
+	o.scratch, o.i = block[:0], o.i+n
+	return block
 }
 
 // load makes g the factor of the pick, read packed when packed (g's
@@ -169,9 +175,11 @@ func (o *ownedRows) load(g *graph.Graph, packed []uint64) {
 // per row, and kept as data it costs a SETcc where a branch on it
 // mispredicts every other row. Nothing is copied when every row is owned —
 // the pick is then the factor itself: the one rank of R = 1, or a
-// BlockOwner block that covers the sweep.
+// BlockOwner block that covers the sweep. It runs under phase=filter and
+// puts the walk's phase=expand back when it returns.
 func (o *ownedRows) pick(s0 int64) {
 	pprof.SetGoroutineLabels(filterLabels)
+	defer pprof.SetGoroutineLabels(expandLabels)
 	o.s0 = s0
 	o.rows += int64(len(o.nz))
 	owned := 0

@@ -2,10 +2,11 @@ package dist
 
 // Owner-side generation against the exchange it replaces. Under a source
 // owner every rank walks every tile and expands only the rows it owns
-// (ownedRows); the same owner map asked edge by edge through the exchange
-// (shipper.stage) must have delivered each rank the very same arcs — per
-// (tile, rank) substream in the same order, because that order is what
-// checkpoints and the replay fence count in — and no message may be sent.
+// (ownedRows); the same owner map asked edge by edge of each tile's stream,
+// as the exchange asks it, would have delivered each rank the very same
+// arcs — per (tile, rank) substream in the same order, because that order
+// is what checkpoints and the replay fence count in — and no message may be
+// sent.
 
 import (
 	"context"
@@ -82,11 +83,32 @@ func (starvedOwner) BindSource(r int) func(u int64) int {
 
 func (o starvedOwner) Bind(r int) BoundOwnerFunc { return bindBySource(o, r) }
 
-// perEdgeOwner hides a source owner's BindSource from the engine, so that
-// the same map is asked edge by edge and its arcs cross the exchange.
-type perEdgeOwner struct{ so SourceOwner }
-
-func (o perEdgeOwner) Bind(r int) BoundOwnerFunc { return bindBySource(o.so, r) }
+// ownedReference is what the per-edge exchange delivers each rank of the
+// plan under a source owner: every tile's stream — core.Chain.Arcs of the
+// tile's head arcs and tail factors, windowed by Skip and Take — filtered by
+// the owner, per (tile, rank) and, tile by tile in ID order, per rank.
+func ownedReference(plan Plan, owner func(u int64) int) *tileRecorder {
+	ref := newTileRecorder(plan.R)
+	var tiles []Tile
+	for _, ts := range plan.Tiles {
+		tiles = append(tiles, ts...)
+	}
+	slices.SortFunc(tiles, func(a, b Tile) int { return a.ID - b.ID })
+	for _, t := range tiles {
+		ch := mustChain(append([]*graph.Graph{mustGraph(plan.Dims[0], t.AArcs)}, t.Tail...)...)
+		end, i := t.Skip+t.Arcs(), int64(0)
+		ch.Arcs(func(u, v int64) bool {
+			if i >= t.Skip && i < end {
+				rank, e := owner(u), graph.Edge{U: u, V: v}
+				ref.byTile[rank][t.ID] = append(ref.byTile[rank][t.ID], e)
+				ref.flat[rank] = append(ref.flat[rank], e)
+			}
+			i++
+			return i < end
+		})
+	}
+	return ref
+}
 
 // TestOwnerSideMatchesPerEdgeExchange is the differential safety net of
 // owner-side generation: for every cell of chain shape (k = 1 with its
@@ -94,9 +116,9 @@ func (o perEdgeOwner) Bind(r int) BoundOwnerFunc { return bindBySource(o.so, r) 
 // head, a loop-only factor, a one-row head, an empty factor) × layout × R × batch size
 // (dividing sweeps and not) × source owner (hash, block, and one that
 // starves a rank) × stream window, the run under the source owner must
-// store per (tile, rank) exactly the substream, in order, that the
-// fault-armed exchange — shipper.stage, one edge at a time, under the same
-// map made opaque — delivers, and send nothing. The windows of the 1D
+// store per (tile, rank) exactly the substream, in order, that the per-edge
+// exchange delivers — each tile's serial stream filtered by the owner
+// (ownedReference) — and send nothing. The windows of the 1D
 // stream, whose order is the serial order, start and stop mid-row, on a
 // row boundary, on a sweep boundary and inside the first and the last head
 // arc; there the ranks' outputs are also held to the serial oracle, in
@@ -162,10 +184,7 @@ func TestOwnerSideMatchesPerEdgeExchange(t *testing.T) {
 						for _, o := range owners {
 							so := o.owner(plan.NC)
 							cell := fmt.Sprintf("%s r=%d window=%d owner=%s", map[bool]string{false: "1d", true: "2d"}[twoD], r, wi, o.name)
-							ref := newTileRecorder(r)
-							if _, err := Run(context.Background(), Config{Plan: plan, Owner: perEdgeOwner{so}, Sink: ref, BatchSize: 5, Faults: &FaultPlan{}}); err != nil {
-								t.Fatalf("%s: per-edge reference: %v", cell, err)
-							}
+							ref := ownedReference(plan, so.BindSource(r))
 							for _, batch := range []int{1, 5, DefaultBatchSize} {
 								got := newTileRecorder(r)
 								st, err := Run(context.Background(), Config{Plan: plan, Owner: so, Sink: got, BatchSize: batch})
@@ -274,7 +293,7 @@ func TestOwnedRowsBothForms(t *testing.T) {
 }
 
 // checkOwnedWalk loads o with the tile's innermost factor in the form packed
-// names, walks the tile as runAttempt's expandTiles does, and holds what it
+// names, walks the tile as runAttempt's walk.tiles does, and holds what it
 // emits to want, each pick to the per-row pick and its counters to what the
 // per-row pick copied and asked.
 func checkOwnedWalk(t *testing.T, cell string, tile *Tile, packed []uint64, o ownedRows, want []graph.Edge) {

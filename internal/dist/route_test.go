@@ -88,7 +88,7 @@ func splitTiles(head *graph.Graph, tail []*graph.Graph, tiles int) []tileWork {
 }
 
 // walkOwned drives one rank's owner-side walk over whole tiles the way the
-// engine's expandTiles does, with the engine's own step.
+// engine's walk.tiles does, with its own sweep and next.
 func walkOwned(o *ownedRows, work []tileWork, emit func(tile int, block []graph.Edge) bool) bool {
 	for _, w := range work {
 		t := Tile{ID: w.tile, AArcs: w.aArcs, Tail: w.tail}
@@ -111,11 +111,11 @@ func walkOwned(o *ownedRows, work []tileWork, emit func(tile int, block []graph.
 	return true
 }
 
-// routeStep is the engine's step (expandTiles): generate and place up to
+// routeStep is the engine's step (walk.tiles): generate and place up to
 // max arcs from the cursor, report how many.
 type routeStep func(s *shipper, tile int, cur *core.TailCursor, uBase, vBase int64, max int) (int, bool)
 
-// walkTiles drives step over the tiles the way the engine's expandTiles
+// walkTiles drives step over the tiles the way the engine's walk.tiles
 // does: each head arc against the tail, ≤ chunk arcs a step.
 func walkTiles(s *shipper, work []tileWork, chunk int, step routeStep) bool {
 	for _, w := range work {
@@ -426,32 +426,128 @@ func TestGenerateChainNamedDefaultOwner(t *testing.T) {
 	}
 }
 
-// TestFaultArmedRunKeepsPerEdgeCadence: an armed fault schedule must
-// keep edge-granular crash windows even for an owner the clean path
-// routes by runs — the crash fires after exactly the scheduled number of
-// generated edges, not at the next block end (and not never, which is
-// what a block router that skips the injection point would do).
-func TestFaultArmedRunKeepsPerEdgeCadence(t *testing.T) {
+// callRecorder is a sink that logs every block each rank is handed, call
+// by call.
+type callRecorder struct{ calls [][]sentMsg }
+
+func (s *callRecorder) Rank(rk *Rank) (RankSink, error) {
+	return &callRecorderRank{s: s, id: rk.ID()}, nil
+}
+
+type callRecorderRank struct {
+	s  *callRecorder
+	id int
+}
+
+func (t *callRecorderRank) Store(graph.Edge) error {
+	return errors.New("callRecorder wants tile-framed blocks")
+}
+
+func (t *callRecorderRank) StoreTileBlock(tile int, edges []graph.Edge) (int64, error) {
+	t.s.calls[t.id] = append(t.s.calls[t.id], sentMsg{tile, slices.Clone(edges)})
+	return int64(len(edges)), nil
+}
+
+func (t *callRecorderRank) Close() error { return nil }
+
+// TestFaultArmedRunMatchesCleanRun: a fault-armed run walks the clean run's
+// blocks. Up to a mid-expansion crash the victim's sink is handed exactly
+// the calls a clean run hands it, the block that crosses the crash as its
+// prefix, and PerRankGenerated[victim] is the schedule's After — for every
+// placement (no owner, the two source owners, and OwnerByEdge at R = 1,
+// where the victim's sink gets only what it routed itself: there the arcs
+// staged toward a batch that had not filled die with the rank), at batch
+// sizes 1, 5 and 1024, with After at 0, inside a block, on a block
+// boundary, on the last arc and past the total (no crash, every call). A
+// Repeat spec with a retry crashes the replay at its first block, and the
+// victim is handed nothing more.
+func TestFaultArmedRunMatchesCleanRun(t *testing.T) {
 	ch := mustChain(gen.ER(7, 0.5, 447), gen.PrefAttach(6, 2, 448))
-	const r, victim, after = 2, 1, 37
-	plan, err := PlanChain1D(ch, r)
-	if err != nil {
-		t.Fatal(err)
+	owners := []struct {
+		name  string
+		owner Owner
+		r     int
+	}{
+		{"nil", nil, 2},
+		{"bySource", OwnerBySource, 2},
+		{"block", BlockOwner{NC: ch.NumVertices()}, 2},
+		{"byEdge", OwnerByEdge, 1},
 	}
-	var st Stats
-	runErr := runWithWatchdog(t, chaosWatchdog, func() error {
-		var err error
-		st, err = Run(context.Background(), Config{
-			Plan: plan, Owner: OwnerBySource, Sink: &CountSink{}, BatchSize: 5,
-			Faults: &FaultPlan{Seed: 449, Crashes: []CrashSpec{{Rank: victim, Point: FaultMidExpansion, After: after}}},
-		})
-		return err
-	})
-	var ce *RankCrashError
-	if !errors.As(runErr, &ce) || ce.Rank != victim || ce.Point != FaultMidExpansion {
-		t.Fatalf("want the injected mid-expansion crash of rank %d, got %v", victim, runErr)
-	}
-	if got := st.PerRankGenerated[victim]; got != after {
-		t.Fatalf("rank %d generated %d edges before its crash, schedule says %d", victim, got, after)
+	for _, o := range owners {
+		plan, err := PlanChain1D(ch, o.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		victim, routed := o.r-1, o.owner != nil && sourceOwner(o.owner) == nil
+		for _, batch := range []int{1, 5, DefaultBatchSize} {
+			run := func(faults *FaultPlan, retries int) ([]sentMsg, Stats, error) {
+				rec := &callRecorder{calls: make([][]sentMsg, o.r)}
+				var st Stats
+				err := runWithWatchdog(t, chaosWatchdog, func() (err error) {
+					st, err = Run(context.Background(), Config{Plan: plan, Owner: o.owner, Sink: rec, BatchSize: batch,
+						Faults: faults, Recovery: Recovery{MaxRetries: retries}})
+					return err
+				})
+				return rec.calls[victim], st, err
+			}
+			clean, _, err := run(nil, 0)
+			if err != nil {
+				t.Fatalf("%s batch=%d: clean run: %v", o.name, batch, err)
+			}
+			// ends[i] is the arcs handed over by the end of clean call i.
+			ends := make([]int64, len(clean))
+			var total int64
+			for i, m := range clean {
+				total += int64(len(m.edges))
+				ends[i] = total
+			}
+			afters := map[string]int64{"zero": 0, "lastArc": total - 1, "pastTotal": total + 3}
+			if len(clean) > 1 {
+				afters["boundary"] = ends[len(clean)/2-1]
+			}
+			for i := len(clean) / 2; i < len(clean); i++ {
+				if len(clean[i].edges) > 1 {
+					afters["midBlock"] = ends[i] - int64(len(clean[i].edges)) + 1
+					break
+				}
+			}
+			for name, after := range afters {
+				for _, repeat := range []bool{false, true} {
+					if repeat && (batch != 5 || name != "midBlock") {
+						continue
+					}
+					cell := fmt.Sprintf("%s batch=%d after=%s(%d) repeat=%v", o.name, batch, name, after, repeat)
+					spec := CrashSpec{Rank: victim, Point: FaultMidExpansion, After: after, Repeat: repeat}
+					retries := 0
+					if repeat {
+						retries = 1
+					}
+					got, st, err := run(&FaultPlan{Seed: 449, Crashes: []CrashSpec{spec}}, retries)
+					// The clean calls up to After arcs, the one that crosses it cut
+					// to its prefix — or, routed, dropped whole.
+					var want []sentMsg
+					for i, m := range clean {
+						if ends[i] <= after {
+							want = append(want, m)
+						} else if start := ends[i] - int64(len(m.edges)); start < after && !routed {
+							want = append(want, sentMsg{m.tile, m.edges[:after-start]})
+						}
+					}
+					if after >= total {
+						if err != nil {
+							t.Fatalf("%s: a crash scheduled past the rank's %d arcs fired: %v", cell, total, err)
+						}
+					} else if ce := (*RankCrashError)(nil); !errors.As(err, &ce) || ce.Rank != victim || ce.Point != FaultMidExpansion {
+						t.Fatalf("%s: want the injected mid-expansion crash of rank %d, got %v", cell, victim, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: the victim's sink calls differ from the clean run's up to the crash:\n got %v\nwant %v", cell, got, want)
+					}
+					if g := st.PerRankGenerated[victim]; g != min(after, total) {
+						t.Fatalf("%s: rank %d generated %d arcs, the schedule lets %d through", cell, victim, g, min(after, total))
+					}
+				}
+			}
+		}
 	}
 }

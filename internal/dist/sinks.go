@@ -180,7 +180,7 @@ func (s *StoreSink) Rank(rk *Rank) (RankSink, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &storeRankSink{s: s, id: rk.ID(), sw: sw,
+	t := &storeRankSink{s: s, rk: rk, sw: sw,
 		ch:   make(chan []graph.Edge, sinkQueueDepth),
 		free: make(chan []graph.Edge, sinkQueueDepth+1),
 		done: make(chan struct{}),
@@ -199,7 +199,7 @@ func (s *StoreSink) Finalize(nC int64) (*store.Store, error) {
 
 type storeRankSink struct {
 	s  *StoreSink
-	id int
+	rk *Rank // for the walk's label, put back after a blocked hand-off
 	sw *store.ShardWriter
 
 	ch   chan []graph.Edge // full blocks to the writer goroutine (FIFO)
@@ -238,7 +238,8 @@ func (t *storeRankSink) writeLoop() {
 
 // handoff queues the staging block for the writer and checks out a
 // replacement. The enqueue blocks when the writer is sinkQueueDepth
-// blocks behind — the sink's backpressure.
+// blocks behind — the sink's backpressure, and the rank's wait is then
+// labelled phase=store.
 func (t *storeRankSink) handoff() error {
 	if t.failed.Load() {
 		return t.werr
@@ -246,7 +247,13 @@ func (t *storeRankSink) handoff() error {
 	if len(t.cur) == 0 {
 		return nil
 	}
-	t.ch <- t.cur
+	select {
+	case t.ch <- t.cur:
+	default:
+		t.rk.waitStore()
+		t.ch <- t.cur
+		t.rk.endWaitStore()
+	}
 	select {
 	case b := <-t.free:
 		t.cur = b
@@ -307,7 +314,7 @@ func (t *storeRankSink) Close() error {
 		t.sw.Close()
 		return t.werr
 	}
-	t.s.counts[t.id] = t.sw.Count()
+	t.s.counts[t.rk.ID()] = t.sw.Count()
 	return t.sw.Close()
 }
 
@@ -473,20 +480,28 @@ func (t *streamRankSink) StoreTileBlock(tile int, edges []graph.Edge) (int64, er
 // crashes, the consumer is waiting on that rank's channel in tile order
 // and may never drain this one — the attempt teardown must be allowed to
 // unblock the send, leaving the buffered edges in buf for the next
-// attempt.
+// attempt. A send that has to wait for the consumer is labelled
+// phase=store for the wait.
 func (t *streamRankSink) handOff() error {
+	b := streamBatch{tile: t.tile, edges: t.buf}
 	select {
-	case t.s.chans[t.rank] <- streamBatch{tile: t.tile, edges: t.buf}:
-		atomic.AddInt64(&t.s.messages, 1)
-		atomic.AddInt64(&t.s.routed, int64(len(t.buf)))
-		atomic.AddInt64(&t.s.bytes, int64(len(t.buf))*edgeWireBytes)
-		t.buf = t.s.getBuf()
-		return nil
-	case <-t.s.ctx.Done():
-		return context.Cause(t.s.ctx)
-	case <-t.rk.c.ctx.Done():
-		return context.Cause(t.rk.c.ctx)
+	case t.s.chans[t.rank] <- b:
+	default:
+		t.rk.waitStore()
+		defer t.rk.endWaitStore()
+		select {
+		case t.s.chans[t.rank] <- b:
+		case <-t.s.ctx.Done():
+			return context.Cause(t.s.ctx)
+		case <-t.rk.c.ctx.Done():
+			return context.Cause(t.rk.c.ctx)
+		}
 	}
+	atomic.AddInt64(&t.s.messages, 1)
+	atomic.AddInt64(&t.s.routed, int64(len(t.buf)))
+	atomic.AddInt64(&t.s.bytes, int64(len(t.buf))*edgeWireBytes)
+	t.buf = t.s.getBuf()
+	return nil
 }
 
 // Close returns the rank's buffer to the pool. After a run that succeeded

@@ -17,7 +17,7 @@ package dist
 //     empty skip table on attempt 0), closed exactly once after the last
 //     attempt.
 //   - On a recoverable fault (RankCrashError, MessageLostError, PeerError)
-//     the failed attempt's partial progress is harvested, the faulty rank
+//     the failed attempt's partial progress is harvested, the failed rank
 //     is respawned — or, with Recovery.Reassign, stripped of its unfinished
 //     tiles, which are moved round-robin to the survivors — and the
 //     uncommitted tiles are replayed after an exponential backoff.
