@@ -152,11 +152,11 @@ func BenchmarkE2GenerateChain(b *testing.B) {
 // --- Multicore saturation: edges/sec at R ranks × P cores ---
 
 // BenchmarkThroughputSweep is the repo's headline number: sustained
-// edges/sec of the full routed engine (expand → route → sink) swept over
-// cluster size R and GOMAXPROCS P. The P axis is what the freelist
-// sharding, double-buffered sends and async store sink buy: on multicore
-// hardware the R=16 rows should scale with P until the machine
-// saturates. P values above runtime.NumCPU() still run (the scheduler
+// edges/sec of GenerateChain into memory, swept over cluster size R and
+// GOMAXPROCS P. It places by source, so every rank generates what it
+// stores and nothing is routed: on multicore hardware the R=16 rows
+// should scale with P until the machine saturates, bounded by the owner
+// map's load skew. P values above runtime.NumCPU() still run (the scheduler
 // timeslices), so runs on narrow machines keep every row — flat, but
 // comparable.
 func BenchmarkThroughputSweep(b *testing.B) {

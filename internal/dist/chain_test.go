@@ -364,8 +364,7 @@ func TestChainClusterKillRecovery(t *testing.T) {
 			envClusterDir+"="+dir,
 			envClusterKill+"="+strconv.FormatInt(kill, 10),
 		)
-		cmd.Stderr = os.Stderr
-		return cmd
+		return captureOutput(cmd)
 	}
 
 	exits := make(chan childExit, nprocs-1)

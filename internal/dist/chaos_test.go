@@ -338,7 +338,7 @@ func TestClusterOneShotAfterCancelledRun(t *testing.T) {
 			}
 			// Stage an undelivered message, then die before EOF: the
 			// exact residue an aborted exchange leaves behind.
-			buf := c.getBuf(rk.ID(), DefaultBatchSize)
+			buf := c.getBuf(DefaultBatchSize)
 			buf = append(buf, graph.Edge{U: 7, V: 7})
 			s := newShipper(rk, DefaultBatchSize, nil)
 			s.send(1, Message{Edges: buf})
@@ -922,7 +922,7 @@ func TestEpochFencingDropsStaleBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.epoch = 5
-	stale := c.getBuf(0, DefaultBatchSize)
+	stale := c.getBuf(DefaultBatchSize)
 	stale = append(stale, graph.Edge{U: 9, V: 9})
 	c.tr.(*chantransport.Transport).Inject(Message{From: 0, Dest: 1, Epoch: 3, Edges: stale})
 

@@ -42,7 +42,7 @@ const edgeWireBytes = 16
 // framing type. EOF marks the end of the sender's stream for the
 // current exchange. Epoch is the run attempt the batch belongs to
 // (stamped by send, checked by the receiver's epoch fence); Tile is the
-// plan tile that produced every edge in the batch — exchangeTiles
+// plan tile that produced every edge in the batch — the shipper
 // flushes at tile boundaries so a batch never mixes tiles, which is
 // what lets recovering sinks deduplicate per tile stream.
 type Message = transport.Batch
@@ -159,16 +159,8 @@ type Cluster struct {
 	// cluster; it must return to the number of stale inbox messages after
 	// teardown (zero after Reset), which is how the abort-path leak
 	// regression is asserted. The buffers themselves live in the
-	// package-level edgeBufPool. Shippers settle their tallies as their
-	// exchange ends: the count is only meaningful between runs.
+	// package-level edgeBufs.
 	bufsOut int64
-
-	// returns[rank-lo] is a hosted rank's return stack: batch buffers it
-	// filled, handed back by the local peer that received them and staged
-	// into again by the filler (shipper.release, getBuf), so a buffer stays
-	// in the cache of the one core that writes it. A full stack refuses,
-	// never blocks; Reset moves what is parked to the shared freelist.
-	returns []chan []graph.Edge
 }
 
 // ErrClusterUsed reports a second run on a one-shot cluster. Build a
@@ -201,9 +193,8 @@ func NewClusterOn(tr transport.Transport) (*Cluster, error) {
 	if lo < 0 || hi > r || lo >= hi {
 		return nil, fmt.Errorf("dist: transport local range [%d,%d) invalid for R=%d", lo, hi, r)
 	}
-	c := &Cluster{r: r, lo: lo, hi: hi, tr: tr, returns: make([]chan []graph.Edge, hi-lo), ranks: make([]Rank, hi-lo)}
-	for i := range c.returns {
-		c.returns[i] = make(chan []graph.Edge, spareCap)
+	c := &Cluster{r: r, lo: lo, hi: hi, tr: tr, ranks: make([]Rank, hi-lo)}
+	for i := range c.ranks {
 		c.ranks[i] = Rank{id: lo + i, c: c}
 	}
 	c.ctx, c.cancelCtx = context.WithCancelCause(context.Background())
@@ -258,11 +249,6 @@ func (c *Cluster) InjectFaults(plan FaultPlan) {
 // installed. It must not be called concurrently with a run.
 func (c *Cluster) Reset() {
 	c.tr.Reset(func(b Message) { c.putBuf(b.Edges) })
-	for i, ch := range c.returns {
-		for len(ch) > 0 {
-			poolSpill(shardFor(c.lo+i), [][]graph.Edge{<-ch})
-		}
-	}
 	c.stats = Stats{}
 	if c.faults != nil {
 		c.faults.reset()
@@ -349,130 +335,69 @@ func (c *Cluster) RunContext(parent context.Context, body func(rk *Rank) error) 
 	return nil
 }
 
-// edgeBufPool recycles per-destination batch buffers between flushes so
-// a long exchange allocates O(R + inflight) buffers, not O(messages).
-// It is a package-level freelist rather than a per-cluster sync.Pool for
-// two measured reasons: short-lived clusters (one per generation run)
-// reuse each other's buffers instead of paying O(R²) cold-start
-// allocations every run, and pushing a plain slice header onto a slice
-// stack does not box it into an interface the way sync.Pool.Put does —
-// that box was one heap object per flushed batch, the single largest
-// allocation source in the routed engine.
-//
-// The freelist is sharded by rank so ranks running on different cores
-// never serialize on one mutex: rank ρ fills from and spills to shard
-// ρ mod poolShards, in bulk only (the per-batch recycle path is the
-// shipper's lock-free spare stack). A rank whose own shard runs dry
-// steals a bulk grab from the other shards before allocating, which
-// preserves the cross-run warmth the single freelist had — buffers
-// spilled by an R=4 run are found by an R=16 run's ranks regardless of
-// which shard they landed in. Each shard is padded to its own cache
-// line. Per-cluster accounting stays in Cluster.bufsOut, which nets
-// zero for any get/put pair regardless of which cluster's run (or
-// shard) originally held the buffer.
-const poolShards = 8 // power of two; shardFor masks with poolShards-1
+// edgeBufs recycles batch buffers between flushes so a long exchange
+// allocates O(R + inflight) buffers, not O(messages). It is a package-level
+// freelist rather than a per-cluster sync.Pool for two measured reasons:
+// short-lived clusters (one per generation run) reuse each other's buffers
+// instead of paying O(R²) cold-start allocations every run, and pushing a
+// plain slice header onto a slice stack does not box it into an interface
+// the way sync.Pool.Put does — that box was one heap object per flushed
+// batch, the single largest allocation source in the routed engine.
+// Per-cluster accounting stays in Cluster.bufsOut, which nets zero for any
+// get/put pair regardless of which cluster's run originally held the buffer.
+var edgeBufs bufStack
 
-// edgeBufPoolShardCap bounds each shard; buffers recycled beyond it are
-// dropped for the GC. poolShards shards × 512 buffers of the default
-// batch size is 64 MiB total — comfortably above the in-flight peak of
-// any simulated cluster size the repo runs (R² staged + inbox backlog
-// at R=32 is ~1.3k buffers).
-const edgeBufPoolShardCap = 512
+// edgeBufsCap bounds the freelist; buffers recycled beyond it are dropped
+// for the GC. 4096 buffers of the default batch size is 64 MiB — comfortably
+// above the in-flight peak of any simulated cluster size the repo runs (R²
+// staged + inbox backlog at R=32 is ~1.3k buffers).
+const edgeBufsCap = 4096
 
-type bufShard struct {
+// bufStack is a mutex-guarded stack of empty edge buffers.
+type bufStack struct {
 	mu   sync.Mutex
 	free [][]graph.Edge
-	_    [64]byte // pad shards onto separate cache lines
 }
 
-var edgeBufPool [poolShards]bufShard
-
-// shardFor maps a rank to its home freelist shard.
-func shardFor(rank int) int { return rank & (poolShards - 1) }
-
-// putBufSpread is the shard cursor for recycles with no rank context
-// (Reset's stale-inbox drain): spreading them round-robin keeps a long
-// recovery run from piling every drained buffer onto shard 0.
-var putBufSpread atomic.Int64
-
-// poolFill pops up to k recycled buffers onto dst, trying the caller's
-// home shard first (one lock in steady state) and stealing bulk grabs
-// from the other shards only when it runs dry — a cold pool walks all
-// shards once and then allocates.
-func poolFill(shard int, dst [][]graph.Edge, k int) [][]graph.Edge {
-	for i := 0; i < poolShards && k > 0; i++ {
-		p := &edgeBufPool[(shard+i)&(poolShards-1)]
-		p.mu.Lock()
-		for n := len(p.free); k > 0 && n > 0; k-- {
-			n--
-			dst = append(dst, p.free[n])
-			p.free[n] = nil
-			p.free = p.free[:n]
-		}
-		p.mu.Unlock()
-	}
-	return dst
-}
-
-// poolSpill pushes every buffer in src back onto the caller's home shard
-// under one lock; src is cleared for its owner. Overflow beyond the
-// shard cap is dropped for the GC rather than walked onto other shards —
-// spills are bulk and rare, and a full home shard means the pool is
-// already warm.
-func poolSpill(shard int, src [][]graph.Edge) {
-	if len(src) == 0 {
-		return
-	}
-	p := &edgeBufPool[shard&(poolShards-1)]
+// get pops a recycled buffer, or allocates one for an n-edge batch. A
+// recycled buffer may have any capacity (batch sizes vary across runs);
+// append growth re-sizes it and the grown buffer comes back here, so
+// capacities converge upward.
+func (p *bufStack) get(n int) []graph.Edge {
 	p.mu.Lock()
-	for i, b := range src {
-		if len(p.free) < edgeBufPoolShardCap {
-			p.free = append(p.free, b[:0])
-		}
-		src[i] = nil
+	if k := len(p.free); k > 0 {
+		b := p.free[k-1]
+		p.free[k-1] = nil
+		p.free = p.free[:k-1]
+		p.mu.Unlock()
+		return b
 	}
 	p.mu.Unlock()
-}
-
-// getBuf returns an empty edge buffer for an n-edge batch, reusing a
-// recycled one when available — from the home shard of the given rank,
-// stealing across shards on a miss. A recycled buffer may have any
-// capacity (batch sizes vary across runs); append growth re-sizes it and
-// the grown buffer returns to the freelist, so capacities converge
-// upward. The exchange hot path recycles through rank-local spare stacks
-// instead (see shipper.getBuf) and only hits the shared shards to fill,
-// spill or cross runs.
-func (c *Cluster) getBuf(rank, n int) []graph.Edge {
-	atomic.AddInt64(&c.bufsOut, 1)
-	shard := shardFor(rank)
-	for i := 0; i < poolShards; i++ {
-		p := &edgeBufPool[(shard+i)&(poolShards-1)]
-		p.mu.Lock()
-		if k := len(p.free); k > 0 {
-			b := p.free[k-1]
-			p.free[k-1] = nil
-			p.free = p.free[:k-1]
-			p.mu.Unlock()
-			return b
-		}
-		p.mu.Unlock()
-	}
 	return make([]graph.Edge, 0, n)
 }
 
-// putBuf recycles a delivered batch buffer with no rank context; the
-// spread cursor picks a shard round-robin.
-func (c *Cluster) putBuf(s []graph.Edge) {
-	if cap(s) == 0 {
+// put recycles b emptied, unless the stack is full.
+func (p *bufStack) put(b []graph.Edge) {
+	p.mu.Lock()
+	if len(p.free) < edgeBufsCap {
+		p.free = append(p.free, b[:0])
+	}
+	p.mu.Unlock()
+}
+
+// getBuf checks an empty edge buffer for an n-edge batch out of edgeBufs.
+func (c *Cluster) getBuf(n int) []graph.Edge {
+	atomic.AddInt64(&c.bufsOut, 1)
+	return edgeBufs.get(n)
+}
+
+// putBuf returns a checked-out buffer to edgeBufs; a nil buffer is none.
+func (c *Cluster) putBuf(b []graph.Edge) {
+	if cap(b) == 0 {
 		return
 	}
 	atomic.AddInt64(&c.bufsOut, -1)
-	p := &edgeBufPool[int(putBufSpread.Add(1))&(poolShards-1)]
-	p.mu.Lock()
-	if len(p.free) < edgeBufPoolShardCap {
-		p.free = append(p.free, s[:0])
-	}
-	p.mu.Unlock()
+	edgeBufs.put(b)
 }
 
 // outstandingBufs reports pooled batch buffers currently checked out.

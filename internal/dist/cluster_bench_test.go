@@ -67,14 +67,19 @@ func BenchmarkTCPExchangeThroughput(b *testing.B) {
 						c.epoch = epoch
 						err = c.Run(func(rk *Rank) error {
 							var got int
-							rk.Exchange(func(emit func(to int, e graph.Edge) bool) {
+							if err := rk.Exchange(func(emit func(to int, e graph.Edge) bool) {
 								for j := 0; j < per; j++ {
 									emit(j%r, graph.Edge{U: int64(j), V: int64(rk.ID())})
 								}
 							}, func(e graph.Edge) {
 								got++
-							})
-							return nil
+							}); err != nil {
+								return err
+							}
+							// Teardown collective: a process that closed its mesh
+							// while its peer still had traffic in flight would
+							// read to the peer as a dead link.
+							return rk.BarrierContext()
 						})
 						c.Reset()
 						if cerr := tr.Close(); err == nil {

@@ -11,6 +11,7 @@ package dist
 // reference edge-for-edge.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -286,16 +287,31 @@ func reservePorts(t *testing.T, n int) []string {
 	return addrs
 }
 
-// childExit is a cluster test's child process ending: which child, and what
-// its Wait returned.
+// childExit is a cluster test's child process ending: which child, what
+// its Wait returned, and what it wrote.
 type childExit struct {
 	name string
 	err  error
+	out  string
+}
+
+// captureOutput collects cmd's stdout and stderr in one buffer, so a child's
+// own t.Fatalf reaches the driver's failure message (see exited).
+func captureOutput(cmd *exec.Cmd) *exec.Cmd {
+	out := new(bytes.Buffer)
+	cmd.Stdout, cmd.Stderr = out, out
+	return cmd
+}
+
+// exited waits for cmd, started with captureOutput, and reports its end.
+func exited(name string, cmd *exec.Cmd) childExit {
+	err := cmd.Wait()
+	return childExit{name, err, cmd.Stdout.(*bytes.Buffer).String()}
 }
 
 // waitChild reports cmd's exit on exits.
 func waitChild(exits chan<- childExit, name string, cmd *exec.Cmd) {
-	go func() { exits <- childExit{name, cmd.Wait()} }()
+	go func() { exits <- exited(name, cmd) }()
 }
 
 // respawnAfter waits for victim, which must die by its fault schedule,
@@ -304,16 +320,17 @@ func waitChild(exits chan<- childExit, name string, cmd *exec.Cmd) {
 // cleanly or a respawn that would not start.
 func respawnAfter(exits chan<- childExit, name string, victim *exec.Cmd, respawn func() *exec.Cmd) {
 	go func() {
-		if err := victim.Wait(); err == nil {
-			exits <- childExit{name, errors.New("exited cleanly; its fault never fired")}
+		if e := exited(name, victim); e.err == nil {
+			e.err = errors.New("exited cleanly; its fault never fired")
+			exits <- e
 			return
 		}
 		re := respawn()
 		if err := re.Start(); err != nil {
-			exits <- childExit{"respawned " + name, err}
+			exits <- childExit{name: "respawned " + name, err: err}
 			return
 		}
-		exits <- childExit{"respawned " + name, re.Wait()}
+		exits <- exited("respawned "+name, re)
 	}()
 }
 
@@ -332,8 +349,9 @@ func goHead(ctx context.Context, cc ClusterConfig, cfg Config, stats *Stats) <-c
 // awaitCluster waits for the head (nil when the head is itself a child
 // process) and for n child exits, and fails the test at the first error
 // among them: a worker that exits early with an error, or a respawn that
-// fails, ends the test at once with the child's cause instead of after the
-// head has waited out its deadline for a process that is not coming. The
+// fails, ends the test at once with the child's cause — its output
+// included — instead of after the head has waited out its deadline for a
+// process that is not coming. The
 // children are started with the test's context, so whatever still runs
 // then is killed when the test returns.
 func awaitCluster(t *testing.T, head <-chan error, exits <-chan childExit, n int) {
@@ -347,7 +365,7 @@ func awaitCluster(t *testing.T, head <-chan error, exits <-chan childExit, n int
 			head = nil
 		case e := <-exits:
 			if e.err != nil {
-				t.Fatalf("%s: %v", e.name, e.err)
+				t.Fatalf("%s: %v\n%s", e.name, e.err, e.out)
 			}
 			n--
 		}
@@ -398,8 +416,7 @@ func TestClusterKillRecovery(t *testing.T) {
 			envClusterDir+"="+dir,
 			envClusterKill+"="+strconv.FormatInt(kill, 10),
 		)
-		cmd.Stderr = os.Stderr
-		return cmd
+		return captureOutput(cmd)
 	}
 
 	exits := make(chan childExit, nprocs-1)
@@ -493,8 +510,7 @@ func TestClusterHeadKillRecovery(t *testing.T) {
 			envClusterLedger+"="+ledgerPath,
 			envClusterRetries+"=12",
 		)
-		cmd.Stderr = os.Stderr
-		return cmd
+		return captureOutput(cmd)
 	}
 
 	// Workers first (they park dialing the head), then the doomed head:

@@ -252,9 +252,7 @@ type latePool struct {
 
 func (p *latePool) Get(n int) []graph.Edge {
 	if c := p.c.Load(); c != nil {
-		// No rank context on the decode path; the spread in putBuf keeps
-		// the shards balanced, so any home shard works — use 0.
-		return c.getBuf(0, n)
+		return c.getBuf(n)
 	}
 	return make([]graph.Edge, 0, n)
 }

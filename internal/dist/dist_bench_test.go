@@ -108,14 +108,13 @@ func BenchmarkExchangeThroughput(b *testing.B) {
 				}
 				err = c.Run(func(rk *Rank) error {
 					var got int
-					rk.Exchange(func(emit func(to int, e graph.Edge) bool) {
+					return rk.Exchange(func(emit func(to int, e graph.Edge) bool) {
 						for j := 0; j < per; j++ {
 							emit(j%r, graph.Edge{U: int64(j), V: int64(rk.ID())})
 						}
 					}, func(e graph.Edge) {
 						got++
 					})
-					return nil
 				})
 				if err != nil {
 					b.Fatal(err)

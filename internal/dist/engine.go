@@ -313,7 +313,7 @@ func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, si
 		// exchange's buffer size class and checks out of the same freelist
 		// — expansion allocates nothing in steady state and per-rank memory
 		// stays O(|E_A|/R + |E_B| + R·batch) even when this rank's B is large.
-		w := walk{rk: rk, as: as, faults: c.faults, batch: batch, scratch: c.getBuf(rk.ID(), batch)}
+		w := walk{rk: rk, as: as, faults: c.faults, batch: batch, scratch: c.getBuf(batch)}
 		switch {
 		case bySource != nil:
 			w.own = &ownedRows{owner: bySource, rank: rk.ID(), batch: batch, scratch: w.scratch}

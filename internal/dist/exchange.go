@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sync/atomic"
 
-	"kronlab/internal/dist/transport"
 	"kronlab/internal/graph"
 	"kronlab/internal/store"
 )
@@ -29,34 +28,17 @@ const DefaultBatchSize = 1024
 // owner that is not a source owner reaches (runAttempt). Buffers flush at tile
 // boundaries (so a batch never mixes tiles — the framing recovering
 // sinks deduplicate on) and at the batch threshold. Each flush hands the
-// staged buffer to the transport and immediately checks out a fresh one
-// from the pool, so staging the next batch overlaps the in-flight
-// delivery — per-destination double buffering.
-//
-// On transports that offer transport.TrySender, a flush that would block
-// does not stall expansion: the full batch is parked as the
-// destination's one in-flight pending batch and the rank keeps
-// expanding; the pending batch is completed — non-blocking retry first,
-// then the blocking send — before anything else is sent to that
-// destination, so per-(tile, destination) substream order is exactly
-// the blocking path's. Fault-armed runs keep the blocking path
-// unconditionally: crash countdowns and delivery faults are scheduled
-// against its deterministic send cadence.
+// staged buffer to the transport, blocking with inline receive progress
+// while the destination is full, and checks out a fresh one (getBuf); the
+// receiver recycles the sent one.
 type shipper struct {
 	rk      *Rank
 	c       *Cluster
 	rx      *receiver
 	onRecv  func(Message) // rx.recv as a stored method value: one alloc per exchange, reused by every SendBatch
 	batch   int
-	shard   int                 // home freelist shard (shardFor(rank)) for bulk fill/spill
-	home    chan []graph.Edge   // this rank's return stack (c.returns): buffers it filled, handed back by local peers
-	try     transport.TrySender // non-nil on clean runs over a TrySender transport
-	bufs    [][]graph.Edge      // staged batch per destination (nil until targeted)
-	pending []Message           // parked in-flight batch per destination (Edges nil when none)
-	tile    []int               // tile of the staged batch, per destination
-	nspare  int
-	spare   [spareCap][]graph.Edge // rank-local recycled buffers (lock-free)
-	out     int64                  // buffers checked out less buffers released; settled into c.bufsOut when the exchange ends
+	bufs    [][]graph.Edge // staged batch per destination (nil until targeted)
+	tile    []int          // tile of the staged batch, per destination
 	aborted bool
 }
 
@@ -66,74 +48,30 @@ type shipper struct {
 // an outbound send blocks.
 func newShipper(rk *Rank, batch int, handle func(tile int, edges []graph.Edge)) *shipper {
 	c := rk.c
-	s := &shipper{rk: rk, c: c, batch: batch, shard: shardFor(rk.id), home: c.returns[rk.id-c.lo],
+	s := &shipper{rk: rk, c: c, batch: batch,
 		rx:   &receiver{c: c, id: rk.id, epoch: c.epoch, handle: handle},
 		bufs: make([][]graph.Edge, c.r), tile: make([]int, c.r)}
-	s.rx.s = s
 	s.onRecv = s.rx.recv
-	if c.faults == nil {
-		if ts, ok := c.tr.(transport.TrySender); ok {
-			s.try = ts
-			s.pending = make([]Message, c.r)
-		}
-	}
 	return s
 }
 
-// spareCap bounds the rank-local spare stack; releases beyond it spill
-// to the shared freelist one at a time (rare: it means this rank is
-// receiving far more batches than it sends). The stack is an array
-// embedded in the shipper so recycling allocates nothing at all.
+// spareCap bounds a rank's spare stack; recycles beyond it go to edgeBufs.
 const spareCap = 64
 
-// getBuf returns an empty staging buffer: the rank-local spare stack
-// first, then one this rank filled and a peer handed back (Cluster.returns)
-// — in steady state a rank stages only into buffers its own core wrote
-// last and never touches the shared freelist or its lock — then a bulk
-// refill from the freelist, then a fresh allocation. One goroutine per
-// rank (inline progress engine) makes the spare stack safe without locks.
+// getBuf returns an empty staging buffer: the top of this rank's spare
+// stack, else one from edgeBufs. Without the stack every batch goes
+// through the freelist's lock twice, and the routed R = 16 run
+// (BenchmarkKernelBatchSize/B=1024) reads 6–10 % slower (DESIGN §3f).
 func (s *shipper) getBuf() []graph.Edge {
-	s.out++
-	if s.nspare == 0 {
-		select {
-		case b := <-s.home:
-			return b
-		default:
-			s.nspare = len(poolFill(s.shard, s.spare[:0], 8))
-		}
+	rx := s.rx
+	if rx.nspare == 0 {
+		return s.c.getBuf(s.batch)
 	}
-	if s.nspare > 0 {
-		s.nspare--
-		b := s.spare[s.nspare]
-		s.spare[s.nspare] = nil
-		return b
-	}
-	return make([]graph.Edge, 0, s.batch)
-}
-
-// release recycles a delivered or abandoned batch buffer: home to the
-// return stack of the rank that filled it when that is another rank of
-// this process, else (self-addressed, decoded off a link, stack full) onto
-// this rank's spare stack, never blocking. Both hold buffers in the
-// freelist's not-checked-out state; the exchange's end spills the spares.
-func (s *shipper) release(from int, b []graph.Edge) {
-	if cap(b) == 0 {
-		return
-	}
-	s.out--
-	if c := s.c; from != s.rk.id && from >= c.lo && from < c.hi {
-		select {
-		case c.returns[from-c.lo] <- b[:0]:
-			return
-		default:
-		}
-	}
-	if s.nspare < spareCap {
-		s.spare[s.nspare] = b[:0]
-		s.nspare++
-		return
-	}
-	poolSpill(s.shard, [][]graph.Edge{b})
+	atomic.AddInt64(&s.c.bufsOut, 1)
+	rx.nspare--
+	b := rx.spare[rx.nspare]
+	rx.spare[rx.nspare] = nil
+	return b
 }
 
 // receiver is the inline progress engine of one rank's exchange. The
@@ -146,11 +84,28 @@ func (s *shipper) release(from int, b []graph.Edge) {
 // transport needs no receiver goroutines or completion channels at all.
 type receiver struct {
 	c      *Cluster
-	s      *shipper // for rank-local buffer recycling
 	id     int
 	epoch  int64
 	eofs   int
 	handle func(tile int, edges []graph.Edge)
+
+	// spare is the rank's stack of delivered buffers, emptied, for its
+	// next flushes (shipper.getBuf): one goroutine per rank makes it safe
+	// without a lock. Buffers on it count as not checked out.
+	spare  [spareCap][]graph.Edge
+	nspare int
+}
+
+// recycle puts a delivered buffer on the spare stack, or back in edgeBufs
+// when the stack is full.
+func (rx *receiver) recycle(b []graph.Edge) {
+	if cap(b) == 0 || rx.nspare == spareCap {
+		rx.c.putBuf(b)
+		return
+	}
+	atomic.AddInt64(&rx.c.bufsOut, -1)
+	rx.spare[rx.nspare] = b[:0]
+	rx.nspare++
 }
 
 // recv applies one delivered message: epoch fence, handler, buffer
@@ -161,13 +116,13 @@ func (rx *receiver) recv(m Message) {
 		// (its EOF marker included — the attempt it ends is already
 		// torn down).
 		atomic.AddInt64(&rx.c.stats.StaleBatches, 1)
-		rx.s.release(m.From, m.Edges)
+		rx.recycle(m.Edges)
 		return
 	}
 	if len(m.Edges) > 0 {
 		rx.handle(m.Tile, m.Edges)
 	}
-	rx.s.release(m.From, m.Edges)
+	rx.recycle(m.Edges)
 	if m.EOF {
 		rx.eofs++
 	}
@@ -228,128 +183,43 @@ func (s *shipper) send(to int, m Message) bool {
 		return false
 	}
 	if to == rk.id {
-		atomic.AddInt64(&c.stats.Messages, 1)
 		s.rx.recv(m)
-		return true
-	}
-	if err := c.tr.SendBatch(c.ctx, m, s.onRecv); err != nil {
+	} else if err := c.tr.SendBatch(c.ctx, m, s.onRecv); err != nil {
 		// A transport failure (dead peer link) must be loud, not a
 		// silently missing batch: make it the run's cancellation cause.
 		if c.ctx.Err() == nil {
 			c.cancel(err)
 		}
 		return false
-	}
-	s.sendStats(m)
-	return true
-}
-
-// sendStats updates the traffic counters for one batch the transport
-// accepted, by SendBatch or by TrySendBatch.
-func (s *shipper) sendStats(m Message) {
-	c := s.c
-	atomic.AddInt64(&c.stats.Messages, 1)
-	if len(m.Edges) > 0 {
+	} else if len(m.Edges) > 0 {
 		atomic.AddInt64(&c.stats.EdgesRouted, int64(len(m.Edges)))
 		atomic.AddInt64(&c.stats.BytesSent, int64(len(m.Edges))*edgeWireBytes)
 	}
-}
-
-// flushPending completes the parked in-flight batch for one destination.
-// FIFO demands it lands before anything else is sent there: one
-// non-blocking retry first (the common case — the queue drained while
-// this rank kept expanding), then the blocking send with inline
-// progress. On failure the batch stays in pending for the abort path to
-// recycle exactly once.
-func (s *shipper) flushPending(to int) bool {
-	m := s.pending[to]
-	if m.Edges == nil {
-		return true
-	}
-	if ok, err := s.try.TrySendBatch(m); err != nil {
-		if s.c.ctx.Err() == nil {
-			s.c.cancel(err)
-		}
-		s.aborted = true
-		return false
-	} else if ok {
-		s.pending[to] = Message{}
-		s.sendStats(m)
-		return true
-	}
-	if !s.send(to, m) {
-		s.aborted = true
-		return false
-	}
-	s.pending[to] = Message{}
+	atomic.AddInt64(&c.stats.Messages, 1)
 	return true
 }
 
 // flush ships the staged batch for one destination (or a bare EOF
-// marker). On failure the shipper is aborted: the run is torn down and
+// marker), checks out a replacement buffer and drains this rank's own
+// backlog. On failure the shipper is aborted: the run is torn down and
 // nothing more will be accepted.
-//
-// With a TrySender transport the cross-rank non-EOF path never blocks:
-// an accepted try-send completes immediately, a refused one parks the
-// batch as the destination's pending in-flight batch and expansion
-// continues — the second buffer that lets routing overlap a congested
-// link. EOF markers, self-sends and fault-armed runs take the blocking
-// path (an EOF must be delivered before the flush loop can report it).
 func (s *shipper) flush(to int, eof bool) bool {
 	b := s.bufs[to]
-	if len(b) == 0 && !eof && (s.pending == nil || s.pending[to].Edges == nil) {
-		return true
-	}
-	// Complete the destination's in-flight batch first — substream order.
-	if s.try != nil && !s.flushPending(to) {
-		return false
-	}
 	if len(b) == 0 && !eof {
 		return true
 	}
-	if s.try != nil && !eof && to != s.rk.id && len(b) > 0 {
-		// Mirror send's refusal on a torn-down run: an accepted try-send
-		// into a dead run's inbox would strand the buffer.
-		if s.c.ctx.Err() != nil {
-			s.aborted = true
-			return false
-		}
-		m := Message{From: s.rk.id, Dest: to, Epoch: s.c.epoch, Tile: s.tile[to], Edges: b}
-		ok, err := s.try.TrySendBatch(m)
-		if err != nil {
-			if s.c.ctx.Err() == nil {
-				s.c.cancel(err)
-			}
-			s.aborted = true
-			return false
-		}
-		if ok {
-			s.sendStats(m)
-		} else {
-			// Transport full: park the batch in flight and keep expanding.
-			s.pending[to] = m
-		}
-		s.bufs[to] = s.getBuf()
-		// Drain our own backlog while we are here so in-flight buffers
-		// stay O(R + inbox) instead of piling up until the EOF drain —
-		// and so a parked batch's destination eventually drains too.
-		s.rx.progress()
-		return true
-	}
-	if !s.send(to, Message{From: s.rk.id, Tile: s.tile[to], Edges: b, EOF: eof}) {
+	if !s.send(to, Message{Tile: s.tile[to], Edges: b, EOF: eof}) {
 		s.aborted = true
 		return false
 	}
 	if eof {
 		s.bufs[to] = nil
-	} else {
-		// Double buffer: the sent batch is recycled by the receiver;
-		// check out a replacement now so staging never waits on it.
-		s.bufs[to] = s.getBuf()
-		// Drain our own backlog while we are here so in-flight buffers
-		// stay O(R + inbox) instead of piling up until the EOF drain.
-		s.rx.progress()
+		return true
 	}
+	s.bufs[to] = s.getBuf()
+	// Drain our own backlog while we are here so in-flight buffers stay
+	// O(R + inbox) instead of piling up until the EOF drain.
+	s.rx.progress()
 	return true
 }
 
@@ -410,13 +280,10 @@ func (s *shipper) route(tile int, block []graph.Edge, owner BoundOwnerFunc) bool
 func (rk *Rank) exchangeBlocks(batch int, produce func(s *shipper), handle func(tile int, edges []graph.Edge)) error {
 	c := rk.c
 	s := newShipper(rk, batch, handle)
-	defer func() {
-		// Return the rank-local spares to the shared freelist in one
-		// locked push, so the next run (or cluster) starts warm, and settle
-		// the checkout tally (once per exchange, not twice per batch).
-		poolSpill(s.shard, s.spare[:s.nspare])
-		s.nspare = 0
-		atomic.AddInt64(&c.bufsOut, s.out)
+	defer func() { // the spare stack back to edgeBufs, warm for the next exchange
+		for _, b := range s.rx.spare[:s.rx.nspare] {
+			edgeBufs.put(b)
+		}
 	}()
 	produce(s)
 	for to := 0; to < c.r && !s.aborted; to++ {
@@ -437,19 +304,9 @@ func (rk *Rank) exchangeBlocks(batch int, produce func(s *shipper), handle func(
 	if s.aborted || c.ctx.Err() != nil {
 		// Nothing will deliver the staged batches now; recycle them or
 		// they leak from the pool on every aborted run.
-		for to := range s.bufs {
-			if s.bufs[to] != nil {
-				s.release(rk.id, s.bufs[to])
-				s.bufs[to] = nil
-			}
-		}
-		// Parked in-flight batches were never accepted by the transport,
-		// so their buffers are still ours to recycle.
-		for to := range s.pending {
-			if s.pending[to].Edges != nil {
-				s.release(rk.id, s.pending[to].Edges)
-				s.pending[to] = Message{}
-			}
+		for to, b := range s.bufs {
+			c.putBuf(b)
+			s.bufs[to] = nil
 		}
 		return context.Cause(c.ctx)
 	}

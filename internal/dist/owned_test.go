@@ -697,8 +697,7 @@ func TestClusterOwnedDeathRecovery(t *testing.T) {
 			envClusterDir+"="+dir,
 			envOwnedExit+"="+strconv.Itoa(exitAfter),
 		)
-		cmd.Stderr = os.Stderr
-		return cmd
+		return captureOutput(cmd)
 	}
 	victim := spawn(3)
 	release, err := victim.StdinPipe()

@@ -9,24 +9,22 @@ import (
 	"sync"
 	"testing"
 
+	"kronlab/internal/core"
 	chantransport "kronlab/internal/dist/transport/chan"
 	"kronlab/internal/gen"
 	"kronlab/internal/graph"
 )
 
-// TestClusterBufPoolStress hammers the sharded package freelist with the
-// engine's three concurrent access patterns at once: the single
-// get/recycle path (Cluster.getBuf/putBuf), the shipper's bulk
-// refill/spill (poolFill/poolSpill through a rank-local spare stack),
-// and cross-shard stealing — more simulated ranks than poolShards, so
-// home shards collide and the steal-on-miss walk runs hot. Meant for
-// -race (the cluster CI job runs it there): an unguarded shard mutation
-// or a double-handed-out buffer shows up as a race or as payload
-// corruption. Afterwards every checked-out buffer must be back
-// (OutstandingBufs exactly zero).
+// TestClusterBufPoolStress hammers the package freelist from more
+// goroutines than the machine has cores, each checking buffers out
+// (Cluster.getBuf) and back (putBuf) at random. Meant for -race (the
+// cluster CI job runs it there): an unguarded stack mutation or a
+// double-handed-out buffer shows up as a race or as payload corruption.
+// Afterwards every checked-out buffer must be back (OutstandingBufs
+// exactly zero).
 func TestClusterBufPoolStress(t *testing.T) {
 	const (
-		ranks = 4 * poolShards // force home-shard collisions
+		ranks = 32
 		iters = 500
 	)
 	c, err := NewCluster(2)
@@ -41,56 +39,39 @@ func TestClusterBufPoolStress(t *testing.T) {
 		go func(rk int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(1000 + rk)))
-			shard := shardFor(rk)
 			stamp := int64(rk) << 32
 
 			// Buffers checked out via getBuf, each stamped with an
 			// owner-unique sentinel so a buffer handed to two goroutines
 			// at once is caught as corruption even outside a race window.
 			var held [][]graph.Edge
-			// The shipper economy: shard → spare (poolFill, unaccounted),
-			// spare → shard (poolSpill). Kept disjoint from held, exactly
-			// as the exchange keeps them.
-			var spare [][]graph.Edge
-
 			for i := 0; i < iters; i++ {
-				switch op := rng.Intn(10); {
-				case op < 4: // check out and stamp
-					b := c.getBuf(rk, DefaultBatchSize)
+				if rng.Intn(2) == 0 { // check out and stamp
+					b := c.getBuf(DefaultBatchSize)
 					if len(b) != 0 {
 						fail <- "getBuf returned a non-reset buffer"
 						return
 					}
 					b = append(b, graph.Edge{U: stamp + int64(i), V: stamp - int64(i)})
 					held = append(held, b)
-				case op < 8: // verify stamp and recycle
-					if len(held) == 0 {
-						continue
-					}
-					j := rng.Intn(len(held))
-					b := held[j]
-					if b[0].U>>32 != int64(rk) || b[0].U+b[0].V != 2*stamp {
-						fail <- "recycled buffer carries another owner's stamp — pool handed one buffer out twice"
-						return
-					}
-					held[j] = held[len(held)-1]
-					held = held[:len(held)-1]
-					c.putBuf(b)
-				case op < 9: // bulk refill, the shipper's spare-stack fill
-					if len(spare) < 8 {
-						spare = append(spare, poolFill(shard, nil, 8)...)
-					}
-				default: // bulk spill back to the home shard
-					if len(spare) > 0 {
-						poolSpill(shard, spare)
-						spare = nil
-					}
+					continue
 				}
+				if len(held) == 0 { // verify stamp and recycle
+					continue
+				}
+				j := rng.Intn(len(held))
+				b := held[j]
+				if b[0].U>>32 != int64(rk) || b[0].U+b[0].V != 2*stamp {
+					fail <- "recycled buffer carries another owner's stamp — pool handed one buffer out twice"
+					return
+				}
+				held[j] = held[len(held)-1]
+				held = held[:len(held)-1]
+				c.putBuf(b)
 			}
 			for _, b := range held {
 				c.putBuf(b)
 			}
-			poolSpill(shard, spare)
 		}(rk)
 	}
 	wg.Wait()
@@ -129,15 +110,18 @@ func TestShortRecycledBuffersGrow(t *testing.T) {
 		owner Owner
 	}{{"unrouted", nil}, {"bySource", OwnerBySource}, {"byEdge", OwnerByEdge}} {
 		t.Run(o.name, func(t *testing.T) {
-			warm := poolFill(0, nil, poolShards*edgeBufPoolShardCap) // steals every shard empty
-			defer poolSpill(0, warm)
-			for shard := 0; shard < poolShards; shard++ {
-				short := make([][]graph.Edge, 32)
-				for i := range short {
-					short[i] = make([]graph.Edge, 0, 16)
-				}
-				poolSpill(shard, short)
+			edgeBufs.mu.Lock()
+			warm := edgeBufs.free
+			edgeBufs.free = make([][]graph.Edge, 256)
+			for i := range edgeBufs.free {
+				edgeBufs.free[i] = make([]graph.Edge, 0, 16)
 			}
+			edgeBufs.mu.Unlock()
+			defer func() {
+				edgeBufs.mu.Lock()
+				edgeBufs.free = warm
+				edgeBufs.mu.Unlock()
+			}()
 			ms := NewMemorySink(r)
 			if _, err := Run(context.Background(), Config{Plan: plan, Sink: ms, BatchSize: 1024, Owner: o.owner}); err != nil {
 				t.Fatal(err)
@@ -147,79 +131,10 @@ func TestShortRecycledBuffersGrow(t *testing.T) {
 	}
 }
 
-// TestBatchBufferGoesHome: a buffer rank 0 fills and sends to rank 1 comes
-// back through rank 0's return stack and is the very buffer — same backing
-// array — rank 0 stages into next, so a staging buffer is only ever written
-// by one core.
-func TestBatchBufferGoesHome(t *testing.T) {
-	c, err := NewCluster(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const batch = 4
-	var sent, again *graph.Edge
-	runErr := runWithWatchdog(t, chaosWatchdog, func() error {
-		return c.Run(func(rk *Rank) error {
-			return rk.exchangeBlocks(batch, func(s *shipper) {
-				if rk.ID() != 0 {
-					return // rank 1 only receives: its EOF drain delivers what it is sent
-				}
-				for i := 0; i < batch; i++ {
-					if i == batch-1 {
-						sent = &s.bufs[1][0]
-					}
-					s.stage(1, 0, graph.Edge{U: 1, V: int64(i)}) // the last one fills the batch and ships it
-				}
-				for len(s.home) == 0 {
-					runtime.Gosched() // until rank 1 has delivered it and handed the buffer back
-				}
-				// Leave getBuf nothing to find before the return stack.
-				poolSpill(s.shard, s.spare[:s.nspare])
-				s.nspare = 0
-				b := s.getBuf()
-				again = &b[:1][0]
-				s.release(rk.ID(), b)
-			}, func(int, []graph.Edge) {})
-		})
-	})
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	if sent == nil || sent != again {
-		t.Fatalf("rank 0 sent the buffer at %p and staged next into the one at %p: the delivered buffer did not come home", sent, again)
-	}
-	if n := c.outstandingBufs(); n != 0 {
-		t.Fatalf("%d pooled buffers outstanding after the exchange", n)
-	}
-}
-
-// TestFullReturnStackFallsBackToSpare: when the filler's return stack is
-// full the receiver keeps the buffer on its own spare stack — today's path
-// — without blocking and without dropping it.
-func TestFullReturnStackFallsBackToSpare(t *testing.T) {
-	c, err := NewCluster(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for len(c.returns[0]) < cap(c.returns[0]) {
-		c.returns[0] <- make([]graph.Edge, 0, 1)
-	}
-	s := newShipper(&Rank{id: 1, c: c}, 4, func(int, []graph.Edge) {})
-	buf := make([]graph.Edge, 1, 4)
-	s.rx.recv(Message{From: 0, Dest: 1, Epoch: c.epoch, Edges: buf})
-	if s.nspare != 1 || &s.spare[0][:1][0] != &buf[0] {
-		t.Fatalf("delivered buffer is not on the receiver's spare stack (nspare = %d)", s.nspare)
-	}
-	if len(c.returns[0]) != cap(c.returns[0]) {
-		t.Fatalf("return stack holds %d of %d after a refused push", len(c.returns[0]), cap(c.returns[0]))
-	}
-}
-
-// TestFaultAbortLeavesNoBuffersParked extends the abort-path leak
-// regression to the return stacks: an exchange aborted by an injected crash
-// while delivered buffers sit in a rank's return stack reads zero
-// outstanding buffers — and empty stacks — after Reset, on one core and on
-// several.
+// TestFaultAbortLeavesNoBuffersParked: an exchange aborted by an injected
+// crash after one rank has delivered batches to another, with a partial
+// batch still staged, reads zero outstanding buffers after Reset, on one
+// core and on several.
 func TestFaultAbortLeavesNoBuffersParked(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
@@ -238,7 +153,7 @@ func TestFaultAbortLeavesNoBuffersParked(t *testing.T) {
 						peer := 1 - rk.ID()
 						if rk.ID() == 0 {
 							// Two full batches to rank 1 and a staged partial
-							// one, then idle: rank 0 never drains its returns.
+							// one, then idle: rank 0 never drains its inbox.
 							for i := 0; i <= 2*batch; i++ {
 								s.stage(peer, 0, graph.Edge{V: int64(i)})
 							}
@@ -249,7 +164,7 @@ func TestFaultAbortLeavesNoBuffersParked(t *testing.T) {
 							runtime.Gosched()
 						}
 						// The first flush's progress delivers rank 0's two
-						// batches and hands their buffers back; the second
+						// batches and recycles their buffers; the second
 						// flush is the crash.
 						for i := 0; i <= 2*batch && s.stage(peer, 0, graph.Edge{V: int64(i)}); i++ {
 						}
@@ -260,16 +175,73 @@ func TestFaultAbortLeavesNoBuffersParked(t *testing.T) {
 			if !errors.As(runErr, &ce) || ce.Rank != 1 {
 				t.Fatalf("want the injected crash of rank 1, got %v", runErr)
 			}
-			if len(c.returns[0]) != 2 {
-				t.Fatalf("precondition: %d buffers parked in rank 0's return stack, want the 2 rank 1 delivered", len(c.returns[0]))
-			}
 			c.Reset()
 			if n := c.outstandingBufs(); n != 0 {
 				t.Fatalf("%d pooled buffers outstanding after Reset", n)
 			}
-			if n := len(c.returns[0]) + len(c.returns[1]); n != 0 {
-				t.Fatalf("%d buffers still parked in return stacks after Reset", n)
-			}
 		})
 	}
+}
+
+// TestRoutedBackpressure drives clean routed runs into a full inbox, which
+// they now reach only through a blocking SendBatch with inline progress:
+// OwnerByEdge at R ∈ {2, 16, 32} with batches of 1 and 7 edges, rank 0's
+// sink yielding the processor on every block so its peers outrun it. Each
+// run must store exactly the product, return every pooled buffer, and have
+// filled rank 0's inbox (MaxInboxDepth = 4R + 16, the Mailbox's capacity) —
+// the proof the blocking path ran — on one core and on several.
+func TestRoutedBackpressure(t *testing.T) {
+	a, b := gen.MustRMAT(gen.Graph500Params(5, 1)), gen.MustRMAT(gen.Graph500Params(5, 2))
+	want, err := core.Product(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 4} {
+		for _, r := range []int{2, 16, 32} {
+			for _, batch := range []int{1, 7} {
+				t.Run(fmt.Sprintf("procs%d/R=%d/B=%d", procs, r, batch), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					plan, err := PlanChain1D(mustChain(a, b), r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ms := NewMemorySink(r)
+					var st Stats
+					runErr := runWithWatchdog(t, chaosWatchdog, func() error {
+						st, err = Run(context.Background(), Config{Plan: plan, Owner: OwnerByEdge, Sink: yieldSink{ms}, BatchSize: batch})
+						return err
+					})
+					if runErr != nil {
+						t.Fatal(runErr)
+					}
+					assertExact(t, plan.NC, mergedArcs(ms), want)
+					if st.OutstandingBufs != 0 {
+						t.Fatalf("%d pooled buffers outstanding", st.OutstandingBufs)
+					}
+					if capacity := int64(4*r + 16); st.MaxInboxDepth != capacity {
+						t.Fatalf("MaxInboxDepth = %d, want the inbox capacity %d: no sender ever found rank 0's inbox full", st.MaxInboxDepth, capacity)
+					}
+				})
+			}
+		}
+	}
+}
+
+// yieldSink is a MemorySink whose rank 0 yields the processor before
+// storing each block.
+type yieldSink struct{ *MemorySink }
+
+func (s yieldSink) Rank(rk *Rank) (RankSink, error) {
+	rs, err := s.MemorySink.Rank(rk)
+	if err != nil || rk.ID() != 0 {
+		return rs, err
+	}
+	return yieldRankSink{rs.(*memRankSink)}, nil
+}
+
+type yieldRankSink struct{ *memRankSink }
+
+func (y yieldRankSink) StoreBlock(edges []graph.Edge) (int64, error) {
+	runtime.Gosched()
+	return y.memRankSink.StoreBlock(edges)
 }

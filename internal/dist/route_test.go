@@ -28,9 +28,8 @@ import (
 // if a peer had sent the same batch the other way. That drives one
 // shipper through its real flush, accounting and buffer-recycling paths
 // (a rank in a balanced exchange receives about as many batches as it
-// sends, which is what keeps its spare stack full) with no peer
-// goroutines — so a test sees every message in order and a benchmark
-// times the router, not the scheduler. dest is the destination of the
+// sends) with no peer goroutines — so a test sees every message in order
+// and a benchmark times the router, not the scheduler. dest is the destination of the
 // batch being handed back, for handlers that record per destination.
 type loopback struct {
 	r    int

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/pprof"
-	"sync"
 	"sync/atomic"
 
 	"kronlab/internal/graph"
@@ -346,10 +345,7 @@ type streamSink struct {
 	batch int
 	arcs  map[int]int64 // Tile.Arcs per plan tile ID
 
-	mu   sync.Mutex
-	free [][]graph.Edge
-
-	outstanding int64 // buffers checked out and not yet recycled
+	outstanding int64 // buffers checked out of edgeBufs and not yet recycled
 	messages    int64
 	routed      int64
 	bytes       int64
@@ -380,29 +376,16 @@ func newStreamSink(ctx context.Context, batch int, plan Plan) *streamSink {
 
 func (s *streamSink) getBuf() []graph.Edge {
 	atomic.AddInt64(&s.outstanding, 1)
-	s.mu.Lock()
-	if k := len(s.free); k > 0 {
-		b := s.free[k-1]
-		s.free[k-1] = nil
-		s.free = s.free[:k-1]
-		s.mu.Unlock()
-		return b
-	}
-	s.mu.Unlock()
-	return make([]graph.Edge, 0, s.batch)
+	return edgeBufs.get(s.batch)
 }
 
-// recycle returns a consumed batch to the pool. A freelist stack rather
-// than a sync.Pool: pushing a slice header onto a slice does not box it
-// into an interface, so recycling is allocation-free (see edgeBufPool).
+// recycle returns a consumed batch to the package freelist.
 func (s *streamSink) recycle(b []graph.Edge) {
 	if cap(b) == 0 {
 		return
 	}
 	atomic.AddInt64(&s.outstanding, -1)
-	s.mu.Lock()
-	s.free = append(s.free, b[:0])
-	s.mu.Unlock()
+	edgeBufs.put(b)
 }
 
 // Rank implements Sink.

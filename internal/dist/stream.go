@@ -149,8 +149,8 @@ consume:
 	st.Messages = atomic.LoadInt64(&sink.messages)
 	st.EdgesRouted = atomic.LoadInt64(&sink.routed)
 	st.BytesSent = atomic.LoadInt64(&sink.bytes)
-	// Leak probe: the stream sink pools its own buffers (separate from the
-	// cluster's exchange pool); fold its balance into the run's counter.
+	// Leak probe: the stream sink keeps its own tally of the buffers it
+	// checked out of edgeBufs; fold its balance into the run's counter.
 	st.OutstandingBufs += atomic.LoadInt64(&sink.outstanding)
 	switch {
 	case emitErr != nil:

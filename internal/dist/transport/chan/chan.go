@@ -62,16 +62,6 @@ func (t *Transport) SendBatch(ctx context.Context, b transport.Batch, progress f
 	return t.Send(ctx, b, progress)
 }
 
-// TrySendBatch implements transport.TrySender. Partition black-holing and
-// the failure-detector verdict behave exactly as in SendBatch, so
-// double-buffered runs see the same fault surface as blocking ones.
-func (t *Transport) TrySendBatch(b transport.Batch) (bool, error) {
-	if voided, err := t.void(b); voided || err != nil {
-		return voided, err
-	}
-	return t.TrySend(b)
-}
-
 // Reset implements Transport: drains every inbox through release and
 // rewinds the collective state. Partitions heal and the failure
 // detector is disarmed, its verdict cleared — a supervised replay starts

@@ -509,92 +509,3 @@ func waitErr(t *testing.T, ch <-chan error) error {
 }
 
 func errorf(format string, args ...any) error { return fmt.Errorf(format, args...) }
-
-// TestConformanceTrySend holds TrySender implementations to the
-// exchange's double-buffering contract. Accepted batches (true, nil)
-// transfer ownership and stay FIFO with batches sent through the
-// blocking path on the same link; refused batches (false, nil) remain
-// with the caller, who may retry or fall back to a blocking SendBatch
-// with no reordering — exactly the shipper's pending-completion dance.
-// Self-sends must always refuse (the engine loops those back locally,
-// bypassing the transport's in-flight machinery).
-func TestConformanceTrySend(t *testing.T) {
-	const r, k = 4, 200
-	for _, f := range newFixtures(t, r) {
-		t.Run(f.name, func(t *testing.T) {
-			ts, ok := f.tr(0).(transport.TrySender)
-			if !ok {
-				t.Fatalf("%s transport does not implement transport.TrySender", f.name)
-			}
-
-			// Self-send: refusal without error, buffer untouched.
-			self := transport.Batch{From: 0, Dest: 0, Epoch: confEpoch,
-				Edges: []graph.Edge{{U: 9, V: 9}}}
-			if acc, err := ts.TrySendBatch(self); acc || err != nil {
-				t.Fatalf("self TrySendBatch = (%v, %v), want refusal (false, nil)", acc, err)
-			}
-			if len(self.Edges) != 1 || self.Edges[0].U != 9 {
-				t.Fatal("refused batch's payload was disturbed")
-			}
-
-			ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-			defer cancel()
-			dest := r - 1 // a cross-process link in the tcp fixture
-			done := make(chan error, 1)
-			go func() {
-				for i := 0; i < k; i++ {
-					b, err := f.tr(dest).Recv(ctx, dest)
-					if err != nil {
-						done <- err
-						return
-					}
-					if b.Tile != i {
-						done <- errorf("batch %d arrived with tile %d — try path reordered the link", i, b.Tile)
-						return
-					}
-					if len(b.Edges) != 1 || b.Edges[0].U != int64(i) || b.Edges[0].V != int64(-i) {
-						done <- errorf("batch %d payload corrupted: %v", i, b.Edges)
-						return
-					}
-				}
-				done <- nil
-			}()
-
-			var accepted, refused, blocking int
-			for i := 0; i < k; i++ {
-				b := transport.Batch{
-					From: 0, Dest: dest, Epoch: confEpoch, Tile: i,
-					Edges: []graph.Edge{{U: int64(i), V: int64(-i)}},
-				}
-				if i%3 == 2 {
-					// Interleave the blocking path: FIFO must hold across
-					// both, since the shipper mixes them freely.
-					if err := f.tr(0).SendBatch(ctx, b, nopProgress); err != nil {
-						t.Fatalf("blocking send %d: %v", i, err)
-					}
-					blocking++
-					continue
-				}
-				if acc, err := ts.TrySendBatch(b); err != nil {
-					t.Fatalf("try send %d: %v", i, err)
-				} else if acc {
-					accepted++
-					continue
-				}
-				// Refused: the batch is still ours; complete it blocking,
-				// as the exchange does when a pending slot must drain.
-				if err := f.tr(0).SendBatch(ctx, b, nopProgress); err != nil {
-					t.Fatalf("fallback send %d: %v", i, err)
-				}
-				refused++
-			}
-			if err := <-done; err != nil {
-				t.Fatal(err)
-			}
-			if accepted == 0 {
-				t.Fatalf("no TrySendBatch was ever accepted (%d refused, %d blocking) — the fast path is dead", refused, blocking)
-			}
-			t.Logf("%s: %d accepted, %d refused, %d blocking", f.name, accepted, refused, blocking)
-		})
-	}
-}

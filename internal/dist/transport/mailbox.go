@@ -85,23 +85,6 @@ func (m *Mailbox) Send(ctx context.Context, b Batch, progress func(Batch)) error
 	return nil
 }
 
-// TrySend is Send as TrySender.TrySendBatch specifies: accepted only when
-// the destination inbox has room right now. Self-addressed batches are
-// refused — the caller's inline receive path handles those.
-func (m *Mailbox) TrySend(b Batch) (bool, error) {
-	if err := m.Err(); err != nil || b.Dest == b.From {
-		return false, err
-	}
-	inbox := m.inboxes[b.Dest-m.lo]
-	select {
-	case inbox <- b:
-		m.noteDepth(inbox)
-		return true, nil
-	default:
-		return false, nil
-	}
-}
-
 // Inject enqueues a batch directly into its destination inbox, skipping
 // fault injection and flow control — the smuggling hook the epoch-fence
 // and conformance tests use to forge residue from another attempt.

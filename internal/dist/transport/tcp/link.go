@@ -86,13 +86,11 @@ func (l *link) frame(kind uint8, tile int64, payload []byte) []byte {
 
 // offer queues frame if the writer queue has room right now and
 // recycles it otherwise.
-func (l *link) offer(frame []byte) bool {
+func (l *link) offer(frame []byte) {
 	select {
 	case l.outQ <- frame:
-		return true
 	default:
 		framePool.Put(frame[:0])
-		return false
 	}
 }
 

@@ -377,8 +377,8 @@ type redFrame struct {
 }
 
 // Transport is one attempt's full mesh. It implements transport.Transport
-// for the rank range its process hosts: the Mailbox's, with SendBatch and
-// TrySendBatch routing remote destinations onto the peer's link.
+// for the rank range its process hosts: the Mailbox's, with SendBatch
+// routing remote destinations onto the peer's link.
 type Transport struct {
 	*transport.Mailbox
 
@@ -513,59 +513,28 @@ func (t *Transport) handle(h wire.Header, payload []byte) error {
 
 // SendBatch implements Transport. Local destinations are the Mailbox's;
 // remote ones serialize onto the peer link's writer queue, waiting for
-// room with the sender's inline receive progress.
+// room with the sender's inline receive progress. A failed mesh refuses
+// before encoding: the dead link's writer is gone, so its queue would
+// still accept the frame and mask the failure until it filled.
 func (t *Transport) SendBatch(ctx context.Context, b transport.Batch, progress func(transport.Batch)) error {
 	l := t.links[t.rankProc[b.Dest]]
 	if l == nil {
 		return t.Send(ctx, b, progress)
 	}
-	frame, err := t.encode(b)
-	if err == nil {
-		err = transport.Post(ctx, t.Monitor, l.outQ, frame, t.Inbox(b.From), progress)
-	}
-	if err == nil {
-		t.sent(b)
-	}
-	return err
-}
-
-// TrySendBatch implements transport.TrySender: a non-blocking SendBatch.
-// Local destinations are accepted only when the in-process inbox has
-// room; remote ones only when the peer link's writer queue does. On
-// refusal the batch stays unserialized with the caller (the frame built
-// for it is recycled), so a later retry re-encodes — refusals are rare
-// enough that re-encoding is cheaper than holding frames hostage to
-// queue pressure.
-func (t *Transport) TrySendBatch(b transport.Batch) (bool, error) {
-	l := t.links[t.rankProc[b.Dest]]
-	if l == nil {
-		return t.TrySend(b)
-	}
-	frame, err := t.encode(b)
-	if err != nil || !l.offer(frame) {
-		return false, err
-	}
-	t.sent(b)
-	return true, nil
-}
-
-// encode serializes b for a peer link. A failed mesh refuses first: the
-// dead link's writer is gone, so its queue would still accept the frame
-// and mask the failure until it filled.
-func (t *Transport) encode(b transport.Batch) ([]byte, error) {
 	if err := t.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	return wire.AppendBatch(framePool.Get().([]byte)[:0],
-		uint32(b.From), uint32(b.Dest), b.Epoch, int64(b.Tile), b.Edges, b.EOF), nil
-}
-
-// sent ends an accepted remote send: the frame owns the bytes now, so the
-// staging buffer goes back to the pool for the next flush.
-func (t *Transport) sent(b transport.Batch) {
+	frame := wire.AppendBatch(framePool.Get().([]byte)[:0],
+		uint32(b.From), uint32(b.Dest), b.Epoch, int64(b.Tile), b.Edges, b.EOF)
+	if err := transport.Post(ctx, t.Monitor, l.outQ, frame, t.Inbox(b.From), progress); err != nil {
+		return err
+	}
+	// The frame owns the bytes now, so the staging buffer goes back to the
+	// pool for the next flush.
 	if t.cfg.Pool != nil {
 		t.cfg.Pool.Put(b.Edges)
 	}
+	return nil
 }
 
 // netReduce is the collectives' cross-process phase, run by the last

@@ -95,35 +95,6 @@ type Transport interface {
 	Close() error
 }
 
-// TrySender is the optional non-blocking send surface a Transport can
-// offer. The exchange uses it for double-buffered sends: when a staged
-// batch would block, the shipper parks it as the destination's one
-// in-flight pending batch and keeps expanding instead of stalling on
-// the transport.
-//
-// Contract (asserted by the conformance suite alongside the blocking
-// one):
-//
-//   - TrySendBatch(b) == (true, nil) means the batch was accepted
-//     exactly as a successful SendBatch would have accepted it —
-//     ownership of b.Edges passes to the transport, per-link FIFO order
-//     is preserved relative to every other accepted send from b.From to
-//     b.Dest.
-//   - (false, nil) means the transport is momentarily full; nothing was
-//     delivered and the buffer stays with the caller, who may retry
-//     later. A transport must not reorder: a batch refused now and
-//     retried later still lands after every batch accepted before it
-//     and before every batch accepted after it, because the caller is
-//     single-threaded per (from, dest) link.
-//   - (false, err) reports a dead link or torn-down run: the buffer
-//     stays with the caller and subsequent sends will fail too.
-//
-// TrySendBatch never blocks and never invokes receive progress; callers
-// interleave their own progress polling between attempts.
-type TrySender interface {
-	TrySendBatch(b Batch) (bool, error)
-}
-
 // PeerError reports the death of a peer process's link mid-run — the
 // cluster-mode analogue of a rank crash. It carries the peer's proc
 // index so a supervisor can blame the right process and wait for its
