@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"math"
+
 	"kronlab/internal/core"
 	"kronlab/internal/graph"
 	"testing"
@@ -153,6 +155,18 @@ func TestRMATInvalidParams(t *testing.T) {
 	}
 	if _, err := RMAT(RMATParams{Scale: 4, A: 0.9, B: 0.9, C: 0.9}); err == nil {
 		t.Error("probabilities summing over 1 should error")
+	}
+	// Each of these once reached the sampler: a negative edge factor
+	// panicked in makeslice, an overflowing one wrapped negative, and a NaN
+	// passed every x < 0 test and sent every sample to quadrant D.
+	if _, err := RMAT(RMATParams{Scale: 4, EdgeFactor: -1, A: 0.57, B: 0.19, C: 0.19}); err == nil {
+		t.Error("negative edge factor should error")
+	}
+	if _, err := RMAT(RMATParams{Scale: 40, EdgeFactor: 1 << 24, A: 0.57, B: 0.19, C: 0.19}); err == nil {
+		t.Error("EdgeFactor·2^Scale overflowing int64 should error")
+	}
+	if _, err := RMAT(RMATParams{Scale: 4, EdgeFactor: 16, A: math.NaN(), B: 0.19, C: 0.19}); err == nil {
+		t.Error("NaN probability should error")
 	}
 	func() {
 		defer func() {

@@ -57,74 +57,121 @@ type Graph struct {
 // inserted exactly as given (no symmetrization); duplicates are removed.
 // Arc endpoints must lie in [0, n). Use NewUndirected to symmetrize.
 func New(n int64, arcs []Edge) (*Graph, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("graph: negative vertex count %d", n)
-	}
-	for _, a := range arcs {
-		if a.U < 0 || a.U >= n || a.V < 0 || a.V >= n {
-			return nil, fmt.Errorf("graph: arc (%d,%d) out of range [0,%d)", a.U, a.V, n)
-		}
-	}
-	g := &Graph{n: n}
-	g.offsets = make([]int64, n+1)
-	for _, a := range arcs {
-		g.offsets[a.U+1]++
-	}
-	for i := int64(0); i < n; i++ {
-		g.offsets[i+1] += g.offsets[i]
-	}
-	g.adj = make([]int64, len(arcs))
-	next := make([]int64, n)
-	copy(next, g.offsets[:n])
-	for _, a := range arcs {
-		g.adj[next[a.U]] = a.V
-		next[a.U]++
-	}
-	g.sortAndDedup()
-	return g, nil
+	return build(n, arcs, false)
 }
 
 // NewUndirected builds an undirected Graph on n vertices: every off-diagonal
 // edge {u,v} is stored as both arcs, self loops as a single arc. Input
 // edges may be in either orientation and may contain duplicates.
 func NewUndirected(n int64, edges []Edge) (*Graph, error) {
-	arcs := make([]Edge, 0, 2*len(edges))
-	for _, e := range edges {
-		arcs = append(arcs, e)
-		if e.U != e.V {
-			arcs = append(arcs, Edge{e.V, e.U})
-		}
-	}
-	return New(n, arcs)
+	return build(n, edges, true)
 }
 
-// sortAndDedup sorts each adjacency row and removes duplicate arcs,
-// recomputing offsets and the loop count.
-func (g *Graph) sortAndDedup() {
-	newAdj := g.adj[:0]
-	newOff := make([]int64, g.n+1)
-	var loops int64
-	for v := int64(0); v < g.n; v++ {
-		row := g.adj[g.offsets[v]:g.offsets[v+1]]
-		slices.Sort(row)
-		start := int64(len(newAdj))
-		for i, w := range row {
-			if i > 0 && row[i-1] == w {
+// build is New when both is false and NewUndirected when it is true: each
+// edge (u,v) then stands for the arcs (u,v) and (v,u), one arc for a
+// loop, read off the edge list in place of a doubled copy of it.
+//
+// The two differ only in how rows come out ascending. Undirected rows
+// take two counting passes, linear with no comparison sort: pass 1 is a
+// counting sort by target into scratch, 8 B an arc, which stands in for
+// the doubled copy; pass 2 walks those groups in target order and
+// scatters each source's targets into its row — stable, so every row
+// ascends. A directed arc set has no copy for scratch to replace, so
+// there the arcs are bucketed by source and the dedup pass sorts each
+// row that does not already ascend. Its largest input, Product's arcs,
+// arrives with every row ascending (BenchmarkNew). Either way a
+// duplicate arc is then next to its twin, and one pass drops it while
+// counting loops. Besides the result, construction allocates one O(n)
+// array, plus the scratch when both is true.
+func build(n int64, edges []Edge, both bool) (*Graph, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("graph: negative vertex count %d", n)
+	}
+	for _, a := range edges {
+		if a.U < 0 || a.U >= n || a.V < 0 || a.V >= n {
+			return nil, fmt.Errorf("graph: arc (%d,%d) out of range [0,%d)", a.U, a.V, n)
+		}
+	}
+
+	// offsets[u+1] counts the arcs leaving u. An undirected arc set is
+	// symmetric, so it also counts those entering u. both is tested once,
+	// not per arc, so the directed loop is the bare count.
+	offsets := make([]int64, n+1)
+	if both {
+		for _, a := range edges {
+			offsets[a.U+1]++
+			if a.U != a.V {
+				offsets[a.V+1]++
+			}
+		}
+	} else {
+		for _, a := range edges {
+			offsets[a.U+1]++
+		}
+	}
+	for i := int64(0); i < n; i++ {
+		offsets[i+1] += offsets[i]
+	}
+
+	m := offsets[n]
+	adj := make([]int64, m)
+	next := make([]int64, n)
+	copy(next, offsets[:n])
+	if both {
+		// Pass 1: scratch[offsets[v]:offsets[v+1]] holds the sources of
+		// v's in-arcs.
+		scratch := make([]int64, m)
+		for _, a := range edges {
+			scratch[next[a.V]] = a.U
+			next[a.V]++
+			if a.U != a.V {
+				scratch[next[a.U]] = a.V
+				next[a.U]++
+			}
+		}
+		// Pass 2: targets in ascending order, each appended to its
+		// source's row.
+		copy(next, offsets[:n])
+		for v := int64(0); v < n; v++ {
+			for _, u := range scratch[offsets[v]:offsets[v+1]] {
+				adj[next[u]] = v
+				next[u]++
+			}
+		}
+	} else {
+		for _, a := range edges {
+			adj[next[a.U]] = a.V
+			next[a.U]++
+		}
+	}
+
+	// Dedup, compacting adj leftward and offsets into the new row starts
+	// in place: row u is read from [start, offsets[u+1]) before
+	// offsets[u] takes its new start, and kept, which aliases adj, only
+	// writes at or left of the element being read. A directed row is
+	// sorted here, while it is in cache.
+	kept := adj[:0]
+	var loops, start int64
+	for u := int64(0); u < n; u++ {
+		end := offsets[u+1]
+		offsets[u] = int64(len(kept))
+		row := adj[start:end]
+		if !both && !slices.IsSorted(row) {
+			slices.Sort(row)
+		}
+		for i, v := range row {
+			if i > 0 && row[i-1] == v {
 				continue
 			}
-			if w == v {
+			if v == u {
 				loops++
 			}
-			newAdj = append(newAdj, w)
+			kept = append(kept, v)
 		}
-		newOff[v] = start
+		start = end
 	}
-	newOff[g.n] = int64(len(newAdj))
-	// newAdj aliases g.adj's backing array; compaction above only moves
-	// elements leftward so this in-place rewrite is safe.
-	g.adj = newAdj
-	g.offsets = newOff
-	g.loops = loops
+	offsets[n] = int64(len(kept))
+	return &Graph{n: n, offsets: offsets, adj: kept, loops: loops}, nil
 }
 
 // NumVertices returns the number of vertices n.

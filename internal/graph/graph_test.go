@@ -2,12 +2,19 @@ package graph
 
 import (
 	"bytes"
+	"cmp"
+	"errors"
+	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -64,6 +71,201 @@ func TestNewRejectsOutOfRange(t *testing.T) {
 	if _, err := New(-1, nil); err == nil {
 		t.Error("expected error for negative n")
 	}
+}
+
+// newBySort is the constructor as it stood before NewUndirected took two
+// counting passes, kept unchanged as the oracle for both constructors:
+// bucket the arcs by source, then sort and dedup each row.
+func newBySort(n int64, arcs []Edge) (*Graph, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("graph: negative vertex count %d", n)
+	}
+	for _, a := range arcs {
+		if a.U < 0 || a.U >= n || a.V < 0 || a.V >= n {
+			return nil, fmt.Errorf("graph: arc (%d,%d) out of range [0,%d)", a.U, a.V, n)
+		}
+	}
+	g := &Graph{n: n}
+	g.offsets = make([]int64, n+1)
+	for _, a := range arcs {
+		g.offsets[a.U+1]++
+	}
+	for i := int64(0); i < n; i++ {
+		g.offsets[i+1] += g.offsets[i]
+	}
+	g.adj = make([]int64, len(arcs))
+	next := make([]int64, n)
+	copy(next, g.offsets[:n])
+	for _, a := range arcs {
+		g.adj[next[a.U]] = a.V
+		next[a.U]++
+	}
+	sortAndDedup(g)
+	return g, nil
+}
+
+// newUndirectedBySort is NewUndirected over newBySort: the doubled arc
+// list built as a copy.
+func newUndirectedBySort(n int64, edges []Edge) (*Graph, error) {
+	arcs := make([]Edge, 0, 2*len(edges))
+	for _, e := range edges {
+		arcs = append(arcs, e)
+		if e.U != e.V {
+			arcs = append(arcs, Edge{e.V, e.U})
+		}
+	}
+	return newBySort(n, arcs)
+}
+
+// sortAndDedup sorts each adjacency row and removes duplicate arcs,
+// recomputing offsets and the loop count.
+func sortAndDedup(g *Graph) {
+	newAdj := g.adj[:0]
+	newOff := make([]int64, g.n+1)
+	var loops int64
+	for v := int64(0); v < g.n; v++ {
+		row := g.adj[g.offsets[v]:g.offsets[v+1]]
+		slices.Sort(row)
+		start := int64(len(newAdj))
+		for i, w := range row {
+			if i > 0 && row[i-1] == w {
+				continue
+			}
+			if w == v {
+				loops++
+			}
+			newAdj = append(newAdj, w)
+		}
+		newOff[v] = start
+	}
+	newOff[g.n] = int64(len(newAdj))
+	// newAdj aliases g.adj's backing array; compaction above only moves
+	// elements leftward so this in-place rewrite is safe.
+	g.adj = newAdj
+	g.offsets = newOff
+	g.loops = loops
+}
+
+// constructionCase is one input to New and NewUndirected.
+type constructionCase struct {
+	name string
+	n    int64
+	arcs []Edge
+}
+
+// constructionCases are the inputs TestNewMatchesSortReference and FuzzNew
+// share: the empty graph, hand-made tiny ones, random unsorted arc lists
+// at n ∈ {1, 2, 3, 64} with duplicates, loops and one hub row holding a
+// third of the arcs, the last of those reordered so that every row
+// already ascends (by target, rows interleaved as core.Product streams
+// them, and by source then target), then the inputs New must reject.
+func constructionCases() []constructionCase {
+	rng := rand.New(rand.NewSource(29))
+	cases := []constructionCase{
+		{"n0", 0, nil},
+		{"n1 loop", 1, []Edge{{0, 0}, {0, 0}}},
+		{"n2 both ways", 2, []Edge{{1, 0}, {0, 1}, {1, 0}, {1, 1}}},
+		{"n3 isolated", 3, []Edge{{2, 0}, {2, 0}}},
+	}
+	for _, n := range []int64{1, 2, 3, 64} {
+		for trial := 0; trial < 4; trial++ {
+			arcs := make([]Edge, 3*n+rng.Int63n(4*n))
+			for i := range arcs {
+				switch {
+				case i%3 == 0: // the hub row, both as source and target
+					arcs[i] = Edge{n / 2, rng.Int63n(n)}
+					if rng.Intn(2) == 0 {
+						arcs[i] = Edge{arcs[i].V, arcs[i].U}
+					}
+				case i%7 == 1 && i > 1: // a repeat
+					arcs[i] = arcs[rng.Intn(i-1)]
+				case i%11 == 2: // a loop
+					v := rng.Int63n(n)
+					arcs[i] = Edge{v, v}
+				default:
+					arcs[i] = Edge{rng.Int63n(n), rng.Int63n(n)}
+				}
+			}
+			cases = append(cases, constructionCase{fmt.Sprintf("n%d random %d", n, trial), n, arcs})
+		}
+	}
+	last := cases[len(cases)-1].arcs
+	byTarget := slices.Clone(last)
+	slices.SortFunc(byTarget, func(a, b Edge) int { return cmp.Or(cmp.Compare(a.V, b.V), cmp.Compare(a.U, b.U)) })
+	bySource := slices.Clone(last)
+	slices.SortFunc(bySource, func(a, b Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
+	return append(cases,
+		constructionCase{"n64 rows ascend, interleaved", 64, byTarget},
+		constructionCase{"n64 rows ascend, in row order", 64, bySource},
+		constructionCase{"negative n", -1, nil},
+		constructionCase{"target out of range", 3, []Edge{{0, 1}, {0, 3}}},
+		constructionCase{"negative source", 3, []Edge{{-1, 0}}},
+		// Rejected before any O(n) allocation, or this would not return.
+		constructionCase{"huge n, bad arc", 1 << 60, []Edge{{0, 1}, {1 << 60, 0}}},
+	)
+}
+
+// sameConstruction fails t unless got and want are both errors or are
+// identical graphs: offsets, adjacency, loops and edge count.
+func sameConstruction(t *testing.T, what string, got *Graph, gotErr error, want *Graph, wantErr error) {
+	t.Helper()
+	if (gotErr != nil) != (wantErr != nil) {
+		t.Fatalf("%s: error %v, reference error %v", what, gotErr, wantErr)
+	}
+	if gotErr != nil {
+		if gotErr.Error() != wantErr.Error() {
+			t.Fatalf("%s: error %q, reference %q", what, gotErr, wantErr)
+		}
+		return
+	}
+	if !slices.Equal(got.offsets, want.offsets) || !slices.Equal(got.adj, want.adj) ||
+		got.loops != want.loops || got.NumEdges() != want.NumEdges() {
+		t.Fatalf("%s: built %v offsets %v adj %v, reference %v offsets %v adj %v",
+			what, got, got.offsets, got.adj, want, want.offsets, want.adj)
+	}
+}
+
+// TestNewMatchesSortReference holds New and NewUndirected to the
+// sort-based reference, byte for byte.
+func TestNewMatchesSortReference(t *testing.T) {
+	for _, c := range constructionCases() {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := New(c.n, c.arcs)
+			want, wantErr := newBySort(c.n, c.arcs)
+			sameConstruction(t, "New", got, err, want, wantErr)
+			got, err = NewUndirected(c.n, c.arcs)
+			want, wantErr = newUndirectedBySort(c.n, c.arcs)
+			sameConstruction(t, "NewUndirected", got, err, want, wantErr)
+		})
+	}
+}
+
+// FuzzNew holds New and NewUndirected to the sort-based reference on
+// arbitrary arc lists: data is read as pairs of signed bytes, so negative
+// and out-of-range endpoints, duplicates and hub rows all turn up.
+func FuzzNew(f *testing.F) {
+	for _, c := range constructionCases() {
+		if c.n < math.MinInt16 || c.n > math.MaxInt16 {
+			continue
+		}
+		data := make([]byte, 0, 2*len(c.arcs))
+		for _, a := range c.arcs {
+			data = append(data, byte(int8(a.U)), byte(int8(a.V)))
+		}
+		f.Add(int16(c.n), data)
+	}
+	f.Fuzz(func(t *testing.T, n int16, data []byte) {
+		arcs := make([]Edge, len(data)/2)
+		for i := range arcs {
+			arcs[i] = Edge{int64(int8(data[2*i])), int64(int8(data[2*i+1]))}
+		}
+		got, err := New(int64(n), arcs)
+		want, wantErr := newBySort(int64(n), arcs)
+		sameConstruction(t, "New", got, err, want, wantErr)
+		got, err = NewUndirected(int64(n), arcs)
+		want, wantErr = newUndirectedBySort(int64(n), arcs)
+		sameConstruction(t, "NewUndirected", got, err, want, wantErr)
+	})
 }
 
 func TestDedupAndSort(t *testing.T) {
@@ -340,6 +542,59 @@ func TestBinaryIORoundTrip(t *testing.T) {
 			t.Fatalf("trial %d: binary round trip mismatch", trial)
 		}
 	}
+}
+
+// TestBinaryChunkBoundaries round-trips paths whose edge counts sit on
+// either side of the chunks WriteBinary and ReadBinary move, reading them
+// back one byte per Read, and fails a writer at each of WriteBinary's
+// writes in turn: every such error must come back.
+func TestBinaryChunkBoundaries(t *testing.T) {
+	per := binaryChunk / binaryRecordSize
+	for _, m := range []int{per - 2, per - 1, per, per + 1, 2*per - 1, 2 * per, 2*per + 1, 5*per + 3} {
+		edges := make([]Edge, m)
+		for i := range edges {
+			edges[i] = Edge{int64(i), int64(i + 1)}
+		}
+		g := mustUnd(t, int64(m+1), edges)
+		var buf bytes.Buffer
+		w := &countingWriter{w: &buf, failAt: -1}
+		if err := g.WriteBinary(w); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := buf.Len(), binaryHeaderSize+m*binaryRecordSize; got != want {
+			t.Fatalf("m=%d: wrote %d bytes, want %d", m, got, want)
+		}
+		h, err := ReadBinary(iotest.OneByteReader(&buf))
+		if err != nil {
+			t.Fatalf("m=%d: %v", m, err)
+		}
+		if !g.Equal(h) {
+			t.Fatalf("m=%d: binary round trip mismatch", m)
+		}
+		for k := 0; k < w.writes; k++ {
+			if err := g.WriteBinary(&countingWriter{w: io.Discard, failAt: k}); !errors.Is(err, errWriteFailed) {
+				t.Fatalf("m=%d: write %d of %d failed, WriteBinary returned %v", m, k, w.writes, err)
+			}
+		}
+	}
+}
+
+var errWriteFailed = errors.New("write failed")
+
+// countingWriter counts the Writes it passes on to w and fails the one
+// numbered failAt (from 0; never if negative).
+type countingWriter struct {
+	w      io.Writer
+	failAt int
+	writes int
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes++
+	if c.writes-1 == c.failAt {
+		return 0, errWriteFailed
+	}
+	return c.w.Write(p)
 }
 
 func TestReadEdgeListComments(t *testing.T) {

@@ -86,32 +86,37 @@ const maxBinaryCount = int64(1) << 28
 // WriteBinary writes g's undirected edge list in a compact little-endian
 // binary format: magic, n, m, then m (u,v) int64 pairs.
 func (g *Graph) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	hdr := []uint64{binaryMagic, uint64(g.n), uint64(g.NumEdges())}
-	for _, h := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return err
-		}
-	}
+	le := binary.LittleEndian
+	buf := make([]byte, 0, binaryChunk)
+	buf = le.AppendUint64(buf, binaryMagic)
+	buf = le.AppendUint64(buf, uint64(g.n))
+	buf = le.AppendUint64(buf, uint64(g.NumEdges()))
 	var werr error
 	g.Edges(func(u, v int64) bool {
-		if err := binary.Write(bw, binary.LittleEndian, [2]int64{u, v}); err != nil {
-			werr = err
-			return false
+		if len(buf) > binaryChunk-binaryRecordSize {
+			if _, werr = w.Write(buf); werr != nil {
+				return false
+			}
+			buf = buf[:0]
 		}
+		buf = le.AppendUint64(buf, uint64(u))
+		buf = le.AppendUint64(buf, uint64(v))
 		return true
 	})
 	if werr != nil {
 		return werr
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
 // binaryHeaderSize is the byte length of the WriteBinary header
 // (magic, n, m) and binaryRecordSize that of one (u, v) edge record.
+// WriteBinary and ReadBinary move records binaryChunk bytes at a time.
 const (
 	binaryHeaderSize = 24
 	binaryRecordSize = 16
+	binaryChunk      = 256 * binaryRecordSize
 )
 
 // ReadBinary reads the format produced by WriteBinary and returns the
@@ -121,15 +126,14 @@ const (
 // surfaces as io.ErrUnexpectedEOF so callers can distinguish a cut-off
 // file from other corruption with errors.Is.
 func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	hdrFields := [3]string{"magic", "n", "m"}
-	var magic, n, m uint64
-	for i, p := range []*uint64{&magic, &n, &m} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("graph: binary header field %q at offset %d: %w",
-				hdrFields[i], i*8, noEOF(err))
-		}
+	le := binary.LittleEndian
+	buf := make([]byte, binaryChunk)
+	if got, err := io.ReadFull(r, buf[:binaryHeaderSize]); err != nil {
+		hdrFields := [3]string{"magic", "n", "m"}
+		return nil, fmt.Errorf("graph: binary header field %q at offset %d: %w",
+			hdrFields[got/8], got/8*8, noEOF(err))
 	}
+	magic, n, m := le.Uint64(buf), le.Uint64(buf[8:]), le.Uint64(buf[16:])
 	if magic != binaryMagic {
 		return nil, fmt.Errorf("graph: bad magic %#x at offset 0", magic)
 	}
@@ -139,13 +143,17 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	// Grow incrementally so a truncated stream with an inflated header
 	// fails on read, not on allocation.
 	edges := make([]Edge, 0, min(m, 1<<20))
-	for i := uint64(0); i < m; i++ {
-		var pair [2]int64
-		if err := binary.Read(br, binary.LittleEndian, &pair); err != nil {
+	for i := uint64(0); i < m; {
+		chunk := buf[:min(m-i, binaryChunk/binaryRecordSize)*binaryRecordSize]
+		if got, err := io.ReadFull(r, chunk); err != nil {
+			bad := i + uint64(got/binaryRecordSize)
 			return nil, fmt.Errorf("graph: binary edge %d of %d at offset %d: %w",
-				i, m, binaryHeaderSize+i*binaryRecordSize, noEOF(err))
+				bad, m, binaryHeaderSize+bad*binaryRecordSize, noEOF(err))
 		}
-		edges = append(edges, Edge{pair[0], pair[1]})
+		for rec := chunk; len(rec) > 0; rec = rec[binaryRecordSize:] {
+			edges = append(edges, Edge{int64(le.Uint64(rec)), int64(le.Uint64(rec[8:]))})
+		}
+		i += uint64(len(chunk) / binaryRecordSize)
 	}
 	g, err := NewUndirected(int64(n), edges)
 	if err != nil {
