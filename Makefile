@@ -47,7 +47,7 @@ fmt-check:
 		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; \
 	fi
 
-# Supervised-recovery soak: the crash-then-recover, reassignment and
+# Supervised-recovery soak: the crash-then-recover, respawn and
 # epoch-fencing suites under the race detector, mirroring the CI job.
 recovery-soak:
 	$(GO) test -race -count 1 -timeout 6m -run 'Recover|Respawn|Epoch' ./internal/dist/

@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -82,10 +83,11 @@ func plannedWork(p Plan) (rank int, edges int64) {
 // owner map and how many — the deterministic target for a mid-expansion
 // crash of a run that generates where it stores, whose ranks each expand
 // what they own of every tile instead of the tiles they were planned.
-func busiestOwner(g *graph.Graph, owner BoundOwnerFunc, r int) (rank int, arcs int64) {
+func busiestOwner(g *graph.Graph, owner Owner, r int) (rank int, arcs int64) {
 	load := make([]int64, r)
+	place := placer(owner, r)
 	g.Arcs(func(u, v int64) bool {
-		load[owner(u, v)]++
+		load[place(u, v)]++
 		return true
 	})
 	for rk, n := range load {
@@ -149,20 +151,20 @@ func TestChaosSoak(t *testing.T) {
 			fp.MaxRedeliver = 2
 			expectLost = true
 		case chaosCrashSink:
-			fp.CrashRank, fp.CrashPoint, fp.CrashAfter = i%r, FaultBeforeSinkSetup, 0
+			fp.Crashes = []CrashSpec{{Rank: i % r, Point: FaultBeforeSinkSetup}}
 			expectCrash = true
 		case chaosCrashExpand:
 			rank, work := plannedWork(plan)
-			fp.CrashRank, fp.CrashPoint, fp.CrashAfter = rank, FaultMidExpansion, int64(i%5)
+			fp.Crashes = []CrashSpec{{Rank: rank, Point: FaultMidExpansion, After: int64(i % 5)}}
 			expectCrash = work > int64(i%5)
 		case chaosCrashExchange:
 			// Every rank performs at least r sends (the EOF flush to
-			// each peer), so CrashAfter < r always fires.
-			fp.CrashRank, fp.CrashPoint, fp.CrashAfter = i%r, FaultMidExchange, int64(i%2)
+			// each peer), so After < r always fires.
+			fp.Crashes = []CrashSpec{{Rank: i % r, Point: FaultMidExchange, After: int64(i % 2)}}
 			expectCrash = true
 		case chaosCrashCollective:
 			// The teardown reduce enters three barriers per rank.
-			fp.CrashRank, fp.CrashPoint, fp.CrashAfter = i%r, FaultInCollective, int64(i%3)
+			fp.Crashes = []CrashSpec{{Rank: i % r, Point: FaultInCollective, After: int64(i % 3)}}
 			expectCrash = true
 		}
 
@@ -232,9 +234,9 @@ func TestChaosSoak(t *testing.T) {
 				if !errors.As(runErr, &ce) {
 					t.Fatalf("want RankCrashError, got %v", runErr)
 				}
-				if ce.Rank != fp.CrashRank || ce.Point != fp.CrashPoint {
+				if crash := fp.Crashes[0]; ce.Rank != crash.Rank || ce.Point != crash.Point {
 					t.Fatalf("crash surfaced as rank %d at %s, injected rank %d at %s",
-						ce.Rank, ce.Point, fp.CrashRank, fp.CrashPoint)
+						ce.Rank, ce.Point, crash.Rank, crash.Point)
 				}
 			case expectLost:
 				if !errors.Is(runErr, ErrMessageLost) {
@@ -618,7 +620,7 @@ func TestRecoverCrashEachPoint(t *testing.T) {
 				if point == FaultMidExpansion {
 					rank, work := plannedWork(plan)
 					if place.name == "owned" {
-						rank, work = busiestOwner(want, place.owner.Bind(r), r)
+						rank, work = busiestOwner(want, place.owner, r)
 					}
 					crash.Rank, crash.After = rank, work/2
 				}
@@ -653,7 +655,7 @@ func TestRecoverCrashEachPoint(t *testing.T) {
 					t.Fatalf("recovered run leaked %d pooled buffers", st.OutstandingBufs)
 				}
 				if place.name == "owned" {
-					assertPlacement(t, ms, place.owner.Bind(r))
+					assertPlacement(t, ms, place.owner)
 					if st.Messages != 0 || st.EdgesRouted != 0 {
 						t.Fatalf("owned run sent %d messages, %d edges", st.Messages, st.EdgesRouted)
 					}
@@ -751,9 +753,9 @@ func TestRecoverCrashPlusLostBatch(t *testing.T) {
 }
 
 // TestRecoverExhaustedBudgetStaysLoud pins the degradation contract: a
-// permanently broken rank (Repeat crash) without reassignment exhausts
-// MaxRetries and the run returns the injected fault exactly like an
-// unsupervised one — loudly, with no silent partial output.
+// permanently broken rank (Repeat crash) — every retry hands it the same
+// work — exhausts MaxRetries and the run returns the injected fault
+// exactly like an unsupervised one — loudly, with no silent partial output.
 func TestRecoverExhaustedBudgetStaysLoud(t *testing.T) {
 	a := gen.ER(6, 0.5, 231)
 	b := gen.ER(6, 0.5, 232)
@@ -785,6 +787,86 @@ func TestRecoverExhaustedBudgetStaysLoud(t *testing.T) {
 	}
 	if st.OutstandingBufs != 0 {
 		t.Fatalf("failed supervised run leaked %d pooled buffers", st.OutstandingBufs)
+	}
+}
+
+// TestCheckpointsAssignOneRule: the checkpoint table's one skip rule. On a
+// 2D plan where rank 0 holds two tiles, with partial counts harvested,
+// rank 1's tile stored whole and one process's ranks zeroed, assign hands every
+// uncommitted tile to its planned rank in plan order and asks each storing
+// rank to skip exactly its stored prefix of it; the committed tile is
+// absent. Under no owner a tile's one storing rank is its planned rank, so
+// the skip lands there alone and is the tile's whole stored total.
+func TestCheckpointsAssignOneRule(t *testing.T) {
+	const r = 3
+	plan, err := PlanChain2D(mustChain(gen.ER(6, 0.5, 271), gen.PrefAttach(6, 2, 272)), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Tiles[0]) < 2 {
+		t.Fatalf("rank 0 holds %d tiles, the test needs two", len(plan.Tiles[0]))
+	}
+	done := plan.Tiles[1][0] // stored whole on ranks 0 and 1, which survive
+	const deadLo, deadHi = 2, 3
+	for _, owned := range []bool{false, true} {
+		cp := newCheckpoints(plan)
+		stored := make(map[int]map[int]int64)
+		for d := 0; d < r; d++ {
+			stored[d] = make(map[int]int64)
+		}
+		wantTiles := make(map[int][]int)
+		wantSkip := make(map[int]map[int]int64)
+		for rk, ts := range plan.Tiles {
+			for _, tl := range ts {
+				if tl.ID == done.ID {
+					if owned {
+						stored[0][tl.ID], stored[1][tl.ID] = tl.Arcs()/2, tl.Arcs()-tl.Arcs()/2
+					} else {
+						stored[rk][tl.ID] = tl.Arcs()
+					}
+					continue
+				}
+				wantTiles[rk] = append(wantTiles[rk], tl.ID)
+				for d := 0; d < r; d++ {
+					if !owned && d != rk {
+						continue // under no owner only the planned rank stores
+					}
+					n := tl.Arcs() * int64(d+1) / int64(4*r) // a part of the tile at each
+					if n == 0 {
+						t.Fatalf("tile %d has %d arcs, too few to split", tl.ID, tl.Arcs())
+					}
+					stored[d][tl.ID] = n
+					if d < deadLo || d >= deadHi {
+						if wantSkip[d] == nil {
+							wantSkip[d] = make(map[int]int64)
+						}
+						wantSkip[d][tl.ID] = n
+					}
+				}
+			}
+		}
+		cp.harvest(stored)
+		cp.zeroRanks(deadLo, deadHi)
+		tiles, skip := cp.assign()
+		if !reflect.DeepEqual(tiles, wantTiles) {
+			t.Fatalf("owned=%v: assigned %v, want every uncommitted tile on its planned rank in plan order: %v", owned, tiles, wantTiles)
+		}
+		if !reflect.DeepEqual(skip, wantSkip) {
+			t.Fatalf("owned=%v: skip %v, want each storing rank's surviving prefix: %v", owned, skip, wantSkip)
+		}
+		if owned {
+			continue
+		}
+		for rk, ts := range plan.Tiles {
+			for _, tl := range ts {
+				for d, m := range skip {
+					if n, ok := m[tl.ID]; ok && (d != rk || n != cp.byID[tl.ID].storedTotal()) {
+						t.Fatalf("no owner: tile %d (rank %d) skips %d at rank %d, want only its stored total %d at rank %d",
+							tl.ID, rk, n, d, cp.byID[tl.ID].storedTotal(), rk)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -865,48 +947,6 @@ func TestRecoverPartition(t *testing.T) {
 	}
 	if st.HeartbeatMisses == 0 {
 		t.Fatal("the simulated detector's verdict left no heartbeat miss in Stats")
-	}
-	if st.OutstandingBufs != 0 {
-		t.Fatalf("recovered run leaked %d pooled buffers", st.OutstandingBufs)
-	}
-}
-
-// TestRespawnReassignBrokenRank: the same permanently broken rank is
-// survivable once Reassign moves its tiles to the survivors — the broken
-// rank keeps participating in the exchange and collectives, it just never
-// expands again.
-func TestRespawnReassignBrokenRank(t *testing.T) {
-	a := gen.ER(6, 0.5, 241).WithFullSelfLoops()
-	b := gen.PrefAttach(6, 2, 242)
-	want, err := core.Product(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const r = 4
-	plan, err := planForChain(mustChain(a, b), r, true) // 2D: several tiles per rank to move
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms := NewMemorySink(r)
-	var st Stats
-	runErr := runWithWatchdog(t, chaosWatchdog, func() error {
-		var err error
-		st, err = Run(context.Background(), Config{
-			Plan: plan, Owner: OwnerByEdge, Sink: ms,
-			Faults:   &FaultPlan{Seed: 243, Crashes: []CrashSpec{{Rank: 2, Point: FaultMidExpansion, Repeat: true}}},
-			Recovery: Recovery{MaxRetries: 2, Backoff: time.Millisecond, Reassign: true},
-		})
-		return err
-	})
-	if runErr != nil {
-		t.Fatalf("reassignment should mask the broken rank, got %v", runErr)
-	}
-	assertExact(t, a.NumVertices()*b.NumVertices(), mergedArcs(ms), want)
-	if st.TilesReassigned == 0 {
-		t.Fatal("no tiles reassigned off the broken rank")
-	}
-	if st.RecoveredRuns != 1 || st.TotalRetries() < 1 {
-		t.Fatalf("recovery not surfaced: retries=%d recovered=%d", st.TotalRetries(), st.RecoveredRuns)
 	}
 	if st.OutstandingBufs != 0 {
 		t.Fatalf("recovered run leaked %d pooled buffers", st.OutstandingBufs)
@@ -998,7 +1038,7 @@ func TestRecoverSoak(t *testing.T) {
 		if point == FaultMidExpansion {
 			rank, work := plannedWork(plan)
 			if owned {
-				rank, work = busiestOwner(want, OwnerBySource.Bind(r), r)
+				rank, work = busiestOwner(want, OwnerBySource, r)
 				crash.After = work / int64(1+i%3)
 			}
 			if work <= crash.After {
@@ -1085,7 +1125,7 @@ func TestRecoverAsyncStoreSink(t *testing.T) {
 			var owner Owner = OwnerBySource
 			switch point {
 			case FaultMidExpansion:
-				rank, work := busiestOwner(want, owner.Bind(r), r)
+				rank, work := busiestOwner(want, owner, r)
 				crash.Rank, crash.After = rank, work/2
 			case FaultMidExchange:
 				owner = OwnerByEdge

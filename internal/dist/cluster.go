@@ -71,7 +71,6 @@ type Stats struct {
 	// retry EdgesGenerated/PerRankGenerated include replayed expansion
 	// work, while stored counts remain exactly-once.
 	RetriesPerRank    []int64 // attempts re-run, attributed to the rank at fault
-	TilesReassigned   int64   // tiles moved off a crashed rank to survivors
 	RecoveredRuns     int64   // 1 when the run succeeded only after retries
 	DuplicatesSkipped int64   // replayed edges suppressed by checkpoint fencing
 

@@ -7,11 +7,11 @@ package dist
 // same rankHost.attempt — only how it comes by a Cluster differs.
 //
 // Process 0 (the head) doubles as the run supervisor: it owns the
-// tile-checkpoint table, assigns each attempt's uncommitted tiles and
-// skip prefixes over persistent control connections, and collects
-// per-attempt reports. Its loop is the only one: an in-process Run is one
-// process on the chan transport with no ledger. Recovery extends PR 4's
-// posture from a killed goroutine to a killed *process*:
+// tile-checkpoint table, sends each attempt's uncommitted tiles (on their
+// planned ranks) and skip prefixes over persistent control connections, and
+// checks and folds per-attempt reports. Its loop is the only one: an
+// in-process Run is one process on the chan transport with no ledger.
+// Recovery extends that posture from a killed goroutine to a killed *process*:
 //
 //   - A worker that dies (SIGKILL, OOM, a yanked cable) surfaces as a
 //     broken control connection at the head and as PeerErrors on the
@@ -286,6 +286,35 @@ func newRunStats(r int) Stats {
 	}
 }
 
+// checkReport refuses a worker's report before anything indexes with it: a
+// rank outside the sender's [Lo, Hi), a tile the plan does not have or a
+// blame outside [-1, R) would crash the head (applyJoin skips them in joins).
+func (h *rankHost) checkReport(cp *checkpoints, peer int, rep *ctrlMsg) error {
+	pr, ranks := h.cc.Procs[peer], []int{}
+	for rk, m := range rep.Stored {
+		ranks = append(ranks, rk)
+		for id := range m {
+			if cp.byID[id] == nil {
+				return fmt.Errorf("dist: proc %d reported tile %d, which the plan does not have", peer, id)
+			}
+		}
+	}
+	for _, m := range []map[int]int64{rep.Gen, rep.StoredN} {
+		for rk := range m {
+			ranks = append(ranks, rk)
+		}
+	}
+	for _, rk := range ranks {
+		if rk < pr.Lo || rk >= pr.Hi {
+			return fmt.Errorf("dist: proc %d reported rank %d, outside its ranks [%d,%d)", peer, rk, pr.Lo, pr.Hi)
+		}
+	}
+	if rep.Blame < -1 || rep.Blame >= h.cfg.Plan.R {
+		return fmt.Errorf("dist: proc %d blamed rank %d, outside [0,%d)", peer, rep.Blame, h.cfg.Plan.R)
+	}
+	return nil
+}
+
 // foldReport merges one proc's attempt report into the aggregate stats.
 func foldReport(agg *Stats, rep *ctrlMsg) {
 	agg.EdgesGenerated += rep.Traffic.Generated
@@ -333,6 +362,9 @@ func RunCluster(ctx context.Context, cc ClusterConfig, cfg Config) (Stats, error
 	h, err := newRankHost(cc, cfg)
 	if err != nil {
 		return Stats{}, err
+	}
+	if _, isFunc := cfg.Owner.(OwnerFunc); cfg.Owner != nil && !isFunc && cfg.Owner.BindSource(cfg.Plan.R) == nil {
+		return Stats{}, fmt.Errorf("dist: owner %T has no source form, and only an OwnerFunc may read the target", cfg.Owner)
 	}
 	if cc.Self == 0 {
 		return runClusterHead(ctx, h)
@@ -418,7 +450,7 @@ func runClusterWorker(ctx context.Context, h *rankHost) (Stats, error) {
 			if err := cc.Send(rep); err != nil {
 				// The head died before taking the report. The stored edges
 				// are safe on disk and in h.cum; re-dial and let the next
-				// head generation reassign from our join.
+				// head generation assign from our join.
 				if perr := park(err); perr != nil {
 					h.finalize()
 					return agg, fmt.Errorf("dist: worker %d reporting to head: %w", h.cc.Self, perr)
@@ -447,7 +479,8 @@ func runClusterWorker(ctx context.Context, h *rankHost) (Stats, error) {
 // count positions in the substream *this* map sends to a rank, so a ledger
 // written under another map — another kind, or the same name at another
 // commit — would fence the wrong arcs out of tiles whose counts still match.
-// One mechanism for every owner kind, pure by the Owner contract.
+// An owner is probed through the form the engine places with: its source
+// form where it has one, the OwnerFunc itself otherwise.
 func (h *rankHost) configDigest() uint64 {
 	d := fnv.New64a()
 	var b [8]byte
@@ -460,12 +493,17 @@ func (h *rankHost) configDigest() uint64 {
 		w(int64(p.Lo))
 		w(int64(p.Hi))
 	}
-	if h.cfg.Owner != nil {
+	if o := h.cfg.Owner; o != nil {
 		w(1)
-		owner, nc := h.cfg.Owner.Bind(h.cfg.Plan.R), max(h.cfg.Plan.NC, 1)
+		r, nc := h.cfg.Plan.R, max(h.cfg.Plan.NC, 1)
+		bySource := o.BindSource(r)
 		probe := func(j int64) int64 { return (j*(nc/64) + j) % nc }
 		for j := int64(0); j < 64; j++ {
-			w(int64(owner(probe(j), probe(63-j))))
+			if bySource != nil {
+				w(int64(bySource(probe(j))))
+			} else {
+				w(int64(o.(OwnerFunc)(probe(j), probe(63-j), r)))
+			}
 		}
 	} else {
 		w(0)
@@ -488,7 +526,7 @@ func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
 	defer h.closeMesh()
 	n := len(h.cc.Procs)
 
-	cp := newCheckpoints(h.cfg.Plan, h.cfg.Owner != nil)
+	cp := newCheckpoints(h.cfg.Plan)
 	tiles := cp.tiles
 
 	// Durable run ledger (optional): replay, validate identity, seed the
@@ -740,6 +778,13 @@ func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
 				deadProcs = append(deadProcs, p)
 				continue
 			}
+			if err := h.checkReport(cp, p, &m); err != nil {
+				// Not a fault a retry can fix: the sender is broken or a stranger.
+				conns[p].Close()
+				conns[p] = nil
+				attemptErr, recoverable = err, false
+				continue
+			}
 			fold(&m)
 		}
 		// A dead proc's durable output dies with it: its ShardWriters
@@ -772,14 +817,9 @@ func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
 		if !recoverable || attempt >= h.cfg.MaxRetries {
 			break
 		}
-		// Book the retry on the blamed rank and, with Reassign, move its
-		// uncommitted tiles to the others — whichever process hosts it. A
+		// Book the retry on the blamed rank, whichever process hosts it; a
 		// fault no report localized (a mesh that never formed) is booked on
-		// rank 0 and moves nothing, and neither does a source-owner run:
-		// every rank walks every tile there (resolveTiles).
-		if blame >= 0 && h.cfg.Reassign && sourceOwner(h.cfg.Owner) == nil {
-			agg.TilesReassigned += cp.reassign(blame, h.cfg.Plan.R)
-		}
+		// rank 0.
 		agg.RetriesPerRank[max(blame, 0)]++
 		runErr = nil
 		if err := sleepCtx(ctx, backoff(h.cfg.Backoff, attempt+1)); err != nil {

@@ -35,11 +35,10 @@ var (
 // crossed with the chain's tail factors (the whole tail under 1D
 // partitioning; under 2D the first tail factor is a part and the rest
 // ride whole). A two-factor product is the chain whose tail is [B]. ID
-// is the tile's plan-wide identity: it is stable across run attempts and
-// across reassignment to another rank, which is what checkpoints and the
-// exactly-once sink fence key on — at any chain depth, because the tail
-// expansion order is the deterministic lexicographic odometer order of
-// core.TailCursor.
+// is the tile's plan-wide identity: it is stable across run attempts, which
+// is what checkpoints and the exactly-once sink fence key on — at any chain
+// depth, because the tail expansion order is the deterministic
+// lexicographic odometer order of core.TailCursor.
 type Tile struct {
 	ID    int
 	AArcs []graph.Edge
@@ -221,28 +220,13 @@ type Recovery struct {
 	// Backoff is the base delay before a retry; attempt n waits
 	// Backoff·2^(n-1), capped at one second. Zero retries immediately.
 	Backoff time.Duration
-	// Reassign moves a crashed rank's unfinished tiles to the surviving
-	// ranks instead of respawning the same assignment — recovery
-	// completes even when a rank is permanently broken (at the cost of
-	// load skew). Without it the crashed rank is respawned with its
-	// original tiles. It is a no-op under a source owner: every rank
-	// generates its own share of every unfinished tile there, so there is
-	// no producer to move.
-	Reassign bool
 }
 
 // Config describes one engine run.
 type Config struct {
 	Plan Plan
-	// Owner names the rank that stores each edge, and by its kind alone
-	// decides where the edge is generated. It is bound once per attempt, so
-	// r-dependent owner parameters resolve at plan time. Under a SourceOwner
-	// (BlockOwner{NC}; also OwnerBySource passed as is) every rank generates
-	// exactly the edges it stores — it walks every tile and expands the rows
-	// it owns straight into its own sink — and nothing is routed, on any
-	// transport. Any other owner — OwnerByEdge, an OwnerByBlock(nC) closure, a
-	// caller's own function — is evaluated once per edge and the edge is
-	// routed over the batched all-to-all exchange. A nil Owner places
+	// Owner names the rank that stores each edge and, by its kind, where the
+	// edge is generated (see Owner). A nil interface (not a typed nil) places
 	// nothing: every edge goes to the sink of the rank whose tile produced
 	// it, with zero communication (count-only and streaming runs).
 	Owner Owner
@@ -260,8 +244,8 @@ type Config struct {
 	// fault schedule (see fault.go) — chaos testing of the teardown,
 	// redelivery and recovery paths. Nil injects nothing.
 	Faults *FaultPlan
-	// Recovery (embedded: MaxRetries, Backoff, Reassign) is the retry
-	// policy; see the Recovery type.
+	// Recovery (embedded: MaxRetries, Backoff) is the retry policy; see the
+	// Recovery type.
 	Recovery
 }
 
@@ -277,12 +261,13 @@ func (cfg Config) batchSize() int {
 // cluster: every rank walks its tiles with a core.TailCursor — one loop
 // for every chain depth — and where an arc is generated is decided by the
 // owner alone. With no owner, ExpandNext fills a reused scratch block that
-// goes to the rank's own sink. With a source owner (sourceOwner) every rank
-// walks every tile and expands only the rows it owns (ownedRows), straight
-// into its own sink: nothing is staged, batched or sent, at any R and on
-// any transport. With any other owner the block is routed edge by edge over
-// the epoch-fenced exchange. Owned batches go to the fenced sink sinkFor
-// returns; perGen/perStored get the per-rank counters.
+// goes to the rank's own sink. With a source form (Owner.BindSource) every
+// rank walks every tile and expands only the rows it owns (ownedRows),
+// straight into its own sink: nothing is staged, batched or sent, at any R
+// and on any transport. Without one the owner is an OwnerFunc and the block
+// is routed edge by edge over the epoch-fenced exchange. Owned batches go
+// to the fenced sink sinkFor returns; perGen/perStored get the per-rank
+// counters.
 //
 // Expansion order is exactly the reference order — head arcs in tile
 // order, each crossed with the tail's composed arcs in lexicographic CSR
@@ -292,13 +277,13 @@ func (cfg Config) batchSize() int {
 // tile checkpoints and prefix-dedup recovery key on; the step size changes
 // polling granularity, never order. A fault-armed run walks the same blocks.
 func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, sinkFor func(*Rank) (*fencedRankSink, error), perGen, perStored []int64, batch int) error {
-	// Bound once per attempt and shared by the ranks: both forms are pure.
-	var bound BoundOwnerFunc
+	// Resolved once per attempt and shared by the ranks: both forms are pure.
 	var bySource func(u int64) int
-	if so := sourceOwner(owner); so != nil {
-		bySource = so.BindSource(c.r)
-	} else if owner != nil {
-		bound = owner.Bind(c.r)
+	var byEdge OwnerFunc
+	if owner != nil {
+		if bySource = owner.BindSource(c.r); bySource == nil {
+			byEdge = owner.(OwnerFunc) // RunCluster refused any other kind
+		}
 	}
 	return c.RunContext(ctx, func(rk *Rank) error {
 		if err := rk.crashAt(FaultBeforeSinkSetup); err != nil {
@@ -313,7 +298,7 @@ func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, si
 		// exchange's buffer size class and checks out of the same freelist
 		// — expansion allocates nothing in steady state and per-rank memory
 		// stays O(|E_A|/R + |E_B| + R·batch) even when this rank's B is large.
-		w := walk{rk: rk, as: as, faults: c.faults, batch: batch, scratch: c.getBuf(batch)}
+		w := walk{rk: rk, as: as, faults: c.faults, batch: batch, scratch: c.getBuf(batch), byEdge: byEdge}
 		switch {
 		case bySource != nil:
 			w.own = &ownedRows{owner: bySource, rank: rk.ID(), batch: batch, scratch: w.scratch}
@@ -321,8 +306,7 @@ func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, si
 			w.scratch = w.own.scratch
 			atomic.AddInt64(&rk.c.stats.OwnerRowsTested, w.own.rows)
 			atomic.AddInt64(&rk.c.stats.ArcsCompacted, w.own.copied)
-		case bound != nil:
-			w.bound = bound
+		case byEdge != nil:
 			w.xErr = rk.exchangeBlocks(batch, func(s *shipper) {
 				w.s = s
 				w.tiles(tiles[rk.ID()])
@@ -378,9 +362,9 @@ type walk struct {
 	batch   int
 	scratch []graph.Edge
 
-	own   *ownedRows     // a source owner's pick; nil otherwise
-	s     *shipper       // the exchange, under any other owner; nil otherwise
-	bound BoundOwnerFunc // the owner s routes by
+	own    *ownedRows // a source owner's pick; nil otherwise
+	s      *shipper   // the exchange, under any other owner; nil otherwise
+	byEdge OwnerFunc  // the owner s routes by
 
 	generated, stored       int64
 	blocks                  uint32 // placed, for the context poll
@@ -468,7 +452,7 @@ func (w *walk) place(tile int, block []graph.Edge) bool {
 	w.generated += int64(len(block))
 	if w.s != nil {
 		w.rk.setPhase(routeLabels)
-		ok := w.s.route(tile, block, w.bound)
+		ok := w.s.route(tile, block, w.byEdge)
 		w.rk.setPhase(expandLabels)
 		if !ok {
 			return false

@@ -25,7 +25,7 @@ const DefaultBatchSize = 1024
 
 // shipper stages outgoing edges into pooled per-destination batch
 // buffers and flushes them through Rank.send — the exchange, which only an
-// owner that is not a source owner reaches (runAttempt). Buffers flush at tile
+// owner without a source form reaches (runAttempt). Buffers flush at tile
 // boundaries (so a batch never mixes tiles — the framing recovering
 // sinks deduplicate on) and at the batch threshold. Each flush hands the
 // staged buffer to the transport, blocking with inline receive progress
@@ -225,16 +225,16 @@ func (s *shipper) flush(to int, eof bool) bool {
 
 // route partitions one expansion block edge by edge — the router, for
 // owners that look at the target too (OwnerByEdge) or are opaque
-// functions: owner is bound at plan time, so the body is the owner call,
-// an append and a threshold check per edge. The tests hold it to stage,
-// their one-edge-at-a-time reference (helpers_test.go).
-func (s *shipper) route(tile int, block []graph.Edge, owner BoundOwnerFunc) bool {
+// functions: the body is the owner call, an append and a threshold check
+// per edge. The tests hold it to stage, their one-edge-at-a-time reference
+// (helpers_test.go).
+func (s *shipper) route(tile int, block []graph.Edge, owner OwnerFunc) bool {
 	if s.aborted {
 		return false
 	}
-	bufs, tiles := s.bufs, s.tile
+	bufs, tiles, r := s.bufs, s.tile, s.c.r
 	for _, e := range block {
-		to := owner(e.U, e.V)
+		to := owner(e.U, e.V, r)
 		b := bufs[to]
 		if len(b) == 0 {
 			if b == nil {
@@ -315,62 +315,35 @@ func (rk *Rank) exchangeBlocks(batch int, produce func(s *shipper), handle func(
 
 // OwnerFunc maps a product edge to the rank that stores it, given the
 // cluster size. The paper leaves the storage mapping open ("some mapping
-// scheme"); the functions below provide the common choices. An OwnerFunc
-// is an Owner: its generic Bind closes over r. The engine cannot see
-// inside a function value, so an OwnerFunc is asked about every edge and
-// its edges cross the exchange — with one exception, the package's own
-// OwnerBySource, which it recognises. Owners of the source alone should
-// implement SourceOwner, and nothing is routed at all — see BlockOwner.
+// scheme"); the functions below provide the common choices. The engine
+// cannot see inside a function value, so an OwnerFunc is called once per
+// edge and its edges cross the exchange — but for OwnerBySource, whose
+// source form the engine knows (BindSource).
 type OwnerFunc func(u, v int64, r int) int
 
-// BoundOwnerFunc is an owner map with the cluster size already resolved —
-// what the router calls once per edge.
-type BoundOwnerFunc func(u, v int64) int
-
-// Owner maps generated edges to storing ranks. Bind is called once per
-// run attempt with the cluster size, so implementations resolve every
-// r-dependent parameter at plan time and return pure per-edge
-// arithmetic. Config.Owner must be a nil interface (not a typed nil) to
-// disable routing.
+// Owner maps generated edges to storing ranks, and whether it has a source
+// form decides where they are generated. BindSource, asked once per run
+// attempt, returns the map at r ranks as a pure function of the source
+// (BlockOwner; OwnerBySource passed as is), and then nothing is routed:
+// every rank walks every tile and generates the CSR rows it owns straight
+// into its own sink (ownedRows) — the paper's Sec. III "generate only the
+// edges it must store" — at the price of stepping over every sweep of every
+// tile. It returns nil when the owner reads the target too, which only an
+// OwnerFunc may do (RunCluster refuses any other kind): OwnerByEdge, an
+// OwnerByBlock(nC) closure or a caller's own function is called once per
+// edge, and the edge is routed over the batched all-to-all exchange.
 type Owner interface {
-	Bind(r int) BoundOwnerFunc
-}
-
-// SourceOwner is an Owner that places an edge by its source alone — 1D
-// vertex partitioning in any form. An implementer promises that for
-// every r, u and v, BindSource(r)(u) == Bind(r)(u, v), and that the
-// returned function is pure. In exchange the engine does not route: every
-// rank walks every tile, asks for the owner once per non-empty CSR row of
-// the innermost factor per change of source base, and generates the rows
-// it owns straight into its own sink (ownedRows) — the paper's Sec. III
-// "generate only the edges it must store". What reaches each rank per tile,
-// and in what order, is what routing delivered; no message is sent. The
-// price: a rank steps over every sweep of every tile, owned or not, and
-// holds one more copy of its share of the innermost factor.
-type SourceOwner interface {
-	Owner
 	BindSource(r int) func(u int64) int
 }
 
-// sourceOwner returns o's source-keyed form — non-nil exactly when the run
-// generates where it stores instead of routing: the one rule, read from the
-// owner alone, by runAttempt (placement), rankHost.resolveTiles (the tiles a
-// rank walks) and the head (no reassignment).
-func sourceOwner(o Owner) SourceOwner {
-	so, _ := resolveOwner(o).(SourceOwner)
-	return so
-}
-
-// bindBySource derives a SourceOwner's Bind from its BindSource, so the
-// two forms cannot disagree.
-func bindBySource(o SourceOwner, r int) BoundOwnerFunc {
-	f := o.BindSource(r)
-	return func(u, _ int64) int { return f(u) }
-}
-
-// Bind implements Owner by closing over r.
-func (f OwnerFunc) Bind(r int) BoundOwnerFunc {
-	return func(u, v int64) int { return f(u, v, r) }
+// BindSource implements Owner: store.BySource bound to r for OwnerBySource,
+// recognised by code pointer (a closure with the same body stays opaque),
+// and nil for any other function.
+func (f OwnerFunc) BindSource(r int) func(u int64) int {
+	if reflect.ValueOf(f).Pointer() != ownerBySourcePC {
+		return nil
+	}
+	return func(u int64) int { return store.BySource(u, 0, r) }
 }
 
 // OwnerBySource assigns edges to ranks by a multiplicative hash of the
@@ -378,39 +351,13 @@ func (f OwnerFunc) Bind(r int) BoundOwnerFunc {
 // shard map of internal/store: it is store.BySource, the map's one
 // definition, which keeps the hash's high bits so that every rank owns 1/r
 // of the arcs but for the hubs' share. Passed as is (not wrapped in another
-// function), it is a SourceOwner: nothing is routed.
+// function), it has a source form: nothing is routed.
 var OwnerBySource OwnerFunc = store.BySource
 
 // ownerBySourcePC is OwnerBySource's code pointer, what recognition
 // compares against: func values are not comparable in Go, and
 // OwnerBySource has to stay a plain OwnerFunc value for its callers.
 var ownerBySourcePC = reflect.ValueOf(OwnerBySource).Pointer()
-
-// resolveOwner returns the owner the engine places with: the package's
-// OwnerBySource value becomes its SourceOwner form, everything else is
-// returned as is. Recognition is by code pointer, once per attempt: a
-// closure with the same body, or any other OwnerFunc, stays opaque and
-// per-edge.
-func resolveOwner(o Owner) Owner {
-	if f, ok := o.(OwnerFunc); ok && reflect.ValueOf(f).Pointer() == ownerBySourcePC {
-		return sourceHashOwner{}
-	}
-	return o
-}
-
-// sourceHashOwner is OwnerBySource as a SourceOwner: the hash with r
-// resolved, keyed by the source. The engine places with it whenever it is
-// handed OwnerBySource (resolveOwner), and GenerateChain substitutes it for
-// a nil owner; both forms call the one function.
-type sourceHashOwner struct{}
-
-// BindSource implements SourceOwner.
-func (sourceHashOwner) BindSource(r int) func(u int64) int {
-	return func(u int64) int { return store.BySource(u, 0, r) }
-}
-
-// Bind implements Owner.
-func (o sourceHashOwner) Bind(r int) BoundOwnerFunc { return bindBySource(o, r) }
 
 // OwnerByEdge hashes both endpoints, spreading even a single hub vertex's
 // edges across ranks (2D-style edge partitioning): the two endpoints'
@@ -426,14 +373,14 @@ var OwnerByEdge OwnerFunc = func(u, v int64, r int) int {
 
 // BlockOwner assigns contiguous source-vertex blocks of size ⌈NC/r⌉ —
 // the layout a CSR-partitioned distributed graph store would use. It is
-// the plan-resolved form of OwnerByBlock and a SourceOwner: the block
+// the plan-resolved form of OwnerByBlock and a map of the source: the block
 // size is fixed once per attempt, and a rank copies nothing for a sweep
 // its block covers and steps over one it has no row of.
 type BlockOwner struct {
 	NC int64 // product vertex count n_A·n_B
 }
 
-// BindSource implements SourceOwner.
+// BindSource implements Owner.
 func (o BlockOwner) BindSource(r int) func(u int64) int {
 	per := (o.NC + int64(r) - 1) / int64(r)
 	last := r - 1
@@ -445,9 +392,6 @@ func (o BlockOwner) BindSource(r int) func(u int64) int {
 		return d
 	}
 }
-
-// Bind implements Owner.
-func (o BlockOwner) Bind(r int) BoundOwnerFunc { return bindBySource(o, r) }
 
 // OwnerByBlock is BlockOwner in OwnerFunc form, for callers that carry
 // owner maps as plain functions. The block size is recomputed per call

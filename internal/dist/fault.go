@@ -72,7 +72,7 @@ func (p FaultPoint) String() string {
 // RankCrashError is the loud failure a crashed rank reports. The run's
 // error chain carries it so callers can tell an injected (or simulated
 // real) rank death apart from ordinary cancellation — and so the run
-// supervisor knows which rank to respawn or strip of its tiles.
+// supervisor knows which rank to blame for the retry.
 type RankCrashError struct {
 	Rank  int
 	Point FaultPoint
@@ -120,8 +120,9 @@ type LinkFault struct {
 // many hits of the point the rank survives before dying (0 = die at the
 // first hit). A crash is one-shot — the hit that exhausts the countdown
 // fires it, later hits pass — unless Repeat marks the rank permanently
-// broken, in which case every hit past the countdown crashes it again
-// (the scenario tile reassignment recovers from and respawning cannot).
+// broken, in which case every hit past the countdown crashes it again: a
+// respawn replays the rank's tiles on the same rank, so such a run fails
+// loudly once the retry budget is spent.
 type CrashSpec struct {
 	Rank   int
 	Point  FaultPoint
@@ -190,18 +191,11 @@ type FaultPlan struct {
 	// transport only and are ignored by cluster mode; TCP is ignored by
 	// in-process runs.
 	TCP transport.TCPFaults
-
-	// CrashRank, CrashPoint and CrashAfter are the legacy single-crash
-	// form, folded into Crashes when CrashPoint != FaultNone.
-	CrashRank  int
-	CrashPoint FaultPoint
-	CrashAfter int64
 }
 
 // faultState is the armed form of a FaultPlan inside a Cluster.
 type faultState struct {
-	plan  FaultPlan
-	specs []CrashSpec
+	plan FaultPlan
 	// rngs are per sending rank and touched only by that rank's body
 	// goroutine (the only goroutine that sends), so no locking is needed.
 	rngs      []*rand.Rand
@@ -217,13 +211,8 @@ type faultState struct {
 }
 
 func newFaultState(plan FaultPlan, r int) *faultState {
-	specs := append([]CrashSpec(nil), plan.Crashes...)
-	if plan.CrashPoint != FaultNone {
-		specs = append(specs, CrashSpec{Rank: plan.CrashRank, Point: plan.CrashPoint, After: plan.CrashAfter})
-	}
-	s := &faultState{plan: plan, specs: specs,
-		rngs: make([]*rand.Rand, r), crashLeft: make([]int64, len(specs))}
-	for i, sp := range specs {
+	s := &faultState{plan: plan, rngs: make([]*rand.Rand, r), crashLeft: make([]int64, len(plan.Crashes))}
+	for i, sp := range plan.Crashes {
 		s.crashLeft[i] = sp.After + 1
 	}
 	s.reset()
@@ -250,12 +239,12 @@ func (s *faultState) reset() {
 // included, as they would one hit at a time.
 func (s *faultState) crashWithin(rank int, p FaultPoint, n int64) (int64, error) {
 	fire := n + 1 // the first hit that fires a spec; n+1 when none does
-	for i, sp := range s.specs {
+	for i, sp := range s.plan.Crashes {
 		if left := atomic.LoadInt64(&s.crashLeft[i]); sp.Point == p && sp.Rank == rank && (left >= 1 || sp.Repeat) {
 			fire = min(fire, max(left, 1))
 		}
 	}
-	for i, sp := range s.specs {
+	for i, sp := range s.plan.Crashes {
 		if sp.Point == p && sp.Rank == rank {
 			atomic.AddInt64(&s.crashLeft[i], -min(fire, n))
 		}

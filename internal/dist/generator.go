@@ -69,22 +69,20 @@ func PartitionArcs(arcs []graph.Edge, parts int) [][]graph.Edge {
 // paper's Sec. III 1D partitioning, crossed with parts of the first tail
 // factor under Rem. 1's 2D grid (twoD) — each rank folds the replicated
 // tail lazily through the chain kernel, and every edge is stored at
-// owner(u, v, r) (nil: OwnerBySource — a source owner, under which each
-// rank generates what it stores; any other function is routed to). Per-rank
-// memory is O(|E_A₁|/R + Σ|E_tail| + stored), time O(|E_C|/R).
+// owner(u, v, r) (nil: OwnerBySource — the one OwnerFunc with a source
+// form, under which each rank generates what it stores; any other function
+// is routed to). Per-rank memory is O(|E_A₁|/R + Σ|E_tail| + stored), time
+// O(|E_C|/R).
 func GenerateChain(ch *core.Chain, r int, owner OwnerFunc, twoD bool) (*Result, error) {
-	// A nil owner means OwnerBySource, and naming the default must not
-	// cost its exact sizing: both become the source-keyed form here.
 	if owner == nil {
-		return generateChain(ch, r, sourceHashOwner{}, twoD)
+		owner = OwnerBySource
 	}
-	return generateChain(ch, r, resolveOwner(owner), twoD)
+	return generateChain(ch, r, owner, twoD)
 }
 
 // generateChain is GenerateChain for any Owner (GenerateOwned's BlockOwner
 // is not a function).
 func generateChain(ch *core.Chain, r int, ownr Owner, twoD bool) (*Result, error) {
-	_, bySourceHash := ownr.(sourceHashOwner)
 	plan, err := planForChain(ch, r, twoD)
 	if err != nil {
 		return nil, err
@@ -106,8 +104,10 @@ func generateChain(ch *core.Chain, r int, ownr Owner, twoD bool) (*Result, error
 	// expansion. A hashed share is never exactly 1/r (the hubs' arcs land
 	// whole, a percent of skew at r = 16 and tens at r ≥ 64), so the
 	// ideal-share hint under-sizes the busier ranks and each pays one
-	// growslice doubling of its whole buffer.
-	if limit, ok := core.CheckedMul(4, arcs); bySourceHash && ok && plan.NC <= limit {
+	// growslice doubling of its whole buffer. (OwnerBySource, named or by
+	// default, is the one OwnerFunc with a source form.)
+	f, _ := ownr.(OwnerFunc)
+	if limit, ok := core.CheckedMul(4, arcs); f.BindSource(r) != nil && ok && plan.NC <= limit {
 		sink.Hints = chainSourceHashLoads(ch, r)
 	} else {
 		sink.Hint = arcs/int64(r) + 1
@@ -126,7 +126,6 @@ func generateChain(ch *core.Chain, r int, ownr Owner, twoD bool) (*Result, error
 // mixed-radix digit space.
 func chainSourceHashLoads(ch *core.Chain, r int) []int64 {
 	loads := make([]int64, r)
-	owner := sourceHashOwner{}.BindSource(r)
 	factors := ch.Factors()
 	ci := ch.Index()
 	var rec func(d int, base, deg int64)
@@ -136,7 +135,7 @@ func chainSourceHashLoads(ch *core.Chain, r int) []int64 {
 		if d == len(factors)-1 {
 			for k := int64(0); k < n; k++ {
 				if dk := g.Degree(k); dk > 0 {
-					loads[owner(base+k)] += deg * dk
+					loads[store.BySource(base+k, 0, r)] += deg * dk
 				}
 			}
 			return

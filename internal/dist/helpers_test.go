@@ -26,6 +26,17 @@ func mustGraph(n int64, arcs []graph.Edge) *graph.Graph {
 	return g
 }
 
+// placer is o's answer for an arc at r ranks through the form the engine
+// places with — its source form where it has one, the OwnerFunc otherwise —
+// what the tests hold stored arcs and crash targets to.
+func placer(o Owner, r int) func(u, v int64) int {
+	if bySource := o.BindSource(r); bySource != nil {
+		return func(u, _ int64) int { return bySource(u) }
+	}
+	f := o.(OwnerFunc)
+	return func(u, v int64) int { return f(u, v, r) }
+}
+
 // countOnly expands the chain on r ranks into a CountSink — no routing, no
 // storage — and returns the number of edges the sink counted.
 func countOnly(ch *core.Chain, r int, twoD bool) (int64, error) {

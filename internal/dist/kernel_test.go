@@ -65,8 +65,8 @@ func midRunWindow(t *testing.T, arcs []graph.Edge) (lo, hi int) {
 // tile-boundary and threshold path taken) and small odd values that
 // misalign batches with blocks, tiles and source runs. The owners cover
 // all three routing forms: a v-dependent OwnerFunc (per-edge loop), a
-// SourceOwner, and OwnerBySource as the plain OwnerFunc value every
-// caller passes (recognised, run-routed). The windowed cases slice the
+// map of the source (BlockOwner), and OwnerBySource as the plain OwnerFunc
+// value every caller passes (recognised: generated where it is stored). The windowed cases slice the
 // 1D plan — whose stream order is the serial order — so that Skip and
 // Take both cut a run; on the two-factor chain that is
 // core.TailCursor.SeekTo over a one-factor tail.
@@ -129,7 +129,7 @@ func TestKernelEquivalence(t *testing.T) {
 						}
 						assertSameOrder(t, "sorted arcs", sortedArcs(mergedArcs(ms)), want)
 						if cfg.Owner != nil {
-							assertPlacement(t, ms, cfg.Owner.Bind(r))
+							assertPlacement(t, ms, cfg.Owner)
 						}
 					})
 				}
@@ -140,11 +140,12 @@ func TestKernelEquivalence(t *testing.T) {
 
 // assertPlacement checks that every arc a routed run stored sits on the
 // rank the owner map names.
-func assertPlacement(t *testing.T, ms *MemorySink, owner BoundOwnerFunc) {
+func assertPlacement(t *testing.T, ms *MemorySink, owner Owner) {
 	t.Helper()
+	place := placer(owner, len(ms.PerRank))
 	for rank, arcs := range ms.PerRank {
 		for _, e := range arcs {
-			if to := owner(e.U, e.V); to != rank {
+			if to := place(e.U, e.V); to != rank {
 				t.Fatalf("arc %v stored on rank %d, owner says %d", e, rank, to)
 			}
 		}

@@ -72,16 +72,13 @@ func (t *tileRecorderRank) Close() error { return nil }
 type starvedOwner struct{}
 
 func (starvedOwner) BindSource(r int) func(u int64) int {
-	f := sourceHashOwner{}.BindSource(r)
 	return func(u int64) int {
-		if to := f(u); to != 1 {
+		if to := store.BySource(u, 0, r); to != 1 {
 			return to
 		}
 		return 0
 	}
 }
-
-func (o starvedOwner) Bind(r int) BoundOwnerFunc { return bindBySource(o, r) }
 
 // ownedReference is what the per-edge exchange delivers each rank of the
 // plan under a source owner: every tile's stream — core.Chain.Arcs of the
@@ -148,11 +145,11 @@ func TestOwnerSideMatchesPerEdgeExchange(t *testing.T) {
 	}
 	owners := []struct {
 		name  string
-		owner func(nC int64) SourceOwner
+		owner func(nC int64) Owner
 	}{
-		{"hash", func(int64) SourceOwner { return sourceHashOwner{} }},
-		{"block", func(nC int64) SourceOwner { return BlockOwner{NC: nC} }},
-		{"starved", func(int64) SourceOwner { return starvedOwner{} }},
+		{"hash", func(int64) Owner { return OwnerBySource }},
+		{"block", func(nC int64) Owner { return BlockOwner{NC: nC} }},
+		{"starved", func(int64) Owner { return starvedOwner{} }},
 	}
 	for _, sh := range shapes {
 		sh := sh
@@ -268,7 +265,7 @@ func TestOwnedRowsBothForms(t *testing.T) {
 			lo, hi := midRow(1, len(serial)/3), midRow(2*len(serial)/3, len(serial))
 			for _, win := range [][2]int{{0, len(serial)}, {lo, hi}} {
 				tile := Tile{AArcs: f[0].ArcSlice(), Tail: f[1:], Skip: int64(win[0]), Take: int64(win[1] - win[0])}
-				for _, so := range []SourceOwner{sourceHashOwner{}, BlockOwner{NC: sh.ch.NumVertices()}} {
+				for _, so := range []Owner{OwnerBySource, BlockOwner{NC: sh.ch.NumVertices()}} {
 					for _, r := range []int{1, 2, 3, 16} {
 						owner := so.BindSource(r)
 						for rank := 0; rank < r; rank++ {
@@ -468,12 +465,11 @@ func TestGenerateChainPerRankCanonicalOrder(t *testing.T) {
 	}
 }
 
-// TestOwnerSideCountersAndReassign: what placing cost shows in Stats — the
-// owner is asked once per non-empty row of the innermost factor per change
-// of source base, by every rank, and a rank that owns only some rows copies
-// exactly those — and Reassign moves nothing under a source owner, whose
-// ranks each walk every tile whichever rank it was planned on.
-func TestOwnerSideCountersAndReassign(t *testing.T) {
+// TestOwnerSideCounters: what placing cost shows in Stats — the owner is
+// asked once per non-empty row of the innermost factor per change of source
+// base, by every rank, and a rank that owns only some rows copies exactly
+// those — and a recovering run books its one retry on the crashed rank.
+func TestOwnerSideCounters(t *testing.T) {
 	a, b := gen.PrefAttach(8, 2, 481), gen.ER(7, 0.5, 482)
 	const r = 4
 	plan, err := PlanChain1D(mustChain(a, b), r)
@@ -517,17 +513,17 @@ func TestOwnerSideCountersAndReassign(t *testing.T) {
 		}
 	}
 
-	rank, work := busiestOwner(mustProduct(t, a, b), OwnerBySource.Bind(r), r)
+	rank, work := busiestOwner(mustProduct(t, a, b), OwnerBySource, r)
 	rs, err := Run(context.Background(), Config{
 		Plan: plan, Owner: OwnerBySource, Sink: NewMemorySink(r),
 		Faults:   &FaultPlan{Seed: 483, Crashes: []CrashSpec{{Rank: rank, Point: FaultMidExpansion, After: work / 2}}},
-		Recovery: Recovery{MaxRetries: 1, Reassign: true},
+		Recovery: Recovery{MaxRetries: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.TilesReassigned != 0 || rs.RecoveredRuns != 1 || rs.RetriesPerRank[rank] != 1 {
-		t.Fatalf("TilesReassigned = %d, RecoveredRuns = %d, RetriesPerRank = %v; want 0, 1 and the retry on rank %d", rs.TilesReassigned, rs.RecoveredRuns, rs.RetriesPerRank, rank)
+	if rs.RecoveredRuns != 1 || rs.RetriesPerRank[rank] != 1 {
+		t.Fatalf("RecoveredRuns = %d, RetriesPerRank = %v; want 1 and the retry on rank %d", rs.RecoveredRuns, rs.RetriesPerRank, rank)
 	}
 }
 
@@ -624,7 +620,7 @@ func (t *sharesStoredRankSink) StoreBlock(edges []graph.Edge) (int64, error) {
 // product; only the tiles with arcs on the dead process's ranks replay
 // (every rank walks them again: the head's ranks regenerate what they hold
 // of them and the fence suppresses it, the respawned ranks store their
-// share anew); nothing is reassigned and nothing is routed.
+// share anew); nothing is routed.
 func TestClusterOwnedDeathRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process test")
@@ -643,7 +639,7 @@ func TestClusterOwnedDeathRecovery(t *testing.T) {
 
 	// Closed form of what each rank stores of each tile, and from it what
 	// recovery has to do.
-	owner := cfg.Owner.Bind(r)
+	owner := placer(cfg.Owner, r)
 	share := make([]int64, r)
 	var replayArcs, replayDup, headShare int64
 	replayed, tiles := 0, 0
@@ -721,9 +717,9 @@ func TestClusterOwnedDeathRecovery(t *testing.T) {
 	var stats Stats
 	awaitCluster(t, goHead(ctx, ClusterConfig{Procs: procs, Self: 0, Node: node}, cfg, &stats), exits, 1)
 
-	if stats.RecoveredRuns != 1 || stats.TotalRetries() != 1 || stats.RetriesPerRank[dead.Lo] != 1 || stats.TilesReassigned != 0 {
-		t.Fatalf("RecoveredRuns = %d, RetriesPerRank = %v, TilesReassigned = %d; want one recovering retry on rank %d and nothing moved",
-			stats.RecoveredRuns, stats.RetriesPerRank, stats.TilesReassigned, dead.Lo)
+	if stats.RecoveredRuns != 1 || stats.TotalRetries() != 1 || stats.RetriesPerRank[dead.Lo] != 1 {
+		t.Fatalf("RecoveredRuns = %d, RetriesPerRank = %v; want one recovering retry on rank %d",
+			stats.RecoveredRuns, stats.RetriesPerRank, dead.Lo)
 	}
 	if stats.Messages != 0 || stats.EdgesRouted != 0 {
 		t.Fatalf("a source-owner cluster run sent %d messages, %d edges", stats.Messages, stats.EdgesRouted)

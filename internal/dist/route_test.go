@@ -2,8 +2,8 @@ package dist
 
 // Shipper-level tests of the router: the per-edge loop (route) against the
 // per-edge reference (stage), over the same tiles, message for message; and
-// the SourceOwner contract owner-side generation rests on, including which
-// OwnerFunc values are recognised.
+// the owner contract owner-side generation rests on: each source form agrees
+// with its OwnerFunc twin, and exactly one OwnerFunc value has a source form.
 
 import (
 	"context"
@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"kronlab/internal/core"
@@ -147,10 +148,10 @@ func viaBlock(scratch *[]graph.Edge, place func(s *shipper, tile int, block []gr
 }
 
 // stageEach is the per-edge reference: stage, one call per edge.
-func stageEach(bound BoundOwnerFunc) func(s *shipper, tile int, block []graph.Edge) bool {
+func stageEach(owner OwnerFunc) func(s *shipper, tile int, block []graph.Edge) bool {
 	return func(s *shipper, tile int, block []graph.Edge) bool {
 		for _, e := range block {
-			if !s.stage(bound(e.U, e.V), tile, e) {
+			if !s.stage(owner(e.U, e.V, s.c.r), tile, e) {
 				return false
 			}
 		}
@@ -195,8 +196,9 @@ func routeAll(t *testing.T, r, batch int, work []tileWork, chunk int, step route
 // step ends as well as by batches that do (1) and do not (3, 5, 7, 64,
 // 1024) divide them; the k = 3 shape puts an odometer step between the rows
 // and gives the innermost factor isolated vertices. (The owners are the
-// source-keyed ones in their per-edge form: what they place where is also
-// the reference owner-side generation is held to, in owned_test.go.)
+// source maps' OwnerFunc twins, OwnerBySource and OwnerByBlock: what they
+// place where is also the reference owner-side generation is held to, in
+// owned_test.go.)
 func TestRouteRunsEquivalence(t *testing.T) {
 	a := gen.MustRMAT(gen.Graph500Params(4, 431))
 	b := gen.MustRMAT(gen.Graph500Params(5, 432))
@@ -221,21 +223,20 @@ func TestRouteRunsEquivalence(t *testing.T) {
 	for _, sh := range shapes {
 		owners := []struct {
 			name  string
-			owner SourceOwner
+			owner OwnerFunc
 		}{
-			{"bySource", sourceHashOwner{}},
-			{"blockBound", BlockOwner{NC: sh.nC}},
+			{"bySource", OwnerBySource},
+			{"blockBound", OwnerByBlock(sh.nC)},
 		}
 		for _, chunk := range []int{7, 64} {
 			for _, o := range owners {
 				for _, r := range []int{1, 2, 3, 16} {
 					for _, batch := range []int{1, 3, 5, 7, 64, DefaultBatchSize} {
 						t.Run(fmt.Sprintf("%s%s_chunk%d_r%d_batch%d", sh.name, o.name, chunk, r, batch), func(t *testing.T) {
-							bound := o.owner.Bind(r)
 							var scratch []graph.Edge
-							want, wantSt := routeAll(t, r, batch, sh.work, chunk, viaBlock(&scratch, stageEach(bound)))
+							want, wantSt := routeAll(t, r, batch, sh.work, chunk, viaBlock(&scratch, stageEach(o.owner)))
 							got, gotSt := routeAll(t, r, batch, sh.work, chunk, viaBlock(&scratch, func(s *shipper, tile int, block []graph.Edge) bool {
-								return s.route(tile, block, bound)
+								return s.route(tile, block, o.owner)
 							}))
 							if !reflect.DeepEqual(got, want) {
 								t.Fatal("route: per-destination message sequences differ from the per-edge reference")
@@ -253,23 +254,28 @@ func TestRouteRunsEquivalence(t *testing.T) {
 	}
 }
 
-// TestSourceOwnerContract checks the promise every SourceOwner in the
-// package makes: the source-keyed form and the edge form name the same
-// rank, whatever the target.
+// TestSourceOwnerContract checks that each source map in the package names
+// the rank its OwnerFunc twin does, whatever the target: BlockOwner{nC} and
+// OwnerByBlock(nC), and OwnerBySource's source form and OwnerBySource
+// itself — the twins bench's owned-over-routed ratio compares.
 func TestSourceOwnerContract(t *testing.T) {
 	const nC = int64(1) << 20
-	owners := map[string]SourceOwner{
-		"sourceHashOwner": sourceHashOwner{},
-		"BlockOwner":      BlockOwner{NC: nC},
+	twins := []struct {
+		name     string
+		bySource Owner
+		byEdge   OwnerFunc
+	}{
+		{"block", BlockOwner{NC: nC}, OwnerByBlock(nC)},
+		{"hash", OwnerBySource, OwnerBySource},
 	}
 	rng := rand.New(rand.NewSource(441))
-	for name, o := range owners {
-		for _, r := range []int{1, 2, 3, 7, 16} {
-			bound, bySource := o.Bind(r), o.BindSource(r)
-			for i := 0; i < 2000; i++ {
+	for _, tw := range twins {
+		for r := 1; r <= 64; r++ {
+			bySource := tw.bySource.BindSource(r)
+			for i := 0; i < 500; i++ {
 				u, v := rng.Int63n(nC), rng.Int63n(nC)
-				if s, e := bySource(u), bound(u, v); s != e || s < 0 || s >= r {
-					t.Fatalf("%s r=%d (%d,%d): BindSource says %d, Bind says %d", name, r, u, v, s, e)
+				if s, e := bySource(u), tw.byEdge(u, v, r); s != e || s < 0 || s >= r {
+					t.Fatalf("%s r=%d (%d,%d): the source form says %d, the OwnerFunc %d", tw.name, r, u, v, s, e)
 				}
 			}
 		}
@@ -277,18 +283,17 @@ func TestSourceOwnerContract(t *testing.T) {
 }
 
 // TestOwnerBySourceRecognition pins recognition to exactly one value:
-// the package's OwnerBySource resolves to a SourceOwner that agrees with
-// calling it; a closure with the same body and an OwnerByBlock closure —
-// both functions of the source alone, but opaque — do not, and a run
-// routed by them still places every arc where the function says.
+// the package's OwnerBySource has a source form that agrees with calling
+// it; a closure with the same body and an OwnerByBlock closure — both
+// functions of the source alone, but opaque — have none, and a run routed
+// by them still places every arc where the function says.
 func TestOwnerBySourceRecognition(t *testing.T) {
-	so, ok := resolveOwner(OwnerBySource).(SourceOwner)
-	if !ok {
+	if OwnerBySource.BindSource(1) == nil {
 		t.Fatal("OwnerBySource was not recognised as source-keyed")
 	}
 	rng := rand.New(rand.NewSource(442))
 	for _, r := range []int{1, 2, 3, 7, 16} {
-		bySource := so.BindSource(r)
+		bySource := OwnerBySource.BindSource(r)
 		for i := 0; i < 2000; i++ {
 			u, v := rng.Int63(), rng.Int63()
 			if got, want := bySource(u), OwnerBySource(u, v, r); got != want {
@@ -309,7 +314,7 @@ func TestOwnerBySourceRecognition(t *testing.T) {
 		"byEdge":  OwnerByEdge,
 	}
 	for name, f := range opaque {
-		if _, ok := resolveOwner(f).(SourceOwner); ok {
+		if f.BindSource(r) != nil {
 			t.Fatalf("%s: an opaque OwnerFunc was taken for source-keyed", name)
 		}
 		res, err := GenerateChain(ch, r, f, false)
@@ -318,7 +323,26 @@ func TestOwnerBySourceRecognition(t *testing.T) {
 		}
 		ms := &MemorySink{PerRank: res.PerRank}
 		assertSameOrder(t, name, sortedArcs(mergedArcs(ms)), want)
-		assertPlacement(t, ms, f.Bind(r))
+		assertPlacement(t, ms, f)
+	}
+}
+
+// targetOwner answers BindSource with nil, so it claims to read the target,
+// but it is not an OwnerFunc: the router would have nothing to call.
+type targetOwner struct{}
+
+func (targetOwner) BindSource(int) func(u int64) int { return nil }
+
+// TestRunRefusesOwnerWithoutForm: an owner without a source form must be an
+// OwnerFunc; any other type is refused, by name, before anything runs.
+func TestRunRefusesOwnerWithoutForm(t *testing.T) {
+	plan, err := PlanChain1D(mustChain(gen.ER(5, 0.5, 445)), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(context.Background(), Config{Plan: plan, Owner: targetOwner{}, Sink: &CountSink{}})
+	if err == nil || !strings.Contains(err.Error(), "targetOwner") {
+		t.Fatalf("Run with a %T returned %v, want an error naming the type", targetOwner{}, err)
 	}
 }
 
@@ -379,12 +403,12 @@ func TestOwnerMapsBalance(t *testing.T) {
 // TestOwnerMapsRange: both hashed maps answer in [0, r) for every r ≥ 1 and
 // every source an int64 holds — the high-word reduction needs no power of
 // two and no headroom — and the source map's three spellings (the store's
-// shard map, the OwnerFunc, the bound SourceOwner) are one function.
+// shard map, the OwnerFunc, its source form) are one function.
 func TestOwnerMapsRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(454))
 	ends := []int64{0, 1, 1<<31 - 1, 1 << 32, 1 << 62, math.MaxInt64 - 1, math.MaxInt64}
 	for _, r := range []int{1, 2, 3, 7, 16, 9999} {
-		bound := sourceHashOwner{}.BindSource(r)
+		bound := OwnerBySource.BindSource(r)
 		for i := 0; i < 2000+len(ends); i++ {
 			u, v := rng.Int63(), rng.Int63()
 			if i < len(ends) {
@@ -477,7 +501,7 @@ func TestFaultArmedRunMatchesCleanRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		victim, routed := o.r-1, o.owner != nil && sourceOwner(o.owner) == nil
+		victim, routed := o.r-1, o.owner != nil && o.owner.BindSource(o.r) == nil
 		for _, batch := range []int{1, 5, DefaultBatchSize} {
 			run := func(faults *FaultPlan, retries int) ([]sentMsg, Stats, error) {
 				rec := &callRecorder{calls: make([][]sentMsg, o.r)}

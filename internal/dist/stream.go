@@ -46,9 +46,7 @@ const DefaultStreamBatch = 1024
 // rec is the retry policy (see Recovery). A recovered stream delivers
 // every edge exactly once: the fenced sinks suppress replayed prefixes,
 // and a tile commits only once the consumer has all of it (see
-// streamRankSink). Recovery.Reassign is forced off: ordered delivery pins
-// each tile to its planned rank, so recovery respawns the crashed rank's
-// assignment instead of moving tiles.
+// streamRankSink).
 func StreamChainFrom(ctx context.Context, ch *core.Chain, r int, twoD bool, batch int, offset, limit int64, rec Recovery, emit func([]graph.Edge) error) (Stats, error) {
 	if r < 1 {
 		return Stats{}, fmt.Errorf("dist: stream needs ≥ 1 rank, got %d", r)
@@ -66,7 +64,6 @@ func streamPlan(ctx context.Context, plan Plan, batch int, rec Recovery, faults 
 	if batch <= 0 {
 		batch = DefaultStreamBatch
 	}
-	rec.Reassign = false
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 

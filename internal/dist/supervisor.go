@@ -18,9 +18,9 @@ package dist
 //     attempt.
 //   - On a recoverable fault (RankCrashError, MessageLostError, PeerError)
 //     the failed attempt's partial progress is harvested, the failed rank
-//     is respawned — or, with Recovery.Reassign, stripped of its unfinished
-//     tiles, which are moved round-robin to the survivors — and the
-//     uncommitted tiles are replayed after an exponential backoff.
+//     is respawned, and the uncommitted tiles are replayed after an
+//     exponential backoff — each on the ranks the plan gave it: placement is
+//     decided once, from the plan and the owner, and no attempt moves a tile.
 //   - Replay is exactly-once by deterministic prefix deduplication: a
 //     tile's expansion order is fixed, owner routing is pure, and
 //     per-sender channel delivery is FIFO, so the substream of a tile
@@ -46,10 +46,10 @@ import (
 // tileState is the checkpoint record of one plan tile.
 type tileState struct {
 	tile  Tile
-	owner int // rank currently assigned to expand the tile
+	owner int // the rank the plan gave the tile
 	// stored[d] counts the tile's edges durably stored by rank d's sink —
 	// the owning rank under an owner map (routed to, or generated there),
-	// the producing rank on runs without one. Written only between attempts.
+	// the planned rank on runs without one. Written only between attempts.
 	stored    []int64
 	committed bool
 }
@@ -66,13 +66,12 @@ func (ts *tileState) storedTotal() int64 {
 // (which journals it when a ledger is armed). It is touched only between
 // attempts.
 type checkpoints struct {
-	routed bool
-	tiles  []*tileState // plan order: by planned rank, then position
-	byID   map[int]*tileState
+	tiles []*tileState // plan order: by planned rank, then position
+	byID  map[int]*tileState
 }
 
-func newCheckpoints(p Plan, routed bool) *checkpoints {
-	cp := &checkpoints{routed: routed, byID: make(map[int]*tileState)}
+func newCheckpoints(p Plan) *checkpoints {
+	cp := &checkpoints{byID: make(map[int]*tileState)}
 	for rk, ts := range p.Tiles {
 		for _, t := range ts {
 			st := &tileState{tile: t, owner: rk, stored: make([]int64, p.R)}
@@ -115,63 +114,32 @@ func (cp *checkpoints) zeroRanks(lo, hi int) {
 }
 
 // assign recomputes commitment and returns the next attempt's work: the
-// uncommitted tile IDs per rank (under a source owner only their union
-// matters: every rank walks it, see rankHost.resolveTiles), and the prefix
-// each rank's fence must suppress per tile. Runs with an owner map (routed)
-// skip per (tile, storing rank); runs without one skip the tile's full
-// stored total at its current producer (previously stored edges may live
-// in another rank's sink after reassignment — verification merges per-rank
-// outputs, so placement does not matter, only the count).
+// uncommitted tile IDs per planned rank, in plan order (under a source
+// owner only their union matters: every rank walks it, see
+// rankHost.resolveTiles), and the prefix each rank's fence must suppress
+// per tile — the stored prefix of each (tile, storing rank). Producers never
+// move, so under no owner, where the one storing rank is the planned one,
+// that is the tile's whole stored total.
 func (cp *checkpoints) assign() (tiles map[int][]int, skip map[int]map[int]int64) {
 	cp.recommit()
 	tiles = make(map[int][]int)
 	skip = make(map[int]map[int]int64)
-	addSkip := func(rank, tile int, n int64) {
-		if n == 0 {
-			return
-		}
-		if skip[rank] == nil {
-			skip[rank] = make(map[int]int64)
-		}
-		skip[rank][tile] = n
-	}
 	for _, ts := range cp.tiles {
 		if ts.committed {
 			continue
 		}
 		tiles[ts.owner] = append(tiles[ts.owner], ts.tile.ID)
-		if cp.routed {
-			for d, n := range ts.stored {
-				addSkip(d, ts.tile.ID, n)
+		for d, n := range ts.stored {
+			if n == 0 {
+				continue
 			}
-		} else {
-			addSkip(ts.owner, ts.tile.ID, ts.storedTotal())
+			if skip[d] == nil {
+				skip[d] = make(map[int]int64)
+			}
+			skip[d][ts.tile.ID] = n
 		}
 	}
 	return tiles, skip
-}
-
-// reassign moves the blamed rank's uncommitted tiles round-robin to the
-// other r-1 ranks (Recovery.Reassign) and returns how many moved.
-func (cp *checkpoints) reassign(blame, r int) int64 {
-	if r < 2 {
-		return 0
-	}
-	cp.recommit()
-	var moved int64
-	rr := 0
-	for _, ts := range cp.tiles {
-		if ts.committed || ts.owner != blame {
-			continue
-		}
-		if rr == blame {
-			rr = (rr + 1) % r
-		}
-		ts.owner = rr
-		rr = (rr + 1) % r
-		moved++
-	}
-	return moved
 }
 
 // fencedRankSink is the engine's per-rank sink: it suppresses the
@@ -371,7 +339,7 @@ func (h *rankHost) sinkFor(rk *Rank) (*fencedRankSink, error) {
 // message carries all ranks' IDs) in tile-ID order, whoever it names.
 func (h *rankHost) resolveTiles(ids map[int][]int) ([][]Tile, error) {
 	assigned := make([][]Tile, h.cfg.Plan.R)
-	ownerSide := sourceOwner(h.cfg.Owner) != nil
+	ownerSide := h.cfg.Owner != nil && h.cfg.Owner.BindSource(h.cfg.Plan.R) != nil
 	for rk, list := range ids {
 		if ownerSide {
 			rk = h.lo

@@ -352,8 +352,6 @@ func (s *Server) streamChainEdges(w http.ResponseWriter, r *http.Request, gs []*
 		return nil
 	}
 
-	// Reassign is left off: StreamChainFrom pins tiles to their planned
-	// ranks (ordered delivery) and forces it off anyway.
 	recov := dist.Recovery{MaxRetries: s.cfg.GenRetries, Backoff: 5 * time.Millisecond}
 	stats, err := dist.StreamChainFrom(r.Context(), ch, ranks, twoD, 0, offset, streamLimit, recov, emit)
 	s.metrics.AddGenStats(stats)

@@ -51,7 +51,6 @@ type Metrics struct {
 	// Supervised-recovery activity inside generation runs.
 	GenRetries    atomic.Int64
 	GenRecovered  atomic.Int64
-	GenReassigned atomic.Int64
 	GenDupSkipped atomic.Int64
 	GenStale      atomic.Int64
 }
@@ -122,7 +121,6 @@ func (m *Metrics) AddGenStats(st dist.Stats) {
 	m.GenBytes.Add(st.BytesSent)
 	m.GenRetries.Add(st.TotalRetries())
 	m.GenRecovered.Add(st.RecoveredRuns)
-	m.GenReassigned.Add(st.TilesReassigned)
 	m.GenDupSkipped.Add(st.DuplicatesSkipped)
 	m.GenStale.Add(st.StaleBatches)
 }
@@ -199,8 +197,6 @@ func (m *Metrics) WriteText(w io.Writer, cache *SummaryCache, lim *Limiter, fact
 	fmt.Fprintf(w, "kronserve_gen_retries_total %d\n", m.GenRetries.Load())
 	fmt.Fprintf(w, "# TYPE kronserve_gen_recovered_total counter\n")
 	fmt.Fprintf(w, "kronserve_gen_recovered_total %d\n", m.GenRecovered.Load())
-	fmt.Fprintf(w, "# TYPE kronserve_gen_tiles_reassigned_total counter\n")
-	fmt.Fprintf(w, "kronserve_gen_tiles_reassigned_total %d\n", m.GenReassigned.Load())
 	fmt.Fprintf(w, "# TYPE kronserve_gen_duplicates_skipped_total counter\n")
 	fmt.Fprintf(w, "kronserve_gen_duplicates_skipped_total %d\n", m.GenDupSkipped.Load())
 	fmt.Fprintf(w, "# TYPE kronserve_gen_stale_batches_total counter\n")
