@@ -91,14 +91,13 @@ cluster-smoke:
 
 # Placement gate: BenchmarkRoute times owner-side generation (every rank's
 # walk in turn), the same walk at R = 1 (ownerSideOne: one rank owns every
-# row, the pick copies nothing), the per-edge router, the per-edge reference
-# and the bare expansion over the same tiles in one process — every row
-# generates every arc once, so every row includes expansion — so the checks
-# are ratios that survive a change of machine: generating OwnerBySource's
-# arcs where they are stored must cost no more than three times the same
-# walk at R = 1, no more than 3.5 times the bare expansion (the expand row,
-# ExpandNext) and no more than staging them edge by edge for the exchange
-# (≈ 0.05×), with 0 allocs/op on every row but engine. The walk and the
+# row, the pick copies nothing) and the bare expansion over the same tiles
+# in one process — every row generates every arc once, so every row
+# includes expansion — so the checks are ratios that survive a change of
+# machine: generating OwnerBySource's arcs where they are stored must cost
+# no more than three times the same walk at R = 1 and no more than 3.5
+# times the bare expansion (the expand row, ExpandNext), with 0 allocs/op
+# on every row but engine. The walk and the
 # cursor run one kernel body on every host — the packed one where the probe
 # finds AVX-512 — so ownerSide / expand is the walk's whole cost of placing; ten runs on
 # a 2-CPU AVX-512 VM read 1.65–2.68 (median 2.0), and ownerSide /
@@ -126,13 +125,12 @@ bench-route:
 			if ($$i == "allocs/op" && $$(i-1) != 0 && $$1 !~ /^BenchmarkRoute\/engine/) bad = 1 } } \
 		/^BenchmarkRoute\/ownerSide(-[0-9]+)?[ \t]/ { own = ns; ownskew = skew } \
 		/^BenchmarkRoute\/ownerSideOne(-[0-9]+)?[ \t]/ { one = ns } \
-		/^BenchmarkRoute\/perEdgeReference/ { ref = ns } \
 		/^BenchmarkRoute\/expand/ { bare = ns } \
 		/^BenchmarkRoute\/engine/ { eng = ns } \
 		END { \
-			if (own == "" || one == "" || ref == "" || bare == "" || eng == "" || ownskew == "" || bad || own + 0 > ref + 0 || own + 0 > 3 * one || own + 0 > 3.5 * bare || ownskew + 0 > 1.10 || eng + 0 > 2 * bare) { \
-				print "bench-route: FAIL — rows missing, a row other than engine allocates, ownerSide costs more than perEdgeReference, than 3 × ownerSideOne or than 3.5 × expand, its skew is over 1.10, or engine costs more than 2 × expand"; exit 1 } \
-			printf "bench-route: ownerSide / ownerSideOne = %.2f, ownerSide / expand = %.2f, ownerSide / perEdgeReference = %.2f, ownerSide skew = %.3f, engine / expand = %.2f\n", own / one, own / bare, own / ref, ownskew, eng / bare }'
+			if (own == "" || one == "" || bare == "" || eng == "" || ownskew == "" || bad || own + 0 > 3 * one || own + 0 > 3.5 * bare || ownskew + 0 > 1.10 || eng + 0 > 2 * bare) { \
+				print "bench-route: FAIL — rows missing, a row other than engine allocates, ownerSide costs more than 3 × ownerSideOne or than 3.5 × expand, its skew is over 1.10, or engine costs more than 2 × expand"; exit 1 } \
+			printf "bench-route: ownerSide / ownerSideOne = %.2f, ownerSide / expand = %.2f, ownerSide skew = %.3f, engine / expand = %.2f\n", own / one, own / bare, ownskew, eng / bare }'
 
 # Allocation regression guard on the end-to-end generation benchmarks:
 # fails when allocs/op exceeds the committed allocguard_baseline.txt by

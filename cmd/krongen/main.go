@@ -450,21 +450,21 @@ func (t *killRankSink) StoreBlock(edges []graph.Edge) (int64, error) {
 }
 
 // placed reports what storing by owner cost a run. Every krongen run stores
-// by source (OwnerBySource), so each rank generated the edges it stores and
-// nothing crossed the exchange; what it paid instead is the owner calls and
-// the arcs copied into the ranks' picks of owned rows, printed as shares of
-// the edges generated (replayed work included) — and the busiest rank's
-// share, which is the run's wall: max stored over the ideal 1/R (of what this
-// head generation's attempts stored: a head resumed from a ledger counts only
-// what was stored since).
+// by source (OwnerBySource), so each rank generated the edges it stores;
+// what it paid for that is the owner calls and the arcs copied into the
+// ranks' picks of owned rows, printed as shares of the edges generated
+// (replayed work included) — and the busiest rank's share, which is the
+// run's wall: max stored over the ideal 1/R (of what this head generation's
+// attempts stored: a head resumed from a ledger counts only what was stored
+// since).
 func placed(st dist.Stats) string {
 	share := func(n int64) float64 { return 100 * float64(n) / float64(max(st.EdgesGenerated, 1)) }
 	var stored int64
 	for _, n := range st.PerRankStored {
 		stored += n
 	}
-	return fmt.Sprintf("owner-side: %d routed (%d bytes, %d messages); filter: %d owner rows tested (%.2f%% of edges generated), %d arcs compacted (%.2f%%); load max/ideal = %.2f (rank %d)",
-		st.EdgesRouted, st.BytesSent, st.Messages, st.OwnerRowsTested, share(st.OwnerRowsTested), st.ArcsCompacted, share(st.ArcsCompacted),
+	return fmt.Sprintf("owner-side filter: %d owner rows tested (%.2f%% of edges generated), %d arcs compacted (%.2f%%); load max/ideal = %.2f (rank %d)",
+		st.OwnerRowsTested, share(st.OwnerRowsTested), st.ArcsCompacted, share(st.ArcsCompacted),
 		float64(st.MaxStored())*float64(len(st.PerRankStored))/float64(max(stored, 1)), slices.Index(st.PerRankStored, st.MaxStored()))
 }
 
@@ -507,11 +507,10 @@ type clusterOpts struct {
 //
 // The env var KRONLAB_TCP_KILL_FRAMES (> 0) arms a self-SIGKILL — the chaos
 // hook scripts/cluster_local.sh uses to murder a process mid-run and
-// exercise respawn recovery against a real process tree. The run stores by
-// source, so every rank generates what it stores and no batch frame is ever
-// written for the wire-level schedule to count: the count is taken in
-// blocks handed to this process's store sink instead (killSink), which is
-// what the frames carried when these edges were routed.
+// exercise respawn recovery against a real process tree. It counts blocks
+// handed to this process's store sink (killSink): the process dies inside
+// the Nth. (The name is the variable's old one, from when it counted
+// outbound batch frames.)
 func runCluster(ch *core.Chain, twoD bool, dir, peers string, self, ranks, retries int, stats bool, offset, limit int64, opts clusterOpts) {
 	addrs := strings.Split(peers, ",")
 	for i, s := range addrs {

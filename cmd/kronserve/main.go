@@ -23,11 +23,10 @@
 //
 // -pprof serves the runtime profiling endpoints on a separate listener
 // (own mux, never the service address), so profiles of a live server —
-// including the engine's phase labels phase=expand|route|store|sink-flush
-// — stay off the public surface. A generating rank is phase=expand, its
-// sink calls included; phase=store is a rank blocked handing a batch to
-// a stream consumer that is behind (a slow client), or storing what the
-// exchange delivered. Point it at loopback, e.g. -pprof
+// including the engine's phase labels phase=expand|store|sink-flush — stay
+// off the public surface. A generating rank is phase=expand, its sink calls
+// included; phase=store is a rank blocked handing a batch to a stream
+// consumer that is behind (a slow client). Point it at loopback, e.g. -pprof
 // localhost:6060, then:
 //
 //	go tool pprof http://localhost:6060/debug/pprof/profile?seconds=10
@@ -35,8 +34,8 @@
 // -pprof-mutex and -pprof-block arm the runtime's contention profiles
 // (runtime.SetMutexProfileFraction / runtime.SetBlockProfileRate), which
 // are off by default; with them set, /debug/pprof/mutex and
-// /debug/pprof/block show where the freelist shards, the exchange's
-// blocking sends and the async sink queues actually contend. A mutex
+// /debug/pprof/block show where the freelist, the stream hand-offs and the
+// async sink queues actually contend. A mutex
 // fraction of 5 and a block rate of 10000 (10µs) are cheap enough to
 // leave on for a whole contention hunt.
 //

@@ -35,7 +35,7 @@ func main() {
 	// The same product on a simulated 4-rank cluster, as the two-factor
 	// chain A ⊗ B under 1D partitioning; every edge lands on the rank
 	// chosen by the owner function — and, the owner being a function of the
-	// source alone, is generated there: nothing is routed.
+	// source alone, is generated there.
 	ch, err := core.NewChain(a, b)
 	if err != nil {
 		log.Fatal(err)
@@ -44,8 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("distributed generation on %d ranks: %d edges generated owner-side, %d routed, %d bytes\n",
-		4, res.Stats.EdgesGenerated, res.Stats.EdgesRouted, res.Stats.BytesSent)
+	fmt.Printf("distributed generation on %d ranks: %d edges generated owner-side\n", 4, res.Stats.EdgesGenerated)
 	// A rank generates what it stores, so the busiest rank's share is the
 	// run's wall: max stored over the ideal 1/R.
 	fmt.Printf("load max/ideal = %.2f (rank %d)\n",

@@ -1,7 +1,7 @@
 package dist
 
 // Chain-engine equivalence tests: the distributed generator at k>2 —
-// in-proc 1D/2D, routed and owned, streamed, stored, TCP cluster, and
+// in-proc 1D/2D, streamed, stored, TCP cluster, and
 // crash-then-recover across real process boundaries — must reproduce the
 // serial chain product (core.KronPower / Chain.Materialize)
 // edge-for-edge. Two-factor parity stays covered by the existing suites;
@@ -55,8 +55,9 @@ func heteroChain3(t *testing.T) (*core.Chain, *graph.Graph) {
 	return ch, want
 }
 
-// TestGenerateChainMatchesSerial sweeps decomposition × routing × chain
-// shape: every distributed k=3 product must equal the serial reference.
+// TestGenerateChainMatchesSerial sweeps decomposition × owner (nil, the
+// default, and OwnerBySource named) × chain shape: every distributed k=3
+// product must equal the serial reference.
 func TestGenerateChainMatchesSerial(t *testing.T) {
 	for _, shape := range []struct {
 		name  string
@@ -69,7 +70,7 @@ func TestGenerateChainMatchesSerial(t *testing.T) {
 		for _, tc := range []struct {
 			name  string
 			twoD  bool
-			owner OwnerFunc
+			owner Owner
 		}{
 			{"1d-routed", false, nil},
 			{"2d-routed", true, nil},
@@ -270,8 +271,8 @@ const envChainHelper = "KRONLAB_CHAIN_CLUSTER_HELPER"
 func chainKillFactor() *graph.Graph { return gen.PrefAttach(7, 2, 61) }
 
 // chainKillConfig is the shared shape of the chain crash-recovery
-// cluster, derived independently by driver and helpers; routed by edge, as
-// killTestConfig is, so that the kill has frames to count.
+// cluster, derived independently by driver and helpers; by source, as
+// killTestConfig is.
 func chainKillConfig(dir string, r int) (Config, Plan, error) {
 	ch, err := core.PowerChain(chainKillFactor(), 3)
 	if err != nil {
@@ -283,7 +284,7 @@ func chainKillConfig(dir string, r int) (Config, Plan, error) {
 	}
 	return Config{
 		Plan:      plan,
-		Owner:     OwnerByEdge,
+		Owner:     OwnerBySource,
 		Sink:      NewStoreSink(dir, r),
 		BatchSize: 32,
 		Recovery:  Recovery{MaxRetries: 3, Backoff: 10 * time.Millisecond},
@@ -301,18 +302,12 @@ func TestChainClusterHelperProcess(t *testing.T) {
 	if err != nil {
 		t.Fatalf("bad self index: %v", err)
 	}
-	kill, _ := strconv.ParseInt(os.Getenv(envClusterKill), 10, 64)
 	cfg, plan, err := chainKillConfig(os.Getenv(envClusterDir), len(addrs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kill > 0 {
-		cfg.Faults = &FaultPlan{TCP: transport.TCPFaults{KillAfterFrames: kill}}
-	}
-	node, err := tcp.NewNode(addrs[self], self, PlanHash(plan))
-	if err != nil {
-		t.Fatalf("worker %d node: %v", self, err)
-	}
+	cfg.Sink = dieInSink(cfg.Sink)
+	node := parentNode(t, self, PlanHash(plan))
 	defer node.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
@@ -323,8 +318,8 @@ func TestChainClusterHelperProcess(t *testing.T) {
 }
 
 // TestChainClusterKillRecovery is the crash-then-recover contract at
-// k=3 across real process boundaries: one worker SIGKILLs itself
-// mid-exchange, is respawned clean, and the recovered store must hold
+// k=3 across real process boundaries: one worker exits inside its sink
+// mid-run, is respawned clean, and the recovered store must hold
 // exactly the serial A^{⊗3} — the checkpoint/replay identities survive
 // the chain generalization.
 func TestChainClusterKillRecovery(t *testing.T) {
@@ -333,7 +328,7 @@ func TestChainClusterKillRecovery(t *testing.T) {
 	}
 	const nprocs = 4
 	const victim = 1
-	addrs := reservePorts(t, nprocs)
+	lns, addrs := clusterListeners(t, nprocs)
 	dir := t.TempDir()
 	cfg, plan, err := chainKillConfig(dir, nprocs)
 	if err != nil {
@@ -343,10 +338,7 @@ func TestChainClusterKillRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, err := tcp.NewNode(addrs[0], 0, PlanHash(plan))
-	if err != nil {
-		t.Fatal(err)
-	}
+	node := tcp.NewNodeOn(lns[0], 0, PlanHash(plan))
 	defer node.Close()
 
 	exe, err := os.Executable()
@@ -364,7 +356,7 @@ func TestChainClusterKillRecovery(t *testing.T) {
 			envClusterDir+"="+dir,
 			envClusterKill+"="+strconv.FormatInt(kill, 10),
 		)
-		return captureOutput(cmd)
+		return captureOutput(withListener(t, cmd, lns[self]))
 	}
 
 	exits := make(chan childExit, nprocs-1)
@@ -374,7 +366,7 @@ func TestChainClusterKillRecovery(t *testing.T) {
 			kill = 5
 		}
 		w := spawn(p, kill)
-		if err := w.Start(); err != nil {
+		if err := start(w); err != nil {
 			t.Fatal(err)
 		}
 		if p == victim {

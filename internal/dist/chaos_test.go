@@ -1,13 +1,12 @@
 package dist
 
-// Chaos soak and teardown regressions for the simulated cluster. Seeded
-// fault schedules (link delays, probabilistic drops with bounded
-// redelivery, rank crashes at every injection point) run against the
-// full engine matrix — 1D and 2D plans, routed and unrouted sinks,
-// memory/count/store sinks — each under a watchdog. The invariant is
-// the paper's verifiability contract: every run either produces the
-// exact reference edge set or returns the injected fault as its error.
-// No hangs, no partial silent success.
+// Chaos soak and teardown regressions for the simulated cluster. Fault
+// schedules (rank crashes at every injection point, slow and refusing
+// sinks) run against the full engine matrix — 1D and 2D plans, no owner and
+// source owners, memory/count/store sinks — each under a watchdog. The invariant is the
+// paper's verifiability contract: every run either produces the exact
+// reference edge set or returns the injected fault as its error. No hangs,
+// no partial silent success.
 
 import (
 	"context"
@@ -43,17 +42,21 @@ func runWithWatchdog(t *testing.T, d time.Duration, fn func() error) error {
 	}
 }
 
-// chaosKind enumerates the fault families the soak cycles through.
+// chaosKind enumerates the fault families the soak cycles through. The
+// first four kinds after the baseline keep the names they had when link
+// faults acted on the per-edge exchange's batches; nothing crosses ranks
+// now, and each acts on what carries arcs instead — a rank's hand-off to its
+// own sink — or on the rank.
 type chaosKind int
 
 const (
 	chaosBaseline        chaosKind = iota // no faults armed
-	chaosDelay                            // per-link delivery delay
-	chaosDropRecoverable                  // drops with ample redelivery budget
-	chaosDropLossy                        // certain drop, tiny budget → ErrMessageLost
+	chaosDelay                            // every block reaches its sink late, rank 1's later
+	chaosDropRecoverable                  // a mid-expansion crash the retry budget recovers
+	chaosDropLossy                        // a crash that re-fires past a budget of one → loud
 	chaosCrashSink                        // rank dies before sink setup
 	chaosCrashExpand                      // rank dies mid-expansion
-	chaosCrashExchange                    // rank dies on an exchange send
+	chaosCrashExchange                    // a rank's sink refuses a block → loud
 	chaosCrashCollective                  // rank dies entering the teardown collective
 	chaosKindCount
 )
@@ -61,6 +64,66 @@ const (
 func (k chaosKind) String() string {
 	return [...]string{"baseline", "delay", "drop-recoverable", "drop-lossy",
 		"crash-sink", "crash-expand", "crash-exchange", "crash-collective"}[k]
+}
+
+// errChaosSink is the failure chaosSink injects.
+var errChaosSink = errors.New("chaos: the sink refused a block")
+
+// chaosSink puts the soak's faults on the hand-off from a rank's walk to its
+// sink: every block is stored delay late (rank 1's slow late), and the
+// failAt-th block of rank failRank (counting from 1; 0 never) is refused
+// with errChaosSink.
+type chaosSink struct {
+	inner       Sink
+	delay, slow time.Duration
+	failRank    int
+	failAt      int64
+}
+
+func (s *chaosSink) Rank(rk *Rank) (RankSink, error) {
+	rs, err := s.inner.Rank(rk)
+	if err != nil {
+		return nil, err
+	}
+	t := &chaosRankSink{RankSink: rs, delay: s.delay}
+	if rk.ID() == 1 {
+		t.delay = s.slow
+	}
+	if rk.ID() == s.failRank {
+		t.failAt = s.failAt
+	}
+	return t, nil
+}
+
+type chaosRankSink struct {
+	RankSink
+	delay  time.Duration
+	failAt int64
+	blocks int64
+}
+
+func (t *chaosRankSink) StoreBlock(edges []graph.Edge) (int64, error) {
+	time.Sleep(t.delay)
+	if t.blocks++; t.blocks == t.failAt {
+		return 0, errChaosSink
+	}
+	if bs, ok := t.RankSink.(BlockStorer); ok {
+		return bs.StoreBlock(edges)
+	}
+	for i, e := range edges {
+		if err := t.RankSink.Store(e); err != nil {
+			return int64(i), err
+		}
+	}
+	return int64(len(edges)), nil
+}
+
+// handoffCrash is the crash of the recovery cells still named mid-exchange,
+// after the point where a rank died on an exchange send: the hop that
+// carries arcs now is the hand-off to the rank's own sink, and the rank dies
+// mid-expansion one arc in, having handed its sink a one-arc block.
+func handoffCrash(rank int) CrashSpec {
+	return CrashSpec{Rank: rank, Point: FaultMidExpansion, After: 1}
 }
 
 // plannedWork returns the rank with the most planned expansion work and
@@ -98,10 +161,14 @@ func busiestOwner(g *graph.Graph, owner Owner, r int) (rank int, arcs int64) {
 	return rank, arcs
 }
 
-// TestChaosSoak drives ≥64 seeded fault schedules through the engine.
-// Every schedule must finish within the watchdog and either yield the
-// exact reference edge set or surface the injected fault as the run's
-// error.
+// TestChaosSoak drives 64 fault schedules through the engine — every kind
+// × 2..5 ranks × 1D/2D, into memory, count and store sinks. The cells named
+// routed run under a source owner (OwnerBySource; the name is from when they
+// ran OwnerByEdge through the exchange), the unrouted ones with no owner;
+// every kind but the crashes at sink setup, mid-expansion and in the
+// collective, and the baseline, is always placed. Every schedule must finish
+// within the watchdog and either yield the exact reference edge set or
+// surface the injected fault as the run's error.
 func TestChaosSoak(t *testing.T) {
 	a := gen.ER(6, 0.5, 101).WithFullSelfLoops()
 	b := gen.PrefAttach(5, 2, 102)
@@ -117,8 +184,6 @@ func TestChaosSoak(t *testing.T) {
 		kind := chaosKind(i % int(chaosKindCount))
 		r := 2 + i%4 // 2..5 ranks
 		twoD := (i/8)%2 == 1
-		// Link-fault kinds and exchange crashes need routing traffic;
-		// the remaining kinds alternate to cover the unrouted path too.
 		routed := true
 		switch kind {
 		case chaosBaseline, chaosCrashSink, chaosCrashExpand, chaosCrashCollective:
@@ -129,54 +194,55 @@ func TestChaosSoak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The deterministic target of the kinds that need a rank with work:
+		// the one planned the most, or under an owner the one that owns most.
+		victim, work := plannedWork(plan)
+		if routed {
+			victim, work = busiestOwner(want, OwnerBySource, r)
+		}
 
-		fp := FaultPlan{Seed: int64(1000 + i)}
-		expectCrash, expectLost := false, false
+		var fp FaultPlan
+		var rec Recovery
+		chaos := &chaosSink{failRank: -1}
+		expectCrash, expectSinkErr := false, false
 		switch kind {
 		case chaosBaseline:
 		case chaosDelay:
-			fp.Link.MaxDelay = time.Millisecond
-			// One extra-slow link, exercising the per-link override.
-			fp.Links = map[Link]LinkFault{{From: 0, To: 1}: {MaxDelay: 3 * time.Millisecond}}
+			chaos.delay, chaos.slow = 10*time.Microsecond, 100*time.Microsecond
 		case chaosDropRecoverable:
-			// Loss probability per message is 0.4^33 — never, but every
-			// cross-rank message is exercised through the retry loop.
-			fp.Link.DropProb = 0.4
-			fp.MaxRedeliver = 32
+			fp.Crashes = []CrashSpec{{Rank: victim, Point: FaultMidExpansion, After: work / 2}}
+			rec = Recovery{MaxRetries: 2, Backoff: time.Millisecond}
 		case chaosDropLossy:
-			// Every attempt drops and the budget is tiny: the first
-			// cross-rank message (each rank flushes EOF to every peer,
-			// and r ≥ 2) is declared lost and must fail the run loudly.
-			fp.Link.DropProb = 1
-			fp.MaxRedeliver = 2
-			expectLost = true
+			// Every attempt hands the rank the same work, and the crash fires
+			// on each: the budget of one retry runs out, loudly.
+			fp.Crashes = []CrashSpec{{Rank: victim, Point: FaultMidExpansion, Repeat: true}}
+			rec = Recovery{MaxRetries: 1, Backoff: time.Millisecond}
+			expectCrash = true
 		case chaosCrashSink:
 			fp.Crashes = []CrashSpec{{Rank: i % r, Point: FaultBeforeSinkSetup}}
 			expectCrash = true
 		case chaosCrashExpand:
-			rank, work := plannedWork(plan)
-			fp.Crashes = []CrashSpec{{Rank: rank, Point: FaultMidExpansion, After: int64(i % 5)}}
+			fp.Crashes = []CrashSpec{{Rank: victim, Point: FaultMidExpansion, After: int64(i % 5)}}
 			expectCrash = work > int64(i%5)
 		case chaosCrashExchange:
-			// Every rank performs at least r sends (the EOF flush to
-			// each peer), so After < r always fires.
-			fp.Crashes = []CrashSpec{{Rank: i % r, Point: FaultMidExchange, After: int64(i % 2)}}
-			expectCrash = true
+			chaos.failRank, chaos.failAt = victim, int64(1+i%2)
+			expectSinkErr = true
 		case chaosCrashCollective:
 			// The teardown reduce enters three barriers per rank.
 			fp.Crashes = []CrashSpec{{Rank: i % r, Point: FaultInCollective, After: int64(i % 3)}}
 			expectCrash = true
 		}
 
-		cfg := Config{Plan: plan, Faults: &fp}
+		cfg := Config{Plan: plan, Faults: &fp, Recovery: rec}
+		if routed {
+			cfg.Owner = OwnerBySource
+		}
 		var verify func(t *testing.T)
 		switch {
 		case kind == chaosDelay && i >= 32:
-			// Routed on-disk path: shards must reassemble the product. By
-			// edge, so that there are links for the delays to sit on — a
-			// source owner sends nothing.
+			// The on-disk path: shards must reassemble the product.
 			ss := NewStoreSink(t.TempDir(), r)
-			cfg.Owner, cfg.Sink = OwnerByEdge, ss
+			cfg.Sink = ss
 			verify = func(t *testing.T) {
 				st, err := ss.Finalize(nC)
 				if err != nil {
@@ -201,22 +267,10 @@ func TestChaosSoak(t *testing.T) {
 		default:
 			ms := NewMemorySink(r)
 			cfg.Sink = ms
-			if routed {
-				cfg.Owner = OwnerByEdge
-			}
-			verify = func(t *testing.T) {
-				var arcs []graph.Edge
-				for _, s := range ms.PerRank {
-					arcs = append(arcs, s...)
-				}
-				g, err := graph.New(nC, arcs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !g.Equal(want) {
-					t.Fatal("run reported success but edge set differs from reference")
-				}
-			}
+			verify = func(t *testing.T) { assertExact(t, nC, mergedArcs(ms), want) }
+		}
+		if kind == chaosDelay || kind == chaosCrashExchange {
+			chaos.inner, cfg.Sink = cfg.Sink, chaos
 		}
 
 		name := fmt.Sprintf("%02d_%s_r%d_%s_%s", i, kind, r,
@@ -224,12 +278,18 @@ func TestChaosSoak(t *testing.T) {
 			map[bool]string{false: "unrouted", true: "routed"}[routed])
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			runErr := runWithWatchdog(t, chaosWatchdog, func() error {
-				_, err := Run(context.Background(), cfg)
+			var st Stats
+			runErr := runWithWatchdog(t, chaosWatchdog, func() (err error) {
+				st, err = Run(context.Background(), cfg)
 				return err
 			})
-			switch {
-			case expectCrash:
+			if expectSinkErr {
+				if !errors.Is(runErr, errChaosSink) {
+					t.Fatalf("want the refused block's error, got %v", runErr)
+				}
+				return
+			}
+			if expectCrash {
 				var ce *RankCrashError
 				if !errors.As(runErr, &ce) {
 					t.Fatalf("want RankCrashError, got %v", runErr)
@@ -238,15 +298,18 @@ func TestChaosSoak(t *testing.T) {
 					t.Fatalf("crash surfaced as rank %d at %s, injected rank %d at %s",
 						ce.Rank, ce.Point, crash.Rank, crash.Point)
 				}
-			case expectLost:
-				if !errors.Is(runErr, ErrMessageLost) {
-					t.Fatalf("want ErrMessageLost, got %v", runErr)
-				}
-			default:
-				if runErr != nil {
-					t.Fatalf("recoverable schedule failed: %v", runErr)
-				}
-				verify(t)
+				return
+			}
+			if runErr != nil {
+				t.Fatalf("recoverable schedule failed: %v", runErr)
+			}
+			verify(t)
+			recovered := int64(0)
+			if kind == chaosDropRecoverable {
+				recovered = 1
+			}
+			if st.RecoveredRuns != recovered {
+				t.Fatalf("RecoveredRuns = %d, want %d", st.RecoveredRuns, recovered)
 			}
 		})
 	}
@@ -323,10 +386,10 @@ func TestAllReduceSumCancelledReturnsCause(t *testing.T) {
 }
 
 // TestClusterOneShotAfterCancelledRun is the stale-inbox regression: an
-// aborted run used to leave its cancelled context and undelivered
-// messages in place, so a second run on the same cluster would misroute
-// stale batches into the new exchange. The cluster is now explicitly
-// one-shot, and Reset drains the residue.
+// aborted run leaves its cancelled context, and whatever was sent over the
+// transport, in place. The cluster is one-shot, and Reset drains the
+// residue: the next run starts on empty inboxes with every pooled buffer
+// back.
 func TestClusterOneShotAfterCancelledRun(t *testing.T) {
 	c, err := NewCluster(2)
 	if err != nil {
@@ -338,12 +401,11 @@ func TestClusterOneShotAfterCancelledRun(t *testing.T) {
 			if rk.ID() != 0 {
 				return nil
 			}
-			// Stage an undelivered message, then die before EOF: the
-			// exact residue an aborted exchange leaves behind.
-			buf := c.getBuf(DefaultBatchSize)
-			buf = append(buf, graph.Edge{U: 7, V: 7})
-			s := newShipper(rk, DefaultBatchSize, nil)
-			s.send(1, Message{Edges: buf})
+			// Leave an undelivered batch in rank 1's inbox, then die.
+			buf := append(c.getBuf(DefaultBatchSize), graph.Edge{U: 7, V: 7})
+			if err := c.tr.SendBatch(rk.Context(), transport.Batch{From: 0, Dest: 1, Edges: buf}, nil); err != nil {
+				return err
+			}
 			return boom
 		})
 	})
@@ -369,72 +431,46 @@ func TestClusterOneShotAfterCancelledRun(t *testing.T) {
 	if n := c.outstandingBufs(); n != 0 {
 		t.Fatalf("%d pooled buffers still outstanding after Reset", n)
 	}
-	if st := c.Stats(); st.Messages != 0 || st.EdgesRouted != 0 || st.BytesSent != 0 || st.MaxInboxDepth != 0 {
-		t.Fatalf("Reset did not zero stats: %+v", st)
-	}
 
-	// A real exchange on the reset cluster delivers exactly the fresh
-	// edges — the stale (7,7) batch must not reappear.
-	received := make([][]graph.Edge, 2)
+	// The reset cluster runs its collectives, and its inboxes stay empty.
 	runErr = runWithWatchdog(t, chaosWatchdog, func() error {
 		return c.Run(func(rk *Rank) error {
-			var got []graph.Edge
-			err := rk.Exchange(func(emit func(to int, e graph.Edge) bool) {
-				for to := 0; to < 2; to++ {
-					emit(to, graph.Edge{U: int64(rk.ID()), V: int64(to)})
-				}
-			}, func(e graph.Edge) {
-				got = append(got, e)
-			})
-			received[rk.ID()] = got
-			return err
+			if n, err := rk.AllReduceSumContext(1); err != nil || n != 2 {
+				return fmt.Errorf("rank %d: AllReduceSum = %d, %v; want 2", rk.ID(), n, err)
+			}
+			if b, ok := c.tr.TryRecv(rk.ID()); ok {
+				return fmt.Errorf("rank %d received a stale pre-Reset batch: %v", rk.ID(), b.Edges)
+			}
+			return nil
 		})
 	})
 	if runErr != nil {
 		t.Fatalf("post-Reset run failed: %v", runErr)
 	}
-	for id, got := range received {
-		if len(got) != 2 {
-			t.Fatalf("rank %d received %d edges after Reset, want 2: %v", id, len(got), got)
-		}
-		for _, e := range got {
-			if e.U == 7 && e.V == 7 {
-				t.Fatalf("rank %d received a stale pre-Reset batch: %v", id, got)
-			}
-		}
-	}
 }
 
 // TestExchangeAbortReturnsPooledBuffersOnCancel is the buffer-leak
-// regression: staged, un-flushed per-destination batches used to vanish
-// from the pool whenever an exchange aborted.
+// regression for the one place batches are still staged: a stream whose
+// context is cancelled by its consumer after the first batch — every rank
+// with a partial hand-off batch staged in its sink, some with full ones
+// parked in their channels — must give every pooled buffer back.
 func TestExchangeAbortReturnsPooledBuffersOnCancel(t *testing.T) {
-	c, err := NewCluster(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("rank 0 died before exchanging")
-	runErr := runWithWatchdog(t, chaosWatchdog, func() error {
-		return c.Run(func(rk *Rank) error {
-			if rk.ID() == 0 {
-				return boom
-			}
-			// Stage one small batch per destination (nothing reaches the
-			// batchSize flush threshold), then hold the exchange open
-			// until teardown so the EOF flush happens on a dead run.
-			return rk.Exchange(func(emit func(to int, e graph.Edge) bool) {
-				for to := 0; to < 3; to++ {
-					emit(to, graph.Edge{U: int64(rk.ID()), V: int64(to)})
-				}
-				<-rk.Context().Done()
-			}, func(graph.Edge) {})
+	ch := mustChain(gen.ER(8, 0.5, 241), gen.PrefAttach(7, 2, 242))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var st Stats
+	runErr := runWithWatchdog(t, chaosWatchdog, func() (err error) {
+		st, err = StreamChainFrom(ctx, ch, 3, false, 5, 0, -1, Recovery{}, func([]graph.Edge) error {
+			cancel()
+			return nil
 		})
+		return err
 	})
-	if !errors.Is(runErr, boom) {
-		t.Fatalf("run error = %v, want boom", runErr)
+	if !errors.Is(runErr, context.Canceled) {
+		t.Fatalf("stream error = %v, want context.Canceled", runErr)
 	}
-	if n := c.outstandingBufs(); n != 0 {
-		t.Fatalf("aborted exchange leaked %d pooled batch buffers", n)
+	if st.OutstandingBufs != 0 {
+		t.Fatalf("cancelled stream leaked %d pooled batch buffers", st.OutstandingBufs)
 	}
 }
 
@@ -472,16 +508,11 @@ func (t *cancelAfterRankSink) Close() error { return t.inner.Close() }
 // TestStatsConsistentWhenCancelledMidExchange asserts the per-rank
 // counters are never torn by teardown: whatever a cancelled run managed
 // to do, PerRankStored must equal what each rank's sink actually holds
-// and PerRankGenerated must sum to the global counter.
+// and PerRankGenerated must sum to the global counter. (The name is from
+// when the cancel landed mid-exchange; it now lands mid-walk.)
 func TestStatsConsistentWhenCancelledMidExchange(t *testing.T) {
-	// The product must exceed the cluster's total buffering capacity —
-	// r inboxes of 4r+16 messages × batchSize edges plus the producers'
-	// staged batches (~148k edges at r=4) — or producers could finish
-	// the whole expansion into the inboxes before a starved receiver
-	// stores the edge that triggers cancellation, and the "expansion
-	// stopped" assertion below would be a scheduling coin flip. At ~192k
-	// edges the senders must block, receivers must drain, and the cancel
-	// at 1000 stores always lands mid-run.
+	// ≈ 192k edges: a cancel at 1000 stores lands far from the end, and a
+	// walk reads the context every contextPoll blocks.
 	a := gen.ER(30, 0.5, 61)
 	b := gen.ER(30, 0.5, 62)
 	const r = 4
@@ -496,7 +527,7 @@ func TestStatsConsistentWhenCancelledMidExchange(t *testing.T) {
 	var st Stats
 	runErr := runWithWatchdog(t, chaosWatchdog, func() error {
 		var err error
-		st, err = Run(ctx, Config{Plan: plan, Owner: OwnerByEdge, Sink: sink})
+		st, err = Run(ctx, Config{Plan: plan, Owner: OwnerBySource, Sink: sink})
 		return err
 	})
 	if !errors.Is(runErr, context.Canceled) {
@@ -527,9 +558,9 @@ func TestStatsConsistentWhenCancelledMidExchange(t *testing.T) {
 	}
 }
 
-// TestChaosReplayDeterministic pins the seeded-schedule property: the
-// same FaultPlan on a Reset cluster surfaces the same fault. (Routed by
-// edge: a link fault needs messages, and a source owner sends none.)
+// TestChaosReplayDeterministic pins the schedule property: the same
+// FaultPlan surfaces the same fault at the same place on every run — the
+// victim dies having generated exactly the schedule's arcs.
 func TestChaosReplayDeterministic(t *testing.T) {
 	a := gen.ER(8, 0.5, 71)
 	b := gen.ER(7, 0.5, 72)
@@ -537,16 +568,21 @@ func TestChaosReplayDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := FaultPlan{Seed: 7, Link: LinkFault{DropProb: 1}, MaxRedeliver: 1}
+	victim, work := busiestOwner(mustProduct(t, a, b), OwnerBySource, 3)
+	after := work / 2
 	for round := 0; round < 2; round++ {
-		runErr := runWithWatchdog(t, chaosWatchdog, func() error {
-			_, err := Run(context.Background(), Config{
-				Plan: plan, Owner: OwnerByEdge, Sink: NewMemorySink(3), Faults: &fp,
-			})
+		fp := FaultPlan{Crashes: []CrashSpec{{Rank: victim, Point: FaultMidExpansion, After: after}}}
+		var st Stats
+		runErr := runWithWatchdog(t, chaosWatchdog, func() (err error) {
+			st, err = Run(context.Background(), Config{Plan: plan, Owner: OwnerBySource, Sink: NewMemorySink(3), Faults: &fp})
 			return err
 		})
-		if !errors.Is(runErr, ErrMessageLost) {
-			t.Fatalf("round %d: want ErrMessageLost, got %v", round, runErr)
+		var ce *RankCrashError
+		if !errors.As(runErr, &ce) || ce.Rank != victim || ce.Point != FaultMidExpansion {
+			t.Fatalf("round %d: want the crash of rank %d mid-expansion, got %v", round, victim, runErr)
+		}
+		if g := st.PerRankGenerated[victim]; g != after {
+			t.Fatalf("round %d: rank %d generated %d arcs, the schedule lets %d through", round, victim, g, after)
 		}
 	}
 }
@@ -581,10 +617,13 @@ func assertExact(t *testing.T, nC int64, arcs []graph.Edge, want *graph.Graph) {
 }
 
 // TestRecoverCrashEachPoint crashes one rank at each injection point,
-// under each placement — routed by edge, unrouted, and owned (a source
-// owner: every rank generates what it stores) — and asserts the supervised
-// run still delivers the exact product, with the retry surfaced in Stats
-// and every pooled buffer returned.
+// under each placement — by source block (the cells named routed:
+// BlockOwner, where they once ran OwnerByEdge), unrouted (no owner) and
+// owned (the source hash: every rank generates what it stores) — and
+// asserts the supervised run still delivers the exact product, with the
+// retry surfaced in Stats and every pooled buffer returned. The
+// mid-exchange point, placed by block alone as it once was routed alone, is
+// the crash at the first hand-off (handoffCrash).
 func TestRecoverCrashEachPoint(t *testing.T) {
 	a := gen.ER(6, 0.5, 201).WithFullSelfLoops()
 	b := gen.PrefAttach(5, 2, 202)
@@ -594,20 +633,18 @@ func TestRecoverCrashEachPoint(t *testing.T) {
 	}
 	nC := a.NumVertices() * b.NumVertices()
 
-	points := []FaultPoint{FaultBeforeSinkSetup, FaultMidExpansion, FaultMidExchange, FaultInCollective}
+	const midExchange = "mid-exchange"
+	points := []string{FaultBeforeSinkSetup.String(), FaultMidExpansion.String(), midExchange, FaultInCollective.String()}
 	placements := []struct {
 		name  string
 		owner Owner
-	}{{"routed", OwnerByEdge}, {"unrouted", nil}, {"owned", OwnerBySource}}
+	}{{"routed", BlockOwner{NC: nC}}, {"unrouted", nil}, {"owned", OwnerBySource}}
 	for pi, point := range points {
 		for _, place := range placements {
-			if point == FaultMidExchange && place.name != "routed" {
-				// Only a routed run sends: unrouted and owned ranks store
-				// what they generate, so the point is unreachable there.
+			if point == midExchange && place.name != "routed" {
 				continue
 			}
-			point, place := point, place
-			twoD := pi%2 == 1
+			point, twoD, place := point, pi%2 == 1, place
 			name := fmt.Sprintf("%s_%s_%s", point, map[bool]string{false: "1d", true: "2d"}[twoD], place.name)
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
@@ -616,20 +653,27 @@ func TestRecoverCrashEachPoint(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				crash := CrashSpec{Rank: 1, Point: point}
-				if point == FaultMidExpansion {
-					rank, work := plannedWork(plan)
-					if place.name == "owned" {
-						rank, work = busiestOwner(want, place.owner, r)
-					}
-					crash.Rank, crash.After = rank, work/2
+				rank, work := plannedWork(plan)
+				if place.owner != nil {
+					rank, work = busiestOwner(want, place.owner, r)
+				}
+				var crash CrashSpec
+				switch point {
+				case midExchange:
+					crash = handoffCrash(rank)
+				case FaultMidExpansion.String():
+					crash = CrashSpec{Rank: rank, Point: FaultMidExpansion, After: work / 2}
+				case FaultBeforeSinkSetup.String():
+					crash = CrashSpec{Rank: 1, Point: FaultBeforeSinkSetup}
+				default:
+					crash = CrashSpec{Rank: 1, Point: FaultInCollective}
 				}
 				ms := NewMemorySink(r)
 				cfg := Config{
 					Plan:     plan,
 					Owner:    place.owner,
 					Sink:     ms,
-					Faults:   &FaultPlan{Seed: int64(300 + pi), Crashes: []CrashSpec{crash}},
+					Faults:   &FaultPlan{Crashes: []CrashSpec{crash}},
 					Recovery: Recovery{MaxRetries: 2, Backoff: time.Millisecond},
 				}
 				var st Stats
@@ -654,101 +698,11 @@ func TestRecoverCrashEachPoint(t *testing.T) {
 				if st.OutstandingBufs != 0 {
 					t.Fatalf("recovered run leaked %d pooled buffers", st.OutstandingBufs)
 				}
-				if place.name == "owned" {
+				if place.owner != nil {
 					assertPlacement(t, ms, place.owner)
-					if st.Messages != 0 || st.EdgesRouted != 0 {
-						t.Fatalf("owned run sent %d messages, %d edges", st.Messages, st.EdgesRouted)
-					}
 				}
 			})
 		}
-	}
-}
-
-// TestRecoverLostBatch schedules one deterministic permanent message loss
-// and asserts the supervised replay gets the batch through, blaming the
-// sending rank for the retry. (Routed by edge: there is no batch to lose
-// under a source owner.)
-func TestRecoverLostBatch(t *testing.T) {
-	a := gen.ER(7, 0.5, 211)
-	b := gen.ER(6, 0.5, 212)
-	want, err := core.Product(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const r = 3
-	plan, err := PlanChain1D(mustChain(a, b), r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms := NewMemorySink(r)
-	var st Stats
-	runErr := runWithWatchdog(t, chaosWatchdog, func() error {
-		var err error
-		st, err = Run(context.Background(), Config{
-			Plan: plan, Owner: OwnerByEdge, Sink: ms,
-			Faults:   &FaultPlan{Seed: 213, LoseAfter: 2, LoseDeliveries: 1},
-			Recovery: Recovery{MaxRetries: 1, Backoff: time.Millisecond},
-		})
-		return err
-	})
-	if runErr != nil {
-		t.Fatalf("supervised run failed despite retry budget: %v", runErr)
-	}
-	assertExact(t, a.NumVertices()*b.NumVertices(), mergedArcs(ms), want)
-	if st.TotalRetries() != 1 || st.RecoveredRuns != 1 {
-		t.Fatalf("want exactly one recovering retry, got retries=%d recovered=%d",
-			st.TotalRetries(), st.RecoveredRuns)
-	}
-	if st.OutstandingBufs != 0 {
-		t.Fatalf("recovered run leaked %d pooled buffers", st.OutstandingBufs)
-	}
-}
-
-// TestRecoverCrashPlusLostBatch is the acceptance scenario: one rank
-// crashes mid-expansion AND one batch is permanently dropped, and the
-// supervised run still completes with the exact core.Product edge set,
-// retry stats > 0 and no buffer leaks.
-func TestRecoverCrashPlusLostBatch(t *testing.T) {
-	a := gen.ER(8, 0.5, 221).WithFullSelfLoops()
-	b := gen.PrefAttach(6, 2, 222)
-	want, err := core.Product(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const r = 4
-	plan, err := planForChain(mustChain(a, b), r, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rank, work := plannedWork(plan)
-	ms := NewMemorySink(r)
-	var st Stats
-	runErr := runWithWatchdog(t, chaosWatchdog, func() error {
-		var err error
-		st, err = Run(context.Background(), Config{
-			Plan: plan, Owner: OwnerByEdge, Sink: ms,
-			Faults: &FaultPlan{
-				Seed:      223,
-				Crashes:   []CrashSpec{{Rank: rank, Point: FaultMidExpansion, After: work / 2}},
-				LoseAfter: 1, LoseDeliveries: 1,
-			},
-			Recovery: Recovery{MaxRetries: 3, Backoff: time.Millisecond},
-		})
-		return err
-	})
-	if runErr != nil {
-		t.Fatalf("double-fault schedule failed despite retry budget: %v", runErr)
-	}
-	assertExact(t, a.NumVertices()*b.NumVertices(), mergedArcs(ms), want)
-	if got := st.TotalRetries(); got < 1 || got > 3 {
-		t.Fatalf("TotalRetries = %d, want 1..3 (bounded by budget)", got)
-	}
-	if st.RecoveredRuns != 1 {
-		t.Fatalf("RecoveredRuns = %d, want 1", st.RecoveredRuns)
-	}
-	if st.OutstandingBufs != 0 {
-		t.Fatalf("recovered run leaked %d pooled buffers", st.OutstandingBufs)
 	}
 }
 
@@ -770,7 +724,7 @@ func TestRecoverExhaustedBudgetStaysLoud(t *testing.T) {
 		var err error
 		st, err = Run(context.Background(), Config{
 			Plan: plan, Owner: OwnerBySource, Sink: ms,
-			Faults:   &FaultPlan{Seed: 233, Crashes: []CrashSpec{{Rank: 1, Point: FaultMidExpansion, Repeat: true}}},
+			Faults:   &FaultPlan{Crashes: []CrashSpec{{Rank: 1, Point: FaultMidExpansion, Repeat: true}}},
 			Recovery: Recovery{MaxRetries: 2, Backoff: time.Millisecond},
 		})
 		return err
@@ -870,142 +824,14 @@ func TestCheckpointsAssignOneRule(t *testing.T) {
 	}
 }
 
-// TestPartitionDetectedLoudly black-holes a rank mid-exchange with every
-// channel still open — the failure mode nothing trips on except a
-// failure detector — and asserts the unsupervised run dies promptly with
-// a PeerError naming the partitioned rank, rather than hanging on
-// batches that will never arrive. (Routed by edge: the partition is
-// scheduled in sends, and a source owner makes none.)
-func TestPartitionDetectedLoudly(t *testing.T) {
-	a := gen.ER(8, 0.5, 251)
-	b := gen.ER(7, 0.5, 252)
-	const r = 3
-	plan, err := PlanChain1D(mustChain(a, b), r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms := NewMemorySink(r)
-	runErr := runWithWatchdog(t, chaosWatchdog, func() error {
-		_, err := Run(context.Background(), Config{
-			Plan: plan, Owner: OwnerByEdge, Sink: ms,
-			Faults: &FaultPlan{Seed: 253, PartitionRank: 1, PartitionAfterSends: 3},
-		})
-		return err
-	})
-	var pe *transport.PeerError
-	if !errors.As(runErr, &pe) {
-		t.Fatalf("partitioned run returned %v, want *transport.PeerError", runErr)
-	}
-	if pe.Proc != 1 {
-		t.Fatalf("PeerError names rank %d, want the partitioned rank 1", pe.Proc)
-	}
-	if !errors.Is(pe.Err, transport.ErrHeartbeat) {
-		t.Fatalf("PeerError cause = %v, want the failure-detection verdict", pe.Err)
-	}
-}
-
-// TestRecoverPartition is the supervised form: the partition kills the
-// first attempt via the failure detector, Reset heals the network (the
-// fault is one-shot, like a crash that does not re-fire), and the replay
-// delivers the exact product with the retry blamed on the partitioned
-// rank and no leaked buffers.
-func TestRecoverPartition(t *testing.T) {
-	a := gen.ER(8, 0.5, 261).WithFullSelfLoops()
-	b := gen.PrefAttach(6, 2, 262)
-	want, err := core.Product(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const r = 3
-	plan, err := PlanChain1D(mustChain(a, b), r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms := NewMemorySink(r)
-	var st Stats
-	runErr := runWithWatchdog(t, chaosWatchdog, func() error {
-		var err error
-		st, err = Run(context.Background(), Config{
-			Plan: plan, Owner: OwnerByEdge, Sink: ms,
-			Faults:   &FaultPlan{Seed: 263, PartitionRank: 1, PartitionAfterSends: 4},
-			Recovery: Recovery{MaxRetries: 2, Backoff: time.Millisecond},
-		})
-		return err
-	})
-	if runErr != nil {
-		t.Fatalf("supervised run failed despite a healed partition: %v", runErr)
-	}
-	assertExact(t, a.NumVertices()*b.NumVertices(), mergedArcs(ms), want)
-	if st.TotalRetries() < 1 {
-		t.Fatal("partition recovery left no retry trace")
-	}
-	if st.RetriesPerRank[1] == 0 {
-		t.Fatalf("retry not attributed to the partitioned rank: %v", st.RetriesPerRank)
-	}
-	if st.RecoveredRuns != 1 {
-		t.Fatalf("RecoveredRuns = %d, want 1", st.RecoveredRuns)
-	}
-	if st.HeartbeatMisses == 0 {
-		t.Fatal("the simulated detector's verdict left no heartbeat miss in Stats")
-	}
-	if st.OutstandingBufs != 0 {
-		t.Fatalf("recovered run leaked %d pooled buffers", st.OutstandingBufs)
-	}
-}
-
-// TestEpochFencingDropsStaleBatch forges a batch from a stale epoch into
-// an inbox and asserts the receiver's fence drops it whole — counted in
-// Stats, buffer recycled, edges never delivered.
-func TestEpochFencingDropsStaleBatch(t *testing.T) {
-	c, err := NewCluster(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.epoch = 5
-	stale := c.getBuf(DefaultBatchSize)
-	stale = append(stale, graph.Edge{U: 9, V: 9})
-	c.tr.(*chantransport.Transport).Inject(Message{From: 0, Dest: 1, Epoch: 3, Edges: stale})
-
-	received := make([][]graph.Edge, 2)
-	runErr := runWithWatchdog(t, chaosWatchdog, func() error {
-		return c.Run(func(rk *Rank) error {
-			var got []graph.Edge
-			err := rk.Exchange(func(emit func(to int, e graph.Edge) bool) {
-				for to := 0; to < 2; to++ {
-					emit(to, graph.Edge{U: int64(rk.ID()), V: int64(to)})
-				}
-			}, func(e graph.Edge) { got = append(got, e) })
-			received[rk.ID()] = got
-			return err
-		})
-	})
-	if runErr != nil {
-		t.Fatalf("exchange failed: %v", runErr)
-	}
-	for id, got := range received {
-		if len(got) != 2 {
-			t.Fatalf("rank %d received %d edges, want 2: %v", id, len(got), got)
-		}
-		for _, e := range got {
-			if e.U == 9 && e.V == 9 {
-				t.Fatalf("rank %d received the stale-epoch batch: %v", id, got)
-			}
-		}
-	}
-	st := c.Stats()
-	if st.StaleBatches != 1 {
-		t.Fatalf("StaleBatches = %d, want 1", st.StaleBatches)
-	}
-	if st.OutstandingBufs != 0 {
-		t.Fatalf("stale batch's pooled buffer not recycled: %d outstanding", st.OutstandingBufs)
-	}
-}
-
-// TestRecoverSoak sweeps seeded crash-then-recover schedules — every
-// injection point, single and double faults, 1D/2D, routed, unrouted and
-// (schedules 24 on; the three points a run without messages reaches) owned
-// by source — asserting the exact edge set and a retry count bounded by
-// the budget.
+// TestRecoverSoak sweeps crash-then-recover schedules — every injection
+// point, single and double faults, 1D/2D, by source block (the cells named
+// routed: BlockOwner, where they once ran OwnerByEdge), unrouted and
+// (schedules 24 on) owned by the source hash — asserting the exact edge set
+// and a retry count bounded by the budget. The mid-exchange cells crash at
+// the first hand-off (handoffCrash); a double fault (_lossy, once a lost
+// batch) adds a crash of the next rank in the teardown collective, which
+// fires in whichever attempt first gets there.
 func TestRecoverSoak(t *testing.T) {
 	a := gen.ER(6, 0.5, 251).WithFullSelfLoops()
 	b := gen.PrefAttach(5, 2, 252)
@@ -1018,52 +844,63 @@ func TestRecoverSoak(t *testing.T) {
 	const schedules = 36
 	for i := 0; i < schedules; i++ {
 		i := i
-		point := []FaultPoint{FaultBeforeSinkSetup, FaultMidExpansion, FaultMidExchange, FaultInCollective}[i%4]
+		const midExchange = "mid-exchange"
+		point := []string{FaultBeforeSinkSetup.String(), FaultMidExpansion.String(), midExchange, FaultInCollective.String()}[i%4]
 		r := 2 + i%3
 		twoD := (i/4)%2 == 1
-		routed := point == FaultMidExchange || (i/8)%2 == 0
+		routed := point == midExchange || (i/8)%2 == 0
 		owned := i >= 24
 		if owned {
-			point = []FaultPoint{FaultBeforeSinkSetup, FaultMidExpansion, FaultInCollective}[i%3]
+			point = []string{FaultBeforeSinkSetup.String(), FaultMidExpansion.String(), FaultInCollective.String()}[i%3]
 			r, routed = 2+(i/3)%4, false
 		}
 		doubleFault := routed && i%3 == 0
 		const budget = 4
 
+		var owner Owner
+		placement := "unrouted"
+		switch {
+		case routed:
+			owner, placement = BlockOwner{NC: nC}, "routed"
+		case owned:
+			owner, placement = OwnerBySource, "owned"
+		}
 		plan, err := planForChain(mustChain(a, b), r, twoD)
 		if err != nil {
 			t.Fatal(err)
 		}
-		crash := CrashSpec{Rank: i % r, Point: point, After: int64(i % 2)}
-		if point == FaultMidExpansion {
-			rank, work := plannedWork(plan)
+		rank, work := plannedWork(plan)
+		if owner != nil {
+			rank, work = busiestOwner(want, owner, r)
+		}
+		var crash CrashSpec
+		switch point {
+		case midExchange:
+			crash = handoffCrash(rank)
+		case FaultMidExpansion.String():
+			crash = CrashSpec{Rank: rank, Point: FaultMidExpansion, After: int64(i % 2)}
 			if owned {
-				rank, work = busiestOwner(want, OwnerBySource, r)
 				crash.After = work / int64(1+i%3)
 			}
 			if work <= crash.After {
 				crash.After = 0
 			}
-			crash.Rank = rank
+		case FaultBeforeSinkSetup.String():
+			crash = CrashSpec{Rank: i % r, Point: FaultBeforeSinkSetup, After: int64(i % 2)}
+		default:
+			crash = CrashSpec{Rank: i % r, Point: FaultInCollective, After: int64(i % 2)}
 		}
-		fp := &FaultPlan{Seed: int64(400 + i), Crashes: []CrashSpec{crash}}
+		fp := &FaultPlan{Crashes: []CrashSpec{crash}}
 		if doubleFault {
-			fp.LoseAfter, fp.LoseDeliveries = int64(1+i%3), 1
+			fp.Crashes = append(fp.Crashes, CrashSpec{Rank: (crash.Rank + 1) % r, Point: FaultInCollective})
 		}
 		ms := NewMemorySink(r)
 		cfg := Config{
-			Plan: plan, Sink: ms, Faults: fp,
+			Plan: plan, Owner: owner, Sink: ms, Faults: fp,
 			Recovery: Recovery{MaxRetries: budget, Backoff: time.Millisecond},
 		}
-		placement := "unrouted"
-		switch {
-		case routed:
-			cfg.Owner, placement = OwnerByEdge, "routed"
-		case owned:
-			cfg.Owner, placement = OwnerBySource, "owned"
-		}
 
-		name := fmt.Sprintf("%02d_%s_r%d_%s_%s%s", i, crash.Point, r,
+		name := fmt.Sprintf("%02d_%s_r%d_%s_%s%s", i, point, r,
 			map[bool]string{false: "1d", true: "2d"}[twoD], placement,
 			map[bool]string{false: "", true: "_lossy"}[doubleFault])
 		t.Run(name, func(t *testing.T) {
@@ -1105,30 +942,30 @@ func TestRecoverAsyncStoreSink(t *testing.T) {
 	}
 	nC := a.NumVertices() * b.NumVertices()
 
-	for pi, point := range []FaultPoint{FaultMidExpansion, FaultMidExchange, FaultInCollective} {
+	const midExchange = "mid-exchange"
+	for _, point := range []string{FaultMidExpansion.String(), midExchange, FaultInCollective.String()} {
 		point := point
-		t.Run(fmt.Sprint(point), func(t *testing.T) {
+		t.Run(point, func(t *testing.T) {
 			t.Parallel()
 			const r = 3
 			plan, err := planForChain(mustChain(a, b), r, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The mid-expansion crash comes halfway through the busiest
-			// rank's expansion, so the sink already staged (and possibly
-			// flushed) edges that the replay will regenerate behind the fence.
-			crash := CrashSpec{Rank: 1, Point: point}
 			// By source, as every store run is: the rank that stores an arc
-			// generates it, and the busiest one dies halfway through its
-			// share. The mid-exchange crash needs an exchange to fire in, so
-			// that cell alone routes (by edge; the store reassembles either way).
+			// generates it. The mid-expansion crash comes halfway through the
+			// busiest rank's share, so the sink already staged (and possibly
+			// flushed) edges that the replay will regenerate behind the fence;
+			// the mid-exchange one right after its first hand-off
+			// (handoffCrash), one arc staged.
 			var owner Owner = OwnerBySource
+			rank, work := busiestOwner(want, owner, r)
+			crash := CrashSpec{Rank: 1, Point: FaultInCollective}
 			switch point {
-			case FaultMidExpansion:
-				rank, work := busiestOwner(want, owner, r)
-				crash.Rank, crash.After = rank, work/2
-			case FaultMidExchange:
-				owner = OwnerByEdge
+			case FaultMidExpansion.String():
+				crash = CrashSpec{Rank: rank, Point: FaultMidExpansion, After: work / 2}
+			case midExchange:
+				crash = handoffCrash(rank)
 			}
 			ss := NewStoreSink(t.TempDir(), r)
 			var st Stats
@@ -1136,7 +973,7 @@ func TestRecoverAsyncStoreSink(t *testing.T) {
 				var err error
 				st, err = Run(context.Background(), Config{
 					Plan: plan, Owner: owner, Sink: ss,
-					Faults:   &FaultPlan{Seed: int64(400 + pi), Crashes: []CrashSpec{crash}},
+					Faults:   &FaultPlan{Crashes: []CrashSpec{crash}},
 					Recovery: Recovery{MaxRetries: 2, Backoff: time.Millisecond},
 				})
 				return err

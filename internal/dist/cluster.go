@@ -1,21 +1,19 @@
 // Package dist implements the paper's distributed Kronecker generator
 // (Sec. III and Rem. 1) over a pluggable rank-to-rank transport. The
-// default cluster is simulated: R ranks run as goroutines and exchange
-// edge batches over channels (transport/chan). Cluster mode runs the
-// same code across processes over length-prefixed TCP (transport/tcp,
-// see RunCluster). The partitioning, expansion and owner-routing
-// code paths are exactly those of the MPI implementation the paper
-// describes (HavoqGT on Sequoia); only the transport differs, and the
-// cluster accounts messages and bytes so communication volume can be
-// reported in the benchmarks.
+// default cluster is simulated: R ranks run as goroutines over the
+// in-process transport (transport/chan). Cluster mode runs the same code
+// across processes over length-prefixed TCP (transport/tcp, see
+// RunCluster), where the transport carries the teardown collective and
+// failure detection. The partitioning and expansion code paths are those
+// of the MPI implementation the paper describes (HavoqGT on Sequoia); edges
+// never cross the transport, because every rank generates what it stores.
 //
 // All generation paths are wrappers over one Plan→Expand→Place→Sink
 // engine (engine.go): a Plan decomposes the factors into per-rank tiles,
-// the Expand stage streams each tile's share of C, an optional Owner names
-// the rank that stores each edge — a map of the source alone is inverted,
-// each rank generating what it stores; any other routes edges over the
-// all-to-all exchange — and a pluggable Sink stores them (in memory, on
-// disk, to a streaming consumer, or as a count).
+// the Expand stage streams each tile's share of C, an optional Owner — a
+// map of the source vertex alone — names the rank that stores each edge,
+// and that rank generates it, and a pluggable Sink stores them (in memory,
+// on disk, to a streaming consumer, or as a count).
 package dist
 
 import (
@@ -25,42 +23,40 @@ import (
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"kronlab/internal/dist/transport"
 	chantransport "kronlab/internal/dist/transport/chan"
 	"kronlab/internal/graph"
 )
 
-// edgeWireBytes is the accounting size of one edge on the wire: two
-// int64 endpoints (store.RecordSize, which is also what the TCP framing
-// actually serializes per edge).
+// edgeWireBytes is the accounting size of one edge handed to a stream's
+// consumer: two int64 endpoints (store.RecordSize).
 const edgeWireBytes = 16
 
-// Message is a batch of edges sent between ranks — an alias for the
-// transport-layer Batch so the engine and the transports share one
-// framing type. EOF marks the end of the sender's stream for the
-// current exchange. Epoch is the run attempt the batch belongs to
-// (stamped by send, checked by the receiver's epoch fence); Tile is the
-// plan tile that produced every edge in the batch — the shipper
-// flushes at tile boundaries so a batch never mixes tiles, which is
-// what lets recovering sinks deduplicate per tile stream.
-type Message = transport.Batch
-
-// Stats aggregates traffic counters across an exchange. The scalar fields
-// are totals over all ranks; the per-rank slices expose load skew (the
-// paper's Rem. 1 crossover) and are populated by the engine, not by the
-// raw transport.
+// Stats aggregates a run's counters. The scalar fields are totals over all
+// ranks; the per-rank slices expose load skew (the paper's Rem. 1
+// crossover) and are populated by the engine.
 type Stats struct {
 	EdgesGenerated int64 // product edges produced by expansion
-	EdgesRouted    int64 // edges sent to a different rank for storage
-	BytesSent      int64 // edgeWireBytes per routed edge
-	Messages       int64 // batches sent (including EOF markers)
-	MaxInboxDepth  int64 // deepest observed inbox backlog, in messages
-	StaleBatches   int64 // batches dropped by the receiver's epoch fence
 
-	// What placing cost a source-owner run, which routes nothing (read
-	// them against EdgesGenerated; see ownedRows).
+	// Deprecated: nothing routes, so an engine run leaves it 0;
+	// StreamChainFrom sets it to the edges it handed its consumer. Kept
+	// until bench/ stops reading it (ROADMAP 1(e)).
+	EdgesRouted int64
+	// Deprecated: nothing routes, so an engine run leaves it 0;
+	// StreamChainFrom sets it to edgeWireBytes per edge it handed its
+	// consumer. Kept until bench/ stops reading it (ROADMAP 1(e)).
+	BytesSent int64
+	// Deprecated: nothing routes, so an engine run leaves it 0;
+	// StreamChainFrom sets it to the batches it handed its consumer. Kept
+	// until bench/ stops reading it (ROADMAP 1(e)).
+	Messages int64
+	// Deprecated: always 0; nothing routes. Kept until bench/ stops reading
+	// it (ROADMAP 1(e)).
+	MaxInboxDepth int64
+
+	// What placing cost an owner run (read them against EdgesGenerated;
+	// see ownedRows).
 	OwnerRowsTested int64 // owner calls: one per non-empty innermost row per change of source base, on every rank
 	ArcsCompacted   int64 // arcs copied into the ranks' picks of owned rows
 
@@ -77,14 +73,13 @@ type Stats struct {
 	// Robustness counters. HeadGeneration counts head incarnations across
 	// the run's ledger (1 = the head never died, and every in-process
 	// run); LastEpoch is the final attempt's epoch (the attempt number
-	// without a ledger); HeartbeatMisses counts liveness ticks some peer —
-	// a TCP process, or a rank under the simulated failure detector —
-	// spent silent: early smoke for slow or partitioned links.
+	// without a ledger); HeartbeatMisses counts liveness ticks some peer
+	// process spent silent: early smoke for slow or partitioned links.
 	HeadGeneration  int64
 	LastEpoch       int64
 	HeartbeatMisses int64
 
-	// OutstandingBufs snapshots pooled batch buffers still checked out by
+	// OutstandingBufs snapshots pooled edge buffers still checked out by
 	// the process that drove the run. Every in-process run ends at 0,
 	// however many attempts it took; the chaos suite asserts it as the
 	// buffer-leak probe.
@@ -120,10 +115,9 @@ func maxOf(xs []int64) int64 {
 
 // Cluster is a machine with R communicating ranks over a Transport. A
 // cluster is one-shot: it runs exactly one Run/RunContext (a second
-// attempt returns ErrClusterUsed), because an aborted run can leave
-// cancelled context state and stale transport residue that would
-// misroute batches into a later exchange. Reset returns a finished
-// cluster to a runnable state by draining that residue.
+// attempt returns ErrClusterUsed), because an aborted run leaves cancelled
+// context state and collective state behind. Reset returns a finished
+// cluster to a runnable state.
 type Cluster struct {
 	r      int
 	lo, hi int // local rank range [lo, hi) hosted by this process
@@ -131,15 +125,9 @@ type Cluster struct {
 	stats  Stats
 	used   atomic.Bool
 
-	// epoch is the current run attempt, stamped on every outgoing
-	// message and checked by the receiver's epoch fence. Written by the
-	// supervisor strictly between attempts (happens-before the rank
-	// goroutines via RunContext's spawn), read by rank goroutines.
-	epoch int64
-
 	// Run context: cancelled (with cause) when any rank's body returns an
-	// error, so ranks blocked in an exchange tear down instead of waiting for
-	// EOF markers that will never arrive. Every cancel the package issues
+	// error, so ranks blocked in a collective tear down instead of waiting
+	// for a rank that will never arrive. Every cancel the package issues
 	// raises stop right after it (cancel), so a walking rank sees teardown
 	// with one atomic load per block (walk.place).
 	ctx       context.Context
@@ -150,15 +138,14 @@ type Cluster struct {
 	// lifetime, so a sink that keeps its Rank sees the walk's phase.
 	ranks []Rank
 
-	// faults, when non-nil, is the armed fault-injection schedule
-	// (see fault.go) consulted by the transport and the collectives.
+	// faults, when non-nil, is the process's armed crash schedule (see
+	// fault.go), consulted by the walk and the collectives.
 	faults *faultState
 
-	// bufsOut counts pooled batch buffers currently checked out by this
-	// cluster; it must return to the number of stale inbox messages after
-	// teardown (zero after Reset), which is how the abort-path leak
-	// regression is asserted. The buffers themselves live in the
-	// package-level edgeBufs.
+	// bufsOut counts pooled edge buffers currently checked out by this
+	// cluster; it must return to zero once a run has torn down, which is
+	// how the abort-path leak regression is asserted. The buffers
+	// themselves live in the package-level edgeBufs.
 	bufsOut int64
 }
 
@@ -168,9 +155,7 @@ type Cluster struct {
 var ErrClusterUsed = errors.New("dist: cluster already ran; NewCluster or Reset before running again")
 
 // NewCluster returns a simulated cluster of r ranks on the in-process
-// channel transport: all ranks local, zero-copy delivery, buffered
-// inboxes so the generate-then-drain pattern cannot deadlock as long as
-// each rank runs its inline receive progress (see exchangeBlocks).
+// channel transport: all ranks local.
 func NewCluster(r int) (*Cluster, error) {
 	if r < 1 {
 		return nil, fmt.Errorf("dist: cluster needs ≥ 1 rank, got %d", r)
@@ -181,8 +166,8 @@ func NewCluster(r int) (*Cluster, error) {
 // NewClusterOn returns a cluster over an existing transport — the
 // cluster-mode entry point, where the transport is a TCP mesh hosting
 // only this process's rank range. RunContext then spawns bodies for the
-// local ranks only; collectives and routed batches span the whole
-// cluster through the transport.
+// local ranks only; collectives span the whole cluster through the
+// transport.
 func NewClusterOn(tr transport.Transport) (*Cluster, error) {
 	r := tr.R()
 	if r < 1 {
@@ -210,48 +195,14 @@ func (c *Cluster) Local() (lo, hi int) { return c.lo, c.hi }
 // cluster-mode control traffic).
 func (c *Cluster) Transport() transport.Transport { return c.tr }
 
-// InjectFaults arms the cluster with a fault-injection schedule. It must
-// be called before the run starts. The schedule survives Reset: its
-// probabilistic faults are re-seeded (so a reset cluster replays delays
-// and drops identically), while one-shot faults — crash countdowns and
-// the scheduled-loss window — keep their lifetime counters, so a
-// supervised replay does not re-suffer a fault that already fired.
-//
-// A scheduled partition (PartitionAfterSends > 0) additionally arms the
-// transport's failure detector, when the transport supports partitions
-// (the in-process chan transport does; cluster mode's TCP transport is
-// partitioned through TCPFaults and real heartbeats instead). On a
-// transport without partition support the partition fields are ignored.
-func (c *Cluster) InjectFaults(plan FaultPlan) {
-	c.faults = newFaultState(plan, c.r)
-	if plan.PartitionAfterSends > 0 {
-		type partitioner interface {
-			Partition(rank int)
-			EnableFailureDetection(interval, deadline time.Duration)
-		}
-		if p, ok := c.tr.(partitioner); ok {
-			c.faults.partition = p.Partition
-			iv := plan.FDInterval
-			if iv <= 0 {
-				iv = 2 * time.Millisecond
-			}
-			p.EnableFailureDetection(iv, plan.FDDeadline)
-		}
-	}
-}
-
-// Reset returns a finished cluster to a runnable state: stale batches
-// left behind by an aborted exchange are drained from the transport
-// (their pooled batch buffers recycled), traffic stats and collective
-// state are zeroed, any armed fault schedule is re-seeded (see
-// InjectFaults for what survives), and a fresh run context is
-// installed. It must not be called concurrently with a run.
+// Reset returns a finished cluster to a runnable state: batches left in
+// the transport are drained (their pooled buffers recycled), stats and
+// collective state are zeroed, and a fresh run context is installed. An
+// armed crash schedule keeps its lifetime countdowns. It must not be called
+// concurrently with a run.
 func (c *Cluster) Reset() {
-	c.tr.Reset(func(b Message) { c.putBuf(b.Edges) })
+	c.tr.Reset(func(b transport.Batch) { c.putBuf(b.Edges) })
 	c.stats = Stats{}
-	if c.faults != nil {
-		c.faults.reset()
-	}
 	c.cancel(nil) // retire the previous run's context
 	c.ctx, c.cancelCtx = context.WithCancelCause(context.Background())
 	c.used.Store(false)
@@ -264,22 +215,14 @@ func (c *Cluster) cancel(cause error) {
 	c.stop.Store(true)
 }
 
-// Stats returns a snapshot of the traffic counters.
+// Stats returns a snapshot of the counters.
 func (c *Cluster) Stats() Stats {
-	var depth, misses int64
-	if d, ok := c.tr.(interface {
-		MaxDepth() int64
-		HeartbeatMisses() int64
-	}); ok {
-		depth, misses = d.MaxDepth(), d.HeartbeatMisses()
+	var misses int64
+	if d, ok := c.tr.(interface{ HeartbeatMisses() int64 }); ok {
+		misses = d.HeartbeatMisses()
 	}
 	return Stats{
 		EdgesGenerated:  atomic.LoadInt64(&c.stats.EdgesGenerated),
-		EdgesRouted:     atomic.LoadInt64(&c.stats.EdgesRouted),
-		BytesSent:       atomic.LoadInt64(&c.stats.BytesSent),
-		Messages:        atomic.LoadInt64(&c.stats.Messages),
-		MaxInboxDepth:   depth,
-		StaleBatches:    atomic.LoadInt64(&c.stats.StaleBatches),
 		OwnerRowsTested: atomic.LoadInt64(&c.stats.OwnerRowsTested),
 		ArcsCompacted:   atomic.LoadInt64(&c.stats.ArcsCompacted),
 		HeartbeatMisses: misses,
@@ -294,11 +237,10 @@ func (c *Cluster) Run(body func(rk *Rank) error) error {
 }
 
 // RunContext is Run with cancellation: when parent is cancelled, or any
-// local rank's body returns an error, every rank blocked in an exchange
-// (sending or waiting for EOF markers) is released and every walking rank
-// stops at its next block. The root cause — the first rank error, or the
-// external cancellation — is returned in preference to the secondary
-// context errors the other ranks observe.
+// local rank's body returns an error, every rank blocked in a collective is
+// released and every walking rank stops at its next block. The root cause
+// — the first rank error, or the external cancellation — is returned in
+// preference to the secondary context errors the other ranks observe.
 // On a multi-process transport only the local rank range runs here;
 // remote failures surface as transport errors on blocked calls.
 func (c *Cluster) RunContext(parent context.Context, body func(rk *Rank) error) error {
@@ -334,22 +276,20 @@ func (c *Cluster) RunContext(parent context.Context, body func(rk *Rank) error) 
 	return nil
 }
 
-// edgeBufs recycles batch buffers between flushes so a long exchange
-// allocates O(R + inflight) buffers, not O(messages). It is a package-level
-// freelist rather than a per-cluster sync.Pool for two measured reasons:
-// short-lived clusters (one per generation run) reuse each other's buffers
-// instead of paying O(R²) cold-start allocations every run, and pushing a
-// plain slice header onto a slice stack does not box it into an interface
-// the way sync.Pool.Put does — that box was one heap object per flushed
-// batch, the single largest allocation source in the routed engine.
-// Per-cluster accounting stays in Cluster.bufsOut, which nets zero for any
-// get/put pair regardless of which cluster's run originally held the buffer.
+// edgeBufs recycles edge buffers for its two users: each rank's walk checks
+// its scratch block out per attempt (runAttempt), and the stream sink its
+// hand-off batches, which the consumer gives back (streamSink.getBuf,
+// recycle). It is a package-level freelist rather than a per-cluster
+// sync.Pool because short-lived clusters (one per generation run, one per
+// kronserve request) reuse each other's buffers, and pushing a plain slice
+// header onto a slice stack does not box it into an interface the way
+// sync.Pool.Put does. Per-cluster accounting stays in Cluster.bufsOut,
+// which nets zero for any get/put pair regardless of which cluster's run
+// originally held the buffer.
 var edgeBufs bufStack
 
 // edgeBufsCap bounds the freelist; buffers recycled beyond it are dropped
-// for the GC. 4096 buffers of the default batch size is 64 MiB — comfortably
-// above the in-flight peak of any simulated cluster size the repo runs (R²
-// staged + inbox backlog at R=32 is ~1.3k buffers).
+// for the GC. 4096 buffers of the default batch size is 64 MiB.
 const edgeBufsCap = 4096
 
 // bufStack is a mutex-guarded stack of empty edge buffers.
@@ -384,7 +324,7 @@ func (p *bufStack) put(b []graph.Edge) {
 	p.mu.Unlock()
 }
 
-// getBuf checks an empty edge buffer for an n-edge batch out of edgeBufs.
+// getBuf checks an empty edge buffer for an n-edge block out of edgeBufs.
 func (c *Cluster) getBuf(n int) []graph.Edge {
 	atomic.AddInt64(&c.bufsOut, 1)
 	return edgeBufs.get(n)
@@ -399,9 +339,9 @@ func (c *Cluster) putBuf(b []graph.Edge) {
 	edgeBufs.put(b)
 }
 
-// outstandingBufs reports pooled batch buffers currently checked out.
-// Once a run has torn down and Reset has drained stale inboxes it must
-// be zero — the pooled-buffer leak regression asserts exactly that.
+// outstandingBufs reports pooled edge buffers currently checked out. Once
+// a run has torn down it must be zero — the pooled-buffer leak regression
+// asserts exactly that.
 func (c *Cluster) outstandingBufs() int64 { return atomic.LoadInt64(&c.bufsOut) }
 
 // Rank is one processor inside a Cluster.Run body.

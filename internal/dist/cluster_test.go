@@ -5,10 +5,9 @@ package dist
 // test process (one goroutine per "process", each with its own Node and
 // rank range) and diffs the shared on-disk product against the serial
 // reference. The kill suite is the real thing: worker *processes*
-// (re-execs of this test binary), one of which SIGKILLs itself
-// mid-exchange via the wire-level fault schedule, is respawned by the
-// driver, and the recovered cluster output must still match the
-// reference edge-for-edge.
+// (re-execs of this test binary), one of which exits inside its sink
+// mid-run, is respawned by the driver on the same listener, and the
+// recovered cluster output must still match the reference edge-for-edge.
 
 import (
 	"bytes"
@@ -182,13 +181,15 @@ func TestClusterHandshakeRejectsPlanMismatch(t *testing.T) {
 
 // Environment keys of the cluster helper process (see
 // TestClusterHelperProcess). The driver re-execs this test binary with
-// these set; KILL > 0 arms the wire-level SIGKILL on that worker.
+// these set; KILL > 0 makes the process exit inside its KILL-th sink block
+// (exitAfterSink).
 const (
 	envClusterHelper  = "KRONLAB_CLUSTER_HELPER"
 	envClusterAddrs   = "KRONLAB_CLUSTER_ADDRS"
 	envClusterSelf    = "KRONLAB_CLUSTER_SELF"
 	envClusterDir     = "KRONLAB_CLUSTER_DIR"
 	envClusterKill    = "KRONLAB_CLUSTER_KILL"
+	envClusterOwned   = "KRONLAB_CLUSTER_OWNED"   // the owner-side death cluster (ownedKillConfig)
 	envClusterLedger  = "KRONLAB_CLUSTER_LEDGER"  // head: durable run ledger path
 	envClusterRetries = "KRONLAB_CLUSTER_RETRIES" // workers: head re-dial budget
 )
@@ -202,9 +203,7 @@ func killTestFactors() (*graph.Graph, *graph.Graph) {
 
 // killTestConfig is the shared shape of the crash-recovery cluster: the
 // driver (head) and every helper (worker) derive it independently. It
-// routes by edge because its faults are scheduled in outbound batch frames,
-// and only an owner that is not a source owner puts any on the wire
-// (TestClusterOwnedDeathRecovery kills a process that sends none).
+// stores by source, as every store run does.
 func killTestConfig(dir string, r int) (Config, Plan, error) {
 	a, b := killTestFactors()
 	plan, err := PlanChain1D(mustChain(a, b), r)
@@ -213,7 +212,7 @@ func killTestConfig(dir string, r int) (Config, Plan, error) {
 	}
 	return Config{
 		Plan:      plan,
-		Owner:     OwnerByEdge,
+		Owner:     OwnerBySource,
 		Sink:      NewStoreSink(dir, r),
 		BatchSize: 32,
 		Recovery:  Recovery{MaxRetries: 3, Backoff: 10 * time.Millisecond},
@@ -232,28 +231,17 @@ func TestClusterHelperProcess(t *testing.T) {
 	if err != nil {
 		t.Fatalf("bad self index: %v", err)
 	}
-	kill, _ := strconv.ParseInt(os.Getenv(envClusterKill), 10, 64)
 	cfg, plan, err := killTestConfig(os.Getenv(envClusterDir), len(addrs))
-	if exit, owned := os.LookupEnv(envOwnedExit); owned {
+	if os.Getenv(envClusterOwned) == "1" {
 		// TestClusterOwnedDeathRecovery's worker: two ranks a process, by
-		// source blocks, dying (if told to) in a StoreBlock.
+		// source blocks.
 		cfg, plan, err = ownedKillConfig(os.Getenv(envClusterDir), 2*len(addrs))
-		if n, _ := strconv.ParseInt(exit, 10, 64); n > 0 {
-			dying := &exitAfterSink{Sink: cfg.Sink}
-			dying.left.Store(n)
-			cfg.Sink = dying
-		}
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kill > 0 {
-		cfg.Faults = &FaultPlan{TCP: transport.TCPFaults{KillAfterFrames: kill}}
-	}
-	node, err := tcp.NewNode(addrs[self], self, PlanHash(plan))
-	if err != nil {
-		t.Fatalf("worker %d node: %v", self, err)
-	}
+	cfg.Sink = dieInSink(cfg.Sink)
+	node := parentNode(t, self, PlanHash(plan))
 	defer node.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
@@ -269,22 +257,70 @@ func TestClusterHelperProcess(t *testing.T) {
 	}
 }
 
-// reservePorts allocates n distinct loopback ports by binding and
-// releasing listeners. The helper processes re-bind them; the window
-// between release and re-bind is the usual accepted race of
-// fixed-address multi-process tests.
-func reservePorts(t *testing.T, n int) []string {
+// clusterListeners opens one loopback listener per process of a
+// multi-process test. The driver keeps them for the whole test: a child is
+// handed its process's listener as fd 3 (withListener), a respawned child
+// the same one, and an in-process head builds its Node on its own
+// (tcp.NewNodeOn), so no address is ever released and bound again.
+func clusterListeners(t *testing.T, n int) ([]*net.TCPListener, []string) {
 	t.Helper()
+	lns := make([]*net.TCPListener, n)
 	addrs := make([]string, n)
-	for i := range addrs {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
+	for i := range lns {
+		ln, err := net.ListenTCP("tcp", &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		addrs[i] = l.Addr().String()
-		l.Close()
+		t.Cleanup(func() { ln.Close() })
+		lns[i], addrs[i] = ln, ln.Addr().String()
 	}
-	return addrs
+	return lns, addrs
+}
+
+// withListener hands ln to cmd as its fd 3; start closes the driver's copy.
+func withListener(t *testing.T, cmd *exec.Cmd, ln *net.TCPListener) *exec.Cmd {
+	t.Helper()
+	f, err := ln.File()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd.ExtraFiles = []*os.File{f}
+	return cmd
+}
+
+// start starts cmd and closes the files it was handed: the child holds its
+// own copies.
+func start(cmd *exec.Cmd) error {
+	err := cmd.Start()
+	for _, f := range cmd.ExtraFiles {
+		f.Close()
+	}
+	return err
+}
+
+// parentNode is a helper child's Node, on the listener its driver handed it
+// as fd 3.
+func parentNode(t *testing.T, self int, planHash uint64) *tcp.Node {
+	t.Helper()
+	f := os.NewFile(3, "listener")
+	ln, err := net.FileListener(f)
+	f.Close()
+	if err != nil {
+		t.Fatalf("proc %d: the driver's listener: %v", self, err)
+	}
+	return tcp.NewNodeOn(ln, self, planHash)
+}
+
+// dieInSink wraps sink in exitAfterSink when the helper environment asks
+// for a death (envClusterKill > 0).
+func dieInSink(sink Sink) Sink {
+	n, _ := strconv.ParseInt(os.Getenv(envClusterKill), 10, 64)
+	if n <= 0 {
+		return sink
+	}
+	dying := &exitAfterSink{Sink: sink}
+	dying.left.Store(n)
+	return dying
 }
 
 // childExit is a cluster test's child process ending: which child, what
@@ -326,7 +362,7 @@ func respawnAfter(exits chan<- childExit, name string, victim *exec.Cmd, respawn
 			return
 		}
 		re := respawn()
-		if err := re.Start(); err != nil {
+		if err := start(re); err != nil {
 			exits <- childExit{name: "respawned " + name, err: err}
 			return
 		}
@@ -373,18 +409,19 @@ func awaitCluster(t *testing.T, head <-chan error, exits <-chan childExit, n int
 }
 
 // TestClusterKillRecovery is the crash-then-recover contract across real
-// process boundaries: a 4-process cluster in which one worker SIGKILLs
-// itself mid-exchange (wire fault, buffered state lost with it), the
-// driver respawns it fault-free, and the supervised head replays the
-// uncommitted tiles — the final store must hold exactly the serial
-// product, with the recovery visible in the head's stats.
+// process boundaries: a 4-process cluster in which one worker exits inside
+// its sink mid-run (buffered state lost with it), the driver respawns it
+// fault-free on the same listener, and the supervised head replays the
+// uncommitted tiles while the two surviving workers fence what they hold —
+// the final store must hold exactly the serial product, with the recovery
+// visible in the head's stats.
 func TestClusterKillRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process test")
 	}
 	const nprocs = 4
 	const victim = 2
-	addrs := reservePorts(t, nprocs)
+	lns, addrs := clusterListeners(t, nprocs)
 	dir := t.TempDir()
 	cfg, plan, err := killTestConfig(dir, nprocs)
 	if err != nil {
@@ -395,10 +432,7 @@ func TestClusterKillRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, err := tcp.NewNode(addrs[0], 0, PlanHash(plan))
-	if err != nil {
-		t.Fatal(err)
-	}
+	node := tcp.NewNodeOn(lns[0], 0, PlanHash(plan))
 	defer node.Close()
 
 	exe, err := os.Executable()
@@ -416,21 +450,21 @@ func TestClusterKillRecovery(t *testing.T) {
 			envClusterDir+"="+dir,
 			envClusterKill+"="+strconv.FormatInt(kill, 10),
 		)
-		return captureOutput(cmd)
+		return captureOutput(withListener(t, cmd, lns[self]))
 	}
 
 	exits := make(chan childExit, nprocs-1)
 	for p := 1; p < nprocs; p++ {
 		kill := int64(0)
 		if p == victim {
-			kill = 5 // SIGKILL after the 5th outbound batch frame
+			kill = 5 // exit inside its 5th sink block
 		}
 		w := spawn(p, kill)
-		if err := w.Start(); err != nil {
+		if err := start(w); err != nil {
 			t.Fatal(err)
 		}
 		if p == victim {
-			// It dies by its own fault schedule and is respawned clean.
+			// It dies in its sink and is respawned clean.
 			respawnAfter(exits, "worker "+strconv.Itoa(p), w, func() *exec.Cmd { return spawn(victim, 0) })
 		} else {
 			waitChild(exits, "worker "+strconv.Itoa(p), w)
@@ -466,9 +500,9 @@ func TestClusterKillRecovery(t *testing.T) {
 }
 
 // TestClusterHeadKillRecovery is the tentpole contract: a 4-process TCP
-// cluster whose HEAD — the supervisor owning the checkpoint table — is
-// SIGKILLed mid-exchange by its own wire fault schedule. The driver
-// respawns it as an external supervisor would; the respawned head
+// cluster whose HEAD — the supervisor owning the checkpoint table — exits
+// inside its sink mid-run. The driver respawns it on the same listener as
+// an external supervisor would; the respawned head
 // replays its durable ledger, bumps the head generation, re-accepts the
 // parked workers (whose joins re-announce their stored prefixes), and
 // finishes the run. The final store must match the serial product
@@ -480,7 +514,7 @@ func TestClusterHeadKillRecovery(t *testing.T) {
 		t.Skip("multi-process test")
 	}
 	const nprocs = 4
-	addrs := reservePorts(t, nprocs)
+	lns, addrs := clusterListeners(t, nprocs)
 	dir := t.TempDir()
 	ledgerPath := dir + "/head.ledger"
 	_, plan, err := killTestConfig(dir, nprocs)
@@ -510,23 +544,23 @@ func TestClusterHeadKillRecovery(t *testing.T) {
 			envClusterLedger+"="+ledgerPath,
 			envClusterRetries+"=12",
 		)
-		return captureOutput(cmd)
+		return captureOutput(withListener(t, cmd, lns[self]))
 	}
 
-	// Workers first (they park dialing the head), then the doomed head:
-	// SIGKILL after its 5th outbound batch frame, mid-exchange of epoch 0.
-	// It dies by its own schedule and is respawned clean; the second
-	// generation, like every worker, must exit successfully.
+	// Workers first (they park dialing the head), then the doomed head: it
+	// exits inside its 5th sink block, mid-run of epoch 0, and is respawned
+	// clean; the second generation, like every worker, must exit
+	// successfully.
 	exits := make(chan childExit, nprocs)
 	for p := 1; p < nprocs; p++ {
 		w := spawn(p, 0)
-		if err := w.Start(); err != nil {
+		if err := start(w); err != nil {
 			t.Fatal(err)
 		}
 		waitChild(exits, "worker "+strconv.Itoa(p), w)
 	}
 	head := spawn(0, 5)
-	if err := head.Start(); err != nil {
+	if err := start(head); err != nil {
 		t.Fatal(err)
 	}
 	respawnAfter(exits, "head", head, func() *exec.Cmd { return spawn(0, 0) })
@@ -599,9 +633,17 @@ func TestClusterHeadFaultUnchanged(t *testing.T) {
 	}
 }
 
+// lowBitsHash is the source hash as it was before it kept the high bits:
+// the remainder of the product.
+type lowBitsHash struct{}
+
+func (lowBitsHash) BindSource(r int) func(u int64) int {
+	return func(u int64) int { return int(uint64(u) * 0x9e3779b97f4a7c15 % uint64(r)) }
+}
+
 // TestLedgerIdentityRefusesOtherRun: a ledger belongs to one run
 // configuration. Its per-(tile, rank) prefixes count positions in the
-// substream one owner map sends a rank in batches of one size, so a head
+// substream one owner map gives a rank in blocks of one size, so a head
 // handed a finished run's ledger under any other owner map — another kind, or
 // the source hash as it was before it kept the high bits — another batch size
 // or another process split must refuse by identity, where seeding its fences
@@ -629,10 +671,7 @@ func TestLedgerIdentityRefusesOtherRun(t *testing.T) {
 	owners := map[string]Owner{
 		"BlockOwner":    BlockOwner{NC: plan.NC},
 		"OwnerBySource": OwnerBySource,
-		"OwnerByEdge":   OwnerByEdge,
-		"lowBitsHash": OwnerFunc(func(u, _ int64, r int) int {
-			return int(uint64(u) * 0x9e3779b97f4a7c15 % uint64(r))
-		}),
+		"lowBitsHash":   lowBitsHash{},
 	}
 	for was, x := range owners {
 		path := t.TempDir() + "/ledger"
@@ -681,10 +720,7 @@ func TestConfigDigestPinned(t *testing.T) {
 		{"nil", nil, 0x1ce5de7ccfcb638c},
 		{"BlockOwner", BlockOwner{NC: plan.NC}, 0x83d53a3c6809ca76},
 		{"OwnerBySource", OwnerBySource, 0x5fe0bae955fe3aac},
-		{"OwnerByEdge", OwnerByEdge, 0xdd5aeb47fe3b80cd},
-		{"lowBitsHash", OwnerFunc(func(u, _ int64, r int) int {
-			return int(uint64(u) * 0x9e3779b97f4a7c15 % uint64(r))
-		}), 0xcc06d5dedf0dc3cd},
+		{"lowBitsHash", lowBitsHash{}, 0xcc06d5dedf0dc3cd},
 	}
 	for _, o := range owners {
 		h, err := newRankHost(ClusterConfig{Procs: []transport.Proc{{Hi: r}}}, Config{Plan: plan, Owner: o.owner, Sink: &CountSink{}})
@@ -768,10 +804,10 @@ func TestClusterHeadRefusesBadReport(t *testing.T) {
 }
 
 // TestClusterBlame: a two-process cluster (goroutines over loopback, as in
-// TestClusterParity) whose worker resets its link to the head mid-exchange.
-// The head's own report names the worker process, and the retry must be
-// booked on that process's first rank — not on rank 0 — with the store
-// still holding exactly core.Chain.Arcs.
+// TestClusterParity) whose worker's first rank crashes mid-expansion. The
+// head sees the worker's mesh go down, its own report names the worker
+// process, and the retry must be booked on that process's first rank — not
+// on rank 0 — with the store still holding exactly core.Chain.Arcs.
 func TestClusterBlame(t *testing.T) {
 	const nprocs, r = 2, 4
 	ch := mustChain(killTestFactors())
@@ -803,7 +839,7 @@ func TestClusterBlame(t *testing.T) {
 			defer wg.Done()
 			pcfg := cfg
 			if p == 1 {
-				pcfg.Faults = &FaultPlan{TCP: transport.TCPFaults{ResetAfterFrames: 5}}
+				pcfg.Faults = &FaultPlan{Crashes: []CrashSpec{{Rank: procs[1].Lo, Point: FaultMidExpansion, After: 64}}}
 			}
 			stats[p], errs[p] = RunCluster(ctx, ClusterConfig{Procs: procs, Self: p, Node: nodes[p]}, pcfg)
 		}(p)

@@ -1,6 +1,6 @@
 package dist
 
-// The attempt loop and cluster mode: the Plan→Expand→Route→Sink engine
+// The attempt loop and cluster mode: the Plan→Expand→Place→Sink engine
 // spread across N OS processes over the TCP transport. Every process
 // deterministically reconstructs the same Plan from the factor files,
 // hosts a contiguous rank range from the static peer list, and runs the
@@ -54,14 +54,12 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"kronlab/internal/core"
 	"kronlab/internal/dist/ledger"
 	"kronlab/internal/dist/transport"
 	"kronlab/internal/dist/transport/tcp"
-	"kronlab/internal/graph"
 	"kronlab/internal/store"
 )
 
@@ -118,7 +116,7 @@ func (cc ClusterConfig) heartbeatInterval() time.Duration {
 // product size, the chain's factor dimensions, and every tile's
 // identity, head-arc window and tail-factor shapes. Two processes that
 // derive different plans from what should be the same inputs refuse each
-// other's connections instead of silently exchanging misrouted batches.
+// other's connections instead of silently mixing checkpoint accounting.
 // Chain depth is part of the fingerprint, so a k=3 head never handshakes
 // with a k=2 worker even when both products have the same vertex count.
 func PlanHash(p Plan) uint64 {
@@ -218,11 +216,6 @@ func (m *ctrlMsg) fail(err error) {
 
 type trafficStats struct {
 	Generated  int64 `json:"generated,omitempty"`
-	Routed     int64 `json:"routed,omitempty"`
-	Bytes      int64 `json:"bytes,omitempty"`
-	Messages   int64 `json:"messages,omitempty"`
-	Stale      int64 `json:"stale,omitempty"`
-	MaxDepth   int64 `json:"max_depth,omitempty"`
 	HBMisses   int64 `json:"hb_misses,omitempty"`
 	RowsTested int64 `json:"rows_tested,omitempty"`
 	Compacted  int64 `json:"compacted,omitempty"`
@@ -239,28 +232,6 @@ var errMeshDown = errors.New("dist: cluster mesh establishment failed")
 func clusterRecoverable(err error) bool {
 	_, ok := classify(err)
 	return ok || errors.Is(err, errMeshDown)
-}
-
-// latePool adapts the engine's accounted buffer pool for the TCP
-// transport. The Cluster it charges get/put to is created only after the
-// mesh is up (NewClusterOn needs the transport), so the pointer is set
-// late; until then — and for the handful of frames that may decode
-// before the attempt starts — it falls back to bare allocation.
-type latePool struct {
-	c atomic.Pointer[Cluster]
-}
-
-func (p *latePool) Get(n int) []graph.Edge {
-	if c := p.c.Load(); c != nil {
-		return c.getBuf(n)
-	}
-	return make([]graph.Edge, 0, n)
-}
-
-func (p *latePool) Put(b []graph.Edge) {
-	if c := p.c.Load(); c != nil {
-		c.putBuf(b)
-	}
 }
 
 // joinMsg is the worker's opening announcement on every control
@@ -318,13 +289,6 @@ func (h *rankHost) checkReport(cp *checkpoints, peer int, rep *ctrlMsg) error {
 // foldReport merges one proc's attempt report into the aggregate stats.
 func foldReport(agg *Stats, rep *ctrlMsg) {
 	agg.EdgesGenerated += rep.Traffic.Generated
-	agg.EdgesRouted += rep.Traffic.Routed
-	agg.BytesSent += rep.Traffic.Bytes
-	agg.Messages += rep.Traffic.Messages
-	agg.StaleBatches += rep.Traffic.Stale
-	if rep.Traffic.MaxDepth > agg.MaxInboxDepth {
-		agg.MaxInboxDepth = rep.Traffic.MaxDepth
-	}
 	agg.HeartbeatMisses += rep.Traffic.HBMisses
 	agg.OwnerRowsTested += rep.Traffic.RowsTested
 	agg.ArcsCompacted += rep.Traffic.Compacted
@@ -342,8 +306,12 @@ func foldReport(agg *Stats, rep *ctrlMsg) {
 // it with an identical Plan (PlanHash enforces this at every connection)
 // and a Sink able to host its local rank range. Config.Recovery arms
 // process-level recovery exactly as it arms rank-level recovery
-// in-process; Config.Faults contributes only its TCP schedule to a process
-// with a Node (the in-proc crash/link fields govern simulated clusters).
+// in-process, and Config.Faults arms the same way in both: each process's
+// ranks obey the crash specs that name them.
+//
+// Config.Owner must be nil or have a source form (Owner.BindSource); any
+// other owner — a typed-nil OwnerFunc or any OwnerFunc but OwnerBySource
+// included — is refused before a sink is opened.
 //
 // On the head the returned Stats aggregate the whole cluster across all
 // attempts; workers return their local share. The error (or nil) is
@@ -359,12 +327,12 @@ func RunCluster(ctx context.Context, cc ClusterConfig, cfg Config) (Stats, error
 	if cc.Node == nil && len(cc.Procs) > 1 {
 		return Stats{}, fmt.Errorf("dist: a cluster of %d processes needs a Node", len(cc.Procs))
 	}
+	if cfg.Owner != nil && cfg.Owner.BindSource(cfg.Plan.R) == nil {
+		return Stats{}, fmt.Errorf("dist: owner %T has no source form: only maps of the source vertex are supported", cfg.Owner)
+	}
 	h, err := newRankHost(cc, cfg)
 	if err != nil {
 		return Stats{}, err
-	}
-	if _, isFunc := cfg.Owner.(OwnerFunc); cfg.Owner != nil && !isFunc && cfg.Owner.BindSource(cfg.Plan.R) == nil {
-		return Stats{}, fmt.Errorf("dist: owner %T has no source form, and only an OwnerFunc may read the target", cfg.Owner)
 	}
 	if cc.Self == 0 {
 		return runClusterHead(ctx, h)
@@ -479,8 +447,8 @@ func runClusterWorker(ctx context.Context, h *rankHost) (Stats, error) {
 // count positions in the substream *this* map sends to a rank, so a ledger
 // written under another map — another kind, or the same name at another
 // commit — would fence the wrong arcs out of tiles whose counts still match.
-// An owner is probed through the form the engine places with: its source
-// form where it has one, the OwnerFunc itself otherwise.
+// An owner is probed through its source form, the one the engine places
+// with.
 func (h *rankHost) configDigest() uint64 {
 	d := fnv.New64a()
 	var b [8]byte
@@ -495,15 +463,10 @@ func (h *rankHost) configDigest() uint64 {
 	}
 	if o := h.cfg.Owner; o != nil {
 		w(1)
-		r, nc := h.cfg.Plan.R, max(h.cfg.Plan.NC, 1)
-		bySource := o.BindSource(r)
-		probe := func(j int64) int64 { return (j*(nc/64) + j) % nc }
+		nc := max(h.cfg.Plan.NC, 1)
+		bySource := o.BindSource(h.cfg.Plan.R)
 		for j := int64(0); j < 64; j++ {
-			if bySource != nil {
-				w(int64(bySource(probe(j))))
-			} else {
-				w(int64(o.(OwnerFunc)(probe(j), probe(63-j), r)))
-			}
+			w(int64(bySource((j*(nc/64) + j) % nc)))
 		}
 	} else {
 		w(0)

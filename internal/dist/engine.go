@@ -14,16 +14,14 @@ import (
 
 // Phase label contexts for runtime/pprof goroutine labels: profiles of an
 // engine run attribute samples to the kernel stage (phase=expand|filter|
-// route|store) that was executing. Built once and swapped at phase
-// boundaries, not per block (a swap is a context lookup; two per block cost
-// the unrouted walk 7 %): a walk is phase=expand from each tile on, sink
-// calls included; phase=filter a source owner's pick (ownedRows.pick);
-// phase=route the per-edge exchange, swapped per block, and phase=store the
-// batches it delivers and a rank blocked in a sink hand-off.
+// store) that was executing. Built once and swapped at phase boundaries, not
+// per block (a swap is a context lookup; two per block cost the unplaced walk
+// 7 %): a walk is phase=expand from each tile on, sink calls included;
+// phase=filter a source owner's pick (ownedRows.pick), and phase=store a rank
+// blocked in a sink hand-off.
 var (
 	expandLabels = pprof.WithLabels(context.Background(), pprof.Labels("phase", "expand"))
 	filterLabels = pprof.WithLabels(context.Background(), pprof.Labels("phase", "filter"))
-	routeLabels  = pprof.WithLabels(context.Background(), pprof.Labels("phase", "route"))
 	storeLabels  = pprof.WithLabels(context.Background(), pprof.Labels("phase", "store"))
 	// sinkFlushLabels marks the async store sink's writer goroutines
 	// (sinks.go), so disk-flush time shows up as its own phase instead of
@@ -203,8 +201,8 @@ type RankSink interface {
 // Sink fans a generation run out to per-rank consumers. Rank is called
 // once per rank, inside the rank's goroutine, before the rank's first
 // expansion starts (a replayed attempt reuses the RankSink); an
-// error aborts the run on every rank (no deadlock: the other ranks'
-// exchanges are cancelled rather than left waiting for EOF markers).
+// error aborts the run on every rank (no deadlock: the other ranks stop at
+// their next block, and the teardown collective releases on cancellation).
 type Sink interface {
 	Rank(rk *Rank) (RankSink, error)
 }
@@ -213,7 +211,7 @@ type Sink interface {
 // zero retries: the first fault is returned unchanged.
 type Recovery struct {
 	// MaxRetries bounds re-run attempts after a recoverable fault (a
-	// rank crash, a lost message or a dead peer). The run makes at most
+	// rank crash or a dead peer). The run makes at most
 	// 1+MaxRetries attempts; with the budget exhausted the last fault is
 	// returned unchanged.
 	MaxRetries int
@@ -225,24 +223,22 @@ type Recovery struct {
 // Config describes one engine run.
 type Config struct {
 	Plan Plan
-	// Owner names the rank that stores each edge and, by its kind, where the
-	// edge is generated (see Owner). A nil interface (not a typed nil) places
+	// Owner names the rank that stores each edge, and every rank generates
+	// what it stores (see Owner). A nil interface (not a typed nil) places
 	// nothing: every edge goes to the sink of the rank whose tile produced
-	// it, with zero communication (count-only and streaming runs).
+	// it (count-only and streaming runs).
 	Owner Owner
 	Sink  Sink
-	// BatchSize is the largest block a sink is handed and the
-	// per-destination edge count a routed exchange buffers before flushing a
-	// message; clean and fault-armed runs walk in the same blocks. ≤ 0
-	// selects DefaultBatchSize (1024, the benchmarked default). Correct for
-	// any value ≥ 1; a routed run stages O(R·BatchSize) per rank. Larger is
+	// BatchSize is the largest block a sink is handed; clean and
+	// fault-armed runs walk in the same blocks. ≤ 0 selects DefaultBatchSize
+	// (1024, the benchmarked default). Correct for any value ≥ 1. Larger is
 	// not free: the expansion block is 16 B × BatchSize and must stay in L1
 	// beside the streaming innermost factor — at 2048 it leaves and
-	// unrouted expansion halves (DefaultBatchSize).
+	// unplaced expansion halves (DefaultBatchSize).
 	BatchSize int
-	// Faults, when non-nil, arms the run's cluster with an injected
-	// fault schedule (see fault.go) — chaos testing of the teardown,
-	// redelivery and recovery paths. Nil injects nothing.
+	// Faults, when non-nil, arms the run's ranks with an injected crash
+	// schedule (see fault.go) — chaos testing of the teardown and recovery
+	// paths. Nil injects nothing.
 	Faults *FaultPlan
 	// Recovery (embedded: MaxRetries, Backoff) is the retry policy; see the
 	// Recovery type.
@@ -259,31 +255,25 @@ func (cfg Config) batchSize() int {
 
 // runAttempt executes one attempt of the engine on an already-built
 // cluster: every rank walks its tiles with a core.TailCursor — one loop
-// for every chain depth — and where an arc is generated is decided by the
-// owner alone. With no owner, ExpandNext fills a reused scratch block that
-// goes to the rank's own sink. With a source form (Owner.BindSource) every
-// rank walks every tile and expands only the rows it owns (ownedRows),
-// straight into its own sink: nothing is staged, batched or sent, at any R
-// and on any transport. Without one the owner is an OwnerFunc and the block
-// is routed edge by edge over the epoch-fenced exchange. Owned batches go
-// to the fenced sink sinkFor returns; perGen/perStored get the per-rank
-// counters.
+// for every chain depth — into its own sink. With no owner, ExpandNext
+// fills a reused scratch block. With one (its source form, Owner.BindSource)
+// every rank walks every tile and expands only the rows it owns
+// (ownedRows): nothing is staged, batched or sent, at any R and on any
+// transport. Blocks go to the fenced sink sinkFor returns; perGen/perStored
+// get the per-rank counters.
 //
 // Expansion order is exactly the reference order — head arcs in tile
 // order, each crossed with the tail's composed arcs in lexicographic CSR
 // order (core.Chain.Arcs) — so what reaches a rank's sink per (tile, rank)
 // is the tile's stream filtered by the owner map, in order, byte-identical
-// across attempts and across the two placements. That determinism is what
-// tile checkpoints and prefix-dedup recovery key on; the step size changes
-// polling granularity, never order. A fault-armed run walks the same blocks.
+// across attempts. That determinism is what tile checkpoints and
+// prefix-dedup recovery key on; the step size changes polling granularity,
+// never order. A fault-armed run walks the same blocks.
 func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, sinkFor func(*Rank) (*fencedRankSink, error), perGen, perStored []int64, batch int) error {
-	// Resolved once per attempt and shared by the ranks: both forms are pure.
+	// Resolved once per attempt and shared by the ranks: the map is pure.
 	var bySource func(u int64) int
-	var byEdge OwnerFunc
 	if owner != nil {
-		if bySource = owner.BindSource(c.r); bySource == nil {
-			byEdge = owner.(OwnerFunc) // RunCluster refused any other kind
-		}
+		bySource = owner.BindSource(c.r) // RunCluster refused an owner without one
 	}
 	return c.RunContext(ctx, func(rk *Rank) error {
 		if err := rk.crashAt(FaultBeforeSinkSetup); err != nil {
@@ -294,31 +284,19 @@ func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, si
 			return fmt.Errorf("dist: rank %d sink: %w", rk.ID(), err)
 		}
 		// The scratch block is reused across every A-arc of every tile. A-arcs
-		// expand against B in chunks of ≤ batch arcs, so the scratch is the
-		// exchange's buffer size class and checks out of the same freelist
-		// — expansion allocates nothing in steady state and per-rank memory
-		// stays O(|E_A|/R + |E_B| + R·batch) even when this rank's B is large.
-		w := walk{rk: rk, as: as, faults: c.faults, batch: batch, scratch: c.getBuf(batch), byEdge: byEdge}
-		switch {
-		case bySource != nil:
+		// expand against B in chunks of ≤ batch arcs, and the scratch checks
+		// out of the package freelist — expansion allocates nothing in steady
+		// state and per-rank memory stays O(|E_A|/R + |E_B| + batch) even
+		// when this rank's B is large.
+		w := walk{rk: rk, as: as, faults: c.faults, batch: batch, scratch: c.getBuf(batch)}
+		if bySource != nil {
 			w.own = &ownedRows{owner: bySource, rank: rk.ID(), batch: batch, scratch: w.scratch}
-			w.tiles(tiles[rk.ID()])
+		}
+		w.tiles(tiles[rk.ID()])
+		if w.own != nil {
 			w.scratch = w.own.scratch
 			atomic.AddInt64(&rk.c.stats.OwnerRowsTested, w.own.rows)
 			atomic.AddInt64(&rk.c.stats.ArcsCompacted, w.own.copied)
-		case byEdge != nil:
-			w.xErr = rk.exchangeBlocks(batch, func(s *shipper) {
-				w.s = s
-				w.tiles(tiles[rk.ID()])
-			}, func(tile int, edges []graph.Edge) {
-				// Delivery runs inline on this goroutine (progress on
-				// send), so the store label is swapped in per batch; the
-				// walk swaps expand back in when route returns.
-				rk.setPhase(storeLabels)
-				w.deliver(tile, edges)
-			})
-		default:
-			w.tiles(tiles[rk.ID()])
 		}
 		c.putBuf(w.scratch)
 		atomic.AddInt64(&rk.c.stats.EdgesGenerated, w.generated)
@@ -330,16 +308,16 @@ func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, si
 			return w.sinkErr
 		case w.crashErr != nil:
 			return w.crashErr
-		case w.xErr != nil:
-			return w.xErr
+		case w.stopErr != nil:
+			return w.stopErr
 		}
 		// Teardown collective: every rank must report a balanced run
-		// before the engine declares success — an edge batch that went
-		// missing without an error would otherwise be a silent partial
-		// result. Replayed duplicates a fenced sink suppressed count as
-		// accounted for. A rank that stores what it generates contributes 0
-		// and still enters: the reduce is the run's barrier and in-collective
-		// fault injection point, and because a rank that died earlier never
+		// before the engine declares success — a block a sink dropped
+		// without an error would otherwise be a silent partial result.
+		// Replayed duplicates a fenced sink suppressed count as accounted
+		// for. A rank that stores what it generates contributes 0 and still
+		// enters: the reduce is the run's barrier and in-collective fault
+		// injection point, and because a rank that died earlier never
 		// arrives, it completes for the survivors only through
 		// BarrierContext's cancellation awareness.
 		delta, rerr := rk.AllReduceSumContext(w.generated - w.stored - skipped)
@@ -354,21 +332,18 @@ func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, si
 }
 
 // walk is one rank's Expand stage in one attempt. A block costs the kernel
-// call, the sink call (or the router) and one atomic load (Cluster.stop).
+// call, the sink call and one atomic load (Cluster.stop).
 type walk struct {
 	rk      *Rank
 	as      *fencedRankSink
 	faults  *faultState // nil unless the run is fault-armed
 	batch   int
 	scratch []graph.Edge
+	own     *ownedRows // a source owner's pick; nil otherwise
 
-	own    *ownedRows // a source owner's pick; nil otherwise
-	s      *shipper   // the exchange, under any other owner; nil otherwise
-	byEdge OwnerFunc  // the owner s routes by
-
-	generated, stored       int64
-	blocks                  uint32 // placed, for the context poll
-	sinkErr, crashErr, xErr error
+	generated, stored          int64
+	blocks                     uint32 // placed, for the context poll
+	sinkErr, crashErr, stopErr error
 }
 
 // contextPoll is how many blocks apart a walk reads the run's context, which
@@ -439,9 +414,9 @@ func (w *walk) tiles(tiles []Tile) {
 	}
 }
 
-// place routes or stores one block and reports whether the walk goes on. A
-// crash due inside the block fires after the arcs before it are placed, and
-// cancels the run at once: a dead process does not flush EOF markers.
+// place stores one block and reports whether the walk goes on. A crash due
+// inside the block fires after the arcs before it are stored, and cancels
+// the run at once.
 func (w *walk) place(tile int, block []graph.Edge) bool {
 	var crash error
 	if w.faults != nil {
@@ -450,14 +425,7 @@ func (w *walk) place(tile int, block []graph.Edge) bool {
 		block = block[:n]
 	}
 	w.generated += int64(len(block))
-	if w.s != nil {
-		w.rk.setPhase(routeLabels)
-		ok := w.s.route(tile, block, w.byEdge)
-		w.rk.setPhase(expandLabels)
-		if !ok {
-			return false
-		}
-	} else if len(block) > 0 && !w.deliver(tile, block) {
+	if len(block) > 0 && !w.deliver(tile, block) {
 		return false
 	}
 	if crash != nil {
@@ -465,9 +433,9 @@ func (w *walk) place(tile int, block []graph.Edge) bool {
 		w.rk.c.cancel(crash)
 		return false
 	}
-	// A run with nothing to send would never notice teardown otherwise. The
-	// poll only reads the context: every rank polls the same one, and Err
-	// would take its lock.
+	// A walk blocks on nothing, so it would never notice teardown otherwise.
+	// The poll only reads the context: every rank polls the same one, and
+	// Err would take its lock.
 	stop := w.rk.c.stop.Load()
 	if w.blocks++; !stop && w.blocks%contextPoll == 0 {
 		select {
@@ -477,19 +445,15 @@ func (w *walk) place(tile int, block []graph.Edge) bool {
 		}
 	}
 	if stop {
-		w.xErr = context.Cause(w.rk.c.ctx)
+		w.stopErr = context.Cause(w.rk.c.ctx)
 		return false
 	}
 	return true
 }
 
-// deliver hands one owned batch to the rank's sink. Under routing it runs
-// inline from the exchange's progress engine — same goroutine as expansion
-// — and the cancel tears down the other ranks' producers.
+// deliver hands one block to the rank's sink; a sink error cancels the run,
+// which stops the other ranks' walks.
 func (w *walk) deliver(tile int, edges []graph.Edge) bool {
-	if w.sinkErr != nil {
-		return false
-	}
 	n, err := w.as.storeBlock(tile, edges)
 	w.stored += n
 	if err != nil {

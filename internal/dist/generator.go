@@ -68,21 +68,14 @@ func PartitionArcs(arcs []graph.Edge, parts int) [][]graph.Edge {
 // head's arcs are the split dimension — evenly distributed under the
 // paper's Sec. III 1D partitioning, crossed with parts of the first tail
 // factor under Rem. 1's 2D grid (twoD) — each rank folds the replicated
-// tail lazily through the chain kernel, and every edge is stored at
-// owner(u, v, r) (nil: OwnerBySource — the one OwnerFunc with a source
-// form, under which each rank generates what it stores; any other function
-// is routed to). Per-rank memory is O(|E_A₁|/R + Σ|E_tail| + stored), time
-// O(|E_C|/R).
-func GenerateChain(ch *core.Chain, r int, owner OwnerFunc, twoD bool) (*Result, error) {
+// tail lazily through the chain kernel, and every edge is generated and
+// stored at the rank owner names (nil: OwnerBySource). An owner without a
+// source form is refused, as Run refuses it. Per-rank memory is
+// O(|E_A₁|/R + Σ|E_tail| + stored), time O(|E_C|/R).
+func GenerateChain(ch *core.Chain, r int, owner Owner, twoD bool) (*Result, error) {
 	if owner == nil {
 		owner = OwnerBySource
 	}
-	return generateChain(ch, r, owner, twoD)
-}
-
-// generateChain is GenerateChain for any Owner (GenerateOwned's BlockOwner
-// is not a function).
-func generateChain(ch *core.Chain, r int, ownr Owner, twoD bool) (*Result, error) {
 	plan, err := planForChain(ch, r, twoD)
 	if err != nil {
 		return nil, err
@@ -104,15 +97,14 @@ func generateChain(ch *core.Chain, r int, ownr Owner, twoD bool) (*Result, error
 	// expansion. A hashed share is never exactly 1/r (the hubs' arcs land
 	// whole, a percent of skew at r = 16 and tens at r ≥ 64), so the
 	// ideal-share hint under-sizes the busier ranks and each pays one
-	// growslice doubling of its whole buffer. (OwnerBySource, named or by
-	// default, is the one OwnerFunc with a source form.)
-	f, _ := ownr.(OwnerFunc)
+	// growslice doubling of its whole buffer.
+	f, _ := owner.(OwnerFunc)
 	if limit, ok := core.CheckedMul(4, arcs); f.BindSource(r) != nil && ok && plan.NC <= limit {
 		sink.Hints = chainSourceHashLoads(ch, r)
 	} else {
 		sink.Hint = arcs/int64(r) + 1
 	}
-	st, err := Run(context.Background(), Config{Plan: plan, Owner: ownr, Sink: sink})
+	st, err := Run(context.Background(), Config{Plan: plan, Owner: owner, Sink: sink})
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +112,7 @@ func generateChain(ch *core.Chain, r int, ownr Owner, twoD bool) (*Result, error
 }
 
 // chainSourceHashLoads returns the exact number of product arcs the
-// default source-hash owner routes to each of r ranks: product vertex p
+// default source-hash owner places on each of r ranks: product vertex p
 // has out-degree Π deg_d(digit_d(p)), and its whole arc set lands on the
 // rank its source hashes to. O(|V_C|) time via a recursive sweep of the
 // mixed-radix digit space.
@@ -207,8 +199,7 @@ func EffectiveParallelism2D(a, b *graph.Graph, r int) int {
 // generate-and-store pipeline at any chain depth with O(batch) memory per
 // rank regardless of |E_C|. The owner map is forced to shard-per-rank
 // placement (OwnerBySource, matching store.BySource) so shard i holds
-// exactly rank i's owned edges — which rank i generates itself: a store run
-// routes nothing.
+// exactly rank i's owned edges, which rank i generates itself.
 func GenerateChainToStore(ch *core.Chain, r int, dir string, twoD bool) (*store.Store, Stats, error) {
 	return GenerateChainToStoreFrom(ch, r, dir, twoD, 0, -1)
 }

@@ -1,14 +1,13 @@
 package dist
 
-// Cross-path equivalence for the blocked expansion/routing kernel: every
-// engine configuration — 1D and 2D plans, routed (hash and block owner
-// maps) and unrouted sinks, factors with and without full self loops,
+// Cross-path equivalence for the blocked expansion kernel: every engine
+// configuration — 1D and 2D plans, source owners (hash, block, and one that
+// starves a rank) and no owner, factors with and without full self loops,
 // one-, two- and three-factor chains, whole streams and windows, batch
 // sizes down to 1 — must emit exactly the edge multiset of the per-edge
-// reference generator. The kernel reorders work (blocks, per-run or
-// per-edge partitioning, batch flushes) but may never change what is
-// generated or where it is stored; this test is the property pinning
-// that.
+// reference generator. The kernel reorders work (blocks, owned-row picks)
+// but may never change what is generated or where it is stored; this test
+// is the property pinning that.
 
 import (
 	"context"
@@ -60,13 +59,14 @@ func midRunWindow(t *testing.T, arcs []graph.Edge) (lo, hi int) {
 
 // TestKernelEquivalence sweeps the engine matrix against the serial
 // reference: every arc exactly once (multiset equality, not set
-// equality) and, when routed, on the rank the owner map names. Batch
-// sizes include 1 (every edge flushes — maximal message count, every
-// tile-boundary and threshold path taken) and small odd values that
-// misalign batches with blocks, tiles and source runs. The owners cover
-// all three routing forms: a v-dependent OwnerFunc (per-edge loop), a
-// map of the source (BlockOwner), and OwnerBySource as the plain OwnerFunc
-// value every caller passes (recognised: generated where it is stored). The windowed cases slice the
+// equality) and, under an owner, on the rank the owner map names. Batch
+// sizes include 1 (every edge its own block — every tile-boundary and
+// threshold path taken) and small odd values that misalign blocks with
+// tiles and source runs. The owners are a map of the source as a type
+// (BlockOwner), OwnerBySource as the plain OwnerFunc value every caller
+// passes, and a source owner under which a rank owns nothing (starvedOwner,
+// in the cells still named byEdge after the map of both endpoints they ran
+// before owners had to read the source alone). The windowed cases slice the
 // 1D plan — whose stream order is the serial order — so that Skip and
 // Take both cut a run; on the two-factor chain that is
 // core.TailCursor.SeekTo over a one-factor tail.
@@ -89,7 +89,7 @@ func TestKernelEquivalence(t *testing.T) {
 		owner func(nC int64) Owner
 	}{
 		{"unrouted", func(int64) Owner { return nil }},
-		{"byEdge", func(int64) Owner { return OwnerByEdge }},
+		{"byEdge", func(int64) Owner { return starvedOwner{} }},
 		{"blockBound", func(nC int64) Owner { return BlockOwner{NC: nC} }},
 		{"bySource", func(int64) Owner { return OwnerBySource }},
 	}
@@ -138,7 +138,7 @@ func TestKernelEquivalence(t *testing.T) {
 	}
 }
 
-// assertPlacement checks that every arc a routed run stored sits on the
+// assertPlacement checks that every arc an owner run stored sits on the
 // rank the owner map names.
 func assertPlacement(t *testing.T, ms *MemorySink, owner Owner) {
 	t.Helper()
@@ -154,10 +154,10 @@ func assertPlacement(t *testing.T, ms *MemorySink, owner Owner) {
 
 // TestRecoverKernelOddBatchSoak replays the supervised-recovery contract
 // on the blocked kernel with batch sizes that misalign with tiles and
-// blocks (including 1): a mid-expansion crash plus a permanently lost
-// batch must still yield the exact reference edge set, because prefix
-// deduplication counts edges — it must hold for any batch framing of the
-// per-(tile, destination) substreams.
+// blocks (including 1): a mid-expansion crash of the busiest owner must
+// still yield the exact reference edge set, because prefix deduplication
+// counts edges — it must hold for any block framing of the per-(tile,
+// rank) substreams.
 func TestRecoverKernelOddBatchSoak(t *testing.T) {
 	a := gen.ER(7, 0.5, 411).WithFullSelfLoops()
 	b := gen.PrefAttach(6, 2, 412)
@@ -176,18 +176,14 @@ func TestRecoverKernelOddBatchSoak(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rank, work := plannedWork(plan)
+				rank, work := busiestOwner(want, OwnerBySource, r)
 				ms := NewMemorySink(r)
 				var st Stats
 				runErr := runWithWatchdog(t, chaosWatchdog, func() error {
 					var err error
 					st, err = Run(context.Background(), Config{
-						Plan: plan, Owner: OwnerByEdge, Sink: ms, BatchSize: batch,
-						Faults: &FaultPlan{
-							Seed:      int64(420 + batch),
-							Crashes:   []CrashSpec{{Rank: rank, Point: FaultMidExpansion, After: work / 2}},
-							LoseAfter: 1, LoseDeliveries: 1,
-						},
+						Plan: plan, Owner: OwnerBySource, Sink: ms, BatchSize: batch,
+						Faults:   &FaultPlan{Crashes: []CrashSpec{{Rank: rank, Point: FaultMidExpansion, After: work / 2}}},
 						Recovery: Recovery{MaxRetries: 3, Backoff: time.Millisecond},
 					})
 					return err

@@ -13,13 +13,13 @@ import (
 // sorted and placed in a compressed sparse row structure, it would be
 // possible for a processor to efficiently generate only the edges it must
 // store" — at the contiguous source-block storage map: the engine's
-// owner-side path under BlockOwner, into memory. Nothing is routed.
+// owner-side path under BlockOwner, into memory.
 func GenerateOwned(a, b *graph.Graph, r int) (*Result, error) {
 	ch, err := core.NewChain(a, b)
 	if err != nil {
 		return nil, err
 	}
-	return generateChain(ch, r, BlockOwner{NC: ch.NumVertices()}, false)
+	return GenerateChain(ch, r, BlockOwner{NC: ch.NumVertices()}, false)
 }
 
 // ownedRows is one rank's pick of the innermost factor's CSR rows for one

@@ -1,12 +1,10 @@
 package dist
 
-// Owner-side generation against the exchange it replaces. Under a source
-// owner every rank walks every tile and expands only the rows it owns
-// (ownedRows); the same owner map asked edge by edge of each tile's stream,
-// as the exchange asks it, would have delivered each rank the very same
-// arcs — per (tile, rank) substream in the same order, because that order
-// is what checkpoints and the replay fence count in — and no message may be
-// sent.
+// Owner-side generation against its reference. Under a source owner every
+// rank walks every tile and expands only the rows it owns (ownedRows); each
+// tile's serial stream filtered by the same owner map, edge by edge, is the
+// very same arcs — per (tile, rank) substream in the same order, because
+// that order is what checkpoints and the replay fence count in.
 
 import (
 	"context"
@@ -80,8 +78,8 @@ func (starvedOwner) BindSource(r int) func(u int64) int {
 	}
 }
 
-// ownedReference is what the per-edge exchange delivers each rank of the
-// plan under a source owner: every tile's stream — core.Chain.Arcs of the
+// ownedReference is what each rank of the plan must store under a source
+// owner: every tile's stream — core.Chain.Arcs of the
 // tile's head arcs and tail factors, windowed by Skip and Take — filtered by
 // the owner, per (tile, rank) and, tile by tile in ID order, per rank.
 func ownedReference(plan Plan, owner func(u int64) int) *tileRecorder {
@@ -108,14 +106,16 @@ func ownedReference(plan Plan, owner func(u int64) int) *tileRecorder {
 }
 
 // TestOwnerSideMatchesPerEdgeExchange is the differential safety net of
-// owner-side generation: for every cell of chain shape (k = 1 with its
+// owner-side generation (named for the per-edge exchange it was first held
+// against; its reference, ownedReference, never used it): for every cell of
+// chain shape (k = 1 with its
 // identity tail, 2 and 3; empty rows in the innermost factor and in the
 // head, a loop-only factor, a one-row head, an empty factor) × layout × R × batch size
 // (dividing sweeps and not) × source owner (hash, block, and one that
 // starves a rank) × stream window, the run under the source owner must
-// store per (tile, rank) exactly the substream, in order, that the per-edge
-// exchange delivers — each tile's serial stream filtered by the owner
-// (ownedReference) — and send nothing. The windows of the 1D
+// store per (tile, rank) exactly the substream, in order, of each tile's
+// serial stream filtered by the owner (ownedReference). The windows of the
+// 1D
 // stream, whose order is the serial order, start and stop mid-row, on a
 // row boundary, on a sweep boundary and inside the first and the last head
 // arc; there the ranks' outputs are also held to the serial oracle, in
@@ -405,7 +405,7 @@ func assertOwnedCell(t *testing.T, cell string, got, ref *tileRecorder, st Stats
 	var total int64
 	for rank := range ref.byTile {
 		if !reflect.DeepEqual(got.byTile[rank], ref.byTile[rank]) {
-			t.Fatalf("%s: rank %d's per-tile substreams differ from what the per-edge exchange delivers:\n got %v\nwant %v", cell, rank, got.byTile[rank], ref.byTile[rank])
+			t.Fatalf("%s: rank %d's per-tile substreams differ from the reference:\n got %v\nwant %v", cell, rank, got.byTile[rank], ref.byTile[rank])
 		}
 		assertSameOrder(t, fmt.Sprintf("%s: rank %d multiset", cell, rank), sortedArcs(got.flat[rank]), sortedArcs(ref.flat[rank]))
 		if n := int64(len(got.flat[rank])); st.PerRankStored[rank] != n || st.PerRankGenerated[rank] != n {
@@ -429,9 +429,6 @@ func assertOwnedCell(t *testing.T, cell string, got, ref *tileRecorder, st Stats
 			assertSameOrder(t, fmt.Sprintf("%s: rank %d against the serial oracle", cell, rank), got.flat[rank], sub)
 		}
 	}
-	if st.Messages != 0 || st.EdgesRouted != 0 || st.BytesSent != 0 || st.MaxInboxDepth != 0 {
-		t.Fatalf("%s: a source-owner run sent %d messages, %d edges, %d bytes (inbox depth %d)", cell, st.Messages, st.EdgesRouted, st.BytesSent, st.MaxInboxDepth)
-	}
 	if st.EdgesGenerated != total || (want != nil && total != int64(len(want))) {
 		t.Fatalf("%s: generated %d, stored %d, oracle has %d", cell, st.EdgesGenerated, total, len(want))
 	}
@@ -442,8 +439,7 @@ func assertOwnedCell(t *testing.T, cell string, got, ref *tileRecorder, st Stats
 
 // TestGenerateChainPerRankCanonicalOrder: under 1D and a source owner,
 // Result.PerRank[ρ] is the canonical-order subsequence of the product's arcs
-// that ρ owns — the same slice run after run (it was interleaved by arrival
-// when the arcs were routed).
+// that ρ owns — the same slice run after run.
 func TestGenerateChainPerRankCanonicalOrder(t *testing.T) {
 	ch := mustChain(gen.MustRMAT(gen.Graph500Params(4, 471)), gen.PrefAttach(7, 2, 472), gen.ER(4, 0.6, 473))
 	const r = 5
@@ -516,7 +512,7 @@ func TestOwnerSideCounters(t *testing.T) {
 	rank, work := busiestOwner(mustProduct(t, a, b), OwnerBySource, r)
 	rs, err := Run(context.Background(), Config{
 		Plan: plan, Owner: OwnerBySource, Sink: NewMemorySink(r),
-		Faults:   &FaultPlan{Seed: 483, Crashes: []CrashSpec{{Rank: rank, Point: FaultMidExpansion, After: work / 2}}},
+		Faults:   &FaultPlan{Crashes: []CrashSpec{{Rank: rank, Point: FaultMidExpansion, After: work / 2}}},
 		Recovery: Recovery{MaxRetries: 1},
 	})
 	if err != nil {
@@ -538,10 +534,6 @@ func mustProduct(t *testing.T, a, b *graph.Graph) *graph.Graph {
 
 // --- A process that dies while it generates ------------------------------
 
-// envOwnedExit, set on a TestClusterHelperProcess child, selects the
-// owner-side cluster (ownedKillConfig); a value > 0 arms exitAfterSink.
-const envOwnedExit = "KRONLAB_OWNED_EXIT_AFTER"
-
 // ownedKillConfig is the shared shape of the owner-side death cluster,
 // derived independently by the driver and its helper: the kill factors by
 // source blocks, so that a rank's arcs come from a few tiles only.
@@ -551,10 +543,11 @@ func ownedKillConfig(dir string, r int) (Config, Plan, error) {
 	return cfg, plan, err
 }
 
-// exitAfterSink is a process that dies mid-generation with nothing on any
-// wire to count: os.Exit inside the process's Nth StoreBlock, once its
-// stdin has been closed — the driver's word that the surviving process has
-// stored its whole share, which makes what recovery must replay exact.
+// exitAfterSink is a process that dies mid-generation: os.Exit inside the
+// process's Nth StoreBlock, once its stdin has been closed — a driver that
+// holds the pipe open until the surviving process has stored its whole
+// share makes what recovery must replay exact; one that hands the child no
+// stdin lets it die at once.
 type exitAfterSink struct {
 	Sink
 	left atomic.Int64
@@ -620,13 +613,13 @@ func (t *sharesStoredRankSink) StoreBlock(edges []graph.Edge) (int64, error) {
 // product; only the tiles with arcs on the dead process's ranks replay
 // (every rank walks them again: the head's ranks regenerate what they hold
 // of them and the fence suppresses it, the respawned ranks store their
-// share anew); nothing is routed.
+// share anew).
 func TestClusterOwnedDeathRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process test")
 	}
 	const nprocs, r = 2, 4
-	addrs := reservePorts(t, nprocs)
+	lns, addrs := clusterListeners(t, nprocs)
 	dir := t.TempDir()
 	cfg, plan, err := ownedKillConfig(dir, r)
 	if err != nil {
@@ -673,10 +666,7 @@ func TestClusterOwnedDeathRecovery(t *testing.T) {
 		t.Fatalf("%d of %d tiles hold arcs of the dead process's ranks; the test needs some but not all", replayed, tiles)
 	}
 
-	node, err := tcp.NewNode(addrs[0], 0, PlanHash(plan))
-	if err != nil {
-		t.Fatal(err)
-	}
+	node := tcp.NewNodeOn(lns[0], 0, PlanHash(plan))
 	defer node.Close()
 	exe, err := os.Executable()
 	if err != nil {
@@ -691,9 +681,10 @@ func TestClusterOwnedDeathRecovery(t *testing.T) {
 			envClusterAddrs+"="+strings.Join(addrs, ","),
 			envClusterSelf+"=1",
 			envClusterDir+"="+dir,
-			envOwnedExit+"="+strconv.Itoa(exitAfter),
+			envClusterOwned+"=1",
+			envClusterKill+"="+strconv.Itoa(exitAfter),
 		)
-		return captureOutput(cmd)
+		return captureOutput(withListener(t, cmd, lns[1]))
 	}
 	victim := spawn(3)
 	release, err := victim.StdinPipe()
@@ -701,7 +692,7 @@ func TestClusterOwnedDeathRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer release.Close()
-	if err := victim.Start(); err != nil {
+	if err := start(victim); err != nil {
 		t.Fatal(err)
 	}
 	exits := make(chan childExit, 1)
@@ -720,9 +711,6 @@ func TestClusterOwnedDeathRecovery(t *testing.T) {
 	if stats.RecoveredRuns != 1 || stats.TotalRetries() != 1 || stats.RetriesPerRank[dead.Lo] != 1 {
 		t.Fatalf("RecoveredRuns = %d, RetriesPerRank = %v; want one recovering retry on rank %d",
 			stats.RecoveredRuns, stats.RetriesPerRank, dead.Lo)
-	}
-	if stats.Messages != 0 || stats.EdgesRouted != 0 {
-		t.Fatalf("a source-owner cluster run sent %d messages, %d edges", stats.Messages, stats.EdgesRouted)
 	}
 	// Attempt 0: the head's ranks generated all they own (the victim's count
 	// died with it). Attempt 1: every rank walked the replayed tiles, and the

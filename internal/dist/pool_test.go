@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
-	"kronlab/internal/core"
-	chantransport "kronlab/internal/dist/transport/chan"
 	"kronlab/internal/gen"
 	"kronlab/internal/graph"
 )
@@ -89,9 +89,10 @@ func TestClusterBufPoolStress(t *testing.T) {
 // must grow it the way append does. The freelist is left holding only
 // capacity-16 buffers; unrouted jobs (ExpandNext into the scratch block),
 // OwnerBySource jobs (ExpandRun into the scratch block from a pick whose
-// buffer is as short) and OwnerByEdge jobs (the router's appends into
-// staging buffers) at a batch of 1024 must still emit exactly the chain's
-// arcs.
+// buffer is as short) and a stream (the stream sink's appends into its
+// hand-off batches — the cell is named byEdge after the router whose staging
+// buffers it filled before placing moved to the owner) at a batch of 1024
+// must still emit exactly the chain's arcs.
 func TestShortRecycledBuffersGrow(t *testing.T) {
 	ch := mustChain(gen.MustRMAT(gen.Graph500Params(5, 501)), gen.MustRMAT(gen.Graph500Params(6, 502)))
 	var want []graph.Edge
@@ -105,10 +106,24 @@ func TestShortRecycledBuffersGrow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	run := func(owner Owner) func() ([]graph.Edge, error) {
+		return func() ([]graph.Edge, error) {
+			ms := NewMemorySink(r)
+			_, err := Run(context.Background(), Config{Plan: plan, Sink: ms, BatchSize: 1024, Owner: owner})
+			return mergedArcs(ms), err
+		}
+	}
+	stream := func() (got []graph.Edge, err error) {
+		_, err = StreamChainFrom(context.Background(), ch, r, false, 1024, 0, -1, Recovery{}, func(b []graph.Edge) error {
+			got = append(got, b...)
+			return nil
+		})
+		return got, err
+	}
 	for _, o := range []struct {
-		name  string
-		owner Owner
-	}{{"unrouted", nil}, {"bySource", OwnerBySource}, {"byEdge", OwnerByEdge}} {
+		name string
+		run  func() ([]graph.Edge, error)
+	}{{"unrouted", run(nil)}, {"bySource", run(OwnerBySource)}, {"byEdge", stream}} {
 		t.Run(o.name, func(t *testing.T) {
 			edgeBufs.mu.Lock()
 			warm := edgeBufs.free
@@ -122,126 +137,91 @@ func TestShortRecycledBuffersGrow(t *testing.T) {
 				edgeBufs.free = warm
 				edgeBufs.mu.Unlock()
 			}()
-			ms := NewMemorySink(r)
-			if _, err := Run(context.Background(), Config{Plan: plan, Sink: ms, BatchSize: 1024, Owner: o.owner}); err != nil {
-				t.Fatal(err)
-			}
-			assertSameOrder(t, "sorted arcs", sortedArcs(mergedArcs(ms)), want)
-		})
-	}
-}
-
-// TestFaultAbortLeavesNoBuffersParked: an exchange aborted by an injected
-// crash after one rank has delivered batches to another, with a partial
-// batch still staged, reads zero outstanding buffers after Reset, on one
-// core and on several.
-func TestFaultAbortLeavesNoBuffersParked(t *testing.T) {
-	for _, procs := range []int{1, 4} {
-		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			c, err := NewCluster(2)
+			got, err := o.run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Rank 1 survives its first send and dies in its second.
-			c.InjectFaults(FaultPlan{Seed: 1, Crashes: []CrashSpec{{Rank: 1, Point: FaultMidExchange, After: 1}}})
-			tr := c.tr.(*chantransport.Transport)
-			const batch = 4
-			runErr := runWithWatchdog(t, chaosWatchdog, func() error {
-				return c.Run(func(rk *Rank) error {
-					return rk.exchangeBlocks(batch, func(s *shipper) {
-						peer := 1 - rk.ID()
-						if rk.ID() == 0 {
-							// Two full batches to rank 1 and a staged partial
-							// one, then idle: rank 0 never drains its inbox.
-							for i := 0; i <= 2*batch; i++ {
-								s.stage(peer, 0, graph.Edge{V: int64(i)})
-							}
-							<-rk.Context().Done()
-							return
-						}
-						for tr.Depth(1) < 2 {
-							runtime.Gosched()
-						}
-						// The first flush's progress delivers rank 0's two
-						// batches and recycles their buffers; the second
-						// flush is the crash.
-						for i := 0; i <= 2*batch && s.stage(peer, 0, graph.Edge{V: int64(i)}); i++ {
-						}
-					}, func(int, []graph.Edge) {})
-				})
+			assertSameOrder(t, "sorted arcs", sortedArcs(got), want)
+		})
+	}
+}
+
+// TestFaultAbortLeavesNoBuffersParked: a stream aborted by an injected
+// crash — other ranks' hand-off batches parked in their channels, the
+// victim's partial batch staged in its sink — returns every pooled buffer
+// (Stats.OutstandingBufs folds the stream sink's balance into the run's),
+// on one core and on several.
+func TestFaultAbortLeavesNoBuffersParked(t *testing.T) {
+	ch := mustChain(gen.ER(8, 0.5, 511), gen.PrefAttach(7, 2, 512))
+	const r, batch = 4, 4
+	plan, err := planForChain(ch, r, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, work := plannedWork(plan)
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			crash := CrashSpec{Rank: victim, Point: FaultMidExpansion, After: work/2 + 1}
+			var st Stats
+			runErr := runWithWatchdog(t, chaosWatchdog, func() (err error) {
+				st, err = streamPlan(context.Background(), plan, batch, Recovery{}, &FaultPlan{Crashes: []CrashSpec{crash}},
+					func([]graph.Edge) error { runtime.Gosched(); return nil })
+				return err
 			})
 			var ce *RankCrashError
-			if !errors.As(runErr, &ce) || ce.Rank != 1 {
-				t.Fatalf("want the injected crash of rank 1, got %v", runErr)
+			if !errors.As(runErr, &ce) || ce.Rank != victim {
+				t.Fatalf("want the injected crash of rank %d, got %v", victim, runErr)
 			}
-			c.Reset()
-			if n := c.outstandingBufs(); n != 0 {
-				t.Fatalf("%d pooled buffers outstanding after Reset", n)
+			if st.OutstandingBufs != 0 {
+				t.Fatalf("%d pooled buffers outstanding after the aborted stream", st.OutstandingBufs)
 			}
 		})
 	}
 }
 
-// TestRoutedBackpressure drives clean routed runs into a full inbox, which
-// they now reach only through a blocking SendBatch with inline progress:
-// OwnerByEdge at R ∈ {2, 16, 32} with batches of 1 and 7 edges, rank 0's
-// sink yielding the processor on every block so its peers outrun it. Each
-// run must store exactly the product, return every pooled buffer, and have
-// filled rank 0's inbox (MaxInboxDepth = 4R + 16, the Mailbox's capacity) —
-// the proof the blocking path ran — on one core and on several.
+// TestRoutedBackpressure drives clean streams into a full hand-off channel:
+// at R ∈ {2, 16, 32} with batches of 1 and 7 edges, the consumer yields the
+// processor on every batch and, on its first, waits until a rank is blocked
+// handing a batch over (a goroutine in streamRankSink.handOff labelled
+// phase=store) — the proof that the blocking path ran. Each stream must
+// deliver exactly the serial stream (1D, so in its order) and return every
+// pooled buffer, on one core and on several. (The name is from when the
+// full inbox was a routed run's.)
 func TestRoutedBackpressure(t *testing.T) {
-	a, b := gen.MustRMAT(gen.Graph500Params(5, 1)), gen.MustRMAT(gen.Graph500Params(5, 2))
-	want, err := core.Product(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := mustChain(gen.MustRMAT(gen.Graph500Params(5, 1)), gen.MustRMAT(gen.Graph500Params(5, 2)))
+	want := referenceArcs(ch)
 	for _, procs := range []int{1, 4} {
 		for _, r := range []int{2, 16, 32} {
 			for _, batch := range []int{1, 7} {
 				t.Run(fmt.Sprintf("procs%d/R=%d/B=%d", procs, r, batch), func(t *testing.T) {
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-					plan, err := PlanChain1D(mustChain(a, b), r)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ms := NewMemorySink(r)
+					var got []graph.Edge
+					var blocked string
 					var st Stats
-					runErr := runWithWatchdog(t, chaosWatchdog, func() error {
-						st, err = Run(context.Background(), Config{Plan: plan, Owner: OwnerByEdge, Sink: yieldSink{ms}, BatchSize: batch})
+					runErr := runWithWatchdog(t, chaosWatchdog, func() (err error) {
+						st, err = StreamChainFrom(context.Background(), ch, r, false, batch, 0, -1, Recovery{}, func(b []graph.Edge) error {
+							for deadline := time.Now().Add(10 * time.Second); got == nil && !strings.Contains(blocked, `"phase":"store"`) && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+								blocked = goroutineRecord("dist.(*streamRankSink).handOff")
+							}
+							got = append(got, b...)
+							runtime.Gosched()
+							return nil
+						})
 						return err
 					})
 					if runErr != nil {
 						t.Fatal(runErr)
 					}
-					assertExact(t, plan.NC, mergedArcs(ms), want)
+					assertSameOrder(t, "stream", got, want)
 					if st.OutstandingBufs != 0 {
 						t.Fatalf("%d pooled buffers outstanding", st.OutstandingBufs)
 					}
-					if capacity := int64(4*r + 16); st.MaxInboxDepth != capacity {
-						t.Fatalf("MaxInboxDepth = %d, want the inbox capacity %d: no sender ever found rank 0's inbox full", st.MaxInboxDepth, capacity)
+					if !strings.Contains(blocked, `"phase":"store"`) {
+						t.Fatalf("no rank was ever blocked on the consumer:\n%s", blocked)
 					}
 				})
 			}
 		}
 	}
-}
-
-// yieldSink is a MemorySink whose rank 0 yields the processor before
-// storing each block.
-type yieldSink struct{ *MemorySink }
-
-func (s yieldSink) Rank(rk *Rank) (RankSink, error) {
-	rs, err := s.MemorySink.Rank(rk)
-	if err != nil || rk.ID() != 0 {
-		return rs, err
-	}
-	return yieldRankSink{rs.(*memRankSink)}, nil
-}
-
-type yieldRankSink struct{ *memRankSink }
-
-func (y yieldRankSink) StoreBlock(edges []graph.Edge) (int64, error) {
-	runtime.Gosched()
-	return y.memRankSink.StoreBlock(edges)
 }

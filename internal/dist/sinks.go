@@ -96,8 +96,7 @@ func (m *memRankSink) Close() error {
 }
 
 // CountSink discards edges and counts them — the pure expansion
-// throughput sink of experiments E2/E3. With a nil Owner, or a source
-// owner, nothing is routed to it either.
+// throughput sink of experiments E2/E3.
 type CountSink struct {
 	total int64
 }
@@ -457,7 +456,7 @@ func (t *streamRankSink) StoreTileBlock(tile int, edges []graph.Edge) (int64, er
 }
 
 // handOff sends the buffered batch to the consumer, accounting it as
-// routed traffic only on successful delivery — a batch dropped by
+// delivered traffic only on successful delivery — a batch dropped by
 // cancellation is never counted. It runs on the rank goroutine during an
 // attempt, so it also watches the attempt context: when another rank
 // crashes, the consumer is waiting on that rank's channel in tile order

@@ -33,7 +33,8 @@ const DefaultStreamBatch = 1024
 // the expander ranks are torn down before StreamChainFrom returns — every
 // failure mode completes or errors, never hangs (see DESIGN.md §3a,
 // "Failure semantics"). Stats counters follow the Generate* conventions,
-// with every delivered edge accounted as routed traffic to the consumer.
+// with every delivered edge accounted in Messages, EdgesRouted and
+// BytesSent as traffic to the consumer.
 //
 // The stream order is canonical and reproducible: tiles in ascending
 // plan-ID order, each tile's edges in the kernel's fixed expansion
@@ -141,8 +142,7 @@ consume:
 	}
 	<-done
 
-	// The engine's transport counters are idle here (no Owner routing);
-	// delivery to the consumer is the stream's communication.
+	// Delivery to the consumer is the stream's communication.
 	st.Messages = atomic.LoadInt64(&sink.messages)
 	st.EdgesRouted = atomic.LoadInt64(&sink.routed)
 	st.BytesSent = atomic.LoadInt64(&sink.bytes)

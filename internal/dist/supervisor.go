@@ -16,18 +16,19 @@ package dist
 //     rank's first attempt, fed tile-framed blocks through the fence (an
 //     empty skip table on attempt 0), closed exactly once after the last
 //     attempt.
-//   - On a recoverable fault (RankCrashError, MessageLostError, PeerError)
-//     the failed attempt's partial progress is harvested, the failed rank
-//     is respawned, and the uncommitted tiles are replayed after an
+//   - On a recoverable fault (RankCrashError, PeerError) the failed
+//     attempt's partial progress is harvested, the failed rank is
+//     respawned, and the uncommitted tiles are replayed after an
 //     exponential backoff — each on the ranks the plan gave it: placement is
 //     decided once, from the plan and the owner, and no attempt moves a tile.
 //   - Replay is exactly-once by deterministic prefix deduplication: a
-//     tile's expansion order is fixed, owner routing is pure, and
-//     per-sender channel delivery is FIFO, so the substream of a tile
-//     arriving at one rank is identical across attempts and the stored
-//     count is always a prefix of it. Each attempt the fenced sinks
-//     suppress exactly that prefix, and the epoch fence in exchangeBlocks
-//     drops any straggler batch from a previous attempt outright.
+//     tile's expansion order is fixed, the owner map is pure, and a rank
+//     generates the arcs it stores itself, in that order, so the substream
+//     of a tile reaching one rank's sink is identical across attempts and
+//     the stored count is always a prefix of it. Each attempt the fenced
+//     sinks suppress exactly that prefix. Nothing crosses the transport
+//     but the teardown collective, so no straggler of an earlier attempt
+//     can reach a sink.
 //   - With the budget exhausted — at once when Recovery.MaxRetries is
 //     zero — the last fault is returned unchanged.
 
@@ -48,8 +49,8 @@ type tileState struct {
 	tile  Tile
 	owner int // the rank the plan gave the tile
 	// stored[d] counts the tile's edges durably stored by rank d's sink —
-	// the owning rank under an owner map (routed to, or generated there),
-	// the planned rank on runs without one. Written only between attempts.
+	// the owning rank under an owner map, the planned rank on runs without
+	// one. Written only between attempts.
 	stored    []int64
 	committed bool
 }
@@ -228,10 +229,9 @@ func (f *fencedRankSink) storeBlock(tile int, edges []graph.Edge) (int64, error)
 	return stored, err
 }
 
-// endAttempt runs on the rank's goroutine after its exchange (or direct
-// expansion) has finished — even on teardown — and returns the duplicates
-// suppressed this attempt, the balance collective's adjustment. The
-// underlying sink stays open.
+// endAttempt runs on the rank's goroutine after its walk has finished —
+// even on teardown — and returns the duplicates suppressed this attempt,
+// the balance collective's adjustment. The underlying sink stays open.
 func (f *fencedRankSink) endAttempt() int64 {
 	f.flushCur()
 	return f.skipped
@@ -258,14 +258,18 @@ type rankHost struct {
 	cum map[int]map[int]int64
 
 	// local is the in-process run's one chan-transport Cluster (no Node),
-	// armed with the fault schedule once and Reset after every attempt. A
-	// process with a Node dials a fresh TCP mesh per attempt; see cluster.
+	// Reset after every attempt. A process with a Node dials a fresh TCP
+	// mesh per attempt; see cluster.
 	local *Cluster
+
+	// faults is the process's armed crash schedule (nil when unarmed),
+	// built once so that its countdowns are lifetime state, and handed to
+	// every attempt's Cluster.
+	faults *faultState
 
 	// planHash is set only where a handshake or the ledger reads it: it
 	// walks every head arc, and an in-process Run is timed end to end.
 	planHash uint64
-	faults   *tcp.FaultState
 
 	// mesh is the previous attempt's TCP transport when that attempt
 	// succeeded here. It stays up until the head, having heard from every
@@ -282,20 +286,16 @@ type rankHost struct {
 func newRankHost(cc ClusterConfig, cfg Config) (*rankHost, error) {
 	p := cc.Procs[cc.Self]
 	h := &rankHost{cfg: cfg, cc: cc, lo: p.Lo, hi: p.Hi}
+	if cfg.Faults != nil {
+		h.faults = newFaultState(*cfg.Faults)
+	}
 	if cc.Node == nil {
 		c, err := NewCluster(cfg.Plan.R)
 		if err != nil {
 			return nil, err
 		}
-		if cfg.Faults != nil {
-			c.InjectFaults(*cfg.Faults)
-		}
+		c.faults = h.faults
 		h.local = c
-	} else if cfg.Faults != nil && cfg.Faults.TCP != (transport.TCPFaults{}) {
-		// Armed once per process lifetime: the frame countdowns must keep
-		// counting across attempts, like the in-proc one-shot crash
-		// counters, so a fault that fired stays fired on the replay.
-		h.faults = tcp.NewFaultState(cfg.Faults.TCP)
 	}
 	if cc.Node != nil || cc.LedgerPath != "" {
 		h.planHash = PlanHash(cfg.Plan)
@@ -334,12 +334,12 @@ func (h *rankHost) sinkFor(rk *Rank) (*fencedRankSink, error) {
 
 // resolveTiles turns a tile-ID assignment into the engine's per-rank tile
 // arrays (local ranks only — runAttempt never touches remote ranks'
-// entries). Under a source owner every rank generates its own share of
-// every tile, so each local rank gets the whole assignment (the begin
-// message carries all ranks' IDs) in tile-ID order, whoever it names.
+// entries). Under an owner every rank generates its own share of every
+// tile, so each local rank gets the whole assignment (the begin message
+// carries all ranks' IDs) in tile-ID order, whoever it names.
 func (h *rankHost) resolveTiles(ids map[int][]int) ([][]Tile, error) {
 	assigned := make([][]Tile, h.cfg.Plan.R)
-	ownerSide := h.cfg.Owner != nil && h.cfg.Owner.BindSource(h.cfg.Plan.R) != nil
+	ownerSide := h.cfg.Owner != nil
 	for rk, list := range ids {
 		if ownerSide {
 			rk = h.lo
@@ -383,10 +383,9 @@ func (h *rankHost) cluster(ctx context.Context, epoch int64) (*Cluster, func(*ct
 		return h.local, func(*ctrlMsg) { h.local.Reset() }, nil
 	}
 	h.closeMesh()
-	pool := &latePool{}
 	tr, err := tcp.Connect(ctx, h.cc.Node, tcp.Config{
 		Procs: h.cc.Procs, Self: h.cc.Self, PlanHash: h.planHash,
-		Pool: pool, Faults: h.faults, DialTimeout: h.cc.DialTimeout,
+		DialTimeout:       h.cc.DialTimeout,
 		HeartbeatInterval: h.cc.heartbeatInterval(),
 		HeartbeatDeadline: h.cc.HeartbeatDeadline,
 	}, epoch)
@@ -405,15 +404,14 @@ func (h *rankHost) cluster(ctx context.Context, epoch int64) (*Cluster, func(*ct
 		tr.Close()
 		return nil, nil, err
 	}
-	pool.c.Store(c)
+	c.faults = h.faults
 	return c, func(rep *ctrlMsg) {
-		rep.Traffic.Stale += tr.StaleFrames()
 		var pe *transport.PeerError
 		if errors.As(rep.err, &pe) {
 			rep.Blame = h.cc.Procs[pe.Proc].Lo
 		}
-		// Drain inbox residue back to the pool before the mesh dies — the
-		// next attempt builds a fresh one at its epoch.
+		// Rewind the cluster before the mesh dies — the next attempt builds
+		// a fresh one at its epoch.
 		c.Reset()
 		if rep.err != nil {
 			tr.Close()
@@ -455,10 +453,6 @@ func (h *rankHost) attempt(ctx context.Context, epoch int64, ids map[int][]int, 
 		f.skipped = 0
 		f.curTile = -1
 	}
-	// Written strictly between attempts: the previous attempt's goroutines
-	// are joined, and RunContext's spawns order this write before the next
-	// attempt's reads in send and exchangeBlocks.
-	c.epoch = epoch
 	r := h.cfg.Plan.R
 	perGen := make([]int64, r)
 	perStored := make([]int64, r)
@@ -469,10 +463,7 @@ func (h *rankHost) attempt(ctx context.Context, epoch int64, ids map[int][]int, 
 	rep.Gen = make(map[int]int64, len(h.sinks))
 	rep.StoredN = make(map[int]int64, len(h.sinks))
 	rep.Traffic = trafficStats{
-		Generated: st.EdgesGenerated, Routed: st.EdgesRouted,
-		Bytes: st.BytesSent, Messages: st.Messages,
-		Stale: st.StaleBatches, MaxDepth: st.MaxInboxDepth,
-		HBMisses:   st.HeartbeatMisses,
+		Generated: st.EdgesGenerated, HBMisses: st.HeartbeatMisses,
 		RowsTested: st.OwnerRowsTested, Compacted: st.ArcsCompacted,
 	}
 	for _, f := range h.sinks {
@@ -512,21 +503,16 @@ func (h *rankHost) finalize() error {
 }
 
 // classify splits run errors into recoverable faults with a blamed rank
-// (a crashed rank, the sender of a lost message, or a peer the failure
-// detector declared partitioned or dead) and everything else (-1) — a sink
-// error, a handshake refusal, a bad plan stay loud. A PeerError is
-// recoverable because Reset heals the simulated partition and a cluster
-// replay builds a fresh mesh, while the blamed rank's uncommitted tiles
-// are replayed exactly-once like any other fault's (its Proc is a rank on
-// the chan transport; rankHost.cluster resolves TCP's process index).
+// (a crashed rank, or a peer whose link died or fell silent) and
+// everything else (-1) — a sink error, a handshake refusal, a bad plan stay
+// loud. A PeerError is recoverable because a cluster replay builds a fresh
+// mesh, while the blamed rank's uncommitted tiles are replayed exactly-once
+// like any other fault's (rankHost.cluster resolves TCP's process index to
+// the process's first rank).
 func classify(err error) (int, bool) {
 	var rc *RankCrashError
 	if errors.As(err, &rc) {
 		return rc.Rank, true
-	}
-	var ml *MessageLostError
-	if errors.As(err, &ml) {
-		return ml.From, true
 	}
 	var pe *transport.PeerError
 	if errors.As(err, &pe) {
@@ -571,23 +557,20 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // Run executes the Plan→Expand→Place→Sink engine: every rank expands
 // tiles through the blocked kernel (core.TailCursor, one head arc against
 // the tile's tail, ≤ BatchSize arcs per block) — its planned tiles, or under
-// a source owner its own rows of every tile — routes blocks through
-// Config.Owner over the batched exchange when the owner is of the kind that
-// needs it (see Config.Owner), and hands owned edge batches to its RankSink
-// — via BlockStorer when the sink implements it, per-edge Store otherwise.
+// an owner its own rows of every tile — and hands the blocks to its
+// RankSink — via BlockStorer when the sink implements it, per-edge Store
+// otherwise.
 //
-// Cancelling ctx tears the run down mid-exchange on every rank; the first
-// real error (a failed sink, or the cancellation cause) is returned.
+// Cancelling ctx stops every rank at its next block; the first real error
+// (a failed sink, or the cancellation cause) is returned.
 //
 // Run is RunCluster with one process, the chan transport and no ledger:
 // one cluster is reused across up to 1+MaxRetries attempts (Reset between
-// them), with the attempt number as the transport epoch. A rank crash or
-// lost message triggers a bounded-backoff replay from tile-level
+// them). A rank crash triggers a bounded-backoff replay from tile-level
 // checkpoints, with the fenced sinks keeping delivery exactly-once; with
 // no budget left the fault is returned unchanged. Stats aggregate across
-// attempts — generated and traffic counters include replayed work, stored
-// counts stay exactly-once — and the recovery counters record what
-// recovery did.
+// attempts — generated counters include replayed work, stored counts stay
+// exactly-once — and the recovery counters record what recovery did.
 func Run(ctx context.Context, cfg Config) (Stats, error) {
 	return RunCluster(ctx, ClusterConfig{Procs: []transport.Proc{{Hi: cfg.Plan.R}}}, cfg)
 }

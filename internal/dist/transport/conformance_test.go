@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -351,15 +352,17 @@ func TestConformanceCollectives(t *testing.T) {
 	}
 }
 
-// TestConformanceFailureDetection holds both implementations to the
+// TestConformanceFailureDetection holds the tcp transport to the
 // partition contract: a peer that goes silent with its links still open
 // (a black-holed network partition — no RST, no FIN, nothing to trip
 // on) must surface as a loud *transport.PeerError naming the silent
 // peer within the armed failure-detection deadline, released through
 // blocked Recvs and subsequent sends as transport.ErrHeartbeat, and a
-// rank parked in a collective is released with it. The chan fixture uses the
-// simulated detector (EnableFailureDetection + Partition); the tcp
-// fixture uses real application heartbeats and a FaultState partition.
+// rank parked in a collective is released with it. The tcp fixture uses
+// real application heartbeats and a FaultState partition; the chan fixture
+// arms its Mailbox's Monitor with a liveness loop that hears every rank but
+// the one the test cuts off — the verdict, and everything it must release,
+// is the same Monitor code on both.
 func TestConformanceFailureDetection(t *testing.T) {
 	const r = 4
 	type impl struct {
@@ -370,10 +373,22 @@ func TestConformanceFailureDetection(t *testing.T) {
 	}
 	impls := []impl{
 		{name: "chan", build: func(t *testing.T) (transport.Transport, int, func()) {
+			const silent = 1
 			ch := chantransport.New(r)
-			t.Cleanup(func() { ch.Close() })
-			ch.EnableFailureDetection(10*time.Millisecond, 80*time.Millisecond)
-			return ch, 1, func() { ch.Partition(1) }
+			t.Cleanup(func() { ch.Stop() })
+			var cut atomic.Bool
+			ranks, heard := make([]int, r), make([]int64, r) // heard: the liveness loop's alone
+			for i := range ranks {
+				ranks[i], heard[i] = i, time.Now().UnixNano()
+			}
+			ch.Watch(10*time.Millisecond, 80*time.Millisecond, ranks,
+				func(rank int) {
+					if rank != silent || !cut.Load() {
+						heard[rank] = time.Now().UnixNano()
+					}
+				},
+				func(rank int) int64 { return heard[rank] })
+			return ch, silent, func() { cut.Store(true) }
 		}},
 		{name: "tcp", build: func(t *testing.T) (transport.Transport, int, func()) {
 			const nprocs = 2

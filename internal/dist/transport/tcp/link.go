@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"kronlab/internal/dist/transport"
@@ -162,10 +160,6 @@ func (l *link) writeLoop() {
 				hardClose(l.conn)
 				l.mon.Fail(l.proc, errInjectedReset)
 				return
-			case f.plan.KillAfterFrames > 0 && n == f.plan.KillAfterFrames:
-				bw.Write(frame)
-				bw.Flush()
-				syscall.Kill(os.Getpid(), syscall.SIGKILL)
 			case f.plan.PartitionAfterFrames > 0 && n == f.plan.PartitionAfterFrames:
 				f.Partition()
 			}

@@ -165,18 +165,24 @@ type Node struct {
 	close context.CancelFunc
 }
 
-// NewNode listens on addr and starts the accept loop.
+// NewNode listens on addr and starts the accept loop (NewNodeOn).
 func NewNode(addr string, self int, planHash uint64) (*Node, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("tcp: listen %s: %w", addr, err)
 	}
+	return NewNodeOn(ln, self, planHash), nil
+}
+
+// NewNodeOn starts the accept loop on ln, which the Node closes on Close — a
+// listener a parent handed down lets a respawned child keep its address.
+func NewNodeOn(ln net.Listener, self int, planHash uint64) *Node {
 	n := &Node{ln: ln, self: self, planHash: planHash,
 		slots: make(map[key]chan peerConn), ctrl: make(chan *CtrlConn)}
 	n.ctx, n.close = context.WithCancel(context.Background())
 	n.hsTimeout.Store(int64(dialTimeout(0)))
 	go n.acceptLoop()
-	return n, nil
+	return n
 }
 
 // Addr returns the bound listen address (useful with ":0" test configs).

@@ -1,12 +1,14 @@
 // Package transport defines the rank-to-rank link under the distributed
-// engine's Exchange: a Transport delivers tile-framed edge batches
-// between ranks and runs the two collectives (barrier, all-reduce sum)
-// the engine's teardown integrity check needs. The engine in
-// internal/dist is written against this interface only, so the same
-// Plan→Expand→Route→Sink code runs over goroutine channels in one
-// process (transport/chan) or over length-prefixed TCP between processes
-// (transport/tcp) — the paper's actual deployment shape (MPI on Sequoia,
-// PAPER.md §2), with only the link layer swapped.
+// engine: a Transport runs the two collectives (barrier, all-reduce sum)
+// the engine's teardown integrity check needs, and delivers tile-framed
+// edge batches between ranks. The engine in internal/dist is written
+// against this interface only, so the same Plan→Expand→Place→Sink code
+// runs over goroutine channels in one process (transport/chan) or over
+// length-prefixed TCP between processes (transport/tcp) — the paper's
+// actual deployment shape (MPI on Sequoia, PAPER.md §2), with only the
+// link layer swapped. The engine sends no batches (every rank generates
+// what it stores); the batch path is the transports' own contract, which
+// the conformance suite and the benchmark probes drive.
 //
 // Contract highlights (the conformance suite in internal/dist asserts
 // these against every implementation):
@@ -60,7 +62,7 @@ type BufferPool interface {
 	Put(b []graph.Edge)
 }
 
-// Transport is the rank-to-rank link under the engine's Exchange. All
+// Transport is the rank-to-rank link under the engine's Cluster. All
 // rank arguments are global rank IDs in [0, R); Recv/TryRecv may only be
 // called for local ranks. Implementations must be safe for concurrent
 // use by all local ranks (one goroutine per rank).
@@ -129,11 +131,10 @@ func SplitRanks(addrs []string, r int) []Proc {
 	return procs
 }
 
-// TCPFaults schedules wire-level fault injection for the TCP transport —
-// the cluster-mode counterpart of the link faults dist.FaultPlan injects
-// on the simulated transport. The zero value injects nothing. Frame
-// counters are process-wide across links, so a schedule stays
-// deterministic regardless of how traffic interleaves across peers.
+// TCPFaults schedules wire-level fault injection for the TCP transport,
+// for its own tests and the conformance suite. The zero value injects
+// nothing. Frame counters are process-wide across links, so a schedule
+// stays deterministic regardless of how traffic interleaves across peers.
 type TCPFaults struct {
 	// DialDelay delays every outbound dial — a slow peer coming up.
 	DialDelay time.Duration
@@ -144,10 +145,6 @@ type TCPFaults struct {
 	// frame before hard-closing the link — a torn frame the peer's
 	// decoder must reject loudly.
 	PartialWriteFrame int64
-	// KillAfterFrames SIGKILLs the whole process after writing the Nth
-	// outbound batch frame — a real process death, buffered state lost,
-	// for the crash-then-recover suites.
-	KillAfterFrames int64
 	// PartitionAfterFrames black-holes this process after it writes the
 	// Nth outbound batch frame: every socket stays open, but outbound
 	// frames are silently discarded and inbound frames silently dropped —

@@ -52,7 +52,6 @@ type Metrics struct {
 	GenRetries    atomic.Int64
 	GenRecovered  atomic.Int64
 	GenDupSkipped atomic.Int64
-	GenStale      atomic.Int64
 }
 
 // ObserveHeavy folds one admitted heavy-request duration into the
@@ -122,7 +121,6 @@ func (m *Metrics) AddGenStats(st dist.Stats) {
 	m.GenRetries.Add(st.TotalRetries())
 	m.GenRecovered.Add(st.RecoveredRuns)
 	m.GenDupSkipped.Add(st.DuplicatesSkipped)
-	m.GenStale.Add(st.StaleBatches)
 }
 
 // WriteText renders the counters in Prometheus text exposition format.
@@ -199,6 +197,4 @@ func (m *Metrics) WriteText(w io.Writer, cache *SummaryCache, lim *Limiter, fact
 	fmt.Fprintf(w, "kronserve_gen_recovered_total %d\n", m.GenRecovered.Load())
 	fmt.Fprintf(w, "# TYPE kronserve_gen_duplicates_skipped_total counter\n")
 	fmt.Fprintf(w, "kronserve_gen_duplicates_skipped_total %d\n", m.GenDupSkipped.Load())
-	fmt.Fprintf(w, "# TYPE kronserve_gen_stale_batches_total counter\n")
-	fmt.Fprintf(w, "kronserve_gen_stale_batches_total %d\n", m.GenStale.Load())
 }

@@ -65,8 +65,8 @@ type Config struct {
 	// the expander ranks down when it fires. Default 5m.
 	GenTimeout time.Duration
 	// GenRetries is the retry budget passed to generation runs
-	// (dist.Recovery.MaxRetries): a rank crash or lost batch inside the
-	// engine is replayed exactly-once instead of tearing the stream.
+	// (dist.Recovery.MaxRetries): a rank crash inside the engine is
+	// replayed exactly-once instead of tearing the stream.
 	// Default 1; negative means zero retries: the first fault is returned
 	// unchanged and ends the stream.
 	GenRetries int

@@ -1,16 +1,14 @@
 #!/bin/sh
 # Allocation regression guard for the end-to-end generation benchmarks
-# (two-factor and chain), the multicore sweep and the TCP transport
-# exchange benchmark.
+# (two-factor and chain) and the multicore sweep.
 #
-# Runs BenchmarkE2Generate1D, BenchmarkE2GenerateChain,
-# BenchmarkThroughputSweep and BenchmarkTCPExchangeThroughput with
-# -benchmem and compares allocs/op per sub-benchmark against the committed
+# Runs BenchmarkE2Generate1D, BenchmarkE2GenerateChain and
+# BenchmarkThroughputSweep with -benchmem and compares allocs/op per sub-benchmark against the committed
 # allocguard_baseline.txt. Fails when any sub-benchmark allocates more
 # than ALLOW× the snapshot figure (default 1.2 — a 20% regression budget;
 # allocs/op is deterministic enough that this never flakes while still
-# catching a reintroduced per-batch allocation, in the engine, the tail
-# fold, or on the wire path), and exits 2 when it compared nothing.
+# catching a reintroduced per-block allocation, in the engine or the tail
+# fold), and exits 2 when it compared nothing.
 #
 # Rows are joined on the benchmark name without the trailing
 # -<GOMAXPROCS> the testing package appends on a box with more than one
@@ -22,7 +20,7 @@
 # allocations amortize differently at long benchtimes, so the baseline
 # must be recorded in the guard's own 10x regime). Record one, with
 # GUARDED as set below, by
-#   go test -run '^$' -bench "$GUARDED" -benchmem -benchtime 10x . ./internal/dist/ >allocguard_baseline.txt
+#   go test -run '^$' -bench "$GUARDED" -benchmem -benchtime 10x . >allocguard_baseline.txt
 #
 # Usage:
 #   scripts/allocguard.sh
@@ -34,7 +32,7 @@ cd "$(dirname "$0")/.."
 
 SNAPSHOT="${SNAPSHOT:-allocguard_baseline.txt}"
 ALLOW="${ALLOW:-1.2}"
-GUARDED='BenchmarkE2Generate1D|BenchmarkE2GenerateChain|BenchmarkThroughputSweep|BenchmarkTCPExchangeThroughput'
+GUARDED='BenchmarkE2Generate1D|BenchmarkE2GenerateChain|BenchmarkThroughputSweep'
 
 if ! grep -E "^($GUARDED)" "$SNAPSHOT" 2>/dev/null | grep -q 'allocs/op'; then
     echo "allocguard: $SNAPSHOT has no guarded benchmark rows" >&2
@@ -47,7 +45,7 @@ trap 'rm -f "$CUR"' EXIT
 
 # benchtime 10x keeps the guard fast; allocs/op does not depend on the
 # iteration count once pools are warm.
-go test -run '^$' -bench "$GUARDED" -benchmem -benchtime 10x . ./internal/dist/ >"$CUR"
+go test -run '^$' -bench "$GUARDED" -benchmem -benchtime 10x . >"$CUR"
 
 awk -v allow="$ALLOW" '
 /allocs\/op/ {
