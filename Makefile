@@ -53,8 +53,9 @@ recovery-soak:
 	$(GO) test -race -count 1 -timeout 6m -run 'Recover|Respawn|Epoch' ./internal/dist/
 
 # Head-death soak: the multi-process head kill+respawn suite, the run
-# ledger, and the partition/heartbeat failure-detection tests, repeated
-# under the race detector. The -timeout is a hard stop — a respawned
+# ledger, and the partition/heartbeat failure-detection tests (the head's
+# wait on a silent worker's control link included), repeated under the
+# race detector. The -timeout is a hard stop — a respawned
 # head that never converges or a worker that parks forever must fail the
 # run, not hang it.
 head-soak:
@@ -109,7 +110,7 @@ cluster-smoke:
 # row is Run itself (no owner, a CountSink, the product on one rank): the
 # expand row's work plus the engine's per-block path — the sink call
 # through the fence and one atomic load — and one run's set-up, which is
-# why it alone allocates (78 allocs/op; make allocguard guards those). It
+# why it alone allocates (59 allocs/op; make allocguard guards those). It
 # must cost ≤ 2 × expand: ten runs on the same 2-CPU VM read 0.82–1.15
 # (median 1.09) when it was quiet and 0.74–1.56 under load, where the loop
 # that swapped two goroutine labels and polled a channel per block read

@@ -97,7 +97,7 @@ func main() {
 	retries := flag.Int("retries", 3, "cluster mode: attempts to retry after a recoverable peer failure")
 	ledgerPath := flag.String("ledger", "", "cluster mode: durable run-ledger file for process 0; a respawned head replays it and resumes instead of restarting")
 	headRetries := flag.Int("head-retries", 5, "cluster mode: how many times a worker re-dials a lost head before giving up")
-	hbInterval := flag.Duration("hb-interval", 0, "cluster mode: application heartbeat interval (0 = 2s default; negative disables heartbeats)")
+	hbInterval := flag.Duration("hb-interval", 0, "cluster mode: control-link heartbeat interval (≤ 0 = 2s default; heartbeats are always on)")
 	hbDeadline := flag.Duration("hb-deadline", 0, "cluster mode: peer silence deadline before a partition verdict (0 = 5× interval)")
 	dialTimeout := flag.Duration("dial-timeout", 0, "cluster mode: dial and handshake timeout (0 = 10s default); raise on slow networks")
 	dumpStore := flag.String("dump-store", "", "load an existing store at this directory and write it as an edge list (to -out or stdout); no generation")
@@ -538,11 +538,14 @@ func runCluster(ch *core.Chain, twoD bool, dir, peers string, self, ranks, retri
 			log.Fatalf("slicing plan: %v", err)
 		}
 	}
-	node, err := tcp.NewNode(addrs[self], self, dist.PlanHash(plan))
-	if err != nil {
-		log.Fatalf("listening on %s: %v", addrs[self], err)
+	// Only the head listens: workers dial it and nothing dials them.
+	var node *tcp.Node
+	if self == 0 {
+		if node, err = tcp.NewNode(addrs[self], self, dist.PlanHash(plan)); err != nil {
+			log.Fatalf("listening on %s: %v", addrs[self], err)
+		}
+		defer node.Close()
 	}
-	defer node.Close()
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()

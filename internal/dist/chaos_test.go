@@ -18,8 +18,6 @@ import (
 	"time"
 
 	"kronlab/internal/core"
-	"kronlab/internal/dist/transport"
-	chantransport "kronlab/internal/dist/transport/chan"
 	"kronlab/internal/gen"
 	"kronlab/internal/graph"
 )
@@ -27,8 +25,8 @@ import (
 const chaosWatchdog = 60 * time.Second
 
 // runWithWatchdog fails the test loudly if fn does not return within the
-// deadline — a reintroduced collective or exchange hang trips the
-// watchdog instead of stalling the whole test binary.
+// deadline — a reintroduced hang trips the watchdog instead of stalling the
+// whole test binary.
 func runWithWatchdog(t *testing.T, d time.Duration, fn func() error) error {
 	t.Helper()
 	done := make(chan error, 1)
@@ -46,7 +44,8 @@ func runWithWatchdog(t *testing.T, d time.Duration, fn func() error) error {
 // first four kinds after the baseline keep the names they had when link
 // faults acted on the per-edge exchange's batches; nothing crosses ranks
 // now, and each acts on what carries arcs instead — a rank's hand-off to its
-// own sink — or on the rank.
+// own sink — or on the rank. crash-collective keeps its name from when its
+// crash fired in the teardown collective; it fires after the walk now.
 type chaosKind int
 
 const (
@@ -57,7 +56,7 @@ const (
 	chaosCrashSink                        // rank dies before sink setup
 	chaosCrashExpand                      // rank dies mid-expansion
 	chaosCrashExchange                    // a rank's sink refuses a block → loud
-	chaosCrashCollective                  // rank dies entering the teardown collective
+	chaosCrashCollective                  // rank dies after its walk (FaultAfterWalk)
 	chaosKindCount
 )
 
@@ -118,6 +117,11 @@ func (t *chaosRankSink) StoreBlock(edges []graph.Edge) (int64, error) {
 	return int64(len(edges)), nil
 }
 
+// inCollective names the recovery cells that crash at FaultAfterWalk: they
+// keep the name they had when the point was the teardown collective's entry,
+// as the mid-exchange cells keep theirs (handoffCrash).
+const inCollective = "in-collective"
+
 // handoffCrash is the crash of the recovery cells still named mid-exchange,
 // after the point where a rank died on an exchange send: the hop that
 // carries arcs now is the hand-off to the rank's own sink, and the rank dies
@@ -165,8 +169,8 @@ func busiestOwner(g *graph.Graph, owner Owner, r int) (rank int, arcs int64) {
 // × 2..5 ranks × 1D/2D, into memory, count and store sinks. The cells named
 // routed run under a source owner (OwnerBySource; the name is from when they
 // ran OwnerByEdge through the exchange), the unrouted ones with no owner;
-// every kind but the crashes at sink setup, mid-expansion and in the
-// collective, and the baseline, is always placed. Every schedule must finish
+// every kind but the crashes at sink setup, mid-expansion and after the
+// walk, and the baseline, is always placed. Every schedule must finish
 // within the watchdog and either yield the exact reference edge set or
 // surface the injected fault as the run's error.
 func TestChaosSoak(t *testing.T) {
@@ -228,8 +232,8 @@ func TestChaosSoak(t *testing.T) {
 			chaos.failRank, chaos.failAt = victim, int64(1+i%2)
 			expectSinkErr = true
 		case chaosCrashCollective:
-			// The teardown reduce enters three barriers per rank.
-			fp.Crashes = []CrashSpec{{Rank: i % r, Point: FaultInCollective, After: int64(i % 3)}}
+			// The point fires once per attempt, and the run has one.
+			fp.Crashes = []CrashSpec{{Rank: i % r, Point: FaultAfterWalk}}
 			expectCrash = true
 		}
 
@@ -315,131 +319,49 @@ func TestChaosSoak(t *testing.T) {
 	}
 }
 
-// TestBarrierReleasesOnRankFailure is the collective-deadlock regression:
-// a rank error during a collective used to leave every other rank waiting
-// on the barrier cond var forever. BarrierContext must release and return
-// the dead rank's error as the run's cause.
-func TestBarrierReleasesOnRankFailure(t *testing.T) {
-	boom := errors.New("rank 2 died")
-	c, err := NewCluster(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runErr := runWithWatchdog(t, chaosWatchdog, func() error {
-		return c.Run(func(rk *Rank) error {
-			if rk.ID() == 2 {
-				return boom
-			}
-			if err := rk.BarrierContext(); !errors.Is(err, boom) {
-				return fmt.Errorf("BarrierContext returned %v, want the dead rank's error", err)
-			}
-			return nil
-		})
-	})
-	if !errors.Is(runErr, boom) {
-		t.Fatalf("run error = %v, want the dead rank's error", runErr)
-	}
-}
-
-// The legacy blocking Barrier must also release (by returning) on a
-// cancelled run instead of hanging its callers.
-func TestBarrierLegacyUnblocksOnCancelledRun(t *testing.T) {
-	boom := errors.New("rank 0 died")
-	c, err := NewCluster(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runErr := runWithWatchdog(t, chaosWatchdog, func() error {
-		return c.Run(func(rk *Rank) error {
-			if rk.ID() == 0 {
-				return boom
-			}
-			rk.Barrier() // must return, not hang
-			return nil
-		})
-	})
-	if !errors.Is(runErr, boom) {
-		t.Fatalf("run error = %v, want boom", runErr)
-	}
-}
-
-func TestAllReduceSumCancelledReturnsCause(t *testing.T) {
-	boom := errors.New("rank 3 died")
-	c, err := NewCluster(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runErr := runWithWatchdog(t, chaosWatchdog, func() error {
-		return c.Run(func(rk *Rank) error {
-			if rk.ID() == 3 {
-				return boom
-			}
-			if _, err := rk.AllReduceSumContext(1); !errors.Is(err, boom) {
-				return fmt.Errorf("AllReduceSumContext returned %v, want the dead rank's error", err)
-			}
-			return nil
-		})
-	})
-	if !errors.Is(runErr, boom) {
-		t.Fatalf("run error = %v, want boom", runErr)
-	}
-}
-
-// TestClusterOneShotAfterCancelledRun is the stale-inbox regression: an
-// aborted run leaves its cancelled context, and whatever was sent over the
-// transport, in place. The cluster is one-shot, and Reset drains the
-// residue: the next run starts on empty inboxes with every pooled buffer
-// back.
+// TestClusterOneShotAfterCancelledRun: a failed run leaves its cancelled
+// context, its raised stop flag and its counters behind. Reset rewinds
+// them: the next run starts on a live context with zeroed stats, and every
+// pooled buffer the failed run checked out is back.
 func TestClusterOneShotAfterCancelledRun(t *testing.T) {
-	c, err := NewCluster(2)
+	c, err := newCluster(2, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	boom := errors.New("rank 0 aborted mid-exchange")
+	boom := errors.New("rank 0 aborted mid-walk")
 	runErr := runWithWatchdog(t, chaosWatchdog, func() error {
-		return c.Run(func(rk *Rank) error {
-			if rk.ID() != 0 {
-				return nil
-			}
-			// Leave an undelivered batch in rank 1's inbox, then die.
+		return c.run(context.Background(), func(rk *Rank) error {
 			buf := append(c.getBuf(DefaultBatchSize), graph.Edge{U: 7, V: 7})
-			if err := c.tr.SendBatch(rk.Context(), transport.Batch{From: 0, Dest: 1, Edges: buf}, nil); err != nil {
-				return err
+			atomic.AddInt64(&c.stats.EdgesGenerated, int64(len(buf)))
+			if rk.ID() != 0 {
+				// Wait out the failure, as a walking rank stops at its
+				// next block, then give the buffer back.
+				<-rk.Context().Done()
+				c.putBuf(buf)
+				return context.Cause(rk.Context())
 			}
+			c.putBuf(buf)
 			return boom
 		})
 	})
 	if !errors.Is(runErr, boom) {
 		t.Fatalf("aborted run returned %v, want boom", runErr)
 	}
-	tr := c.tr.(*chantransport.Transport)
-	if tr.Depth(1) == 0 {
-		t.Fatal("precondition: aborted run should have left a stale inbox message")
-	}
-
-	// Reuse without Reset is the corruption hazard — it must be refused.
-	if err := c.Run(func(rk *Rank) error { return nil }); !errors.Is(err, ErrClusterUsed) {
-		t.Fatalf("second run on a used cluster = %v, want ErrClusterUsed", err)
+	if c.ctx.Err() == nil || !c.stop.Load() {
+		t.Fatal("precondition: the aborted run should leave a cancelled context and the stop flag up")
 	}
 
 	c.Reset()
-	for i := 0; i < c.Size(); i++ {
-		if n := tr.Depth(i); n != 0 {
-			t.Fatalf("inbox %d still holds %d stale messages after Reset", i, n)
-		}
+	if st := c.Stats(); st.EdgesGenerated != 0 || st.OutstandingBufs != 0 {
+		t.Fatalf("after Reset: %d edges generated, %d pooled buffers outstanding; want 0 and 0", st.EdgesGenerated, st.OutstandingBufs)
 	}
-	if n := c.outstandingBufs(); n != 0 {
-		t.Fatalf("%d pooled buffers still outstanding after Reset", n)
+	if c.ctx.Err() != nil {
+		t.Fatal("Reset left the failed run's cancelled context in place")
 	}
-
-	// The reset cluster runs its collectives, and its inboxes stay empty.
 	runErr = runWithWatchdog(t, chaosWatchdog, func() error {
-		return c.Run(func(rk *Rank) error {
-			if n, err := rk.AllReduceSumContext(1); err != nil || n != 2 {
-				return fmt.Errorf("rank %d: AllReduceSum = %d, %v; want 2", rk.ID(), n, err)
-			}
-			if b, ok := c.tr.TryRecv(rk.ID()); ok {
-				return fmt.Errorf("rank %d received a stale pre-Reset batch: %v", rk.ID(), b.Edges)
+		return c.run(context.Background(), func(rk *Rank) error {
+			if err := rk.Context().Err(); err != nil {
+				return fmt.Errorf("rank %d starts the run on a dead context: %v", rk.ID(), err)
 			}
 			return nil
 		})
@@ -634,7 +556,7 @@ func TestRecoverCrashEachPoint(t *testing.T) {
 	nC := a.NumVertices() * b.NumVertices()
 
 	const midExchange = "mid-exchange"
-	points := []string{FaultBeforeSinkSetup.String(), FaultMidExpansion.String(), midExchange, FaultInCollective.String()}
+	points := []string{FaultBeforeSinkSetup.String(), FaultMidExpansion.String(), midExchange, inCollective}
 	placements := []struct {
 		name  string
 		owner Owner
@@ -666,7 +588,7 @@ func TestRecoverCrashEachPoint(t *testing.T) {
 				case FaultBeforeSinkSetup.String():
 					crash = CrashSpec{Rank: 1, Point: FaultBeforeSinkSetup}
 				default:
-					crash = CrashSpec{Rank: 1, Point: FaultInCollective}
+					crash = CrashSpec{Rank: 1, Point: FaultAfterWalk}
 				}
 				ms := NewMemorySink(r)
 				cfg := Config{
@@ -830,8 +752,9 @@ func TestCheckpointsAssignOneRule(t *testing.T) {
 // (schedules 24 on) owned by the source hash — asserting the exact edge set
 // and a retry count bounded by the budget. The mid-exchange cells crash at
 // the first hand-off (handoffCrash); a double fault (_lossy, once a lost
-// batch) adds a crash of the next rank in the teardown collective, which
-// fires in whichever attempt first gets there.
+// batch) adds a crash of the next rank after its walk, which fires in
+// whichever attempt first gets there. The cells named in-collective crash
+// after the walk too (inCollective).
 func TestRecoverSoak(t *testing.T) {
 	a := gen.ER(6, 0.5, 251).WithFullSelfLoops()
 	b := gen.PrefAttach(5, 2, 252)
@@ -845,13 +768,13 @@ func TestRecoverSoak(t *testing.T) {
 	for i := 0; i < schedules; i++ {
 		i := i
 		const midExchange = "mid-exchange"
-		point := []string{FaultBeforeSinkSetup.String(), FaultMidExpansion.String(), midExchange, FaultInCollective.String()}[i%4]
+		point := []string{FaultBeforeSinkSetup.String(), FaultMidExpansion.String(), midExchange, inCollective}[i%4]
 		r := 2 + i%3
 		twoD := (i/4)%2 == 1
 		routed := point == midExchange || (i/8)%2 == 0
 		owned := i >= 24
 		if owned {
-			point = []string{FaultBeforeSinkSetup.String(), FaultMidExpansion.String(), FaultInCollective.String()}[i%3]
+			point = []string{FaultBeforeSinkSetup.String(), FaultMidExpansion.String(), inCollective}[i%3]
 			r, routed = 2+(i/3)%4, false
 		}
 		doubleFault := routed && i%3 == 0
@@ -888,11 +811,13 @@ func TestRecoverSoak(t *testing.T) {
 		case FaultBeforeSinkSetup.String():
 			crash = CrashSpec{Rank: i % r, Point: FaultBeforeSinkSetup, After: int64(i % 2)}
 		default:
-			crash = CrashSpec{Rank: i % r, Point: FaultInCollective, After: int64(i % 2)}
+			// The point fires once per attempt, so a countdown of one would
+			// outlast a run that needs only one.
+			crash = CrashSpec{Rank: i % r, Point: FaultAfterWalk}
 		}
 		fp := &FaultPlan{Crashes: []CrashSpec{crash}}
 		if doubleFault {
-			fp.Crashes = append(fp.Crashes, CrashSpec{Rank: (crash.Rank + 1) % r, Point: FaultInCollective})
+			fp.Crashes = append(fp.Crashes, CrashSpec{Rank: (crash.Rank + 1) % r, Point: FaultAfterWalk})
 		}
 		ms := NewMemorySink(r)
 		cfg := Config{
@@ -943,7 +868,7 @@ func TestRecoverAsyncStoreSink(t *testing.T) {
 	nC := a.NumVertices() * b.NumVertices()
 
 	const midExchange = "mid-exchange"
-	for _, point := range []string{FaultMidExpansion.String(), midExchange, FaultInCollective.String()} {
+	for _, point := range []string{FaultMidExpansion.String(), midExchange, inCollective} {
 		point := point
 		t.Run(point, func(t *testing.T) {
 			t.Parallel()
@@ -960,7 +885,7 @@ func TestRecoverAsyncStoreSink(t *testing.T) {
 			// (handoffCrash), one arc staged.
 			var owner Owner = OwnerBySource
 			rank, work := busiestOwner(want, owner, r)
-			crash := CrashSpec{Rank: 1, Point: FaultInCollective}
+			crash := CrashSpec{Rank: 1, Point: FaultAfterWalk}
 			switch point {
 			case FaultMidExpansion.String():
 				crash = CrashSpec{Rank: rank, Point: FaultMidExpansion, After: work / 2}

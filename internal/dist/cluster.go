@@ -1,12 +1,11 @@
 // Package dist implements the paper's distributed Kronecker generator
-// (Sec. III and Rem. 1) over a pluggable rank-to-rank transport. The
-// default cluster is simulated: R ranks run as goroutines over the
-// in-process transport (transport/chan). Cluster mode runs the same code
-// across processes over length-prefixed TCP (transport/tcp, see
-// RunCluster), where the transport carries the teardown collective and
-// failure detection. The partitioning and expansion code paths are those
-// of the MPI implementation the paper describes (HavoqGT on Sequoia); edges
-// never cross the transport, because every rank generates what it stores.
+// (Sec. III and Rem. 1). A process runs its ranks as goroutines of one
+// cluster: all R of them in process, a contiguous range in cluster mode
+// (RunCluster), where R ranks span N processes and each worker's only link
+// is its control connection to the head. The partitioning and expansion
+// code paths are those of the MPI implementation the paper describes
+// (HavoqGT on Sequoia); no arc crosses a rank boundary, because every rank
+// generates what it stores, and every rank checks its own balance.
 //
 // All generation paths are wrappers over one Plan→Expand→Place→Sink
 // engine (engine.go): a Plan decomposes the factors into per-rank tiles,
@@ -24,8 +23,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"kronlab/internal/dist/transport"
-	chantransport "kronlab/internal/dist/transport/chan"
 	"kronlab/internal/graph"
 )
 
@@ -73,11 +70,9 @@ type Stats struct {
 	// Robustness counters. HeadGeneration counts head incarnations across
 	// the run's ledger (1 = the head never died, and every in-process
 	// run); LastEpoch is the final attempt's epoch (the attempt number
-	// without a ledger); HeartbeatMisses counts liveness ticks some peer
-	// process spent silent: early smoke for slow or partitioned links.
-	HeadGeneration  int64
-	LastEpoch       int64
-	HeartbeatMisses int64
+	// without a ledger).
+	HeadGeneration int64
+	LastEpoch      int64
 
 	// OutstandingBufs snapshots pooled edge buffers still checked out by
 	// the process that drove the run. Every in-process run ends at 0,
@@ -113,23 +108,19 @@ func maxOf(xs []int64) int64 {
 	return m
 }
 
-// Cluster is a machine with R communicating ranks over a Transport. A
-// cluster is one-shot: it runs exactly one Run/RunContext (a second
-// attempt returns ErrClusterUsed), because an aborted run leaves cancelled
-// context state and collective state behind. Reset returns a finished
-// cluster to a runnable state.
-type Cluster struct {
-	r      int
-	lo, hi int // local rank range [lo, hi) hosted by this process
-	tr     transport.Transport
-	stats  Stats
-	used   atomic.Bool
+// cluster is one process's ranks — every rank of an in-process run, the
+// hosted range [lo, hi) of a cluster-mode process — run as goroutines over
+// one run context. Ranks share nothing else: each walks its tiles into its
+// own sink and checks its own balance (runAttempt). Reset returns a
+// finished cluster to a runnable state.
+type cluster struct {
+	r     int
+	stats Stats
 
 	// Run context: cancelled (with cause) when any rank's body returns an
-	// error, so ranks blocked in a collective tear down instead of waiting
-	// for a rank that will never arrive. Every cancel the package issues
-	// raises stop right after it (cancel), so a walking rank sees teardown
-	// with one atomic load per block (walk.place).
+	// error. Every cancel the package issues raises stop right after it
+	// (cancel), so a walking rank sees teardown with one atomic load per
+	// block (walk.place).
 	ctx       context.Context
 	cancelCtx context.CancelCauseFunc
 	stop      atomic.Bool
@@ -139,7 +130,7 @@ type Cluster struct {
 	ranks []Rank
 
 	// faults, when non-nil, is the process's armed crash schedule (see
-	// fault.go), consulted by the walk and the collectives.
+	// fault.go), consulted by the walk and after it.
 	faults *faultState
 
 	// bufsOut counts pooled edge buffers currently checked out by this
@@ -149,35 +140,15 @@ type Cluster struct {
 	bufsOut int64
 }
 
-// ErrClusterUsed reports a second run on a one-shot cluster. Build a
-// fresh cluster per run, or call Reset to drain the previous run's
-// residue first.
-var ErrClusterUsed = errors.New("dist: cluster already ran; NewCluster or Reset before running again")
-
-// NewCluster returns a simulated cluster of r ranks on the in-process
-// channel transport: all ranks local.
-func NewCluster(r int) (*Cluster, error) {
+// newCluster returns a cluster hosting ranks [lo, hi) of r.
+func newCluster(r, lo, hi int) (*cluster, error) {
 	if r < 1 {
 		return nil, fmt.Errorf("dist: cluster needs ≥ 1 rank, got %d", r)
 	}
-	return NewClusterOn(chantransport.New(r))
-}
-
-// NewClusterOn returns a cluster over an existing transport — the
-// cluster-mode entry point, where the transport is a TCP mesh hosting
-// only this process's rank range. RunContext then spawns bodies for the
-// local ranks only; collectives span the whole cluster through the
-// transport.
-func NewClusterOn(tr transport.Transport) (*Cluster, error) {
-	r := tr.R()
-	if r < 1 {
-		return nil, fmt.Errorf("dist: transport reports %d ranks, need ≥ 1", r)
-	}
-	lo, hi := tr.Local()
 	if lo < 0 || hi > r || lo >= hi {
-		return nil, fmt.Errorf("dist: transport local range [%d,%d) invalid for R=%d", lo, hi, r)
+		return nil, fmt.Errorf("dist: local rank range [%d,%d) invalid for R=%d", lo, hi, r)
 	}
-	c := &Cluster{r: r, lo: lo, hi: hi, tr: tr, ranks: make([]Rank, hi-lo)}
+	c := &cluster{r: r, ranks: make([]Rank, hi-lo)}
 	for i := range c.ranks {
 		c.ranks[i] = Rank{id: lo + i, c: c}
 	}
@@ -185,84 +156,52 @@ func NewClusterOn(tr transport.Transport) (*Cluster, error) {
 	return c, nil
 }
 
-// Size returns the number of ranks across the whole cluster.
-func (c *Cluster) Size() int { return c.r }
-
-// Local returns the contiguous rank range [lo, hi) this process hosts.
-func (c *Cluster) Local() (lo, hi int) { return c.lo, c.hi }
-
-// Transport exposes the cluster's rank-to-rank link (for stats and
-// cluster-mode control traffic).
-func (c *Cluster) Transport() transport.Transport { return c.tr }
-
-// Reset returns a finished cluster to a runnable state: batches left in
-// the transport are drained (their pooled buffers recycled), stats and
-// collective state are zeroed, and a fresh run context is installed. An
-// armed crash schedule keeps its lifetime countdowns. It must not be called
-// concurrently with a run.
-func (c *Cluster) Reset() {
-	c.tr.Reset(func(b transport.Batch) { c.putBuf(b.Edges) })
+// Reset returns a finished cluster to a runnable state: stats are zeroed
+// and a fresh run context is installed. An armed crash schedule keeps its
+// lifetime countdowns. It must not be called concurrently with a run.
+func (c *cluster) Reset() {
 	c.stats = Stats{}
 	c.cancel(nil) // retire the previous run's context
 	c.ctx, c.cancelCtx = context.WithCancelCause(context.Background())
-	c.used.Store(false)
 }
 
 // cancel tears the run down with cause: the context first, then the stop
 // flag, so a walk that sees the flag finds the cause set.
-func (c *Cluster) cancel(cause error) {
+func (c *cluster) cancel(cause error) {
 	c.cancelCtx(cause)
 	c.stop.Store(true)
 }
 
 // Stats returns a snapshot of the counters.
-func (c *Cluster) Stats() Stats {
-	var misses int64
-	if d, ok := c.tr.(interface{ HeartbeatMisses() int64 }); ok {
-		misses = d.HeartbeatMisses()
-	}
+func (c *cluster) Stats() Stats {
 	return Stats{
 		EdgesGenerated:  atomic.LoadInt64(&c.stats.EdgesGenerated),
 		OwnerRowsTested: atomic.LoadInt64(&c.stats.OwnerRowsTested),
 		ArcsCompacted:   atomic.LoadInt64(&c.stats.ArcsCompacted),
-		HeartbeatMisses: misses,
 		OutstandingBufs: atomic.LoadInt64(&c.bufsOut),
 	}
 }
 
-// Run executes body once per local rank concurrently and waits for all
-// of them; the first non-nil error is returned.
-func (c *Cluster) Run(body func(rk *Rank) error) error {
-	return c.RunContext(context.Background(), body)
-}
-
-// RunContext is Run with cancellation: when parent is cancelled, or any
-// local rank's body returns an error, every rank blocked in a collective is
-// released and every walking rank stops at its next block. The root cause
-// — the first rank error, or the external cancellation — is returned in
-// preference to the secondary context errors the other ranks observe.
-// On a multi-process transport only the local rank range runs here;
-// remote failures surface as transport errors on blocked calls.
-func (c *Cluster) RunContext(parent context.Context, body func(rk *Rank) error) error {
-	if !c.used.CompareAndSwap(false, true) {
-		return ErrClusterUsed
-	}
+// run executes body once per local rank concurrently and waits for all of
+// them. When parent is cancelled, or any rank's body returns an error,
+// every walking rank stops at its next block. The root cause — the first
+// rank error, or the external cancellation — is returned in preference to
+// the secondary context errors the other ranks observe.
+func (c *cluster) run(parent context.Context, body func(rk *Rank) error) error {
 	ctx, cancel := context.WithCancelCause(parent)
 	c.ctx, c.cancelCtx = ctx, cancel
 	c.stop.Store(false)
 	defer cancel(nil)
-	n := c.hi - c.lo
-	errs := make([]error, n)
+	errs := make([]error, len(c.ranks))
 	var wg sync.WaitGroup
 	for i := range c.ranks {
 		wg.Add(1)
-		go func(rk *Rank) {
+		go func(i int) {
 			defer wg.Done()
-			errs[rk.id-c.lo] = body(rk)
-			if errs[rk.id-c.lo] != nil {
-				c.cancel(errs[rk.id-c.lo])
+			if errs[i] = body(&c.ranks[i]); errs[i] != nil {
+				c.cancel(errs[i])
 			}
-		}(&c.ranks[i])
+		}(i)
 	}
 	wg.Wait()
 	if cause := context.Cause(ctx); cause != nil && !errors.Is(cause, context.Canceled) {
@@ -283,7 +222,7 @@ func (c *Cluster) RunContext(parent context.Context, body func(rk *Rank) error) 
 // sync.Pool because short-lived clusters (one per generation run, one per
 // kronserve request) reuse each other's buffers, and pushing a plain slice
 // header onto a slice stack does not box it into an interface the way
-// sync.Pool.Put does. Per-cluster accounting stays in Cluster.bufsOut,
+// sync.Pool.Put does. Per-cluster accounting stays in cluster.bufsOut,
 // which nets zero for any get/put pair regardless of which cluster's run
 // originally held the buffer.
 var edgeBufs bufStack
@@ -325,13 +264,13 @@ func (p *bufStack) put(b []graph.Edge) {
 }
 
 // getBuf checks an empty edge buffer for an n-edge block out of edgeBufs.
-func (c *Cluster) getBuf(n int) []graph.Edge {
+func (c *cluster) getBuf(n int) []graph.Edge {
 	atomic.AddInt64(&c.bufsOut, 1)
 	return edgeBufs.get(n)
 }
 
 // putBuf returns a checked-out buffer to edgeBufs; a nil buffer is none.
-func (c *Cluster) putBuf(b []graph.Edge) {
+func (c *cluster) putBuf(b []graph.Edge) {
 	if cap(b) == 0 {
 		return
 	}
@@ -342,12 +281,12 @@ func (c *Cluster) putBuf(b []graph.Edge) {
 // outstandingBufs reports pooled edge buffers currently checked out. Once
 // a run has torn down it must be zero — the pooled-buffer leak regression
 // asserts exactly that.
-func (c *Cluster) outstandingBufs() int64 { return atomic.LoadInt64(&c.bufsOut) }
+func (c *cluster) outstandingBufs() int64 { return atomic.LoadInt64(&c.bufsOut) }
 
-// Rank is one processor inside a Cluster.Run body.
+// Rank is one processor of a run: Sink.Rank is called with it.
 type Rank struct {
 	id int
-	c  *Cluster
+	c  *cluster
 	// phase is the walk's goroutine label (engine.go), recorded so a sink
 	// hand-off that blocks can label its wait phase=store and put it back.
 	phase context.Context
@@ -374,8 +313,8 @@ func (rk *Rank) ID() int { return rk.id }
 // Size returns the cluster size R.
 func (rk *Rank) Size() int { return rk.c.r }
 
-// Context returns the run's context; it is cancelled when any rank fails
-// or the RunContext caller's context is cancelled.
+// Context returns the run's context; it is cancelled when any rank of this
+// process fails or the run's caller cancels.
 func (rk *Rank) Context() context.Context { return rk.c.ctx }
 
 // crashAt consults the armed fault schedule (if any) for a scheduled
@@ -386,52 +325,4 @@ func (rk *Rank) crashAt(p FaultPoint) error {
 	}
 	_, err := rk.c.faults.crashWithin(rk.id, p, 1)
 	return err
-}
-
-// Barrier blocks until all ranks have entered it, or until the run is
-// torn down — a rank that dies before arriving would otherwise leave
-// every peer waiting forever. Callers that must distinguish completion
-// from teardown use BarrierContext.
-func (rk *Rank) Barrier() { _ = rk.BarrierContext() }
-
-// BarrierContext is Barrier observing the run's cancellation: it returns
-// nil once all ranks (across every process) have arrived, or the run's
-// cancellation cause when the run is torn down while waiting (that
-// barrier generation can then never complete).
-func (rk *Rank) BarrierContext() error {
-	if err := rk.crashAt(FaultInCollective); err != nil {
-		return err
-	}
-	return rk.c.tr.Barrier(rk.c.ctx, rk.id)
-}
-
-// AllReduceSum adds v across all ranks and returns the total to each.
-// Releases (with a meaningless partial total) when the run is torn down;
-// use AllReduceSumContext to observe the failure.
-func (rk *Rank) AllReduceSum(v int64) int64 {
-	total, _ := rk.AllReduceSumContext(v)
-	return total
-}
-
-// AllReduceSumContext adds v across all ranks and returns the total to
-// each, or the run's cancellation cause if the collective cannot
-// complete because the run was torn down. The reduce passes the
-// in-collective fault injection point three times — the cadence of the
-// three barrier entries the original shared-memory reduce made — so
-// seeded chaos schedules keep their crash positions across transports.
-func (rk *Rank) AllReduceSumContext(v int64) (int64, error) {
-	if err := rk.crashAt(FaultInCollective); err != nil {
-		return 0, err
-	}
-	total, err := rk.c.tr.AllReduceSum(rk.c.ctx, rk.id, v)
-	if err != nil {
-		return total, err
-	}
-	if err := rk.crashAt(FaultInCollective); err != nil {
-		return total, err
-	}
-	if err := rk.crashAt(FaultInCollective); err != nil {
-		return total, err
-	}
-	return total, nil
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // TestClusterSeekParity drives the windowed store path over a real
-// 4-process TCP mesh: the cluster generating the [offset, offset+limit)
+// 4-process TCP cluster: the cluster generating the [offset, offset+limit)
 // window must store exactly the arcs the full stream's window holds —
 // and a cluster sliced at a different offset must refuse the handshake
 // (PlanHash folds the window into every tile's identity).

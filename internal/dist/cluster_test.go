@@ -1,9 +1,9 @@
 package dist
 
-// Cluster-mode tests: the same engine over the TCP transport across
-// process boundaries. The parity suite folds a 4-proc cluster into this
-// test process (one goroutine per "process", each with its own Node and
-// rank range) and diffs the shared on-disk product against the serial
+// Cluster-mode tests: the same engine across process boundaries, the
+// processes joined by TCP control links. The parity suite folds a 4-proc
+// cluster into this test process (one goroutine per "process", each with
+// its own Node and rank range) and diffs the shared on-disk product against the serial
 // reference. The kill suite is the real thing: worker *processes*
 // (re-execs of this test binary), one of which exits inside its sink
 // mid-run, is respawned by the driver on the same listener, and the
@@ -164,18 +164,56 @@ func TestClusterParity(t *testing.T) {
 	}
 }
 
-// TestClusterHandshakeRejectsPlanMismatch asserts a proc that derived a
-// different plan cannot join: the mesh refuses it and the error is not
-// classified as recoverable (retrying cannot fix a config divergence).
+// TestClusterHandshakeRejectsPlanMismatch: a worker that derived a
+// different plan cannot join, and neither side waits for the other. In a
+// two-process loopback cluster whose worker planned 2D, the head refuses
+// the worker's control link for its plan hash; both RunCluster calls must
+// return errors wrapping tcp.ErrHandshake within 5 s, under a 60 s context
+// the head once waited out whole for a worker that could never join.
 func TestClusterHandshakeRejectsPlanMismatch(t *testing.T) {
-	if !clusterRecoverable(&transport.PeerError{Proc: 1, Err: fmt.Errorf("x")}) {
-		t.Fatal("peer death must be recoverable")
+	const r = 4
+	plans := make([]Plan, 2)
+	for p, twoD := range []bool{false, true} {
+		plan, err := planForChain(mustChain(killTestFactors()), r, twoD)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans[p] = plan
 	}
-	if clusterRecoverable(tcp.ErrHandshake) {
-		t.Fatal("handshake refusal must not be recoverable")
+	node, err := tcp.NewNode("127.0.0.1:0", 0, PlanHash(plans[0]))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !clusterRecoverable(fmt.Errorf("wrap: %w", errMeshDown)) {
-		t.Fatal("mesh establishment failure must be recoverable")
+	defer node.Close()
+	procs := transport.SplitRanks([]string{node.Addr(), "127.0.0.1:0"}, r)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	start := time.Now()
+	errs := make([]error, len(plans))
+	var wg sync.WaitGroup
+	for p := range plans {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			cc := ClusterConfig{Procs: procs, Self: p}
+			if p == 0 {
+				cc.Node = node
+			}
+			_, errs[p] = RunCluster(ctx, cc, Config{Plan: plans[p], Sink: &CountSink{}, Recovery: Recovery{MaxRetries: 3}})
+		}(p)
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	for p, err := range errs {
+		if !errors.Is(err, tcp.ErrHandshake) {
+			t.Errorf("proc %d returned %v, want an error wrapping tcp.ErrHandshake", p, err)
+		}
+	}
+	if errs[0] != nil && !strings.Contains(errs[0].Error(), "proc 1") {
+		t.Errorf("head returned %v, want it to name proc 1", errs[0])
+	}
+	if elapsed > 5*time.Second {
+		t.Errorf("the refusal took %v to end both runs, want under 5s", elapsed)
 	}
 }
 
@@ -609,7 +647,7 @@ func TestClusterHeadKillRecovery(t *testing.T) {
 
 // TestClusterHeadFaultUnchanged: the head ran its own attempt, so its own
 // fault comes back as the error value it was — a caller's sentinel, a
-// cancellation, a PeerError — not flattened to a string the way a worker's
+// cancellation — not flattened to a string the way a worker's
 // report has to be to cross the wire.
 func TestClusterHeadFaultUnchanged(t *testing.T) {
 	const r = 2
@@ -736,9 +774,9 @@ func TestConfigDigestPinned(t *testing.T) {
 // TestClusterHeadRefusesBadReport: a report crosses the wire from another
 // process, so the head checks it before indexing with it. A fake worker
 // joins and answers the begin with a report that names a rank outside its
-// range, a tile the plan does not have, or a blame past R. The head must
-// fail the run — not panic, not retry — with an error naming the proc and
-// the bad index.
+// range, a tile the plan does not have, or a blame past R. The head's own
+// attempt succeeds, so only the bad report can fail the run, and it must —
+// not panic, not retry — with an error naming the proc and the bad index.
 func TestClusterHeadRefusesBadReport(t *testing.T) {
 	const r = 4
 	plan, err := PlanChain1D(mustChain(killTestFactors()), r)
@@ -773,6 +811,7 @@ func TestClusterHeadRefusesBadReport(t *testing.T) {
 					return
 				}
 				defer cc.Close()
+				cc.StartHeartbeat(50*time.Millisecond, 0)
 				var m ctrlMsg
 				if err := cc.Send(ctrlMsg{Kind: ctrlJoin}); err != nil {
 					worker <- err
@@ -787,11 +826,8 @@ func TestClusterHeadRefusesBadReport(t *testing.T) {
 				worker <- cc.Send(rep)
 				cc.Recv(ctx, &m) // until the head hangs up
 			}()
-			// The fake worker never joins the mesh, so the head's own attempt
-			// fails recoverably once DialTimeout runs out; only the report
-			// can make the run fail for good.
 			procs := transport.SplitRanks([]string{node.Addr(), "127.0.0.1:0"}, r)
-			_, err = RunCluster(ctx, ClusterConfig{Procs: procs, Node: node, DialTimeout: 200 * time.Millisecond, HeartbeatInterval: -1},
+			_, err = RunCluster(ctx, ClusterConfig{Procs: procs, Node: node},
 				Config{Plan: plan, Sink: &CountSink{}, Recovery: Recovery{MaxRetries: 3}})
 			if werr := <-worker; werr != nil {
 				t.Fatal(werr)
@@ -803,11 +839,63 @@ func TestClusterHeadRefusesBadReport(t *testing.T) {
 	}
 }
 
+// TestClusterHeartbeatSilentWorker: a worker reports when its own share is
+// done, so the head's wait for a report is bounded by the control link's
+// liveness alone. A fake worker joins, takes its begin, and then neither
+// pings nor reports. With no retry budget and a 0.5 s heartbeat deadline,
+// the head must fail the run, naming proc 1, within twice the deadline of
+// the begin.
+func TestClusterHeartbeatSilentWorker(t *testing.T) {
+	const r = 2
+	const deadline = 500 * time.Millisecond
+	plan, err := PlanChain1D(mustChain(killTestFactors()), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := tcp.NewNode("127.0.0.1:0", 0, PlanHash(plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	begun := make(chan time.Time, 1)
+	go func() {
+		cc, err := tcp.DialControl(ctx, node.Addr(), 1, PlanHash(plan), 5*time.Second)
+		if err != nil {
+			return
+		}
+		defer cc.Close()
+		var m ctrlMsg
+		if cc.Send(ctrlMsg{Kind: ctrlJoin}) != nil || cc.Recv(ctx, &m) != nil || m.Kind != ctrlBegin {
+			return
+		}
+		begun <- time.Now()
+		cc.Recv(ctx, &m) // silent until the head hangs up
+	}()
+	procs := transport.SplitRanks([]string{node.Addr(), "127.0.0.1:0"}, r)
+	_, err = RunCluster(ctx, ClusterConfig{Procs: procs, Node: node, HeartbeatInterval: 50 * time.Millisecond, HeartbeatDeadline: deadline},
+		Config{Plan: plan, Sink: &CountSink{}})
+	ended := time.Now()
+	var at time.Time
+	select {
+	case at = <-begun:
+	default:
+		t.Fatalf("the fake worker never took its begin; the head returned %v", err)
+	}
+	if err == nil || !strings.Contains(err.Error(), "proc 1") {
+		t.Fatalf("head returned %v, want an error naming proc 1", err)
+	}
+	if d := ended.Sub(at); d > 2*deadline {
+		t.Fatalf("head gave up on the silent worker %v after its begin, want within %v", d, 2*deadline)
+	}
+}
+
 // TestClusterBlame: a two-process cluster (goroutines over loopback, as in
 // TestClusterParity) whose worker's first rank crashes mid-expansion. The
-// head sees the worker's mesh go down, its own report names the worker
-// process, and the retry must be booked on that process's first rank — not
-// on rank 0 — with the store still holding exactly core.Chain.Arcs.
+// head's own attempt succeeds; the worker's report names the crashed rank,
+// and the retry must be booked on it — not on rank 0 — with the store still
+// holding exactly core.Chain.Arcs.
 func TestClusterBlame(t *testing.T) {
 	const nprocs, r = 2, 4
 	ch := mustChain(killTestFactors())

@@ -1,32 +1,35 @@
 package dist
 
 // The attempt loop and cluster mode: the Plan→Expand→Place→Sink engine
-// spread across N OS processes over the TCP transport. Every process
-// deterministically reconstructs the same Plan from the factor files,
-// hosts a contiguous rank range from the static peer list, and runs the
-// same rankHost.attempt — only how it comes by a Cluster differs.
+// spread across N OS processes. Every process deterministically
+// reconstructs the same Plan from the factor files, hosts a contiguous rank
+// range from the static peer list, and runs the same rankHost.attempt on a
+// cluster of its own ranks. Processes share nothing but the control
+// connection each worker holds to the head: no arc crosses a process, and
+// each rank checks its own balance.
 //
 // Process 0 (the head) doubles as the run supervisor: it owns the
 // tile-checkpoint table, sends each attempt's uncommitted tiles (on their
 // planned ranks) and skip prefixes over persistent control connections, and
 // checks and folds per-attempt reports. Its loop is the only one: an
-// in-process Run is one process on the chan transport with no ledger.
+// in-process Run is one process with no ledger.
 // Recovery extends that posture from a killed goroutine to a killed *process*:
 //
-//   - A worker that dies (SIGKILL, OOM, a yanked cable) surfaces as a
-//     broken control connection at the head and as PeerErrors on the
-//     survivors' mesh links; everyone's attempt tears down loudly.
+//   - A worker that dies (SIGKILL, OOM, a yanked cable) surfaces at the
+//     head as a broken or silent control connection. The other processes
+//     never see it: they finish their attempts, report, and what they
+//     stored commits.
 //   - The dead worker's durable output is gone with it — a respawned
 //     process's ShardWriter truncates its shard files on open — so the
 //     head zeroes the dead proc's ranks in every tile's stored counts
 //     and recomputes tile commitment non-stickily: a tile whose stored
-//     edges lived on the dead proc un-commits and replays.
+//     edges lived on the dead proc un-commits and replays. The replay
+//     covers only the tiles with arcs on the dead proc's ranks.
 //   - Survivors keep their sinks open across attempts and fence the
 //     already-stored prefix of every replayed tile substream, exactly
 //     as in-process recovery does, so delivery stays exactly-once.
-//   - The respawned worker re-dials the head's control port, is handed
-//     the next epoch's assignment, and its mesh dials park at each peer
-//     until that peer enters the same epoch (tcp.Node's claim protocol).
+//   - The respawned worker re-dials the head's control port and is handed
+//     the next epoch's assignment.
 //
 // The head itself is no longer a single point of failure. With
 // ClusterConfig.LedgerPath set, the head journals its supervision state
@@ -43,8 +46,8 @@ package dist
 // table — the worker's own durable state is ground truth for its ranks
 // — so prefix fencing stays exactly-once even across a head generation
 // change where the ledger lags the workers' shards. Application-level
-// heartbeats on control and mesh links turn a black-holed peer into a
-// loud PeerError within a configured deadline instead of a hang.
+// heartbeats, always on, turn a black-holed control link into a loud
+// failure within a configured deadline instead of a hang.
 
 import (
 	"context"
@@ -70,12 +73,13 @@ type ClusterConfig struct {
 	Procs []transport.Proc
 	// Self is this process's index in Procs; index 0 is the head.
 	Self int
-	// Node is the process's persistent listening endpoint, shared across
-	// run attempts (NewNode with this proc's address and the plan hash).
-	// A single process may leave it nil: the run then stays on the
-	// in-process chan transport — that is Run.
+	// Node is the head's persistent listening endpoint (NewNode with its
+	// address and the plan hash), where workers' control connections
+	// arrive. The head of more than one process needs one; workers and a
+	// lone process ignore it.
 	Node *tcp.Node
-	// DialTimeout bounds mesh establishment per attempt; ≤ 0 means 10s.
+	// DialTimeout bounds each control dial a worker makes to the head,
+	// handshake included; ≤ 0 means 10s.
 	DialTimeout time.Duration
 	// LedgerPath, when non-empty on the head, arms the durable run
 	// ledger: supervision state is journaled there at every state change,
@@ -87,27 +91,25 @@ type ClusterConfig struct {
 	// 0 restores the old posture — the head's death fails the worker on
 	// the first break.
 	HeadRetries int
-	// HeartbeatInterval is the application heartbeat period on control
-	// and mesh links. 0 means 2s; negative disables heartbeats (and with
-	// them deadline-based partition detection).
+	// HeartbeatInterval is the application heartbeat period on every
+	// control link; ≤ 0 means 2s. Heartbeats are always on: a silent link
+	// is what ends the head's wait for a report that is not coming.
 	HeartbeatInterval time.Duration
 	// HeartbeatDeadline is how long a link may stay silent before its
 	// peer is declared dead; ≤ 0 means 5× the interval.
 	HeartbeatDeadline time.Duration
 }
 
-// reportTimeout bounds how long the head waits for a worker's join,
-// post-attempt report or bye before declaring the worker dead. By the time
-// the head collects, its own attempt has finished — the final collective
-// synchronizes every live proc — so only a dead worker runs it down.
+// reportTimeout bounds how long the head waits for a worker's join or bye
+// before declaring the worker dead. It does not bound a report: a worker
+// reports when its own share is done, which can be long after the head's,
+// so the head waits for one on its context and on the control link's
+// liveness (EOF, or the heartbeat deadline) alone.
 const reportTimeout = 30 * time.Second
 
 func (cc ClusterConfig) heartbeatInterval() time.Duration {
-	switch {
-	case cc.HeartbeatInterval > 0:
+	if cc.HeartbeatInterval > 0 {
 		return cc.HeartbeatInterval
-	case cc.HeartbeatInterval < 0:
-		return 0 // disabled
 	}
 	return 2 * time.Second
 }
@@ -209,29 +211,14 @@ func (m *ctrlMsg) fail(err error) {
 	if err != nil {
 		m.err = err
 		m.RunErr = err.Error()
-		m.Blame, _ = classify(err)
-		m.Recoverable = clusterRecoverable(err)
+		m.Blame, m.Recoverable = classify(err)
 	}
 }
 
 type trafficStats struct {
 	Generated  int64 `json:"generated,omitempty"`
-	HBMisses   int64 `json:"hb_misses,omitempty"`
 	RowsTested int64 `json:"rows_tested,omitempty"`
 	Compacted  int64 `json:"compacted,omitempty"`
-}
-
-// errMeshDown marks a failed mesh establishment whose cause was a peer
-// being down or slow — the recoverable between-attempts face of a
-// process death (the respawned peer simply has not come back yet).
-var errMeshDown = errors.New("dist: cluster mesh establishment failed")
-
-// clusterRecoverable is classify for a cluster attempt: the faults
-// classify blames on a rank, plus a failed mesh establishment (which has
-// no rank to blame — the respawned peer is simply not back yet).
-func clusterRecoverable(err error) bool {
-	_, ok := classify(err)
-	return ok || errors.Is(err, errMeshDown)
 }
 
 // joinMsg is the worker's opening announcement on every control
@@ -289,7 +276,6 @@ func (h *rankHost) checkReport(cp *checkpoints, peer int, rep *ctrlMsg) error {
 // foldReport merges one proc's attempt report into the aggregate stats.
 func foldReport(agg *Stats, rep *ctrlMsg) {
 	agg.EdgesGenerated += rep.Traffic.Generated
-	agg.HeartbeatMisses += rep.Traffic.HBMisses
 	agg.OwnerRowsTested += rep.Traffic.RowsTested
 	agg.ArcsCompacted += rep.Traffic.Compacted
 	agg.DuplicatesSkipped += rep.Skipped
@@ -324,8 +310,8 @@ func RunCluster(ctx context.Context, cc ClusterConfig, cfg Config) (Stats, error
 	if got := cc.Procs[len(cc.Procs)-1].Hi; got != cfg.Plan.R {
 		return Stats{}, fmt.Errorf("dist: cluster hosts %d ranks, plan has %d", got, cfg.Plan.R)
 	}
-	if cc.Node == nil && len(cc.Procs) > 1 {
-		return Stats{}, fmt.Errorf("dist: a cluster of %d processes needs a Node", len(cc.Procs))
+	if cc.Node == nil && cc.Self == 0 && len(cc.Procs) > 1 {
+		return Stats{}, fmt.Errorf("dist: the head of a cluster of %d processes needs a Node", len(cc.Procs))
 	}
 	if cfg.Owner != nil && cfg.Owner.BindSource(cfg.Plan.R) == nil {
 		return Stats{}, fmt.Errorf("dist: owner %T has no source form: only maps of the source vertex are supported", cfg.Owner)
@@ -348,7 +334,6 @@ func RunCluster(ctx context.Context, cc ClusterConfig, cfg Config) (Stats, error
 // stored prefixes. A head that never comes back exhausts the budget and
 // fails loudly; a worker must never hang on a silent cluster.
 func runClusterWorker(ctx context.Context, h *rankHost) (Stats, error) {
-	defer h.closeMesh()
 	rng := rand.New(rand.NewSource(int64(h.planHash) ^ int64(h.cc.Self)<<32 ^ time.Now().UnixNano()))
 	dial := func() (*tcp.CtrlConn, error) {
 		cc, err := tcp.DialControl(ctx, h.cc.Procs[0].Addr, h.cc.Self, h.planHash, h.cc.DialTimeout)
@@ -486,7 +471,6 @@ const ledgerRotateBytes = 1 << 20
 // journaled durably, and a respawned head resumes from the replayed table
 // instead of restarting.
 func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
-	defer h.closeMesh()
 	n := len(h.cc.Procs)
 
 	cp := newCheckpoints(h.cfg.Plan)
@@ -687,13 +671,23 @@ func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
 				break
 			}
 		}
+		// lose records a worker that died this attempt. Its durable output
+		// dies with it (its ShardWriters truncate on respawn), so every
+		// stored count at its ranks resets below, and it is the one to blame.
+		var deadProcs []int
+		var lost []error
+		lose := func(p int, err error) {
+			conns[p].Close()
+			conns[p] = nil
+			deadProcs = append(deadProcs, p)
+			lost = append(lost, fmt.Errorf("proc %d: %w", p, err))
+		}
 		begin := ctrlMsg{Kind: ctrlBegin, Epoch: epoch, Tiles: assignIDs, Skip: skip}
 		for p := 1; p < n; p++ {
 			if err := conns[p].Send(begin); err != nil {
 				// Died between attempts; the attempt proceeds and fails
 				// recoverably, and ensureWorkers picks up the respawn.
-				conns[p].Close()
-				conns[p] = nil
+				lose(p, err)
 			}
 		}
 
@@ -722,23 +716,20 @@ func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
 		rep0 := h.attempt(ctx, epoch, assignIDs, skip)
 		fold(&rep0)
 
-		// Collect: the final collective synchronized every live proc with
-		// the head's own attempt, so live workers report promptly; only a
-		// dead one runs the timeout down.
-		var deadProcs []int
+		// Collect: a worker reports when its own share is done, however
+		// long after the head's that is; only the run's context and the
+		// control link's liveness bound the wait.
 		for p := 1; p < n; p++ {
 			if conns[p] == nil {
-				deadProcs = append(deadProcs, p)
 				continue
 			}
-			rctx, cancel := context.WithTimeout(ctx, reportTimeout)
 			var m ctrlMsg
-			err := conns[p].Recv(rctx, &m)
-			cancel()
-			if err != nil || m.Kind != ctrlReport {
-				conns[p].Close()
-				conns[p] = nil
-				deadProcs = append(deadProcs, p)
+			err := conns[p].Recv(ctx, &m)
+			if err == nil && m.Kind != ctrlReport {
+				err = fmt.Errorf("sent %q instead of a report", m.Kind)
+			}
+			if err != nil {
+				lose(p, err)
 				continue
 			}
 			if err := h.checkReport(cp, p, &m); err != nil {
@@ -750,16 +741,13 @@ func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
 			}
 			fold(&m)
 		}
-		// A dead proc's durable output dies with it: its ShardWriters
-		// truncate on respawn, so every stored count at its ranks resets.
-		// It is also the one to blame, whatever the survivors saw.
 		for _, p := range deadProcs {
 			cp.zeroRanks(h.cc.Procs[p].Lo, h.cc.Procs[p].Hi)
 		}
 		if len(deadProcs) > 0 {
 			blame = h.cc.Procs[deadProcs[0]].Lo
 			if attemptErr == nil {
-				attemptErr = fmt.Errorf("dist: proc(s) %v died mid-attempt", deadProcs)
+				attemptErr = fmt.Errorf("dist: proc(s) %v died mid-attempt: %w", deadProcs, errors.Join(lost...))
 			}
 		}
 		cp.recommit()
@@ -781,8 +769,7 @@ func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
 			break
 		}
 		// Book the retry on the blamed rank, whichever process hosts it; a
-		// fault no report localized (a mesh that never formed) is booked on
-		// rank 0.
+		// fault no report localized is booked on rank 0.
 		agg.RetriesPerRank[max(blame, 0)]++
 		runErr = nil
 		if err := sleepCtx(ctx, backoff(h.cfg.Backoff, attempt+1)); err != nil {
@@ -853,8 +840,8 @@ func GenerateChainClusterToStore(ctx context.Context, ch *core.Chain, dir string
 // process must pass the same offset and limit: the window is folded into
 // the tiles before planning, so PlanHash covers it and a cluster whose
 // processes sliced at different positions refuses to form instead of
-// silently mixing windows. (No fault plan: a store run sends no batch for a
-// wire-level schedule to count — cmd/krongen kills from its sink.)
+// silently mixing windows. (No fault plan: cmd/krongen kills from its
+// sink.)
 func GenerateChainClusterToStoreOpts(ctx context.Context, ch *core.Chain, dir string, twoD bool, offset, limit int64, cc ClusterConfig, rec Recovery) (*store.Store, Stats, error) {
 	r := cc.Procs[len(cc.Procs)-1].Hi
 	plan, err := sliceForChain(ch, r, twoD, offset, limit)

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -8,67 +9,41 @@ import (
 
 	"kronlab/internal/core"
 	"kronlab/internal/dist/transport"
+	chantransport "kronlab/internal/dist/transport/chan"
 	"kronlab/internal/gen"
 	"kronlab/internal/graph"
 )
 
 func TestNewClusterValidation(t *testing.T) {
-	if _, err := NewCluster(0); err == nil {
+	if _, err := newCluster(0, 0, 0); err == nil {
 		t.Error("0-rank cluster should error")
 	}
-	c, err := NewCluster(4)
-	if err != nil || c.Size() != 4 {
-		t.Fatalf("NewCluster(4): %v, size %d", err, c.Size())
+	for _, rg := range [][2]int{{2, 2}, {-1, 2}, {3, 5}} {
+		if _, err := newCluster(4, rg[0], rg[1]); err == nil {
+			t.Errorf("local range [%d,%d) of 4 ranks should error", rg[0], rg[1])
+		}
 	}
-}
-
-func TestBarrier(t *testing.T) {
-	c, _ := NewCluster(8)
-	var phase1 int64
-	err := c.Run(func(rk *Rank) error {
-		atomic.AddInt64(&phase1, 1)
-		rk.Barrier()
-		if atomic.LoadInt64(&phase1) != 8 {
-			t.Errorf("rank %d passed barrier before all arrived", rk.ID())
-		}
-		// Reusability: a second barrier round.
-		rk.Barrier()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	c, err := newCluster(4, 0, 4)
+	if err != nil || c.r != 4 || len(c.ranks) != 4 {
+		t.Fatalf("newCluster(4, 0, 4): %v", err)
 	}
-}
-
-func TestAllReduceSum(t *testing.T) {
-	c, _ := NewCluster(6)
-	err := c.Run(func(rk *Rank) error {
-		total := rk.AllReduceSum(int64(rk.ID()))
-		if total != 15 { // 0+1+...+5
-			t.Errorf("rank %d: reduce = %d, want 15", rk.ID(), total)
-		}
-		// Second reduction must not see stale state.
-		total2 := rk.AllReduceSum(1)
-		if total2 != 6 {
-			t.Errorf("rank %d: second reduce = %d, want 6", rk.ID(), total2)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	c, err = newCluster(6, 2, 5)
+	if err != nil || len(c.ranks) != 3 || c.ranks[0].ID() != 2 || c.ranks[0].Size() != 6 {
+		t.Fatalf("newCluster(6, 2, 5): %v", err)
 	}
 }
 
 // TestExchangeAllToAll drives the batch path the transports keep for their
-// conformance suite and the benchmark probes (the engine sends no batch)
-// from inside a cluster: every rank sends a pooled batch (id, to) to every
+// conformance suite and the benchmark probes (the engine sends no batch) on
+// chantransport.New(R), from the ranks of a cluster: every rank sends a pooled batch (id, to) to every
 // rank, its own through progress, and each rank must receive one batch from
 // each sender, addressed to it, with every buffer back in the pool.
 func TestExchangeAllToAll(t *testing.T) {
 	const R = 5
-	c, _ := NewCluster(R)
+	c, _ := newCluster(R, 0, R)
+	tr := chantransport.New(R)
 	received := make([][]graph.Edge, R)
-	err := c.Run(func(rk *Rank) error {
+	err := c.run(context.Background(), func(rk *Rank) error {
 		var got []graph.Edge
 		keep := func(b transport.Batch) {
 			got = append(got, b.Edges...)
@@ -76,12 +51,12 @@ func TestExchangeAllToAll(t *testing.T) {
 		}
 		for to := 0; to < R; to++ {
 			buf := append(c.getBuf(1), graph.Edge{U: int64(rk.ID()), V: int64(to)})
-			if err := c.tr.SendBatch(rk.Context(), transport.Batch{From: rk.ID(), Dest: to, Edges: buf}, keep); err != nil {
+			if err := tr.SendBatch(rk.Context(), transport.Batch{From: rk.ID(), Dest: to, Edges: buf}, keep); err != nil {
 				return err
 			}
 		}
 		for len(got) < R {
-			b, err := c.tr.Recv(rk.Context(), rk.ID())
+			b, err := tr.Recv(rk.Context(), rk.ID())
 			if err != nil {
 				return err
 			}
@@ -119,9 +94,10 @@ func TestExchangeAllToAll(t *testing.T) {
 // once, at the rank it was addressed to, with every buffer back.
 func TestExchangeLargeVolume(t *testing.T) {
 	const R, n = 3, 5000
-	c, _ := NewCluster(R)
+	c, _ := newCluster(R, 0, R)
+	tr := chantransport.New(R)
 	var total int64
-	err := c.Run(func(rk *Rank) error {
+	err := c.run(context.Background(), func(rk *Rank) error {
 		var count int64
 		var misrouted error
 		keep := func(b transport.Batch) {
@@ -134,7 +110,7 @@ func TestExchangeLargeVolume(t *testing.T) {
 			c.putBuf(b.Edges)
 		}
 		send := func(to int, buf []graph.Edge) error {
-			return c.tr.SendBatch(rk.Context(), transport.Batch{From: rk.ID(), Dest: to, Edges: buf}, keep)
+			return tr.SendBatch(rk.Context(), transport.Batch{From: rk.ID(), Dest: to, Edges: buf}, keep)
 		}
 		staged := make([][]graph.Edge, R)
 		for i := 0; i < n; i++ {
@@ -157,7 +133,7 @@ func TestExchangeLargeVolume(t *testing.T) {
 			}
 		}
 		for want := int64(R * ((n - rk.ID() + R - 1) / R)); count < want; {
-			b, err := c.tr.Recv(rk.Context(), rk.ID())
+			b, err := tr.Recv(rk.Context(), rk.ID())
 			if err != nil {
 				return err
 			}

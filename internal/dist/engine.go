@@ -201,8 +201,8 @@ type RankSink interface {
 // Sink fans a generation run out to per-rank consumers. Rank is called
 // once per rank, inside the rank's goroutine, before the rank's first
 // expansion starts (a replayed attempt reuses the RankSink); an
-// error aborts the run on every rank (no deadlock: the other ranks stop at
-// their next block, and the teardown collective releases on cancellation).
+// error aborts the attempt on every rank of the process (the other ranks
+// stop at their next block).
 type Sink interface {
 	Rank(rk *Rank) (RankSink, error)
 }
@@ -211,7 +211,7 @@ type Sink interface {
 // zero retries: the first fault is returned unchanged.
 type Recovery struct {
 	// MaxRetries bounds re-run attempts after a recoverable fault (a
-	// rank crash or a dead peer). The run makes at most
+	// rank crash or a dead process). The run makes at most
 	// 1+MaxRetries attempts; with the budget exhausted the last fault is
 	// returned unchanged.
 	MaxRetries int
@@ -258,9 +258,9 @@ func (cfg Config) batchSize() int {
 // for every chain depth — into its own sink. With no owner, ExpandNext
 // fills a reused scratch block. With one (its source form, Owner.BindSource)
 // every rank walks every tile and expands only the rows it owns
-// (ownedRows): nothing is staged, batched or sent, at any R and on any
-// transport. Blocks go to the fenced sink sinkFor returns; perGen/perStored
-// get the per-rank counters.
+// (ownedRows): nothing is staged, batched or sent, at any R. Blocks go to
+// the fenced sink sinkFor returns; perGen/perStored get the per-rank
+// counters.
 //
 // Expansion order is exactly the reference order — head arcs in tile
 // order, each crossed with the tail's composed arcs in lexicographic CSR
@@ -269,13 +269,13 @@ func (cfg Config) batchSize() int {
 // across attempts. That determinism is what tile checkpoints and
 // prefix-dedup recovery key on; the step size changes polling granularity,
 // never order. A fault-armed run walks the same blocks.
-func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, sinkFor func(*Rank) (*fencedRankSink, error), perGen, perStored []int64, batch int) error {
+func runAttempt(ctx context.Context, c *cluster, owner Owner, tiles [][]Tile, sinkFor func(*Rank) (*fencedRankSink, error), perGen, perStored []int64, batch int) error {
 	// Resolved once per attempt and shared by the ranks: the map is pure.
 	var bySource func(u int64) int
 	if owner != nil {
 		bySource = owner.BindSource(c.r) // RunCluster refused an owner without one
 	}
-	return c.RunContext(ctx, func(rk *Rank) error {
+	return c.run(ctx, func(rk *Rank) error {
 		if err := rk.crashAt(FaultBeforeSinkSetup); err != nil {
 			return err
 		}
@@ -311,28 +311,22 @@ func runAttempt(ctx context.Context, c *Cluster, owner Owner, tiles [][]Tile, si
 		case w.stopErr != nil:
 			return w.stopErr
 		}
-		// Teardown collective: every rank must report a balanced run
-		// before the engine declares success — a block a sink dropped
-		// without an error would otherwise be a silent partial result.
-		// Replayed duplicates a fenced sink suppressed count as accounted
-		// for. A rank that stores what it generates contributes 0 and still
-		// enters: the reduce is the run's barrier and in-collective fault
-		// injection point, and because a rank that died earlier never
-		// arrives, it completes for the survivors only through
-		// BarrierContext's cancellation awareness.
-		delta, rerr := rk.AllReduceSumContext(w.generated - w.stored - skipped)
-		if rerr != nil {
-			return rerr
+		if err := rk.crashAt(FaultAfterWalk); err != nil {
+			return err
 		}
-		if delta != 0 {
-			return fmt.Errorf("dist: run imbalance: %d generated edges unaccounted for across ranks", delta)
+		// Every arc the rank generated must be stored or suppressed as a
+		// replayed duplicate: a block a sink dropped without an error would
+		// otherwise be a silent partial result. Each rank checks its own
+		// count, so no other rank's error can cancel it out.
+		if w.generated != w.stored+skipped {
+			return fmt.Errorf("dist: rank %d imbalance: generated %d arcs, stored %d, skipped %d", rk.ID(), w.generated, w.stored, skipped)
 		}
 		return nil
 	})
 }
 
 // walk is one rank's Expand stage in one attempt. A block costs the kernel
-// call, the sink call and one atomic load (Cluster.stop).
+// call, the sink call and one atomic load (cluster.stop).
 type walk struct {
 	rk      *Rank
 	as      *fencedRankSink

@@ -16,6 +16,8 @@ import (
 	"time"
 
 	"kronlab/internal/core"
+	"kronlab/internal/dist/transport"
+	"kronlab/internal/dist/transport/tcp"
 	"kronlab/internal/gen"
 	"kronlab/internal/graph"
 )
@@ -204,6 +206,92 @@ func (s *failSink) Rank(rk *Rank) (RankSink, error) {
 		return nil, s.err
 	}
 	return s.inner.Rank(rk)
+}
+
+// miscountSink stores every block whole but reports one block of each rank
+// in off with its count off by off[rank] — a sink that loses or invents
+// arcs without an error.
+type miscountSink struct {
+	inner Sink
+	off   map[int]int64
+}
+
+func (s *miscountSink) Rank(rk *Rank) (RankSink, error) {
+	rs, err := s.inner.Rank(rk)
+	if err != nil {
+		return nil, err
+	}
+	return &miscountRankSink{RankSink: rs, off: s.off[rk.ID()]}, nil
+}
+
+type miscountRankSink struct {
+	RankSink
+	off int64
+}
+
+func (m *miscountRankSink) StoreBlock(edges []graph.Edge) (int64, error) {
+	n, err := m.RankSink.(BlockStorer).StoreBlock(edges)
+	n, m.off = n+m.off, 0
+	return n, err
+}
+
+// TestRankBalanceCheck: every rank checks that it stored or skipped each
+// arc it generated. Rank 0's sink reports one arc short once and rank 1's
+// one extra once: the two errors cancel in a cross-rank sum, and each rank
+// must still fail on its own, as must a lone short count — under Run and
+// under a one-process RunCluster, with an error naming the rank.
+func TestRankBalanceCheck(t *testing.T) {
+	const r = 2
+	plan, err := PlanChain1D(mustChain(gen.ER(8, 0.5, 1), gen.ER(8, 0.5, 2)), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen0 := plan.Tiles[0][0].Arcs()
+	node, err := tcp.NewNode("127.0.0.1:0", 0, PlanHash(plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	runs := map[string]func(Config) error{
+		"Run": func(cfg Config) error {
+			_, err := Run(context.Background(), cfg)
+			return err
+		},
+		"RunCluster": func(cfg Config) error {
+			cc := ClusterConfig{Procs: transport.SplitRanks([]string{node.Addr()}, r), Node: node}
+			_, err := RunCluster(context.Background(), cc, cfg)
+			return err
+		},
+	}
+	cases := []struct {
+		name string
+		off  map[int]int64
+		want []string // the run's error names one of these
+	}{
+		{"compensating", map[int]int64{0: -1, 1: 1}, []string{
+			fmt.Sprintf("rank 0 imbalance: generated %d arcs, stored %d, skipped 0", gen0, gen0-1),
+			fmt.Sprintf("rank 1 imbalance: generated %d arcs, stored %d, skipped 0", plan.Tiles[1][0].Arcs(), plan.Tiles[1][0].Arcs()+1),
+		}},
+		{"short", map[int]int64{0: -1}, []string{
+			fmt.Sprintf("rank 0 imbalance: generated %d arcs, stored %d, skipped 0", gen0, gen0-1),
+		}},
+	}
+	for _, c := range cases {
+		for name, run := range runs {
+			t.Run(c.name+"/"+name, func(t *testing.T) {
+				err := run(Config{Plan: plan, Sink: &miscountSink{inner: &CountSink{}, off: c.off}})
+				if err == nil {
+					t.Fatal("a run whose sink miscounted returned nil")
+				}
+				for _, w := range c.want {
+					if strings.Contains(err.Error(), w) {
+						return
+					}
+				}
+				t.Fatalf("run returned %v, want an error naming the rank: one of %q", err, c.want)
+			})
+		}
+	}
 }
 
 func TestRankSinkFailureDoesNotDeadlock(t *testing.T) {
@@ -470,12 +558,12 @@ func TestParentCancelStopsWalk(t *testing.T) {
 // and the next run after Reset starts with it down — a flag left up would
 // stop every walk of that run at its first block with no cause.
 func TestResetClearsStopFlag(t *testing.T) {
-	c, err := NewCluster(2)
+	c, err := newCluster(2, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("rank 1 failed")
-	if err := c.Run(func(rk *Rank) error {
+	if err := c.run(context.Background(), func(rk *Rank) error {
 		if rk.ID() == 1 {
 			return boom
 		}
@@ -487,7 +575,7 @@ func TestResetClearsStopFlag(t *testing.T) {
 		t.Fatal("a failed rank left the stop flag down")
 	}
 	c.Reset()
-	if err := c.Run(func(rk *Rank) error {
+	if err := c.run(context.Background(), func(rk *Rank) error {
 		if c.stop.Load() {
 			return fmt.Errorf("rank %d starts the run with the stop flag up", rk.ID())
 		}

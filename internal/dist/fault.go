@@ -35,8 +35,10 @@ const (
 	// arcs of a block that come before the crash are placed as usual and the
 	// rank dies at that block's boundary, having generated exactly After.
 	FaultMidExpansion
-	// FaultInCollective crashes the rank as it enters a collective.
-	FaultInCollective
+	// FaultAfterWalk crashes the rank once per attempt, after its walk ended
+	// cleanly and before its balance check: the one point that fails an
+	// attempt after the rank's sink has stored its whole share.
+	FaultAfterWalk
 )
 
 func (p FaultPoint) String() string {
@@ -47,8 +49,8 @@ func (p FaultPoint) String() string {
 		return "before-sink-setup"
 	case FaultMidExpansion:
 		return "mid-expansion"
-	case FaultInCollective:
-		return "in-collective"
+	case FaultAfterWalk:
+		return "after-walk"
 	default:
 		return fmt.Sprintf("FaultPoint(%d)", int(p))
 	}

@@ -27,7 +27,7 @@ func TestClusterBufPoolStress(t *testing.T) {
 		ranks = 32
 		iters = 500
 	)
-	c, err := NewCluster(2)
+	c, err := newCluster(2, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

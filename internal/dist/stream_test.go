@@ -177,7 +177,7 @@ func TestStreamRecoversExactlyOnce(t *testing.T) {
 			for _, tl := range plan.Tiles[rank] {
 				work += tl.Arcs()
 			}
-			for _, pt := range []FaultPoint{FaultBeforeSinkSetup, FaultMidExpansion, FaultInCollective} {
+			for _, pt := range []FaultPoint{FaultBeforeSinkSetup, FaultMidExpansion, FaultAfterWalk} {
 				name := fmt.Sprintf("twoD=%v/rank%d/%v", twoD, rank, pt)
 				spec := CrashSpec{Rank: rank, Point: pt}
 				if pt == FaultMidExpansion {
@@ -252,7 +252,7 @@ func TestStreamSinkHoldsBackTileTail(t *testing.T) {
 	}
 
 	sink := newStreamSink(watchdogCtx(t), int(n)+10, plan) // only tile completion hands off
-	c, err := NewCluster(1)
+	c, err := newCluster(1, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

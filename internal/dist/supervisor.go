@@ -16,9 +16,9 @@ package dist
 //     rank's first attempt, fed tile-framed blocks through the fence (an
 //     empty skip table on attempt 0), closed exactly once after the last
 //     attempt.
-//   - On a recoverable fault (RankCrashError, PeerError) the failed
-//     attempt's partial progress is harvested, the failed rank is
-//     respawned, and the uncommitted tiles are replayed after an
+//   - On a recoverable fault (a RankCrashError, or a process that died)
+//     the failed attempt's partial progress is harvested, the failed rank
+//     is respawned, and the uncommitted tiles are replayed after an
 //     exponential backoff — each on the ranks the plan gave it: placement is
 //     decided once, from the plan and the owner, and no attempt moves a tile.
 //   - Replay is exactly-once by deterministic prefix deduplication: a
@@ -26,9 +26,8 @@ package dist
 //     generates the arcs it stores itself, in that order, so the substream
 //     of a tile reaching one rank's sink is identical across attempts and
 //     the stored count is always a prefix of it. Each attempt the fenced
-//     sinks suppress exactly that prefix. Nothing crosses the transport
-//     but the teardown collective, so no straggler of an earlier attempt
-//     can reach a sink.
+//     sinks suppress exactly that prefix. Nothing crosses a rank boundary,
+//     so no straggler of an earlier attempt can reach a sink.
 //   - With the budget exhausted — at once when Recovery.MaxRetries is
 //     zero — the last fault is returned unchanged.
 
@@ -40,7 +39,6 @@ import (
 	"time"
 
 	"kronlab/internal/dist/transport"
-	"kronlab/internal/dist/transport/tcp"
 	"kronlab/internal/graph"
 )
 
@@ -231,7 +229,7 @@ func (f *fencedRankSink) storeBlock(tile int, edges []graph.Edge) (int64, error)
 
 // endAttempt runs on the rank's goroutine after its walk has finished —
 // even on teardown — and returns the duplicates suppressed this attempt,
-// the balance collective's adjustment. The underlying sink stays open.
+// the balance check's adjustment. The underlying sink stays open.
 func (f *fencedRankSink) endAttempt() int64 {
 	f.flushCur()
 	return f.skipped
@@ -239,8 +237,7 @@ func (f *fencedRankSink) endAttempt() int64 {
 
 // rankHost is one process's share of a run across attempts: the sinks of
 // its local ranks [lo, hi) — every rank of an in-process run — what they
-// have stored so far, and how the process comes by the Cluster an attempt
-// runs on.
+// have stored so far, and the cluster every attempt runs on.
 type rankHost struct {
 	cfg    Config
 	cc     ClusterConfig
@@ -257,47 +254,29 @@ type rankHost struct {
 	// below what it already stored.
 	cum map[int]map[int]int64
 
-	// local is the in-process run's one chan-transport Cluster (no Node),
-	// Reset after every attempt. A process with a Node dials a fresh TCP
-	// mesh per attempt; see cluster.
-	local *Cluster
-
-	// faults is the process's armed crash schedule (nil when unarmed),
-	// built once so that its countdowns are lifetime state, and handed to
-	// every attempt's Cluster.
-	faults *faultState
+	// local is the process's one cluster, hosting [lo, hi), Reset after
+	// every attempt. It holds the process's armed crash schedule (nil when
+	// unarmed), built once so that its countdowns are lifetime state.
+	local *cluster
 
 	// planHash is set only where a handshake or the ledger reads it: it
 	// walks every head arc, and an in-process Run is timed end to end.
 	planHash uint64
-
-	// mesh is the previous attempt's TCP transport when that attempt
-	// succeeded here. It stays up until the head, having heard from every
-	// process, speaks again (the next begin, or done): a process that hung
-	// up right after its own release would look dead to a peer still inside
-	// the teardown collective and fail that peer's finished attempt. A
-	// failed attempt's mesh is closed at once — link death is how peers
-	// learn.
-	mesh *tcp.Transport
 
 	bufsOut int64 // leak probe: buffers still checked out after each attempt's Reset
 }
 
 func newRankHost(cc ClusterConfig, cfg Config) (*rankHost, error) {
 	p := cc.Procs[cc.Self]
-	h := &rankHost{cfg: cfg, cc: cc, lo: p.Lo, hi: p.Hi}
+	c, err := newCluster(cfg.Plan.R, p.Lo, p.Hi)
+	if err != nil {
+		return nil, err
+	}
 	if cfg.Faults != nil {
-		h.faults = newFaultState(*cfg.Faults)
+		c.faults = newFaultState(*cfg.Faults)
 	}
-	if cc.Node == nil {
-		c, err := NewCluster(cfg.Plan.R)
-		if err != nil {
-			return nil, err
-		}
-		c.faults = h.faults
-		h.local = c
-	}
-	if cc.Node != nil || cc.LedgerPath != "" {
+	h := &rankHost{cfg: cfg, cc: cc, lo: p.Lo, hi: p.Hi, local: c}
+	if len(cc.Procs) > 1 || cc.LedgerPath != "" {
 		h.planHash = PlanHash(cfg.Plan)
 	}
 	h.byID = make(map[int]Tile)
@@ -364,66 +343,9 @@ func (h *rankHost) resolveTiles(ids map[int][]int) ([][]Tile, error) {
 	return assigned, nil
 }
 
-func (h *rankHost) closeMesh() {
-	if h.mesh != nil {
-		h.mesh.Close()
-		h.mesh = nil
-	}
-}
-
-// cluster is the one step of an attempt that depends on where the run
-// lives: it returns the Cluster the epoch runs on and the function that
-// gives it back once the report is written. In process that is local,
-// Reset for the next attempt. A process with a Node dials a fresh TCP mesh
-// at the epoch; giving it back adds the transport's counters to the
-// report, resolves a blamed peer to its first rank (TCP names a process
-// where the chan transport names a rank), and closes or parks the mesh.
-func (h *rankHost) cluster(ctx context.Context, epoch int64) (*Cluster, func(*ctrlMsg), error) {
-	if h.local != nil {
-		return h.local, func(*ctrlMsg) { h.local.Reset() }, nil
-	}
-	h.closeMesh()
-	tr, err := tcp.Connect(ctx, h.cc.Node, tcp.Config{
-		Procs: h.cc.Procs, Self: h.cc.Self, PlanHash: h.planHash,
-		DialTimeout:       h.cc.DialTimeout,
-		HeartbeatInterval: h.cc.heartbeatInterval(),
-		HeartbeatDeadline: h.cc.HeartbeatDeadline,
-	}, epoch)
-	if err != nil {
-		// A peer that is down during mesh establishment is the same
-		// recoverable fault as one that dies mid-run — unless the peer
-		// refused the handshake (a different plan is a config error no
-		// retry can fix) or the run itself was cancelled.
-		if ctx.Err() == nil && !errors.Is(err, tcp.ErrHandshake) {
-			err = fmt.Errorf("%w: %v", errMeshDown, err)
-		}
-		return nil, nil, err
-	}
-	c, err := NewClusterOn(tr)
-	if err != nil {
-		tr.Close()
-		return nil, nil, err
-	}
-	c.faults = h.faults
-	return c, func(rep *ctrlMsg) {
-		var pe *transport.PeerError
-		if errors.As(rep.err, &pe) {
-			rep.Blame = h.cc.Procs[pe.Proc].Lo
-		}
-		// Rewind the cluster before the mesh dies — the next attempt builds
-		// a fresh one at its epoch.
-		c.Reset()
-		if rep.err != nil {
-			tr.Close()
-		} else {
-			h.mesh = tr
-		}
-	}, nil
-}
-
 // attempt runs one epoch of the engine for the local ranks: resolve the
-// assignment, get a Cluster, arm the fences, run, harvest what each sink
-// newly stored per tile. The returned report is what a cluster worker
+// assignment, arm the fences, run, harvest what each sink newly stored per
+// tile, Reset the cluster. The returned report is what a cluster worker
 // sends to the head and what the head folds directly.
 func (h *rankHost) attempt(ctx context.Context, epoch int64, ids map[int][]int, skip map[int]map[int]int64) ctrlMsg {
 	rep := ctrlMsg{Kind: ctrlReport, Epoch: epoch}
@@ -432,11 +354,7 @@ func (h *rankHost) attempt(ctx context.Context, epoch int64, ids map[int][]int, 
 		rep.fail(err)
 		return rep
 	}
-	c, release, err := h.cluster(ctx, epoch)
-	if err != nil {
-		rep.fail(err)
-		return rep
-	}
+	c := h.local
 	held := c.outstandingBufs()
 	for _, f := range h.sinks {
 		f.skip = make(map[int]int64, len(skip[f.rank]))
@@ -463,7 +381,7 @@ func (h *rankHost) attempt(ctx context.Context, epoch int64, ids map[int][]int, 
 	rep.Gen = make(map[int]int64, len(h.sinks))
 	rep.StoredN = make(map[int]int64, len(h.sinks))
 	rep.Traffic = trafficStats{
-		Generated: st.EdgesGenerated, HBMisses: st.HeartbeatMisses,
+		Generated:  st.EdgesGenerated,
 		RowsTested: st.OwnerRowsTested, Compacted: st.ArcsCompacted,
 	}
 	for _, f := range h.sinks {
@@ -480,7 +398,7 @@ func (h *rankHost) attempt(ctx context.Context, epoch int64, ids map[int][]int, 
 		rep.StoredN[f.rank] = perStored[f.rank]
 	}
 	rep.fail(err)
-	release(&rep)
+	c.Reset()
 	h.bufsOut += c.outstandingBufs() - held
 	return rep
 }
@@ -502,21 +420,14 @@ func (h *rankHost) finalize() error {
 	return first
 }
 
-// classify splits run errors into recoverable faults with a blamed rank
-// (a crashed rank, or a peer whose link died or fell silent) and
-// everything else (-1) — a sink error, a handshake refusal, a bad plan stay
-// loud. A PeerError is recoverable because a cluster replay builds a fresh
-// mesh, while the blamed rank's uncommitted tiles are replayed exactly-once
-// like any other fault's (rankHost.cluster resolves TCP's process index to
-// the process's first rank).
+// classify splits an attempt's errors into a crashed rank, recoverable and
+// blamed, and everything else (-1) — a sink error, an imbalance, a bad plan
+// stay loud. A process that died is the head's to blame (runClusterHead):
+// no attempt holds a link to another process.
 func classify(err error) (int, bool) {
 	var rc *RankCrashError
 	if errors.As(err, &rc) {
 		return rc.Rank, true
-	}
-	var pe *transport.PeerError
-	if errors.As(err, &pe) {
-		return pe.Proc, true
 	}
 	return -1, false
 }
@@ -564,13 +475,13 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // Cancelling ctx stops every rank at its next block; the first real error
 // (a failed sink, or the cancellation cause) is returned.
 //
-// Run is RunCluster with one process, the chan transport and no ledger:
-// one cluster is reused across up to 1+MaxRetries attempts (Reset between
-// them). A rank crash triggers a bounded-backoff replay from tile-level
-// checkpoints, with the fenced sinks keeping delivery exactly-once; with
-// no budget left the fault is returned unchanged. Stats aggregate across
-// attempts — generated counters include replayed work, stored counts stay
-// exactly-once — and the recovery counters record what recovery did.
+// Run is RunCluster with one process and no ledger: one cluster is reused
+// across up to 1+MaxRetries attempts (Reset between them). A rank crash
+// triggers a bounded-backoff replay from tile-level checkpoints, with the
+// fenced sinks keeping delivery exactly-once; with no budget left the fault
+// is returned unchanged. Stats aggregate across attempts — generated
+// counters include replayed work, stored counts stay exactly-once — and the
+// recovery counters record what recovery did.
 func Run(ctx context.Context, cfg Config) (Stats, error) {
 	return RunCluster(ctx, ClusterConfig{Procs: []transport.Proc{{Hi: cfg.Plan.R}}}, cfg)
 }

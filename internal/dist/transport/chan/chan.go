@@ -1,11 +1,8 @@
 // Package chantransport is the in-process Transport: R ranks in one
-// address space exchanging batches over buffered Go channels — the
-// simulated cluster the repo ran on before cluster mode existed, now as
-// one implementation of the transport contract: a transport.Mailbox over
-// all R ranks. Delivery is zero-copy (the receiver gets the sender's very
-// slice), per-link FIFO follows from channel semantics, and the
-// collectives are the Mailbox's local stage with no cross-process phase
-// behind it.
+// address space exchanging batches over buffered Go channels, a
+// transport.Mailbox over all R ranks. Delivery is zero-copy (the receiver
+// gets the sender's very slice) and per-link FIFO follows from channel
+// semantics.
 package chantransport
 
 import (
@@ -21,7 +18,7 @@ type Transport struct {
 
 // New returns a transport hosting all r ranks in-process.
 func New(r int) *Transport {
-	return &Transport{Mailbox: transport.NewMailbox(0, r, r, nil)}
+	return &Transport{Mailbox: transport.NewMailbox(0, r, r)}
 }
 
 // SendBatch implements Transport: the Mailbox's local delivery.
@@ -30,6 +27,6 @@ func (t *Transport) SendBatch(ctx context.Context, b transport.Batch, progress f
 }
 
 // Close implements Transport. The channel transport holds no external
-// resources — inboxes are left for the GC so concurrent stragglers from
-// an aborted run can never send on a closed channel.
+// resources — inboxes are left for the GC so a concurrent straggler can
+// never send on a closed channel.
 func (t *Transport) Close() error { return nil }

@@ -1,7 +1,7 @@
 // Conformance suite: every Transport implementation is held to the same
-// contract the engine's Exchange depends on — per-link FIFO, inline
-// receive progress, EOF drain, cancellation-cause propagation, epoch
-// integrity, and whole-cluster collectives. The chan transport runs as
+// batch-path contract — per-link FIFO, inline receive progress, EOF drain,
+// cancellation-cause propagation, epoch integrity and failure detection.
+// The chan transport runs as
 // one in-process fixture; the TCP transport runs as a 2-process mesh
 // folded into this test process (two Nodes on loopback, two Transports,
 // each hosting half the ranks).
@@ -235,16 +235,6 @@ func TestConformanceCancellationCause(t *testing.T) {
 				t.Fatalf("Recv returned %v, want %v", err, cause)
 			}
 		})
-		t.Run(f.name+"/barrier", func(t *testing.T) {
-			ctx, cancel := context.WithCancelCause(context.Background())
-			done := make(chan error, 1)
-			go func() { done <- f.tr(0).Barrier(ctx, 0) }()
-			time.Sleep(10 * time.Millisecond)
-			cancel(cause)
-			if err := waitErr(t, done); !errors.Is(err, cause) {
-				t.Fatalf("Barrier returned %v, want %v", err, cause)
-			}
-		})
 	}
 }
 
@@ -310,55 +300,13 @@ func TestConformanceInjectedResidue(t *testing.T) {
 	}
 }
 
-// TestConformanceCollectives runs Barrier then AllReduceSum across every
-// rank of every process and asserts each rank observes the same grand
-// total — the engine's teardown integrity check depends on exactly this.
-func TestConformanceCollectives(t *testing.T) {
-	const r = 4
-	for _, f := range newFixtures(t, r) {
-		t.Run(f.name, func(t *testing.T) {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			const rounds = 3
-			want := int64(r * (r + 1) / 2)
-			errs := make(chan error, r)
-			for rk := 0; rk < r; rk++ {
-				go func(rk int) {
-					tr := f.tr(rk)
-					for round := 0; round < rounds; round++ {
-						if err := tr.Barrier(ctx, rk); err != nil {
-							errs <- err
-							return
-						}
-						got, err := tr.AllReduceSum(ctx, rk, int64(rk+1))
-						if err != nil {
-							errs <- err
-							return
-						}
-						if got != want {
-							errs <- errorf("rank %d round %d: reduce = %d, want %d", rk, round, got, want)
-							return
-						}
-					}
-					errs <- nil
-				}(rk)
-			}
-			for i := 0; i < r; i++ {
-				if err := <-errs; err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // TestConformanceFailureDetection holds the tcp transport to the
 // partition contract: a peer that goes silent with its links still open
 // (a black-holed network partition — no RST, no FIN, nothing to trip
 // on) must surface as a loud *transport.PeerError naming the silent
 // peer within the armed failure-detection deadline, released through
 // blocked Recvs and subsequent sends as transport.ErrHeartbeat, and a
-// rank parked in a collective is released with it. The tcp fixture uses
+// second rank parked in Recv is released with it. The tcp fixture uses
 // real application heartbeats and a FaultState partition; the chan fixture
 // arms its Mailbox's Monitor with a liveness loop that hears every rank but
 // the one the test cuts off — the verdict, and everything it must release,
@@ -457,11 +405,11 @@ func TestConformanceFailureDetection(t *testing.T) {
 					}
 				}
 			}()
-			// A second local rank is parked in a collective the partition
-			// will never let complete.
+			// A second local rank is parked in Recv for a batch the
+			// partition will never let arrive.
 			waiterErr := make(chan error, 1)
 			go func() {
-				_, err := tr.AllReduceSum(ctx, 1, 1)
+				_, err := tr.Recv(ctx, 1)
 				waiterErr <- err
 			}()
 			start := time.Now()
@@ -492,13 +440,13 @@ func TestConformanceFailureDetection(t *testing.T) {
 			if elapsed > 5*time.Second {
 				t.Fatalf("partition surfaced after %v — far beyond the armed deadline", elapsed)
 			}
-			// The collective waiter is released too — by the failure or by
-			// the run's cancellation carrying it — never left parked.
+			// The parked rank is released too — by the failure or by the
+			// run's cancellation carrying it — never left parked.
 			select {
 			case err := <-waiterErr:
-				checkVerdict("AllReduceSum", err)
+				checkVerdict("parked Recv", err)
 			case <-time.After(5 * time.Second):
-				t.Fatal("rank parked in AllReduceSum never returned after the verdict")
+				t.Fatal("rank parked in Recv never returned after the verdict")
 			}
 			// The verdict must also poison later sends on the dead link.
 			sctx, done := context.WithTimeout(context.Background(), 5*time.Second)

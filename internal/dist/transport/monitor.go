@@ -17,7 +17,7 @@ var ErrHeartbeat = errors.New("transport: heartbeat deadline exceeded")
 
 // Monitor is one endpoint's verdict on its peers: a fail-once latch that
 // every blocking call selects on, and the liveness loop that trips it on
-// silence. A mesh, a control link and the simulated cluster each hold one.
+// silence. A mesh, a control link and the chan transport each hold one.
 type Monitor struct {
 	dead   chan struct{}
 	once   sync.Once

@@ -12,10 +12,9 @@ import (
 
 // CtrlConn is a persistent control link carrying JSON-bodied KindControl
 // frames — the worker↔head channel cluster mode coordinates attempts
-// over. It is a link like any data link (same reader, writer queue and
-// liveness signal) on a connection of its own, because it outlives the
-// per-epoch meshes; its monitor is private, so a dead control link and a
-// dead mesh are separate verdicts.
+// over, and the only link between its processes. It is a link like any
+// data link (same reader, writer queue and liveness signal) with a
+// monitor of its own, so each control link is its own verdict.
 type CtrlConn struct {
 	Peer int // the proc index at the other end
 

@@ -1,27 +1,24 @@
-// Package tcp is the multi-process Transport: a full mesh of
-// length-prefixed TCP links between N processes, each hosting a
-// contiguous range of the cluster's R ranks. Frames are the wire
-// package's header + raw store records, so a staged batch buffer is
-// serialized straight onto the socket with no intermediate
-// representation — the paper's MPI deployment shape with the link layer
-// swapped for TCP.
+// Package tcp is the multi-process Transport and the control links of
+// cluster mode. A process keeps one persistent Node (listener, handshake,
+// connection parking) for its lifetime. Connections handshake with protocol
+// version (checked on every frame by the wire codec), plan hash and
+// purpose; a mismatched peer is refused loudly, on both ends.
 //
-// A process keeps one persistent Node (listener, handshake, connection
-// parking) for its lifetime and builds one attempt-scoped Transport per
-// run attempt. Connections handshake with protocol version (checked on
-// every frame by the wire codec), plan hash and epoch; a mismatched
-// peer is refused loudly. A dialer whose epoch is ahead of the acceptor
-// is parked until the acceptor's process reaches that attempt — the ack
-// is deferred until the local Transport claims the connection — which
-// is how a respawned worker and its survivors agree on the recovery
-// epoch without a shared clock.
+// A control link (CtrlConn) is a worker's persistent connection to the
+// head, carrying JSON control messages and heartbeats; it is all that
+// links the processes of a cluster-mode run, whose engine sends no arc
+// between ranks.
 //
-// What the process does for the ranks it hosts is a transport.Mailbox,
-// as in the chan transport; this package adds the links (link.go: one
-// reader, one writer, one liveness signal per connection, data and
-// control alike) and the collectives' cross-process phase: proc 0 runs a
-// star reduce over the mesh (KindReduce in, KindRelease out,
-// sequence-numbered so attempts' collectives cannot interleave).
+// A Transport is a full mesh of length-prefixed data links between N
+// processes, each hosting a contiguous range of R ranks, built per epoch by
+// Connect. Frames are the wire package's header + raw store records, so a
+// staged batch buffer is serialized straight onto the socket with no
+// intermediate representation. A dialer whose epoch is ahead of the
+// acceptor is parked until the acceptor's process reaches that epoch — the
+// ack is deferred until the local Transport claims the connection. What
+// the process does for the ranks it hosts is a transport.Mailbox, as in the
+// chan transport; this package adds the links (link.go: one reader, one
+// writer, one liveness signal per connection, data and control alike).
 package tcp
 
 import (
@@ -156,10 +153,12 @@ type Node struct {
 	mu    sync.Mutex
 	slots map[key]chan peerConn
 
-	// ctrl hands accepted control connections to AcceptControl. Unbuffered:
-	// a connection waits in its own handshake goroutine until the head
+	// ctrl hands accepted control connections to AcceptControl, and
+	// refused the refusals of control connections from another plan.
+	// Unbuffered: each waits in its own handshake goroutine until the head
 	// takes it or the Node closes, so none is ever queued out of reach.
-	ctrl chan *CtrlConn
+	ctrl    chan *CtrlConn
+	refused chan error
 
 	ctx   context.Context // done once the Node is closed
 	close context.CancelFunc
@@ -178,7 +177,7 @@ func NewNode(addr string, self int, planHash uint64) (*Node, error) {
 // listener a parent handed down lets a respawned child keep its address.
 func NewNodeOn(ln net.Listener, self int, planHash uint64) *Node {
 	n := &Node{ln: ln, self: self, planHash: planHash,
-		slots: make(map[key]chan peerConn), ctrl: make(chan *CtrlConn)}
+		slots: make(map[key]chan peerConn), ctrl: make(chan *CtrlConn), refused: make(chan error)}
 	n.ctx, n.close = context.WithCancel(context.Background())
 	n.hsTimeout.Store(int64(dialTimeout(0)))
 	go n.acceptLoop()
@@ -232,7 +231,9 @@ func (n *Node) acceptLoop() {
 
 // handshake validates one inbound connection's Hello. Version skew is
 // caught by the wire codec's header parse; a plan-hash mismatch is
-// refused with an explicit Ack so the dialer fails loudly too.
+// refused with an explicit Ack so the dialer fails loudly too, and a
+// refused control connection is AcceptControl's error, so the head does
+// not wait for a worker that can never join.
 func (n *Node) handshake(conn net.Conn) {
 	conn.SetReadDeadline(time.Now().Add(time.Duration(n.hsTimeout.Load())))
 	br := bufio.NewReaderSize(conn, 1<<16)
@@ -245,9 +246,15 @@ func (n *Node) handshake(conn net.Conn) {
 	purpose := payload[0]
 	hash := binary.LittleEndian.Uint64(payload[1:])
 	if hash != n.planHash {
-		writeAck(conn, n.self, int(h.From), 0, ackBadPlan,
-			fmt.Sprintf("plan hash %016x, want %016x", hash, n.planHash))
+		msg := fmt.Sprintf("plan hash %016x, want %016x", hash, n.planHash)
+		writeAck(conn, n.self, int(h.From), 0, ackBadPlan, msg)
 		conn.Close()
+		if purpose == purposeCtrl {
+			select {
+			case n.refused <- fmt.Errorf("%w: control link from proc %d: %s", ErrHandshake, h.From, msg):
+			case <-n.ctx.Done():
+			}
+		}
 		return
 	}
 	p := peerConn{conn: conn, br: br}
@@ -305,11 +312,14 @@ func (n *Node) claim(ctx context.Context, from int, epoch int64) (peerConn, erro
 	}
 }
 
-// AcceptControl returns the next inbound control connection (head use).
+// AcceptControl returns the next inbound control connection (head use), or
+// an error wrapping ErrHandshake that names a peer refused for its plan.
 func (n *Node) AcceptControl(ctx context.Context) (*CtrlConn, error) {
 	select {
 	case cc := <-n.ctrl:
 		return cc, nil
+	case err := <-n.refused:
+		return nil, err
 	case <-ctx.Done():
 		return nil, context.Cause(ctx)
 	}
@@ -376,12 +386,6 @@ func dialPeer(ctx context.Context, addr string, self, to int, epoch int64, planH
 	return peerConn{conn: conn, br: br}, nil
 }
 
-// redFrame is one collective frame (reduce contribution or release).
-type redFrame struct {
-	seq int64
-	val int64
-}
-
 // Transport is one attempt's full mesh. It implements transport.Transport
 // for the rank range its process hosts: the Mailbox's, with SendBatch
 // routing remote destinations onto the peer's link.
@@ -397,15 +401,6 @@ type Transport struct {
 
 	ctx   context.Context // the links'; done once the mesh is closed
 	close context.CancelFunc
-
-	// Cross-process collective state (see package doc). collCh carries the
-	// star's inbound frames — reduces on proc 0, releases on a worker —
-	// and is sized so every peer's next contribution fits. pending holds
-	// reduce contributions that arrived ahead of proc 0's local ranks —
-	// a peer can be at most one collective ahead, but its frames for the
-	// next sequence can land early.
-	collCh  chan redFrame
-	pending map[int64][]int64
 }
 
 // Connect builds the attempt's mesh: this process dials every peer with
@@ -422,10 +417,8 @@ func Connect(ctx context.Context, n *Node, cfg Config, epoch int64) (*Transport,
 		cfg: cfg, epoch: epoch,
 		rankProc: make([]int, r),
 		links:    make([]*link, len(cfg.Procs)),
-		collCh:   make(chan redFrame, 4*len(cfg.Procs)+4),
-		pending:  make(map[int64][]int64),
 	}
-	t.Mailbox = transport.NewMailbox(p.Lo, p.Hi, r, t.netReduce)
+	t.Mailbox = transport.NewMailbox(p.Lo, p.Hi, r)
 	t.ctx, t.close = context.WithCancel(context.Background())
 	for pi, pr := range cfg.Procs {
 		for rk := pr.Lo; rk < pr.Hi; rk++ {
@@ -470,51 +463,42 @@ func Connect(ctx context.Context, n *Node, cfg Config, epoch int64) (*Transport,
 }
 
 // handle is the mesh links' frame handler: batches to the addressed
-// rank's inbox (transport-level epoch fence first), collective frames to
-// netReduce's channel. Anything malformed is the link's death.
+// rank's inbox (transport-level epoch fence first). Anything else is the
+// link's death.
 func (t *Transport) handle(h wire.Header, payload []byte) error {
-	switch h.Kind {
-	case wire.KindBatch:
-		if h.Epoch != t.epoch {
-			// A frame from another attempt — possible only through a
-			// misrouted zombie connection, since links are epoch-scoped.
-			// Drop it whole, loudly countable.
-			t.stale.Add(1)
-			return nil
-		}
-		if lo, hi := t.Local(); int(h.Dest) < lo || int(h.Dest) >= hi {
-			return fmt.Errorf("tcp: frame for rank %d, local range [%d,%d)", h.Dest, lo, hi)
-		}
-		n := len(payload) / 16
-		var edges []graph.Edge
-		if t.cfg.Pool != nil {
-			edges = t.cfg.Pool.Get(n)
-		} else {
-			edges = make([]graph.Edge, 0, n)
-		}
-		edges, err := wire.DecodeBatchPayload(edges, h, payload)
-		b := transport.Batch{
-			From: int(h.From), Dest: int(h.Dest),
-			Epoch: h.Epoch, Tile: int(h.Tile),
-			Edges: edges, EOF: h.EOF(),
-		}
-		if err == nil {
-			err = t.Send(t.ctx, b, nil)
-		}
-		if err != nil && t.cfg.Pool != nil {
-			t.cfg.Pool.Put(edges)
-		}
-		return err
-	case wire.KindReduce, wire.KindRelease:
-		// The star has one direction per process: reduces into proc 0,
-		// releases out of it.
-		if len(payload) != 8 || (h.Kind == wire.KindReduce) != (t.cfg.Self == 0) {
-			return fmt.Errorf("tcp: collective frame kind %d with a %d-byte payload at proc %d", h.Kind, len(payload), t.cfg.Self)
-		}
-		m := redFrame{seq: h.Tile, val: int64(binary.LittleEndian.Uint64(payload))}
-		return transport.Post(t.ctx, t.Monitor, t.collCh, m, nil, nil)
+	if h.Kind != wire.KindBatch {
+		return fmt.Errorf("tcp: unexpected frame kind %d mid-run", h.Kind)
 	}
-	return fmt.Errorf("tcp: unexpected frame kind %d mid-run", h.Kind)
+	if h.Epoch != t.epoch {
+		// A frame from another attempt — possible only through a
+		// misrouted zombie connection, since links are epoch-scoped.
+		// Drop it whole, loudly countable.
+		t.stale.Add(1)
+		return nil
+	}
+	if lo, hi := t.Local(); int(h.Dest) < lo || int(h.Dest) >= hi {
+		return fmt.Errorf("tcp: frame for rank %d, local range [%d,%d)", h.Dest, lo, hi)
+	}
+	n := len(payload) / 16
+	var edges []graph.Edge
+	if t.cfg.Pool != nil {
+		edges = t.cfg.Pool.Get(n)
+	} else {
+		edges = make([]graph.Edge, 0, n)
+	}
+	edges, err := wire.DecodeBatchPayload(edges, h, payload)
+	b := transport.Batch{
+		From: int(h.From), Dest: int(h.Dest),
+		Epoch: h.Epoch, Tile: int(h.Tile),
+		Edges: edges, EOF: h.EOF(),
+	}
+	if err == nil {
+		err = t.Send(t.ctx, b, nil)
+	}
+	if err != nil && t.cfg.Pool != nil {
+		t.cfg.Pool.Put(edges)
+	}
+	return err
 }
 
 // SendBatch implements Transport. Local destinations are the Mailbox's;
@@ -543,65 +527,9 @@ func (t *Transport) SendBatch(ctx context.Context, b transport.Batch, progress f
 	return nil
 }
 
-// netReduce is the collectives' cross-process phase, run by the last
-// local arriver: workers send their local sum to proc 0 and wait for the
-// release; proc 0 collects every contribution for this sequence number
-// (buffering early arrivals for the next one) and broadcasts the total.
-// Both wait through Await, so frames a peer sent before closing are
-// folded before its death is honoured.
-func (t *Transport) netReduce(ctx context.Context, seq, sum int64) (int64, error) {
-	if len(t.cfg.Procs) == 1 {
-		return sum, nil
-	}
-	if t.cfg.Self != 0 {
-		if err := t.sendSmall(ctx, 0, wire.KindReduce, seq, sum); err != nil {
-			return 0, err
-		}
-		for {
-			// An older release is residue of a generation this proc
-			// already left (possible only across a Reset); drop it.
-			m, err := transport.Await(ctx, t.Monitor, t.collCh)
-			if err != nil || m.seq == seq {
-				return m.val, err
-			}
-		}
-	}
-	need := len(t.cfg.Procs) - 1 - len(t.pending[seq])
-	for _, v := range t.pending[seq] {
-		sum += v
-	}
-	delete(t.pending, seq)
-	for need > 0 {
-		m, err := transport.Await(ctx, t.Monitor, t.collCh)
-		switch {
-		case err != nil:
-			return 0, err
-		case m.seq == seq:
-			sum += m.val
-			need--
-		case m.seq > seq:
-			t.pending[m.seq] = append(t.pending[m.seq], m.val)
-		}
-	}
-	for peer := 1; peer < len(t.links); peer++ {
-		if err := t.sendSmall(ctx, peer, wire.KindRelease, seq, sum); err != nil {
-			return 0, err
-		}
-	}
-	return sum, nil
-}
-
-// sendSmall queues one collective frame on a peer link.
-func (t *Transport) sendSmall(ctx context.Context, peer int, kind uint8, seq, val int64) error {
-	l := t.links[peer]
-	frame := l.frame(kind, seq, binary.LittleEndian.AppendUint64(nil, uint64(val)))
-	return transport.Post(ctx, t.Monitor, l.outQ, frame, nil, nil)
-}
-
 // Close implements Transport: tears down every link, queued frames
 // flushed first, and joins the link and liveness goroutines. Safe to call
-// more than once. (Reset is the Mailbox's drain: cluster mode builds a
-// fresh mesh per attempt instead of resetting.)
+// more than once.
 func (t *Transport) Close() error {
 	t.close()
 	for _, l := range t.links {

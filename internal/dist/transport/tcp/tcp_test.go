@@ -497,17 +497,18 @@ func TestControlConnsClosedWithNode(t *testing.T) {
 	}
 }
 
-// TestFaultShortCollectiveFrame puts a reduce frame with a 4-byte payload
-// on a live link: the receiving process must fail the link with a
-// PeerError naming the sender, not panic decoding it.
+// TestFaultShortCollectiveFrame puts a frame of kind 3 — the retired
+// teardown collective's reduce — with a 4-byte payload on a live link: the
+// receiving process must fail the link with a PeerError naming the sender,
+// not panic decoding it or let it pass.
 func TestFaultShortCollectiveFrame(t *testing.T) {
 	ts := mesh(t, 2, 2, 1, nil)
 	l := ts[1].links[0]
-	l.outQ <- l.frame(wire.KindReduce, 0, []byte{1, 2, 3, 4})
+	l.outQ <- l.frame(3, 0, []byte{1, 2, 3, 4})
 	select {
 	case <-ts[0].Dead():
 	case <-time.After(5 * time.Second):
-		t.Fatal("short reduce frame never failed the link")
+		t.Fatal("a frame of the retired kind 3 never failed the link")
 	}
 	var pe *transport.PeerError
 	if err := ts[0].Err(); !errors.As(err, &pe) || pe.Proc != 1 {

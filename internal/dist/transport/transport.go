@@ -1,17 +1,13 @@
-// Package transport defines the rank-to-rank link under the distributed
-// engine: a Transport runs the two collectives (barrier, all-reduce sum)
-// the engine's teardown integrity check needs, and delivers tile-framed
-// edge batches between ranks. The engine in internal/dist is written
-// against this interface only, so the same Plan→Expand→Place→Sink code
-// runs over goroutine channels in one process (transport/chan) or over
-// length-prefixed TCP between processes (transport/tcp) — the paper's
-// actual deployment shape (MPI on Sequoia, PAPER.md §2), with only the
-// link layer swapped. The engine sends no batches (every rank generates
-// what it stores); the batch path is the transports' own contract, which
-// the conformance suite and the benchmark probes drive.
+// Package transport defines a rank-to-rank batch link: a Transport
+// delivers tile-framed edge batches between ranks, over goroutine channels
+// in one process (transport/chan) or over length-prefixed TCP between
+// processes (transport/tcp). The engine in internal/dist uses neither:
+// every rank generates what it stores and checks its own balance, so
+// nothing crosses a rank boundary. The batch path is the transports' own
+// contract, which the conformance suite and the benchmark probes drive.
 //
-// Contract highlights (the conformance suite in internal/dist asserts
-// these against every implementation):
+// Contract highlights (the conformance suite asserts these against every
+// implementation):
 //
 //   - Per-link FIFO: batches from rank s to rank d are delivered in the
 //     order s sent them. Cross-link order is unspecified.
@@ -20,13 +16,13 @@
 //     progress callback — the inline receive progress that makes a
 //     bufferless all-to-all deadlock-free (any rank blocked sending is
 //     itself one recv away from freeing a peer).
-//   - A blocked SendBatch/Recv/collective returns the cancellation cause
-//     of ctx when the run is torn down, never hangs.
+//   - A blocked SendBatch/Recv returns the cancellation cause of ctx when
+//     the caller tears down, never hangs.
 //   - Ownership of Batch.Edges passes to the transport on a successful
 //     SendBatch only: an in-process transport hands the very slice to
 //     the receiver (zero copy), a wire transport serializes it and
 //     returns it to the BufferPool. On an error return the buffer stays
-//     with the caller (the engine's abort path recycles it exactly once).
+//     with the caller.
 package transport
 
 import (
@@ -53,7 +49,7 @@ type Batch struct {
 
 // BufferPool recycles edge batch buffers across the transport boundary,
 // so a wire transport's decode path and serialize-then-discard path
-// stay in the engine's pooled-buffer accounting instead of allocating
+// stay in the caller's pooled-buffer accounting instead of allocating
 // per batch.
 type BufferPool interface {
 	// Get returns an empty buffer with capacity for about n edges.
@@ -62,10 +58,10 @@ type BufferPool interface {
 	Put(b []graph.Edge)
 }
 
-// Transport is the rank-to-rank link under the engine's Cluster. All
-// rank arguments are global rank IDs in [0, R); Recv/TryRecv may only be
-// called for local ranks. Implementations must be safe for concurrent
-// use by all local ranks (one goroutine per rank).
+// Transport is a rank-to-rank batch link. All rank arguments are global
+// rank IDs in [0, R); Recv/TryRecv may only be called for local ranks.
+// Implementations must be safe for concurrent use by all local ranks (one
+// goroutine per rank).
 type Transport interface {
 	// R returns the total number of ranks across the whole cluster.
 	R() int
@@ -83,24 +79,13 @@ type Transport interface {
 	// Recv blocks until a batch for a local rank arrives, returning
 	// ctx's cancellation cause or the transport failure otherwise.
 	Recv(ctx context.Context, rank int) (Batch, error)
-	// Barrier blocks rank until every rank of every process has entered
-	// the same barrier generation, or returns the cancellation cause.
-	Barrier(ctx context.Context, rank int) error
-	// AllReduceSum adds v across every rank of every process and returns
-	// the total to each, or the cancellation cause.
-	AllReduceSum(ctx context.Context, rank int, v int64) (int64, error)
-	// Reset drains locally buffered residue (handing each drained batch
-	// to release) and rewinds collective state, returning the transport
-	// to a runnable state between run attempts.
-	Reset(release func(Batch))
 	// Close tears the transport down; blocked calls return errors.
 	Close() error
 }
 
-// PeerError reports the death of a peer process's link mid-run — the
-// cluster-mode analogue of a rank crash. It carries the peer's proc
-// index so a supervisor can blame the right process and wait for its
-// respawn.
+// PeerError reports the death of a peer process's link — a broken
+// socket, or silence past the heartbeat deadline. It carries the peer's
+// proc index so the caller can name the right process.
 type PeerError struct {
 	Proc int
 	Err  error

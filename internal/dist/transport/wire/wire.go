@@ -1,16 +1,16 @@
-// Package wire is the frame codec of the TCP transport: the batches the
-// blocked kernel stages per destination, serialized as a fixed header
-// followed by raw store records. The kernel's staging buffers are
-// already wire-shaped — []graph.Edge is pairs of int64 endpoints, and
-// internal/store's 16-byte record codec is the on-disk format — so a
-// frame is header + store.PutRecord per edge, with no intermediate
-// representation between the staging buffer and the socket.
+// Package wire is the frame codec of the TCP transport: edge batches,
+// serialized as a fixed header followed by raw store records, and the
+// small frames of the handshake, control links and heartbeats. Edge
+// buffers are already wire-shaped — []graph.Edge is pairs of int64
+// endpoints, and internal/store's 16-byte record codec is the on-disk
+// format — so a batch frame is header + store.PutRecord per edge, with no
+// intermediate representation between the buffer and the socket.
 //
 // Frame layout (little-endian throughout):
 //
 //	offset  size  field
 //	     0     4  magic  0x4b524f4e ("KRON")
-//	     4     1  kind   (Batch, Control, Reduce, Release, Hello, Ack, Ping)
+//	     4     1  kind   (Batch, Control, Hello, Ack, Ping)
 //	     5     1  flags  bit0 = EOF (end of sender's stream this exchange)
 //	     6     2  version (protocol version, checked at handshake AND on
 //	              every frame so a mid-stream impostor fails loudly)
@@ -20,8 +20,7 @@
 //	    24     8  tile   (plan tile framing the payload; int64)
 //	    32     4  payloadLen (bytes following the header)
 //	    36     …  payload: Batch → count·store.RecordSize edge records;
-//	              Control → opaque control bytes (JSON in cluster mode);
-//	              Reduce/Release → 8 bytes, the value (sequence in tile)
+//	              Control → opaque control bytes (JSON in cluster mode)
 //
 // Decoding is defensive at every step: short header, bad magic, version
 // skew, payload over MaxPayload, or a Batch payload that is not a
@@ -52,8 +51,10 @@ import (
 // process computes its own share of every tile from the map alone and
 // nothing crosses the wire that could expose a disagreement, so a peer
 // built before the map changed must be refused here, at the handshake,
-// rather than found out by tiles that never commit.
-const Version = 4
+// rather than found out by tiles that never commit. Version 5: the
+// teardown collective is gone (kinds 3 and 4 are retired), so a v4 head
+// would wait on a collective a v5 worker never sends.
+const Version = 5
 
 // Magic opens every frame — a cheap desynchronization tripwire: if a
 // torn or corrupt frame shifts the stream, the next header read fails
@@ -68,12 +69,11 @@ const HeaderSize = 36
 // ~1M edges — three orders of magnitude above the default batch size.
 const MaxPayload = 1 << 24
 
-// Frame kinds.
+// Frame kinds. 3 and 4 were the teardown collective's reduce and release,
+// retired in version 5; a frame of either kind is a protocol error.
 const (
 	KindBatch   = 1 // edge batch (or bare EOF marker when flags&FlagEOF)
 	KindControl = 2 // cluster-mode control message (opaque payload)
-	KindReduce  = 3 // collective contribution: proc → proc 0
-	KindRelease = 4 // collective release: proc 0 → all procs
 	KindHello   = 5 // connection handshake: dialer → listener
 	KindAck     = 6 // handshake accept: listener → dialer
 	KindPing    = 7 // application heartbeat: any direction, empty payload
