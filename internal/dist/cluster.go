@@ -53,9 +53,15 @@ type Stats struct {
 	MaxInboxDepth int64
 
 	// What placing cost an owner run (read them against EdgesGenerated;
-	// see ownedRows).
-	OwnerRowsTested int64 // owner calls: one per non-empty innermost row per change of source base, on every rank
-	ArcsCompacted   int64 // arcs copied into the ranks' picks of owned rows
+	// see ownedRows). OwnerRowsTested counts the rows a pick answers for, on
+	// every rank: each non-empty innermost row per change of source base
+	// under the per-row pick, one (the base) under OwnerBySource's class
+	// pick. ArcsCompacted counts arcs copied to make picks: the rows a
+	// per-row pick owns, on every rank and every change of source base, and
+	// a class-picked factor's arcs once per attempt for all of a process's
+	// ranks.
+	OwnerRowsTested int64
+	ArcsCompacted   int64
 
 	PerRankGenerated []int64 // edges expanded by each rank (engine runs)
 	PerRankStored    []int64 // edges stored by each rank's sink (engine runs)

@@ -743,7 +743,10 @@ func TestLedgerIdentityRefusesOtherRun(t *testing.T) {
 // for the owners of TestLedgerIdentityRefusesOtherRun and for no owner, at
 // one process and the default batch: the bytes every ledger written so far
 // holds. A refactor that moved them would make each of those ledgers refuse
-// to resume.
+// to resume. OwnerBySource's pin moved when its map did (store.BySource
+// became additive), on purpose: a ledger written under the retired map
+// counts positions in other substreams, and one carrying that map's digest
+// must be refused.
 func TestConfigDigestPinned(t *testing.T) {
 	const r = 4
 	plan, err := PlanChain1D(mustChain(killTestFactors()), r)
@@ -757,7 +760,7 @@ func TestConfigDigestPinned(t *testing.T) {
 	}{
 		{"nil", nil, 0x1ce5de7ccfcb638c},
 		{"BlockOwner", BlockOwner{NC: plan.NC}, 0x83d53a3c6809ca76},
-		{"OwnerBySource", OwnerBySource, 0x5fe0bae955fe3aac},
+		{"OwnerBySource", OwnerBySource, 0x8db5c3dccb06a16d},
 		{"lowBitsHash", lowBitsHash{}, 0xcc06d5dedf0dc3cd},
 	}
 	for _, o := range owners {
@@ -767,6 +770,30 @@ func TestConfigDigestPinned(t *testing.T) {
 		}
 		if got := h.configDigest(); got != o.digest {
 			t.Errorf("%s: configDigest = %#016x, ledgers hold %#016x", o.name, got, o.digest)
+		}
+	}
+
+	// OwnerBySource's digest under the Fibonacci hash of the whole source.
+	const retired = 0x5fe0bae955fe3aac
+	for _, c := range []struct {
+		digest uint64
+		want   error
+	}{{retired, ledger.ErrIdentity}, {0x8db5c3dccb06a16d, nil}} {
+		path := t.TempDir() + "/ledger"
+		l, _, err := ledger.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Append(ledger.Record{Kind: ledger.KindIdentity, PlanHash: PlanHash(plan), Digest: c.digest, Procs: 1, Ranks: r}); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		cc := ClusterConfig{Procs: []transport.Proc{{Hi: r}}, LedgerPath: path}
+		_, err = RunCluster(context.Background(), cc, Config{Plan: plan, Owner: OwnerBySource, Sink: &CountSink{}})
+		if c.want == nil && err != nil || c.want != nil && !errors.Is(err, c.want) {
+			t.Errorf("a ledger carrying digest %#016x, resumed under OwnerBySource: got %v, want %v", c.digest, err, c.want)
 		}
 	}
 }

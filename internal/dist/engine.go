@@ -270,12 +270,15 @@ func (cfg Config) batchSize() int {
 // prefix-dedup recovery key on; the step size changes polling granularity,
 // never order. A fault-armed run walks the same blocks.
 func runAttempt(ctx context.Context, c *cluster, owner Owner, tiles [][]Tile, sinkFor func(*Rank) (*fencedRankSink, error), perGen, perStored []int64, batch int) error {
-	// Resolved once per attempt and shared by the ranks: the map is pure.
+	// Resolved once per attempt and shared by the ranks: the map is pure,
+	// and OwnerBySource's class partitions are built once and then only read.
 	var bySource func(u int64) int
+	var classes *classPicks
 	if owner != nil {
 		bySource = owner.BindSource(c.r) // RunCluster refused an owner without one
+		classes = newClassPicks(owner, bySource, c.r)
 	}
-	return c.run(ctx, func(rk *Rank) error {
+	err := c.run(ctx, func(rk *Rank) error {
 		if err := rk.crashAt(FaultBeforeSinkSetup); err != nil {
 			return err
 		}
@@ -290,7 +293,7 @@ func runAttempt(ctx context.Context, c *cluster, owner Owner, tiles [][]Tile, si
 		// when this rank's B is large.
 		w := walk{rk: rk, as: as, faults: c.faults, batch: batch, scratch: c.getBuf(batch)}
 		if bySource != nil {
-			w.own = &ownedRows{owner: bySource, rank: rk.ID(), batch: batch, scratch: w.scratch}
+			w.own = &ownedRows{owner: bySource, rank: rk.ID(), batch: batch, classes: classes, scratch: w.scratch}
 		}
 		w.tiles(tiles[rk.ID()])
 		if w.own != nil {
@@ -323,6 +326,10 @@ func runAttempt(ctx context.Context, c *cluster, owner Owner, tiles [][]Tile, si
 		}
 		return nil
 	})
+	if classes != nil {
+		atomic.AddInt64(&c.stats.ArcsCompacted, classes.copied)
+	}
+	return err
 }
 
 // walk is one rank's Expand stage in one attempt. A block costs the kernel

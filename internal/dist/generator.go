@@ -118,6 +118,7 @@ func GenerateChain(ch *core.Chain, r int, owner Owner, twoD bool) (*Result, erro
 // mixed-radix digit space.
 func chainSourceHashLoads(ch *core.Chain, r int) []int64 {
 	loads := make([]int64, r)
+	bySource := OwnerBySource.BindSource(r)
 	factors := ch.Factors()
 	ci := ch.Index()
 	var rec func(d int, base, deg int64)
@@ -127,7 +128,7 @@ func chainSourceHashLoads(ch *core.Chain, r int) []int64 {
 		if d == len(factors)-1 {
 			for k := int64(0); k < n; k++ {
 				if dk := g.Degree(k); dk > 0 {
-					loads[store.BySource(base+k, 0, r)] += deg * dk
+					loads[bySource(base+k)] += deg * dk
 				}
 			}
 			return

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"os/exec"
 	"reflect"
@@ -110,7 +111,10 @@ func ownedReference(plan Plan, owner func(u int64) int) *tileRecorder {
 // against; its reference, ownedReference, never used it): for every cell of
 // chain shape (k = 1 with its
 // identity tail, 2 and 3; empty rows in the innermost factor and in the
-// head, a loop-only factor, a one-row head, an empty factor) × layout × R × batch size
+// head, a loop-only factor, a one-row head, an empty factor; innermost
+// factors whose vertex count is a power of two, which OwnerBySource picks
+// by class, and ones whose count is not, which it picks row by row) ×
+// layout × R × batch size
 // (dividing sweeps and not) × source owner (hash, block, and one that
 // starves a rank) × stream window, the run under the source owner must
 // store per (tile, rank) exactly the substream, in order, of each tile's
@@ -142,6 +146,27 @@ func TestOwnerSideMatchesPerEdgeExchange(t *testing.T) {
 		{"k2_one_head_row", mustChain(fan, gen.PrefAttach(6, 2, 468)), 4},
 		{"k2_empty_inner", mustChain(gen.ER(4, 0.6, 465), empty), 0},
 		{"k3_empty_head", mustChain(empty, gen.ER(4, 0.6, 466), gen.PrefAttach(4, 2, 467)), 0},
+		// R-MAT innermost factors, 8 and 16 vertices: OwnerBySource looks
+		// their picks up by class.
+		{"k2_rmat_inner", mustChain(gen.ER(5, 0.6, 474), gen.MustRMAT(gen.Graph500Params(3, 475))), 4},
+		{"k3_rmat_inner", mustChain(gen.ER(3, 0.7, 476), gen.PrefAttach(3, 2, 477), gen.MustRMAT(gen.Graph500Params(4, 478))), 4},
+	}
+	// OwnerBySource picks by class where the innermost factor's vertex count
+	// is a power of two and row by row elsewhere: each path must meet chains
+	// of depth 2 and 3 with rows to cut.
+	type path struct {
+		k       int
+		byClass bool
+	}
+	paths := map[path]bool{}
+	for _, sh := range shapes {
+		f := sh.ch.Factors()
+		if len(f) > 1 && sh.windows == 4 {
+			paths[path{len(f), bits.OnesCount64(uint64(f[len(f)-1].NumVertices())) == 1}] = true
+		}
+	}
+	if len(paths) != 4 {
+		t.Fatalf("shapes with rows to cut cover %v; want k = 2 and 3 each picked by class and row by row", paths)
 	}
 	owners := []struct {
 		name  string
@@ -161,7 +186,7 @@ func TestOwnerSideMatchesPerEdgeExchange(t *testing.T) {
 				t.Fatalf("%d kinds of window found, want %d; pick other factors", len(windows), sh.windows)
 			}
 			for _, twoD := range []bool{false, true} {
-				for _, r := range []int{1, 2, 3, 5, 16} {
+				for _, r := range []int{1, 2, 3, 4, 5, 16} {
 					whole, err := planForChain(sh.ch, r, twoD)
 					if err != nil {
 						t.Fatal(err)
@@ -219,9 +244,12 @@ func evens(g *graph.Graph) *graph.Graph {
 // empty rows, a single row, and runs of owned rows that end on, and cross,
 // a 64-bit word edge of the answer bits; the windows are the whole stream
 // and one whose Skip and Take cut its first and last sweep mid-row (index).
-// Every pick the walk makes must equal the per-row pick — the owned rows
-// appended one at a time — element for element, and ArcsCompacted and
-// OwnerRowsTested must count what the per-row pick copied and asked.
+// OwnerBySource's walk runs again with the class partitions the engine
+// gives it, which it picks by lookup where the innermost factor's vertex
+// count is a power of two (one_row, word64). Every pick the walk makes must
+// equal the per-row pick — the owned rows appended one at a time — element
+// for element, and ArcsCompacted and OwnerRowsTested must count what the
+// per-row pick copied and asked, or one owner call a class pick.
 func TestOwnedRowsBothForms(t *testing.T) {
 	// ring is n vertices, row u holding u → u+1 and u → 3u+1 (mod n) unless
 	// u ≡ gap−1 (mod gap): with gap 0 every row is non-empty.
@@ -279,6 +307,9 @@ func TestOwnedRowsBothForms(t *testing.T) {
 								for _, packed := range [][]uint64{nil, inner.PackedArcs()} {
 									cell := fmt.Sprintf("window %v, %T r=%d rank %d batch %d packed=%v", win, so, r, rank, batch, packed != nil)
 									checkOwnedWalk(t, cell, &tile, packed, ownedRows{owner: owner, rank: rank, batch: batch}, want)
+									if classes := newClassPicks(so, owner, r); classes != nil {
+										checkOwnedWalk(t, cell+" by class", &tile, packed, ownedRows{owner: owner, rank: rank, batch: batch, classes: classes}, want)
+									}
 								}
 							}
 						}
@@ -292,7 +323,9 @@ func TestOwnedRowsBothForms(t *testing.T) {
 // checkOwnedWalk loads o with the tile's innermost factor in the form packed
 // names, walks the tile as runAttempt's walk.tiles does, and holds what it
 // emits to want, each pick to the per-row pick and its counters to what the
-// per-row pick copied and asked.
+// per-row pick copied and asked — or, where o looks its picks up by class
+// (its classes and a power-of-two factor), to one owner call a pick and no
+// copy at all.
 func checkOwnedWalk(t *testing.T, cell string, tile *Tile, packed []uint64, o ownedRows, want []graph.Edge) {
 	t.Helper()
 	inner := tile.Tail[len(tile.Tail)-1]
@@ -352,7 +385,13 @@ func checkOwnedWalk(t *testing.T, cell string, tile *Tile, packed []uint64, o ow
 		}
 	}
 	assertSameOrder(t, cell, got, want)
-	if o.copied != copied || o.rows != picks*int64(len(o.nz)) {
+	if byClass := o.classes != nil && bits.OnesCount64(uint64(inner.NumVertices())) == 1; byClass != o.byClass() {
+		t.Fatalf("%s: the walk picks by class: %v, want %v", cell, o.byClass(), byClass)
+	} else if byClass {
+		if o.copied != 0 || o.rows != picks {
+			t.Fatalf("%s: ArcsCompacted %d, OwnerRowsTested %d; a class pick copies nothing and asks once, %d picks", cell, o.copied, o.rows, picks)
+		}
+	} else if o.copied != copied || o.rows != picks*int64(len(o.nz)) {
 		t.Fatalf("%s: ArcsCompacted %d, OwnerRowsTested %d; the per-row pick copied %d and asked %d picks × %d rows", cell, o.copied, o.rows, copied, picks, len(o.nz))
 	}
 }
@@ -461,10 +500,13 @@ func TestGenerateChainPerRankCanonicalOrder(t *testing.T) {
 	}
 }
 
-// TestOwnerSideCounters: what placing cost shows in Stats — the owner is
-// asked once per non-empty row of the innermost factor per change of source
-// base, by every rank, and a rank that owns only some rows copies exactly
-// those — and a recovering run books its one retry on the crashed rank.
+// TestOwnerSideCounters: what placing cost shows in Stats — under the
+// per-row pick (an innermost factor of 7 vertices) the owner is asked once
+// per non-empty row of the innermost factor per change of source base, by
+// every rank, and a rank that owns only some rows copies exactly those;
+// under the class pick (8 vertices, OwnerBySource) it is asked once per
+// change of source base, and the factor is copied once per run — and a
+// recovering run books its one retry on the crashed rank.
 func TestOwnerSideCounters(t *testing.T) {
 	a, b := gen.PrefAttach(8, 2, 481), gen.ER(7, 0.5, 482)
 	const r = 4
@@ -507,6 +549,25 @@ func TestOwnerSideCounters(t *testing.T) {
 		if st.ArcsCompacted != c.copied {
 			t.Fatalf("%T: ArcsCompacted = %d, want %d", c.owner, st.ArcsCompacted, c.copied)
 		}
+	}
+
+	// An innermost factor of 8 vertices: OwnerBySource's rows fall into r
+	// classes once per run, the factor's arcs copied once, and each rank's
+	// pick is one owner call per source base.
+	b8 := gen.ER(8, 0.5, 483)
+	plan8, err := PlanChain1D(mustChain(a, b8), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Run(context.Background(), Config{Plan: plan8, Owner: OwnerBySource, Sink: NewMemorySink(r)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := r * bases; st.OwnerRowsTested != want {
+		t.Fatalf("class pick: OwnerRowsTested = %d, want %d ranks × %d source bases = %d", st.OwnerRowsTested, r, bases, want)
+	}
+	if st.ArcsCompacted != b8.NumArcs() {
+		t.Fatalf("class pick: ArcsCompacted = %d, want the factor's %d arcs, partitioned once", st.ArcsCompacted, b8.NumArcs())
 	}
 
 	rank, work := busiestOwner(mustProduct(t, a, b), OwnerBySource, r)

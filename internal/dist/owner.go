@@ -41,18 +41,25 @@ type OwnerFunc func(u, v int64, r int) int
 // recognised by code pointer, and nil for any other function, a nil one
 // included.
 func (f OwnerFunc) BindSource(r int) func(u int64) int {
-	if reflect.ValueOf(f).Pointer() != ownerBySourcePC {
+	if !f.isBySource() {
 		return nil
 	}
 	return func(u int64) int { return store.BySource(u, 0, r) }
 }
 
-// OwnerBySource assigns edges to ranks by a multiplicative hash of the
-// source endpoint — 1D vertex partitioning of the product graph, and the
-// shard map of internal/store: it is store.BySource, the map's one
-// definition, which keeps the hash's high bits so that every rank owns 1/r
-// of the arcs but for the hubs' share. It must be passed as is, not wrapped
-// in another function.
+// isBySource reports whether f is OwnerBySource itself.
+func (f OwnerFunc) isBySource() bool {
+	return reflect.ValueOf(f).Pointer() == ownerBySourcePC
+}
+
+// OwnerBySource assigns edges to ranks by a hash of the source endpoint —
+// 1D vertex partitioning of the product graph, and the shard map of
+// internal/store: it is store.BySource, the map's one definition, the sum
+// mod r of the Fibonacci hashes of the source's set bits, each reduced by
+// its high bits, so that every rank owns 1/r of the arcs but for the hubs'
+// share. The sum adds over disjoint bits, which is what lets a rank look
+// its rows of a sweep up rather than ask about each (ownedRows). It must
+// be passed as is, not wrapped in another function.
 var OwnerBySource OwnerFunc = store.BySource
 
 // ownerBySourcePC is OwnerBySource's code pointer, what recognition
@@ -63,13 +70,19 @@ var ownerBySourcePC = reflect.ValueOf(OwnerBySource).Pointer()
 // BlockOwner assigns contiguous source-vertex blocks of size ⌈NC/r⌉ —
 // the layout a CSR-partitioned distributed graph store would use. The
 // block size is fixed once per attempt, and a rank copies nothing for a
-// sweep its block covers and steps over one it has no row of.
+// sweep its block covers and steps over one it has no row of. Its rows are
+// picked one by one (ownedRows): a block map does not add over bits.
 type BlockOwner struct {
-	NC int64 // product vertex count n_A·n_B
+	NC int64 // product vertex count n_A·n_B; at least 1
 }
 
-// BindSource implements Owner.
+// BindSource implements Owner. It answers nil for NC < 1, which has no
+// blocks, so that RunCluster refuses the owner by name before any sink is
+// opened.
 func (o BlockOwner) BindSource(r int) func(u int64) int {
+	if o.NC < 1 {
+		return nil
+	}
 	per := (o.NC + int64(r) - 1) / int64(r)
 	last := r - 1
 	return func(u int64) int {

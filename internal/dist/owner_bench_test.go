@@ -17,6 +17,10 @@ import (
 // the R ranks in turn — walkOwned, which drives ownedRows' sweep and next as
 // walk.tiles does — into a discarding sink, so what the ranks pay for
 // stepping over sweeps they own nothing of is in the figure R times over.
+// ownerSide's innermost factor has 128 vertices, so its ranks look their
+// picks up in class partitions they share, as an attempt's ranks do;
+// ownerSideOdd is the same arcs on 129 vertices, where OwnerBySource picks
+// every sweep's rows one by one, as ownerSideBlock does.
 // ownerSideOne is the same walk at R = 1, where the one rank owns every row
 // and the pick is the factor itself, copied nothing: the cost to subtract
 // from ownerSide to read its placing alone. expand is the bare ExpandNext
@@ -33,20 +37,26 @@ import (
 // stop-flag load) and one run's set-up, the only row that allocates. The
 // owner-side rows also report skew, the busiest rank's arcs over ideal. CI
 // (make bench-route) holds ownerSide to ≤ 3 × ownerSideOne and ≤ 3.5 ×
-// expand in ns/edge, same-process ratios, to a skew ≤ 1.10, engine to its
-// bound over expand, and every other row to 0 allocs/op.
+// expand in ns/edge, same-process ratios, and ownerSideOdd to ≤ 3.5 ×
+// expand, both to a skew ≤ 1.10, engine to its bound over expand, and every
+// other row to 0 allocs/op.
 func BenchmarkRoute(b *testing.B) {
 	const r = 4
 	a, bb := gen.MustRMAT(gen.Graph500Params(7, 21)), gen.MustRMAT(gen.Graph500Params(7, 22))
 	work := splitTiles(a, []*graph.Graph{bb}, 1)
+	// The same arcs on 129 vertices: an isolated vertex more, so that
+	// OwnerBySource picks the rows of every sweep one by one.
+	odd := splitTiles(a, []*graph.Graph{mustGraph(bb.NumVertices()+1, bb.ArcSlice())}, 1)
 	tiny := splitTiles(gen.MustRMAT(gen.Graph500Params(12, 23)), []*graph.Graph{gen.MustRMAT(gen.Graph500Params(2, 24))}, 1)
 	// owned is a pass of every rank's owner-side walk, one after another;
 	// perRank (one entry a rank) is handed the arcs each generated.
 	owned := func(work []tileWork, o Owner, perRank []int64) func() bool {
 		r := len(perRank)
+		bySource := o.BindSource(r)
+		classes := newClassPicks(o, bySource, r)
 		walks := make([]ownedRows, r)
 		for rank := range walks {
-			walks[rank] = ownedRows{owner: o.BindSource(r), rank: rank, batch: DefaultBatchSize, scratch: make([]graph.Edge, 0, DefaultBatchSize)}
+			walks[rank] = ownedRows{owner: bySource, rank: rank, batch: DefaultBatchSize, classes: classes, scratch: make([]graph.Edge, 0, DefaultBatchSize)}
 		}
 		return func() bool {
 			for rank := range walks {
@@ -78,7 +88,7 @@ func BenchmarkRoute(b *testing.B) {
 		_, err := Run(context.Background(), Config{Plan: one, Sink: &CountSink{}})
 		return err == nil
 	}
-	hashArcs, oneArcs, blockArcs, tinyArcs := make([]int64, r), make([]int64, 1), make([]int64, r), make([]int64, 16)
+	hashArcs, oneArcs, oddArcs, blockArcs, tinyArcs := make([]int64, r), make([]int64, 1), make([]int64, r), make([]int64, r), make([]int64, 16)
 	rows := []struct {
 		name    string
 		work    []tileWork
@@ -87,6 +97,7 @@ func BenchmarkRoute(b *testing.B) {
 	}{
 		{"ownerSide", work, owned(work, OwnerBySource, hashArcs), hashArcs},
 		{"ownerSideOne", work, owned(work, OwnerBySource, oneArcs), oneArcs},
+		{"ownerSideOdd", odd, owned(odd, OwnerBySource, oddArcs), oddArcs},
 		{"ownerSideBlock", work, owned(work, BlockOwner{NC: a.NumVertices() * bb.NumVertices()}, blockArcs), blockArcs},
 		{"expand", work, expand, nil},
 		{"engine", work, engine, nil},

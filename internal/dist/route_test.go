@@ -85,8 +85,10 @@ type placedArcs struct {
 // tiles and is expanded 7 and 64 arcs a step, at batches that do (1) and do
 // not (3, 5, 7, 64, 1024) divide its rows; the k = 3 shape puts an odometer
 // step between the rows and gives the innermost factor isolated vertices.
-// The owners are the package's two source maps, OwnerBySource and
-// OwnerByBlock. (The test is named for the per-edge exchange's router, which
+// The owners are the package's two source maps, OwnerBySource — whose
+// ranks share one set of class partitions, as an attempt's do, and look
+// their picks up (every innermost factor here has a power-of-two vertex
+// count) — and OwnerByBlock. (The test is named for the per-edge exchange's router, which
 // it held to the same reference until placing moved to the owner.)
 func TestRouteRunsEquivalence(t *testing.T) {
 	a := gen.MustRMAT(gen.Graph500Params(4, 431))
@@ -113,6 +115,7 @@ func TestRouteRunsEquivalence(t *testing.T) {
 			for _, o := range owners {
 				for _, r := range []int{1, 2, 3, 16} {
 					owner := o.owner.BindSource(r)
+					classes := newClassPicks(o.owner, owner, r)
 					want := make([]placedArcs, r)
 					var scratch []graph.Edge
 					for _, w := range sh.work {
@@ -135,7 +138,7 @@ func TestRouteRunsEquivalence(t *testing.T) {
 						t.Run(fmt.Sprintf("%s%s_chunk%d_r%d_batch%d", sh.name, o.name, chunk, r, batch), func(t *testing.T) {
 							for rank := range want {
 								var got placedArcs
-								walk := ownedRows{owner: owner, rank: rank, batch: batch}
+								walk := ownedRows{owner: owner, rank: rank, batch: batch, classes: classes}
 								walkOwned(&walk, sh.work, func(tile int, block []graph.Edge) bool {
 									if len(block) == 0 || len(block) > batch {
 										t.Fatalf("rank %d: a block of %d arcs, want 1 to %d", rank, len(block), batch)
@@ -157,11 +160,8 @@ func TestRouteRunsEquivalence(t *testing.T) {
 	}
 }
 
-// sameBody is OwnerBySource's hash written out as a function of its own.
-func sameBody(u, _ int64, r int) int {
-	hi, _ := bits.Mul64(uint64(u)*0x9e3779b97f4a7c15, uint64(r))
-	return int(hi)
-}
+// sameBody is OwnerBySource's map as a function of its own.
+func sameBody(u, v int64, r int) int { return store.BySource(u, v, r) }
 
 // byEdgeHash is the retired OwnerByEdge: a map of both endpoints.
 func byEdgeHash(u, v int64, r int) int {
@@ -236,9 +236,9 @@ func (s *rankCalls) Rank(rk *Rank) (RankSink, error) {
 
 // TestRunRefusesOwnerWithoutForm: an owner without a source form — a nil
 // OwnerFunc, a closure with OwnerBySource's body, a map of both endpoints,
-// or any other type that answers nil — is refused by name before a sink is
-// opened, by Run, by a one-process RunCluster with a run ledger and by
-// GenerateChain.
+// a BlockOwner with no blocks (NC < 1), or any other type that answers nil
+// — is refused by name before a sink is opened, by Run, by a one-process
+// RunCluster with a run ledger and by GenerateChain.
 func TestRunRefusesOwnerWithoutForm(t *testing.T) {
 	ch := mustChain(gen.ER(5, 0.5, 445))
 	const r = 2
@@ -252,6 +252,9 @@ func TestRunRefusesOwnerWithoutForm(t *testing.T) {
 		"sameBody":    OwnerFunc(sameBody),
 		"byEdge":      OwnerFunc(byEdgeHash),
 		"targetOwner": targetOwner{},
+		// No blocks: a block size of 0 divided the first pick by zero.
+		"zeroBlock":     BlockOwner{},
+		"negativeBlock": BlockOwner{NC: -1},
 	}
 	paths := map[string]func(Owner, Sink) error{
 		"Run": func(o Owner, s Sink) error {

@@ -53,8 +53,12 @@ import (
 // built before the map changed must be refused here, at the handshake,
 // rather than found out by tiles that never commit. Version 5: the
 // teardown collective is gone (kinds 3 and 4 are retired), so a v4 head
-// would wait on a collective a v5 worker never sends.
-const Version = 5
+// would wait on a collective a v5 worker never sends. Version 6: the
+// source owner map changed again (store.BySource sums the Fibonacci hashes
+// of the source's set bits, so that it adds over disjoint bits), with
+// version 4's posture: a v5 peer would place every source the old way and
+// nothing on the wire would show it.
+const Version = 6
 
 // Magic opens every frame — a cheap desynchronization tripwire: if a
 // torn or corrupt frame shifts the stream, the next header read fails

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"strings"
@@ -303,74 +304,123 @@ func TestStoreProductPipeline(t *testing.T) {
 	}
 }
 
+// fibonacci is BySource as it was before it added over bits: the
+// Fibonacci hash of the whole source, reduced by the high word.
+func fibonacci(u int64, s int) int {
+	hi, _ := bits.Mul64(uint64(u)*0x9e3779b97f4a7c15, uint64(s))
+	return int(hi)
+}
+
+// FuzzBySourceAdditive pins the map's contract for disjoint sources x and
+// y (y is masked off x's bits) at any s ≥ 1: the answer is in [0, s), it
+// adds over disjoint bits, BySource(x|y) = BySource(x) + BySource(y) mod s
+// — what dist's owner-side walk picks rows by — and a single-bit source
+// places where the retired Fibonacci map placed it.
+func FuzzBySourceAdditive(f *testing.F) {
+	f.Add(int64(0), int64(0), 1, uint8(0))
+	f.Add(int64(0x3ff00), int64(0xff), 16, uint8(9))
+	f.Add(int64(-1), int64(1)<<62, 1<<31-1, uint8(63))
+	f.Add(int64(1)<<40|12345, int64(0x5a5a5a5a), 3, uint8(40))
+	f.Fuzz(func(t *testing.T, x, y int64, s int, bit uint8) {
+		if s < 1 {
+			s = 1 - s%(1<<40) // any s ≥ 1, without wrapping at the negative end
+		}
+		y &^= x
+		bx, by, bxy := BySource(x, 0, s), BySource(y, 0, s), BySource(x|y, 0, s)
+		for _, b := range []int{bx, by, bxy} {
+			if b < 0 || b >= s {
+				t.Fatalf("s=%d: an answer %d out of [0, %d)", s, b, s)
+			}
+		}
+		if want := (uint64(bx) + uint64(by)) % uint64(s); uint64(bxy) != want {
+			t.Fatalf("s=%d x=%#x y=%#x: BySource(x|y) = %d, BySource(x) + BySource(y) mod s = %d", s, x, y, bxy, want)
+		}
+		one := int64(1) << (bit % 64)
+		if got, want := BySource(one, 0, s), fibonacci(one, s); got != want {
+			t.Fatalf("s=%d: BySource(1<<%d) = %d, the Fibonacci map's %d", s, bit%64, got, want)
+		}
+	})
+}
+
 // TestOldPlacementStoresKeepReading pins what let BySource change without a
-// manifest field: no reader consults the shard map. A store whose shards
-// were placed by the map as it was before (the product's low bits) opens,
-// iterates, loads and recovers to the same arcs as one placed by BySource.
+// manifest field: no reader consults the shard map. Stores whose shards
+// were placed by each map as it was before — the product's low bits (the
+// remainder of the hash), then the Fibonacci hash of the whole source —
+// open, iterate, load and recover to the same arcs as one placed by
+// BySource.
 func TestOldPlacementStoresKeepReading(t *testing.T) {
 	g := gen.MustRMAT(gen.Graph500Params(5, 14))
 	const shards = 4
-	dir := t.TempDir()
-	var counts [shards]int64
-	var ws [shards]*ShardWriter
-	for i := range ws {
-		w, err := NewShardWriter(dir, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws[i] = w
-	}
-	moved := 0
-	g.Arcs(func(u, v int64) bool {
-		s := int((uint64(u) * 0x9e3779b97f4a7c15) % shards)
-		if s != BySource(u, v, shards) {
-			moved++
-		}
-		if err := ws[s].Append(u, v); err != nil {
-			t.Fatal(err)
-		}
-		counts[s]++
-		return true
-	})
-	if moved == 0 {
-		t.Fatal("the old expression places every arc where BySource does: the test distinguishes nothing")
-	}
-	for _, w := range ws {
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := WriteManifest(dir, g.NumVertices(), counts[:]); err != nil {
-		t.Fatal(err)
-	}
-	check := func(how string, st *Store, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("%s: %v", how, err)
-		}
-		var iterated int64
-		if err := st.Iter(func(u, v int64) bool {
-			if !g.HasArc(u, v) {
-				t.Fatalf("%s: Iter yields (%d,%d), not an arc of the graph", how, u, v)
+	for _, old := range []struct {
+		name  string
+		place func(u int64, s int) int
+	}{
+		{"remainder", func(u int64, s int) int { return int((uint64(u) * 0x9e3779b97f4a7c15) % uint64(s)) }},
+		{"fibonacci", fibonacci},
+	} {
+		dir := t.TempDir()
+		var counts [shards]int64
+		var ws [shards]*ShardWriter
+		for i := range ws {
+			w, err := NewShardWriter(dir, i)
+			if err != nil {
+				t.Fatal(err)
 			}
-			iterated++
+			ws[i] = w
+		}
+		moved := 0
+		g.Arcs(func(u, v int64) bool {
+			s := old.place(u, shards)
+			if s != BySource(u, v, shards) {
+				moved++
+			}
+			if err := ws[s].Append(u, v); err != nil {
+				t.Fatal(err)
+			}
+			counts[s]++
 			return true
-		}); err != nil {
-			t.Fatalf("%s: Iter: %v", how, err)
+		})
+		if moved == 0 {
+			t.Fatalf("%s: the old map places every arc where BySource does: the test distinguishes nothing", old.name)
 		}
-		loaded, err := st.LoadGraph()
-		if err != nil {
-			t.Fatalf("%s: LoadGraph: %v", how, err)
+		for _, w := range ws {
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if iterated != g.NumArcs() || !loaded.Equal(g) {
-			t.Fatalf("%s: %d arcs iterated, want %d; loaded graph equal: %v", how, iterated, g.NumArcs(), loaded.Equal(g))
+		if err := WriteManifest(dir, g.NumVertices(), counts[:]); err != nil {
+			t.Fatal(err)
 		}
+		check := func(how string, st *Store, err error) {
+			t.Helper()
+			how = old.name + ": " + how
+			if err != nil {
+				t.Fatalf("%s: %v", how, err)
+			}
+			var iterated int64
+			if err := st.Iter(func(u, v int64) bool {
+				if !g.HasArc(u, v) {
+					t.Fatalf("%s: Iter yields (%d,%d), not an arc of the graph", how, u, v)
+				}
+				iterated++
+				return true
+			}); err != nil {
+				t.Fatalf("%s: Iter: %v", how, err)
+			}
+			loaded, err := st.LoadGraph()
+			if err != nil {
+				t.Fatalf("%s: LoadGraph: %v", how, err)
+			}
+			if iterated != g.NumArcs() || !loaded.Equal(g) {
+				t.Fatalf("%s: %d arcs iterated, want %d; loaded graph equal: %v", how, iterated, g.NumArcs(), loaded.Equal(g))
+			}
+		}
+		st, err := Open(dir)
+		check("Open", st, err)
+		if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
+			t.Fatal(err)
+		}
+		st, err = Recover(dir, g.NumVertices())
+		check("Recover", st, err)
 	}
-	st, err := Open(dir)
-	check("Open", st, err)
-	if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
-		t.Fatal(err)
-	}
-	st, err = Recover(dir, g.NumVertices())
-	check("Recover", st, err)
 }
