@@ -390,7 +390,9 @@ func TestTailCursorEmptyFactor(t *testing.T) {
 // walk rests on: from every SeekTo position, for every max and for a budget
 // that stops at the end or mid-sweep, the concatenation of NextSweep's
 // windows — prefix and bases applied — is ExpandNext's stream, and a window
-// stops short of its sweep's end only where max cut it. The tails are
+// stops short of its sweep's end only where max cut it — and ExpandNextPacked's
+// blocks, max arcs each until the budget's last, unpack to the same stream.
+// The tails are
 // depths 1–3 over an innermost factor with isolated vertices first, in the
 // middle and last, a 2D-style part of it (its arc window starts and ends
 // mid-row), and an empty factor.
@@ -461,6 +463,21 @@ func TestTailCursorNextSweepMatchesExpandNext(t *testing.T) {
 						}
 						if pos == 0 && budget == total && max == 1024 && total > 0 && windows != total/int64(len(inner)) {
 							t.Fatalf("%s: %d windows over the whole tail, want one per sweep = %d", name, windows, total/int64(len(inner)))
+						}
+						tc.SeekTo(pos)
+						var words []uint64
+						for int64(len(words)) < budget {
+							lim := int(min(max, budget-int64(len(words))))
+							block := tc.ExpandNextPacked(uBase, vBase, make([]uint64, 0, 1), lim)
+							if len(block) == 0 || len(block) > lim || len(block) < lim && int64(len(words)+len(block)) < budget {
+								t.Fatalf("%s pos %d max %d: ExpandNextPacked gave %d arcs with %d due, at most %d a block", name, pos, max, len(block), budget-int64(len(words)), lim)
+							}
+							words = append(words, block...)
+						}
+						for i, p := range words {
+							if e := (graph.Edge{U: int64(uint32(p)), V: int64(p >> 32)}); e != want[i] {
+								t.Fatalf("%s pos %d max %d budget %d: packed arc %d = %v, ExpandNext says %v", name, pos, max, budget, i, e, want[i])
+							}
 						}
 					}
 				}

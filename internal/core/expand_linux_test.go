@@ -11,10 +11,10 @@ import (
 )
 
 // TestExpandRunGuardPage ends run, and then out, exactly at the boundary
-// of an inaccessible page, for every length 0–40 on every body — in the
-// packed tier also addPacked's src, and then its dst: a load or a store
-// one byte past len is a fault (a prefetch is not, and the wide loops
-// issue them pfDist and pfPacked past every line they read).
+// of an inaccessible page, for every length 0–40 on every body — in every
+// tier also ExpandPackedTo's src, and then its dst, and in the avx512 tier
+// addPacked's: a load or a store one byte past len is a fault (a prefetch
+// is not, and the wide loops issue them pfDist past every line they read).
 func TestExpandRunGuardPage(t *testing.T) {
 	page := syscall.Getpagesize()
 	mem, err := syscall.Mmap(-1, 0, 2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
@@ -55,10 +55,19 @@ func TestExpandRunGuardPage(t *testing.T) {
 				if got := ExpandRun(atGuard(n)[:0], arcs[:n], 5, -9); !slices.Equal(got, want) {
 					t.Fatalf("%s, len %d, out at the guard: got %v, want %v", tier, n, got, want)
 				}
+				packed, twin := packedTwin(arcs[:n], 0)
+				words := ExpandPackedTo(nil, packed, 5)
+				wsrc := packedAtGuard(n)
+				copy(wsrc, packed)
+				if got := ExpandPackedTo(make([]uint64, 0, n), wsrc, 5); !slices.Equal(got, words) {
+					t.Fatalf("%s, len %d, packedTo src at the guard: got %#x, want %#x", tier, n, got, words)
+				}
+				if got := ExpandPackedTo(packedAtGuard(n)[:0], packed, 5); !slices.Equal(got, words) {
+					t.Fatalf("%s, len %d, packedTo dst at the guard: got %#x, want %#x", tier, n, got, words)
+				}
 				if tier != "avx512" {
 					return
 				}
-				packed, twin := packedTwin(arcs[:n], 0)
 				want = expandRunPerEdge(nil, twin, 5, -9)
 				src := packedAtGuard(n)
 				copy(src, packed)

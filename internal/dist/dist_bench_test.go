@@ -46,7 +46,7 @@ func BenchmarkKernelBatchSize(b *testing.B) {
 	a := gen.MustRMAT(gen.Graph500Params(5, 10))
 	bb := gen.MustRMAT(gen.Graph500Params(5, 11))
 	edges := a.NumArcs() * bb.NumArcs()
-	for _, batch := range []int{64, 256, 1024, 4096} {
+	for _, batch := range []int{64, 256, 1024, 2048, 4096} {
 		b.Run(fmt.Sprintf("B=%d", batch), func(b *testing.B) {
 			plan, err := PlanChain1D(mustChain(a, bb), 16)
 			if err != nil {

@@ -6,6 +6,7 @@ import (
 	"runtime/pprof"
 	"sync/atomic"
 
+	"kronlab/internal/core"
 	"kronlab/internal/graph"
 	"kronlab/internal/store"
 )
@@ -37,6 +38,23 @@ type BlockStorer interface {
 type TileBlockStorer interface {
 	StoreTileBlock(tile int, edges []graph.Edge) (int64, error)
 }
+
+// PackedBlockStorer is the packed variant of TileBlockStorer: where the
+// plan's product has at most 2³² vertices the engine walks in packed
+// blocks, each arc one graph.PackedArcs word u | v<<32 — half the bytes of
+// a graph.Edge — and hands them whole to a sink that implements this. To
+// one that does not, the engine widens each block into graph.Edges first
+// and delivers it through StoreTileBlock, StoreBlock or Store as before,
+// so implementing it is only a saving. The count and aliasing contract is
+// BlockStorer's; the arcs are the same, in the same order. A product with
+// more vertices is delivered wide.
+type PackedBlockStorer interface {
+	StorePackedBlock(tile int, arcs []uint64) (int64, error)
+}
+
+// widen appends the edges of packed arcs to dst: a sink that takes packed
+// blocks widens them into the buffer it already copies a wide block into.
+func widen(dst []graph.Edge, arcs []uint64) []graph.Edge { return core.ExpandPacked(dst, arcs, 0, 0) }
 
 // MemorySink collects each rank's owned edges in an in-memory slice —
 // the Result-producing sink behind GenerateChain.
@@ -90,6 +108,13 @@ func (m *memRankSink) StoreBlock(edges []graph.Edge) (int64, error) {
 	return int64(len(edges)), nil
 }
 
+// StorePackedBlock implements PackedBlockStorer: one widening append per
+// delivered batch.
+func (m *memRankSink) StorePackedBlock(_ int, arcs []uint64) (int64, error) {
+	m.buf = widen(m.buf, arcs)
+	return int64(len(arcs)), nil
+}
+
 func (m *memRankSink) Close() error {
 	m.s.PerRank[m.id] = m.buf
 	return nil
@@ -123,6 +148,13 @@ func (c *countRankSink) Store(graph.Edge) error {
 func (c *countRankSink) StoreBlock(edges []graph.Edge) (int64, error) {
 	c.n += int64(len(edges))
 	return int64(len(edges)), nil
+}
+
+// StorePackedBlock implements PackedBlockStorer: counting a packed batch
+// is the same add.
+func (c *countRankSink) StorePackedBlock(_ int, arcs []uint64) (int64, error) {
+	c.n += int64(len(arcs))
+	return int64(len(arcs)), nil
 }
 
 func (c *countRankSink) Close() error {
@@ -277,18 +309,31 @@ func (t *storeRankSink) Store(e graph.Edge) error {
 // staged (see the type comment); the block aliases an engine buffer, so
 // it is copied into the staging block here.
 func (t *storeRankSink) StoreBlock(edges []graph.Edge) (int64, error) {
+	return stage(t, edges, appendEdges)
+}
+
+// StorePackedBlock implements PackedBlockStorer: StoreBlock, with the arcs
+// widened into the staging block as they are copied in.
+func (t *storeRankSink) StorePackedBlock(_ int, arcs []uint64) (int64, error) {
+	return stage(t, arcs, widen)
+}
+
+// appendEdges is widen for a wide block: append.
+func appendEdges(dst, edges []graph.Edge) []graph.Edge { return append(dst, edges...) }
+
+// stage is StoreBlock in either form: the block is added to the staging
+// block by add, in pieces that fill it to sinkFlushRecords, each full one
+// handed off.
+func stage[B graph.Edge | uint64](t *storeRankSink, block []B, add func([]graph.Edge, []B) []graph.Edge) (int64, error) {
 	if t.failed.Load() {
 		return 0, t.werr
 	}
 	var stored int64
-	for len(edges) > 0 {
-		n := sinkFlushRecords - len(t.cur)
-		if n > len(edges) {
-			n = len(edges)
-		}
-		t.cur = append(t.cur, edges[:n]...)
+	for len(block) > 0 {
+		n := min(sinkFlushRecords-len(t.cur), len(block))
+		t.cur = add(t.cur, block[:n])
 		stored += int64(n)
-		edges = edges[n:]
+		block = block[n:]
 		if len(t.cur) >= sinkFlushRecords {
 			if err := t.handoff(); err != nil {
 				return stored, err
@@ -425,20 +470,29 @@ func (t *streamRankSink) Store(graph.Edge) error {
 // that completes the tile takes the tile's tail with it. A rank leaves a
 // tile only when it is complete, so a tile switch finds the buffer empty.
 func (t *streamRankSink) StoreTileBlock(tile int, edges []graph.Edge) (int64, error) {
+	return buffer(t, tile, edges, appendEdges)
+}
+
+// StorePackedBlock implements PackedBlockStorer: StoreTileBlock, with the
+// arcs widened into the rank buffer as they are copied in.
+func (t *streamRankSink) StorePackedBlock(tile int, arcs []uint64) (int64, error) {
+	return buffer(t, tile, arcs, widen)
+}
+
+// buffer is StoreTileBlock in either form, the block added to the rank
+// buffer by add.
+func buffer[B graph.Edge | uint64](t *streamRankSink, tile int, block []B, add func([]graph.Edge, []B) []graph.Edge) (int64, error) {
 	if tile != t.tile {
 		t.tile, t.left = tile, t.s.arcs[tile]
 	}
 	var stored int64
-	for len(edges) > 0 {
+	for len(block) > 0 {
 		if room := t.s.batch - len(t.buf); room > 0 {
-			n := len(edges)
-			if n > room {
-				n = room
-			}
-			t.buf = append(t.buf, edges[:n]...)
+			n := min(len(block), room)
+			t.buf = add(t.buf, block[:n])
 			stored += int64(n)
 			t.left -= int64(n)
-			edges = edges[n:]
+			block = block[n:]
 		}
 		if len(t.buf) >= t.s.batch || t.left == 0 {
 			if err := t.handOff(); err != nil {
