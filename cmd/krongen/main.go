@@ -35,7 +35,9 @@
 //
 // With -store the product streams to a sharded on-disk store instead of
 // an edge-list file: serially (shard count -shards), or under -mode 1d/2d
-// with one shard per simulated rank and O(batch) memory per rank.
+// with one shard per simulated rank and O(batch) memory per rank. Both
+// place an arc by its source with one map, so a serial store of -shards S
+// holds in each shard what a 1d/2d store of -ranks S holds in it.
 //
 // With -cluster-peers the 1d/2d store generation runs as one process of a
 // real multi-process cluster over TCP: every process is started with the
@@ -279,9 +281,12 @@ func main() {
 	if *storeDir != "" {
 		// Streaming path: never materialize C. The expansion is the serial
 		// chain enumeration (seeked to -offset when windowed); edges go
-		// straight to the sharded store.
+		// straight to the sharded store, placed by the map a distributed run
+		// of the chain places by (store.SourceMap of its innermost factor),
+		// so that shard s holds what rank s of -ranks S would.
 		start := time.Now()
-		w, err := store.NewWriter(*storeDir, ch.NumVertices(), *shards, nil)
+		factors := ch.Factors()
+		w, err := store.NewWriter(*storeDir, ch.NumVertices(), *shards, store.SourceMap(factors[len(factors)-1].NumVertices()))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -451,9 +456,10 @@ func (t *killRankSink) StoreBlock(edges []graph.Edge) (int64, error) {
 
 // placed reports what storing by owner cost a run. Every krongen run stores
 // by source (OwnerBySource), so each rank generated the edges it stores;
-// what it paid for that is the owner calls and the arcs copied into the
-// ranks' picks of owned rows, printed as shares of the edges generated
-// (replayed work included) — and the busiest rank's share, which is the
+// what it paid for that is its picks of owned rows, one owner call each,
+// and the arcs copied into the innermost factor's classes, printed as
+// shares of the edges generated (replayed work included) — and the busiest
+// rank's share, which is the
 // run's wall: max stored over the ideal 1/R (of what this head generation's
 // attempts stored: a head resumed from a ledger counts only what was stored
 // since).
@@ -463,7 +469,7 @@ func placed(st dist.Stats) string {
 	for _, n := range st.PerRankStored {
 		stored += n
 	}
-	return fmt.Sprintf("owner-side filter: %d owner rows tested (%.2f%% of edges generated), %d arcs compacted (%.2f%%); load max/ideal = %.2f (rank %d)",
+	return fmt.Sprintf("owner-side filter: %d picks (%.2f%% of edges generated), %d arcs compacted (%.2f%%); load max/ideal = %.2f (rank %d)",
 		st.OwnerRowsTested, share(st.OwnerRowsTested), st.ArcsCompacted, share(st.ArcsCompacted),
 		float64(st.MaxStored())*float64(len(st.PerRankStored))/float64(max(stored, 1)), slices.Index(st.PerRankStored, st.MaxStored()))
 }

@@ -5,10 +5,12 @@ package kronlab_test
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -242,6 +244,81 @@ func TestKrongenCLI(t *testing.T) {
 	}
 	if !onDisk.Equal(want) {
 		t.Fatal("2D store stream differs from serial product")
+	}
+}
+
+// TestKrongenStoresAgreeByShard: krongen's serial -store path and its
+// distributed one place by one map, so a serial store of -shards S and a
+// -mode 1d store of -ranks S of one chain hold, shard by shard, the same
+// arcs. The chain's innermost factor has 6 vertices, not a power of two,
+// where the map pads its digit (store.SourceMap); every stored arc must
+// sit in the shard that map names.
+func TestKrongenStoresAgreeByShard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary")
+	}
+	bin := buildTool(t, "kronlab/cmd/krongen", "krongen")
+	dir := t.TempDir()
+	const shards = 4
+	factors := []*graph.Graph{gen.ER(10, 0.5, 31), gen.ER(6, 0.6, 32)}
+	var paths []string
+	for i, g := range factors {
+		path := filepath.Join(dir, fmt.Sprintf("f%d.txt", i))
+		if err := g.SaveEdgeList(path); err != nil {
+			t.Fatal(err)
+		}
+		// An edge list drops trailing isolated vertices: the factor krongen
+		// reads must be the one written.
+		if loaded, err := graph.LoadUndirected(path); err != nil || loaded.NumVertices() != g.NumVertices() {
+			t.Fatalf("factor %d reads back with %v vertices (%v), want %d; pick another seed", i, loaded, err, g.NumVertices())
+		}
+		paths = append(paths, path)
+	}
+	serialDir, distDir := filepath.Join(dir, "serial"), filepath.Join(dir, "dist")
+	for _, args := range [][]string{
+		{"-store", serialDir, "-shards", fmt.Sprint(shards)},
+		{"-store", distDir, "-mode", "1d", "-ranks", fmt.Sprint(shards)},
+	} {
+		cmd := exec.Command(bin, append([]string{"-a", paths[0], "-b", paths[1]}, args...)...)
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("krongen %v: %v\n%s", args, err, out)
+		}
+	}
+	read := func(dir string) [][]graph.Edge {
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Shards() != shards {
+			t.Fatalf("%s has %d shards, want %d", dir, st.Shards(), shards)
+		}
+		out := make([][]graph.Edge, shards)
+		for i := range out {
+			if err := st.IterShard(i, func(u, v int64) bool {
+				out[i] = append(out[i], graph.Edge{U: u, V: v})
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			slices.SortFunc(out[i], func(a, b graph.Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
+		}
+		return out
+	}
+	serial, distributed := read(serialDir), read(distDir)
+	place, total := store.SourceMap(6), 0
+	for i := range serial {
+		if !slices.Equal(serial[i], distributed[i]) {
+			t.Fatalf("shard %d: the serial store holds %d arcs, the distributed one %d; the multisets differ", i, len(serial[i]), len(distributed[i]))
+		}
+		for _, e := range serial[i] {
+			if s := place(e.U, e.V, shards); s != i {
+				t.Fatalf("arc %v in shard %d, the map names %d", e, i, s)
+			}
+		}
+		total += len(serial[i])
+	}
+	if want := factors[0].NumArcs() * factors[1].NumArcs(); int64(total) != want {
+		t.Fatalf("the stores hold %d arcs, want %d", total, want)
 	}
 }
 

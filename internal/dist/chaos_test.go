@@ -150,11 +150,11 @@ func plannedWork(p Plan) (rank int, edges int64) {
 // owner map and how many — the deterministic target for a mid-expansion
 // crash of a run that generates where it stores, whose ranks each expand
 // what they own of every tile instead of the tiles they were planned.
-func busiestOwner(g *graph.Graph, owner Owner, r int) (rank int, arcs int64) {
-	load := make([]int64, r)
-	place := placer(owner, r)
-	g.Arcs(func(u, v int64) bool {
-		load[place(u, v)]++
+func busiestOwner(g *graph.Graph, owner Owner, plan Plan) (rank int, arcs int64) {
+	load := make([]int64, plan.R)
+	place := placer(owner, plan)
+	g.Arcs(func(u, _ int64) bool {
+		load[place(u)]++
 		return true
 	})
 	for rk, n := range load {
@@ -202,7 +202,7 @@ func TestChaosSoak(t *testing.T) {
 		// the one planned the most, or under an owner the one that owns most.
 		victim, work := plannedWork(plan)
 		if routed {
-			victim, work = busiestOwner(want, OwnerBySource, r)
+			victim, work = busiestOwner(want, OwnerBySource, plan)
 		}
 
 		var fp FaultPlan
@@ -490,7 +490,7 @@ func TestChaosReplayDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim, work := busiestOwner(mustProduct(t, a, b), OwnerBySource, 3)
+	victim, work := busiestOwner(mustProduct(t, a, b), OwnerBySource, plan)
 	after := work / 2
 	for round := 0; round < 2; round++ {
 		fp := FaultPlan{Crashes: []CrashSpec{{Rank: victim, Point: FaultMidExpansion, After: after}}}
@@ -577,7 +577,7 @@ func TestRecoverCrashEachPoint(t *testing.T) {
 				}
 				rank, work := plannedWork(plan)
 				if place.owner != nil {
-					rank, work = busiestOwner(want, place.owner, r)
+					rank, work = busiestOwner(want, place.owner, plan)
 				}
 				var crash CrashSpec
 				switch point {
@@ -621,7 +621,7 @@ func TestRecoverCrashEachPoint(t *testing.T) {
 					t.Fatalf("recovered run leaked %d pooled buffers", st.OutstandingBufs)
 				}
 				if place.owner != nil {
-					assertPlacement(t, ms, place.owner)
+					assertPlacement(t, ms, place.owner, plan)
 				}
 			})
 		}
@@ -794,7 +794,7 @@ func TestRecoverSoak(t *testing.T) {
 		}
 		rank, work := plannedWork(plan)
 		if owner != nil {
-			rank, work = busiestOwner(want, owner, r)
+			rank, work = busiestOwner(want, owner, plan)
 		}
 		var crash CrashSpec
 		switch point {
@@ -884,7 +884,7 @@ func TestRecoverAsyncStoreSink(t *testing.T) {
 			// the mid-exchange one right after its first hand-off
 			// (handoffCrash), one arc staged.
 			var owner Owner = OwnerBySource
-			rank, work := busiestOwner(want, owner, r)
+			rank, work := busiestOwner(want, owner, plan)
 			crash := CrashSpec{Rank: 1, Point: FaultAfterWalk}
 			switch point {
 			case FaultMidExpansion.String():

@@ -53,13 +53,13 @@ type Stats struct {
 	MaxInboxDepth int64
 
 	// What placing cost an owner run (read them against EdgesGenerated;
-	// see ownedRows). OwnerRowsTested counts the rows a pick answers for, on
-	// every rank: each non-empty innermost row per change of source base
-	// under the per-row pick, one (the base) under OwnerBySource's class
-	// pick. ArcsCompacted counts arcs copied to make picks: the rows a
-	// per-row pick owns, on every rank and every change of source base, and
-	// a class-picked factor's arcs once per attempt for all of a process's
-	// ranks.
+	// see ownedRows). OwnerRowsTested is one count per pick, under every
+	// owner: a pick per change of source base on every rank (OwnerBySource's
+	// class lookup, one owner call; a BlockOwner's range). ArcsCompacted
+	// counts arcs copied to make picks: under OwnerBySource each innermost
+	// factor's arcs once per attempt for all of a process's ranks, as it is
+	// partitioned into classes (none when one class holds them all); none
+	// under a BlockOwner.
 	OwnerRowsTested int64
 	ArcsCompacted   int64
 

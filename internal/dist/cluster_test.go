@@ -671,22 +671,14 @@ func TestClusterHeadFaultUnchanged(t *testing.T) {
 	}
 }
 
-// lowBitsHash is the source hash as it was before it kept the high bits:
-// the remainder of the product.
-type lowBitsHash struct{}
-
-func (lowBitsHash) BindSource(r int) func(u int64) int {
-	return func(u int64) int { return int(uint64(u) * 0x9e3779b97f4a7c15 % uint64(r)) }
-}
-
 // TestLedgerIdentityRefusesOtherRun: a ledger belongs to one run
 // configuration. Its per-(tile, rank) prefixes count positions in the
 // substream one owner map gives a rank in blocks of one size, so a head
-// handed a finished run's ledger under any other owner map — another kind, or
-// the source hash as it was before it kept the high bits — another batch size
-// or another process split must refuse by identity, where seeding its fences
-// would suppress the wrong arcs of tiles whose counts still match. The same
-// configuration is accepted: that is a resume.
+// handed a finished run's ledger under another owner map, another batch
+// size or another process split must refuse by identity, where seeding its
+// fences would suppress the wrong arcs of tiles whose counts still match.
+// The same configuration is accepted: that is a resume. (Ledgers written
+// under maps the engine no longer places by are TestConfigDigestPinned's.)
 func TestLedgerIdentityRefusesOtherRun(t *testing.T) {
 	const r = 4
 	plan, err := PlanChain1D(mustChain(killTestFactors()), r)
@@ -709,7 +701,6 @@ func TestLedgerIdentityRefusesOtherRun(t *testing.T) {
 	owners := map[string]Owner{
 		"BlockOwner":    BlockOwner{NC: plan.NC},
 		"OwnerBySource": OwnerBySource,
-		"lowBitsHash":   lowBitsHash{},
 	}
 	for was, x := range owners {
 		path := t.TempDir() + "/ledger"
@@ -743,16 +734,18 @@ func TestLedgerIdentityRefusesOtherRun(t *testing.T) {
 // for the owners of TestLedgerIdentityRefusesOtherRun and for no owner, at
 // one process and the default batch: the bytes every ledger written so far
 // holds. A refactor that moved them would make each of those ledgers refuse
-// to resume. OwnerBySource's pin moved when its map did (store.BySource
-// became additive), on purpose: a ledger written under the retired map
-// counts positions in other substreams, and one carrying that map's digest
-// must be refused.
+// to resume. OwnerBySource's pin moves when its map does, on purpose — when
+// store.BySource became additive, and again when the engine bound it to the
+// innermost factor, whose 10 vertices here it now pads to 16: a ledger
+// written under an earlier map counts positions in other substreams, and
+// one carrying that map's digest must be refused.
 func TestConfigDigestPinned(t *testing.T) {
 	const r = 4
 	plan, err := PlanChain1D(mustChain(killTestFactors()), r)
 	if err != nil {
 		t.Fatal(err)
 	}
+	const bySource = 0x05c6de73b97afc16
 	owners := []struct {
 		name   string
 		owner  Owner
@@ -760,8 +753,7 @@ func TestConfigDigestPinned(t *testing.T) {
 	}{
 		{"nil", nil, 0x1ce5de7ccfcb638c},
 		{"BlockOwner", BlockOwner{NC: plan.NC}, 0x83d53a3c6809ca76},
-		{"OwnerBySource", OwnerBySource, 0x8db5c3dccb06a16d},
-		{"lowBitsHash", lowBitsHash{}, 0xcc06d5dedf0dc3cd},
+		{"OwnerBySource", OwnerBySource, bySource},
 	}
 	for _, o := range owners {
 		h, err := newRankHost(ClusterConfig{Procs: []transport.Proc{{Hi: r}}}, Config{Plan: plan, Owner: o.owner, Sink: &CountSink{}})
@@ -773,12 +765,15 @@ func TestConfigDigestPinned(t *testing.T) {
 		}
 	}
 
-	// OwnerBySource's digest under the Fibonacci hash of the whole source.
-	const retired = 0x5fe0bae955fe3aac
+	// Digests of maps the engine no longer places by: OwnerBySource's under
+	// the Fibonacci hash of the whole source, under the additive map before
+	// it was bound to the innermost factor, and the remainder of the hash
+	// (the source hash before it kept the high bits, once a test owner).
+	const fibonacci, unpadded, lowBits = 0x5fe0bae955fe3aac, 0x8db5c3dccb06a16d, 0xcc06d5dedf0dc3cd
 	for _, c := range []struct {
 		digest uint64
 		want   error
-	}{{retired, ledger.ErrIdentity}, {0x8db5c3dccb06a16d, nil}} {
+	}{{fibonacci, ledger.ErrIdentity}, {unpadded, ledger.ErrIdentity}, {lowBits, ledger.ErrIdentity}, {bySource, nil}} {
 		path := t.TempDir() + "/ledger"
 		l, _, err := ledger.Open(path)
 		if err != nil {

@@ -215,6 +215,9 @@ func (m *ctrlMsg) fail(err error) {
 	}
 }
 
+// trafficStats is what an attempt's ranks generated and what placing cost
+// them, as a report carries it: Stats.EdgesGenerated, OwnerRowsTested (one
+// count per pick) and ArcsCompacted.
 type trafficStats struct {
 	Generated  int64 `json:"generated,omitempty"`
 	RowsTested int64 `json:"rows_tested,omitempty"`
@@ -295,9 +298,11 @@ func foldReport(agg *Stats, rep *ctrlMsg) {
 // in-process, and Config.Faults arms the same way in both: each process's
 // ranks obey the crash specs that name them.
 //
-// Config.Owner must be nil or have a source form (Owner.BindSource); any
-// other owner — a typed-nil OwnerFunc or any OwnerFunc but OwnerBySource
-// included — is refused before a sink is opened.
+// Config.Owner must be nil, OwnerBySource or a BlockOwner with blocks; any
+// other owner — a typed-nil OwnerFunc, any OwnerFunc but OwnerBySource and
+// any other type, whatever its BindSource answers, included — is refused by
+// name before a sink is opened, as is, under OwnerBySource, a plan whose
+// tiles' innermost factors differ in vertex count (sourceForm).
 //
 // On the head the returned Stats aggregate the whole cluster across all
 // attempts; workers return their local share. The error (or nil) is
@@ -312,9 +317,6 @@ func RunCluster(ctx context.Context, cc ClusterConfig, cfg Config) (Stats, error
 	}
 	if cc.Node == nil && cc.Self == 0 && len(cc.Procs) > 1 {
 		return Stats{}, fmt.Errorf("dist: the head of a cluster of %d processes needs a Node", len(cc.Procs))
-	}
-	if cfg.Owner != nil && cfg.Owner.BindSource(cfg.Plan.R) == nil {
-		return Stats{}, fmt.Errorf("dist: owner %T has no source form: only maps of the source vertex are supported", cfg.Owner)
 	}
 	h, err := newRankHost(cc, cfg)
 	if err != nil {
@@ -432,8 +434,9 @@ func runClusterWorker(ctx context.Context, h *rankHost) (Stats, error) {
 // count positions in the substream *this* map sends to a rank, so a ledger
 // written under another map — another kind, or the same name at another
 // commit — would fence the wrong arcs out of tiles whose counts still match.
-// An owner is probed through its source form, the one the engine places
-// with.
+// An owner is probed through its source form for the plan, the one the
+// engine places with (OwnerBySource's is bound to the innermost factor's
+// vertex count).
 func (h *rankHost) configDigest() uint64 {
 	d := fnv.New64a()
 	var b [8]byte
@@ -446,12 +449,11 @@ func (h *rankHost) configDigest() uint64 {
 		w(int64(p.Lo))
 		w(int64(p.Hi))
 	}
-	if o := h.cfg.Owner; o != nil {
+	if h.bySource != nil {
 		w(1)
 		nc := max(h.cfg.Plan.NC, 1)
-		bySource := o.BindSource(h.cfg.Plan.R)
 		for j := int64(0); j < 64; j++ {
-			w(int64(bySource((j*(nc/64) + j) % nc)))
+			w(int64(h.bySource((j*(nc/64) + j) % nc)))
 		}
 	} else {
 		w(0)

@@ -181,8 +181,8 @@ func TestPartitionArcs(t *testing.T) {
 
 // The central correctness property: distributed generation produces
 // exactly the serial product, for every rank count and both partitioning
-// schemes and every kind of source owner: the hash, the block map, and one
-// under which a rank owns nothing.
+// schemes and every kind of source owner: the hash, the block map, and
+// blocks so large that every rank but rank 0 owns nothing.
 func TestGenerateMatchesSerial(t *testing.T) {
 	a := gen.ER(9, 0.4, 1).WithFullSelfLoops()
 	b := gen.PrefAttach(7, 2, 2)
@@ -192,7 +192,7 @@ func TestGenerateMatchesSerial(t *testing.T) {
 	}
 	owners := map[string]Owner{
 		"bySource": OwnerBySource,
-		"starved":  starvedOwner{},
+		"starved":  OwnerByBlock(16 * a.NumVertices() * b.NumVertices()), // rank 0 owns every row
 		"byBlock":  OwnerByBlock(a.NumVertices() * b.NumVertices()),
 	}
 	for name, owner := range owners {
@@ -372,7 +372,7 @@ func TestGenerateOwnedMatchesSerial(t *testing.T) {
 			t.Fatalf("R=%d: owned generation differs from serial", r)
 		}
 		// Each stored arc's source must belong to the rank's block.
-		owner := OwnerByBlock(nC).BindSource(r)
+		owner := OwnerByBlock(nC).BindSource(r, b.NumVertices())
 		for rank, arcs := range res.PerRank {
 			for _, e := range arcs {
 				if owner(e.U) != rank {

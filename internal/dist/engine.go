@@ -17,8 +17,8 @@ import (
 // store) that was executing. Built once and swapped at phase boundaries, not
 // per block (a swap is a context lookup; two per block cost the unplaced walk
 // 7 %): a walk is phase=expand from each tile on, sink calls included;
-// phase=filter a source owner's pick (ownedRows.pick), and phase=store a rank
-// blocked in a sink hand-off.
+// phase=filter OwnerBySource's partition of a factor into classes
+// (placing.of), and phase=store a rank blocked in a sink hand-off.
 var (
 	expandLabels = pprof.WithLabels(context.Background(), pprof.Labels("phase", "expand"))
 	filterLabels = pprof.WithLabels(context.Background(), pprof.Labels("phase", "filter"))
@@ -259,9 +259,9 @@ func (cfg Config) batchSize() int {
 // for every chain depth — into its own sink, in blocks of form f: packed
 // arcs, u | v<<32, where every id the tiles expand to fits 32 bits
 // (packedForm), else graph.Edges (wideForm). With no owner, the cursor
-// fills a reused scratch block. With one (its source form,
-// Owner.BindSource) every rank walks every tile and expands only the rows
-// it owns (ownedRows): nothing is staged, batched or sent, at any R. Blocks
+// fills a reused scratch block. With one (bySource, its source form:
+// sourceForm) every rank walks every tile and expands only the rows it owns
+// (ownedRows): nothing is staged, batched or sent, at any R. Blocks
 // go to the fenced sink sinkFor returns; perGen/perStored get the per-rank
 // counters.
 //
@@ -272,14 +272,12 @@ func (cfg Config) batchSize() int {
 // across attempts and in either form. That determinism is what tile
 // checkpoints and prefix-dedup recovery key on; the step size changes
 // polling granularity, never order. A fault-armed run walks the same blocks.
-func runAttempt[B graph.Edge | uint64](ctx context.Context, c *cluster, f *form[B], owner Owner, tiles [][]Tile, sinkFor func(*Rank) (*fencedRankSink, error), perGen, perStored []int64, batch int) error {
-	// Resolved once per attempt and shared by the ranks: the map is pure,
-	// and OwnerBySource's class partitions are built once and then only read.
-	var bySource func(u int64) int
-	var classes *classPicks[B]
-	if owner != nil {
-		bySource = owner.BindSource(c.r) // RunCluster refused an owner without one
-		classes = newClassPicks[B](owner, bySource, c.r)
+func runAttempt[B graph.Edge | uint64](ctx context.Context, c *cluster, f *form[B], owner Owner, bySource func(u int64) int, tiles [][]Tile, sinkFor func(*Rank) (*fencedRankSink, error), perGen, perStored []int64, batch int) error {
+	// Shared by the ranks: the map is pure, and OwnerBySource's class
+	// partitions are built once and then only read.
+	var place *placing[B]
+	if bySource != nil {
+		place = newPlacing[B](owner, bySource, c.r)
 	}
 	err := c.run(ctx, func(rk *Rank) error {
 		if err := rk.crashAt(FaultBeforeSinkSetup); err != nil {
@@ -295,13 +293,12 @@ func runAttempt[B graph.Edge | uint64](ctx context.Context, c *cluster, f *form[
 		// state and per-rank memory stays O(|E_A|/R + |E_B| + batch) even
 		// when this rank's B is large.
 		w := walk[B]{rk: rk, as: as, faults: c.faults, batch: batch, f: f, scratch: checkOut(c, f.bufs, batch)}
-		if bySource != nil {
-			w.own = &ownedRows[B]{owner: bySource, rank: rk.ID(), batch: batch, classes: classes}
+		if place != nil {
+			w.own = place.rows(rk.ID(), batch)
 		}
 		w.tiles(tiles[rk.ID()])
 		if w.own != nil {
 			atomic.AddInt64(&rk.c.stats.OwnerRowsTested, w.own.rows)
-			atomic.AddInt64(&rk.c.stats.ArcsCompacted, w.own.copied)
 		}
 		checkIn(c, f.bufs, w.scratch)
 		atomic.AddInt64(&rk.c.stats.EdgesGenerated, w.generated)
@@ -328,8 +325,8 @@ func runAttempt[B graph.Edge | uint64](ctx context.Context, c *cluster, f *form[
 		}
 		return nil
 	})
-	if classes != nil {
-		atomic.AddInt64(&c.stats.ArcsCompacted, classes.copied)
+	if place != nil {
+		atomic.AddInt64(&c.stats.ArcsCompacted, place.copied)
 	}
 	return err
 }

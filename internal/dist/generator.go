@@ -69,8 +69,8 @@ func PartitionArcs(arcs []graph.Edge, parts int) [][]graph.Edge {
 // paper's Sec. III 1D partitioning, crossed with parts of the first tail
 // factor under Rem. 1's 2D grid (twoD) — each rank folds the replicated
 // tail lazily through the chain kernel, and every edge is generated and
-// stored at the rank owner names (nil: OwnerBySource). An owner without a
-// source form is refused, as Run refuses it. Per-rank memory is
+// stored at the rank owner names (nil: OwnerBySource). Any owner but
+// OwnerBySource and a BlockOwner is refused, as Run refuses it. Per-rank memory is
 // O(|E_A₁|/R + Σ|E_tail| + stored), time O(|E_C|/R).
 func GenerateChain(ch *core.Chain, r int, owner Owner, twoD bool) (*Result, error) {
 	if owner == nil {
@@ -99,7 +99,7 @@ func GenerateChain(ch *core.Chain, r int, owner Owner, twoD bool) (*Result, erro
 	// ideal-share hint under-sizes the busier ranks and each pays one
 	// growslice doubling of its whole buffer.
 	f, _ := owner.(OwnerFunc)
-	if limit, ok := core.CheckedMul(4, arcs); f.BindSource(r) != nil && ok && plan.NC <= limit {
+	if limit, ok := core.CheckedMul(4, arcs); f.isBySource() && ok && plan.NC <= limit {
 		sink.Hints = chainSourceHashLoads(ch, r)
 	} else {
 		sink.Hint = arcs/int64(r) + 1
@@ -114,12 +114,15 @@ func GenerateChain(ch *core.Chain, r int, owner Owner, twoD bool) (*Result, erro
 // chainSourceHashLoads returns the exact number of product arcs the
 // default source-hash owner places on each of r ranks: product vertex p
 // has out-degree Π deg_d(digit_d(p)), and its whole arc set lands on the
-// rank its source hashes to. O(|V_C|) time via a recursive sweep of the
-// mixed-radix digit space.
+// rank its source hashes to — the map bound to the innermost factor, as a
+// plan of the chain binds it (sourceForm; a one-factor chain's plan binds
+// to its 1-vertex identity tail, and both bindings are the identity on the
+// head's ids). O(|V_C|) time via a recursive sweep of the mixed-radix digit
+// space.
 func chainSourceHashLoads(ch *core.Chain, r int) []int64 {
 	loads := make([]int64, r)
-	bySource := OwnerBySource.BindSource(r)
 	factors := ch.Factors()
+	bySource := OwnerBySource.BindSource(r, factors[len(factors)-1].NumVertices())
 	ci := ch.Index()
 	var rec func(d int, base, deg int64)
 	rec = func(d int, base, deg int64) {

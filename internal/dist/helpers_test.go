@@ -26,12 +26,14 @@ func mustGraph(n int64, arcs []graph.Edge) *graph.Graph {
 	return g
 }
 
-// placer is o's answer for an arc at r ranks through its source form, the
-// one the engine places with — what the tests hold stored arcs and crash
-// targets to.
-func placer(o Owner, r int) func(u, v int64) int {
-	bySource := o.BindSource(r)
-	return func(u, _ int64) int { return bySource(u) }
+// placer is o's source form for a run of plan, bound as the engine binds
+// it (sourceForm) — what the tests hold stored arcs and crash targets to.
+func placer(o Owner, plan Plan) func(u int64) int {
+	bySource, err := sourceForm(o, plan)
+	if err != nil {
+		panic(err)
+	}
+	return bySource
 }
 
 // countOnly expands the chain on r ranks into a CountSink — no owner, no
@@ -50,8 +52,8 @@ func countOnly(ch *core.Chain, r int, twoD bool) (int64, error) {
 
 // ownedWalk is a rank's owner-side walk outside the engine, in the blocks
 // of form f, for the walk tests and BenchmarkRoute to drive through step.
-func ownedWalk[B graph.Edge | uint64](o ownedRows[B], f *form[B]) *walk[B] {
-	return &walk[B]{batch: o.batch, f: f, own: &o, scratch: make([]B, 0, o.batch)}
+func ownedWalk[B graph.Edge | uint64](o *ownedRows[B], f *form[B]) *walk[B] {
+	return &walk[B]{batch: o.batch, f: f, own: o, scratch: make([]B, 0, o.batch)}
 }
 
 // step is one sweep of the owner-side walk of t as walk.tiles takes it —

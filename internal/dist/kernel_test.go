@@ -64,9 +64,10 @@ func midRunWindow(t *testing.T, arcs []graph.Edge) (lo, hi int) {
 // threshold path taken) and small odd values that misalign blocks with
 // tiles and source runs. The owners are a map of the source as a type
 // (BlockOwner), OwnerBySource as the plain OwnerFunc value every caller
-// passes, and a source owner under which a rank owns nothing (starvedOwner,
-// in the cells still named byEdge after the map of both endpoints they ran
-// before owners had to read the source alone). The windowed cases slice the
+// passes, and a BlockOwner of 16 × NC sources, under which rank 0 owns every
+// row and the others none (in the cells still named byEdge after the map
+// of both endpoints they ran before owners had to read the source alone).
+// The windowed cases slice the
 // 1D plan — whose stream order is the serial order — so that Skip and
 // Take both cut a run; on the two-factor chain that is
 // core.TailCursor.SeekTo over a one-factor tail.
@@ -89,7 +90,7 @@ func TestKernelEquivalence(t *testing.T) {
 		owner func(nC int64) Owner
 	}{
 		{"unrouted", func(int64) Owner { return nil }},
-		{"byEdge", func(int64) Owner { return starvedOwner{} }},
+		{"byEdge", func(nC int64) Owner { return BlockOwner{NC: 16 * nC} }},
 		{"blockBound", func(nC int64) Owner { return BlockOwner{NC: nC} }},
 		{"bySource", func(int64) Owner { return OwnerBySource }},
 	}
@@ -129,7 +130,7 @@ func TestKernelEquivalence(t *testing.T) {
 						}
 						assertSameOrder(t, "sorted arcs", sortedArcs(mergedArcs(ms)), want)
 						if cfg.Owner != nil {
-							assertPlacement(t, ms, cfg.Owner)
+							assertPlacement(t, ms, cfg.Owner, plan)
 						}
 					})
 				}
@@ -140,12 +141,12 @@ func TestKernelEquivalence(t *testing.T) {
 
 // assertPlacement checks that every arc an owner run stored sits on the
 // rank the owner map names.
-func assertPlacement(t *testing.T, ms *MemorySink, owner Owner) {
+func assertPlacement(t *testing.T, ms *MemorySink, owner Owner, plan Plan) {
 	t.Helper()
-	place := placer(owner, len(ms.PerRank))
+	place := placer(owner, plan)
 	for rank, arcs := range ms.PerRank {
 		for _, e := range arcs {
-			if to := place(e.U, e.V); to != rank {
+			if to := place(e.U); to != rank {
 				t.Fatalf("arc %v stored on rank %d, owner says %d", e, rank, to)
 			}
 		}
@@ -176,7 +177,7 @@ func TestRecoverKernelOddBatchSoak(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rank, work := busiestOwner(want, OwnerBySource, r)
+				rank, work := busiestOwner(want, OwnerBySource, plan)
 				ms := NewMemorySink(r)
 				var st Stats
 				runErr := runWithWatchdog(t, chaosWatchdog, func() error {

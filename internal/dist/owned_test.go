@@ -65,20 +65,6 @@ func (t *tileRecorderRank) StoreTileBlock(tile int, edges []graph.Edge) (int64, 
 
 func (t *tileRecorderRank) Close() error { return nil }
 
-// starvedOwner is OwnerBySource with rank 1's sources given to rank 0: a
-// source owner under which one rank (when there are two or more) owns
-// nothing at all, and so steps over every sweep of every tile empty-handed.
-type starvedOwner struct{}
-
-func (starvedOwner) BindSource(r int) func(u int64) int {
-	return func(u int64) int {
-		if to := store.BySource(u, 0, r); to != 1 {
-			return to
-		}
-		return 0
-	}
-}
-
 // ownedReference is what each rank of the plan must store under a source
 // owner: every tile's stream — core.Chain.Arcs of the
 // tile's head arcs and tail factors, windowed by Skip and Take — filtered by
@@ -112,11 +98,12 @@ func ownedReference(plan Plan, owner func(u int64) int) *tileRecorder {
 // chain shape (k = 1 with its
 // identity tail, 2 and 3; empty rows in the innermost factor and in the
 // head, a loop-only factor, a one-row head, an empty factor; innermost
-// factors whose vertex count is a power of two, which OwnerBySource picks
-// by class, and ones whose count is not, which it picks row by row) ×
-// layout × R × batch size
-// (dividing sweeps and not) × source owner (hash, block, and one that
-// starves a rank) × stream window, the run under the source owner must
+// factors whose vertex count is a power of two and ones whose count is not,
+// which OwnerBySource picks by class alike) × layout × R × batch size
+// (dividing sweeps and not) × source owner (hash, block, and blocks of
+// 16·NC sources, under which rank 0 owns every row and every other rank
+// steps over every sweep empty-handed) × stream window, the run under the
+// source owner must
 // store per (tile, rank) exactly the substream, in order, of each tile's
 // serial stream filtered by the owner (ownedReference). The windows of the
 // 1D
@@ -151,22 +138,22 @@ func TestOwnerSideMatchesPerEdgeExchange(t *testing.T) {
 		{"k2_rmat_inner", mustChain(gen.ER(5, 0.6, 474), gen.MustRMAT(gen.Graph500Params(3, 475))), 4},
 		{"k3_rmat_inner", mustChain(gen.ER(3, 0.7, 476), gen.PrefAttach(3, 2, 477), gen.MustRMAT(gen.Graph500Params(4, 478))), 4},
 	}
-	// OwnerBySource picks by class where the innermost factor's vertex count
-	// is a power of two and row by row elsewhere: each path must meet chains
-	// of depth 2 and 3 with rows to cut.
+	// OwnerBySource picks by class on every innermost factor, its map padded
+	// to a power of two where the vertex count is not one: chains of depth 2
+	// and 3 with rows to cut must each meet both kinds of factor.
 	type path struct {
-		k       int
-		byClass bool
+		k      int
+		padded bool
 	}
 	paths := map[path]bool{}
 	for _, sh := range shapes {
 		f := sh.ch.Factors()
 		if len(f) > 1 && sh.windows == 4 {
-			paths[path{len(f), bits.OnesCount64(uint64(f[len(f)-1].NumVertices())) == 1}] = true
+			paths[path{len(f), bits.OnesCount64(uint64(f[len(f)-1].NumVertices())) != 1}] = true
 		}
 	}
 	if len(paths) != 4 {
-		t.Fatalf("shapes with rows to cut cover %v; want k = 2 and 3 each picked by class and row by row", paths)
+		t.Fatalf("shapes with rows to cut cover %v; want k = 2 and 3 each on an innermost factor of a power-of-two vertex count and of another", paths)
 	}
 	owners := []struct {
 		name  string
@@ -174,7 +161,7 @@ func TestOwnerSideMatchesPerEdgeExchange(t *testing.T) {
 	}{
 		{"hash", func(int64) Owner { return OwnerBySource }},
 		{"block", func(nC int64) Owner { return BlockOwner{NC: nC} }},
-		{"starved", func(int64) Owner { return starvedOwner{} }},
+		{"starved", func(nC int64) Owner { return BlockOwner{NC: 16 * nC} }},
 	}
 	for _, sh := range shapes {
 		sh := sh
@@ -206,14 +193,14 @@ func TestOwnerSideMatchesPerEdgeExchange(t *testing.T) {
 						for _, o := range owners {
 							so := o.owner(plan.NC)
 							cell := fmt.Sprintf("%s r=%d window=%d owner=%s", map[bool]string{false: "1d", true: "2d"}[twoD], r, wi, o.name)
-							ref := ownedReference(plan, so.BindSource(r))
+							ref := ownedReference(plan, placer(so, plan))
 							for _, batch := range []int{1, 5, DefaultBatchSize} {
 								got := newTileRecorder(r)
 								st, err := Run(context.Background(), Config{Plan: plan, Owner: so, Sink: got, BatchSize: batch})
 								if err != nil {
 									t.Fatalf("%s batch=%d: %v", cell, batch, err)
 								}
-								assertOwnedCell(t, fmt.Sprintf("%s batch=%d", cell, batch), got, ref, st, so.BindSource(r), want)
+								assertOwnedCell(t, fmt.Sprintf("%s batch=%d", cell, batch), got, ref, st, placer(so, plan), want)
 							}
 						}
 					}
@@ -238,19 +225,18 @@ func evens(g *graph.Graph) *graph.Graph {
 // the factor's ArcSlice (expanded through core.ExpandRun), and in packed
 // blocks, its pick holding the factor's PackedArcs (through
 // core.ExpandPackedTo, the blocks widened for the comparison); each cell's
-// walk — R ∈ {1, 2,
-// 3, 16}, every rank, under OwnerBySource's hash and BlockOwner, batch 1, 7
-// and 1024 — must emit exactly the window of the chain's arcs its owner
-// gives the rank, in order, in blocks of ≤ batch. The innermost factors have
-// empty rows, a single row, and runs of owned rows that end on, and cross,
-// a 64-bit word edge of the answer bits; the windows are the whole stream
-// and one whose Skip and Take cut its first and last sweep mid-row (index).
-// OwnerBySource's walk runs again with the class partitions the engine
-// gives it, which it picks by lookup where the innermost factor's vertex
-// count is a power of two (one_row, word64). Every pick the walk makes must
-// equal the per-row pick — the owned rows appended one at a time — element
-// for element, and ArcsCompacted and OwnerRowsTested must count what the
-// per-row pick copied and asked, or one owner call a class pick.
+// walk — R ∈ {1, 2, 3, 16}, every rank, under OwnerBySource's class pick and
+// BlockOwner's range, batch 1, 7 and 1024, the ranks of a cell sharing one
+// placing as an attempt's do — must emit exactly the window of the chain's
+// arcs its owner gives the rank, in order, in blocks of ≤ batch. The
+// innermost factors have empty rows, a single row, and vertex counts that
+// are a power of two and that are not (64; 136 and 70, padded to 256 and
+// 128); the windows are the whole stream and one whose Skip and Take cut
+// its first and last sweep mid-row (index). Every pick the walk makes must equal
+// the row-by-row pick — the rows the owner gives the rank, appended one at a
+// time — element for element; OwnerRowsTested must count one per pick, and
+// ArcsCompacted the factor's arcs once under OwnerBySource (none where its
+// rows all fall in one class) and none under a BlockOwner.
 func TestOwnedRowsBothForms(t *testing.T) {
 	// ring is n vertices, row u holding u → u+1 and u → 3u+1 (mod n) unless
 	// u ≡ gap−1 (mod gap): with gap 0 every row is non-empty.
@@ -270,8 +256,8 @@ func TestOwnedRowsBothForms(t *testing.T) {
 	}{
 		{"gappy", mustChain(gen.ER(5, 0.6, 491), evens(gen.PrefAttach(6, 2, 492)))},
 		{"one_row", mustChain(gen.ER(6, 0.6, 493), fan)},
-		{"word64", mustChain(gen.ER(5, 0.6, 494), ring(64, 0))},          // one full word of answer bits
-		{"word128_gappy", mustChain(gen.ER(4, 0.7, 495), ring(136, 17))}, // two full words, eight empty rows
+		{"word64", mustChain(gen.ER(5, 0.6, 494), ring(64, 0))},          // a power of two, every row non-empty
+		{"word128_gappy", mustChain(gen.ER(4, 0.7, 495), ring(136, 17))}, // padded to 256, eight empty rows
 		{"k3", mustChain(gen.ER(3, 0.7, 496), gen.PrefAttach(3, 2, 497), ring(70, 9))},
 	}
 	for _, sh := range shapes {
@@ -295,21 +281,35 @@ func TestOwnedRowsBothForms(t *testing.T) {
 				tile := Tile{AArcs: f[0].ArcSlice(), Tail: f[1:], Skip: int64(win[0]), Take: int64(win[1] - win[0])}
 				for _, so := range []Owner{OwnerBySource, BlockOwner{NC: sh.ch.NumVertices()}} {
 					for _, r := range []int{1, 2, 3, 16} {
-						owner := so.BindSource(r)
-						for rank := 0; rank < r; rank++ {
-							var want []graph.Edge
-							for _, e := range serial[win[0]:win[1]] {
-								if owner(e.U) == rank {
-									want = append(want, e)
+						owner := placer(so, Plan{R: r, Tiles: [][]Tile{{tile}}})
+						for _, batch := range []int{1, 7, DefaultBatchSize} {
+							wide, packed := newPlacing[graph.Edge](so, owner, r), newPlacing[uint64](so, owner, r)
+							for rank := 0; rank < r; rank++ {
+								var want []graph.Edge
+								for _, e := range serial[win[0]:win[1]] {
+									if owner(e.U) == rank {
+										want = append(want, e)
+									}
+								}
+								cell := fmt.Sprintf("window %v, %T r=%d rank %d batch %d", win, so, r, rank, batch)
+								checkOwnedWalk(t, cell+" wide", &tile, &wideForm, appendEdges, wide.rows(rank, batch), want)
+								checkOwnedWalk(t, cell+" packed", &tile, &packedForm, widen, packed.rows(rank, batch), want)
+							}
+							// A range copies nothing, and neither does one class that
+							// holds every row's arcs.
+							var want int64
+							if _, block := so.(BlockOwner); !block {
+								inner, perClass := f[len(f)-1], make([]int64, r)
+								for u := range inner.NumVertices() {
+									perClass[owner(u)] += inner.Degree(u)
+								}
+								if slices.Max(perClass) < inner.NumArcs() {
+									want = inner.NumArcs()
 								}
 							}
-							for _, batch := range []int{1, 7, DefaultBatchSize} {
-								cell := fmt.Sprintf("window %v, %T r=%d rank %d batch %d", win, so, r, rank, batch)
-								checkOwnedWalk(t, cell+" wide", &tile, &wideForm, appendEdges, ownedRows[graph.Edge]{owner: owner, rank: rank, batch: batch}, want)
-								checkOwnedWalk(t, cell+" packed", &tile, &packedForm, widen, ownedRows[uint64]{owner: owner, rank: rank, batch: batch}, want)
-								if classes := newClassPicks[graph.Edge](so, owner, r); classes != nil {
-									checkOwnedWalk(t, cell+" wide by class", &tile, &wideForm, appendEdges, ownedRows[graph.Edge]{owner: owner, rank: rank, batch: batch, classes: classes}, want)
-									checkOwnedWalk(t, cell+" packed by class", &tile, &packedForm, widen, ownedRows[uint64]{owner: owner, rank: rank, batch: batch, classes: newClassPicks[uint64](so, owner, r)}, want)
+							for form, copied := range map[string]int64{"wide": wide.copied, "packed": packed.copied} {
+								if copied != want {
+									t.Fatalf("window %v, %T r=%d batch %d, %s: ArcsCompacted %d, want %d", win, so, r, batch, form, copied, want)
 								}
 							}
 						}
@@ -322,16 +322,13 @@ func TestOwnedRowsBothForms(t *testing.T) {
 
 // checkOwnedWalk walks the tile as runAttempt's walk.tiles does, in blocks
 // of form f, and holds what it emits, widened by add, to want, each pick to
-// the per-row pick in the form's source and its counters to what the
-// per-row pick copied and asked — or, where o looks its picks up by class
-// (its classes and a power-of-two factor), to one owner call a pick and no
-// copy at all.
-func checkOwnedWalk[B graph.Edge | uint64](t *testing.T, cell string, tile *Tile, f *form[B], add func([]graph.Edge, []B) []graph.Edge, ro ownedRows[B], want []graph.Edge) {
+// the row-by-row pick in the form's source and OwnerRowsTested to one count
+// a pick.
+func checkOwnedWalk[B graph.Edge | uint64](t *testing.T, cell string, tile *Tile, f *form[B], add func([]graph.Edge, []B) []graph.Edge, o *ownedRows[B], want []graph.Edge) {
 	t.Helper()
 	inner := tile.Tail[len(tile.Tail)-1]
 	src, off := f.source(inner), inner.RowOffsets()
-	w := ownedWalk(ro, f)
-	o := w.own
+	w := ownedWalk(o, f)
 	var got []graph.Edge
 	emit := func(_ int, block []B) bool {
 		if len(block) == 0 || len(block) > o.batch {
@@ -340,7 +337,7 @@ func checkOwnedWalk[B graph.Edge | uint64](t *testing.T, cell string, tile *Tile
 		got = add(got, block)
 		return true
 	}
-	var picks, copied int64
+	var picks int64
 	checked := int64(-1)
 	step := func(cur *core.TailCursor, uBase, vBase, rem int64) (int64, bool) {
 		n, ok := w.step(tile, cur, uBase, vBase, rem, emit)
@@ -350,15 +347,12 @@ func checkOwnedWalk[B graph.Edge | uint64](t *testing.T, cell string, tile *Tile
 		checked, picks = o.s0, picks+1
 		var rows []B
 		for u := int64(0); u < inner.NumVertices(); u++ {
-			if off[u] < off[u+1] && o.owner(o.s0+u) == o.rank {
+			if o.p.owner(o.s0+u) == o.rank {
 				rows = append(rows, src[off[u]:off[u+1]]...)
 			}
 		}
-		if int64(len(rows)) < inner.NumArcs() {
-			copied += int64(len(rows))
-		}
 		if !slices.Equal(o.arcs, rows) {
-			t.Fatalf("%s: the pick at s0 = %d differs from the per-row pick:\n got %v\nwant %v", cell, o.s0, o.arcs, rows)
+			t.Fatalf("%s: the pick at s0 = %d differs from the row-by-row pick:\n got %v\nwant %v", cell, o.s0, o.arcs, rows)
 		}
 		return n, ok
 	}
@@ -383,14 +377,8 @@ func checkOwnedWalk[B graph.Edge | uint64](t *testing.T, cell string, tile *Tile
 		}
 	}
 	assertSameOrder(t, cell, got, want)
-	if byClass := o.classes != nil && bits.OnesCount64(uint64(inner.NumVertices())) == 1; byClass != o.byClass() {
-		t.Fatalf("%s: the walk picks by class: %v, want %v", cell, o.byClass(), byClass)
-	} else if byClass {
-		if o.copied != 0 || o.rows != picks {
-			t.Fatalf("%s: ArcsCompacted %d, OwnerRowsTested %d; a class pick copies nothing and asks once, %d picks", cell, o.copied, o.rows, picks)
-		}
-	} else if o.copied != copied || o.rows != picks*int64(len(o.nz)) {
-		t.Fatalf("%s: ArcsCompacted %d, OwnerRowsTested %d; the per-row pick copied %d and asked %d picks × %d rows", cell, o.copied, o.rows, copied, picks, len(o.nz))
+	if o.rows != picks {
+		t.Fatalf("%s: OwnerRowsTested %d, want one count a pick, %d picks", cell, o.rows, picks)
 	}
 }
 
@@ -498,13 +486,12 @@ func TestGenerateChainPerRankCanonicalOrder(t *testing.T) {
 	}
 }
 
-// TestOwnerSideCounters: what placing cost shows in Stats — under the
-// per-row pick (an innermost factor of 7 vertices) the owner is asked once
-// per non-empty row of the innermost factor per change of source base, by
-// every rank, and a rank that owns only some rows copies exactly those;
-// under the class pick (8 vertices, OwnerBySource) it is asked once per
-// change of source base, and the factor is copied once per run — and a
-// recovering run books its one retry on the crashed rank.
+// TestOwnerSideCounters: what placing cost shows in Stats — one count per
+// pick, a pick per change of source base on every rank, under either owner;
+// under OwnerBySource (an innermost factor of 7 vertices, its map padded to
+// 8) the factor's arcs copied once per run into its classes, and under a
+// BlockOwner nothing copied — and a recovering run books its one retry on
+// the crashed rank.
 func TestOwnerSideCounters(t *testing.T) {
 	a, b := gen.PrefAttach(8, 2, 481), gen.ER(7, 0.5, 482)
 	const r = 4
@@ -515,12 +502,7 @@ func TestOwnerSideCounters(t *testing.T) {
 	// The source base of a sweep is its head arc's source row, and head arcs
 	// come in CSR order through every tile: one pick per non-isolated head
 	// vertex (a tile boundary inside a head row does not make a second).
-	var rows, bases int64
-	for u := int64(0); u < b.NumVertices(); u++ {
-		if b.Degree(u) > 0 {
-			rows++
-		}
-	}
+	var bases int64
 	for u := int64(0); u < a.NumVertices(); u++ {
 		if a.Degree(u) > 0 {
 			bases++
@@ -530,45 +512,22 @@ func TestOwnerSideCounters(t *testing.T) {
 		owner  Owner
 		copied int64
 	}{
-		// The hash splits every sweep's rows over the ranks: each copies
-		// the rows it owns, all of them the factor's arcs once per base.
-		{OwnerBySource, bases * b.NumArcs()},
-		// ⌈NC/4⌉ is n_A/4 whole sweeps: a rank owns all of a sweep's rows
-		// or none, and neither is copied.
+		{OwnerBySource, b.NumArcs()},
 		{BlockOwner{NC: plan.NC}, 0},
 	} {
 		st, err := Run(context.Background(), Config{Plan: plan, Owner: c.owner, Sink: NewMemorySink(r)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := r * rows * bases; st.OwnerRowsTested != want {
-			t.Fatalf("%T: OwnerRowsTested = %d, want %d ranks × %d rows × %d source bases = %d", c.owner, st.OwnerRowsTested, r, rows, bases, want)
+		if want := r * bases; st.OwnerRowsTested != want {
+			t.Fatalf("%T: OwnerRowsTested = %d, want %d ranks × %d source bases = %d", c.owner, st.OwnerRowsTested, r, bases, want)
 		}
 		if st.ArcsCompacted != c.copied {
 			t.Fatalf("%T: ArcsCompacted = %d, want %d", c.owner, st.ArcsCompacted, c.copied)
 		}
 	}
 
-	// An innermost factor of 8 vertices: OwnerBySource's rows fall into r
-	// classes once per run, the factor's arcs copied once, and each rank's
-	// pick is one owner call per source base.
-	b8 := gen.ER(8, 0.5, 483)
-	plan8, err := PlanChain1D(mustChain(a, b8), r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := Run(context.Background(), Config{Plan: plan8, Owner: OwnerBySource, Sink: NewMemorySink(r)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := r * bases; st.OwnerRowsTested != want {
-		t.Fatalf("class pick: OwnerRowsTested = %d, want %d ranks × %d source bases = %d", st.OwnerRowsTested, r, bases, want)
-	}
-	if st.ArcsCompacted != b8.NumArcs() {
-		t.Fatalf("class pick: ArcsCompacted = %d, want the factor's %d arcs, partitioned once", st.ArcsCompacted, b8.NumArcs())
-	}
-
-	rank, work := busiestOwner(mustProduct(t, a, b), OwnerBySource, r)
+	rank, work := busiestOwner(mustProduct(t, a, b), OwnerBySource, plan)
 	rs, err := Run(context.Background(), Config{
 		Plan: plan, Owner: OwnerBySource, Sink: NewMemorySink(r),
 		Faults:   &FaultPlan{Crashes: []CrashSpec{{Rank: rank, Point: FaultMidExpansion, After: work / 2}}},
@@ -691,7 +650,7 @@ func TestClusterOwnedDeathRecovery(t *testing.T) {
 
 	// Closed form of what each rank stores of each tile, and from it what
 	// recovery has to do.
-	owner := placer(cfg.Owner, r)
+	owner := placer(cfg.Owner, plan)
 	share := make([]int64, r)
 	var replayArcs, replayDup, headShare int64
 	replayed, tiles := 0, 0
@@ -700,7 +659,7 @@ func TestClusterOwnedDeathRecovery(t *testing.T) {
 			perRank := make([]int64, r)
 			for _, ha := range tl.AArcs {
 				for _, ba := range b.ArcSlice() {
-					perRank[owner(ha.U*b.NumVertices()+ba.U, 0)]++
+					perRank[owner(ha.U*b.NumVertices()+ba.U)]++
 				}
 			}
 			var onDead, onHead int64

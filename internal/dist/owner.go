@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"reflect"
 
 	"kronlab/internal/store"
@@ -21,33 +22,36 @@ import (
 const DefaultBatchSize = 1024
 
 // Owner maps generated edges to the ranks that store them. The paper leaves
-// the storage mapping open ("some mapping scheme"); the engine takes any map
-// of the source vertex alone. BindSource, asked once per run attempt,
-// returns the map at r ranks as a pure function of the source, and every
-// rank walks every tile and generates the CSR rows it owns straight into its
-// own sink (ownedRows) — the paper's Sec. III "generate only the edges it
-// must store" — at the price of stepping over every sweep of every tile.
-// Nothing is staged, batched or sent. An owner whose BindSource returns nil
-// reads the target too, and RunCluster refuses it before any sink is
-// opened.
+// the storage mapping open ("some mapping scheme"); the engine places by
+// two maps of the source vertex, OwnerBySource and BlockOwner. BindSource,
+// asked once per run, returns the map at r ranks for a plan whose
+// innermost factor has nL vertices as a pure function of the source, and
+// every rank walks every tile and generates the CSR rows it owns straight
+// into its own sink (ownedRows) — the paper's Sec. III "generate only the
+// edges it must store" — at the price of stepping over every sweep of
+// every tile. Nothing is staged, batched or sent. A rank's rows of a sweep
+// are one class of the factor's rows under OwnerBySource and one range of
+// them under a BlockOwner, so its pick is a lookup or a subslice; any other
+// owner, whatever its BindSource answers, is refused by RunCluster by name
+// before any sink is opened.
 type Owner interface {
-	BindSource(r int) func(u int64) int
+	BindSource(r int, nL int64) func(u int64) int
 }
 
-// OwnerFunc is the type of OwnerBySource, the one function value with a
-// source form. The engine cannot see inside a function value, so any other
-// OwnerFunc — a closure with the same body included — has none and is
-// refused.
+// OwnerFunc is the type of OwnerBySource, the one function value the engine
+// places by. The engine cannot see inside a function value, so any other
+// OwnerFunc — a closure with the same body included — is refused.
 type OwnerFunc func(u, v int64, r int) int
 
-// BindSource implements Owner: store.BySource bound to r for OwnerBySource,
-// recognised by code pointer, and nil for any other function, a nil one
-// included.
-func (f OwnerFunc) BindSource(r int) func(u int64) int {
+// BindSource implements Owner: store.SourceMap(nL) bound to r for
+// OwnerBySource, recognised by code pointer, and nil for any other
+// function, a nil one included.
+func (f OwnerFunc) BindSource(r int, nL int64) func(u int64) int {
 	if !f.isBySource() {
 		return nil
 	}
-	return func(u int64) int { return store.BySource(u, 0, r) }
+	m := store.SourceMap(nL)
+	return func(u int64) int { return m(u, 0, r) }
 }
 
 // isBySource reports whether f is OwnerBySource itself.
@@ -60,9 +64,13 @@ func (f OwnerFunc) isBySource() bool {
 // internal/store: it is store.BySource, the map's one definition, the sum
 // mod r of the Fibonacci hashes of the source's set bits, each reduced by
 // its high bits, so that every rank owns 1/r of the arcs but for the hubs'
-// share. The sum adds over disjoint bits, which is what lets a rank look
-// its rows of a sweep up rather than ask about each (ownedRows). It must
-// be passed as is, not wrapped in another function.
+// share. The engine places by it bound to the plan's innermost factor
+// (BindSource: store.SourceMap, which pads the innermost digit to a power
+// of two), so that the map adds over that digit and a rank looks its rows
+// of a sweep up rather than ask about each (ownedRows). Calling
+// OwnerBySource(u, v, r) directly gives the placement exactly when the
+// innermost factor's vertex count is a power of two, where the padding is
+// the identity. It must be passed as is, not wrapped in another function.
 var OwnerBySource OwnerFunc = store.BySource
 
 // ownerBySourcePC is OwnerBySource's code pointer, what recognition
@@ -72,21 +80,21 @@ var ownerBySourcePC = reflect.ValueOf(OwnerBySource).Pointer()
 
 // BlockOwner assigns contiguous source-vertex blocks of size ⌈NC/r⌉ —
 // the layout a CSR-partitioned distributed graph store would use. The
-// block size is fixed once per attempt, and a rank copies nothing for a
-// sweep its block covers and steps over one it has no row of. Its rows are
-// picked one by one (ownedRows): a block map does not add over bits.
+// block size is fixed once per attempt; a rank's rows of a sweep are one
+// contiguous range of the innermost factor, so its pick is a subslice of
+// the factor's arcs (ownedRows), empty for a sweep it has no row of.
 type BlockOwner struct {
 	NC int64 // product vertex count n_A·n_B; at least 1
 }
 
-// BindSource implements Owner. It answers nil for NC < 1, which has no
-// blocks, so that RunCluster refuses the owner by name before any sink is
-// opened.
-func (o BlockOwner) BindSource(r int) func(u int64) int {
+// BindSource implements Owner; a block map reads no factor, so nL is
+// unused. It answers nil for NC < 1, which has no blocks, so that
+// RunCluster refuses the owner by name before any sink is opened.
+func (o BlockOwner) BindSource(r int, _ int64) func(u int64) int {
 	if o.NC < 1 {
 		return nil
 	}
-	per := (o.NC + int64(r) - 1) / int64(r)
+	per := o.per(r)
 	last := r - 1
 	return func(u int64) int {
 		d := int(u / per)
@@ -97,5 +105,45 @@ func (o BlockOwner) BindSource(r int) func(u int64) int {
 	}
 }
 
+// per is the block size at r ranks, ⌈NC/r⌉.
+func (o BlockOwner) per(r int) int64 { return (o.NC + int64(r) - 1) / int64(r) }
+
 // OwnerByBlock returns BlockOwner{NC: nC}.
 func OwnerByBlock(nC int64) BlockOwner { return BlockOwner{NC: nC} }
+
+// sourceForm is the owner's source form for a run of plan: OwnerBySource
+// bound to the plan's R and to n_L, the vertex count of its tiles'
+// innermost factor — read from the tiles, which the walk reads, and not
+// from Plan.Dims — or a BlockOwner's blocks. Any other owner is refused by
+// name, and so, under OwnerBySource, is a plan whose tiles' innermost
+// factors differ in vertex count: one n_L binds the map. A nil owner has
+// no form.
+func sourceForm(owner Owner, plan Plan) (func(u int64) int, error) {
+	switch o := owner.(type) {
+	case nil:
+		return nil, nil
+	case OwnerFunc:
+		if !o.isBySource() {
+			break
+		}
+		var nL int64 // 0 until a tile names it; a plan with none binds to 1
+		for _, ts := range plan.Tiles {
+			for _, t := range ts {
+				if len(t.Tail) == 0 {
+					return nil, fmt.Errorf("dist: tile %d has no tail factor", t.ID)
+				}
+				n := t.Tail[len(t.Tail)-1].NumVertices()
+				if nL != 0 && n != nL {
+					return nil, fmt.Errorf("dist: OwnerBySource binds one innermost factor size: the plan's tiles' innermost factors have %d and %d vertices", nL, n)
+				}
+				nL = n
+			}
+		}
+		return o.BindSource(plan.R, nL), nil
+	case BlockOwner:
+		if f := o.BindSource(plan.R, 0); f != nil {
+			return f, nil
+		}
+	}
+	return nil, fmt.Errorf("dist: owner %T is neither OwnerBySource nor a BlockOwner with blocks: the engine places by those source maps alone", owner)
+}

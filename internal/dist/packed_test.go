@@ -27,17 +27,17 @@ func sparseFactor(n int64) *graph.Graph {
 	return mustGraph(n, arcs)
 }
 
-// shares is what each of r ranks must hold of serial: under owner the arcs
+// shares is what each of plan's ranks must hold of serial: under owner the arcs
 // whose source it owns, in order; with no owner all of them, on rank 0 —
 // the ranks' outputs concatenated in rank order, which a 1D plan makes the
 // serial order.
-func shares(serial []graph.Edge, owner Owner, r int) [][]graph.Edge {
-	out := make([][]graph.Edge, r)
+func shares(serial []graph.Edge, owner Owner, plan Plan) [][]graph.Edge {
+	out := make([][]graph.Edge, plan.R)
 	if owner == nil {
 		out[0] = serial
 		return out
 	}
-	bySource := owner.BindSource(r)
+	bySource := placer(owner, plan)
 	for _, e := range serial {
 		out[bySource(e.U)] = append(out[bySource(e.U)], e)
 	}
@@ -86,7 +86,7 @@ func TestProductsAroundPackedIDs(t *testing.T) {
 				t.Fatalf("the last arc is %v, want (%d, %d)", last, top, top)
 			}
 			for _, owner := range []Owner{nil, OwnerBySource} {
-				want := shares(serial, owner, r)
+				want := shares(serial, owner, plan)
 				for _, batch := range []int{3, DefaultBatchSize} {
 					cell := fmt.Sprintf("owner %v batch %d", owner != nil, batch)
 					cfg := Config{Plan: plan, Owner: owner, BatchSize: batch}
@@ -142,14 +142,16 @@ func TestProductsAroundPackedIDs(t *testing.T) {
 
 // TestHandBuiltPlanFormFromTiles runs plans built by hand, as a caller that
 // builds or rebalances a Plan may, with NC left at 0 or set too small: the
-// walk's form must follow the ids the tiles expand to, not NC. Each of
-// TestProductsAroundPackedIDs' products is run from its R = 1 tile, and
-// both at once on two ranks — one tile whose ids fit 32 bits and one whose
-// do not, so the plan is walked wide — with no owner and under
-// OwnerBySource; every rank's output is held arc for arc to its share of
-// Chain.Arcs.
+// walk's form must follow the ids the tiles expand to, not NC. Two
+// products are each run from their R = 1 tile, and both at once on two
+// ranks — one tile whose ids fit 32 bits and one whose do not, so the plan
+// is walked wide — with no owner and under OwnerBySource; every rank's
+// output is held arc for arc to its share of Chain.Arcs. They are
+// TestProductsAroundPackedIDs' exact product, 2³² vertices, and a wide one
+// of 2³³ + 2¹⁶ on the same innermost factor size, which OwnerBySource binds
+// its map to (sourceForm).
 func TestHandBuiltPlanFormFromTiles(t *testing.T) {
-	wide, exact := mustChain(sparseFactor(1<<17), sparseFactor(1<<16+1)), mustChain(sparseFactor(1<<16), sparseFactor(1<<16))
+	wide, exact := mustChain(sparseFactor(1<<17+1), sparseFactor(1<<16)), mustChain(sparseFactor(1<<16), sparseFactor(1<<16))
 	tile := func(ch *core.Chain, id int) Tile {
 		plan, err := PlanChain1D(ch, 1)
 		if err != nil {
@@ -179,7 +181,7 @@ func TestHandBuiltPlanFormFromTiles(t *testing.T) {
 			for _, owner := range []Owner{nil, OwnerBySource} {
 				want := c.serial
 				if owner != nil {
-					want = shares(slices.Concat(c.serial...), owner, r)
+					want = shares(slices.Concat(c.serial...), owner, c.plan)
 				}
 				mem := NewMemorySink(r)
 				if _, err := Run(context.Background(), Config{Plan: c.plan, Owner: owner, Sink: mem, BatchSize: 3}); err != nil {
@@ -272,7 +274,7 @@ func TestFenceWidensForWideSinks(t *testing.T) {
 		}
 		victim := r - 1
 		for _, owner := range []Owner{nil, OwnerBySource} {
-			want := shares(serial, owner, r)
+			want := shares(serial, owner, plan)
 			run := func(shape string, faults *FaultPlan) (*wideSink, Stats, error) {
 				sink := &wideSink{shape: shape, got: make([][]graph.Edge, r), sizes: make([][]int, r)}
 				var st Stats

@@ -46,6 +46,16 @@ func splitTiles(head *graph.Graph, tail []*graph.Graph, tiles int) []tileWork {
 	return out
 }
 
+// workPlan is work as a plan of r ranks, its tiles on rank 0: what an owner
+// is bound to for a walk of work (placer).
+func workPlan(work []tileWork, r int) Plan {
+	tiles := make([][]Tile, r)
+	for _, w := range work {
+		tiles[0] = append(tiles[0], Tile{ID: w.tile, AArcs: w.aArcs, Tail: w.tail})
+	}
+	return Plan{R: r, Tiles: tiles}
+}
+
 // walkOwned drives one rank's owner-side walk over whole tiles the way the
 // engine's walk.tiles does, a sweep at a time (step).
 func walkOwned[B graph.Edge | uint64](o *walk[B], work []tileWork, emit func(tile int, block []B) bool) bool {
@@ -106,8 +116,7 @@ func placedBy[B graph.Edge | uint64](t *testing.T, w *walk[B], work []tileWork, 
 // step between the rows and gives the innermost factor isolated vertices.
 // The owners are the package's two source maps, OwnerBySource — whose
 // ranks share one set of class partitions, as an attempt's do, and look
-// their picks up (every innermost factor here has a power-of-two vertex
-// count) — and OwnerByBlock. (The test is named for the per-edge exchange's router, which
+// their picks up — and OwnerByBlock, whose ranks pick a range. (The test is named for the per-edge exchange's router, which
 // it held to the same reference until placing moved to the owner.)
 func TestRouteRunsEquivalence(t *testing.T) {
 	a := gen.MustRMAT(gen.Graph500Params(4, 431))
@@ -133,10 +142,10 @@ func TestRouteRunsEquivalence(t *testing.T) {
 		for _, chunk := range []int{7, 64} {
 			for _, o := range owners {
 				for _, r := range []int{1, 2, 3, 16} {
-					owner := o.owner.BindSource(r)
+					owner := placer(o.owner, workPlan(sh.work, r))
 					// A walk's partitions are in its blocks' form (an attempt's
-					// ranks share one form), so each form gets its own.
-					classes, packedClasses := newClassPicks[graph.Edge](o.owner, owner, r), newClassPicks[uint64](o.owner, owner, r)
+					// ranks share one form), so each form gets its own placing.
+					wides, packeds := newPlacing[graph.Edge](o.owner, owner, r), newPlacing[uint64](o.owner, owner, r)
 					want := make([]placedArcs, r)
 					var scratch []graph.Edge
 					for _, w := range sh.work {
@@ -158,11 +167,9 @@ func TestRouteRunsEquivalence(t *testing.T) {
 					for _, batch := range []int{1, 3, 5, 7, 64, DefaultBatchSize} {
 						t.Run(fmt.Sprintf("%s%s_chunk%d_r%d_batch%d", sh.name, o.name, chunk, r, batch), func(t *testing.T) {
 							for rank := range want {
-								wide := ownedRows[graph.Edge]{owner: owner, rank: rank, batch: batch, classes: classes}
-								packed := ownedRows[uint64]{owner: owner, rank: rank, batch: batch, classes: packedClasses}
 								for form, got := range map[string]placedArcs{
-									"wide":   placedBy(t, ownedWalk(wide, &wideForm), sh.work, appendEdges),
-									"packed": placedBy(t, ownedWalk(packed, &packedForm), sh.work, widen),
+									"wide":   placedBy(t, ownedWalk(wides.rows(rank, batch), &wideForm), sh.work, appendEdges),
+									"packed": placedBy(t, ownedWalk(packeds.rows(rank, batch), &packedForm), sh.work, widen),
 								} {
 									if !reflect.DeepEqual(got, want[rank]) {
 										t.Fatalf("rank %d, %s blocks: %d arcs placed, the per-edge reference %d; the sequences differ", rank, form, len(got.arcs), len(want[rank].arcs))
@@ -189,20 +196,25 @@ func byEdgeHash(u, v int64, r int) int {
 }
 
 // TestSourceOwnerContract: the source form of each source map in the
-// package answers in [0, r) at every r — OwnerBySource's what calling
-// OwnerBySource answers, whatever the target. (TestBlockOwnerFormsAgree
-// holds OwnerByBlock to BlockOwner.)
+// package answers in [0, r) at every r and every innermost factor size —
+// OwnerBySource's what store.SourceMap of that size answers, which is what
+// calling OwnerBySource answers, whatever the target, where the size is a
+// power of two. (TestBlockOwnerFormsAgree holds OwnerByBlock to
+// BlockOwner.)
 func TestSourceOwnerContract(t *testing.T) {
 	const nC = int64(1) << 20
 	rng := rand.New(rand.NewSource(441))
 	for _, o := range []Owner{BlockOwner{NC: nC}, OwnerBySource} {
-		for r := 1; r <= 64; r++ {
-			bySource := o.BindSource(r)
-			for i := 0; i < 500; i++ {
-				u, v := rng.Int63n(nC), rng.Int63n(nC)
-				s := bySource(u)
-				if f, ok := o.(OwnerFunc); s < 0 || s >= r || ok && f(u, v, r) != s {
-					t.Fatalf("%T r=%d (%d,%d): the source form says %d", o, r, u, v, s)
+		for _, nL := range []int64{1 << 10, 1000} {
+			for r := 1; r <= 64; r++ {
+				bySource := o.BindSource(r, nL)
+				for i := 0; i < 500; i++ {
+					u, v := rng.Int63n(nC), rng.Int63n(nC)
+					s := bySource(u)
+					f, ok := o.(OwnerFunc)
+					if s < 0 || s >= r || ok && store.SourceMap(nL)(u, v, r) != s || ok && nL == 1<<10 && f(u, v, r) != s {
+						t.Fatalf("%T nL=%d r=%d (%d,%d): the source form says %d", o, nL, r, u, v, s)
+					}
 				}
 			}
 		}
@@ -214,12 +226,12 @@ func TestSourceOwnerContract(t *testing.T) {
 // closure with the same body, a map of both endpoints and a nil OwnerFunc
 // have none (and so are refused: TestRunRefusesOwnerWithoutForm).
 func TestOwnerBySourceRecognition(t *testing.T) {
-	if OwnerBySource.BindSource(1) == nil {
+	if OwnerBySource.BindSource(1, 1) == nil {
 		t.Fatal("OwnerBySource was not recognised as source-keyed")
 	}
 	rng := rand.New(rand.NewSource(442))
 	for _, r := range []int{1, 2, 3, 7, 16} {
-		bySource := OwnerBySource.BindSource(r)
+		bySource := OwnerBySource.BindSource(r, 1<<20) // a power of two: the padding is the identity
 		for i := 0; i < 2000; i++ {
 			u, v := rng.Int63(), rng.Int63()
 			if got, want := bySource(u), OwnerBySource(u, v, r); got != want {
@@ -229,7 +241,7 @@ func TestOwnerBySourceRecognition(t *testing.T) {
 	}
 	var typedNil OwnerFunc
 	for name, f := range map[string]OwnerFunc{"sameBody": sameBody, "byEdge": byEdgeHash, "nil": typedNil} {
-		if f.BindSource(3) != nil {
+		if f.BindSource(3, 1) != nil {
 			t.Fatalf("%s: an opaque OwnerFunc was taken for source-keyed", name)
 		}
 	}
@@ -238,7 +250,14 @@ func TestOwnerBySourceRecognition(t *testing.T) {
 // targetOwner answers BindSource with nil: it claims to read the target.
 type targetOwner struct{}
 
-func (targetOwner) BindSource(int) func(u int64) int { return nil }
+func (targetOwner) BindSource(int, int64) func(u int64) int { return nil }
+
+// rankZero is a custom owner whose source form works — every source on
+// rank 0 — and which the engine refuses by its type all the same: it
+// places by OwnerBySource and BlockOwner alone.
+type rankZero struct{}
+
+func (rankZero) BindSource(int, int64) func(u int64) int { return func(int64) int { return 0 } }
 
 // rankCalls is a CountSink that counts its Rank calls.
 type rankCalls struct {
@@ -251,11 +270,12 @@ func (s *rankCalls) Rank(rk *Rank) (RankSink, error) {
 	return s.CountSink.Rank(rk)
 }
 
-// TestRunRefusesOwnerWithoutForm: an owner without a source form — a nil
-// OwnerFunc, a closure with OwnerBySource's body, a map of both endpoints,
-// a BlockOwner with no blocks (NC < 1), or any other type that answers nil
-// — is refused by name before a sink is opened, by Run, by a one-process
-// RunCluster with a run ledger and by GenerateChain.
+// TestRunRefusesOwnerWithoutForm: any owner but OwnerBySource and a
+// BlockOwner with blocks — a nil OwnerFunc, a closure with OwnerBySource's
+// body, a map of both endpoints, a BlockOwner with no blocks (NC < 1), a
+// type that answers BindSource with nil, and a named type whose source
+// form works — is refused by name before a sink is opened, by Run, by a
+// one-process RunCluster with a run ledger and by GenerateChain.
 func TestRunRefusesOwnerWithoutForm(t *testing.T) {
 	ch := mustChain(gen.ER(5, 0.5, 445))
 	const r = 2
@@ -269,6 +289,7 @@ func TestRunRefusesOwnerWithoutForm(t *testing.T) {
 		"sameBody":    OwnerFunc(sameBody),
 		"byEdge":      OwnerFunc(byEdgeHash),
 		"targetOwner": targetOwner{},
+		"rankZero":    rankZero{},
 		// No blocks: a block size of 0 divided the first pick by zero.
 		"zeroBlock":     BlockOwner{},
 		"negativeBlock": BlockOwner{NC: -1},
@@ -298,6 +319,46 @@ func TestRunRefusesOwnerWithoutForm(t *testing.T) {
 			if n := sink.n.Load(); n != 0 {
 				t.Errorf("%s with %s: the sink was asked for %d ranks before the refusal", pname, oname, n)
 			}
+		}
+	}
+}
+
+// TestRunRefusesMixedInnerSizes: OwnerBySource binds its map to one
+// innermost factor size, so a plan built by hand whose tiles' innermost
+// factors differ in vertex count is refused under it before a sink is
+// opened, by Run and by a one-process RunCluster with a run ledger; under a
+// BlockOwner, which reads no factor, and with no owner the plan runs whole.
+func TestRunRefusesMixedInnerSizes(t *testing.T) {
+	head := gen.ER(4, 0.7, 447)
+	tile := func(id int, inner *graph.Graph) Tile {
+		return Tile{ID: id, AArcs: head.ArcSlice(), Tail: []*graph.Graph{inner}}
+	}
+	five, six := gen.ER(5, 0.6, 448), gen.ER(6, 0.6, 449)
+	plan := Plan{R: 2, NC: 4 * 6, Tiles: [][]Tile{{tile(0, five)}, {tile(1, six)}}}
+	want := head.NumArcs() * (five.NumArcs() + six.NumArcs())
+	for _, o := range []Owner{nil, BlockOwner{NC: plan.NC}} {
+		sink := &CountSink{}
+		if _, err := Run(context.Background(), Config{Plan: plan, Owner: o, Sink: sink}); err != nil || sink.Total() != want {
+			t.Fatalf("%T: %v, %d arcs stored, want %d", o, err, sink.Total(), want)
+		}
+	}
+	for name, run := range map[string]func(Sink) error{
+		"Run": func(s Sink) error {
+			_, err := Run(context.Background(), Config{Plan: plan, Owner: OwnerBySource, Sink: s})
+			return err
+		},
+		"RunClusterLedger": func(s Sink) error {
+			cc := ClusterConfig{Procs: []transport.Proc{{Hi: plan.R}}, LedgerPath: t.TempDir() + "/ledger"}
+			_, err := RunCluster(context.Background(), cc, Config{Plan: plan, Owner: OwnerBySource, Sink: s})
+			return err
+		},
+	} {
+		sink := &rankCalls{}
+		if err := run(sink); err == nil || !strings.Contains(err.Error(), "innermost") {
+			t.Errorf("%s: got %v, want a refusal naming the innermost factors", name, err)
+		}
+		if n := sink.n.Load(); n != 0 {
+			t.Errorf("%s: the sink was asked for %d ranks before the refusal", name, n)
 		}
 	}
 }
@@ -356,7 +417,7 @@ func TestOwnerMapsRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(454))
 	ends := []int64{0, 1, 1<<31 - 1, 1 << 32, 1 << 62, math.MaxInt64 - 1, math.MaxInt64}
 	for _, r := range []int{1, 2, 3, 7, 16, 9999} {
-		bound := OwnerBySource.BindSource(r)
+		bound := OwnerBySource.BindSource(r, 1) // no padding: the map itself
 		for i := 0; i < 2000+len(ends); i++ {
 			u, v := rng.Int63(), rng.Int63()
 			if i < len(ends) {

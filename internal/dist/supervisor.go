@@ -266,6 +266,10 @@ type rankHost struct {
 	packed bool              // the plan's ids fit 32 bits: walk in packed blocks (packedIDs)
 	sinks  []*fencedRankSink // local ranks, indexed rank-lo
 
+	// bySource is the owner's source form for the plan (sourceForm), bound
+	// once; nil with no owner.
+	bySource func(u int64) int
+
 	// cum is this process's cumulative per-(rank, tile) stored prefixes
 	// across all attempts — the floor under every fence it is asked to
 	// arm, and the durable truth a cluster worker announces in its join
@@ -288,6 +292,10 @@ type rankHost struct {
 }
 
 func newRankHost(cc ClusterConfig, cfg Config) (*rankHost, error) {
+	bySource, err := sourceForm(cfg.Owner, cfg.Plan)
+	if err != nil {
+		return nil, err
+	}
 	p := cc.Procs[cc.Self]
 	c, err := newCluster(cfg.Plan.R, p.Lo, p.Hi)
 	if err != nil {
@@ -296,7 +304,7 @@ func newRankHost(cc ClusterConfig, cfg Config) (*rankHost, error) {
 	if cfg.Faults != nil {
 		c.faults = newFaultState(*cfg.Faults)
 	}
-	h := &rankHost{cfg: cfg, cc: cc, lo: p.Lo, hi: p.Hi, local: c}
+	h := &rankHost{cfg: cfg, cc: cc, lo: p.Lo, hi: p.Hi, local: c, bySource: bySource}
 	if len(cc.Procs) > 1 || cc.LedgerPath != "" {
 		h.planHash = PlanHash(cfg.Plan)
 	}
@@ -398,15 +406,17 @@ func (h *rankHost) attempt(ctx context.Context, epoch int64, ids map[int][]int, 
 	perGen := make([]int64, r)
 	perStored := make([]int64, r)
 	if h.packed {
-		err = runAttempt(ctx, c, &packedForm, h.cfg.Owner, assigned, h.sinkFor, perGen, perStored, h.cfg.batchSize())
+		err = runAttempt(ctx, c, &packedForm, h.cfg.Owner, h.bySource, assigned, h.sinkFor, perGen, perStored, h.cfg.batchSize())
 	} else {
-		err = runAttempt(ctx, c, &wideForm, h.cfg.Owner, assigned, h.sinkFor, perGen, perStored, h.cfg.batchSize())
+		err = runAttempt(ctx, c, &wideForm, h.cfg.Owner, h.bySource, assigned, h.sinkFor, perGen, perStored, h.cfg.batchSize())
 	}
 	st := c.Stats()
 
 	rep.Stored = make(map[int]map[int]int64, len(h.sinks))
 	rep.Gen = make(map[int]int64, len(h.sinks))
 	rep.StoredN = make(map[int]int64, len(h.sinks))
+	// The placing counters are one count per pick and the arcs copied into
+	// OwnerBySource's classes, under every owner (Stats).
 	rep.Traffic = trafficStats{
 		Generated:  st.EdgesGenerated,
 		RowsTested: st.OwnerRowsTested, Compacted: st.ArcsCompacted,

@@ -57,8 +57,11 @@ import (
 // source owner map changed again (store.BySource sums the Fibonacci hashes
 // of the source's set bits, so that it adds over disjoint bits), with
 // version 4's posture: a v5 peer would place every source the old way and
-// nothing on the wire would show it.
-const Version = 6
+// nothing on the wire would show it. Version 7: the engine binds the source
+// map to the plan's innermost factor, padding its digit to a power of two
+// (store.SourceMap), so every chain whose innermost vertex count is not a
+// power of two places anew — the same posture again.
+const Version = 7
 
 // Magic opens every frame — a cheap desynchronization tripwire: if a
 // torn or corrupt frame shifts the stream, the next header read fails

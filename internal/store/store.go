@@ -5,12 +5,16 @@
 // directory with a small text manifest and S binary shard files of raw
 // little-endian (u, v) int64 pairs; edges are routed to shards by a
 // pluggable shard function, mirroring the owner maps of internal/dist.
+// A product's arcs are placed by SourceMap, BySource of the source with its
+// innermost digit padded to a power of two, so that a serial writer and a
+// distributed run of one chain put every arc in the same shard.
 // Placement is the writer's business alone: Open, Iter, IterShard,
 // LoadGraph and Recover walk shards by index and never ask which shard a
-// vertex belongs to, so the manifest does not name the map, and a store
-// placed by another one — BySource as it was before it kept the hash's
-// high bits, or before it added over the source's bits, say — reads back
-// the same.
+// vertex belongs to, so the manifest names neither the map nor the
+// innermost factor's size, and a store placed by another map — BySource as
+// it was before it kept the hash's high bits, before it added over the
+// source's bits, or before the innermost digit was padded, say — reads
+// back the same.
 //
 // Layout:
 //
@@ -64,11 +68,9 @@ type ShardFunc func(u, v int64, s int) int
 // Every single-bit id places where the retired map (the Fibonacci hash of
 // the whole source) placed it, and the map gains one identity: for sources
 // x and y with no bit in common, BySource(x|y) = (BySource(x) + BySource(y))
-// mod s. A product vertex is s0 + u with s0 a multiple of the innermost
-// factor's vertex count n_L, so where n_L is a power of two its owner is
-// owner(s0) plus owner(u), mod s: a rank's rows of every sweep are one of s
-// classes of the factor's rows, fixed once (dist's owner-side walk looks its
-// pick up instead of asking about every row).
+// mod s. A product vertex is s0 + x with s0 a multiple of the innermost
+// factor's vertex count n_L and x < n_L; where n_L is a power of two they
+// share no bit, and SourceMap pads n_L to one where it is not.
 //
 // The high bits are the point of each weight. A remainder keeps a
 // product's low bits, for a power-of-two s a permutation of u mod s, and
@@ -78,16 +80,43 @@ type ShardFunc func(u, v int64, s int) int
 // ranks holds ≤ 1.003 of the ideal share of RMAT(9)² and RMAT(10)² at
 // s ≤ 4, ≤ 1.011 at s = 16.
 // This is the one definition of the map; dist.OwnerBySource is this
-// function.
-func BySource(u, _ int64, s int) int {
+// function, and SourceMap binds it to a chain.
+func BySource(u, _ int64, s int) int { return bySource(uint64(u), s) }
+
+func bySource(u uint64, s int) int {
 	var sum uint64
-	for x := uint64(u); x != 0; x &= x - 1 {
+	for x := u; x != 0; x &= x - 1 {
 		hi, _ := bits.Mul64(0x9e3779b97f4a7c15<<bits.TrailingZeros64(x), uint64(s))
 		if sum += hi; sum >= uint64(s) {
 			sum -= uint64(s)
 		}
 	}
 	return int(sum)
+}
+
+// SourceMap returns the shard map of a product whose innermost factor has
+// nL vertices: BySource of the product vertex p with its innermost digit
+// padded to B, the least power of two ≥ nL,
+//
+//	SourceMap(nL)(p) = BySource(⌊p/nL⌋·B + p mod nL),
+//
+// computed in uint64, where no product id's padded form overflows. The
+// padded digit and the rest share no bit, so for every h ≥ 0 and x < nL
+// the map adds over the innermost digit: m(h·nL + x) = m(h·nL) + m(x) mod s
+// — a rank's rows of every sweep are one of s classes of the factor's
+// rows, fixed once (dist's owner-side walk looks its pick up instead of
+// asking about every row). Where nL is a power of two (and for nL ≤ 1) the
+// padding is the identity and the map is BySource itself.
+func SourceMap(nL int64) ShardFunc {
+	n := uint64(max(nL, 1))
+	b := uint64(1) << bits.Len64(n-1)
+	if b == n {
+		return BySource
+	}
+	return func(u, _ int64, s int) int {
+		p := uint64(u)
+		return bySource(p/n*b+p%n, s)
+	}
 }
 
 const manifestName = "MANIFEST"
@@ -106,7 +135,9 @@ type Writer struct {
 }
 
 // NewWriter creates (or truncates) a store under dir for a graph on n
-// vertices with the given shard count. shard may be nil (BySource).
+// vertices with the given shard count. shard may be nil (BySource); a
+// product's writer passes SourceMap of its innermost factor's size, the
+// map a distributed run of the same chain places by.
 func NewWriter(dir string, n int64, shards int, shard ShardFunc) (*Writer, error) {
 	if shards < 1 || shards > 9999 {
 		return nil, fmt.Errorf("store: shard count %d out of range [1,9999]", shards)

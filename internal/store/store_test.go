@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"os"
 	"path/filepath"
@@ -338,6 +339,42 @@ func FuzzBySourceAdditive(f *testing.F) {
 		one := int64(1) << (bit % 64)
 		if got, want := BySource(one, 0, s), fibonacci(one, s); got != want {
 			t.Fatalf("s=%d: BySource(1<<%d) = %d, the Fibonacci map's %d", s, bit%64, got, want)
+		}
+	})
+}
+
+// FuzzSourceMapAdditive pins SourceMap's contract at any nL ≥ 1, s ≥ 1:
+// for every h ≥ 0 and x < nL, m(h·nL + x) = m(h·nL) + m(x) mod s — what
+// dist's owner-side walk looks every sweep's pick up by, whatever the
+// innermost factor's size — every answer is in [0, s), and where nL is a
+// power of two m is BySource itself.
+func FuzzSourceMapAdditive(f *testing.F) {
+	f.Add(int64(1), int64(0), int64(0), 1, int64(5))
+	f.Add(int64(10), int64(123), int64(9), 4, int64(7))
+	f.Add(int64(6301), int64(6300), int64(17), 256, int64(1)<<40)
+	f.Add(int64(1)<<20, int64(1)<<40, int64(12345), 3, int64(-1))
+	f.Add(int64(1)<<62+1, int64(1), int64(1)<<62, 16, int64(1)<<62)
+	f.Fuzz(func(t *testing.T, nL, h, x int64, s int, u int64) {
+		nL = max(nL&math.MaxInt64, 1)
+		h, x, u = h&math.MaxInt64, (x&math.MaxInt64)%nL, u&math.MaxInt64
+		if s < 1 {
+			s = 1 - s%(1<<40) // any s ≥ 1, without wrapping at the negative end
+		}
+		h = min(h, (math.MaxInt64-x)/nL) // h·nL + x is an int64
+		m := SourceMap(nL)
+		base, low, sum := m(h*nL, 0, s), m(x, 0, s), m(h*nL+x, 0, s)
+		for _, b := range []int{base, low, sum} {
+			if b < 0 || b >= s {
+				t.Fatalf("nL=%d s=%d: an answer %d out of [0, %d)", nL, s, b, s)
+			}
+		}
+		if want := (uint64(base) + uint64(low)) % uint64(s); uint64(sum) != want {
+			t.Fatalf("nL=%d s=%d h=%d x=%d: m(h·nL + x) = %d, m(h·nL) + m(x) mod s = %d", nL, s, h, x, sum, want)
+		}
+		if nL&(nL-1) == 0 {
+			if got, want := m(u, 0, s), BySource(u, 0, s); got != want {
+				t.Fatalf("nL=%d s=%d: m(%d) = %d, BySource %d", nL, s, u, got, want)
+			}
 		}
 	})
 }
