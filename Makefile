@@ -101,9 +101,13 @@ cluster-smoke:
 # no more than three times the same walk at R = 1 and no more than 3.5
 # times the bare expansion (the expand row, ExpandNextPacked), with 0 allocs/op
 # on every row but engine. The product's ids fit 32 bits, so every row is in
-# packed blocks, as the engine walks it: the walk and the cursor run one
-# kernel body on every host (core.ExpandPackedTo), so ownerSide / expand is
-# the walk's whole cost of placing.
+# packed blocks, as the engine walks it: the walk and the cursor read the
+# factor in one layout through one primitive (core.ExpandSourceTo: narrow
+# where the probe found AVX-512, packed elsewhere), so ownerSide / expand is
+# the walk's whole cost of placing. The ungated expandPacked row is expand's
+# loop over the factor's packed arcs: the summary prints expand /
+# expandPacked (what the narrow source saves; 1 off AVX-512) beside the
+# kernel tier the expand row logs.
 # ownerSide's innermost factor has 128 vertices; ownerSideOdd is the same
 # arcs on 129 vertices, where OwnerBySource's map pads the innermost digit
 # to 256, and it now runs the same class pick, held to the same ≤ 3.5 ×
@@ -145,12 +149,14 @@ bench-route:
 		/^BenchmarkRoute\/ownerSideOne(-[0-9]+)?[ \t]/ { one = ns } \
 		/^BenchmarkRoute\/ownerSideOdd(-[0-9]+)?[ \t]/ { odd = ns; oddskew = skew } \
 		/^BenchmarkRoute\/ownerSideBlock(-[0-9]+)?[ \t]/ { blk = ns } \
-		/^BenchmarkRoute\/expand/ { bare = ns } \
+		/^BenchmarkRoute\/expand(-[0-9]+)?[ \t]/ { bare = ns } \
+		/^BenchmarkRoute\/expandPacked(-[0-9]+)?[ \t]/ { pk = ns } \
+		/core\.Kernel\(\) = / { kern = $$NF } \
 		/^BenchmarkRoute\/engine/ { eng = ns } \
 		END { \
 			if (own == "" || one == "" || odd == "" || bare == "" || eng == "" || ownskew == "" || oddskew == "" || bad || own + 0 > 3 * one || own + 0 > 3.5 * bare || ownskew + 0 > 1.10 || odd + 0 > 3.5 * bare || oddskew + 0 > 1.10 || eng + 0 > 2 * bare) { \
 				print "bench-route: FAIL — rows missing, a row other than engine allocates, ownerSide costs more than 3 × ownerSideOne or than 3.5 × expand, ownerSideOdd more than 3.5 × expand, the skew of either is over 1.10, or engine costs more than 2 × expand"; exit 1 } \
-			printf "bench-route: ownerSide / ownerSideOne = %.2f, ownerSide / expand = %.2f, ownerSide skew = %.3f, ownerSideOdd / expand = %.2f, ownerSideOdd skew = %.3f, ownerSideBlock / expand = %.2f, engine / expand = %.2f\n", own / one, own / bare, ownskew, odd / bare, oddskew, blk / bare, eng / bare }'
+			printf "bench-route: ownerSide / ownerSideOne = %.2f, ownerSide / expand = %.2f, ownerSide skew = %.3f, ownerSideOdd / expand = %.2f, ownerSideOdd skew = %.3f, ownerSideBlock / expand = %.2f, engine / expand = %.2f, expand / expandPacked = %.2f, kernel %s\n", own / one, own / bare, ownskew, odd / bare, oddskew, blk / bare, eng / bare, bare / pk, kern }'
 
 # Allocation regression guard on the end-to-end generation benchmarks:
 # fails when allocs/op exceeds the committed allocguard_baseline.txt by

@@ -334,14 +334,15 @@ func (c *Chain) Materialize() (*graph.Graph, error) {
 //
 // ExpandNext appends into a caller-owned scratch buffer, NextSweep hands
 // out index windows of the innermost factor's shared ArcSlice, and the
-// cursor itself allocates only at construction (the packed copy Packed
-// may build is the factor's, once per graph), so expansion is
+// cursor itself allocates only at construction (where it resolves the
+// innermost factor's Source for ExpandNextPacked, whose narrow or packed
+// copy is the factor's, built once per graph), so expansion is
 // allocation-free per arc. Over a single factor the odometer is empty
 // and the cursor is a position in that factor's ArcSlice: the k = 2
 // product needs no kernel of its own.
 type TailCursor struct {
 	arcs     [][]graph.Edge // per-factor CSR arc slices (shared; read-only)
-	inner    *graph.Graph   // the innermost factor, whose PackedArcs ExpandNextPacked sweeps
+	inner    Source[uint64] // the innermost factor as ExpandNextPacked reads it
 	strides  []int64        // vertex strides within the tail space
 	idx      []int          // odometer over arcs[0..m-2]
 	uPre     int64          // Σ_{d<m-1} arcs[d][idx[d]].U·strides[d]
@@ -361,7 +362,7 @@ func NewTailCursor(tail []*graph.Graph) *TailCursor {
 	}
 	tc := &TailCursor{
 		arcs:    make([][]graph.Edge, len(tail)),
-		inner:   tail[len(tail)-1],
+		inner:   SourceOf[uint64](tail[len(tail)-1]),
 		strides: make([]int64, len(tail)),
 		idx:     make([]int, len(tail)-1),
 		total:   1,
@@ -485,18 +486,17 @@ func (tc *TailCursor) ExpandNext(uBase, vBase int64, out []graph.Edge, max int) 
 // bits — the distributed engine's packed walk: it appends up to max product
 // arcs to out as graph.PackedArcs words, (uBase+tu) | (vBase+tv)<<32, in
 // ExpandNext's order. The caller promises every such id is below 2³².
-// Each sweep (or the part of it max admits) is one ExpandPackedTo call over
-// the innermost factor's PackedArcs with the base (uBase+uPre) |
-// (vBase+vPre)<<32, on every host: the source is half the bytes of the
-// wide walk's, and so is the block.
+// Each sweep (or the part of it max admits) is one ExpandSourceTo call over
+// the innermost factor's Source, resolved at NewTailCursor, with the base
+// (uBase+uPre) | (vBase+vPre)<<32: the block is half the bytes of the wide
+// walk's, and the source half (packed) or a quarter (narrow).
 func (tc *TailCursor) ExpandNextPacked(uBase, vBase int64, out []uint64, max int) []uint64 {
-	packed := tc.inner.PackedArcs()
 	for len(out) < max {
 		lo, hi, uPre, vPre := tc.NextSweep(int64(max - len(out)))
 		if lo == hi {
 			break
 		}
-		out = ExpandPackedTo(out, packed[lo:hi], uint64(uBase+uPre)|uint64(vBase+vPre)<<32)
+		out = ExpandSourceTo(out, tc.inner.Slice(lo, hi), uint64(uBase+uPre)|uint64(vBase+vPre)<<32)
 	}
 	return out
 }

@@ -72,6 +72,102 @@ func ExpandPackedTo(out, run []uint64, base uint64) []uint64 {
 	return out
 }
 
+// ExpandNarrowTo is ExpandPackedTo over a graph.NarrowArcs run — each arc
+// u | v<<16, 4 bytes — with its append semantics and caller promise: it
+// appends (u | v<<32) + base to out for every arc of run, so out holds the
+// same words ExpandPackedTo makes of the factor's PackedArcs, from half the
+// bytes read. Where the start-up probe found AVX-512 the body is
+// addNarrowTo, 32 arcs per iteration of 512-bit VPMOVZXWD; elsewhere it is
+// addNarrowToGo, so it is correct on every host, but only an AVX-512 host
+// reads a factor narrow (SourceOf).
+func ExpandNarrowTo(out []uint64, run []uint32, base uint64) []uint64 {
+	n := len(out)
+	out = slices.Grow(out, len(run))[:n+len(run)]
+	if hasAVX512 {
+		addNarrowTo(out[n:], run, base)
+	} else {
+		addNarrowToGo(out[n:], run, base)
+	}
+	return out
+}
+
+// Source is an innermost factor's arcs, or a window of them, in the layout
+// a walk whose blocks are B reads: a wide walk (blocks of graph.Edge) the
+// factor's ArcSlice, a packed walk (blocks of graph.PackedArcs words) its
+// NarrowArcs or its PackedArcs, as SourceOf decides once per factor.
+// TailCursor.ExpandNextPacked and the distributed engine's owner-side picks
+// hold one, so a pick reads the layout the cursor reads.
+type Source[B graph.Edge | uint64] struct {
+	arcs   []B      // ArcSlice or PackedArcs; unused where narrow is set
+	narrow []uint32 // NarrowArcs, where the factor reads narrow; else nil
+}
+
+// SourceOf returns g's arcs as a walk with blocks of B reads them. For a
+// packed walk it is the one choice of layout: narrow (4 bytes an arc,
+// ExpandNarrowTo) where g has at most 2¹⁶ vertices and the probe found
+// AVX-512, packed (8 bytes, ExpandPackedTo) everywhere else. An AVX2 loop
+// over narrow arcs measured no faster than addPackedTo's (DESIGN §3a), so
+// an AVX2 or SSE2 host reads packed.
+func SourceOf[B graph.Edge | uint64](g *graph.Graph) Source[B] {
+	var s Source[B]
+	switch arcs := any(&s.arcs).(type) {
+	case *[]graph.Edge:
+		*arcs = g.ArcSlice()
+	case *[]uint64:
+		if hasAVX512 {
+			s.narrow = g.NarrowArcs()
+		}
+		if s.narrow == nil {
+			*arcs = g.PackedArcs()
+		}
+	}
+	return s
+}
+
+// Len returns the number of arcs in s, whichever of its slices holds them.
+func (s Source[B]) Len() int { return max(len(s.arcs), len(s.narrow)) }
+
+// Slice returns arcs [lo, hi) of s, in s's layout.
+func (s Source[B]) Slice(lo, hi int) Source[B] {
+	if s.narrow != nil {
+		return Source[B]{narrow: s.narrow[lo:hi]}
+	}
+	return Source[B]{arcs: s.arcs[lo:hi]}
+}
+
+// Arcs returns s in its blocks' own layout — a wide walk's ArcSlice window,
+// which ExpandRun reads — and nil where s is narrow.
+func (s Source[B]) Arcs() []B { return s.arcs }
+
+// Grouped returns a copy of s, a whole factor's arcs, with its rows
+// regrouped in s's layout: row u, the arcs at [off[u], off[u+1]), goes
+// whole and in order to group key[u], and group c starts at arc at[c].
+func (s Source[B]) Grouped(off []int64, key []int32, at []int) Source[B] {
+	if s.narrow != nil {
+		return Source[B]{narrow: grouped(s.narrow, off, key, at)}
+	}
+	return Source[B]{arcs: grouped(s.arcs, off, key, at)}
+}
+
+func grouped[T any](src []T, off []int64, key []int32, at []int) []T {
+	dst, next := make([]T, len(src)), slices.Clone(at)
+	for u, k := range key {
+		next[k] += copy(dst[next[k]:], src[off[u]:off[u+1]])
+	}
+	return dst
+}
+
+// ExpandSourceTo is the packed walk's primitive over a Source: it appends
+// every arc of run, in graph.PackedArcs' layout, plus base to out, through
+// ExpandNarrowTo or ExpandPackedTo as the source's layout is, with their
+// append semantics and caller promise.
+func ExpandSourceTo(out []uint64, run Source[uint64], base uint64) []uint64 {
+	if run.narrow != nil {
+		return ExpandNarrowTo(out, run.narrow, base)
+	}
+	return ExpandPackedTo(out, run.arcs, base)
+}
+
 // addEdgesGo writes dst[i] = (u0+src[i].U, v0+src[i].V) for every i; dst
 // must be at least as long as src. It is the portable body of ExpandRun —
 // one bounds check per run, no append in the loop — compiled on every
@@ -99,5 +195,15 @@ func addPackedToGo(dst, src []uint64, base uint64) {
 	dst = dst[:len(src)]
 	for i, p := range src {
 		dst[i] = p + base
+	}
+}
+
+// addNarrowToGo writes dst[i] = (u | v<<32) + base for every arc u | v<<16
+// of src: the portable body of ExpandNarrowTo and the reference its
+// assembly is tested against.
+func addNarrowToGo(dst []uint64, src []uint32, base uint64) {
+	dst = dst[:len(src)]
+	for i, p := range src {
+		dst[i] = (uint64(p&0xffff) | uint64(p>>16)<<32) + base
 	}
 }

@@ -22,13 +22,23 @@ func addPacked(dst []graph.Edge, src []uint64, u0, v0 int64)
 //go:noescape
 func addPackedTo(dst, src []uint64, base uint64)
 
+// addNarrowTo is addNarrowToGo in assembly: dst[i] = src[i] widened from
+// u | v<<16 to u | v<<32, plus base, 32 arcs per iteration of 512-bit
+// VPMOVZXWD and the remainder under one opmask. It runs only where
+// hasAVX512 is set; len(dst) ≥ len(src).
+//
+//go:noescape
+func addNarrowTo(dst []uint64, src []uint32, base uint64)
+
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax uint32)
 
 // hasAVX2 puts addEdges' and addPackedTo's 256-bit loops in front of their
 // SSE2 ones, and hasAVX512 gives ExpandPacked — the sinks' widening of
-// packed blocks — addPacked for its body. They are probed once, here, and
-// only tests set them afterwards: the machine picks the body, not a flag.
+// packed blocks — addPacked for its body and lets SourceOf read a factor of
+// at most 2¹⁶ vertices narrow, through addNarrowTo. They are probed once,
+// here, and only tests set them afterwards: the machine picks the body, not
+// a flag.
 var hasAVX2, hasAVX512 = probe()
 
 func probe() (avx2, avx512 bool) {
@@ -64,8 +74,9 @@ func avx512From(maxLeaf, leaf1ECX, xcr0, leaf7EBX uint32) bool {
 // "portable": rates from two hosts compare only next to it. Every walk runs
 // the loops of the widest tier up to AVX2 (addPackedTo for a product whose
 // ids fit 32 bits, addEdges for a larger one, and ExpandBlock); "avx512"
-// adds only addPacked, with which the sinks that take packed blocks widen
-// them.
+// adds addNarrowTo, which the packed walk runs over an innermost factor of
+// at most 2¹⁶ vertices (SourceOf), and addPacked, with which the sinks that
+// take packed blocks widen them.
 func Kernel() string {
 	switch {
 	case hasAVX512:

@@ -270,6 +270,71 @@ loopWord:
 wordsDone:
 	RET
 
+// func addNarrowTo(dst []uint64, src []uint32, base uint64)
+//
+// src is graph.NarrowArcs, u | v<<16: VPMOVZXWD widens an arc's halfwords
+// (u, v) into exactly one PackedArcs word u | v<<32, so with Z0 = base×8
+// eight arcs are a 32-byte load, VPADDQ Z0 and a 64-byte store — half the
+// bytes read an arc of addPackedTo's source, which in the engine's shape
+// streams from L2 and bounds the loop. Thirty-two arcs an iteration, then
+// eight at a time, then the remainder of fewer than eight as one load and
+// one store under the opmask K1 of its 2·n dwords: a masked-off element is
+// neither read (no fault past src[:len]) nor written. Runs only where
+// hasAVX512 is set.
+TEXT ·addNarrowTo(SB), NOSPLIT, $0-56
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         src_base+24(FP), SI
+	MOVQ         src_len+32(FP), CX
+	VPBROADCASTQ base+48(FP), Z0
+	CMPQ         CX, $32
+	JB           narrow8
+
+loop32:
+	VPMOVZXWD 0(SI), Z1
+	VPMOVZXWD 32(SI), Z2
+	VPMOVZXWD 64(SI), Z3
+	VPMOVZXWD 96(SI), Z4
+	VPADDQ    Z0, Z1, Z1
+	VPADDQ    Z0, Z2, Z2
+	VPADDQ    Z0, Z3, Z3
+	VPADDQ    Z0, Z4, Z4
+	VMOVDQU64 Z1, 0(DI)
+	VMOVDQU64 Z2, 64(DI)
+	VMOVDQU64 Z3, 128(DI)
+	VMOVDQU64 Z4, 192(DI)
+	ADDQ      $128, SI
+	ADDQ      $256, DI
+	SUBQ      $32, CX
+	CMPQ      CX, $32
+	JAE       loop32
+
+narrow8:
+	CMPQ      CX, $8
+	JB        narrowTail
+	VPMOVZXWD (SI), Z1
+	VPADDQ    Z0, Z1, Z1
+	VMOVDQU64 Z1, (DI)
+	ADDQ      $32, SI
+	ADDQ      $64, DI
+	SUBQ      $8, CX
+	JMP       narrow8
+
+narrowTail:
+	TESTQ       CX, CX
+	JZ          narrowDone
+	ADDQ        CX, CX // 2·n dwords
+	MOVL        $1, AX
+	SHLL        CX, AX
+	DECL        AX
+	KMOVW       AX, K1
+	VPMOVZXWD.Z (SI), K1, Z1
+	VPADDQ      Z0, Z1, Z1
+	VMOVDQU32   Z1, K1, (DI)
+
+narrowDone:
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

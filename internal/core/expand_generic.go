@@ -7,13 +7,16 @@ import "kronlab/internal/graph"
 func addEdges(dst, src []graph.Edge, u0, v0 int64) { addEdgesGo(dst, src, u0, v0) }
 
 // hasAVX512 is amd64's probe (expand_amd64.go); here ExpandPacked runs
-// addPackedGo.
+// addPackedGo, ExpandNarrowTo addNarrowToGo, and SourceOf reads every
+// factor packed.
 const hasAVX512 = false
 
 func addPacked(dst []graph.Edge, src []uint64, u0, v0 int64) { addPackedGo(dst, src, u0, v0) }
 
 func addPackedTo(dst, src []uint64, base uint64) { addPackedToGo(dst, src, base) }
 
+func addNarrowTo(dst []uint64, src []uint32, base uint64) { addNarrowToGo(dst, src, base) }
+
 // Kernel names the body ExpandRun and ExpandPackedTo run: here the
-// portable loops.
+// portable loops, and no factor is read narrow.
 func Kernel() string { return "portable" }

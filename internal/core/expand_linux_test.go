@@ -12,9 +12,11 @@ import (
 
 // TestExpandRunGuardPage ends run, and then out, exactly at the boundary
 // of an inaccessible page, for every length 0–40 on every body — in every
-// tier also ExpandPackedTo's src, and then its dst, and in the avx512 tier
-// addPacked's: a load or a store one byte past len is a fault (a prefetch
-// is not, and the wide loops issue them pfDist past every line they read).
+// tier also ExpandPackedTo's and ExpandNarrowTo's src, and then their dst,
+// and in the avx512 tier addPacked's: a load or a store one byte past len
+// is a fault (a prefetch is not, and the wide loops issue them pfDist past
+// every line they read; nor is an element addNarrowTo's masked tail masks
+// off).
 func TestExpandRunGuardPage(t *testing.T) {
 	page := syscall.Getpagesize()
 	mem, err := syscall.Mmap(-1, 0, 2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
@@ -31,6 +33,9 @@ func TestExpandRunGuardPage(t *testing.T) {
 	}
 	packedAtGuard := func(n int) []uint64 {
 		return unsafe.Slice((*uint64)(unsafe.Pointer(&mem[page-8*n])), n)
+	}
+	narrowAtGuard := func(n int) []uint32 {
+		return unsafe.Slice((*uint32)(unsafe.Pointer(&mem[page-4*n])), n)
 	}
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 
@@ -64,6 +69,20 @@ func TestExpandRunGuardPage(t *testing.T) {
 				}
 				if got := ExpandPackedTo(packedAtGuard(n)[:0], packed, 5); !slices.Equal(got, words) {
 					t.Fatalf("%s, len %d, packedTo dst at the guard: got %#x, want %#x", tier, n, got, words)
+				}
+				narrow := make([]uint32, n)
+				for i, p := range packed {
+					narrow[i] = uint32(uint16(p)) | uint32(uint16(p>>32))<<16
+				}
+				words = make([]uint64, n)
+				addNarrowToGo(words, narrow, 5)
+				nsrc := narrowAtGuard(n)
+				copy(nsrc, narrow)
+				if got := ExpandNarrowTo(make([]uint64, 0, n), nsrc, 5); !slices.Equal(got, words) {
+					t.Fatalf("%s, len %d, narrowTo src at the guard: got %#x, want %#x", tier, n, got, words)
+				}
+				if got := ExpandNarrowTo(packedAtGuard(n)[:0], narrow, 5); !slices.Equal(got, words) {
+					t.Fatalf("%s, len %d, narrowTo dst at the guard: got %#x, want %#x", tier, n, got, words)
 				}
 				if tier != "avx512" {
 					return

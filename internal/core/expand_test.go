@@ -286,31 +286,39 @@ func wordsAt(n int, rem uintptr) (backing []uint64, at int) {
 // the body under test must not write.
 func wordCanary(i int) uint64 { return 0x5ca1ab1e0ddba11 ^ uint64(i)*0x9e3779b97f4a7c15 }
 
-// checkAddPackedTo holds ExpandPackedTo's body, in the tier eachTier has
-// forced, and addPackedToGo to the arcs computed one endpoint at a time —
-// (uint32(p)+u0) | (p>>32+v0)<<32, each sum checked to fit 32 bits, so an
-// add that carried from U into V would not match — for one run, a
-// destination rem bytes past a 64-byte boundary and the base: the result,
-// every canary before and past the destination untouched, the source
-// unmodified; and ExpandPackedTo to the same result after a prefix in out.
-func checkAddPackedTo(t *testing.T, run []uint64, rem uintptr, u0, v0 uint64) {
+// wordBody is one body of the packed walk over a source of S, and whether
+// it runs in the tier eachTier has forced.
+type wordBody[S uint32 | uint64] struct {
+	name string
+	f    func(dst []uint64, src []S, base uint64)
+	runs bool
+}
+
+// checkWordsTo holds the packed walk's bodies over a source of S — each of
+// bodies that runs, and expand after a prefix in out — to the arcs
+// computed one endpoint at a time, (u+u0) | (v+v0)<<32 for (u, v) = split(p),
+// each sum checked to fit 32 bits, so an add that carried from U into V
+// would not match, for one run, a destination rem bytes past a 64-byte
+// boundary and the base: the result, every canary before and past the
+// destination untouched, the source unmodified.
+func checkWordsTo[S uint32 | uint64](t *testing.T, run []S, split func(S) (u, v uint64), bodies []wordBody[S], expand func(out []uint64, run []S, base uint64) []uint64, rem uintptr, u0, v0 uint64) {
 	t.Helper()
-	const guard = 3
+	const guard = 9
 	n := len(run)
 	want := make([]uint64, n)
 	for i, p := range run {
-		u, v := uint64(uint32(p))+u0, p>>32+v0
-		if u >= 1<<32 || v >= 1<<32 {
+		u, v := split(p)
+		if u, v = u+u0, v+v0; u >= 1<<32 || v >= 1<<32 {
 			t.Fatalf("test case out of range: arc %#x + (%#x, %#x) needs more than 32 bits", p, u0, v0)
 		}
 		want[i] = u | v<<32
 	}
 	orig := slices.Clone(run)
 	base := u0 | v0<<32
-	for _, b := range []struct {
-		name string
-		f    func(dst, src []uint64, base uint64)
-	}{{"addPackedTo", addPackedTo}, {"addPackedToGo", addPackedToGo}} {
+	for _, b := range bodies {
+		if !b.runs {
+			continue
+		}
 		backing, at := wordsAt(n+guard, rem)
 		for i := range backing {
 			backing[i] = wordCanary(i)
@@ -330,9 +338,17 @@ func checkAddPackedTo(t *testing.T, run []uint64, rem uintptr, u0, v0 uint64) {
 		}
 	}
 	prefix := []uint64{wordCanary(-1)}
-	if got := ExpandPackedTo(prefix, run, base); !slices.Equal(got, append(prefix, want...)) {
-		t.Fatalf("ExpandPackedTo(len %d, base (%#x, %#x)) = %#x, want %#x after the prefix", n, u0, v0, got, want)
+	if got := expand(prefix, run, base); !slices.Equal(got, append(prefix, want...)) {
+		t.Fatalf("expanding len %d, base (%#x, %#x) = %#x, want %#x after the prefix", n, u0, v0, got, want)
 	}
+}
+
+// checkAddPackedTo is checkWordsTo for ExpandPackedTo over PackedArcs words:
+// its body in the tier eachTier has forced, and addPackedToGo.
+func checkAddPackedTo(t *testing.T, run []uint64, rem uintptr, u0, v0 uint64) {
+	t.Helper()
+	split := func(p uint64) (uint64, uint64) { return uint64(uint32(p)), p >> 32 }
+	checkWordsTo(t, run, split, []wordBody[uint64]{{"addPackedTo", addPackedTo, true}, {"addPackedToGo", addPackedToGo, true}}, ExpandPackedTo, rem, u0, v0)
 }
 
 // TestAddPackedToDifferential holds ExpandPackedTo's body, in every tier
@@ -382,13 +398,69 @@ func TestAddPackedToDifferential(t *testing.T) {
 	})
 }
 
+// checkAddNarrowTo is checkWordsTo for ExpandNarrowTo over NarrowArcs
+// words, u | v<<16: addNarrowToGo in every tier and addNarrowTo where the
+// tier eachTier has forced is avx512 — whose masked tail must write no word
+// past len.
+func checkAddNarrowTo(t *testing.T, run []uint32, rem uintptr, u0, v0 uint64) {
+	t.Helper()
+	split := func(p uint32) (uint64, uint64) { return uint64(p & 0xffff), uint64(p >> 16) }
+	checkWordsTo(t, run, split, []wordBody[uint32]{{"addNarrowToGo", addNarrowToGo, true}, {"addNarrowTo", addNarrowTo, hasAVX512}}, ExpandNarrowTo, rem, u0, v0)
+}
+
+// TestAddNarrowToDifferential holds ExpandNarrowTo's bodies, in every tier
+// eachTier forces — addNarrowTo in avx512, addNarrowToGo in every tier —
+// to the per-endpoint sum (checkAddNarrowTo) for every length 0–70 — every
+// remainder of the 32- and 8-arc loops and every masked tail of 1–7 — and
+// 2048, at a destination each 8-byte offset past a 64-byte boundary, from a
+// source at each 4-byte phase of a 16-byte line, over endpoints 0xffff and
+// with bit 15 set (zero-extended, not sign-extended) and bases 0 and ones
+// that put u0+u, v0+v or both at exactly 2³²−1, where an add that carried
+// from U would show in V.
+func TestAddNarrowToDifferential(t *testing.T) {
+	eachTierRun(t, func(t *testing.T) {
+		const top = 1<<32 - 1
+		arcs := make([]uint32, 2048+3)
+		for i := range arcs {
+			u, v := uint32(i)*0x9e37&0xffff, 0xffff-uint32(i)*0x1235&0xffff
+			if i%5 == 3 {
+				u = 0xffff
+			}
+			arcs[i] = u | v<<16
+		}
+		var lengths []int
+		for n := 0; n <= 70; n++ {
+			lengths = append(lengths, n)
+		}
+		lengths = append(lengths, 2048)
+		for _, n := range lengths {
+			for _, off := range []int{0, 1, 2, 3} {
+				run := arcs[off : off+n]
+				var ru, rv uint64
+				for _, p := range run {
+					ru, rv = max(ru, uint64(p&0xffff)), max(rv, uint64(p>>16))
+				}
+				for rem := uintptr(0); rem < 64; rem += 8 {
+					for _, b := range [][2]uint64{{0, 0}, {top - ru, top - rv}, {top - ru, 0}, {0, top - rv}, {1 << 31, 1 << 20}} {
+						checkAddNarrowTo(t, run, rem, b[0], b[1])
+					}
+				}
+			}
+		}
+		if got := ExpandNarrowTo(nil, nil, 7); len(got) != 0 {
+			t.Fatalf("ExpandNarrowTo(nil, nil) = %v", got)
+		}
+	})
+}
+
 // FuzzExpandRun derives a run, a call shape and the bases from raw bytes
 // and holds ExpandRun, on every body this host can run, and addEdgesGo to
 // the per-edge loop (checkExpandRun) — and, on the run cut to 32-bit
 // endpoints, addPackedGo in every tier and addPacked in the packed one to
 // its twin (checkAddPacked), the destination at the shape's offset and
-// 16-byte phase; and ExpandPackedTo's bodies on the run and bases cut to 31
-// bits (checkAddPackedTo).
+// 16-byte phase; ExpandPackedTo's bodies on the run and bases cut to 31
+// bits (checkAddPackedTo); and ExpandNarrowTo's on the run cut to 16-bit
+// endpoints and the same bases (checkAddNarrowTo).
 func FuzzExpandRun(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint8(0), uint8(0), int64(0), int64(0))
 	f.Add(make([]byte, 16*5), uint8(1|4), uint8(2), uint8(5), int64(-1), int64(math.MaxInt64))
@@ -406,9 +478,10 @@ func FuzzExpandRun(f *testing.F) {
 		}
 		// The run and bases again with every endpoint cut to 31 bits, so
 		// each sum fits 32: ExpandPackedTo's domain.
-		words := make([]uint64, len(arcs))
+		words, narrow := make([]uint64, len(arcs)), make([]uint32, len(arcs))
 		for i, e := range arcs {
 			words[i] = uint64(uint32(e.U)>>1) | uint64(uint32(e.V)>>1)<<32
+			narrow[i] = uint32(uint16(e.U)) | uint32(uint16(e.V))<<16
 		}
 		rem := uintptr(16 * sh.off)
 		if sh.skewOut {
@@ -421,6 +494,7 @@ func FuzzExpandRun(f *testing.F) {
 				checkAddPacked(t, "addPacked", addPacked, arcs, int(prefix%2), rem, u0, v0)
 			}
 			checkAddPackedTo(t, words, rem, uint64(uint32(u0)>>1), uint64(uint32(v0)>>1))
+			checkAddNarrowTo(t, narrow, rem, uint64(uint32(u0)>>1), uint64(uint32(v0)>>1))
 		}, func(string, string) {})
 	})
 }
@@ -466,30 +540,33 @@ func BenchmarkExpandRun(b *testing.B) {
 			})
 		}
 	}
-	// packedRows is rows for the packed walk's body: the same pieces of a
-	// packed source into an 8-byte block, ExpandPackedTo.
-	packedRows := func(name string) {
+	// wordRows is rows for the packed walk's bodies: the same pieces into an
+	// 8-byte block, from a packed source (ExpandPackedTo) or a narrow one
+	// (ExpandNarrowTo).
+	wordRows := func(name string, body func(out, packed []uint64, narrow []uint32, base uint64) []uint64) {
 		for _, sh := range shapes {
-			packed := make([]uint64, sh.src)
+			packed, narrow := make([]uint64, sh.src), make([]uint32, sh.src)
 			backing, at := wordsAt(sh.piece, sh.dstRem/2)
 			block := backing[at : at : at+sh.piece]
 			b.Run(name+"/"+sh.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					for lo := 0; lo < len(packed); lo += sh.piece {
-						block = ExpandPackedTo(block[:0], packed[lo:min(lo+sh.piece, len(packed))], uint64(i&0xffff)|7<<32)
+					for lo := 0; lo < sh.src; lo += sh.piece {
+						hi := min(lo+sh.piece, sh.src)
+						block = body(block[:0], packed[lo:hi], narrow[lo:hi], uint64(i&0xffff)|7<<32)
 					}
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(len(packed))), "ns/arc")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(sh.src)), "ns/arc")
 			})
 		}
 	}
 	expandRun := func(out, run []graph.Edge, _ []uint64, u0, v0 int64) []graph.Edge { return ExpandRun(out, run, u0, v0) }
 	eachTier(func(tier string) {
 		if tier != "avx512" {
-			packedRows(tier + "_packed")
+			wordRows(tier+"_packed", func(out, packed []uint64, _ []uint32, base uint64) []uint64 { return ExpandPackedTo(out, packed, base) })
 			rows(tier, expandRun)
 			return
 		}
+		wordRows(tier+"_narrow", func(out, _ []uint64, narrow []uint32, base uint64) []uint64 { return ExpandNarrowTo(out, narrow, base) })
 		rows(tier, func(out, _ []graph.Edge, packed []uint64, u0, v0 int64) []graph.Edge {
 			return ExpandPacked(out, packed, u0, v0)
 		})

@@ -332,38 +332,37 @@ func runAttempt[B graph.Edge | uint64](ctx context.Context, c *cluster, f *form[
 }
 
 // form is one shape of a walk's blocks, B, and everything that differs with
-// it: how the cursor fills a block (the walk with no owner), what a source
-// owner's pick holds of the innermost factor and how a window of it is
+// it: how the cursor fills a block (the walk with no owner), how a window of
+// a source owner's pick — the innermost factor's core.Source[B] — is
 // expanded into a block, how the fence stores a block, and the freelist the
 // scratch block comes from.
 type form[B graph.Edge | uint64] struct {
-	next   func(cur *core.TailCursor, uBase, vBase int64, out []B, max int) []B
-	source func(g *graph.Graph) []B
-	add    func(out, run []B, u0, v0 int64) []B
-	store  func(f *fencedRankSink, tile int, block []B) (int64, error)
-	bufs   *bufStack[B]
+	next  func(cur *core.TailCursor, uBase, vBase int64, out []B, max int) []B
+	add   func(out []B, run core.Source[B], u0, v0 int64) []B
+	store func(f *fencedRankSink, tile int, block []B) (int64, error)
+	bufs  *bufStack[B]
 }
 
 // wideForm is the walk of a product with ids past 2³²: blocks of
 // graph.Edge, expanded from the innermost factor's ArcSlice through
 // core.ExpandRun.
 var wideForm = form[graph.Edge]{
-	next:   (*core.TailCursor).ExpandNext,
-	source: (*graph.Graph).ArcSlice,
-	add:    core.ExpandRun,
-	store:  (*fencedRankSink).storeWide,
-	bufs:   &edgeBufs,
+	next: (*core.TailCursor).ExpandNext,
+	add: func(out []graph.Edge, run core.Source[graph.Edge], u0, v0 int64) []graph.Edge {
+		return core.ExpandRun(out, run.Arcs(), u0, v0)
+	},
+	store: (*fencedRankSink).storeWide,
+	bufs:  &edgeBufs,
 }
 
 // packedForm is the walk of a product whose ids all fit 32 bits: blocks of
 // graph.PackedArcs words, u | v<<32, 8 bytes an arc where a graph.Edge is
-// 16, expanded from the innermost factor's PackedArcs on every host
-// (core.ExpandPackedTo: the packed arc plus the base u0 | v0<<32).
+// 16, expanded from the innermost factor's narrow or packed arcs, as core
+// picks per factor (core.ExpandSourceTo: the arc plus the base u0 | v0<<32).
 var packedForm = form[uint64]{
-	next:   (*core.TailCursor).ExpandNextPacked,
-	source: (*graph.Graph).PackedArcs,
-	add: func(out, run []uint64, u0, v0 int64) []uint64 {
-		return core.ExpandPackedTo(out, run, uint64(u0)|uint64(v0)<<32)
+	next: (*core.TailCursor).ExpandNextPacked,
+	add: func(out []uint64, run core.Source[uint64], u0, v0 int64) []uint64 {
+		return core.ExpandSourceTo(out, run, uint64(u0)|uint64(v0)<<32)
 	},
 	store: (*fencedRankSink).storePacked,
 	bufs:  &packedBufs,
@@ -444,8 +443,7 @@ func (w *walk[B]) tiles(tiles []Tile) {
 		if !slices.Equal(tail, t.Tail) {
 			cur, tail = core.NewTailCursor(t.Tail), t.Tail
 			if w.own != nil {
-				g := tail[len(tail)-1]
-				w.own.load(g, w.f.source(g))
+				w.own.load(tail[len(tail)-1])
 			}
 		}
 		w.rk.setPhase(expandLabels)
@@ -496,7 +494,7 @@ func (w *walk[B]) owned() []B {
 	if n == 0 {
 		return nil
 	}
-	block := w.f.add(w.scratch, o.arcs[o.i:o.i+n], o.s0, o.v0)
+	block := w.f.add(w.scratch, o.arcs.Slice(o.i, o.i+n), o.s0, o.v0)
 	w.scratch, o.i = block[:0], o.i+n
 	return block
 }

@@ -62,7 +62,7 @@ func ownedWalk[B graph.Edge | uint64](o *ownedRows[B], f *form[B]) *walk[B] {
 // blocks handed to emit.
 func (w *walk[B]) step(t *Tile, cur *core.TailCursor, uBase, vBase, rem int64, emit func(tile int, block []B) bool) (int64, bool) {
 	if g := t.Tail[len(t.Tail)-1]; g != w.own.g {
-		w.own.load(g, w.f.source(g))
+		w.own.load(g)
 	}
 	n := w.own.sweep(cur, uBase, vBase, rem)
 	for block := w.owned(); len(block) > 0; block = w.owned() {

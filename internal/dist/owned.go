@@ -3,7 +3,6 @@ package dist
 import (
 	"math"
 	"runtime/pprof"
-	"slices"
 	"sync"
 
 	"kronlab/internal/core"
@@ -40,25 +39,26 @@ func GenerateOwned(a, b *graph.Graph, r int) (*Result, error) {
 // at s0 are one range of the factor's and the pick is the subslice of the
 // factor's arcs the row offsets bound it by.
 //
-// The pick holds the factor in the walk's form (form.source): its
-// graph.PackedArcs, 8 bytes an arc, in a packed walk, and its ArcSlice in a
-// wide one.
+// The pick holds the factor as the walk's cursor reads it, a
+// core.Source[B]: in a packed walk its graph.NarrowArcs, 4 bytes an arc, or
+// its graph.PackedArcs, 8, as core.SourceOf picks per factor, and in a wide
+// one its ArcSlice.
 type ownedRows[B graph.Edge | uint64] struct {
 	p          *placing[B]
 	rank       int
 	batch      int   // arcs per emitted block
 	first, end int64 // under a BlockOwner, the sources the rank owns: [first, end)
 
-	g     *graph.Graph  // innermost factor of the pick
-	s0    int64         // its source base; -1 until the first pick
-	off   []int64       // g's row offsets
-	inner []B           // g's arcs
-	part  *classPart[B] // g's classes under OwnerBySource; nil under a BlockOwner
-	class int32         // the class the pick is, under OwnerBySource
-	at    int           // the pick's first arc in inner, under a BlockOwner
-	arcs  []B           // the pick
-	i, j  int           // the current sweep's owned arcs in the pick not yet expanded
-	v0    int64         // the current sweep's target base
+	g     *graph.Graph   // innermost factor of the pick
+	s0    int64          // its source base; -1 until the first pick
+	off   []int64        // g's row offsets
+	inner core.Source[B] // g's arcs
+	part  *classPart[B]  // g's classes under OwnerBySource; nil under a BlockOwner
+	class int32          // the class the pick is, under OwnerBySource
+	at    int            // the pick's first arc in inner, under a BlockOwner
+	arcs  core.Source[B] // the pick
+	i, j  int            // the current sweep's owned arcs in the pick not yet expanded
+	v0    int64          // the current sweep's target base
 
 	rows int64 // Stats.OwnerRowsTested: the picks made
 }
@@ -80,19 +80,19 @@ func (o *ownedRows[B]) sweep(cur *core.TailCursor, uBase, vBase, rem int64) int6
 	}
 	// Owned rows are whole and in order, so a sweep cut short (by a tile's
 	// Skip or Take: at most its first and its last) maps into the pick by row.
-	o.i, o.j, o.v0 = 0, len(o.arcs), vBase+vPre
-	if hi-lo < len(o.inner) {
+	o.i, o.j, o.v0 = 0, o.arcs.Len(), vBase+vPre
+	if hi-lo < o.inner.Len() {
 		o.i, o.j = o.index(lo), o.index(hi)
 	}
 	return int64(hi - lo)
 }
 
-// load makes g, whose arcs in the walk's form are inner, the factor of the
-// pick, with its classes under OwnerBySource.
-func (o *ownedRows[B]) load(g *graph.Graph, inner []B) {
-	o.g, o.s0, o.off, o.inner, o.arcs = g, -1, g.RowOffsets(), inner, nil
+// load makes g the factor of the pick, with its classes under
+// OwnerBySource.
+func (o *ownedRows[B]) load(g *graph.Graph) {
+	o.g, o.s0, o.off, o.inner, o.arcs = g, -1, g.RowOffsets(), core.SourceOf[B](g), core.Source[B]{}
 	if o.p.parts != nil {
-		o.part = o.p.of(g, inner)
+		o.part = o.p.of(g, o.inner)
 	}
 }
 
@@ -106,12 +106,12 @@ func (o *ownedRows[B]) pick(s0 int64) {
 		if c < 0 {
 			c += o.p.r
 		}
-		o.class, o.arcs = int32(c), p.arcs[p.at[c]:p.at[c+1]]
+		o.class, o.arcs = int32(c), p.arcs.Slice(p.at[c], p.at[c+1])
 		return
 	}
 	n := int64(len(o.off) - 1)
 	lo, hi := min(max(o.first-s0, 0), n), min(max(o.end-s0, 0), n)
-	o.at, o.arcs = int(o.off[lo]), o.inner[o.off[lo]:o.off[hi]]
+	o.at, o.arcs = int(o.off[lo]), o.inner.Slice(int(o.off[lo]), int(o.off[hi]))
 }
 
 // index maps position pos of the factor's arcs to the pick: the owned arcs
@@ -119,7 +119,7 @@ func (o *ownedRows[B]) pick(s0 int64) {
 // not the pick.
 func (o *ownedRows[B]) index(pos int) int {
 	if o.part == nil {
-		return min(max(pos-o.at, 0), len(o.arcs))
+		return min(max(pos-o.at, 0), o.arcs.Len())
 	}
 	n := 0
 	for u, c := range o.part.low {
@@ -157,7 +157,7 @@ type placing[B graph.Edge | uint64] struct {
 type classPart[B graph.Edge | uint64] struct {
 	low  []int32
 	at   []int
-	arcs []B
+	arcs core.Source[B]
 }
 
 // newPlacing returns the attempt's placing under owner, OwnerBySource or a
@@ -184,12 +184,12 @@ func (p *placing[B]) rows(rank, batch int) *ownedRows[B] {
 	return o
 }
 
-// of returns g's classes (inner is g's arcs in the walk's form), on the
+// of returns g's classes (inner is g's arcs as the walk reads them), on the
 // first call tabulating the owner over g's rows — once for all factors of
-// one size, as a 2D plan's parts are — and partitioning inner: one copy per
-// row, under phase=filter. A factor whose rows all fall in one class is its
-// own partition.
-func (p *placing[B]) of(g *graph.Graph, inner []B) *classPart[B] {
+// one size, as a 2D plan's parts are — and partitioning inner in its layout:
+// one copy per row, under phase=filter. A factor whose rows all fall in one
+// class is its own partition.
+func (p *placing[B]) of(g *graph.Graph, inner core.Source[B]) *classPart[B] {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if c := p.parts[g]; c != nil {
@@ -212,17 +212,13 @@ func (p *placing[B]) of(g *graph.Graph, inner []B) *classPart[B] {
 	whole := false
 	for k := range p.r {
 		c.at[k+1] += c.at[k]
-		whole = whole || c.at[k+1]-c.at[k] == len(inner)
+		whole = whole || c.at[k+1]-c.at[k] == inner.Len()
 	}
 	if whole {
 		c.arcs = inner
 		return c
 	}
-	c.arcs = make([]B, len(inner))
-	next := slices.Clone(c.at)
-	for u, k := range c.low {
-		next[k] += copy(c.arcs[next[k]:], inner[off[u]:off[u+1]])
-	}
-	p.copied += int64(len(inner))
+	c.arcs = inner.Grouped(off, c.low, c.at)
+	p.copied += int64(inner.Len())
 	return c
 }

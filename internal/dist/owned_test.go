@@ -223,8 +223,9 @@ func evens(g *graph.Graph) *graph.Graph {
 // TestOwnedRowsBothForms holds the owner-side walk to core.Chain.Arcs in
 // both forms of its pick and its blocks: in wide blocks, its pick holding
 // the factor's ArcSlice (expanded through core.ExpandRun), and in packed
-// blocks, its pick holding the factor's PackedArcs (through
-// core.ExpandPackedTo, the blocks widened for the comparison); each cell's
+// blocks, its pick holding the factor's narrow or packed arcs, as the cursor
+// reads them (through core.ExpandSourceTo, the blocks widened for the
+// comparison); each cell's
 // walk — R ∈ {1, 2, 3, 16}, every rank, under OwnerBySource's class pick and
 // BlockOwner's range, batch 1, 7 and 1024, the ranks of a cell sharing one
 // placing as an attempt's do — must emit exactly the window of the chain's
@@ -322,12 +323,13 @@ func TestOwnedRowsBothForms(t *testing.T) {
 
 // checkOwnedWalk walks the tile as runAttempt's walk.tiles does, in blocks
 // of form f, and holds what it emits, widened by add, to want, each pick to
-// the row-by-row pick in the form's source and OwnerRowsTested to one count
-// a pick.
+// the row-by-row pick in the layout the cursor reads (core.SourceOf: the
+// pick expanded with bases 0 by f, arc for arc) and OwnerRowsTested to one
+// count a pick.
 func checkOwnedWalk[B graph.Edge | uint64](t *testing.T, cell string, tile *Tile, f *form[B], add func([]graph.Edge, []B) []graph.Edge, o *ownedRows[B], want []graph.Edge) {
 	t.Helper()
 	inner := tile.Tail[len(tile.Tail)-1]
-	src, off := f.source(inner), inner.RowOffsets()
+	src, off := core.SourceOf[B](inner), inner.RowOffsets()
 	w := ownedWalk(o, f)
 	var got []graph.Edge
 	emit := func(_ int, block []B) bool {
@@ -348,11 +350,14 @@ func checkOwnedWalk[B graph.Edge | uint64](t *testing.T, cell string, tile *Tile
 		var rows []B
 		for u := int64(0); u < inner.NumVertices(); u++ {
 			if o.p.owner(o.s0+u) == o.rank {
-				rows = append(rows, src[off[u]:off[u+1]]...)
+				rows = f.add(rows, src.Slice(int(off[u]), int(off[u+1])), 0, 0)
 			}
 		}
-		if !slices.Equal(o.arcs, rows) {
-			t.Fatalf("%s: the pick at s0 = %d differs from the row-by-row pick:\n got %v\nwant %v", cell, o.s0, o.arcs, rows)
+		if pick := f.add(nil, o.arcs, 0, 0); !slices.Equal(pick, rows) {
+			t.Fatalf("%s: the pick at s0 = %d differs from the row-by-row pick:\n got %v\nwant %v", cell, o.s0, pick, rows)
+		}
+		if o.arcs.Len() > 0 && (o.arcs.Arcs() == nil) != (src.Arcs() == nil) {
+			t.Fatalf("%s: the pick at s0 = %d is not in the layout the cursor reads", cell, o.s0)
 		}
 		return n, ok
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"kronlab/internal/core"
 	"kronlab/internal/gen"
 	"kronlab/internal/graph"
 )
@@ -27,9 +28,14 @@ import (
 // from ownerSide to read its placing alone. expand is the bare
 // ExpandNextPacked into a scratch block. The product's ids fit 32 bits, so
 // every row is in packed blocks, as the engine walks it: the walk and the
-// cursor run one kernel body on every host (core.ExpandPackedTo over the
-// factor's packed copy), so ownerSideOne and expand differ by the walk's
-// bookkeeping, and ownerSide by that and the placing.
+// cursor read the factor in the one layout core picks for it
+// (core.SourceOf: narrow where the host has AVX-512, packed elsewhere)
+// through one primitive (core.ExpandSourceTo), so ownerSideOne and expand
+// differ by the walk's bookkeeping, and ownerSide by that and the placing.
+// expandPacked is expand's loop over core.ExpandPackedTo on the factor's
+// PackedArcs: expand / expandPacked is what the narrow source saves where
+// the host reads it, and 1 elsewhere. It is printed, not gated, beside
+// core.Kernel(), which the expand row logs.
 // tinyInner is owner-side generation's stated worst case, RMAT(12) ⊗ a
 // 4-vertex factor at R = 16: a sweep is a dozen arcs, every rank steps over
 // every one of them and owns a row or two of each, so little is amortised.
@@ -68,18 +74,34 @@ func BenchmarkRoute(b *testing.B) {
 			return true
 		}
 	}
+	// sweeps is a pass of every head arc against the tail, a block at a time
+	// from next into one scratch block.
 	scratch := make([]uint64, 0, DefaultBatchSize)
-	expand := func() bool {
-		for _, w := range work {
-			nT := w.cur.NumVertices()
-			for _, a := range w.aArcs {
-				w.cur.Reset()
-				for block := w.cur.ExpandNextPacked(a.U*nT, a.V*nT, scratch, DefaultBatchSize); len(block) > 0; block = w.cur.ExpandNextPacked(a.U*nT, a.V*nT, scratch, DefaultBatchSize) {
-					scratch = block[:0]
+	sweeps := func(next func(cur *core.TailCursor, uBase, vBase int64, out []uint64, max int) []uint64) func() bool {
+		return func() bool {
+			for _, w := range work {
+				nT := w.cur.NumVertices()
+				for _, a := range w.aArcs {
+					w.cur.Reset()
+					for block := next(w.cur, a.U*nT, a.V*nT, scratch, DefaultBatchSize); len(block) > 0; block = next(w.cur, a.U*nT, a.V*nT, scratch, DefaultBatchSize) {
+						scratch = block[:0]
+					}
 				}
 			}
+			return true
 		}
-		return true
+	}
+	// nextPacked is ExpandNextPacked's loop over the factor's PackedArcs.
+	packed := bb.PackedArcs()
+	nextPacked := func(cur *core.TailCursor, uBase, vBase int64, out []uint64, max int) []uint64 {
+		for len(out) < max {
+			lo, hi, uPre, vPre := cur.NextSweep(int64(max - len(out)))
+			if lo == hi {
+				break
+			}
+			out = core.ExpandPackedTo(out, packed[lo:hi], uint64(uBase+uPre)|uint64(vBase+vPre)<<32)
+		}
+		return out
 	}
 	one, err := PlanChain1D(mustChain(a, bb), 1)
 	if err != nil {
@@ -100,7 +122,8 @@ func BenchmarkRoute(b *testing.B) {
 		{"ownerSideOne", work, owned(work, OwnerBySource, oneArcs), oneArcs},
 		{"ownerSideOdd", odd, owned(odd, OwnerBySource, oddArcs), oddArcs},
 		{"ownerSideBlock", work, owned(work, BlockOwner{NC: a.NumVertices() * bb.NumVertices()}, blockArcs), blockArcs},
-		{"expand", work, expand, nil},
+		{"expand", work, sweeps((*core.TailCursor).ExpandNextPacked), nil},
+		{"expandPacked", work, sweeps(nextPacked), nil},
 		{"engine", work, engine, nil},
 		{"tinyInner", tiny, owned(tiny, OwnerBySource, tinyArcs), tinyArcs},
 	}
@@ -113,6 +136,9 @@ func BenchmarkRoute(b *testing.B) {
 			}
 			clear(row.perRank)
 			pass() // warm the freelist and the picks
+			if row.name == "expand" {
+				b.Logf("core.Kernel() = %s", core.Kernel()) // the tier expand reads on, for make bench-route
+			}
 			var edges int64
 			for _, w := range row.work {
 				edges += int64(len(w.aArcs)) * w.cur.Total()

@@ -140,6 +140,94 @@ func TestProductsAroundPackedIDs(t *testing.T) {
 	}
 }
 
+// TestProductsAroundNarrowIDs runs products whose innermost factor has 2¹⁶
+// vertices — the most core reads narrow, 4 bytes an arc, as it does where
+// the probe found AVX-512 — and 2¹⁶+1, read packed on every host, at k = 2
+// and k = 3, each whole and in a window whose Skip and Take cut a sweep
+// mid-row at both ends, at R = 3 with no owner, under OwnerBySource and
+// under a BlockOwner, at batch 5 and the default. Every rank's output is
+// held arc for arc to its share of Chain.Arcs, and the picks' counters,
+// OwnerRowsTested and ArcsCompacted, must read the same for both innermost
+// factors, whose sweeps have one shape. Last, a plan built by hand from the
+// two k = 2 products' tiles runs on two ranks with no owner (a rank a
+// layout) and under a BlockOwner (every rank walks both tiles, its pick
+// reloaded in the other layout): the layout is core's choice per factor,
+// not the run's.
+func TestProductsAroundNarrowIDs(t *testing.T) {
+	const r = 3
+	head, mid := sparseFactor(1<<10), gen.ER(4, 0.7, 601)
+	type counters struct{ rows, compacted int64 }
+	seen := map[string]counters{}
+	var tiles []Tile // each size's whole k = 2 tile
+	var serials [][]graph.Edge
+	for _, n := range []int64{1 << 16, 1<<16 + 1} {
+		inner := sparseFactor(n)
+		if narrow := core.SourceOf[uint64](inner).Arcs() == nil; narrow != (n <= 1<<16 && core.Kernel() == "avx512") {
+			t.Fatalf("n = %d on %s: read narrow %v", n, core.Kernel(), narrow)
+		}
+		for _, ch := range []*core.Chain{mustChain(head, inner), mustChain(head, mid, inner)} {
+			whole, err := PlanChain1D(ch, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !packedIDs(whole.Tiles) {
+				t.Fatalf("NC = %d: walked wide", whole.NC)
+			}
+			serial := serialArcs(t, ch, 0)
+			if len(ch.Factors()) == 2 {
+				one, err := PlanChain1D(ch, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tl := one.Tiles[0][0]
+				tl.ID = len(tiles)
+				tiles, serials = append(tiles, tl), append(serials, serial)
+			}
+			// A sweep is inner's 12 arcs: rows 0 (2 arcs), seven of one, n−1 (3).
+			for _, win := range [][2]int{{0, len(serial)}, {3*12 + 1, len(serial) - 2*12 - 2}} {
+				plan, err := whole.Slice(int64(win[0]), int64(win[1]-win[0]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, owner := range []Owner{nil, OwnerBySource, BlockOwner{NC: whole.NC}} {
+					want := shares(serial[win[0]:win[1]], owner, plan)
+					for _, batch := range []int{5, DefaultBatchSize} {
+						cell := fmt.Sprintf("k=%d window %v owner %T batch %d", len(ch.Factors()), win, owner, batch)
+						mem := NewMemorySink(r)
+						st, err := Run(context.Background(), Config{Plan: plan, Owner: owner, Sink: mem, BatchSize: batch})
+						if err != nil {
+							t.Fatalf("n = %d, %s: %v", n, cell, err)
+						}
+						for rk, arcs := range byRank(mem.PerRank, owner) {
+							assertSameOrder(t, fmt.Sprintf("n = %d, %s, rank %d", n, cell, rk), arcs, want[rk])
+						}
+						c := counters{st.OwnerRowsTested, st.ArcsCompacted}
+						if prev, ok := seen[cell]; ok && c != prev {
+							t.Fatalf("%s: OwnerRowsTested, ArcsCompacted = %v at n = %d, %v at 2¹⁶", cell, c, n, prev)
+						}
+						seen[cell] = c
+					}
+				}
+			}
+		}
+	}
+	mixed := Plan{R: 2, Tiles: [][]Tile{{tiles[0]}, {tiles[1]}}}
+	nC := max(tiles[0].Tail[0].NumVertices(), tiles[1].Tail[0].NumVertices()) * head.NumVertices()
+	for _, owner := range []Owner{nil, BlockOwner{NC: nC}} {
+		want := serials
+		if owner != nil {
+			want = shares(slices.Concat(serials...), owner, mixed)
+		}
+		mem := NewMemorySink(2)
+		if _, err := Run(context.Background(), Config{Plan: mixed, Owner: owner, Sink: mem, BatchSize: 5}); err != nil {
+			t.Fatalf("mixed plan, owner %T: %v", owner, err)
+		}
+		for rk, arcs := range mem.PerRank {
+			assertSameOrder(t, fmt.Sprintf("mixed plan, owner %T, rank %d", owner, rk), arcs, want[rk])
+		}
+	}
+}
+
 // TestHandBuiltPlanFormFromTiles runs plans built by hand, as a caller that
 // builds or rebalances a Plan may, with NC left at 0 or set too small: the
 // walk's form must follow the ids the tiles expand to, not NC. Two

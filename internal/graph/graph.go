@@ -51,6 +51,9 @@ type Graph struct {
 
 	packedOnce sync.Once
 	packed     []uint64 // ArcSlice as u | v<<32, built lazily by PackedArcs
+
+	narrowOnce sync.Once
+	narrow     []uint32 // ArcSlice as u | v<<16, built lazily by NarrowArcs
 }
 
 // New builds a Graph on n vertices from the given arcs. Each arc is
@@ -325,6 +328,22 @@ func (g *Graph) PackedArcs() []uint64 {
 
 // packable reports whether every vertex id of an n-vertex graph fits 32 bits.
 func packable(n int64) bool { return n <= 1<<32 }
+
+// NarrowArcs returns ArcSlice at 4 bytes an arc, u | v<<16 — the
+// little-endian halfwords [u₀ v₀ u₁ v₁ …], which zero-extend into exactly
+// PackedArcs' dwords — built once and cached like it; nil when a vertex id
+// does not fit 16 bits (n > 2¹⁶). Shared, read-only, safe for concurrent use.
+func (g *Graph) NarrowArcs() []uint32 {
+	g.narrowOnce.Do(func() {
+		if g.n <= 1<<16 {
+			g.narrow = make([]uint32, len(g.adj))
+			for i, e := range g.ArcSlice() {
+				g.narrow[i] = uint32(e.U) | uint32(e.V)<<16
+			}
+		}
+	})
+	return g.narrow
+}
 
 // RowOffsets returns the CSR row boundaries (length n+1): the arcs of
 // source u are ArcSlice()[off[u]:off[u+1]], empty for an isolated

@@ -719,3 +719,53 @@ func TestPackedArcs(t *testing.T) {
 		}
 	}
 }
+
+// TestNarrowArcs holds NarrowArcs to ArcSlice narrowed to u | v<<16 —
+// halfwords that zero-extend into PackedArcs' dwords — checks that calls
+// from several goroutines at once hand out one backing array, and pins the
+// 2¹⁶ rule on the vertex count: non-nil at exactly 2¹⁶ vertices, its
+// largest id in both halves, and nil at 2¹⁶+1.
+func TestNarrowArcs(t *testing.T) {
+	g := mustUnd(t, 5, []Edge{{0, 1}, {1, 2}, {3, 3}})
+	got := make([][]uint32, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() { defer wg.Done(); got[i] = g.NarrowArcs() }()
+	}
+	wg.Wait()
+	for _, p := range got {
+		if len(p) != 5 || &p[0] != &got[0][0] {
+			t.Fatalf("concurrent NarrowArcs: %d arcs at %p, first call %p", len(p), p, got[0])
+		}
+	}
+
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < 20; i++ {
+		g := randomGraph(rng, 60)
+		n, packed := g.NarrowArcs(), g.PackedArcs()
+		if n == nil || len(n) != len(packed) {
+			t.Fatalf("%v: NarrowArcs has %d arcs, PackedArcs %d", g, len(n), len(packed))
+		}
+		for j, p := range packed {
+			if w := uint64(n[j]&0xffff) | uint64(n[j]>>16)<<32; w != p {
+				t.Fatalf("%v: NarrowArcs[%d] = %#x widens to %#x, PackedArcs %#x", g, j, n[j], w, p)
+			}
+		}
+		if q := g.NarrowArcs(); len(n) > 0 && &q[0] != &n[0] {
+			t.Fatalf("%v: NarrowArcs rebuilt on the second call", g)
+		}
+	}
+
+	const top = 1<<16 - 1
+	edges := []Edge{{0, top}, {top, top}, {1, 2}}
+	if n := mustUnd(t, top+1, edges).NarrowArcs(); !slices.Equal(n, []uint32{top << 16, 2<<16 | 1, 1<<16 | 2, top, top<<16 | top}) {
+		t.Fatalf("NarrowArcs at 2¹⁶ vertices = %#x", n)
+	}
+	if n := mustUnd(t, top+2, edges).NarrowArcs(); n != nil {
+		t.Fatalf("NarrowArcs at 2¹⁶+1 vertices = %d arcs, want nil", len(n))
+	}
+	if n := mustUnd(t, 3, nil).NarrowArcs(); n == nil || len(n) != 0 {
+		t.Fatalf("NarrowArcs without arcs = %v, want empty and non-nil", n)
+	}
+}
