@@ -100,8 +100,8 @@ cluster-smoke:
 # machine: generating OwnerBySource's arcs where they are stored must cost
 # no more than three times the same walk at R = 1 and no more than 3.5
 # times the bare expansion (the expand row, ExpandNextPacked), with 0 allocs/op
-# on every row but engine. The product's ids fit 32 bits, so every row is in
-# packed blocks, as the engine walks it: the walk and the cursor read the
+# on every row but engine. Every row is in packed blocks, as the engine
+# walks every product: the walk and the cursor read the
 # factor in one layout through one primitive (core.ExpandSourceTo: narrow
 # where the probe found AVX-512, packed elsewhere), so ownerSide / expand is
 # the walk's whole cost of placing. The ungated expandPacked row is expand's

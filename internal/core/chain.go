@@ -342,11 +342,13 @@ func (c *Chain) Materialize() (*graph.Graph, error) {
 // product needs no kernel of its own.
 type TailCursor struct {
 	arcs     [][]graph.Edge // per-factor CSR arc slices (shared; read-only)
-	inner    Source[uint64] // the innermost factor as ExpandNextPacked reads it
+	inner    Source         // the innermost factor as ExpandNextPacked reads it
 	strides  []int64        // vertex strides within the tail space
 	idx      []int          // odometer over arcs[0..m-2]
 	uPre     int64          // Σ_{d<m-1} arcs[d][idx[d]].U·strides[d]
 	vPre     int64          // likewise for V
+	high     int            // digits d < high are those whose factors lie past the tail's lowest 2³² vertices
+	uHi, vHi int64          // those digits' part of uPre and vPre: ExpandNextPacked's base
 	innerPos int            // position within arcs[m-1]
 	done     bool
 	total    int64 // Π len(arcs[d])
@@ -362,7 +364,7 @@ func NewTailCursor(tail []*graph.Graph) *TailCursor {
 	}
 	tc := &TailCursor{
 		arcs:    make([][]graph.Edge, len(tail)),
-		inner:   SourceOf[uint64](tail[len(tail)-1]),
+		inner:   SourceOf(tail[len(tail)-1]),
 		strides: make([]int64, len(tail)),
 		idx:     make([]int, len(tail)-1),
 		total:   1,
@@ -373,6 +375,9 @@ func NewTailCursor(tail []*graph.Graph) *TailCursor {
 		tc.strides[d] = stride
 		stride *= tail[d].NumVertices()
 		tc.total *= int64(len(tc.arcs[d]))
+		if stride > 1<<32 && tc.high == 0 {
+			tc.high = d + 1
+		}
 	}
 	tc.nTail = stride
 	tc.Reset()
@@ -411,7 +416,7 @@ func (tc *TailCursor) SeekTo(pos int64) {
 	}
 	if pos == tc.total {
 		tc.done = true
-		tc.uPre, tc.vPre = 0, 0
+		tc.recomputePrefix()
 		return
 	}
 	tc.done = false
@@ -427,7 +432,7 @@ func (tc *TailCursor) SeekTo(pos int64) {
 }
 
 func (tc *TailCursor) recomputePrefix() {
-	tc.uPre, tc.vPre = 0, 0
+	tc.uPre, tc.vPre, tc.uHi, tc.vHi = 0, 0, 0, 0
 	if tc.done {
 		return
 	}
@@ -435,6 +440,9 @@ func (tc *TailCursor) recomputePrefix() {
 		a := tc.arcs[d][tc.idx[d]]
 		tc.uPre += a.U * tc.strides[d]
 		tc.vPre += a.V * tc.strides[d]
+		if d+1 == tc.high {
+			tc.uHi, tc.vHi = tc.uPre, tc.vPre
+		}
 	}
 }
 
@@ -482,24 +490,34 @@ func (tc *TailCursor) ExpandNext(uBase, vBase int64, out []graph.Edge, max int) 
 	return out
 }
 
-// ExpandNextPacked is ExpandNext for a product whose vertex ids all fit 32
-// bits — the distributed engine's packed walk: it appends up to max product
-// arcs to out as graph.PackedArcs words, (uBase+tu) | (vBase+tv)<<32, in
-// ExpandNext's order. The caller promises every such id is below 2³².
-// Each sweep (or the part of it max admits) is one ExpandSourceTo call over
-// the innermost factor's Source, resolved at NewTailCursor, with the base
-// (uBase+uPre) | (vBase+vPre)<<32: the block is half the bytes of the wide
-// walk's, and the source half (packed) or a quarter (narrow).
-func (tc *TailCursor) ExpandNextPacked(uBase, vBase int64, out []uint64, max int) []uint64 {
-	for len(out) < max {
+// ExpandNextPacked is ExpandNext in packed arcs — the distributed engine's
+// walk: it appends up to max tail arcs to out as graph.PackedArcs words,
+// relative to a base (u0, v0) it returns with them, in ExpandNext's order;
+// arc i is (u0 + uint32(w), v0 + w>>32), plus the caller's head offset.
+// The base is the contribution of the outer digits whose factors lie past
+// the lowest 2³² vertices of the tail, so every word fits, and the block
+// ends where that contribution changes: for a tail of at most 2³² vertices
+// the base is (0, 0) and the block is max arcs but for the last. Each
+// sweep (or the part of it max admits) is one ExpandSourceTo call over the
+// innermost factor's Source, resolved at NewTailCursor, which must have at
+// most 2³² vertices: the block is half the bytes of ExpandNext's, and the
+// source half (packed) or a quarter (narrow).
+func (tc *TailCursor) ExpandNextPacked(out []uint64, max int) (block []uint64, u0, v0 int64) {
+	u0, v0 = tc.uHi, tc.vHi
+	for len(out) < max && tc.uHi == u0 && tc.vHi == v0 {
 		lo, hi, uPre, vPre := tc.NextSweep(int64(max - len(out)))
 		if lo == hi {
 			break
 		}
-		out = ExpandSourceTo(out, tc.inner.Slice(lo, hi), uint64(uBase+uPre)|uint64(vBase+vPre)<<32)
+		out = ExpandSourceTo(out, tc.inner.Slice(lo, hi), uint64(uPre-u0)|uint64(vPre-v0)<<32)
 	}
-	return out
+	return out, u0, v0
 }
+
+// High returns the base ExpandNextPacked gives the next sweep's arcs, the
+// part of NextSweep's prefix that a packed word leaves out: (0, 0) for a
+// tail of at most 2³² vertices.
+func (tc *TailCursor) High() (u0, v0 int64) { return tc.uHi, tc.vHi }
 
 // NextSweep is ExpandNext without the writing, a sweep at a time: it
 // advances the cursor over the rest of the current sweep of the innermost

@@ -391,11 +391,14 @@ func TestTailCursorEmptyFactor(t *testing.T) {
 // that stops at the end or mid-sweep, the concatenation of NextSweep's
 // windows — prefix and bases applied — is ExpandNext's stream, and a window
 // stops short of its sweep's end only where max cut it — and ExpandNextPacked's
-// blocks, max arcs each until the budget's last, unpack to the same stream.
-// The tails are
-// depths 1–3 over an innermost factor with isolated vertices first, in the
-// middle and last, a 2D-style part of it (its arc window starts and ends
-// mid-row), and an empty factor.
+// blocks, widened with their bases, unpack to the same stream. A block is
+// max arcs until the budget's last, with base (0, 0), where the tail has at
+// most 2³² vertices; past that it may also end where its base changes, and
+// only there. The tails are depths 1–3 over an innermost factor with
+// isolated vertices first, in the middle and last, a 2D-style part of it
+// (its arc window starts and ends mid-row), an empty factor, and sparse
+// tails of two and three factors (those of k = 3 and k = 4 chains) of
+// 2³² − 1, 2³² and 2³³ vertices, and of 2³⁷, two digits past 2³².
 func TestTailCursorNextSweepMatchesExpandNext(t *testing.T) {
 	eachTierRun(t, func(t *testing.T) {
 		// Star on 1,3,5,6,7 around vertex 2, plus the edge 5–6; 0, 4 and 8 isolated.
@@ -414,6 +417,15 @@ func TestTailCursorNextSweepMatchesExpandNext(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(59))
 		outer1, outer2 := randomGraph(rng, 3, true), randomGraph(rng, 3, false)
+		// sparse is an n-vertex factor of four or five arcs on vertices 0,
+		// n/3 and n−1, so that its tails reach both ends of their id range.
+		sparse := func(n int64) *graph.Graph {
+			g, err := graph.New(n, []graph.Edge{{U: 0, V: 0}, {U: 0, V: n - 1}, {U: n / 3, V: n / 3}, {U: n - 1, V: 0}, {U: n - 1, V: n - 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		}
 		tails := map[string][]*graph.Graph{
 			"depth1":      {star},
 			"depth1_part": {part},
@@ -422,10 +434,18 @@ func TestTailCursorNextSweepMatchesExpandNext(t *testing.T) {
 			"depth3":      {outer2, outer1, star},
 			"empty_inner": {outer1, empty},
 			"empty_outer": {empty, star},
+			"k3_2^32-1":   {sparse(1<<16 - 1), sparse(1<<16 + 1)},
+			"k3_2^32":     {sparse(1 << 16), sparse(1 << 16)},
+			"k3_2^33":     {sparse(1 << 17), sparse(1 << 16)},
+			"k4_2^32-1":   {sparse(3), sparse(21845), sparse(1<<16 + 1)},
+			"k4_2^32":     {sparse(4), sparse(1 << 14), sparse(1 << 16)},
+			"k4_2^33":     {sparse(4), sparse(1 << 15), sparse(1 << 16)},
+			"k4_2^37":     {sparse(1 << 4), sparse(1 << 16), sparse(1 << 17)},
 		}
 		const uBase, vBase = 1000, 2000
 		for name, tail := range tails {
 			ref, tc := NewTailCursor(tail), NewTailCursor(tail)
+			wide := tc.NumVertices() > 1<<32
 			total := tc.Total()
 			inner := tail[len(tail)-1].ArcSlice()
 			for pos := int64(0); pos <= total; pos++ {
@@ -465,17 +485,21 @@ func TestTailCursorNextSweepMatchesExpandNext(t *testing.T) {
 							t.Fatalf("%s: %d windows over the whole tail, want one per sweep = %d", name, windows, total/int64(len(inner)))
 						}
 						tc.SeekTo(pos)
-						var words []uint64
-						for int64(len(words)) < budget {
-							lim := int(min(max, budget-int64(len(words))))
-							block := tc.ExpandNextPacked(uBase, vBase, make([]uint64, 0, 1), lim)
-							if len(block) == 0 || len(block) > lim || len(block) < lim && int64(len(words)+len(block)) < budget {
-								t.Fatalf("%s pos %d max %d: ExpandNextPacked gave %d arcs with %d due, at most %d a block", name, pos, max, len(block), budget-int64(len(words)), lim)
+						var packed []graph.Edge
+						for int64(len(packed)) < budget {
+							lim := int(min(max, budget-int64(len(packed))))
+							block, u0, v0 := tc.ExpandNextPacked(make([]uint64, 0, 1), lim)
+							if len(block) == 0 || len(block) > lim {
+								t.Fatalf("%s pos %d max %d: ExpandNextPacked gave %d arcs with %d due, at most %d a block", name, pos, max, len(block), budget-int64(len(packed)), lim)
 							}
-							words = append(words, block...)
+							short := len(block) < lim && int64(len(packed)+len(block)) < budget
+							if u1, v1 := tc.High(); !wide && (u0 != 0 || v0 != 0 || short) || wide && short && u1 == u0 && v1 == v0 {
+								t.Fatalf("%s pos %d max %d: ExpandNextPacked gave %d arcs based at (%d, %d) with %d due, at most %d a block, the next based at (%d, %d)", name, pos, max, len(block), u0, v0, budget-int64(len(packed)), lim, u1, v1)
+							}
+							packed = ExpandPacked(packed, block, uBase+u0, vBase+v0)
 						}
-						for i, p := range words {
-							if e := (graph.Edge{U: int64(uint32(p)), V: int64(p >> 32)}); e != want[i] {
+						for i, e := range packed {
+							if e != want[i] {
 								t.Fatalf("%s pos %d max %d budget %d: packed arc %d = %v, ExpandNext says %v", name, pos, max, budget, i, e, want[i])
 							}
 						}

@@ -7,13 +7,11 @@ import (
 )
 
 // ExpandRun appends (u0+e.U, v0+e.V) for every e of run to out and
-// returns it — the "add a base pair to a run of arcs" primitive of the
-// wide walk: ExpandBlock (u0, v0 the head arc's γ offsets), and, for a
-// product with more than 2³² vertices, TailCursor.ExpandNext (one call per
-// innermost-factor sweep) and the distributed engine's owner-side walk (one
-// call per piece of the rows a rank owns of a sweep: run is then a
-// compacted copy of those rows). A product whose ids fit 32 bits is walked
-// in packed blocks instead (ExpandPackedTo).
+// returns it — the "add a base pair to a run of arcs" primitive in
+// graph.Edges: ExpandBlock (u0, v0 the head arc's γ offsets) and
+// TailCursor.ExpandNext (one call per innermost-factor sweep), which
+// Chain.ArcsFrom and the serial paths call. The distributed engine never
+// calls it: it walks every product in packed blocks (ExpandPackedTo).
 //
 // It has append's semantics: out[:len(out)] is kept, out is grown by
 // append's rule when its capacity is short (recycled buffers may have any
@@ -28,7 +26,7 @@ import (
 // and lives in L2; under it, and on every other amd64, SSE2's load / PADDQ
 // / store per arc. The machine picks; nothing selects a body by hand.
 // Elsewhere the body is addEdgesGo, the portable loop both are tested
-// against. Kernel names the body the cursor runs.
+// against. Kernel names the probe's tier.
 func ExpandRun(out, run []graph.Edge, u0, v0 int64) []graph.Edge {
 	n := len(out)
 	out = slices.Grow(out, len(run))[:n+len(run)]
@@ -38,8 +36,8 @@ func ExpandRun(out, run []graph.Edge, u0, v0 int64) []graph.Edge {
 
 // ExpandPacked is ExpandRun over a graph.PackedArcs run — each arc u |
 // v<<32 — with the same append semantics: it appends (u0+u, v0+v) for
-// every arc of run to out. It is how the sinks that take packed blocks
-// widen them, with bases 0, into the graph.Edge buffers they copy into.
+// every arc of run to out. It is how a sink widens a packed block, with the
+// block's base, into the graph.Edge buffer it copies into.
 // Where the start-up probe found AVX-512 the body is addPacked, four arcs
 // per 512-bit VPMOVZXDQ; elsewhere it is addPackedGo, so it is correct on
 // every host.
@@ -54,17 +52,18 @@ func ExpandPacked(out []graph.Edge, run []uint64, u0, v0 int64) []graph.Edge {
 	return out
 }
 
-// ExpandPackedTo is the packed walk's primitive, for a product whose ids
-// all fit 32 bits: it appends run[i] + base to out for every arc of run,
-// where run is graph.PackedArcs words (u | v<<32) and base is u0 | v0<<32,
-// with append's semantics as ExpandRun. The caller promises u0+u and v0+v
-// stay below 2³² for every arc — true of any arc of such a product — so the
-// one 64-bit add per arc cannot carry from U into V, and out holds the
-// product arcs (u0+u, v0+v) in the same layout, 8 bytes each: half what
-// ExpandRun stores. TailCursor.ExpandNextPacked (one call per
-// innermost-factor sweep) and the distributed engine's owner-side walk call
-// it on every host. On amd64 the body is addPackedTo, whose 256- or 128-bit
-// loop the start-up probe picks; elsewhere addPackedToGo.
+// ExpandPackedTo is the packed walk's primitive: it appends run[i] + base
+// to out for every arc of run, where run is graph.PackedArcs words
+// (u | v<<32) and base is u0 | v0<<32, with append's semantics as
+// ExpandRun. The caller promises u0+u and v0+v stay below 2³² for every
+// arc — true of a tail arc taken relative to its block's base
+// (TailCursor.ExpandNextPacked) — so the one 64-bit add per arc cannot
+// carry from U into V, and out holds the arcs (u0+u, v0+v) in the same
+// layout, 8 bytes each: half what ExpandRun stores.
+// TailCursor.ExpandNextPacked (one call per innermost-factor sweep) and the
+// distributed engine's owner-side walk call it on every host. On amd64 the
+// body is addPackedTo, whose 256- or 128-bit loop the start-up probe picks;
+// elsewhere addPackedToGo.
 func ExpandPackedTo(out, run []uint64, base uint64) []uint64 {
 	n := len(out)
 	out = slices.Grow(out, len(run))[:n+len(run)]
@@ -92,61 +91,52 @@ func ExpandNarrowTo(out []uint64, run []uint32, base uint64) []uint64 {
 }
 
 // Source is an innermost factor's arcs, or a window of them, in the layout
-// a walk whose blocks are B reads: a wide walk (blocks of graph.Edge) the
-// factor's ArcSlice, a packed walk (blocks of graph.PackedArcs words) its
-// NarrowArcs or its PackedArcs, as SourceOf decides once per factor.
-// TailCursor.ExpandNextPacked and the distributed engine's owner-side picks
-// hold one, so a pick reads the layout the cursor reads.
-type Source[B graph.Edge | uint64] struct {
-	arcs   []B      // ArcSlice or PackedArcs; unused where narrow is set
+// the packed walk reads: its NarrowArcs or its PackedArcs, as SourceOf
+// decides once per factor. TailCursor.ExpandNextPacked and the distributed
+// engine's owner-side picks hold one, so a pick reads the layout the cursor
+// reads.
+type Source struct {
+	packed []uint64 // PackedArcs; unused where narrow is set
 	narrow []uint32 // NarrowArcs, where the factor reads narrow; else nil
 }
 
-// SourceOf returns g's arcs as a walk with blocks of B reads them. For a
-// packed walk it is the one choice of layout: narrow (4 bytes an arc,
-// ExpandNarrowTo) where g has at most 2¹⁶ vertices and the probe found
-// AVX-512, packed (8 bytes, ExpandPackedTo) everywhere else. An AVX2 loop
-// over narrow arcs measured no faster than addPackedTo's (DESIGN §3a), so
-// an AVX2 or SSE2 host reads packed.
-func SourceOf[B graph.Edge | uint64](g *graph.Graph) Source[B] {
-	var s Source[B]
-	switch arcs := any(&s.arcs).(type) {
-	case *[]graph.Edge:
-		*arcs = g.ArcSlice()
-	case *[]uint64:
-		if hasAVX512 {
-			s.narrow = g.NarrowArcs()
-		}
-		if s.narrow == nil {
-			*arcs = g.PackedArcs()
+// SourceOf returns g's arcs as the packed walk reads them, the one choice of
+// layout: narrow (4 bytes an arc, ExpandNarrowTo) where g has at most 2¹⁶
+// vertices and the probe found AVX-512, packed (8 bytes, ExpandPackedTo)
+// everywhere else. An AVX2 loop over narrow arcs measured no faster than
+// addPackedTo's (DESIGN §3a), so an AVX2 or SSE2 host reads packed. g must
+// have at most 2³² vertices, or it has no packed layout.
+func SourceOf(g *graph.Graph) Source {
+	if hasAVX512 {
+		if narrow := g.NarrowArcs(); narrow != nil {
+			return Source{narrow: narrow}
 		}
 	}
-	return s
+	return Source{packed: g.PackedArcs()}
 }
 
 // Len returns the number of arcs in s, whichever of its slices holds them.
-func (s Source[B]) Len() int { return max(len(s.arcs), len(s.narrow)) }
+func (s Source) Len() int { return max(len(s.packed), len(s.narrow)) }
+
+// Narrow reports whether s is read narrow.
+func (s Source) Narrow() bool { return s.narrow != nil }
 
 // Slice returns arcs [lo, hi) of s, in s's layout.
-func (s Source[B]) Slice(lo, hi int) Source[B] {
+func (s Source) Slice(lo, hi int) Source {
 	if s.narrow != nil {
-		return Source[B]{narrow: s.narrow[lo:hi]}
+		return Source{narrow: s.narrow[lo:hi]}
 	}
-	return Source[B]{arcs: s.arcs[lo:hi]}
+	return Source{packed: s.packed[lo:hi]}
 }
-
-// Arcs returns s in its blocks' own layout — a wide walk's ArcSlice window,
-// which ExpandRun reads — and nil where s is narrow.
-func (s Source[B]) Arcs() []B { return s.arcs }
 
 // Grouped returns a copy of s, a whole factor's arcs, with its rows
 // regrouped in s's layout: row u, the arcs at [off[u], off[u+1]), goes
 // whole and in order to group key[u], and group c starts at arc at[c].
-func (s Source[B]) Grouped(off []int64, key []int32, at []int) Source[B] {
+func (s Source) Grouped(off []int64, key []int32, at []int) Source {
 	if s.narrow != nil {
-		return Source[B]{narrow: grouped(s.narrow, off, key, at)}
+		return Source{narrow: grouped(s.narrow, off, key, at)}
 	}
-	return Source[B]{arcs: grouped(s.arcs, off, key, at)}
+	return Source{packed: grouped(s.packed, off, key, at)}
 }
 
 func grouped[T any](src []T, off []int64, key []int32, at []int) []T {
@@ -161,11 +151,11 @@ func grouped[T any](src []T, off []int64, key []int32, at []int) []T {
 // every arc of run, in graph.PackedArcs' layout, plus base to out, through
 // ExpandNarrowTo or ExpandPackedTo as the source's layout is, with their
 // append semantics and caller promise.
-func ExpandSourceTo(out []uint64, run Source[uint64], base uint64) []uint64 {
+func ExpandSourceTo(out []uint64, run Source, base uint64) []uint64 {
 	if run.narrow != nil {
 		return ExpandNarrowTo(out, run.narrow, base)
 	}
-	return ExpandPackedTo(out, run.arcs, base)
+	return ExpandPackedTo(out, run.packed, base)
 }
 
 // addEdgesGo writes dst[i] = (u0+src[i].U, v0+src[i].V) for every i; dst

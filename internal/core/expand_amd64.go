@@ -71,12 +71,12 @@ func avx512From(maxLeaf, leaf1ECX, xcr0, leaf7EBX uint32) bool {
 }
 
 // Kernel names the probe's tier — "avx512", "avx2", "sse2", or off amd64
-// "portable": rates from two hosts compare only next to it. Every walk runs
-// the loops of the widest tier up to AVX2 (addPackedTo for a product whose
-// ids fit 32 bits, addEdges for a larger one, and ExpandBlock); "avx512"
-// adds addNarrowTo, which the packed walk runs over an innermost factor of
-// at most 2¹⁶ vertices (SourceOf), and addPacked, with which the sinks that
-// take packed blocks widen them.
+// "portable": rates from two hosts compare only next to it. The engine's
+// walk runs addPackedTo's loop of the widest tier up to AVX2, for every
+// product; addEdges runs only under ExpandBlock and ExpandNext. "avx512"
+// adds addNarrowTo, which the walk runs over an innermost factor of at most
+// 2¹⁶ vertices (SourceOf), and addPacked, with which the sinks widen packed
+// blocks.
 func Kernel() string {
 	switch {
 	case hasAVX512:

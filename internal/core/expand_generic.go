@@ -17,6 +17,6 @@ func addPackedTo(dst, src []uint64, base uint64) { addPackedToGo(dst, src, base)
 
 func addNarrowTo(dst []uint64, src []uint32, base uint64) { addNarrowToGo(dst, src, base) }
 
-// Kernel names the body ExpandRun and ExpandPackedTo run: here the
-// portable loops, and no factor is read narrow.
+// Kernel names the body ExpandPackedTo — the engine's walk — and ExpandRun
+// run: here the portable loops, and no factor is read narrow.
 func Kernel() string { return "portable" }

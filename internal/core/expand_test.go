@@ -358,7 +358,7 @@ func checkAddPackedTo(t *testing.T, run []uint64, rem uintptr, u0, v0 uint64) {
 // 8-byte offset past a 64-byte boundary (the 256-bit peel's 0–3 arcs, the
 // SSE2 one's 0–1), from a source at either 16-byte phase, over bases
 // 0 and ones that put u0+u, v0+v or both at exactly 2³²−1 — the largest id
-// of a product of 2³² vertices — where an add that carried from U would
+// of a tail of 2³² vertices — where an add that carried from U would
 // show in V.
 func TestAddPackedToDifferential(t *testing.T) {
 	eachTierRun(t, func(t *testing.T) {
@@ -505,7 +505,7 @@ const sweepPiece = 1024
 
 // BenchmarkExpandRun times the primitive in the shapes the engine feeds
 // it, in ns/arc, per body: each body eachTier forces — the packed walk's
-// ExpandPackedTo (<tier>_packed) and the wide walk's ExpandRun in the sse2
+// ExpandPackedTo (<tier>_packed) and ExpandRun, the serial paths' body, in the sse2
 // and avx2 tiers, which an AVX-512 host also runs, and in the avx512 tier
 // ExpandPacked, the sinks' widening of a packed block — the portable loop
 // and the per-edge append loop ExpandRun replaced. sweep21k is the engine's k = 2

@@ -221,12 +221,12 @@ func (c *cluster) run(parent context.Context, body func(rk *Rank) error) error {
 	return nil
 }
 
-// edgeBufs recycles edge buffers for its users: each rank's wide walk
-// checks its scratch block out per attempt (runAttempt), the fence of a
-// packed walk's rank whose sink widens nothing itself its widened block
-// (fencedRankSink.storePacked, endAttempt), and the stream sink its hand-off
-// batches, which the consumer gives back (streamSink.getBuf, recycle);
-// packedBufs is the same for a packed walk's scratch block. They are package-level freelists rather than per-cluster
+// edgeBufs recycles edge buffers for its users: the fence of a rank whose
+// sink takes no packed blocks its widened block (fencedRankSink.store,
+// endAttempt), and the stream sink its hand-off batches, which the consumer
+// gives back (streamSink.getBuf, recycle); packedBufs recycles each rank's
+// scratch block, checked out per attempt (runAttempt). They are
+// package-level freelists rather than per-cluster
 // sync.Pools because short-lived clusters (one per generation run, one per
 // kronserve request) reuse each other's buffers, and pushing a plain slice
 // header onto a slice stack does not box it into an interface the way

@@ -65,3 +65,34 @@ func BenchmarkKernelBatchSize(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPaperScale is the paper's headline shape in-package: RMAT(18)²,
+// a Graph500 scale-18 factor crossed with itself — 2³⁶ vertices, its
+// innermost factor ≈ 8 M arcs, past L2 — planned on R = 2 ranks with no
+// owner into a CountSink, each rank's tile cut by Take to 5e7 arcs so one
+// run expands 1e8 in a fraction of a second. It reports ns/arc, the wall
+// of one Run over the arcs it expands; building the factor and its cached
+// layouts (one untimed Run) is outside the timer.
+func BenchmarkPaperScale(b *testing.B) {
+	const r, take = 2, 50_000_000
+	g := gen.MustRMAT(gen.Graph500Params(18, 1))
+	plan, err := PlanChain1D(mustChain(g, g), r)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tiles := range plan.Tiles {
+		tiles[0].Take = take
+	}
+	run := func() {
+		sink := &CountSink{}
+		if _, err := Run(context.Background(), Config{Plan: plan, Sink: sink}); err != nil || sink.Total() != r*take {
+			b.Fatalf("%d arcs, err %v; want %d", sink.Total(), err, r*take)
+		}
+	}
+	run()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*r*take), "ns/arc")
+}

@@ -232,10 +232,9 @@ type Config struct {
 	// BatchSize is the largest block a sink is handed; clean and
 	// fault-armed runs walk in the same blocks. ≤ 0 selects DefaultBatchSize
 	// (1024, the benchmarked default). Correct for any value ≥ 1. Larger is
-	// not free: the expansion block is 8 B × BatchSize packed (a product of
-	// at most 2³² vertices) and 16 B × BatchSize wide, and must stay in L1
-	// beside the streaming innermost factor — past 16 KB it leaves and
-	// unplaced expansion halves (DefaultBatchSize).
+	// not free: the expansion block is 8 B × BatchSize, packed arcs, and
+	// must stay in L1 beside the streaming innermost factor — past 16 KB it
+	// leaves and unplaced expansion halves (DefaultBatchSize).
 	BatchSize int
 	// Faults, when non-nil, arms the run's ranks with an injected crash
 	// schedule (see fault.go) — chaos testing of the teardown and recovery
@@ -256,28 +255,28 @@ func (cfg Config) batchSize() int {
 
 // runAttempt executes one attempt of the engine on an already-built
 // cluster: every rank walks its tiles with a core.TailCursor — one loop
-// for every chain depth — into its own sink, in blocks of form f: packed
-// arcs, u | v<<32, where every id the tiles expand to fits 32 bits
-// (packedForm), else graph.Edges (wideForm). With no owner, the cursor
-// fills a reused scratch block. With one (bySource, its source form:
-// sourceForm) every rank walks every tile and expands only the rows it owns
-// (ownedRows): nothing is staged, batched or sent, at any R. Blocks
-// go to the fenced sink sinkFor returns; perGen/perStored get the per-rank
-// counters.
+// for every chain depth and every product size — into its own sink, in
+// packed blocks: each arc a word u | v<<32 relative to the block's base
+// (u0, v0), the head arc's offset plus what of the tail's prefix passes 2³²
+// vertices. With no owner, the cursor fills a reused scratch block. With
+// one (bySource, its source form: sourceForm) every rank walks every tile
+// and expands only the rows it owns (ownedRows): nothing is staged,
+// batched or sent, at any R. Blocks go to the fenced sink sinkFor returns;
+// perGen/perStored get the per-rank counters.
 //
 // Expansion order is exactly the reference order — head arcs in tile
 // order, each crossed with the tail's composed arcs in lexicographic CSR
 // order (core.Chain.Arcs) — so what reaches a rank's sink per (tile, rank)
 // is the tile's stream filtered by the owner map, in order, byte-identical
-// across attempts and in either form. That determinism is what tile
-// checkpoints and prefix-dedup recovery key on; the step size changes
-// polling granularity, never order. A fault-armed run walks the same blocks.
-func runAttempt[B graph.Edge | uint64](ctx context.Context, c *cluster, f *form[B], owner Owner, bySource func(u int64) int, tiles [][]Tile, sinkFor func(*Rank) (*fencedRankSink, error), perGen, perStored []int64, batch int) error {
+// across attempts. That determinism is what tile checkpoints and
+// prefix-dedup recovery key on; the step size changes polling granularity,
+// never order. A fault-armed run walks the same blocks.
+func runAttempt(ctx context.Context, c *cluster, owner Owner, bySource func(u int64) int, tiles [][]Tile, sinkFor func(*Rank) (*fencedRankSink, error), perGen, perStored []int64, batch int) error {
 	// Shared by the ranks: the map is pure, and OwnerBySource's class
 	// partitions are built once and then only read.
-	var place *placing[B]
+	var place *placing
 	if bySource != nil {
-		place = newPlacing[B](owner, bySource, c.r)
+		place = newPlacing(owner, bySource, c.r)
 	}
 	err := c.run(ctx, func(rk *Rank) error {
 		if err := rk.crashAt(FaultBeforeSinkSetup); err != nil {
@@ -292,7 +291,7 @@ func runAttempt[B graph.Edge | uint64](ctx context.Context, c *cluster, f *form[
 		// out of the package freelist — expansion allocates nothing in steady
 		// state and per-rank memory stays O(|E_A|/R + |E_B| + batch) even
 		// when this rank's B is large.
-		w := walk[B]{rk: rk, as: as, faults: c.faults, batch: batch, f: f, scratch: checkOut(c, f.bufs, batch)}
+		w := walk{rk: rk, as: as, faults: c.faults, batch: batch, scratch: checkOut(c, &packedBufs, batch)}
 		if place != nil {
 			w.own = place.rows(rk.ID(), batch)
 		}
@@ -300,7 +299,7 @@ func runAttempt[B graph.Edge | uint64](ctx context.Context, c *cluster, f *form[
 		if w.own != nil {
 			atomic.AddInt64(&rk.c.stats.OwnerRowsTested, w.own.rows)
 		}
-		checkIn(c, f.bufs, w.scratch)
+		checkIn(c, &packedBufs, w.scratch)
 		atomic.AddInt64(&rk.c.stats.EdgesGenerated, w.generated)
 		perGen[rk.ID()] = w.generated
 		perStored[rk.ID()] = w.stored
@@ -331,83 +330,29 @@ func runAttempt[B graph.Edge | uint64](ctx context.Context, c *cluster, f *form[
 	return err
 }
 
-// form is one shape of a walk's blocks, B, and everything that differs with
-// it: how the cursor fills a block (the walk with no owner), how a window of
-// a source owner's pick — the innermost factor's core.Source[B] — is
-// expanded into a block, how the fence stores a block, and the freelist the
-// scratch block comes from.
-type form[B graph.Edge | uint64] struct {
-	next  func(cur *core.TailCursor, uBase, vBase int64, out []B, max int) []B
-	add   func(out []B, run core.Source[B], u0, v0 int64) []B
-	store func(f *fencedRankSink, tile int, block []B) (int64, error)
-	bufs  *bufStack[B]
-}
-
-// wideForm is the walk of a product with ids past 2³²: blocks of
-// graph.Edge, expanded from the innermost factor's ArcSlice through
-// core.ExpandRun.
-var wideForm = form[graph.Edge]{
-	next: (*core.TailCursor).ExpandNext,
-	add: func(out []graph.Edge, run core.Source[graph.Edge], u0, v0 int64) []graph.Edge {
-		return core.ExpandRun(out, run.Arcs(), u0, v0)
-	},
-	store: (*fencedRankSink).storeWide,
-	bufs:  &edgeBufs,
-}
-
-// packedForm is the walk of a product whose ids all fit 32 bits: blocks of
-// graph.PackedArcs words, u | v<<32, 8 bytes an arc where a graph.Edge is
-// 16, expanded from the innermost factor's narrow or packed arcs, as core
-// picks per factor (core.ExpandSourceTo: the arc plus the base u0 | v0<<32).
-var packedForm = form[uint64]{
-	next: (*core.TailCursor).ExpandNextPacked,
-	add: func(out []uint64, run core.Source[uint64], u0, v0 int64) []uint64 {
-		return core.ExpandSourceTo(out, run, uint64(u0)|uint64(v0)<<32)
-	},
-	store: (*fencedRankSink).storePacked,
-	bufs:  &packedBufs,
-}
-
-// packedIDs reports whether every id the tiles expand to fits 32 bits, so
-// that they are walked in packed blocks. It reads what the walk reads — per
-// tile, (the largest head id + 1) × Π n of its tail must be at most 2³² —
-// and not Plan.NC, which a plan built or rebalanced by hand may understate.
-func packedIDs(tiles [][]Tile) bool {
-	const limit = int64(1) << 32
-	for _, ts := range tiles {
-	tile:
+// packable refuses a plan with a tile whose innermost factor has more than
+// 2³² vertices: the walk reads that factor's arcs packed (core.SourceOf),
+// and such a factor has no packed layout.
+func packable(plan Plan) error {
+	for _, ts := range plan.Tiles {
 		for _, t := range ts {
-			nT := int64(1)
-			for _, g := range t.Tail {
-				n := g.NumVertices()
-				if n == 0 {
-					continue tile // no arcs
-				}
-				if n > limit/nT {
-					return false
-				}
-				nT *= n
-			}
-			for _, e := range t.AArcs {
-				if max(e.U, e.V) >= limit/nT {
-					return false
-				}
+			if k := len(t.Tail); k > 0 && t.Tail[k-1].NumVertices() > 1<<32 {
+				return fmt.Errorf("dist: tile %d's innermost factor has %d vertices: the walk packs its ids in 32 bits, so it takes at most 2³²", t.ID, t.Tail[k-1].NumVertices())
 			}
 		}
 	}
-	return true
+	return nil
 }
 
-// walk is one rank's Expand stage in one attempt, in blocks of B. A block
+// walk is one rank's Expand stage in one attempt, in packed blocks. A block
 // costs the kernel call, the sink call and one atomic load (cluster.stop).
-type walk[B graph.Edge | uint64] struct {
+type walk struct {
 	rk      *Rank
 	as      *fencedRankSink
 	faults  *faultState // nil unless the run is fault-armed
 	batch   int
-	f       *form[B]
-	scratch []B
-	own     *ownedRows[B] // a source owner's pick; nil otherwise
+	scratch []uint64
+	own     *ownedRows // a source owner's pick; nil otherwise
 
 	generated, stored          int64
 	blocks                     uint32 // placed, for the context poll
@@ -423,11 +368,12 @@ const contextPoll = 64
 
 // tiles walks each A-arc of each tile against the tile's tail factors, a
 // block at a time into place, and stops when place refuses one. A block is
-// the cursor's next ≤ batch arcs (form.next), or under a source owner the
-// next ≤ batch owned arcs of the sweep (ownedRows, form.add). The tail is
+// the cursor's next ≤ batch arcs (ExpandNextPacked), or under a source owner
+// the next ≤ batch owned arcs of the sweep (ownedRows). Either way its base
+// is the head arc's offset plus the cursor's High. The tail is
 // folded lazily through a core.TailCursor at every depth, in lexicographic
 // CSR order — kernel_test.go holds every depth to the per-edge reference.
-func (w *walk[B]) tiles(tiles []Tile) {
+func (w *walk) tiles(tiles []Tile) {
 	var cur *core.TailCursor // one per tail: a source owner's rank walks R tiles of one
 	var tail []*graph.Graph
 	for ti := range tiles {
@@ -464,14 +410,14 @@ func (w *walk[B]) tiles(tiles []Tile) {
 				if w.own != nil {
 					n = w.own.sweep(cur, uBase, vBase, rem)
 					for block := w.owned(); len(block) > 0; block = w.owned() {
-						if !w.place(t.ID, block) {
+						if !w.place(t.ID, block, w.own.u0, w.own.v0) {
 							return
 						}
 					}
 				} else {
-					block := w.f.next(cur, uBase, vBase, w.scratch, int(min(rem, int64(w.batch))))
+					block, uHi, vHi := cur.ExpandNextPacked(w.scratch, int(min(rem, int64(w.batch))))
 					w.scratch = block[:0]
-					if len(block) > 0 && !w.place(t.ID, block) {
+					if len(block) > 0 && !w.place(t.ID, block, uBase+uHi, vBase+vHi) {
 						return
 					}
 					n = int64(len(block))
@@ -488,21 +434,21 @@ func (w *walk[B]) tiles(tiles []Tile) {
 // owned expands the sweep's next ≤ batch owned arcs into the scratch block,
 // and returns an empty block once they are all out: the cursor's loop over
 // the pick.
-func (w *walk[B]) owned() []B {
+func (w *walk) owned() []uint64 {
 	o := w.own
 	n := min(o.j-o.i, o.batch)
 	if n == 0 {
 		return nil
 	}
-	block := w.f.add(w.scratch, o.arcs.Slice(o.i, o.i+n), o.s0, o.v0)
+	block := core.ExpandSourceTo(w.scratch, o.arcs.Slice(o.i, o.i+n), o.base)
 	w.scratch, o.i = block[:0], o.i+n
 	return block
 }
 
-// place stores one block and reports whether the walk goes on. A crash due
-// inside the block fires after the arcs before it are stored, and cancels
-// the run at once.
-func (w *walk[B]) place(tile int, block []B) bool {
+// place stores one block, its arcs relative to (u0, v0), and reports whether
+// the walk goes on. A crash due inside the block fires after the arcs before
+// it are stored, and cancels the run at once.
+func (w *walk) place(tile int, block []uint64, u0, v0 int64) bool {
 	var crash error
 	if w.faults != nil {
 		var n int64
@@ -510,7 +456,7 @@ func (w *walk[B]) place(tile int, block []B) bool {
 		block = block[:n]
 	}
 	w.generated += int64(len(block))
-	if len(block) > 0 && !w.deliver(tile, block) {
+	if len(block) > 0 && !w.deliver(tile, block, u0, v0) {
 		return false
 	}
 	if crash != nil {
@@ -538,11 +484,11 @@ func (w *walk[B]) place(tile int, block []B) bool {
 
 // deliver hands one block, past the fence's replayed prefix, to the rank's
 // sink; a sink error cancels the run, which stops the other ranks' walks.
-func (w *walk[B]) deliver(tile int, block []B) bool {
+func (w *walk) deliver(tile int, block []uint64, u0, v0 int64) bool {
 	if block = block[w.as.fence(tile, len(block)):]; len(block) == 0 {
 		return true
 	}
-	n, err := w.f.store(w.as, tile, block)
+	n, err := w.as.store(tile, block, u0, v0)
 	w.stored += n
 	if err != nil {
 		w.sinkErr = err

@@ -50,23 +50,23 @@ func countOnly(ch *core.Chain, r int, twoD bool) (int64, error) {
 	return sink.Total(), nil
 }
 
-// ownedWalk is a rank's owner-side walk outside the engine, in the blocks
-// of form f, for the walk tests and BenchmarkRoute to drive through step.
-func ownedWalk[B graph.Edge | uint64](o *ownedRows[B], f *form[B]) *walk[B] {
-	return &walk[B]{batch: o.batch, f: f, own: o, scratch: make([]B, 0, o.batch)}
+// ownedWalk is a rank's owner-side walk outside the engine, for the walk
+// tests and BenchmarkRoute to drive through step.
+func ownedWalk(o *ownedRows) *walk {
+	return &walk{batch: o.batch, own: o, scratch: make([]uint64, 0, o.batch)}
 }
 
 // step is one sweep of the owner-side walk of t as walk.tiles takes it —
 // the pick loaded with t's innermost factor when the walk meets it,
 // ownedRows.sweep, then every block of it out of walk.owned — with the
-// blocks handed to emit.
-func (w *walk[B]) step(t *Tile, cur *core.TailCursor, uBase, vBase, rem int64, emit func(tile int, block []B) bool) (int64, bool) {
+// blocks, each with its base, handed to emit.
+func (w *walk) step(t *Tile, cur *core.TailCursor, uBase, vBase, rem int64, emit func(tile int, block []uint64, u0, v0 int64) bool) (int64, bool) {
 	if g := t.Tail[len(t.Tail)-1]; g != w.own.g {
 		w.own.load(g)
 	}
 	n := w.own.sweep(cur, uBase, vBase, rem)
 	for block := w.owned(); len(block) > 0; block = w.owned() {
-		if !emit(t.ID, block) {
+		if !emit(t.ID, block, w.own.u0, w.own.v0) {
 			return 0, false
 		}
 	}

@@ -23,8 +23,8 @@ func GenerateOwned(a, b *graph.Graph, r int) (*Result, error) {
 }
 
 // ownedRows is one rank's pick of the innermost factor's CSR rows for one
-// source base s0, in the walk's block form B: the arcs of every row u with
-// owner(s0+u) == rank, whole and in order, in one contiguous slice. Within a
+// source base s0: the arcs of every row u with owner(s0+u) == rank, whole
+// and in order, in one contiguous slice. Within a
 // sweep of core.TailCursor every source is s0+e.U, and consecutive sweeps
 // share s0 (head arcs and outer tail arcs are CSR-ordered: about a mean
 // degree of them), so a pick is made once per change of s0 and every sweep
@@ -39,37 +39,39 @@ func GenerateOwned(a, b *graph.Graph, r int) (*Result, error) {
 // at s0 are one range of the factor's and the pick is the subslice of the
 // factor's arcs the row offsets bound it by.
 //
-// The pick holds the factor as the walk's cursor reads it, a
-// core.Source[B]: in a packed walk its graph.NarrowArcs, 4 bytes an arc, or
-// its graph.PackedArcs, 8, as core.SourceOf picks per factor, and in a wide
-// one its ArcSlice.
-type ownedRows[B graph.Edge | uint64] struct {
-	p          *placing[B]
+// The pick holds the factor as the walk's cursor reads it, a core.Source:
+// its graph.NarrowArcs, 4 bytes an arc, or its graph.PackedArcs, 8, as
+// core.SourceOf picks per factor.
+type ownedRows struct {
+	p          *placing
 	rank       int
 	batch      int   // arcs per emitted block
 	first, end int64 // under a BlockOwner, the sources the rank owns: [first, end)
 
-	g     *graph.Graph   // innermost factor of the pick
-	s0    int64          // its source base; -1 until the first pick
-	off   []int64        // g's row offsets
-	inner core.Source[B] // g's arcs
-	part  *classPart[B]  // g's classes under OwnerBySource; nil under a BlockOwner
-	class int32          // the class the pick is, under OwnerBySource
-	at    int            // the pick's first arc in inner, under a BlockOwner
-	arcs  core.Source[B] // the pick
-	i, j  int            // the current sweep's owned arcs in the pick not yet expanded
-	v0    int64          // the current sweep's target base
+	g      *graph.Graph // innermost factor of the pick
+	s0     int64        // its source base; -1 until the first pick
+	off    []int64      // g's row offsets
+	inner  core.Source  // g's arcs
+	part   *classPart   // g's classes under OwnerBySource; nil under a BlockOwner
+	class  int32        // the class the pick is, under OwnerBySource
+	at     int          // the pick's first arc in inner, under a BlockOwner
+	arcs   core.Source  // the pick
+	i, j   int          // the current sweep's owned arcs in the pick not yet expanded
+	u0, v0 int64        // the current sweep's block base
+	base   uint64       // its arcs' offset from that base, u | v<<32
 
 	rows int64 // Stats.OwnerRowsTested: the picks made
 }
 
 // sweep is the walk's step under an owner (runAttempt's walk): it advances
 // cur over one sweep — at most rem arcs of t's stream, which is what it
-// reports — and makes the arcs of it this rank owns, [i, j) of the pick
-// with the bases (s0, v0), what walk.owned expands. A sweep the rank owns
-// nothing of costs the odometer step. cur's innermost factor is the one the
-// walk last loaded.
-func (o *ownedRows[B]) sweep(cur *core.TailCursor, uBase, vBase, rem int64) int64 {
+// reports — and makes the arcs of it this rank owns, [i, j) of the pick,
+// what walk.owned expands: each plus base, in blocks based at (u0, v0), the
+// head arc's offset plus cur.High, as the cursor's own blocks are. A sweep
+// the rank owns nothing of costs the odometer step. cur's innermost factor
+// is the one the walk last loaded.
+func (o *ownedRows) sweep(cur *core.TailCursor, uBase, vBase, rem int64) int64 {
+	uHi, vHi := cur.High()
 	lo, hi, uPre, vPre := cur.NextSweep(rem)
 	if lo == hi {
 		o.i, o.j = 0, 0
@@ -80,7 +82,8 @@ func (o *ownedRows[B]) sweep(cur *core.TailCursor, uBase, vBase, rem int64) int6
 	}
 	// Owned rows are whole and in order, so a sweep cut short (by a tile's
 	// Skip or Take: at most its first and its last) maps into the pick by row.
-	o.i, o.j, o.v0 = 0, o.arcs.Len(), vBase+vPre
+	o.i, o.j = 0, o.arcs.Len()
+	o.u0, o.v0, o.base = uBase+uHi, vBase+vHi, uint64(uPre-uHi)|uint64(vPre-vHi)<<32
 	if hi-lo < o.inner.Len() {
 		o.i, o.j = o.index(lo), o.index(hi)
 	}
@@ -89,8 +92,8 @@ func (o *ownedRows[B]) sweep(cur *core.TailCursor, uBase, vBase, rem int64) int6
 
 // load makes g the factor of the pick, with its classes under
 // OwnerBySource.
-func (o *ownedRows[B]) load(g *graph.Graph) {
-	o.g, o.s0, o.off, o.inner, o.arcs = g, -1, g.RowOffsets(), core.SourceOf[B](g), core.Source[B]{}
+func (o *ownedRows) load(g *graph.Graph) {
+	o.g, o.s0, o.off, o.inner, o.arcs = g, -1, g.RowOffsets(), core.SourceOf(g), core.Source{}
 	if o.p.parts != nil {
 		o.part = o.p.of(g, o.inner)
 	}
@@ -98,7 +101,7 @@ func (o *ownedRows[B]) load(g *graph.Graph) {
 
 // pick makes the rank's pick at source base s0: the class that adds to
 // owner(s0) to make the rank, or the rows of the rank's block.
-func (o *ownedRows[B]) pick(s0 int64) {
+func (o *ownedRows) pick(s0 int64) {
 	o.s0 = s0
 	o.rows++
 	if p := o.part; p != nil {
@@ -117,7 +120,7 @@ func (o *ownedRows[B]) pick(s0 int64) {
 // index maps position pos of the factor's arcs to the pick: the owned arcs
 // before it. It reads the rows' offsets and which of them the pick holds,
 // not the pick.
-func (o *ownedRows[B]) index(pos int) int {
+func (o *ownedRows) index(pos int) int {
 	if o.part == nil {
 		return min(max(pos-o.at, 0), o.arcs.Len())
 	}
@@ -134,47 +137,47 @@ func (o *ownedRows[B]) index(pos int) int {
 	return n
 }
 
-// placing is one attempt's owner as its ranks' picks use it, in the walk's
-// form B: the source form, bound once, and either OwnerBySource's class
-// partitions of the innermost factors the ranks meet — made by the first
+// placing is one attempt's owner as its ranks' picks use it: the source
+// form, bound once, and either OwnerBySource's class partitions of the
+// innermost factors the ranks meet — made by the first
 // rank to load a factor, then shared read-only by every rank of the
 // process — or a BlockOwner's block size.
-type placing[B graph.Edge | uint64] struct {
+type placing struct {
 	owner func(u int64) int
 	r     int
 	per   int64 // a BlockOwner's block of sources; 0 under OwnerBySource
 
 	mu     sync.Mutex
-	parts  map[*graph.Graph]*classPart[B] // nil under a BlockOwner
-	low    []int32                        // the last factor's owner table, which the next of its size shares
-	copied int64                          // arcs copied into the partitions: Stats.ArcsCompacted
+	parts  map[*graph.Graph]*classPart // nil under a BlockOwner
+	low    []int32                     // the last factor's owner table, which the next of its size shares
+	copied int64                       // arcs copied into the partitions: Stats.ArcsCompacted
 }
 
 // classPart is one factor under OwnerBySource: low[x] is owner(x) for every
 // row x, and the rows are partitioned by it into R classes: class c holds
 // the arcs of every row u with owner(u) == c, whole and in CSR order, at
 // [at[c], at[c+1]) of arcs.
-type classPart[B graph.Edge | uint64] struct {
+type classPart struct {
 	low  []int32
 	at   []int
-	arcs core.Source[B]
+	arcs core.Source
 }
 
 // newPlacing returns the attempt's placing under owner, OwnerBySource or a
 // BlockOwner (sourceForm), whose source form at r ranks is bySource.
-func newPlacing[B graph.Edge | uint64](owner Owner, bySource func(u int64) int, r int) *placing[B] {
-	p := &placing[B]{owner: bySource, r: r}
+func newPlacing(owner Owner, bySource func(u int64) int, r int) *placing {
+	p := &placing{owner: bySource, r: r}
 	if b, ok := owner.(BlockOwner); ok {
 		p.per = b.per(r)
 	} else {
-		p.parts = make(map[*graph.Graph]*classPart[B])
+		p.parts = make(map[*graph.Graph]*classPart)
 	}
 	return p
 }
 
 // rows returns rank's pick, to emit blocks of at most batch arcs.
-func (p *placing[B]) rows(rank, batch int) *ownedRows[B] {
-	o := &ownedRows[B]{p: p, rank: rank, batch: batch, s0: -1}
+func (p *placing) rows(rank, batch int) *ownedRows {
+	o := &ownedRows{p: p, rank: rank, batch: batch, s0: -1}
 	if p.per > 0 {
 		o.first, o.end = int64(rank)*p.per, int64(rank+1)*p.per
 		if rank == p.r-1 {
@@ -189,7 +192,7 @@ func (p *placing[B]) rows(rank, batch int) *ownedRows[B] {
 // one size, as a 2D plan's parts are — and partitioning inner in its layout:
 // one copy per row, under phase=filter. A factor whose rows all fall in one
 // class is its own partition.
-func (p *placing[B]) of(g *graph.Graph, inner core.Source[B]) *classPart[B] {
+func (p *placing) of(g *graph.Graph, inner core.Source) *classPart {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if c := p.parts[g]; c != nil {
@@ -204,7 +207,7 @@ func (p *placing[B]) of(g *graph.Graph, inner core.Source[B]) *classPart[B] {
 			p.low[x] = int32(p.owner(int64(x)))
 		}
 	}
-	c := &classPart[B]{low: p.low, at: make([]int, p.r+1)}
+	c := &classPart{low: p.low, at: make([]int, p.r+1)}
 	p.parts[g] = c
 	for u, k := range c.low {
 		c.at[k+1] += int(off[u+1] - off[u])

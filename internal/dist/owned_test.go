@@ -220,11 +220,9 @@ func evens(g *graph.Graph) *graph.Graph {
 	return mustGraph(2*g.NumVertices(), arcs)
 }
 
-// TestOwnedRowsBothForms holds the owner-side walk to core.Chain.Arcs in
-// both forms of its pick and its blocks: in wide blocks, its pick holding
-// the factor's ArcSlice (expanded through core.ExpandRun), and in packed
-// blocks, its pick holding the factor's narrow or packed arcs, as the cursor
-// reads them (through core.ExpandSourceTo, the blocks widened for the
+// TestOwnedRowsBothForms holds the owner-side walk to core.Chain.Arcs, its
+// pick holding the factor's narrow or packed arcs, as the cursor reads them
+// (through core.ExpandSourceTo, the blocks widened with their bases for the
 // comparison); each cell's
 // walk — R ∈ {1, 2, 3, 16}, every rank, under OwnerBySource's class pick and
 // BlockOwner's range, batch 1, 7 and 1024, the ranks of a cell sharing one
@@ -237,7 +235,9 @@ func evens(g *graph.Graph) *graph.Graph {
 // the row-by-row pick — the rows the owner gives the rank, appended one at a
 // time — element for element; OwnerRowsTested must count one per pick, and
 // ArcsCompacted the factor's arcs once under OwnerBySource (none where its
-// rows all fall in one class) and none under a BlockOwner.
+// rows all fall in one class) and none under a BlockOwner. (The test is
+// named for the wide and packed walks it ran until every product took the
+// packed one.)
 func TestOwnedRowsBothForms(t *testing.T) {
 	// ring is n vertices, row u holding u → u+1 and u → 3u+1 (mod n) unless
 	// u ≡ gap−1 (mod gap): with gap 0 every row is non-empty.
@@ -284,7 +284,7 @@ func TestOwnedRowsBothForms(t *testing.T) {
 					for _, r := range []int{1, 2, 3, 16} {
 						owner := placer(so, Plan{R: r, Tiles: [][]Tile{{tile}}})
 						for _, batch := range []int{1, 7, DefaultBatchSize} {
-							wide, packed := newPlacing[graph.Edge](so, owner, r), newPlacing[uint64](so, owner, r)
+							place := newPlacing(so, owner, r)
 							for rank := 0; rank < r; rank++ {
 								var want []graph.Edge
 								for _, e := range serial[win[0]:win[1]] {
@@ -293,8 +293,7 @@ func TestOwnedRowsBothForms(t *testing.T) {
 									}
 								}
 								cell := fmt.Sprintf("window %v, %T r=%d rank %d batch %d", win, so, r, rank, batch)
-								checkOwnedWalk(t, cell+" wide", &tile, &wideForm, appendEdges, wide.rows(rank, batch), want)
-								checkOwnedWalk(t, cell+" packed", &tile, &packedForm, widen, packed.rows(rank, batch), want)
+								checkOwnedWalk(t, cell, &tile, place.rows(rank, batch), want)
 							}
 							// A range copies nothing, and neither does one class that
 							// holds every row's arcs.
@@ -308,10 +307,8 @@ func TestOwnedRowsBothForms(t *testing.T) {
 									want = inner.NumArcs()
 								}
 							}
-							for form, copied := range map[string]int64{"wide": wide.copied, "packed": packed.copied} {
-								if copied != want {
-									t.Fatalf("window %v, %T r=%d batch %d, %s: ArcsCompacted %d, want %d", win, so, r, batch, form, copied, want)
-								}
+							if place.copied != want {
+								t.Fatalf("window %v, %T r=%d batch %d: ArcsCompacted %d, want %d", win, so, r, batch, place.copied, want)
 							}
 						}
 					}
@@ -321,22 +318,22 @@ func TestOwnedRowsBothForms(t *testing.T) {
 	}
 }
 
-// checkOwnedWalk walks the tile as runAttempt's walk.tiles does, in blocks
-// of form f, and holds what it emits, widened by add, to want, each pick to
-// the row-by-row pick in the layout the cursor reads (core.SourceOf: the
-// pick expanded with bases 0 by f, arc for arc) and OwnerRowsTested to one
-// count a pick.
-func checkOwnedWalk[B graph.Edge | uint64](t *testing.T, cell string, tile *Tile, f *form[B], add func([]graph.Edge, []B) []graph.Edge, o *ownedRows[B], want []graph.Edge) {
+// checkOwnedWalk walks the tile as runAttempt's walk.tiles does and holds
+// what it emits, widened with each block's base, to want, each pick to the
+// row-by-row pick in the layout the cursor reads (core.SourceOf: the pick
+// expanded with base 0, arc for arc) and OwnerRowsTested to one count a
+// pick.
+func checkOwnedWalk(t *testing.T, cell string, tile *Tile, o *ownedRows, want []graph.Edge) {
 	t.Helper()
 	inner := tile.Tail[len(tile.Tail)-1]
-	src, off := core.SourceOf[B](inner), inner.RowOffsets()
-	w := ownedWalk(o, f)
+	src, off := core.SourceOf(inner), inner.RowOffsets()
+	w := ownedWalk(o)
 	var got []graph.Edge
-	emit := func(_ int, block []B) bool {
+	emit := func(_ int, block []uint64, u0, v0 int64) bool {
 		if len(block) == 0 || len(block) > o.batch {
 			t.Fatalf("%s: a block of %d arcs", cell, len(block))
 		}
-		got = add(got, block)
+		got = core.ExpandPacked(got, block, u0, v0)
 		return true
 	}
 	var picks int64
@@ -347,16 +344,16 @@ func checkOwnedWalk[B graph.Edge | uint64](t *testing.T, cell string, tile *Tile
 			return n, ok
 		}
 		checked, picks = o.s0, picks+1
-		var rows []B
+		var rows []uint64
 		for u := int64(0); u < inner.NumVertices(); u++ {
 			if o.p.owner(o.s0+u) == o.rank {
-				rows = f.add(rows, src.Slice(int(off[u]), int(off[u+1])), 0, 0)
+				rows = core.ExpandSourceTo(rows, src.Slice(int(off[u]), int(off[u+1])), 0)
 			}
 		}
-		if pick := f.add(nil, o.arcs, 0, 0); !slices.Equal(pick, rows) {
+		if pick := core.ExpandSourceTo(nil, o.arcs, 0); !slices.Equal(pick, rows) {
 			t.Fatalf("%s: the pick at s0 = %d differs from the row-by-row pick:\n got %v\nwant %v", cell, o.s0, pick, rows)
 		}
-		if o.arcs.Len() > 0 && (o.arcs.Arcs() == nil) != (src.Arcs() == nil) {
+		if o.arcs.Len() > 0 && o.arcs.Narrow() != src.Narrow() {
 			t.Fatalf("%s: the pick at s0 = %d is not in the layout the cursor reads", cell, o.s0)
 		}
 		return n, ok

@@ -11,14 +11,12 @@ import (
 // and the largest block a sink is handed when Config.BatchSize is unset.
 // 1024 is at the top of a cliff (DESIGN §3a): smaller blocks pay the
 // per-block path more often, and the block must stay in a 48 KB L1 next to
-// the innermost factor streaming through it. A packed block (a product of
-// at most 2³² vertices) is 8 B × BatchSize, 8 KB here; a wide one 16 B ×
-// BatchSize, 16 KB. Unplaced expansion (dist.Run, RMAT(10)², R = 2,
-// CountSink) reads 23.8–23.9 / 27.5 / 28.4 / 13.1 / 13.1 e9 arcs/s in
-// packed blocks at 512 / 1024 / 2048 / 4096 / 8192 — the cliff is where the
-// block passes 16 KB — against 16.7–16.8 / 18.1–18.5 / 9.2 / 6.9 / 6.9 for
-// the wide walk's packed AVX-512 body. 2048 gains 3 % in packed blocks and
-// would halve a wide walk, so the default stays.
+// the innermost factor streaming through it. A block is packed arcs,
+// 8 B × BatchSize, 8 KB here. Unplaced expansion (dist.Run, RMAT(10)²,
+// R = 2, CountSink) reads 23.8–23.9 / 27.5 / 28.4 / 13.1 / 13.1 e9 arcs/s
+// at 512 / 1024 / 2048 / 4096 / 8192 — the cliff is where the block passes
+// 16 KB. With the narrow source 1024 and 2048 could not be told apart
+// (DESIGN §3a), so the default stays.
 const DefaultBatchSize = 1024
 
 // Owner maps generated edges to the ranks that store them. The paper leaves

@@ -26,9 +26,9 @@ import (
 // ownerSideOne is the same walk at R = 1, where the one rank owns every row
 // and the pick is the factor itself, copied nothing: the cost to subtract
 // from ownerSide to read its placing alone. expand is the bare
-// ExpandNextPacked into a scratch block. The product's ids fit 32 bits, so
-// every row is in packed blocks, as the engine walks it: the walk and the
-// cursor read the factor in the one layout core picks for it
+// ExpandNextPacked into a scratch block. Every row is in packed blocks, as
+// the engine walks every product: the walk and the cursor read the factor
+// in the one layout core picks for it
 // (core.SourceOf: narrow where the host has AVX-512, packed elsewhere)
 // through one primitive (core.ExpandSourceTo), so ownerSideOne and expand
 // differ by the walk's bookkeeping, and ownerSide by that and the placing.
@@ -60,14 +60,14 @@ func BenchmarkRoute(b *testing.B) {
 	// perRank (one entry a rank) is handed the arcs each generated.
 	owned := func(work []tileWork, o Owner, perRank []int64) func() bool {
 		r := len(perRank)
-		place := newPlacing[uint64](o, placer(o, workPlan(work, r)), r)
-		walks := make([]*walk[uint64], r)
+		place := newPlacing(o, placer(o, workPlan(work, r)), r)
+		walks := make([]*walk, r)
 		for rank := range walks {
-			walks[rank] = ownedWalk(place.rows(rank, DefaultBatchSize), &packedForm)
+			walks[rank] = ownedWalk(place.rows(rank, DefaultBatchSize))
 		}
 		return func() bool {
 			for rank := range walks {
-				if !walkOwned(walks[rank], work, func(_ int, block []uint64) bool { perRank[rank] += int64(len(block)); return true }) {
+				if !walkOwned(walks[rank], work, func(_ int, block []uint64, _, _ int64) bool { perRank[rank] += int64(len(block)); return true }) {
 					return false
 				}
 			}
@@ -77,13 +77,12 @@ func BenchmarkRoute(b *testing.B) {
 	// sweeps is a pass of every head arc against the tail, a block at a time
 	// from next into one scratch block.
 	scratch := make([]uint64, 0, DefaultBatchSize)
-	sweeps := func(next func(cur *core.TailCursor, uBase, vBase int64, out []uint64, max int) []uint64) func() bool {
+	sweeps := func(next func(cur *core.TailCursor, out []uint64, max int) []uint64) func() bool {
 		return func() bool {
 			for _, w := range work {
-				nT := w.cur.NumVertices()
-				for _, a := range w.aArcs {
+				for range w.aArcs {
 					w.cur.Reset()
-					for block := next(w.cur, a.U*nT, a.V*nT, scratch, DefaultBatchSize); len(block) > 0; block = next(w.cur, a.U*nT, a.V*nT, scratch, DefaultBatchSize) {
+					for block := next(w.cur, scratch, DefaultBatchSize); len(block) > 0; block = next(w.cur, scratch, DefaultBatchSize) {
 						scratch = block[:0]
 					}
 				}
@@ -91,15 +90,20 @@ func BenchmarkRoute(b *testing.B) {
 			return true
 		}
 	}
+	// nextSource is ExpandNextPacked with its base, (0, 0) here, dropped.
+	nextSource := func(cur *core.TailCursor, out []uint64, max int) []uint64 {
+		block, _, _ := cur.ExpandNextPacked(out, max)
+		return block
+	}
 	// nextPacked is ExpandNextPacked's loop over the factor's PackedArcs.
 	packed := bb.PackedArcs()
-	nextPacked := func(cur *core.TailCursor, uBase, vBase int64, out []uint64, max int) []uint64 {
+	nextPacked := func(cur *core.TailCursor, out []uint64, max int) []uint64 {
 		for len(out) < max {
 			lo, hi, uPre, vPre := cur.NextSweep(int64(max - len(out)))
 			if lo == hi {
 				break
 			}
-			out = core.ExpandPackedTo(out, packed[lo:hi], uint64(uBase+uPre)|uint64(vBase+vPre)<<32)
+			out = core.ExpandPackedTo(out, packed[lo:hi], uint64(uPre)|uint64(vPre)<<32)
 		}
 		return out
 	}
@@ -122,7 +126,7 @@ func BenchmarkRoute(b *testing.B) {
 		{"ownerSideOne", work, owned(work, OwnerBySource, oneArcs), oneArcs},
 		{"ownerSideOdd", odd, owned(odd, OwnerBySource, oddArcs), oddArcs},
 		{"ownerSideBlock", work, owned(work, BlockOwner{NC: a.NumVertices() * bb.NumVertices()}, blockArcs), blockArcs},
-		{"expand", work, sweeps((*core.TailCursor).ExpandNextPacked), nil},
+		{"expand", work, sweeps(nextSource), nil},
 		{"expandPacked", work, sweeps(nextPacked), nil},
 		{"engine", work, engine, nil},
 		{"tinyInner", tiny, owned(tiny, OwnerBySource, tinyArcs), tinyArcs},

@@ -1,8 +1,9 @@
 package dist
 
-// The two forms of a walk's blocks: products whose ids fit 32 bits are
-// walked in packed arcs (u | v<<32), larger ones in graph.Edges, and a sink
-// that takes only wide blocks is handed packed ones widened by the fence.
+// Packed blocks at the edges of the id range: every product is walked in
+// packed arcs (u | v<<32) relative to a block's base pair, whatever its
+// size, and a sink that takes only wide blocks is handed them widened by
+// the fence.
 
 import (
 	"context"
@@ -55,31 +56,27 @@ func byRank(got [][]graph.Edge, owner Owner) [][]graph.Edge {
 	return out
 }
 
-// TestProductsAroundPackedIDs runs a product of 2³³ + 2¹⁷ vertices, which
-// the engine walks in wide blocks, and one of exactly 2³², the largest the
-// packed walk takes — its last arc is (2³²−1, 2³²−1), where an add that
+// TestProductsAroundPackedIDs runs a product of 2³³ + 2¹⁷ vertices and one
+// of exactly 2³², whose last arc is (2³²−1, 2³²−1), where an add that
 // carried from U would show in V — built from sparse factors so the arcs
-// stay few. Each goes through the Count, Memory and Store sinks at R = 3
+// stay few. (Both are walked in packed blocks; the test is named for the
+// boundary between the wide and packed walks it once sat on.) Each goes through the Count, Memory and Store sinks at R = 3
 // with no owner and under OwnerBySource, at batch 3 and the default, and
 // through the ordered stream; every rank's output is held arc for arc to
 // its share of Chain.Arcs.
 func TestProductsAroundPackedIDs(t *testing.T) {
 	const r = 3
 	for _, c := range []struct {
-		name   string
-		ch     *core.Chain
-		packed bool
+		name string
+		ch   *core.Chain
 	}{
-		{"wide", mustChain(sparseFactor(1<<17), sparseFactor(1<<16+1)), false},
-		{"exact", mustChain(sparseFactor(1<<16), sparseFactor(1<<16)), true},
+		{"wide", mustChain(sparseFactor(1<<17), sparseFactor(1<<16+1))},
+		{"exact", mustChain(sparseFactor(1<<16), sparseFactor(1<<16))},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			plan, err := PlanChain1D(c.ch, r)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if packedIDs(plan.Tiles) != c.packed {
-				t.Fatalf("NC = %d: packed blocks %v, want %v", plan.NC, !c.packed, c.packed)
 			}
 			serial := serialArcs(t, c.ch, 0)
 			if last, top := serial[len(serial)-1], c.ch.NumVertices()-1; last != (graph.Edge{U: top, V: top}) {
@@ -162,16 +159,13 @@ func TestProductsAroundNarrowIDs(t *testing.T) {
 	var serials [][]graph.Edge
 	for _, n := range []int64{1 << 16, 1<<16 + 1} {
 		inner := sparseFactor(n)
-		if narrow := core.SourceOf[uint64](inner).Arcs() == nil; narrow != (n <= 1<<16 && core.Kernel() == "avx512") {
+		if narrow := core.SourceOf(inner).Narrow(); narrow != (n <= 1<<16 && core.Kernel() == "avx512") {
 			t.Fatalf("n = %d on %s: read narrow %v", n, core.Kernel(), narrow)
 		}
 		for _, ch := range []*core.Chain{mustChain(head, inner), mustChain(head, mid, inner)} {
 			whole, err := PlanChain1D(ch, r)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if !packedIDs(whole.Tiles) {
-				t.Fatalf("NC = %d: walked wide", whole.NC)
 			}
 			serial := serialArcs(t, ch, 0)
 			if len(ch.Factors()) == 2 {
@@ -228,12 +222,97 @@ func TestProductsAroundNarrowIDs(t *testing.T) {
 	}
 }
 
+// TestProductsAroundTail32 runs k = 3 products around the 2³² tail
+// vertices a packed word holds: over an innermost factor of 2¹⁶ vertices
+// (read narrow where the probe found AVX-512) tails of exactly 2³², whose
+// last arc is (2³²−1, 2³²−1) in the word, and of 2³³; over one of 2¹⁶+1
+// (read packed on every host) tails of 2³² + 2¹⁶ and 2³³ + 2¹⁷. Past 2³²
+// the middle factor's digit rides in each block's base, not in its words.
+// Each product runs at R = 3 with no owner, under OwnerBySource and under a
+// BlockOwner, whole and in a window whose Skip and Take cut a sweep mid-row
+// at both ends, into the Count, Memory and Store sinks at batch 5 and the
+// default, and through the ordered stream; every rank's output is held arc
+// for arc to its share of Chain.Arcs.
+func TestProductsAroundTail32(t *testing.T) {
+	const r = 3
+	head := sparseFactor(64)
+	for _, c := range []struct{ mid, inner int64 }{{1 << 16, 1 << 16}, {1 << 17, 1 << 16}, {1 << 16, 1<<16 + 1}, {1 << 17, 1<<16 + 1}} {
+		ch := mustChain(head, sparseFactor(c.mid), sparseFactor(c.inner))
+		t.Run(fmt.Sprintf("tail%d_inner%d", c.mid*c.inner, c.inner), func(t *testing.T) {
+			var serial []graph.Edge
+			ch.Arcs(func(u, v int64) bool { serial = append(serial, graph.Edge{U: u, V: v}); return true })
+			whole, err := PlanChain1D(ch, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A sweep is inner's 12 arcs: rows 0 (2 arcs), seven of one, n−1 (3).
+			for _, win := range [][2]int{{0, len(serial)}, {3*12 + 1, len(serial) - 2*12 - 2}} {
+				plan, err := whole.Slice(int64(win[0]), int64(win[1]-win[0]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, owner := range []Owner{nil, OwnerBySource, BlockOwner{NC: whole.NC}} {
+					want := shares(serial[win[0]:win[1]], owner, plan)
+					for _, batch := range []int{5, DefaultBatchSize} {
+						cell := fmt.Sprintf("window %v owner %T batch %d", win, owner, batch)
+						cfg := Config{Plan: plan, Owner: owner, BatchSize: batch}
+
+						count := &CountSink{}
+						cfg.Sink = count
+						if _, err := Run(context.Background(), cfg); err != nil || count.Total() != int64(win[1]-win[0]) {
+							t.Fatalf("%s, CountSink: %d arcs, err %v; want %d", cell, count.Total(), err, win[1]-win[0])
+						}
+
+						mem := NewMemorySink(r)
+						cfg.Sink = mem
+						if _, err := Run(context.Background(), cfg); err != nil {
+							t.Fatalf("%s, MemorySink: %v", cell, err)
+						}
+						for rk, arcs := range byRank(mem.PerRank, owner) {
+							assertSameOrder(t, fmt.Sprintf("%s, MemorySink rank %d", cell, rk), arcs, want[rk])
+						}
+
+						ss := NewStoreSink(t.TempDir(), r)
+						cfg.Sink = ss
+						if _, err := Run(context.Background(), cfg); err != nil {
+							t.Fatalf("%s, StoreSink: %v", cell, err)
+						}
+						st, err := ss.Finalize(plan.NC)
+						if err != nil {
+							t.Fatalf("%s, StoreSink: %v", cell, err)
+						}
+						shards := make([][]graph.Edge, r)
+						for i := range shards {
+							if err := st.IterShard(i, func(u, v int64) bool { shards[i] = append(shards[i], graph.Edge{U: u, V: v}); return true }); err != nil {
+								t.Fatalf("%s, StoreSink shard %d: %v", cell, i, err)
+							}
+						}
+						for rk, arcs := range byRank(shards, owner) {
+							assertSameOrder(t, fmt.Sprintf("%s, StoreSink shard %d", cell, rk), arcs, want[rk])
+						}
+					}
+				}
+				for _, batch := range []int{5, DefaultBatchSize} {
+					var got []graph.Edge
+					if _, err := StreamChainFrom(context.Background(), ch, r, false, batch, int64(win[0]), int64(win[1]-win[0]), Recovery{}, func(b []graph.Edge) error {
+						got = append(got, b...)
+						return nil
+					}); err != nil {
+						t.Fatalf("window %v, stream batch %d: %v", win, batch, err)
+					}
+					assertSameOrder(t, fmt.Sprintf("window %v, stream batch %d", win, batch), got, serial[win[0]:win[1]])
+				}
+			}
+		})
+	}
+}
+
 // TestHandBuiltPlanFormFromTiles runs plans built by hand, as a caller that
 // builds or rebalances a Plan may, with NC left at 0 or set too small: the
-// walk's form must follow the ids the tiles expand to, not NC. Two
-// products are each run from their R = 1 tile, and both at once on two
-// ranks — one tile whose ids fit 32 bits and one whose do not, so the plan
-// is walked wide — with no owner and under OwnerBySource; every rank's
+// walk must follow the ids the tiles expand to, not NC. Two products are
+// each run from their R = 1 tile, and both at once on two ranks — one tile
+// whose ids fit 32 bits and one whose do not — with no owner and under
+// OwnerBySource; every rank's
 // output is held arc for arc to its share of Chain.Arcs. They are
 // TestProductsAroundPackedIDs' exact product, 2³² vertices, and a wide one
 // of 2³³ + 2¹⁶ on the same innermost factor size, which OwnerBySource binds
@@ -253,18 +332,14 @@ func TestHandBuiltPlanFormFromTiles(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		plan   Plan
-		packed bool
 		serial [][]graph.Edge // what each rank's tiles expand to, in order
 	}{
-		{"wide", Plan{R: 1, Tiles: [][]Tile{{tile(wide, 0)}}}, false, [][]graph.Edge{wideArcs}},
-		{"wide_nc_small", Plan{R: 1, NC: exact.NumVertices(), Tiles: [][]Tile{{tile(wide, 0)}}}, false, [][]graph.Edge{wideArcs}},
-		{"exact", Plan{R: 1, Tiles: [][]Tile{{tile(exact, 0)}}}, true, [][]graph.Edge{exactArcs}},
-		{"mixed", Plan{R: 2, Tiles: [][]Tile{{tile(exact, 0)}, {tile(wide, 1)}}}, false, [][]graph.Edge{exactArcs, wideArcs}},
+		{"wide", Plan{R: 1, Tiles: [][]Tile{{tile(wide, 0)}}}, [][]graph.Edge{wideArcs}},
+		{"wide_nc_small", Plan{R: 1, NC: exact.NumVertices(), Tiles: [][]Tile{{tile(wide, 0)}}}, [][]graph.Edge{wideArcs}},
+		{"exact", Plan{R: 1, Tiles: [][]Tile{{tile(exact, 0)}}}, [][]graph.Edge{exactArcs}},
+		{"mixed", Plan{R: 2, Tiles: [][]Tile{{tile(exact, 0)}, {tile(wide, 1)}}}, [][]graph.Edge{exactArcs, wideArcs}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			if packedIDs(c.plan.Tiles) != c.packed {
-				t.Fatalf("packed blocks %v, want %v", !c.packed, c.packed)
-			}
 			r := c.plan.R
 			for _, owner := range []Owner{nil, OwnerBySource} {
 				want := c.serial
@@ -338,8 +413,8 @@ func (s *wideSink) Rank(rk *Rank) (RankSink, error) {
 	return w, nil
 }
 
-// TestFenceWidensForWideSinks runs a product the engine walks in packed
-// blocks into sinks that take only Store, only StoreBlock and only
+// TestFenceWidensForWideSinks runs a product into sinks that take only
+// Store, only StoreBlock and only
 // StoreTileBlock, none of them PackedBlockStorer, so the fence widens
 // every block for them. Each run crashes one rank inside a block (the
 // crash point taken from a clean run's block boundaries) with a retry to
@@ -347,7 +422,7 @@ func (s *wideSink) Rank(rk *Rank) (RankSink, error) {
 // must be each rank's share of Chain.Arcs exactly once, in order; the run's
 // generated arcs its stored arcs plus DuplicatesSkipped, so every rank
 // balanced; at R = 1 DuplicatesSkipped the crash's After — the prefix the
-// crashed attempt stored, as the wide walk counts it; and no buffer out.
+// crashed attempt stored; and no buffer out.
 func TestFenceWidensForWideSinks(t *testing.T) {
 	ch := mustChain(gen.ER(7, 0.5, 611), gen.PrefAttach(6, 2, 612))
 	serial := serialArcs(t, ch, 0)
@@ -356,9 +431,6 @@ func TestFenceWidensForWideSinks(t *testing.T) {
 		plan, err := PlanChain1D(ch, r)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !packedIDs(plan.Tiles) {
-			t.Fatalf("NC = %d: want a packed walk", plan.NC)
 		}
 		victim := r - 1
 		for _, owner := range []Owner{nil, OwnerBySource} {

@@ -58,7 +58,7 @@ func workPlan(work []tileWork, r int) Plan {
 
 // walkOwned drives one rank's owner-side walk over whole tiles the way the
 // engine's walk.tiles does, a sweep at a time (step).
-func walkOwned[B graph.Edge | uint64](o *walk[B], work []tileWork, emit func(tile int, block []B) bool) bool {
+func walkOwned(o *walk, work []tileWork, emit func(tile int, block []uint64, u0, v0 int64) bool) bool {
 	for _, w := range work {
 		t := Tile{ID: w.tile, AArcs: w.aArcs, Tail: w.tail}
 		nT := w.cur.NumVertices()
@@ -87,15 +87,16 @@ type placedArcs struct {
 }
 
 // placedBy walks w over work (walkOwned) and returns what it emitted, each
-// block widened to edges by add, holding every block to 1 to batch arcs.
-func placedBy[B graph.Edge | uint64](t *testing.T, w *walk[B], work []tileWork, add func([]graph.Edge, []B) []graph.Edge) placedArcs {
+// block widened to edges with its base, holding every block to 1 to batch
+// arcs.
+func placedBy(t *testing.T, w *walk, work []tileWork) placedArcs {
 	t.Helper()
 	var got placedArcs
-	walkOwned(w, work, func(tile int, block []B) bool {
+	walkOwned(w, work, func(tile int, block []uint64, u0, v0 int64) bool {
 		if len(block) == 0 || len(block) > w.batch {
 			t.Fatalf("rank %d: a block of %d arcs, want 1 to %d", w.own.rank, len(block), w.batch)
 		}
-		got.arcs = add(got.arcs, block)
+		got.arcs = core.ExpandPacked(got.arcs, block, u0, v0)
 		for range block {
 			got.tiles = append(got.tiles, tile)
 		}
@@ -106,8 +107,8 @@ func placedBy[B graph.Edge | uint64](t *testing.T, w *walk[B], work []tileWork, 
 
 // TestRouteRunsEquivalence holds owner-side placement to the per-edge
 // reference over the same tiles: every one of R ranks walks every tile with
-// its own ownedRows (walkOwned, as walk.tiles does), in wide and in packed
-// blocks (each widened for the comparison), and what each rank is
+// its own ownedRows (walkOwned, as walk.tiles does), in packed blocks
+// (each widened with its base for the comparison), and what each rank is
 // handed — tile and arc, in order — must be each tile's stream, expanded by
 // core.TailCursor.ExpandNext chunk arcs a step, filtered arc by arc by the
 // owner map, with every block 1 to batch arcs long. Each shape spans two
@@ -143,9 +144,7 @@ func TestRouteRunsEquivalence(t *testing.T) {
 			for _, o := range owners {
 				for _, r := range []int{1, 2, 3, 16} {
 					owner := placer(o.owner, workPlan(sh.work, r))
-					// A walk's partitions are in its blocks' form (an attempt's
-					// ranks share one form), so each form gets its own placing.
-					wides, packeds := newPlacing[graph.Edge](o.owner, owner, r), newPlacing[uint64](o.owner, owner, r)
+					place := newPlacing(o.owner, owner, r)
 					want := make([]placedArcs, r)
 					var scratch []graph.Edge
 					for _, w := range sh.work {
@@ -167,13 +166,8 @@ func TestRouteRunsEquivalence(t *testing.T) {
 					for _, batch := range []int{1, 3, 5, 7, 64, DefaultBatchSize} {
 						t.Run(fmt.Sprintf("%s%s_chunk%d_r%d_batch%d", sh.name, o.name, chunk, r, batch), func(t *testing.T) {
 							for rank := range want {
-								for form, got := range map[string]placedArcs{
-									"wide":   placedBy(t, ownedWalk(wides.rows(rank, batch), &wideForm), sh.work, appendEdges),
-									"packed": placedBy(t, ownedWalk(packeds.rows(rank, batch), &packedForm), sh.work, widen),
-								} {
-									if !reflect.DeepEqual(got, want[rank]) {
-										t.Fatalf("rank %d, %s blocks: %d arcs placed, the per-edge reference %d; the sequences differ", rank, form, len(got.arcs), len(want[rank].arcs))
-									}
+								if got := placedBy(t, ownedWalk(place.rows(rank, batch)), sh.work); !reflect.DeepEqual(got, want[rank]) {
+									t.Fatalf("rank %d: %d arcs placed, the per-edge reference %d; the sequences differ", rank, len(got.arcs), len(want[rank].arcs))
 								}
 							}
 						})

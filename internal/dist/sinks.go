@@ -39,22 +39,18 @@ type TileBlockStorer interface {
 	StoreTileBlock(tile int, edges []graph.Edge) (int64, error)
 }
 
-// PackedBlockStorer is the packed variant of TileBlockStorer: where the
-// plan's product has at most 2³² vertices the engine walks in packed
-// blocks, each arc one graph.PackedArcs word u | v<<32 — half the bytes of
-// a graph.Edge — and hands them whole to a sink that implements this. To
-// one that does not, the engine widens each block into graph.Edges first
-// and delivers it through StoreTileBlock, StoreBlock or Store as before,
-// so implementing it is only a saving. The count and aliasing contract is
-// BlockStorer's; the arcs are the same, in the same order. A product with
-// more vertices is delivered wide.
+// PackedBlockStorer is the packed variant of TileBlockStorer: the engine
+// walks every product in packed blocks — each arc a word w relative to the
+// block's base pair, the arc (u0 + uint32(w), v0 + w>>32), half the bytes
+// of a graph.Edge — and hands them whole to a sink that implements this;
+// core.ExpandPacked(dst, arcs, u0, v0) widens one. To a sink that does not,
+// the engine widens each block into graph.Edges first and delivers it
+// through StoreTileBlock, StoreBlock or Store, so implementing it is only a
+// saving. The count and aliasing contract is BlockStorer's; the arcs are
+// the same, in the same order.
 type PackedBlockStorer interface {
-	StorePackedBlock(tile int, arcs []uint64) (int64, error)
+	StorePackedBlock(tile int, arcs []uint64, u0, v0 int64) (int64, error)
 }
-
-// widen appends the edges of packed arcs to dst: a sink that takes packed
-// blocks widens them into the buffer it already copies a wide block into.
-func widen(dst []graph.Edge, arcs []uint64) []graph.Edge { return core.ExpandPacked(dst, arcs, 0, 0) }
 
 // MemorySink collects each rank's owned edges in an in-memory slice —
 // the Result-producing sink behind GenerateChain.
@@ -110,8 +106,8 @@ func (m *memRankSink) StoreBlock(edges []graph.Edge) (int64, error) {
 
 // StorePackedBlock implements PackedBlockStorer: one widening append per
 // delivered batch.
-func (m *memRankSink) StorePackedBlock(_ int, arcs []uint64) (int64, error) {
-	m.buf = widen(m.buf, arcs)
+func (m *memRankSink) StorePackedBlock(_ int, arcs []uint64, u0, v0 int64) (int64, error) {
+	m.buf = core.ExpandPacked(m.buf, arcs, u0, v0)
 	return int64(len(arcs)), nil
 }
 
@@ -152,7 +148,7 @@ func (c *countRankSink) StoreBlock(edges []graph.Edge) (int64, error) {
 
 // StorePackedBlock implements PackedBlockStorer: counting a packed batch
 // is the same add.
-func (c *countRankSink) StorePackedBlock(_ int, arcs []uint64) (int64, error) {
+func (c *countRankSink) StorePackedBlock(_ int, arcs []uint64, _, _ int64) (int64, error) {
 	c.n += int64(len(arcs))
 	return int64(len(arcs)), nil
 }
@@ -309,29 +305,30 @@ func (t *storeRankSink) Store(e graph.Edge) error {
 // staged (see the type comment); the block aliases an engine buffer, so
 // it is copied into the staging block here.
 func (t *storeRankSink) StoreBlock(edges []graph.Edge) (int64, error) {
-	return stage(t, edges, appendEdges)
+	return stage(t, edges, 0, 0, appendEdges)
 }
 
 // StorePackedBlock implements PackedBlockStorer: StoreBlock, with the arcs
 // widened into the staging block as they are copied in.
-func (t *storeRankSink) StorePackedBlock(_ int, arcs []uint64) (int64, error) {
-	return stage(t, arcs, widen)
+func (t *storeRankSink) StorePackedBlock(_ int, arcs []uint64, u0, v0 int64) (int64, error) {
+	return stage(t, arcs, u0, v0, core.ExpandPacked)
 }
 
-// appendEdges is widen for a wide block: append.
-func appendEdges(dst, edges []graph.Edge) []graph.Edge { return append(dst, edges...) }
+// appendEdges is core.ExpandPacked for a wide block, whose base is (0, 0):
+// append.
+func appendEdges(dst, edges []graph.Edge, _, _ int64) []graph.Edge { return append(dst, edges...) }
 
-// stage is StoreBlock in either form: the block is added to the staging
-// block by add, in pieces that fill it to sinkFlushRecords, each full one
-// handed off.
-func stage[B graph.Edge | uint64](t *storeRankSink, block []B, add func([]graph.Edge, []B) []graph.Edge) (int64, error) {
+// stage is StoreBlock in either form: the block, based at (u0, v0), is
+// added to the staging block by add, in pieces that fill it to
+// sinkFlushRecords, each full one handed off.
+func stage[B graph.Edge | uint64](t *storeRankSink, block []B, u0, v0 int64, add func([]graph.Edge, []B, int64, int64) []graph.Edge) (int64, error) {
 	if t.failed.Load() {
 		return 0, t.werr
 	}
 	var stored int64
 	for len(block) > 0 {
 		n := min(sinkFlushRecords-len(t.cur), len(block))
-		t.cur = add(t.cur, block[:n])
+		t.cur = add(t.cur, block[:n], u0, v0)
 		stored += int64(n)
 		block = block[n:]
 		if len(t.cur) >= sinkFlushRecords {
@@ -470,18 +467,18 @@ func (t *streamRankSink) Store(graph.Edge) error {
 // that completes the tile takes the tile's tail with it. A rank leaves a
 // tile only when it is complete, so a tile switch finds the buffer empty.
 func (t *streamRankSink) StoreTileBlock(tile int, edges []graph.Edge) (int64, error) {
-	return buffer(t, tile, edges, appendEdges)
+	return buffer(t, tile, edges, 0, 0, appendEdges)
 }
 
 // StorePackedBlock implements PackedBlockStorer: StoreTileBlock, with the
 // arcs widened into the rank buffer as they are copied in.
-func (t *streamRankSink) StorePackedBlock(tile int, arcs []uint64) (int64, error) {
-	return buffer(t, tile, arcs, widen)
+func (t *streamRankSink) StorePackedBlock(tile int, arcs []uint64, u0, v0 int64) (int64, error) {
+	return buffer(t, tile, arcs, u0, v0, core.ExpandPacked)
 }
 
-// buffer is StoreTileBlock in either form, the block added to the rank
-// buffer by add.
-func buffer[B graph.Edge | uint64](t *streamRankSink, tile int, block []B, add func([]graph.Edge, []B) []graph.Edge) (int64, error) {
+// buffer is StoreTileBlock in either form, the block, based at (u0, v0),
+// added to the rank buffer by add.
+func buffer[B graph.Edge | uint64](t *streamRankSink, tile int, block []B, u0, v0 int64, add func([]graph.Edge, []B, int64, int64) []graph.Edge) (int64, error) {
 	if tile != t.tile {
 		t.tile, t.left = tile, t.s.arcs[tile]
 	}
@@ -489,7 +486,7 @@ func buffer[B graph.Edge | uint64](t *streamRankSink, tile int, block []B, add f
 	for len(block) > 0 {
 		if room := t.s.batch - len(t.buf); room > 0 {
 			n := min(len(block), room)
-			t.buf = add(t.buf, block[:n])
+			t.buf = add(t.buf, block[:n], u0, v0)
 			stored += int64(n)
 			t.left -= int64(n)
 			block = block[n:]

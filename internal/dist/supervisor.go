@@ -38,6 +38,7 @@ import (
 	"sort"
 	"time"
 
+	"kronlab/internal/core"
 	"kronlab/internal/dist/transport"
 	"kronlab/internal/graph"
 )
@@ -152,7 +153,7 @@ type fencedRankSink struct {
 	under RankSink          // created lazily once, reused across attempts
 	bs    BlockStorer       // under's block fast path, when it has one
 	tbs   TileBlockStorer   // preferred over bs when under needs tile framing
-	pbs   PackedBlockStorer // under's packed path; without it packed blocks are widened into wide
+	pbs   PackedBlockStorer // under's packed path; without it blocks are widened into wide
 	wide  []graph.Edge      // the widened block: from edgeBufs at the attempt's first widening, back at endAttempt
 
 	skip    map[int]int64 // remaining prefix to suppress this attempt, per tile
@@ -190,7 +191,7 @@ func (f *fencedRankSink) flushCur() {
 // fence suppresses the replayed prefix of one tile-framed block of n arcs
 // and returns how many of its leading arcs it suppressed: batching
 // preserves substream order, so the replayed prefix is simply the leading
-// min(curSkip, n) arcs of however many blocks it spans, in either form.
+// min(curSkip, n) arcs of however many blocks it spans.
 func (f *fencedRankSink) fence(tile, n int) int {
 	if tile != f.curTile {
 		f.setTile(tile)
@@ -201,43 +202,36 @@ func (f *fencedRankSink) fence(tile, n int) int {
 	return int(skip)
 }
 
-// storeWide hands what the fence let through of a wide block to the sink's
-// fastest path — StoreTileBlock, StoreBlock, else Store per edge — and
-// reports how many of the edges it stored (fewer than len(edges) when a
-// store failed partway: checkpoint accounting needs the exact count). The
-// block aliases an engine buffer recycled after the call returns.
-func (f *fencedRankSink) storeWide(tile int, edges []graph.Edge) (int64, error) {
-	var stored int64
-	var err error
-	if f.tbs != nil {
-		stored, err = f.tbs.StoreTileBlock(tile, edges)
-	} else if f.bs != nil {
-		stored, err = f.bs.StoreBlock(edges)
-	} else {
-		for _, e := range edges {
+// store hands what the fence let through of a block, its arcs relative to
+// (u0, v0), to the sink's fastest path — whole to StorePackedBlock, else
+// widened into the fence's own block (wide) for StoreTileBlock, StoreBlock,
+// else Store per edge — and reports how many of the arcs it stored (fewer
+// than len(arcs) when a store failed partway: checkpoint accounting needs
+// the exact count). The block aliases an engine buffer recycled after the
+// call returns.
+func (f *fencedRankSink) store(tile int, arcs []uint64, u0, v0 int64) (stored int64, err error) {
+	if f.pbs != nil {
+		stored, err = f.pbs.StorePackedBlock(tile, arcs, u0, v0)
+		f.curNew += stored
+		return stored, err
+	}
+	if f.wide == nil {
+		f.wide = edgeBufs.get(len(arcs))
+	}
+	f.wide = core.ExpandPacked(f.wide[:0], arcs, u0, v0)
+	switch {
+	case f.tbs != nil:
+		stored, err = f.tbs.StoreTileBlock(tile, f.wide)
+	case f.bs != nil:
+		stored, err = f.bs.StoreBlock(f.wide)
+	default:
+		for _, e := range f.wide {
 			if err = f.under.Store(e); err != nil {
 				break
 			}
 			stored++
 		}
 	}
-	f.curNew += stored
-	return stored, err
-}
-
-// storePacked is storeWide for a packed block: it goes to the sink whole
-// where the sink takes packed blocks (PackedBlockStorer), and otherwise is
-// widened into the fence's own block (wide) and stored as storeWide stores
-// it — the same calls, with the same edges, the wide walk would have made.
-func (f *fencedRankSink) storePacked(tile int, arcs []uint64) (int64, error) {
-	if f.pbs == nil {
-		if f.wide == nil {
-			f.wide = edgeBufs.get(len(arcs))
-		}
-		f.wide = widen(f.wide[:0], arcs)
-		return f.storeWide(tile, f.wide)
-	}
-	stored, err := f.pbs.StorePackedBlock(tile, arcs)
 	f.curNew += stored
 	return stored, err
 }
@@ -263,7 +257,6 @@ type rankHost struct {
 	cc     ClusterConfig
 	lo, hi int
 	byID   map[int]Tile
-	packed bool              // the plan's ids fit 32 bits: walk in packed blocks (packedIDs)
 	sinks  []*fencedRankSink // local ranks, indexed rank-lo
 
 	// bySource is the owner's source form for the plan (sourceForm), bound
@@ -292,6 +285,9 @@ type rankHost struct {
 }
 
 func newRankHost(cc ClusterConfig, cfg Config) (*rankHost, error) {
+	if err := packable(cfg.Plan); err != nil {
+		return nil, err
+	}
 	bySource, err := sourceForm(cfg.Owner, cfg.Plan)
 	if err != nil {
 		return nil, err
@@ -308,7 +304,6 @@ func newRankHost(cc ClusterConfig, cfg Config) (*rankHost, error) {
 	if len(cc.Procs) > 1 || cc.LedgerPath != "" {
 		h.planHash = PlanHash(cfg.Plan)
 	}
-	h.packed = packedIDs(cfg.Plan.Tiles)
 	h.byID = make(map[int]Tile)
 	for _, tiles := range cfg.Plan.Tiles {
 		for _, t := range tiles {
@@ -405,11 +400,7 @@ func (h *rankHost) attempt(ctx context.Context, epoch int64, ids map[int][]int, 
 	r := h.cfg.Plan.R
 	perGen := make([]int64, r)
 	perStored := make([]int64, r)
-	if h.packed {
-		err = runAttempt(ctx, c, &packedForm, h.cfg.Owner, h.bySource, assigned, h.sinkFor, perGen, perStored, h.cfg.batchSize())
-	} else {
-		err = runAttempt(ctx, c, &wideForm, h.cfg.Owner, h.bySource, assigned, h.sinkFor, perGen, perStored, h.cfg.batchSize())
-	}
+	err = runAttempt(ctx, c, h.cfg.Owner, h.bySource, assigned, h.sinkFor, perGen, perStored, h.cfg.batchSize())
 	st := c.Stats()
 
 	rep.Stored = make(map[int]map[int]int64, len(h.sinks))
