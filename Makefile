@@ -32,7 +32,8 @@ race:
 	$(GO) test -race ./...
 
 # The second line cross-compiles (stdlib only, works offline) so the
-# portable body of core.ExpandRun — which amd64 never links — cannot rot;
+# portable bodies of the expansion kernels — which amd64 never links —
+# cannot rot;
 # the first already runs asmdecl over expand_amd64.s. The third builds and
 # tests the kernel with the compiler allowed AVX2 everywhere (GOAMD64=v3):
 # the assembly still picks its loop at run time, and must not care.
@@ -70,7 +71,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBinaryRoundTrip -fuzztime 5s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz FuzzNew -fuzztime 5s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz FuzzChainIndex -fuzztime 5s ./internal/core/
-	$(GO) test -run '^$$' -fuzz FuzzExpandRun -fuzztime 5s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzExpand -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 5s ./internal/dist/transport/wire/
 	$(GO) test -run '^$$' -fuzz FuzzLedgerReplay -fuzztime 5s ./internal/dist/ledger/
 	$(GO) test -run '^$$' -fuzz FuzzBySourceAdditive -fuzztime 5s ./internal/store/

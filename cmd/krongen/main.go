@@ -1,7 +1,7 @@
 // Command krongen is the paper's deliverable (a): it reads factor graphs
-// from edge-list files and produces the nonstochastic Kronecker product,
-// either serially or on a simulated distributed cluster with 1D
-// (Sec. III) or 2D (Rem. 1) partitioning. The product can be the
+// from edge-list files and produces the nonstochastic Kronecker product on
+// a simulated distributed cluster with 1D (Sec. III) or 2D (Rem. 1)
+// partitioning — a serial run is -ranks 1. The product can be the
 // two-factor C = A ⊗ B, a Kronecker power A^{⊗k}, or a heterogeneous
 // factor chain A₁⊗A₂⊗…⊗Aₖ — all three run the same chain engine, with
 // the tail factors folded lazily so no pairwise intermediate is ever
@@ -13,8 +13,8 @@
 //	krongen -a A.txt -power k [flags]          Kronecker power A^{⊗k}
 //	krongen -chain A1.txt,A2.txt,... [flags]   factor chain A₁⊗A₂⊗…
 //
-//	flags: [-out C.txt] [-mode serial|1d|2d] [-ranks R] [-self-loops]
-//	       [-binary] [-stats] [-store DIR [-shards S]]
+//	flags: [-out C.txt] [-mode 1d|2d] [-ranks R] [-self-loops]
+//	       [-binary] [-stats] [-store DIR]
 //	       [-offset N] [-limit M] [-gomaxprocs N]
 //	       [-cluster-peers H:P,H:P,... -cluster-self N [-retries K]
 //	        [-ledger FILE] [-head-retries K] [-hb-interval D] [-hb-deadline D]
@@ -29,15 +29,15 @@
 // -offset k·(arcs/S) -limit arcs/S — without ever generating the skipped
 // prefix (the start position is located arithmetically). Windowed output
 // is headerless "u v" arc lines (or a windowed store with -store); the
-// whole-graph -binary format is refused. Under -mode 1d the window of
-// the stream equals the serial enumeration's window for any -ranks; 2d
-// windows are deterministic per (layout, ranks).
+// whole-graph -binary format is refused. Under -mode 1d the window is the
+// same stretch of the canonical enumeration (core.Chain.ArcsFrom) for any
+// -ranks; 2d windows are deterministic per (layout, ranks).
 //
 // With -store the product streams to a sharded on-disk store instead of
-// an edge-list file: serially (shard count -shards), or under -mode 1d/2d
-// with one shard per simulated rank and O(batch) memory per rank. Both
-// place an arc by its source with one map, so a serial store of -shards S
-// holds in each shard what a 1d/2d store of -ranks S holds in it.
+// an edge-list file, one shard per simulated rank and O(batch) memory per
+// rank; an arc goes to the shard of the rank that owns its source
+// (dist.OwnerBySource), so shard s of any -ranks S store of one chain
+// holds the same arcs.
 //
 // With -cluster-peers the 1d/2d store generation runs as one process of a
 // real multi-process cluster over TCP: every process is started with the
@@ -85,16 +85,15 @@ func main() {
 	power := flag.Int("power", 0, "generate the Kronecker power A^{⊗k} instead of A ⊗ B (any mode)")
 	chainSpec := flag.String("chain", "", "comma-separated edge-list files A1,A2,...: generate the factor chain A1⊗A2⊗… (instead of -a/-b)")
 	outPath := flag.String("out", "", "output file for C (default: stdout)")
-	mode := flag.String("mode", "serial", "generation mode: serial, 1d, 2d")
-	ranks := flag.Int("ranks", 4, "simulated ranks for 1d/2d modes")
+	mode := flag.String("mode", "1d", "partitioning: 1d (head arcs split across ranks) or 2d (a grid of head and first-tail parts)")
+	ranks := flag.Int("ranks", 4, "simulated ranks (1 is a serial run); a store has one shard per rank")
 	selfLoops := flag.Bool("self-loops", false, "generate the full-self-loop product ⊗(A_d+I)")
 	binary := flag.Bool("binary", false, "write the binary edge-list format")
 	stats := flag.Bool("stats", false, "print generation statistics to stderr")
 	storeDir := flag.String("store", "", "stream C to a sharded on-disk store at this directory instead of an edge-list file")
-	shards := flag.Int("shards", 8, "shard count for -store in serial mode (1d/2d modes use one shard per rank)")
 	offset := flag.Int64("offset", 0, "start the arc stream this many arcs into the product (the skipped prefix is never generated)")
 	limit := flag.Int64("limit", -1, "stop after this many arcs from -offset (-1 = through the end)")
-	clusterPeers := flag.String("cluster-peers", "", "comma-separated host:port list of every cluster process, in process order (requires -store and -mode 1d|2d)")
+	clusterPeers := flag.String("cluster-peers", "", "comma-separated host:port list of every cluster process, in process order (requires -store)")
 	clusterSelf := flag.Int("cluster-self", 0, "this process's index into -cluster-peers")
 	retries := flag.Int("retries", 3, "cluster mode: attempts to retry after a recoverable peer failure")
 	ledgerPath := flag.String("ledger", "", "cluster mode: durable run-ledger file for process 0; a respawned head replays it and resumes instead of restarting")
@@ -150,16 +149,12 @@ func main() {
 
 	// --- Up-front flag validation: every inconsistency is reported before
 	// any file is read or any expander starts. ---
-	switch *mode {
-	case "serial", "1d", "2d":
-	default:
-		log.Fatalf("unknown mode %q (want serial, 1d or 2d)", *mode)
+	if *mode != "1d" && *mode != "2d" {
+		log.Fatalf("unknown mode %q (want 1d or 2d)", *mode)
 	}
-	if *mode != "serial" && *ranks < 1 {
+	twoD := *mode == "2d"
+	if *ranks < 1 {
 		log.Fatalf("-ranks must be ≥ 1, got %d", *ranks)
-	}
-	if *storeDir != "" && *mode == "serial" && *shards < 1 {
-		log.Fatalf("-shards must be ≥ 1, got %d", *shards)
 	}
 	if *chainSpec != "" {
 		if *aPath != "" || *bPath != "" || *power != 0 {
@@ -182,8 +177,8 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if *clusterPeers != "" && (*storeDir == "" || *mode == "serial") {
-		log.Fatal("-cluster-peers requires -store and -mode 1d or 2d")
+	if *clusterPeers != "" && *storeDir == "" {
+		log.Fatal("-cluster-peers requires -store")
 	}
 	if *offset < 0 {
 		log.Fatalf("-offset must be ≥ 0, got %d", *offset)
@@ -255,17 +250,17 @@ func main() {
 	}
 
 	if *clusterPeers != "" {
-		runCluster(ch, *mode == "2d", *storeDir, *clusterPeers, *clusterSelf, *ranks, *retries, *stats, *offset, *limit,
+		runCluster(ch, twoD, *storeDir, *clusterPeers, *clusterSelf, *ranks, *retries, *stats, *offset, *limit,
 			clusterOpts{ledger: *ledgerPath, headRetries: *headRetries,
 				hbInterval: *hbInterval, hbDeadline: *hbDeadline, dialTimeout: *dialTimeout})
 		return
 	}
 
-	if *storeDir != "" && *mode != "serial" {
-		// Distributed generate-route-store: each rank streams its owned
-		// edges to its own shard, O(batch) memory per rank.
+	if *storeDir != "" {
+		// Generate-store: each rank streams the edges it owns to its own
+		// shard, O(batch) memory per rank.
 		start := time.Now()
-		st, genStats, err := dist.GenerateChainToStoreFrom(ch, *ranks, *storeDir, *mode == "2d", *offset, *limit)
+		st, genStats, err := dist.GenerateChainToStoreFrom(ch, *ranks, *storeDir, twoD, *offset, *limit)
 		if err != nil {
 			log.Fatalf("generating to store: %v", err)
 		}
@@ -278,91 +273,25 @@ func main() {
 		return
 	}
 
-	if *storeDir != "" {
-		// Streaming path: never materialize C. The expansion is the serial
-		// chain enumeration (seeked to -offset when windowed); edges go
-		// straight to the sharded store, placed by the map a distributed run
-		// of the chain places by (store.SourceMap of its innermost factor),
-		// so that shard s holds what rank s of -ranks S would.
-		start := time.Now()
-		factors := ch.Factors()
-		w, err := store.NewWriter(*storeDir, ch.NumVertices(), *shards, store.SourceMap(factors[len(factors)-1].NumVertices()))
-		if err != nil {
-			log.Fatal(err)
-		}
-		var count int64
-		var werr error
-		_, aerr := ch.ArcsFrom(*offset, func(u, v int64) bool {
-			if *limit >= 0 && count >= *limit {
-				return false
-			}
-			if err := w.Append(u, v); err != nil {
-				werr = err
-				return false
-			}
-			count++
-			return true
-		})
-		if werr == nil {
-			werr = aerr
-		}
-		if werr != nil {
-			log.Fatal(werr)
-		}
-		if err := w.Close(); err != nil {
-			log.Fatal(err)
-		}
-		if *stats {
-			elapsed := time.Since(start)
-			fmt.Fprintf(os.Stderr, "streamed %d arcs to %s (%d shards) in %s\n",
-				count, *storeDir, *shards, rate(count, elapsed))
-		}
-		return
-	}
-
 	if windowed {
 		// A window of the arc stream is not a whole graph: write headerless
-		// "u v" lines. Serial seeks the chain cursor directly; 1d/2d run
-		// the engine's seeked stream (1d reproduces the serial order for
-		// any -ranks).
+		// "u v" lines from the engine's seeked stream.
 		out := openOut(*outPath)
 		bw := bufio.NewWriter(out)
 		start := time.Now()
 		var count int64
-		switch *mode {
-		case "serial":
-			var werr error
-			_, aerr := ch.ArcsFrom(*offset, func(u, v int64) bool {
-				if *limit >= 0 && count >= *limit {
-					return false
-				}
-				if _, err := fmt.Fprintf(bw, "%d %d\n", u, v); err != nil {
-					werr = err
-					return false
-				}
-				count++
-				return true
-			})
-			if werr == nil {
-				werr = aerr
-			}
-			if werr != nil {
-				log.Fatalf("writing window: %v", werr)
-			}
-		default: // 1d, 2d
-			_, err := dist.StreamChainFrom(context.Background(), ch, *ranks, *mode == "2d", 0, *offset, *limit, dist.Recovery{},
-				func(batch []graph.Edge) error {
-					for _, e := range batch {
-						if _, err := fmt.Fprintf(bw, "%d %d\n", e.U, e.V); err != nil {
-							return err
-						}
+		_, err := dist.StreamChainFrom(context.Background(), ch, *ranks, twoD, 0, *offset, *limit, dist.Recovery{},
+			func(batch []graph.Edge) error {
+				for _, e := range batch {
+					if _, err := fmt.Fprintf(bw, "%d %d\n", e.U, e.V); err != nil {
+						return err
 					}
-					count += int64(len(batch))
-					return nil
-				})
-			if err != nil {
-				log.Fatalf("streaming window: %v", err)
-			}
+				}
+				count += int64(len(batch))
+				return nil
+			})
+		if err != nil {
+			log.Fatalf("streaming window: %v", err)
 		}
 		if err := bw.Flush(); err != nil {
 			log.Fatalf("writing window: %v", err)
@@ -381,19 +310,11 @@ func main() {
 	}
 
 	start := time.Now()
-	var c *graph.Graph
-	var genStats dist.Stats
-	switch *mode {
-	case "serial":
-		c, err = ch.Materialize()
-	case "1d", "2d":
-		var res *dist.Result
-		res, err = dist.GenerateChain(ch, *ranks, nil, *mode == "2d")
-		if err == nil {
-			genStats = res.Stats
-			c, err = res.Collect()
-		}
+	res, err := dist.GenerateChain(ch, *ranks, nil, twoD)
+	if err != nil {
+		log.Fatalf("generating product: %v", err)
 	}
+	c, err := res.Collect()
 	if err != nil {
 		log.Fatalf("generating product: %v", err)
 	}
@@ -420,9 +341,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "C: %v\n", c)
 		fmt.Fprintf(os.Stderr, "generated in %s\n", rate(c.NumArcs(), elapsed))
-		if *mode != "serial" {
-			fmt.Fprintf(os.Stderr, "ranks=%d %s\n", *ranks, placed(genStats))
-		}
+		fmt.Fprintf(os.Stderr, "ranks=%d %s\n", *ranks, placed(res.Stats))
 	}
 }
 

@@ -5,12 +5,10 @@ package kronlab_test
 
 import (
 	"bytes"
-	"cmp"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
@@ -247,12 +245,12 @@ func TestKrongenCLI(t *testing.T) {
 	}
 }
 
-// TestKrongenStoresAgreeByShard: krongen's serial -store path and its
-// distributed one place by one map, so a serial store of -shards S and a
-// -mode 1d store of -ranks S of one chain hold, shard by shard, the same
-// arcs. The chain's innermost factor has 6 vertices, not a power of two,
-// where the map pads its digit (store.SourceMap); every stored arc must
-// sit in the shard that map names.
+// TestKrongenStoresAgreeByShard: a krongen store of -ranks S holds in
+// shard s the arcs whose source rank s owns, by the one map every run of
+// the chain places by. The chain's innermost factor has 6 vertices, not a
+// power of two, where the map pads its digit (store.SourceMap); every
+// stored arc must sit in the shard that map names, and the shards must hold
+// every arc of the product.
 func TestKrongenStoresAgreeByShard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary")
@@ -274,51 +272,91 @@ func TestKrongenStoresAgreeByShard(t *testing.T) {
 		}
 		paths = append(paths, path)
 	}
-	serialDir, distDir := filepath.Join(dir, "serial"), filepath.Join(dir, "dist")
-	for _, args := range [][]string{
-		{"-store", serialDir, "-shards", fmt.Sprint(shards)},
-		{"-store", distDir, "-mode", "1d", "-ranks", fmt.Sprint(shards)},
-	} {
-		cmd := exec.Command(bin, append([]string{"-a", paths[0], "-b", paths[1]}, args...)...)
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("krongen %v: %v\n%s", args, err, out)
-		}
+	storeDir := filepath.Join(dir, "store")
+	args := []string{"-a", paths[0], "-b", paths[1], "-store", storeDir, "-mode", "1d", "-ranks", fmt.Sprint(shards)}
+	if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
+		t.Fatalf("krongen %v: %v\n%s", args, err, out)
 	}
-	read := func(dir string) [][]graph.Edge {
-		st, err := store.Open(dir)
-		if err != nil {
+	st, err := store.Open(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Shards() != shards {
+		t.Fatalf("the store has %d shards, want %d", st.Shards(), shards)
+	}
+	place, total := store.SourceMap(6), int64(0)
+	for i := 0; i < shards; i++ {
+		if err := st.IterShard(i, func(u, v int64) bool {
+			if s := place(u, v, shards); s != i {
+				t.Fatalf("arc (%d,%d) in shard %d, the map names %d", u, v, i, s)
+			}
+			total++
+			return true
+		}); err != nil {
 			t.Fatal(err)
 		}
-		if st.Shards() != shards {
-			t.Fatalf("%s has %d shards, want %d", dir, st.Shards(), shards)
-		}
-		out := make([][]graph.Edge, shards)
-		for i := range out {
-			if err := st.IterShard(i, func(u, v int64) bool {
-				out[i] = append(out[i], graph.Edge{U: u, V: v})
-				return true
-			}); err != nil {
-				t.Fatal(err)
-			}
-			slices.SortFunc(out[i], func(a, b graph.Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
-		}
-		return out
 	}
-	serial, distributed := read(serialDir), read(distDir)
-	place, total := store.SourceMap(6), 0
-	for i := range serial {
-		if !slices.Equal(serial[i], distributed[i]) {
-			t.Fatalf("shard %d: the serial store holds %d arcs, the distributed one %d; the multisets differ", i, len(serial[i]), len(distributed[i]))
+	if want := factors[0].NumArcs() * factors[1].NumArcs(); total != want {
+		t.Fatalf("the store holds %d arcs, want %d", total, want)
+	}
+}
+
+// TestKrongenWindowMatchesArcsFrom: krongen's -offset/-limit window of a
+// chain is, at -ranks 1 and at -ranks 5 under -mode 1d, exactly that
+// stretch of the canonical enumeration, computed in process by
+// core.Chain.ArcsFrom — line for line, in order. The innermost factor has
+// 7 vertices, where the owner map pads its digit.
+func TestKrongenWindowMatchesArcsFrom(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary")
+	}
+	bin := buildTool(t, "kronlab/cmd/krongen", "krongen")
+	dir := t.TempDir()
+	gs := []*graph.Graph{gen.Ring(5), gen.Path(4), gen.ER(7, 0.5, 33)}
+	paths := make([]string, len(gs))
+	for i, g := range gs {
+		paths[i] = filepath.Join(dir, fmt.Sprintf("f%d.txt", i))
+		if err := g.SaveEdgeList(paths[i]); err != nil {
+			t.Fatal(err)
 		}
-		for _, e := range serial[i] {
-			if s := place(e.U, e.V, shards); s != i {
-				t.Fatalf("arc %v in shard %d, the map names %d", e, i, s)
+		if loaded, err := graph.LoadUndirected(paths[i]); err != nil || loaded.NumVertices() != g.NumVertices() {
+			t.Fatalf("factor %d reads back with %v vertices (%v), want %d; pick another seed", i, loaded, err, g.NumVertices())
+		}
+	}
+	ch, err := core.NewChain(gs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total, err := ch.NumArcs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range [][2]int64{{37, 500}, {0, total}, {total - 3, 10}} {
+		var want strings.Builder
+		n := int64(0)
+		if _, err := ch.ArcsFrom(w[0], func(u, v int64) bool {
+			if n == w[1] {
+				return false
+			}
+			fmt.Fprintf(&want, "%d %d\n", u, v)
+			n++
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, ranks := range []string{"1", "5"} {
+			args := []string{"-chain", strings.Join(paths, ","), "-ranks", ranks, "-offset", fmt.Sprint(w[0]), "-limit", fmt.Sprint(w[1])}
+			var stderr bytes.Buffer
+			cmd := exec.Command(bin, args...)
+			cmd.Stderr = &stderr
+			got, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("krongen %v: %v\n%s", args, err, stderr.String())
+			}
+			if string(got) != want.String() {
+				t.Fatalf("krongen %v wrote %d bytes, ArcsFrom's window is %d; they differ", args, len(got), want.Len())
 			}
 		}
-		total += len(serial[i])
-	}
-	if want := factors[0].NumArcs() * factors[1].NumArcs(); int64(total) != want {
-		t.Fatalf("the stores hold %d arcs, want %d", total, want)
 	}
 }
 
@@ -469,6 +507,8 @@ func TestKrongenChainCLI(t *testing.T) {
 		{"-chain", strings.Join(paths, ","), "-a", paths[0]},
 		{"-a", paths[0], "-power", "1"},
 		{"-a", paths[0], "-mode", "3d"},
+		{"-a", paths[0], "-b", paths[1], "-mode", "serial"},
+		{"-a", paths[0], "-b", paths[1], "-store", filepath.Join(dir, "st"), "-shards", "4"},
 		{"-a", paths[0], "-b", paths[1], "-cluster-peers", "x:1,y:2"},
 	} {
 		if err := exec.Command(bin, args...).Run(); err == nil {

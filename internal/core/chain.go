@@ -287,19 +287,19 @@ func (c *Chain) ArcsFrom(offset int64, yield func(u, v int64) bool) (int64, erro
 	if offset == total {
 		return total, nil
 	}
-	// A cursor over all k factors enumerates exactly Arcs' order: factor 1
-	// outermost, factor k's CSR runs innermost, with the full-chain vertex
-	// strides.
+	// A cursor over all k factors enumerates exactly Arcs' order, with the
+	// full-chain strides; its blocks carry their base at every product size.
 	cur := NewTailCursor(c.factors)
 	cur.SeekTo(offset)
-	block := make([]graph.Edge, 0, 1024)
+	block := make([]uint64, 0, 1024)
+	var u0, v0 int64
 	for {
-		block = cur.ExpandNext(0, 0, block[:0], cap(block))
+		block, u0, v0 = cur.ExpandNextPacked(block[:0], cap(block))
 		if len(block) == 0 {
 			return total, nil
 		}
-		for _, e := range block {
-			if !yield(e.U, e.V) {
+		for _, w := range block {
+			if !yield(u0+int64(uint32(w)), v0+int64(w>>32)) {
 				return total, nil
 			}
 		}
@@ -332,8 +332,8 @@ func (c *Chain) Materialize() (*graph.Graph, error) {
 // ArcSlice would, so the deterministic per-tile expansion order that
 // checkpoints and prefix-dedup recovery key on is preserved at k > 2.
 //
-// ExpandNext appends into a caller-owned scratch buffer, NextSweep hands
-// out index windows of the innermost factor's shared ArcSlice, and the
+// ExpandNextPacked appends into a caller-owned scratch buffer, NextSweep
+// hands out index windows of the innermost factor's shared ArcSlice, and the
 // cursor itself allocates only at construction (where it resolves the
 // innermost factor's Source for ExpandNextPacked, whose narrow or packed
 // copy is the factor's, built once per graph), so expansion is
@@ -460,48 +460,32 @@ func (tc *TailCursor) advance() {
 	tc.done = true
 }
 
-// ExpandNext appends up to max product arcs to out and returns it,
-// composing each pending tail arc (tu, tv) with the caller's bases as
-// (uBase+tu, vBase+tv). With uBase = aArc.U·n_T and vBase = aArc.V·n_T
-// (n_T the tail vertex count) these are the product arcs of one head arc
-// against the tail, the tail generated on the fly — the one expansion
-// loop, at every chain depth (the tests hold it to the two-factor
-// ExpandBlock and to Chain.Arcs). With bases 0 it yields the raw tail arcs.
-// An empty return means the cursor is exhausted; call Reset to rewind.
-//
-// There is no per-arc loop here: the outer digits' contribution is
-// prefix-summed into uPre/vPre and only changes once per innermost-factor
-// sweep, so each sweep (or the part of it max admits) is one ExpandRun
-// call with bases (uBase+uPre, vBase+vPre).
+// ExpandNext appends up to max of the packed walk's arcs to out as
+// graph.Edges, each plus the caller's bases: NextSweep's windows expanded
+// by ExpandBlock. Nothing in the module calls it; the benchmark harness's
+// cursor rows do.
 func (tc *TailCursor) ExpandNext(uBase, vBase int64, out []graph.Edge, max int) []graph.Edge {
-	inner := tc.arcs[len(tc.arcs)-1]
-	for !tc.done && len(out) < max {
-		n := max - len(out)
-		if rem := len(inner) - tc.innerPos; rem < n {
-			n = rem
+	for len(out) < max {
+		lo, hi, uPre, vPre := tc.NextSweep(int64(max - len(out)))
+		if lo == hi {
+			break
 		}
-		out = ExpandRun(out, inner[tc.innerPos:tc.innerPos+n], uBase+tc.uPre, vBase+tc.vPre)
-		tc.innerPos += n
-		if tc.innerPos == len(inner) {
-			tc.innerPos = 0
-			tc.advance()
-		}
+		out = ExpandBlock(graph.Edge{U: uBase + uPre, V: vBase + vPre}, tc.arcs[len(tc.arcs)-1][lo:hi], 1, out)
 	}
 	return out
 }
 
-// ExpandNextPacked is ExpandNext in packed arcs — the distributed engine's
-// walk: it appends up to max tail arcs to out as graph.PackedArcs words,
-// relative to a base (u0, v0) it returns with them, in ExpandNext's order;
-// arc i is (u0 + uint32(w), v0 + w>>32), plus the caller's head offset.
-// The base is the contribution of the outer digits whose factors lie past
-// the lowest 2³² vertices of the tail, so every word fits, and the block
-// ends where that contribution changes: for a tail of at most 2³² vertices
-// the base is (0, 0) and the block is max arcs but for the last. Each
-// sweep (or the part of it max admits) is one ExpandSourceTo call over the
-// innermost factor's Source, resolved at NewTailCursor, which must have at
-// most 2³² vertices: the block is half the bytes of ExpandNext's, and the
-// source half (packed) or a quarter (narrow).
+// ExpandNextPacked is the packed walk, the engine's and Chain.ArcsFrom's:
+// it appends up to max tail arcs to out as graph.PackedArcs words, in the
+// tail's CSR order, relative to a base (u0, v0) it returns with them; arc
+// i is (u0 + uint32(w), v0 + w>>32), plus the caller's head offset. An
+// empty block means the cursor is exhausted. The base is the contribution
+// of the outer digits whose factors lie past the lowest 2³² vertices of
+// the tail, so every word fits, and the block ends where that contribution
+// changes: for a tail of at most 2³² vertices the base is (0, 0) and the
+// block is max arcs but for the last. Each sweep (or the part of it max
+// admits) is one ExpandSourceTo call over the innermost factor's Source,
+// resolved at NewTailCursor, which must have at most 2³² vertices.
 func (tc *TailCursor) ExpandNextPacked(out []uint64, max int) (block []uint64, u0, v0 int64) {
 	u0, v0 = tc.uHi, tc.vHi
 	for len(out) < max && tc.uHi == u0 && tc.vHi == v0 {
@@ -519,14 +503,14 @@ func (tc *TailCursor) ExpandNextPacked(out []uint64, max int) (block []uint64, u
 // tail of at most 2³² vertices.
 func (tc *TailCursor) High() (u0, v0 int64) { return tc.uHi, tc.vHi }
 
-// NextSweep is ExpandNext without the writing, a sweep at a time: it
+// NextSweep is ExpandNextPacked without the writing, a sweep at a time: it
 // advances the cursor over the rest of the current sweep of the innermost
 // factor's arc list — at most max arcs of it — and returns the window
 // [lo, hi) of that list it stepped over, with the outer prefix: the arcs
 // are (uPre+e.U, vPre+e.V) for e in the innermost ArcSlice[lo:hi], plus the
-// caller's bases. Concatenated, the windows are exactly ExpandNext's stream;
-// only a window cut by max or entered after SeekTo is less than the whole
-// list. lo == hi means the cursor is exhausted (or max ≤ 0). uPre is
+// caller's bases. Concatenated, the windows are exactly ExpandNextPacked's
+// stream; only a window cut by max or entered after SeekTo is less than the
+// whole list. lo == hi means the cursor is exhausted (or max ≤ 0). uPre is
 // constant over a sweep, so a caller that keeps only some rows of the
 // innermost factor — the distributed engine's owner-side walk — picks them
 // once per source base and expands every sweep from that pick.

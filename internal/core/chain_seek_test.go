@@ -26,14 +26,7 @@ func chainArcsRef(t testing.TB, c *Chain) []graph.Edge {
 func TestTailCursorSeekTo(t *testing.T) {
 	tail := []*graph.Graph{gen.ER(5, 0.5, 11), gen.Ring(4), gen.ER(3, 0.7, 12)}
 	ref := NewTailCursor(tail)
-	var want []graph.Edge
-	for {
-		block := ref.ExpandNext(0, 0, nil, 1<<20)
-		if len(block) == 0 {
-			break
-		}
-		want = append(want, block...)
-	}
+	want := expandPacked(ref, 0, 0, 1<<20)
 	total := ref.Total()
 	if int64(len(want)) != total {
 		t.Fatalf("reference stream has %d arcs, Total() says %d", len(want), total)
@@ -45,14 +38,7 @@ func TestTailCursorSeekTo(t *testing.T) {
 	for pos := int64(0); pos <= total; pos++ {
 		cur := NewTailCursor(tail)
 		cur.SeekTo(pos)
-		var got []graph.Edge
-		for {
-			block := cur.ExpandNext(0, 0, nil, 7) // odd max to cross run boundaries
-			if len(block) == 0 {
-				break
-			}
-			got = append(got, block...)
-		}
+		got := expandPacked(cur, 0, 0, 7) // odd max to cross run boundaries
 		if int64(len(got)) != total-pos {
 			t.Fatalf("SeekTo(%d): got %d arcs, want %d", pos, len(got), total-pos)
 		}
@@ -85,6 +71,10 @@ func TestChainArcsFromMatchesArcs(t *testing.T) {
 	}{
 		{"k2", []*graph.Graph{gen.PrefAttach(7, 2, 21), gen.ER(5, 0.5, 22)}},
 		{"k3", []*graph.Graph{gen.ER(4, 0.6, 23), gen.Ring(3), gen.ER(3, 0.8, 24)}},
+		// Products past 2³² vertices: the packed walk's blocks carry a
+		// non-zero base, the outer digits past the lowest 2³² ids.
+		{"k3_2^51", []*graph.Graph{sparse(t, 1<<17), sparse(t, 1<<17), sparse(t, 1<<17)}},
+		{"k2_2^36", []*graph.Graph{sparse(t, 1<<20), sparse(t, 1<<16)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eachTierRun(t, func(t *testing.T) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"kronlab/internal/graph"
@@ -295,6 +296,32 @@ func tailCursorReference(t *testing.T, tail []*graph.Graph) []graph.Edge {
 	return out
 }
 
+// expandPacked runs tc's packed walk to its end, at most max arcs a block,
+// and returns the arcs, each block widened with its base plus (uBase,
+// vBase).
+func expandPacked(tc *TailCursor, uBase, vBase int64, max int) []graph.Edge {
+	var out []graph.Edge
+	buf := make([]uint64, 0, max)
+	for {
+		block, u0, v0 := tc.ExpandNextPacked(buf[:0], max)
+		if len(block) == 0 {
+			return out
+		}
+		out = ExpandPacked(out, block, uBase+u0, vBase+v0)
+	}
+}
+
+// sparse is an n-vertex factor of five arcs on vertices 0, n/3 and n−1, so
+// that the products and tails it is in reach both ends of their id range.
+func sparse(tb testing.TB, n int64) *graph.Graph {
+	tb.Helper()
+	g, err := graph.New(n, []graph.Edge{{U: 0, V: 0}, {U: 0, V: n - 1}, {U: n / 3, V: n / 3}, {U: n - 1, V: 0}, {U: n - 1, V: n - 1}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
 func TestTailCursorMatchesReference(t *testing.T) {
 	eachTierRun(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(47))
@@ -311,15 +338,7 @@ func TestTailCursorMatchesReference(t *testing.T) {
 			}
 			for _, batch := range []int{1, 3, 7, 1024} {
 				tc.Reset()
-				var got []graph.Edge
-				buf := make([]graph.Edge, 0, batch)
-				for {
-					block := tc.ExpandNext(0, 0, buf[:0], batch)
-					if len(block) == 0 {
-						break
-					}
-					got = append(got, block...)
-				}
+				got := expandPacked(tc, 0, 0, batch)
 				if len(got) != len(want) {
 					t.Fatalf("trial %d batch %d: %d arcs, want %d", trial, batch, len(got), len(want))
 				}
@@ -335,9 +354,9 @@ func TestTailCursorMatchesReference(t *testing.T) {
 
 func TestTailCursorExpandMatchesExpandBlock(t *testing.T) {
 	eachTierRun(t, func(t *testing.T) {
-		// With a materialized tail, ExpandNext(aU·nT, aV·nT, …) must equal
-		// ExpandBlock(aArc, tailArcs, nT, …) — the cursor IS the kernel's
-		// B-block, generated on the fly.
+		// With a materialized tail, the packed walk's blocks widened with
+		// (aU·nT, aV·nT) must equal ExpandBlock(aArc, tailArcs, nT, …) —
+		// the cursor IS the kernel's B-block, generated on the fly.
 		rng := rand.New(rand.NewSource(53))
 		tail := []*graph.Graph{randomGraph(rng, 4, true), randomGraph(rng, 3, true)}
 		tailG, err := chainOf(t, tail...).Materialize()
@@ -352,15 +371,7 @@ func TestTailCursorExpandMatchesExpandBlock(t *testing.T) {
 		if tc.NumVertices() != nT {
 			t.Fatalf("cursor NumVertices = %d, want %d", tc.NumVertices(), nT)
 		}
-		var got []graph.Edge
-		buf := make([]graph.Edge, 0, 5)
-		for {
-			block := tc.ExpandNext(aArc.U*nT, aArc.V*nT, buf[:0], 5)
-			if len(block) == 0 {
-				break
-			}
-			got = append(got, block...)
-		}
+		got := expandPacked(tc, aArc.U*nT, aArc.V*nT, 5)
 		if len(got) != len(want) {
 			t.Fatalf("%d arcs, want %d", len(got), len(want))
 		}
@@ -381,7 +392,7 @@ func TestTailCursorEmptyFactor(t *testing.T) {
 	if tc.Total() != 0 {
 		t.Fatalf("Total = %d, want 0", tc.Total())
 	}
-	if block := tc.ExpandNext(0, 0, nil, 16); len(block) != 0 {
+	if block, _, _ := tc.ExpandNextPacked(nil, 16); len(block) != 0 {
 		t.Fatalf("empty tail yielded %d arcs", len(block))
 	}
 }
@@ -389,10 +400,12 @@ func TestTailCursorEmptyFactor(t *testing.T) {
 // TestTailCursorNextSweepMatchesExpandNext is the contract the owner-side
 // walk rests on: from every SeekTo position, for every max and for a budget
 // that stops at the end or mid-sweep, the concatenation of NextSweep's
-// windows — prefix and bases applied — is ExpandNext's stream, and a window
-// stops short of its sweep's end only where max cut it — and ExpandNextPacked's
-// blocks, widened with their bases, unpack to the same stream. A block is
-// max arcs until the budget's last, with base (0, 0), where the tail has at
+// windows — prefix and bases applied — is the packed walk's stream (the
+// budget as one ExpandNextPacked call, widened with its blocks' bases), and
+// a window stops short of its sweep's end only where max cut it — and
+// ExpandNextPacked's blocks at every max, widened with their bases, and
+// ExpandNext's arcs unpack to the same stream. A block is max arcs until
+// the budget's last, with base (0, 0), where the tail has at
 // most 2³² vertices; past that it may also end where its base changes, and
 // only there. The tails are depths 1–3 over an innermost factor with
 // isolated vertices first, in the middle and last, a 2D-style part of it
@@ -417,15 +430,7 @@ func TestTailCursorNextSweepMatchesExpandNext(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(59))
 		outer1, outer2 := randomGraph(rng, 3, true), randomGraph(rng, 3, false)
-		// sparse is an n-vertex factor of four or five arcs on vertices 0,
-		// n/3 and n−1, so that its tails reach both ends of their id range.
-		sparse := func(n int64) *graph.Graph {
-			g, err := graph.New(n, []graph.Edge{{U: 0, V: 0}, {U: 0, V: n - 1}, {U: n / 3, V: n / 3}, {U: n - 1, V: 0}, {U: n - 1, V: n - 1}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return g
-		}
+		sparse := func(n int64) *graph.Graph { return sparse(t, n) }
 		tails := map[string][]*graph.Graph{
 			"depth1":      {star},
 			"depth1_part": {part},
@@ -454,7 +459,8 @@ func TestTailCursorNextSweepMatchesExpandNext(t *testing.T) {
 						ref.SeekTo(pos)
 						var want []graph.Edge
 						for int64(len(want)) < budget {
-							want = ref.ExpandNext(uBase, vBase, want, int(budget))
+							block, u0, v0 := ref.ExpandNextPacked(nil, int(budget-int64(len(want))))
+							want = ExpandPacked(want, block, uBase+u0, vBase+v0)
 						}
 						tc.SeekTo(pos)
 						var got []graph.Edge
@@ -478,7 +484,7 @@ func TestTailCursorNextSweepMatchesExpandNext(t *testing.T) {
 						}
 						for i := range want {
 							if got[i] != want[i] {
-								t.Fatalf("%s pos %d max %d budget %d: arc %d = %v, ExpandNext says %v", name, pos, max, budget, i, got[i], want[i])
+								t.Fatalf("%s pos %d max %d budget %d: arc %d = %v, the packed walk says %v", name, pos, max, budget, i, got[i], want[i])
 							}
 						}
 						if pos == 0 && budget == total && max == 1024 && total > 0 && windows != total/int64(len(inner)) {
@@ -500,8 +506,19 @@ func TestTailCursorNextSweepMatchesExpandNext(t *testing.T) {
 						}
 						for i, e := range packed {
 							if e != want[i] {
-								t.Fatalf("%s pos %d max %d budget %d: packed arc %d = %v, ExpandNext says %v", name, pos, max, budget, i, e, want[i])
+								t.Fatalf("%s pos %d max %d budget %d: packed arc %d = %v, the packed walk says %v", name, pos, max, budget, i, e, want[i])
 							}
+						}
+						tc.SeekTo(pos)
+						var wide []graph.Edge
+						for int64(len(wide)) < budget {
+							n := len(wide)
+							if wide = tc.ExpandNext(uBase, vBase, wide, int(min(int64(n)+max, budget))); len(wide) == n {
+								t.Fatalf("%s pos %d max %d: ExpandNext gave no arcs with %d due", name, pos, max, budget-int64(n))
+							}
+						}
+						if !slices.Equal(wide, want) {
+							t.Fatalf("%s pos %d max %d budget %d: ExpandNext's %d arcs differ from the packed walk's %d", name, pos, max, budget, len(wide), len(want))
 						}
 					}
 				}

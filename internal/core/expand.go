@@ -6,41 +6,15 @@ import (
 	"kronlab/internal/graph"
 )
 
-// ExpandRun appends (u0+e.U, v0+e.V) for every e of run to out and
-// returns it — the "add a base pair to a run of arcs" primitive in
-// graph.Edges: ExpandBlock (u0, v0 the head arc's γ offsets) and
-// TailCursor.ExpandNext (one call per innermost-factor sweep), which
-// Chain.ArcsFrom and the serial paths call. The distributed engine never
-// calls it: it walks every product in packed blocks (ExpandPackedTo).
-//
-// It has append's semantics: out[:len(out)] is kept, out is grown by
-// append's rule when its capacity is short (recycled buffers may have any
-// capacity), nothing past the new length is written, and run is only
-// read. The adds wrap like Go's + on int64. out's spare capacity and run
-// must not overlap.
-//
-// A graph.Edge is two int64s — exactly one 128-bit lane — so on amd64 the
-// body is one assembly routine (expand_amd64.s) with two loops: where one
-// CPUID/XCR0 probe at start-up found AVX2, two arcs per 256-bit VPADDQ
-// behind a software prefetch of run, which is usually a factor's arc slice
-// and lives in L2; under it, and on every other amd64, SSE2's load / PADDQ
-// / store per arc. The machine picks; nothing selects a body by hand.
-// Elsewhere the body is addEdgesGo, the portable loop both are tested
-// against. Kernel names the probe's tier.
-func ExpandRun(out, run []graph.Edge, u0, v0 int64) []graph.Edge {
-	n := len(out)
-	out = slices.Grow(out, len(run))[:n+len(run)]
-	addEdges(out[n:], run, u0, v0)
-	return out
-}
-
-// ExpandPacked is ExpandRun over a graph.PackedArcs run — each arc u |
-// v<<32 — with the same append semantics: it appends (u0+u, v0+v) for
-// every arc of run to out. It is how a sink widens a packed block, with the
-// block's base, into the graph.Edge buffer it copies into.
-// Where the start-up probe found AVX-512 the body is addPacked, four arcs
-// per 512-bit VPMOVZXDQ; elsewhere it is addPackedGo, so it is correct on
-// every host.
+// ExpandPacked appends (u0+u, v0+v) to out for every arc u | v<<32 of run,
+// a graph.PackedArcs run, and returns it: how a sink widens a packed block,
+// with the block's base, into the graph.Edge buffer it copies into. It has
+// append's semantics — out[:len(out)] kept, out grown by append's rule when
+// short (recycled buffers may have any capacity), nothing past the new
+// length written, run only read — and the adds wrap like Go's + on int64;
+// out's spare capacity and run must not overlap. Where the start-up probe
+// found AVX-512 the body is addPacked, four arcs per 512-bit VPMOVZXDQ;
+// elsewhere addPackedGo.
 func ExpandPacked(out []graph.Edge, run []uint64, u0, v0 int64) []graph.Edge {
 	n := len(out)
 	out = slices.Grow(out, len(run))[:n+len(run)]
@@ -54,12 +28,12 @@ func ExpandPacked(out []graph.Edge, run []uint64, u0, v0 int64) []graph.Edge {
 
 // ExpandPackedTo is the packed walk's primitive: it appends run[i] + base
 // to out for every arc of run, where run is graph.PackedArcs words
-// (u | v<<32) and base is u0 | v0<<32, with append's semantics as
-// ExpandRun. The caller promises u0+u and v0+v stay below 2³² for every
+// (u | v<<32) and base is u0 | v0<<32, with ExpandPacked's append
+// semantics. The caller promises u0+u and v0+v stay below 2³² for every
 // arc — true of a tail arc taken relative to its block's base
 // (TailCursor.ExpandNextPacked) — so the one 64-bit add per arc cannot
 // carry from U into V, and out holds the arcs (u0+u, v0+v) in the same
-// layout, 8 bytes each: half what ExpandRun stores.
+// layout, 8 bytes each: half what ExpandPacked stores.
 // TailCursor.ExpandNextPacked (one call per innermost-factor sweep) and the
 // distributed engine's owner-side walk call it on every host. On amd64 the
 // body is addPackedTo, whose 256- or 128-bit loop the start-up probe picks;
@@ -158,20 +132,9 @@ func ExpandSourceTo(out []uint64, run Source, base uint64) []uint64 {
 	return ExpandPackedTo(out, run.packed, base)
 }
 
-// addEdgesGo writes dst[i] = (u0+src[i].U, v0+src[i].V) for every i; dst
-// must be at least as long as src. It is the portable body of ExpandRun —
-// one bounds check per run, no append in the loop — compiled on every
-// platform because it is also the reference for the amd64 assembly.
-func addEdgesGo(dst, src []graph.Edge, u0, v0 int64) {
-	dst = dst[:len(src)]
-	for i, e := range src {
-		dst[i] = graph.Edge{U: u0 + e.U, V: v0 + e.V}
-	}
-}
-
-// addPackedGo is addEdgesGo over a packed source: dst[i] = (u0 +
-// uint32(src[i]), v0 + src[i]>>32). It is ExpandPacked's body where the
-// probe found no AVX-512, and the reference addPacked is tested against.
+// addPackedGo writes dst[i] = (u0 + uint32(src[i]), v0 + src[i]>>32) for
+// every i; dst must be at least as long as src: ExpandPacked's body where
+// the probe found no AVX-512, and the reference addPacked is tested against.
 func addPackedGo(dst []graph.Edge, src []uint64, u0, v0 int64) {
 	dst = dst[:len(src)]
 	for i, p := range src {

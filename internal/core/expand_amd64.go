@@ -2,13 +2,7 @@ package core
 
 import "kronlab/internal/graph"
 
-// addEdges is addEdgesGo in assembly (expand_amd64.s). It reads len(src)
-// arcs and writes as many, so the caller passes len(dst) ≥ len(src).
-//
-//go:noescape
-func addEdges(dst, src []graph.Edge, u0, v0 int64)
-
-// addPacked is addEdges over a graph.PackedArcs source: dst[i] = (u0 +
+// addPacked is addPackedGo in assembly (expand_amd64.s): dst[i] = (u0 +
 // uint32(src[i]), v0 + src[i]>>32), four arcs per 512-bit VPMOVZXDQ. It
 // runs only where hasAVX512 is set; len(dst) ≥ len(src).
 //
@@ -33,10 +27,10 @@ func addNarrowTo(dst []uint64, src []uint32, base uint64)
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax uint32)
 
-// hasAVX2 puts addEdges' and addPackedTo's 256-bit loops in front of their
-// SSE2 ones, and hasAVX512 gives ExpandPacked — the sinks' widening of
-// packed blocks — addPacked for its body and lets SourceOf read a factor of
-// at most 2¹⁶ vertices narrow, through addNarrowTo. They are probed once,
+// hasAVX2 puts addPackedTo's 256-bit loop in front of its SSE2 one, and
+// hasAVX512 gives ExpandPacked — the sinks' widening of packed blocks —
+// addPacked for its body and lets SourceOf read a factor of at most 2¹⁶
+// vertices narrow, through addNarrowTo. They are probed once,
 // here, and only tests set them afterwards: the machine picks the body, not
 // a flag.
 var hasAVX2, hasAVX512 = probe()
@@ -73,8 +67,8 @@ func avx512From(maxLeaf, leaf1ECX, xcr0, leaf7EBX uint32) bool {
 // Kernel names the probe's tier — "avx512", "avx2", "sse2", or off amd64
 // "portable": rates from two hosts compare only next to it. The engine's
 // walk runs addPackedTo's loop of the widest tier up to AVX2, for every
-// product; addEdges runs only under ExpandBlock and ExpandNext. "avx512"
-// adds addNarrowTo, which the walk runs over an innermost factor of at most
+// product, and so does every other arc the module writes (Chain.ArcsFrom
+// walks the same cursor). "avx512" adds addNarrowTo, which the walk runs over an innermost factor of at most
 // 2¹⁶ vertices (SourceOf), and addPacked, with which the sinks widen packed
 // blocks.
 func Kernel() string {

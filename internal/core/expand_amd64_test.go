@@ -5,7 +5,7 @@ import "testing"
 // eachTier calls f once per body, by its Kernel() name, with the dispatch
 // forced to that body for the call and the probe's answers restored after:
 // the SSE2 floor on every host — also on one that would never run it —
-// addEdges' and addPackedTo's 256-bit loops where the probe found AVX2,
+// addPackedTo's 256-bit loop where the probe found AVX2,
 // and where it found AVX-512 the narrow source (SourceOf, addNarrowTo) and
 // addPacked, beside the probed 256-bit loops. A cursor built inside f reads
 // the layout of f's tier. A body this host cannot run goes to skip with the

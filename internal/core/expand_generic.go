@@ -4,8 +4,6 @@ package core
 
 import "kronlab/internal/graph"
 
-func addEdges(dst, src []graph.Edge, u0, v0 int64) { addEdgesGo(dst, src, u0, v0) }
-
 // hasAVX512 is amd64's probe (expand_amd64.go); here ExpandPacked runs
 // addPackedGo, ExpandNarrowTo addNarrowToGo, and SourceOf reads every
 // factor packed.
@@ -17,6 +15,6 @@ func addPackedTo(dst, src []uint64, base uint64) { addPackedToGo(dst, src, base)
 
 func addNarrowTo(dst []uint64, src []uint32, base uint64) { addNarrowToGo(dst, src, base) }
 
-// Kernel names the body ExpandPackedTo — the engine's walk — and ExpandRun
-// run: here the portable loops, and no factor is read narrow.
+// Kernel names the body ExpandPackedTo — the packed walk — runs: here the
+// portable loop, and no factor is read narrow.
 func Kernel() string { return "portable" }

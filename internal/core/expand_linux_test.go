@@ -10,14 +10,13 @@ import (
 	"kronlab/internal/graph"
 )
 
-// TestExpandRunGuardPage ends run, and then out, exactly at the boundary
-// of an inaccessible page, for every length 0–40 on every body — in every
-// tier also ExpandPackedTo's and ExpandNarrowTo's src, and then their dst,
-// and in the avx512 tier addPacked's: a load or a store one byte past len
-// is a fault (a prefetch is not, and the wide loops issue them pfDist past
+// TestExpandGuardPage ends ExpandPackedTo's and ExpandNarrowTo's src, and
+// then their dst, exactly at the boundary of an inaccessible page, for
+// every length 0–40 in every tier — and in the avx512 tier addPacked's: a
+// load or a store one byte past len is a fault (a prefetch is not, and the wide loops issue them pfDist past
 // every line they read; nor is an element addNarrowTo's masked tail masks
 // off).
-func TestExpandRunGuardPage(t *testing.T) {
+func TestExpandGuardPage(t *testing.T) {
 	page := syscall.Getpagesize()
 	mem, err := syscall.Mmap(-1, 0, 2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
@@ -48,18 +47,9 @@ func TestExpandRunGuardPage(t *testing.T) {
 			func() {
 				defer func() {
 					if r := recover(); r != nil {
-						t.Fatalf("%s, len %d: ExpandRun touched the guard page: %v", tier, n, r)
+						t.Fatalf("%s, len %d: a body touched the guard page: %v", tier, n, r)
 					}
 				}()
-				want := expandRunPerEdge(nil, arcs[:n], 5, -9)
-				run := atGuard(n)
-				copy(run, arcs)
-				if got := ExpandRun(make([]graph.Edge, 0, n), run, 5, -9); !slices.Equal(got, want) {
-					t.Fatalf("%s, len %d, run at the guard: got %v, want %v", tier, n, got, want)
-				}
-				if got := ExpandRun(atGuard(n)[:0], arcs[:n], 5, -9); !slices.Equal(got, want) {
-					t.Fatalf("%s, len %d, out at the guard: got %v, want %v", tier, n, got, want)
-				}
 				packed, twin := packedTwin(arcs[:n], 0)
 				words := ExpandPackedTo(nil, packed, 5)
 				wsrc := packedAtGuard(n)
@@ -87,7 +77,7 @@ func TestExpandRunGuardPage(t *testing.T) {
 				if tier != "avx512" {
 					return
 				}
-				want = expandRunPerEdge(nil, twin, 5, -9)
+				want := expandPerEdge(nil, twin, 5, -9)
 				src := packedAtGuard(n)
 				copy(src, packed)
 				got := make([]graph.Edge, n)

@@ -10,9 +10,9 @@ import (
 	"kronlab/internal/graph"
 )
 
-// expandRunPerEdge is the test-local statement of what ExpandRun computes:
-// one append per arc, Go's wrapping +.
-func expandRunPerEdge(out, run []graph.Edge, u0, v0 int64) []graph.Edge {
+// expandPerEdge is the test-local statement of what ExpandBlock and
+// ExpandPacked compute: one append per arc, Go's wrapping +.
+func expandPerEdge(out, run []graph.Edge, u0, v0 int64) []graph.Edge {
 	for _, e := range run {
 		out = append(out, graph.Edge{U: u0 + e.U, V: v0 + e.V})
 	}
@@ -59,7 +59,7 @@ func arcArray(n int, misaligned bool) []graph.Edge {
 
 func misaligned16(s []graph.Edge) bool { return reflect.ValueOf(s).Pointer()%16 != 0 }
 
-// expandShape is one call shape of ExpandRun: out is a window of a backing
+// expandShape is one call shape of ExpandBlock: out is a window of a backing
 // array starting off arcs in, with prefix arcs already in it and room for
 // spare more; run starts off arcs into its own array. skewOut and skewRun
 // pick each array's alignment.
@@ -69,14 +69,13 @@ type expandShape struct {
 	u0, v0             int64
 }
 
-// checkExpandRun holds ExpandRun (on amd64 the assembly, in whichever body
-// eachTier has forced) and addEdgesGo (the portable loop) to the per-edge
-// loop for one run and call shape.
+// checkExpandBlock holds ExpandBlock, with the bases as its A-arc and
+// nB = 1, to the per-edge loop for one run and call shape.
 // Every arc of out's backing array outside the window is a canary.
 // Checked: the result; the prefix and the canaries before the window and
 // past len(out)+len(run) untouched; run unmodified; out grown exactly when
 // spare < len(run), and written in place otherwise.
-func checkExpandRun(t *testing.T, arcs []graph.Edge, sh expandShape) {
+func checkExpandBlock(t *testing.T, arcs []graph.Edge, sh expandShape) {
 	t.Helper()
 	const guard = 3
 	n, lo := len(arcs), sh.off+sh.prefix
@@ -87,18 +86,18 @@ func checkExpandRun(t *testing.T, arcs []graph.Edge, sh expandShape) {
 		backing[i] = canary(i)
 	}
 	out := backing[sh.off : lo : lo+sh.spare]
-	want := expandRunPerEdge(slices.Clone(out), arcs, sh.u0, sh.v0)
+	want := expandPerEdge(slices.Clone(out), arcs, sh.u0, sh.v0)
 
-	got := ExpandRun(out, run, sh.u0, sh.v0)
+	got := ExpandBlock(graph.Edge{U: sh.u0, V: sh.v0}, run, 1, out)
 	if !slices.Equal(got, want) {
-		t.Fatalf("ExpandRun(len %d, %+v) = %v, want %v", n, sh, got, want)
+		t.Fatalf("ExpandBlock(len %d, %+v) = %v, want %v", n, sh, got, want)
 	}
 	if !slices.Equal(run, arcs) {
-		t.Fatalf("ExpandRun(len %d, %+v) modified run", n, sh)
+		t.Fatalf("ExpandBlock(len %d, %+v) modified run", n, sh)
 	}
 	grew := cap(got) != cap(out)
 	if grew != (n > sh.spare) {
-		t.Fatalf("ExpandRun(len %d, %+v): cap %d -> %d", n, sh, cap(out), cap(got))
+		t.Fatalf("ExpandBlock(len %d, %+v): cap %d -> %d", n, sh, cap(out), cap(got))
 	}
 	for i, e := range backing {
 		w := canary(i)
@@ -106,42 +105,22 @@ func checkExpandRun(t *testing.T, arcs []graph.Edge, sh expandShape) {
 			w = want[i-sh.off]
 		}
 		if e != w {
-			t.Fatalf("ExpandRun(len %d, %+v): backing[%d] = %v, want %v", n, sh, i, e, w)
-		}
-	}
-
-	dst := arcArray(n+guard, sh.skewOut)
-	for i := range dst {
-		dst[i] = canary(i)
-	}
-	addEdgesGo(dst[:n], run, sh.u0, sh.v0)
-	if !slices.Equal(dst[:n], want[sh.prefix:]) {
-		t.Fatalf("addEdgesGo(len %d, %+v) = %v, want %v", n, sh, dst[:n], want[sh.prefix:])
-	}
-	for i := n; i < len(dst); i++ {
-		if dst[i] != canary(i) {
-			t.Fatalf("addEdgesGo(len %d, %+v) wrote past the run at %d", n, sh, i)
+			t.Fatalf("ExpandBlock(len %d, %+v): backing[%d] = %v, want %v", n, sh, i, e, w)
 		}
 	}
 }
 
-// TestExpandRunDifferential walks, on every body of the kernel this host
-// can run (eachTier), every run length 0–67 — every remainder of the 8-way
-// and 4-way unrolls many times over, 8k+4+{1,2,3} among them: the wide
-// loop, VZEROUPPER, then loop4 and loop1 — and a few long ones, at every
-// start offset 0–3 of 16-byte-aligned and misaligned source and
-// destination arrays (so every residue of a 32-byte access too, among
-// them the destinations ≡ 16 mod 32 the wide loop peels an arc off), with and
-// without a prefix already in out, with exact, spare and short capacity,
-// over bases that include negatives and sums that wrap int64.
-func TestExpandRunDifferential(t *testing.T) {
+// TestExpandBlockDifferential holds ExpandBlock to the per-edge loop
+// (checkExpandBlock) for every run length 0–67 and a few long ones, at
+// every start offset 0–3 of 16-byte-aligned and misaligned source and
+// destination arrays, with and without a prefix already in out, with
+// exact, spare and short capacity, over bases that include negatives and
+// sums that wrap int64 — and with nB > 1, where the A-arc's offsets are
+// its endpoints times nB.
+func TestExpandBlockDifferential(t *testing.T) {
 	if misaligned16(arcArray(8, false)) || !misaligned16(arcArray(8, true)) {
 		t.Fatal("arcArray does not control 16-byte alignment on this platform; the misaligned cases would test nothing")
 	}
-	eachTierRun(t, testExpandRunDifferential)
-}
-
-func testExpandRunDifferential(t *testing.T) {
 	arcs := make([]graph.Edge, 492) // with off, prefix, spare and guard, fits a skewed
 	for i := range arcs {
 		arcs[i] = graph.Edge{U: int64(i) * 0x9e3779b97f4a7c, V: math.MaxInt64 - int64(i)*0x1234567}
@@ -151,7 +130,7 @@ func testExpandRunDifferential(t *testing.T) {
 	for n := 0; n <= 67; n++ {
 		lengths = append(lengths, n)
 	}
-	lengths = append(lengths, 135, 263, 492) // 8k+4+3 twice, 8k+4
+	lengths = append(lengths, 135, 263, 492)
 	for _, n := range lengths {
 		for off := 0; off <= 3; off++ {
 			base := wrapBases[(n+off)%len(wrapBases)]
@@ -161,18 +140,18 @@ func testExpandRunDifferential(t *testing.T) {
 					for _, spare := range []int{n, n + 2, n - 1, 0} { // exact, spare, one short, none
 						if spare >= 0 {
 							sh.spare = spare
-							checkExpandRun(t, arcs[:n], sh)
+							checkExpandBlock(t, arcs[:n], sh)
 						}
 					}
 				}
 			}
 		}
 	}
-	if got := ExpandRun(nil, arcs[:9], 1, 2); !slices.Equal(got, expandRunPerEdge(nil, arcs[:9], 1, 2)) {
-		t.Fatalf("ExpandRun(nil, …) = %v", got)
+	if got := ExpandBlock(graph.Edge{U: 3, V: -2}, arcs[:9], 1<<20, nil); !slices.Equal(got, expandPerEdge(nil, arcs[:9], 3<<20, -2<<20)) {
+		t.Fatalf("ExpandBlock(nB 2^20, nil out) = %v", got)
 	}
-	if got := ExpandRun(nil, nil, 1, 2); len(got) != 0 {
-		t.Fatalf("ExpandRun(nil, nil) = %v", got)
+	if got := ExpandBlock(graph.Edge{U: 1, V: 2}, nil, 7, nil); len(got) != 0 {
+		t.Fatalf("ExpandBlock(nil, nil) = %v", got)
 	}
 }
 
@@ -197,7 +176,7 @@ func arcsAt(n int, rem uintptr) (backing []graph.Edge, at int) {
 	return backing, at
 }
 
-// checkAddPacked holds a packed body to addEdgesGo on the unpacked twin
+// checkAddPacked holds a packed body to the per-edge sum on the unpacked twin
 // for one run, a source starting srcOff words into its array, a destination
 // rem bytes past a 64-byte boundary and the bases: the result, every canary
 // before and past the destination untouched, the source unmodified — and
@@ -209,8 +188,7 @@ func checkAddPacked(t *testing.T, name string, body func([]graph.Edge, []uint64,
 	n := len(arcs)
 	src, twin := packedTwin(arcs, srcOff)
 	orig := slices.Clone(src)
-	want := make([]graph.Edge, n)
-	addEdgesGo(want, twin, u0, v0)
+	want := expandPerEdge(nil, twin, u0, v0)
 	backing, at := arcsAt(n+guard, rem)
 	for i := range backing {
 		backing[i] = canary(i)
@@ -235,7 +213,7 @@ func checkAddPacked(t *testing.T, name string, body func([]graph.Edge, []uint64,
 }
 
 // TestAddPackedDifferential holds each body of ExpandPacked — addPackedGo,
-// and addPacked where the probe found AVX-512 — to addEdgesGo on the
+// and addPacked where the probe found AVX-512 — to the per-edge sum on the
 // unpacked twin (checkAddPacked) for every length 0–67 —
 // every remainder of addPacked's 16-arc loop behind every peel — and 79
 // and 303 (16k + 15), at a destination 0, 16, 32 and 48 bytes past a
@@ -453,15 +431,15 @@ func TestAddNarrowToDifferential(t *testing.T) {
 	})
 }
 
-// FuzzExpandRun derives a run, a call shape and the bases from raw bytes
-// and holds ExpandRun, on every body this host can run, and addEdgesGo to
-// the per-edge loop (checkExpandRun) — and, on the run cut to 32-bit
-// endpoints, addPackedGo in every tier and addPacked in the packed one to
-// its twin (checkAddPacked), the destination at the shape's offset and
+// FuzzExpand derives a run, a call shape and the bases from raw bytes and
+// holds ExpandBlock to the per-edge loop (checkExpandBlock) — and, on every
+// body this host can run: on the run cut to 32-bit endpoints, addPackedGo
+// in every tier and addPacked in the avx512 one to its twin
+// (checkAddPacked), the destination at the shape's offset and
 // 16-byte phase; ExpandPackedTo's bodies on the run and bases cut to 31
 // bits (checkAddPackedTo); and ExpandNarrowTo's on the run cut to 16-bit
 // endpoints and the same bases (checkAddNarrowTo).
-func FuzzExpandRun(f *testing.F) {
+func FuzzExpand(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint8(0), uint8(0), int64(0), int64(0))
 	f.Add(make([]byte, 16*5), uint8(1|4), uint8(2), uint8(5), int64(-1), int64(math.MaxInt64))
 	f.Add(make([]byte, 16*37+3), uint8(3|8), uint8(0), uint8(9), int64(math.MinInt64), int64(1)<<40)
@@ -487,8 +465,8 @@ func FuzzExpandRun(f *testing.F) {
 		if sh.skewOut {
 			rem += 8
 		}
+		checkExpandBlock(t, arcs, sh)
 		eachTier(func(tier string) {
-			checkExpandRun(t, arcs, sh)
 			checkAddPacked(t, "addPackedGo", addPackedGo, arcs, int(prefix%2), rem, u0, v0)
 			if tier == "avx512" {
 				checkAddPacked(t, "addPacked", addPacked, arcs, int(prefix%2), rem, u0, v0)
@@ -500,25 +478,25 @@ func FuzzExpandRun(f *testing.F) {
 }
 
 // sweepPiece is dist.DefaultBatchSize — the most arcs the engine asks of
-// one ExpandRun call — spelled out because core cannot import dist.
+// one body call — spelled out because core cannot import dist.
 const sweepPiece = 1024
 
-// BenchmarkExpandRun times the primitive in the shapes the engine feeds
-// it, in ns/arc, per body: each body eachTier forces — the packed walk's
-// ExpandPackedTo (<tier>_packed) and ExpandRun, the serial paths' body, in the sse2
-// and avx2 tiers, which an AVX-512 host also runs, and in the avx512 tier
-// ExpandPacked, the sinks' widening of a packed block — the portable loop
-// and the per-edge append loop ExpandRun replaced. sweep21k is the engine's k = 2
+// BenchmarkExpand times the bodies in the shapes the engine feeds them, in
+// ns/arc: the packed walk's ExpandPackedTo (<tier>_packed) in the sse2 and
+// avx2 tiers, which an AVX-512 host also runs; in the avx512 tier
+// ExpandNarrowTo (avx512_narrow) and ExpandPacked, the sinks' widening of a
+// packed block; and ExpandBlock, the portable two-factor loop, and the
+// per-edge append loop. sweep21k is the engine's k = 2
 // shape — the source is RMAT(10)'s arc slice (20 964 arcs, 335 KB
 // wide, 168 KB packed: L2-resident), swept in ≤ sweepPiece pieces into one
 // reused, L1-resident block; sweep1k is the same walk over a source that
 // fits L1 beside the block; sweep21k_dst16 is sweep21k into a block 16
-// bytes past a 32-byte boundary (the 256-bit loop peels an arc there, the
-// packed one up to a 64-byte boundary); len20 is one CSR row of a skewed
+// bytes past a 32-byte boundary (8 for a packed block; the packed bodies
+// peel up to an aligned one); len20 is one CSR row of a skewed
 // factor, call included (a rank's share of a short sweep at large R). A
 // benchmark that reads one long run into an equally long out is bound by
 // store misses instead and cannot tell the bodies apart.
-func BenchmarkExpandRun(b *testing.B) {
+func BenchmarkExpand(b *testing.B) {
 	shapes := []struct {
 		name       string
 		src, piece int
@@ -559,11 +537,9 @@ func BenchmarkExpandRun(b *testing.B) {
 			})
 		}
 	}
-	expandRun := func(out, run []graph.Edge, _ []uint64, u0, v0 int64) []graph.Edge { return ExpandRun(out, run, u0, v0) }
 	eachTier(func(tier string) {
 		if tier != "avx512" {
 			wordRows(tier+"_packed", func(out, packed []uint64, _ []uint32, base uint64) []uint64 { return ExpandPackedTo(out, packed, base) })
-			rows(tier, expandRun)
 			return
 		}
 		wordRows(tier+"_narrow", func(out, _ []uint64, narrow []uint32, base uint64) []uint64 { return ExpandNarrowTo(out, narrow, base) })
@@ -571,14 +547,10 @@ func BenchmarkExpandRun(b *testing.B) {
 			return ExpandPacked(out, packed, u0, v0)
 		})
 	}, func(tier, missing string) { b.Run(tier, func(b *testing.B) { b.Skip("host lacks " + missing) }) })
-	if Kernel() != "portable" { // elsewhere the row above is this one
-		rows("portable", func(out, run []graph.Edge, _ []uint64, u0, v0 int64) []graph.Edge {
-			out = out[:len(run)]
-			addEdgesGo(out, run, u0, v0)
-			return out
-		})
-	}
+	rows("expandBlock", func(out, run []graph.Edge, _ []uint64, u0, v0 int64) []graph.Edge {
+		return ExpandBlock(graph.Edge{U: u0, V: v0}, run, 1, out)
+	})
 	rows("perEdge", func(out, run []graph.Edge, _ []uint64, u0, v0 int64) []graph.Edge {
-		return expandRunPerEdge(out, run, u0, v0)
+		return expandPerEdge(out, run, u0, v0)
 	})
 }

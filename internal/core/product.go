@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"kronlab/internal/graph"
 )
@@ -47,22 +48,21 @@ func StreamProductArcs(aArcs []graph.Edge, b *graph.Graph, yield func(u, v int64
 	}
 }
 
-// ExpandBlock expands one A-arc against an explicit slice of B-arcs,
-// appending the len(bArcs) product arcs to out and returning it. It is
-// the blocked form of the paper's Sec. III expansion for two factors:
-// the γ offsets of the A-arc are hoisted out and the rest is ExpandRun —
-// no interface or closure calls per product arc (contrast
-// StreamProductArcs, the per-edge reference). The distributed engine runs
-// TailCursor.ExpandNext, the same primitive over a factor list;
-// ExpandBlock is the bare-kernel row of the benchmark ladder and what
-// TestTailCursorExpandMatchesExpandBlock holds the cursor to.
-//
-// Pass bArcs = b.ArcSlice() and nB = b.NumVertices(); reuse out (len 0,
-// cap ≥ len(bArcs)) across calls to make expansion allocation-free.
-// Output order is bArcs order — B's CSR arc order — which matches
-// StreamProduct exactly.
+// ExpandBlock appends the product arcs of one A-arc against a slice of
+// B-arcs, (aArc.U·nB + e.U, aArc.V·nB + e.V) for each e in bArcs order, to
+// out with append's semantics (the adds wrap like Go's +) and returns it:
+// the paper's Sec. III expansion for two factors in plain Go, the γ
+// offsets hoisted out — the reference the tests hold the cursor's packed
+// walk to. Pass bArcs = b.ArcSlice() and nB = b.NumVertices(); the order
+// is then StreamProduct's.
 func ExpandBlock(aArc graph.Edge, bArcs []graph.Edge, nB int64, out []graph.Edge) []graph.Edge {
-	return ExpandRun(out, bArcs, aArc.U*nB, aArc.V*nB)
+	u0, v0, n := aArc.U*nB, aArc.V*nB, len(out)
+	out = slices.Grow(out, len(bArcs))[:n+len(bArcs)]
+	dst := out[n:][:len(bArcs)] // one bounds check, not one an arc
+	for i, e := range bArcs {
+		dst[i] = graph.Edge{U: u0 + e.U, V: v0 + e.V}
+	}
+	return out
 }
 
 // Product materializes C = A ⊗ B as a Graph on n_A·n_B vertices.

@@ -11,6 +11,7 @@ import (
 	"context"
 	"os"
 	"os/exec"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -91,6 +92,39 @@ func TestGenerateChainMatchesSerial(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestCollectAllocatesOnce: Collect merges the ranks' arcs into one slice
+// sized from TotalStored, so it allocates no more than graph.New over a
+// copy of the merged arcs — where the merged slice grew by doubling, each
+// growth was one more.
+func TestCollectAllocatesOnce(t *testing.T) {
+	ch, _ := heteroChain3(t)
+	res, err := GenerateChain(ch, 8, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var merged []graph.Edge
+	for _, s := range res.PerRank {
+		merged = append(merged, s...)
+	}
+	var failed error
+	newOnCopy := testing.AllocsPerRun(5, func() {
+		if _, err := graph.New(res.NC, slices.Clone(merged)); err != nil {
+			failed = err
+		}
+	})
+	collect := testing.AllocsPerRun(5, func() {
+		if _, err := res.Collect(); err != nil {
+			failed = err
+		}
+	})
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	if collect > newOnCopy {
+		t.Fatalf("Collect allocates %v times, graph.New over a copy of its arcs %v", collect, newOnCopy)
 	}
 }
 

@@ -74,7 +74,7 @@ func TestClusterSeekParity(t *testing.T) {
 				go func(p int) {
 					defer wg.Done()
 					cc := ClusterConfig{Procs: procs, Self: p, Node: nodes[p]}
-					st, _, err := GenerateChainClusterToStoreOpts(ctx, ch, dir, tc.twoD, offset, limit, cc, Recovery{})
+					st, _, err := generateChainClusterToStoreFrom(ctx, ch, dir, tc.twoD, offset, limit, cc, Recovery{})
 					stores[p] = &storeResult{st: st, err: err}
 				}(p)
 			}

@@ -834,17 +834,17 @@ func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
 // return a nil store. The plan hash covers the chain's dimensions, so
 // mixed-depth clusters refuse to form.
 func GenerateChainClusterToStore(ctx context.Context, ch *core.Chain, dir string, twoD bool, cc ClusterConfig, rec Recovery) (*store.Store, Stats, error) {
-	return GenerateChainClusterToStoreOpts(ctx, ch, dir, twoD, 0, -1, cc, rec)
+	return generateChainClusterToStoreFrom(ctx, ch, dir, twoD, 0, -1, cc, rec)
 }
 
-// GenerateChainClusterToStoreOpts is GenerateChainClusterToStore over a
+// generateChainClusterToStoreFrom is GenerateChainClusterToStore over a
 // contiguous window of the stream (see GenerateChainToStoreFrom). Every
 // process must pass the same offset and limit: the window is folded into
 // the tiles before planning, so PlanHash covers it and a cluster whose
 // processes sliced at different positions refuses to form instead of
 // silently mixing windows. (No fault plan: cmd/krongen kills from its
 // sink.)
-func GenerateChainClusterToStoreOpts(ctx context.Context, ch *core.Chain, dir string, twoD bool, offset, limit int64, cc ClusterConfig, rec Recovery) (*store.Store, Stats, error) {
+func generateChainClusterToStoreFrom(ctx context.Context, ch *core.Chain, dir string, twoD bool, offset, limit int64, cc ClusterConfig, rec Recovery) (*store.Store, Stats, error) {
 	r := cc.Procs[len(cc.Procs)-1].Hi
 	plan, err := sliceForChain(ch, r, twoD, offset, limit)
 	if err != nil {

@@ -39,9 +39,11 @@ func (res *Result) MaxRankStorage() int64 {
 }
 
 // Collect merges all per-rank stored arcs into a single Graph — the
-// oracle check that the distributed run produced exactly C = A ⊗ B.
+// oracle check that the distributed run produced exactly C = A ⊗ B, and
+// krongen's whole-graph output. The merged slice is sized from
+// TotalStored, so it is allocated once.
 func (res *Result) Collect() (*graph.Graph, error) {
-	var arcs []graph.Edge
+	arcs := make([]graph.Edge, 0, res.TotalStored())
 	for _, s := range res.PerRank {
 		arcs = append(arcs, s...)
 	}

@@ -87,9 +87,9 @@ func TestClusterBufPoolStress(t *testing.T) {
 // TestShortRecycledBuffersGrow: a recycled buffer may have any capacity
 // (batch sizes vary across runs), so whatever writes a run of arcs into one
 // must grow it the way append does. The freelist is left holding only
-// capacity-16 buffers; unrouted jobs (ExpandNext into the scratch block),
-// OwnerBySource jobs (ExpandRun into the scratch block from a pick whose
-// buffer is as short) and a stream (the stream sink's appends into its
+// capacity-16 buffers; unrouted jobs (ExpandNextPacked into the scratch
+// block), OwnerBySource jobs (ExpandSourceTo into the scratch block from a
+// pick whose buffer is as short) and a stream (the stream sink's appends into its
 // hand-off batches — the cell is named byEdge after the router whose staging
 // buffers it filled before placing moved to the owner) at a batch of 1024
 // must still emit exactly the chain's arcs.

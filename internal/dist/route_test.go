@@ -110,7 +110,8 @@ func placedBy(t *testing.T, w *walk, work []tileWork) placedArcs {
 // its own ownedRows (walkOwned, as walk.tiles does), in packed blocks
 // (each widened with its base for the comparison), and what each rank is
 // handed — tile and arc, in order — must be each tile's stream, expanded by
-// core.TailCursor.ExpandNext chunk arcs a step, filtered arc by arc by the
+// core.TailCursor.ExpandNextPacked chunk arcs a step (each block widened
+// with its base), filtered arc by arc by the
 // owner map, with every block 1 to batch arcs long. Each shape spans two
 // tiles and is expanded 7 and 64 arcs a step, at batches that do (1) and do
 // not (3, 5, 7, 64, 1024) divide its rows; the k = 3 shape puts an odometer
@@ -146,16 +147,18 @@ func TestRouteRunsEquivalence(t *testing.T) {
 					owner := placer(o.owner, workPlan(sh.work, r))
 					place := newPlacing(o.owner, owner, r)
 					want := make([]placedArcs, r)
+					var words []uint64
 					var scratch []graph.Edge
 					for _, w := range sh.work {
 						nT := w.cur.NumVertices()
 						for _, e := range w.aArcs {
 							w.cur.Reset()
 							for {
-								scratch = w.cur.ExpandNext(e.U*nT, e.V*nT, scratch[:0], chunk)
-								if len(scratch) == 0 {
+								var u0, v0 int64
+								if words, u0, v0 = w.cur.ExpandNextPacked(words[:0], chunk); len(words) == 0 {
 									break
 								}
+								scratch = core.ExpandPacked(scratch[:0], words, e.U*nT+u0, e.V*nT+v0)
 								for _, arc := range scratch {
 									p := &want[owner(arc.U)]
 									p.tiles, p.arcs = append(p.tiles, w.tile), append(p.arcs, arc)

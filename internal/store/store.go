@@ -3,12 +3,11 @@
 // open ("the processor responsible for generating an edge must then send
 // it to the processor responsible for its storage"). A store is a
 // directory with a small text manifest and S binary shard files of raw
-// little-endian (u, v) int64 pairs; edges are routed to shards by a
-// pluggable shard function, mirroring the owner maps of internal/dist.
-// A product's arcs are placed by SourceMap, BySource of the source with its
-// innermost digit padded to a power of two, so that a serial writer and a
-// distributed run of one chain put every arc in the same shard.
-// Placement is the writer's business alone: Open, Iter, IterShard,
+// little-endian (u, v) int64 pairs, one shard per rank of the distributed
+// run that wrote it (ShardWriter, then WriteManifest). A product's arcs are
+// placed by SourceMap, BySource of the source with its innermost digit
+// padded to a power of two: internal/dist's OwnerBySource, bound to the
+// chain. Placement is the writer's business alone: Open, Iter, IterShard,
 // LoadGraph and Recover walk shards by index and never ask which shard a
 // vertex belongs to, so the manifest names neither the map nor the
 // innermost factor's size, and a store placed by another map — BySource as
@@ -122,101 +121,6 @@ func SourceMap(nL int64) ShardFunc {
 const manifestName = "MANIFEST"
 
 func shardName(i int) string { return fmt.Sprintf("shard-%04d", i) }
-
-// Writer streams edges into a sharded store.
-type Writer struct {
-	dir    string
-	n      int64
-	files  []*os.File
-	bufs   []*bufio.Writer
-	counts []int64
-	shard  ShardFunc
-	closed bool
-}
-
-// NewWriter creates (or truncates) a store under dir for a graph on n
-// vertices with the given shard count. shard may be nil (BySource); a
-// product's writer passes SourceMap of its innermost factor's size, the
-// map a distributed run of the same chain places by.
-func NewWriter(dir string, n int64, shards int, shard ShardFunc) (*Writer, error) {
-	if shards < 1 || shards > 9999 {
-		return nil, fmt.Errorf("store: shard count %d out of range [1,9999]", shards)
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("store: negative vertex count %d", n)
-	}
-	if shard == nil {
-		shard = BySource
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
-	}
-	w := &Writer{dir: dir, n: n, shard: shard,
-		files:  make([]*os.File, shards),
-		bufs:   make([]*bufio.Writer, shards),
-		counts: make([]int64, shards)}
-	for i := range w.files {
-		f, err := os.Create(filepath.Join(dir, shardName(i)))
-		if err != nil {
-			w.abort()
-			return nil, fmt.Errorf("store: creating shard %d: %w", i, err)
-		}
-		w.files[i] = f
-		w.bufs[i] = bufio.NewWriterSize(f, 1<<16)
-	}
-	return w, nil
-}
-
-func (w *Writer) abort() {
-	for _, f := range w.files {
-		if f != nil {
-			f.Close()
-		}
-	}
-}
-
-// Append routes one edge to its shard.
-func (w *Writer) Append(u, v int64) error {
-	if w.closed {
-		return fmt.Errorf("store: Append after Close")
-	}
-	if u < 0 || u >= w.n || v < 0 || v >= w.n {
-		return fmt.Errorf("store: edge (%d,%d) out of range [0,%d)", u, v, w.n)
-	}
-	s := w.shard(u, v, len(w.files))
-	var rec [RecordSize]byte
-	PutRecord(rec[:], u, v)
-	if _, err := w.bufs[s].Write(rec[:]); err != nil {
-		return fmt.Errorf("store: writing shard %d: %w", s, err)
-	}
-	w.counts[s]++
-	return nil
-}
-
-// Close flushes shards and writes the manifest. The store is unreadable
-// until Close succeeds.
-func (w *Writer) Close() error {
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	for i, b := range w.bufs {
-		if err := b.Flush(); err != nil {
-			w.abort()
-			return fmt.Errorf("store: flushing shard %d: %w", i, err)
-		}
-		if err := w.files[i].Close(); err != nil {
-			return fmt.Errorf("store: closing shard %d: %w", i, err)
-		}
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "kronstore 1\nn %d\nshards %d\ncount", w.n, len(w.files))
-	for _, c := range w.counts {
-		fmt.Fprintf(&sb, " %d", c)
-	}
-	sb.WriteByte('\n')
-	return os.WriteFile(filepath.Join(w.dir, manifestName), []byte(sb.String()), 0o644)
-}
 
 // Store is a read handle on a closed store.
 type Store struct {
@@ -368,17 +272,6 @@ func NewShardWriter(dir string, i int) (*ShardWriter, error) {
 	return &ShardWriter{f: f, buf: bufio.NewWriterSize(f, 1<<16)}, nil
 }
 
-// Append writes one edge record.
-func (sw *ShardWriter) Append(u, v int64) error {
-	var rec [RecordSize]byte
-	PutRecord(rec[:], u, v)
-	if _, err := sw.buf.Write(rec[:]); err != nil {
-		return err
-	}
-	sw.count++
-	return nil
-}
-
 // AppendBlock writes a whole block of edges as one contiguous run of
 // 16-byte records — header-free, so the encoded block passes through the
 // bufio layer in large aligned writes (writev-shaped) instead of one
@@ -415,7 +308,7 @@ func (sw *ShardWriter) Close() error {
 // Recover rebuilds the manifest of a store whose writer died before (or
 // while) finalizing: it scans the consecutive run of shard files starting
 // at shard-0000, truncates any trailing partial record left by an
-// interrupted Append, writes a fresh manifest from the surviving sizes,
+// interrupted write, writes a fresh manifest from the surviving sizes,
 // and returns the reopened store. Complete records are never discarded. A
 // gap in the shard numbering ends the scan — shards past the gap cannot
 // be distinguished from another store's leftovers, so recovering them is

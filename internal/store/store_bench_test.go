@@ -7,7 +7,8 @@ import (
 	"kronlab/internal/gen"
 )
 
-// Streaming a product to disk: edges/second through the sharded writer.
+// Streaming a product to disk: edges/second through the shard writers,
+// routed by BySource in blocks.
 func BenchmarkStreamToStore(b *testing.B) {
 	a := gen.MustRMAT(gen.Graph500Params(5, 1))
 	bb := gen.MustRMAT(gen.Graph500Params(5, 2))
@@ -15,43 +16,15 @@ func BenchmarkStreamToStore(b *testing.B) {
 	b.SetBytes(a.NumArcs() * bb.NumArcs() * 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dir := b.TempDir()
-		w, err := NewWriter(dir, n, 4, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		core.StreamProduct(a, bb, func(u, v int64) bool {
-			if err := w.Append(u, v); err != nil {
-				b.Fatal(err)
-			}
-			return true
+		writeStore(b, b.TempDir(), n, 4, nil, func(yield func(u, v int64) bool) {
+			core.StreamProduct(a, bb, yield)
 		})
-		if err := w.Close(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
 func BenchmarkStoreIter(b *testing.B) {
 	a := gen.MustRMAT(gen.Graph500Params(5, 3))
-	dir := b.TempDir()
-	w, err := NewWriter(dir, a.NumVertices(), 4, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	a.Arcs(func(u, v int64) bool {
-		if err := w.Append(u, v); err != nil {
-			b.Fatal(err)
-		}
-		return true
-	})
-	if err := w.Close(); err != nil {
-		b.Fatal(err)
-	}
-	st, err := Open(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
+	st := writeStore(b, b.TempDir(), a.NumVertices(), 4, nil, a.Arcs)
 	b.SetBytes(st.TotalEdges() * 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

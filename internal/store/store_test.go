@@ -14,26 +14,56 @@ import (
 	"kronlab/internal/graph"
 )
 
-func writeAll(t *testing.T, dir string, g *graph.Graph, shards int, f ShardFunc) *Store {
-	t.Helper()
-	w, err := NewWriter(dir, g.NumVertices(), shards, f)
-	if err != nil {
-		t.Fatal(err)
+// writeStore writes the arcs arcs yields to a store of shards shards on n
+// vertices under dir, each to the shard f names (nil: BySource) — one
+// ShardWriter a shard, fed in blocks, then WriteManifest, as a distributed
+// run writes one — and opens it.
+func writeStore(tb testing.TB, dir string, n int64, shards int, f ShardFunc, arcs func(yield func(u, v int64) bool)) *Store {
+	tb.Helper()
+	if f == nil {
+		f = BySource
 	}
-	g.Arcs(func(u, v int64) bool {
-		if err := w.Append(u, v); err != nil {
-			t.Fatal(err)
+	ws, blocks, counts := make([]*ShardWriter, shards), make([][]graph.Edge, shards), make([]int64, shards)
+	for i := range ws {
+		w, err := NewShardWriter(dir, i)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ws[i] = w
+	}
+	flush := func(i int) {
+		if err := ws[i].AppendBlock(blocks[i]); err != nil {
+			tb.Fatal(err)
+		}
+		blocks[i] = blocks[i][:0]
+	}
+	arcs(func(u, v int64) bool {
+		s := f(u, v, shards)
+		if blocks[s] = append(blocks[s], graph.Edge{U: u, V: v}); len(blocks[s]) == 1024 {
+			flush(s)
 		}
 		return true
 	})
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
+	for i, w := range ws {
+		flush(i)
+		counts[i] = w.Count()
+		if err := w.Close(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := WriteManifest(dir, n, counts); err != nil {
+		tb.Fatal(err)
 	}
 	st, err := Open(dir)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return st
+}
+
+func writeAll(t *testing.T, dir string, g *graph.Graph, shards int, f ShardFunc) *Store {
+	t.Helper()
+	return writeStore(t, dir, g.NumVertices(), shards, f, g.Arcs)
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -89,29 +119,34 @@ func TestIterEarlyStop(t *testing.T) {
 	}
 }
 
+// TestWriterValidation: NewShardWriter refuses a directory it cannot
+// create, and a ShardWriter counts the records AppendBlock wrote.
 func TestWriterValidation(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := NewWriter(dir, 10, 0, nil); err == nil {
-		t.Error("0 shards should error")
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewWriter(dir, -1, 2, nil); err == nil {
-		t.Error("negative n should error")
+	if _, err := NewShardWriter(filepath.Join(file, "store"), 0); err == nil {
+		t.Error("a store under a regular file should error")
 	}
-	w, err := NewWriter(dir, 5, 2, nil)
+	w, err := NewShardWriter(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(5, 0); err == nil {
-		t.Error("out-of-range edge should error")
+	for _, block := range [][]graph.Edge{{{U: 0, V: 1}, {U: 1, V: 0}}, nil, {{U: 2, V: 2}}} {
+		if err := w.AppendBlock(block); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(0, 1); err == nil {
-		t.Error("Append after Close should error")
+	if w.Count() != 3 {
+		t.Errorf("Count = %d after 3 records", w.Count())
 	}
-	if err := w.Close(); err != nil {
-		t.Error("double Close should be a no-op")
+	if info, err := os.Stat(filepath.Join(dir, shardName(0))); err != nil || info.Size() != 3*RecordSize {
+		t.Errorf("shard 0: %v, %v; want %d bytes", info, err, 3*RecordSize)
 	}
 }
 
@@ -274,24 +309,9 @@ func TestIterShardRange(t *testing.T) {
 func TestStoreProductPipeline(t *testing.T) {
 	a := gen.PrefAttach(10, 2, 8)
 	b := gen.ER(8, 0.5, 9)
-	dir := t.TempDir()
-	w, err := NewWriter(dir, a.NumVertices()*b.NumVertices(), 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	core.StreamProduct(a, b, func(u, v int64) bool {
-		if err := w.Append(u, v); err != nil {
-			t.Fatal(err)
-		}
-		return true
+	st := writeStore(t, t.TempDir(), a.NumVertices()*b.NumVertices(), 4, nil, func(yield func(u, v int64) bool) {
+		core.StreamProduct(a, b, yield)
 	})
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	loaded, err := st.LoadGraph()
 	if err != nil {
 		t.Fatal(err)
@@ -395,39 +415,18 @@ func TestOldPlacementStoresKeepReading(t *testing.T) {
 		{"remainder", func(u int64, s int) int { return int((uint64(u) * 0x9e3779b97f4a7c15) % uint64(s)) }},
 		{"fibonacci", fibonacci},
 	} {
-		dir := t.TempDir()
-		var counts [shards]int64
-		var ws [shards]*ShardWriter
-		for i := range ws {
-			w, err := NewShardWriter(dir, i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ws[i] = w
-		}
 		moved := 0
 		g.Arcs(func(u, v int64) bool {
-			s := old.place(u, shards)
-			if s != BySource(u, v, shards) {
+			if old.place(u, shards) != BySource(u, v, shards) {
 				moved++
 			}
-			if err := ws[s].Append(u, v); err != nil {
-				t.Fatal(err)
-			}
-			counts[s]++
 			return true
 		})
 		if moved == 0 {
 			t.Fatalf("%s: the old map places every arc where BySource does: the test distinguishes nothing", old.name)
 		}
-		for _, w := range ws {
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := WriteManifest(dir, g.NumVertices(), counts[:]); err != nil {
-			t.Fatal(err)
-		}
+		dir := t.TempDir()
+		st := writeStore(t, dir, g.NumVertices(), shards, func(u, _ int64, s int) int { return old.place(u, s) }, g.Arcs)
 		check := func(how string, st *Store, err error) {
 			t.Helper()
 			how = old.name + ": " + how
@@ -452,12 +451,11 @@ func TestOldPlacementStoresKeepReading(t *testing.T) {
 				t.Fatalf("%s: %d arcs iterated, want %d; loaded graph equal: %v", how, iterated, g.NumArcs(), loaded.Equal(g))
 			}
 		}
-		st, err := Open(dir)
-		check("Open", st, err)
+		check("Open", st, nil)
 		if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
 			t.Fatal(err)
 		}
-		st, err = Recover(dir, g.NumVertices())
+		st, err := Recover(dir, g.NumVertices())
 		check("Recover", st, err)
 	}
 }

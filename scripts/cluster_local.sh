@@ -87,7 +87,7 @@ EDGES=$(wc -l <"$WORK/cluster.txt" | tr -d ' ')
 echo "cluster_local: OK — $EDGES edges identical across both stores" >&2
 
 # Phase 2: a k=3 factor chain (A^{⊗3} via -power) across the same
-# 4-process TCP cluster, against a single-process serial reference. This
+# 4-process TCP cluster, against a single-process, single-rank reference. This
 # exercises the chain plan/tile wire format and the lazy tail fold end
 # to end — the k>2 path shares no shortcuts with the two-factor phase.
 CHAIN_PORT=$((BASE_PORT + PROCS))
@@ -114,13 +114,13 @@ for pid in $PIDS; do
 done
 PIDS=""
 
-echo "cluster_local: k=3 single-process serial reference" >&2
-"$WORK/krongen" -a "$A" -power 3 -mode serial -store "$WORK/st-chain-single"
+echo "cluster_local: k=3 single-process, single-rank reference" >&2
+"$WORK/krongen" -a "$A" -power 3 -mode 1d -ranks 1 -store "$WORK/st-chain-single"
 
 "$WORK/krongen" -dump-store "$WORK/st-chain-cluster" | sort >"$WORK/chain-cluster.txt"
 "$WORK/krongen" -dump-store "$WORK/st-chain-single" | sort >"$WORK/chain-single.txt"
 if ! diff -u "$WORK/chain-single.txt" "$WORK/chain-cluster.txt" >&2; then
-    echo "cluster_local: FAIL — k=3 chain cluster store differs from serial store" >&2
+    echo "cluster_local: FAIL — k=3 chain cluster store differs from the single-rank store" >&2
     exit 1
 fi
 CEDGES=$(wc -l <"$WORK/chain-cluster.txt" | tr -d ' ')
@@ -135,13 +135,13 @@ echo "cluster_local: OK — $CEDGES k=3 chain edges identical across both stores
 echo "cluster_local: phase 3 — cut-and-resume windowed dumps" >&2
 BIG=1000000000
 
-"$WORK/krongen" -a "$A" -b "$B" -mode serial -offset 0 -limit "$BIG" -out "$WORK/whole-serial.txt"
+"$WORK/krongen" -a "$A" -b "$B" -mode 1d -ranks 1 -offset 0 -limit "$BIG" -out "$WORK/whole-serial.txt"
 "$WORK/krongen" -a "$A" -b "$B" -mode "$MODE" -ranks "$RANKS" -offset 0 -limit "$BIG" -out "$WORK/whole-mode.txt"
 if [ "$MODE" = "1d" ]; then
-    # Canonical-order law: the 1d stream equals the serial enumeration
-    # for any rank count.
+    # Canonical-order law: the 1d stream equals the single-rank (serial)
+    # enumeration for any rank count.
     if ! diff -u "$WORK/whole-serial.txt" "$WORK/whole-mode.txt" >&2; then
-        echo "cluster_local: FAIL — 1d stream order differs from serial order" >&2
+        echo "cluster_local: FAIL — 1d stream order differs from the single-rank order" >&2
         exit 1
     fi
 fi
@@ -201,7 +201,7 @@ echo "cluster_local: OK — cluster stored exactly the $((CUT2 - CUT1))-arc midd
 # and re-dial under the -head-retries budget while a fresh head process
 # replays the ledger, bumps the head
 # generation, and finishes the run. The recovered store must still match
-# the serial reference edge-for-edge — exactly-once across head
+# the single-rank reference edge-for-edge — exactly-once across head
 # generations, proven at the process level.
 KILL_PORT=$((BASE_PORT + 3 * PROCS))
 KPEERS=""
@@ -246,7 +246,7 @@ PIDS=""
 
 "$WORK/krongen" -dump-store "$WORK/st-headkill" | sort >"$WORK/headkill.txt"
 if ! diff -u "$WORK/chain-single.txt" "$WORK/headkill.txt" >&2; then
-    echo "cluster_local: FAIL — store after head respawn differs from serial store" >&2
+    echo "cluster_local: FAIL — store after head respawn differs from the single-rank store" >&2
     exit 1
 fi
 KEDGES=$(wc -l <"$WORK/headkill.txt" | tr -d ' ')
