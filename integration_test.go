@@ -383,7 +383,9 @@ func TestGroundtruthCLI(t *testing.T) {
 	}
 }
 
-// TestExperimentsCLIList checks the registry wiring.
+// TestExperimentsCLIList checks the registry wiring, and runs two cheap
+// experiments end to end: cliques, and weak-scaling (E3), which puts both
+// plan layouts through the engine. A failed check exits the command 1.
 func TestExperimentsCLIList(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary")
@@ -400,13 +402,14 @@ func TestExperimentsCLIList(t *testing.T) {
 			t.Errorf("experiment %q missing from -list", id)
 		}
 	}
-	// And one cheap experiment end to end.
-	out, err = exec.Command(bin, "-exp", "cliques").CombinedOutput()
-	if err != nil {
-		t.Fatalf("experiments -exp cliques: %v\n%s", err, out)
-	}
-	if strings.Contains(string(out), "FAIL") {
-		t.Errorf("cliques experiment reported FAIL:\n%s", out)
+	for _, id := range []string{"cliques", "weak-scaling"} {
+		out, err = exec.Command(bin, "-exp", id).CombinedOutput()
+		if err != nil {
+			t.Fatalf("experiments -exp %s: %v\n%s", id, err, out)
+		}
+		if strings.Contains(string(out), "FAIL") {
+			t.Errorf("%s experiment reported FAIL:\n%s", id, out)
+		}
 	}
 }
 

@@ -341,8 +341,10 @@ func (c *Chain) Materialize() (*graph.Graph, error) {
 // and the cursor is a position in that factor's ArcSlice: the k = 2
 // product needs no kernel of its own.
 type TailCursor struct {
-	arcs     [][]graph.Edge // per-factor CSR arc slices (shared; read-only)
-	inner    Source         // the innermost factor as ExpandNextPacked reads it
+	arcs     [][]graph.Edge // per-factor CSR arc slices (shared; read-only), the first windowed
+	first    []graph.Edge   // the first factor's whole ArcSlice, which Window re-slices
+	whole    Source         // the innermost factor's whole Source
+	inner    Source         // the innermost factor as ExpandNextPacked reads it: whole, or windowed at m = 1
 	strides  []int64        // vertex strides within the tail space
 	idx      []int          // odometer over arcs[0..m-2]
 	uPre     int64          // Σ_{d<m-1} arcs[d][idx[d]].U·strides[d]
@@ -364,24 +366,37 @@ func NewTailCursor(tail []*graph.Graph) *TailCursor {
 	}
 	tc := &TailCursor{
 		arcs:    make([][]graph.Edge, len(tail)),
-		inner:   SourceOf(tail[len(tail)-1]),
+		whole:   SourceOf(tail[len(tail)-1]),
 		strides: make([]int64, len(tail)),
 		idx:     make([]int, len(tail)-1),
-		total:   1,
 	}
 	stride := int64(1)
 	for d := len(tail) - 1; d >= 0; d-- {
 		tc.arcs[d] = tail[d].ArcSlice()
 		tc.strides[d] = stride
 		stride *= tail[d].NumVertices()
-		tc.total *= int64(len(tc.arcs[d]))
 		if stride > 1<<32 && tc.high == 0 {
 			tc.high = d + 1
 		}
 	}
-	tc.nTail = stride
-	tc.Reset()
+	tc.nTail, tc.first, tc.inner = stride, tc.arcs[0], tc.whole
+	tc.Window(0, len(tc.first))
 	return tc
+}
+
+// Window restricts the cursor to arcs [lo, hi) of the first factor's
+// ArcSlice, a 2D tile's part, and rewinds it: Total, SeekTo and, over one
+// factor, NextSweep's positions count within the window.
+func (tc *TailCursor) Window(lo, hi int) {
+	tc.arcs[0] = tc.first[lo:hi]
+	if len(tc.arcs) == 1 {
+		tc.inner = tc.whole.Slice(lo, hi)
+	}
+	tc.total = 1
+	for _, a := range tc.arcs {
+		tc.total *= int64(len(a))
+	}
+	tc.Reset()
 }
 
 // Total returns the number of composed tail arcs, Π arcs_d.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"kronlab/internal/gen"
@@ -45,6 +46,41 @@ func TestTailCursorSeekTo(t *testing.T) {
 		for i, e := range got {
 			if e != want[pos+int64(i)] {
 				t.Fatalf("SeekTo(%d): arc %d = %v, want %v", pos, i, e, want[pos+int64(i)])
+			}
+		}
+	}
+}
+
+// TestTailCursorWindow: a cursor windowed to arcs [lo, hi) of its first
+// factor enumerates what a cursor over that range as a graph does — at
+// m = 1, where the window cuts the innermost factor, and at m = 2 — from
+// every position, its NextSweep windows relative to lo at m = 1; one cursor
+// re-windowed serves every range, and Window(0, len) is the whole tail again.
+func TestTailCursorWindow(t *testing.T) {
+	first, rest := gen.PrefAttach(9, 2, 13), gen.ER(4, 0.6, 14)
+	arcs := first.ArcSlice()
+	for _, tail := range [][]*graph.Graph{{first}, {first, rest}} {
+		cur := NewTailCursor(tail)
+		for _, w := range [][2]int{{0, len(arcs)}, {3, 17}, {5, 5}, {len(arcs) - 4, len(arcs)}, {0, 1}} {
+			part, err := graph.New(first.NumVertices(), arcs[w[0]:w[1]])
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := NewTailCursor(append([]*graph.Graph{part}, tail[1:]...))
+			want := expandPacked(ref, 0, 0, 1<<20)
+			cur.Window(w[0], w[1])
+			if cur.Total() != int64(len(want)) {
+				t.Fatalf("m=%d window %v: Total %d, want %d", len(tail), w, cur.Total(), len(want))
+			}
+			for pos := int64(0); pos <= cur.Total(); pos++ {
+				cur.SeekTo(pos)
+				if got := expandPacked(cur, 0, 0, 5); !slices.Equal(got, want[pos:]) {
+					t.Fatalf("m=%d window %v, SeekTo(%d): got %v, want %v", len(tail), w, pos, got, want[pos:])
+				}
+			}
+			cur.Reset()
+			if lo, hi, _, _ := cur.NextSweep(1 << 20); len(tail) == 1 && (lo != 0 || hi != w[1]-w[0]) {
+				t.Fatalf("window %v: the first sweep is [%d, %d), want [0, %d)", w, lo, hi, w[1]-w[0])
 			}
 		}
 	}

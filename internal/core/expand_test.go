@@ -481,14 +481,29 @@ func FuzzExpand(f *testing.F) {
 // one body call — spelled out because core cannot import dist.
 const sweepPiece = 1024
 
+// benchArcs is a deterministic source of n arcs on 1024 vertices in CSR
+// order — rows ascending, each row's targets scattered by a multiplicative
+// hash — in the three layouts the bodies read: wide, packed (u | v<<32) and
+// narrow (u | v<<16).
+func benchArcs(n int) (wide []graph.Edge, packed []uint64, narrow []uint32) {
+	for i := range n {
+		u, v := uint32(i*1024/n), uint32(i)*2654435761%1024
+		wide = append(wide, graph.Edge{U: int64(u), V: int64(v)})
+		packed = append(packed, uint64(u)|uint64(v)<<32)
+		narrow = append(narrow, u|v<<16)
+	}
+	return wide, packed, narrow
+}
+
 // BenchmarkExpand times the bodies in the shapes the engine feeds them, in
 // ns/arc: the packed walk's ExpandPackedTo (<tier>_packed) in the sse2 and
 // avx2 tiers, which an AVX-512 host also runs; in the avx512 tier
 // ExpandNarrowTo (avx512_narrow) and ExpandPacked, the sinks' widening of a
 // packed block; and ExpandBlock, the portable two-factor loop, and the
-// per-edge append loop. sweep21k is the engine's k = 2
-// shape — the source is RMAT(10)'s arc slice (20 964 arcs, 335 KB
-// wide, 168 KB packed: L2-resident), swept in ≤ sweepPiece pieces into one
+// per-edge append loop. Every source is benchArcs, written before the
+// clock starts. sweep21k is the engine's k = 2 shape — a source of
+// RMAT(10)'s arc count (20 964 arcs: 335 KB wide, 168 KB packed, 84 KB
+// narrow, L2-resident distinct lines), swept in ≤ sweepPiece pieces into one
 // reused, L1-resident block; sweep1k is the same walk over a source that
 // fits L1 beside the block; sweep21k_dst16 is sweep21k into a block 16
 // bytes past a 32-byte boundary (8 for a packed block; the packed bodies
@@ -504,7 +519,7 @@ func BenchmarkExpand(b *testing.B) {
 	}{{"len20", 20, 20, 0}, {"sweep1k", 1024, sweepPiece, 0}, {"sweep21k", 20964, sweepPiece, 0}, {"sweep21k_dst16", 20964, sweepPiece, 16}}
 	rows := func(name string, body func(out, run []graph.Edge, packed []uint64, u0, v0 int64) []graph.Edge) {
 		for _, sh := range shapes {
-			src, packed := make([]graph.Edge, sh.src), make([]uint64, sh.src)
+			src, packed, _ := benchArcs(sh.src)
 			backing, at := arcsAt(sh.piece, sh.dstRem)
 			block := backing[at : at : at+sh.piece]
 			b.Run(name+"/"+sh.name, func(b *testing.B) {
@@ -523,7 +538,7 @@ func BenchmarkExpand(b *testing.B) {
 	// (ExpandNarrowTo).
 	wordRows := func(name string, body func(out, packed []uint64, narrow []uint32, base uint64) []uint64) {
 		for _, sh := range shapes {
-			packed, narrow := make([]uint64, sh.src), make([]uint32, sh.src)
+			_, packed, narrow := benchArcs(sh.src)
 			backing, at := wordsAt(sh.piece, sh.dstRem/2)
 			block := backing[at : at : at+sh.piece]
 			b.Run(name+"/"+sh.name, func(b *testing.B) {

@@ -137,7 +137,7 @@ func plannedWork(p Plan) (rank int, edges int64) {
 	for rk, tiles := range p.Tiles {
 		var w int64
 		for _, tl := range tiles {
-			w += tl.Arcs()
+			w += p.Arcs(tl)
 		}
 		if w > edges {
 			rank, edges = rk, w
@@ -696,9 +696,9 @@ func TestCheckpointsAssignOneRule(t *testing.T) {
 			for _, tl := range ts {
 				if tl.ID == done.ID {
 					if owned {
-						stored[0][tl.ID], stored[1][tl.ID] = tl.Arcs()/2, tl.Arcs()-tl.Arcs()/2
+						stored[0][tl.ID], stored[1][tl.ID] = plan.Arcs(tl)/2, plan.Arcs(tl)-plan.Arcs(tl)/2
 					} else {
-						stored[rk][tl.ID] = tl.Arcs()
+						stored[rk][tl.ID] = plan.Arcs(tl)
 					}
 					continue
 				}
@@ -707,9 +707,9 @@ func TestCheckpointsAssignOneRule(t *testing.T) {
 					if !owned && d != rk {
 						continue // under no owner only the planned rank stores
 					}
-					n := tl.Arcs() * int64(d+1) / int64(4*r) // a part of the tile at each
+					n := plan.Arcs(tl) * int64(d+1) / int64(4*r) // a part of the tile at each
 					if n == 0 {
-						t.Fatalf("tile %d has %d arcs, too few to split", tl.ID, tl.Arcs())
+						t.Fatalf("tile %d has %d arcs, too few to split", tl.ID, plan.Arcs(tl))
 					}
 					stored[d][tl.ID] = n
 					if d < deadLo || d >= deadHi {

@@ -54,12 +54,12 @@ type Stats struct {
 
 	// What placing cost an owner run (read them against EdgesGenerated;
 	// see ownedRows). OwnerRowsTested is one count per pick, under every
-	// owner: a pick per change of source base on every rank (OwnerBySource's
-	// class lookup, one owner call; a BlockOwner's range). ArcsCompacted
-	// counts arcs copied to make picks: under OwnerBySource each innermost
-	// factor's arcs once per attempt for all of a process's ranks, as it is
-	// partitioned into classes (none when one class holds them all); none
-	// under a BlockOwner.
+	// owner: a pick per change of source base or of the tile's part of the
+	// tail on every rank (OwnerBySource's class lookup, one owner call; a
+	// BlockOwner's range). ArcsCompacted counts arcs copied to make picks:
+	// under OwnerBySource the innermost factor's arcs once per attempt for
+	// all of a process's ranks, as it is partitioned into classes (none when
+	// one class holds them all); none under a BlockOwner.
 	OwnerRowsTested int64
 	ArcsCompacted   int64
 

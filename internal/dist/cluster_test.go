@@ -67,6 +67,35 @@ func TestPlanHash(t *testing.T) {
 	}
 }
 
+// TestPlanHashPinned pins the handshake fingerprint's bytes for a 1D and a
+// 2D plan at k = 2 and k = 3: a process built from an earlier commit
+// handshakes with this one only while they match, so a refactor of the plan
+// must keep them.
+func TestPlanHashPinned(t *testing.T) {
+	a := gen.PrefAttach(12, 2, 31)
+	b := gen.ER(9, 0.5, 32)
+	for _, c := range []struct {
+		name string
+		ch   *core.Chain
+		r    int
+		twoD bool
+		hash uint64
+	}{
+		{"1d/k2", mustChain(a, b), 4, false, 0x1b45650b105cbfaa},
+		{"2d/k2", mustChain(a, b), 5, true, 0xc0a2ccd2afa9b3c8},
+		{"1d/k3", mustChain(a, b, a), 4, false, 0xa2f0fcba27017668},
+		{"2d/k3", mustChain(a, b, a), 9, true, 0xb58838f72a1b3625},
+	} {
+		plan, err := planForChain(c.ch, c.r, c.twoD)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := PlanHash(plan); got != c.hash {
+			t.Errorf("%s: PlanHash = %#016x, pinned %#016x", c.name, got, c.hash)
+		}
+	}
+}
+
 // TestClusterParity runs a 4-process cluster folded into this test
 // process — one goroutine per proc, real TCP between them — for both
 // decompositions and an uneven rank split, and asserts the shared store

@@ -148,10 +148,18 @@ func PlanHash(p Plan) uint64 {
 				w(e.U)
 				w(e.V)
 			}
-			w(int64(len(t.Tail)))
-			for _, g := range t.Tail {
+			// A tile's range of the first tail factor hashes as the shape
+			// of a graph of its arcs, (vertex count, Hi − Lo), so a plan
+			// hashes as one that built its parts as graphs and peers of
+			// either kind still handshake (TestPlanHashPinned).
+			w(int64(len(p.Tail)))
+			for d, g := range p.Tail {
 				w(g.NumVertices())
-				w(g.NumArcs())
+				if d == 0 {
+					w(int64(t.Hi - t.Lo))
+				} else {
+					w(g.NumArcs())
+				}
 			}
 		}
 	}
@@ -301,8 +309,7 @@ func foldReport(agg *Stats, rep *ctrlMsg) {
 // Config.Owner must be nil, OwnerBySource or a BlockOwner with blocks; any
 // other owner — a typed-nil OwnerFunc, any OwnerFunc but OwnerBySource and
 // any other type, whatever its BindSource answers, included — is refused by
-// name before a sink is opened, as is, under OwnerBySource, a plan whose
-// tiles' innermost factors differ in vertex count (sourceForm).
+// name before a sink is opened (sourceForm).
 //
 // On the head the returned Stats aggregate the whole cluster across all
 // attempts; workers return their local share. The error (or nil) is

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/pprof"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -17,11 +16,11 @@ import (
 // store) that was executing. Built once and swapped at phase boundaries, not
 // per block (a swap is a context lookup; two per block cost the unplaced walk
 // 7 %): a walk is phase=expand from each tile on, sink calls included;
-// phase=filter OwnerBySource's partition of a factor into classes
-// (placing.of), and phase=store a rank blocked in a sink hand-off.
+// phase=filter OwnerBySource's partition of the innermost factor into
+// classes (newPlacing, under pprof.Do before the ranks start), and
+// phase=store a rank blocked in a sink hand-off.
 var (
 	expandLabels = pprof.WithLabels(context.Background(), pprof.Labels("phase", "expand"))
-	filterLabels = pprof.WithLabels(context.Background(), pprof.Labels("phase", "filter"))
 	storeLabels  = pprof.WithLabels(context.Background(), pprof.Labels("phase", "store"))
 	// sinkFlushLabels marks the async store sink's writer goroutines
 	// (sinks.go), so disk-flush time shows up as its own phase instead of
@@ -29,18 +28,18 @@ var (
 	sinkFlushLabels = pprof.WithLabels(context.Background(), pprof.Labels("phase", "sink-flush"))
 )
 
-// Tile is one unit of expansion work: a slice of head-factor arcs
-// crossed with the chain's tail factors (the whole tail under 1D
-// partitioning; under 2D the first tail factor is a part and the rest
-// ride whole). A two-factor product is the chain whose tail is [B]. ID
-// is the tile's plan-wide identity: it is stable across run attempts, which
-// is what checkpoints and the exactly-once sink fence key on — at any chain
-// depth, because the tail expansion order is the deterministic
-// lexicographic odometer order of core.TailCursor.
+// Tile is one unit of expansion work: a slice of head-factor arcs crossed
+// with the plan's tail (Plan.Tail) — arcs [Lo, Hi) of its first factor's
+// ArcSlice, all of them under 1D partitioning and one of Q parts under 2D,
+// and the rest of the tail whole. A two-factor product is the chain whose
+// tail is [B]. ID is the tile's plan-wide identity: it is stable across run
+// attempts, which is what checkpoints and the exactly-once sink fence key
+// on — at any chain depth, because the tail expansion order is the
+// deterministic lexicographic odometer order of core.TailCursor.
 type Tile struct {
-	ID    int
-	AArcs []graph.Edge
-	Tail  []*graph.Graph // replicated tail factors A₂⊗…⊗Aₖ (len ≥ 1)
+	ID     int
+	AArcs  []graph.Edge
+	Lo, Hi int // the tile's arcs of Plan.Tail[0]
 
 	// Skip and Take window the tile's deterministic expansion stream:
 	// the kernel starts Skip arcs into the tile (locating the position in
@@ -50,27 +49,24 @@ type Tile struct {
 	Skip, Take int64
 }
 
-// FullArcs returns the number of product arcs the unwindowed tile
-// expands to — deterministic ground truth (|A_i|·Π|E_{T_d}|). It divides
-// the chain's arc count, which PlanChain1D/2D refuse to plan unless it
-// fits in int64, so the product here cannot wrap.
-func (t Tile) FullArcs() int64 {
-	n := int64(len(t.AArcs))
-	for _, g := range t.Tail {
+// FullArcs returns the number of product arcs tile t of the plan expands
+// to unwindowed — deterministic ground truth (|A_t|·(Hi−Lo)·Π_{d>0}|E_{T_d}|).
+// It divides the chain's arc count, which PlanChain1D/2D refuse to plan
+// unless it fits in int64, so the product here cannot wrap.
+func (p Plan) FullArcs(t Tile) int64 {
+	n := int64(len(t.AArcs)) * int64(t.Hi-t.Lo)
+	for _, g := range p.Tail[1:] {
 		n *= g.NumArcs()
 	}
 	return n
 }
 
-// Arcs returns the number of product arcs the tile generates — FullArcs
-// less the Skip prefix, capped by Take. Checkpoints compare stored
-// totals against this count, so a windowed tile commits when its window
-// (not the whole tile) has been delivered.
-func (t Tile) Arcs() int64 {
-	n := t.FullArcs() - t.Skip
-	if n < 0 {
-		n = 0
-	}
+// Arcs returns the number of product arcs tile t of the plan generates —
+// FullArcs less the Skip prefix, capped by Take. Checkpoints compare
+// stored totals against this count, so a windowed tile commits when its
+// window (not the whole tile) has been delivered.
+func (p Plan) Arcs(t Tile) int64 {
+	n := max(p.FullArcs(t)-t.Skip, 0)
 	if t.Take > 0 && n > t.Take {
 		n = t.Take
 	}
@@ -79,14 +75,15 @@ func (t Tile) Arcs() int64 {
 
 // Plan is the decomposition stage of the engine: the per-rank tile lists
 // produced by 1D (Sec. III) or 2D (Rem. 1) partitioning of a factor
-// chain. Plans are inert data — building one does not start a cluster —
-// so they can be inspected, rebalanced or logged before running. Tile
-// IDs are unique within a plan.
+// chain, over one tail the tiles share. Plans are inert data — building
+// one does not start a cluster — so they can be inspected, rebalanced or
+// logged before running. Tile IDs are unique within a plan.
 type Plan struct {
 	R     int
-	NC    int64    // product vertex count Π n_d, overflow-checked at build
-	Dims  []int64  // per-factor vertex counts (head first)
-	Tiles [][]Tile // Tiles[rank] is rank's expansion work
+	NC    int64          // product vertex count Π n_d, overflow-checked at build
+	Dims  []int64        // per-factor vertex counts (head first)
+	Tail  []*graph.Graph // the tail factors A₂…Aₖ ([I₁] for a one-factor chain), held once
+	Tiles [][]Tile       // Tiles[rank] is rank's expansion work
 }
 
 // identityTail is the 1-vertex full-self-loop graph I₁: A ⊗ I₁ = A, so a
@@ -102,7 +99,7 @@ func identityTail() *graph.Graph {
 
 // planFactors validates a plan request and splits the chain into the
 // rank-split head and a non-empty tail. A chain whose arc count overflows
-// int64 is refused here: a wrapped Tile.FullArcs would otherwise plan a
+// int64 is refused here: a wrapped Plan.FullArcs would otherwise plan a
 // run that expands nothing and reports success.
 func planFactors(ch *core.Chain, r int) (head *graph.Graph, tail []*graph.Graph, err error) {
 	if r < 1 {
@@ -131,46 +128,41 @@ func PlanChain1D(ch *core.Chain, r int) (Plan, error) {
 	// ArcSlice shares the factor's cached flat arc list: tiles only read
 	// their head-arc windows, so no per-plan copy is needed.
 	parts := PartitionArcs(head.ArcSlice(), r)
+	whole := int(tail[0].NumArcs())
 	tiles := make([][]Tile, r)
 	for rk := 0; rk < r; rk++ {
-		tiles[rk] = []Tile{{ID: rk, AArcs: parts[rk], Tail: tail}}
+		tiles[rk] = []Tile{{ID: rk, AArcs: parts[rk], Hi: whole}}
 	}
-	return Plan{R: r, NC: ch.NumVertices(), Dims: ch.Index().Dims(), Tiles: tiles}, nil
+	return Plan{R: r, NC: ch.NumVertices(), Dims: ch.Index().Dims(), Tail: tail, Tiles: tiles}, nil
 }
 
 // PlanChain2D builds the Rem. 1 decomposition of a chain: the head is
 // split into R½ parts and the first tail factor into Q parts (see
-// Grid2D); deeper tail factors are replicated whole — they are already
-// the smallest replicated state, and splitting them would multiply tile
-// counts without reducing the O(|E_A₁|/R½ + |E_A₂|/Q + Σ|E_rest|)
-// per-rank storage term that matters. The R½·Q tiles are assigned
-// round-robin to ranks.
+// Grid2D), each an arc range [Lo, Hi) of the factor at PartitionArcs'
+// cuts — the factor is held once, by the plan, and a part builds nothing;
+// deeper tail factors ride whole — they are already the smallest
+// replicated state, and splitting them would multiply tile counts without
+// reducing the O(|E_A₁|/R½ + |E_A₂|/Q + Σ|E_rest|) factor arcs a rank
+// reads: Rem. 1's per-rank storage term, which here, with the factors held
+// once per process, is the working set a rank's walk streams. The R½·Q
+// tiles are assigned round-robin to ranks.
 func PlanChain2D(ch *core.Chain, r int) (Plan, error) {
 	head, tail, err := planFactors(ch, r)
 	if err != nil {
 		return Plan{}, err
 	}
-	b, rest := tail[0], tail[1:]
 	grid := NewGrid2D(r)
 	aParts := PartitionArcs(head.ArcSlice(), grid.RHalf)
-	bParts := PartitionArcs(b.ArcSlice(), grid.Q)
-	// Pre-build each B-part as a Graph so expansion can stream against
-	// CSR; vertex count is preserved so the mixed-radix indices stay
-	// global. Each part's tile tail shares one [part, rest...] slice.
-	tails := make([][]*graph.Graph, grid.Q)
-	for j := range tails {
-		bg, err := graph.New(b.NumVertices(), bParts[j])
-		if err != nil {
-			return Plan{}, fmt.Errorf("dist: building tail part %d: %w", j, err)
-		}
-		tails[j] = append([]*graph.Graph{bg}, rest...)
+	cuts := make([]int, grid.Q+1)
+	for j, part := range PartitionArcs(tail[0].ArcSlice(), grid.Q) {
+		cuts[j+1] = cuts[j] + len(part)
 	}
 	tiles := make([][]Tile, r)
 	for t := 0; t < grid.Tiles(); t++ {
 		ai, bj := grid.TileOf(t)
-		tiles[t%r] = append(tiles[t%r], Tile{ID: t, AArcs: aParts[ai], Tail: tails[bj]})
+		tiles[t%r] = append(tiles[t%r], Tile{ID: t, AArcs: aParts[ai], Lo: cuts[bj], Hi: cuts[bj+1]})
 	}
-	return Plan{R: r, NC: ch.NumVertices(), Dims: ch.Index().Dims(), Tiles: tiles}, nil
+	return Plan{R: r, NC: ch.NumVertices(), Dims: ch.Index().Dims(), Tail: tail, Tiles: tiles}, nil
 }
 
 // planForChain dispatches between the two decompositions.
@@ -271,12 +263,12 @@ func (cfg Config) batchSize() int {
 // across attempts. That determinism is what tile checkpoints and
 // prefix-dedup recovery key on; the step size changes polling granularity,
 // never order. A fault-armed run walks the same blocks.
-func runAttempt(ctx context.Context, c *cluster, owner Owner, bySource func(u int64) int, tiles [][]Tile, sinkFor func(*Rank) (*fencedRankSink, error), perGen, perStored []int64, batch int) error {
+func runAttempt(ctx context.Context, c *cluster, plan Plan, owner Owner, bySource func(u int64) int, tiles [][]Tile, sinkFor func(*Rank) (*fencedRankSink, error), perGen, perStored []int64, batch int) error {
 	// Shared by the ranks: the map is pure, and OwnerBySource's class
-	// partitions are built once and then only read.
+	// partition is built once and then only read.
 	var place *placing
-	if bySource != nil {
-		place = newPlacing(owner, bySource, c.r)
+	if bySource != nil && len(plan.Tail) > 0 {
+		place = newPlacing(owner, bySource, c.r, plan.Tail)
 	}
 	err := c.run(ctx, func(rk *Rank) error {
 		if err := rk.crashAt(FaultBeforeSinkSetup); err != nil {
@@ -295,7 +287,7 @@ func runAttempt(ctx context.Context, c *cluster, owner Owner, bySource func(u in
 		if place != nil {
 			w.own = place.rows(rk.ID(), batch)
 		}
-		w.tiles(tiles[rk.ID()])
+		w.tiles(plan, tiles[rk.ID()])
 		if w.own != nil {
 			atomic.AddInt64(&rk.c.stats.OwnerRowsTested, w.own.rows)
 		}
@@ -330,14 +322,20 @@ func runAttempt(ctx context.Context, c *cluster, owner Owner, bySource func(u in
 	return err
 }
 
-// packable refuses a plan with a tile whose innermost factor has more than
-// 2³² vertices: the walk reads that factor's arcs packed (core.SourceOf),
-// and such a factor has no packed layout.
-func packable(plan Plan) error {
+// walkable refuses a plan the walk cannot expand: one whose innermost
+// factor has more than 2³² vertices — the walk reads that factor's arcs
+// packed (core.SourceOf), and such a factor has no packed layout — and,
+// as a hand-built plan may name any range, one with a tile whose [Lo, Hi)
+// is not a range of the first tail factor's arcs, a tail included.
+func walkable(plan Plan) error {
+	k := len(plan.Tail)
+	if k > 0 && plan.Tail[k-1].NumVertices() > 1<<32 {
+		return fmt.Errorf("dist: the plan's innermost factor has %d vertices: the walk packs its ids in 32 bits, so it takes at most 2³²", plan.Tail[k-1].NumVertices())
+	}
 	for _, ts := range plan.Tiles {
 		for _, t := range ts {
-			if k := len(t.Tail); k > 0 && t.Tail[k-1].NumVertices() > 1<<32 {
-				return fmt.Errorf("dist: tile %d's innermost factor has %d vertices: the walk packs its ids in 32 bits, so it takes at most 2³²", t.ID, t.Tail[k-1].NumVertices())
+			if k == 0 || t.Lo < 0 || t.Lo > t.Hi || int64(t.Hi) > plan.Tail[0].NumArcs() {
+				return fmt.Errorf("dist: tile %d's range [%d, %d) is not a range of Plan.Tail[0]'s arcs (the plan has %d tail factors)", t.ID, t.Lo, t.Hi, k)
 			}
 		}
 	}
@@ -366,31 +364,33 @@ type walk struct {
 // walking goroutine to be preempted (≈ 10 ms), longer than a small run.
 const contextPoll = 64
 
-// tiles walks each A-arc of each tile against the tile's tail factors, a
-// block at a time into place, and stops when place refuses one. A block is
-// the cursor's next ≤ batch arcs (ExpandNextPacked), or under a source owner
-// the next ≤ batch owned arcs of the sweep (ownedRows). Either way its base
-// is the head arc's offset plus the cursor's High. The tail is
-// folded lazily through a core.TailCursor at every depth, in lexicographic
-// CSR order — kernel_test.go holds every depth to the per-edge reference.
-func (w *walk) tiles(tiles []Tile) {
-	var cur *core.TailCursor // one per tail: a source owner's rank walks R tiles of one
-	var tail []*graph.Graph
+// tiles walks each A-arc of each of the plan's tiles given against the
+// tile's part of the plan's tail, a block at a time into place, and stops
+// when place refuses one. A block is the cursor's next ≤ batch arcs
+// (ExpandNextPacked), or under a source owner the next ≤ batch owned arcs
+// of the sweep (ownedRows). Either way its base is the head arc's offset
+// plus the cursor's High. The tail is folded lazily through one
+// core.TailCursor for the whole walk, windowed to each tile's part, at
+// every depth, in lexicographic CSR order — kernel_test.go holds every
+// depth to the per-edge reference.
+func (w *walk) tiles(plan Plan, tiles []Tile) {
+	var cur *core.TailCursor
 	for ti := range tiles {
 		t := &tiles[ti]
 		// rem is the tile's windowed arc budget; Skip locates the start
 		// position arithmetically (A-arc index + in-tail offset) so the
 		// skipped prefix is never generated — the seek cost is independent
 		// of Skip's magnitude.
-		rem := t.Arcs()
+		rem := plan.Arcs(*t)
 		if rem == 0 {
 			continue
 		}
-		if !slices.Equal(tail, t.Tail) {
-			cur, tail = core.NewTailCursor(t.Tail), t.Tail
-			if w.own != nil {
-				w.own.load(tail[len(tail)-1])
-			}
+		if cur == nil {
+			cur = core.NewTailCursor(plan.Tail)
+		}
+		cur.Window(t.Lo, t.Hi)
+		if w.own != nil {
+			w.own.window(t.Lo, t.Hi)
 		}
 		w.rk.setPhase(expandLabels)
 		nT := cur.NumVertices()

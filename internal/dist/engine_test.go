@@ -14,6 +14,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"kronlab/internal/core"
 	"kronlab/internal/dist/transport"
@@ -47,9 +48,182 @@ func TestPlanValidation(t *testing.T) {
 	}
 }
 
+// TestRunRefusesUnwalkablePlan: a hand-built plan may name any range of the
+// first tail factor, so Run refuses, by the tile, a range past the factor's
+// arcs, an inverted one and tiles with no tail, before a sink is opened;
+// a plan with neither tiles nor tail runs.
+func TestRunRefusesUnwalkablePlan(t *testing.T) {
+	head, b := gen.Ring(4), gen.Ring(5)
+	tile := func(lo, hi int) [][]Tile { return [][]Tile{{{ID: 7, AArcs: head.ArcSlice(), Lo: lo, Hi: hi}}} }
+	for name, plan := range map[string]Plan{
+		"past":     {R: 1, Tail: []*graph.Graph{b}, Tiles: tile(0, int(b.NumArcs())+1)},
+		"inverted": {R: 1, Tail: []*graph.Graph{b}, Tiles: tile(3, 2)},
+		"no tail":  {R: 1, Tiles: tile(0, 0)},
+	} {
+		sink := &rankCalls{}
+		if _, err := Run(context.Background(), Config{Plan: plan, Sink: sink}); err == nil || !strings.Contains(err.Error(), "tile 7") {
+			t.Errorf("%s: got %v, want a refusal naming tile 7", name, err)
+		}
+		if n := sink.n.Load(); n != 0 {
+			t.Errorf("%s: the sink was asked for %d ranks before the refusal", name, n)
+		}
+	}
+	if _, err := Run(context.Background(), Config{Plan: Plan{R: 1, Tiles: make([][]Tile, 1)}, Sink: &CountSink{}}); err != nil {
+		t.Errorf("a plan with no tiles and no tail: %v", err)
+	}
+}
+
+// gridStreams is what each tile of the 2D plan of ch at r ranks expands to,
+// by tile ID, built without the plan: the arcs of Chain.Arcs whose head arc
+// lies in the tile's part of the head and whose first tail arc lies in its
+// part of the first tail factor, both parts PartitionArcs', in Chain.Arcs'
+// order — the stream of the chain of the two parts as graphs and the rest of
+// the tail.
+func gridStreams(ch *core.Chain, r int) [][]graph.Edge {
+	f := ch.Factors()
+	grid := NewGrid2D(r)
+	partOf := func(g *graph.Graph, parts int) []int {
+		var of []int
+		for p, part := range PartitionArcs(g.ArcSlice(), parts) {
+			for range part {
+				of = append(of, p)
+			}
+		}
+		return of
+	}
+	aPart, bPart := partOf(f[0], grid.RHalf), partOf(f[1], grid.Q)
+	rest := int64(1)
+	for _, g := range f[2:] {
+		rest *= g.NumArcs()
+	}
+	out := make([][]graph.Edge, grid.Tiles())
+	i := int64(0)
+	ch.Arcs(func(u, v int64) bool {
+		t := aPart[i/(rest*f[1].NumArcs())] + bPart[(i/rest)%f[1].NumArcs()]*grid.RHalf
+		out[t] = append(out[t], graph.Edge{U: u, V: v})
+		i++
+		return true
+	})
+	return out
+}
+
+// TestPlan2DPartsMatchGridStreams holds 2D plans, whose tiles take arc
+// ranges of the first tail factor, to the streams of the tiles as graphs
+// (gridStreams): at k = 2 — the ranges then cut the innermost factor, which
+// OwnerBySource picks by class within per-tile bounds, on a factor of a
+// power-of-two vertex count and one it pads — and k = 3, at R ∈ {4, 9, 16},
+// whole and in Plan.Slice windows that start and stop inside a row of the
+// product, with no owner, under OwnerBySource and under a BlockOwner, at
+// batch 5 and the default. Every rank's arcs must arrive in order: its
+// tiles' streams with no owner, its share of all of them in tile order
+// under an owner (shares). Some range must cut a row of the innermost
+// factor mid-row.
+func TestPlan2DPartsMatchGridStreams(t *testing.T) {
+	midRowCut := false
+	for _, sh := range []struct {
+		name string
+		ch   *core.Chain
+	}{
+		{"k2", mustChain(gen.MustRMAT(gen.Graph500Params(4, 701)), gen.MustRMAT(gen.Graph500Params(5, 702)))},
+		{"k2_padded", mustChain(gen.ER(12, 0.4, 703), gen.PrefAttach(20, 3, 704))},
+		{"k3", mustChain(gen.ER(6, 0.5, 705), gen.PrefAttach(9, 2, 706), gen.MustRMAT(gen.Graph500Params(3, 707)))},
+	} {
+		for _, r := range []int{4, 9, 16} {
+			whole, err := PlanChain2D(sh.ch, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			streams := gridStreams(sh.ch, r)
+			var global []graph.Edge
+			for _, s := range streams {
+				global = append(global, s...)
+			}
+			if inner := whole.Tail[0].ArcSlice(); len(whole.Tail) == 1 {
+				for _, tl := range whole.orderedTiles() {
+					midRowCut = midRowCut || tl.Lo > 0 && tl.Lo < len(inner) && inner[tl.Lo-1].U == inner[tl.Lo].U
+				}
+			}
+			midRow := func(from int) int {
+				for i := max(from, 1); i < len(global); i++ {
+					if global[i-1].U == global[i].U {
+						return i
+					}
+				}
+				t.Fatalf("%s r=%d: no position inside a row past %d", sh.name, r, from)
+				return 0
+			}
+			for _, win := range [][2]int{{0, len(global)}, {midRow(len(global) / 5), midRow(4 * len(global) / 5)}} {
+				plan := whole
+				if win[0] > 0 {
+					if plan, err = whole.Slice(int64(win[0]), int64(win[1]-win[0])); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// Each tile's window of its stream, and the ranks' tiles'.
+				windowed := func(tl Tile) []graph.Edge { return streams[tl.ID][tl.Skip : tl.Skip+plan.Arcs(tl)] }
+				var inOrder []graph.Edge
+				for _, tl := range plan.orderedTiles() {
+					inOrder = append(inOrder, windowed(tl)...)
+				}
+				assertSameOrder(t, fmt.Sprintf("%s r=%d window %v: the sliced plan's tiles", sh.name, r, win), inOrder, global[win[0]:win[1]])
+				for _, owner := range []Owner{nil, OwnerBySource, BlockOwner{NC: plan.NC}} {
+					want := make([][]graph.Edge, r)
+					if owner != nil {
+						want = shares(inOrder, owner, plan)
+					} else {
+						for rk, ts := range plan.Tiles {
+							for _, tl := range ts {
+								want[rk] = append(want[rk], windowed(tl)...)
+							}
+						}
+					}
+					for _, batch := range []int{5, DefaultBatchSize} {
+						cell := fmt.Sprintf("%s r=%d window %v owner %T batch %d", sh.name, r, win, owner, batch)
+						mem := NewMemorySink(r)
+						if _, err := Run(context.Background(), Config{Plan: plan, Owner: owner, Sink: mem, BatchSize: batch}); err != nil {
+							t.Fatalf("%s: %v", cell, err)
+						}
+						for rk, arcs := range mem.PerRank {
+							assertSameOrder(t, fmt.Sprintf("%s rank %d", cell, rk), arcs, want[rk])
+						}
+					}
+				}
+			}
+		}
+	}
+	if !midRowCut {
+		t.Fatal("no tile's range cuts a row of the innermost factor mid-row; pick other factors")
+	}
+}
+
+// TestPlanChain2DHoldsTailOnce: a 2D tile's part of the first tail factor is
+// an arc range of the plan's one tail, so planning builds no graph and
+// allocates by tiles, not by the tail: at R = 16 over RMAT(12)², a 2D plan
+// must allocate less than an eighth of the tail's arcs' bytes. Building the
+// parts as graphs allocated over five times that.
+func TestPlanChain2DHoldsTailOnce(t *testing.T) {
+	g := gen.MustRMAT(gen.Graph500Params(12, 708))
+	ch := mustChain(g, g)
+	tailBytes := uint64(len(g.ArcSlice())) * uint64(unsafe.Sizeof(graph.Edge{}))
+	g.RowOffsets()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	const runs = 10
+	for range runs {
+		if _, err := PlanChain2D(ch, 16); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > tailBytes/8 {
+		t.Fatalf("PlanChain2D at R = 16 allocates %d B a plan; the tail's arcs are %d B", per, tailBytes)
+	}
+}
+
 // TestPlanChainRefusesArcOverflow: K17^{⊗8} has 272⁸ ≈ 3e19 arcs. Its
-// vertex count (17⁸) fits, so the chain constructs — but Tile.FullArcs
-// would wrap (to a count Tile.Arcs clamps to 0 at r=1, to positive
+// vertex count (17⁸) fits, so the chain constructs — but Plan.FullArcs
+// would wrap (to a count Plan.Arcs clamps to 0 at r=1, to positive
 // garbage at r=4) and a run over such a plan would return nil having
 // generated nothing. Planning must refuse, in both layouts, at every r.
 func TestPlanChainRefusesArcOverflow(t *testing.T) {
@@ -246,7 +420,7 @@ func TestRankBalanceCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen0 := plan.Tiles[0][0].Arcs()
+	gen0 := plan.Arcs(plan.Tiles[0][0])
 	node, err := tcp.NewNode("127.0.0.1:0", 0, PlanHash(plan))
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +444,7 @@ func TestRankBalanceCheck(t *testing.T) {
 	}{
 		{"compensating", map[int]int64{0: -1, 1: 1}, []string{
 			fmt.Sprintf("rank 0 imbalance: generated %d arcs, stored %d, skipped 0", gen0, gen0-1),
-			fmt.Sprintf("rank 1 imbalance: generated %d arcs, stored %d, skipped 0", plan.Tiles[1][0].Arcs(), plan.Tiles[1][0].Arcs()+1),
+			fmt.Sprintf("rank 1 imbalance: generated %d arcs, stored %d, skipped 0", plan.Arcs(plan.Tiles[1][0]), plan.Arcs(plan.Tiles[1][0])+1),
 		}},
 		{"short", map[int]int64{0: -1}, []string{
 			fmt.Sprintf("rank 0 imbalance: generated %d arcs, stored %d, skipped 0", gen0, gen0-1),
@@ -633,7 +807,7 @@ func goroutineRecord(fn string) string {
 // TestPhaseLabels: the walk is labelled at phase boundaries, so a rank is
 // named by what it is doing without a swap per block. A rank held inside
 // its sink mid-walk reads phase=expand — also under a source owner, whose
-// pick runs as phase=filter and puts expand back — and a rank blocked in a
+// partition runs as phase=filter before the ranks start — and a rank blocked in a
 // stream hand-off, waiting on the consumer, reads phase=store.
 func TestPhaseLabels(t *testing.T) {
 	ch := mustChain(gen.ER(20, 0.5, 39), gen.ER(20, 0.5, 40))

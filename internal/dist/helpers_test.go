@@ -57,13 +57,10 @@ func ownedWalk(o *ownedRows) *walk {
 }
 
 // step is one sweep of the owner-side walk of t as walk.tiles takes it —
-// the pick loaded with t's innermost factor when the walk meets it,
 // ownedRows.sweep, then every block of it out of walk.owned — with the
-// blocks, each with its base, handed to emit.
+// blocks, each with its base, handed to emit. The pick and cur must be
+// windowed to t's part of the tail, as walk.tiles windows them per tile.
 func (w *walk) step(t *Tile, cur *core.TailCursor, uBase, vBase, rem int64, emit func(tile int, block []uint64, u0, v0 int64) bool) (int64, bool) {
-	if g := t.Tail[len(t.Tail)-1]; g != w.own.g {
-		w.own.load(g)
-	}
 	n := w.own.sweep(cur, uBase, vBase, rem)
 	for block := w.owned(); len(block) > 0; block = w.owned() {
 		if !emit(t.ID, block, w.own.u0, w.own.v0) {

@@ -67,8 +67,9 @@ func (t *tileRecorderRank) Close() error { return nil }
 
 // ownedReference is what each rank of the plan must store under a source
 // owner: every tile's stream — core.Chain.Arcs of the
-// tile's head arcs and tail factors, windowed by Skip and Take — filtered by
-// the owner, per (tile, rank) and, tile by tile in ID order, per rank.
+// tile's head arcs, its part of the first tail factor as a graph and the
+// rest of the tail, windowed by Skip and Take — filtered by the owner, per
+// (tile, rank) and, tile by tile in ID order, per rank.
 func ownedReference(plan Plan, owner func(u int64) int) *tileRecorder {
 	ref := newTileRecorder(plan.R)
 	var tiles []Tile
@@ -77,8 +78,9 @@ func ownedReference(plan Plan, owner func(u int64) int) *tileRecorder {
 	}
 	slices.SortFunc(tiles, func(a, b Tile) int { return a.ID - b.ID })
 	for _, t := range tiles {
-		ch := mustChain(append([]*graph.Graph{mustGraph(plan.Dims[0], t.AArcs)}, t.Tail...)...)
-		end, i := t.Skip+t.Arcs(), int64(0)
+		part := mustGraph(plan.Tail[0].NumVertices(), plan.Tail[0].ArcSlice()[t.Lo:t.Hi])
+		ch := mustChain(append([]*graph.Graph{mustGraph(plan.Dims[0], t.AArcs), part}, plan.Tail[1:]...)...)
+		end, i := t.Skip+plan.Arcs(t), int64(0)
 		ch.Arcs(func(u, v int64) bool {
 			if i >= t.Skip && i < end {
 				rank, e := owner(u), graph.Edge{U: u, V: v}
@@ -279,12 +281,13 @@ func TestOwnedRowsBothForms(t *testing.T) {
 			}
 			lo, hi := midRow(1, len(serial)/3), midRow(2*len(serial)/3, len(serial))
 			for _, win := range [][2]int{{0, len(serial)}, {lo, hi}} {
-				tile := Tile{AArcs: f[0].ArcSlice(), Tail: f[1:], Skip: int64(win[0]), Take: int64(win[1] - win[0])}
+				tail := f[1:]
+				tile := Tile{AArcs: f[0].ArcSlice(), Hi: int(tail[0].NumArcs()), Skip: int64(win[0]), Take: int64(win[1] - win[0])}
 				for _, so := range []Owner{OwnerBySource, BlockOwner{NC: sh.ch.NumVertices()}} {
 					for _, r := range []int{1, 2, 3, 16} {
-						owner := placer(so, Plan{R: r, Tiles: [][]Tile{{tile}}})
+						owner := placer(so, Plan{R: r, Tail: tail, Tiles: [][]Tile{{tile}}})
 						for _, batch := range []int{1, 7, DefaultBatchSize} {
-							place := newPlacing(so, owner, r)
+							place := newPlacing(so, owner, r, tail)
 							for rank := 0; rank < r; rank++ {
 								var want []graph.Edge
 								for _, e := range serial[win[0]:win[1]] {
@@ -293,7 +296,7 @@ func TestOwnedRowsBothForms(t *testing.T) {
 									}
 								}
 								cell := fmt.Sprintf("window %v, %T r=%d rank %d batch %d", win, so, r, rank, batch)
-								checkOwnedWalk(t, cell, &tile, place.rows(rank, batch), want)
+								checkOwnedWalk(t, cell, tail, &tile, place.rows(rank, batch), want)
 							}
 							// A range copies nothing, and neither does one class that
 							// holds every row's arcs.
@@ -323,9 +326,9 @@ func TestOwnedRowsBothForms(t *testing.T) {
 // row-by-row pick in the layout the cursor reads (core.SourceOf: the pick
 // expanded with base 0, arc for arc) and OwnerRowsTested to one count a
 // pick.
-func checkOwnedWalk(t *testing.T, cell string, tile *Tile, o *ownedRows, want []graph.Edge) {
+func checkOwnedWalk(t *testing.T, cell string, tail []*graph.Graph, tile *Tile, o *ownedRows, want []graph.Edge) {
 	t.Helper()
-	inner := tile.Tail[len(tile.Tail)-1]
+	inner := tail[len(tail)-1]
 	src, off := core.SourceOf(inner), inner.RowOffsets()
 	w := ownedWalk(o)
 	var got []graph.Edge
@@ -358,8 +361,10 @@ func checkOwnedWalk(t *testing.T, cell string, tile *Tile, o *ownedRows, want []
 		}
 		return n, ok
 	}
-	cur := core.NewTailCursor(tile.Tail)
-	nT, nTail, rem := cur.NumVertices(), cur.Total(), tile.Arcs()
+	cur := core.NewTailCursor(tail)
+	cur.Window(tile.Lo, tile.Hi)
+	o.window(tile.Lo, tile.Hi)
+	nT, nTail, rem := cur.NumVertices(), cur.Total(), Plan{Tail: tail}.Arcs(*tile)
 	for ai := int(tile.Skip / nTail); ai < len(tile.AArcs) && rem > 0; ai++ {
 		if ai == int(tile.Skip/nTail) {
 			cur.SeekTo(tile.Skip % nTail)
@@ -677,7 +682,7 @@ func TestClusterOwnedDeathRecovery(t *testing.T) {
 			headShare += onHead
 			if onDead > 0 {
 				replayed++
-				replayArcs += tl.Arcs()
+				replayArcs += plan.Arcs(tl)
 				replayDup += onHead
 			}
 		}

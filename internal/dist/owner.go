@@ -110,12 +110,10 @@ func (o BlockOwner) per(r int) int64 { return (o.NC + int64(r) - 1) / int64(r) }
 func OwnerByBlock(nC int64) BlockOwner { return BlockOwner{NC: nC} }
 
 // sourceForm is the owner's source form for a run of plan: OwnerBySource
-// bound to the plan's R and to n_L, the vertex count of its tiles'
-// innermost factor — read from the tiles, which the walk reads, and not
-// from Plan.Dims — or a BlockOwner's blocks. Any other owner is refused by
-// name, and so, under OwnerBySource, is a plan whose tiles' innermost
-// factors differ in vertex count: one n_L binds the map. A nil owner has
-// no form.
+// bound to the plan's R and to n_L, the vertex count of the plan's
+// innermost factor — the factor the walk reads, and not Plan.Dims; a plan
+// with no tail binds to 1 — or a BlockOwner's blocks. Any other owner is
+// refused by name. A nil owner has no form.
 func sourceForm(owner Owner, plan Plan) (func(u int64) int, error) {
 	switch o := owner.(type) {
 	case nil:
@@ -124,18 +122,9 @@ func sourceForm(owner Owner, plan Plan) (func(u int64) int, error) {
 		if !o.isBySource() {
 			break
 		}
-		var nL int64 // 0 until a tile names it; a plan with none binds to 1
-		for _, ts := range plan.Tiles {
-			for _, t := range ts {
-				if len(t.Tail) == 0 {
-					return nil, fmt.Errorf("dist: tile %d has no tail factor", t.ID)
-				}
-				n := t.Tail[len(t.Tail)-1].NumVertices()
-				if nL != 0 && n != nL {
-					return nil, fmt.Errorf("dist: OwnerBySource binds one innermost factor size: the plan's tiles' innermost factors have %d and %d vertices", nL, n)
-				}
-				nL = n
-			}
+		nL := int64(1)
+		if k := len(plan.Tail); k > 0 {
+			nL = plan.Tail[k-1].NumVertices()
 		}
 		return o.BindSource(plan.R, nL), nil
 	case BlockOwner:

@@ -60,7 +60,7 @@ func BenchmarkRoute(b *testing.B) {
 	// perRank (one entry a rank) is handed the arcs each generated.
 	owned := func(work []tileWork, o Owner, perRank []int64) func() bool {
 		r := len(perRank)
-		place := newPlacing(o, placer(o, workPlan(work, r)), r)
+		place := newPlacing(o, placer(o, workPlan(work, r)), r, work[0].tail)
 		walks := make([]*walk, r)
 		for rank := range walks {
 			walks[rank] = ownedWalk(place.rows(rank, DefaultBatchSize))

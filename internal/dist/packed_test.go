@@ -145,18 +145,12 @@ func TestProductsAroundPackedIDs(t *testing.T) {
 // under a BlockOwner, at batch 5 and the default. Every rank's output is
 // held arc for arc to its share of Chain.Arcs, and the picks' counters,
 // OwnerRowsTested and ArcsCompacted, must read the same for both innermost
-// factors, whose sweeps have one shape. Last, a plan built by hand from the
-// two k = 2 products' tiles runs on two ranks with no owner (a rank a
-// layout) and under a BlockOwner (every rank walks both tiles, its pick
-// reloaded in the other layout): the layout is core's choice per factor,
-// not the run's.
+// factors, whose sweeps have one shape.
 func TestProductsAroundNarrowIDs(t *testing.T) {
 	const r = 3
 	head, mid := sparseFactor(1<<10), gen.ER(4, 0.7, 601)
 	type counters struct{ rows, compacted int64 }
 	seen := map[string]counters{}
-	var tiles []Tile // each size's whole k = 2 tile
-	var serials [][]graph.Edge
 	for _, n := range []int64{1 << 16, 1<<16 + 1} {
 		inner := sparseFactor(n)
 		if narrow := core.SourceOf(inner).Narrow(); narrow != (n <= 1<<16 && core.Kernel() == "avx512") {
@@ -168,15 +162,6 @@ func TestProductsAroundNarrowIDs(t *testing.T) {
 				t.Fatal(err)
 			}
 			serial := serialArcs(t, ch, 0)
-			if len(ch.Factors()) == 2 {
-				one, err := PlanChain1D(ch, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tl := one.Tiles[0][0]
-				tl.ID = len(tiles)
-				tiles, serials = append(tiles, tl), append(serials, serial)
-			}
 			// A sweep is inner's 12 arcs: rows 0 (2 arcs), seven of one, n−1 (3).
 			for _, win := range [][2]int{{0, len(serial)}, {3*12 + 1, len(serial) - 2*12 - 2}} {
 				plan, err := whole.Slice(int64(win[0]), int64(win[1]-win[0]))
@@ -203,21 +188,6 @@ func TestProductsAroundNarrowIDs(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-	mixed := Plan{R: 2, Tiles: [][]Tile{{tiles[0]}, {tiles[1]}}}
-	nC := max(tiles[0].Tail[0].NumVertices(), tiles[1].Tail[0].NumVertices()) * head.NumVertices()
-	for _, owner := range []Owner{nil, BlockOwner{NC: nC}} {
-		want := serials
-		if owner != nil {
-			want = shares(slices.Concat(serials...), owner, mixed)
-		}
-		mem := NewMemorySink(2)
-		if _, err := Run(context.Background(), Config{Plan: mixed, Owner: owner, Sink: mem, BatchSize: 5}); err != nil {
-			t.Fatalf("mixed plan, owner %T: %v", owner, err)
-		}
-		for rk, arcs := range mem.PerRank {
-			assertSameOrder(t, fmt.Sprintf("mixed plan, owner %T, rank %d", owner, rk), arcs, want[rk])
 		}
 	}
 }
@@ -309,24 +279,21 @@ func TestProductsAroundTail32(t *testing.T) {
 
 // TestHandBuiltPlanFormFromTiles runs plans built by hand, as a caller that
 // builds or rebalances a Plan may, with NC left at 0 or set too small: the
-// walk must follow the ids the tiles expand to, not NC. Two products are
-// each run from their R = 1 tile, and both at once on two ranks — one tile
-// whose ids fit 32 bits and one whose do not — with no owner and under
-// OwnerBySource; every rank's
+// walk must follow the ids the tiles expand to, not NC. Two products — one
+// whose ids fit 32 bits and one whose do not — are each run from their
+// R = 1 tile, with no owner and under OwnerBySource; every rank's
 // output is held arc for arc to its share of Chain.Arcs. They are
 // TestProductsAroundPackedIDs' exact product, 2³² vertices, and a wide one
 // of 2³³ + 2¹⁶ on the same innermost factor size, which OwnerBySource binds
 // its map to (sourceForm).
 func TestHandBuiltPlanFormFromTiles(t *testing.T) {
 	wide, exact := mustChain(sparseFactor(1<<17+1), sparseFactor(1<<16)), mustChain(sparseFactor(1<<16), sparseFactor(1<<16))
-	tile := func(ch *core.Chain, id int) Tile {
+	byHand := func(ch *core.Chain, nc int64) Plan {
 		plan, err := PlanChain1D(ch, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tl := plan.Tiles[0][0]
-		tl.ID = id
-		return tl
+		return Plan{R: 1, NC: nc, Tail: plan.Tail, Tiles: plan.Tiles}
 	}
 	wideArcs, exactArcs := serialArcs(t, wide, 0), serialArcs(t, exact, 0)
 	for _, c := range []struct {
@@ -334,10 +301,9 @@ func TestHandBuiltPlanFormFromTiles(t *testing.T) {
 		plan   Plan
 		serial [][]graph.Edge // what each rank's tiles expand to, in order
 	}{
-		{"wide", Plan{R: 1, Tiles: [][]Tile{{tile(wide, 0)}}}, [][]graph.Edge{wideArcs}},
-		{"wide_nc_small", Plan{R: 1, NC: exact.NumVertices(), Tiles: [][]Tile{{tile(wide, 0)}}}, [][]graph.Edge{wideArcs}},
-		{"exact", Plan{R: 1, Tiles: [][]Tile{{tile(exact, 0)}}}, [][]graph.Edge{exactArcs}},
-		{"mixed", Plan{R: 2, Tiles: [][]Tile{{tile(exact, 0)}, {tile(wide, 1)}}}, [][]graph.Edge{exactArcs, wideArcs}},
+		{"wide", byHand(wide, 0), [][]graph.Edge{wideArcs}},
+		{"wide_nc_small", byHand(wide, exact.NumVertices()), [][]graph.Edge{wideArcs}},
+		{"exact", byHand(exact, 0), [][]graph.Edge{exactArcs}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			r := c.plan.R

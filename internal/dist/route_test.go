@@ -46,23 +46,29 @@ func splitTiles(head *graph.Graph, tail []*graph.Graph, tiles int) []tileWork {
 	return out
 }
 
-// workPlan is work as a plan of r ranks, its tiles on rank 0: what an owner
-// is bound to for a walk of work (placer).
+// workPlan is work, whose tiles share one tail, as a plan of r ranks, its
+// tiles on rank 0: what an owner is bound to for a walk of work (placer).
 func workPlan(work []tileWork, r int) Plan {
 	tiles := make([][]Tile, r)
 	for _, w := range work {
-		tiles[0] = append(tiles[0], Tile{ID: w.tile, AArcs: w.aArcs, Tail: w.tail})
+		tiles[0] = append(tiles[0], w.plan())
 	}
-	return Plan{R: r, Tiles: tiles}
+	return Plan{R: r, Tail: work[0].tail, Tiles: tiles}
+}
+
+// plan is w as a plan's tile, over the whole of its first tail factor.
+func (w tileWork) plan() Tile {
+	return Tile{ID: w.tile, AArcs: w.aArcs, Hi: int(w.tail[0].NumArcs())}
 }
 
 // walkOwned drives one rank's owner-side walk over whole tiles the way the
 // engine's walk.tiles does, a sweep at a time (step).
 func walkOwned(o *walk, work []tileWork, emit func(tile int, block []uint64, u0, v0 int64) bool) bool {
 	for _, w := range work {
-		t := Tile{ID: w.tile, AArcs: w.aArcs, Tail: w.tail}
+		t := w.plan()
+		o.own.window(t.Lo, t.Hi)
 		nT := w.cur.NumVertices()
-		rem := t.Arcs()
+		rem := Plan{Tail: w.tail}.Arcs(t)
 		for _, a := range w.aArcs {
 			w.cur.Reset()
 			for {
@@ -145,7 +151,7 @@ func TestRouteRunsEquivalence(t *testing.T) {
 			for _, o := range owners {
 				for _, r := range []int{1, 2, 3, 16} {
 					owner := placer(o.owner, workPlan(sh.work, r))
-					place := newPlacing(o.owner, owner, r)
+					place := newPlacing(o.owner, owner, r, sh.work[0].tail)
 					want := make([]placedArcs, r)
 					var words []uint64
 					var scratch []graph.Edge
@@ -316,46 +322,6 @@ func TestRunRefusesOwnerWithoutForm(t *testing.T) {
 			if n := sink.n.Load(); n != 0 {
 				t.Errorf("%s with %s: the sink was asked for %d ranks before the refusal", pname, oname, n)
 			}
-		}
-	}
-}
-
-// TestRunRefusesMixedInnerSizes: OwnerBySource binds its map to one
-// innermost factor size, so a plan built by hand whose tiles' innermost
-// factors differ in vertex count is refused under it before a sink is
-// opened, by Run and by a one-process RunCluster with a run ledger; under a
-// BlockOwner, which reads no factor, and with no owner the plan runs whole.
-func TestRunRefusesMixedInnerSizes(t *testing.T) {
-	head := gen.ER(4, 0.7, 447)
-	tile := func(id int, inner *graph.Graph) Tile {
-		return Tile{ID: id, AArcs: head.ArcSlice(), Tail: []*graph.Graph{inner}}
-	}
-	five, six := gen.ER(5, 0.6, 448), gen.ER(6, 0.6, 449)
-	plan := Plan{R: 2, NC: 4 * 6, Tiles: [][]Tile{{tile(0, five)}, {tile(1, six)}}}
-	want := head.NumArcs() * (five.NumArcs() + six.NumArcs())
-	for _, o := range []Owner{nil, BlockOwner{NC: plan.NC}} {
-		sink := &CountSink{}
-		if _, err := Run(context.Background(), Config{Plan: plan, Owner: o, Sink: sink}); err != nil || sink.Total() != want {
-			t.Fatalf("%T: %v, %d arcs stored, want %d", o, err, sink.Total(), want)
-		}
-	}
-	for name, run := range map[string]func(Sink) error{
-		"Run": func(s Sink) error {
-			_, err := Run(context.Background(), Config{Plan: plan, Owner: OwnerBySource, Sink: s})
-			return err
-		},
-		"RunClusterLedger": func(s Sink) error {
-			cc := ClusterConfig{Procs: []transport.Proc{{Hi: plan.R}}, LedgerPath: t.TempDir() + "/ledger"}
-			_, err := RunCluster(context.Background(), cc, Config{Plan: plan, Owner: OwnerBySource, Sink: s})
-			return err
-		},
-	} {
-		sink := &rankCalls{}
-		if err := run(sink); err == nil || !strings.Contains(err.Error(), "innermost") {
-			t.Errorf("%s: got %v, want a refusal naming the innermost factors", name, err)
-		}
-		if n := sink.n.Load(); n != 0 {
-			t.Errorf("%s: the sink was asked for %d ranks before the refusal", name, n)
 		}
 	}
 }

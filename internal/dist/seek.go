@@ -2,7 +2,7 @@ package dist
 
 // Stream index: the expansion order of a plan is deterministic (tiles in
 // ascending ID order, each tile's arcs in the kernel's fixed order), and
-// every tile's arc count is closed-form ground truth (Tile.Arcs), so the
+// every tile's arc count is closed-form ground truth (Plan.Arcs), so the
 // concatenated stream has an index — the tile and in-tile offset of
 // global edge i are computable in O(tiles), without generating edges
 // 0..i-1. Plan.Locate seeks to an offset; Plan.Slice derives a plan whose
@@ -33,13 +33,24 @@ func (p Plan) orderedTiles() []Tile {
 	return out
 }
 
+// tileRanks maps each tile's ID to the rank the plan gives it.
+func (p Plan) tileRanks() map[int]int {
+	owner := make(map[int]int, len(p.Tiles))
+	for rk, ts := range p.Tiles {
+		for _, t := range ts {
+			owner[t.ID] = rk
+		}
+	}
+	return owner
+}
+
 // TotalArcs returns the number of arcs the plan generates — the sum of
 // the (windowed) tile counts, overflow-checked.
 func (p Plan) TotalArcs() (int64, error) {
 	var total int64
 	for _, ts := range p.Tiles {
 		for _, t := range ts {
-			n := t.Arcs()
+			n := p.Arcs(t)
 			if total+n < total {
 				return 0, fmt.Errorf("dist: plan arc count overflows int64")
 			}
@@ -62,7 +73,7 @@ func (p Plan) Locate(offset int64) (tileID int, within int64, err error) {
 	tiles := p.orderedTiles()
 	rem := offset
 	for i, t := range tiles {
-		n := t.Arcs()
+		n := p.Arcs(t)
 		if rem < n || (rem == n && i == len(tiles)-1) {
 			return t.ID, rem, nil
 		}
@@ -90,19 +101,14 @@ func (p Plan) Slice(offset, limit int64) (Plan, error) {
 	if limit < 0 || limit > total-offset {
 		limit = total - offset
 	}
-	out := Plan{R: p.R, NC: p.NC, Dims: p.Dims, Tiles: make([][]Tile, p.R)}
+	out := Plan{R: p.R, NC: p.NC, Dims: p.Dims, Tail: p.Tail, Tiles: make([][]Tile, p.R)}
 	// Walk tiles in stream order to window them, but emit each kept tile
 	// into its owning rank's list (stream order within a rank follows
 	// from the per-rank lists being ID-increasing).
-	owner := make(map[int]int, len(p.Tiles))
-	for rk, ts := range p.Tiles {
-		for _, t := range ts {
-			owner[t.ID] = rk
-		}
-	}
+	owner := p.tileRanks()
 	skip, take := offset, limit
 	for _, t := range p.orderedTiles() {
-		n := t.Arcs()
+		n := p.Arcs(t)
 		if skip >= n {
 			skip -= n
 			continue

@@ -47,8 +47,8 @@ func TestPlanLocate(t *testing.T) {
 			cum := int64(0)
 			ti := 0
 			for off := int64(0); off <= total; off++ {
-				for ti < len(tiles)-1 && off-cum >= tiles[ti].Arcs() {
-					cum += tiles[ti].Arcs()
+				for ti < len(tiles)-1 && off-cum >= plan.Arcs(tiles[ti]) {
+					cum += plan.Arcs(tiles[ti])
 					ti++
 				}
 				id, within, err := plan.Locate(off)
@@ -161,8 +161,8 @@ func TestStreamChainFromParity(t *testing.T) {
 					// First tile's boundary, when it is interior.
 					for _, ts := range plan.Tiles {
 						for _, tl := range ts {
-							if tl.ID == id0 && tl.Arcs() < total {
-								offsets = append(offsets, tl.Arcs())
+							if tl.ID == id0 && plan.Arcs(tl) < total {
+								offsets = append(offsets, plan.Arcs(tl))
 							}
 						}
 					}

@@ -384,7 +384,7 @@ type streamSink struct {
 	ctx   context.Context
 	chans []chan streamBatch // one per rank
 	batch int
-	arcs  map[int]int64 // Tile.Arcs per plan tile ID
+	arcs  map[int]int64 // Plan.Arcs per plan tile ID
 
 	outstanding int64 // buffers checked out of edgeBufs and not yet recycled
 	messages    int64
@@ -409,7 +409,7 @@ func newStreamSink(ctx context.Context, batch int, plan Plan) *streamSink {
 	}
 	for _, tiles := range plan.Tiles {
 		for _, t := range tiles {
-			s.arcs[t.ID] = t.Arcs()
+			s.arcs[t.ID] = plan.Arcs(t)
 		}
 	}
 	return s

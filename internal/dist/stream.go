@@ -85,35 +85,17 @@ func streamPlan(ctx context.Context, plan Plan, batch int, rec Recovery, faults 
 	// arc count is satisfied. Per-rank FIFO delivery plus ID-increasing
 	// per-rank tile lists guarantee the next batch on the needed channel
 	// belongs to the needed tile; the check stays as a loud invariant.
-	type tileRef struct {
-		id     int
-		rank   int
-		expect int64
-	}
-	var order []tileRef
-	for rank, tiles := range plan.Tiles {
-		for _, t := range tiles {
-			if n := t.Arcs(); n > 0 {
-				order = append(order, tileRef{id: t.ID, rank: rank, expect: n})
-			}
-		}
-	}
-	for i := 1; i < len(order); i++ { // insertion merge of per-rank sorted runs
-		for j := i; j > 0 && order[j].id < order[j-1].id; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-
+	rankOf := plan.tileRanks()
 	var emitErr error
 consume:
-	for _, tr := range order {
-		for got := int64(0); got < tr.expect; {
-			b, ok := <-sink.chans[tr.rank]
+	for _, t := range plan.orderedTiles() {
+		for got, expect := int64(0), plan.Arcs(t); got < expect; {
+			b, ok := <-sink.chans[rankOf[t.ID]]
 			if !ok {
 				break consume // the run is over: the stream ended early (error or cancel)
 			}
-			if b.tile != tr.id {
-				emitErr = fmt.Errorf("dist: stream order violated: got tile %d, want %d", b.tile, tr.id)
+			if b.tile != t.ID {
+				emitErr = fmt.Errorf("dist: stream order violated: got tile %d, want %d", b.tile, t.ID)
 				cancel()
 				sink.recycle(b.edges)
 				break consume

@@ -175,7 +175,7 @@ func TestStreamRecoversExactlyOnce(t *testing.T) {
 		for rank := 0; rank < r; rank++ {
 			var work int64
 			for _, tl := range plan.Tiles[rank] {
-				work += tl.Arcs()
+				work += plan.Arcs(tl)
 			}
 			for _, pt := range []FaultPoint{FaultBeforeSinkSetup, FaultMidExpansion, FaultAfterWalk} {
 				name := fmt.Sprintf("twoD=%v/rank%d/%v", twoD, rank, pt)
@@ -214,10 +214,10 @@ func TestStreamRecoversExactlyOnce(t *testing.T) {
 				if pt == FaultMidExpansion {
 					inTile := spec.After
 					for _, tl := range plan.Tiles[rank] {
-						if inTile < tl.Arcs() {
+						if inTile < plan.Arcs(tl) {
 							break
 						}
-						inTile -= tl.Arcs()
+						inTile -= plan.Arcs(tl)
 					}
 					if st.DuplicatesSkipped < inTile {
 						t.Fatalf("%s: DuplicatesSkipped = %d, want ≥ %d", name, st.DuplicatesSkipped, inTile)
@@ -244,11 +244,11 @@ func TestStreamSinkHoldsBackTileTail(t *testing.T) {
 	tile := plan.Tiles[0][0]
 	var arcs []graph.Edge
 	for _, a := range tile.AArcs {
-		arcs = core.ExpandBlock(a, tile.Tail[0].ArcSlice(), tile.Tail[0].NumVertices(), arcs)
+		arcs = core.ExpandBlock(a, plan.Tail[0].ArcSlice(), plan.Tail[0].NumVertices(), arcs)
 	}
 	n := int64(len(arcs))
-	if n != tile.Arcs() || n < 2 {
-		t.Fatalf("test tile has %d arcs, plan says %d", n, tile.Arcs())
+	if n != plan.Arcs(tile) || n < 2 {
+		t.Fatalf("test tile has %d arcs, plan says %d", n, plan.Arcs(tile))
 	}
 
 	sink := newStreamSink(watchdogCtx(t), int(n)+10, plan) // only tile completion hands off

@@ -10,7 +10,7 @@ package dist
 //   - Checkpoints are tile-level and deterministic: for each plan tile
 //     the table (checkpoints) tracks how many of its edges each rank's
 //     sink has durably stored. A tile is committed once the stored total
-//     reaches its known ground-truth arc count (Tile.Arcs — computable up
+//     reaches its known ground-truth arc count (Plan.Arcs — computable up
 //     front, in the paper's spirit of properties known before generation).
 //   - Every rank's sink has one lifetime (rankHost): created in the
 //     rank's first attempt, fed tile-framed blocks through the fence (an
@@ -46,7 +46,8 @@ import (
 // tileState is the checkpoint record of one plan tile.
 type tileState struct {
 	tile  Tile
-	owner int // the rank the plan gave the tile
+	arcs  int64 // the tile's arc count (Plan.Arcs)
+	owner int   // the rank the plan gave the tile
 	// stored[d] counts the tile's edges durably stored by rank d's sink —
 	// the owning rank under an owner map, the planned rank on runs without
 	// one. Written only between attempts.
@@ -74,7 +75,7 @@ func newCheckpoints(p Plan) *checkpoints {
 	cp := &checkpoints{byID: make(map[int]*tileState)}
 	for rk, ts := range p.Tiles {
 		for _, t := range ts {
-			st := &tileState{tile: t, owner: rk, stored: make([]int64, p.R)}
+			st := &tileState{tile: t, arcs: p.Arcs(t), owner: rk, stored: make([]int64, p.R)}
 			cp.tiles = append(cp.tiles, st)
 			cp.byID[t.ID] = st
 		}
@@ -87,7 +88,7 @@ func newCheckpoints(p Plan) *checkpoints {
 // un-commits and replays.
 func (cp *checkpoints) recommit() {
 	for _, ts := range cp.tiles {
-		ts.committed = ts.storedTotal() == ts.tile.Arcs()
+		ts.committed = ts.storedTotal() == ts.arcs
 	}
 }
 
@@ -285,7 +286,7 @@ type rankHost struct {
 }
 
 func newRankHost(cc ClusterConfig, cfg Config) (*rankHost, error) {
-	if err := packable(cfg.Plan); err != nil {
+	if err := walkable(cfg.Plan); err != nil {
 		return nil, err
 	}
 	bySource, err := sourceForm(cfg.Owner, cfg.Plan)
@@ -400,7 +401,7 @@ func (h *rankHost) attempt(ctx context.Context, epoch int64, ids map[int][]int, 
 	r := h.cfg.Plan.R
 	perGen := make([]int64, r)
 	perStored := make([]int64, r)
-	err = runAttempt(ctx, c, h.cfg.Owner, h.bySource, assigned, h.sinkFor, perGen, perStored, h.cfg.batchSize())
+	err = runAttempt(ctx, c, h.cfg.Plan, h.cfg.Owner, h.bySource, assigned, h.sinkFor, perGen, perStored, h.cfg.batchSize())
 	st := c.Stats()
 
 	rep.Stored = make(map[int]map[int]int64, len(h.sinks))
