@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test loc race vet fmt-check bench-route allocguard clean recovery-soak head-soak fuzz-smoke lint cluster-smoke
+.PHONY: all build test loc race vet fmt-check check-regexes bench-route allocguard clean recovery-soak head-soak fuzz-smoke lint cluster-smoke
 
 all: build test
 
@@ -48,10 +48,18 @@ fmt-check:
 		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; \
 	fi
 
-# Supervised-recovery soak: the crash-then-recover, respawn and
-# epoch-fencing suites under the race detector, mirroring the CI job.
+# Stale test-selector check: every |-alternative of every -run, -bench and
+# -fuzz regex a go test line of this Makefile or of ci.yml passes must
+# select at least one test of its packages (go test -list). Mirrors the CI
+# step.
+check-regexes:
+	sh scripts/check_test_regexes.sh
+
+# Supervised-recovery soak: the crash-then-recover suites (every test whose
+# name holds Recover, the replay that resumes at stored prefixes included)
+# under the race detector, mirroring the CI job.
 recovery-soak:
-	$(GO) test -race -count 1 -timeout 6m -run 'Recover|Respawn|Epoch' ./internal/dist/
+	$(GO) test -race -count 1 -timeout 6m -run 'Recover' ./internal/dist/
 
 # Head-death soak: the multi-process head kill+respawn suite, the run
 # ledger, and the partition/heartbeat failure-detection tests (the head's

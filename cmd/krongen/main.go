@@ -345,9 +345,11 @@ func main() {
 	}
 }
 
-// killSink SIGKILLs the process inside its Nth StoreBlock, whichever of its
+// killSink SIGKILLs the process inside its Nth block, whichever of its
 // ranks gets there (KRONLAB_TCP_KILL_FRAMES): a real death mid-generation,
-// whatever the sink had buffered lost with it.
+// whatever the sink had buffered lost with it. Its ranks take packed blocks
+// (StorePackedBlock), so a run armed with it stores through the store
+// sink's own packed path, as an unarmed run does.
 type killSink struct {
 	dist.Sink
 	left atomic.Int64
@@ -366,19 +368,19 @@ type killRankSink struct {
 	k *killSink
 }
 
-func (t *killRankSink) StoreBlock(edges []graph.Edge) (int64, error) {
+func (t *killRankSink) StorePackedBlock(tile int, arcs []uint64, u0, v0 int64) (int64, error) {
 	if t.k.left.Add(-1) == 0 {
 		syscall.Kill(os.Getpid(), syscall.SIGKILL)
 	}
-	return t.RankSink.(dist.BlockStorer).StoreBlock(edges)
+	return t.RankSink.(dist.PackedBlockStorer).StorePackedBlock(tile, arcs, u0, v0)
 }
 
 // placed reports what storing by owner cost a run. Every krongen run stores
 // by source (OwnerBySource), so each rank generated the edges it stores;
 // what it paid for that is its picks of owned rows, one owner call each,
 // and the arcs copied into the innermost factor's classes, printed as
-// shares of the edges generated (replayed work included) — and the busiest
-// rank's share, which is the
+// shares of the edges generated — a replay generates nothing it stored,
+// so that is the edges stored — and the busiest rank's share, which is the
 // run's wall: max stored over the ideal 1/R (of what this head generation's
 // attempts stored: a head resumed from a ledger counts only what was stored
 // since).

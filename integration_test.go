@@ -383,9 +383,11 @@ func TestGroundtruthCLI(t *testing.T) {
 	}
 }
 
-// TestExperimentsCLIList checks the registry wiring, and runs two cheap
-// experiments end to end: cliques, and weak-scaling (E3), which puts both
-// plan layouts through the engine. A failed check exits the command 1.
+// TestExperimentsCLIList checks the registry wiring, and runs every
+// experiment that takes under a second end to end (about 2 s together) —
+// weak-scaling (E3) among them, which puts both plan layouts through the
+// engine. A failed check exits the command 1. eccentricity, closeness,
+// spectral and community take 5–50 s each and are left out.
 func TestExperimentsCLIList(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary")
@@ -402,7 +404,8 @@ func TestExperimentsCLIList(t *testing.T) {
 			t.Errorf("experiment %q missing from -list", id)
 		}
 	}
-	for _, id := range []string{"cliques", "weak-scaling"} {
+	for _, id := range []string{"scaling-laws", "generator", "weak-scaling", "triangles",
+		"clustering", "diameter", "cliques", "rejection", "extensions"} {
 		out, err = exec.Command(bin, "-exp", id).CombinedOutput()
 		if err != nil {
 			t.Fatalf("experiments -exp %s: %v\n%s", id, err, out)

@@ -880,7 +880,7 @@ func TestRecoverAsyncStoreSink(t *testing.T) {
 			// By source, as every store run is: the rank that stores an arc
 			// generates it. The mid-expansion crash comes halfway through the
 			// busiest rank's share, so the sink already staged (and possibly
-			// flushed) edges that the replay will regenerate behind the fence;
+			// flushed) edges that the replay will resume past;
 			// the mid-exchange one right after its first hand-off
 			// (handoffCrash), one arc staged.
 			var owner Owner = OwnerBySource

@@ -66,12 +66,14 @@ type Stats struct {
 	PerRankGenerated []int64 // edges expanded by each rank (engine runs)
 	PerRankStored    []int64 // edges stored by each rank's sink (engine runs)
 
-	// Recovery counters (zero on a run that needed no retry). After a
-	// retry EdgesGenerated/PerRankGenerated include replayed expansion
-	// work, while stored counts remain exactly-once.
-	RetriesPerRank    []int64 // attempts re-run, attributed to the rank at fault
-	RecoveredRuns     int64   // 1 when the run succeeded only after retries
-	DuplicatesSkipped int64   // replayed edges suppressed by checkpoint fencing
+	// Recovery counters (zero on a run that needed no retry). A replay
+	// resumes every tile at what its ranks already stored, so after a retry
+	// the generated counters still equal the stored ones — but for the
+	// ordered stream, whose replay generates again a tile's last edge held
+	// back by a failed attempt (streamRankSink): at most one per rank per
+	// failed attempt.
+	RetriesPerRank []int64 // attempts re-run, attributed to the rank at fault
+	RecoveredRuns  int64   // 1 when the run succeeded only after retries
 
 	// Robustness counters. HeadGeneration counts head incarnations across
 	// the run's ledger (1 = the head never died, and every in-process
@@ -221,8 +223,8 @@ func (c *cluster) run(parent context.Context, body func(rk *Rank) error) error {
 	return nil
 }
 
-// edgeBufs recycles edge buffers for its users: the fence of a rank whose
-// sink takes no packed blocks its widened block (fencedRankSink.store,
+// edgeBufs recycles edge buffers for its users: the fenced sink of a rank
+// whose sink takes no packed blocks its widened block (fencedRankSink.store,
 // endAttempt), and the stream sink its hand-off batches, which the consumer
 // gives back (streamSink.getBuf, recycle); packedBufs recycles each rank's
 // scratch block, checked out per attempt (runAttempt). They are

@@ -479,7 +479,7 @@ func awaitCluster(t *testing.T, head <-chan error, exits <-chan childExit, n int
 // process boundaries: a 4-process cluster in which one worker exits inside
 // its sink mid-run (buffered state lost with it), the driver respawns it
 // fault-free on the same listener, and the supervised head replays the
-// uncommitted tiles while the two surviving workers fence what they hold —
+// uncommitted tiles while the two surviving workers resume past what they hold —
 // the final store must hold exactly the serial product, with the recovery
 // visible in the head's stats.
 func TestClusterKillRecovery(t *testing.T) {
@@ -573,7 +573,7 @@ func TestClusterKillRecovery(t *testing.T) {
 // replays its durable ledger, bumps the head generation, re-accepts the
 // parked workers (whose joins re-announce their stored prefixes), and
 // finishes the run. The final store must match the serial product
-// edge-for-edge — zero duplicates, prefix-dedup fencing holding across
+// edge-for-edge — zero duplicates, resuming at stored prefixes holding across
 // the head generation change — and the ledger must replay to a done run
 // with every tile committed.
 func TestClusterHeadKillRecovery(t *testing.T) {
@@ -704,8 +704,8 @@ func TestClusterHeadFaultUnchanged(t *testing.T) {
 // configuration. Its per-(tile, rank) prefixes count positions in the
 // substream one owner map gives a rank in blocks of one size, so a head
 // handed a finished run's ledger under another owner map, another batch
-// size or another process split must refuse by identity, where seeding its
-// fences would suppress the wrong arcs of tiles whose counts still match.
+// size or another process split must refuse by identity, where resuming at
+// its prefixes would skip the wrong arcs of tiles whose counts still match.
 // The same configuration is accepted: that is a resume. (Ledgers written
 // under maps the engine no longer places by are TestConfigDigestPinned's.)
 func TestLedgerIdentityRefusesOtherRun(t *testing.T) {

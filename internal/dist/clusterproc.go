@@ -10,7 +10,7 @@ package dist
 //
 // Process 0 (the head) doubles as the run supervisor: it owns the
 // tile-checkpoint table, sends each attempt's uncommitted tiles (on their
-// planned ranks) and skip prefixes over persistent control connections, and
+// planned ranks) and stored prefixes over persistent control connections, and
 // checks and folds per-attempt reports. Its loop is the only one: an
 // in-process Run is one process with no ledger.
 // Recovery extends that posture from a killed goroutine to a killed *process*:
@@ -25,9 +25,9 @@ package dist
 //     and recomputes tile commitment non-stickily: a tile whose stored
 //     edges lived on the dead proc un-commits and replays. The replay
 //     covers only the tiles with arcs on the dead proc's ranks.
-//   - Survivors keep their sinks open across attempts and fence the
-//     already-stored prefix of every replayed tile substream, exactly
-//     as in-process recovery does, so delivery stays exactly-once.
+//   - Survivors keep their sinks open across attempts and resume every
+//     replayed tile at the prefix of its substream they already stored,
+//     exactly as in-process recovery does, so delivery stays exactly-once.
 //   - The respawned worker re-dials the head's control port and is handed
 //     the next epoch's assignment.
 //
@@ -44,10 +44,10 @@ package dist
 // announce their cumulative per-(rank, tile) stored prefixes in a join
 // message on every (re)connect. Those joins overwrite the replayed
 // table — the worker's own durable state is ground truth for its ranks
-// — so prefix fencing stays exactly-once even across a head generation
-// change where the ledger lags the workers' shards. Application-level
-// heartbeats, always on, turn a black-holed control link into a loud
-// failure within a configured deadline instead of a hang.
+// — so resuming at stored prefixes stays exactly-once even across a head
+// generation change where the ledger lags the workers' shards.
+// Application-level heartbeats, always on, turn a black-holed control link
+// into a loud failure within a configured deadline instead of a hang.
 
 import (
 	"context"
@@ -181,24 +181,23 @@ type ctrlMsg struct {
 	Epoch int64  `json:"epoch,omitempty"`
 
 	// begin: the attempt's tile assignment (tile IDs per rank; tiles are
-	// resolved against the locally reconstructed plan) and the
-	// skip prefixes each rank's fenced sink must suppress.
+	// resolved against the locally reconstructed plan) and each rank's
+	// stored prefix of every tile, where its walk resumes the tile.
 	Tiles map[int][]int         `json:"tiles,omitempty"`
 	Skip  map[int]map[int]int64 `json:"skip,omitempty"`
 
 	// done: the run's final error, empty on success.
 	Err string `json:"err,omitempty"`
 
-	// report: per-(rank, tile) edges newly stored this attempt, the
-	// duplicates suppressed, per-rank engine counters, traffic totals,
-	// and the attempt's error with its recovery classification.
+	// report: per-(rank, tile) edges newly stored this attempt, per-rank
+	// engine counters, traffic totals, and the attempt's error with its
+	// recovery classification.
 	// join reuses Stored with different semantics: the worker's
 	// *cumulative* per-(rank, tile) stored prefixes, absolute, which the
 	// head applies as ground truth for that proc's ranks (overwriting the
 	// table — a fresh respawn's empty join zeroes them, exactly what its
 	// truncated shards demand).
 	Stored      map[int]map[int]int64 `json:"stored,omitempty"`
-	Skipped     int64                 `json:"skipped,omitempty"`
 	Gen         map[int]int64         `json:"gen,omitempty"`
 	StoredN     map[int]int64         `json:"stored_n,omitempty"`
 	Traffic     trafficStats          `json:"traffic,omitempty"`
@@ -289,7 +288,6 @@ func foldReport(agg *Stats, rep *ctrlMsg) {
 	agg.EdgesGenerated += rep.Traffic.Generated
 	agg.OwnerRowsTested += rep.Traffic.RowsTested
 	agg.ArcsCompacted += rep.Traffic.Compacted
-	agg.DuplicatesSkipped += rep.Skipped
 	for rk, n := range rep.Gen {
 		agg.PerRankGenerated[rk] += n
 	}
@@ -440,7 +438,7 @@ func runClusterWorker(ctx context.Context, h *rankHost) (Stats, error) {
 // (high and low bits both vary): the ledger's per-(tile, rank) prefixes
 // count positions in the substream *this* map sends to a rank, so a ledger
 // written under another map — another kind, or the same name at another
-// commit — would fence the wrong arcs out of tiles whose counts still match.
+// commit — would resume tiles at the wrong arcs where their counts still match.
 // An owner is probed through its source form for the plan, the one the
 // engine places with (OwnerBySource's is bound to the innermost factor's
 // vertex count).

@@ -33,9 +33,9 @@ var (
 // ArcSlice, all of them under 1D partitioning and one of Q parts under 2D,
 // and the rest of the tail whole. A two-factor product is the chain whose
 // tail is [B]. ID is the tile's plan-wide identity: it is stable across run
-// attempts, which is what checkpoints and the exactly-once sink fence key
-// on — at any chain depth, because the tail expansion order is the
-// deterministic lexicographic odometer order of core.TailCursor.
+// attempts, which is what checkpoints and a replay's resume at a stored
+// prefix key on — at any chain depth, because the tail expansion order is
+// the deterministic lexicographic odometer order of core.TailCursor.
 type Tile struct {
 	ID     int
 	AArcs  []graph.Edge
@@ -253,17 +253,18 @@ func (cfg Config) batchSize() int {
 // vertices. With no owner, the cursor fills a reused scratch block. With
 // one (bySource, its source form: sourceForm) every rank walks every tile
 // and expands only the rows it owns (ownedRows): nothing is staged,
-// batched or sent, at any R. Blocks go to the fenced sink sinkFor returns;
-// perGen/perStored get the per-rank counters.
+// batched or sent, at any R. prefix[rank] is what the rank's sink already
+// stored of each tile, where its walk resumes (walk.tiles). Blocks go to
+// the sink sinkFor returns; perGen/perStored get the per-rank counters.
 //
 // Expansion order is exactly the reference order — head arcs in tile
 // order, each crossed with the tail's composed arcs in lexicographic CSR
 // order (core.Chain.Arcs) — so what reaches a rank's sink per (tile, rank)
 // is the tile's stream filtered by the owner map, in order, byte-identical
-// across attempts. That determinism is what tile checkpoints and
-// prefix-dedup recovery key on; the step size changes polling granularity,
+// across attempts. That determinism is what tile checkpoints and resuming
+// at a stored prefix key on; the step size changes polling granularity,
 // never order. A fault-armed run walks the same blocks.
-func runAttempt(ctx context.Context, c *cluster, plan Plan, owner Owner, bySource func(u int64) int, tiles [][]Tile, sinkFor func(*Rank) (*fencedRankSink, error), perGen, perStored []int64, batch int) error {
+func runAttempt(ctx context.Context, c *cluster, plan Plan, owner Owner, bySource func(u int64) int, tiles [][]Tile, prefix []map[int]int64, sinkFor func(*Rank) (*fencedRankSink, error), perGen, perStored []int64, batch int) error {
 	// Shared by the ranks: the map is pure, and OwnerBySource's class
 	// partition is built once and then only read.
 	var place *placing
@@ -283,7 +284,7 @@ func runAttempt(ctx context.Context, c *cluster, plan Plan, owner Owner, bySourc
 		// out of the package freelist — expansion allocates nothing in steady
 		// state and per-rank memory stays O(|E_A|/R + |E_B| + batch) even
 		// when this rank's B is large.
-		w := walk{rk: rk, as: as, faults: c.faults, batch: batch, scratch: checkOut(c, &packedBufs, batch)}
+		w := walk{rk: rk, as: as, prefix: prefix[rk.ID()], faults: c.faults, batch: batch, scratch: checkOut(c, &packedBufs, batch)}
 		if place != nil {
 			w.own = place.rows(rk.ID(), batch)
 		}
@@ -295,7 +296,7 @@ func runAttempt(ctx context.Context, c *cluster, plan Plan, owner Owner, bySourc
 		atomic.AddInt64(&rk.c.stats.EdgesGenerated, w.generated)
 		perGen[rk.ID()] = w.generated
 		perStored[rk.ID()] = w.stored
-		skipped := as.endAttempt()
+		as.endAttempt()
 		switch {
 		case w.sinkErr != nil:
 			return w.sinkErr
@@ -307,12 +308,12 @@ func runAttempt(ctx context.Context, c *cluster, plan Plan, owner Owner, bySourc
 		if err := rk.crashAt(FaultAfterWalk); err != nil {
 			return err
 		}
-		// Every arc the rank generated must be stored or suppressed as a
-		// replayed duplicate: a block a sink dropped without an error would
-		// otherwise be a silent partial result. Each rank checks its own
-		// count, so no other rank's error can cancel it out.
-		if w.generated != w.stored+skipped {
-			return fmt.Errorf("dist: rank %d imbalance: generated %d arcs, stored %d, skipped %d", rk.ID(), w.generated, w.stored, skipped)
+		// Every arc the rank generated must be stored: a block a sink
+		// dropped without an error would otherwise be a silent partial
+		// result. Each rank checks its own count, so no other rank's error
+		// can cancel it out.
+		if w.generated != w.stored {
+			return fmt.Errorf("dist: rank %d imbalance: generated %d arcs, stored %d", rk.ID(), w.generated, w.stored)
 		}
 		return nil
 	})
@@ -347,7 +348,8 @@ func walkable(plan Plan) error {
 type walk struct {
 	rk      *Rank
 	as      *fencedRankSink
-	faults  *faultState // nil unless the run is fault-armed
+	prefix  map[int]int64 // per tile, the arcs the rank's sink already stored
+	faults  *faultState   // nil unless the run is fault-armed
 	batch   int
 	scratch []uint64
 	own     *ownedRows // a source owner's pick; nil otherwise
@@ -373,16 +375,28 @@ const contextPoll = 64
 // core.TailCursor for the whole walk, windowed to each tile's part, at
 // every depth, in lexicographic CSR order — kernel_test.go holds every
 // depth to the per-edge reference.
+//
+// A replay resumes each tile where the rank's sink stopped, generating
+// none of what it stored. With no owner that prefix is a position in the
+// tile's stream, added to Skip; under one it counts the rank's owned arcs,
+// which the walk drops from the first sweeps' picks before expanding any
+// (ownedRows.drop).
 func (w *walk) tiles(plan Plan, tiles []Tile) {
 	var cur *core.TailCursor
 	for ti := range tiles {
 		t := &tiles[ti]
-		// rem is the tile's windowed arc budget; Skip locates the start
+		// rem is the tile's windowed arc budget; skip locates the start
 		// position arithmetically (A-arc index + in-tail offset) so the
 		// skipped prefix is never generated — the seek cost is independent
-		// of Skip's magnitude.
-		rem := plan.Arcs(*t)
-		if rem == 0 {
+		// of skip's magnitude.
+		rem, skip := plan.Arcs(*t), t.Skip
+		if stored := w.prefix[t.ID]; w.own != nil {
+			w.own.drop = stored
+		} else {
+			rem -= stored
+			skip += stored
+		}
+		if rem <= 0 {
 			continue
 		}
 		if cur == nil {
@@ -395,8 +409,8 @@ func (w *walk) tiles(plan Plan, tiles []Tile) {
 		w.rk.setPhase(expandLabels)
 		nT := cur.NumVertices()
 		nTail := cur.Total()
-		aStart := int(t.Skip / nTail)
-		tailPos := t.Skip % nTail
+		aStart := int(skip / nTail)
+		tailPos := skip % nTail
 		for ai := aStart; ai < len(t.AArcs) && rem > 0; ai++ {
 			aArc := t.AArcs[ai]
 			if ai == aStart {
@@ -482,12 +496,9 @@ func (w *walk) place(tile int, block []uint64, u0, v0 int64) bool {
 	return true
 }
 
-// deliver hands one block, past the fence's replayed prefix, to the rank's
-// sink; a sink error cancels the run, which stops the other ranks' walks.
+// deliver hands one block to the rank's sink; a sink error cancels the
+// run, which stops the other ranks' walks.
 func (w *walk) deliver(tile int, block []uint64, u0, v0 int64) bool {
-	if block = block[w.as.fence(tile, len(block)):]; len(block) == 0 {
-		return true
-	}
 	n, err := w.as.store(tile, block, u0, v0)
 	w.stored += n
 	if err != nil {

@@ -156,9 +156,9 @@ func assertPlacement(t *testing.T, ms *MemorySink, owner Owner, plan Plan) {
 // TestRecoverKernelOddBatchSoak replays the supervised-recovery contract
 // on the blocked kernel with batch sizes that misalign with tiles and
 // blocks (including 1): a mid-expansion crash of the busiest owner must
-// still yield the exact reference edge set, because prefix deduplication
-// counts edges — it must hold for any block framing of the per-(tile,
-// rank) substreams.
+// still yield the exact reference edge set, because the stored prefix a
+// replay resumes at counts edges — it must hold for any block framing of
+// the per-(tile, rank) substreams.
 func TestRecoverKernelOddBatchSoak(t *testing.T) {
 	a := gen.ER(7, 0.5, 411).WithFullSelfLoops()
 	b := gen.PrefAttach(6, 2, 412)

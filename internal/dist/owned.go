@@ -60,6 +60,7 @@ type ownedRows struct {
 	i, j   int         // the current sweep's owned arcs in the pick not yet expanded
 	u0, v0 int64       // the current sweep's block base
 	base   uint64      // its arcs' offset from that base, u | v<<32
+	drop   int64       // owned arcs of the tile still to drop unexpanded: the rank's stored prefix
 
 	rows int64 // Stats.OwnerRowsTested: the picks made
 }
@@ -69,8 +70,9 @@ type ownedRows struct {
 // reports — and makes the arcs of it this rank owns, [i, j) of the pick,
 // what walk.owned expands: each plus base, in blocks based at (u0, v0), the
 // head arc's offset plus cur.High, as the cursor's own blocks are. A sweep
-// the rank owns nothing of costs the odometer step. cur is windowed as the
-// pick is.
+// the rank owns nothing of costs the odometer step. The first drop owned
+// arcs of the tile, which the rank's sink already stored, leave the sweep
+// unexpanded. cur is windowed as the pick is.
 func (o *ownedRows) sweep(cur *core.TailCursor, uBase, vBase, rem int64) int64 {
 	uHi, vHi := cur.High()
 	lo, hi, uPre, vPre := cur.NextSweep(rem)
@@ -88,6 +90,9 @@ func (o *ownedRows) sweep(cur *core.TailCursor, uBase, vBase, rem int64) int64 {
 	if hi-lo < o.hi-o.lo {
 		o.i, o.j = o.index(lo), o.index(hi)
 	}
+	d := min(o.drop, int64(o.j-o.i))
+	o.i += int(d)
+	o.drop -= d
 	return int64(hi - lo)
 }
 

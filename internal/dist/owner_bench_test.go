@@ -41,7 +41,7 @@ import (
 // every one of them and owns a row or two of each, so little is amortised.
 // engine is the engine itself: Run with no owner into a CountSink, the
 // product planned on one rank so one goroutine walks it — expand's work plus
-// the engine's per-block path (the sink call through the fence, the
+// the engine's per-block path (the sink call through fencedRankSink, the
 // stop-flag load) and one run's set-up, the only row that allocates. The
 // owner-side rows also report skew, the busiest rank's arcs over ideal. CI
 // (make bench-route) holds ownerSide to ≤ 3 × ownerSideOne and ≤ 3.5 ×

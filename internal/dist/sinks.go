@@ -11,9 +11,10 @@ import (
 	"kronlab/internal/store"
 )
 
-// The sinks below never see a retry: the engine wraps every RankSink in
-// a fencing layer (supervisor.go) that suppresses replayed duplicates and
-// closes the sink once, after the run's last attempt, so a sink observes
+// The sinks below never see a retry: a replay resumes every tile at what
+// the rank's sink already stored (walk.tiles), and the engine keeps every
+// RankSink (supervisor.go's fencedRankSink) open across attempts and
+// closes it once, after the run's last attempt, so a sink observes
 // exactly the same Store/Close sequence a fault-free run would deliver. "Durable" in the simulation means the Go object
 // survives the simulated rank's death — which it does, because a crashed
 // rank is a returned goroutine, not a lost process image.
@@ -177,7 +178,7 @@ func (c *countRankSink) Close() error {
 // both the staging block and the writer goroutine belong to the sink
 // instance, which survives run attempts (Close comes after the last) — so
 // every edge a checkpoint counted is either on disk or still in this
-// pipeline, and replayed duplicates are fenced off before they reach it.
+// pipeline, and a replay resumes past them instead of generating them again.
 type StoreSink struct {
 	Dir    string
 	counts []int64
@@ -440,13 +441,13 @@ func (s *streamSink) Rank(rk *Rank) (RankSink, error) {
 // What "stored" means here, for the checkpoint table: an edge counts as
 // stored once it is in buf — the instance and its buffer outlive a
 // torn-down attempt, so buffered edges reach the consumer on a later
-// hand-off and the fence must not let them be generated again — with one
+// hand-off and the replay must not generate them again — with one
 // exception: the edge that completes a tile is acknowledged only when the
 // tile's tail has been handed over. A tile therefore commits exactly when
 // the consumer has all of it. A tail hand-off that teardown interrupts
 // leaves the tile one edge short of its closed-form count; the ordinary
-// fence-and-replay brings the rank back to that tile, suppresses all but
-// its last edge, and the hand-off is made again.
+// replay brings the rank back to that tile, seeks to its last edge, and
+// the hand-off is made again.
 type streamRankSink struct {
 	s    *streamSink
 	rk   *Rank // for the attempt context — hand-offs must not outlive teardown
@@ -493,8 +494,14 @@ func buffer[B graph.Edge | uint64](t *streamRankSink, tile int, block []B, u0, v
 		}
 		if len(t.buf) >= t.s.batch || t.left == 0 {
 			if err := t.handOff(); err != nil {
+				// Teardown cut the hand-off: the buffer keeps the rest of the
+				// block too, past batch until its next hand-off, so a replay
+				// generates none of it again — but for the tile's last edge,
+				// held back (see the type comment).
+				t.buf = add(t.buf, block, u0, v0)
+				stored += int64(len(block))
+				t.left -= int64(len(block))
 				if t.left == 0 {
-					// Hold the tile's last edge back (see the type comment).
 					t.buf = t.buf[:len(t.buf)-1]
 					t.left++
 					stored--

@@ -45,9 +45,9 @@ const DefaultStreamBatch = 1024
 // Range/resume-token serving depends on.
 //
 // rec is the retry policy (see Recovery). A recovered stream delivers
-// every edge exactly once: the fenced sinks suppress replayed prefixes,
-// and a tile commits only once the consumer has all of it (see
-// streamRankSink).
+// every edge exactly once: a replay resumes every tile at what its rank
+// already accepted, and a tile commits only once the consumer has all of
+// it (see streamRankSink).
 func StreamChainFrom(ctx context.Context, ch *core.Chain, r int, twoD bool, batch int, offset, limit int64, rec Recovery, emit func([]graph.Edge) error) (Stats, error) {
 	if r < 1 {
 		return Stats{}, fmt.Errorf("dist: stream needs ≥ 1 rank, got %d", r)

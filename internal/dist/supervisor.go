@@ -1,11 +1,12 @@
 package dist
 
 // Run supervision: what the one attempt loop (runClusterHead, of which Run
-// is the one-process case) drives — the tile checkpoint table, the fenced
-// per-rank sinks, and the per-process host that runs an epoch. The paper's
-// expansion is embarrassingly parallel over factor tile pairs, so a
-// crashed rank's work is safely re-executable — the detect-and-reexecute
-// posture MapReduce-lineage systems take for idempotent partitioned work:
+// is the one-process case) drives — the tile checkpoint table, the
+// per-rank sinks that outlive attempts, and the per-process host that runs
+// an epoch. The paper's expansion is embarrassingly parallel over factor
+// tile pairs, so a crashed rank's work is safely re-executable — the
+// detect-and-reexecute posture MapReduce-lineage systems take for
+// idempotent partitioned work:
 //
 //   - Checkpoints are tile-level and deterministic: for each plan tile
 //     the table (checkpoints) tracks how many of its edges each rank's
@@ -13,21 +14,20 @@ package dist
 //     reaches its known ground-truth arc count (Plan.Arcs — computable up
 //     front, in the paper's spirit of properties known before generation).
 //   - Every rank's sink has one lifetime (rankHost): created in the
-//     rank's first attempt, fed tile-framed blocks through the fence (an
-//     empty skip table on attempt 0), closed exactly once after the last
-//     attempt.
+//     rank's first attempt, fed tile-framed blocks by every attempt,
+//     closed exactly once after the last attempt.
 //   - On a recoverable fault (a RankCrashError, or a process that died)
 //     the failed attempt's partial progress is harvested, the failed rank
 //     is respawned, and the uncommitted tiles are replayed after an
 //     exponential backoff — each on the ranks the plan gave it: placement is
 //     decided once, from the plan and the owner, and no attempt moves a tile.
-//   - Replay is exactly-once by deterministic prefix deduplication: a
-//     tile's expansion order is fixed, the owner map is pure, and a rank
-//     generates the arcs it stores itself, in that order, so the substream
-//     of a tile reaching one rank's sink is identical across attempts and
-//     the stored count is always a prefix of it. Each attempt the fenced
-//     sinks suppress exactly that prefix. Nothing crosses a rank boundary,
-//     so no straggler of an earlier attempt can reach a sink.
+//   - Replay is exactly-once by seeking: a tile's expansion order is
+//     fixed, the owner map is pure, and a rank generates the arcs it stores
+//     itself, in that order, so the substream of a tile reaching one rank's
+//     sink is identical across attempts and the stored count is always a
+//     prefix of it. Each attempt a rank resumes every tile at that prefix
+//     (walk.tiles) and generates none of it again. Nothing crosses a rank
+//     boundary, so no straggler of an earlier attempt can reach a sink.
 //   - With the budget exhausted — at once when Recovery.MaxRetries is
 //     zero — the last fault is returned unchanged.
 
@@ -35,6 +35,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"time"
 
@@ -117,8 +118,8 @@ func (cp *checkpoints) zeroRanks(lo, hi int) {
 // assign recomputes commitment and returns the next attempt's work: the
 // uncommitted tile IDs per planned rank, in plan order (under a source
 // owner only their union matters: every rank walks it, see
-// rankHost.resolveTiles), and the prefix each rank's fence must suppress
-// per tile — the stored prefix of each (tile, storing rank). Producers never
+// rankHost.resolveTiles), and the prefix each rank resumes each tile at —
+// the stored prefix of each (tile, storing rank). Producers never
 // move, so under no owner, where the one storing rank is the planned one,
 // that is the tile's whole stored total.
 func (cp *checkpoints) assign() (tiles map[int][]int, skip map[int]map[int]int64) {
@@ -143,12 +144,13 @@ func (cp *checkpoints) assign() (tiles map[int][]int, skip map[int]map[int]int64
 	return tiles, skip
 }
 
-// fencedRankSink is the engine's per-rank sink: it suppresses the
-// already-stored prefix of each tile's substream (nothing on a first
-// attempt) and keeps the underlying RankSink open across attempts. All
-// per-attempt state is touched by one goroutine at a time — the rank's
-// body within an attempt, the rankHost between attempts, with
-// happens-before through RunContext's spawn and join.
+// fencedRankSink is the engine's per-rank sink: it keeps the underlying
+// RankSink open across attempts, hands each block to its fastest path and
+// counts what it stored per tile. A replay never reaches it with an arc it
+// already stored: the walk resumes each tile at the rank's stored prefix
+// (walk.tiles). All per-attempt state is touched by one goroutine at a
+// time — the rank's body within an attempt, the rankHost between attempts,
+// with happens-before through RunContext's spawn and join.
 type fencedRankSink struct {
 	rank  int
 	under RankSink          // created lazily once, reused across attempts
@@ -157,15 +159,12 @@ type fencedRankSink struct {
 	pbs   PackedBlockStorer // under's packed path; without it blocks are widened into wide
 	wide  []graph.Edge      // the widened block: from edgeBufs at the attempt's first widening, back at endAttempt
 
-	skip    map[int]int64 // remaining prefix to suppress this attempt, per tile
-	stored  map[int]int64 // edges newly stored this attempt, per tile
-	skipped int64         // duplicates suppressed this attempt
+	stored map[int]int64 // edges newly stored this attempt, per tile
 
-	// Hot-path cache of the current tile's counters; batches arrive
+	// Hot-path cache of the current tile's count; batches arrive
 	// tile-framed, so tile switches are rare and the per-batch cost is an
-	// int compare instead of two map lookups.
+	// int compare instead of a map lookup.
 	curTile int
-	curSkip int64
 	curNew  int64
 
 	// The host allocates its ranks' sinks back to back and every rank
@@ -174,43 +173,24 @@ type fencedRankSink struct {
 	_ [64]byte
 }
 
-func (f *fencedRankSink) setTile(tile int) {
-	f.flushCur()
-	f.curTile = tile
-	f.curSkip = f.skip[tile]
-	f.curNew = 0
-}
-
 func (f *fencedRankSink) flushCur() {
 	if f.curTile >= 0 {
-		f.skip[f.curTile] = f.curSkip
 		f.stored[f.curTile] += f.curNew
 	}
 	f.curTile = -1
 }
 
-// fence suppresses the replayed prefix of one tile-framed block of n arcs
-// and returns how many of its leading arcs it suppressed: batching
-// preserves substream order, so the replayed prefix is simply the leading
-// min(curSkip, n) arcs of however many blocks it spans.
-func (f *fencedRankSink) fence(tile, n int) int {
-	if tile != f.curTile {
-		f.setTile(tile)
-	}
-	skip := min(int64(n), f.curSkip)
-	f.curSkip -= skip
-	f.skipped += skip
-	return int(skip)
-}
-
-// store hands what the fence let through of a block, its arcs relative to
-// (u0, v0), to the sink's fastest path — whole to StorePackedBlock, else
-// widened into the fence's own block (wide) for StoreTileBlock, StoreBlock,
-// else Store per edge — and reports how many of the arcs it stored (fewer
-// than len(arcs) when a store failed partway: checkpoint accounting needs
-// the exact count). The block aliases an engine buffer recycled after the
-// call returns.
+// store hands one block, its arcs relative to (u0, v0), to the sink's
+// fastest path — whole to StorePackedBlock, else widened into the sink's
+// own block (wide) for StoreTileBlock, StoreBlock, else Store per edge —
+// and reports how many of the arcs it stored (fewer than len(arcs) when a
+// store failed partway: checkpoint accounting needs the exact count). The
+// block aliases an engine buffer recycled after the call returns.
 func (f *fencedRankSink) store(tile int, arcs []uint64, u0, v0 int64) (stored int64, err error) {
+	if tile != f.curTile {
+		f.flushCur()
+		f.curTile, f.curNew = tile, 0
+	}
 	if f.pbs != nil {
 		stored, err = f.pbs.StorePackedBlock(tile, arcs, u0, v0)
 		f.curNew += stored
@@ -238,16 +218,14 @@ func (f *fencedRankSink) store(tile int, arcs []uint64, u0, v0 int64) (stored in
 }
 
 // endAttempt runs on the rank's goroutine after its walk has finished —
-// even on teardown — and returns the duplicates suppressed this attempt,
-// the balance check's adjustment, and the widened block to edgeBufs. The
+// even on teardown — and returns the widened block to edgeBufs. The
 // underlying sink stays open.
-func (f *fencedRankSink) endAttempt() int64 {
+func (f *fencedRankSink) endAttempt() {
 	f.flushCur()
 	if f.wide != nil {
 		edgeBufs.put(f.wide)
 		f.wide = nil
 	}
-	return f.skipped
 }
 
 // rankHost is one process's share of a run across attempts: the sinks of
@@ -265,12 +243,12 @@ type rankHost struct {
 	bySource func(u int64) int
 
 	// cum is this process's cumulative per-(rank, tile) stored prefixes
-	// across all attempts — the floor under every fence it is asked to
-	// arm, and the durable truth a cluster worker announces in its join
+	// across all attempts — the floor under every prefix a replay resumes
+	// at, and the durable truth a cluster worker announces in its join
 	// message after every control (re)dial. It is what keeps delivery
 	// exactly-once across a head generation change: a respawned head's
-	// ledger may lag the worker's shards, but the worker never fences
-	// below what it already stored.
+	// ledger may lag the worker's shards, but the worker never resumes a
+	// tile below what it already stored.
 	cum map[int]map[int]int64
 
 	// local is the process's one cluster, hosting [lo, hi), Reset after
@@ -371,9 +349,10 @@ func (h *rankHost) resolveTiles(ids map[int][]int) ([][]Tile, error) {
 }
 
 // attempt runs one epoch of the engine for the local ranks: resolve the
-// assignment, arm the fences, run, harvest what each sink newly stored per
-// tile, Reset the cluster. The returned report is what a cluster worker
-// sends to the head and what the head folds directly.
+// assignment and each rank's stored prefix of every tile, run, harvest what
+// each sink newly stored per tile, Reset the cluster. The returned report
+// is what a cluster worker sends to the head and what the head folds
+// directly.
 func (h *rankHost) attempt(ctx context.Context, epoch int64, ids map[int][]int, skip map[int]map[int]int64) ctrlMsg {
 	rep := ctrlMsg{Kind: ctrlReport, Epoch: epoch}
 	assigned, err := h.resolveTiles(ids)
@@ -383,25 +362,21 @@ func (h *rankHost) attempt(ctx context.Context, epoch int64, ids map[int][]int, 
 	}
 	c := h.local
 	held := c.outstandingBufs()
+	r := h.cfg.Plan.R
+	prefix := make([]map[int]int64, r)
 	for _, f := range h.sinks {
-		f.skip = make(map[int]int64, len(skip[f.rank]))
+		// Never below what this process already stored.
+		p := maps.Clone(h.cum[f.rank])
 		for id, n := range skip[f.rank] {
-			f.skip[id] = n
+			p[id] = max(p[id], n)
 		}
-		// Fence floor: never below what this process already stored.
-		for id, n := range h.cum[f.rank] {
-			if n > f.skip[id] {
-				f.skip[id] = n
-			}
-		}
+		prefix[f.rank] = p
 		f.stored = make(map[int]int64)
-		f.skipped = 0
 		f.curTile = -1
 	}
-	r := h.cfg.Plan.R
 	perGen := make([]int64, r)
 	perStored := make([]int64, r)
-	err = runAttempt(ctx, c, h.cfg.Plan, h.cfg.Owner, h.bySource, assigned, h.sinkFor, perGen, perStored, h.cfg.batchSize())
+	err = runAttempt(ctx, c, h.cfg.Plan, h.cfg.Owner, h.bySource, assigned, prefix, h.sinkFor, perGen, perStored, h.cfg.batchSize())
 	st := c.Stats()
 
 	rep.Stored = make(map[int]map[int]int64, len(h.sinks))
@@ -422,7 +397,6 @@ func (h *rankHost) attempt(ctx context.Context, epoch int64, ids map[int][]int, 
 			}
 		}
 		rep.Stored[f.rank] = m
-		rep.Skipped += f.skipped
 		rep.Gen[f.rank] = perGen[f.rank]
 		rep.StoredN[f.rank] = perStored[f.rank]
 	}
@@ -498,19 +472,21 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // tiles through the blocked kernel (core.TailCursor, one head arc against
 // the tile's tail, ≤ BatchSize arcs per block) — its planned tiles, or under
 // an owner its own rows of every tile — and hands the blocks to its
-// RankSink — via BlockStorer when the sink implements it, per-edge Store
-// otherwise.
+// RankSink: packed, via PackedBlockStorer.StorePackedBlock, when the sink
+// implements it, else widened into graph.Edges for StoreTileBlock,
+// StoreBlock or per-edge Store.
 //
 // Cancelling ctx stops every rank at its next block; the first real error
 // (a failed sink, or the cancellation cause) is returned.
 //
 // Run is RunCluster with one process and no ledger: one cluster is reused
 // across up to 1+MaxRetries attempts (Reset between them). A rank crash
-// triggers a bounded-backoff replay from tile-level checkpoints, with the
-// fenced sinks keeping delivery exactly-once; with no budget left the fault
-// is returned unchanged. Stats aggregate across attempts — generated
-// counters include replayed work, stored counts stay exactly-once — and the
-// recovery counters record what recovery did.
+// triggers a bounded-backoff replay from tile-level checkpoints, each rank
+// resuming every tile at what its sink already stored, so delivery stays
+// exactly-once; with no budget left the fault is returned unchanged. Stats
+// aggregate across attempts — a replay generates nothing it stored, so
+// generated counters equal stored ones (see Stats) — and the recovery
+// counters record what recovery did.
 func Run(ctx context.Context, cfg Config) (Stats, error) {
 	return RunCluster(ctx, ClusterConfig{Procs: []transport.Proc{{Hi: cfg.Plan.R}}}, cfg)
 }

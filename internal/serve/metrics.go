@@ -49,9 +49,8 @@ type Metrics struct {
 	GenRequests atomic.Int64
 
 	// Supervised-recovery activity inside generation runs.
-	GenRetries    atomic.Int64
-	GenRecovered  atomic.Int64
-	GenDupSkipped atomic.Int64
+	GenRetries   atomic.Int64
+	GenRecovered atomic.Int64
 }
 
 // ObserveHeavy folds one admitted heavy-request duration into the
@@ -120,7 +119,6 @@ func (m *Metrics) AddGenStats(st dist.Stats) {
 	m.GenBytes.Add(st.BytesSent)
 	m.GenRetries.Add(st.TotalRetries())
 	m.GenRecovered.Add(st.RecoveredRuns)
-	m.GenDupSkipped.Add(st.DuplicatesSkipped)
 }
 
 // WriteText renders the counters in Prometheus text exposition format.
@@ -195,6 +193,4 @@ func (m *Metrics) WriteText(w io.Writer, cache *SummaryCache, lim *Limiter, fact
 	fmt.Fprintf(w, "kronserve_gen_retries_total %d\n", m.GenRetries.Load())
 	fmt.Fprintf(w, "# TYPE kronserve_gen_recovered_total counter\n")
 	fmt.Fprintf(w, "kronserve_gen_recovered_total %d\n", m.GenRecovered.Load())
-	fmt.Fprintf(w, "# TYPE kronserve_gen_duplicates_skipped_total counter\n")
-	fmt.Fprintf(w, "kronserve_gen_duplicates_skipped_total %d\n", m.GenDupSkipped.Load())
 }

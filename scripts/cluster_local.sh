@@ -223,12 +223,20 @@ while [ "$i" -lt "$PROCS" ]; do
 done
 
 # First head incarnation: armed to SIGKILL itself inside the 4th block its
-# store sink is handed. It MUST die — a clean exit means the kill schedule
-# never fired and the phase proved nothing.
-if KRONLAB_TCP_KILL_FRAMES=4 "$WORK/krongen" -a "$A" -power 3 -mode "$MODE" -ranks "$RANKS" \
+# store sink is handed. It MUST die of that SIGKILL (status 137) — a clean
+# exit means the kill schedule never fired and the phase proved nothing,
+# and any other death (a panic, a refused run) is a failure of its own.
+STATUS=0
+KRONLAB_TCP_KILL_FRAMES=4 "$WORK/krongen" -a "$A" -power 3 -mode "$MODE" -ranks "$RANKS" \
     -store "$WORK/st-headkill" -cluster-peers "$KPEERS" -cluster-self 0 \
-    -ledger "$LEDGER" -head-retries 20 2>/dev/null; then
+    -ledger "$LEDGER" -head-retries 20 2>"$WORK/head1.err" || STATUS=$?
+if [ "$STATUS" -eq 0 ]; then
     echo "cluster_local: FAIL — armed head survived its kill schedule (lower the block count?)" >&2
+    exit 1
+fi
+if [ "$STATUS" -ne 137 ]; then
+    cat "$WORK/head1.err" >&2
+    echo "cluster_local: FAIL — armed head exited with status $STATUS, not by its SIGKILL" >&2
     exit 1
 fi
 echo "cluster_local: head killed mid-run; respawning" >&2
