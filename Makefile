@@ -78,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime 5s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz FuzzBinaryRoundTrip -fuzztime 5s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz FuzzNew -fuzztime 5s ./internal/graph/
+	$(GO) test -run '^$$' -fuzz FuzzRMAT -fuzztime 5s ./internal/gen/
 	$(GO) test -run '^$$' -fuzz FuzzChainIndex -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzExpand -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 5s ./internal/dist/transport/wire/
