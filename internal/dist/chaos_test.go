@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -666,13 +667,14 @@ func TestRecoverExhaustedBudgetStaysLoud(t *testing.T) {
 	}
 }
 
-// TestCheckpointsAssignOneRule: the checkpoint table's one skip rule. On a
-// 2D plan where rank 0 holds two tiles, with partial counts harvested,
-// rank 1's tile stored whole and one process's ranks zeroed, assign hands every
-// uncommitted tile to its planned rank in plan order and asks each storing
-// rank to skip exactly its stored prefix of it; the committed tile is
-// absent. Under no owner a tile's one storing rank is its planned rank, so
-// the skip lands there alone and is the tile's whole stored total.
+// TestCheckpointsAssignOneRule: the checkpoint table's one fold and one
+// assignment rule. On a 2D plan where rank 0 holds two tiles, each process
+// reports absolute per-(rank, tile) counts — rank 1's tile stored whole on
+// ranks 0 and 1, every other tile in part — and set makes a process's rows
+// exactly its absolutes (a second identical report does not add), ignores
+// ranks outside the process and tiles the plan lacks, and zeroes a dead
+// process's range. assign then hands every uncommitted tile to its planned
+// rank in plan order; the committed tile is absent.
 func TestCheckpointsAssignOneRule(t *testing.T) {
 	const r = 3
 	plan, err := PlanChain2D(mustChain(gen.ER(6, 0.5, 271), gen.PrefAttach(6, 2, 272)), r)
@@ -684,6 +686,20 @@ func TestCheckpointsAssignOneRule(t *testing.T) {
 	}
 	done := plan.Tiles[1][0] // stored whole on ranks 0 and 1, which survive
 	const deadLo, deadHi = 2, 3
+	rows := func(cp *checkpoints) map[int]map[int]int64 {
+		got := make(map[int]map[int]int64)
+		for _, ts := range cp.tiles {
+			for d, n := range ts.stored {
+				if n != 0 {
+					if got[d] == nil {
+						got[d] = make(map[int]int64)
+					}
+					got[d][ts.tile.ID] = n
+				}
+			}
+		}
+		return got
+	}
 	for _, owned := range []bool{false, true} {
 		cp := newCheckpoints(plan)
 		stored := make(map[int]map[int]int64)
@@ -691,7 +707,6 @@ func TestCheckpointsAssignOneRule(t *testing.T) {
 			stored[d] = make(map[int]int64)
 		}
 		wantTiles := make(map[int][]int)
-		wantSkip := make(map[int]map[int]int64)
 		for rk, ts := range plan.Tiles {
 			for _, tl := range ts {
 				if tl.ID == done.ID {
@@ -712,36 +727,32 @@ func TestCheckpointsAssignOneRule(t *testing.T) {
 						t.Fatalf("tile %d has %d arcs, too few to split", tl.ID, plan.Arcs(tl))
 					}
 					stored[d][tl.ID] = n
-					if d < deadLo || d >= deadHi {
-						if wantSkip[d] == nil {
-							wantSkip[d] = make(map[int]int64)
-						}
-						wantSkip[d][tl.ID] = n
-					}
 				}
 			}
 		}
-		cp.harvest(stored)
-		cp.zeroRanks(deadLo, deadHi)
-		tiles, skip := cp.assign()
-		if !reflect.DeepEqual(tiles, wantTiles) {
+		// Processes [0, 2) and [2, 3). The first one's report also names
+		// the second one's rank and a tile the plan lacks: neither may land.
+		cp.set(deadLo, deadHi, map[int]map[int]int64{2: stored[2]})
+		first := map[int]map[int]int64{0: maps.Clone(stored[0]), 1: stored[1], 2: {done.ID: 1}}
+		first[0][999] = 5
+		cp.set(0, deadLo, first)
+		cp.set(0, deadLo, first)
+		want := maps.Clone(stored)
+		for d, m := range want {
+			if len(m) == 0 {
+				delete(want, d)
+			}
+		}
+		if got := rows(cp); !reflect.DeepEqual(got, want) {
+			t.Fatalf("owned=%v: after every process's report the table holds %v, want each rank's absolutes %v", owned, got, want)
+		}
+		cp.set(deadLo, deadHi, nil)
+		delete(want, 2)
+		if got := rows(cp); !reflect.DeepEqual(got, want) {
+			t.Fatalf("owned=%v: after process [%d,%d) died the table holds %v, want %v", owned, deadLo, deadHi, got, want)
+		}
+		if tiles := cp.assign(); !reflect.DeepEqual(tiles, wantTiles) {
 			t.Fatalf("owned=%v: assigned %v, want every uncommitted tile on its planned rank in plan order: %v", owned, tiles, wantTiles)
-		}
-		if !reflect.DeepEqual(skip, wantSkip) {
-			t.Fatalf("owned=%v: skip %v, want each storing rank's surviving prefix: %v", owned, skip, wantSkip)
-		}
-		if owned {
-			continue
-		}
-		for rk, ts := range plan.Tiles {
-			for _, tl := range ts {
-				for d, m := range skip {
-					if n, ok := m[tl.ID]; ok && (d != rk || n != cp.byID[tl.ID].storedTotal()) {
-						t.Fatalf("no owner: tile %d (rank %d) skips %d at rank %d, want only its stored total %d at rank %d",
-							tl.ID, rk, n, d, cp.byID[tl.ID].storedTotal(), rk)
-					}
-				}
-			}
 		}
 	}
 }

@@ -12,16 +12,18 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"net"
 	"os"
 	"os/exec"
-	"reflect"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -571,11 +573,11 @@ func TestClusterKillRecovery(t *testing.T) {
 // inside its sink mid-run. The driver respawns it on the same listener as
 // an external supervisor would; the respawned head
 // replays its durable ledger, bumps the head generation, re-accepts the
-// parked workers (whose joins re-announce their stored prefixes), and
+// parked workers (whose joins re-announce their stored counts), and
 // finishes the run. The final store must match the serial product
-// edge-for-edge — zero duplicates, resuming at stored prefixes holding across
-// the head generation change — and the ledger must replay to a done run
-// with every tile committed.
+// edge-for-edge — zero duplicates, each process resuming at its own stored
+// counts across the head generation change — and the ledger must replay to
+// a done run and hold only identity, gen, epoch and done records.
 func TestClusterHeadKillRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process test")
@@ -633,8 +635,8 @@ func TestClusterHeadKillRecovery(t *testing.T) {
 	respawnAfter(exits, "head", head, func() *exec.Cmd { return spawn(0, 0) })
 	awaitCluster(t, nil, exits, nprocs)
 
-	// The ledger must replay to a completed generation-2 run with the
-	// exact committed-tile set.
+	// The ledger must replay to a completed generation-2 run and hold only
+	// what a restart reads: no stored count and no commitment is journaled.
 	lst, err := ledger.Replay(ledgerPath)
 	if err != nil {
 		t.Fatalf("ledger replay: %v", err)
@@ -645,15 +647,16 @@ func TestClusterHeadKillRecovery(t *testing.T) {
 	if !lst.Done || lst.DoneErr != "" {
 		t.Fatalf("ledger outcome done=%v err=%q, want a clean done record", lst.Done, lst.DoneErr)
 	}
-	var wantTiles []int
-	for _, ts := range plan.Tiles {
-		for _, tl := range ts {
-			wantTiles = append(wantTiles, tl.ID)
+	kinds := ledgerKinds(t, ledgerPath)
+	for _, k := range kinds {
+		switch k {
+		case ledger.KindIdentity, ledger.KindGen, ledger.KindEpoch, ledger.KindDone:
+		default:
+			t.Fatalf("ledger holds a %q record; want only identity, gen, epoch and done: %v", k, kinds)
 		}
 	}
-	sort.Ints(wantTiles)
-	if got := lst.CommittedTiles(); !reflect.DeepEqual(got, wantTiles) {
-		t.Fatalf("ledger committed tiles = %v, want %v", got, wantTiles)
+	if kinds[0] != ledger.KindIdentity || kinds[len(kinds)-1] != ledger.KindDone {
+		t.Fatalf("ledger records %v, want identity first and done last", kinds)
 	}
 
 	// Edge-for-edge: exact arc count (zero duplicates) and exact set.
@@ -671,6 +674,78 @@ func TestClusterHeadKillRecovery(t *testing.T) {
 	}
 	if !got.Equal(want) {
 		t.Fatal("store after head respawn differs from serial reference")
+	}
+}
+
+// ledgerKinds returns the kind of every record of the ledger at path, in
+// order, read off its frames: an 8-byte magic, then per record a u32
+// length, a u32 checksum and the JSON body.
+func ledgerKinds(t *testing.T, path string) []string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []string
+	for off := 8; off < len(data); {
+		ln := int(binary.LittleEndian.Uint32(data[off:]))
+		var rec ledger.Record
+		if err := json.Unmarshal(data[off+8:off+8+ln], &rec); err != nil {
+			t.Fatalf("ledger record at offset %d: %v", off, err)
+		}
+		kinds = append(kinds, rec.Kind)
+		off += 8 + ln
+	}
+	return kinds
+}
+
+// openCounter is a sink that counts the rank sinks it opens.
+type openCounter struct {
+	Sink
+	opens atomic.Int64
+}
+
+func (o *openCounter) Rank(rk *Rank) (RankSink, error) {
+	o.opens.Add(1)
+	return o.Sink.Rank(rk)
+}
+
+// TestRunClusterRefusesProcsThatDoNotTile: every process of a cluster
+// refuses, by name and before any sink opens, a process list that does not
+// host the plan's ranks [0, R) in order with non-empty ranges — a gap
+// (ranks no process runs, whose arcs a run would silently miss), an
+// overlap, an empty range, or too few ranks — under no owner and under
+// OwnerBySource.
+func TestRunClusterRefusesProcsThatDoNotTile(t *testing.T) {
+	const r = 4
+	plan, err := PlanChain1D(mustChain(gen.ER(6, 0.5, 1), gen.ER(5, 0.5, 2)), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string][]transport.Proc{
+		"gapFirst":   {{Lo: 1, Hi: 4}},
+		"gapBetween": {{Lo: 0, Hi: 2}, {Lo: 3, Hi: 4}},
+		"overlap":    {{Lo: 0, Hi: 3}, {Lo: 2, Hi: 4}},
+		"emptyFirst": {{Lo: 0, Hi: 0}, {Lo: 0, Hi: 4}},
+		"emptyLast":  {{Lo: 0, Hi: 4}, {Lo: 4, Hi: 4}},
+		"short":      {{Lo: 0, Hi: 3}},
+	}
+	for name, procs := range cases {
+		for _, owner := range []Owner{nil, OwnerBySource} {
+			for self := range procs {
+				sink := &openCounter{Sink: &CountSink{}}
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				_, err := RunCluster(ctx, ClusterConfig{Procs: procs, Self: self, DialTimeout: 100 * time.Millisecond},
+					Config{Plan: plan, Owner: owner, Sink: sink})
+				cancel()
+				if err == nil || !strings.Contains(err.Error(), "do not tile ranks [0,4)") {
+					t.Errorf("%s, owner %v, proc %d: got %v, want a refusal naming the tiling of ranks [0,4)", name, owner != nil, self, err)
+				}
+				if n := sink.opens.Load(); n != 0 {
+					t.Errorf("%s, owner %v, proc %d: %d rank sinks opened before the refusal", name, owner != nil, self, n)
+				}
+			}
+		}
 	}
 }
 
@@ -819,6 +894,64 @@ func TestConfigDigestPinned(t *testing.T) {
 		if c.want == nil && err != nil || c.want != nil && !errors.Is(err, c.want) {
 			t.Errorf("a ledger carrying digest %#016x, resumed under OwnerBySource: got %v, want %v", c.digest, err, c.want)
 		}
+	}
+}
+
+// TestClusterHeadResumesOldLedger: a ledger written while heads also
+// journaled their checkpoint table — stored and commit records between
+// the identity, gen and epoch ones, as raw frames, and no done: the head
+// died mid-run — still resumes. The head opens generation 2 at the next
+// epoch, skips the old kinds, and generates every arc exactly once: the
+// stored records claimed prefixes at its own ranks, whose output died with
+// the old head.
+func TestClusterHeadResumesOldLedger(t *testing.T) {
+	const r = 4
+	plan, err := PlanChain1D(mustChain(killTestFactors()), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := ClusterConfig{Procs: []transport.Proc{{Hi: r}}, LedgerPath: t.TempDir() + "/ledger"}
+	cfg := Config{Plan: plan, Owner: OwnerBySource, Sink: &CountSink{}}
+	h, err := newRankHost(cc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := []byte("KRONLDG1")
+	for _, body := range []string{
+		fmt.Sprintf(`{"k":"identity","ph":%d,"cd":%d,"np":1,"nr":%d}`, PlanHash(plan), h.configDigest(), r),
+		`{"k":"gen","g":1}`,
+		`{"k":"epoch"}`,
+		`{"k":"stored","t":0,"r":0,"n":3}`,
+		`{"k":"stored","t":1,"r":1,"n":5}`,
+		`{"k":"commit","t":1,"on":true}`,
+		`{"k":"epoch","e":1}`,
+	} {
+		old = binary.LittleEndian.AppendUint32(old, uint32(len(body)))
+		old = binary.LittleEndian.AppendUint32(old, crc32.Checksum([]byte(body), crc32.MakeTable(crc32.Castagnoli)))
+		old = append(old, body...)
+	}
+	if err := os.WriteFile(cc.LedgerPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := RunCluster(context.Background(), cc, cfg)
+	if err != nil {
+		t.Fatalf("head on an old ledger: %v", err)
+	}
+	if st.HeadGeneration != 2 || st.LastEpoch != 2 {
+		t.Fatalf("head generation %d, last epoch %d; want 2 and 2", st.HeadGeneration, st.LastEpoch)
+	}
+	var want int64
+	for _, ts := range plan.Tiles {
+		for _, tl := range ts {
+			want += plan.Arcs(tl)
+		}
+	}
+	if got := cfg.Sink.(*CountSink).Total(); got != want || st.EdgesGenerated != want {
+		t.Fatalf("stored %d, generated %d arcs; want every one of the plan's %d once", got, st.EdgesGenerated, want)
+	}
+	lst, err := ledger.Replay(cc.LedgerPath)
+	if err != nil || lst.Gen != 2 || !lst.Done || lst.DoneErr != "" {
+		t.Fatalf("ledger after the resume: %+v, %v; want generation 2 and a clean done", lst, err)
 	}
 }
 

@@ -10,9 +10,10 @@ package dist
 //
 // Process 0 (the head) doubles as the run supervisor: it owns the
 // tile-checkpoint table, sends each attempt's uncommitted tiles (on their
-// planned ranks) and stored prefixes over persistent control connections, and
-// checks and folds per-attempt reports. Its loop is the only one: an
-// in-process Run is one process with no ledger.
+// planned ranks) over persistent control connections, and checks and folds
+// per-attempt reports. Its loop is the only one: an in-process Run is one
+// process with no ledger. Each process resumes its own ranks at what its own
+// sinks stored; the head's table only decides which tiles are committed.
 // Recovery extends that posture from a killed goroutine to a killed *process*:
 //
 //   - A worker that dies (SIGKILL, OOM, a yanked cable) surfaces at the
@@ -26,26 +27,26 @@ package dist
 //     edges lived on the dead proc un-commits and replays. The replay
 //     covers only the tiles with arcs on the dead proc's ranks.
 //   - Survivors keep their sinks open across attempts and resume every
-//     replayed tile at the prefix of its substream they already stored,
-//     exactly as in-process recovery does, so delivery stays exactly-once.
+//     replayed tile at their own count of what they stored of its
+//     substream, exactly as in-process recovery does, so delivery stays
+//     exactly-once.
 //   - The respawned worker re-dials the head's control port and is handed
 //     the next epoch's assignment.
 //
 // The head itself is no longer a single point of failure. With
-// ClusterConfig.LedgerPath set, the head journals its supervision state
-// — run identity, head generations, epochs, per-(tile, rank) stored
-// prefixes, tile commitments — to an append-only checksummed ledger
-// (internal/dist/ledger), fsynced at every state change. A respawned
-// head replays the ledger, refuses a different run's ledger by
-// identity, bumps the head generation, and resumes at the next epoch.
-// Workers whose control connection breaks do not tear down terminally:
-// they park and re-dial with jittered exponential backoff under the
-// ClusterConfig.HeadRetries budget, keeping their sinks open, and
-// announce their cumulative per-(rank, tile) stored prefixes in a join
-// message on every (re)connect. Those joins overwrite the replayed
-// table — the worker's own durable state is ground truth for its ranks
-// — so resuming at stored prefixes stays exactly-once even across a head
-// generation change where the ledger lags the workers' shards.
+// ClusterConfig.LedgerPath set, the head journals what a restart reads —
+// run identity, head generations, epochs, the run's outcome — to an
+// append-only checksummed ledger (internal/dist/ledger), fsynced at every
+// change. A respawned head replays the ledger, refuses a different run's
+// ledger by identity, bumps the head generation, and resumes at the next
+// epoch. Workers whose control connection breaks do not tear down
+// terminally: they park and re-dial with jittered exponential backoff under
+// the ClusterConfig.HeadRetries budget, keeping their sinks open, and
+// announce their per-(rank, tile) stored counts, absolute, in a join
+// message on every (re)connect. Those joins fill the respawned head's
+// table — the worker's own durable state is ground truth for its ranks,
+// and the head's own ranks start empty (its ShardWriters truncate on open)
+// — so no stored count is journaled.
 // Application-level heartbeats, always on, turn a black-holed control link
 // into a loud failure within a configured deadline instead of a hang.
 
@@ -82,8 +83,9 @@ type ClusterConfig struct {
 	// handshake included; ≤ 0 means 10s.
 	DialTimeout time.Duration
 	// LedgerPath, when non-empty on the head, arms the durable run
-	// ledger: supervision state is journaled there at every state change,
-	// and a respawned head resumes from it instead of restarting the run.
+	// ledger: the run's identity, head generations, epochs and outcome are
+	// journaled there, and a respawned head resumes from it instead of
+	// restarting the run.
 	// Workers ignore it.
 	LedgerPath string
 	// HeadRetries is how many times a worker re-dials a broken head
@@ -181,22 +183,18 @@ type ctrlMsg struct {
 	Epoch int64  `json:"epoch,omitempty"`
 
 	// begin: the attempt's tile assignment (tile IDs per rank; tiles are
-	// resolved against the locally reconstructed plan) and each rank's
-	// stored prefix of every tile, where its walk resumes the tile.
-	Tiles map[int][]int         `json:"tiles,omitempty"`
-	Skip  map[int]map[int]int64 `json:"skip,omitempty"`
+	// resolved against the locally reconstructed plan).
+	Tiles map[int][]int `json:"tiles,omitempty"`
 
 	// done: the run's final error, empty on success.
 	Err string `json:"err,omitempty"`
 
-	// report: per-(rank, tile) edges newly stored this attempt, per-rank
+	// join and report: the sender's per-(rank, tile) stored counts,
+	// absolute (rankHost.storedCounts), which the head takes as ground
+	// truth for the sender's ranks — a fresh respawn's empty join zeroes
+	// them, exactly what its truncated shards demand. report: per-rank
 	// engine counters, traffic totals, and the attempt's error with its
 	// recovery classification.
-	// join reuses Stored with different semantics: the worker's
-	// *cumulative* per-(rank, tile) stored prefixes, absolute, which the
-	// head applies as ground truth for that proc's ranks (overwriting the
-	// table — a fresh respawn's empty join zeroes them, exactly what its
-	// truncated shards demand).
 	Stored      map[int]map[int]int64 `json:"stored,omitempty"`
 	Gen         map[int]int64         `json:"gen,omitempty"`
 	StoredN     map[int]int64         `json:"stored_n,omitempty"`
@@ -231,20 +229,6 @@ type trafficStats struct {
 	Compacted  int64 `json:"compacted,omitempty"`
 }
 
-// joinMsg is the worker's opening announcement on every control
-// (re)connect: its cumulative stored prefixes, absolute.
-func (h *rankHost) joinMsg() ctrlMsg {
-	m := ctrlMsg{Kind: ctrlJoin, Stored: make(map[int]map[int]int64, len(h.cum))}
-	for rk, tiles := range h.cum {
-		cp := make(map[int]int64, len(tiles))
-		for id, n := range tiles {
-			cp[id] = n
-		}
-		m.Stored[rk] = cp
-	}
-	return m
-}
-
 // newRunStats returns the aggregate a run folds its attempt reports into.
 func newRunStats(r int) Stats {
 	return Stats{
@@ -255,8 +239,9 @@ func newRunStats(r int) Stats {
 }
 
 // checkReport refuses a worker's report before anything indexes with it: a
-// rank outside the sender's [Lo, Hi), a tile the plan does not have or a
-// blame outside [-1, R) would crash the head (applyJoin skips them in joins).
+// rank outside the sender's [Lo, Hi) or a blame outside [-1, R) would crash
+// the head's stats fold, and a tile the plan does not have means a broken
+// sender or a stranger (checkpoints.set ignores both in joins).
 func (h *rankHost) checkReport(cp *checkpoints, peer int, rep *ctrlMsg) error {
 	pr, ranks := h.cc.Procs[peer], []int{}
 	for rk, m := range rep.Stored {
@@ -317,8 +302,8 @@ func RunCluster(ctx context.Context, cc ClusterConfig, cfg Config) (Stats, error
 	if cc.Self < 0 || cc.Self >= len(cc.Procs) {
 		return Stats{}, fmt.Errorf("dist: cluster self index %d out of range [0,%d)", cc.Self, len(cc.Procs))
 	}
-	if got := cc.Procs[len(cc.Procs)-1].Hi; got != cfg.Plan.R {
-		return Stats{}, fmt.Errorf("dist: cluster hosts %d ranks, plan has %d", got, cfg.Plan.R)
+	if err := tileRanks(cc.Procs, cfg.Plan.R); err != nil {
+		return Stats{}, err
 	}
 	if cc.Node == nil && cc.Self == 0 && len(cc.Procs) > 1 {
 		return Stats{}, fmt.Errorf("dist: the head of a cluster of %d processes needs a Node", len(cc.Procs))
@@ -333,12 +318,30 @@ func RunCluster(ctx context.Context, cc ClusterConfig, cfg Config) (Stats, error
 	return runClusterWorker(ctx, h)
 }
 
+// tileRanks refuses a process list that does not host ranks [0, r) in
+// order, each process a non-empty range: a gap would leave ranks no process
+// runs (their tiles silently missing from a run that succeeds), an overlap
+// would run ranks twice.
+func tileRanks(procs []transport.Proc, r int) error {
+	next := 0
+	for i, p := range procs {
+		if p.Lo != next || p.Hi <= p.Lo {
+			return fmt.Errorf("dist: cluster procs do not tile ranks [0,%d) in order: proc %d hosts [%d,%d), want a non-empty range from %d", r, i, p.Lo, p.Hi, next)
+		}
+		next = p.Hi
+	}
+	if next != r {
+		return fmt.Errorf("dist: cluster procs do not tile ranks [0,%d) in order: they host [0,%d)", r, next)
+	}
+	return nil
+}
+
 // runClusterWorker is the non-head process loop: obey begin/done from
 // the head until the run concludes. A broken head control link is no
 // longer terminal: the worker parks with its sinks open and re-dials
 // under the HeadRetries budget — jittered exponential backoff — opening
-// each (re)connection with a join message that announces its cumulative
-// stored prefixes. A head that never comes back exhausts the budget and
+// each (re)connection with a join message that announces its stored
+// counts. A head that never comes back exhausts the budget and
 // fails loudly; a worker must never hang on a silent cluster.
 func runClusterWorker(ctx context.Context, h *rankHost) (Stats, error) {
 	rng := rand.New(rand.NewSource(int64(h.planHash) ^ int64(h.cc.Self)<<32 ^ time.Now().UnixNano()))
@@ -348,7 +351,7 @@ func runClusterWorker(ctx context.Context, h *rankHost) (Stats, error) {
 			return nil, err
 		}
 		cc.StartHeartbeat(h.cc.heartbeatInterval(), h.cc.HeartbeatDeadline)
-		if err := cc.Send(h.joinMsg()); err != nil {
+		if err := cc.Send(ctrlMsg{Kind: ctrlJoin, Stored: h.storedCounts()}); err != nil {
 			cc.Close()
 			return nil, err
 		}
@@ -405,12 +408,12 @@ func runClusterWorker(ctx context.Context, h *rankHost) (Stats, error) {
 		}
 		switch m.Kind {
 		case ctrlBegin:
-			rep := h.attempt(ctx, m.Epoch, m.Tiles, m.Skip)
+			rep := h.attempt(ctx, m.Epoch, m.Tiles)
 			foldReport(&agg, &rep)
 			if err := cc.Send(rep); err != nil {
 				// The head died before taking the report. The stored edges
-				// are safe on disk and in h.cum; re-dial and let the next
-				// head generation assign from our join.
+				// are safe on disk and counted by our sinks; re-dial and let
+				// the next head generation assign from our join.
 				if perr := park(err); perr != nil {
 					h.finalize()
 					return agg, fmt.Errorf("dist: worker %d reporting to head: %w", h.cc.Self, perr)
@@ -435,10 +438,10 @@ func runClusterWorker(ctx context.Context, h *rankHost) (Stats, error) {
 // resuming a ledger written under a different configuration must refuse,
 // not silently mix accounting regimes. The owner is fingerprinted by what it
 // does, its answers on 64 probe edges spread over the product's vertices
-// (high and low bits both vary): the ledger's per-(tile, rank) prefixes
-// count positions in the substream *this* map sends to a rank, so a ledger
-// written under another map — another kind, or the same name at another
-// commit — would resume tiles at the wrong arcs where their counts still match.
+// (high and low bits both vary): the workers a respawned head resumes count
+// their stored prefixes in the substream *this* map sends to a rank, so a
+// head under another map — another kind, or the same name at another commit
+// — would commit tiles whose arcs the two maps split differently.
 // An owner is probed through its source form for the plan, the one the
 // engine places with (OwnerBySource's is bound to the innermost factor's
 // vertex count).
@@ -467,29 +470,26 @@ func (h *rankHost) configDigest() uint64 {
 	return d.Sum64()
 }
 
-// ledgerRotateBytes triggers compaction of the head's ledger: past this
-// size the file is atomically replaced by a snapshot of the live table.
-const ledgerRotateBytes = 1 << 20
-
 // runClusterHead is the supervising process and the only attempt loop: it
 // owns the checkpoint table, drives attempts over the control connections
 // (none when it is the only process), runs its own rank range in each, and
-// decides the run's outcome. With a ledger armed, every state change is
-// journaled durably, and a respawned head resumes from the replayed table
-// instead of restarting.
+// decides the run's outcome. With a ledger armed, identity, generations,
+// epochs and the outcome are journaled durably, and a respawned head
+// resumes the run at its next epoch instead of restarting it.
 func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
 	n := len(h.cc.Procs)
-
+	// The table starts empty: this process's ranks have stored nothing (its
+	// ShardWriters truncate on open, so a dead generation's output at them
+	// is gone), and every worker's join fills its rows before the first
+	// assignment.
 	cp := newCheckpoints(h.cfg.Plan)
-	tiles := cp.tiles
 
-	// Durable run ledger (optional): replay, validate identity, seed the
-	// table, open the next head generation.
+	// Durable run ledger (optional): replay, validate identity, open the
+	// next head generation.
 	var led *ledger.Ledger
-	var identity ledger.Record
 	headGen, epochBase := int64(1), int64(0)
 	if path := h.cc.LedgerPath; path != "" {
-		identity = ledger.Record{Kind: ledger.KindIdentity,
+		identity := ledger.Record{Kind: ledger.KindIdentity,
 			PlanHash: h.planHash, Digest: h.configDigest(), Procs: n, Ranks: h.cfg.Plan.R}
 		l, lst, err := ledger.Open(path)
 		if err != nil {
@@ -504,19 +504,6 @@ func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
 					was.PlanHash, was.Digest, was.Procs, was.Ranks,
 					identity.PlanHash, identity.Digest, n, h.cfg.Plan.R)
 			}
-			// Resume: the replayed prefixes seed the table. The head's own
-			// ranks are zeroed — this process's ShardWriters truncate their
-			// shards on open, so whatever the dead generation stored at
-			// them is gone. Workers' rows are provisional until their joins
-			// overwrite them with the live truth.
-			for _, ts := range tiles {
-				for rk, cnt := range lst.Stored[ts.tile.ID] {
-					if rk >= 0 && rk < h.cfg.Plan.R {
-						ts.stored[rk] = cnt
-					}
-				}
-			}
-			cp.zeroRanks(h.lo, h.hi)
 		} else if err := l.Append(identity); err != nil {
 			return Stats{}, fmt.Errorf("dist: head ledger %s: %w", path, err)
 		}
@@ -531,66 +518,6 @@ func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
 		}
 		led = l
 	}
-	// logged mirrors what the ledger already holds, so each attempt
-	// journals only the (tile, rank) prefixes and commitments that moved.
-	var logged map[int][]int64
-	var loggedCommit map[int]bool
-	if led != nil {
-		logged = make(map[int][]int64, len(tiles))
-		loggedCommit = make(map[int]bool, len(tiles))
-		for _, ts := range tiles {
-			logged[ts.tile.ID] = append([]int64(nil), ts.stored...)
-		}
-	}
-	logState := func(lastEpoch int64) error {
-		if led == nil {
-			return nil
-		}
-		for _, ts := range tiles {
-			id := ts.tile.ID
-			for rk, cnt := range ts.stored {
-				if logged[id][rk] != cnt {
-					if err := led.Append(ledger.Record{Kind: ledger.KindStored, Tile: id, Rank: rk, Count: cnt}); err != nil {
-						return err
-					}
-					logged[id][rk] = cnt
-				}
-			}
-			if loggedCommit[id] != ts.committed {
-				if err := led.Append(ledger.Record{Kind: ledger.KindCommit, Tile: id, On: ts.committed}); err != nil {
-					return err
-				}
-				loggedCommit[id] = ts.committed
-			}
-		}
-		if err := led.Commit(); err != nil {
-			return err
-		}
-		if led.Size() > ledgerRotateBytes {
-			st := ledger.State{
-				Identity: &identity,
-				Gen:      headGen, LastEpoch: lastEpoch,
-				Stored:    make(map[int]map[int]int64, len(tiles)),
-				Committed: make(map[int]bool, len(tiles)),
-			}
-			for _, ts := range tiles {
-				m := make(map[int]int64)
-				for rk, cnt := range ts.stored {
-					if cnt != 0 {
-						m[rk] = cnt
-					}
-				}
-				st.Stored[ts.tile.ID] = m
-				if ts.committed {
-					st.Committed[ts.tile.ID] = true
-				}
-			}
-			if err := led.Rotate(st); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 
 	conns := make([]*tcp.CtrlConn, n)
 	defer func() {
@@ -600,28 +527,15 @@ func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
 			}
 		}
 	}()
-	// applyJoin folds a worker's announced cumulative prefixes into the
-	// table as ground truth for that proc's ranks: zero the rows (a fresh
-	// respawn's truncated shards really hold nothing), then overwrite
-	// with the announced absolutes.
-	applyJoin := func(peer int, jm *ctrlMsg) {
-		pr := h.cc.Procs[peer]
-		cp.zeroRanks(pr.Lo, pr.Hi)
-		for rk, m := range jm.Stored {
-			if rk < pr.Lo || rk >= pr.Hi {
-				continue // a worker only speaks for its own ranks
-			}
-			for id, cnt := range m {
-				if st := cp.byID[id]; st != nil {
-					st.stored[rk] = cnt
-				}
-			}
-		}
+	// set makes proc p's rows what it says its sinks stored; nil for a
+	// proc that died.
+	set := func(p int, abs map[int]map[int]int64) {
+		cp.set(h.cc.Procs[p].Lo, h.cc.Procs[p].Hi, abs)
 	}
 	// ensureWorkers blocks until every worker has a live control
-	// connection that has completed its join — at startup, and again
-	// after a death while the external supervisor (script, orchestrator)
-	// respawns the process.
+	// connection that has completed its join, whose counts become the
+	// worker's rows — at startup, and again after a death while the
+	// external supervisor (script, orchestrator) respawns the process.
 	ensureWorkers := func() error {
 		for slices.Contains(conns[1:], nil) {
 			cc, err := h.cc.Node.AcceptControl(ctx)
@@ -641,7 +555,7 @@ func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
 				cc.Close()
 				continue
 			}
-			applyJoin(cc.Peer, &jm)
+			set(cc.Peer, jm.Stored)
 			if old := conns[cc.Peer]; old != nil {
 				old.Close() // superseded by a redial
 			}
@@ -658,12 +572,10 @@ func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
 			runErr = err
 			break
 		}
-		// Assignment: every uncommitted tile at its owner, with the skip
-		// prefixes recovery fencing needs at each destination. Commitment
-		// is recomputed first: joins may have zeroed a respawned proc's
-		// rows since the last check, un-committing tiles whose edges lived
-		// there.
-		assignIDs, skip := cp.assign()
+		// Assignment: every uncommitted tile at its owner. Joins may have
+		// zeroed a respawned proc's rows since the last attempt,
+		// un-committing tiles whose edges lived there.
+		assignIDs := cp.assign()
 		epoch := epochBase + int64(attempt)
 		agg.LastEpoch = epoch
 		// The epoch transition goes durable before any worker acts at it,
@@ -671,7 +583,7 @@ func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
 		if led != nil {
 			lerr := led.Append(ledger.Record{Kind: ledger.KindEpoch, Epoch: epoch})
 			if lerr == nil {
-				lerr = logState(epoch)
+				lerr = led.Commit()
 			}
 			if lerr != nil {
 				runErr = fmt.Errorf("dist: head ledger: %w", lerr)
@@ -680,16 +592,17 @@ func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
 		}
 		// lose records a worker that died this attempt. Its durable output
 		// dies with it (its ShardWriters truncate on respawn), so every
-		// stored count at its ranks resets below, and it is the one to blame.
+		// stored count at its ranks resets, and it is the one to blame.
 		var deadProcs []int
 		var lost []error
 		lose := func(p int, err error) {
 			conns[p].Close()
 			conns[p] = nil
+			set(p, nil)
 			deadProcs = append(deadProcs, p)
 			lost = append(lost, fmt.Errorf("proc %d: %w", p, err))
 		}
-		begin := ctrlMsg{Kind: ctrlBegin, Epoch: epoch, Tiles: assignIDs, Skip: skip}
+		begin := ctrlMsg{Kind: ctrlBegin, Epoch: epoch, Tiles: assignIDs}
 		for p := 1; p < n; p++ {
 			if err := conns[p].Send(begin); err != nil {
 				// Died between attempts; the attempt proceeds and fails
@@ -698,15 +611,15 @@ func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
 			}
 		}
 
-		// fold merges one process's report into the stats and the checkpoint
+		// fold merges proc p's report into the stats and the checkpoint
 		// table. This process's own report carries the fault as the error
 		// value it was, returned unchanged; a worker's crossed the wire as a
 		// string. blame is the first rank a report names.
 		var attemptErr error
 		recoverable, blame := true, -1
-		fold := func(rep *ctrlMsg) {
+		fold := func(p int, rep *ctrlMsg) {
 			foldReport(&agg, rep)
-			cp.harvest(rep.Stored)
+			set(p, rep.Stored)
 			if rep.RunErr == "" {
 				return
 			}
@@ -720,8 +633,8 @@ func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
 				blame = rep.Blame
 			}
 		}
-		rep0 := h.attempt(ctx, epoch, assignIDs, skip)
-		fold(&rep0)
+		rep0 := h.attempt(ctx, epoch, assignIDs)
+		fold(0, &rep0)
 
 		// Collect: a worker reports when its own share is done, however
 		// long after the head's that is; only the run's context and the
@@ -746,25 +659,13 @@ func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
 				attemptErr, recoverable = err, false
 				continue
 			}
-			fold(&m)
-		}
-		for _, p := range deadProcs {
-			cp.zeroRanks(h.cc.Procs[p].Lo, h.cc.Procs[p].Hi)
+			fold(p, &m)
 		}
 		if len(deadProcs) > 0 {
 			blame = h.cc.Procs[deadProcs[0]].Lo
 			if attemptErr == nil {
 				attemptErr = fmt.Errorf("dist: proc(s) %v died mid-attempt: %w", deadProcs, errors.Join(lost...))
 			}
-		}
-		cp.recommit()
-		// The harvest goes durable — stored prefixes and commitment flips
-		// — before the outcome is decided, so a head death from here on
-		// costs at most the joins' worth of re-announcement, never a
-		// committed tile.
-		if err := logState(epoch); err != nil {
-			runErr = fmt.Errorf("dist: head ledger: %w", err)
-			break
 		}
 		if runErr = attemptErr; runErr == nil {
 			if attempt > 0 || headGen > 1 {

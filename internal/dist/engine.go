@@ -253,9 +253,9 @@ func (cfg Config) batchSize() int {
 // vertices. With no owner, the cursor fills a reused scratch block. With
 // one (bySource, its source form: sourceForm) every rank walks every tile
 // and expands only the rows it owns (ownedRows): nothing is staged,
-// batched or sent, at any R. prefix[rank] is what the rank's sink already
-// stored of each tile, where its walk resumes (walk.tiles). Blocks go to
-// the sink sinkFor returns; perGen/perStored get the per-rank counters.
+// batched or sent, at any R. Blocks go to the sink sinkFor returns, and
+// each rank resumes every tile at what that sink already stored of it
+// (walk.tiles); perGen/perStored get the per-rank counters.
 //
 // Expansion order is exactly the reference order — head arcs in tile
 // order, each crossed with the tail's composed arcs in lexicographic CSR
@@ -264,7 +264,7 @@ func (cfg Config) batchSize() int {
 // across attempts. That determinism is what tile checkpoints and resuming
 // at a stored prefix key on; the step size changes polling granularity,
 // never order. A fault-armed run walks the same blocks.
-func runAttempt(ctx context.Context, c *cluster, plan Plan, owner Owner, bySource func(u int64) int, tiles [][]Tile, prefix []map[int]int64, sinkFor func(*Rank) (*fencedRankSink, error), perGen, perStored []int64, batch int) error {
+func runAttempt(ctx context.Context, c *cluster, plan Plan, owner Owner, bySource func(u int64) int, tiles [][]Tile, sinkFor func(*Rank) (*fencedRankSink, error), perGen, perStored []int64, batch int) error {
 	// Shared by the ranks: the map is pure, and OwnerBySource's class
 	// partition is built once and then only read.
 	var place *placing
@@ -284,7 +284,7 @@ func runAttempt(ctx context.Context, c *cluster, plan Plan, owner Owner, bySourc
 		// out of the package freelist — expansion allocates nothing in steady
 		// state and per-rank memory stays O(|E_A|/R + |E_B| + batch) even
 		// when this rank's B is large.
-		w := walk{rk: rk, as: as, prefix: prefix[rk.ID()], faults: c.faults, batch: batch, scratch: checkOut(c, &packedBufs, batch)}
+		w := walk{rk: rk, as: as, faults: c.faults, batch: batch, scratch: checkOut(c, &packedBufs, batch)}
 		if place != nil {
 			w.own = place.rows(rk.ID(), batch)
 		}
@@ -348,8 +348,7 @@ func walkable(plan Plan) error {
 type walk struct {
 	rk      *Rank
 	as      *fencedRankSink
-	prefix  map[int]int64 // per tile, the arcs the rank's sink already stored
-	faults  *faultState   // nil unless the run is fault-armed
+	faults  *faultState // nil unless the run is fault-armed
 	batch   int
 	scratch []uint64
 	own     *ownedRows // a source owner's pick; nil otherwise
@@ -376,11 +375,11 @@ const contextPoll = 64
 // every depth, in lexicographic CSR order — kernel_test.go holds every
 // depth to the per-edge reference.
 //
-// A replay resumes each tile where the rank's sink stopped, generating
-// none of what it stored. With no owner that prefix is a position in the
-// tile's stream, added to Skip; under one it counts the rank's owned arcs,
-// which the walk drops from the first sweeps' picks before expanding any
-// (ownedRows.drop).
+// A replay resumes each tile where the rank's sink stopped
+// (fencedRankSink.stored), generating none of what it stored. With no
+// owner that prefix is a position in the tile's stream, added to Skip;
+// under one it counts the rank's owned arcs, which the walk drops from the
+// first sweeps' picks before expanding any (ownedRows.drop).
 func (w *walk) tiles(plan Plan, tiles []Tile) {
 	var cur *core.TailCursor
 	for ti := range tiles {
@@ -390,7 +389,7 @@ func (w *walk) tiles(plan Plan, tiles []Tile) {
 		// skipped prefix is never generated — the seek cost is independent
 		// of skip's magnitude.
 		rem, skip := plan.Arcs(*t), t.Skip
-		if stored := w.prefix[t.ID]; w.own != nil {
+		if stored := w.as.stored[t.ID]; w.own != nil {
 			w.own.drop = stored
 		} else {
 			rem -= stored

@@ -1,33 +1,30 @@
 // Package ledger is the head's durable run log: an append-only,
-// per-record-checksummed file that records everything cluster-mode
-// supervision must not lose with the supervising process — the run's
-// identity (plan hash and config digest), head generations, epoch
-// transitions, per-(tile, rank) stored prefixes and tile commitments. A
-// respawned head replays the ledger, validates that it is resuming the
-// same run, and reconstructs the checkpoint table instead of discarding
-// every committed tile with the old process's memory.
+// per-record-checksummed file that records what a respawned head reads to
+// resume the run its dead predecessor supervised — the run's identity (plan
+// hash and config digest), head generations, epoch transitions and the
+// run's outcome. A respawned head replays the ledger, validates that it is
+// resuming the same run, and continues at the next epoch in the next
+// generation. The checkpoint table is not journaled: the workers' joins
+// fill it, each process being the ground truth for what its own ranks
+// stored.
 //
 // Durability posture:
 //
 //   - Records are framed [len u32][crc32c u32][body], little-endian,
 //     with the CRC (Castagnoli) over the body. Append buffers; Commit
-//     flushes and fsyncs — the head commits at every state change whose
-//     loss would be unrecoverable (generation open, epoch start,
-//     harvest, conclusion).
+//     flushes and fsyncs — the head commits at every record (generation
+//     open, epoch start, conclusion).
 //   - Replay tolerates a torn tail: a final record whose bytes end
 //     early (the classic crash-mid-write artifact) is dropped and the
 //     file is truncated back to the last whole record on reopen. A
 //     record whose bytes are all present but whose checksum does not
 //     match is NOT tolerated — that is corruption, and replay refuses
-//     it loudly rather than resuming from a silently wrong table.
-//   - Rotation is atomic: a compacted snapshot is written to a temp
-//     file, fsynced, and renamed over the live path, so the ledger
-//     never grows without bound and a crash mid-rotation leaves either
-//     the old file or the new one, never a hybrid.
-//
-// Counts in stored records are absolute, not deltas: replay keeps the
-// last value per (tile, rank), which makes rewriting a prefix after
-// compaction or a re-harvest idempotent.
+//     it loudly rather than resuming from a silently wrong state.
+//   - The file grows by one record per attempt and per head generation,
+//     so it is never rotated.
+//   - A record of a kind replay does not know is skipped, so a ledger
+//     written by an older head, which also journaled per-(tile, rank)
+//     stored prefixes and tile commitments, still resumes.
 package ledger
 
 import (
@@ -37,8 +34,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
-	"sort"
 )
 
 // Record kinds.
@@ -46,8 +41,6 @@ const (
 	KindIdentity = "identity" // run identity: plan hash, config digest, layout
 	KindGen      = "gen"      // a head generation opened the ledger
 	KindEpoch    = "epoch"    // an attempt epoch began
-	KindStored   = "stored"   // absolute stored prefix for one (tile, rank)
-	KindCommit   = "commit"   // a tile's commitment flipped (On = new state)
 	KindDone     = "done"     // the run concluded (Err empty on success)
 )
 
@@ -65,47 +58,21 @@ type Record struct {
 	Gen   int64 `json:"g,omitempty"` // gen
 	Epoch int64 `json:"e,omitempty"` // epoch
 
-	// stored / commit
-	Tile  int   `json:"t,omitempty"`
-	Rank  int   `json:"r,omitempty"`
-	Count int64 `json:"n,omitempty"`
-	On    bool  `json:"on,omitempty"`
-
 	Err string `json:"err,omitempty"` // done
 }
 
 // State is the fold of a ledger's records: everything a respawned head
 // needs to resume supervision.
 type State struct {
-	Identity  *Record               // nil until an identity record exists
-	Gen       int64                 // highest head generation recorded
-	LastEpoch int64                 // highest epoch recorded; -1 before any
-	Stored    map[int]map[int]int64 // tile → rank → absolute stored prefix
-	Committed map[int]bool          // tile → committed
+	Identity  *Record // nil until an identity record exists
+	Gen       int64   // highest head generation recorded
+	LastEpoch int64   // highest epoch recorded; -1 before any
 	Done      bool
 	DoneErr   string
 	TornTail  bool // a torn final record was dropped during replay
 }
 
-func emptyState() State {
-	return State{
-		LastEpoch: -1,
-		Stored:    make(map[int]map[int]int64),
-		Committed: make(map[int]bool),
-	}
-}
-
-// CommittedTiles returns the sorted IDs of committed tiles.
-func (st State) CommittedTiles() []int {
-	ids := make([]int, 0, len(st.Committed))
-	for id, on := range st.Committed {
-		if on {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	return ids
-}
+func emptyState() State { return State{LastEpoch: -1} }
 
 func (st *State) fold(rec Record) {
 	switch rec.Kind {
@@ -120,22 +87,13 @@ func (st *State) fold(rec Record) {
 		if rec.Epoch > st.LastEpoch {
 			st.LastEpoch = rec.Epoch
 		}
-	case KindStored:
-		m := st.Stored[rec.Tile]
-		if m == nil {
-			m = make(map[int]int64)
-			st.Stored[rec.Tile] = m
-		}
-		m[rec.Rank] = rec.Count
-	case KindCommit:
-		st.Committed[rec.Tile] = rec.On
 	case KindDone:
 		st.Done = true
 		st.DoneErr = rec.Err
 	}
-	// Unknown kinds are skipped: a newer writer's record types must not
-	// brick an older reader's replay (the checksum already vouched for
-	// the bytes).
+	// Unknown kinds are skipped: a newer writer's record types, and the
+	// stored and commit records older heads wrote, must not brick a
+	// replay (the checksum already vouched for the bytes).
 }
 
 // ErrCorrupt reports a record whose bytes are fully present but fail
@@ -227,7 +185,6 @@ func Replay(path string) (State, error) {
 // Ledger is the append side: one writer (the head), buffered appends,
 // explicit Commit (flush + fsync) at state-change boundaries.
 type Ledger struct {
-	path string
 	f    *os.File
 	size int64
 	buf  []byte // pending appended frames, flushed by Commit
@@ -256,7 +213,7 @@ func Open(path string) (*Ledger, State, error) {
 	if err != nil {
 		return nil, st, err
 	}
-	l := &Ledger{path: path, f: f, size: int64(valid)}
+	l := &Ledger{f: f, size: int64(valid)}
 	if fresh || valid == 0 {
 		if err := f.Truncate(0); err != nil {
 			f.Close()
@@ -327,10 +284,6 @@ func (l *Ledger) Commit() error {
 	return l.f.Sync()
 }
 
-// Size returns the durable file size plus staged bytes — the rotation
-// trigger's input.
-func (l *Ledger) Size() int64 { return l.size + int64(len(l.buf)) }
-
 // Close commits pending records and closes the file.
 func (l *Ledger) Close() error {
 	cerr := l.Commit()
@@ -338,94 +291,4 @@ func (l *Ledger) Close() error {
 		cerr = err
 	}
 	return cerr
-}
-
-// Snapshot flattens a state into the minimal record sequence that
-// replays back to it — the compaction rotation writes.
-func Snapshot(st State) []Record {
-	var recs []Record
-	if st.Identity != nil {
-		id := *st.Identity
-		recs = append(recs, id)
-	}
-	if st.Gen > 0 {
-		recs = append(recs, Record{Kind: KindGen, Gen: st.Gen})
-	}
-	if st.LastEpoch >= 0 {
-		recs = append(recs, Record{Kind: KindEpoch, Epoch: st.LastEpoch})
-	}
-	tiles := make([]int, 0, len(st.Stored))
-	for id := range st.Stored {
-		tiles = append(tiles, id)
-	}
-	sort.Ints(tiles)
-	for _, id := range tiles {
-		ranks := make([]int, 0, len(st.Stored[id]))
-		for rk := range st.Stored[id] {
-			ranks = append(ranks, rk)
-		}
-		sort.Ints(ranks)
-		for _, rk := range ranks {
-			if n := st.Stored[id][rk]; n != 0 {
-				recs = append(recs, Record{Kind: KindStored, Tile: id, Rank: rk, Count: n})
-			}
-		}
-	}
-	for _, id := range st.CommittedTiles() {
-		recs = append(recs, Record{Kind: KindCommit, Tile: id, On: true})
-	}
-	return recs
-}
-
-// Rotate atomically replaces the ledger with a compacted snapshot of
-// st: write to a temp file in the same directory, fsync, rename over
-// the live path, fsync the directory. A crash at any point leaves
-// either the old complete ledger or the new one. Pending (uncommitted)
-// appends are discarded — rotate from the state that includes them.
-func (l *Ledger) Rotate(st State) error {
-	dir := filepath.Dir(l.path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(l.path)+".rotate-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	buf := append([]byte(nil), fileMagic...)
-	for _, rec := range Snapshot(st) {
-		if buf, err = appendFrame(buf, rec); err != nil {
-			return fail(err)
-		}
-	}
-	if _, err := tmp.Write(buf); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, l.path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	old := l.f
-	f, err := os.OpenFile(l.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return err
-	}
-	old.Close()
-	l.f = f
-	l.size = int64(len(buf))
-	l.buf = l.buf[:0]
-	return nil
 }

@@ -3,6 +3,7 @@ package ledger
 import (
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -36,16 +37,10 @@ func sampleRun() []Record {
 		{Kind: KindIdentity, PlanHash: 0xfeedfacecafef00d, Digest: 42, Procs: 4, Ranks: 6},
 		{Kind: KindGen, Gen: 1},
 		{Kind: KindEpoch, Epoch: 0},
-		{Kind: KindStored, Tile: 0, Rank: 1, Count: 10},
-		{Kind: KindStored, Tile: 0, Rank: 2, Count: 7},
-		{Kind: KindCommit, Tile: 0, On: true},
 		{Kind: KindEpoch, Epoch: 1},
-		{Kind: KindStored, Tile: 3, Rank: 1, Count: 5},
-		// Absolute counts: the later record wins outright.
-		{Kind: KindStored, Tile: 3, Rank: 1, Count: 9},
-		{Kind: KindCommit, Tile: 3, On: true},
-		{Kind: KindCommit, Tile: 3, On: false},
-		{Kind: KindCommit, Tile: 5, On: true},
+		// A respawned head opens the next generation above the last epoch.
+		{Kind: KindGen, Gen: 2},
+		{Kind: KindEpoch, Epoch: 2},
 	}
 }
 
@@ -60,17 +55,8 @@ func TestLedgerRoundTrip(t *testing.T) {
 	if st.Identity == nil || st.Identity.PlanHash != 0xfeedfacecafef00d || st.Identity.Digest != 42 {
 		t.Fatalf("identity not reconstructed: %+v", st.Identity)
 	}
-	if st.Gen != 1 || st.LastEpoch != 1 {
-		t.Fatalf("gen/epoch = %d/%d, want 1/1", st.Gen, st.LastEpoch)
-	}
-	if got := st.Stored[0][1]; got != 10 {
-		t.Fatalf("stored[0][1] = %d, want 10", got)
-	}
-	if got := st.Stored[3][1]; got != 9 {
-		t.Fatalf("stored[3][1] = %d, want 9 (last absolute value wins)", got)
-	}
-	if got := st.CommittedTiles(); !reflect.DeepEqual(got, []int{0, 5}) {
-		t.Fatalf("committed tiles = %v, want [0 5] (tile 3 was un-committed)", got)
+	if st.Gen != 2 || st.LastEpoch != 2 {
+		t.Fatalf("gen/epoch = %d/%d, want 2/2", st.Gen, st.LastEpoch)
 	}
 	if st.TornTail || st.Done {
 		t.Fatalf("unexpected torn/done: %+v", st)
@@ -103,12 +89,12 @@ func TestLedgerTornTailToleratedAndTruncated(t *testing.T) {
 		if valid != start {
 			t.Fatalf("cut=%d: valid=%d, want %d", cut, valid, start)
 		}
-		// The final record was commit(5, on); without it tile 5 must not
-		// be committed while everything earlier survives.
-		if st.Committed[5] {
-			t.Fatalf("cut=%d: torn record leaked into state", cut)
+		// The final record was epoch 2; without it the last epoch must be 1
+		// while everything earlier survives.
+		if st.LastEpoch != 1 {
+			t.Fatalf("cut=%d: torn record leaked into state: last epoch %d", cut, st.LastEpoch)
 		}
-		if !st.Committed[0] || st.Gen != full.Gen {
+		if st.Identity == nil || st.Gen != full.Gen {
 			t.Fatalf("cut=%d: earlier records lost: %+v", cut, st)
 		}
 	}
@@ -135,7 +121,7 @@ func TestLedgerTornTailToleratedAndTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Replay after torn reopen: %v", err)
 	}
-	if !st2.Done || st2.TornTail || st2.Committed[5] {
+	if !st2.Done || st2.TornTail || st2.LastEpoch != 1 {
 		t.Fatalf("post-truncate state wrong: %+v", st2)
 	}
 }
@@ -195,74 +181,12 @@ func TestLedgerCorruptionRefusedLoudly(t *testing.T) {
 	}
 }
 
-func TestLedgerRotateCompacts(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.ledger")
-	l, _, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range sampleRun() {
-		if err := l.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Pile on redundant stored records so compaction has something to drop.
-	for i := 0; i < 100; i++ {
-		if err := l.Append(Record{Kind: KindStored, Tile: 0, Rank: 1, Count: int64(10 + i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	before, err := Replay(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizeBefore := l.Size()
-
-	if err := l.Rotate(before); err != nil {
-		t.Fatalf("Rotate: %v", err)
-	}
-	if l.Size() >= sizeBefore {
-		t.Fatalf("rotation did not shrink: %d -> %d", sizeBefore, l.Size())
-	}
-	// The rotated ledger must replay to the same state and stay appendable.
-	after, err := Replay(path)
-	if err != nil {
-		t.Fatalf("Replay(rotated): %v", err)
-	}
-	if !reflect.DeepEqual(after.Stored, before.Stored) ||
-		!reflect.DeepEqual(after.CommittedTiles(), before.CommittedTiles()) ||
-		after.Gen != before.Gen || after.LastEpoch != before.LastEpoch {
-		t.Fatalf("rotation changed state:\nbefore %+v\nafter  %+v", before, after)
-	}
-	if err := l.Append(Record{Kind: KindDone, Err: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	final, err := Replay(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !final.Done || final.DoneErr != "x" {
-		t.Fatalf("append after rotate lost: %+v", final)
-	}
-	// No rotate temp files may linger.
-	matches, _ := filepath.Glob(filepath.Join(filepath.Dir(path), "*.rotate-*"))
-	if len(matches) != 0 {
-		t.Fatalf("leftover rotation temp files: %v", matches)
-	}
-}
-
 func TestLedgerMissingFileIsEmpty(t *testing.T) {
 	st, err := Replay(filepath.Join(t.TempDir(), "absent.ledger"))
 	if err != nil {
 		t.Fatalf("Replay(missing): %v", err)
 	}
-	if st.Identity != nil || st.Gen != 0 || st.LastEpoch != -1 || len(st.Stored) != 0 {
+	if !reflect.DeepEqual(st, emptyState()) || st.LastEpoch != -1 {
 		t.Fatalf("missing file not empty: %+v", st)
 	}
 }
@@ -271,15 +195,79 @@ func TestLedgerUnknownKindSkipped(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ledger")
 	writeLedger(t, path, []Record{
 		{Kind: KindGen, Gen: 3},
-		{Kind: "future-kind", Tile: 9},
-		{Kind: KindCommit, Tile: 1, On: true},
+		{Kind: "future-kind", Gen: 9},
+		{Kind: KindDone},
 	})
 	st, err := Replay(path)
 	if err != nil {
 		t.Fatalf("unknown kind broke replay: %v", err)
 	}
-	if st.Gen != 3 || !st.Committed[1] {
-		t.Fatalf("records around unknown kind lost: %+v", st)
+	if st.Gen != 3 || !st.Done {
+		t.Fatalf("records around unknown kind lost, or the unknown one folded: %+v", st)
+	}
+}
+
+// oldLedger is a ledger image as heads wrote them while they also
+// journaled the checkpoint table: stored records (an absolute prefix per
+// tile and rank) and commit records (a tile's commitment flipping) between
+// the identity, gen, epoch and done records, as raw frames.
+func oldLedger() []byte {
+	buf := append([]byte(nil), fileMagic...)
+	for _, body := range []string{
+		`{"k":"identity","ph":18369614221190033421,"cd":42,"np":4,"nr":6}`,
+		`{"k":"gen","g":1}`,
+		`{"k":"epoch"}`,
+		`{"k":"stored","t":0,"r":1,"n":10}`,
+		`{"k":"stored","t":0,"r":2,"n":7}`,
+		`{"k":"commit","t":0,"on":true}`,
+		`{"k":"epoch","e":1}`,
+		`{"k":"stored","t":3,"r":1,"n":9}`,
+		`{"k":"commit","t":3,"on":true}`,
+		`{"k":"commit","t":3}`,
+		`{"k":"done"}`,
+	} {
+		var hdr [frameHeader]byte
+		binary.LittleEndian.PutUint32(hdr[0:], uint32(len(body)))
+		binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum([]byte(body), castagnoli))
+		buf = append(append(buf, hdr[:]...), body...)
+	}
+	return buf
+}
+
+// TestLedgerOldKindsSkipped: a ledger holding the stored and commit records
+// older heads journaled replays to the identity, generation, epoch and
+// outcome its other records give, those kinds skipped as unknown, and
+// stays appendable.
+func TestLedgerOldKindsSkipped(t *testing.T) {
+	want := State{
+		Identity:  &Record{Kind: KindIdentity, PlanHash: 0xfeedfacecafef00d, Digest: 42, Procs: 4, Ranks: 6},
+		Gen:       1,
+		LastEpoch: 1,
+		Done:      true,
+	}
+	st, valid, err := ReplayBytes(oldLedger())
+	if err != nil || valid != len(oldLedger()) {
+		t.Fatalf("old ledger: valid %d of %d bytes, err %v", valid, len(oldLedger()), err)
+	}
+	if !reflect.DeepEqual(st, want) {
+		t.Fatalf("old ledger replays to %+v (identity %+v), want %+v (identity %+v)", st, st.Identity, want, want.Identity)
+	}
+	path := filepath.Join(t.TempDir(), "old.ledger")
+	if err := os.WriteFile(path, oldLedger(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, st, err := Open(path)
+	if err != nil || !reflect.DeepEqual(st, want) {
+		t.Fatalf("Open(old): %+v, %v", st, err)
+	}
+	if err := l.Append(Record{Kind: KindGen, Gen: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := Replay(path); err != nil || st.Gen != 2 || st.LastEpoch != 1 {
+		t.Fatalf("append to an old ledger: %+v, %v", st, err)
 	}
 }
 
@@ -308,6 +296,7 @@ func FuzzLedgerReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("KRONLDG1"))
 	f.Add([]byte("not a ledger"))
+	f.Add(oldLedger())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Never panics; valid-prefix length is always in range and on the
@@ -328,8 +317,9 @@ func FuzzLedgerReplay(f *testing.F) {
 		if err2 != nil || valid2 != valid {
 			t.Fatalf("valid prefix not idempotent: valid=%d err=%v", valid2, err2)
 		}
-		if !reflect.DeepEqual(st.Stored, st2.Stored) || !reflect.DeepEqual(st.Committed, st2.Committed) {
-			t.Fatalf("prefix replay diverged")
+		st.TornTail = false
+		if !reflect.DeepEqual(st, st2) {
+			t.Fatalf("prefix replay diverged: %+v, then %+v", st, st2)
 		}
 	})
 }

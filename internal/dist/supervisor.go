@@ -8,16 +8,18 @@ package dist
 // detect-and-reexecute posture MapReduce-lineage systems take for
 // idempotent partitioned work:
 //
-//   - Checkpoints are tile-level and deterministic: for each plan tile
-//     the table (checkpoints) tracks how many of its edges each rank's
-//     sink has durably stored. A tile is committed once the stored total
-//     reaches its known ground-truth arc count (Plan.Arcs — computable up
-//     front, in the paper's spirit of properties known before generation).
+//   - Checkpoints are tile-level and deterministic: each rank's sink counts
+//     how many of each tile's edges it has durably stored
+//     (fencedRankSink.stored), and every report carries those counts to
+//     the head's table (checkpoints). A tile is committed once the stored
+//     total reaches its known ground-truth arc count (Plan.Arcs —
+//     computable up front, in the paper's spirit of properties known
+//     before generation).
 //   - Every rank's sink has one lifetime (rankHost): created in the
 //     rank's first attempt, fed tile-framed blocks by every attempt,
 //     closed exactly once after the last attempt.
 //   - On a recoverable fault (a RankCrashError, or a process that died)
-//     the failed attempt's partial progress is harvested, the failed rank
+//     the failed attempt's partial progress counts, the failed rank
 //     is respawned, and the uncommitted tiles are replayed after an
 //     exponential backoff — each on the ranks the plan gave it: placement is
 //     decided once, from the plan and the owner, and no attempt moves a tile.
@@ -25,9 +27,10 @@ package dist
 //     fixed, the owner map is pure, and a rank generates the arcs it stores
 //     itself, in that order, so the substream of a tile reaching one rank's
 //     sink is identical across attempts and the stored count is always a
-//     prefix of it. Each attempt a rank resumes every tile at that prefix
-//     (walk.tiles) and generates none of it again. Nothing crosses a rank
-//     boundary, so no straggler of an earlier attempt can reach a sink.
+//     prefix of it. Each attempt a rank resumes every tile at its own
+//     sink's count (walk.tiles) and generates none of it again. Nothing
+//     crosses a rank boundary, so no straggler of an earlier attempt can
+//     reach a sink.
 //   - With the budget exhausted — at once when Recovery.MaxRetries is
 //     zero — the last fault is returned unchanged.
 
@@ -35,7 +38,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"sort"
 	"time"
 
@@ -49,11 +51,10 @@ type tileState struct {
 	tile  Tile
 	arcs  int64 // the tile's arc count (Plan.Arcs)
 	owner int   // the rank the plan gave the tile
-	// stored[d] counts the tile's edges durably stored by rank d's sink —
-	// the owning rank under an owner map, the planned rank on runs without
-	// one. Written only between attempts.
-	stored    []int64
-	committed bool
+	// stored[d] is what rank d's process last said its sink durably stored
+	// of the tile — the owning rank under an owner map, the planned rank on
+	// runs without one. Written only between attempts.
+	stored []int64
 }
 
 func (ts *tileState) storedTotal() int64 {
@@ -64,9 +65,10 @@ func (ts *tileState) storedTotal() int64 {
 	return t
 }
 
-// checkpoints is a run's tile checkpoint table, owned by the attempt loop
-// (which journals it when a ledger is armed). It is touched only between
-// attempts.
+// checkpoints is a run's tile checkpoint table, owned by the attempt loop.
+// It decides commitment and nothing else: where a rank resumes a tile is
+// its own process's count (fencedRankSink.stored). It is touched only
+// between attempts.
 type checkpoints struct {
 	tiles []*tileState // plan order: by planned rank, then position
 	byID  map[int]*tileState
@@ -84,73 +86,41 @@ func newCheckpoints(p Plan) *checkpoints {
 	return cp
 }
 
-// recommit recomputes every tile's commitment from its stored counts.
-// Never sticky: a tile whose edges lived on a process that died
-// un-commits and replays.
-func (cp *checkpoints) recommit() {
-	for _, ts := range cp.tiles {
-		ts.committed = ts.storedTotal() == ts.arcs
-	}
-}
-
-// harvest folds one attempt report's newly stored per-(rank, tile) counts
-// into the table. Partial progress from a failed attempt counts: those
-// edges reached the sinks before the teardown.
-func (cp *checkpoints) harvest(stored map[int]map[int]int64) {
-	for rk, m := range stored {
-		for id, n := range m {
-			cp.byID[id].stored[rk] += n
-		}
-	}
-}
-
-// zeroRanks forgets everything stored at ranks [lo, hi): a dead process's
-// durable output dies with it (a respawned ShardWriter truncates its
-// shard on open).
-func (cp *checkpoints) zeroRanks(lo, hi int) {
+// set makes ranks [lo, hi) hold what their process says they stored: abs
+// is absolute per (rank, tile), from a join or a report, and nil for a
+// process that died — its durable output died with it (a respawned
+// ShardWriter truncates its shard on open). A process speaks only for its
+// own ranks: other ranks and tiles the plan does not have are ignored.
+func (cp *checkpoints) set(lo, hi int, abs map[int]map[int]int64) {
 	for _, ts := range cp.tiles {
 		for d := lo; d < hi; d++ {
-			ts.stored[d] = 0
+			ts.stored[d] = abs[d][ts.tile.ID]
 		}
 	}
 }
 
-// assign recomputes commitment and returns the next attempt's work: the
-// uncommitted tile IDs per planned rank, in plan order (under a source
-// owner only their union matters: every rank walks it, see
-// rankHost.resolveTiles), and the prefix each rank resumes each tile at —
-// the stored prefix of each (tile, storing rank). Producers never
-// move, so under no owner, where the one storing rank is the planned one,
-// that is the tile's whole stored total.
-func (cp *checkpoints) assign() (tiles map[int][]int, skip map[int]map[int]int64) {
-	cp.recommit()
-	tiles = make(map[int][]int)
-	skip = make(map[int]map[int]int64)
+// assign returns the next attempt's work: the uncommitted tile IDs per
+// planned rank, in plan order (under a source owner only their union
+// matters: every rank walks it, see rankHost.resolveTiles). Commitment is
+// recomputed every time, never sticky: a tile whose edges lived on a
+// process that died un-commits and replays.
+func (cp *checkpoints) assign() map[int][]int {
+	tiles := make(map[int][]int)
 	for _, ts := range cp.tiles {
-		if ts.committed {
-			continue
-		}
-		tiles[ts.owner] = append(tiles[ts.owner], ts.tile.ID)
-		for d, n := range ts.stored {
-			if n == 0 {
-				continue
-			}
-			if skip[d] == nil {
-				skip[d] = make(map[int]int64)
-			}
-			skip[d][ts.tile.ID] = n
+		if ts.storedTotal() != ts.arcs {
+			tiles[ts.owner] = append(tiles[ts.owner], ts.tile.ID)
 		}
 	}
-	return tiles, skip
+	return tiles
 }
 
 // fencedRankSink is the engine's per-rank sink: it keeps the underlying
 // RankSink open across attempts, hands each block to its fastest path and
 // counts what it stored per tile. A replay never reaches it with an arc it
-// already stored: the walk resumes each tile at the rank's stored prefix
-// (walk.tiles). All per-attempt state is touched by one goroutine at a
-// time — the rank's body within an attempt, the rankHost between attempts,
-// with happens-before through RunContext's spawn and join.
+// already stored: the walk resumes each tile at that count (walk.tiles).
+// All its state is touched by one goroutine at a time — the rank's body
+// within an attempt, the rankHost between attempts, with happens-before
+// through RunContext's spawn and join.
 type fencedRankSink struct {
 	rank  int
 	under RankSink          // created lazily once, reused across attempts
@@ -159,7 +129,10 @@ type fencedRankSink struct {
 	pbs   PackedBlockStorer // under's packed path; without it blocks are widened into wide
 	wide  []graph.Edge      // the widened block: from edgeBufs at the attempt's first widening, back at endAttempt
 
-	stored map[int]int64 // edges newly stored this attempt, per tile
+	// stored counts the edges the sink stored per tile, across every
+	// attempt: where a replay resumes each tile, and the truth this
+	// process announces for the rank in every join and report.
+	stored map[int]int64
 
 	// Hot-path cache of the current tile's count; batches arrive
 	// tile-framed, so tile switches are rare and the per-batch cost is an
@@ -229,8 +202,8 @@ func (f *fencedRankSink) endAttempt() {
 }
 
 // rankHost is one process's share of a run across attempts: the sinks of
-// its local ranks [lo, hi) — every rank of an in-process run — what they
-// have stored so far, and the cluster every attempt runs on.
+// its local ranks [lo, hi) — every rank of an in-process run — with what
+// they have stored so far, and the cluster every attempt runs on.
 type rankHost struct {
 	cfg    Config
 	cc     ClusterConfig
@@ -241,15 +214,6 @@ type rankHost struct {
 	// bySource is the owner's source form for the plan (sourceForm), bound
 	// once; nil with no owner.
 	bySource func(u int64) int
-
-	// cum is this process's cumulative per-(rank, tile) stored prefixes
-	// across all attempts — the floor under every prefix a replay resumes
-	// at, and the durable truth a cluster worker announces in its join
-	// message after every control (re)dial. It is what keeps delivery
-	// exactly-once across a head generation change: a respawned head's
-	// ledger may lag the worker's shards, but the worker never resumes a
-	// tile below what it already stored.
-	cum map[int]map[int]int64
 
 	// local is the process's one cluster, hosting [lo, hi), Reset after
 	// every attempt. It holds the process's armed crash schedule (nil when
@@ -290,10 +254,8 @@ func newRankHost(cc ClusterConfig, cfg Config) (*rankHost, error) {
 		}
 	}
 	h.sinks = make([]*fencedRankSink, h.hi-h.lo)
-	h.cum = make(map[int]map[int]int64, len(h.sinks))
 	for i := range h.sinks {
-		h.sinks[i] = &fencedRankSink{rank: h.lo + i, curTile: -1}
-		h.cum[h.lo+i] = make(map[int]int64)
+		h.sinks[i] = &fencedRankSink{rank: h.lo + i, curTile: -1, stored: make(map[int]int64)}
 	}
 	return h, nil
 }
@@ -349,12 +311,13 @@ func (h *rankHost) resolveTiles(ids map[int][]int) ([][]Tile, error) {
 }
 
 // attempt runs one epoch of the engine for the local ranks: resolve the
-// assignment and each rank's stored prefix of every tile, run, harvest what
-// each sink newly stored per tile, Reset the cluster. The returned report
-// is what a cluster worker sends to the head and what the head folds
-// directly.
-func (h *rankHost) attempt(ctx context.Context, epoch int64, ids map[int][]int, skip map[int]map[int]int64) ctrlMsg {
-	rep := ctrlMsg{Kind: ctrlReport, Epoch: epoch}
+// assignment, run — each rank resuming every tile at what its sink stored —
+// and Reset the cluster. The returned report is what a cluster worker sends
+// to the head and what the head folds directly.
+func (h *rankHost) attempt(ctx context.Context, epoch int64, ids map[int][]int) ctrlMsg {
+	// Stored aliases the sinks' counts, so even a report of an attempt that
+	// never ran carries what this process holds.
+	rep := ctrlMsg{Kind: ctrlReport, Epoch: epoch, Stored: h.storedCounts()}
 	assigned, err := h.resolveTiles(ids)
 	if err != nil {
 		rep.fail(err)
@@ -363,23 +326,11 @@ func (h *rankHost) attempt(ctx context.Context, epoch int64, ids map[int][]int, 
 	c := h.local
 	held := c.outstandingBufs()
 	r := h.cfg.Plan.R
-	prefix := make([]map[int]int64, r)
-	for _, f := range h.sinks {
-		// Never below what this process already stored.
-		p := maps.Clone(h.cum[f.rank])
-		for id, n := range skip[f.rank] {
-			p[id] = max(p[id], n)
-		}
-		prefix[f.rank] = p
-		f.stored = make(map[int]int64)
-		f.curTile = -1
-	}
 	perGen := make([]int64, r)
 	perStored := make([]int64, r)
-	err = runAttempt(ctx, c, h.cfg.Plan, h.cfg.Owner, h.bySource, assigned, prefix, h.sinkFor, perGen, perStored, h.cfg.batchSize())
+	err = runAttempt(ctx, c, h.cfg.Plan, h.cfg.Owner, h.bySource, assigned, h.sinkFor, perGen, perStored, h.cfg.batchSize())
 	st := c.Stats()
 
-	rep.Stored = make(map[int]map[int]int64, len(h.sinks))
 	rep.Gen = make(map[int]int64, len(h.sinks))
 	rep.StoredN = make(map[int]int64, len(h.sinks))
 	// The placing counters are one count per pick and the arcs copied into
@@ -389,14 +340,6 @@ func (h *rankHost) attempt(ctx context.Context, epoch int64, ids map[int][]int, 
 		RowsTested: st.OwnerRowsTested, Compacted: st.ArcsCompacted,
 	}
 	for _, f := range h.sinks {
-		m := make(map[int]int64, len(f.stored))
-		for id, n := range f.stored {
-			if n > 0 {
-				m[id] = n
-				h.cum[f.rank][id] += n
-			}
-		}
-		rep.Stored[f.rank] = m
 		rep.Gen[f.rank] = perGen[f.rank]
 		rep.StoredN[f.rank] = perStored[f.rank]
 	}
@@ -404,6 +347,17 @@ func (h *rankHost) attempt(ctx context.Context, epoch int64, ids map[int][]int, 
 	c.Reset()
 	h.bufsOut += c.outstandingBufs() - held
 	return rep
+}
+
+// storedCounts is what this process's sinks have stored, per (rank, tile),
+// absolute: the Stored of every join and report it sends. It aliases the
+// sinks' counts, so it is read before the next attempt runs.
+func (h *rankHost) storedCounts() map[int]map[int]int64 {
+	m := make(map[int]map[int]int64, len(h.sinks))
+	for _, f := range h.sinks {
+		m[f.rank] = f.stored
+	}
+	return m
 }
 
 // finalize closes every locally created RankSink exactly once, after the

@@ -60,8 +60,12 @@ import (
 // nothing on the wire would show it. Version 7: the engine binds the source
 // map to the plan's innermost factor, padding its digit to a power of two
 // (store.SourceMap), so every chain whose innermost vertex count is not a
-// power of two places anew — the same posture again.
-const Version = 7
+// power of two places anew — the same posture again. Version 8: each
+// process resumes its ranks at its own stored counts, so a begin carries
+// no prefixes and a report carries absolute per-(rank, tile) counts where
+// it carried the attempt's deltas; a v7 head would fold a v8 report as
+// deltas and resume a v8 worker nowhere, so it is refused here.
+const Version = 8
 
 // Magic opens every frame — a cheap desynchronization tripwire: if a
 // torn or corrupt frame shifts the stream, the next header read fails
