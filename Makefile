@@ -61,19 +61,19 @@ check-regexes:
 recovery-soak:
 	$(GO) test -race -count 1 -timeout 6m -run 'Recover' ./internal/dist/
 
-# Head-death soak: the multi-process head kill+respawn suite, the run
-# ledger, and the partition/heartbeat failure-detection tests (the head's
+# Head-death soak: the multi-process head kill+respawn suite and the
+# partition/heartbeat failure-detection tests (the head's
 # wait on a silent worker's control link included), repeated under the
 # race detector. The -timeout is a hard stop — a respawned
 # head that never converges or a worker that parks forever must fail the
 # run, not hang it.
 head-soak:
 	$(GO) test -race -count 5 -timeout 8m \
-		-run 'ClusterHeadKill|Ledger|Partition|Heartbeat|FailureDetection' ./internal/dist/...
+		-run 'ClusterHeadKill|Partition|Heartbeat|FailureDetection' ./internal/dist/...
 
 # Short fuzzing pass: every Fuzz* harness for a few seconds each, so the
-# corpora stay loadable and cheap wins (a ledger replay panic on
-# arbitrary bytes, a frame decode crash) surface without a fuzz farm.
+# corpora stay loadable and cheap wins (a frame decode crash on arbitrary
+# bytes) surface without a fuzz farm.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime 5s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz FuzzBinaryRoundTrip -fuzztime 5s ./internal/graph/
@@ -82,7 +82,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzChainIndex -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzExpand -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 5s ./internal/dist/transport/wire/
-	$(GO) test -run '^$$' -fuzz FuzzLedgerReplay -fuzztime 5s ./internal/dist/ledger/
 	$(GO) test -run '^$$' -fuzz FuzzBySourceAdditive -fuzztime 5s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzSourceMapAdditive -fuzztime 5s ./internal/store/
 

@@ -17,7 +17,7 @@
 //	       [-binary] [-stats] [-store DIR]
 //	       [-offset N] [-limit M] [-gomaxprocs N]
 //	       [-cluster-peers H:P,H:P,... -cluster-self N [-retries K]
-//	        [-ledger FILE] [-head-retries K] [-hb-interval D] [-hb-deadline D]
+//	        [-head-retries K] [-hb-interval D] [-hb-deadline D]
 //	        [-dial-timeout D]]
 //
 // Before generating, krongen prints the closed-form expected |V| and |E|
@@ -45,7 +45,11 @@
 // index, hosts a contiguous share of the -ranks ranks, and streams its
 // owned shards into the shared -store directory. Process 0 supervises
 // (assigning work, collecting results, retrying up to -retries times
-// after a peer process dies) and finalizes the store manifest.
+// after a peer process dies) and finalizes the store manifest. It keeps no
+// journal: when it dies, run the same command line again — the workers,
+// re-dialing under -head-retries, tell the new head what they stored in
+// their joins. The head refuses a worker whose peer list splits the ranks
+// differently, naming its index, at first start and after a respawn.
 //
 // With -self-loops every factor gets full self loops first — the
 // ⊗(A_d+I) construction required by the triangle (Cor. 1/2), distance
@@ -96,7 +100,6 @@ func main() {
 	clusterPeers := flag.String("cluster-peers", "", "comma-separated host:port list of every cluster process, in process order (requires -store)")
 	clusterSelf := flag.Int("cluster-self", 0, "this process's index into -cluster-peers")
 	retries := flag.Int("retries", 3, "cluster mode: attempts to retry after a recoverable peer failure")
-	ledgerPath := flag.String("ledger", "", "cluster mode: durable run-ledger file for process 0; a respawned head replays it and resumes instead of restarting")
 	headRetries := flag.Int("head-retries", 5, "cluster mode: how many times a worker re-dials a lost head before giving up")
 	hbInterval := flag.Duration("hb-interval", 0, "cluster mode: control-link heartbeat interval (≤ 0 = 2s default; heartbeats are always on)")
 	hbDeadline := flag.Duration("hb-deadline", 0, "cluster mode: peer silence deadline before a partition verdict (0 = 5× interval)")
@@ -251,7 +254,7 @@ func main() {
 
 	if *clusterPeers != "" {
 		runCluster(ch, twoD, *storeDir, *clusterPeers, *clusterSelf, *ranks, *retries, *stats, *offset, *limit,
-			clusterOpts{ledger: *ledgerPath, headRetries: *headRetries,
+			clusterOpts{headRetries: *headRetries,
 				hbInterval: *hbInterval, hbDeadline: *hbDeadline, dialTimeout: *dialTimeout})
 		return
 	}
@@ -381,9 +384,8 @@ func (t *killRankSink) StorePackedBlock(tile int, arcs []uint64, u0, v0 int64) (
 // and the arcs copied into the innermost factor's classes, printed as
 // shares of the edges generated — a replay generates nothing it stored,
 // so that is the edges stored — and the busiest rank's share, which is the
-// run's wall: max stored over the ideal 1/R (of what this head generation's
-// attempts stored: a head resumed from a ledger counts only what was stored
-// since).
+// run's wall: max stored over the ideal 1/R (of what this head's attempts
+// stored: a respawned head counts only what was stored since it started).
 func placed(st dist.Stats) string {
 	share := func(n int64) float64 { return 100 * float64(n) / float64(max(st.EdgesGenerated, 1)) }
 	var stored int64
@@ -414,11 +416,9 @@ func openOut(path string) *os.File {
 	return f
 }
 
-// clusterOpts bundles the robustness knobs of cluster mode: the head's
-// durable run ledger, the workers' head re-dial budget, heartbeat
-// tuning, and the dial/handshake timeout.
+// clusterOpts bundles the robustness knobs of cluster mode: the workers'
+// head re-dial budget, heartbeat tuning, and the dial/handshake timeout.
 type clusterOpts struct {
-	ledger      string
 	headRetries int
 	hbInterval  time.Duration
 	hbDeadline  time.Duration
@@ -490,7 +490,6 @@ func runCluster(ch *core.Chain, twoD bool, dir, peers string, self, ranks, retri
 			Procs:             transport.SplitRanks(addrs, ranks),
 			Self:              self,
 			Node:              node,
-			LedgerPath:        opts.ledger,
 			HeadRetries:       opts.headRetries,
 			HeartbeatInterval: opts.hbInterval,
 			HeartbeatDeadline: opts.hbDeadline,
@@ -515,7 +514,7 @@ func runCluster(ch *core.Chain, twoD bool, dir, peers string, self, ranks, retri
 		elapsed := time.Since(start)
 		fmt.Fprintf(os.Stderr, "streamed %d arcs to %s (%d shards) in %s\n",
 			st.TotalEdges(), dir, st.Shards(), rate(st.TotalEdges(), elapsed))
-		fmt.Fprintf(os.Stderr, "procs=%d ranks=%d %s, max stored/rank=%d, recovered runs=%d, head generation=%d\n",
-			len(addrs), ranks, placed(genStats), genStats.MaxStored(), genStats.RecoveredRuns, genStats.HeadGeneration)
+		fmt.Fprintf(os.Stderr, "procs=%d ranks=%d %s, max stored/rank=%d, recovered runs=%d\n",
+			len(addrs), ranks, placed(genStats), genStats.MaxStored(), genStats.RecoveredRuns)
 	}
 }

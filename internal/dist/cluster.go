@@ -66,21 +66,18 @@ type Stats struct {
 	PerRankGenerated []int64 // edges expanded by each rank (engine runs)
 	PerRankStored    []int64 // edges stored by each rank's sink (engine runs)
 
-	// Recovery counters (zero on a run that needed no retry). A replay
+	// Recovery counters (zero on a run that needed no retry and resumed
+	// nothing). A replay
 	// resumes every tile at what its ranks already stored, so after a retry
 	// the generated counters still equal the stored ones — but for the
 	// ordered stream, whose replay generates again a tile's last edge held
 	// back by a failed attempt (streamRankSink): at most one per rank per
 	// failed attempt.
 	RetriesPerRank []int64 // attempts re-run, attributed to the rank at fault
-	RecoveredRuns  int64   // 1 when the run succeeded only after retries
-
-	// Robustness counters. HeadGeneration counts head incarnations across
-	// the run's ledger (1 = the head never died, and every in-process
-	// run); LastEpoch is the final attempt's epoch (the attempt number
-	// without a ledger).
-	HeadGeneration int64
-	LastEpoch      int64
+	// RecoveredRuns is 1 when the run succeeded after retries, or when its
+	// head resumed a run a dead head began (the workers' first joins
+	// reported stored arcs).
+	RecoveredRuns int64
 
 	// OutstandingBufs snapshots pooled block buffers still checked out by
 	// the process that drove the run. Every in-process run ends at 0,

@@ -12,14 +12,13 @@ package dist
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"math/bits"
 	"net"
 	"os"
 	"os/exec"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -28,7 +27,6 @@ import (
 	"time"
 
 	"kronlab/internal/core"
-	"kronlab/internal/dist/ledger"
 	"kronlab/internal/dist/transport"
 	"kronlab/internal/dist/transport/tcp"
 	"kronlab/internal/gen"
@@ -259,7 +257,6 @@ const (
 	envClusterDir     = "KRONLAB_CLUSTER_DIR"
 	envClusterKill    = "KRONLAB_CLUSTER_KILL"
 	envClusterOwned   = "KRONLAB_CLUSTER_OWNED"   // the owner-side death cluster (ownedKillConfig)
-	envClusterLedger  = "KRONLAB_CLUSTER_LEDGER"  // head: durable run ledger path
 	envClusterRetries = "KRONLAB_CLUSTER_RETRIES" // workers: head re-dial budget
 )
 
@@ -315,9 +312,6 @@ func TestClusterHelperProcess(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
 	cc := ClusterConfig{Procs: transport.SplitRanks(addrs, plan.R), Self: self, Node: node}
-	if lp := os.Getenv(envClusterLedger); lp != "" && self == 0 {
-		cc.LedgerPath = lp
-	}
 	if hr, _ := strconv.Atoi(os.Getenv(envClusterRetries)); hr > 0 {
 		cc.HeadRetries = hr
 	}
@@ -571,13 +565,11 @@ func TestClusterKillRecovery(t *testing.T) {
 // TestClusterHeadKillRecovery is the tentpole contract: a 4-process TCP
 // cluster whose HEAD — the supervisor owning the checkpoint table — exits
 // inside its sink mid-run. The driver respawns it on the same listener as
-// an external supervisor would; the respawned head
-// replays its durable ledger, bumps the head generation, re-accepts the
-// parked workers (whose joins re-announce their stored counts), and
-// finishes the run. The final store must match the serial product
-// edge-for-edge — zero duplicates, each process resuming at its own stored
-// counts across the head generation change — and the ledger must replay to
-// a done run and hold only identity, gen, epoch and done records.
+// an external supervisor would; the respawned head, which
+// reads no journal, re-accepts the parked workers (whose joins re-announce
+// their stored counts) and finishes the run. The final store must match
+// the serial product edge-for-edge — zero duplicates, each process resuming
+// at its own stored counts across the head's respawn.
 func TestClusterHeadKillRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process test")
@@ -585,7 +577,6 @@ func TestClusterHeadKillRecovery(t *testing.T) {
 	const nprocs = 4
 	lns, addrs := clusterListeners(t, nprocs)
 	dir := t.TempDir()
-	ledgerPath := dir + "/head.ledger"
 	_, plan, err := killTestConfig(dir, nprocs)
 	if err != nil {
 		t.Fatal(err)
@@ -610,15 +601,14 @@ func TestClusterHeadKillRecovery(t *testing.T) {
 			envClusterSelf+"="+strconv.Itoa(self),
 			envClusterDir+"="+dir,
 			envClusterKill+"="+strconv.FormatInt(kill, 10),
-			envClusterLedger+"="+ledgerPath,
 			envClusterRetries+"=12",
 		)
 		return captureOutput(withListener(t, cmd, lns[self]))
 	}
 
 	// Workers first (they park dialing the head), then the doomed head: it
-	// exits inside its 5th sink block, mid-run of epoch 0, and is respawned
-	// clean; the second generation, like every worker, must exit
+	// exits inside its 5th sink block, mid-run of the first attempt, and is
+	// respawned clean; the respawned head, like every worker, must exit
 	// successfully.
 	exits := make(chan childExit, nprocs)
 	for p := 1; p < nprocs; p++ {
@@ -634,30 +624,6 @@ func TestClusterHeadKillRecovery(t *testing.T) {
 	}
 	respawnAfter(exits, "head", head, func() *exec.Cmd { return spawn(0, 0) })
 	awaitCluster(t, nil, exits, nprocs)
-
-	// The ledger must replay to a completed generation-2 run and hold only
-	// what a restart reads: no stored count and no commitment is journaled.
-	lst, err := ledger.Replay(ledgerPath)
-	if err != nil {
-		t.Fatalf("ledger replay: %v", err)
-	}
-	if lst.Gen != 2 {
-		t.Fatalf("ledger head generation = %d, want 2 (one respawn)", lst.Gen)
-	}
-	if !lst.Done || lst.DoneErr != "" {
-		t.Fatalf("ledger outcome done=%v err=%q, want a clean done record", lst.Done, lst.DoneErr)
-	}
-	kinds := ledgerKinds(t, ledgerPath)
-	for _, k := range kinds {
-		switch k {
-		case ledger.KindIdentity, ledger.KindGen, ledger.KindEpoch, ledger.KindDone:
-		default:
-			t.Fatalf("ledger holds a %q record; want only identity, gen, epoch and done: %v", k, kinds)
-		}
-	}
-	if kinds[0] != ledger.KindIdentity || kinds[len(kinds)-1] != ledger.KindDone {
-		t.Fatalf("ledger records %v, want identity first and done last", kinds)
-	}
 
 	// Edge-for-edge: exact arc count (zero duplicates) and exact set.
 	st, err := store.Recover(dir, plan.NC)
@@ -675,28 +641,6 @@ func TestClusterHeadKillRecovery(t *testing.T) {
 	if !got.Equal(want) {
 		t.Fatal("store after head respawn differs from serial reference")
 	}
-}
-
-// ledgerKinds returns the kind of every record of the ledger at path, in
-// order, read off its frames: an 8-byte magic, then per record a u32
-// length, a u32 checksum and the JSON body.
-func ledgerKinds(t *testing.T, path string) []string {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var kinds []string
-	for off := 8; off < len(data); {
-		ln := int(binary.LittleEndian.Uint32(data[off:]))
-		var rec ledger.Record
-		if err := json.Unmarshal(data[off+8:off+8+ln], &rec); err != nil {
-			t.Fatalf("ledger record at offset %d: %v", off, err)
-		}
-		kinds = append(kinds, rec.Kind)
-		off += 8 + ln
-	}
-	return kinds
 }
 
 // openCounter is a sink that counts the rank sinks it opens.
@@ -775,74 +719,167 @@ func TestClusterHeadFaultUnchanged(t *testing.T) {
 	}
 }
 
-// TestLedgerIdentityRefusesOtherRun: a ledger belongs to one run
-// configuration. Its per-(tile, rank) prefixes count positions in the
-// substream one owner map gives a rank in blocks of one size, so a head
-// handed a finished run's ledger under another owner map, another batch
-// size or another process split must refuse by identity, where resuming at
-// its prefixes would skip the wrong arcs of tiles whose counts still match.
-// The same configuration is accepted: that is a resume. (Ledgers written
-// under maps the engine no longer places by are TestConfigDigestPinned's.)
-func TestLedgerIdentityRefusesOtherRun(t *testing.T) {
+// digestOf is the configDigest a process of procs (more than one) joins or
+// checks joins with under cfg: the digest does not depend on which process
+// computes it.
+func digestOf(t *testing.T, procs []transport.Proc, cfg Config) uint64 {
+	t.Helper()
+	h, err := newRankHost(ClusterConfig{Procs: procs, Self: 1}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h.configDigest()
+}
+
+// fakeRun is what a fakeWorker saw: the begins the head sent it, then the
+// message that was not one (the head's done) or the error that ended the
+// link.
+type fakeRun struct {
+	begins []ctrlMsg
+	end    ctrlMsg
+	err    error
+}
+
+// fakeWorker plays proc 1 of a two-process cluster by hand: it dials the
+// head at addr, sends join as its join, and answers every begin with
+// answer's report until the head sends something else.
+func fakeWorker(ctx context.Context, addr string, planHash uint64, join ctrlMsg, answer func(begin ctrlMsg) ctrlMsg) <-chan fakeRun {
+	out := make(chan fakeRun, 1)
+	go func() {
+		var fr fakeRun
+		defer func() { out <- fr }()
+		cc, err := tcp.DialControl(ctx, addr, 1, planHash, 5*time.Second)
+		if err != nil {
+			fr.err = err
+			return
+		}
+		defer cc.Close()
+		cc.StartHeartbeat(50*time.Millisecond, 0)
+		join.Kind = ctrlJoin
+		if fr.err = cc.Send(join); fr.err != nil {
+			return
+		}
+		for {
+			var m ctrlMsg
+			if fr.err = cc.Recv(ctx, &m); fr.err != nil || m.Kind != ctrlBegin {
+				fr.end = m
+				return
+			}
+			fr.begins = append(fr.begins, m)
+			rep := answer(m)
+			rep.Kind = ctrlReport
+			if fr.err = cc.Send(rep); fr.err != nil {
+				return
+			}
+		}
+	}()
+	return out
+}
+
+// TestClusterRefusesOtherConfig: every process counts what it stored in the
+// substream its owner map sends a rank, in blocks of one size, over one
+// process split. A worker joining under another owner, another batch size
+// or another process split would store arcs the head's table counts for
+// other ranks, and tiles would commit with arcs missing (a BlockOwner
+// worker under an OwnerBySource head stored 1522 of 1680 arcs, and both
+// succeeded). The head refuses such a join before any attempt: both
+// processes fail naming proc 1 and both digests, and neither opens a sink.
+// The same configuration is accepted and stores every arc once.
+func TestClusterRefusesOtherConfig(t *testing.T) {
 	const r = 4
 	plan, err := PlanChain1D(mustChain(killTestFactors()), r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, err := tcp.NewNode("127.0.0.1:0", 0, PlanHash(plan))
+	want, err := plan.TotalArcs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer node.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	oneProc := ClusterConfig{Procs: []transport.Proc{{Hi: r}}}
-	run := func(cc ClusterConfig, path string, owner Owner, batch int) error {
-		cc.LedgerPath = path
-		_, err := RunCluster(ctx, cc, Config{Plan: plan, Owner: owner, Sink: &CountSink{}, BatchSize: batch})
-		return err
+	cases := []struct {
+		name   string
+		worker func(cfg *Config, procs []transport.Proc) []transport.Proc
+	}{
+		{"same", func(*Config, []transport.Proc) []transport.Proc { return nil }},
+		{"owner", func(cfg *Config, _ []transport.Proc) []transport.Proc {
+			cfg.Owner = BlockOwner{NC: plan.NC}
+			return nil
+		}},
+		{"batch", func(cfg *Config, _ []transport.Proc) []transport.Proc {
+			cfg.BatchSize = DefaultBatchSize / 2
+			return nil
+		}},
+		{"split", func(_ *Config, procs []transport.Proc) []transport.Proc {
+			return []transport.Proc{{Addr: procs[0].Addr, Hi: 1}, {Addr: procs[1].Addr, Lo: 1, Hi: r}}
+		}},
 	}
-	owners := map[string]Owner{
-		"BlockOwner":    BlockOwner{NC: plan.NC},
-		"OwnerBySource": OwnerBySource,
-	}
-	for was, x := range owners {
-		path := t.TempDir() + "/ledger"
-		if err := run(oneProc, path, x, 0); err != nil {
-			t.Fatalf("%s: %v", was, err)
-		}
-		if err := run(oneProc, path, x, 0); err != nil {
-			t.Fatalf("%s: the run's own ledger refused: %v", was, err)
-		}
-		for now, y := range owners {
-			if now == was {
-				continue
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			node, err := tcp.NewNode("127.0.0.1:0", 0, PlanHash(plan))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if err := run(oneProc, path, y, 0); !errors.Is(err, ledger.ErrIdentity) {
-				t.Errorf("ledger written under %s, resumed under %s: got %v, want ledger.ErrIdentity", was, now, err)
+			defer node.Close()
+			procs := transport.SplitRanks([]string{node.Addr(), "127.0.0.1:0"}, r)
+			cfgs := []Config{{Plan: plan, Owner: OwnerBySource}, {Plan: plan, Owner: OwnerBySource}}
+			split := [][]transport.Proc{procs, procs}
+			if other := c.worker(&cfgs[1], procs); other != nil {
+				split[1] = other
 			}
-		}
-		if err := run(oneProc, path, x, DefaultBatchSize/2); !errors.Is(err, ledger.ErrIdentity) {
-			t.Errorf("%s, another batch size: got %v, want ledger.ErrIdentity", was, err)
-		}
-		// The head reads the ledger before it waits for anyone, so the second
-		// process of the other split need not exist.
-		split := ClusterConfig{Procs: transport.SplitRanks([]string{node.Addr(), "127.0.0.1:0"}, r), Node: node}
-		if err := run(split, path, x, 0); !errors.Is(err, ledger.ErrIdentity) {
-			t.Errorf("%s, two processes on a one-process ledger: got %v, want ledger.ErrIdentity", was, err)
-		}
+			digests := []string{fmt.Sprintf("%016x", digestOf(t, split[0], cfgs[0])), fmt.Sprintf("%016x", digestOf(t, split[1], cfgs[1]))}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			counts := []*CountSink{{}, {}}
+			sinks := []*openCounter{{Sink: counts[0]}, {Sink: counts[1]}}
+			errs := make([]error, 2)
+			var wg sync.WaitGroup
+			began := time.Now()
+			for p := range errs {
+				wg.Add(1)
+				go func(p int) {
+					defer wg.Done()
+					cfg := cfgs[p]
+					cfg.Sink = sinks[p]
+					_, errs[p] = RunCluster(ctx, ClusterConfig{Procs: split[p], Self: p, Node: node}, cfg)
+				}(p)
+			}
+			wg.Wait()
+			if c.name == "same" {
+				if errs[0] != nil || errs[1] != nil {
+					t.Fatalf("the same configuration refused: head %v, worker %v", errs[0], errs[1])
+				}
+				if got := counts[0].Total() + counts[1].Total(); got != want {
+					t.Fatalf("stored %d arcs, want the plan's %d", got, want)
+				}
+				return
+			}
+			if digests[0] == digests[1] {
+				t.Fatalf("the worker's configuration has the head's digest %s", digests[0])
+			}
+			for p, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), "proc 1") ||
+					!strings.Contains(err.Error(), digests[0]) || !strings.Contains(err.Error(), digests[1]) {
+					t.Errorf("proc %d returned %v, want a refusal naming proc 1, %s and %s", p, err, digests[1], digests[0])
+				}
+				if n := sinks[p].opens.Load(); n != 0 {
+					t.Errorf("proc %d opened %d rank sinks before the refusal", p, n)
+				}
+			}
+			if d := time.Since(began); d > 5*time.Second {
+				t.Errorf("the refusal took %v to end both runs, want under 5s", d)
+			}
+		})
 	}
 }
 
-// TestConfigDigestPinned pins the ledger identity's configuration digest
-// for the owners of TestLedgerIdentityRefusesOtherRun and for no owner, at
-// one process and the default batch: the bytes every ledger written so far
-// holds. A refactor that moved them would make each of those ledgers refuse
-// to resume. OwnerBySource's pin moves when its map does, on purpose — when
-// store.BySource became additive, and again when the engine bound it to the
-// innermost factor, whose 10 vertices here it now pads to 16: a ledger
-// written under an earlier map counts positions in other substreams, and
-// one carrying that map's digest must be refused.
+// TestConfigDigestPinned pins the join's configuration digest for the
+// owners of TestClusterRefusesOtherConfig and for no owner, at one process
+// and the default batch. A refactor that moved them would move every
+// cluster's digests with them, so they are held here. OwnerBySource's pin
+// moves when its map does, on purpose — when store.BySource became
+// additive, and again when the engine bound it to the innermost factor,
+// whose 10 vertices here it now pads to 16: a worker under an earlier map
+// stores other substreams, and a join carrying that map's digest must be
+// refused.
 func TestConfigDigestPinned(t *testing.T) {
 	const r = 4
 	plan, err := PlanChain1D(mustChain(killTestFactors()), r)
@@ -865,93 +902,164 @@ func TestConfigDigestPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := h.configDigest(); got != o.digest {
-			t.Errorf("%s: configDigest = %#016x, ledgers hold %#016x", o.name, got, o.digest)
+			t.Errorf("%s: configDigest = %#016x, pinned %#016x", o.name, got, o.digest)
 		}
 	}
 
-	// Digests of maps the engine no longer places by: OwnerBySource's under
-	// the Fibonacci hash of the whole source, under the additive map before
-	// it was bound to the innermost factor, and the remainder of the hash
-	// (the source hash before it kept the high bits, once a test owner).
+	// Maps the engine no longer places by: OwnerBySource's under the
+	// Fibonacci hash of the whole source, under the additive map before it
+	// was bound to the innermost factor, and the remainder of the hash (the
+	// source hash before it kept the high bits, once a test owner). Each is
+	// rebuilt here and held to its pinned one-process digest; a worker of
+	// a two-process OwnerBySource cluster joining under it is refused, and
+	// one joining under the current map is sent a begin.
 	const fibonacci, unpadded, lowBits = 0x5fe0bae955fe3aac, 0x8db5c3dccb06a16d, 0xcc06d5dedf0dc3cd
+	const phi = 0x9e3779b97f4a7c15
+	cfg := Config{Plan: plan, Owner: OwnerBySource}
 	for _, c := range []struct {
-		digest uint64
-		want   error
-	}{{fibonacci, ledger.ErrIdentity}, {unpadded, ledger.ErrIdentity}, {lowBits, ledger.ErrIdentity}, {bySource, nil}} {
-		path := t.TempDir() + "/ledger"
-		l, _, err := ledger.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Append(ledger.Record{Kind: ledger.KindIdentity, PlanHash: PlanHash(plan), Digest: c.digest, Procs: 1, Ranks: r}); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-		cc := ClusterConfig{Procs: []transport.Proc{{Hi: r}}, LedgerPath: path}
-		_, err = RunCluster(context.Background(), cc, Config{Plan: plan, Owner: OwnerBySource, Sink: &CountSink{}})
-		if c.want == nil && err != nil || c.want != nil && !errors.Is(err, c.want) {
-			t.Errorf("a ledger carrying digest %#016x, resumed under OwnerBySource: got %v, want %v", c.digest, err, c.want)
-		}
+		name   string
+		digest uint64 // 0: the current map, accepted
+		place  func(u int64) int
+	}{
+		{"fibonacci", fibonacci, func(u int64) int { hi, _ := bits.Mul64(uint64(u)*phi, r); return int(hi) }},
+		{"unpadded", unpadded, func(u int64) int { return store.BySource(u, 0, r) }},
+		{"lowBits", lowBits, func(u int64) int { return int(uint64(u) * phi % r) }},
+		{"bySource", 0, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			node, err := tcp.NewNode("127.0.0.1:0", 0, PlanHash(plan))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer node.Close()
+			procs := transport.SplitRanks([]string{node.Addr(), "127.0.0.1:0"}, r)
+			worker, err := newRankHost(ClusterConfig{Procs: procs, Self: 1}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.place != nil {
+				one, err := newRankHost(ClusterConfig{Procs: []transport.Proc{{Hi: r}}}, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				one.bySource, worker.bySource = c.place, c.place
+				if got := one.configDigest(); got != c.digest {
+					t.Fatalf("the rebuilt map's configDigest = %#016x, pinned %#016x", got, c.digest)
+				}
+			}
+			joined := worker.configDigest()
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			stop := ctrlMsg{RunErr: "fake worker stops"}
+			fake := fakeWorker(ctx, node.Addr(), PlanHash(plan), ctrlMsg{Config: joined},
+				func(ctrlMsg) ctrlMsg { return stop })
+			head := cfg
+			head.Sink = &CountSink{}
+			_, err = RunCluster(ctx, ClusterConfig{Procs: procs, Node: node}, head)
+			fr := <-fake
+			if c.place == nil {
+				if len(fr.begins) != 1 || err == nil || !strings.Contains(err.Error(), stop.RunErr) {
+					t.Fatalf("a join under the current map: %d begins, head returned %v; want one begin and the fake's own error", len(fr.begins), err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), "proc 1") || !strings.Contains(err.Error(), fmt.Sprintf("%016x", joined)) {
+				t.Fatalf("a join carrying digest %#016x: head returned %v, want a refusal naming proc 1 and the digest", joined, err)
+			}
+			if len(fr.begins) != 0 || fr.end.Kind != ctrlDone || fr.end.Err != err.Error() {
+				t.Fatalf("the refused worker got %d begins, then %q %q (%v); want only a done carrying the head's error", len(fr.begins), fr.end.Kind, fr.end.Err, fr.err)
+			}
+		})
 	}
 }
 
-// TestClusterHeadResumesOldLedger: a ledger written while heads also
-// journaled their checkpoint table — stored and commit records between
-// the identity, gen and epoch ones, as raw frames, and no done: the head
-// died mid-run — still resumes. The head opens generation 2 at the next
-// epoch, skips the old kinds, and generates every arc exactly once: the
-// stored records claimed prefixes at its own ranks, whose output died with
-// the old head.
-func TestClusterHeadResumesOldLedger(t *testing.T) {
+// TestClusterHeadRequiresCommitment: the head ends a run in success only
+// when its table holds every tile committed, whatever the reports say. A
+// fake worker answers its begin with a clean report that stored nothing,
+// so its ranks' tiles 2 and 3 stay uncommitted; the head must fail the run
+// at once, naming them, not retry and not succeed with half the arcs.
+func TestClusterHeadRequiresCommitment(t *testing.T) {
 	const r = 4
 	plan, err := PlanChain1D(mustChain(killTestFactors()), r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := ClusterConfig{Procs: []transport.Proc{{Hi: r}}, LedgerPath: t.TempDir() + "/ledger"}
-	cfg := Config{Plan: plan, Owner: OwnerBySource, Sink: &CountSink{}}
-	h, err := newRankHost(cc, cfg)
+	node, err := tcp.NewNode("127.0.0.1:0", 0, PlanHash(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := []byte("KRONLDG1")
-	for _, body := range []string{
-		fmt.Sprintf(`{"k":"identity","ph":%d,"cd":%d,"np":1,"nr":%d}`, PlanHash(plan), h.configDigest(), r),
-		`{"k":"gen","g":1}`,
-		`{"k":"epoch"}`,
-		`{"k":"stored","t":0,"r":0,"n":3}`,
-		`{"k":"stored","t":1,"r":1,"n":5}`,
-		`{"k":"commit","t":1,"on":true}`,
-		`{"k":"epoch","e":1}`,
+	defer node.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	procs := transport.SplitRanks([]string{node.Addr(), "127.0.0.1:0"}, r)
+	cfg := Config{Plan: plan, Sink: &CountSink{}, Recovery: Recovery{MaxRetries: 3}}
+	fake := fakeWorker(ctx, node.Addr(), PlanHash(plan), ctrlMsg{Config: digestOf(t, procs, cfg)},
+		func(ctrlMsg) ctrlMsg { return ctrlMsg{} })
+	_, err = RunCluster(ctx, ClusterConfig{Procs: procs, Node: node}, cfg)
+	fr := <-fake
+	if err == nil || !strings.Contains(err.Error(), "tiles [2 3]") || !strings.Contains(err.Error(), "not committed") {
+		t.Fatalf("head returned %v (stored %d arcs), want an error naming uncommitted tiles [2 3]", err, cfg.Sink.(*CountSink).Total())
+	}
+	if len(fr.begins) != 1 || fr.end.Kind != ctrlDone || fr.end.Err != err.Error() {
+		t.Fatalf("fake worker got %d begins, then %q %q; want one begin, then the head's error in a done", len(fr.begins), fr.end.Kind, fr.end.Err)
+	}
+}
+
+// TestClusterHeadCountsResume: with no journal, a head knows it resumed a
+// run only from the workers' first joins. A fake worker whose join says its
+// ranks stored all of tiles 2 and 3 is handed none of them, and the run
+// succeeds in one attempt with RecoveredRuns = 1; the same worker joining
+// empty is handed both, stores them, and the run recovered nothing.
+func TestClusterHeadCountsResume(t *testing.T) {
+	const r = 4
+	plan, err := PlanChain1D(mustChain(killTestFactors()), r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := map[int]map[int]int64{}
+	for _, rk := range []int{2, 3} {
+		full[rk] = map[int]int64{rk: plan.Arcs(plan.Tiles[rk][0])}
+	}
+	for _, c := range []struct {
+		name      string
+		join      map[int]map[int]int64
+		tiles     []int
+		recovered int64
+	}{
+		{"resumed", full, nil, 1},
+		{"fresh", nil, []int{2, 3}, 0},
 	} {
-		old = binary.LittleEndian.AppendUint32(old, uint32(len(body)))
-		old = binary.LittleEndian.AppendUint32(old, crc32.Checksum([]byte(body), crc32.MakeTable(crc32.Castagnoli)))
-		old = append(old, body...)
-	}
-	if err := os.WriteFile(cc.LedgerPath, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err := RunCluster(context.Background(), cc, cfg)
-	if err != nil {
-		t.Fatalf("head on an old ledger: %v", err)
-	}
-	if st.HeadGeneration != 2 || st.LastEpoch != 2 {
-		t.Fatalf("head generation %d, last epoch %d; want 2 and 2", st.HeadGeneration, st.LastEpoch)
-	}
-	var want int64
-	for _, ts := range plan.Tiles {
-		for _, tl := range ts {
-			want += plan.Arcs(tl)
-		}
-	}
-	if got := cfg.Sink.(*CountSink).Total(); got != want || st.EdgesGenerated != want {
-		t.Fatalf("stored %d, generated %d arcs; want every one of the plan's %d once", got, st.EdgesGenerated, want)
-	}
-	lst, err := ledger.Replay(cc.LedgerPath)
-	if err != nil || lst.Gen != 2 || !lst.Done || lst.DoneErr != "" {
-		t.Fatalf("ledger after the resume: %+v, %v; want generation 2 and a clean done", lst, err)
+		t.Run(c.name, func(t *testing.T) {
+			node, err := tcp.NewNode("127.0.0.1:0", 0, PlanHash(plan))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer node.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			procs := transport.SplitRanks([]string{node.Addr(), "127.0.0.1:0"}, r)
+			cfg := Config{Plan: plan, Sink: &CountSink{}, Recovery: Recovery{MaxRetries: 3}}
+			fake := fakeWorker(ctx, node.Addr(), PlanHash(plan), ctrlMsg{Config: digestOf(t, procs, cfg), Stored: c.join},
+				func(ctrlMsg) ctrlMsg { return ctrlMsg{Stored: full} })
+			st, err := RunCluster(ctx, ClusterConfig{Procs: procs, Node: node}, cfg)
+			if err != nil {
+				t.Fatalf("head: %v", err)
+			}
+			fr := <-fake
+			if len(fr.begins) != 1 || fr.end.Kind != ctrlDone || fr.end.Err != "" {
+				t.Fatalf("fake worker got %d begins, then %q %q; want one begin and a clean done", len(fr.begins), fr.end.Kind, fr.end.Err)
+			}
+			var handed []int
+			for _, rk := range []int{2, 3} {
+				handed = append(handed, fr.begins[0].Tiles[rk]...)
+			}
+			if !slices.Equal(handed, c.tiles) {
+				t.Fatalf("the worker's ranks were handed tiles %v, want %v", handed, c.tiles)
+			}
+			if st.RecoveredRuns != c.recovered || st.TotalRetries() != 0 {
+				t.Fatalf("RecoveredRuns = %d after %d retries, want %d after none", st.RecoveredRuns, st.TotalRetries(), c.recovered)
+			}
+		})
 	}
 }
 
@@ -987,34 +1095,13 @@ func TestClusterHeadRefusesBadReport(t *testing.T) {
 			defer node.Close()
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			worker := make(chan error, 1)
-			go func() {
-				cc, err := tcp.DialControl(ctx, node.Addr(), 1, PlanHash(plan), 5*time.Second)
-				if err != nil {
-					worker <- err
-					return
-				}
-				defer cc.Close()
-				cc.StartHeartbeat(50*time.Millisecond, 0)
-				var m ctrlMsg
-				if err := cc.Send(ctrlMsg{Kind: ctrlJoin}); err != nil {
-					worker <- err
-					return
-				}
-				if err := cc.Recv(ctx, &m); err != nil || m.Kind != ctrlBegin {
-					worker <- fmt.Errorf("fake worker: want a begin, got %q, %v", m.Kind, err)
-					return
-				}
-				rep := c.rep
-				rep.Kind, rep.Epoch = ctrlReport, m.Epoch
-				worker <- cc.Send(rep)
-				cc.Recv(ctx, &m) // until the head hangs up
-			}()
 			procs := transport.SplitRanks([]string{node.Addr(), "127.0.0.1:0"}, r)
-			_, err = RunCluster(ctx, ClusterConfig{Procs: procs, Node: node},
-				Config{Plan: plan, Sink: &CountSink{}, Recovery: Recovery{MaxRetries: 3}})
-			if werr := <-worker; werr != nil {
-				t.Fatal(werr)
+			cfg := Config{Plan: plan, Sink: &CountSink{}, Recovery: Recovery{MaxRetries: 3}}
+			fake := fakeWorker(ctx, node.Addr(), PlanHash(plan), ctrlMsg{Config: digestOf(t, procs, cfg)},
+				func(ctrlMsg) ctrlMsg { return c.rep })
+			_, err = RunCluster(ctx, ClusterConfig{Procs: procs, Node: node}, cfg)
+			if fr := <-fake; len(fr.begins) != 1 {
+				t.Fatalf("fake worker got %d begins (%v), want one", len(fr.begins), fr.err)
 			}
 			if err == nil || !strings.Contains(err.Error(), "proc 1") || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("head returned %v, want an error naming proc 1 and %s", err, c.want)
@@ -1043,6 +1130,8 @@ func TestClusterHeartbeatSilentWorker(t *testing.T) {
 	defer node.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
+	procs := transport.SplitRanks([]string{node.Addr(), "127.0.0.1:0"}, r)
+	digest := digestOf(t, procs, Config{Plan: plan})
 	begun := make(chan time.Time, 1)
 	go func() {
 		cc, err := tcp.DialControl(ctx, node.Addr(), 1, PlanHash(plan), 5*time.Second)
@@ -1051,13 +1140,12 @@ func TestClusterHeartbeatSilentWorker(t *testing.T) {
 		}
 		defer cc.Close()
 		var m ctrlMsg
-		if cc.Send(ctrlMsg{Kind: ctrlJoin}) != nil || cc.Recv(ctx, &m) != nil || m.Kind != ctrlBegin {
+		if cc.Send(ctrlMsg{Kind: ctrlJoin, Config: digest}) != nil || cc.Recv(ctx, &m) != nil || m.Kind != ctrlBegin {
 			return
 		}
 		begun <- time.Now()
 		cc.Recv(ctx, &m) // silent until the head hangs up
 	}()
-	procs := transport.SplitRanks([]string{node.Addr(), "127.0.0.1:0"}, r)
 	_, err = RunCluster(ctx, ClusterConfig{Procs: procs, Node: node, HeartbeatInterval: 50 * time.Millisecond, HeartbeatDeadline: deadline},
 		Config{Plan: plan, Sink: &CountSink{}})
 	ended := time.Now()

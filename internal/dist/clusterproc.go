@@ -12,7 +12,7 @@ package dist
 // tile-checkpoint table, sends each attempt's uncommitted tiles (on their
 // planned ranks) over persistent control connections, and checks and folds
 // per-attempt reports. Its loop is the only one: an in-process Run is one
-// process with no ledger. Each process resumes its own ranks at what its own
+// process with no workers. Each process resumes its own ranks at what its own
 // sinks stored; the head's table only decides which tiles are committed.
 // Recovery extends that posture from a killed goroutine to a killed *process*:
 //
@@ -31,22 +31,19 @@ package dist
 //     substream, exactly as in-process recovery does, so delivery stays
 //     exactly-once.
 //   - The respawned worker re-dials the head's control port and is handed
-//     the next epoch's assignment.
+//     the next attempt's assignment.
 //
-// The head itself is no longer a single point of failure. With
-// ClusterConfig.LedgerPath set, the head journals what a restart reads —
-// run identity, head generations, epochs, the run's outcome — to an
-// append-only checksummed ledger (internal/dist/ledger), fsynced at every
-// change. A respawned head replays the ledger, refuses a different run's
-// ledger by identity, bumps the head generation, and resumes at the next
-// epoch. Workers whose control connection breaks do not tear down
+// The head keeps no journal, and a respawned head is the same command run
+// again. Workers whose control connection breaks do not tear down
 // terminally: they park and re-dial with jittered exponential backoff under
 // the ClusterConfig.HeadRetries budget, keeping their sinks open, and
 // announce their per-(rank, tile) stored counts, absolute, in a join
 // message on every (re)connect. Those joins fill the respawned head's
 // table — the worker's own durable state is ground truth for its ranks,
-// and the head's own ranks start empty (its ShardWriters truncate on open)
-// — so no stored count is journaled.
+// and the head's own ranks start empty (its ShardWriters truncate on open).
+// Every join also carries the worker's configuration digest (process
+// split, owner map, batch size; configDigest), and the head refuses a
+// worker whose digest is not its own, first start and respawn alike.
 // Application-level heartbeats, always on, turn a black-holed control link
 // into a loud failure within a configured deadline instead of a hang.
 
@@ -61,7 +58,6 @@ import (
 	"time"
 
 	"kronlab/internal/core"
-	"kronlab/internal/dist/ledger"
 	"kronlab/internal/dist/transport"
 	"kronlab/internal/dist/transport/tcp"
 	"kronlab/internal/store"
@@ -82,12 +78,6 @@ type ClusterConfig struct {
 	// DialTimeout bounds each control dial a worker makes to the head,
 	// handshake included; ≤ 0 means 10s.
 	DialTimeout time.Duration
-	// LedgerPath, when non-empty on the head, arms the durable run
-	// ledger: the run's identity, head generations, epochs and outcome are
-	// journaled there, and a respawned head resumes from it instead of
-	// restarting the run.
-	// Workers ignore it.
-	LedgerPath string
 	// HeadRetries is how many times a worker re-dials a broken head
 	// control link (with jittered exponential backoff) before giving up.
 	// 0 restores the old posture — the head's death fails the worker on
@@ -179,8 +169,10 @@ const (
 )
 
 type ctrlMsg struct {
-	Kind  string `json:"kind"`
-	Epoch int64  `json:"epoch,omitempty"`
+	Kind string `json:"kind"`
+
+	// join: the sender's configDigest, which must be the head's.
+	Config uint64 `json:"config,omitempty"`
 
 	// begin: the attempt's tile assignment (tile IDs per rank; tiles are
 	// resolved against the locally reconstructed plan).
@@ -345,13 +337,14 @@ func tileRanks(procs []transport.Proc, r int) error {
 // fails loudly; a worker must never hang on a silent cluster.
 func runClusterWorker(ctx context.Context, h *rankHost) (Stats, error) {
 	rng := rand.New(rand.NewSource(int64(h.planHash) ^ int64(h.cc.Self)<<32 ^ time.Now().UnixNano()))
+	digest := h.configDigest()
 	dial := func() (*tcp.CtrlConn, error) {
 		cc, err := tcp.DialControl(ctx, h.cc.Procs[0].Addr, h.cc.Self, h.planHash, h.cc.DialTimeout)
 		if err != nil {
 			return nil, err
 		}
 		cc.StartHeartbeat(h.cc.heartbeatInterval(), h.cc.HeartbeatDeadline)
-		if err := cc.Send(ctrlMsg{Kind: ctrlJoin, Stored: h.storedCounts()}); err != nil {
+		if err := cc.Send(ctrlMsg{Kind: ctrlJoin, Config: digest, Stored: h.storedCounts()}); err != nil {
 			cc.Close()
 			return nil, err
 		}
@@ -366,7 +359,7 @@ func runClusterWorker(ctx context.Context, h *rankHost) (Stats, error) {
 	redials := 0
 	// park re-dials the head after a control-link break, consuming the
 	// budget; on success the loop continues with the fresh connection
-	// (whose join already told the new head generation where we stand).
+	// (whose join already told a respawned head where we stand).
 	park := func(cause error) error {
 		cc.Close()
 		for {
@@ -408,12 +401,12 @@ func runClusterWorker(ctx context.Context, h *rankHost) (Stats, error) {
 		}
 		switch m.Kind {
 		case ctrlBegin:
-			rep := h.attempt(ctx, m.Epoch, m.Tiles)
+			rep := h.attempt(ctx, m.Tiles)
 			foldReport(&agg, &rep)
 			if err := cc.Send(rep); err != nil {
 				// The head died before taking the report. The stored edges
 				// are safe on disk and counted by our sinks; re-dial and let
-				// the next head generation assign from our join.
+				// a respawned head assign from our join.
 				if perr := park(err); perr != nil {
 					h.finalize()
 					return agg, fmt.Errorf("dist: worker %d reporting to head: %w", h.cc.Self, perr)
@@ -434,14 +427,13 @@ func runClusterWorker(ctx context.Context, h *rankHost) (Stats, error) {
 }
 
 // configDigest fingerprints the run configuration beyond the plan —
-// process split, owner map, batch size — for the ledger's identity record:
-// resuming a ledger written under a different configuration must refuse,
-// not silently mix accounting regimes. The owner is fingerprinted by what it
-// does, its answers on 64 probe edges spread over the product's vertices
-// (high and low bits both vary): the workers a respawned head resumes count
-// their stored prefixes in the substream *this* map sends to a rank, so a
-// head under another map — another kind, or the same name at another commit
-// — would commit tiles whose arcs the two maps split differently.
+// process split, owner map, batch size — for the join check: every process
+// counts its stored prefixes in the substream its owner map sends a rank,
+// so a worker under another configuration would store arcs the head's
+// table counts for other ranks, and tiles would commit with arcs missing.
+// The owner is fingerprinted by what it does, its answers on 64 probe edges
+// spread over the product's vertices (high and low bits both vary): the
+// same name at another commit with another map is another configuration.
 // An owner is probed through its source form for the plan, the one the
 // engine places with (OwnerBySource's is bound to the innermost factor's
 // vertex count).
@@ -473,50 +465,19 @@ func (h *rankHost) configDigest() uint64 {
 // runClusterHead is the supervising process and the only attempt loop: it
 // owns the checkpoint table, drives attempts over the control connections
 // (none when it is the only process), runs its own rank range in each, and
-// decides the run's outcome. With a ledger armed, identity, generations,
-// epochs and the outcome are journaled durably, and a respawned head
-// resumes the run at its next epoch instead of restarting it.
+// decides the run's outcome: success only when every tile is committed.
+// It journals nothing; a respawned head rebuilds its table from the joins.
 func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
 	n := len(h.cc.Procs)
 	// The table starts empty: this process's ranks have stored nothing (its
-	// ShardWriters truncate on open, so a dead generation's output at them
-	// is gone), and every worker's join fills its rows before the first
+	// ShardWriters truncate on open, so a dead head's output at them is
+	// gone), and every worker's join fills its rows before the first
 	// assignment.
 	cp := newCheckpoints(h.cfg.Plan)
-
-	// Durable run ledger (optional): replay, validate identity, open the
-	// next head generation.
-	var led *ledger.Ledger
-	headGen, epochBase := int64(1), int64(0)
-	if path := h.cc.LedgerPath; path != "" {
-		identity := ledger.Record{Kind: ledger.KindIdentity,
-			PlanHash: h.planHash, Digest: h.configDigest(), Procs: n, Ranks: h.cfg.Plan.R}
-		l, lst, err := ledger.Open(path)
-		if err != nil {
-			return Stats{}, fmt.Errorf("dist: head ledger %s: %w", path, err)
-		}
-		defer l.Close()
-		if was := lst.Identity; was != nil {
-			if was.PlanHash != identity.PlanHash || was.Digest != identity.Digest ||
-				was.Procs != n || was.Ranks != h.cfg.Plan.R {
-				return Stats{}, fmt.Errorf("%w: %s holds plan %016x cfg %016x (%d procs, %d ranks); this run is plan %016x cfg %016x (%d procs, %d ranks)",
-					ledger.ErrIdentity, path,
-					was.PlanHash, was.Digest, was.Procs, was.Ranks,
-					identity.PlanHash, identity.Digest, n, h.cfg.Plan.R)
-			}
-		} else if err := l.Append(identity); err != nil {
-			return Stats{}, fmt.Errorf("dist: head ledger %s: %w", path, err)
-		}
-		headGen = lst.Gen + 1
-		epochBase = lst.LastEpoch + 1
-		lerr := l.Append(ledger.Record{Kind: ledger.KindGen, Gen: headGen})
-		if lerr == nil {
-			lerr = l.Commit()
-		}
-		if lerr != nil {
-			return Stats{}, fmt.Errorf("dist: head ledger %s: %w", path, lerr)
-		}
-		led = l
+	// Only joins read the digest: an in-process run computes none.
+	var digest uint64
+	if n > 1 {
+		digest = h.configDigest()
 	}
 
 	conns := make([]*tcp.CtrlConn, n)
@@ -535,7 +496,9 @@ func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
 	// ensureWorkers blocks until every worker has a live control
 	// connection that has completed its join, whose counts become the
 	// worker's rows — at startup, and again after a death while the
-	// external supervisor (script, orchestrator) respawns the process.
+	// external supervisor (script, orchestrator) respawns the process. A
+	// join under another configuration fails the run: the worker is told
+	// so in a done of its own, and the error names both digests.
 	ensureWorkers := func() error {
 		for slices.Contains(conns[1:], nil) {
 			cc, err := h.cc.Node.AcceptControl(ctx)
@@ -555,6 +518,13 @@ func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
 				cc.Close()
 				continue
 			}
+			if jm.Config != digest {
+				err := fmt.Errorf("dist: proc %d joined with configuration %016x, the head's is %016x (process split, owner map or batch size differ)",
+					cc.Peer, jm.Config, digest)
+				_ = cc.Send(ctrlMsg{Kind: ctrlDone, Err: err.Error()})
+				cc.Close()
+				return err
+			}
 			set(cc.Peer, jm.Stored)
 			if old := conns[cc.Peer]; old != nil {
 				old.Close() // superseded by a redial
@@ -565,31 +535,24 @@ func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
 	}
 
 	agg := newRunStats(h.cfg.Plan.R)
-	agg.HeadGeneration = headGen
+	// resumed: the first joins reported stored arcs, so this head took
+	// over a run a dead one began.
+	resumed := false
 	var runErr error
 	for attempt := 0; ; attempt++ {
 		if err := ensureWorkers(); err != nil {
 			runErr = err
 			break
 		}
+		if attempt == 0 {
+			for _, ts := range cp.tiles {
+				resumed = resumed || ts.storedTotal() > 0
+			}
+		}
 		// Assignment: every uncommitted tile at its owner. Joins may have
 		// zeroed a respawned proc's rows since the last attempt,
 		// un-committing tiles whose edges lived there.
 		assignIDs := cp.assign()
-		epoch := epochBase + int64(attempt)
-		agg.LastEpoch = epoch
-		// The epoch transition goes durable before any worker acts at it,
-		// so a head respawned after this instant resumes strictly above it.
-		if led != nil {
-			lerr := led.Append(ledger.Record{Kind: ledger.KindEpoch, Epoch: epoch})
-			if lerr == nil {
-				lerr = led.Commit()
-			}
-			if lerr != nil {
-				runErr = fmt.Errorf("dist: head ledger: %w", lerr)
-				break
-			}
-		}
 		// lose records a worker that died this attempt. Its durable output
 		// dies with it (its ShardWriters truncate on respawn), so every
 		// stored count at its ranks resets, and it is the one to blame.
@@ -602,7 +565,7 @@ func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
 			deadProcs = append(deadProcs, p)
 			lost = append(lost, fmt.Errorf("proc %d: %w", p, err))
 		}
-		begin := ctrlMsg{Kind: ctrlBegin, Epoch: epoch, Tiles: assignIDs}
+		begin := ctrlMsg{Kind: ctrlBegin, Tiles: assignIDs}
 		for p := 1; p < n; p++ {
 			if err := conns[p].Send(begin); err != nil {
 				// Died between attempts; the attempt proceeds and fails
@@ -633,7 +596,7 @@ func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
 				blame = rep.Blame
 			}
 		}
-		rep0 := h.attempt(ctx, epoch, assignIDs)
+		rep0 := h.attempt(ctx, assignIDs)
 		fold(0, &rep0)
 
 		// Collect: a worker reports when its own share is done, however
@@ -668,7 +631,11 @@ func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
 			}
 		}
 		if runErr = attemptErr; runErr == nil {
-			if attempt > 0 || headGen > 1 {
+			// Every process says it stored what it was sent; the table
+			// must agree, or the run ends loudly with arcs missing.
+			if left := uncommitted(cp); len(left) > 0 {
+				runErr = fmt.Errorf("dist: every process reported success, but tiles %v are not committed: their stored counts fall short of their arcs", left)
+			} else if attempt > 0 || resumed {
 				agg.RecoveredRuns = 1
 			}
 			break
@@ -715,19 +682,18 @@ func runClusterHead(ctx context.Context, h *rankHost) (Stats, error) {
 		runErr = ferr
 	}
 	agg.OutstandingBufs = h.bufsOut
-	if led != nil {
-		rec := ledger.Record{Kind: ledger.KindDone}
-		if runErr != nil {
-			rec.Err = runErr.Error()
-		}
-		if err := led.Append(rec); err == nil {
-			err = led.Commit()
-			if err != nil && runErr == nil {
-				runErr = fmt.Errorf("dist: head ledger: %w", err)
-			}
-		}
-	}
 	return agg, runErr
+}
+
+// uncommitted returns the IDs of the tiles cp would assign again, in
+// ascending order.
+func uncommitted(cp *checkpoints) []int {
+	var ids []int
+	for _, l := range cp.assign() {
+		ids = append(ids, l...)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // GenerateChainClusterToStore runs the chain generator across the static

@@ -20,7 +20,6 @@ import (
 	"testing"
 
 	"kronlab/internal/core"
-	"kronlab/internal/dist/transport"
 	"kronlab/internal/gen"
 	"kronlab/internal/graph"
 	"kronlab/internal/store"
@@ -277,8 +276,8 @@ func (s *rankCalls) Rank(rk *Rank) (RankSink, error) {
 // BlockOwner with blocks — a nil OwnerFunc, a closure with OwnerBySource's
 // body, a map of both endpoints, a BlockOwner with no blocks (NC < 1), a
 // type that answers BindSource with nil, and a named type whose source
-// form works — is refused by name before a sink is opened, by Run, by a
-// one-process RunCluster with a run ledger and by GenerateChain.
+// form works — is refused by name before a sink is opened, by Run (a
+// one-process RunCluster) and by GenerateChain.
 func TestRunRefusesOwnerWithoutForm(t *testing.T) {
 	ch := mustChain(gen.ER(5, 0.5, 445))
 	const r = 2
@@ -300,11 +299,6 @@ func TestRunRefusesOwnerWithoutForm(t *testing.T) {
 	paths := map[string]func(Owner, Sink) error{
 		"Run": func(o Owner, s Sink) error {
 			_, err := Run(context.Background(), Config{Plan: plan, Owner: o, Sink: s})
-			return err
-		},
-		"RunClusterLedger": func(o Owner, s Sink) error {
-			cc := ClusterConfig{Procs: []transport.Proc{{Hi: r}}, LedgerPath: t.TempDir() + "/ledger"}
-			_, err := RunCluster(context.Background(), cc, Config{Plan: plan, Owner: o, Sink: s})
 			return err
 		},
 		"GenerateChain": func(o Owner, _ Sink) error {

@@ -3,7 +3,7 @@ package dist
 // Run supervision: what the one attempt loop (runClusterHead, of which Run
 // is the one-process case) drives — the tile checkpoint table, the
 // per-rank sinks that outlive attempts, and the per-process host that runs
-// an epoch. The paper's expansion is embarrassingly parallel over factor
+// an attempt. The paper's expansion is embarrassingly parallel over factor
 // tile pairs, so a crashed rank's work is safely re-executable — the
 // detect-and-reexecute posture MapReduce-lineage systems take for
 // idempotent partitioned work:
@@ -220,8 +220,9 @@ type rankHost struct {
 	// unarmed), built once so that its countdowns are lifetime state.
 	local *cluster
 
-	// planHash is set only where a handshake or the ledger reads it: it
-	// walks every head arc, and an in-process Run is timed end to end.
+	// planHash is set only where a handshake reads it, on a cluster of more
+	// than one process: it walks every head arc, and an in-process Run is
+	// timed end to end.
 	planHash uint64
 
 	bufsOut int64 // leak probe: buffers still checked out after each attempt's Reset
@@ -244,7 +245,7 @@ func newRankHost(cc ClusterConfig, cfg Config) (*rankHost, error) {
 		c.faults = newFaultState(*cfg.Faults)
 	}
 	h := &rankHost{cfg: cfg, cc: cc, lo: p.Lo, hi: p.Hi, local: c, bySource: bySource}
-	if len(cc.Procs) > 1 || cc.LedgerPath != "" {
+	if len(cc.Procs) > 1 {
 		h.planHash = PlanHash(cfg.Plan)
 	}
 	h.byID = make(map[int]Tile)
@@ -310,14 +311,14 @@ func (h *rankHost) resolveTiles(ids map[int][]int) ([][]Tile, error) {
 	return assigned, nil
 }
 
-// attempt runs one epoch of the engine for the local ranks: resolve the
+// attempt runs one attempt of the engine for the local ranks: resolve the
 // assignment, run — each rank resuming every tile at what its sink stored —
 // and Reset the cluster. The returned report is what a cluster worker sends
 // to the head and what the head folds directly.
-func (h *rankHost) attempt(ctx context.Context, epoch int64, ids map[int][]int) ctrlMsg {
+func (h *rankHost) attempt(ctx context.Context, ids map[int][]int) ctrlMsg {
 	// Stored aliases the sinks' counts, so even a report of an attempt that
 	// never ran carries what this process holds.
-	rep := ctrlMsg{Kind: ctrlReport, Epoch: epoch, Stored: h.storedCounts()}
+	rep := ctrlMsg{Kind: ctrlReport, Stored: h.storedCounts()}
 	assigned, err := h.resolveTiles(ids)
 	if err != nil {
 		rep.fail(err)
@@ -433,7 +434,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // Cancelling ctx stops every rank at its next block; the first real error
 // (a failed sink, or the cancellation cause) is returned.
 //
-// Run is RunCluster with one process and no ledger: one cluster is reused
+// Run is RunCluster with one process: one cluster is reused
 // across up to 1+MaxRetries attempts (Reset between them). A rank crash
 // triggers a bounded-backoff replay from tile-level checkpoints, each rank
 // resuming every tile at what its sink already stored, so delivery stays

@@ -64,8 +64,12 @@ import (
 // process resumes its ranks at its own stored counts, so a begin carries
 // no prefixes and a report carries absolute per-(rank, tile) counts where
 // it carried the attempt's deltas; a v7 head would fold a v8 report as
-// deltas and resume a v8 worker nowhere, so it is refused here.
-const Version = 8
+// deltas and resume a v8 worker nowhere, so it is refused here. Version 9:
+// a join carries the worker's configuration digest, which the head must
+// match, and begin and report lose their epoch; a v8 worker's join carries
+// no digest and would be refused as a stranger's configuration, so it is
+// refused here, as a version.
+const Version = 9
 
 // Magic opens every frame — a cheap desynchronization tripwire: if a
 // torn or corrupt frame shifts the stream, the next header read fails

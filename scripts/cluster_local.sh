@@ -195,14 +195,14 @@ if ! diff -u "$WORK/win-expect.txt" "$WORK/win-cluster.txt" >&2; then
 fi
 echo "cluster_local: OK — cluster stored exactly the $((CUT2 - CUT1))-arc middle window" >&2
 
-# Phase 4: survive the head. The k=3 chain runs again with a durable run
-# ledger, but the head is armed (KRONLAB_TCP_KILL_FRAMES, a count of
-# blocks handed to its store sink) to SIGKILL itself mid-run; workers park
-# and re-dial under the -head-retries budget while a fresh head process
-# replays the ledger, bumps the head
-# generation, and finishes the run. The recovered store must still match
-# the single-rank reference edge-for-edge — exactly-once across head
-# generations, proven at the process level.
+# Phase 4: survive the head. The k=3 chain runs again, but the head is
+# armed (KRONLAB_TCP_KILL_FRAMES, a count of blocks handed to its store
+# sink) to SIGKILL itself mid-run; workers park and re-dial under the
+# -head-retries budget while a fresh head process — the same command, no
+# journal — rebuilds its checkpoint table from their joins and finishes the
+# run. The recovered store must still match the single-rank reference
+# edge-for-edge — exactly-once across a head respawn, proven at the process
+# level.
 KILL_PORT=$((BASE_PORT + 3 * PROCS))
 KPEERS=""
 i=0
@@ -210,9 +210,8 @@ while [ "$i" -lt "$PROCS" ]; do
     KPEERS="$KPEERS${KPEERS:+,}127.0.0.1:$((KILL_PORT + i))"
     i=$((i + 1))
 done
-LEDGER="$WORK/head.ledger"
 
-echo "cluster_local: phase 4 — head kill+respawn with run ledger, peers $KPEERS" >&2
+echo "cluster_local: phase 4 — head kill+respawn, peers $KPEERS" >&2
 i=1
 while [ "$i" -lt "$PROCS" ]; do
     "$WORK/krongen" -a "$A" -power 3 -mode "$MODE" -ranks "$RANKS" \
@@ -229,7 +228,7 @@ done
 STATUS=0
 KRONLAB_TCP_KILL_FRAMES=4 "$WORK/krongen" -a "$A" -power 3 -mode "$MODE" -ranks "$RANKS" \
     -store "$WORK/st-headkill" -cluster-peers "$KPEERS" -cluster-self 0 \
-    -ledger "$LEDGER" -head-retries 20 2>"$WORK/head1.err" || STATUS=$?
+    -head-retries 20 2>"$WORK/head1.err" || STATUS=$?
 if [ "$STATUS" -eq 0 ]; then
     echo "cluster_local: FAIL — armed head survived its kill schedule (lower the block count?)" >&2
     exit 1
@@ -241,11 +240,11 @@ if [ "$STATUS" -ne 137 ]; then
 fi
 echo "cluster_local: head killed mid-run; respawning" >&2
 
-# Second incarnation: same command line, no kill. It replays the ledger,
-# starts head generation 2, and supervises the run to completion.
+# Second incarnation: same command line, no kill. It takes the workers'
+# joins as its table and supervises the run to completion.
 "$WORK/krongen" -a "$A" -power 3 -mode "$MODE" -ranks "$RANKS" \
     -store "$WORK/st-headkill" -cluster-peers "$KPEERS" -cluster-self 0 \
-    -ledger "$LEDGER" -head-retries 20 -stats
+    -head-retries 20 -stats
 
 for pid in $PIDS; do
     wait "$pid" || { echo "cluster_local: head-kill worker pid $pid failed" >&2; exit 1; }
@@ -258,4 +257,4 @@ if ! diff -u "$WORK/chain-single.txt" "$WORK/headkill.txt" >&2; then
     exit 1
 fi
 KEDGES=$(wc -l <"$WORK/headkill.txt" | tr -d ' ')
-echo "cluster_local: OK — $KEDGES edges identical after head kill+respawn (ledger: $(wc -c <"$LEDGER" | tr -d ' ') bytes)" >&2
+echo "cluster_local: OK — $KEDGES edges identical after head kill+respawn" >&2
