@@ -32,15 +32,15 @@ race:
 	$(GO) test -race ./...
 
 # The second line cross-compiles (stdlib only, works offline) so the
-# portable bodies of the expansion kernels — which amd64 never links —
-# cannot rot;
-# the first already runs asmdecl over expand_amd64.s. The third builds and
-# tests the kernel with the compiler allowed AVX2 everywhere (GOAMD64=v3):
-# the assembly still picks its loop at run time, and must not care.
+# portable bodies of the expansion kernels and of R-MAT's draw — which
+# amd64 never links — cannot rot;
+# the first already runs asmdecl over the .s files. The third builds and
+# tests the kernels with the compiler allowed AVX2 everywhere (GOAMD64=v3):
+# the assembly is still picked at run time, and must not care.
 vet:
 	$(GO) vet ./...
-	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/core/
-	GOAMD64=v3 $(GO) build ./... && GOAMD64=v3 $(GO) test ./internal/core/
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/core/ ./internal/gen/
+	GOAMD64=v3 $(GO) build ./... && GOAMD64=v3 $(GO) test ./internal/core/ ./internal/gen/
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \

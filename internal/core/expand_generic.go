@@ -16,5 +16,6 @@ func addPackedTo(dst, src []uint64, base uint64) { addPackedToGo(dst, src, base)
 func addNarrowTo(dst []uint64, src []uint32, base uint64) { addNarrowToGo(dst, src, base) }
 
 // Kernel names the body ExpandPackedTo — the packed walk — runs: here the
-// portable loop, and no factor is read narrow.
+// portable loop, and no factor is read narrow. gen.RMAT, whose body it also
+// names, draws one output at a time.
 func Kernel() string { return "portable" }

@@ -1,8 +1,10 @@
 package gen
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"kronlab/internal/graph"
@@ -43,6 +45,13 @@ func Graph500Params(scale int, seed int64) RMATParams {
 // function of that sequence, so figures compare across commits only while
 // it stays as it is. RMAT continues the source's stream itself (see
 // stream) and compares integer thresholds, so it makes no call per bit.
+// It has two bodies for that, which draw the same edges. The scalar one
+// decodes one output at a time and runs on every host. Where the CPU probe
+// found AVX-512, each buffer the stream advances into is made and decoded
+// eight outputs per instruction (rmatBlock) and its edges are cut out of
+// the bit masks that leaves; a buffer holding an output that Float64
+// would redraw goes to the scalar body instead, from its first output on.
+// core.Kernel() names the body: "avx512" is the vector one.
 func RMAT(p RMATParams) (*graph.Graph, error) {
 	if p.Scale < 0 || p.Scale > 40 {
 		return nil, fmt.Errorf("gen: RMAT scale %d out of range [0,40]", p.Scale)
@@ -64,23 +73,64 @@ func RMAT(p RMATParams) (*graph.Graph, error) {
 	return graph.New(n, edges)
 }
 
-// rmatEdges samples p's edges from s, which it advances. An output r
-// stands for the Float64 r/2⁶³, and r/2⁶³ ≥ q exactly when r ≥
-// threshold(q). Each bit's quadrant is the count c of the thresholds of A,
-// A+B and A+B+C that r reaches, held as data, not branched on: the row bit
-// is c>>1 (quadrants C and D) and the column bit c&1 (B and D). Bits are
-// drawn from the top down, so each shifts in at the bottom.
+// rmatEdges samples p's edges from s, which it advances: the seeded buffer
+// through the scalar body, each later one through rmatBlock where
+// hasAVX512 is set and no output it made is in the retry band, else
+// through the scalar body.
 func rmatEdges(p RMATParams, s *stream) []graph.Edge {
-	tA, tAB, tABC := threshold(p.A), threshold(p.A+p.B), threshold(p.A+p.B+p.C)
 	m := p.EdgeFactor << uint(p.Scale)
-	edges := make([]graph.Edge, 0, m)
+	q := sampler{
+		tA: threshold(p.A), tAB: threshold(p.A + p.B), tABC: threshold(p.A + p.B + p.C),
+		scale: p.Scale, dropLoops: p.DropLoops,
+		edges: make([]graph.Edge, 0, m), left: m, k: p.Scale,
+	}
+	q.scalar(s)
+	var b masks
+	for q.left > 0 {
+		if hasAVX512 {
+			rmatBlock(s, q.tA, q.tAB, q.tABC, &b)
+			if b.clean() {
+				q.decoded(&b)
+				continue
+			}
+		} else {
+			s.advance()
+		}
+		q.scalar(s)
+	}
+	return q.edges
+}
+
+// sampler is a draw of edges in progress, carried from one buffer of the
+// stream to the next: the edges made, how many are still to draw, and the
+// bits of the next one drawn so far.
+type sampler struct {
+	tA, tAB, tABC uint64 // threshold(A), threshold(A+B), threshold(A+B+C)
+	scale         int
+	dropLoops     bool
+
+	edges []graph.Edge
+	left  int64 // edges still to draw, the one in progress included
+	u, v  int64 // the next edge's top bits, drawn so far
+	k     int   // its bits still to draw
+}
+
+// scalar draws from s one output at a time until every edge is drawn or s
+// runs out. An output r stands for the Float64 r/2⁶³, and r/2⁶³ ≥ q
+// exactly when r ≥ threshold(q). Each bit's quadrant is the count c of the
+// thresholds of A, A+B and A+B+C that r reaches, held as data, not
+// branched on: the row bit is c>>1 (quadrants C and D) and the column bit
+// c&1 (B and D). Bits are drawn from the top down, so each shifts in at
+// the bottom.
+func (q *sampler) scalar(s *stream) {
+	tA, tAB, tABC, scale, dropLoops := q.tA, q.tAB, q.tABC, q.scale, q.dropLoops
+	edges, left, u, v, k := q.edges, q.left, q.u, q.v, q.k
 	i := 0 // s[i] is the next output
-	for e := int64(0); e < m; e++ {
-		var u, v int64
-		for k := p.Scale; k > 0; {
-			if i >= len(s) {
-				s.advance()
-				i = 0
+draw:
+	for ; left > 0; left-- {
+		for k > 0 {
+			if i == len(s) {
+				break draw
 			}
 			r := s[i] &^ (1 << 63)
 			i++
@@ -92,12 +142,62 @@ func rmatEdges(p RMATParams, s *stream) []graph.Edge {
 			v = v<<1 | c&1
 			k--
 		}
-		if p.DropLoops && u == v {
-			continue
+		if !dropLoops || u != v {
+			edges = append(edges, graph.Edge{U: u, V: v})
 		}
-		edges = append(edges, graph.Edge{U: u, V: v})
+		u, v, k = 0, 0, scale
 	}
-	return edges
+	q.edges, q.left, q.u, q.v, q.k = edges, left, u, v, k
+}
+
+// decoded draws from a buffer that rmatBlock decoded into b with no output
+// in the retry band. Every output is then one bit, so an edge's row and
+// column bits are the next k bits of b.row and b.col, the last edge's
+// cut short by the buffer's end. Bit-reversed into bytes, the masks put
+// output i at the top of a big-endian load at byte i/8 shifted left by
+// i%8, and the outputs after it below, 57 bits at least: more than the 40
+// of the largest Scale.
+func (q *sampler) decoded(b *masks) {
+	var row, col [8 * (maskWords + 1)]byte // a word to spare for the loads near the end
+	for w := range b.row {
+		binary.BigEndian.PutUint64(row[8*w:], bits.Reverse64(b.row[w]))
+		binary.BigEndian.PutUint64(col[8*w:], bits.Reverse64(b.col[w]))
+	}
+	scale, dropLoops := q.scale, q.dropLoops
+	edges, left, u, v, k := q.edges, q.left, q.u, q.v, q.k
+	for i := 0; i < streamLen && left > 0; {
+		n := uint(min(k, streamLen-i))
+		at, sh := i>>3, uint(i&7)
+		u = u<<n | int64(binary.BigEndian.Uint64(row[at:])<<sh>>(64-n))
+		v = v<<n | int64(binary.BigEndian.Uint64(col[at:])<<sh>>(64-n))
+		i += int(n)
+		if k -= int(n); k == 0 {
+			if !dropLoops || u != v {
+				edges = append(edges, graph.Edge{U: u, V: v})
+			}
+			left--
+			u, v, k = 0, 0, scale
+		}
+	}
+	q.edges, q.left, q.u, q.v, q.k = edges, left, u, v, k
+}
+
+// masks is a buffer of the stream decoded: bit j of row, col and redraw
+// is output j's row bit, its column bit, and whether it is in the retry
+// band. The bits past streamLen are 0.
+type masks struct {
+	row, col, redraw [maskWords]uint64
+}
+
+const maskWords = (streamLen + 63) / 64
+
+// clean reports whether no output of b is in the retry band.
+func (b *masks) clean() bool {
+	var or uint64
+	for _, w := range b.redraw {
+		or |= w
+	}
+	return or == 0
 }
 
 // retry is the least 63-bit output r with float64(r)/2⁶³ = 1: Float64

@@ -44,7 +44,9 @@ func digest(g *graph.Graph) uint64 {
 // pick; the rows from scale 14 on (RMAT(18) at seed 1 is
 // BenchmarkPaperScale's factor, skipped under -short) with one
 // rng.Float64() call per bit.
-func TestRMATGolden(t *testing.T) {
+func TestRMATGolden(t *testing.T) { eachTierRun(t, testRMATGolden) }
+
+func testRMATGolden(t *testing.T) {
 	golden := []struct {
 		scale int
 		seed  int64
@@ -106,6 +108,13 @@ func BenchmarkRMAT(b *testing.B) {
 	}
 }
 
+// eachTierRun runs f as a subtest per R-MAT body (eachTier), and reports a
+// body this host cannot run as a skipped one.
+func eachTierRun(t *testing.T, f func(t *testing.T)) {
+	eachTier(func(tier string) { t.Run(tier, f) },
+		func(tier, missing string) { t.Run(tier, func(t *testing.T) { t.Skip("host lacks " + missing) }) })
+}
+
 // rmatByRand is RMAT as it stood while it called rng.Float64() once per
 // bit, the reference RMAT is held to. edgesByRand is its sampling loop.
 func rmatByRand(p RMATParams) (*graph.Graph, error) {
@@ -152,18 +161,21 @@ func edgesByRand(p RMATParams, rng *rand.Rand) []graph.Edge {
 	return edges
 }
 
-// sameRMAT fails t unless RMAT and rmatByRand agree on p: the same graph,
-// or the same error.
+// sameRMAT fails t unless RMAT, on every body this host runs (eachTier),
+// and rmatByRand agree on p: the same graph, or the same error.
 func sameRMAT(t *testing.T, p RMATParams) {
 	t.Helper()
-	got, gerr := RMAT(p)
 	want, werr := rmatByRand(p)
-	if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
-		t.Fatalf("%+v: error %v, reference %v", p, gerr, werr)
-	}
-	if gerr == nil && !got.Equal(want) {
-		t.Fatalf("%+v: %v, reference %v", p, got, want)
-	}
+	eachTier(func(tier string) {
+		t.Helper()
+		got, gerr := RMAT(p)
+		if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+			t.Fatalf("%s: %+v: error %v, reference %v", tier, p, gerr, werr)
+		}
+		if gerr == nil && !got.Equal(want) {
+			t.Fatalf("%s: %+v: %v, reference %v", tier, p, got, want)
+		}
+	}, func(string, string) {})
 }
 
 // rmatVariants are the parameter sets the reference test runs at each
@@ -186,9 +198,9 @@ func rmatVariants(scale int, seed int64) []RMATParams {
 
 var referenceSeeds = []int64{0, 1, -1, 10, 11, 12, 1 << 40, math.MaxInt64, math.MinInt64}
 
-// TestRMATMatchesRandReference holds RMAT to rmatByRand, which draws every
-// bit through rand.Rand.Float64, on graphs and on the errors of invalid
-// parameters.
+// TestRMATMatchesRandReference holds RMAT, on every body, to rmatByRand,
+// which draws every bit through rand.Rand.Float64, on graphs and on the
+// errors of invalid parameters.
 func TestRMATMatchesRandReference(t *testing.T) {
 	for _, seed := range referenceSeeds {
 		for scale := 0; scale <= 12; scale++ {
@@ -220,8 +232,8 @@ func TestRMATMatchesRandReference(t *testing.T) {
 	}
 }
 
-// FuzzRMAT holds RMAT to rmatByRand on arbitrary probabilities, seeds and
-// flags at scales up to 8.
+// FuzzRMAT holds RMAT, on every body, to rmatByRand on arbitrary
+// probabilities, seeds and flags at scales up to 8.
 func FuzzRMAT(f *testing.F) {
 	f.Add(uint8(8), int64(10), 0.57, 0.19, 0.19, true, true)
 	f.Add(uint8(5), int64(-1), 0.5, 0.25, 0.25, false, false)
@@ -303,12 +315,22 @@ func TestThreshold(t *testing.T) {
 	}
 }
 
-// TestRMATPlantedStream plants outputs no seed reaches in practice: ones
-// in Float64's retry band [2⁶³−512, 2⁶³) — alone, two in a row, as the last
-// draw of an edge, as the last output a stream holds, and made by advance
-// — and ones at t−1, t and t+1 of each threshold t, with the top bit clear
-// and set. rmatEdges must draw from such a stream what edgesByRand draws
+// TestRMATPlantedStream plants outputs no seed reaches in practice, and
+// holds the draw — rmatEdges, on every body — to what edgesByRand draws
 // through rand.Rand.Float64 from the same history.
+//
+// In the seeded buffer, which every body draws one output at a time, it
+// plants outputs in Float64's retry band [2⁶³−512, 2⁶³) — alone, two in a
+// row, as the last draw of an edge, as the last output a stream holds, and
+// made by advance — and ones at t−1, t and t+1 of each threshold t, with
+// the top bit clear and set.
+//
+// In later buffers, which rmatBlock makes, it plants what only the vector
+// body can get wrong: the threshold outputs again, in a buffer with no
+// retry; a retry alone in a buffer, in each lane of the first chunk, on
+// either side of the chunk where the recurrence's lag changes (272–279),
+// and at each of outputs 600–606, the seven-lane chunk; and a retry among
+// the last bits of an edge that began in the buffer before, which has none.
 func TestRMATPlantedStream(t *testing.T) {
 	const scale = 6 // edge e's draws are 6e to 6e+5 until a redraw
 	variants := []RMATParams{
@@ -316,44 +338,191 @@ func TestRMATPlantedStream(t *testing.T) {
 		{Scale: scale, EdgeFactor: 16, A: 0.5, B: 0.25, C: 0.25},
 		{Scale: scale, EdgeFactor: 16, A: 0.1, B: 0.3, C: 0.2},
 	}
-	for _, p := range variants {
-		rng := rand.New(rand.NewSource(7))
-		var h [streamLen]uint64
-		for i := range h {
-			h[i] = rng.Uint64()
+	const top = 1 << 63
+	eachTierRun(t, func(t *testing.T) {
+		for _, p := range variants {
+			rng := rand.New(rand.NewSource(7))
+			var h [streamLen]uint64
+			for i := range h {
+				h[i] = rng.Uint64()
+			}
+			h[5] = retry // the last draw of edge 0
+			h[30] = top - 1
+			h[50], h[51] = retry+1, top|retry
+			h[606] = top | (top - 1)
+			// Output 607+10 is h[10] + h[10+334]: a retry made by advance.
+			h[10] = retry + 7 - h[10+streamLen-streamTap]
+			plantThresholds(h[100:], p)
+			lf := newLFSource(h)
+			for lf.n <= streamLen+10 {
+				lf.Uint64()
+			}
+			if lf.x[streamLen+10]&^top < retry {
+				t.Fatal("output 617 is not in the retry band")
+			}
+			drawsAsRand(t, "seeded buffer", p, h)
 		}
-		const top = 1 << 63
-		h[5] = retry // the last draw of edge 0
-		h[30] = top - 1
-		h[50], h[51] = retry+1, top|retry
-		h[606] = top | (top - 1)
-		// Output 607+10 is h[10] + h[10+334]: a retry made by advance.
-		h[10] = retry + 7 - h[10+streamLen-streamTap]
-		at := 100
-		for _, q := range []float64{p.A, p.A + p.B, p.A + p.B + p.C} {
-			tq := threshold(q)
-			for _, r := range []uint64{tq - 1, tq, tq + 1} {
-				h[at], h[at+1] = r, top|r
-				at += 3
+
+		// Buffer 2 is y, with the plants.
+		type plant struct {
+			name string
+			at   []int
+			r    uint64
+		}
+		plants := []plant{{"thresholds", nil, 0}}
+		for _, j := range []int{0, 1, 2, 3, 4, 5, 6, 7, 271, 272, 273, 279, 280, 599, 600, 601, 602, 603, 604, 605, 606} {
+			plants = append(plants, plant{fmt.Sprintf("retry at output %d", j), []int{j}, retry | uint64(j)&0x1ff})
+		}
+		plants = append(plants, plant{"two retries in a chunk", []int{41, 46}, top | retry})
+		for _, c := range plants {
+			for _, p := range variants {
+				rng := rand.New(rand.NewSource(8))
+				var y stream
+				for j := range y {
+					y[j] = rng.Uint64()
+				}
+				if c.at == nil {
+					plantThresholds(y[200:], p)
+				}
+				// With D = 0, threshold(A+B+C) is retry: those plants are
+				// retries too, and the buffer is no longer clean.
+				want := retries(y[:]) + len(c.at)
+				for _, j := range c.at {
+					y[j] = c.r
+				}
+				h := before(y)
+				s := stream(h)
+				if s.advance(); s != y {
+					t.Fatalf("%s: advance does not undo before", c.name)
+				}
+				if retries(h[:]) != 0 || retries(y[:]) != want {
+					t.Fatalf("%s: %d retries in buffer 1, %d in buffer 2; want 0 and %d", c.name, retries(h[:]), retries(y[:]), want)
+				}
+				drawsAsRand(t, c.name, p, h)
 			}
 		}
-		lf := newLFSource(h)
-		for lf.n <= streamLen+10 {
-			lf.Uint64()
-		}
-		if lf.x[streamLen+10]&^top < retry {
-			t.Fatal("output 617 is not in the retry band")
-		}
-		s := stream(h)
-		got := rmatEdges(p, &s)
-		want := edgesByRand(p, rand.New(newLFSource(h)))
-		if len(got) != len(want) {
-			t.Fatalf("%+v: %d edges, reference %d", p, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%+v: edge %d is %v, reference %v", p, i, got[i], want[i])
+
+		// Buffer 3 holds a retry among the bits of the edge that began
+		// 1214 mod 6 = 2 outputs before it, in buffer 2.
+		for _, j := range []int{0, 1, 3} {
+			for _, p := range variants {
+				rng := rand.New(rand.NewSource(9))
+				var z stream
+				for i := range z {
+					z[i] = rng.Uint64()
+				}
+				z[j] = top | (retry + 1)
+				y := before(z)
+				h := before(y)
+				if retries(h[:]) != 0 || retries(y[:]) != 0 || retries(z[:]) != 1 {
+					t.Fatalf("buffers 1 to 3 hold %d, %d and %d retries, want 0, 0 and 1",
+						retries(h[:]), retries(y[:]), retries(z[:]))
+				}
+				drawsAsRand(t, fmt.Sprintf("edge across a retry at output %d", j), p, h)
 			}
+		}
+	})
+}
+
+// TestRMATDecodedEveryScale holds decoded, the vector body's edge assembly,
+// to shifting the masks' bits in one at a time: at every Scale up to 40,
+// from an edge in progress at every count of bits drawn, with loops kept
+// and dropped, and with the edges running out inside the buffer and not.
+func TestRMATDecodedEveryScale(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	for scale := 1; scale <= 40; scale++ {
+		for drawn := 0; drawn < scale; drawn++ {
+			for _, left := range []int64{3, 1000} {
+				var b masks
+				for w := range b.row {
+					b.row[w], b.col[w] = rng.Uint64(), rng.Uint64()
+				}
+				q := sampler{
+					scale: scale, dropLoops: drawn%2 == 0, left: left,
+					u: rng.Int63n(1 << drawn), v: rng.Int63n(1 << drawn), k: scale - drawn,
+				}
+				if drawn == 0 {
+					q.u, q.v = 0, 0
+				}
+				want := q
+				for j := 0; j < streamLen && want.left > 0; j++ {
+					want.u = want.u<<1 | int64(b.row[j/64]>>(j%64)&1)
+					want.v = want.v<<1 | int64(b.col[j/64]>>(j%64)&1)
+					if want.k--; want.k == 0 {
+						if !want.dropLoops || want.u != want.v {
+							want.edges = append(want.edges, graph.Edge{U: want.u, V: want.v})
+						}
+						want.left--
+						want.u, want.v, want.k = 0, 0, scale
+					}
+				}
+				q.decoded(&b)
+				if q.left != want.left || q.u != want.u || q.v != want.v || q.k != want.k || len(q.edges) != len(want.edges) {
+					t.Fatalf("scale %d, %d bits drawn, %d edges left: left %d, in progress (%d, %d) with %d bits to go, %d edges; want %d, (%d, %d), %d, %d",
+						scale, drawn, left, q.left, q.u, q.v, q.k, len(q.edges), want.left, want.u, want.v, want.k, len(want.edges))
+				}
+				for i := range q.edges {
+					if q.edges[i] != want.edges[i] {
+						t.Fatalf("scale %d, %d bits drawn: edge %d is %v, want %v", scale, drawn, i, q.edges[i], want.edges[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// plantThresholds writes t−1, t and t+1 of each of p's thresholds t, each
+// with the top bit clear and set, at the start of out.
+func plantThresholds(out []uint64, p RMATParams) {
+	const top = 1 << 63
+	at := 0
+	for _, q := range []float64{p.A, p.A + p.B, p.A + p.B + p.C} {
+		tq := threshold(q)
+		for _, r := range []uint64{tq - 1, tq, tq + 1} {
+			out[at], out[at+1] = r, top|r
+			at += 3
+		}
+	}
+}
+
+// retries counts the outputs in xs that Float64 would redraw.
+func retries(xs []uint64) int {
+	n := 0
+	for _, x := range xs {
+		if x&^(1<<63) >= retry {
+			n++
+		}
+	}
+	return n
+}
+
+// before returns the buffer that stream.advance turns into y: output n of
+// y is output n of that buffer plus its output n+334 for n < 273, and plus
+// output n−273 of y for the rest.
+func before(y stream) stream {
+	var x stream
+	for n := streamTap; n < streamLen; n++ {
+		x[n] = y[n] - y[n-streamTap]
+	}
+	for n := 0; n < streamTap; n++ {
+		x[n] = y[n] - x[n+streamLen-streamTap]
+	}
+	return x
+}
+
+// drawsAsRand fails t unless rmatEdges draws from the stream whose first
+// outputs are h what edgesByRand draws through rand.Rand.Float64 from it.
+func drawsAsRand(t *testing.T, name string, p RMATParams, h [streamLen]uint64) {
+	t.Helper()
+	s := stream(h)
+	got := rmatEdges(p, &s)
+	want := edgesByRand(p, rand.New(newLFSource(h)))
+	if len(got) != len(want) {
+		t.Fatalf("%s, %+v: %d edges, reference %d", name, p, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s, %+v: edge %d is %v, reference %v", name, p, i, got[i], want[i])
 		}
 	}
 }
