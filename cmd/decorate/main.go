@@ -43,6 +43,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *count < 0 {
+		log.Printf("-count %d is negative", *count)
+		os.Exit(2)
+	}
 	sep := ","
 	switch *format {
 	case "csv":
@@ -73,12 +77,13 @@ func main() {
 	fbl.EnsureDistances()
 
 	nC := fa.N() * fb.N()
-	lo, hi := *from, *from+*count
+	lo := *from
 	if lo < 0 || lo >= nC {
 		log.Fatalf("-from %d outside [0,%d)", lo, nC)
 	}
-	if hi > nC {
-		hi = nC
+	hi := nC // lo + count may overflow; compare against what is left
+	if *count < nC-lo {
+		hi = lo + *count
 	}
 
 	w := bufio.NewWriter(os.Stdout)

@@ -5,6 +5,7 @@ package kronlab_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -446,6 +447,21 @@ func TestDecorateCLI(t *testing.T) {
 	// against Cor. 1 by hand and by the groundtruth tests).
 	if !strings.HasPrefix(lines[1], "0,0,0,6,10,") {
 		t.Errorf("vertex 0 row = %q", lines[1])
+	}
+	// A count past the product's end stops at its last vertex, however
+	// large: from+count must not wrap around.
+	out, err = exec.Command(bin, "-a", aPath, "-b", bPath, "-from", "1", "-count", "9223372036854775807").CombinedOutput()
+	if err != nil {
+		t.Fatalf("decorate -count max: %v\n%s", err, out)
+	}
+	if n := len(strings.Split(strings.TrimSpace(string(out)), "\n")); n != 1+8 {
+		t.Errorf("-from 1 -count max: %d lines, want header + 8 rows:\n%s", n, out)
+	}
+	// A negative count is a usage error.
+	err = exec.Command(bin, "-a", aPath, "-b", bPath, "-count", "-3").Run()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+		t.Errorf("decorate -count -3: %v, want exit status 2", err)
 	}
 	// Looped factors must be rejected.
 	loopy := filepath.Join(dir, "loopy.txt")

@@ -61,14 +61,6 @@ func BenchmarkCloseness(b *testing.B) {
 	}
 }
 
-func BenchmarkBetweenness(b *testing.B) {
-	g := benchGraph(b, 500, 2_500, 6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Betweenness(g)
-	}
-}
-
 func BenchmarkApproxEccentricities(b *testing.B) {
 	g := benchGraph(b, 20_000, 100_000, 7)
 	b.ResetTimer()

@@ -3,7 +3,6 @@ package analytics
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -155,9 +154,6 @@ func TestEccentricityPath(t *testing.T) {
 	if Diameter(g) != 4 {
 		t.Errorf("diameter = %d, want 4", Diameter(g))
 	}
-	if Radius(g) != 2 {
-		t.Errorf("radius = %d, want 2", Radius(g))
-	}
 }
 
 func TestEccentricityDisconnected(t *testing.T) {
@@ -165,8 +161,8 @@ func TestEccentricityDisconnected(t *testing.T) {
 	if Eccentricity(g, 0) != Unreachable {
 		t.Error("ecc must be unreachable on disconnected graph")
 	}
-	if Diameter(g) != Unreachable || Radius(g) != Unreachable {
-		t.Error("diameter/radius must be unreachable on disconnected graph")
+	if Diameter(g) != Unreachable {
+		t.Error("diameter must be unreachable on disconnected graph")
 	}
 }
 
@@ -349,17 +345,6 @@ func TestClusteringKnown(t *testing.T) {
 	}
 }
 
-func TestMeanClustering(t *testing.T) {
-	if m := MeanClustering(triangle(t)); math.Abs(m-1) > 1e-12 {
-		t.Errorf("triangle mean clustering = %v", m)
-	}
-	// All-NaN case: single edge.
-	g := mustUnd(t, 2, []graph.Edge{{U: 0, V: 1}})
-	if !math.IsNaN(MeanClustering(g)) {
-		t.Error("mean clustering of K2 should be NaN")
-	}
-}
-
 func TestClusteringBounds(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -475,85 +460,6 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
-// ---------- betweenness ----------
-
-func TestBetweennessKnown(t *testing.T) {
-	// Path 0-1-2: vertex 1 lies on the two ordered shortest paths
-	// (0→2, 2→0) → bc(1) = 2; endpoints 0.
-	g := path(t, 3)
-	bc := Betweenness(g)
-	if bc[0] != 0 || bc[2] != 0 {
-		t.Errorf("endpoints: %v", bc)
-	}
-	if math.Abs(bc[1]-2) > 1e-12 {
-		t.Errorf("bc(1) = %v, want 2", bc[1])
-	}
-	// Star with 3 leaves: center on all 3·2 ordered leaf pairs.
-	star := mustUnd(t, 4, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}})
-	bcs := Betweenness(star)
-	if math.Abs(bcs[0]-6) > 1e-12 {
-		t.Errorf("star center bc = %v, want 6", bcs[0])
-	}
-	// Clique: nobody is intermediate.
-	k4 := mustUnd(t, 4, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 1, V: 2}, {U: 1, V: 3}, {U: 2, V: 3}})
-	for v, b := range Betweenness(k4) {
-		if b != 0 {
-			t.Errorf("K4 bc(%d) = %v", v, b)
-		}
-	}
-}
-
-func TestBetweennessSplitPaths(t *testing.T) {
-	// 4-cycle: two shortest paths between opposite corners, each middle
-	// vertex carries half of each of the 2 ordered opposite pairs → 1.
-	c4 := mustUnd(t, 4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0}})
-	for v, b := range Betweenness(c4) {
-		if math.Abs(b-1) > 1e-12 {
-			t.Errorf("C4 bc(%d) = %v, want 1", v, b)
-		}
-	}
-}
-
-func TestBetweennessIgnoresSelfLoops(t *testing.T) {
-	g := path(t, 3)
-	gl := g.WithFullSelfLoops()
-	b1, b2 := Betweenness(g), Betweenness(gl)
-	for v := range b1 {
-		if math.Abs(b1[v]-b2[v]) > 1e-12 {
-			t.Errorf("loops changed bc(%d): %v → %v", v, b1[v], b2[v])
-		}
-	}
-}
-
-// Sanity on random graphs: total betweenness equals Σ over ordered pairs
-// of (path length − 1) when shortest paths are unique... in general
-// Σ_v bc(v) = Σ_{s≠t, connected} (hops(s,t) − 1) regardless of path
-// multiplicity.
-func TestBetweennessSumIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	for trial := 0; trial < 10; trial++ {
-		g := randomGraph(rng, 12, false)
-		bc := Betweenness(g)
-		var total float64
-		for _, b := range bc {
-			total += b
-		}
-		var want float64
-		n := g.NumVertices()
-		for s := int64(0); s < n; s++ {
-			d := BFS(g, s)
-			for t2 := int64(0); t2 < n; t2++ {
-				if t2 != s && d[t2] > 0 {
-					want += float64(d[t2] - 1)
-				}
-			}
-		}
-		if math.Abs(total-want) > 1e-6 {
-			t.Fatalf("trial %d: Σbc = %v, identity gives %v", trial, total, want)
-		}
-	}
-}
-
 // ---------- approximate eccentricity ----------
 
 func TestApproxEccentricitiesLowerBound(t *testing.T) {
@@ -614,47 +520,7 @@ func TestEccentricityFidelity(t *testing.T) {
 	}
 }
 
-// ---------- assortativity ----------
-
-func TestDegreeAssortativityKnown(t *testing.T) {
-	// A star is perfectly disassortative: r = -1.
-	star := mustUnd(t, 5, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 0, V: 4}})
-	if r := DegreeAssortativity(star); math.Abs(r+1) > 1e-12 {
-		t.Errorf("star r = %v, want -1", r)
-	}
-	// Regular graphs have zero variance → NaN.
-	if r := DegreeAssortativity(triangle(t)); !math.IsNaN(r) {
-		t.Errorf("triangle r = %v, want NaN", r)
-	}
-	// Edgeless → NaN.
-	bare, _ := graph.New(3, nil)
-	if !math.IsNaN(DegreeAssortativity(bare)) {
-		t.Error("edgeless r should be NaN")
-	}
-}
-
-func TestDegreeAssortativityRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(91))
-	for trial := 0; trial < 20; trial++ {
-		g := randomGraph(rng, 20, false)
-		r := DegreeAssortativity(g)
-		if !math.IsNaN(r) && (r < -1-1e-9 || r > 1+1e-9) {
-			t.Fatalf("trial %d: r = %v outside [-1,1]", trial, r)
-		}
-	}
-}
-
-func TestDegreeAssortativityIgnoresLoops(t *testing.T) {
-	star := mustUnd(t, 4, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}})
-	r1 := DegreeAssortativity(star)
-	// Loops change degrees, so compare against a graph where only loop
-	// ARCS are added but the remaining-degree change is what it is; the
-	// test just asserts loop arcs themselves are skipped (finite result).
-	r2 := DegreeAssortativity(star.WithFullSelfLoops())
-	if math.IsNaN(r1) || math.IsNaN(r2) {
-		t.Errorf("unexpected NaN: %v %v", r1, r2)
-	}
-}
+// ---------- bipartiteness ----------
 
 func TestIsBipartite(t *testing.T) {
 	if !IsBipartite(path(t, 5)) {
@@ -678,126 +544,7 @@ func TestIsBipartite(t *testing.T) {
 	}
 }
 
-// ---------- k-core ----------
-
-// bruteCore computes core numbers by repeated peeling per k — the slow
-// oracle for CoreNumbers.
-func bruteCore(g *graph.Graph) []int64 {
-	n := g.NumVertices()
-	core := make([]int64, n)
-	for k := int64(1); ; k++ {
-		alive := make([]bool, n)
-		for v := range alive {
-			alive[v] = true
-		}
-		deg := func(v int64) int64 {
-			var d int64
-			for _, w := range g.Neighbors(v) {
-				if w != v && alive[w] {
-					d++
-				}
-			}
-			return d
-		}
-		for changed := true; changed; {
-			changed = false
-			for v := int64(0); v < n; v++ {
-				if alive[v] && deg(v) < k {
-					alive[v] = false
-					changed = true
-				}
-			}
-		}
-		any := false
-		for v := int64(0); v < n; v++ {
-			if alive[v] {
-				core[v] = k
-				any = true
-			}
-		}
-		if !any {
-			return core
-		}
-	}
-}
-
-func TestCoreNumbersKnown(t *testing.T) {
-	// K4 plus a pendant: clique vertices core 3, pendant core 1.
-	g := mustUnd(t, 5, []graph.Edge{
-		{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 1, V: 2}, {U: 1, V: 3}, {U: 2, V: 3},
-		{U: 3, V: 4},
-	})
-	core := CoreNumbers(g)
-	want := []int64{3, 3, 3, 3, 1}
-	for v := range want {
-		if core[v] != want[v] {
-			t.Errorf("core(%d) = %d, want %d", v, core[v], want[v])
-		}
-	}
-	if Degeneracy(g) != 3 {
-		t.Errorf("degeneracy = %d, want 3", Degeneracy(g))
-	}
-	if CoreNumbers(path(t, 6))[2] != 1 {
-		t.Error("path core numbers should be 1")
-	}
-	empty, _ := graph.New(0, nil)
-	if CoreNumbers(empty) != nil {
-		t.Error("empty graph core should be nil")
-	}
-}
-
-func TestCoreNumbersMatchBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 20; trial++ {
-		g := randomGraph(rng, 18, false)
-		fast := CoreNumbers(g)
-		slow := bruteCore(g)
-		for v := range fast {
-			if fast[v] != slow[v] {
-				t.Fatalf("trial %d: core(%d) = %d, oracle %d", trial, v, fast[v], slow[v])
-			}
-		}
-	}
-}
-
-// ---------- parallel variants ----------
-
-func TestParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	for trial := 0; trial < 8; trial++ {
-		g := randomGraph(rng, 30, true)
-		for _, workers := range []int{0, 1, 3, 16} {
-			serialE := Eccentricities(g)
-			if got := EccentricitiesParallel(g, workers); !reflect.DeepEqual(got, serialE) {
-				t.Fatalf("trial %d workers %d: parallel eccentricities differ", trial, workers)
-			}
-			serialC := ClosenessAll(g)
-			gotC := ClosenessAllParallel(g, workers)
-			for v := range serialC {
-				if math.Abs(serialC[v]-gotC[v]) > 1e-12 {
-					t.Fatalf("trial %d workers %d: parallel closeness differs at %d", trial, workers, v)
-				}
-			}
-			serialT := Triangles(g)
-			gotT := TrianglesParallel(g, workers)
-			if gotT.Global != serialT.Global ||
-				!reflect.DeepEqual(gotT.Vertex, serialT.Vertex) ||
-				!reflect.DeepEqual(gotT.Arc, serialT.Arc) {
-				t.Fatalf("trial %d workers %d: parallel triangles differ", trial, workers)
-			}
-		}
-	}
-}
-
-func TestParallelEmptyGraph(t *testing.T) {
-	g, _ := graph.New(0, nil)
-	if len(EccentricitiesParallel(g, 4)) != 0 {
-		t.Error("empty graph should yield empty result")
-	}
-	if TrianglesParallel(g, 4).Global != 0 {
-		t.Error("empty graph should have 0 triangles")
-	}
-}
+// ---------- eigenvector centrality ----------
 
 func TestEigenvectorCentralityKnown(t *testing.T) {
 	// K4: Perron vector uniform, λ = 3.

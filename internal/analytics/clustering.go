@@ -52,21 +52,3 @@ func EdgeClustering(g *graph.Graph) []float64 {
 	})
 	return out
 }
-
-// MeanClustering returns the average vertex clustering coefficient over
-// vertices where it is defined, or NaN if none.
-func MeanClustering(g *graph.Graph) float64 {
-	cc := VertexClustering(g)
-	var s float64
-	var n int
-	for _, c := range cc {
-		if !math.IsNaN(c) {
-			s += c
-			n++
-		}
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return s / float64(n)
-}

@@ -49,24 +49,6 @@ func Diameter(g *graph.Graph) int64 {
 	return d
 }
 
-// Radius returns min_v ε(v), or Unreachable for a disconnected graph.
-func Radius(g *graph.Graph) int64 {
-	if g.NumVertices() == 0 {
-		return Unreachable
-	}
-	r := int64(-1)
-	for v := int64(0); v < g.NumVertices(); v++ {
-		e := Eccentricity(g, v)
-		if e == Unreachable {
-			return Unreachable
-		}
-		if r == -1 || e < r {
-			r = e
-		}
-	}
-	return r
-}
-
 // Closeness returns ζ(src) = Σ_j 1/hops(src, j) (Def. 12), summing over
 // reachable j only (unreachable vertices contribute 0, the 1/∞ limit).
 // Note the sum includes j = src via hops(src,src) ∈ {1,2}.
@@ -79,16 +61,6 @@ func Closeness(g *graph.Graph, src int64) float64 {
 		}
 	}
 	return s
-}
-
-// ClosenessAll returns ζ(v) for every vertex.
-func ClosenessAll(g *graph.Graph) []float64 {
-	n := g.NumVertices()
-	out := make([]float64, n)
-	for v := int64(0); v < n; v++ {
-		out[v] = Closeness(g, v)
-	}
-	return out
 }
 
 // HopHistogram returns, for the row hops(src, ·), the count of vertices at

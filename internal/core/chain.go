@@ -25,20 +25,6 @@ func CheckedMul(a, b int64) (int64, bool) {
 	return p, true
 }
 
-// CheckedProduct folds CheckedMul over vals (empty product = 1),
-// returning an error naming the offending partial product on overflow.
-func CheckedProduct(vals ...int64) (int64, error) {
-	out := int64(1)
-	for _, v := range vals {
-		p, ok := CheckedMul(out, v)
-		if !ok {
-			return 0, fmt.Errorf("core: product overflows int64 at %d × %d", out, v)
-		}
-		out = p
-	}
-	return out, nil
-}
-
 // ChainIndex maps between a vertex of A₁⊗A₂⊗…⊗Aₖ and its k factor
 // coordinates — the mixed-radix generalization of the two-factor α/β/γ
 // maps (Index). Vertex p decomposes as p = Σ_d digit[d]·stride[d]
@@ -98,12 +84,6 @@ func (ci ChainIndex) NumVertices() int64 { return ci.n }
 // Stride returns Π_{e>d} n_e, the vertex stride of digit d. For k = 2,
 // Stride(0) is the classic block size n_B.
 func (ci ChainIndex) Stride(d int) int64 { return ci.strides[d] }
-
-// Digit returns factor coordinate d of product vertex p — the mixed-radix
-// generalization of α (d = 0 up to division) and β (d = k−1).
-func (ci ChainIndex) Digit(p int64, d int) int64 {
-	return (p / ci.strides[d]) % ci.dims[d]
-}
 
 // Split returns the k factor coordinates of product vertex p.
 func (ci ChainIndex) Split(p int64) []int64 {

@@ -30,17 +30,17 @@ func TestChainIndexDigitsAndStrides(t *testing.T) {
 		}
 	}
 	// p = 2·20 + 3·5 + 4 = 59, the largest vertex.
-	for d, w := range []int64{2, 3, 4} {
-		if got := ci.Digit(59, d); got != w {
-			t.Fatalf("Digit(59, %d) = %d, want %d", d, got, w)
+	for d, w := range ci.Split(59) {
+		if want := []int64{2, 3, 4}[d]; w != want {
+			t.Fatalf("digit %d of 59 = %d, want %d", d, w, want)
 		}
 	}
-	// k = 2 Digit specializes to α/β.
+	// k = 2 digits specialize to α/β.
 	two := MustChainIndex(7, 11)
 	ix := NewIndex(11)
 	for p := int64(0); p < 77; p++ {
-		if two.Digit(p, 0) != ix.Alpha(p) || two.Digit(p, 1) != ix.Beta(p) {
-			t.Fatalf("Digit(%d) disagrees with α/β", p)
+		if d := two.Split(p); d[0] != ix.Alpha(p) || d[1] != ix.Beta(p) {
+			t.Fatalf("digits of %d disagree with α/β", p)
 		}
 	}
 }
@@ -64,9 +64,6 @@ func TestChainIndexSplitJoinRoundTrip(t *testing.T) {
 			for d, c := range coords {
 				if c < 0 || c >= dims[d] {
 					t.Fatalf("Split(%d) digit %d = %d out of [0,%d)", p, d, c, dims[d])
-				}
-				if got := ci.Digit(p, d); got != c {
-					t.Fatalf("Digit(%d,%d) = %d, Split gave %d", p, d, got, c)
 				}
 			}
 			if got := ci.Join(coords); got != p {
@@ -115,12 +112,6 @@ func TestCheckedMulAndProduct(t *testing.T) {
 	}
 	if _, ok := CheckedMul(-1, 2); ok {
 		t.Fatal("CheckedMul rejects negatives")
-	}
-	if p, err := CheckedProduct(3, 4, 5); err != nil || p != 60 {
-		t.Fatalf("CheckedProduct(3,4,5) = %d,%v", p, err)
-	}
-	if _, err := CheckedProduct(1<<22, 1<<22, 1<<22); err == nil {
-		t.Fatal("CheckedProduct(2^66) should overflow")
 	}
 }
 

@@ -194,29 +194,6 @@ func TestStreamProductEarlyStop(t *testing.T) {
 	}
 }
 
-func TestStreamProductArcsMatchesStreamProduct(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	a := randomGraph(rng, 8, true)
-	b := randomGraph(rng, 8, true)
-	var viaGraph, viaArcs []graph.Edge
-	StreamProduct(a, b, func(u, v int64) bool {
-		viaGraph = append(viaGraph, graph.Edge{U: u, V: v})
-		return true
-	})
-	StreamProductArcs(a.ArcList(), b, func(u, v int64) bool {
-		viaArcs = append(viaArcs, graph.Edge{U: u, V: v})
-		return true
-	})
-	if len(viaGraph) != len(viaArcs) {
-		t.Fatalf("lengths differ: %d vs %d", len(viaGraph), len(viaArcs))
-	}
-	for i := range viaGraph {
-		if viaGraph[i] != viaArcs[i] {
-			t.Fatalf("arc %d differs: %v vs %v", i, viaGraph[i], viaArcs[i])
-		}
-	}
-}
-
 func TestKronSet(t *testing.T) {
 	got := KronSet([]int64{0, 2}, []int64{1}, 3)
 	want := []int64{1, 7}
@@ -325,21 +302,5 @@ func TestProductIdentity(t *testing.T) {
 	}
 	if !l.Equal(a) || !r.Equal(a) {
 		t.Fatal("I₁ must be the ⊗ unit")
-	}
-}
-
-func TestStreamProductArcsEarlyStop(t *testing.T) {
-	a := randomGraph(rand.New(rand.NewSource(23)), 6, true)
-	b := randomGraph(rand.New(rand.NewSource(24)), 6, true)
-	if a.NumArcs() == 0 || b.NumArcs() == 0 {
-		t.Skip("degenerate sample")
-	}
-	var seen int
-	StreamProductArcs(a.ArcList(), b, func(u, v int64) bool {
-		seen++
-		return false
-	})
-	if seen != 1 {
-		t.Fatalf("early stop saw %d arcs", seen)
 	}
 }

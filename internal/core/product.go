@@ -29,25 +29,6 @@ func StreamProduct(a, b *graph.Graph, yield func(u, v int64) bool) {
 	})
 }
 
-// StreamProductArcs is StreamProduct restricted to an explicit slice of
-// A-arcs — the per-processor work unit of the distributed generator.
-func StreamProductArcs(aArcs []graph.Edge, b *graph.Graph, yield func(u, v int64) bool) {
-	ix := NewIndex(b.NumVertices())
-	for _, e := range aArcs {
-		stop := false
-		b.Arcs(func(k, l int64) bool {
-			if !yield(ix.Gamma(e.U, k), ix.Gamma(e.V, l)) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if stop {
-			return
-		}
-	}
-}
-
 // ExpandBlock appends the product arcs of one A-arc against a slice of
 // B-arcs, (aArc.U·nB + e.U, aArc.V·nB + e.V) for each e in bArcs order, to
 // out with append's semantics (the adds wrap like Go's +) and returns it:

@@ -33,12 +33,12 @@ func TestNewClusterValidation(t *testing.T) {
 	}
 }
 
-// TestExchangeAllToAll drives the batch path the transports keep for their
+// TestChanBatchAllToAll drives the batch path the transports keep for their
 // conformance suite and the benchmark probes (the engine sends no batch) on
 // chantransport.New(R), from the ranks of a cluster: every rank sends a pooled batch (id, to) to every
 // rank, its own through progress, and each rank must receive one batch from
 // each sender, addressed to it, with every buffer back in the pool.
-func TestExchangeAllToAll(t *testing.T) {
+func TestChanBatchAllToAll(t *testing.T) {
 	const R = 5
 	c, _ := newCluster(R, 0, R)
 	tr := chantransport.New(R)
@@ -386,7 +386,7 @@ func TestGenerateOwnedMatchesSerial(t *testing.T) {
 // Property: GenerateOwned and GenerateChain under OwnerByBlock — the two runs
 // bench's owned-over-routed ratio times — store the same arcs on every rank,
 // for random factors and R.
-func TestPropertyOwnedEqualsRouted(t *testing.T) {
+func TestPropertyOwnedEqualsBlockOwner(t *testing.T) {
 	f := func(seedA, seedB int64, rRaw uint8) bool {
 		r := int(rRaw%10) + 1
 		a := gen.ER(6, 0.5, seedA)

@@ -570,7 +570,7 @@ func TestRunCancellationTearsDownExchange(t *testing.T) {
 	}
 }
 
-func TestPerRankStatsAndInboxDepth(t *testing.T) {
+func TestPerRankStats(t *testing.T) {
 	a := gen.ER(12, 0.5, 51)
 	b := gen.ER(12, 0.5, 52)
 	const r = 4

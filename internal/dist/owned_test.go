@@ -94,9 +94,8 @@ func ownedReference(plan Plan, owner func(u int64) int) *tileRecorder {
 	return ref
 }
 
-// TestOwnerSideMatchesPerEdgeExchange is the differential safety net of
-// owner-side generation (named for the per-edge exchange it was first held
-// against; its reference, ownedReference, never used it): for every cell of
+// TestOwnerSideMatchesOwnedReference is the differential safety net of
+// owner-side generation: for every cell of
 // chain shape (k = 1 with its
 // identity tail, 2 and 3; empty rows in the innermost factor and in the
 // head, a loop-only factor, a one-row head, an empty factor; innermost
@@ -113,7 +112,7 @@ func ownedReference(plan Plan, owner func(u int64) int) *tileRecorder {
 // row boundary, on a sweep boundary and inside the first and the last head
 // arc; there the ranks' outputs are also held to the serial oracle, in
 // canonical order.
-func TestOwnerSideMatchesPerEdgeExchange(t *testing.T) {
+func TestOwnerSideMatchesOwnedReference(t *testing.T) {
 	loops := func(n int64) *graph.Graph { return mustGraph(n, nil).WithFullSelfLoops() }
 	empty := mustGraph(3, nil)
 	// One source row: under 2D every tile has the same source base, and only

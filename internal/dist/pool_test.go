@@ -180,15 +180,14 @@ func TestFaultAbortLeavesNoBuffersParked(t *testing.T) {
 	}
 }
 
-// TestRoutedBackpressure drives clean streams into a full hand-off channel:
+// TestStreamBackpressure drives clean streams into a full hand-off channel:
 // at R ∈ {2, 16, 32} with batches of 1 and 7 edges, the consumer yields the
 // processor on every batch and, on its first, waits until a rank is blocked
 // handing a batch over (a goroutine in streamRankSink.handOff labelled
 // phase=store) — the proof that the blocking path ran. Each stream must
 // deliver exactly the serial stream (1D, so in its order) and return every
-// pooled buffer, on one core and on several. (The name is from when the
-// full inbox was a routed run's.)
-func TestRoutedBackpressure(t *testing.T) {
+// pooled buffer, on one core and on several.
+func TestStreamBackpressure(t *testing.T) {
 	ch := mustChain(gen.MustRMAT(gen.Graph500Params(5, 1)), gen.MustRMAT(gen.Graph500Params(5, 2)))
 	want := referenceArcs(ch)
 	for _, procs := range []int{1, 4} {

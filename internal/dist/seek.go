@@ -5,9 +5,9 @@ package dist
 // every tile's arc count is closed-form ground truth (Plan.Arcs), so the
 // concatenated stream has an index — the tile and in-tile offset of
 // global edge i are computable in O(tiles), without generating edges
-// 0..i-1. Plan.Locate seeks to an offset; Plan.Slice derives a plan whose
-// tiles are windowed (Tile.Skip/Take) to generate exactly a contiguous
-// range of the stream. Under 1D partitioning the stream order equals the
+// 0..i-1. Plan.Slice walks that index to derive a plan whose tiles are
+// windowed (Tile.Skip/Take) to generate exactly a contiguous range of the
+// stream. Under 1D partitioning the stream order equals the
 // serial chain enumeration (core.Chain.Arcs); under 2D it is the
 // deterministic tile-grid order — either way the layout plus rank count
 // fully determine the byte stream, which is what makes resume exact.
@@ -58,28 +58,6 @@ func (p Plan) TotalArcs() (int64, error) {
 		}
 	}
 	return total, nil
-}
-
-// Locate seeks to a global stream offset in the plan: the ID of the tile
-// containing edge offset and the edge's position within that tile's
-// (windowed) expansion stream. O(tiles) — no edge is generated. An
-// offset equal to the stream length returns the last tile with within
-// == its arc count (the exhausted position); anything outside [0,total]
-// is an error.
-func (p Plan) Locate(offset int64) (tileID int, within int64, err error) {
-	if offset < 0 {
-		return 0, 0, fmt.Errorf("dist: seek offset %d is negative", offset)
-	}
-	tiles := p.orderedTiles()
-	rem := offset
-	for i, t := range tiles {
-		n := p.Arcs(t)
-		if rem < n || (rem == n && i == len(tiles)-1) {
-			return t.ID, rem, nil
-		}
-		rem -= n
-	}
-	return 0, 0, fmt.Errorf("dist: seek offset %d past stream end", offset)
 }
 
 // Slice returns a derived plan generating exactly limit arcs of the

@@ -19,56 +19,6 @@ func chainStreamRef(t testing.TB, ch *core.Chain, r int, twoD bool) []graph.Edge
 	return out
 }
 
-func TestPlanLocate(t *testing.T) {
-	a := gen.PrefAttach(10, 2, 51)
-	b := gen.ER(7, 0.5, 52)
-	for _, tc := range []struct {
-		name string
-		r    int
-		twoD bool
-	}{
-		{"1d-3", 3, false}, {"2d-5", 5, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			plan, err := planForChain(mustChain(a, b), tc.r, tc.twoD)
-			if err != nil {
-				t.Fatal(err)
-			}
-			total, err := plan.TotalArcs()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := a.NumArcs() * b.NumArcs(); total != want {
-				t.Fatalf("TotalArcs = %d, want %d", total, want)
-			}
-			// Walk every offset and cross-check Locate against a manual
-			// cumulative walk of the ordered tiles.
-			tiles := plan.orderedTiles()
-			cum := int64(0)
-			ti := 0
-			for off := int64(0); off <= total; off++ {
-				for ti < len(tiles)-1 && off-cum >= plan.Arcs(tiles[ti]) {
-					cum += plan.Arcs(tiles[ti])
-					ti++
-				}
-				id, within, err := plan.Locate(off)
-				if err != nil {
-					t.Fatalf("Locate(%d): %v", off, err)
-				}
-				if id != tiles[ti].ID || within != off-cum {
-					t.Fatalf("Locate(%d) = (%d,%d), want (%d,%d)", off, id, within, tiles[ti].ID, off-cum)
-				}
-			}
-			if _, _, err := plan.Locate(-1); err == nil {
-				t.Error("Locate(-1) should error")
-			}
-			if _, _, err := plan.Locate(total + 1); err == nil {
-				t.Error("Locate(total+1) should error")
-			}
-		})
-	}
-}
-
 func TestPlanSliceComposes(t *testing.T) {
 	a := gen.ER(8, 0.5, 53)
 	b := gen.ER(6, 0.6, 54)
@@ -79,6 +29,9 @@ func TestPlanSliceComposes(t *testing.T) {
 	total, err := plan.TotalArcs()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want := a.NumArcs() * b.NumArcs(); total != want {
+		t.Fatalf("TotalArcs = %d, want %d", total, want)
 	}
 	// Slice [10, 10+40), then slice that again [5, 5+20): must equal the
 	// direct slice [15, 15+20) — window composition.
@@ -157,14 +110,13 @@ func TestStreamChainFromParity(t *testing.T) {
 				// Offsets that cross tile boundaries: 0, mid-tile, an exact
 				// tile boundary, and the stream's last arc and end.
 				offsets := []int64{0, 1, total / 3, total - 1, total}
-				if id0, _, err := plan.Locate(0); err == nil {
-					// First tile's boundary, when it is interior.
-					for _, ts := range plan.Tiles {
-						for _, tl := range ts {
-							if tl.ID == id0 && plan.Arcs(tl) < total {
-								offsets = append(offsets, plan.Arcs(tl))
-							}
+				// The first non-empty tile's end, when it is interior.
+				for _, tl := range plan.orderedTiles() {
+					if n := plan.Arcs(tl); n > 0 {
+						if n < total {
+							offsets = append(offsets, n)
 						}
+						break
 					}
 				}
 				for i, off := range offsets {

@@ -2,10 +2,10 @@
 // throughout the reproduction: Erdős–Rényi, R-MAT (the stochastic
 // Kronecker generator the paper contrasts against, with Graph500
 // parameters), stochastic block models with planted communities,
-// disjoint cliques, structured graphs (ring, path, star, grid, complete,
-// complete bipartite), preferential attachment, and a synthetic stand-in
-// for the SNAP gnutella08 peer-to-peer graph used in the paper's Fig. 1
-// (see DESIGN.md §2 for the substitution rationale).
+// disjoint cliques, structured graphs (ring, path, star, grid, complete),
+// preferential attachment, and a synthetic stand-in for the SNAP
+// gnutella08 peer-to-peer graph used in the paper's Fig. 1 (see DESIGN.md
+// §2 for the substitution rationale).
 //
 // All generators return loop-free undirected graphs unless documented
 // otherwise; callers add self loops with Graph.WithFullSelfLoops when a
@@ -41,33 +41,6 @@ func ER(n int64, p float64, seed int64) *graph.Graph {
 	return mustUndirected(n, edges)
 }
 
-// ERm returns a G(n, m) Erdős–Rényi graph with exactly m distinct edges
-// sampled uniformly (no loops). m is clamped to the number of possible
-// edges.
-func ERm(n, m int64, seed int64) *graph.Graph {
-	rng := rand.New(rand.NewSource(seed))
-	maxM := n * (n - 1) / 2
-	if m > maxM {
-		m = maxM
-	}
-	seen := make(map[graph.Edge]bool, m)
-	edges := make([]graph.Edge, 0, m)
-	for int64(len(edges)) < m {
-		u := rng.Int63n(n)
-		v := rng.Int63n(n)
-		if u == v {
-			continue
-		}
-		e := (graph.Edge{U: u, V: v}).Canon()
-		if seen[e] {
-			continue
-		}
-		seen[e] = true
-		edges = append(edges, e)
-	}
-	return mustUndirected(n, edges)
-}
-
 // Clique returns the complete graph K_n (no self loops).
 func Clique(n int64) *graph.Graph {
 	var edges []graph.Edge
@@ -79,8 +52,8 @@ func Clique(n int64) *graph.Graph {
 	return mustUndirected(n, edges)
 }
 
-// DisjointCliques returns x disjoint cliques of size y each (Ex. 1), with
-// the natural partition recoverable via CliquePartition.
+// DisjointCliques returns x disjoint cliques of size y each (Ex. 1);
+// clique c holds vertices [c·y, (c+1)·y).
 func DisjointCliques(x, y int64) *graph.Graph {
 	var edges []graph.Edge
 	for c := int64(0); c < x; c++ {
@@ -92,19 +65,6 @@ func DisjointCliques(x, y int64) *graph.Graph {
 		}
 	}
 	return mustUndirected(x*y, edges)
-}
-
-// CliquePartition returns the natural x-set partition of DisjointCliques(x, y).
-func CliquePartition(x, y int64) [][]int64 {
-	out := make([][]int64, x)
-	for c := int64(0); c < x; c++ {
-		s := make([]int64, y)
-		for i := int64(0); i < y; i++ {
-			s[i] = c*y + i
-		}
-		out[c] = s
-	}
-	return out
 }
 
 // Ring returns the cycle C_n (n ≥ 3), a graph with known diameter ⌊n/2⌋ —
@@ -150,15 +110,4 @@ func Grid(r, c int64) *graph.Graph {
 		}
 	}
 	return mustUndirected(r*c, edges)
-}
-
-// CompleteBipartite returns K_{a,b} with parts {0..a−1} and {a..a+b−1}.
-func CompleteBipartite(a, b int64) *graph.Graph {
-	var edges []graph.Edge
-	for u := int64(0); u < a; u++ {
-		for v := int64(0); v < b; v++ {
-			edges = append(edges, graph.Edge{U: u, V: a + v})
-		}
-	}
-	return mustUndirected(a+b, edges)
 }

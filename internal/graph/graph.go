@@ -35,9 +35,6 @@ func (e Edge) Canon() Edge {
 	return e
 }
 
-// IsLoop reports whether e is a self loop.
-func (e Edge) IsLoop() bool { return e.U == e.V }
-
 // Graph is an immutable CSR adjacency structure. The zero value is the
 // empty graph on zero vertices.
 type Graph struct {
@@ -244,17 +241,6 @@ func (g *Graph) ArcIndex(u, v int64) int64 {
 	}
 	return -1
 }
-
-// ArcSource returns the source vertex of the arc at CSR position idx.
-// It is the inverse of the row component of ArcIndex and costs a binary
-// search over the offset array.
-func (g *Graph) ArcSource(idx int64) int64 {
-	v := sort.Search(int(g.n), func(i int) bool { return g.offsets[i+1] > idx })
-	return int64(v)
-}
-
-// ArcTarget returns the target vertex of the arc at CSR position idx.
-func (g *Graph) ArcTarget(idx int64) int64 { return g.adj[idx] }
 
 // Arcs calls f for every stored arc (u, v) in CSR order; f returning false
 // stops the iteration early.

@@ -33,24 +33,6 @@ func (g *Graph) StripSelfLoops() *Graph {
 	return out
 }
 
-// Symmetrized returns the undirected closure of g: for every arc (u,v) the
-// arc (v,u) is added.
-func (g *Graph) Symmetrized() *Graph {
-	arcs := make([]Edge, 0, 2*len(g.adj))
-	g.Arcs(func(u, v int64) bool {
-		arcs = append(arcs, Edge{u, v})
-		if u != v {
-			arcs = append(arcs, Edge{v, u})
-		}
-		return true
-	})
-	out, err := New(g.n, arcs)
-	if err != nil {
-		panic("graph: Symmetrized: " + err.Error())
-	}
-	return out
-}
-
 // InducedSubgraph returns the subgraph induced by the vertex set keep,
 // with vertices relabeled 0..len(keep)-1 in the order given, plus the
 // mapping from new labels back to old ones. Vertices listed more than once

@@ -3,7 +3,6 @@ package groundtruth
 import (
 	"kronlab/internal/analytics"
 	"kronlab/internal/core"
-	"kronlab/internal/graph"
 )
 
 // CommunityKron computes the exact ground-truth CommunityStats of the
@@ -97,11 +96,4 @@ func NumCommunities(pa, pb [][]int64) int64 {
 // in the factor graph, used as input to CommunityKron.
 func FactorCommunity(f *Factor, s []int64) analytics.CommunityStats {
 	return analytics.Community(f.G, s)
-}
-
-// ProductCommunityOracle computes exact stats of S_C directly on a
-// materialized product C — the oracle the Thm. 6 formulas are validated
-// against in tests and experiments.
-func ProductCommunityOracle(c *graph.Graph, sc []int64) analytics.CommunityStats {
-	return analytics.Community(c, sc)
 }

@@ -50,19 +50,3 @@ func (dg *DistGraph) Hops(src int64) []int64 {
 	}
 	return h
 }
-
-// Eccentricity returns ε(src) computed by one distributed BFS, or
-// Unreachable if the graph is disconnected from src.
-func (dg *DistGraph) Eccentricity(src int64) int64 {
-	h := dg.Hops(src)
-	var ecc int64
-	for _, d := range h {
-		if d == analytics.Unreachable {
-			return analytics.Unreachable
-		}
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return ecc
-}

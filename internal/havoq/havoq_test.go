@@ -118,22 +118,6 @@ func TestDistributedHopsMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestDistributedEccentricity(t *testing.T) {
-	g := gen.Ring(12).WithFullSelfLoops()
-	dg := mustBuild(t, g, 4)
-	for v := int64(0); v < 12; v++ {
-		if got, want := dg.Eccentricity(v), analytics.Eccentricity(g, v); got != want {
-			t.Fatalf("ε(%d) = %d, want %d", v, got, want)
-		}
-	}
-	// Disconnected → Unreachable.
-	dis, _ := graph.NewUndirected(4, []graph.Edge{{U: 0, V: 1}})
-	dgd := mustBuild(t, dis, 2)
-	if dgd.Eccentricity(0) != analytics.Unreachable {
-		t.Error("disconnected eccentricity should be unreachable")
-	}
-}
-
 func TestExactEccentricitiesMatchesBruteForce(t *testing.T) {
 	graphs := []*graph.Graph{
 		gen.Ring(15).WithFullSelfLoops(),
@@ -261,63 +245,6 @@ func TestEndToEndEccentricityPipeline(t *testing.T) {
 		}
 		if eccRes.Ecc[p] != want {
 			t.Fatalf("ε(%d) = %d, Cor.4 predicts %d", p, eccRes.Ecc[p], want)
-		}
-	}
-}
-
-func TestLabelPropagationDisjointCliques(t *testing.T) {
-	// Two disjoint cliques must converge to exactly two labels, each
-	// constant within a clique.
-	g := gen.DisjointCliques(2, 6)
-	for _, r := range []int{1, 3} {
-		dg := mustBuild(t, g, r)
-		labels := dg.LabelPropagation(20)
-		for c := int64(0); c < 2; c++ {
-			want := labels[c*6]
-			for v := c * 6; v < (c+1)*6; v++ {
-				if labels[v] != want {
-					t.Fatalf("R=%d: clique %d not label-uniform: %v", r, c, labels[:12])
-				}
-			}
-		}
-		if labels[0] == labels[6] {
-			t.Fatalf("R=%d: disjoint cliques share a label", r)
-		}
-	}
-}
-
-func TestLabelPropagationRecoversSBMBlocks(t *testing.T) {
-	g, parts := gen.SBM(gen.SBMParams{BlockSizes: gen.EqualBlocks(3, 20), PIn: 0.8, POut: 0.01, Seed: 6})
-	dg := mustBuild(t, g, 4)
-	labels := dg.LabelPropagation(30)
-	// Within-block label agreement should dominate: measure purity.
-	var agree, total int
-	for _, block := range parts {
-		counts := map[int64]int{}
-		for _, v := range block {
-			counts[labels[v]]++
-		}
-		best := 0
-		for _, c := range counts {
-			if c > best {
-				best = c
-			}
-		}
-		agree += best
-		total += len(block)
-	}
-	if purity := float64(agree) / float64(total); purity < 0.9 {
-		t.Errorf("block purity %.2f too low for a strong SBM", purity)
-	}
-}
-
-func TestLabelPropagationIsolatedVertices(t *testing.T) {
-	g, _ := graph.New(3, nil)
-	dg := mustBuild(t, g, 2)
-	labels := dg.LabelPropagation(5)
-	for v, l := range labels {
-		if l != int64(v) {
-			t.Errorf("isolated vertex %d changed label to %d", v, l)
 		}
 	}
 }
