@@ -77,18 +77,20 @@ func Ring(n int64) *graph.Graph {
 	return mustUndirected(n, edges)
 }
 
-// Path returns the path P_n with n vertices and n−1 edges (diameter n−1).
+// Path returns the path P_n with n vertices and n−1 edges (diameter n−1);
+// P_0 is the empty graph.
 func Path(n int64) *graph.Graph {
-	edges := make([]graph.Edge, 0, n-1)
+	edges := make([]graph.Edge, 0, max(n-1, 0))
 	for v := int64(0); v+1 < n; v++ {
 		edges = append(edges, graph.Edge{U: v, V: v + 1})
 	}
 	return mustUndirected(n, edges)
 }
 
-// Star returns the star K_{1,n−1} with center 0.
+// Star returns the star K_{1,n−1} with center 0; for n = 0 it is the
+// empty graph.
 func Star(n int64) *graph.Graph {
-	edges := make([]graph.Edge, 0, n-1)
+	edges := make([]graph.Edge, 0, max(n-1, 0))
 	for v := int64(1); v < n; v++ {
 		edges = append(edges, graph.Edge{U: 0, V: v})
 	}

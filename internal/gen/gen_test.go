@@ -99,6 +99,14 @@ func TestPathStarGrid(t *testing.T) {
 	if d := analytics.Diameter(g); d != 5 {
 		t.Errorf("3x4 grid diameter = %d, want 5", d)
 	}
+	// Path and Star are the empty graph at n = 0 and one vertex at n = 1.
+	for n := int64(0); n <= 1; n++ {
+		for _, g := range []*graph.Graph{Path(n), Star(n)} {
+			if g.NumVertices() != n || g.NumArcs() != 0 {
+				t.Errorf("n = %d: %v, want %d vertices and no arcs", n, g, n)
+			}
+		}
+	}
 }
 
 func TestRMATGraph500(t *testing.T) {

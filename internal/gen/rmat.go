@@ -156,7 +156,9 @@ draw:
 // cut short by the buffer's end. Bit-reversed into bytes, the masks put
 // output i at the top of a big-endian load at byte i/8 shifted left by
 // i%8, and the outputs after it below, 57 bits at least: more than the 40
-// of the largest Scale.
+// of the largest Scale. The shifts by n and 64−n are masked to what they
+// already are (n is in [1, 40]), and sh is i&7, so the compiler emits no
+// guard for a count of 64 or more: the field shifts in by one SHLD.
 func (q *sampler) decoded(b *masks) {
 	var row, col [8 * (maskWords + 1)]byte // a word to spare for the loads near the end
 	for w := range b.row {
@@ -168,8 +170,8 @@ func (q *sampler) decoded(b *masks) {
 	for i := 0; i < streamLen && left > 0; {
 		n := uint(min(k, streamLen-i))
 		at, sh := i>>3, uint(i&7)
-		u = u<<n | int64(binary.BigEndian.Uint64(row[at:])<<sh>>(64-n))
-		v = v<<n | int64(binary.BigEndian.Uint64(col[at:])<<sh>>(64-n))
+		u = u<<(n&63) | int64(binary.BigEndian.Uint64(row[at:])<<sh>>((64-n)&63))
+		v = v<<(n&63) | int64(binary.BigEndian.Uint64(col[at:])<<sh>>((64-n)&63))
 		i += int(n)
 		if k -= int(n); k == 0 {
 			if !dropLoops || u != v {

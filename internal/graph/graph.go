@@ -76,12 +76,16 @@ func NewUndirected(n int64, edges []Edge) (*Graph, error) {
 // counting sort by target into scratch, 8 B an arc, which stands in for
 // the doubled copy; pass 2 walks those groups in target order and
 // scatters each source's targets into its row — stable, so every row
-// ascends. A directed arc set has no copy for scratch to replace, so
-// there the arcs are bucketed by source and the dedup pass sorts each
-// row that does not already ascend. Its largest input, Product's arcs,
-// arrives with every row ascending (BenchmarkNew). Either way a
-// duplicate arc is then next to its twin, and one pass drops it while
-// counting loops. Besides the result, construction allocates one O(n)
+// ascends, and a duplicate is exactly the target last written to its
+// row. Pass 2 drops it there without a branch: it always stores, and
+// advances the row's cursor only past a target its row does not yet end
+// with, counting loops the same way; then one copy a row closes the rows
+// up. A directed arc set has no copy for scratch to replace, so there the
+// arcs are bucketed by source, each row that does not already ascend is
+// sorted, and one pass moves the rows into place with the same
+// branch-free step, a duplicate being the target read just before it.
+// Its largest input, Product's arcs, arrives with every row ascending
+// (BenchmarkNew). Besides the result, construction allocates one O(n)
 // array, plus the scratch when both is true.
 func build(n int64, edges []Edge, both bool) (*Graph, error) {
 	if n < 0 {
@@ -117,6 +121,7 @@ func build(n int64, edges []Edge, both bool) (*Graph, error) {
 	adj := make([]int64, m)
 	next := make([]int64, n)
 	copy(next, offsets[:n])
+	var loops int64
 	if both {
 		// Pass 1: scratch[offsets[v]:offsets[v+1]] holds the sources of
 		// v's in-arcs.
@@ -130,48 +135,69 @@ func build(n int64, edges []Edge, both bool) (*Graph, error) {
 			}
 		}
 		// Pass 2: targets in ascending order, each appended to its
-		// source's row.
+		// source's row unless that row already ends with it. Row u is
+		// written from offsets[u] on and next[u] ends what is kept of it.
+		// A duplicate is stored where the next kept target would go, which
+		// is still inside the row: a row holding a duplicate has kept
+		// fewer targets than it has room for.
 		copy(next, offsets[:n])
 		for v := int64(0); v < n; v++ {
 			for _, u := range scratch[offsets[v]:offsets[v+1]] {
-				adj[next[u]] = v
-				next[u]++
+				i := next[u]
+				dup := bit01(i > offsets[u] && adj[i-1] == v)
+				adj[i] = v
+				next[u] = i + 1 - dup
+				loops += bit01(u == v) &^ dup
 			}
 		}
+		// Close the rows up leftward: row u moves from [offsets[u],
+		// next[u]) to its new start before offsets[u] takes it.
+		var kept int64
+		for u := int64(0); u < n; u++ {
+			from := offsets[u]
+			offsets[u] = kept
+			kept += int64(copy(adj[kept:], adj[from:next[u]]))
+		}
+		offsets[n] = kept
 	} else {
 		for _, a := range edges {
 			adj[next[a.U]] = a.V
 			next[a.U]++
 		}
+		// Each row is sorted, while it is in cache, and compacted leftward
+		// in one pass: row u is read from [start, offsets[u+1]) before
+		// offsets[u] takes its new start, and kept never passes the
+		// target read. A sorted row's duplicate is the target read just
+		// before it; the -1 before a row's first target matches none.
+		var kept, start int64
+		for u := int64(0); u < n; u++ {
+			end := offsets[u+1]
+			offsets[u] = kept
+			row := adj[start:end]
+			if !slices.IsSorted(row) {
+				slices.Sort(row)
+			}
+			prev := int64(-1)
+			for _, v := range row {
+				dup := bit01(v == prev)
+				adj[kept] = v
+				kept += 1 - dup
+				loops += bit01(u == v) &^ dup
+				prev = v
+			}
+			start = end
+		}
+		offsets[n] = kept
 	}
+	return &Graph{n: n, offsets: offsets, adj: adj[:offsets[n]], loops: loops}, nil
+}
 
-	// Dedup, compacting adj leftward and offsets into the new row starts
-	// in place: row u is read from [start, offsets[u+1]) before
-	// offsets[u] takes its new start, and kept, which aliases adj, only
-	// writes at or left of the element being read. A directed row is
-	// sorted here, while it is in cache.
-	kept := adj[:0]
-	var loops, start int64
-	for u := int64(0); u < n; u++ {
-		end := offsets[u+1]
-		offsets[u] = int64(len(kept))
-		row := adj[start:end]
-		if !both && !slices.IsSorted(row) {
-			slices.Sort(row)
-		}
-		for i, v := range row {
-			if i > 0 && row[i-1] == v {
-				continue
-			}
-			if v == u {
-				loops++
-			}
-			kept = append(kept, v)
-		}
-		start = end
+// bit01 is 1 for true and 0 for false; the compiler makes it a SETcc.
+func bit01(c bool) int64 {
+	if c {
+		return 1
 	}
-	offsets[n] = int64(len(kept))
-	return &Graph{n: n, offsets: offsets, adj: kept, loops: loops}, nil
+	return 0
 }
 
 // NumVertices returns the number of vertices n.
@@ -278,11 +304,13 @@ func (g *Graph) EdgeList() []Edge {
 
 // ArcList returns all arcs in CSR order.
 func (g *Graph) ArcList() []Edge {
-	out := make([]Edge, 0, len(g.adj))
-	g.Arcs(func(u, v int64) bool {
-		out = append(out, Edge{u, v})
-		return true
-	})
+	out := make([]Edge, len(g.adj))
+	for u := int64(0); u < g.n; u++ {
+		row := out[g.offsets[u]:g.offsets[u+1]]
+		for i, v := range g.Neighbors(u) {
+			row[i] = Edge{u, v}
+		}
+	}
 	return out
 }
 

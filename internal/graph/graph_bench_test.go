@@ -42,9 +42,12 @@ func rmatEdges(scale int, seed int64) []Edge {
 }
 
 // CSR construction from raw edges dominates ingest cost: two counting
-// passes and a dedup pass, all linear. The rmat row has the factors'
-// shape — a few hub rows hold a large share of the arcs, and many
-// duplicates — where the uniform row's rows are short and even.
+// passes, the second dropping duplicates as it scatters, and one copy per
+// row, all linear. The rmat rows have the factors' shape — a few hub rows
+// hold a large share of the arcs, and many duplicates — where the uniform
+// row's rows are short and even; rmat10 is the shape of the factor the
+// benchmark harness's expand_k2 builds twice, 16·1024 edges on 1024
+// vertices.
 func BenchmarkNewUndirected(b *testing.B) {
 	for _, c := range []struct {
 		name  string
@@ -53,6 +56,7 @@ func BenchmarkNewUndirected(b *testing.B) {
 	}{
 		{"uniform", 10_000, benchEdges(10_000, 50_000, 1)},
 		{"rmat", 1 << 14, rmatEdges(14, 1)},
+		{"rmat10", 1 << 10, rmatEdges(10, 1)},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -62,6 +66,25 @@ func BenchmarkNewUndirected(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkArcSlice fills the flat arc list of an RMAT(10)-shaped graph
+// from its CSR rows, as a plan does once for its head factor. ArcSlice
+// caches its answer, so each iteration asks a fresh Graph over the same
+// rows.
+func BenchmarkArcSlice(b *testing.B) {
+	g, err := NewUndirected(1<<10, rmatEdges(10, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h := &Graph{n: g.n, offsets: g.offsets, adj: g.adj, loops: g.loops}
+		if arcs := h.ArcSlice(); int64(len(arcs)) != g.NumArcs() {
+			b.Fatalf("%d arcs, want %d", len(arcs), g.NumArcs())
+		}
 	}
 }
 

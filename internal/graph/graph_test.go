@@ -154,7 +154,10 @@ type constructionCase struct {
 }
 
 // constructionCases are the inputs TestNewMatchesSortReference and FuzzNew
-// share: the empty graph, hand-made tiny ones, random unsorted arc lists
+// share: the empty graph, hand-made tiny ones (row boundaries among them:
+// rows that end and begin with the same target, a target repeated in a
+// row, a repeated loop at vertex 0, a row holding only its loop between
+// rows that hold its vertex), random unsorted arc lists
 // at n ∈ {1, 2, 3, 64} with duplicates, loops and one hub row holding a
 // third of the arcs, the last of those reordered so that every row
 // already ascends (by target, rows interleaved as core.Product streams
@@ -166,6 +169,12 @@ func constructionCases() []constructionCase {
 		{"n1 loop", 1, []Edge{{0, 0}, {0, 0}}},
 		{"n2 both ways", 2, []Edge{{1, 0}, {0, 1}, {1, 0}, {1, 1}}},
 		{"n3 isolated", 3, []Edge{{2, 0}, {2, 0}}},
+		// Row boundaries: a duplicate is the target its own row ends with,
+		// never the one the row before ends with.
+		{"n3 rows end and begin alike", 3, []Edge{{0, 2}, {1, 2}, {1, 2}}},
+		{"n3 target 5x in a row", 3, []Edge{{1, 2}, {1, 2}, {1, 2}, {1, 2}, {1, 2}}},
+		{"n2 loop at 0 repeated", 2, []Edge{{0, 0}, {0, 1}, {0, 0}, {0, 0}}},
+		{"n3 loop-only row between", 3, []Edge{{0, 1}, {1, 1}, {2, 1}, {1, 1}}},
 	}
 	for _, n := range []int64{1, 2, 3, 64} {
 		for trial := 0; trial < 4; trial++ {
