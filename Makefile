@@ -84,6 +84,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 5s ./internal/dist/transport/wire/
 	$(GO) test -run '^$$' -fuzz FuzzBySourceAdditive -fuzztime 5s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzSourceMapAdditive -fuzztime 5s ./internal/store/
+	$(GO) test -run '^$$' -fuzz FuzzMaxLaw -fuzztime 5s ./internal/groundtruth/
 
 # Lint the concurrency-heavy dist package. staticcheck is optional
 # locally (CI installs a pinned version); vet always runs.

@@ -288,8 +288,8 @@ func BenchmarkE6EccentricityFormula(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Full Fig. 1 histogram for the 40M-vertex product from factor data.
-		h := groundtruth.EccentricityHistogram(gnutFac, gnutFac)
-		if len(h) == 0 {
+		h, err := groundtruth.ChainEccentricityHistogram([]*groundtruth.Factor{gnutFac, gnutFac})
+		if err != nil || len(h) == 0 {
 			b.Fatal("empty histogram")
 		}
 	}
@@ -358,7 +358,7 @@ func BenchmarkE8DiameterGroundTruth(b *testing.B) {
 	fixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		groundtruth.Diameter(fr, gnutFac)
+		groundtruth.ChainDiameter([]*groundtruth.Factor{fr, gnutFac})
 	}
 }
 

@@ -73,10 +73,13 @@ func main() {
 	fa, fb := groundtruth.NewFactor(ga), groundtruth.NewFactor(gb)
 	fal := groundtruth.NewFactor(ga.WithFullSelfLoops())
 	fbl := groundtruth.NewFactor(gb.WithFullSelfLoops())
-	fal.EnsureDistances()
-	fbl.EnsureDistances()
+	looped := []*groundtruth.Factor{fal, fbl}
 
-	nC := fa.N() * fb.N()
+	ix, err := core.NewChainIndex([]int64{fa.N(), fb.N()})
+	if err != nil {
+		log.Fatal(err)
+	}
+	nC := ix.NumVertices()
 	lo := *from
 	if lo < 0 || lo >= nC {
 		log.Fatalf("-from %d outside [0,%d)", lo, nC)
@@ -90,10 +93,10 @@ func main() {
 	defer w.Flush()
 	fmt.Fprintf(w, "vertex%si%sk%sdegree%striangles%sclustering%seccentricity%scloseness\n",
 		sep, sep, sep, sep, sep, sep, sep)
-	ix := core.NewIndex(fb.N())
+	coords := make([]int64, 2)
 	for p := lo; p < hi; p++ {
-		i, k := ix.Split(p)
-		deg := (fa.Deg[i] + 1) * (fb.Deg[k] + 1) // (A+I)⊗(B+I) degree
+		ix.SplitInto(p, coords)
+		deg := groundtruth.ChainDegreeAt(looped, coords) // (A+I)⊗(B+I) degree
 		tri := groundtruth.VertexTrianglesFullLoopsAt(fa, fb, p)
 		// Clustering of the looped product vertex, from its own degree
 		// and triangle count (loops excluded from both by convention).
@@ -102,9 +105,9 @@ func main() {
 		if simpleDeg >= 2 {
 			cc = 2 * float64(tri) / float64(simpleDeg*(simpleDeg-1))
 		}
-		ecc := groundtruth.EccentricityAt(fal, fbl, p)
+		ecc := groundtruth.ChainEccentricityAt(looped, coords)
 		clo := groundtruth.ClosenessCompressedAt(fal, fbl, p)
 		fmt.Fprintf(w, "%d%s%d%s%d%s%d%s%d%s%.6g%s%d%s%.6g\n",
-			p, sep, i, sep, k, sep, deg, sep, tri, sep, cc, sep, ecc, sep, clo)
+			p, sep, coords[0], sep, coords[1], sep, deg, sep, tri, sep, cc, sep, ecc, sep, clo)
 	}
 }

@@ -23,7 +23,10 @@ func runRejection(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	tauC := groundtruth.GlobalTriangles(fa, fa)
+	tauC, err := groundtruth.ChainGlobalTriangles([]*groundtruth.Factor{fa, fa})
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "C = A⊗A with A = PrefAttach(40,3): %v, τ_C = %s (ground truth).\n\n",
 		c, fmtInt(tauC))
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -33,8 +34,12 @@ func runEccentricity(w io.Writer) error {
 	fa.EnsureDistances()
 	factorTime := time.Since(start)
 
-	nC := fa.N() * fa.N()
-	mC := groundtruth.NumEdges(fa, fa)
+	square := []*groundtruth.Factor{fa, fa}
+	nC, errN := groundtruth.ChainNumVertices(square)
+	mC, errM := groundtruth.ChainNumEdges(square)
+	if err := errors.Join(errN, errM); err != nil {
+		return err
+	}
 	table(w, []string{"Data", "Graph", "Vertices", "Edges"}, [][]string{
 		{"gnutella-like (paper: gnutella08)", "A", fmtInt(fa.N()), fmtInt(a.NumEdges())},
 		{"", "A ⊗ A", fmtInt(nC), fmtInt(mC)},
@@ -48,7 +53,10 @@ func runEccentricity(w io.Writer) error {
 	histogramLines(w, fmt.Sprintf("Fig. 1 (left): eccentricity histogram of A (diam %d, factor BFS time %v)",
 		fa.Diam, factorTime.Round(time.Millisecond)), histA, 40)
 	start = time.Now()
-	histC := groundtruth.EccentricityHistogram(fa, fa)
+	histC, err := groundtruth.ChainEccentricityHistogram(square)
+	if err != nil {
+		return err
+	}
 	gtTime := time.Since(start)
 	histogramLines(w, fmt.Sprintf("Fig. 1 (right): ground-truth eccentricity histogram of C = A ⊗ A (%s vertices, computed in %v via Cor. 4)",
 		fmtInt(nC), gtTime.Round(time.Microsecond)), histC, 40)
@@ -77,7 +85,10 @@ func runEccentricity(w io.Writer) error {
 		return err
 	}
 	distTime := time.Since(start)
-	pred := groundtruth.Eccentricities(fs, fs)
+	pred, err := groundtruth.ChainEccentricities([]*groundtruth.Factor{fs, fs})
+	if err != nil {
+		return err
+	}
 	match := true
 	for p := range pred {
 		if pred[p] != eccRes.Ecc[p] {

@@ -33,7 +33,7 @@ func runDiameter(w io.Writer) error {
 			return err
 		}
 		exact3 := analytics.Diameter(c3)
-		pred3 := groundtruth.Diameter(fr, fbLoop)
+		pred3 := groundtruth.ChainDiameter([]*groundtruth.Factor{fr, fbLoop})
 
 		// Cor. 5 (A looped, B bare): sandwich.
 		fb := groundtruth.NewFactor(b)

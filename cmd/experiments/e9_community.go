@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -35,8 +36,12 @@ func runCommunity(w io.Writer) error {
 	fa := groundtruth.NewFactor(a)
 	statsA := analytics.Communities(a, pa)
 
-	nC := fa.N() * fa.N()
-	mC := groundtruth.NumEdges(groundtruth.NewFactor(a.WithFullSelfLoops()), groundtruth.NewFactor(a.WithFullSelfLoops()))
+	faL := groundtruth.NewFactor(a.WithFullSelfLoops())
+	nC, errN := groundtruth.ChainNumVertices([]*groundtruth.Factor{fa, fa})
+	mC, errM := groundtruth.ChainNumEdges([]*groundtruth.Factor{faL, faL})
+	if err := errors.Join(errN, errM); err != nil {
+		return err
+	}
 	statsC := groundtruth.CommunitiesKron(fa, fa, pa, pa, statsA, statsA)
 
 	minInA, maxInA, minOutA, maxOutA := densityRanges(statsA)

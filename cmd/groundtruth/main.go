@@ -47,16 +47,18 @@ func main() {
 		log.Fatalf("loading B: %v", err)
 	}
 	a, b := groundtruth.NewFactor(ga), groundtruth.NewFactor(gb)
+	fs := []*groundtruth.Factor{a, b}
 
 	fmt.Printf("factors: A=%v B=%v\n", ga, gb)
-	nC := groundtruth.NumVertices(a, b)
+	nC := must(groundtruth.ChainNumVertices(fs))
 	if *selfLoops {
 		al := groundtruth.NewFactor(ga.WithFullSelfLoops())
 		bl := groundtruth.NewFactor(gb.WithFullSelfLoops())
+		looped := []*groundtruth.Factor{al, bl}
 		fmt.Printf("product: C = (A+I) ⊗ (B+I), n_C = %d, m_C = %d\n",
-			nC, groundtruth.NumEdges(al, bl))
+			nC, must(groundtruth.ChainNumEdges(looped)))
 		if *degrees {
-			printDegreeHistogram(groundtruth.DegreesWithSelfLoops(a, b))
+			printDegreeHistogram(must(groundtruth.ChainDegrees(looped)))
 		}
 		if *triangles {
 			if ga.NumSelfLoops() > 0 || gb.NumSelfLoops() > 0 {
@@ -67,10 +69,8 @@ func main() {
 			printTriangleHistogram(groundtruth.VertexTrianglesFullLoops(a, b))
 		}
 		if *distances {
-			al.EnsureDistances()
-			bl.EnsureDistances()
-			fmt.Printf("\ndiameter(C) = %d (Cor. 3)\n", groundtruth.Diameter(al, bl))
-			ecc := groundtruth.Eccentricities(al, bl)
+			fmt.Printf("\ndiameter(C) = %d (Cor. 3)\n", groundtruth.ChainDiameter(looped))
+			ecc := must(groundtruth.ChainEccentricities(looped))
 			fmt.Println("eccentricity histogram (Cor. 4):")
 			fmt.Print(analytics.NewHistogram(ecc).Render(40))
 		}
@@ -87,19 +87,26 @@ func main() {
 		return
 	}
 
-	fmt.Printf("product: C = A ⊗ B, n_C = %d, m_C = %d\n", nC, groundtruth.NumEdges(a, b))
+	fmt.Printf("product: C = A ⊗ B, n_C = %d, m_C = %d\n", nC, must(groundtruth.ChainNumEdges(fs)))
 	if *degrees {
-		printDegreeHistogram(groundtruth.Degrees(a, b))
+		printDegreeHistogram(must(groundtruth.ChainDegrees(fs)))
 	}
 	if *triangles {
-		a.RequireNoSelfLoops("t_C = 2·t_A⊗t_B")
-		b.RequireNoSelfLoops("t_C = 2·t_A⊗t_B")
-		fmt.Printf("\nglobal triangles τ_C = 6·τ_A·τ_B = %d\n", groundtruth.GlobalTriangles(a, b))
-		printTriangleHistogram(groundtruth.VertexTriangles(a, b))
+		tri := must(groundtruth.ChainVertexTriangles(fs)) // before τ_C: it panics on a factor with loops
+		fmt.Printf("\nglobal triangles τ_C = 6·τ_A·τ_B = %d\n", must(groundtruth.ChainGlobalTriangles(fs)))
+		printTriangleHistogram(tri)
 	}
 	if *distances || *closeness > 0 {
 		log.Fatal("-distances and -closeness require -self-loops (Thm. 3 hypothesis)")
 	}
+}
+
+// must returns v, or exits naming err (a count that overflows int64).
+func must[T any](v T, err error) T {
+	if err != nil {
+		log.Fatal(err)
+	}
+	return v
 }
 
 func printDegreeHistogram(deg []int64) {

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"time"
@@ -31,10 +32,18 @@ func main() {
 	fmt.Printf("factor eccentricities computed in %v; diam(A) = %d\n\n",
 		time.Since(start).Round(time.Millisecond), fa.Diam)
 
-	fmt.Printf("C = A ⊗ A has %d vertices and %d edges — never materialized.\n",
-		fa.N()*fa.N(), groundtruth.NumEdges(fa, fa))
+	square := []*groundtruth.Factor{fa, fa}
+	nC, errN := groundtruth.ChainNumVertices(square)
+	mC, errM := groundtruth.ChainNumEdges(square)
+	if err := errors.Join(errN, errM); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("C = A ⊗ A has %d vertices and %d edges — never materialized.\n", nC, mC)
 	start = time.Now()
-	hist := groundtruth.EccentricityHistogram(fa, fa)
+	hist, err := groundtruth.ChainEccentricityHistogram(square)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("eccentricity histogram of C (Cor. 4) in %v:\n", time.Since(start))
 	for e := fa.Diam; e >= 0; e-- {
 		if c, ok := hist[e]; ok {
@@ -59,7 +68,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pred := groundtruth.Eccentricities(fs, fs)
+	smallSquare := []*groundtruth.Factor{fs, fs}
+	pred, err := groundtruth.ChainEccentricities(smallSquare)
+	if err != nil {
+		log.Fatal(err)
+	}
 	match := 0
 	for p := range pred {
 		if pred[p] == res.Ecc[p] {
@@ -68,5 +81,5 @@ func main() {
 	}
 	fmt.Printf("\nreduced-scale check: distributed eccentricity (%d BFS sweeps on 4 ranks)\n", res.Sweeps)
 	fmt.Printf("matches Cor. 4 at %d/%d vertices; diam(C') = %d = max law %d\n",
-		match, len(pred), res.Diameter(), groundtruth.Diameter(fs, fs))
+		match, len(pred), res.Diameter(), groundtruth.ChainDiameter(smallSquare))
 }

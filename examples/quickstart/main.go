@@ -6,6 +6,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"slices"
@@ -56,21 +57,28 @@ func main() {
 	fmt.Printf("distributed == serial: %v\n\n", collected.Equal(c))
 
 	// Ground truth from factors, validated against direct measurement.
-	fa, fb := groundtruth.NewFactor(a), groundtruth.NewFactor(b)
-	fmt.Printf("ground-truth vertex count: %d (measured %d)\n",
-		groundtruth.NumVertices(fa, fb), c.NumVertices())
-	fmt.Printf("ground-truth edge count:   %d (measured %d)\n",
-		groundtruth.NumEdges(fa, fb), c.NumEdges())
-	fmt.Printf("ground-truth triangles:    %d (measured %d)\n",
-		groundtruth.GlobalTriangles(fa, fb), analytics.GlobalTriangles(c))
+	// The laws take the factor chain [A, B]; every count is checked
+	// against int64 overflow.
+	fs := []*groundtruth.Factor{groundtruth.NewFactor(a), groundtruth.NewFactor(b)}
+	nC, errN := groundtruth.ChainNumVertices(fs)
+	mC, errM := groundtruth.ChainNumEdges(fs)
+	tauC, errT := groundtruth.ChainGlobalTriangles(fs)
+	if err := errors.Join(errN, errM, errT); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("ground-truth vertex count: %d (measured %d)\n", nC, c.NumVertices())
+	fmt.Printf("ground-truth edge count:   %d (measured %d)\n", mC, c.NumEdges())
+	fmt.Printf("ground-truth triangles:    %d (measured %d)\n", tauC, analytics.GlobalTriangles(c))
 
 	// Per-vertex ground truth at an arbitrary product vertex.
 	p := int64(137)
-	ix := core.NewIndex(fb.N())
-	i, k := ix.Split(p)
-	fmt.Printf("\nvertex p=%d decomposes as (i=%d, k=%d):\n", p, i, k)
+	coords := ch.Index().Split(p)
+	fmt.Printf("\nvertex p=%d decomposes as (i=%d, k=%d):\n", p, coords[0], coords[1])
 	fmt.Printf("  degree    d_p = d_i·d_k = %d (measured %d)\n",
-		groundtruth.DegreeAt(fa, fb, p), c.Degree(p))
-	fmt.Printf("  triangles t_p = 2·t_i·t_k = %d (measured %d)\n",
-		groundtruth.VertexTrianglesAt(fa, fb, p), analytics.Triangles(c).Vertex[p])
+		groundtruth.ChainDegreeAt(fs, coords), c.Degree(p))
+	tp, err := groundtruth.ChainVertexTrianglesAt(fs, coords)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("  triangles t_p = 2·t_i·t_k = %d (measured %d)\n", tp, analytics.Triangles(c).Vertex[p])
 }

@@ -29,7 +29,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	want := groundtruth.GlobalTriangles(fa, fb)
+	want, err := groundtruth.ChainGlobalTriangles([]*groundtruth.Factor{fa, fb})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("benchmark graph C = A ⊗ B: %v\n", c)
 	fmt.Printf("ground-truth global triangles (6·τ_A·τ_B): %d\n\n", want)
 

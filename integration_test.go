@@ -95,8 +95,9 @@ func TestFilePipeline(t *testing.T) {
 	}
 
 	fa, fb := groundtruth.NewFactor(a), groundtruth.NewFactor(b)
-	if got, want := analytics.GlobalTriangles(cLoaded), groundtruth.GlobalTriangles(fa, fb); got != want {
-		t.Fatalf("triangles on reloaded product: %d, ground truth %d", got, want)
+	want, err := groundtruth.ChainGlobalTriangles([]*groundtruth.Factor{fa, fb})
+	if got := analytics.GlobalTriangles(cLoaded); err != nil || got != want {
+		t.Fatalf("triangles on reloaded product: %d, ground truth %d (err %v)", got, want, err)
 	}
 }
 
@@ -119,7 +120,10 @@ func TestFullStackEccentricity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred := groundtruth.Eccentricities(fa, fa)
+	pred, err := groundtruth.ChainEccentricities([]*groundtruth.Factor{fa, fa})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for p := range pred {
 		if pred[p] != eccRes.Ecc[p] {
 			t.Fatalf("Cor.4 mismatch at %d: %d vs %d", p, pred[p], eccRes.Ecc[p])

@@ -193,9 +193,9 @@ func (c *Chain) NumArcs() (int64, error) {
 }
 
 // NumEdges returns the undirected edge count and the arc count of the
-// chain product without generating it — the k-factor form of
-// NumProductEdges: arcs and loops both multiply across factors, and a
-// product arc is a loop iff every factor arc is a loop.
+// chain product without generating it: arcs and loops both multiply
+// across factors, and a product arc is a loop iff every factor arc is a
+// loop.
 func (c *Chain) NumEdges() (edges, arcs int64, err error) {
 	arcs, err = c.NumArcs()
 	if err != nil {

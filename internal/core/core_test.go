@@ -141,9 +141,9 @@ func TestProductEdgeCountLaw(t *testing.T) {
 		if c.NumEdges() != 2*a.NumEdges()*b.NumEdges() {
 			t.Fatalf("trial %d: m_C=%d want %d", trial, c.NumEdges(), 2*a.NumEdges()*b.NumEdges())
 		}
-		edges, arcs := NumProductEdges(a, b)
+		edges, arcs := productEdges(t, a, b)
 		if edges != c.NumEdges() || arcs != c.NumArcs() {
-			t.Fatalf("trial %d: NumProductEdges=(%d,%d) want (%d,%d)",
+			t.Fatalf("trial %d: Chain.NumEdges=(%d,%d) want (%d,%d)",
 				trial, edges, arcs, c.NumEdges(), c.NumArcs())
 		}
 	}
@@ -158,12 +158,27 @@ func TestNumProductEdgesWithLoops(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		edges, arcs := NumProductEdges(a, b)
+		edges, arcs := productEdges(t, a, b)
 		if edges != c.NumEdges() || arcs != c.NumArcs() {
 			t.Fatalf("trial %d: predicted (%d,%d), got (%d,%d)",
 				trial, edges, arcs, c.NumEdges(), c.NumArcs())
 		}
 	}
+}
+
+// productEdges is the edge and arc count of A ⊗ B from the two-factor
+// chain, without generating it.
+func productEdges(t *testing.T, a, b *graph.Graph) (edges, arcs int64) {
+	t.Helper()
+	ch, err := NewChain(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges, arcs, err = ch.NumEdges()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return edges, arcs
 }
 
 func TestProductSymmetryPreserved(t *testing.T) {

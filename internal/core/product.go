@@ -69,16 +69,6 @@ func ProductWithSelfLoops(a, b *graph.Graph) (*graph.Graph, error) {
 	return Product(a.WithFullSelfLoops(), b.WithFullSelfLoops())
 }
 
-// NumProductEdges returns |E_C| (undirected) and the arc count of
-// C = A ⊗ B without generating it: arcs multiply, and the undirected edge
-// count follows from the loop structure — a product arc is a loop iff both
-// factor arcs are loops.
-func NumProductEdges(a, b *graph.Graph) (edges, arcs int64) {
-	arcs = a.NumArcs() * b.NumArcs()
-	loops := a.NumSelfLoops() * b.NumSelfLoops()
-	return (arcs + loops) / 2, arcs
-}
-
 // KronSet returns the Kronecker product of vertex sets S_A ⊗ S_B
 // (Def. 14): { γ(i,k) : i ∈ S_A, k ∈ S_B }, in ascending order when the
 // inputs are ascending.

@@ -2,44 +2,70 @@ package groundtruth
 
 import (
 	"fmt"
+	"slices"
 
 	"kronlab/internal/analytics"
 	"kronlab/internal/core"
 )
 
-// Ground-truth laws for heterogeneous factor chains C = A₁⊗A₂⊗…⊗Aₖ,
-// obtained from the paper's two-factor laws by induction over the chain.
-// A Kronecker power A^{⊗k} is the chain of k copies of one Factor (the
-// same pointer k times; nothing is recomputed). Counting laws return
-// explicit errors on int64 overflow (a chain a handful of factors deep
-// overflows easily) so callers plan against real numbers or refuse
-// loudly — never against wrapped garbage.
+// Ground-truth laws for factor chains C = A₁⊗A₂⊗…⊗Aₖ, obtained from the
+// paper's two-factor laws by induction over the chain. These are the only
+// bodies of the laws: the paper's C = A⊗B is the chain []*Factor{a, b},
+// addressed by core.ChainIndex coordinates, and a Kronecker power A^{⊗k}
+// is the chain of k copies of one Factor (the same pointer k times;
+// nothing is recomputed). Counting laws return explicit errors on int64
+// overflow (a chain a handful of factors deep overflows easily) so
+// callers plan against real numbers or refuse loudly — never against
+// wrapped garbage.
+
+// fold returns op(…op(x(0), x(1))…, x(k−1)) over the chain's factors —
+// the one shape every law here has — naming the law when op overflows.
+func fold(fs []*Factor, law string, x func(d int, f *Factor) int64, op func(acc, v int64) (int64, bool)) (int64, error) {
+	out := x(0, fs[0])
+	for d := 1; d < len(fs); d++ {
+		v, ok := op(out, x(d, fs[d]))
+		if !ok {
+			return 0, overflow(law, d)
+		}
+		out = v
+	}
+	return out, nil
+}
+
+func overflow(law string, d int) error {
+	return fmt.Errorf("groundtruth: chain %s overflows int64 at factor %d", law, d)
+}
+
+// scaled returns the checked op acc·v·c: t_C = 2·t_A⊗t_B and
+// τ_C = 6·τ_A·τ_B fold with c = 2 and c = 6.
+func scaled(c int64) func(acc, v int64) (int64, bool) {
+	return func(acc, v int64) (int64, bool) {
+		p, ok := core.CheckedMul(acc, v)
+		if ok {
+			p, ok = core.CheckedMul(p, c)
+		}
+		return p, ok
+	}
+}
+
+// maxHops is the max law of Thm. 3: the larger hop count, Unreachable if
+// either side is.
+func maxHops(a, b int64) (int64, bool) {
+	if a == analytics.Unreachable || b == analytics.Unreachable {
+		return analytics.Unreachable, true
+	}
+	return max(a, b), true
+}
 
 // ChainNumVertices returns n_C = Π n_d, checked.
 func ChainNumVertices(fs []*Factor) (int64, error) {
-	out := int64(1)
-	for d, f := range fs {
-		p, ok := core.CheckedMul(out, f.N())
-		if !ok {
-			return 0, fmt.Errorf("groundtruth: chain vertex count overflows int64 at factor %d", d)
-		}
-		out = p
-	}
-	return out, nil
+	return fold(fs, "vertex count", func(_ int, f *Factor) int64 { return f.N() }, core.CheckedMul)
 }
 
 // ChainNumArcs returns the arc count of the chain product, Π arcs_d,
 // checked.
 func ChainNumArcs(fs []*Factor) (int64, error) {
-	out := int64(1)
-	for d, f := range fs {
-		p, ok := core.CheckedMul(out, f.G.NumArcs())
-		if !ok {
-			return 0, fmt.Errorf("groundtruth: chain arc count overflows int64 at factor %d", d)
-		}
-		out = p
-	}
-	return out, nil
+	return fold(fs, "arc count", func(_ int, f *Factor) int64 { return f.G.NumArcs() }, core.CheckedMul)
 }
 
 // ChainNumEdges returns the undirected edge count of the chain product,
@@ -51,176 +77,191 @@ func ChainNumEdges(fs []*Factor) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	loops := int64(1)
-	for d, f := range fs {
-		p, ok := core.CheckedMul(loops, f.G.NumSelfLoops())
-		if !ok {
-			return 0, fmt.Errorf("groundtruth: chain loop count overflows int64 at factor %d", d)
-		}
-		loops = p
+	loops, err := fold(fs, "loop count", func(_ int, f *Factor) int64 { return f.G.NumSelfLoops() }, core.CheckedMul)
+	if err != nil {
+		return 0, err
 	}
-	return (arcs + loops) / 2, nil
-}
-
-// ChainDegreeAt returns d_p = Π_d d_{coords[d]} — the degree law
-// composes across any chain because d_C = d_A ⊗ d_B composes.
-func ChainDegreeAt(fs []*Factor, coords []int64) int64 {
-	out := int64(1)
-	for d, f := range fs {
-		out *= f.Deg[coords[d]]
-	}
-	return out
-}
-
-// ChainVertexTrianglesAt returns t_p = 2^{k−1}·Π_d t_{coords[d]} for
-// loop-free factors (induction on t_C = 2·t_A⊗t_B).
-func ChainVertexTrianglesAt(fs []*Factor, coords []int64) int64 {
-	out := fs[0].Tri.Vertex[coords[0]]
-	for d, f := range fs[1:] {
-		out *= 2 * f.Tri.Vertex[coords[d+1]]
-	}
-	return out
+	return loops + (arcs-loops)/2, nil // = (arcs + loops)/2, whose sum could overflow
 }
 
 // ChainGlobalTriangles returns τ_C = 6^{k−1}·Π τ_d for loop-free factors
 // (induction on τ_C = 6·τ_A·τ_B), checked.
 func ChainGlobalTriangles(fs []*Factor) (int64, error) {
-	out := fs[0].Tri.Global
-	for d, f := range fs[1:] {
-		six, ok := core.CheckedMul(6, f.Tri.Global)
-		if !ok {
-			return 0, fmt.Errorf("groundtruth: chain triangle count overflows int64 at factor %d", d+1)
+	return fold(fs, "triangle count", func(_ int, f *Factor) int64 { return f.Tri.Global }, scaled(6))
+}
+
+// ChainDiameter returns diam(C) = max_d diam(A_d) for full-self-loop
+// factors (Cor. 3 by induction); Unreachable if any factor is
+// disconnected.
+func ChainDiameter(fs []*Factor) int64 {
+	diam, _ := fold(fs, "diameter", func(_ int, f *Factor) int64 { f.EnsureDistances(); return f.Diam }, maxHops)
+	return diam // maxHops never fails
+}
+
+// ChainHopsAt returns hops between two product vertices given their
+// coordinate vectors (Thm. 3 by induction): max_d hops_d(c1[d], c2[d]),
+// Unreachable if any factor pair is.
+func ChainHopsAt(fs []*Factor, coords1, coords2 []int64) int64 {
+	h, _ := fold(fs, "hops", func(d int, f *Factor) int64 {
+		f.EnsureDistances()
+		return f.Hops[coords1[d]][coords2[d]]
+	}, maxHops)
+	return h // maxHops never fails
+}
+
+// vertexLaw is a law on product vertices: a per-factor vector v_d and the
+// op that folds it across the chain. Its value at p = (c_1, …, c_k) folds
+// v_1[c_1], …, v_k[c_k]; its vector over all of C folds whole vectors,
+// v_1 ⊗_op v_2 ⊗_op … ⊗_op v_k, in ChainIndex order.
+type vertexLaw struct {
+	name    string
+	require func(*Factor) // the law's hypothesis, checked before a vector is materialized
+	vec     func(*Factor) []int64
+	op      func(acc, v int64) (int64, bool)
+}
+
+var (
+	degreeLaw = vertexLaw{"degree", func(*Factor) {},
+		func(f *Factor) []int64 { return f.Deg }, core.CheckedMul}
+	triangleLaw = vertexLaw{"vertex triangle count",
+		func(f *Factor) { f.RequireNoSelfLoops("t_C = 2^{k−1}·⊗t_d") },
+		func(f *Factor) []int64 { return f.Tri.Vertex }, scaled(2)}
+	eccentricityLaw = vertexLaw{"eccentricity",
+		func(f *Factor) { f.RequireFullSelfLoops("Cor. 4") },
+		func(f *Factor) []int64 { f.EnsureDistances(); return f.Ecc }, maxHops}
+)
+
+func (l vertexLaw) at(fs []*Factor, coords []int64) (int64, error) {
+	return fold(fs, l.name, func(d int, f *Factor) int64 { return l.vec(f)[coords[d]] }, l.op)
+}
+
+// all materializes the law at every product vertex — linear in n_C from
+// the factors' vectors.
+func (l vertexLaw) all(fs []*Factor) ([]int64, error) {
+	if _, err := ChainNumVertices(fs); err != nil {
+		return nil, err
+	}
+	for _, f := range fs {
+		l.require(f)
+	}
+	out := slices.Clone(l.vec(fs[0]))
+	for d := 1; d < len(fs); d++ {
+		v := l.vec(fs[d])
+		next := make([]int64, 0, len(out)*len(v))
+		for _, x := range out {
+			for _, y := range v {
+				z, ok := l.op(x, y)
+				if !ok {
+					return nil, overflow(l.name, d)
+				}
+				next = append(next, z)
+			}
 		}
-		p, ok := core.CheckedMul(out, six)
-		if !ok {
-			return 0, fmt.Errorf("groundtruth: chain triangle count overflows int64 at factor %d", d+1)
-		}
-		out = p
+		out = next
 	}
 	return out, nil
 }
+
+// ChainDegreeAt returns d_p = Π_d d_{coords[d]} — the degree law
+// composes across any chain because d_C = d_A ⊗ d_B composes. Over the
+// +I factors it is the degree of ⊗(A_d+I), (d_i + 1)·(d_k + 1) for two
+// factors. A degree never exceeds n_C, which the ChainIndex the
+// coordinates came from holds in an int64, so the product cannot
+// overflow.
+func ChainDegreeAt(fs []*Factor, coords []int64) int64 {
+	d, _ := degreeLaw.at(fs, coords)
+	return d
+}
+
+// ChainDegrees materializes the degree vector d_C = ⊗ d_d.
+func ChainDegrees(fs []*Factor) ([]int64, error) { return degreeLaw.all(fs) }
+
+// ChainVertexTrianglesAt returns t_p = 2^{k−1}·Π_d t_{coords[d]} for
+// loop-free factors (induction on t_C = 2·t_A⊗t_B), checked.
+func ChainVertexTrianglesAt(fs []*Factor, coords []int64) (int64, error) {
+	return triangleLaw.at(fs, coords)
+}
+
+// ChainVertexTriangles materializes t_C = 2^{k−1}·⊗ t_d, checked.
+func ChainVertexTriangles(fs []*Factor) ([]int64, error) { return triangleLaw.all(fs) }
 
 // ChainEccentricityAt returns ε_p = max_d ε_{coords[d]} for factors with
 // full self loops (Cor. 4 by induction). Unreachable if any factor's
 // vertex is in a disconnected component.
 func ChainEccentricityAt(fs []*Factor, coords []int64) int64 {
-	out := int64(0)
-	for d, f := range fs {
-		f.EnsureDistances()
-		e := f.Ecc[coords[d]]
-		if e == analytics.Unreachable {
-			return analytics.Unreachable
-		}
-		if e > out {
-			out = e
-		}
-	}
-	return out
+	e, _ := eccentricityLaw.at(fs, coords) // maxHops never fails
+	return e
 }
 
-// ChainDiameter returns diam(C) = max_d diam(A_d) for full-self-loop
-// factors (Cor. 3 by induction).
-func ChainDiameter(fs []*Factor) int64 {
-	out := int64(0)
-	for _, f := range fs {
-		f.EnsureDistances()
-		if f.Diam == analytics.Unreachable {
-			return analytics.Unreachable
-		}
-		if f.Diam > out {
-			out = f.Diam
-		}
-	}
-	return out
-}
-
-// ChainHopsAt returns hops between two product vertices given their
-// coordinate vectors (Thm. 3 by induction): max_d hops_d(c1[d], c2[d]).
-func ChainHopsAt(fs []*Factor, coords1, coords2 []int64) int64 {
-	out := int64(0)
-	for d, f := range fs {
-		f.EnsureDistances()
-		h := f.Hops[coords1[d]][coords2[d]]
-		if h == analytics.Unreachable {
-			return analytics.Unreachable
-		}
-		if h > out {
-			out = h
-		}
-	}
-	return out
-}
+// ChainEccentricities materializes ε_C for every product vertex — linear
+// in n_C from sublinear factor storage, as the paper advertises.
+func ChainEccentricities(fs []*Factor) ([]int64, error) { return eccentricityLaw.all(fs) }
 
 // ChainEccentricityHistogram returns the ε histogram of the chain
-// product by folding the max-law histogram across factors — Fig. 1 for
-// heterogeneous chains without materializing anything. Cost is
-// O(k·diam²) after factor eccentricities.
-func ChainEccentricityHistogram(fs []*Factor) map[int64]int64 {
-	fs[0].EnsureDistances()
-	cur := map[int64]int64{}
-	for _, e := range fs[0].Ecc {
-		cur[e]++
+// product by folding the factors' ε histograms under the max law — Fig. 1
+// for heterogeneous chains without materializing anything. Cost is
+// O(k·diam·log diam) after factor eccentricities. Its counts sum to n_C,
+// so it refuses a chain whose n_C overflows.
+func ChainEccentricityHistogram(fs []*Factor) (map[int64]int64, error) {
+	if _, err := ChainNumVertices(fs); err != nil {
+		return nil, err
 	}
-	for _, f := range fs[1:] {
+	var out map[int64]int64
+	for _, f := range fs {
 		f.EnsureDistances()
-		next := map[int64]int64{}
+		h := map[int64]int64{}
 		for _, e := range f.Ecc {
-			next[e]++
+			h[e]++
 		}
-		cur = maxLawFold(cur, next)
+		if out == nil {
+			out = h
+		} else {
+			out = maxLaw(out, h)
+		}
 	}
-	return cur
+	return out, nil
 }
 
-// maxLawFold combines two value→count histograms under the max law.
-func maxLawFold(x, y map[int64]int64) map[int64]int64 {
-	xs := histToSorted(x)
-	ys := histToSorted(y)
+// maxLaw returns the value → count histogram of max(x, y) over all pairs
+// of a value x counted in hx and a value y counted in hy — the combine
+// under every max-type law (hops, eccentricity, diameter). A pair with an
+// Unreachable side counts under Unreachable. For finite v,
+//
+//	cnt(v) = cnt_x(v)·cum_y(v) + cum_x(v−1)·cnt_y(v)
+//
+// where cum counts the finite values ≤ v.
+func maxLaw(hx, hy map[int64]int64) map[int64]int64 {
+	var nx, ny int64
+	vals := make([]int64, 0, len(hx)+len(hy))
+	for v, c := range hx {
+		vals = append(vals, v)
+		nx += c
+	}
+	for v, c := range hy {
+		vals = append(vals, v)
+		ny += c
+	}
+	slices.Sort(vals)
+	vals = slices.Compact(vals)
+
 	out := map[int64]int64{}
+	ux, uy := hx[analytics.Unreachable], hy[analytics.Unreachable]
+	if c := ux*ny + (nx-ux)*uy; c > 0 {
+		out[analytics.Unreachable] = c
+	}
 	var cumX, cumY int64
-	// Merge over the union of keys in ascending order.
-	i, j := 0, 0
-	for i < len(xs) || j < len(ys) {
-		var v int64
-		switch {
-		case i >= len(xs):
-			v = ys[j].val
-		case j >= len(ys):
-			v = xs[i].val
-		case xs[i].val < ys[j].val:
-			v = xs[i].val
-		default:
-			v = ys[j].val
+	for _, v := range vals {
+		if v == analytics.Unreachable {
+			continue
 		}
-		var cx, cy int64
-		if i < len(xs) && xs[i].val == v {
-			cx = xs[i].cnt
-			i++
-		}
-		if j < len(ys) && ys[j].val == v {
-			cy = ys[j].cnt
-			j++
-		}
+		cx, cy := hx[v], hy[v]
+		// Pairs whose max is exactly v: x = v with y ≤ v, plus y = v with
+		// x < v.
 		if c := cx*(cumY+cy) + cumX*cy; c > 0 {
 			out[v] = c
 		}
 		cumX += cx
 		cumY += cy
-	}
-	return out
-}
-
-type valCnt struct{ val, cnt int64 }
-
-func histToSorted(h map[int64]int64) []valCnt {
-	out := make([]valCnt, 0, len(h))
-	for v, c := range h {
-		out = append(out, valCnt{v, c})
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].val < out[j-1].val; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
 	}
 	return out
 }

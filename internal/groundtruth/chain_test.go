@@ -2,10 +2,12 @@ package groundtruth
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"kronlab/internal/analytics"
 	"kronlab/internal/core"
+	"kronlab/internal/gen"
 	"kronlab/internal/graph"
 )
 
@@ -74,8 +76,8 @@ func TestChainCountingLawsAgainstMaterialized(t *testing.T) {
 		if got := ChainDegreeAt(fs, coords); got != c.Degree(p) {
 			t.Fatalf("degree law fails at %d: %d != %d", p, got, c.Degree(p))
 		}
-		if got := ChainVertexTrianglesAt(fs, coords); got != exact.Vertex[p] {
-			t.Fatalf("triangle law fails at %d: %d != %d", p, got, exact.Vertex[p])
+		if got, err := ChainVertexTrianglesAt(fs, coords); err != nil || got != exact.Vertex[p] {
+			t.Fatalf("triangle law fails at %d: %d (err %v) != %d", p, got, err, exact.Vertex[p])
 		}
 	}
 }
@@ -96,11 +98,27 @@ func TestChainNumEdgesWithLoops(t *testing.T) {
 
 func TestChainDistanceLawsAgainstMaterialized(t *testing.T) {
 	rng := rand.New(rand.NewSource(419))
-	ga := randomConnectedLoopFree(rng, 4).WithFullSelfLoops()
-	gb := randomConnectedLoopFree(rng, 3).WithFullSelfLoops()
-	gc := randomConnectedLoopFree(rng, 3).WithFullSelfLoops()
-	c := materializeChain(t, ga, gb, gc)
-	fs := factorsOf(ga, gb, gc)
+	twoK2, err := graph.NewUndirected(4, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gs := range [][]*graph.Graph{
+		{
+			randomConnectedLoopFree(rng, 4).WithFullSelfLoops(),
+			randomConnectedLoopFree(rng, 3).WithFullSelfLoops(),
+			randomConnectedLoopFree(rng, 3).WithFullSelfLoops(),
+		},
+		// A disconnected factor: every product vertex is Unreachable.
+		{twoK2.WithFullSelfLoops(), gen.Path(3).WithFullSelfLoops()},
+	} {
+		checkChainDistanceLaws(t, gs)
+	}
+}
+
+func checkChainDistanceLaws(t *testing.T, gs []*graph.Graph) {
+	t.Helper()
+	c := materializeChain(t, gs...)
+	fs := factorsOf(gs...)
 	ci := chainIndexFor(t, fs)
 
 	exactEcc := analytics.Eccentricities(c)
@@ -125,14 +143,12 @@ func TestChainDistanceLawsAgainstMaterialized(t *testing.T) {
 	for _, e := range exactEcc {
 		want[e]++
 	}
-	got := ChainEccentricityHistogram(fs)
-	if len(got) != len(want) {
-		t.Fatalf("histogram sizes %d != %d", len(got), len(want))
+	got, err := ChainEccentricityHistogram(fs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for v, cnt := range want {
-		if got[v] != cnt {
-			t.Fatalf("hist[%d] = %d, want %d", v, got[v], cnt)
-		}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("histogram %v, want %v", got, want)
 	}
 }
 
@@ -174,6 +190,16 @@ func TestChainAndPowerCountOverflow(t *testing.T) {
 	}
 	if m, err := ChainNumEdges(copies(lf, 3)); err != nil || m != 108 {
 		t.Errorf("ChainNumEdges(triangle ×3) = %d (err %v), want 108", m, err)
+	}
+	// Per-vertex counts overflow before n_C does: on K₁₀₀^{⊗5} (n_C =
+	// 10¹⁰) t_p = 2⁴·4851⁵ ≈ 4.3e19 at every p.
+	k100 := copies(NewFactor(gen.Clique(100)), 5)
+	if tp, err := ChainVertexTrianglesAt(k100, make([]int64, 5)); err == nil {
+		t.Errorf("want vertex-triangle overflow on K100^5, got %d", tp)
+	}
+	// The ε histogram's counts sum to n_C: it refuses where n_C overflows.
+	if _, err := ChainEccentricityHistogram(copies(f, 40)); err == nil {
+		t.Error("want eccentricity-histogram overflow at 3^40 vertices")
 	}
 }
 

@@ -7,52 +7,6 @@ import (
 	"kronlab/internal/core"
 )
 
-// DegreeAt returns the ground-truth degree of product vertex p = γ(i,k) of
-// C = A ⊗ B: d_C = d_A ⊗ d_B, i.e. d_p = d_i · d_k.
-func DegreeAt(a, b *Factor, p int64) int64 {
-	ix := core.NewIndex(b.N())
-	i, k := ix.Split(p)
-	return a.Deg[i] * b.Deg[k]
-}
-
-// Degrees materializes the full degree vector d_C = d_A ⊗ d_B of
-// C = A ⊗ B (length n_A·n_B).
-func Degrees(a, b *Factor) []int64 {
-	out := make([]int64, a.N()*b.N())
-	ix := core.NewIndex(b.N())
-	for i := int64(0); i < a.N(); i++ {
-		for k := int64(0); k < b.N(); k++ {
-			out[ix.Gamma(i, k)] = a.Deg[i] * b.Deg[k]
-		}
-	}
-	return out
-}
-
-// DegreesWithSelfLoops returns the degree vector of the full-self-loop
-// product C = (A+I) ⊗ (B+I) for loop-free factors:
-// d_p = (d_i + 1)·(d_k + 1), counting the self loop at p once.
-func DegreesWithSelfLoops(a, b *Factor) []int64 {
-	out := make([]int64, a.N()*b.N())
-	ix := core.NewIndex(b.N())
-	for i := int64(0); i < a.N(); i++ {
-		for k := int64(0); k < b.N(); k++ {
-			out[ix.Gamma(i, k)] = (a.Deg[i] + 1) * (b.Deg[k] + 1)
-		}
-	}
-	return out
-}
-
-// NumVertices returns n_C = n_A · n_B.
-func NumVertices(a, b *Factor) int64 { return a.N() * b.N() }
-
-// NumEdges returns m_C for C = A ⊗ B. For loop-free undirected factors
-// this is the paper's scaling law m_C = 2·m_A·m_B; in general it is
-// (arcs_A·arcs_B + loops_A·loops_B) / 2.
-func NumEdges(a, b *Factor) int64 {
-	edges, _ := core.NumProductEdges(a.G, b.G)
-	return edges
-}
-
 // ProductComponents returns the ground-truth number of connected
 // components of C = A ⊗ B for CONNECTED undirected factors with at least
 // one edge each, by Weichsel's theorem (the paper's ref [1]): the tensor

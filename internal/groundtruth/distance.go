@@ -5,88 +5,27 @@ import (
 	"kronlab/internal/core"
 )
 
-// HopsAt returns the ground-truth hop count hops_C(p,q) for
-// C = A ⊗ B where both factors have full self loops (Thm. 3):
-// hops_C(p,q) = max{hops_A(i,j), hops_B(k,l)}. If either factor pair is
-// unreachable, so is the product pair.
-func HopsAt(a, b *Factor, p, q int64) int64 {
-	a.EnsureDistances()
-	b.EnsureDistances()
-	ix := core.NewIndex(b.N())
-	i, k := ix.Split(p)
-	j, l := ix.Split(q)
-	return maxHops(a.Hops[i][j], b.Hops[k][l])
-}
-
-func maxHops(ha, hb int64) int64 {
-	if ha == analytics.Unreachable || hb == analytics.Unreachable {
-		return analytics.Unreachable
-	}
-	if ha > hb {
-		return ha
-	}
-	return hb
-}
-
 // HopsBoundsAt returns the Thm. 5 sandwich for C = A ⊗ B when A has full
 // self loops and B is merely undirected:
 //
 //	max{hops_A, hops_B} ≤ hops_C(p,q) ≤ max{hops_A, hops_B} + 1.
 func HopsBoundsAt(a, b *Factor, p, q int64) (lo, hi int64) {
-	a.EnsureDistances()
-	b.EnsureDistances()
 	ix := core.NewIndex(b.N())
 	i, k := ix.Split(p)
 	j, l := ix.Split(q)
-	m := maxHops(a.Hops[i][j], b.Hops[k][l])
-	if m == analytics.Unreachable {
-		return analytics.Unreachable, analytics.Unreachable
-	}
-	return m, m + 1
-}
-
-// EccentricityAt returns ε_C(p) = max{ε_A(i), ε_B(k)} for full-self-loop
-// factors (Cor. 4).
-func EccentricityAt(a, b *Factor, p int64) int64 {
-	a.EnsureDistances()
-	b.EnsureDistances()
-	ix := core.NewIndex(b.N())
-	i, k := ix.Split(p)
-	return maxHops(a.Ecc[i], b.Ecc[k])
-}
-
-// Eccentricities materializes ε_C for every product vertex — linear in
-// n_C from sublinear factor storage, as the paper advertises.
-func Eccentricities(a, b *Factor) []int64 {
-	a.RequireFullSelfLoops("Cor. 4")
-	b.RequireFullSelfLoops("Cor. 4")
-	a.EnsureDistances()
-	b.EnsureDistances()
-	ix := core.NewIndex(b.N())
-	out := make([]int64, a.N()*b.N())
-	for i := int64(0); i < a.N(); i++ {
-		for k := int64(0); k < b.N(); k++ {
-			out[ix.Gamma(i, k)] = maxHops(a.Ecc[i], b.Ecc[k])
-		}
-	}
-	return out
-}
-
-// Diameter returns diam(G_C) = max{diam(G_A), diam(G_B)} for
-// full-self-loop factors (Cor. 3).
-func Diameter(a, b *Factor) int64 {
-	a.EnsureDistances()
-	b.EnsureDistances()
-	return maxHops(a.Diam, b.Diam)
+	return bounds(ChainHopsAt([]*Factor{a, b}, []int64{i, k}, []int64{j, l}))
 }
 
 // DiameterBounds returns the Cor. 5 sandwich for A with full self loops
 // and B merely undirected:
 // max{diam_A, diam_B} ≤ diam(G_C) ≤ max{diam_A, diam_B} + 1.
 func DiameterBounds(a, b *Factor) (lo, hi int64) {
-	a.EnsureDistances()
-	b.EnsureDistances()
-	m := maxHops(a.Diam, b.Diam)
+	return bounds(ChainDiameter([]*Factor{a, b}))
+}
+
+// bounds returns the ±1 sandwich [m, m+1] of Thm. 5 and Cor. 5 around
+// the max law's m, Unreachable on both sides when m is.
+func bounds(m int64) (lo, hi int64) {
 	if m == analytics.Unreachable {
 		return analytics.Unreachable, analytics.Unreachable
 	}
@@ -137,7 +76,7 @@ func ClosenessCompressedAt(a, b *Factor, p int64) float64 {
 	b.EnsureDistances()
 	ix := core.NewIndex(b.N())
 	i, k := ix.Split(p)
-	hstar := maxHops(a.Diam, b.Diam)
+	hstar := ChainDiameter([]*Factor{a, b})
 	if hstar == analytics.Unreachable {
 		// Disconnected factors: fall back to the direct sum, which
 		// handles unreachable entries pairwise.
@@ -159,64 +98,4 @@ func ClosenessCompressedAt(a, b *Factor, p int64) float64 {
 		}
 	}
 	return s
-}
-
-// EccentricityHistogram returns the histogram of ε_C over all product
-// vertices without materializing the ε_C vector: by Cor. 4 the count of
-// product vertices with eccentricity e is
-//
-//	cnt_C(e) = cnt_A(e)·cum_B(e) + cum_A(e−1)·cnt_B(e)
-//
-// where cnt is the factor eccentricity histogram and cum its cumulative.
-// This makes the paper's Fig. 1 reproducible for 40M-vertex products in
-// O(diam) work after the factor eccentricities are known. Both factors
-// must be connected (no Unreachable eccentricities).
-func EccentricityHistogram(a, b *Factor) map[int64]int64 {
-	a.EnsureDistances()
-	b.EnsureDistances()
-	return MaxLawHistogram(a.Ecc, b.Ecc)
-}
-
-// MaxLawHistogram returns the value → count histogram of
-// max(x, y) over all pairs (x, y) ∈ xs × ys. It underlies every max-type
-// scaling law in the paper (hops, eccentricity, diameter).
-func MaxLawHistogram(xs, ys []int64) map[int64]int64 {
-	cntX := map[int64]int64{}
-	cntY := map[int64]int64{}
-	var lo, hi int64
-	first := true
-	note := func(v int64) {
-		if first {
-			lo, hi = v, v
-			first = false
-			return
-		}
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	for _, v := range xs {
-		cntX[v]++
-		note(v)
-	}
-	for _, v := range ys {
-		cntY[v]++
-		note(v)
-	}
-	out := make(map[int64]int64)
-	var cumX, cumY int64 // counts of values ≤ current−1 handled incrementally
-	for v := lo; v <= hi; v++ {
-		cx, cy := cntX[v], cntY[v]
-		// pairs whose max is exactly v: x = v with y ≤ v, plus y = v with
-		// x < v.
-		if c := cx*(cumY+cy) + cumX*cy; c > 0 {
-			out[v] = c
-		}
-		cumX += cx
-		cumY += cy
-	}
-	return out
 }

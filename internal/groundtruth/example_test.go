@@ -7,29 +7,30 @@ import (
 	"kronlab/internal/groundtruth"
 )
 
-// ExampleGlobalTriangles reads off τ_C = 6·τ_A·τ_B without generating C.
-func ExampleGlobalTriangles() {
+// ExampleChainGlobalTriangles reads off τ_C = 6·τ_A·τ_B without
+// generating C.
+func ExampleChainGlobalTriangles() {
 	a := groundtruth.NewFactor(gen.Clique(4)) // τ = 4
 	b := groundtruth.NewFactor(gen.Clique(5)) // τ = 10
-	fmt.Println(groundtruth.GlobalTriangles(a, b))
-	// Output: 240
+	fmt.Println(groundtruth.ChainGlobalTriangles([]*groundtruth.Factor{a, b}))
+	// Output: 240 <nil>
 }
 
-// ExampleDegreeAt decomposes a product vertex and multiplies factor
-// degrees.
-func ExampleDegreeAt() {
+// ExampleChainDegreeAt multiplies the factor degrees at a product
+// vertex's coordinates.
+func ExampleChainDegreeAt() {
 	a := groundtruth.NewFactor(gen.Star(5)) // center degree 4
 	b := groundtruth.NewFactor(gen.Ring(6)) // all degrees 2
 	// Product vertex γ(0, 3): the star center paired with ring vertex 3.
-	fmt.Println(groundtruth.DegreeAt(a, b, 0*6+3))
+	fmt.Println(groundtruth.ChainDegreeAt([]*groundtruth.Factor{a, b}, []int64{0, 3}))
 	// Output: 8
 }
 
-// ExampleDiameter applies the max law to looped factors (Cor. 3).
-func ExampleDiameter() {
+// ExampleChainDiameter applies the max law to looped factors (Cor. 3).
+func ExampleChainDiameter() {
 	a := groundtruth.NewFactor(gen.Ring(10).WithFullSelfLoops()) // diam 5
 	b := groundtruth.NewFactor(gen.Path(4).WithFullSelfLoops())  // diam 3
-	fmt.Println(groundtruth.Diameter(a, b))
+	fmt.Println(groundtruth.ChainDiameter([]*groundtruth.Factor{a, b}))
 	// Output: 5
 }
 

@@ -3,6 +3,7 @@ package groundtruth
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -58,16 +59,23 @@ func TestDegreeLaw(t *testing.T) {
 		ga, gb := randomLoopFree(rng, 9), randomLoopFree(rng, 9)
 		a, b := NewFactor(ga), NewFactor(gb)
 		c := mustProduct(t, ga, gb)
-		pred := Degrees(a, b)
+		fs := []*Factor{a, b}
+		ci := chainIndexFor(t, fs)
+		pred, err := ChainDegrees(fs)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for p := int64(0); p < c.NumVertices(); p++ {
 			if c.Degree(p) != pred[p] {
 				t.Fatalf("trial %d: d_%d = %d, predicted %d", trial, p, c.Degree(p), pred[p])
 			}
-			if DegreeAt(a, b, p) != pred[p] {
-				t.Fatalf("trial %d: DegreeAt disagrees with Degrees at %d", trial, p)
+			if ChainDegreeAt(fs, ci.Split(p)) != pred[p] {
+				t.Fatalf("trial %d: ChainDegreeAt disagrees with ChainDegrees at %d", trial, p)
 			}
 		}
-		if NumVertices(a, b) != c.NumVertices() || NumEdges(a, b) != c.NumEdges() {
+		n, errN := ChainNumVertices(fs)
+		m, errM := ChainNumEdges(fs)
+		if errN != nil || errM != nil || n != c.NumVertices() || m != c.NumEdges() {
 			t.Fatalf("trial %d: size laws broken", trial)
 		}
 	}
@@ -77,12 +85,16 @@ func TestDegreeLawWithSelfLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 15; trial++ {
 		ga, gb := randomLoopFree(rng, 8), randomLoopFree(rng, 8)
-		a, b := NewFactor(ga), NewFactor(gb)
+		// The degree law over the +I factors is the degree of (A+I)⊗(B+I).
+		fs := []*Factor{NewFactor(ga.WithFullSelfLoops()), NewFactor(gb.WithFullSelfLoops())}
 		c, err := core.ProductWithSelfLoops(ga, gb)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pred := DegreesWithSelfLoops(a, b)
+		pred, err := ChainDegrees(fs)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for p := int64(0); p < c.NumVertices(); p++ {
 			if c.Degree(p) != pred[p] {
 				t.Fatalf("trial %d: loop-product d_%d = %d, predicted %d",
@@ -101,14 +113,18 @@ func TestVertexTriangleLaw(t *testing.T) {
 		a, b := NewFactor(ga), NewFactor(gb)
 		c := mustProduct(t, ga, gb)
 		exact := analytics.Triangles(c)
-		pred := VertexTriangles(a, b)
+		fs := []*Factor{a, b}
+		pred, err := ChainVertexTriangles(fs)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for p := int64(0); p < c.NumVertices(); p++ {
 			if exact.Vertex[p] != pred[p] {
 				t.Fatalf("trial %d: t_%d exact %d, predicted %d", trial, p, exact.Vertex[p], pred[p])
 			}
 		}
-		if got := GlobalTriangles(a, b); got != exact.Global {
-			t.Fatalf("trial %d: τ exact %d, predicted %d", trial, exact.Global, got)
+		if got, err := ChainGlobalTriangles(fs); err != nil || got != exact.Global {
+			t.Fatalf("trial %d: τ exact %d, predicted %d (err %v)", trial, exact.Global, got, err)
 		}
 	}
 }
@@ -369,9 +385,11 @@ func TestThm3HopsMaxLaw(t *testing.T) {
 		a, b := NewFactor(ga), NewFactor(gb)
 		c := mustProduct(t, ga, gb)
 		rows := analytics.AllPairsHops(c)
+		fs := []*Factor{a, b}
+		ci := chainIndexFor(t, fs)
 		for p := int64(0); p < c.NumVertices(); p++ {
 			for q := int64(0); q < c.NumVertices(); q++ {
-				if got := HopsAt(a, b, p, q); got != rows[p][q] {
+				if got := ChainHopsAt(fs, ci.Split(p), ci.Split(q)); got != rows[p][q] {
 					t.Fatalf("trial %d: hops(%d,%d) exact %d, predicted %d",
 						trial, p, q, rows[p][q], got)
 				}
@@ -388,7 +406,10 @@ func TestCor4Eccentricity(t *testing.T) {
 		a, b := NewFactor(ga), NewFactor(gb)
 		c := mustProduct(t, ga, gb)
 		exact := analytics.Eccentricities(c)
-		pred := Eccentricities(a, b)
+		pred, err := ChainEccentricities([]*Factor{a, b})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for p := range exact {
 			if exact[p] != pred[p] {
 				t.Fatalf("trial %d: ε(%d) exact %d, predicted %d", trial, p, exact[p], pred[p])
@@ -404,7 +425,7 @@ func TestCor3Diameter(t *testing.T) {
 		gb := randomConnectedLoopFree(rng, 8).WithFullSelfLoops()
 		a, b := NewFactor(ga), NewFactor(gb)
 		c := mustProduct(t, ga, gb)
-		if got, want := Diameter(a, b), analytics.Diameter(c); got != want {
+		if got, want := ChainDiameter([]*Factor{a, b}), analytics.Diameter(c); got != want {
 			t.Fatalf("trial %d: diameter predicted %d, exact %d", trial, got, want)
 		}
 	}
@@ -628,52 +649,87 @@ func TestScalingLawsAllHold(t *testing.T) {
 	}
 }
 
-// MaxLawHistogram must agree with brute-force pair enumeration.
+// maxLaw must agree with brute-force pair enumeration, Unreachable
+// values included.
 func TestMaxLawHistogram(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		xs := make([]int64, 1+rng.Intn(20))
 		ys := make([]int64, 1+rng.Intn(20))
 		for i := range xs {
-			xs[i] = rng.Int63n(6)
+			xs[i] = rng.Int63n(7) - 1
 		}
 		for i := range ys {
-			ys[i] = rng.Int63n(6)
+			ys[i] = rng.Int63n(7) - 1
 		}
-		brute := map[int64]int64{}
-		for _, x := range xs {
-			for _, y := range ys {
-				m := x
-				if y > m {
-					m = y
-				}
-				brute[m]++
-			}
-		}
-		got := MaxLawHistogram(xs, ys)
-		if len(got) != len(brute) {
-			return false
-		}
-		for k, v := range brute {
-			if got[k] != v {
-				return false
-			}
-		}
-		return true
+		return reflect.DeepEqual(maxLaw(histOf(xs), histOf(ys)), bruteMaxLaw(xs, ys))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }
 
-// EccentricityHistogram must equal the histogram of the materialized ε_C.
+// FuzzMaxLaw holds the max-law combine to an O(|x|·|y|) enumeration of
+// the pairs of two value lists, −1 (Unreachable) among the values: the
+// first byte splits the input, every other byte is one value in [−1, 6].
+func FuzzMaxLaw(f *testing.F) {
+	f.Add([]byte{2, 0, 3, 1, 2, 3})
+	f.Add([]byte{1, 0, 0, 0})       // an Unreachable on each side
+	f.Add([]byte{3, 1, 2, 3, 0, 7}) // Unreachable only on the right
+	f.Add([]byte{0, 5, 5})          // empty left side
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		vals := make([]int64, len(data)-1)
+		for i, b := range data[1:] {
+			vals[i] = int64(b%8) - 1
+		}
+		split := min(int(data[0]), len(vals))
+		xs, ys := vals[:split], vals[split:]
+		if got, want := maxLaw(histOf(xs), histOf(ys)), bruteMaxLaw(xs, ys); !reflect.DeepEqual(got, want) {
+			t.Fatalf("maxLaw(%v, %v) = %v, brute force %v", xs, ys, got, want)
+		}
+	})
+}
+
+func histOf(vs []int64) map[int64]int64 {
+	h := map[int64]int64{}
+	for _, v := range vs {
+		h[v]++
+	}
+	return h
+}
+
+// bruteMaxLaw counts max(x, y) over every pair, Unreachable if either is.
+func bruteMaxLaw(xs, ys []int64) map[int64]int64 {
+	out := map[int64]int64{}
+	for _, x := range xs {
+		for _, y := range ys {
+			m := max(x, y)
+			if x == analytics.Unreachable || y == analytics.Unreachable {
+				m = analytics.Unreachable
+			}
+			out[m]++
+		}
+	}
+	return out
+}
+
+// ChainEccentricityHistogram must equal the histogram of the materialized ε_C.
 func TestEccentricityHistogramMatchesVector(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	ga := randomConnectedLoopFree(rng, 8).WithFullSelfLoops()
 	gb := randomConnectedLoopFree(rng, 8).WithFullSelfLoops()
-	a, b := NewFactor(ga), NewFactor(gb)
-	hist := EccentricityHistogram(a, b)
-	vec := Eccentricities(a, b)
+	fs := []*Factor{NewFactor(ga), NewFactor(gb)}
+	hist, err := ChainEccentricityHistogram(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec, err := ChainEccentricities(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	counts := map[int64]int64{}
 	for _, e := range vec {
 		counts[e]++

@@ -1,6 +1,7 @@
 package groundtruth
 
 import (
+	"errors"
 	"fmt"
 
 	"kronlab/internal/analytics"
@@ -41,17 +42,22 @@ func ScalingLaws(a, b *Factor, pa, pb [][]int64) ([]LawRow, error) {
 	add := func(q, law string, pred, meas int64) {
 		rows = append(rows, LawRow{q, law, fmt.Sprint(pred), fmt.Sprint(meas), pred == meas})
 	}
+	fs := []*Factor{a, b}
+	ix := core.MustChainIndex(a.N(), b.N()) // n_C fits: C is materialized
 
 	// Vertices and edges.
-	add("Vertices", "n_C = n_A·n_B", a.N()*b.N(), c.NumVertices())
-	add("Edges", "m_C = 2·m_A·m_B", 2*a.G.NumEdges()*b.G.NumEdges(), c.NumEdges())
+	nC, errN := ChainNumVertices(fs)
+	mC, errM := ChainNumEdges(fs)
+	if err := errors.Join(errN, errM); err != nil {
+		return nil, err
+	}
+	add("Vertices", "n_C = n_A·n_B", nC, c.NumVertices())
+	add("Edges", "m_C = 2·m_A·m_B", mC, c.NumEdges())
 
 	// Degree vector d_C = d_A ⊗ d_B.
 	degOK := true
-	ix := core.NewIndex(b.N())
 	for p := int64(0); p < c.NumVertices() && degOK; p++ {
-		i, k := ix.Split(p)
-		degOK = c.Degree(p) == a.Deg[i]*b.Deg[k]
+		degOK = c.Degree(p) == ChainDegreeAt(fs, ix.Split(p))
 	}
 	rows = append(rows, LawRow{"Degree", "d_C = d_A ⊗ d_B", "vector", "vector", degOK})
 
@@ -59,7 +65,11 @@ func ScalingLaws(a, b *Factor, pa, pb [][]int64) ([]LawRow, error) {
 	cTri := analytics.Triangles(c)
 	triOK := true
 	for p := int64(0); p < c.NumVertices() && triOK; p++ {
-		triOK = cTri.Vertex[p] == VertexTrianglesAt(a, b, p)
+		t, err := ChainVertexTrianglesAt(fs, ix.Split(p))
+		if err != nil {
+			return nil, err
+		}
+		triOK = cTri.Vertex[p] == t
 	}
 	rows = append(rows, LawRow{"Vertex Triangles", "t_C = 2·t_A ⊗ t_B", "vector", "vector", triOK})
 
@@ -78,13 +88,18 @@ func ScalingLaws(a, b *Factor, pa, pb [][]int64) ([]LawRow, error) {
 	})
 	rows = append(rows, LawRow{"Edge Triangles", "Δ_C = Δ_A ⊗ Δ_B", "matrix", "matrix", edgeOK})
 
-	add("Global Triangles", "τ_C = 6·τ_A·τ_B", GlobalTriangles(a, b), cTri.Global)
+	tau, err := ChainGlobalTriangles(fs)
+	if err != nil {
+		return nil, err
+	}
+	add("Global Triangles", "τ_C = 6·τ_A·τ_B", tau, cTri.Global)
 
 	// Vertex clustering bound η_C(p) ≥ 1/3·η_A(i)·η_B(k).
 	ccOK := true
 	cCC := analytics.VertexClustering(c)
 	for p := int64(0); p < c.NumVertices() && ccOK; p++ {
-		i, k := ix.Split(p)
+		cs := ix.Split(p)
+		i, k := cs[0], cs[1]
 		if a.Deg[i] < 2 || b.Deg[k] < 2 {
 			continue
 		}
@@ -99,17 +114,14 @@ func ScalingLaws(a, b *Factor, pa, pb [][]int64) ([]LawRow, error) {
 	rows = append(rows, LawRow{"Clustering Coeff.", "η_C = θ·η_A·η_B ≥ ⅓·η_A·η_B", "per-vertex", "per-vertex", ccOK})
 
 	// Distance laws on C' = (A+I)⊗(B+I).
-	aL := NewFactor(a.G.WithFullSelfLoops())
-	bL := NewFactor(b.G.WithFullSelfLoops())
-	aL.EnsureDistances()
-	bL.EnsureDistances()
+	fsL := []*Factor{NewFactor(a.G.WithFullSelfLoops()), NewFactor(b.G.WithFullSelfLoops())}
 	cEcc := analytics.Eccentricities(cLoops)
 	eccOK := true
 	for p := int64(0); p < cLoops.NumVertices() && eccOK; p++ {
-		eccOK = cEcc[p] == EccentricityAt(aL, bL, p)
+		eccOK = cEcc[p] == ChainEccentricityAt(fsL, ix.Split(p))
 	}
 	rows = append(rows, LawRow{"Vertex Eccentricity", "ε_C(p) = max{ε_A(i), ε_B(k)}", "vector", "vector", eccOK})
-	add("Graph Diameter", "diam = max{diam_A, diam_B}", Diameter(aL, bL), analytics.Diameter(cLoops))
+	add("Graph Diameter", "diam = max{diam_A, diam_B}", ChainDiameter(fsL), analytics.Diameter(cLoops))
 
 	// Community rows.
 	if pa != nil && pb != nil {

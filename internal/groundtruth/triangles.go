@@ -5,28 +5,6 @@ import "kronlab/internal/core"
 // --- Loop-free factors, C = A ⊗ B (results from [11], restated in the
 // --- paper's Sec. I scaling-law table) ---
 
-// VertexTrianglesAt returns t_p for p = γ(i,k) of C = A ⊗ B with loop-free
-// factors: t_C = 2·t_A ⊗ t_B, i.e. t_p = 2·t_i·t_k.
-func VertexTrianglesAt(a, b *Factor, p int64) int64 {
-	ix := core.NewIndex(b.N())
-	i, k := ix.Split(p)
-	return 2 * a.Tri.Vertex[i] * b.Tri.Vertex[k]
-}
-
-// VertexTriangles materializes t_C = 2·t_A ⊗ t_B.
-func VertexTriangles(a, b *Factor) []int64 {
-	a.RequireNoSelfLoops("t_C = 2·t_A⊗t_B")
-	b.RequireNoSelfLoops("t_C = 2·t_A⊗t_B")
-	ix := core.NewIndex(b.N())
-	out := make([]int64, a.N()*b.N())
-	for i := int64(0); i < a.N(); i++ {
-		for k := int64(0); k < b.N(); k++ {
-			out[ix.Gamma(i, k)] = 2 * a.Tri.Vertex[i] * b.Tri.Vertex[k]
-		}
-	}
-	return out
-}
-
 // EdgeTrianglesAt returns Δ_pq for the product edge (p,q) of C = A ⊗ B
 // with loop-free factors: Δ_C = Δ_A ⊗ Δ_B, i.e. Δ_pq = Δ_ij·Δ_kl.
 func EdgeTrianglesAt(a, b *Factor, p, q int64) int64 {
@@ -34,11 +12,6 @@ func EdgeTrianglesAt(a, b *Factor, p, q int64) int64 {
 	i, k := ix.Split(p)
 	j, l := ix.Split(q)
 	return a.EdgeTri(i, j) * b.EdgeTri(k, l)
-}
-
-// GlobalTriangles returns τ_C = 6·τ_A·τ_B for loop-free factors.
-func GlobalTriangles(a, b *Factor) int64 {
-	return 6 * a.Tri.Global * b.Tri.Global
 }
 
 // --- Full self loops in both factors, C = (A+I) ⊗ (B+I), with A and B

@@ -71,6 +71,13 @@ func TestChainGroundTruthLaws(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// loops=1 degrees are the degree law over the +I factors.
+	for p := int64(0); p < matL.NumVertices(); p += 17 {
+		got := getJSON(t, fmt.Sprintf("%s/gt/%s/degree?loops=1&p=%d", ts.URL, chain, p), http.StatusOK)
+		if got["degree"] != float64(matL.Degree(p)) {
+			t.Errorf("loops=1 degree(%d) = %v, want %d", p, got["degree"], matL.Degree(p))
+		}
+	}
 	diam := getJSON(t, ts.URL+"/gt/"+chain+"/diameter?loops=1", http.StatusOK)
 	if diam["diameter"] != float64(analytics.Diameter(matL)) {
 		t.Errorf("diameter %v, want %d", diam["diameter"], analytics.Diameter(matL))
@@ -143,6 +150,15 @@ func TestChainPowerQuery(t *testing.T) {
 	}
 	// Vertex-addressed properties on an overflowing chain refuse too.
 	getJSON(t, ts.URL+"/gt/"+ha+"/degree?power=40&p=0", http.StatusBadRequest)
+	getJSON(t, ts.URL+"/gt/"+ha+"/eccentricity?power=40&loops=1&hist=1", http.StatusBadRequest)
+	// A per-vertex count overflows before n_C does: K₁₀₀^{⊗5} has 10¹⁰
+	// vertices, and t_p = 2⁴·4851⁵ ≈ 4.3e19 at each, as τ_C overflows.
+	k100 := registerText(t, ts, gen.Clique(100), "")
+	for _, q := range []string{"triangles?power=5&p=0", "triangles?power=5"} {
+		if resp := getJSON(t, ts.URL+"/gt/"+k100+"/"+q, http.StatusBadRequest); !strings.Contains(resp["error"].(string), "overflow") {
+			t.Errorf("%s: error = %v", q, resp["error"])
+		}
+	}
 }
 
 // TestChainGenerateMatchesSerial: the /gen/{chain}/edges stream must be

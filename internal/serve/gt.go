@@ -56,7 +56,9 @@ func (s *Server) handleGroundTruth(w http.ResponseWriter, r *http.Request) {
 
 	// Which summary variant/tier does the property need?
 	distProp := prop == "diameter" || prop == "eccentricity" || prop == "closeness" || prop == "hops"
-	loopVariant := loops && distProp // distance formulas run on the +I factors
+	// The distance laws and the degree law run on the +I factors: the
+	// degree of ⊗(A_d+I) is the degree law over them.
+	loopVariant := loops && (distProp || prop == "degree")
 	for i, g := range gs {
 		if distProp && !loops && g.NumSelfLoops() != g.NumVertices() {
 			// Thm. 3–5 hypotheses: without loops=1 the registered factors
@@ -238,15 +240,7 @@ func (s *Server) gtDegree(w http.ResponseWriter, r *http.Request, req *gtRequest
 		return
 	}
 	coords := req.ci.Split(p)
-	d := int64(1)
-	for i, f := range req.fs {
-		if req.loops {
-			d *= f.Deg[coords[i]] + 1 // d_p of ⊗(A_d+I)
-		} else {
-			d *= f.Deg[coords[i]] // d_C = ⊗ d_{A_d}
-		}
-	}
-	out := map[string]any{"p": p, "degree": d}
+	out := map[string]any{"p": p, "degree": groundtruth.ChainDegreeAt(req.fs, coords)}
 	if req.pair {
 		out["i"], out["k"] = coords[0], coords[1]
 	} else {
@@ -291,7 +285,11 @@ func (s *Server) gtTriangles(w http.ResponseWriter, r *http.Request, req *gtRequ
 		if req.loops {
 			tri = groundtruth.VertexTrianglesFullLoopsAt(req.fs[0], req.fs[1], p) // Cor. 1
 		} else {
-			tri = groundtruth.ChainVertexTrianglesAt(req.fs, req.ci.Split(p)) // t_C = 2^{k−1}·Π t_d
+			var err error
+			if tri, err = groundtruth.ChainVertexTrianglesAt(req.fs, req.ci.Split(p)); err != nil { // t_C = 2^{k−1}·Π t_d
+				writeError(w, http.StatusBadRequest, "%v", err)
+				return
+			}
 		}
 		writeJSON(w, http.StatusOK, req.base(map[string]any{"p": p, "vertex_triangles": tri}))
 	default: // global count τ_C
@@ -341,8 +339,13 @@ func (s *Server) gtClustering(w http.ResponseWriter, r *http.Request, req *gtReq
 
 func (s *Server) gtEccentricity(w http.ResponseWriter, r *http.Request, req *gtRequest) {
 	if r.URL.Query().Get("hist") == "1" {
-		// O(k·diam²) histogram over all n_C vertices without materializing ε_C.
-		hist := groundtruth.ChainEccentricityHistogram(req.fs)
+		// O(k·diam·log diam) histogram over all n_C vertices without
+		// materializing ε_C.
+		hist, err := groundtruth.ChainEccentricityHistogram(req.fs)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
 		out := make(map[string]int64, len(hist))
 		for e, c := range hist {
 			out[strconv.FormatInt(e, 10)] = c

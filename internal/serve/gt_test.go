@@ -8,7 +8,32 @@ import (
 	"testing"
 
 	"kronlab/internal/gen"
+	"kronlab/internal/graph"
 )
+
+// TestGroundTruthDisconnectedFactor: on (2K₂+I)⊗(P₃+I) every product
+// vertex is Unreachable, so the ε histogram counts all 12 under −1 — the
+// same answer p=… and the diameter give (null) — in both spellings.
+func TestGroundTruthDisconnectedFactor(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	twoK2, err := graph.NewUndirected(4, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ha, hb := registerText(t, ts, twoK2, ""), registerText(t, ts, gen.Path(3), "")
+	for _, prefix := range []string{ha + "/" + hb, ha + "," + hb} {
+		url := ts.URL + "/gt/" + prefix + "/"
+		hist := getJSON(t, url+"eccentricity?loops=1&hist=1", http.StatusOK)
+		if want := map[string]any{"-1": float64(12)}; !reflect.DeepEqual(hist["histogram"], want) {
+			t.Errorf("%s: histogram %v, want %v", prefix, hist["histogram"], want)
+		}
+		for q, key := range map[string]string{"eccentricity?loops=1&p=0": "eccentricity", "diameter?loops=1": "diameter"} {
+			if v, ok := getJSON(t, url+q, http.StatusOK)[key]; !ok || v != nil {
+				t.Errorf("%s %s: %s = %v, want null", prefix, q, key, v)
+			}
+		}
+	}
+}
 
 // TestGroundTruthOneHandlerTwoSpellings: /gt/{a}/{b}/{prop} and
 // /gt/{a},{b}/{prop} are one query. Every property — including the laws

@@ -11,8 +11,10 @@
 package validate
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"kronlab/internal/analytics"
 	"kronlab/internal/core"
@@ -107,38 +109,41 @@ func Run(a, b, c *graph.Graph, opts Options) (*Report, error) {
 		}
 		effA, effB = a.WithFullSelfLoops(), b.WithFullSelfLoops()
 	}
-	feA, feB := groundtruth.NewFactor(effA), groundtruth.NewFactor(effB)
-	ix := core.NewIndex(fb.N())
+	// fs is the chain the triangle laws take (loop-free factors, the
+	// Cor. 1 forms add the loops), fe the chain of the claimed product
+	// itself (its +I factors under SelfLoops).
+	fs := []*groundtruth.Factor{fa, fb}
+	fe := []*groundtruth.Factor{groundtruth.NewFactor(effA), groundtruth.NewFactor(effB)}
 
 	// Global counts.
-	add("vertices", groundtruth.NumVertices(fa, fb), c.NumVertices())
-	add("edges", groundtruth.NumEdges(feA, feB), c.NumEdges())
-	arcsWant := effA.NumArcs() * effB.NumArcs()
+	nC, errN := groundtruth.ChainNumVertices(fs)
+	mC, errM := groundtruth.ChainNumEdges(fe)
+	arcsWant, errA := groundtruth.ChainNumArcs(fe)
+	if err := errors.Join(errN, errM, errA); err != nil {
+		return nil, fmt.Errorf("validate: %w", err)
+	}
+	add("vertices", nC, c.NumVertices())
+	add("edges", mC, c.NumEdges())
 	add("arcs", arcsWant, c.NumArcs())
-	if c.NumVertices() != groundtruth.NumVertices(fa, fb) {
+	if c.NumVertices() != nC {
 		// Remaining checks index into c; bail out with what we have.
 		return rep, nil
 	}
+	ci := core.MustChainIndex(fa.N(), fb.N()) // n_C fits: checked above
 
 	// Degree histogram: d_C = d_A ⊗ d_B exactly.
-	wantDeg := map[int64]int64{}
-	for i := int64(0); i < feA.N(); i++ {
-		for k := int64(0); k < feB.N(); k++ {
-			wantDeg[feA.Deg[i]*feB.Deg[k]]++
-		}
+	wantDegs, err := groundtruth.ChainDegrees(fe)
+	if err != nil {
+		return nil, fmt.Errorf("validate: %w", err)
 	}
-	gotDeg := map[int64]int64{}
-	for _, d := range c.Degrees() {
-		gotDeg[d]++
-	}
-	add("degree histogram", histString(wantDeg), histString(gotDeg))
+	add("degree histogram", histString(wantDegs), histString(c.Degrees()))
 
 	// Global triangles.
 	var wantTau int64
 	if opts.SelfLoops {
 		wantTau = groundtruth.GlobalTrianglesFullLoops(fa, fb)
-	} else {
-		wantTau = groundtruth.GlobalTriangles(fa, fb)
+	} else if wantTau, err = groundtruth.ChainGlobalTriangles(fs); err != nil {
+		return nil, fmt.Errorf("validate: %w", err)
 	}
 	cTri := analytics.Triangles(c)
 	add("global triangles", wantTau, cTri.Global)
@@ -151,8 +156,8 @@ func Run(a, b, c *graph.Graph, opts Options) (*Report, error) {
 		var want int64
 		if opts.SelfLoops {
 			want = groundtruth.VertexTrianglesFullLoopsAt(fa, fb, p)
-		} else {
-			want = groundtruth.VertexTrianglesAt(fa, fb, p)
+		} else if want, err = groundtruth.ChainVertexTrianglesAt(fs, ci.Split(p)); err != nil {
+			return nil, fmt.Errorf("validate: %w", err)
 		}
 		if cTri.Vertex[p] != want {
 			triOK = false
@@ -169,7 +174,7 @@ func Run(a, b, c *graph.Graph, opts Options) (*Report, error) {
 
 	// Connectivity (Weichsel, ref [1]).
 	if effA.IsConnected() && effB.IsConnected() && effA.NumEdges() > 0 && effB.NumEdges() > 0 {
-		wantComp, err := groundtruth.ProductComponents(feA, feB)
+		wantComp, err := groundtruth.ProductComponents(fe[0], fe[1])
 		if err == nil {
 			_, gotComp := c.ConnectedComponents()
 			add("components (Weichsel)", wantComp, gotComp)
@@ -178,31 +183,27 @@ func Run(a, b, c *graph.Graph, opts Options) (*Report, error) {
 
 	// Distance spot checks (Thm. 3 / Cor. 4) need full self loops.
 	if opts.SelfLoops && !opts.SkipDistances {
-		feA.EnsureDistances()
-		feB.EnsureDistances()
 		distOK := true
 		var bad string
 		for s := 0; s < opts.Samples; s++ {
 			p := rng.Int63n(c.NumVertices())
 			hops := analytics.Hops(c, p)
 			q := rng.Int63n(c.NumVertices())
-			if want := groundtruth.HopsAt(feA, feB, p, q); hops[q] != want {
+			if want := groundtruth.ChainHopsAt(fe, ci.Split(p), ci.Split(q)); hops[q] != want {
 				distOK = false
 				bad = fmt.Sprintf("hops(%d,%d): want %d, got %d", p, q, want, hops[q])
 				break
 			}
+			// ε(p) is the largest hop from p, Unreachable if any is.
 			var ecc int64
 			for _, h := range hops {
-				if h > ecc {
-					ecc = h
+				if h == analytics.Unreachable {
+					ecc = analytics.Unreachable
+					break
 				}
+				ecc = max(ecc, h)
 			}
-			i, k := ix.Split(p)
-			want := feA.Ecc[i]
-			if feB.Ecc[k] > want {
-				want = feB.Ecc[k]
-			}
-			if ecc != want {
+			if want := groundtruth.ChainEccentricityAt(fe, ci.Split(p)); ecc != want {
 				distOK = false
 				bad = fmt.Sprintf("ecc(%d): want %d, got %d", p, want, ecc)
 				break
@@ -248,17 +249,18 @@ func Run(a, b, c *graph.Graph, opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// histString renders a histogram map deterministically for comparison.
-func histString(h map[int64]int64) string {
+// histString renders the value histogram of vs deterministically for
+// comparison.
+func histString(vs []int64) string {
+	h := map[int64]int64{}
+	for _, v := range vs {
+		h[v]++
+	}
 	keys := make([]int64, 0, len(h))
 	for k := range h {
 		keys = append(keys, k)
 	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	slices.Sort(keys)
 	s := ""
 	for _, k := range keys {
 		s += fmt.Sprintf("%d:%d ", k, h[k])

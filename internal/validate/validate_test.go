@@ -55,6 +55,35 @@ func TestRunPassesWithSelfLoopsAndCommunities(t *testing.T) {
 	}
 }
 
+// On (2K₂+I)⊗(P₃+I) the disconnected factor leaves every product vertex
+// Unreachable: ε is −1 on both sides of the hops+eccentricity check, not
+// the largest finite hop.
+func TestRunPassesOnDisconnectedFactor(t *testing.T) {
+	twoK2, err := graph.NewUndirected(4, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p3 := gen.Path(3)
+	c, err := core.ProductWithSelfLoops(twoK2, p3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(twoK2, p3, c, Options{SelfLoops: true, Samples: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Fatalf("true product failed validation:\n%s", rep)
+	}
+	found := false
+	for _, ch := range rep.Checks {
+		found = found || strings.HasPrefix(ch.Name, "hops+eccentricity")
+	}
+	if !found {
+		t.Errorf("no hops+eccentricity check ran:\n%s", rep)
+	}
+}
+
 // The whole point: a single perturbed edge must trip the battery.
 func TestRunCatchesSingleEdgePerturbations(t *testing.T) {
 	a := gen.PrefAttach(10, 2, 5)
