@@ -17,18 +17,23 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("a b\n")
 	f.Add("-1 5\n")
 	f.Add("99999999999999999999 1\n")
+	f.Add("0 100000000000\n")
+	f.Add("268435455 268435456\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		edges, n, err := ReadEdgeList(strings.NewReader(input))
 		if err != nil {
 			return
+		}
+		if n > maxReadCount {
+			t.Fatalf("accepted n=%d past the %d-vertex limit", n, maxReadCount)
 		}
 		for _, e := range edges {
 			if e.U < 0 || e.V < 0 || e.U >= n || e.V >= n {
 				t.Fatalf("accepted out-of-range edge %v with n=%d", e, n)
 			}
 		}
-		// CSR construction allocates O(n); the parser legitimately accepts
-		// sparse ids up to 2⁶³, so cap before materializing.
+		// CSR construction allocates O(n); the parser accepts sparse ids
+		// up to 2²⁸, so cap before materializing.
 		if n > 1<<20 {
 			return
 		}

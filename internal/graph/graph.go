@@ -62,7 +62,8 @@ func New(n int64, arcs []Edge) (*Graph, error) {
 
 // NewUndirected builds an undirected Graph on n vertices: every off-diagonal
 // edge {u,v} is stored as both arcs, self loops as a single arc. Input
-// edges may be in either orientation and may contain duplicates.
+// edges may be in either orientation and may contain duplicates. Past
+// n = 2³², once every edge is in range, it errs before it allocates.
 func NewUndirected(n int64, edges []Edge) (*Graph, error) {
 	return build(n, edges, true)
 }
@@ -73,20 +74,20 @@ func NewUndirected(n int64, edges []Edge) (*Graph, error) {
 //
 // The two differ only in how rows come out ascending. Undirected rows
 // take two counting passes, linear with no comparison sort: pass 1 is a
-// counting sort by target into scratch, 8 B an arc, which stands in for
-// the doubled copy; pass 2 walks those groups in target order and
-// scatters each source's targets into its row — stable, so every row
-// ascends, and a duplicate is exactly the target last written to its
-// row. Pass 2 drops it there without a branch: it always stores, and
-// advances the row's cursor only past a target its row does not yet end
-// with, counting loops the same way; then one copy a row closes the rows
-// up. A directed arc set has no copy for scratch to replace, so there the
-// arcs are bucketed by source, each row that does not already ascend is
-// sorted, and one pass moves the rows into place with the same
-// branch-free step, a duplicate being the target read just before it.
-// Its largest input, Product's arcs, arrives with every row ascending
-// (BenchmarkNew). Besides the result, construction allocates one O(n)
-// array, plus the scratch when both is true.
+// counting sort by target into scratch, 4 B an arc (uint32 sources, hence
+// n ≤ 2³²), which stands in for the doubled copy; pass 2 walks those
+// groups in target order and scatters each source's targets into its row
+// — stable, so every row ascends, and a duplicate is exactly the target
+// last written to its row. Pass 2 drops it there without a branch: it
+// always stores, and advances the row's cursor only past a target its row
+// does not yet end with, counting loops the same way; then one copy a row
+// closes the rows up. A directed arc set has no copy for scratch to
+// replace, so there the arcs are bucketed by source, each row that does
+// not already ascend is sorted, and one pass moves the rows into place
+// with the same branch-free step, a duplicate being the target read just
+// before it. Its largest input, Product's arcs, arrives with every row
+// ascending (BenchmarkNew). Besides the result, construction allocates
+// one O(n) array, plus the scratch when both is true.
 func build(n int64, edges []Edge, both bool) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
@@ -95,6 +96,9 @@ func build(n int64, edges []Edge, both bool) (*Graph, error) {
 		if a.U < 0 || a.U >= n || a.V < 0 || a.V >= n {
 			return nil, fmt.Errorf("graph: arc (%d,%d) out of range [0,%d)", a.U, a.V, n)
 		}
+	}
+	if both && !packable(n) {
+		return nil, fmt.Errorf("graph: undirected graph on %d vertices: construction holds its ids in 32 bits, so it takes at most 2³²", n)
 	}
 
 	// offsets[u+1] counts the arcs leaving u. An undirected arc set is
@@ -124,13 +128,13 @@ func build(n int64, edges []Edge, both bool) (*Graph, error) {
 	var loops int64
 	if both {
 		// Pass 1: scratch[offsets[v]:offsets[v+1]] holds the sources of
-		// v's in-arcs.
-		scratch := make([]int64, m)
+		// v's in-arcs, each below n ≤ 2³².
+		scratch := make([]uint32, m)
 		for _, a := range edges {
-			scratch[next[a.V]] = a.U
+			scratch[next[a.V]] = uint32(a.U)
 			next[a.V]++
 			if a.U != a.V {
-				scratch[next[a.U]] = a.V
+				scratch[next[a.U]] = uint32(a.V)
 				next[a.U]++
 			}
 		}
@@ -142,7 +146,8 @@ func build(n int64, edges []Edge, both bool) (*Graph, error) {
 		// fewer targets than it has room for.
 		copy(next, offsets[:n])
 		for v := int64(0); v < n; v++ {
-			for _, u := range scratch[offsets[v]:offsets[v+1]] {
+			for _, s := range scratch[offsets[v]:offsets[v+1]] {
+				u := int64(s)
 				i := next[u]
 				dup := bit01(i > offsets[u] && adj[i-1] == v)
 				adj[i] = v

@@ -42,12 +42,13 @@ func rmatEdges(scale int, seed int64) []Edge {
 }
 
 // CSR construction from raw edges dominates ingest cost: two counting
-// passes, the second dropping duplicates as it scatters, and one copy per
-// row, all linear. The rmat rows have the factors' shape — a few hub rows
-// hold a large share of the arcs, and many duplicates — where the uniform
-// row's rows are short and even; rmat10 is the shape of the factor the
-// benchmark harness's expand_k2 builds twice, 16·1024 edges on 1024
-// vertices.
+// passes, the first into a scratch of 4 B an arc (uint32 sources), the
+// second dropping duplicates as it scatters, and one copy per row, all
+// linear. B/op is the result, the O(n) cursor array and that scratch.
+// The rmat rows have the factors' shape — a few hub rows hold a large
+// share of the arcs, and many duplicates — where the uniform row's rows
+// are short and even; rmat10 is the shape of the factor the benchmark
+// harness's expand_k2 builds twice, 16·1024 edges on 1024 vertices.
 func BenchmarkNewUndirected(b *testing.B) {
 	for _, c := range []struct {
 		name  string

@@ -12,8 +12,8 @@ import (
 
 // ReadEdgeList parses a whitespace-separated text edge list: one "u v" pair
 // per line, '#' or '%' comment lines and blank lines ignored. It returns
-// the edges and the implied vertex count (max endpoint + 1). Negative
-// endpoints are an error.
+// the edges and the implied vertex count (max endpoint + 1). An endpoint
+// outside [0, maxReadCount) is an error naming its line.
 func ReadEdgeList(r io.Reader) (edges []Edge, n int64, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -36,8 +36,8 @@ func ReadEdgeList(r io.Reader) (edges []Edge, n int64, err error) {
 		if err != nil {
 			return nil, 0, fmt.Errorf("graph: line %d: bad endpoint %q: %v", line, fields[1], err)
 		}
-		if u < 0 || v < 0 {
-			return nil, 0, fmt.Errorf("graph: line %d: negative endpoint in %q", line, text)
+		if u < 0 || v < 0 || u >= maxReadCount || v >= maxReadCount {
+			return nil, 0, fmt.Errorf("graph: line %d: endpoint in %q outside [0, %d)", line, text, maxReadCount)
 		}
 		edges = append(edges, Edge{u, v})
 		if u+1 > n {
@@ -77,11 +77,11 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 // binaryMagic identifies the kronlab binary edge-list format.
 const binaryMagic = uint64(0x4b524f4e4c414201) // "KRONLAB\x01"
 
-// maxBinaryCount caps the vertex and edge counts ReadBinary will accept
-// (2²⁸ ≈ 268M): CSR construction allocates O(n), so a corrupt or hostile
-// header must not be able to demand an absurd allocation (found by
-// FuzzBinaryRoundTrip). Larger graphs should be sharded or kept as text.
-const maxBinaryCount = int64(1) << 28
+// maxReadCount caps the vertex and edge counts ReadBinary and ReadEdgeList
+// will accept (2²⁸ ≈ 268M): CSR construction allocates O(n), so a corrupt
+// or hostile header or line must not demand an absurd allocation (found
+// by FuzzBinaryRoundTrip). Larger graphs should be sharded.
+const maxReadCount = int64(1) << 28
 
 // WriteBinary writes g's undirected edge list in a compact little-endian
 // binary format: magic, n, m, then m (u,v) int64 pairs.
@@ -137,7 +137,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if magic != binaryMagic {
 		return nil, fmt.Errorf("graph: bad magic %#x at offset 0", magic)
 	}
-	if int64(n) < 0 || int64(n) > maxBinaryCount || int64(m) < 0 || int64(m) > maxBinaryCount {
+	if int64(n) < 0 || int64(n) > maxReadCount || int64(m) < 0 || int64(m) > maxReadCount {
 		return nil, fmt.Errorf("graph: implausible binary header n=%d m=%d", n, m)
 	}
 	// Grow incrementally so a truncated stream with an inflated header

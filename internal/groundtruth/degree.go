@@ -5,6 +5,7 @@ import (
 
 	"kronlab/internal/analytics"
 	"kronlab/internal/core"
+	"kronlab/internal/graph"
 )
 
 // ProductComponents returns the ground-truth number of connected
@@ -17,14 +18,14 @@ import (
 // The full-self-loop construction (A+I)⊗(B+I) is therefore always
 // connected for connected factors — the design reason the paper's
 // distance formulas assume loops.
-func ProductComponents(a, b *Factor) (int64, error) {
-	if !a.G.IsConnected() || !b.G.IsConnected() {
+func ProductComponents(a, b *graph.Graph) (int64, error) {
+	if !a.IsConnected() || !b.IsConnected() {
 		return 0, fmt.Errorf("groundtruth: Weichsel's theorem needs connected factors")
 	}
-	if a.G.NumEdges() == 0 || b.G.NumEdges() == 0 {
+	if a.NumEdges() == 0 || b.NumEdges() == 0 {
 		return 0, fmt.Errorf("groundtruth: factors need at least one edge")
 	}
-	if analytics.IsBipartite(a.G) && analytics.IsBipartite(b.G) {
+	if analytics.IsBipartite(a) && analytics.IsBipartite(b) {
 		return 2, nil
 	}
 	return 1, nil

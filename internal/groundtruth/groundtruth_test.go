@@ -767,8 +767,7 @@ func TestWeichselProductComponents(t *testing.T) {
 		{"loops force connectivity", even(4).WithFullSelfLoops(), even(6).WithFullSelfLoops(), 1},
 	}
 	for _, tc := range cases {
-		fa, fb := NewFactor(tc.a), NewFactor(tc.b)
-		got, err := ProductComponents(fa, fb)
+		got, err := ProductComponents(tc.a, tc.b)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -791,8 +790,7 @@ func TestWeichselProductComponents(t *testing.T) {
 		if ga.NumEdges() == 0 || gb.NumEdges() == 0 {
 			continue
 		}
-		fa, fb := NewFactor(ga), NewFactor(gb)
-		pred, err := ProductComponents(fa, fb)
+		pred, err := ProductComponents(ga, gb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -806,7 +804,7 @@ func TestWeichselProductComponents(t *testing.T) {
 	}
 	// Error paths.
 	dis, _ := graph.NewUndirected(3, []graph.Edge{{U: 0, V: 1}})
-	if _, err := ProductComponents(NewFactor(dis), NewFactor(dis)); err == nil {
+	if _, err := ProductComponents(dis, dis); err == nil {
 		t.Error("disconnected factors should error")
 	}
 }

@@ -77,6 +77,10 @@ func (s *Server) handleGroundTruth(w http.ResponseWriter, r *http.Request) {
 	}
 
 	req := &gtRequest{fs: make([]*groundtruth.Factor, len(gs)), hashes: hashes, pair: pair, loops: loops}
+	if prop == "summary" { // it reads the graphs alone: no factor summary is built
+		s.gtSummary(w, req, gs)
+		return
+	}
 	dims := make([]int64, len(gs))
 	for i := range gs {
 		sum, err := s.cache.Get(r.Context(), SummaryKey{Hash: hashes[i], Loops: loopVariant, Distances: distProp},
@@ -92,8 +96,6 @@ func (s *Server) handleGroundTruth(w http.ResponseWriter, r *http.Request) {
 	req.ci, req.ciErr = core.NewChainIndex(dims)
 
 	switch prop {
-	case "summary":
-		s.gtSummary(w, req, gs)
 	case "degree":
 		s.gtDegree(w, r, req)
 	case "triangles":
@@ -222,7 +224,7 @@ func (s *Server) gtSummary(w http.ResponseWriter, req *gtRequest, gs []*graph.Gr
 	out := map[string]any{"n": ch.NumVertices(), "arcs": arcs, "edges": edges}
 	// Weichsel component count: two connected factors with an edge each.
 	if f := ch.Factors(); len(f) == 2 {
-		if comps, err := groundtruth.ProductComponents(groundtruth.NewFactor(f[0]), groundtruth.NewFactor(f[1])); err == nil {
+		if comps, err := groundtruth.ProductComponents(f[0], f[1]); err == nil {
 			out["components"] = comps
 		}
 	}

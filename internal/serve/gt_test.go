@@ -35,6 +35,42 @@ func TestGroundTruthDisconnectedFactor(t *testing.T) {
 	}
 }
 
+// TestGroundTruthSummaryComponents pins /gt/…/summary's whole answer for
+// a bipartite pair (C₄ ⊗ P₃: two components, one under loops=1), a
+// non-bipartite pair (K₃ ⊗ P₃: one) and a disconnected pair (2K₂ ⊗ P₃: no
+// Weichsel count), in both spellings — with no factor summary built.
+func TestGroundTruthSummaryComponents(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	twoK2, err := graph.NewUndirected(4, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hc4, hk3, h2k2, hp3 := registerText(t, ts, gen.Ring(4), ""), registerText(t, ts, gen.Ring(3), ""),
+		registerText(t, ts, twoK2, ""), registerText(t, ts, gen.Path(3), "")
+	for _, c := range []struct {
+		a, query string
+		want     map[string]any
+	}{
+		{hc4, "summary", map[string]any{"n": 12.0, "arcs": 32.0, "edges": 16.0, "components": 2.0, "loops": false}},
+		{hc4, "summary?loops=1", map[string]any{"n": 12.0, "arcs": 84.0, "edges": 48.0, "components": 1.0, "loops": true}},
+		{hk3, "summary", map[string]any{"n": 9.0, "arcs": 24.0, "edges": 12.0, "components": 1.0, "loops": false}},
+		{h2k2, "summary", map[string]any{"n": 12.0, "arcs": 16.0, "edges": 8.0, "loops": false}},
+	} {
+		for _, url := range []string{ts.URL + "/gt/" + c.a + "/" + hp3 + "/" + c.query, ts.URL + "/gt/" + c.a + "," + hp3 + "/" + c.query} {
+			got := getJSON(t, url, http.StatusOK)
+			for _, key := range []string{"a", "b", "chain", "k"} {
+				delete(got, key)
+			}
+			if !reflect.DeepEqual(got, c.want) {
+				t.Errorf("%s: %v, want %v", url, got, c.want)
+			}
+		}
+	}
+	if builds := s.Metrics().SummaryBuilds.Load(); builds != 0 {
+		t.Errorf("summary requests built %d factor summaries, want 0", builds)
+	}
+}
+
 // TestGroundTruthOneHandlerTwoSpellings: /gt/{a}/{b}/{prop} and
 // /gt/{a},{b}/{prop} are one query. Every property — including the laws
 // the paper gives for two factors only — must answer the same values in

@@ -148,6 +148,24 @@ func TestRegisterRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestRegisterRefusesHugeTextEndpoint: a one-line text upload naming a
+// vertex past the reader's 2²⁸ limit is a 400 from the parser, by line —
+// not an allocation of offsets sized by the endpoint. The endpoint is past
+// 2³² too, so were the parser to let it through, NewUndirected would still
+// refuse it without allocating, and the message check would fail.
+func TestRegisterRefusesHugeTextEndpoint(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, err := http.Post(ts.URL+"/factors", "text/plain", strings.NewReader("0 100000000000"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "text edge list: graph: line 1:") {
+		t.Errorf("status %d body %s, want 400 naming line 1", resp.StatusCode, body)
+	}
+}
+
 // TestSummarySingleflight is the acceptance concurrency test: N parallel
 // identical analytics requests must compute each factor summary exactly
 // once, with every response identical.

@@ -172,13 +172,11 @@ func Run(a, b, c *graph.Graph, opts Options) (*Report, error) {
 	rep.Checks = append(rep.Checks, Check{
 		fmt.Sprintf("vertex triangles (%d samples)", opts.Samples), "all match", actual, triOK})
 
-	// Connectivity (Weichsel, ref [1]).
-	if effA.IsConnected() && effB.IsConnected() && effA.NumEdges() > 0 && effB.NumEdges() > 0 {
-		wantComp, err := groundtruth.ProductComponents(fe[0], fe[1])
-		if err == nil {
-			_, gotComp := c.ConnectedComponents()
-			add("components (Weichsel)", wantComp, gotComp)
-		}
+	// Connectivity (Weichsel, ref [1]), when both factors are connected
+	// and have an edge.
+	if wantComp, err := groundtruth.ProductComponents(effA, effB); err == nil {
+		_, gotComp := c.ConnectedComponents()
+		add("components (Weichsel)", wantComp, gotComp)
 	}
 
 	// Distance spot checks (Thm. 3 / Cor. 4) need full self loops.
