@@ -66,8 +66,7 @@ func fixtures(b *testing.B) {
 			panic(err)
 		}
 		gnut = gen.GnutellaLike(2019).WithFullSelfLoops()
-		gnutFac = groundtruth.NewFactor(gnut)
-		gnutFac.EnsureDistances()
+		gnutFac = groundtruth.NewFactor(gnut).WithDistances()
 
 		sbmG, sbmParts = gen.SBM(gen.SBMParams{BlockSizes: gen.EqualBlocks(4, 30), PIn: 0.35, POut: 0.02, Seed: 5})
 		sbmFac = groundtruth.NewFactor(sbmG)
@@ -354,7 +353,7 @@ func BenchmarkE7ClosenessCompressed(b *testing.B) {
 
 func BenchmarkE8DiameterGroundTruth(b *testing.B) {
 	ring := gen.Ring(64).WithFullSelfLoops()
-	fr := groundtruth.NewFactor(ring)
+	fr := groundtruth.NewFactor(ring).WithDistances()
 	fixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -68,11 +68,11 @@ func main() {
 		log.Fatal("factors must be loop-free; the +I is added internally (Cor. 1/2 hypothesis)")
 	}
 
-	// Loop-free factors feed the triangle formulas; looped factors feed
-	// the distance formulas (Thm. 3 hypothesis).
+	// Loop-free factors feed the triangle formulas; looped factors, with
+	// their distance tier, feed the distance formulas (Thm. 3 hypothesis).
 	fa, fb := groundtruth.NewFactor(ga), groundtruth.NewFactor(gb)
-	fal := groundtruth.NewFactor(ga.WithFullSelfLoops())
-	fbl := groundtruth.NewFactor(gb.WithFullSelfLoops())
+	fal := groundtruth.NewFactor(ga.WithFullSelfLoops()).WithDistances()
+	fbl := groundtruth.NewFactor(gb.WithFullSelfLoops()).WithDistances()
 	looped := []*groundtruth.Factor{fal, fbl}
 
 	ix, err := core.NewChainIndex([]int64{fa.N(), fb.N()})

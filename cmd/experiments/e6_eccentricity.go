@@ -31,7 +31,7 @@ func runEccentricity(w io.Writer) error {
 	a := gen.GnutellaLike(2019).WithFullSelfLoops()
 	fa := groundtruth.NewFactor(a)
 	start := time.Now()
-	fa.EnsureDistances()
+	fa = fa.WithDistances()
 	factorTime := time.Since(start)
 
 	square := []*groundtruth.Factor{fa, fa}
@@ -65,8 +65,7 @@ func runEccentricity(w io.Writer) error {
 	// --- eccentricity algorithm (ref [3]) on a materialized product. ---
 	small, _ := gen.PrefAttach(60, 2, 77).LargestComponent()
 	sl := small.WithFullSelfLoops()
-	fs := groundtruth.NewFactor(sl)
-	fs.EnsureDistances()
+	fs := groundtruth.NewFactor(sl).WithDistances()
 	ch, err := core.NewChain(sl, sl)
 	if err != nil {
 		return err

@@ -19,8 +19,7 @@ import (
 func runCloseness(w io.Writer) error {
 	// Full scale: gnutella-like factor, sample r vertices of C.
 	a := gen.GnutellaLike(2019).WithFullSelfLoops()
-	fa := groundtruth.NewFactor(a)
-	fa.EnsureDistances()
+	fa := groundtruth.NewFactor(a).WithDistances()
 	const samples = 32
 	stride := fa.N() * fa.N() / samples
 
@@ -56,8 +55,7 @@ func runCloseness(w io.Writer) error {
 	// Reduced scale: validate against BFS on a materialized product.
 	small, _ := gen.PrefAttach(40, 2, 88).LargestComponent()
 	sl := small.WithFullSelfLoops()
-	fs := groundtruth.NewFactor(sl)
-	fs.EnsureDistances()
+	fs := groundtruth.NewFactor(sl).WithDistances()
 	c, err := core.Product(sl, sl)
 	if err != nil {
 		return err

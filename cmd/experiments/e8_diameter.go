@@ -18,14 +18,12 @@ import (
 // diameter is exactly max.
 func runDiameter(w io.Writer) error {
 	b := connected(gen.MustRMAT(gen.Graph500Params(5, 55))) // small-world B
-	fbLoop := groundtruth.NewFactor(b.WithFullSelfLoops())
-	fbLoop.EnsureDistances()
+	fbLoop := groundtruth.NewFactor(b.WithFullSelfLoops()).WithDistances()
 
 	var rows [][]string
 	for _, n := range []int64{8, 16, 32, 64} {
 		ring := gen.Ring(n).WithFullSelfLoops()
-		fr := groundtruth.NewFactor(ring)
-		fr.EnsureDistances()
+		fr := groundtruth.NewFactor(ring).WithDistances()
 
 		// Cor. 3 (both factors looped): exact equality.
 		c3, err := core.Product(ring, b.WithFullSelfLoops())
@@ -36,8 +34,7 @@ func runDiameter(w io.Writer) error {
 		pred3 := groundtruth.ChainDiameter([]*groundtruth.Factor{fr, fbLoop})
 
 		// Cor. 5 (A looped, B bare): sandwich.
-		fb := groundtruth.NewFactor(b)
-		fb.EnsureDistances()
+		fb := groundtruth.NewFactor(b).WithDistances()
 		c5, err := core.Product(ring, b)
 		if err != nil {
 			return err

@@ -54,6 +54,9 @@ func main() {
 	if *selfLoops {
 		al := groundtruth.NewFactor(ga.WithFullSelfLoops())
 		bl := groundtruth.NewFactor(gb.WithFullSelfLoops())
+		if *distances || *closeness > 0 {
+			al, bl = al.WithDistances(), bl.WithDistances()
+		}
 		looped := []*groundtruth.Factor{al, bl}
 		fmt.Printf("product: C = (A+I) ⊗ (B+I), n_C = %d, m_C = %d\n",
 			nC, must(groundtruth.ChainNumEdges(looped)))

@@ -28,7 +28,7 @@ func main() {
 	fmt.Printf("factor A (gnutella-like): %v\n", a)
 
 	start := time.Now()
-	fa.EnsureDistances()
+	fa = fa.WithDistances()
 	fmt.Printf("factor eccentricities computed in %v; diam(A) = %d\n\n",
 		time.Since(start).Round(time.Millisecond), fa.Diam)
 
@@ -54,8 +54,7 @@ func main() {
 	// Reduced-scale cross-check against a distributed algorithm.
 	small, _ := gen.PrefAttach(40, 2, 7).LargestComponent()
 	sl := small.WithFullSelfLoops()
-	fs := groundtruth.NewFactor(sl)
-	fs.EnsureDistances()
+	fs := groundtruth.NewFactor(sl).WithDistances()
 	cSmall, err := core.Product(sl, sl)
 	if err != nil {
 		log.Fatal(err)

@@ -108,8 +108,7 @@ func TestFilePipeline(t *testing.T) {
 func TestFullStackEccentricity(t *testing.T) {
 	a, _ := gen.PrefAttach(30, 2, 3).LargestComponent()
 	al := a.WithFullSelfLoops()
-	fa := groundtruth.NewFactor(al)
-	fa.EnsureDistances()
+	fa := groundtruth.NewFactor(al).WithDistances()
 
 	res := generate(t, al, al, 3, false)
 	dg, err := havoq.BuildFromParts(res.NC, 3, res.PerRank)
@@ -389,10 +388,11 @@ func TestGroundtruthCLI(t *testing.T) {
 }
 
 // TestExperimentsCLIList checks the registry wiring, and runs every
-// experiment that takes under a second end to end (about 2 s together) —
-// weak-scaling (E3) among them, which puts both plan layouts through the
-// engine. A failed check exits the command 1. eccentricity, closeness,
-// spectral and community take 5–50 s each and are left out.
+// experiment that takes a few seconds or less end to end — weak-scaling
+// (E3) among them, which puts both plan layouts through the engine, and
+// community (E9, about 2 s at under 200 MB). A failed check exits the
+// command 1. eccentricity, closeness and spectral take 5–50 s each and
+// are left out.
 func TestExperimentsCLIList(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary")
@@ -410,7 +410,7 @@ func TestExperimentsCLIList(t *testing.T) {
 		}
 	}
 	for _, id := range []string{"scaling-laws", "generator", "weak-scaling", "triangles",
-		"clustering", "diameter", "cliques", "rejection", "extensions"} {
+		"clustering", "diameter", "community", "cliques", "rejection", "extensions"} {
 		out, err = exec.Command(bin, "-exp", id).CombinedOutput()
 		if err != nil {
 			t.Fatalf("experiments -exp %s: %v\n%s", id, err, out)

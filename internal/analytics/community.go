@@ -6,12 +6,11 @@ import "kronlab/internal/graph"
 // vertex set S (Def. 13). Counts ignore self loops, matching the paper's
 // use of C − I_C in Thm. 6.
 type CommunityStats struct {
-	Size     int64   // |S|
-	MIn      int64   // m_in(S): undirected edges with both endpoints in S
-	MOut     int64   // m_out(S): arcs from S to V∖S
-	RhoIn    float64 // 2·m_in / (|S|·(|S|−1)), 0 when |S| < 2
-	RhoOut   float64 // m_out / (|S|·(n−|S|)), 0 when S is everything or empty
-	Vertices []int64 // the set S as given
+	Size   int64   // |S|
+	MIn    int64   // m_in(S): undirected edges with both endpoints in S
+	MOut   int64   // m_out(S): arcs from S to V∖S
+	RhoIn  float64 // 2·m_in / (|S|·(|S|−1)), 0 when |S| < 2
+	RhoOut float64 // m_out / (|S|·(n−|S|)), 0 when S is everything or empty
 }
 
 // Community computes internal/external edge counts and densities of the
@@ -35,10 +34,9 @@ func Community(g *graph.Graph, s []int64) CommunityStats {
 		}
 	}
 	cs := CommunityStats{
-		Size:     int64(len(s)),
-		MIn:      arcsInside / 2,
-		MOut:     arcsOut,
-		Vertices: s,
+		Size: int64(len(s)),
+		MIn:  arcsInside / 2,
+		MOut: arcsOut,
 	}
 	n := g.NumVertices()
 	if cs.Size >= 2 {

@@ -94,7 +94,7 @@ func ChainGlobalTriangles(fs []*Factor) (int64, error) {
 // factors (Cor. 3 by induction); Unreachable if any factor is
 // disconnected.
 func ChainDiameter(fs []*Factor) int64 {
-	diam, _ := fold(fs, "diameter", func(_ int, f *Factor) int64 { f.EnsureDistances(); return f.Diam }, maxHops)
+	diam, _ := fold(fs, "diameter", func(_ int, f *Factor) int64 { return f.distances("diameter").Diam }, maxHops)
 	return diam // maxHops never fails
 }
 
@@ -103,8 +103,7 @@ func ChainDiameter(fs []*Factor) int64 {
 // Unreachable if any factor pair is.
 func ChainHopsAt(fs []*Factor, coords1, coords2 []int64) int64 {
 	h, _ := fold(fs, "hops", func(d int, f *Factor) int64 {
-		f.EnsureDistances()
-		return f.Hops[coords1[d]][coords2[d]]
+		return f.distances("hops").Hops[coords1[d]][coords2[d]]
 	}, maxHops)
 	return h // maxHops never fails
 }
@@ -128,7 +127,7 @@ var (
 		func(f *Factor) []int64 { return f.Tri.Vertex }, scaled(2)}
 	eccentricityLaw = vertexLaw{"eccentricity",
 		func(f *Factor) { f.RequireFullSelfLoops("Cor. 4") },
-		func(f *Factor) []int64 { f.EnsureDistances(); return f.Ecc }, maxHops}
+		func(f *Factor) []int64 { return f.distances("eccentricity").Ecc }, maxHops}
 )
 
 func (l vertexLaw) at(fs []*Factor, coords []int64) (int64, error) {
@@ -208,9 +207,8 @@ func ChainEccentricityHistogram(fs []*Factor) (map[int64]int64, error) {
 	}
 	var out map[int64]int64
 	for _, f := range fs {
-		f.EnsureDistances()
 		h := map[int64]int64{}
-		for _, e := range f.Ecc {
+		for _, e := range f.distances("eccentricity histogram").Ecc {
 			h[e]++
 		}
 		if out == nil {

@@ -119,6 +119,9 @@ func checkChainDistanceLaws(t *testing.T, gs []*graph.Graph) {
 	t.Helper()
 	c := materializeChain(t, gs...)
 	fs := factorsOf(gs...)
+	for i, f := range fs {
+		fs[i] = f.WithDistances()
+	}
 	ci := chainIndexFor(t, fs)
 
 	exactEcc := analytics.Eccentricities(c)

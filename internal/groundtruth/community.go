@@ -1,9 +1,6 @@
 package groundtruth
 
-import (
-	"kronlab/internal/analytics"
-	"kronlab/internal/core"
-)
+import "kronlab/internal/analytics"
 
 // CommunityKron computes the exact ground-truth CommunityStats of the
 // Kronecker community S_C = S_A ⊗ S_B in C = (A+I) ⊗ (B+I) from factor
@@ -33,15 +30,12 @@ func CommunityKron(a, b *Factor, sa, sb analytics.CommunityStats) analytics.Comm
 
 // CommunitiesKron computes ground-truth stats for the whole Kronecker
 // partition Π_C = Π_A ⊗ Π_B (Def. 16) from factor partitions, ordered
-// with the B index varying fastest (matching core.KronPartition). It also
-// fills in the product vertex sets.
+// with the B index varying fastest (matching core.KronPartition).
 func CommunitiesKron(a, b *Factor, pa, pb [][]int64, statsA, statsB []analytics.CommunityStats) []analytics.CommunityStats {
 	out := make([]analytics.CommunityStats, 0, len(pa)*len(pb))
 	for ai := range pa {
 		for bi := range pb {
-			cs := CommunityKron(a, b, statsA[ai], statsB[bi])
-			cs.Vertices = core.KronSet(pa[ai], pb[bi], b.N())
-			out = append(out, cs)
+			out = append(out, CommunityKron(a, b, statsA[ai], statsB[bi]))
 		}
 	}
 	return out
@@ -90,10 +84,4 @@ func RhoOutUpperBound(a, b *Factor, sa, sb analytics.CommunityStats) float64 {
 // NumCommunities returns |Π_C| = |Π_A|·|Π_B| (Sec. I table).
 func NumCommunities(pa, pb [][]int64) int64 {
 	return int64(len(pa)) * int64(len(pb))
-}
-
-// FactorCommunity is a convenience wrapper: exact CommunityStats of a set
-// in the factor graph, used as input to CommunityKron.
-func FactorCommunity(f *Factor, s []int64) analytics.CommunityStats {
-	return analytics.Community(f.G, s)
 }

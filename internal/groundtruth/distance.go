@@ -37,11 +37,9 @@ func bounds(m int64) (lo, hi int64) {
 // hops_A(i,·) and hops_B(k,·) — O(n_A+n_B) storage, O(n_A·n_B) time.
 // Unreachable pairs contribute 0.
 func ClosenessAt(a, b *Factor, p int64) float64 {
-	a.EnsureDistances()
-	b.EnsureDistances()
 	ix := core.NewIndex(b.N())
 	i, k := ix.Split(p)
-	rowA, rowB := a.Hops[i], b.Hops[k]
+	rowA, rowB := a.distances("closeness").Hops[i], b.distances("closeness").Hops[k]
 	var s float64
 	for _, ha := range rowA {
 		if ha == analytics.Unreachable {
@@ -72,8 +70,7 @@ func ClosenessAt(a, b *Factor, p int64) float64 {
 // number ≤ h. Cost O(h*) per vertex after O(n) histogramming, versus
 // O(n_A·n_B) for the direct sum.
 func ClosenessCompressedAt(a, b *Factor, p int64) float64 {
-	a.EnsureDistances()
-	b.EnsureDistances()
+	ha, hb := a.distances("compressed closeness").Hops, b.distances("compressed closeness").Hops
 	ix := core.NewIndex(b.N())
 	i, k := ix.Split(p)
 	hstar := ChainDiameter([]*Factor{a, b})
@@ -82,8 +79,8 @@ func ClosenessCompressedAt(a, b *Factor, p int64) float64 {
 		// handles unreachable entries pairwise.
 		return ClosenessAt(a, b, p)
 	}
-	cntA := analytics.HopHistogram(a.Hops[i], hstar)
-	cntB := analytics.HopHistogram(b.Hops[k], hstar)
+	cntA := analytics.HopHistogram(ha[i], hstar)
+	cntB := analytics.HopHistogram(hb[k], hstar)
 	cumA := make([]int64, hstar+1)
 	cumB := make([]int64, hstar+1)
 	for h := int64(1); h <= hstar; h++ {

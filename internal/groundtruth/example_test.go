@@ -3,6 +3,7 @@ package groundtruth_test
 import (
 	"fmt"
 
+	"kronlab/internal/analytics"
 	"kronlab/internal/gen"
 	"kronlab/internal/groundtruth"
 )
@@ -28,8 +29,8 @@ func ExampleChainDegreeAt() {
 
 // ExampleChainDiameter applies the max law to looped factors (Cor. 3).
 func ExampleChainDiameter() {
-	a := groundtruth.NewFactor(gen.Ring(10).WithFullSelfLoops()) // diam 5
-	b := groundtruth.NewFactor(gen.Path(4).WithFullSelfLoops())  // diam 3
+	a := groundtruth.NewFactor(gen.Ring(10).WithFullSelfLoops()).WithDistances() // diam 5
+	b := groundtruth.NewFactor(gen.Path(4).WithFullSelfLoops()).WithDistances()  // diam 3
 	fmt.Println(groundtruth.ChainDiameter([]*groundtruth.Factor{a, b}))
 	// Output: 5
 }
@@ -38,7 +39,7 @@ func ExampleChainDiameter() {
 // of two disjoint-clique factors.
 func ExampleCommunityKron() {
 	a := groundtruth.NewFactor(gen.DisjointCliques(2, 3))
-	sa := groundtruth.FactorCommunity(a, []int64{0, 1, 2}) // one clique
+	sa := analytics.Community(a.G, []int64{0, 1, 2}) // one clique
 	sc := groundtruth.CommunityKron(a, a, sa, sa)
 	fmt.Println(sc.Size, sc.MIn, sc.MOut)
 	// Output: 9 36 0

@@ -9,7 +9,11 @@
 //
 // Formulas take factor-level quantities (degrees, triangle counts, hop
 // rows) computed once per factor with internal/analytics; a Factor bundles
-// them. Everything here runs in time polynomial in the factor sizes —
+// them. NewFactor builds degrees and triangles; WithDistances returns a
+// copy that adds the hop matrix, eccentricities and diameter, which the
+// distance laws read and panic naming themselves without. A Factor is
+// never written after it is returned, so concurrent readers share one.
+// Everything here runs in time polynomial in the factor sizes —
 // sublinear in |E_C| — which is the paper's point.
 package groundtruth
 
@@ -21,20 +25,24 @@ import (
 )
 
 // Factor bundles a factor graph with the exact per-factor statistics the
-// Kronecker formulas consume. Build one per factor with NewFactor; the
-// cost is polynomial in the (small) factor, never in the product.
+// Kronecker formulas consume. Build one per factor with NewFactor, adding
+// the distance tier with WithDistances where a distance law will read it;
+// the cost is polynomial in the (small) factor, never in the product.
 type Factor struct {
 	G   *graph.Graph
 	Deg []int64                  // degree vector d
 	Tri *analytics.TriangleStats // t (vertex), Δ (arc), τ (global)
 
-	// Distance data, computed lazily by EnsureDistances: hop-count rows
-	// hops(i, ·), eccentricities, and the diameter.
+	*distTier // nil unless built by WithDistances
+}
+
+// distTier is a factor's distance data: hop-count rows hops(i, ·),
+// eccentricities, and the diameter. Its fields read through a Factor
+// without the tier dereference nil — a panic, never a silent 0.
+type distTier struct {
 	Hops [][]int64
 	Ecc  []int64
 	Diam int64
-
-	hasDistances bool
 }
 
 // NewFactor computes degrees and triangle statistics for g.
@@ -46,35 +54,57 @@ func NewFactor(g *graph.Graph) *Factor {
 	}
 }
 
-// EnsureDistances computes the all-pairs hop matrix, eccentricities and
-// diameter of the factor if not already present. Cost O(n·(n+arcs)).
-func (f *Factor) EnsureDistances() {
-	if f.hasDistances {
-		return
+// WithDistances returns a Factor sharing f's graph, degrees and triangles
+// that also holds the all-pairs hop matrix, eccentricities and diameter
+// — the tier the distance laws (Thm. 3–5, Cor. 3–5) read. It returns f
+// itself when f already has them. Cost O(n·(n+arcs)) time, n² hops.
+func (f *Factor) WithDistances() *Factor {
+	if f.distTier != nil {
+		return f
 	}
-	f.Hops = analytics.AllPairsHops(f.G)
-	n := f.G.NumVertices()
-	f.Ecc = make([]int64, n)
-	f.Diam = 0
-	for i := int64(0); i < n; i++ {
+	t := &distTier{Hops: analytics.AllPairsHops(f.G), Ecc: make([]int64, f.N())}
+	for i, row := range t.Hops {
 		ecc := int64(0)
-		for _, h := range f.Hops[i] {
+		for _, h := range row {
 			if h == analytics.Unreachable {
 				ecc = analytics.Unreachable
 				break
 			}
-			if h > ecc {
-				ecc = h
-			}
+			ecc = max(ecc, h)
 		}
-		f.Ecc[i] = ecc
+		t.Ecc[i] = ecc
 		if ecc == analytics.Unreachable {
-			f.Diam = analytics.Unreachable
-		} else if f.Diam != analytics.Unreachable && ecc > f.Diam {
-			f.Diam = ecc
+			t.Diam = analytics.Unreachable
+		} else if t.Diam != analytics.Unreachable {
+			t.Diam = max(t.Diam, ecc)
 		}
 	}
-	f.hasDistances = true
+	c := *f
+	c.distTier = t
+	return &c
+}
+
+// distances returns f's distance tier, panicking with the law's name when
+// f was built without WithDistances — a law never builds it in place.
+func (f *Factor) distances(law string) *distTier {
+	if f.distTier == nil {
+		panic(fmt.Sprintf("groundtruth: %s needs the distance tier; build the factor with WithDistances", law))
+	}
+	return f.distTier
+}
+
+// CostBytes estimates the resident size of f: the CSR graph, degree and
+// triangle vectors, and — when present — the n×n hop matrix that
+// dominates the distance tier. kronserve's LRU budgets on this.
+func (f *Factor) CostBytes() int64 {
+	n, arcs := f.N(), f.G.NumArcs()
+	cost := (n+1)*8 + arcs*8 // CSR offsets + adjacency
+	cost += n * 8            // Deg
+	cost += n*8 + arcs*8 + 8 // Tri.Vertex, Tri.Arc, Tri.Global
+	if f.distTier != nil {
+		cost += n*n*8 + n*8 + 8 // Hops, Ecc, Diam
+	}
+	return cost
 }
 
 // N returns the factor's vertex count.

@@ -382,7 +382,7 @@ func TestThm3HopsMaxLaw(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		ga := randomConnectedLoopFree(rng, 7).WithFullSelfLoops()
 		gb := randomConnectedLoopFree(rng, 7).WithFullSelfLoops()
-		a, b := NewFactor(ga), NewFactor(gb)
+		a, b := NewFactor(ga).WithDistances(), NewFactor(gb).WithDistances()
 		c := mustProduct(t, ga, gb)
 		rows := analytics.AllPairsHops(c)
 		fs := []*Factor{a, b}
@@ -403,7 +403,7 @@ func TestCor4Eccentricity(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		ga := randomConnectedLoopFree(rng, 8).WithFullSelfLoops()
 		gb := randomConnectedLoopFree(rng, 8).WithFullSelfLoops()
-		a, b := NewFactor(ga), NewFactor(gb)
+		a, b := NewFactor(ga).WithDistances(), NewFactor(gb).WithDistances()
 		c := mustProduct(t, ga, gb)
 		exact := analytics.Eccentricities(c)
 		pred, err := ChainEccentricities([]*Factor{a, b})
@@ -423,7 +423,7 @@ func TestCor3Diameter(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		ga := randomConnectedLoopFree(rng, 8).WithFullSelfLoops()
 		gb := randomConnectedLoopFree(rng, 8).WithFullSelfLoops()
-		a, b := NewFactor(ga), NewFactor(gb)
+		a, b := NewFactor(ga).WithDistances(), NewFactor(gb).WithDistances()
 		c := mustProduct(t, ga, gb)
 		if got, want := ChainDiameter([]*Factor{a, b}), analytics.Diameter(c); got != want {
 			t.Fatalf("trial %d: diameter predicted %d, exact %d", trial, got, want)
@@ -437,7 +437,7 @@ func TestThm5AndCor5Bounds(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		ga := randomConnectedLoopFree(rng, 7).WithFullSelfLoops()
 		gb := randomConnectedLoopFree(rng, 7)
-		a, b := NewFactor(ga), NewFactor(gb)
+		a, b := NewFactor(ga).WithDistances(), NewFactor(gb).WithDistances()
 		c := mustProduct(t, ga, gb)
 		if !c.IsSymmetric() {
 			t.Fatal("product should be symmetric")
@@ -471,7 +471,7 @@ func TestThm4ClosenessDirect(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		ga := randomConnectedLoopFree(rng, 7).WithFullSelfLoops()
 		gb := randomConnectedLoopFree(rng, 7).WithFullSelfLoops()
-		a, b := NewFactor(ga), NewFactor(gb)
+		a, b := NewFactor(ga).WithDistances(), NewFactor(gb).WithDistances()
 		c := mustProduct(t, ga, gb)
 		for p := int64(0); p < c.NumVertices(); p++ {
 			exact := analytics.Closeness(c, p)
@@ -487,7 +487,7 @@ func TestClosenessCompressedMatchesDirect(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		ga := randomConnectedLoopFree(rng, 9).WithFullSelfLoops()
 		gb := randomConnectedLoopFree(rng, 9).WithFullSelfLoops()
-		a, b := NewFactor(ga), NewFactor(gb)
+		a, b := NewFactor(ga).WithDistances(), NewFactor(gb).WithDistances()
 		for p := int64(0); p < a.N()*b.N(); p += 3 {
 			direct := ClosenessAt(a, b, p)
 			compressed := ClosenessCompressedAt(a, b, p)
@@ -502,7 +502,7 @@ func TestClosenessCompressedDisconnectedFallback(t *testing.T) {
 	// Disconnected factor: compressed form must fall back to direct sum.
 	ga, _ := graph.NewUndirected(3, []graph.Edge{{U: 0, V: 1}})
 	gal := ga.WithFullSelfLoops()
-	a := NewFactor(gal)
+	a := NewFactor(gal).WithDistances()
 	if d, c := ClosenessAt(a, a, 0), ClosenessCompressedAt(a, a, 0); math.Abs(d-c) > 1e-9 {
 		t.Errorf("disconnected: direct %v != compressed %v", d, c)
 	}
@@ -721,7 +721,7 @@ func TestEccentricityHistogramMatchesVector(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	ga := randomConnectedLoopFree(rng, 8).WithFullSelfLoops()
 	gb := randomConnectedLoopFree(rng, 8).WithFullSelfLoops()
-	fs := []*Factor{NewFactor(ga), NewFactor(gb)}
+	fs := []*Factor{NewFactor(ga).WithDistances(), NewFactor(gb).WithDistances()}
 	hist, err := ChainEccentricityHistogram(fs)
 	if err != nil {
 		t.Fatal(err)

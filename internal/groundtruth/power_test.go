@@ -79,7 +79,7 @@ func TestPowerLawsAgainstMaterializedCube(t *testing.T) {
 func TestPowerDistanceLaws(t *testing.T) {
 	rng := rand.New(rand.NewSource(311))
 	ga := randomConnectedLoopFree(rng, 4).WithFullSelfLoops()
-	a := NewFactor(ga)
+	a := NewFactor(ga).WithDistances()
 	const k = 3
 	fs := copies(a, k)
 	c, err := core.KronPower(ga, k)
@@ -94,7 +94,6 @@ func TestPowerDistanceLaws(t *testing.T) {
 		}
 	}
 	// Cor. 3 collapses under identical factors: diam(A^{⊗k}) = diam(A).
-	a.EnsureDistances()
 	if d := ChainDiameter(fs); d != analytics.Diameter(c) || d != a.Diam {
 		t.Errorf("diameter law: %d, materialized %d, diam(A) %d", d, analytics.Diameter(c), a.Diam)
 	}
@@ -112,7 +111,7 @@ func TestPowerDistanceLaws(t *testing.T) {
 func TestPowerEccentricityHistogram(t *testing.T) {
 	rng := rand.New(rand.NewSource(313))
 	ga := randomConnectedLoopFree(rng, 5).WithFullSelfLoops()
-	a := NewFactor(ga)
+	a := NewFactor(ga).WithDistances()
 	for _, k := range []int{1, 2, 3} {
 		c, err := core.KronPower(ga, k)
 		if err != nil {

@@ -114,7 +114,7 @@ func ScalingLaws(a, b *Factor, pa, pb [][]int64) ([]LawRow, error) {
 	rows = append(rows, LawRow{"Clustering Coeff.", "η_C = θ·η_A·η_B ≥ ⅓·η_A·η_B", "per-vertex", "per-vertex", ccOK})
 
 	// Distance laws on C' = (A+I)⊗(B+I).
-	fsL := []*Factor{NewFactor(a.G.WithFullSelfLoops()), NewFactor(b.G.WithFullSelfLoops())}
+	fsL := []*Factor{NewFactor(a.G.WithFullSelfLoops()).WithDistances(), NewFactor(b.G.WithFullSelfLoops()).WithDistances()}
 	cEcc := analytics.Eccentricities(cLoops)
 	eccOK := true
 	for p := int64(0); p < cLoops.NumVertices() && eccOK; p++ {

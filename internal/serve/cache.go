@@ -13,8 +13,9 @@ import (
 // SummaryKey identifies one cacheable factor summary: the factor's
 // registry hash, whether the +I (full self loops) variant is wanted, and
 // whether the distance tier (hop matrix, eccentricities, diameter) is
-// included. Distinct keys are distinct immutable cache entries, so a
-// summary is never mutated after it is published.
+// included. Distinct keys are distinct cache entries, and a
+// groundtruth.Factor is never written after it is built, so a summary is
+// never mutated after it is published.
 type SummaryKey struct {
 	Hash      string
 	Loops     bool
@@ -29,14 +30,14 @@ func (k SummaryKey) String() string {
 // for the same key while it was computing (singleflight).
 type call struct {
 	done chan struct{}
-	s    *groundtruth.Summary
+	f    *groundtruth.Factor
 	err  error
 }
 
 // SummaryCache is a size-bounded LRU of factor summaries with
 // singleflight deduplication: N concurrent requests for the same key cost
 // exactly one build. The byte budget is accounted with
-// groundtruth.Summary.CostBytes; the distance tier of a factor is a
+// groundtruth.Factor.CostBytes; the distance tier of a factor is a
 // separate (larger) entry from its basic tier, so cheap degree/triangle
 // queries never pay for hop matrices they don't need.
 type SummaryCache struct {
@@ -51,7 +52,7 @@ type SummaryCache struct {
 
 type cacheEntry struct {
 	key  SummaryKey
-	s    *groundtruth.Summary
+	f    *groundtruth.Factor
 	cost int64
 }
 
@@ -71,21 +72,21 @@ func NewSummaryCache(maxBytes int64, m *Metrics) *SummaryCache {
 // Get returns the summary for key, building it with build at most once no
 // matter how many goroutines ask concurrently. Waiters abandon the wait
 // (but not the build) when ctx is done.
-func (c *SummaryCache) Get(ctx context.Context, key SummaryKey, build func() (*groundtruth.Summary, error)) (*groundtruth.Summary, error) {
+func (c *SummaryCache) Get(ctx context.Context, key SummaryKey, build func() (*groundtruth.Factor, error)) (*groundtruth.Factor, error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
-		s := el.Value.(*cacheEntry).s
+		f := el.Value.(*cacheEntry).f
 		c.mu.Unlock()
 		c.metrics.CacheHits.Add(1)
-		return s, nil
+		return f, nil
 	}
 	c.metrics.CacheMisses.Add(1)
 	if cl, ok := c.inflight[key]; ok {
 		c.mu.Unlock()
 		select {
 		case <-cl.done:
-			return cl.s, cl.err
+			return cl.f, cl.err
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -95,25 +96,25 @@ func (c *SummaryCache) Get(ctx context.Context, key SummaryKey, build func() (*g
 	c.mu.Unlock()
 
 	c.metrics.SummaryBuilds.Add(1)
-	cl.s, cl.err = build()
+	cl.f, cl.err = build()
 	close(cl.done)
 
 	c.mu.Lock()
 	delete(c.inflight, key)
 	if cl.err == nil {
-		c.insertLocked(key, cl.s)
+		c.insertLocked(key, cl.f)
 	}
 	c.mu.Unlock()
-	return cl.s, cl.err
+	return cl.f, cl.err
 }
 
 // insertLocked adds a freshly built entry and evicts from the cold end
 // until the budget holds. The newest entry itself is never evicted even
 // when it alone exceeds the budget — serving beats strict accounting.
-func (c *SummaryCache) insertLocked(key SummaryKey, s *groundtruth.Summary) {
-	cost := s.CostBytes()
+func (c *SummaryCache) insertLocked(key SummaryKey, f *groundtruth.Factor) {
+	cost := f.CostBytes()
 	c.curBytes += cost
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, s: s, cost: cost})
+	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, f: f, cost: cost})
 	for c.curBytes > c.maxBytes && c.ll.Len() > 1 {
 		back := c.ll.Back()
 		e := back.Value.(*cacheEntry)

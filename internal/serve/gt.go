@@ -83,15 +83,23 @@ func (s *Server) handleGroundTruth(w http.ResponseWriter, r *http.Request) {
 	}
 	dims := make([]int64, len(gs))
 	for i := range gs {
-		sum, err := s.cache.Get(r.Context(), SummaryKey{Hash: hashes[i], Loops: loopVariant, Distances: distProp},
-			func() (*groundtruth.Summary, error) {
-				return groundtruth.NewSummary(gs[i], hashes[i], loopVariant, distProp), nil
+		f, err := s.cache.Get(r.Context(), SummaryKey{Hash: hashes[i], Loops: loopVariant, Distances: distProp},
+			func() (*groundtruth.Factor, error) {
+				g := gs[i]
+				if loopVariant {
+					g = g.WithFullSelfLoops()
+				}
+				f := groundtruth.NewFactor(g)
+				if distProp {
+					f = f.WithDistances()
+				}
+				return f, nil
 			})
 		if err != nil {
 			writeError(w, statusForContextErr(err), "resolving factor summaries: %v", err)
 			return
 		}
-		req.fs[i], dims[i] = sum.F, sum.F.N()
+		req.fs[i], dims[i] = f, f.N()
 	}
 	req.ci, req.ciErr = core.NewChainIndex(dims)
 
@@ -439,8 +447,8 @@ func (s *Server) gtCommunity(w http.ResponseWriter, r *http.Request, req *gtRequ
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	statsA := groundtruth.FactorCommunity(a, setA)
-	statsB := groundtruth.FactorCommunity(b, setB)
+	statsA := analytics.Community(a.G, setA)
+	statsB := analytics.Community(b.G, setB)
 	cs := groundtruth.CommunityKron(a, b, statsA, statsB) // Thm. 6
 	writeJSON(w, http.StatusOK, req.base(map[string]any{
 		"sa": setA, "sb": setB,

@@ -294,18 +294,18 @@ func TestCacheEvictionBudget(t *testing.T) {
 	m := NewMetrics()
 	g1 := gen.PrefAttach(20, 2, 1)
 	g2 := gen.PrefAttach(20, 2, 2)
-	s1 := groundtruth.NewSummary(g1, "h1", false, false)
+	s1 := groundtruth.NewFactor(g1)
 	// Budget fits exactly one basic summary.
 	c := NewSummaryCache(s1.CostBytes()+8, m)
 
 	ctx := context.Background()
-	build := func(g *graph.Graph, h string) func() (*groundtruth.Summary, error) {
-		return func() (*groundtruth.Summary, error) { return groundtruth.NewSummary(g, h, false, false), nil }
+	build := func(g *graph.Graph) func() (*groundtruth.Factor, error) {
+		return func() (*groundtruth.Factor, error) { return groundtruth.NewFactor(g), nil }
 	}
-	if _, err := c.Get(ctx, SummaryKey{Hash: "h1"}, build(g1, "h1")); err != nil {
+	if _, err := c.Get(ctx, SummaryKey{Hash: "h1"}, build(g1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(ctx, SummaryKey{Hash: "h2"}, build(g2, "h2")); err != nil {
+	if _, err := c.Get(ctx, SummaryKey{Hash: "h2"}, build(g2)); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 1 {
@@ -315,16 +315,16 @@ func TestCacheEvictionBudget(t *testing.T) {
 		t.Errorf("evictions = %d, want 1", m.CacheEvictions.Load())
 	}
 	// h1 was evicted: asking again rebuilds.
-	if _, err := c.Get(ctx, SummaryKey{Hash: "h1"}, build(g1, "h1")); err != nil {
+	if _, err := c.Get(ctx, SummaryKey{Hash: "h1"}, build(g1)); err != nil {
 		t.Fatal(err)
 	}
 	if m.SummaryBuilds.Load() != 3 {
 		t.Errorf("builds = %d, want 3 (h1, h2, h1 again)", m.SummaryBuilds.Load())
 	}
 	// An entry larger than the whole budget is still admitted (and alone).
-	big := groundtruth.NewSummary(gen.PrefAttach(40, 3, 3), "big", false, true)
+	big := groundtruth.NewFactor(gen.PrefAttach(40, 3, 3)).WithDistances()
 	if _, err := c.Get(ctx, SummaryKey{Hash: "big", Distances: true},
-		func() (*groundtruth.Summary, error) { return big, nil }); err != nil {
+		func() (*groundtruth.Factor, error) { return big, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 1 {

@@ -102,18 +102,18 @@ func Run(a, b, c *graph.Graph, opts Options) (*Report, error) {
 	}
 
 	fa, fb := groundtruth.NewFactor(a), groundtruth.NewFactor(b)
-	effA, effB := a, b
+	// fs is the chain the triangle laws take (loop-free factors, the
+	// Cor. 1 forms add the loops), fe the chain of the claimed product
+	// itself (its +I factors under SelfLoops, fs itself otherwise).
+	fs := []*groundtruth.Factor{fa, fb}
+	effA, effB, fe := a, b, fs
 	if opts.SelfLoops {
 		if a.NumSelfLoops() != 0 || b.NumSelfLoops() != 0 {
 			return nil, fmt.Errorf("validate: SelfLoops mode needs loop-free input factors")
 		}
 		effA, effB = a.WithFullSelfLoops(), b.WithFullSelfLoops()
+		fe = []*groundtruth.Factor{groundtruth.NewFactor(effA), groundtruth.NewFactor(effB)}
 	}
-	// fs is the chain the triangle laws take (loop-free factors, the
-	// Cor. 1 forms add the loops), fe the chain of the claimed product
-	// itself (its +I factors under SelfLoops).
-	fs := []*groundtruth.Factor{fa, fb}
-	fe := []*groundtruth.Factor{groundtruth.NewFactor(effA), groundtruth.NewFactor(effB)}
 
 	// Global counts.
 	nC, errN := groundtruth.ChainNumVertices(fs)
@@ -181,13 +181,14 @@ func Run(a, b, c *graph.Graph, opts Options) (*Report, error) {
 
 	// Distance spot checks (Thm. 3 / Cor. 4) need full self loops.
 	if opts.SelfLoops && !opts.SkipDistances {
+		fd := []*groundtruth.Factor{fe[0].WithDistances(), fe[1].WithDistances()}
 		distOK := true
 		var bad string
 		for s := 0; s < opts.Samples; s++ {
 			p := rng.Int63n(c.NumVertices())
 			hops := analytics.Hops(c, p)
 			q := rng.Int63n(c.NumVertices())
-			if want := groundtruth.ChainHopsAt(fe, ci.Split(p), ci.Split(q)); hops[q] != want {
+			if want := groundtruth.ChainHopsAt(fd, ci.Split(p), ci.Split(q)); hops[q] != want {
 				distOK = false
 				bad = fmt.Sprintf("hops(%d,%d): want %d, got %d", p, q, want, hops[q])
 				break
@@ -201,7 +202,7 @@ func Run(a, b, c *graph.Graph, opts Options) (*Report, error) {
 				}
 				ecc = max(ecc, h)
 			}
-			if want := groundtruth.ChainEccentricityAt(fe, ci.Split(p)); ecc != want {
+			if want := groundtruth.ChainEccentricityAt(fd, ci.Split(p)); ecc != want {
 				distOK = false
 				bad = fmt.Sprintf("ecc(%d): want %d, got %d", p, want, ecc)
 				break
