@@ -8,6 +8,7 @@ package kronlab_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -20,6 +21,7 @@ import (
 	"kronlab/internal/groundtruth"
 	"kronlab/internal/havoq"
 	"kronlab/internal/rejection"
+	"kronlab/internal/validate"
 )
 
 // fixtures are shared across benchmarks and built once.
@@ -80,15 +82,32 @@ func fixtures(b *testing.B) {
 
 // --- E1: Sec. I scaling-law table ---
 
+// BenchmarkE1ScalingLaws materializes A⊗B and (A+I)⊗(B+I) and checks
+// each against every law at every vertex, arc and community, as E1 does.
 func BenchmarkE1ScalingLaws(b *testing.B) {
 	a := gen.ER(10, 0.4, 1)
 	bb := gen.ER(10, 0.4, 2)
 	pa := [][]int64{{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fa, fb := groundtruth.NewFactor(a), groundtruth.NewFactor(bb)
-		if _, err := groundtruth.ScalingLaws(fa, fb, pa, pa); err != nil {
+		c, err := core.Product(a, bb)
+		if err != nil {
 			b.Fatal(err)
+		}
+		cl, err := core.ProductWithSelfLoops(a, bb)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, run := range []struct {
+			c    *graph.Graph
+			opts validate.Options
+		}{
+			{c, validate.Options{Samples: math.MaxInt}},
+			{cl, validate.Options{SelfLoops: true, Samples: math.MaxInt, PartitionA: pa, PartitionB: pa}},
+		} {
+			if rep, err := validate.Run(a, bb, run.c, run.opts); err != nil || !rep.OK() {
+				b.Fatalf("validate.Run: %v\n%s", err, rep)
+			}
 		}
 	}
 }

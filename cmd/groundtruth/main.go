@@ -7,16 +7,31 @@
 // Usage:
 //
 //	groundtruth -a A.txt -b B.txt [-self-loops]
-//	            [-degrees] [-triangles] [-distances] [-closeness N] [-laws]
+//	            [-degrees] [-triangles] [-distances] [-closeness N]
+//	groundtruth -a A.txt -b B.txt -self-loops -per-vertex FROM:COUNT
+//
+// The histograms fold the factors' histograms, so nothing n_C long is
+// built — but for Cor. 1's triangle histogram under -self-loops, which
+// still counts its vector. -per-vertex writes only a CSV feature table —
+// the introduction's "local graph topological properties as features in
+// machine learning tasks" — one row per product vertex p in
+// [FROM, FROM+COUNT):
+//
+//	vertex,i,k,degree,triangles,clustering,eccentricity,closeness
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
+	"strconv"
+	"strings"
 
 	"kronlab/internal/analytics"
+	"kronlab/internal/core"
 	"kronlab/internal/graph"
 	"kronlab/internal/groundtruth"
 )
@@ -32,11 +47,26 @@ func main() {
 	triangles := flag.Bool("triangles", true, "print triangle ground truth")
 	distances := flag.Bool("distances", false, "print eccentricity histogram and diameter (needs -self-loops)")
 	closeness := flag.Int("closeness", 0, "print closeness centrality for the first N product vertices (needs -self-loops)")
+	perVertex := flag.String("per-vertex", "", "print only a CSV of per-vertex ground truth for product vertices FROM:COUNT (needs -self-loops)")
 	flag.Parse()
 
 	if *aPath == "" || *bPath == "" {
 		flag.Usage()
 		os.Exit(2)
+	}
+	var from, count int64
+	if *perVertex != "" {
+		f, c, ok := strings.Cut(*perVertex, ":")
+		var errF, errC error
+		from, errF = strconv.ParseInt(f, 10, 64)
+		count, errC = strconv.ParseInt(c, 10, 64)
+		if !ok || errF != nil || errC != nil || count < 0 || !*selfLoops {
+			log.Printf("-per-vertex %q: want FROM:COUNT, COUNT ≥ 0, with -self-loops", *perVertex)
+			os.Exit(2)
+		}
+	}
+	if !*selfLoops && (*distances || *closeness > 0) {
+		log.Fatal("-distances and -closeness require -self-loops (Thm. 3 hypothesis)")
 	}
 	ga, err := graph.LoadUndirected(*aPath)
 	if err != nil {
@@ -48,59 +78,56 @@ func main() {
 	}
 	a, b := groundtruth.NewFactor(ga), groundtruth.NewFactor(gb)
 	fs := []*groundtruth.Factor{a, b}
-
-	fmt.Printf("factors: A=%v B=%v\n", ga, gb)
 	nC := must(groundtruth.ChainNumVertices(fs))
-	if *selfLoops {
-		al := groundtruth.NewFactor(ga.WithFullSelfLoops())
-		bl := groundtruth.NewFactor(gb.WithFullSelfLoops())
-		if *distances || *closeness > 0 {
-			al, bl = al.WithDistances(), bl.WithDistances()
-		}
-		looped := []*groundtruth.Factor{al, bl}
-		fmt.Printf("product: C = (A+I) ⊗ (B+I), n_C = %d, m_C = %d\n",
-			nC, must(groundtruth.ChainNumEdges(looped)))
+
+	if !*selfLoops {
+		fmt.Printf("factors: A=%v B=%v\n", ga, gb)
+		fmt.Printf("product: C = A ⊗ B, n_C = %d, m_C = %d\n", nC, must(groundtruth.ChainNumEdges(fs)))
 		if *degrees {
-			printDegreeHistogram(must(groundtruth.ChainDegrees(looped)))
+			printHistogram("\ndegree histogram (d_C = d_A ⊗ d_B):", must(groundtruth.ChainDegreeHistogram(fs)))
 		}
 		if *triangles {
-			if ga.NumSelfLoops() > 0 || gb.NumSelfLoops() > 0 {
-				log.Fatal("-triangles with -self-loops requires loop-free input factors (the +I is added internally)")
-			}
-			fmt.Printf("\nglobal triangles τ_C = %d (Cor. 1 aggregate)\n",
-				groundtruth.GlobalTrianglesFullLoops(a, b))
-			printTriangleHistogram(groundtruth.VertexTrianglesFullLoops(a, b))
-		}
-		if *distances {
-			fmt.Printf("\ndiameter(C) = %d (Cor. 3)\n", groundtruth.ChainDiameter(looped))
-			ecc := must(groundtruth.ChainEccentricities(looped))
-			fmt.Println("eccentricity histogram (Cor. 4):")
-			fmt.Print(analytics.NewHistogram(ecc).Render(40))
-		}
-		if *closeness > 0 {
-			n := int64(*closeness)
-			if n > nC {
-				n = nC
-			}
-			fmt.Printf("\ncloseness centrality (Thm. 4, compressed form):\n")
-			for p := int64(0); p < n; p++ {
-				fmt.Printf("  ζ_C(%d) = %.4f\n", p, groundtruth.ClosenessCompressedAt(al, bl, p))
-			}
+			fmt.Printf("\nglobal triangles τ_C = 6·τ_A·τ_B = %d\n", must(groundtruth.ChainGlobalTriangles(fs)))
+			printHistogram("vertex triangle-count histogram:", must(groundtruth.ChainVertexTriangleHistogram(fs)))
 		}
 		return
 	}
 
-	fmt.Printf("product: C = A ⊗ B, n_C = %d, m_C = %d\n", nC, must(groundtruth.ChainNumEdges(fs)))
+	if (*triangles || *perVertex != "") && (ga.NumSelfLoops() > 0 || gb.NumSelfLoops() > 0) {
+		log.Fatal("-self-loops with -triangles or -per-vertex requires loop-free input factors (the +I is added internally)")
+	}
+	al := groundtruth.NewFactor(ga.WithFullSelfLoops())
+	bl := groundtruth.NewFactor(gb.WithFullSelfLoops())
+	if *distances || *closeness > 0 || *perVertex != "" {
+		al, bl = al.WithDistances(), bl.WithDistances()
+	}
+	looped := []*groundtruth.Factor{al, bl}
+	if *perVertex != "" {
+		printPerVertex(a, b, al, bl, from, count)
+		return
+	}
+	fmt.Printf("factors: A=%v B=%v\n", ga, gb)
+	fmt.Printf("product: C = (A+I) ⊗ (B+I), n_C = %d, m_C = %d\n",
+		nC, must(groundtruth.ChainNumEdges(looped)))
 	if *degrees {
-		printDegreeHistogram(must(groundtruth.ChainDegrees(fs)))
+		printHistogram("\ndegree histogram (d_C = d_A ⊗ d_B):", must(groundtruth.ChainDegreeHistogram(looped)))
 	}
 	if *triangles {
-		tri := must(groundtruth.ChainVertexTriangles(fs)) // before τ_C: it panics on a factor with loops
-		fmt.Printf("\nglobal triangles τ_C = 6·τ_A·τ_B = %d\n", must(groundtruth.ChainGlobalTriangles(fs)))
-		printTriangleHistogram(tri)
+		fmt.Printf("\nglobal triangles τ_C = %d (Cor. 1 aggregate)\n",
+			groundtruth.GlobalTrianglesFullLoops(a, b))
+		fmt.Println("vertex triangle-count histogram:")
+		fmt.Print(analytics.NewHistogram(groundtruth.VertexTrianglesFullLoops(a, b)).Render(40))
 	}
-	if *distances || *closeness > 0 {
-		log.Fatal("-distances and -closeness require -self-loops (Thm. 3 hypothesis)")
+	if *distances {
+		fmt.Printf("\ndiameter(C) = %d (Cor. 3)\n", groundtruth.ChainDiameter(looped))
+		printHistogram("eccentricity histogram (Cor. 4):", must(groundtruth.ChainEccentricityHistogram(looped)))
+	}
+	if *closeness > 0 {
+		n := min(int64(*closeness), nC)
+		fmt.Printf("\ncloseness centrality (Thm. 4, compressed form):\n")
+		for p := int64(0); p < n; p++ {
+			fmt.Printf("  ζ_C(%d) = %.4f\n", p, groundtruth.ClosenessCompressedAt(al, bl, p))
+		}
 	}
 }
 
@@ -112,12 +139,42 @@ func must[T any](v T, err error) T {
 	return v
 }
 
-func printDegreeHistogram(deg []int64) {
-	fmt.Println("\ndegree histogram (d_C = d_A ⊗ d_B):")
-	fmt.Print(analytics.NewHistogram(deg).Render(40))
+// printHistogram renders a law's value → count table under its title.
+func printHistogram(title string, counts map[int64]int64) {
+	fmt.Println(title)
+	fmt.Print(analytics.HistogramOf(counts).Render(40))
 }
 
-func printTriangleHistogram(tri []int64) {
-	fmt.Println("vertex triangle-count histogram:")
-	fmt.Print(analytics.NewHistogram(tri).Render(40))
+// printPerVertex writes the CSV feature table of (A+I) ⊗ (B+I) for
+// product vertices [from, from+count), clipped to n_C: a and b are the
+// loop-free factors the triangle laws take, al and bl their +I forms with
+// the distance tier.
+func printPerVertex(a, b, al, bl *groundtruth.Factor, from, count int64) {
+	looped := []*groundtruth.Factor{al, bl}
+	ix := core.MustChainIndex(a.N(), b.N()) // n_C fits: the caller checked it
+	nC := ix.NumVertices()
+	if from < 0 || from >= nC {
+		log.Fatalf("-per-vertex FROM %d outside [0,%d)", from, nC)
+	}
+	hi := nC // from + count may overflow; compare against what is left
+	if count < nC-from {
+		hi = from + count
+	}
+	w := bufio.NewWriter(os.Stdout)
+	defer w.Flush()
+	fmt.Fprintln(w, "vertex,i,k,degree,triangles,clustering,eccentricity,closeness")
+	coords := make([]int64, 2)
+	for p := from; p < hi; p++ {
+		ix.SplitInto(p, coords)
+		deg := groundtruth.ChainDegreeAt(looped, coords)
+		tri := groundtruth.VertexTrianglesFullLoopsAt(a, b, p)
+		// Clustering of the looped product vertex from its own degree and
+		// triangle count, the loop excluded from both by convention.
+		cc := math.NaN()
+		if d := deg - 1; d >= 2 {
+			cc = 2 * float64(tri) / float64(d*(d-1))
+		}
+		fmt.Fprintf(w, "%d,%d,%d,%d,%d,%.6g,%d,%.6g\n", p, coords[0], coords[1], deg, tri, cc,
+			groundtruth.ChainEccentricityAt(looped, coords), groundtruth.ClosenessCompressedAt(al, bl, p))
+	}
 }

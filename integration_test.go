@@ -387,6 +387,63 @@ func TestGroundtruthCLI(t *testing.T) {
 	}
 }
 
+// TestDecorateCLI checks groundtruth's -per-vertex feature decoration
+// against library ground truth.
+func TestDecorateCLI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary")
+	}
+	bin := buildTool(t, "kronlab/cmd/groundtruth", "groundtruth")
+	dir := t.TempDir()
+	k3Path, p3Path := filepath.Join(dir, "k3.txt"), filepath.Join(dir, "p3.txt")
+	if err := gen.Clique(3).SaveEdgeList(k3Path); err != nil {
+		t.Fatal(err)
+	}
+	if err := gen.Path(3).SaveEdgeList(p3Path); err != nil {
+		t.Fatal(err)
+	}
+	// perVertex runs -per-vertex over factor ⊗ P₃.
+	perVertex := func(window, factor string) *exec.Cmd {
+		return exec.Command(bin, "-a", factor, "-b", p3Path, "-self-loops", "-per-vertex", window)
+	}
+	out, err := perVertex("0:3", k3Path).Output()
+	if err != nil {
+		t.Fatalf("-per-vertex 0:3: %v\n%s", err, out)
+	}
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("expected header + 3 rows, got %d lines:\n%s", len(lines), out)
+	}
+	// Row for vertex 0 of (K3+I)⊗(P3+I): degree 6, 10 triangles (checked
+	// against Cor. 1 by hand and by the groundtruth tests).
+	if !strings.HasPrefix(lines[1], "0,0,0,6,10,") {
+		t.Errorf("vertex 0 row = %q", lines[1])
+	}
+	// A count past the product's end stops at its last vertex, however
+	// large: from+count must not wrap around.
+	out, err = perVertex("1:9223372036854775807", k3Path).Output()
+	if err != nil {
+		t.Fatalf("-per-vertex 1:max: %v\n%s", err, out)
+	}
+	if n := len(strings.Split(strings.TrimSpace(string(out)), "\n")); n != 1+8 {
+		t.Errorf("-per-vertex 1:max: %d lines, want header + 8 rows:\n%s", n, out)
+	}
+	// A negative count is a usage error.
+	err = perVertex("0:-3", k3Path).Run()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+		t.Errorf("-per-vertex 0:-3: %v, want exit status 2", err)
+	}
+	// Looped factors must be rejected.
+	loopy := filepath.Join(dir, "loopy.txt")
+	if err := gen.Clique(3).WithFullSelfLoops().SaveEdgeList(loopy); err != nil {
+		t.Fatal(err)
+	}
+	if err := perVertex("0:3", loopy).Run(); err == nil {
+		t.Error("-per-vertex should reject looped factors")
+	}
+}
+
 // TestExperimentsCLIList checks the registry wiring, and runs every
 // experiment that takes a few seconds or less end to end — weak-scaling
 // (E3) among them, which puts both plan layouts through the engine, and
@@ -418,62 +475,6 @@ func TestExperimentsCLIList(t *testing.T) {
 		if strings.Contains(string(out), "FAIL") {
 			t.Errorf("%s experiment reported FAIL:\n%s", id, out)
 		}
-	}
-}
-
-// TestDecorateCLI checks the feature-decoration tool against library
-// ground truth.
-func TestDecorateCLI(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary")
-	}
-	bin := buildTool(t, "kronlab/cmd/decorate", "decorate")
-	dir := t.TempDir()
-	a := gen.Clique(3) // triangle
-	b := gen.Path(3)
-	aPath := filepath.Join(dir, "a.txt")
-	bPath := filepath.Join(dir, "b.txt")
-	if err := a.SaveEdgeList(aPath); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.SaveEdgeList(bPath); err != nil {
-		t.Fatal(err)
-	}
-	out, err := exec.Command(bin, "-a", aPath, "-b", bPath, "-count", "3").CombinedOutput()
-	if err != nil {
-		t.Fatalf("decorate: %v\n%s", err, out)
-	}
-	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("expected header + 3 rows, got %d lines:\n%s", len(lines), out)
-	}
-	// Row for vertex 0 of (K3+I)⊗(P3+I): degree 6, 10 triangles (checked
-	// against Cor. 1 by hand and by the groundtruth tests).
-	if !strings.HasPrefix(lines[1], "0,0,0,6,10,") {
-		t.Errorf("vertex 0 row = %q", lines[1])
-	}
-	// A count past the product's end stops at its last vertex, however
-	// large: from+count must not wrap around.
-	out, err = exec.Command(bin, "-a", aPath, "-b", bPath, "-from", "1", "-count", "9223372036854775807").CombinedOutput()
-	if err != nil {
-		t.Fatalf("decorate -count max: %v\n%s", err, out)
-	}
-	if n := len(strings.Split(strings.TrimSpace(string(out)), "\n")); n != 1+8 {
-		t.Errorf("-from 1 -count max: %d lines, want header + 8 rows:\n%s", n, out)
-	}
-	// A negative count is a usage error.
-	err = exec.Command(bin, "-a", aPath, "-b", bPath, "-count", "-3").Run()
-	var ee *exec.ExitError
-	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
-		t.Errorf("decorate -count -3: %v, want exit status 2", err)
-	}
-	// Looped factors must be rejected.
-	loopy := filepath.Join(dir, "loopy.txt")
-	if err := a.WithFullSelfLoops().SaveEdgeList(loopy); err != nil {
-		t.Fatal(err)
-	}
-	if err := exec.Command(bin, "-a", loopy, "-b", bPath).Run(); err == nil {
-		t.Error("decorate should reject looped factors")
 	}
 }
 

@@ -454,6 +454,9 @@ func TestHistogram(t *testing.T) {
 	if h.Render(10) == "" {
 		t.Error("Render should produce output")
 	}
+	if of := HistogramOf(map[int64]int64{1: 1, 2: 1, 3: 3}); !of.Equal(h) || of.Render(10) != h.Render(10) {
+		t.Error("HistogramOf a table must be the histogram of its values")
+	}
 	empty := NewHistogram(nil)
 	if empty.Min() != 0 || empty.Max() != 0 || empty.Render(5) != "" {
 		t.Error("empty histogram edge cases")

@@ -15,10 +15,19 @@ type Histogram struct {
 
 // NewHistogram builds a histogram of the given values.
 func NewHistogram(values []int64) *Histogram {
-	h := &Histogram{counts: make(map[int64]int64)}
+	counts := make(map[int64]int64)
 	for _, v := range values {
-		h.counts[v]++
-		h.total++
+		counts[v]++
+	}
+	return HistogramOf(counts)
+}
+
+// HistogramOf wraps a value → count table built elsewhere — a ground-truth
+// law's histogram folded from its factors', say — without the values.
+func HistogramOf(counts map[int64]int64) *Histogram {
+	h := &Histogram{counts: counts}
+	for _, c := range counts {
+		h.total += c
 	}
 	return h
 }

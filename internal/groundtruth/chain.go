@@ -2,6 +2,7 @@ package groundtruth
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"kronlab/internal/analytics"
@@ -87,6 +88,9 @@ func ChainNumEdges(fs []*Factor) (int64, error) {
 // ChainGlobalTriangles returns τ_C = 6^{k−1}·Π τ_d for loop-free factors
 // (induction on τ_C = 6·τ_A·τ_B), checked.
 func ChainGlobalTriangles(fs []*Factor) (int64, error) {
+	for _, f := range fs {
+		f.RequireNoSelfLoops("τ_C = 6^{k−1}·Π τ_d")
+	}
 	return fold(fs, "triangle count", func(_ int, f *Factor) int64 { return f.Tri.Global }, scaled(6))
 }
 
@@ -111,27 +115,35 @@ func ChainHopsAt(fs []*Factor, coords1, coords2 []int64) int64 {
 // vertexLaw is a law on product vertices: a per-factor vector v_d and the
 // op that folds it across the chain. Its value at p = (c_1, …, c_k) folds
 // v_1[c_1], …, v_k[c_k]; its vector over all of C folds whole vectors,
-// v_1 ⊗_op v_2 ⊗_op … ⊗_op v_k, in ChainIndex order.
+// v_1 ⊗_op v_2 ⊗_op … ⊗_op v_k, in ChainIndex order; its histogram
+// folds the factors' histograms under the same op.
 type vertexLaw struct {
 	name    string
-	require func(*Factor) // the law's hypothesis, checked before a vector is materialized
-	vec     func(*Factor) []int64
+	require func(*Factor)                 // the law's hypothesis, checked before any factor is read
+	vec     func(*Factor, string) []int64 // the factor's vector, read for the named use
 	op      func(acc, v int64) (int64, bool)
 }
 
 var (
 	degreeLaw = vertexLaw{"degree", func(*Factor) {},
-		func(f *Factor) []int64 { return f.Deg }, core.CheckedMul}
+		func(f *Factor, _ string) []int64 { return f.Deg }, core.CheckedMul}
 	triangleLaw = vertexLaw{"vertex triangle count",
 		func(f *Factor) { f.RequireNoSelfLoops("t_C = 2^{k−1}·⊗t_d") },
-		func(f *Factor) []int64 { return f.Tri.Vertex }, scaled(2)}
+		func(f *Factor, _ string) []int64 { return f.Tri.Vertex }, scaled(2)}
 	eccentricityLaw = vertexLaw{"eccentricity",
 		func(f *Factor) { f.RequireFullSelfLoops("Cor. 4") },
-		func(f *Factor) []int64 { return f.distances("eccentricity").Ecc }, maxHops}
+		func(f *Factor, use string) []int64 { return f.distances(use).Ecc }, maxHops}
 )
 
+func (l vertexLaw) check(fs []*Factor) {
+	for _, f := range fs {
+		l.require(f)
+	}
+}
+
 func (l vertexLaw) at(fs []*Factor, coords []int64) (int64, error) {
-	return fold(fs, l.name, func(d int, f *Factor) int64 { return l.vec(f)[coords[d]] }, l.op)
+	l.check(fs)
+	return fold(fs, l.name, func(d int, f *Factor) int64 { return l.vec(f, l.name)[coords[d]] }, l.op)
 }
 
 // all materializes the law at every product vertex — linear in n_C from
@@ -140,12 +152,10 @@ func (l vertexLaw) all(fs []*Factor) ([]int64, error) {
 	if _, err := ChainNumVertices(fs); err != nil {
 		return nil, err
 	}
-	for _, f := range fs {
-		l.require(f)
-	}
-	out := slices.Clone(l.vec(fs[0]))
+	l.check(fs)
+	out := slices.Clone(l.vec(fs[0], l.name))
 	for d := 1; d < len(fs); d++ {
-		v := l.vec(fs[d])
+		v := l.vec(fs[d], l.name)
 		next := make([]int64, 0, len(out)*len(v))
 		for _, x := range out {
 			for _, y := range v {
@@ -161,6 +171,50 @@ func (l vertexLaw) all(fs []*Factor) ([]int64, error) {
 	return out, nil
 }
 
+// hist returns the law's value → count histogram over all of C by
+// folding the factors' histograms — no n_C-long vector, cost the product
+// of the factors' distinct-value counts. Its counts sum to n_C, so it
+// refuses a chain whose n_C overflows.
+func (l vertexLaw) hist(fs []*Factor) (map[int64]int64, error) {
+	if _, err := ChainNumVertices(fs); err != nil {
+		return nil, err
+	}
+	l.check(fs)
+	var out map[int64]int64
+	for d, f := range fs {
+		h := map[int64]int64{}
+		for _, v := range l.vec(f, l.name+" histogram") {
+			h[v]++
+		}
+		if d == 0 {
+			out = h
+		} else if out = combine(out, h, l.op); out == nil {
+			return nil, overflow(l.name+" histogram", d)
+		}
+	}
+	return out, nil
+}
+
+// combine returns the value → count histogram of op(x, y) over all pairs
+// of a value x counted in hx and a value y counted in hy — the one
+// combine under every vertex law's histogram: the product for d, the
+// scaled product for t, the max (Unreachable if either side is) for ε.
+// It returns nil when op or a count overflows.
+func combine(hx, hy map[int64]int64, op func(x, y int64) (int64, bool)) map[int64]int64 {
+	out := map[int64]int64{}
+	for x, cx := range hx {
+		for y, cy := range hy {
+			v, okV := op(x, y)
+			c, okC := core.CheckedMul(cx, cy)
+			if !okV || !okC || out[v] > math.MaxInt64-c {
+				return nil
+			}
+			out[v] += c
+		}
+	}
+	return out
+}
+
 // ChainDegreeAt returns d_p = Π_d d_{coords[d]} — the degree law
 // composes across any chain because d_C = d_A ⊗ d_B composes. Over the
 // +I factors it is the degree of ⊗(A_d+I), (d_i + 1)·(d_k + 1) for two
@@ -172,8 +226,8 @@ func ChainDegreeAt(fs []*Factor, coords []int64) int64 {
 	return d
 }
 
-// ChainDegrees materializes the degree vector d_C = ⊗ d_d.
-func ChainDegrees(fs []*Factor) ([]int64, error) { return degreeLaw.all(fs) }
+// ChainDegreeHistogram returns the histogram of d_C = ⊗ d_d, checked.
+func ChainDegreeHistogram(fs []*Factor) (map[int64]int64, error) { return degreeLaw.hist(fs) }
 
 // ChainVertexTrianglesAt returns t_p = 2^{k−1}·Π_d t_{coords[d]} for
 // loop-free factors (induction on t_C = 2·t_A⊗t_B), checked.
@@ -181,8 +235,11 @@ func ChainVertexTrianglesAt(fs []*Factor, coords []int64) (int64, error) {
 	return triangleLaw.at(fs, coords)
 }
 
-// ChainVertexTriangles materializes t_C = 2^{k−1}·⊗ t_d, checked.
-func ChainVertexTriangles(fs []*Factor) ([]int64, error) { return triangleLaw.all(fs) }
+// ChainVertexTriangleHistogram returns the histogram of
+// t_C = 2^{k−1}·⊗ t_d for loop-free factors, checked.
+func ChainVertexTriangleHistogram(fs []*Factor) (map[int64]int64, error) {
+	return triangleLaw.hist(fs)
+}
 
 // ChainEccentricityAt returns ε_p = max_d ε_{coords[d]} for factors with
 // full self loops (Cor. 4 by induction). Unreachable if any factor's
@@ -199,69 +256,10 @@ func ChainEccentricities(fs []*Factor) ([]int64, error) { return eccentricityLaw
 // ChainEccentricityHistogram returns the ε histogram of the chain
 // product by folding the factors' ε histograms under the max law — Fig. 1
 // for heterogeneous chains without materializing anything. Cost is
-// O(k·diam·log diam) after factor eccentricities. Its counts sum to n_C,
-// so it refuses a chain whose n_C overflows.
+// O(k·diam²) after factor eccentricities. Its counts sum to n_C, so it
+// refuses a chain whose n_C overflows.
 func ChainEccentricityHistogram(fs []*Factor) (map[int64]int64, error) {
-	if _, err := ChainNumVertices(fs); err != nil {
-		return nil, err
-	}
-	var out map[int64]int64
-	for _, f := range fs {
-		h := map[int64]int64{}
-		for _, e := range f.distances("eccentricity histogram").Ecc {
-			h[e]++
-		}
-		if out == nil {
-			out = h
-		} else {
-			out = maxLaw(out, h)
-		}
-	}
-	return out, nil
-}
-
-// maxLaw returns the value → count histogram of max(x, y) over all pairs
-// of a value x counted in hx and a value y counted in hy — the combine
-// under every max-type law (hops, eccentricity, diameter). A pair with an
-// Unreachable side counts under Unreachable. For finite v,
-//
-//	cnt(v) = cnt_x(v)·cum_y(v) + cum_x(v−1)·cnt_y(v)
-//
-// where cum counts the finite values ≤ v.
-func maxLaw(hx, hy map[int64]int64) map[int64]int64 {
-	var nx, ny int64
-	vals := make([]int64, 0, len(hx)+len(hy))
-	for v, c := range hx {
-		vals = append(vals, v)
-		nx += c
-	}
-	for v, c := range hy {
-		vals = append(vals, v)
-		ny += c
-	}
-	slices.Sort(vals)
-	vals = slices.Compact(vals)
-
-	out := map[int64]int64{}
-	ux, uy := hx[analytics.Unreachable], hy[analytics.Unreachable]
-	if c := ux*ny + (nx-ux)*uy; c > 0 {
-		out[analytics.Unreachable] = c
-	}
-	var cumX, cumY int64
-	for _, v := range vals {
-		if v == analytics.Unreachable {
-			continue
-		}
-		cx, cy := hx[v], hy[v]
-		// Pairs whose max is exactly v: x = v with y ≤ v, plus y = v with
-		// x < v.
-		if c := cx*(cumY+cy) + cumX*cy; c > 0 {
-			out[v] = c
-		}
-		cumX += cx
-		cumY += cy
-	}
-	return out
+	return eccentricityLaw.hist(fs)
 }
 
 // ChainCoordsOf returns the mixed-radix coordinates of product vertex p.

@@ -3,6 +3,7 @@ package groundtruth
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"kronlab/internal/analytics"
@@ -225,4 +226,39 @@ func triangleGraph(t *testing.T) *graph.Graph {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// wantPanic runs call and fails unless it panics with a message naming
+// law.
+func wantPanic(t *testing.T, law string, call func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if msg, _ := recover().(string); !strings.Contains(msg, law) {
+			t.Errorf("panic %q, want one naming %s", msg, law)
+		}
+	}()
+	call()
+}
+
+// Cor. 4 needs full self loops: on loop-free P₂ ⊗ P₂ the materialized ε
+// at (0,0) is −1 (the product is two disjoint edges), where the max law
+// would answer 2.
+func TestChainEccentricityAtNeedsLoops(t *testing.T) {
+	p2 := NewFactor(gen.Path(2)).WithDistances()
+	wantPanic(t, "Cor. 4", func() { ChainEccentricityAt([]*Factor{p2, p2}, []int64{0, 0}) })
+}
+
+// t_C = 2·t_A ⊗ t_B needs loop-free factors: on (K₃+I)⊗(K₃+I) every
+// vertex is in 28 triangles, where the law would answer 2.
+func TestChainVertexTrianglesAtNeedsLoopFree(t *testing.T) {
+	k3 := NewFactor(clique3WithLoops(t))
+	wantPanic(t, "t_C = 2^{k−1}·⊗t_d", func() { _, _ = ChainVertexTrianglesAt([]*Factor{k3, k3}, []int64{0, 0}) })
+}
+
+// τ_C = 6·τ_A·τ_B needs loop-free factors: (K₃+I)⊗(K₃+I) has Cor. 1's
+// 84 triangles, where the law would answer 6.
+func TestChainGlobalTrianglesNeedsLoopFree(t *testing.T) {
+	k3 := NewFactor(clique3WithLoops(t))
+	wantPanic(t, "τ_C = 6^{k−1}·Π τ_d", func() { _, _ = ChainGlobalTriangles([]*Factor{k3, k3}) })
 }

@@ -60,19 +60,7 @@ func TestDegreeLaw(t *testing.T) {
 		a, b := NewFactor(ga), NewFactor(gb)
 		c := mustProduct(t, ga, gb)
 		fs := []*Factor{a, b}
-		ci := chainIndexFor(t, fs)
-		pred, err := ChainDegrees(fs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for p := int64(0); p < c.NumVertices(); p++ {
-			if c.Degree(p) != pred[p] {
-				t.Fatalf("trial %d: d_%d = %d, predicted %d", trial, p, c.Degree(p), pred[p])
-			}
-			if ChainDegreeAt(fs, ci.Split(p)) != pred[p] {
-				t.Fatalf("trial %d: ChainDegreeAt disagrees with ChainDegrees at %d", trial, p)
-			}
-		}
+		checkDegreeLaw(t, fs, c)
 		n, errN := ChainNumVertices(fs)
 		m, errM := ChainNumEdges(fs)
 		if errN != nil || errM != nil || n != c.NumVertices() || m != c.NumEdges() {
@@ -91,16 +79,22 @@ func TestDegreeLawWithSelfLoops(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pred, err := ChainDegrees(fs)
-		if err != nil {
-			t.Fatal(err)
+		checkDegreeLaw(t, fs, c)
+	}
+}
+
+// checkDegreeLaw holds ChainDegreeAt at every vertex, and
+// ChainDegreeHistogram, to the materialized product c.
+func checkDegreeLaw(t *testing.T, fs []*Factor, c *graph.Graph) {
+	t.Helper()
+	ci := chainIndexFor(t, fs)
+	for p := int64(0); p < c.NumVertices(); p++ {
+		if got := ChainDegreeAt(fs, ci.Split(p)); got != c.Degree(p) {
+			t.Fatalf("d_%d = %d, predicted %d", p, c.Degree(p), got)
 		}
-		for p := int64(0); p < c.NumVertices(); p++ {
-			if c.Degree(p) != pred[p] {
-				t.Fatalf("trial %d: loop-product d_%d = %d, predicted %d",
-					trial, p, c.Degree(p), pred[p])
-			}
-		}
+	}
+	if h, err := ChainDegreeHistogram(fs); err != nil || !reflect.DeepEqual(h, histOf(c.Degrees())) {
+		t.Fatalf("degree histogram %v (err %v), want %v", h, err, histOf(c.Degrees()))
 	}
 }
 
@@ -114,14 +108,14 @@ func TestVertexTriangleLaw(t *testing.T) {
 		c := mustProduct(t, ga, gb)
 		exact := analytics.Triangles(c)
 		fs := []*Factor{a, b}
-		pred, err := ChainVertexTriangles(fs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ci := chainIndexFor(t, fs)
 		for p := int64(0); p < c.NumVertices(); p++ {
-			if exact.Vertex[p] != pred[p] {
-				t.Fatalf("trial %d: t_%d exact %d, predicted %d", trial, p, exact.Vertex[p], pred[p])
+			if got, err := ChainVertexTrianglesAt(fs, ci.Split(p)); err != nil || got != exact.Vertex[p] {
+				t.Fatalf("trial %d: t_%d exact %d, predicted %d (err %v)", trial, p, exact.Vertex[p], got, err)
 			}
+		}
+		if h, err := ChainVertexTriangleHistogram(fs); err != nil || !reflect.DeepEqual(h, histOf(exact.Vertex)) {
+			t.Fatalf("trial %d: triangle histogram %v (err %v), want %v", trial, h, err, histOf(exact.Vertex))
 		}
 		if got, err := ChainGlobalTriangles(fs); err != nil || got != exact.Global {
 			t.Fatalf("trial %d: τ exact %d, predicted %d (err %v)", trial, exact.Global, got, err)
@@ -626,31 +620,8 @@ func TestNumCommunities(t *testing.T) {
 	}
 }
 
-// ---------- scaling-law table ----------
-
-func TestScalingLawsAllHold(t *testing.T) {
-	rng := rand.New(rand.NewSource(109))
-	ga := randomConnectedLoopFree(rng, 8)
-	gb := randomConnectedLoopFree(rng, 8)
-	a, b := NewFactor(ga), NewFactor(gb)
-	pa := randomPartition(rng, ga.NumVertices(), 2)
-	pb := randomPartition(rng, gb.NumVertices(), 2)
-	rows, err := ScalingLaws(a, b, pa, pb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 12 {
-		t.Fatalf("got %d rows, want 12 (the full Sec. I table)", len(rows))
-	}
-	for _, r := range rows {
-		if !r.OK {
-			t.Errorf("law %q failed: predicted %s, measured %s", r.Quantity, r.Predicted, r.Measured)
-		}
-	}
-}
-
-// maxLaw must agree with brute-force pair enumeration, Unreachable
-// values included.
+// combine under the max law must agree with brute-force pair
+// enumeration, Unreachable values included.
 func TestMaxLawHistogram(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -662,33 +633,42 @@ func TestMaxLawHistogram(t *testing.T) {
 		for i := range ys {
 			ys[i] = rng.Int63n(7) - 1
 		}
-		return reflect.DeepEqual(maxLaw(histOf(xs), histOf(ys)), bruteMaxLaw(xs, ys))
+		return reflect.DeepEqual(combine(histOf(xs), histOf(ys), maxHops), bruteCombine(xs, ys, maxHops))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }
 
-// FuzzMaxLaw holds the max-law combine to an O(|x|·|y|) enumeration of
-// the pairs of two value lists, −1 (Unreachable) among the values: the
-// first byte splits the input, every other byte is one value in [−1, 6].
+// FuzzMaxLaw holds the histogram combine to an O(|x|·|y|) enumeration of
+// the pairs of two value lists under both kinds of op a vertex law folds
+// with: the max law of ε, where a byte's low three bits are a value in
+// [−1, 6] (−1 is Unreachable), and the checked products of d and t,
+// where they are a value in [0, 7] shifted left by 8× the next three
+// bits, so products overflow and combine must refuse them. The first
+// byte splits the input.
 func FuzzMaxLaw(f *testing.F) {
 	f.Add([]byte{2, 0, 3, 1, 2, 3})
 	f.Add([]byte{1, 0, 0, 0})       // an Unreachable on each side
 	f.Add([]byte{3, 1, 2, 3, 0, 7}) // Unreachable only on the right
 	f.Add([]byte{0, 5, 5})          // empty left side
+	f.Add([]byte{1, 63, 63})        // 7·2⁵⁶ squared overflows
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
-		vals := make([]int64, len(data)-1)
-		for i, b := range data[1:] {
-			vals[i] = int64(b%8) - 1
-		}
-		split := min(int(data[0]), len(vals))
-		xs, ys := vals[:split], vals[split:]
-		if got, want := maxLaw(histOf(xs), histOf(ys)), bruteMaxLaw(xs, ys); !reflect.DeepEqual(got, want) {
-			t.Fatalf("maxLaw(%v, %v) = %v, brute force %v", xs, ys, got, want)
+		split := min(int(data[0]), len(data)-1)
+		for _, law := range []vertexLaw{eccentricityLaw, degreeLaw, triangleLaw} {
+			vals := make([]int64, len(data)-1)
+			for i, b := range data[1:] {
+				if vals[i] = int64(b%8) - 1; law.name != "eccentricity" {
+					vals[i] = int64(b%8) << (b / 8 % 8 * 8)
+				}
+			}
+			xs, ys := vals[:split], vals[split:]
+			if got, want := combine(histOf(xs), histOf(ys), law.op), bruteCombine(xs, ys, law.op); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: combine(%v, %v) = %v, brute force %v", law.name, xs, ys, got, want)
+			}
 		}
 	})
 }
@@ -701,16 +681,17 @@ func histOf(vs []int64) map[int64]int64 {
 	return h
 }
 
-// bruteMaxLaw counts max(x, y) over every pair, Unreachable if either is.
-func bruteMaxLaw(xs, ys []int64) map[int64]int64 {
+// bruteCombine counts op(x, y) over every pair, nil if op overflows on
+// any.
+func bruteCombine(xs, ys []int64, op func(x, y int64) (int64, bool)) map[int64]int64 {
 	out := map[int64]int64{}
 	for _, x := range xs {
 		for _, y := range ys {
-			m := max(x, y)
-			if x == analytics.Unreachable || y == analytics.Unreachable {
-				m = analytics.Unreachable
+			v, ok := op(x, y)
+			if !ok {
+				return nil
 			}
-			out[m]++
+			out[v]++
 		}
 	}
 	return out

@@ -1,20 +1,24 @@
 // Package validate packages the paper's central use case — validating a
 // graph system's output at scales where no trusted implementation exists
 // — as a reusable check battery. Given the two factors and a claimed
-// product graph (e.g. produced by the system under test), Run executes a
-// configurable set of ground-truth checks: global counts, degree
-// histogram, sampled per-vertex triangle counts, sampled hop distances
-// and eccentricities, community counts under a Kronecker partition, and
-// Weichsel connectivity. Every check compares a Kronecker formula against
-// a measurement on the claimed product, so a single wrong edge is
-// overwhelmingly likely to trip at least one check.
+// product graph (e.g. produced by the system under test), Run holds it to
+// every law of the paper's Sec. I table: global counts, degrees at every
+// vertex, triangles per vertex, per arc and in all, Thm. 1 clustering,
+// hop distances, eccentricities and the diameter, community counts and
+// densities under a Kronecker partition — and to Weichsel connectivity.
+// Per-vertex and per-arc laws are sampled, or checked everywhere when
+// the sample count covers them. Every check compares a Kronecker formula
+// against a measurement on the claimed product, so a single wrong edge
+// is overwhelmingly likely to trip at least one check; the law package
+// states the laws, and this one is where they meet a product.
 package validate
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
-	"slices"
+	"sort"
 
 	"kronlab/internal/analytics"
 	"kronlab/internal/core"
@@ -22,9 +26,11 @@ import (
 	"kronlab/internal/groundtruth"
 )
 
-// Check is one named validation outcome.
+// Check is one named validation outcome: the law the claimed product is
+// held to, its value predicted from the factors, and C's measured value.
 type Check struct {
 	Name     string
+	Law      string
 	Expected string
 	Actual   string
 	OK       bool
@@ -64,7 +70,7 @@ func (r *Report) String() string {
 		if !c.OK {
 			mark = "FAIL"
 		}
-		s += fmt.Sprintf("%-4s %-28s expected %s, got %s\n", mark, c.Name, c.Expected, c.Actual)
+		s += fmt.Sprintf("%-4s %-40s expected %s, got %s\n", mark, c.Name, c.Expected, c.Actual)
 	}
 	return s
 }
@@ -72,11 +78,12 @@ func (r *Report) String() string {
 // Options configures a validation run.
 type Options struct {
 	// SelfLoops asserts the claimed product is (A+I) ⊗ (B+I) rather than
-	// A ⊗ B; triangle checks then use the Cor. 1 formulas and distance
+	// A ⊗ B; triangle checks then use the Cor. 1/2 formulas and distance
 	// checks are enabled (their hypothesis requires the loops).
 	SelfLoops bool
-	// Samples is the number of random vertices (and vertex pairs) to
-	// spot-check for per-vertex/per-pair quantities. Default 64.
+	// Samples is the number of random vertices (arcs) a per-vertex
+	// (per-arc) check visits; at least the vertex (arc) count visits
+	// every one, and the diameter is checked only then. Default 64.
 	Samples int
 	// Seed drives sample selection. A fixed default keeps reports
 	// reproducible.
@@ -89,28 +96,81 @@ type Options struct {
 	SkipDistances bool
 }
 
-// Run validates the claimed product c against factors a and b.
+// run is one Run in progress: the report its checks add to and the draws
+// its per-item checks sample with.
+type run struct {
+	rep     Report
+	rng     *rand.Rand
+	samples int64
+}
+
+func (r *run) add(name, law string, expected, actual any) {
+	e, g := fmt.Sprint(expected), fmt.Sprint(actual)
+	r.rep.Checks = append(r.rep.Checks, Check{name, law, e, g, e == g})
+}
+
+// each holds law at k of the n items a check covers — every one when
+// k ≥ n, else k random draws — and stops at the first item bad describes
+// (bad returns "" where the law holds).
+func (r *run) each(name, law, noun string, n, k int64, bad func(i int64) string) {
+	k = min(k, n)
+	scope := fmt.Sprintf("%d sampled %s", k, noun)
+	if k == n {
+		scope = fmt.Sprintf("all %d %s", n, noun)
+	}
+	actual := "all match"
+	for s := int64(0); s < k && actual == "all match"; s++ {
+		i := s
+		if k < n {
+			i = r.rng.Int63n(n)
+		}
+		if msg := bad(i); msg != "" {
+			actual = msg
+		}
+	}
+	r.add(name+" ("+scope+")", law, "all match", actual)
+}
+
+// maxHops is the max law's fold: the larger hop count, Unreachable if
+// either is.
+func maxHops(x, y int64) int64 {
+	if x == analytics.Unreachable || y == analytics.Unreachable {
+		return analytics.Unreachable
+	}
+	return max(x, y)
+}
+
+// Run validates the claimed product c against loop-free factors a and b:
+// every law of the paper's Sec. I table, each predicted from the factors
+// and measured on c.
 func Run(a, b, c *graph.Graph, opts Options) (*Report, error) {
+	if a.NumSelfLoops() != 0 || b.NumSelfLoops() != 0 {
+		return nil, fmt.Errorf("validate: input factors must be loop-free (SelfLoops adds the +I)")
+	}
+	pa, pb := opts.PartitionA, opts.PartitionB
+	if pa != nil && pb != nil && !opts.SelfLoops {
+		return nil, fmt.Errorf("validate: community checks require SelfLoops mode (Thm. 6 hypothesis)")
+	}
 	if opts.Samples <= 0 {
 		opts.Samples = 64
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	rep := &Report{}
-	add := func(name string, expected, actual any) {
-		e, g := fmt.Sprint(expected), fmt.Sprint(actual)
-		rep.Checks = append(rep.Checks, Check{name, e, g, e == g})
+	r := &run{rng: rand.New(rand.NewSource(opts.Seed)), samples: int64(opts.Samples)}
+	// law states a law for the claimed product: plain for A ⊗ B, looped
+	// for (A+I) ⊗ (B+I).
+	law := func(plain, looped string) string {
+		if opts.SelfLoops {
+			return looped
+		}
+		return plain
 	}
 
 	fa, fb := groundtruth.NewFactor(a), groundtruth.NewFactor(b)
 	// fs is the chain the triangle laws take (loop-free factors, the
-	// Cor. 1 forms add the loops), fe the chain of the claimed product
+	// Cor. 1/2 forms add the loops), fe the chain of the claimed product
 	// itself (its +I factors under SelfLoops, fs itself otherwise).
 	fs := []*groundtruth.Factor{fa, fb}
 	effA, effB, fe := a, b, fs
 	if opts.SelfLoops {
-		if a.NumSelfLoops() != 0 || b.NumSelfLoops() != 0 {
-			return nil, fmt.Errorf("validate: SelfLoops mode needs loop-free input factors")
-		}
 		effA, effB = a.WithFullSelfLoops(), b.WithFullSelfLoops()
 		fe = []*groundtruth.Factor{groundtruth.NewFactor(effA), groundtruth.NewFactor(effB)}
 	}
@@ -122,147 +182,151 @@ func Run(a, b, c *graph.Graph, opts Options) (*Report, error) {
 	if err := errors.Join(errN, errM, errA); err != nil {
 		return nil, fmt.Errorf("validate: %w", err)
 	}
-	add("vertices", nC, c.NumVertices())
-	add("edges", mC, c.NumEdges())
-	add("arcs", arcsWant, c.NumArcs())
+	r.add("vertices", "n_C = n_A·n_B", nC, c.NumVertices())
+	r.add("edges", law("m_C = 2·m_A·m_B", "m_C = (arcs_C + n_C)/2"), mC, c.NumEdges())
+	r.add("arcs", law("arcs_C = arcs_A·arcs_B", "arcs_C = (arcs_A+n_A)·(arcs_B+n_B)"), arcsWant, c.NumArcs())
 	if c.NumVertices() != nC {
 		// Remaining checks index into c; bail out with what we have.
-		return rep, nil
+		return &r.rep, nil
 	}
 	ci := core.MustChainIndex(fa.N(), fb.N()) // n_C fits: checked above
+	ix := core.NewIndex(fb.N())
+	cp, cq := make([]int64, 2), make([]int64, 2)
 
-	// Degree histogram: d_C = d_A ⊗ d_B exactly.
-	wantDegs, err := groundtruth.ChainDegrees(fe)
-	if err != nil {
-		return nil, fmt.Errorf("validate: %w", err)
-	}
-	add("degree histogram", histString(wantDegs), histString(c.Degrees()))
+	// Degrees, at every vertex: the check costs what counting them does.
+	r.each("degree", law("d_C = d_A ⊗ d_B", "d_C = (d_A+1) ⊗ (d_B+1)"), "vertices", nC, nC, func(p int64) string {
+		if want := groundtruth.ChainDegreeAt(fe, ci.SplitInto(p, cp)); c.Degree(p) != want {
+			return fmt.Sprintf("d_%d: want %d, got %d", p, want, c.Degree(p))
+		}
+		return ""
+	})
 
-	// Global triangles.
-	var wantTau int64
-	if opts.SelfLoops {
-		wantTau = groundtruth.GlobalTrianglesFullLoops(fa, fb)
-	} else if wantTau, err = groundtruth.ChainGlobalTriangles(fs); err != nil {
-		return nil, fmt.Errorf("validate: %w", err)
-	}
+	// Triangles: per vertex, per arc, and in all.
 	cTri := analytics.Triangles(c)
-	add("global triangles", wantTau, cTri.Global)
-
-	// Sampled per-vertex triangle counts.
-	triOK := true
-	var firstBad string
-	for s := 0; s < opts.Samples; s++ {
-		p := rng.Int63n(c.NumVertices())
+	r.each("vertex triangles", law("t_C = 2·t_A ⊗ t_B", "t_C by Cor. 1"), "vertices", nC, r.samples, func(p int64) string {
 		var want int64
 		if opts.SelfLoops {
 			want = groundtruth.VertexTrianglesFullLoopsAt(fa, fb, p)
-		} else if want, err = groundtruth.ChainVertexTrianglesAt(fs, ci.Split(p)); err != nil {
-			return nil, fmt.Errorf("validate: %w", err)
+		} else if t, err := groundtruth.ChainVertexTrianglesAt(fs, ci.SplitInto(p, cp)); err != nil {
+			return err.Error()
+		} else {
+			want = t
 		}
 		if cTri.Vertex[p] != want {
-			triOK = false
-			firstBad = fmt.Sprintf("t_%d: want %d, got %d", p, want, cTri.Vertex[p])
-			break
+			return fmt.Sprintf("t_%d: want %d, got %d", p, want, cTri.Vertex[p])
+		}
+		return ""
+	})
+	offsets := c.RowOffsets()
+	r.each("edge triangles", law("Δ_C = Δ_A ⊗ Δ_B", "Δ_C by Cor. 2"), "arcs", c.NumArcs(), r.samples, func(x int64) string {
+		u := int64(sort.Search(int(nC), func(v int) bool { return offsets[v+1] > x }))
+		v := c.Neighbors(u)[x-offsets[u]]
+		i, k := ix.Split(u)
+		j, l := ix.Split(v)
+		switch {
+		case u == v:
+			return "" // Cor. 2 counts the triangles of p ≠ q only
+		case !effA.HasArc(i, j) || !effB.HasArc(k, l):
+			return fmt.Sprintf("arc (%d,%d) is not in the product", u, v)
+		}
+		want := groundtruth.EdgeTrianglesFullLoopsAt(fa, fb, u, v)
+		if !opts.SelfLoops {
+			want = groundtruth.EdgeTrianglesAt(fa, fb, u, v)
+		}
+		if cTri.Arc[x] != want {
+			return fmt.Sprintf("Δ_(%d,%d): want %d, got %d", u, v, want, cTri.Arc[x])
+		}
+		return ""
+	})
+	wantTau := groundtruth.GlobalTrianglesFullLoops(fa, fb)
+	if !opts.SelfLoops {
+		var err error
+		if wantTau, err = groundtruth.ChainGlobalTriangles(fs); err != nil {
+			return nil, fmt.Errorf("validate: %w", err)
 		}
 	}
-	actual := "all match"
-	if !triOK {
-		actual = firstBad
+	r.add("global triangles", law("τ_C = 6·τ_A·τ_B", "τ_C = Σ_p t_p/3 (Cor. 1)"), wantTau, cTri.Global)
+
+	// Vertex clustering (Thm. 1), whose θ needs loop-free factors.
+	if !opts.SelfLoops {
+		cc := analytics.VertexClustering(c)
+		eta := func(f *groundtruth.Factor, i int64) float64 {
+			return 2 * float64(f.Tri.Vertex[i]) / float64(f.Deg[i]*(f.Deg[i]-1))
+		}
+		r.each("clustering", "η_C = θ·η_A·η_B ≥ ⅓·η_A·η_B", "vertices", nC, r.samples, func(p int64) string {
+			want := groundtruth.VertexClusteringAt(fa, fb, p)
+			if math.IsNaN(want) {
+				return "" // η is undefined below degree 2
+			}
+			i, k := ix.Split(p)
+			if bound := eta(fa, i) * eta(fb, k) / 3; math.Abs(cc[p]-want) > 1e-9 || cc[p] < bound-1e-12 {
+				return fmt.Sprintf("η_%d: want %.6g ≥ %.6g, got %.6g", p, want, bound, cc[p])
+			}
+			return ""
+		})
 	}
-	rep.Checks = append(rep.Checks, Check{
-		fmt.Sprintf("vertex triangles (%d samples)", opts.Samples), "all match", actual, triOK})
+
+	// Hops and eccentricity (Thm. 3 / Cor. 4) need full self loops; the
+	// diameter (Cor. 3) is the largest ε once every vertex is checked.
+	if opts.SelfLoops && !opts.SkipDistances {
+		fd := []*groundtruth.Factor{fe[0].WithDistances(), fe[1].WithDistances()}
+		var diam int64
+		r.each("hops+eccentricity", "hops_C = max{hops_A, hops_B}; ε_C = max{ε_A, ε_B}", "vertices", nC, r.samples, func(p int64) string {
+			ci.SplitInto(p, cp)
+			var ecc int64
+			for q, h := range analytics.Hops(c, p) {
+				if want := groundtruth.ChainHopsAt(fd, cp, ci.SplitInto(int64(q), cq)); h != want {
+					return fmt.Sprintf("hops(%d,%d): want %d, got %d", p, q, want, h)
+				}
+				ecc = maxHops(ecc, h)
+			}
+			if want := groundtruth.ChainEccentricityAt(fd, cp); ecc != want {
+				return fmt.Sprintf("ε_%d: want %d, got %d", p, want, ecc)
+			}
+			diam = maxHops(diam, ecc)
+			return ""
+		})
+		if r.samples >= nC {
+			r.add("diameter", "diam = max{diam_A, diam_B}", groundtruth.ChainDiameter(fd), diam)
+		}
+	}
+
+	// Communities over the Kronecker partition: counts exact (Thm. 6),
+	// densities within Cor. 6/7's bounds.
+	if pa != nil && pb != nil {
+		pc := core.KronPartition(pa, pb, fb.N())
+		sets := fmt.Sprint(len(pc))
+		if !analytics.IsPartition(c, pc) {
+			sets = "not a partition of C"
+		}
+		r.add(fmt.Sprintf("communities (%d×%d)", len(pa), len(pb)), "|Π_C| = |Π_A|·|Π_B|", groundtruth.NumCommunities(pa, pb), sets)
+		statsA, statsB := analytics.Communities(a, pa), analytics.Communities(b, pb)
+		want := groundtruth.CommunitiesKron(fa, fb, pa, pb, statsA, statsB)
+		got := analytics.Communities(c, pc)
+		n := int64(len(pc))
+		r.each("internal density", "m_in exact (Thm. 6); ρ_in ≥ ⅓·ρ_in·ρ_in (Cor. 6)", "communities", n, n, func(x int64) string {
+			sa, sb := statsA[x/int64(len(pb))], statsB[x%int64(len(pb))]
+			if w, g := want[x], got[x]; w.MIn != g.MIn || sa.Size > 1 && sb.Size > 1 && g.RhoIn < groundtruth.RhoInLowerBound(sa, sb)-1e-12 {
+				return fmt.Sprintf("S_%d: m_in want %d, got %d; ρ_in %.6g ≥ %.6g", x, w.MIn, g.MIn, g.RhoIn, groundtruth.RhoInLowerBound(sa, sb))
+			}
+			return ""
+		})
+		r.each("external density", "m_out exact (Thm. 6); ρ_out ≤ (3+4ω)Ω·ρ_out·ρ_out (corrected Cor. 7)", "communities", n, n, func(x int64) string {
+			sa, sb := statsA[x/int64(len(pb))], statsB[x%int64(len(pb))]
+			// Cor. 7's hypothesis: m_out(S) ≥ |S| on both sides.
+			bounded := sa.MOut >= sa.Size && sb.MOut >= sb.Size
+			if w, g := want[x], got[x]; w.MOut != g.MOut || bounded && g.RhoOut > groundtruth.RhoOutUpperBound(fa, fb, sa, sb)+1e-12 {
+				return fmt.Sprintf("S_%d: m_out want %d, got %d; ρ_out %.6g", x, w.MOut, g.MOut, g.RhoOut)
+			}
+			return ""
+		})
+	}
 
 	// Connectivity (Weichsel, ref [1]), when both factors are connected
 	// and have an edge.
 	if wantComp, err := groundtruth.ProductComponents(effA, effB); err == nil {
 		_, gotComp := c.ConnectedComponents()
-		add("components (Weichsel)", wantComp, gotComp)
+		r.add("components (Weichsel)", "1, or 2 when both factors are bipartite", wantComp, gotComp)
 	}
-
-	// Distance spot checks (Thm. 3 / Cor. 4) need full self loops.
-	if opts.SelfLoops && !opts.SkipDistances {
-		fd := []*groundtruth.Factor{fe[0].WithDistances(), fe[1].WithDistances()}
-		distOK := true
-		var bad string
-		for s := 0; s < opts.Samples; s++ {
-			p := rng.Int63n(c.NumVertices())
-			hops := analytics.Hops(c, p)
-			q := rng.Int63n(c.NumVertices())
-			if want := groundtruth.ChainHopsAt(fd, ci.Split(p), ci.Split(q)); hops[q] != want {
-				distOK = false
-				bad = fmt.Sprintf("hops(%d,%d): want %d, got %d", p, q, want, hops[q])
-				break
-			}
-			// ε(p) is the largest hop from p, Unreachable if any is.
-			var ecc int64
-			for _, h := range hops {
-				if h == analytics.Unreachable {
-					ecc = analytics.Unreachable
-					break
-				}
-				ecc = max(ecc, h)
-			}
-			if want := groundtruth.ChainEccentricityAt(fd, ci.Split(p)); ecc != want {
-				distOK = false
-				bad = fmt.Sprintf("ecc(%d): want %d, got %d", p, want, ecc)
-				break
-			}
-		}
-		actual = "all match"
-		if !distOK {
-			actual = bad
-		}
-		rep.Checks = append(rep.Checks, Check{
-			fmt.Sprintf("hops+eccentricity (%d samples)", opts.Samples), "all match", actual, distOK})
-	}
-
-	// Community checks over the Kronecker partition (Thm. 6).
-	if opts.PartitionA != nil && opts.PartitionB != nil {
-		if !opts.SelfLoops {
-			return nil, fmt.Errorf("validate: community checks require SelfLoops mode (Thm. 6 hypothesis)")
-		}
-		statsA := analytics.Communities(a, opts.PartitionA)
-		statsB := analytics.Communities(b, opts.PartitionB)
-		commOK := true
-		var bad string
-		for ai := range opts.PartitionA {
-			for bi := range opts.PartitionB {
-				pred := groundtruth.CommunityKron(fa, fb, statsA[ai], statsB[bi])
-				sc := core.KronSet(opts.PartitionA[ai], opts.PartitionB[bi], fb.N())
-				meas := analytics.Community(c, sc)
-				if pred.MIn != meas.MIn || pred.MOut != meas.MOut {
-					commOK = false
-					bad = fmt.Sprintf("community (%d,%d): want (%d,%d), got (%d,%d)",
-						ai, bi, pred.MIn, pred.MOut, meas.MIn, meas.MOut)
-				}
-			}
-		}
-		actual = "all match"
-		if !commOK {
-			actual = bad
-		}
-		rep.Checks = append(rep.Checks, Check{
-			fmt.Sprintf("communities (%d×%d)", len(opts.PartitionA), len(opts.PartitionB)),
-			"all match", actual, commOK})
-	}
-	return rep, nil
-}
-
-// histString renders the value histogram of vs deterministically for
-// comparison.
-func histString(vs []int64) string {
-	h := map[int64]int64{}
-	for _, v := range vs {
-		h[v]++
-	}
-	keys := make([]int64, 0, len(h))
-	for k := range h {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	s := ""
-	for _, k := range keys {
-		s += fmt.Sprintf("%d:%d ", k, h[k])
-	}
-	return s
+	return &r.rep, nil
 }

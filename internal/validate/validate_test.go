@@ -1,6 +1,7 @@
 package validate
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -8,6 +9,64 @@ import (
 	"kronlab/internal/gen"
 	"kronlab/internal/graph"
 )
+
+// TestScalingLawsAllHold checks both products of experiment E1's four
+// factor pairs everywhere — every vertex, arc and community — and holds
+// the two reports together to every row of the paper's Sec. I table.
+func TestScalingLawsAllHold(t *testing.T) {
+	lcc := func(g *graph.Graph) *graph.Graph { c, _ := g.LargestComponent(); return c }
+	sbmA, partA := gen.SBM(gen.SBMParams{BlockSizes: gen.EqualBlocks(3, 8), PIn: 0.7, POut: 0.1, Seed: 3})
+	sbmB, partB := gen.SBM(gen.SBMParams{BlockSizes: gen.EqualBlocks(2, 9), PIn: 0.6, POut: 0.12, Seed: 4})
+	for _, pr := range []struct {
+		a, b   *graph.Graph
+		pa, pb [][]int64
+	}{
+		{gen.ER(14, 0.35, 1), gen.ER(12, 0.4, 2),
+			[][]int64{{0, 1, 2, 3, 4, 5, 6}, {7, 8, 9, 10, 11, 12, 13}},
+			[][]int64{{0, 1, 2, 3, 4, 5}, {6, 7, 8, 9, 10, 11}}},
+		{sbmA, sbmB, partA, partB},
+		{lcc(gen.PrefAttach(15, 2, 5)), lcc(gen.MustRMAT(gen.Graph500Params(4, 6))),
+			[][]int64{{0, 1, 2, 3, 4, 5, 6}, {7, 8, 9, 10, 11, 12, 13, 14}},
+			[][]int64{{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}}},
+		{gen.Ring(10), gen.Clique(5),
+			[][]int64{{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}},
+			[][]int64{{0, 1, 2, 3, 4}}},
+	} {
+		c, err := core.Product(pr.a, pr.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := core.ProductWithSelfLoops(pr.a, pr.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := Run(pr.a, pr.b, c, Options{Samples: math.MaxInt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		looped, err := Run(pr.a, pr.b, cl, Options{SelfLoops: true, Samples: math.MaxInt, PartitionA: pr.pa, PartitionB: pr.pb})
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := ""
+		for _, ch := range append(plain.Checks, looped.Checks...) {
+			if !ch.OK {
+				t.Errorf("%v ⊗ %v: %s (%s): expected %s, got %s", pr.a, pr.b, ch.Name, ch.Law, ch.Expected, ch.Actual)
+			}
+			if strings.Contains(ch.Name, "sampled") {
+				t.Errorf("%s sampled, want every item checked", ch.Name)
+			}
+			names += ch.Name + "\n"
+		}
+		for _, q := range []string{"vertices", "edges", "degree", "vertex triangles", "edge triangles",
+			"global triangles", "clustering", "hops+eccentricity", "diameter", "communities",
+			"internal density", "external density"} {
+			if !strings.Contains(names, q) {
+				t.Errorf("%v ⊗ %v: no %s check among\n%s", pr.a, pr.b, q, names)
+			}
+		}
+	}
+}
 
 func TestRunPassesOnCorrectProduct(t *testing.T) {
 	a := gen.PrefAttach(12, 2, 1)
@@ -97,6 +156,10 @@ func TestRunCatchesSingleEdgePerturbations(t *testing.T) {
 			e := c.EdgeList()[3]
 			return !(u == e.U && v == e.V) && !(u == e.V && v == e.U)
 		}),
+		"one arc removed": c.FilterArcs(func(u, v int64) bool {
+			e := c.EdgeList()[3]
+			return !(u == e.U && v == e.V)
+		}),
 		"edge added": mustAddEdge(t, c),
 	}
 	for name, bad := range cases {
@@ -159,7 +222,7 @@ func TestRunOptionValidation(t *testing.T) {
 }
 
 func TestReportString(t *testing.T) {
-	rep := &Report{Checks: []Check{{"x", "1", "2", false}, {"y", "1", "1", true}}}
+	rep := &Report{Checks: []Check{{"x", "", "1", "2", false}, {"y", "", "1", "1", true}}}
 	s := rep.String()
 	if !strings.Contains(s, "FAIL") || !strings.Contains(s, "PASS") {
 		t.Errorf("report rendering: %q", s)
