@@ -85,6 +85,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBySourceAdditive -fuzztime 5s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzSourceMapAdditive -fuzztime 5s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzMaxLaw -fuzztime 5s ./internal/groundtruth/
+	$(GO) test -run '^$$' -fuzz FuzzChainTriangleLaws -fuzztime 5s ./internal/groundtruth/
 
 # Lint the concurrency-heavy dist package. staticcheck is optional
 # locally (CI installs a pinned version); vet always runs.

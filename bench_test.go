@@ -243,11 +243,15 @@ func BenchmarkE3WeakScaling(b *testing.B) {
 
 func BenchmarkE4TriangleGroundTruth(b *testing.B) {
 	fixtures(b)
+	fs := []*groundtruth.Factor{benchFacA, benchFacB}
+	ci := core.MustChainIndex(benchFacA.N(), benchFacB.N())
+	coords := make([]int64, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v := groundtruth.VertexTrianglesFullLoops(benchFacA, benchFacB)
-		if len(v) == 0 {
-			b.Fatal("empty")
+		for p := int64(0); p < ci.NumVertices(); p++ {
+			if _, err := groundtruth.ChainVertexTrianglesFullLoopsAt(fs, ci.SplitInto(p, coords)); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
@@ -279,12 +283,18 @@ func BenchmarkE4TriangleDistributed(b *testing.B) {
 
 func BenchmarkE5ClusteringGroundTruth(b *testing.B) {
 	fixtures(b)
-	n := benchFacA.N() * benchFacB.N()
+	fs := []*groundtruth.Factor{benchFacA, benchFacB}
+	ci := core.MustChainIndex(benchFacA.N(), benchFacB.N())
+	coords := make([]int64, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var s float64
-		for p := int64(0); p < n; p += 7 {
-			s += groundtruth.VertexClusteringAt(benchFacA, benchFacB, p)
+		for p := int64(0); p < ci.NumVertices(); p += 7 {
+			eta, err := groundtruth.ChainVertexClusteringAt(fs, ci.SplitInto(p, coords))
+			if err != nil {
+				b.Fatal(err)
+			}
+			s += eta
 		}
 	}
 }

@@ -83,7 +83,7 @@ func runClustering(w io.Writer) error {
 			continue
 		}
 		total++
-		if math.Abs(ccExact[p]-groundtruth.VertexClusteringAt(fs, fs, p)) < 1e-9 {
+		if eta, err := groundtruth.ChainVertexClusteringAt([]*groundtruth.Factor{fs, fs}, []int64{i, k}); err == nil && math.Abs(ccExact[p]-eta) < 1e-9 {
 			okCount++
 		}
 	}

@@ -11,11 +11,12 @@
 //	groundtruth -a A.txt -b B.txt -self-loops -per-vertex FROM:COUNT
 //
 // The histograms fold the factors' histograms, so nothing n_C long is
-// built — but for Cor. 1's triangle histogram under -self-loops, which
-// still counts its vector. -per-vertex writes only a CSV feature table —
-// the introduction's "local graph topological properties as features in
-// machine learning tasks" — one row per product vertex p in
-// [FROM, FROM+COUNT):
+// built; Cor. 1's triangle histogram under -self-loops, whose law is no
+// product of factor values, counts its point law at every product vertex
+// into a value → count table instead. -per-vertex writes only a CSV
+// feature table — the introduction's "local graph topological properties
+// as features in machine learning tasks" — one row per product vertex p
+// in [FROM, FROM+COUNT):
 //
 //	vertex,i,k,degree,triangles,clustering,eccentricity,closeness
 package main
@@ -103,7 +104,7 @@ func main() {
 	}
 	looped := []*groundtruth.Factor{al, bl}
 	if *perVertex != "" {
-		printPerVertex(a, b, al, bl, from, count)
+		printPerVertex(fs, looped, from, count)
 		return
 	}
 	fmt.Printf("factors: A=%v B=%v\n", ga, gb)
@@ -113,10 +114,14 @@ func main() {
 		printHistogram("\ndegree histogram (d_C = d_A ⊗ d_B):", must(groundtruth.ChainDegreeHistogram(looped)))
 	}
 	if *triangles {
-		fmt.Printf("\nglobal triangles τ_C = %d (Cor. 1 aggregate)\n",
-			groundtruth.GlobalTrianglesFullLoops(a, b))
-		fmt.Println("vertex triangle-count histogram:")
-		fmt.Print(analytics.NewHistogram(groundtruth.VertexTrianglesFullLoops(a, b)).Render(40))
+		fmt.Printf("\nglobal triangles τ_C = %d (Cor. 1 aggregate)\n", must(groundtruth.ChainGlobalTrianglesFullLoops(fs)))
+		counts := map[int64]int64{}
+		for i := int64(0); i < a.N(); i++ {
+			for k := int64(0); k < b.N(); k++ {
+				counts[must(groundtruth.ChainVertexTrianglesFullLoopsAt(fs, []int64{i, k}))]++
+			}
+		}
+		printHistogram("vertex triangle-count histogram:", counts)
 	}
 	if *distances {
 		fmt.Printf("\ndiameter(C) = %d (Cor. 3)\n", groundtruth.ChainDiameter(looped))
@@ -146,12 +151,11 @@ func printHistogram(title string, counts map[int64]int64) {
 }
 
 // printPerVertex writes the CSV feature table of (A+I) ⊗ (B+I) for
-// product vertices [from, from+count), clipped to n_C: a and b are the
-// loop-free factors the triangle laws take, al and bl their +I forms with
+// product vertices [from, from+count), clipped to n_C: fs holds the
+// loop-free factors the triangle laws take, looped their +I forms with
 // the distance tier.
-func printPerVertex(a, b, al, bl *groundtruth.Factor, from, count int64) {
-	looped := []*groundtruth.Factor{al, bl}
-	ix := core.MustChainIndex(a.N(), b.N()) // n_C fits: the caller checked it
+func printPerVertex(fs, looped []*groundtruth.Factor, from, count int64) {
+	ix := core.MustChainIndex(fs[0].N(), fs[1].N()) // n_C fits: the caller checked it
 	nC := ix.NumVertices()
 	if from < 0 || from >= nC {
 		log.Fatalf("-per-vertex FROM %d outside [0,%d)", from, nC)
@@ -167,7 +171,7 @@ func printPerVertex(a, b, al, bl *groundtruth.Factor, from, count int64) {
 	for p := from; p < hi; p++ {
 		ix.SplitInto(p, coords)
 		deg := groundtruth.ChainDegreeAt(looped, coords)
-		tri := groundtruth.VertexTrianglesFullLoopsAt(a, b, p)
+		tri := must(groundtruth.ChainVertexTrianglesFullLoopsAt(fs, coords))
 		// Clustering of the looped product vertex from its own degree and
 		// triangle count, the loop excluded from both by convention.
 		cc := math.NaN()
@@ -175,6 +179,6 @@ func printPerVertex(a, b, al, bl *groundtruth.Factor, from, count int64) {
 			cc = 2 * float64(tri) / float64(d*(d-1))
 		}
 		fmt.Fprintf(w, "%d,%d,%d,%d,%d,%.6g,%d,%.6g\n", p, coords[0], coords[1], deg, tri, cc,
-			groundtruth.ChainEccentricityAt(looped, coords), groundtruth.ClosenessCompressedAt(al, bl, p))
+			groundtruth.ChainEccentricityAt(looped, coords), groundtruth.ClosenessCompressedAt(looped[0], looped[1], p))
 	}
 }

@@ -24,12 +24,12 @@ func main() {
 	// Benchmark input: C = A ⊗ B from two scale-free factors.
 	a := gen.PrefAttach(50, 3, 1)
 	b := gen.MustRMAT(gen.Graph500Params(6, 2))
-	fa, fb := groundtruth.NewFactor(a), groundtruth.NewFactor(b)
+	fs := []*groundtruth.Factor{groundtruth.NewFactor(a), groundtruth.NewFactor(b)}
 	c, err := core.Product(a, b)
 	if err != nil {
 		log.Fatal(err)
 	}
-	want, err := groundtruth.ChainGlobalTriangles([]*groundtruth.Factor{fa, fb})
+	want, err := groundtruth.ChainGlobalTriangles(fs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +52,10 @@ func main() {
 		log.Fatal(err)
 	}
 	got = buggyTriangleCount(cl)
-	wantLoops := groundtruth.GlobalTrianglesFullLoops(fa, fb)
+	wantLoops, err := groundtruth.ChainGlobalTrianglesFullLoops(fs)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("buggy counter (on (A+I)⊗(B+I)): %12d  %s (ground truth %d)\n",
 		got, verdict(got == wantLoops), wantLoops)
 

@@ -20,7 +20,7 @@ import (
 // wrapped garbage.
 
 // fold returns op(…op(x(0), x(1))…, x(k−1)) over the chain's factors —
-// the one shape every law here has — naming the law when op overflows.
+// every law whose state is one number — naming the law when op overflows.
 func fold(fs []*Factor, law string, x func(d int, f *Factor) int64, op func(acc, v int64) (int64, bool)) (int64, error) {
 	out := x(0, fs[0])
 	for d := 1; d < len(fs); d++ {
@@ -88,9 +88,7 @@ func ChainNumEdges(fs []*Factor) (int64, error) {
 // ChainGlobalTriangles returns τ_C = 6^{k−1}·Π τ_d for loop-free factors
 // (induction on τ_C = 6·τ_A·τ_B), checked.
 func ChainGlobalTriangles(fs []*Factor) (int64, error) {
-	for _, f := range fs {
-		f.RequireNoSelfLoops("τ_C = 6^{k−1}·Π τ_d")
-	}
+	requireLoopFree(fs, "τ_C = 6^{k−1}·Π τ_d")
 	return fold(fs, "triangle count", func(_ int, f *Factor) int64 { return f.Tri.Global }, scaled(6))
 }
 

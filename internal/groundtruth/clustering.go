@@ -1,10 +1,6 @@
 package groundtruth
 
-import (
-	"math"
-
-	"kronlab/internal/core"
-)
+import "math"
 
 // Theta returns the vertex clustering scaling factor of Thm. 1:
 // θ_p = (d_i − 1)·(d_k − 1) / (d_i·d_k − 1), which lies in [1/3, 1) for
@@ -13,19 +9,24 @@ func Theta(di, dk int64) float64 {
 	return float64((di-1)*(dk-1)) / float64(di*dk-1)
 }
 
-// VertexClusteringAt returns the ground-truth vertex clustering
-// coefficient η_C(p) = θ_p·η_A(i)·η_B(k) for C = A ⊗ B with loop-free
-// factors (Thm. 1). NaN when d_i < 2 or d_k < 2 (η undefined).
-func VertexClusteringAt(a, b *Factor, p int64) float64 {
-	ix := core.NewIndex(b.N())
-	i, k := ix.Split(p)
-	di, dk := a.Deg[i], b.Deg[k]
-	if di < 2 || dk < 2 {
-		return math.NaN()
+// ChainVertexClusteringAt returns the ground-truth vertex clustering
+// coefficient η_p = 2t_p/(d_p(d_p − 1)) of the loop-free product ⊗A_d,
+// read from the degree and triangle laws at p's coordinates. At k = 2 it
+// is Thm. 1's η_C(p) = θ_p·η_A(i)·η_B(k). NaN when any digit's degree is
+// below 2 (η undefined there); an error when t_p overflows.
+func ChainVertexClusteringAt(fs []*Factor, coords []int64) (float64, error) {
+	requireLoopFree(fs, "Thm. 1")
+	for d, f := range fs {
+		if f.Deg[coords[d]] < 2 {
+			return math.NaN(), nil
+		}
 	}
-	etaA := 2 * float64(a.Tri.Vertex[i]) / float64(di*(di-1))
-	etaB := 2 * float64(b.Tri.Vertex[k]) / float64(dk*(dk-1))
-	return Theta(di, dk) * etaA * etaB
+	t, err := ChainVertexTrianglesAt(fs, coords)
+	if err != nil {
+		return 0, err
+	}
+	deg := float64(ChainDegreeAt(fs, coords))
+	return 2 * float64(t) / (deg * (deg - 1)), nil
 }
 
 // Phi returns the edge clustering scaling factor of Thm. 2:
@@ -35,41 +36,25 @@ func VertexClusteringAt(a, b *Factor, p int64) float64 {
 // which lies in (0, 1) but — unlike θ — has no positive lower bound, so
 // edge clustering coefficients are not controllable.
 func Phi(di, dj, dk, dl int64) float64 {
-	minA := di
-	if dj < minA {
-		minA = dj
-	}
-	minB := dk
-	if dl < minB {
-		minB = dl
-	}
-	minC := di * dk
-	if dj*dl < minC {
-		minC = dj * dl
-	}
-	return float64((minA-1)*(minB-1)) / float64(minC-1)
+	return float64((min(di, dj)-1)*(min(dk, dl)-1)) / float64(min(di*dk, dj*dl)-1)
 }
 
-// EdgeClusteringAt returns the ground-truth edge clustering coefficient
-// ξ_C(p,q) = φ_pq·ξ_A(i,j)·ξ_B(k,l) for C = A ⊗ B with loop-free factors
-// (Thm. 2). NaN when any relevant min-degree is < 2.
-func EdgeClusteringAt(a, b *Factor, p, q int64) float64 {
-	ix := core.NewIndex(b.N())
-	i, k := ix.Split(p)
-	j, l := ix.Split(q)
-	di, dj, dk, dl := a.Deg[i], a.Deg[j], b.Deg[k], b.Deg[l]
-	minA := di
-	if dj < minA {
-		minA = dj
+// ChainEdgeClusteringAt returns the ground-truth edge clustering
+// coefficient ξ_pq = Δ_pq/(min(d_p, d_q) − 1) of a non-loop edge of the
+// loop-free product ⊗A_d, read from the degree and edge triangle laws at
+// the endpoints' coordinates. At k = 2 it is Thm. 2's
+// ξ_C(p,q) = φ_pq·ξ_A(i,j)·ξ_B(k,l). NaN when any digit's smaller endpoint
+// degree is below 2; an error when Δ_pq overflows.
+func ChainEdgeClusteringAt(fs []*Factor, cp, cq []int64) (float64, error) {
+	requireLoopFree(fs, "Thm. 2")
+	for d, f := range fs {
+		if min(f.Deg[cp[d]], f.Deg[cq[d]]) < 2 {
+			return math.NaN(), nil
+		}
 	}
-	minB := dk
-	if dl < minB {
-		minB = dl
+	tri, err := ChainEdgeTrianglesAt(fs, cp, cq)
+	if err != nil {
+		return 0, err
 	}
-	if minA < 2 || minB < 2 {
-		return math.NaN()
-	}
-	xiA := float64(a.EdgeTri(i, j)) / float64(minA-1)
-	xiB := float64(b.EdgeTri(k, l)) / float64(minB-1)
-	return Phi(di, dj, dk, dl) * xiA * xiB
+	return float64(tri) / float64(min(ChainDegreeAt(fs, cp), ChainDegreeAt(fs, cq))-1), nil
 }

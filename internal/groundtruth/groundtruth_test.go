@@ -130,15 +130,17 @@ func TestEdgeTriangleLaw(t *testing.T) {
 		a, b := NewFactor(ga), NewFactor(gb)
 		c := mustProduct(t, ga, gb)
 		exact := analytics.Triangles(c)
+		fs := []*Factor{a, b}
+		ci := chainIndexFor(t, fs)
 		idx := int64(-1)
 		c.Arcs(func(u, v int64) bool {
 			idx++
 			if u == v {
 				return true
 			}
-			if got := EdgeTrianglesAt(a, b, u, v); got != exact.Arc[idx] {
-				t.Fatalf("trial %d: Δ(%d,%d) exact %d, predicted %d",
-					trial, u, v, exact.Arc[idx], got)
+			if got, err := ChainEdgeTrianglesAt(fs, ci.Split(u), ci.Split(v)); err != nil || got != exact.Arc[idx] {
+				t.Fatalf("trial %d: Δ(%d,%d) exact %d, predicted %d (err %v)",
+					trial, u, v, exact.Arc[idx], got, err)
 			}
 			return true
 		})
@@ -157,15 +159,16 @@ func TestCor1VertexTrianglesFullLoops(t *testing.T) {
 			t.Fatal(err)
 		}
 		exact := analytics.Triangles(c)
-		pred := VertexTrianglesFullLoops(a, b)
+		fs := []*Factor{a, b}
+		ci := chainIndexFor(t, fs)
 		for p := int64(0); p < c.NumVertices(); p++ {
-			if exact.Vertex[p] != pred[p] {
-				t.Fatalf("trial %d: Cor.1 t_%d exact %d, predicted %d",
-					trial, p, exact.Vertex[p], pred[p])
+			if pred, err := ChainVertexTrianglesFullLoopsAt(fs, ci.Split(p)); err != nil || exact.Vertex[p] != pred {
+				t.Fatalf("trial %d: Cor.1 t_%d exact %d, predicted %d (err %v)",
+					trial, p, exact.Vertex[p], pred, err)
 			}
 		}
-		if got := GlobalTrianglesFullLoops(a, b); got != exact.Global {
-			t.Fatalf("trial %d: Cor.1 τ exact %d, predicted %d", trial, exact.Global, got)
+		if got, err := ChainGlobalTrianglesFullLoops(fs); err != nil || got != exact.Global {
+			t.Fatalf("trial %d: Cor.1 τ exact %d, predicted %d (err %v)", trial, exact.Global, got, err)
 		}
 	}
 }
@@ -174,9 +177,10 @@ func TestCor1KnownExample(t *testing.T) {
 	// A = B = K2: C = (K2+I)⊗(K2+I) = K4 with loops; t_p = 3 everywhere.
 	k2, _ := graph.NewUndirected(2, []graph.Edge{{U: 0, V: 1}})
 	a := NewFactor(k2)
+	ci := core.MustChainIndex(2, 2)
 	for p := int64(0); p < 4; p++ {
-		if got := VertexTrianglesFullLoopsAt(a, a, p); got != 3 {
-			t.Errorf("K2⊗K2 Cor.1 t_%d = %d, want 3", p, got)
+		if got, err := ChainVertexTrianglesFullLoopsAt([]*Factor{a, a}, ci.Split(p)); err != nil || got != 3 {
+			t.Errorf("K2⊗K2 Cor.1 t_%d = %d (err %v), want 3", p, got, err)
 		}
 	}
 }
@@ -191,15 +195,17 @@ func TestCor2EdgeTrianglesFullLoops(t *testing.T) {
 			t.Fatal(err)
 		}
 		exact := analytics.Triangles(c)
+		fs := []*Factor{a, b}
+		ci := chainIndexFor(t, fs)
 		idx := int64(-1)
 		c.Arcs(func(u, v int64) bool {
 			idx++
 			if u == v {
 				return true
 			}
-			if got := EdgeTrianglesFullLoopsAt(a, b, u, v); got != exact.Arc[idx] {
-				t.Fatalf("trial %d: Cor.2 Δ(%d,%d) exact %d, predicted %d",
-					trial, u, v, exact.Arc[idx], got)
+			if got, err := ChainEdgeTrianglesFullLoopsAt(fs, ci.Split(u), ci.Split(v)); err != nil || got != exact.Arc[idx] {
+				t.Fatalf("trial %d: Cor.2 Δ(%d,%d) exact %d, predicted %d (err %v)",
+					trial, u, v, exact.Arc[idx], got, err)
 			}
 			return true
 		})
@@ -222,8 +228,8 @@ func TestCor2PaperTypo(t *testing.T) {
 	if exact != 2 {
 		t.Fatalf("exact Δ(0,1) on K4 = %d, want 2", exact)
 	}
-	if got := EdgeTrianglesFullLoopsAt(a, a, 0, 1); got != exact {
-		t.Fatalf("corrected Cor.2 = %d, exact %d", got, exact)
+	if got, err := ChainEdgeTrianglesFullLoopsAt([]*Factor{a, a}, []int64{0, 0}, []int64{0, 1}); err != nil || got != exact {
+		t.Fatalf("corrected Cor.2 = %d (err %v), exact %d", got, err, exact)
 	}
 	// The printed formula: Δkl(di+1)δ(i,j) + 2(diδ(i,j) + dkδ(k,l) + 1)
 	// = 0·2·1 + 2·(1+0+1) = 4 ≠ 2.
@@ -241,7 +247,7 @@ func TestCor2PanicsOnLoop(t *testing.T) {
 			t.Error("expected panic for p == q")
 		}
 	}()
-	EdgeTrianglesFullLoopsAt(a, a, 0, 0)
+	_, _ = ChainEdgeTrianglesFullLoopsAt([]*Factor{a, a}, []int64{0, 0}, []int64{0, 0})
 }
 
 func TestRequireGuards(t *testing.T) {
@@ -296,9 +302,9 @@ func TestThm1VertexClustering(t *testing.T) {
 			if a.Deg[i] < 2 || b.Deg[k] < 2 {
 				continue
 			}
-			pred := VertexClusteringAt(a, b, p)
-			if math.Abs(exact[p]-pred) > 1e-9 {
-				t.Fatalf("trial %d: η(%d) exact %v, predicted %v", trial, p, exact[p], pred)
+			pred, err := ChainVertexClusteringAt([]*Factor{a, b}, []int64{i, k})
+			if err != nil || math.Abs(exact[p]-pred) > 1e-9 {
+				t.Fatalf("trial %d: η(%d) exact %v, predicted %v (err %v)", trial, p, exact[p], pred, err)
 			}
 		}
 	}
@@ -344,8 +350,8 @@ func TestThm2EdgeClustering(t *testing.T) {
 				a.EdgeTri(i, j) == 0 || b.EdgeTri(k, l) == 0 {
 				return true
 			}
-			pred := EdgeClusteringAt(a, b, u, v)
-			if math.IsNaN(pred) {
+			pred, err := ChainEdgeClusteringAt([]*Factor{a, b}, []int64{i, k}, []int64{j, l})
+			if err != nil || math.IsNaN(pred) {
 				t.Fatalf("trial %d: ξ(%d,%d) NaN under Thm.2 hypothesis", trial, u, v)
 			}
 			if math.Abs(exact[idx]-pred) > 1e-9 {

@@ -34,12 +34,11 @@ type gtRequest struct {
 // address product vertices (edges); sa/sb give factor community vertex
 // lists.
 //
-// summary, degree, triangles (global and per vertex), diameter,
-// eccentricity and hops compose across any chain. The laws the paper
-// gives for C = A⊗B only — edge triangles, the Cor. 1/2 loops=1 triangle
-// counts, clustering, closeness, community, and the Weichsel component
-// count inside summary — answer when the list has two factors, however
-// it was spelled.
+// summary, degree, triangles (global, per vertex and per edge, loops=1
+// included), clustering, diameter, eccentricity and hops compose across
+// any chain. The laws the paper gives for C = A⊗B only — closeness,
+// community, and the Weichsel component count inside summary — answer
+// when the list has two factors, however it was spelled.
 func (s *Server) handleGroundTruth(w http.ResponseWriter, r *http.Request) {
 	gs, hashes, pair, ok := s.resolveChain(w, r)
 	if !ok {
@@ -47,11 +46,8 @@ func (s *Server) handleGroundTruth(w http.ResponseWriter, r *http.Request) {
 	}
 	loops := r.URL.Query().Get("loops") == "1"
 	prop := r.PathValue("property")
-	switch prop {
-	case "clustering", "closeness", "community":
-		if !pairOnly(w, len(gs), prop+" ground truth") {
-			return
-		}
+	if (prop == "closeness" || prop == "community") && !pairOnly(w, len(gs), prop+" ground truth") {
+		return
 	}
 
 	// Which summary variant/tier does the property need?
@@ -67,11 +63,12 @@ func (s *Server) handleGroundTruth(w http.ResponseWriter, r *http.Request) {
 				"distance ground truth requires full-self-loop factors (factor %d is not); pass loops=1 to query ⊗(A_d+I)", i)
 			return
 		}
-		if loops && !distProp && g.NumSelfLoops() != 0 {
-			// Cor. 1/2, Thm. 6 and the degree formula assume the +I loops
-			// are supplied by the construction, not already present.
+		if (loops && !distProp || prop == "triangles" || prop == "clustering") && g.NumSelfLoops() != 0 {
+			// The triangle and clustering laws, and under loops=1 Cor. 1/2,
+			// Thm. 6 and the degree formula, take loop-free factors: the
+			// construction supplies the +I loops.
 			writeError(w, http.StatusBadRequest,
-				"loops=1 ground truth requires loop-free registered factors (factor %d has loops; the construction adds them)", i)
+				"%s ground truth requires loop-free registered factors (factor %d has loops; loops=1 adds them)", prop, i)
 			return
 		}
 	}
@@ -171,11 +168,15 @@ func (req *gtRequest) vertexParam(r *http.Request, name string) (int64, bool, er
 	return p, true, nil
 }
 
-// vertexParams parses p and q in one go, writing the 400 itself.
-func (req *gtRequest) vertexParams(w http.ResponseWriter, r *http.Request) (p, q int64, hasP, hasQ, ok bool) {
+// vertexParams parses p and q in one go, writing the 400 itself — also,
+// when edge is set, for a pair that is not a non-loop product edge.
+func (req *gtRequest) vertexParams(w http.ResponseWriter, r *http.Request, edge bool) (p, q int64, hasP, hasQ, ok bool) {
 	p, hasP, err := req.vertexParam(r, "p")
 	if err == nil {
 		q, hasQ, err = req.vertexParam(r, "q")
+	}
+	if err == nil && edge && hasP && hasQ && !req.isProductEdge(p, q) {
+		err = fmt.Errorf("(%d,%d) is not a non-loop edge of the product", p, q)
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -260,61 +261,41 @@ func (s *Server) gtDegree(w http.ResponseWriter, r *http.Request, req *gtRequest
 }
 
 func (s *Server) gtTriangles(w http.ResponseWriter, r *http.Request, req *gtRequest) {
-	// Triangle formulas (plain and Cor. 1/2) assume loop-free factors.
-	for i, f := range req.fs {
-		if f.G.NumSelfLoops() != 0 {
-			writeError(w, http.StatusBadRequest, "triangle ground truth requires loop-free factors (factor %d has loops)", i)
-			return
-		}
-	}
-	if req.loops && !pairOnly(w, len(req.fs), "loops=1 triangle ground truth (Cor. 1/2)") {
-		return
-	}
-	p, q, hasP, hasQ, ok := req.vertexParams(w, r)
+	p, q, hasP, hasQ, ok := req.vertexParams(w, r, true)
 	if !ok {
 		return
 	}
+	var out map[string]any
+	var tri int64
+	var err error
 	switch {
 	case hasP && hasQ: // edge count Δ_pq
-		if !pairOnly(w, len(req.fs), "edge triangle ground truth (Δ_C = Δ_A ⊗ Δ_B)") {
-			return
-		}
-		if !req.isProductEdge(p, q) {
-			writeError(w, http.StatusBadRequest, "(%d,%d) is not a non-loop edge of the product", p, q)
-			return
-		}
-		var tri int64
 		if req.loops {
-			tri = groundtruth.EdgeTrianglesFullLoopsAt(req.fs[0], req.fs[1], p, q) // Cor. 2
+			tri, err = groundtruth.ChainEdgeTrianglesFullLoopsAt(req.fs, req.ci.Split(p), req.ci.Split(q)) // Cor. 2
 		} else {
-			tri = groundtruth.EdgeTrianglesAt(req.fs[0], req.fs[1], p, q) // Δ_C = Δ_A ⊗ Δ_B
+			tri, err = groundtruth.ChainEdgeTrianglesAt(req.fs, req.ci.Split(p), req.ci.Split(q)) // Δ_C = Π Δ_d
 		}
-		writeJSON(w, http.StatusOK, req.base(map[string]any{"p": p, "q": q, "edge_triangles": tri}))
+		out = map[string]any{"p": p, "q": q, "edge_triangles": tri}
 	case hasP: // vertex count t_p
-		var tri int64
 		if req.loops {
-			tri = groundtruth.VertexTrianglesFullLoopsAt(req.fs[0], req.fs[1], p) // Cor. 1
+			tri, err = groundtruth.ChainVertexTrianglesFullLoopsAt(req.fs, req.ci.Split(p)) // Cor. 1
 		} else {
-			var err error
-			if tri, err = groundtruth.ChainVertexTrianglesAt(req.fs, req.ci.Split(p)); err != nil { // t_C = 2^{k−1}·Π t_d
-				writeError(w, http.StatusBadRequest, "%v", err)
-				return
-			}
+			tri, err = groundtruth.ChainVertexTrianglesAt(req.fs, req.ci.Split(p)) // t_C = 2^{k−1}·Π t_d
 		}
-		writeJSON(w, http.StatusOK, req.base(map[string]any{"p": p, "vertex_triangles": tri}))
+		out = map[string]any{"p": p, "vertex_triangles": tri}
 	default: // global count τ_C
-		var tau int64
 		if req.loops {
-			tau = groundtruth.GlobalTrianglesFullLoops(req.fs[0], req.fs[1])
+			tri, err = groundtruth.ChainGlobalTrianglesFullLoops(req.fs) // Cor. 1, summed
 		} else {
-			var err error
-			if tau, err = groundtruth.ChainGlobalTriangles(req.fs); err != nil { // τ_C = 6^{k−1}·Π τ_d
-				writeError(w, http.StatusBadRequest, "%v", err)
-				return
-			}
+			tri, err = groundtruth.ChainGlobalTriangles(req.fs) // τ_C = 6^{k−1}·Π τ_d
 		}
-		writeJSON(w, http.StatusOK, req.base(map[string]any{"global_triangles": tau}))
+		out = map[string]any{"global_triangles": tri}
 	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	writeJSON(w, http.StatusOK, req.base(out))
 }
 
 func (s *Server) gtClustering(w http.ResponseWriter, r *http.Request, req *gtRequest) {
@@ -322,29 +303,29 @@ func (s *Server) gtClustering(w http.ResponseWriter, r *http.Request, req *gtReq
 		writeError(w, http.StatusBadRequest, "clustering ground truth (Thm. 1/2) applies to the loop-free product; drop loops=1")
 		return
 	}
-	a, b := req.fs[0], req.fs[1]
-	if a.G.NumSelfLoops() != 0 || b.G.NumSelfLoops() != 0 {
-		writeError(w, http.StatusBadRequest, "clustering ground truth requires loop-free factors")
-		return
-	}
-	p, q, hasP, hasQ, ok := req.vertexParams(w, r)
+	p, q, hasP, hasQ, ok := req.vertexParams(w, r, true)
 	if !ok {
 		return
 	}
+	var out map[string]any
+	var cc float64
+	var err error
 	switch {
 	case hasP && hasQ:
-		if !req.isProductEdge(p, q) {
-			writeError(w, http.StatusBadRequest, "(%d,%d) is not a non-loop edge of the product", p, q)
-			return
-		}
-		xi := groundtruth.EdgeClusteringAt(a, b, p, q) // Thm. 2
-		writeJSON(w, http.StatusOK, req.base(map[string]any{"p": p, "q": q, "edge_clustering": floatValue(xi)}))
+		cc, err = groundtruth.ChainEdgeClusteringAt(req.fs, req.ci.Split(p), req.ci.Split(q)) // Thm. 2
+		out = map[string]any{"p": p, "q": q, "edge_clustering": floatValue(cc)}
 	case hasP:
-		eta := groundtruth.VertexClusteringAt(a, b, p) // Thm. 1
-		writeJSON(w, http.StatusOK, req.base(map[string]any{"p": p, "vertex_clustering": floatValue(eta)}))
+		cc, err = groundtruth.ChainVertexClusteringAt(req.fs, req.ci.Split(p)) // Thm. 1
+		out = map[string]any{"p": p, "vertex_clustering": floatValue(cc)}
 	default:
 		writeError(w, http.StatusBadRequest, "clustering needs p=<vertex> or p,q=<edge>")
+		return
 	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	writeJSON(w, http.StatusOK, req.base(out))
 }
 
 func (s *Server) gtEccentricity(w http.ResponseWriter, r *http.Request, req *gtRequest) {
@@ -393,7 +374,7 @@ func (s *Server) gtCloseness(w http.ResponseWriter, r *http.Request, req *gtRequ
 }
 
 func (s *Server) gtHops(w http.ResponseWriter, r *http.Request, req *gtRequest) {
-	p, q, hasP, hasQ, ok := req.vertexParams(w, r)
+	p, q, hasP, hasQ, ok := req.vertexParams(w, r, false)
 	if !ok {
 		return
 	}

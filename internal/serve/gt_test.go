@@ -2,11 +2,14 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"reflect"
 	"strings"
 	"testing"
 
+	"kronlab/internal/analytics"
+	"kronlab/internal/core"
 	"kronlab/internal/gen"
 	"kronlab/internal/graph"
 )
@@ -75,7 +78,8 @@ func TestGroundTruthSummaryComponents(t *testing.T) {
 // /gt/{a},{b}/{prop} are one query. Every property — including the laws
 // the paper gives for two factors only — must answer the same values in
 // both spellings, each under its own identification keys; at k = 3 the
-// two-factor laws refuse with a 400 that names the hypothesis.
+// two-factor laws (closeness, community) refuse with a 400 that names
+// the hypothesis.
 func TestGroundTruthOneHandlerTwoSpellings(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	a := gen.PrefAttach(6, 2, 41)
@@ -159,12 +163,60 @@ func TestGroundTruthOneHandlerTwoSpellings(t *testing.T) {
 		t.Errorf("k=3 summary: %v", sum)
 	}
 	getJSON(t, k3+"triangles?p=7", 200)
-	for _, q := range []string{
-		"triangles?p=1&q=2", "triangles?loops=1", "triangles?loops=1&p=7",
-		"clustering?p=0", "closeness?p=0", "closeness?loops=1&p=0", "community?loops=1&sa=0&sb=0",
-	} {
+	for _, q := range []string{"closeness?p=0", "closeness?loops=1&p=0", "community?loops=1&sa=0&sb=0"} {
 		if resp := getJSON(t, k3+q, http.StatusBadRequest); !strings.Contains(resp["error"].(string), "two-factor law") {
 			t.Errorf("k=3 %s: error %q does not name the two-factor hypothesis", q, resp["error"])
+		}
+	}
+}
+
+// TestGroundTruthChainTrianglesAndClustering: at k = 3 the triangle laws
+// (per vertex, per edge and in all, plain and loops=1) and both
+// clustering laws answer, and their values are those measured on the
+// materialized ⊗A_d and ⊗(A_d+I) of three different factors.
+func TestGroundTruthChainTrianglesAndClustering(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	gs := []*graph.Graph{gen.PrefAttach(5, 2, 41), gen.Clique(4), gen.Ring(3)}
+	ch, err := core.NewChain(gs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := ch.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	looped, err := ch.WithFullSelfLoops().Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := fmt.Sprintf("%s/gt/%s,%s,%s/", ts.URL, registerText(t, ts, gs[0], ""), registerText(t, ts, gs[1], ""), registerText(t, ts, gs[2], ""))
+	tri, ltri := analytics.Triangles(plain), analytics.Triangles(looped)
+	eta, xi := analytics.VertexClustering(plain), analytics.EdgeClustering(plain)
+	// want compares a response value with a measured one; NaN is null.
+	want := func(query, key string, measured float64) {
+		t.Helper()
+		got := getJSON(t, url+query, http.StatusOK)[key]
+		if f, ok := got.(float64); math.IsNaN(measured) && got != nil || !math.IsNaN(measured) && (!ok || math.Abs(f-measured) > 1e-9) {
+			t.Errorf("%s: %s = %v, measured %v", query, key, got, measured)
+		}
+	}
+	want("triangles", "global_triangles", float64(tri.Global))
+	want("triangles?loops=1", "global_triangles", float64(ltri.Global))
+	for p := int64(0); p < plain.NumVertices(); p += 7 {
+		want(fmt.Sprintf("triangles?p=%d", p), "vertex_triangles", float64(tri.Vertex[p]))
+		want(fmt.Sprintf("triangles?loops=1&p=%d", p), "vertex_triangles", float64(ltri.Vertex[p]))
+		want(fmt.Sprintf("clustering?p=%d", p), "vertex_clustering", eta[p])
+	}
+	for x, e := range plain.ArcSlice() {
+		if x%11 == 0 {
+			pq := fmt.Sprintf("p=%d&q=%d", e.U, e.V)
+			want("triangles?"+pq, "edge_triangles", float64(tri.Arc[x]))
+			want("clustering?"+pq, "edge_clustering", xi[x])
+		}
+	}
+	for x, e := range looped.ArcSlice() {
+		if x%13 == 0 && e.U != e.V {
+			want(fmt.Sprintf("triangles?loops=1&p=%d&q=%d", e.U, e.V), "edge_triangles", float64(ltri.Arc[x]))
 		}
 	}
 }

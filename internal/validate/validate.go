@@ -190,7 +190,6 @@ func Run(a, b, c *graph.Graph, opts Options) (*Report, error) {
 		return &r.rep, nil
 	}
 	ci := core.MustChainIndex(fa.N(), fb.N()) // n_C fits: checked above
-	ix := core.NewIndex(fb.N())
 	cp, cq := make([]int64, 2), make([]int64, 2)
 
 	// Degrees, at every vertex: the check costs what counting them does.
@@ -203,14 +202,14 @@ func Run(a, b, c *graph.Graph, opts Options) (*Report, error) {
 
 	// Triangles: per vertex, per arc, and in all.
 	cTri := analytics.Triangles(c)
+	vertexTriangles, edgeTriangles, globalTriangles := groundtruth.ChainVertexTrianglesAt, groundtruth.ChainEdgeTrianglesAt, groundtruth.ChainGlobalTriangles
+	if opts.SelfLoops { // Cor. 1/2 take the loop-free fs and add the +I themselves
+		vertexTriangles, edgeTriangles, globalTriangles = groundtruth.ChainVertexTrianglesFullLoopsAt, groundtruth.ChainEdgeTrianglesFullLoopsAt, groundtruth.ChainGlobalTrianglesFullLoops
+	}
 	r.each("vertex triangles", law("t_C = 2·t_A ⊗ t_B", "t_C by Cor. 1"), "vertices", nC, r.samples, func(p int64) string {
-		var want int64
-		if opts.SelfLoops {
-			want = groundtruth.VertexTrianglesFullLoopsAt(fa, fb, p)
-		} else if t, err := groundtruth.ChainVertexTrianglesAt(fs, ci.SplitInto(p, cp)); err != nil {
+		want, err := vertexTriangles(fs, ci.SplitInto(p, cp))
+		if err != nil {
 			return err.Error()
-		} else {
-			want = t
 		}
 		if cTri.Vertex[p] != want {
 			return fmt.Sprintf("t_%d: want %d, got %d", p, want, cTri.Vertex[p])
@@ -221,29 +220,26 @@ func Run(a, b, c *graph.Graph, opts Options) (*Report, error) {
 	r.each("edge triangles", law("Δ_C = Δ_A ⊗ Δ_B", "Δ_C by Cor. 2"), "arcs", c.NumArcs(), r.samples, func(x int64) string {
 		u := int64(sort.Search(int(nC), func(v int) bool { return offsets[v+1] > x }))
 		v := c.Neighbors(u)[x-offsets[u]]
-		i, k := ix.Split(u)
-		j, l := ix.Split(v)
+		ci.SplitInto(u, cp)
+		ci.SplitInto(v, cq)
 		switch {
 		case u == v:
 			return "" // Cor. 2 counts the triangles of p ≠ q only
-		case !effA.HasArc(i, j) || !effB.HasArc(k, l):
+		case !effA.HasArc(cp[0], cq[0]) || !effB.HasArc(cp[1], cq[1]):
 			return fmt.Sprintf("arc (%d,%d) is not in the product", u, v)
 		}
-		want := groundtruth.EdgeTrianglesFullLoopsAt(fa, fb, u, v)
-		if !opts.SelfLoops {
-			want = groundtruth.EdgeTrianglesAt(fa, fb, u, v)
+		want, err := edgeTriangles(fs, cp, cq)
+		if err != nil {
+			return err.Error()
 		}
 		if cTri.Arc[x] != want {
 			return fmt.Sprintf("Δ_(%d,%d): want %d, got %d", u, v, want, cTri.Arc[x])
 		}
 		return ""
 	})
-	wantTau := groundtruth.GlobalTrianglesFullLoops(fa, fb)
-	if !opts.SelfLoops {
-		var err error
-		if wantTau, err = groundtruth.ChainGlobalTriangles(fs); err != nil {
-			return nil, fmt.Errorf("validate: %w", err)
-		}
+	wantTau, err := globalTriangles(fs)
+	if err != nil {
+		return nil, fmt.Errorf("validate: %w", err)
 	}
 	r.add("global triangles", law("τ_C = 6·τ_A·τ_B", "τ_C = Σ_p t_p/3 (Cor. 1)"), wantTau, cTri.Global)
 
@@ -254,12 +250,14 @@ func Run(a, b, c *graph.Graph, opts Options) (*Report, error) {
 			return 2 * float64(f.Tri.Vertex[i]) / float64(f.Deg[i]*(f.Deg[i]-1))
 		}
 		r.each("clustering", "η_C = θ·η_A·η_B ≥ ⅓·η_A·η_B", "vertices", nC, r.samples, func(p int64) string {
-			want := groundtruth.VertexClusteringAt(fa, fb, p)
+			want, err := groundtruth.ChainVertexClusteringAt(fs, ci.SplitInto(p, cp))
+			if err != nil {
+				return err.Error()
+			}
 			if math.IsNaN(want) {
 				return "" // η is undefined below degree 2
 			}
-			i, k := ix.Split(p)
-			if bound := eta(fa, i) * eta(fb, k) / 3; math.Abs(cc[p]-want) > 1e-9 || cc[p] < bound-1e-12 {
+			if bound := eta(fa, cp[0]) * eta(fb, cp[1]) / 3; math.Abs(cc[p]-want) > 1e-9 || cc[p] < bound-1e-12 {
 				return fmt.Sprintf("η_%d: want %.6g ≥ %.6g, got %.6g", p, want, bound, cc[p])
 			}
 			return ""

@@ -459,7 +459,7 @@ func TestNothingUnreached(t *testing.T) {
 
 var (
 	backticked = regexp.MustCompile("`([^`]+)`")
-	testName   = regexp.MustCompile(`^(Test\w*)(\*?)$`)
+	testName   = regexp.MustCompile(`^((?:Test|Fuzz)\w*)(\*?)$`)
 	// pkg.Name, pkg.Type.Method, pkg.Name().Field, or a bare Name; a
 	// trailing * is a prefix glob.
 	apiName = regexp.MustCompile(`^(?:([a-z][a-z0-9]*)\.)?([A-Z]\w*)(?:\.([A-Z]\w*))?(\*?)(?:\(\)\.\w+)?$`)
@@ -469,7 +469,7 @@ var (
 )
 
 // TestFormulasNamesExist holds FORMULAS.md to the tree: every backticked
-// Test… name is a test function, and every backticked pkg.Name or
+// Test… or Fuzz… name is a test function, and every backticked pkg.Name or
 // pkg.Type.Method a declaration of that internal package (a bare Name, of
 // any). A trailing * matches any suffix; any other shorthand fails.
 func TestFormulasNamesExist(t *testing.T) {
