@@ -372,9 +372,23 @@ func BenchmarkE7ClosenessDirect(b *testing.B) {
 
 func BenchmarkE7ClosenessCompressed(b *testing.B) {
 	fixtures(b)
+	square, ix := []*groundtruth.Factor{gnutFac, gnutFac}, core.MustChainIndex(gnutFac.N(), gnutFac.N())
+	coords := make([]int64, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		groundtruth.ClosenessCompressedAt(gnutFac, gnutFac, int64(i%1000)*4001)
+		groundtruth.ChainClosenessAt(square, ix.SplitInto(int64(i%1000)*4001, coords))
+	}
+}
+
+// BenchmarkWithDistances builds the distance tier of E6's and E7's
+// gnutella-like factor: one BFS sweep a vertex, and what the tier keeps.
+func BenchmarkWithDistances(b *testing.B) {
+	fixtures(b)
+	f := groundtruth.NewFactor(gnut)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.WithDistances()
 	}
 }
 

@@ -13,13 +13,14 @@ import (
 )
 
 // runCloseness reproduces Sec. V-B: closeness centrality ζ_C(p) at a
-// subset of product vertices from factor hop rows, comparing the direct
-// O(n_A·n_B) double sum with the compressed O(h*) histogram form, and
+// subset of product vertices, comparing the direct O(n_A·n_B) double sum
+// over factor hop rows with the compressed O(h*) form over hop profiles, and
 // validating both against BFS on a materialized product at reduced scale.
 func runCloseness(w io.Writer) error {
 	// Full scale: gnutella-like factor, sample r vertices of C.
 	a := gen.GnutellaLike(2019).WithFullSelfLoops()
 	fa := groundtruth.NewFactor(a).WithDistances()
+	square, ix := []*groundtruth.Factor{fa, fa}, core.MustChainIndex(fa.N(), fa.N())
 	const samples = 32
 	stride := fa.N() * fa.N() / samples
 
@@ -33,7 +34,7 @@ func runCloseness(w io.Writer) error {
 	start = time.Now()
 	compressed := make([]float64, samples)
 	for s := 0; s < samples; s++ {
-		compressed[s] = groundtruth.ClosenessCompressedAt(fa, fa, int64(s)*stride)
+		compressed[s] = groundtruth.ChainClosenessAt(square, ix.Split(int64(s)*stride))
 	}
 	compressedTime := time.Since(start)
 
@@ -56,6 +57,7 @@ func runCloseness(w io.Writer) error {
 	small, _ := gen.PrefAttach(40, 2, 88).LargestComponent()
 	sl := small.WithFullSelfLoops()
 	fs := groundtruth.NewFactor(sl).WithDistances()
+	smallSq, smallIx := []*groundtruth.Factor{fs, fs}, core.MustChainIndex(fs.N(), fs.N())
 	c, err := core.Product(sl, sl)
 	if err != nil {
 		return err
@@ -64,7 +66,7 @@ func runCloseness(w io.Writer) error {
 	for p := int64(0); p < c.NumVertices(); p += 17 {
 		total++
 		exact := analytics.Closeness(c, p)
-		pred := groundtruth.ClosenessCompressedAt(fs, fs, p)
+		pred := groundtruth.ChainClosenessAt(smallSq, smallIx.Split(p))
 		if math.Abs(exact-pred) < 1e-9*math.Max(1, exact) {
 			okCount++
 		}

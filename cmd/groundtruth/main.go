@@ -131,7 +131,7 @@ func main() {
 		n := min(int64(*closeness), nC)
 		fmt.Printf("\ncloseness centrality (Thm. 4, compressed form):\n")
 		for p := int64(0); p < n; p++ {
-			fmt.Printf("  ζ_C(%d) = %.4f\n", p, groundtruth.ClosenessCompressedAt(al, bl, p))
+			fmt.Printf("  ζ_C(%d) = %.4f\n", p, groundtruth.ChainClosenessAt(looped, must(groundtruth.ChainCoordsOf(looped, p))))
 		}
 	}
 }
@@ -179,6 +179,6 @@ func printPerVertex(fs, looped []*groundtruth.Factor, from, count int64) {
 			cc = 2 * float64(tri) / float64(d*(d-1))
 		}
 		fmt.Fprintf(w, "%d,%d,%d,%d,%d,%.6g,%d,%.6g\n", p, coords[0], coords[1], deg, tri, cc,
-			groundtruth.ChainEccentricityAt(looped, coords), groundtruth.ClosenessCompressedAt(looped[0], looped[1], p))
+			groundtruth.ChainEccentricityAt(looped, coords), groundtruth.ChainClosenessAt(looped, coords))
 	}
 }

@@ -446,10 +446,10 @@ func TestDecorateCLI(t *testing.T) {
 
 // TestExperimentsCLIList checks the registry wiring, and runs every
 // experiment that takes a few seconds or less end to end — weak-scaling
-// (E3) among them, which puts both plan layouts through the engine, and
-// community (E9, about 2 s at under 200 MB). A failed check exits the
-// command 1. eccentricity, closeness and spectral take 5–50 s each and
-// are left out.
+// (E3) among them, which puts both plan layouts through the engine,
+// community (E9, about 2 s at under 200 MB) and closeness (E7, about 4 s
+// at about 11 MB). A failed check exits the command 1. eccentricity and
+// spectral take 10–50 s each and are left out.
 func TestExperimentsCLIList(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary")
@@ -467,7 +467,7 @@ func TestExperimentsCLIList(t *testing.T) {
 		}
 	}
 	for _, id := range []string{"scaling-laws", "generator", "weak-scaling", "triangles",
-		"clustering", "diameter", "community", "cliques", "rejection", "extensions"} {
+		"clustering", "closeness", "diameter", "community", "cliques", "rejection", "extensions"} {
 		out, err = exec.Command(bin, "-exp", id).CombinedOutput()
 		if err != nil {
 			t.Fatalf("experiments -exp %s: %v\n%s", id, err, out)

@@ -14,26 +14,42 @@ import "kronlab/internal/graph"
 // Unreachable marks vertex pairs with no connecting walk in hop vectors.
 const Unreachable = int64(-1)
 
-// BFS returns the standard BFS distance from src to every vertex, with
-// dist[src] = 0 and Unreachable (-1) for vertices in other components.
-func BFS(g *graph.Graph, src int64) []int64 {
-	n := g.NumVertices()
+// sweep is the package's one breadth-first body, level-synchronous from
+// src over g's arcs. It sets dist (Unreachable wherever it may go) to each
+// reached vertex's level and returns them in queue's buffer, level by
+// level; resetting dist there readies the caller's buffers again.
+func sweep(g *graph.Graph, src int64, dist, queue []int64) []int64 {
+	dist[src] = 0
+	queue = append(queue[:0], src)
+	for lo, level := 0, int64(1); lo < len(queue); level++ {
+		hi := len(queue)
+		for _, v := range queue[lo:hi] {
+			for _, w := range g.Neighbors(v) {
+				if dist[w] == Unreachable {
+					dist[w] = level
+					queue = append(queue, w)
+				}
+			}
+		}
+		lo = hi
+	}
+	return queue
+}
+
+// unreached returns a fresh dist buffer: n × Unreachable.
+func unreached(n int64) []int64 {
 	dist := make([]int64, n)
 	for i := range dist {
 		dist[i] = Unreachable
 	}
-	dist[src] = 0
-	queue := make([]int64, 0, 64)
-	queue = append(queue, src)
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		for _, w := range g.Neighbors(v) {
-			if dist[w] == Unreachable {
-				dist[w] = dist[v] + 1
-				queue = append(queue, w)
-			}
-		}
-	}
+	return dist
+}
+
+// BFS returns the standard BFS distance from src to every vertex, with
+// dist[src] = 0 and Unreachable (-1) for vertices in other components.
+func BFS(g *graph.Graph, src int64) []int64 {
+	dist := unreached(g.NumVertices())
+	sweep(g, src, dist, nil)
 	return dist
 }
 
@@ -41,24 +57,29 @@ func BFS(g *graph.Graph, src int64) []int64 {
 // hops(i,j) = min { h ≥ 1 : (A^h)_ij > 0 }.
 //
 // For i ≠ j this is the BFS distance. For the diagonal it is the length of
-// the shortest closed walk at src: 1 if src has a self loop, 2 if src has
-// any neighbor, and Unreachable for an isolated vertex. Under the
-// theorems' hypothesis of full self loops, hops(i,i) = 1 always.
+// the shortest closed walk at src (see diagonal); under the theorems'
+// hypothesis of full self loops, hops(i,i) = 1 always.
 func Hops(g *graph.Graph, src int64) []int64 {
 	h := BFS(g, src)
-	switch {
-	case g.HasSelfLoop(src):
-		h[src] = 1
-	case g.Degree(src) > 0:
-		h[src] = 2
-	default:
-		h[src] = Unreachable
-	}
+	h[src] = diagonal(g, src)
 	return h
 }
 
+// diagonal returns hops(v,v): 1 if v has a self loop, 2 if v has any
+// neighbor, and Unreachable for an isolated vertex.
+func diagonal(g *graph.Graph, v int64) int64 {
+	switch {
+	case g.HasSelfLoop(v):
+		return 1
+	case g.Degree(v) > 0:
+		return 2
+	default:
+		return Unreachable
+	}
+}
+
 // AllPairsHops returns the full hop-count matrix as n row vectors. Cost is
-// O(n·(n+arcs)); intended for the small factors and small test products.
+// O(n·(n+arcs)) time and n² hops: a test oracle for small graphs.
 func AllPairsHops(g *graph.Graph) [][]int64 {
 	n := g.NumVertices()
 	rows := make([][]int64, n)
@@ -68,31 +89,55 @@ func AllPairsHops(g *graph.Graph) [][]int64 {
 	return rows
 }
 
+// HopProfiles returns every vertex's cumulative hop profile
+// R_i[h] = #{j : hops(i,j) ≤ h} (Def. 9) for h up to H_i, the largest
+// finite hop from i: R_i[H_i] = n exactly when ε_i = H_i is finite.
+// Unreachable vertices enter no profile, and the diagonal counts as in
+// Hops, so R_i[0] = 0. One sweep a vertex over one pair of buffers:
+// O(n·(n+arcs)) time, Σ(H_i+1) counts.
+func HopProfiles(g *graph.Graph) [][]int64 {
+	n := g.NumVertices()
+	dist, queue := unreached(n), make([]int64, 0, n)
+	out := make([][]int64, n)
+	for i := range out {
+		src := int64(i)
+		queue = sweep(g, src, dist, queue)
+		diag := diagonal(g, src)
+		r := make([]int64, max(dist[queue[len(queue)-1]], diag)+1)
+		for _, j := range queue[1:] {
+			r[dist[j]]++
+		}
+		if diag != Unreachable {
+			r[diag]++
+		}
+		for h := 1; h < len(r); h++ {
+			r[h] += r[h-1]
+		}
+		for _, j := range queue {
+			dist[j] = Unreachable
+		}
+		out[i] = r
+	}
+	return out
+}
+
 // IsBipartite reports whether g is 2-colorable, treating arcs as
 // undirected. A self loop makes a graph non-bipartite (an odd closed
 // walk). Needed by Weichsel's connectivity theorem for Kronecker
 // products (the paper's ref [1]).
 func IsBipartite(g *graph.Graph) bool {
 	n := g.NumVertices()
-	color := make([]int8, n) // 0 unvisited, 1/2 the two sides
+	dist := unreached(n)
 	var queue []int64
 	for s := int64(0); s < n; s++ {
-		if color[s] != 0 {
+		if dist[s] != Unreachable {
 			continue
 		}
-		color[s] = 1
-		queue = append(queue[:0], s)
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
+		queue = sweep(g, s, dist, queue)
+		for _, v := range queue {
 			for _, w := range g.Neighbors(v) {
-				if w == v {
-					return false // loop = odd cycle
-				}
-				if color[w] == 0 {
-					color[w] = 3 - color[v]
-					queue = append(queue, w)
-				} else if color[w] == color[v] {
-					return false
+				if dist[w] == dist[v] {
+					return false // an arc within a level (a loop included) closes an odd cycle
 				}
 			}
 		}

@@ -2,20 +2,23 @@ package analytics
 
 import "kronlab/internal/graph"
 
+// MaxHops is the max law on hop counts (Thm. 3): the larger of x and y,
+// Unreachable if either is.
+func MaxHops(x, y int64) int64 {
+	if x == Unreachable || y == Unreachable {
+		return Unreachable
+	}
+	return max(x, y)
+}
+
 // Eccentricity returns ε(src) = max_j hops(src, j) over reachable j
 // (Def. 11). If any vertex is unreachable from src it returns Unreachable,
 // mirroring the convention that eccentricity is infinite on disconnected
 // graphs.
 func Eccentricity(g *graph.Graph, src int64) int64 {
-	h := Hops(g, src)
 	var ecc int64
-	for _, d := range h {
-		if d == Unreachable {
-			return Unreachable
-		}
-		if d > ecc {
-			ecc = d
-		}
+	for _, h := range Hops(g, src) {
+		ecc = MaxHops(ecc, h)
 	}
 	return ecc
 }
@@ -37,14 +40,8 @@ func Diameter(g *graph.Graph) int64 {
 		return Unreachable
 	}
 	var d int64
-	for v := int64(0); v < g.NumVertices(); v++ {
-		e := Eccentricity(g, v)
-		if e == Unreachable {
-			return Unreachable
-		}
-		if e > d {
-			d = e
-		}
+	for _, e := range Eccentricities(g) {
+		d = MaxHops(d, e)
 	}
 	return d
 }
@@ -61,21 +58,4 @@ func Closeness(g *graph.Graph, src int64) float64 {
 		}
 	}
 	return s
-}
-
-// HopHistogram returns, for the row hops(src, ·), the count of vertices at
-// each hop value h ∈ [1, maxH]; index 0 is unused. Unreachable entries are
-// dropped. This is the compressed representation used by the paper's
-// efficient closeness formula (Sec. V-B).
-func HopHistogram(row []int64, maxH int64) []int64 {
-	hist := make([]int64, maxH+1)
-	for _, d := range row {
-		if d == Unreachable {
-			continue
-		}
-		if d >= 1 && d <= maxH {
-			hist[d]++
-		}
-	}
-	return hist
 }

@@ -92,7 +92,8 @@ func TestChainLawsAllocateInFactorSpace(t *testing.T) {
 		"ChainVertexClusteringAt":         func() error { return ok(ChainVertexClusteringAt(fs, rim)) },
 		"ChainEdgeClusteringAt":           func() error { return ok(ChainEdgeClusteringAt(fs, hub, rim)) },
 		"ChainDiameter":                   func() error { ChainDiameter(fl); return nil },
-		"ChainHopsAt":                     func() error { ChainHopsAt(fl, hub, rim); return nil },
+		"ChainHopsFrom":                   func() error { ChainHopsFrom(fl, hub)(rim); return nil },
+		"ChainClosenessAt":                func() error { ChainClosenessAt(fl, rim); return nil },
 		"ChainEccentricityAt":             func() error { ChainEccentricityAt(fl, rim); return nil },
 		"ChainEccentricityHistogram":      func() error { return ok(ChainEccentricityHistogram(fl)) },
 	}

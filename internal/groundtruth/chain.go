@@ -49,14 +49,8 @@ func scaled(c int64) func(acc, v int64) (int64, bool) {
 	}
 }
 
-// maxHops is the max law of Thm. 3: the larger hop count, Unreachable if
-// either side is.
-func maxHops(a, b int64) (int64, bool) {
-	if a == analytics.Unreachable || b == analytics.Unreachable {
-		return analytics.Unreachable, true
-	}
-	return max(a, b), true
-}
+// maxHops is Thm. 3's max law as a fold op; it never fails.
+func maxHops(a, b int64) (int64, bool) { return analytics.MaxHops(a, b), true }
 
 // ChainNumVertices returns n_C = Π n_d, checked.
 func ChainNumVertices(fs []*Factor) (int64, error) {
@@ -100,14 +94,49 @@ func ChainDiameter(fs []*Factor) int64 {
 	return diam // maxHops never fails
 }
 
-// ChainHopsAt returns hops between two product vertices given their
-// coordinate vectors (Thm. 3 by induction): max_d hops_d(c1[d], c2[d]),
-// Unreachable if any factor pair is.
-func ChainHopsAt(fs []*Factor, coords1, coords2 []int64) int64 {
-	h, _ := fold(fs, "hops", func(d int, f *Factor) int64 {
-		return f.distances("hops").Hops[coords1[d]][coords2[d]]
-	}, maxHops)
-	return h // maxHops never fails
+// ChainHopsFrom returns hops from product vertex src, given its
+// coordinates, to any dst (Thm. 3 by induction):
+// max_d hops_d(src[d], dst[d]), Unreachable if any digit pair is. It runs
+// one sweep per factor over the factor graph — no distance tier — and
+// then answers each dst in O(k).
+func ChainHopsFrom(fs []*Factor, src []int64) func(dst []int64) int64 {
+	rows := make([][]int64, len(fs))
+	for d, f := range fs {
+		rows[d] = analytics.Hops(f.G, src[d])
+	}
+	return func(dst []int64) int64 {
+		h, _ := fold(fs, "hops", func(d int, _ *Factor) int64 { return rows[d][dst[d]] }, maxHops)
+		return h // maxHops never fails
+	}
+}
+
+// ChainClosenessAt returns ζ_p = Σ_q 1/hops(p,q) over reachable q for
+// full-self-loop factors: Thm. 4 in Sec. V-B's compressed form, at any k.
+// By Thm. 3, hops(p,q) ≤ h exactly when every digit pair is within h, so
+// with R_d the factors' hop profiles, ε a profile's last hop,
+//
+//	N(≤h) = Π_d R_d[c_d][min(h, ε)],   ζ_p = Σ_{h≥1} (N(≤h) − N(≤h−1))/h.
+//
+// An unreachable pair enters no profile, so a disconnected factor needs
+// no special case. N(≤h) ≤ n_C fits an int64. Cost O(k·max ε).
+func ChainClosenessAt(fs []*Factor, coords []int64) float64 {
+	top := 0
+	for d, f := range fs {
+		f.RequireFullSelfLoops("Thm. 4")
+		top = max(top, len(f.distances("closeness").Profile[coords[d]])-1)
+	}
+	var s float64
+	var prev int64 // N(≤0) = 0: hops are at least 1
+	for h := 1; h <= top; h++ {
+		n := int64(1)
+		for d, f := range fs {
+			r := f.Profile[coords[d]]
+			n *= r[min(h, len(r)-1)]
+		}
+		s += float64(n-prev) / float64(h)
+		prev = n
+	}
+	return s
 }
 
 // vertexLaw is a law on product vertices: a per-factor vector v_d and the

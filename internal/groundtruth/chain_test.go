@@ -1,6 +1,7 @@
 package groundtruth
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -137,7 +138,7 @@ func checkChainDistanceLaws(t *testing.T, gs []*graph.Graph) {
 	rows := analytics.AllPairsHops(c)
 	for p := int64(0); p < c.NumVertices(); p += 3 {
 		for q := int64(0); q < c.NumVertices(); q += 5 {
-			if got := ChainHopsAt(fs, ci.Split(p), ci.Split(q)); got != rows[p][q] {
+			if got := ChainHopsFrom(fs, ci.Split(p))(ci.Split(q)); got != rows[p][q] {
 				t.Fatalf("hops law fails at (%d,%d): %d != %d", p, q, got, rows[p][q])
 			}
 		}
@@ -261,4 +262,64 @@ func TestChainVertexTrianglesAtNeedsLoopFree(t *testing.T) {
 func TestChainGlobalTrianglesNeedsLoopFree(t *testing.T) {
 	k3 := NewFactor(clique3WithLoops(t))
 	wantPanic(t, "τ_C = 6^{k−1}·Π τ_d", func() { _, _ = ChainGlobalTriangles([]*Factor{k3, k3}) })
+}
+
+// checkChainClosenessAndHops holds ChainHopsFrom at every pair and
+// ChainClosenessAt at every vertex of the full-loop chain gs to the
+// materialized product.
+func checkChainClosenessAndHops(t *testing.T, gs []*graph.Graph) {
+	t.Helper()
+	c := materializeChain(t, gs...)
+	fs := factorsOf(gs...)
+	for i, f := range fs {
+		fs[i] = f.WithDistances()
+	}
+	ci := chainIndexFor(t, fs)
+	for p := int64(0); p < c.NumVertices(); p++ {
+		hopsFrom := ChainHopsFrom(fs, ci.Split(p))
+		for q, h := range analytics.Hops(c, p) {
+			if got := hopsFrom(ci.Split(int64(q))); got != h {
+				t.Fatalf("hops law fails at (%d,%d): %d != %d", p, q, got, h)
+			}
+		}
+		if got, want := ChainClosenessAt(fs, ci.Split(p)), analytics.Closeness(c, p); math.Abs(got-want) > 1e-9 {
+			t.Fatalf("closeness law fails at %d: %v != %v", p, got, want)
+		}
+	}
+}
+
+// Three different full-loop factors, one of them disconnected
+// ((2K₂+I)⊗(P₃+I)⊗(A+I)): the closeness fold multiplies three profiles,
+// and an unreachable digit pair drops out of every count.
+func TestChainClosenessAgainstMaterialized(t *testing.T) {
+	rng := rand.New(rand.NewSource(431))
+	twoK2, err := graph.NewUndirected(4, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gs := range [][]*graph.Graph{
+		{
+			randomConnectedLoopFree(rng, 5).WithFullSelfLoops(),
+			gen.Path(4).WithFullSelfLoops(),
+			randomConnectedLoopFree(rng, 4).WithFullSelfLoops(),
+		},
+		{twoK2.WithFullSelfLoops(), gen.Path(3).WithFullSelfLoops(), randomConnectedLoopFree(rng, 4).WithFullSelfLoops()},
+	} {
+		checkChainClosenessAndHops(t, gs)
+	}
+}
+
+// FuzzChainDistanceLaws holds hops, ε, the diameter and closeness of
+// three drawn factors with full loops — disconnected ones among them — to
+// the materialized product.
+func FuzzChainDistanceLaws(f *testing.F) {
+	addFactorSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		gs := drawFactors(t, data)
+		for d, g := range gs {
+			gs[d] = g.WithFullSelfLoops()
+		}
+		checkChainDistanceLaws(t, gs)
+		checkChainClosenessAndHops(t, gs)
+	})
 }

@@ -12,20 +12,19 @@ func Theta(di, dk int64) float64 {
 // ChainVertexClusteringAt returns the ground-truth vertex clustering
 // coefficient η_p = 2t_p/(d_p(d_p − 1)) of the loop-free product ⊗A_d,
 // read from the degree and triangle laws at p's coordinates. At k = 2 it
-// is Thm. 1's η_C(p) = θ_p·η_A(i)·η_B(k). NaN when any digit's degree is
-// below 2 (η undefined there); an error when t_p overflows.
+// is Thm. 1's η_C(p) = θ_p·η_A(i)·η_B(k) where both digits' degrees are
+// at least 2. NaN when d_p is below 2 (η undefined there); an error when
+// t_p overflows.
 func ChainVertexClusteringAt(fs []*Factor, coords []int64) (float64, error) {
 	requireLoopFree(fs, "Thm. 1")
-	for d, f := range fs {
-		if f.Deg[coords[d]] < 2 {
-			return math.NaN(), nil
-		}
+	deg := float64(ChainDegreeAt(fs, coords))
+	if deg < 2 {
+		return math.NaN(), nil
 	}
 	t, err := ChainVertexTrianglesAt(fs, coords)
 	if err != nil {
 		return 0, err
 	}
-	deg := float64(ChainDegreeAt(fs, coords))
 	return 2 * float64(t) / (deg * (deg - 1)), nil
 }
 
@@ -43,18 +42,18 @@ func Phi(di, dj, dk, dl int64) float64 {
 // coefficient ξ_pq = Δ_pq/(min(d_p, d_q) − 1) of a non-loop edge of the
 // loop-free product ⊗A_d, read from the degree and edge triangle laws at
 // the endpoints' coordinates. At k = 2 it is Thm. 2's
-// ξ_C(p,q) = φ_pq·ξ_A(i,j)·ξ_B(k,l). NaN when any digit's smaller endpoint
-// degree is below 2; an error when Δ_pq overflows.
+// ξ_C(p,q) = φ_pq·ξ_A(i,j)·ξ_B(k,l) where every endpoint degree is at
+// least 2. NaN when min(d_p, d_q) is below 2; an error when Δ_pq
+// overflows.
 func ChainEdgeClusteringAt(fs []*Factor, cp, cq []int64) (float64, error) {
 	requireLoopFree(fs, "Thm. 2")
-	for d, f := range fs {
-		if min(f.Deg[cp[d]], f.Deg[cq[d]]) < 2 {
-			return math.NaN(), nil
-		}
+	m := min(ChainDegreeAt(fs, cp), ChainDegreeAt(fs, cq))
+	if m < 2 {
+		return math.NaN(), nil
 	}
 	tri, err := ChainEdgeTrianglesAt(fs, cp, cq)
 	if err != nil {
 		return 0, err
 	}
-	return float64(tri) / float64(min(ChainDegreeAt(fs, cp), ChainDegreeAt(fs, cq))-1), nil
+	return float64(tri) / float64(m-1), nil
 }

@@ -8,10 +8,10 @@
 // (Thm. 6, Cor. 6, Cor. 7).
 //
 // Formulas take factor-level quantities (degrees, triangle counts, hop
-// rows) computed once per factor with internal/analytics; a Factor bundles
-// them. NewFactor builds degrees and triangles; WithDistances returns a
-// copy that adds the hop matrix, eccentricities and diameter, which the
-// distance laws read and panic naming themselves without. A Factor is
+// profiles) computed once per factor with internal/analytics; a Factor
+// bundles them. NewFactor builds degrees and triangles; WithDistances
+// returns a copy that adds the hop profiles, eccentricities and diameter,
+// which the distance laws read and panic naming themselves without. A Factor is
 // never written after it is returned, so concurrent readers share one.
 // Everything here runs in time polynomial in the factor sizes —
 // sublinear in |E_C| — which is the paper's point.
@@ -36,13 +36,14 @@ type Factor struct {
 	*distTier // nil unless built by WithDistances
 }
 
-// distTier is a factor's distance data: hop-count rows hops(i, ·),
-// eccentricities, and the diameter. Its fields read through a Factor
-// without the tier dereference nil — a panic, never a silent 0.
+// distTier is a factor's distance data: each vertex's cumulative hop
+// profile (analytics.HopProfiles), eccentricities, and the diameter. Its
+// fields read through a Factor without the tier dereference nil — a
+// panic, never a silent 0.
 type distTier struct {
-	Hops [][]int64
-	Ecc  []int64
-	Diam int64
+	Profile [][]int64
+	Ecc     []int64
+	Diam    int64
 }
 
 // NewFactor computes degrees and triangle statistics for g.
@@ -55,29 +56,23 @@ func NewFactor(g *graph.Graph) *Factor {
 }
 
 // WithDistances returns a Factor sharing f's graph, degrees and triangles
-// that also holds the all-pairs hop matrix, eccentricities and diameter
-// — the tier the distance laws (Thm. 3–5, Cor. 3–5) read. It returns f
-// itself when f already has them. Cost O(n·(n+arcs)) time, n² hops.
+// that also holds every vertex's hop profile R_i, eccentricities and
+// diameter — the tier the distance laws (Cor. 3–5, Sec. V-B) read. ε_i is
+// R_i's last hop when R_i reaches all n vertices, Unreachable otherwise.
+// It returns f itself when f already has them. Cost O(n·(n+arcs)) time,
+// Σ(ε_i+1) counts.
 func (f *Factor) WithDistances() *Factor {
 	if f.distTier != nil {
 		return f
 	}
-	t := &distTier{Hops: analytics.AllPairsHops(f.G), Ecc: make([]int64, f.N())}
-	for i, row := range t.Hops {
-		ecc := int64(0)
-		for _, h := range row {
-			if h == analytics.Unreachable {
-				ecc = analytics.Unreachable
-				break
-			}
-			ecc = max(ecc, h)
+	t := &distTier{Profile: analytics.HopProfiles(f.G), Ecc: make([]int64, f.N())}
+	for i, r := range t.Profile {
+		ecc := int64(len(r) - 1)
+		if r[ecc] < f.N() {
+			ecc = analytics.Unreachable
 		}
 		t.Ecc[i] = ecc
-		if ecc == analytics.Unreachable {
-			t.Diam = analytics.Unreachable
-		} else if t.Diam != analytics.Unreachable {
-			t.Diam = max(t.Diam, ecc)
-		}
+		t.Diam = analytics.MaxHops(t.Diam, ecc)
 	}
 	c := *f
 	c.distTier = t
@@ -94,15 +89,19 @@ func (f *Factor) distances(law string) *distTier {
 }
 
 // CostBytes estimates the resident size of f: the CSR graph, degree and
-// triangle vectors, and — when present — the n×n hop matrix that
-// dominates the distance tier. kronserve's LRU budgets on this.
+// triangle vectors, and — when present — the distance tier's profiles,
+// Σ(ε_i+1) counts and a slice header a vertex. kronserve's LRU budgets on
+// this.
 func (f *Factor) CostBytes() int64 {
 	n, arcs := f.N(), f.G.NumArcs()
 	cost := (n+1)*8 + arcs*8 // CSR offsets + adjacency
 	cost += n * 8            // Deg
 	cost += n*8 + arcs*8 + 8 // Tri.Vertex, Tri.Arc, Tri.Global
 	if f.distTier != nil {
-		cost += n*n*8 + n*8 + 8 // Hops, Ecc, Diam
+		for _, r := range f.Profile {
+			cost += int64(len(r)+3) * 8 // R_i and its header
+		}
+		cost += n*8 + 8 // Ecc, Diam
 	}
 	return cost
 }

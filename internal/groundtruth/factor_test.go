@@ -41,11 +41,11 @@ func TestDistanceLawsShareOneFactor(t *testing.T) {
 				if e := ChainEccentricityAt(fs, c); e != ChainEccentricityAt(want, c) {
 					t.Errorf("ε(%d) = %d, want %d", p, e, ChainEccentricityAt(want, c))
 				}
-				if h := ChainHopsAt(fs, c, c0); h != ChainHopsAt(want, c, c0) {
-					t.Errorf("hops(%d, 0) = %d, want %d", p, h, ChainHopsAt(want, c, c0))
+				if h := ChainHopsFrom(fs, c)(c0); h != ChainHopsFrom(want, c)(c0) {
+					t.Errorf("hops(%d, 0) = %d, want %d", p, h, ChainHopsFrom(want, c)(c0))
 				}
-				if z := ClosenessCompressedAt(f, f, p); z != ClosenessCompressedAt(ref, ref, p) {
-					t.Errorf("ζ(%d) = %v, want %v", p, z, ClosenessCompressedAt(ref, ref, p))
+				if z := ChainClosenessAt(fs, c); z != ChainClosenessAt(want, c) {
+					t.Errorf("ζ(%d) = %v, want %v", p, z, ChainClosenessAt(want, c))
 				}
 			}
 		}()
@@ -53,9 +53,10 @@ func TestDistanceLawsShareOneFactor(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDistanceLawsNeedTheTier hands every distance law a factor built
-// without WithDistances: each must panic naming itself, where reading the
-// missing tier would answer a diameter of 0.
+// TestDistanceLawsNeedTheTier hands every law that reads the distance
+// tier a factor built without WithDistances: each must panic naming
+// itself, where reading the missing tier would answer a diameter of 0.
+// Hops and the direct closeness sum sweep the graphs and need no tier.
 func TestDistanceLawsNeedTheTier(t *testing.T) {
 	f := NewFactor(gen.Path(3).WithFullSelfLoops())
 	if d := f.WithDistances(); d == f || d.G != f.G || d.WithDistances() != d {
@@ -68,13 +69,10 @@ func TestDistanceLawsNeedTheTier(t *testing.T) {
 	}{
 		{"diameter", func() { ChainDiameter(fs) }},
 		{"diameter", func() { DiameterBounds(f, f) }},
-		{"hops", func() { ChainHopsAt(fs, zero, zero) }},
-		{"hops", func() { HopsBoundsAt(f, f, 0, 0) }},
 		{"eccentricity", func() { ChainEccentricityAt(fs, zero) }},
 		{"eccentricity", func() { _, _ = ChainEccentricities(fs) }},
 		{"eccentricity histogram", func() { _, _ = ChainEccentricityHistogram(fs) }},
-		{"closeness", func() { ClosenessAt(f, f, 0) }},
-		{"compressed closeness", func() { ClosenessCompressedAt(f, f, 0) }},
+		{"closeness", func() { ChainClosenessAt(fs, zero) }},
 	} {
 		func() {
 			defer func() {

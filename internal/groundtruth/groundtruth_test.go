@@ -389,7 +389,7 @@ func TestThm3HopsMaxLaw(t *testing.T) {
 		ci := chainIndexFor(t, fs)
 		for p := int64(0); p < c.NumVertices(); p++ {
 			for q := int64(0); q < c.NumVertices(); q++ {
-				if got := ChainHopsAt(fs, ci.Split(p), ci.Split(q)); got != rows[p][q] {
+				if got := ChainHopsFrom(fs, ci.Split(p))(ci.Split(q)); got != rows[p][q] {
 					t.Fatalf("trial %d: hops(%d,%d) exact %d, predicted %d",
 						trial, p, q, rows[p][q], got)
 				}
@@ -482,15 +482,19 @@ func TestThm4ClosenessDirect(t *testing.T) {
 	}
 }
 
+// TestClosenessCompressedMatchesDirect holds Sec. V-B's compressed form,
+// ChainClosenessAt at k = 2, to Thm. 4's direct double sum.
 func TestClosenessCompressedMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for trial := 0; trial < 10; trial++ {
 		ga := randomConnectedLoopFree(rng, 9).WithFullSelfLoops()
 		gb := randomConnectedLoopFree(rng, 9).WithFullSelfLoops()
 		a, b := NewFactor(ga).WithDistances(), NewFactor(gb).WithDistances()
+		fs := []*Factor{a, b}
+		ci := chainIndexFor(t, fs)
 		for p := int64(0); p < a.N()*b.N(); p += 3 {
 			direct := ClosenessAt(a, b, p)
-			compressed := ClosenessCompressedAt(a, b, p)
+			compressed := ChainClosenessAt(fs, ci.Split(p))
 			if math.Abs(direct-compressed) > 1e-9 {
 				t.Fatalf("trial %d: ζ(%d) direct %v, compressed %v", trial, p, direct, compressed)
 			}
@@ -498,13 +502,20 @@ func TestClosenessCompressedMatchesDirect(t *testing.T) {
 	}
 }
 
-func TestClosenessCompressedDisconnectedFallback(t *testing.T) {
-	// Disconnected factor: compressed form must fall back to direct sum.
+// TestClosenessCompressedDisconnected: on a disconnected factor the
+// compressed form needs no fallback — an unreachable pair enters no
+// profile — and matches the direct sum and the measured product.
+func TestClosenessCompressedDisconnected(t *testing.T) {
 	ga, _ := graph.NewUndirected(3, []graph.Edge{{U: 0, V: 1}})
 	gal := ga.WithFullSelfLoops()
 	a := NewFactor(gal).WithDistances()
-	if d, c := ClosenessAt(a, a, 0), ClosenessCompressedAt(a, a, 0); math.Abs(d-c) > 1e-9 {
-		t.Errorf("disconnected: direct %v != compressed %v", d, c)
+	fs := []*Factor{a, a}
+	ci, c := chainIndexFor(t, fs), mustProduct(t, gal, gal)
+	for p := int64(0); p < c.NumVertices(); p++ {
+		exact := analytics.Closeness(c, p)
+		if d, z := ClosenessAt(a, a, p), ChainClosenessAt(fs, ci.Split(p)); math.Abs(d-exact) > 1e-9 || math.Abs(z-exact) > 1e-9 {
+			t.Errorf("ζ(%d): direct %v, compressed %v, measured %v", p, d, z, exact)
+		}
 	}
 }
 

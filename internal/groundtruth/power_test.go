@@ -101,7 +101,7 @@ func TestPowerDistanceLaws(t *testing.T) {
 	rows := analytics.AllPairsHops(c)
 	for p := int64(0); p < c.NumVertices(); p += 5 {
 		for q := int64(0); q < c.NumVertices(); q += 7 {
-			if got := ChainHopsAt(fs, px.Split(p), px.Split(q)); got != rows[p][q] {
+			if got := ChainHopsFrom(fs, px.Split(p))(px.Split(q)); got != rows[p][q] {
 				t.Fatalf("hops law fails at (%d,%d): %d != %d", p, q, got, rows[p][q])
 			}
 		}

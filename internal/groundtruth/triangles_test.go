@@ -14,8 +14,9 @@ import (
 // checkChainTriangleLaws holds the triangle and clustering chain laws of
 // loop-free factors gs to exact counts on the materialized products: Δ_C
 // and both clustering forms to ⊗A_d, Cor. 1 (point and global) and
-// Cor. 2 to ⊗(A_d+I). A clustering law answers NaN where some digit's
-// degree is below 2; everywhere else it must equal the measured value.
+// Cor. 2 to ⊗(A_d+I). A clustering law answers NaN exactly where the
+// measured coefficient is undefined (a product degree below 2), and the
+// measured value everywhere else.
 func checkChainTriangleLaws(t *testing.T, gs []*graph.Graph) {
 	t.Helper()
 	ch, err := core.NewChain(gs...)
@@ -32,7 +33,9 @@ func checkChainTriangleLaws(t *testing.T, gs []*graph.Graph) {
 	}
 	fs := factorsOf(gs...)
 	ci := chainIndexFor(t, fs)
-	near := func(law, exact float64) bool { return math.IsNaN(law) || math.Abs(law-exact) <= 1e-9 }
+	near := func(law, exact float64) bool {
+		return math.IsNaN(law) && math.IsNaN(exact) || math.Abs(law-exact) <= 1e-9
+	}
 
 	tri, eta, xi := analytics.Triangles(plain), analytics.VertexClustering(plain), analytics.EdgeClustering(plain)
 	ltri := analytics.Triangles(looped)
@@ -91,42 +94,72 @@ func TestChainTriangleLawsAgainstMaterialized(t *testing.T) {
 	}
 }
 
-// FuzzChainTriangleLaws draws three loop-free factors of 1–5 vertices
-// from the input — per factor a byte for n, a byte for the edge count m
-// (below 8) and m bytes whose nibbles are the endpoints, loops dropped;
-// missing bytes read 0 — and holds the chain triangle and clustering laws
-// to the materialized products.
+// drawFactors reads three loop-free factors of 1–5 vertices from a fuzz
+// input: per factor a byte for n, a byte for the edge count m (below 8)
+// and m bytes whose nibbles are the endpoints, loops dropped; missing
+// bytes read 0.
+func drawFactors(t *testing.T, data []byte) []*graph.Graph {
+	t.Helper()
+	next := func() int64 {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int64(b)
+	}
+	gs := make([]*graph.Graph, 3)
+	for d := range gs {
+		n, m := 1+next()%5, next()%8
+		var edges []graph.Edge
+		for ; m > 0; m-- {
+			b := next()
+			if u, v := b&15%n, b>>4%n; u != v {
+				edges = append(edges, graph.Edge{U: u, V: v})
+			}
+		}
+		g, err := graph.NewUndirected(n, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs[d] = g
+	}
+	return gs
+}
+
+// FuzzChainTriangleLaws holds the chain triangle and clustering laws of
+// three drawn factors to the materialized products.
 func FuzzChainTriangleLaws(f *testing.F) {
+	addFactorSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) { checkChainTriangleLaws(t, drawFactors(t, data)) })
+}
+
+func addFactorSeeds(f *testing.F) {
 	f.Add([]byte{2, 3, 0x10, 0x20, 0x21, 3, 1, 0x10, 1, 2, 0x10, 0x20})
 	f.Add([]byte{4, 7, 0x10, 0x20, 0x21, 0x30, 0x31, 0x32, 0x32, 2, 2, 0x10, 0x21, 2, 2, 0x10, 0x32})
 	f.Add([]byte{0, 0, 1, 1, 0x10, 4, 4, 0x10, 0x21, 0x32, 0x43})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		next := func() int64 {
-			if len(data) == 0 {
-				return 0
-			}
-			b := data[0]
-			data = data[1:]
-			return int64(b)
-		}
-		gs := make([]*graph.Graph, 3)
-		for d := range gs {
-			n, m := 1+next()%5, next()%8
-			var edges []graph.Edge
-			for ; m > 0; m-- {
-				b := next()
-				if u, v := b&15%n, b>>4%n; u != v {
-					edges = append(edges, graph.Edge{U: u, V: v})
-				}
-			}
-			g, err := graph.NewUndirected(n, edges)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gs[d] = g
-		}
-		checkChainTriangleLaws(t, gs)
-	})
+}
+
+// The clustering laws answer wherever the product's degree allows, not
+// only where every digit's does: on P₂ ⊗ K₄ vertex (0,0) has degree 3 and
+// no triangle, so η = 0, and edge (0,5) — (0,0)–(1,1) — has ξ = 0.
+func TestChainClusteringAtLowDigitDegree(t *testing.T) {
+	gs := []*graph.Graph{gen.Path(2), gen.Clique(4)}
+	c := materializeChain(t, gs...)
+	fs := factorsOf(gs...)
+	ci := chainIndexFor(t, fs)
+	if eta := analytics.VertexClustering(c)[0]; eta != 0 {
+		t.Fatalf("measured η_0 = %v, want 0", eta)
+	}
+	if xi := analytics.EdgeClustering(c)[c.ArcIndex(0, 5)]; xi != 0 {
+		t.Fatalf("measured ξ(0,5) = %v, want 0", xi)
+	}
+	if eta, err := ChainVertexClusteringAt(fs, ci.Split(0)); err != nil || eta != 0 {
+		t.Errorf("η_0 = %v (err %v), want 0", eta, err)
+	}
+	if xi, err := ChainEdgeClusteringAt(fs, ci.Split(0), ci.Split(5)); err != nil || xi != 0 {
+		t.Errorf("ξ(0,5) = %v (err %v), want 0", xi, err)
+	}
 }
 
 // Each loop-free law refuses factors with loops, naming itself, rather

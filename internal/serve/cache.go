@@ -39,7 +39,7 @@ type call struct {
 // exactly one build. The byte budget is accounted with
 // groundtruth.Factor.CostBytes; the distance tier of a factor is a
 // separate (larger) entry from its basic tier, so cheap degree/triangle
-// queries never pay for hop matrices they don't need.
+// queries never pay for hop profiles they don't need.
 type SummaryCache struct {
 	mu       sync.Mutex
 	maxBytes int64

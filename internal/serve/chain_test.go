@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -91,6 +92,12 @@ func TestChainGroundTruthLaws(t *testing.T) {
 	hops := getJSON(t, ts.URL+"/gt/"+chain+"/hops?loops=1&p=3&q=55", http.StatusOK)
 	if hops["hops"] != float64(rows[3][55]) {
 		t.Errorf("hops(3,55) = %v, want %d", hops["hops"], rows[3][55])
+	}
+	for p := int64(0); p < matL.NumVertices(); p += 23 {
+		got := getJSON(t, fmt.Sprintf("%s/gt/%s/closeness?loops=1&p=%d", ts.URL, chain, p), http.StatusOK)
+		if want := analytics.Closeness(matL, p); math.Abs(got["closeness"].(float64)-want) > 1e-9 {
+			t.Errorf("closeness(%d) = %v, want %v", p, got["closeness"], want)
+		}
 	}
 	hist := getJSON(t, ts.URL+"/gt/"+chain+"/eccentricity?loops=1&hist=1", http.StatusOK)
 	want := map[string]float64{}

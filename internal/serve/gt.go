@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -35,8 +36,8 @@ type gtRequest struct {
 // lists.
 //
 // summary, degree, triangles (global, per vertex and per edge, loops=1
-// included), clustering, diameter, eccentricity and hops compose across
-// any chain. The laws the paper gives for C = A⊗B only — closeness,
+// included), clustering, diameter, eccentricity, closeness and hops
+// compose across any chain. The laws the paper gives for C = A⊗B only —
 // community, and the Weichsel component count inside summary — answer
 // when the list has two factors, however it was spelled.
 func (s *Server) handleGroundTruth(w http.ResponseWriter, r *http.Request) {
@@ -46,12 +47,13 @@ func (s *Server) handleGroundTruth(w http.ResponseWriter, r *http.Request) {
 	}
 	loops := r.URL.Query().Get("loops") == "1"
 	prop := r.PathValue("property")
-	if (prop == "closeness" || prop == "community") && !pairOnly(w, len(gs), prop+" ground truth") {
+	if prop == "community" && !pairOnly(w, len(gs), prop+" ground truth") {
 		return
 	}
 
 	// Which summary variant/tier does the property need?
 	distProp := prop == "diameter" || prop == "eccentricity" || prop == "closeness" || prop == "hops"
+	tier := distProp && prop != "hops" // hops sweeps the factor graphs instead
 	// The distance laws and the degree law run on the +I factors: the
 	// degree of ⊗(A_d+I) is the degree law over them.
 	loopVariant := loops && (distProp || prop == "degree")
@@ -80,14 +82,14 @@ func (s *Server) handleGroundTruth(w http.ResponseWriter, r *http.Request) {
 	}
 	dims := make([]int64, len(gs))
 	for i := range gs {
-		f, err := s.cache.Get(r.Context(), SummaryKey{Hash: hashes[i], Loops: loopVariant, Distances: distProp},
+		f, err := s.cache.Get(r.Context(), SummaryKey{Hash: hashes[i], Loops: loopVariant, Distances: tier},
 			func() (*groundtruth.Factor, error) {
 				g := gs[i]
 				if loopVariant {
 					g = g.WithFullSelfLoops()
 				}
 				f := groundtruth.NewFactor(g)
-				if distProp {
+				if tier {
 					f = f.WithDistances()
 				}
 				return f, nil
@@ -168,6 +170,19 @@ func (req *gtRequest) vertexParam(r *http.Request, name string) (int64, bool, er
 	return p, true, nil
 }
 
+// vertex parses the required p, writing the 400 itself: need when p is
+// missing, the parse error otherwise.
+func (req *gtRequest) vertex(w http.ResponseWriter, r *http.Request, need string) (int64, bool) {
+	p, ok, err := req.vertexParam(r, "p")
+	if err == nil && !ok {
+		err = errors.New(need)
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+	}
+	return p, err == nil
+}
+
 // vertexParams parses p and q in one go, writing the 400 itself — also,
 // when edge is set, for a pair that is not a non-loop product edge.
 func (req *gtRequest) vertexParams(w http.ResponseWriter, r *http.Request, edge bool) (p, q int64, hasP, hasQ, ok bool) {
@@ -241,13 +256,8 @@ func (s *Server) gtSummary(w http.ResponseWriter, req *gtRequest, gs []*graph.Gr
 }
 
 func (s *Server) gtDegree(w http.ResponseWriter, r *http.Request, req *gtRequest) {
-	p, ok, err := req.vertexParam(r, "p")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+	p, ok := req.vertex(w, r, "degree needs p=<product vertex>")
 	if !ok {
-		writeError(w, http.StatusBadRequest, "degree needs p=<product vertex>")
 		return
 	}
 	coords := req.ci.Split(p)
@@ -344,13 +354,8 @@ func (s *Server) gtEccentricity(w http.ResponseWriter, r *http.Request, req *gtR
 		writeJSON(w, http.StatusOK, req.base(map[string]any{"histogram": out}))
 		return
 	}
-	p, ok, err := req.vertexParam(r, "p")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+	p, ok := req.vertex(w, r, "eccentricity needs p=<product vertex> or hist=1")
 	if !ok {
-		writeError(w, http.StatusBadRequest, "eccentricity needs p=<product vertex> or hist=1")
 		return
 	}
 	writeJSON(w, http.StatusOK, req.base(map[string]any{
@@ -359,17 +364,12 @@ func (s *Server) gtEccentricity(w http.ResponseWriter, r *http.Request, req *gtR
 }
 
 func (s *Server) gtCloseness(w http.ResponseWriter, r *http.Request, req *gtRequest) {
-	p, ok, err := req.vertexParam(r, "p")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+	p, ok := req.vertex(w, r, "closeness needs p=<product vertex>")
 	if !ok {
-		writeError(w, http.StatusBadRequest, "closeness needs p=<product vertex>")
 		return
 	}
-	// Thm. 4 via the Sec. V-B compressed histogram: O(diam) per query.
-	z := groundtruth.ClosenessCompressedAt(req.fs[0], req.fs[1], p)
+	// Thm. 4 in Sec. V-B's compressed form: O(k·diam) per query.
+	z := groundtruth.ChainClosenessAt(req.fs, req.ci.Split(p))
 	writeJSON(w, http.StatusOK, req.base(map[string]any{"p": p, "closeness": z}))
 }
 
@@ -384,7 +384,7 @@ func (s *Server) gtHops(w http.ResponseWriter, r *http.Request, req *gtRequest) 
 	}
 	writeJSON(w, http.StatusOK, req.base(map[string]any{
 		"p": p, "q": q,
-		"hops": hopValue(groundtruth.ChainHopsAt(req.fs, req.ci.Split(p), req.ci.Split(q))),
+		"hops": hopValue(groundtruth.ChainHopsFrom(req.fs, req.ci.Split(p))(req.ci.Split(q))),
 	}))
 }
 

@@ -78,8 +78,8 @@ func TestGroundTruthSummaryComponents(t *testing.T) {
 // /gt/{a},{b}/{prop} are one query. Every property — including the laws
 // the paper gives for two factors only — must answer the same values in
 // both spellings, each under its own identification keys; at k = 3 the
-// two-factor laws (closeness, community) refuse with a 400 that names
-// the hypothesis.
+// two-factor law (community) refuses with a 400 that names the
+// hypothesis.
 func TestGroundTruthOneHandlerTwoSpellings(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	a := gen.PrefAttach(6, 2, 41)
@@ -156,14 +156,14 @@ func TestGroundTruthOneHandlerTwoSpellings(t *testing.T) {
 		t.Errorf("k=2 chain summary lacks the Weichsel component count: %v", sum)
 	}
 
-	// k = 3: the chain laws still answer, the two-factor laws name their
+	// k = 3: the chain laws still answer, the two-factor law names its
 	// hypothesis.
 	k3 := fmt.Sprintf("%s/gt/%s,%s,%s/", ts.URL, ha, hb, ha)
 	if sum := getJSON(t, k3+"summary", 200); sum["components"] != nil || sum["k"] != float64(3) {
 		t.Errorf("k=3 summary: %v", sum)
 	}
 	getJSON(t, k3+"triangles?p=7", 200)
-	for _, q := range []string{"closeness?p=0", "closeness?loops=1&p=0", "community?loops=1&sa=0&sb=0"} {
+	for _, q := range []string{"community?loops=1&sa=0&sb=0"} {
 		if resp := getJSON(t, k3+q, http.StatusBadRequest); !strings.Contains(resp["error"].(string), "two-factor law") {
 			t.Errorf("k=3 %s: error %q does not name the two-factor hypothesis", q, resp["error"])
 		}

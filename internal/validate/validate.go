@@ -131,15 +131,6 @@ func (r *run) each(name, law, noun string, n, k int64, bad func(i int64) string)
 	r.add(name+" ("+scope+")", law, "all match", actual)
 }
 
-// maxHops is the max law's fold: the larger hop count, Unreachable if
-// either is.
-func maxHops(x, y int64) int64 {
-	if x == analytics.Unreachable || y == analytics.Unreachable {
-		return analytics.Unreachable
-	}
-	return max(x, y)
-}
-
 // Run validates the claimed product c against loop-free factors a and b:
 // every law of the paper's Sec. I table, each predicted from the factors
 // and measured on c.
@@ -270,18 +261,18 @@ func Run(a, b, c *graph.Graph, opts Options) (*Report, error) {
 		fd := []*groundtruth.Factor{fe[0].WithDistances(), fe[1].WithDistances()}
 		var diam int64
 		r.each("hops+eccentricity", "hops_C = max{hops_A, hops_B}; ε_C = max{ε_A, ε_B}", "vertices", nC, r.samples, func(p int64) string {
-			ci.SplitInto(p, cp)
+			hopsFrom := groundtruth.ChainHopsFrom(fe, ci.SplitInto(p, cp))
 			var ecc int64
 			for q, h := range analytics.Hops(c, p) {
-				if want := groundtruth.ChainHopsAt(fd, cp, ci.SplitInto(int64(q), cq)); h != want {
+				if want := hopsFrom(ci.SplitInto(int64(q), cq)); h != want {
 					return fmt.Sprintf("hops(%d,%d): want %d, got %d", p, q, want, h)
 				}
-				ecc = maxHops(ecc, h)
+				ecc = analytics.MaxHops(ecc, h)
 			}
 			if want := groundtruth.ChainEccentricityAt(fd, cp); ecc != want {
 				return fmt.Sprintf("ε_%d: want %d, got %d", p, want, ecc)
 			}
-			diam = maxHops(diam, ecc)
+			diam = analytics.MaxHops(diam, ecc)
 			return ""
 		})
 		if r.samples >= nC {
