@@ -87,6 +87,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMaxLaw -fuzztime 5s ./internal/groundtruth/
 	$(GO) test -run '^$$' -fuzz FuzzChainTriangleLaws -fuzztime 5s ./internal/groundtruth/
 	$(GO) test -run '^$$' -fuzz FuzzChainDistanceLaws -fuzztime 5s ./internal/groundtruth/
+	$(GO) test -run '^$$' -fuzz FuzzLaws -fuzztime 5s ./internal/validate/
 
 # Lint the concurrency-heavy dist package. staticcheck is optional
 # locally (CI installs a pinned version); vet always runs.

@@ -105,7 +105,7 @@ func BenchmarkE1ScalingLaws(b *testing.B) {
 			{c, validate.Options{Samples: math.MaxInt}},
 			{cl, validate.Options{SelfLoops: true, Samples: math.MaxInt, PartitionA: pa, PartitionB: pa}},
 		} {
-			if rep, err := validate.Run(a, bb, run.c, run.opts); err != nil || !rep.OK() {
+			if rep, err := validate.Run([]*graph.Graph{a, bb}, run.c, run.opts); err != nil || !rep.OK() {
 				b.Fatalf("validate.Run: %v\n%s", err, rep)
 			}
 		}

@@ -55,11 +55,11 @@ func runScalingLaws(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		plain, err := validate.Run(pr.a, pr.b, c, validate.Options{Samples: math.MaxInt})
+		plain, err := validate.Run([]*graph.Graph{pr.a, pr.b}, c, validate.Options{Samples: math.MaxInt})
 		if err != nil {
 			return err
 		}
-		looped, err := validate.Run(pr.a, pr.b, cl, validate.Options{SelfLoops: true, Samples: math.MaxInt,
+		looped, err := validate.Run([]*graph.Graph{pr.a, pr.b}, cl, validate.Options{SelfLoops: true, Samples: math.MaxInt,
 			PartitionA: pr.pa, PartitionB: pr.pb})
 		if err != nil {
 			return err

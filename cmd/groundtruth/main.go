@@ -10,13 +10,14 @@
 //	            [-degrees] [-triangles] [-distances] [-closeness N]
 //	groundtruth -a A.txt -b B.txt -self-loops -per-vertex FROM:COUNT
 //
-// The histograms fold the factors' histograms, so nothing n_C long is
-// built; Cor. 1's triangle histogram under -self-loops, whose law is no
-// product of factor values, counts its point law at every product vertex
-// into a value → count table instead. -per-vertex writes only a CSV
-// feature table — the introduction's "local graph topological properties
-// as features in machine learning tasks" — one row per product vertex p
-// in [FROM, FROM+COUNT):
+// Every value is a row of groundtruth.Laws, resolved before anything is
+// printed: a law whose hypothesis the factors miss is refused in one
+// line, exit status 1. The histograms fold the factors' histograms —
+// Cor. 1's under -self-loops over their joint (t, d) histograms — so
+// nothing n_C long is built. -per-vertex writes only a CSV feature table
+// — the introduction's "local graph topological properties as features
+// in machine learning tasks" — one row per product vertex p in
+// [FROM, FROM+COUNT):
 //
 //	vertex,i,k,degree,triangles,clustering,eccentricity,closeness
 package main
@@ -46,8 +47,8 @@ func main() {
 	selfLoops := flag.Bool("self-loops", false, "analyze (A+I) ⊗ (B+I)")
 	degrees := flag.Bool("degrees", true, "print the product degree histogram")
 	triangles := flag.Bool("triangles", true, "print triangle ground truth")
-	distances := flag.Bool("distances", false, "print eccentricity histogram and diameter (needs -self-loops)")
-	closeness := flag.Int("closeness", 0, "print closeness centrality for the first N product vertices (needs -self-loops)")
+	distances := flag.Bool("distances", false, "print eccentricity histogram and diameter (needs full self loops: -self-loops adds them)")
+	closeness := flag.Int("closeness", 0, "print closeness centrality for the first N product vertices (needs full self loops: -self-loops adds them)")
 	perVertex := flag.String("per-vertex", "", "print only a CSV of per-vertex ground truth for product vertices FROM:COUNT (needs -self-loops)")
 	flag.Parse()
 
@@ -66,9 +67,6 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if !*selfLoops && (*distances || *closeness > 0) {
-		log.Fatal("-distances and -closeness require -self-loops (Thm. 3 hypothesis)")
-	}
 	ga, err := graph.LoadUndirected(*aPath)
 	if err != nil {
 		log.Fatalf("loading A: %v", err)
@@ -77,64 +75,69 @@ func main() {
 	if err != nil {
 		log.Fatalf("loading B: %v", err)
 	}
-	a, b := groundtruth.NewFactor(ga), groundtruth.NewFactor(gb)
-	fs := []*groundtruth.Factor{a, b}
-	nC := must(groundtruth.ChainNumVertices(fs))
-
-	if !*selfLoops {
-		fmt.Printf("factors: A=%v B=%v\n", ga, gb)
-		fmt.Printf("product: C = A ⊗ B, n_C = %d, m_C = %d\n", nC, must(groundtruth.ChainNumEdges(fs)))
-		if *degrees {
-			printHistogram("\ndegree histogram (d_C = d_A ⊗ d_B):", must(groundtruth.ChainDegreeHistogram(fs)))
+	gs := []*graph.Graph{ga, gb}
+	src := groundtruth.Summaries(gs)
+	// resolve finds a row for the product asked, or exits naming the
+	// hypothesis the factors miss. Every row is resolved before anything
+	// prints.
+	resolve := func(prop string, shape groundtruth.Shape) row {
+		l, fs, err := groundtruth.Resolve(prop, shape, gs, *selfLoops, src)
+		if err != nil {
+			log.Fatal(err)
 		}
-		if *triangles {
-			fmt.Printf("\nglobal triangles τ_C = 6·τ_A·τ_B = %d\n", must(groundtruth.ChainGlobalTriangles(fs)))
-			printHistogram("vertex triangle-count histogram:", must(groundtruth.ChainVertexTriangleHistogram(fs)))
-		}
-		return
+		return row{l, fs}
 	}
-
-	if (*triangles || *perVertex != "") && (ga.NumSelfLoops() > 0 || gb.NumSelfLoops() > 0) {
-		log.Fatal("-self-loops with -triangles or -per-vertex requires loop-free input factors (the +I is added internally)")
-	}
-	al := groundtruth.NewFactor(ga.WithFullSelfLoops())
-	bl := groundtruth.NewFactor(gb.WithFullSelfLoops())
-	if *distances || *closeness > 0 || *perVertex != "" {
-		al, bl = al.WithDistances(), bl.WithDistances()
-	}
-	looped := []*groundtruth.Factor{al, bl}
 	if *perVertex != "" {
-		printPerVertex(fs, looped, from, count)
+		printPerVertex(resolve, from, count)
 		return
 	}
-	fmt.Printf("factors: A=%v B=%v\n", ga, gb)
-	fmt.Printf("product: C = (A+I) ⊗ (B+I), n_C = %d, m_C = %d\n",
-		nC, must(groundtruth.ChainNumEdges(looped)))
-	if *degrees {
-		printHistogram("\ndegree histogram (d_C = d_A ⊗ d_B):", must(groundtruth.ChainDegreeHistogram(looped)))
-	}
+	var tau, tri, diam, ecc, zeta row
+	deg := resolve("degree", groundtruth.Histogram) // its factors are the product's own, which n_C and m_C read
 	if *triangles {
-		fmt.Printf("\nglobal triangles τ_C = %d (Cor. 1 aggregate)\n", must(groundtruth.ChainGlobalTrianglesFullLoops(fs)))
-		counts := map[int64]int64{}
-		for i := int64(0); i < a.N(); i++ {
-			for k := int64(0); k < b.N(); k++ {
-				counts[must(groundtruth.ChainVertexTrianglesFullLoopsAt(fs, []int64{i, k}))]++
-			}
-		}
-		printHistogram("vertex triangle-count histogram:", counts)
+		tau, tri = resolve("triangles", groundtruth.Global), resolve("triangles", groundtruth.Histogram)
 	}
 	if *distances {
-		fmt.Printf("\ndiameter(C) = %d (Cor. 3)\n", groundtruth.ChainDiameter(looped))
-		printHistogram("eccentricity histogram (Cor. 4):", must(groundtruth.ChainEccentricityHistogram(looped)))
+		diam, ecc = resolve("diameter", groundtruth.Global), resolve("eccentricity", groundtruth.Histogram)
+	}
+	if *closeness > 0 {
+		zeta = resolve("closeness", groundtruth.PerVertex)
+	}
+
+	nC := must(groundtruth.ChainNumVertices(deg.fs))
+	product, tauLine := "A ⊗ B", "global triangles τ_C = 6·τ_A·τ_B = %d\n"
+	if *selfLoops {
+		product, tauLine = "(A+I) ⊗ (B+I)", "global triangles τ_C = %d (Cor. 1 aggregate)\n"
+	}
+	fmt.Printf("factors: A=%v B=%v\n", ga, gb)
+	fmt.Printf("product: C = %s, n_C = %d, m_C = %d\n", product, nC, must(groundtruth.ChainNumEdges(deg.fs)))
+	if *degrees {
+		printHistogram("\ndegree histogram (d_C = d_A ⊗ d_B):", deg.at(nil))
+	}
+	if *triangles {
+		fmt.Printf("\n"+tauLine, tau.at(nil))
+		printHistogram("vertex triangle-count histogram:", tri.at(nil))
+	}
+	if *distances {
+		fmt.Printf("\ndiameter(C) = %d (Cor. 3)\n", diam.at(nil))
+		printHistogram("eccentricity histogram (Cor. 4):", ecc.at(nil))
 	}
 	if *closeness > 0 {
 		n := min(int64(*closeness), nC)
 		fmt.Printf("\ncloseness centrality (Thm. 4, compressed form):\n")
 		for p := int64(0); p < n; p++ {
-			fmt.Printf("  ζ_C(%d) = %.4f\n", p, groundtruth.ChainClosenessAt(looped, must(groundtruth.ChainCoordsOf(looped, p))))
+			fmt.Printf("  ζ_C(%d) = %.4f\n", p, zeta.at(must(groundtruth.ChainCoordsOf(zeta.fs, p))))
 		}
 	}
 }
+
+// row is a resolved law and the factors it reads.
+type row struct {
+	law *groundtruth.Law
+	fs  []*groundtruth.Factor
+}
+
+// at evaluates the row at p, exiting on a count that overflows int64.
+func (r row) at(p []int64) any { return must(r.law.Eval(r.fs, p, nil)) }
 
 // must returns v, or exits naming err (a count that overflows int64).
 func must[T any](v T, err error) T {
@@ -145,17 +148,18 @@ func must[T any](v T, err error) T {
 }
 
 // printHistogram renders a law's value → count table under its title.
-func printHistogram(title string, counts map[int64]int64) {
+func printHistogram(title string, counts any) {
 	fmt.Println(title)
-	fmt.Print(analytics.HistogramOf(counts).Render(40))
+	fmt.Print(analytics.HistogramOf(counts.(map[int64]int64)).Render(40))
 }
 
 // printPerVertex writes the CSV feature table of (A+I) ⊗ (B+I) for
-// product vertices [from, from+count), clipped to n_C: fs holds the
-// loop-free factors the triangle laws take, looped their +I forms with
-// the distance tier.
-func printPerVertex(fs, looped []*groundtruth.Factor, from, count int64) {
-	ix := core.MustChainIndex(fs[0].N(), fs[1].N()) // n_C fits: the caller checked it
+// product vertices [from, from+count), clipped to n_C, from the
+// per-vertex rows resolve finds.
+func printPerVertex(resolve func(string, groundtruth.Shape) row, from, count int64) {
+	deg, tri := resolve("degree", groundtruth.PerVertex), resolve("triangles", groundtruth.PerVertex)
+	ecc, zeta := resolve("eccentricity", groundtruth.PerVertex), resolve("closeness", groundtruth.PerVertex)
+	ix := must(core.NewChainIndex([]int64{deg.fs[0].N(), deg.fs[1].N()}))
 	nC := ix.NumVertices()
 	if from < 0 || from >= nC {
 		log.Fatalf("-per-vertex FROM %d outside [0,%d)", from, nC)
@@ -170,15 +174,13 @@ func printPerVertex(fs, looped []*groundtruth.Factor, from, count int64) {
 	coords := make([]int64, 2)
 	for p := from; p < hi; p++ {
 		ix.SplitInto(p, coords)
-		deg := groundtruth.ChainDegreeAt(looped, coords)
-		tri := must(groundtruth.ChainVertexTrianglesFullLoopsAt(fs, coords))
+		d, t := deg.at(coords).(int64), tri.at(coords).(int64)
 		// Clustering of the looped product vertex from its own degree and
 		// triangle count, the loop excluded from both by convention.
 		cc := math.NaN()
-		if d := deg - 1; d >= 2 {
-			cc = 2 * float64(tri) / float64(d*(d-1))
+		if d := d - 1; d >= 2 {
+			cc = 2 * float64(t) / float64(d*(d-1))
 		}
-		fmt.Fprintf(w, "%d,%d,%d,%d,%d,%.6g,%d,%.6g\n", p, coords[0], coords[1], deg, tri, cc,
-			groundtruth.ChainEccentricityAt(looped, coords), groundtruth.ChainClosenessAt(looped, coords))
+		fmt.Fprintf(w, "%d,%d,%d,%d,%d,%.6g,%d,%.6g\n", p, coords[0], coords[1], d, t, cc, ecc.at(coords), zeta.at(coords))
 	}
 }

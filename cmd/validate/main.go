@@ -44,7 +44,7 @@ func main() {
 	}
 	a, b, c := load(*aPath), load(*bPath), load(*cPath)
 
-	rep, err := validate.Run(a, b, c, validate.Options{
+	rep, err := validate.Run([]*graph.Graph{a, b}, c, validate.Options{
 		SelfLoops:     *selfLoops,
 		Samples:       *samples,
 		SkipDistances: *skipDist,

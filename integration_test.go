@@ -385,6 +385,22 @@ func TestGroundtruthCLI(t *testing.T) {
 	if !strings.Contains(string(out), "96") {
 		t.Errorf("expected τ_C = 96 in output:\n%s", out)
 	}
+	// A self loop in A is outside τ_C = 6·τ_A·τ_B's hypothesis: the
+	// command refuses before printing anything, in one line naming it,
+	// with exit status 1 (2 is a usage error).
+	loopy := filepath.Join(dir, "loopy.txt")
+	if err := gen.Clique(4).WithFullSelfLoops().SaveEdgeList(loopy); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(bin, "-a", loopy, "-b", aPath)
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err = cmd.Run()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 1 || stdout.Len() != 0 ||
+		strings.Count(stderr.String(), "\n") != 1 || !strings.Contains(stderr.String(), "requires a loop-free factor") {
+		t.Errorf("looped A: %v, stdout %q, stderr %q; want exit 1, nothing printed, one line naming the hypothesis", err, stdout.String(), stderr.String())
+	}
 }
 
 // TestDecorateCLI checks groundtruth's -per-vertex feature decoration

@@ -3,7 +3,6 @@ package groundtruth
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"kronlab/internal/analytics"
 	"kronlab/internal/core"
@@ -17,16 +16,18 @@ import (
 // nothing is recomputed). Counting laws return explicit errors on int64
 // overflow (a chain a handful of factors deep overflows easily) so
 // callers plan against real numbers or refuse loudly — never against
-// wrapped garbage.
+// wrapped garbage. Each exported law goes through its row of Laws.
 
 // fold returns op(…op(x(0), x(1))…, x(k−1)) over the chain's factors —
-// every law whose state is one number — naming the law when op overflows.
-func fold(fs []*Factor, law string, x func(d int, f *Factor) int64, op func(acc, v int64) (int64, bool)) (int64, error) {
+// every law whose state at a vertex is one value — naming the law when op
+// overflows.
+func fold[K any](fs []*Factor, law string, x func(d int, f *Factor) K, op func(acc, v K) (K, bool)) (K, error) {
 	out := x(0, fs[0])
 	for d := 1; d < len(fs); d++ {
 		v, ok := op(out, x(d, fs[d]))
 		if !ok {
-			return 0, overflow(law, d)
+			var zero K
+			return zero, overflow(law, d)
 		}
 		out = v
 	}
@@ -52,23 +53,18 @@ func scaled(c int64) func(acc, v int64) (int64, bool) {
 // maxHops is Thm. 3's max law as a fold op; it never fails.
 func maxHops(a, b int64) (int64, bool) { return analytics.MaxHops(a, b), true }
 
-// ChainNumVertices returns n_C = Π n_d, checked.
-func ChainNumVertices(fs []*Factor) (int64, error) {
+func numVertices(fs []*Factor) (int64, error) {
 	return fold(fs, "vertex count", func(_ int, f *Factor) int64 { return f.N() }, core.CheckedMul)
 }
 
-// ChainNumArcs returns the arc count of the chain product, Π arcs_d,
-// checked.
-func ChainNumArcs(fs []*Factor) (int64, error) {
+func numArcs(fs []*Factor) (int64, error) {
 	return fold(fs, "arc count", func(_ int, f *Factor) int64 { return f.G.NumArcs() }, core.CheckedMul)
 }
 
-// ChainNumEdges returns the undirected edge count of the chain product,
-// checked: arcs and loops both multiply across factors and
-// m_C = (arcs + loops)/2. For loop-free factors this reduces to the
-// paper's m_C = 2^{k−1}·Π m_d.
-func ChainNumEdges(fs []*Factor) (int64, error) {
-	arcs, err := ChainNumArcs(fs)
+// numEdges: arcs and loops both multiply across factors and
+// m_C = (arcs + loops)/2.
+func numEdges(fs []*Factor) (int64, error) {
+	arcs, err := numArcs(fs)
 	if err != nil {
 		return 0, err
 	}
@@ -79,50 +75,38 @@ func ChainNumEdges(fs []*Factor) (int64, error) {
 	return loops + (arcs-loops)/2, nil // = (arcs + loops)/2, whose sum could overflow
 }
 
-// ChainGlobalTriangles returns τ_C = 6^{k−1}·Π τ_d for loop-free factors
-// (induction on τ_C = 6·τ_A·τ_B), checked.
-func ChainGlobalTriangles(fs []*Factor) (int64, error) {
-	requireLoopFree(fs, "τ_C = 6^{k−1}·Π τ_d")
-	return fold(fs, "triangle count", func(_ int, f *Factor) int64 { return f.Tri.Global }, scaled(6))
+// diameter is Cor. 3's max law over the factors' diameters; it never
+// fails.
+func diameter(fs []*Factor) (int64, error) {
+	return fold(fs, "diameter", func(_ int, f *Factor) int64 { return f.distances("diameter").Diam }, maxHops)
 }
 
-// ChainDiameter returns diam(C) = max_d diam(A_d) for full-self-loop
-// factors (Cor. 3 by induction); Unreachable if any factor is
-// disconnected.
-func ChainDiameter(fs []*Factor) int64 {
-	diam, _ := fold(fs, "diameter", func(_ int, f *Factor) int64 { return f.distances("diameter").Diam }, maxHops)
-	return diam // maxHops never fails
-}
-
-// ChainHopsFrom returns hops from product vertex src, given its
-// coordinates, to any dst (Thm. 3 by induction):
-// max_d hops_d(src[d], dst[d]), Unreachable if any digit pair is. It runs
-// one sweep per factor over the factor graph — no distance tier — and
-// then answers each dst in O(k).
-func ChainHopsFrom(fs []*Factor, src []int64) func(dst []int64) int64 {
+// hopsFrom sweeps each factor graph once from src's digit — no distance
+// tier — and answers each dst in O(k) by Thm. 3's max law.
+func hopsFrom(fs []*Factor, src []int64) func(dst []int64) int64 {
 	rows := make([][]int64, len(fs))
 	for d, f := range fs {
 		rows[d] = analytics.Hops(f.G, src[d])
 	}
 	return func(dst []int64) int64 {
-		h, _ := fold(fs, "hops", func(d int, _ *Factor) int64 { return rows[d][dst[d]] }, maxHops)
-		return h // maxHops never fails
+		return value(fold(fs, "hops", func(d int, _ *Factor) int64 { return rows[d][dst[d]] }, maxHops))
 	}
 }
 
-// ChainClosenessAt returns ζ_p = Σ_q 1/hops(p,q) over reachable q for
-// full-self-loop factors: Thm. 4 in Sec. V-B's compressed form, at any k.
-// By Thm. 3, hops(p,q) ≤ h exactly when every digit pair is within h, so
+// hops is hopsFrom's value at one pair; it never fails.
+func hops(fs []*Factor, src, dst []int64) (int64, error) { return hopsFrom(fs, src)(dst), nil }
+
+// closenessAt is Thm. 4 in Sec. V-B's compressed form, at any k. By
+// Thm. 3, hops(p,q) ≤ h exactly when every digit pair is within h, so
 // with R_d the factors' hop profiles, ε a profile's last hop,
 //
 //	N(≤h) = Π_d R_d[c_d][min(h, ε)],   ζ_p = Σ_{h≥1} (N(≤h) − N(≤h−1))/h.
 //
 // An unreachable pair enters no profile, so a disconnected factor needs
 // no special case. N(≤h) ≤ n_C fits an int64. Cost O(k·max ε).
-func ChainClosenessAt(fs []*Factor, coords []int64) float64 {
+func closenessAt(fs []*Factor, coords []int64) (float64, error) {
 	top := 0
 	for d, f := range fs {
-		f.RequireFullSelfLoops("Thm. 4")
 		top = max(top, len(f.distances("closeness").Profile[coords[d]])-1)
 	}
 	var s float64
@@ -136,87 +120,70 @@ func ChainClosenessAt(fs []*Factor, coords []int64) float64 {
 		s += float64(n-prev) / float64(h)
 		prev = n
 	}
-	return s
+	return s, nil
 }
 
-// vertexLaw is a law on product vertices: a per-factor vector v_d and the
+// vector is a law on product vertices: a per-factor vector v_d and the
 // op that folds it across the chain. Its value at p = (c_1, …, c_k) folds
-// v_1[c_1], …, v_k[c_k]; its vector over all of C folds whole vectors,
-// v_1 ⊗_op v_2 ⊗_op … ⊗_op v_k, in ChainIndex order; its histogram
-// folds the factors' histograms under the same op.
-type vertexLaw struct {
-	name    string
-	require func(*Factor)                 // the law's hypothesis, checked before any factor is read
-	vec     func(*Factor, string) []int64 // the factor's vector, read for the named use
-	op      func(acc, v int64) (int64, bool)
+// v_1[c_1], …, v_k[c_k]; its histogram folds the factors' histograms
+// under the same op.
+type vector struct {
+	name string
+	vec  func(*Factor, string) []int64 // the factor's vector, read for the named use
+	op   func(acc, v int64) (int64, bool)
 }
 
 var (
-	degreeLaw = vertexLaw{"degree", func(*Factor) {},
-		func(f *Factor, _ string) []int64 { return f.Deg }, core.CheckedMul}
-	triangleLaw = vertexLaw{"vertex triangle count",
-		func(f *Factor) { f.RequireNoSelfLoops("t_C = 2^{k−1}·⊗t_d") },
-		func(f *Factor, _ string) []int64 { return f.Tri.Vertex }, scaled(2)}
-	eccentricityLaw = vertexLaw{"eccentricity",
-		func(f *Factor) { f.RequireFullSelfLoops("Cor. 4") },
-		func(f *Factor, use string) []int64 { return f.distances(use).Ecc }, maxHops}
+	degrees   = vector{"degree", func(f *Factor, _ string) []int64 { return f.Deg }, core.CheckedMul}
+	triangles = vector{"vertex triangle count", func(f *Factor, _ string) []int64 { return f.Tri.Vertex }, scaled(2)}
+	// eccentricities reads the distance tier.
+	eccentricities = vector{"eccentricity", func(f *Factor, use string) []int64 { return f.distances(use).Ecc }, maxHops}
 )
 
-func (l vertexLaw) check(fs []*Factor) {
-	for _, f := range fs {
-		l.require(f)
-	}
-}
-
-func (l vertexLaw) at(fs []*Factor, coords []int64) (int64, error) {
-	l.check(fs)
+func (l vector) at(fs []*Factor, coords []int64) (int64, error) {
 	return fold(fs, l.name, func(d int, f *Factor) int64 { return l.vec(f, l.name)[coords[d]] }, l.op)
-}
-
-// all materializes the law at every product vertex — linear in n_C from
-// the factors' vectors.
-func (l vertexLaw) all(fs []*Factor) ([]int64, error) {
-	if _, err := ChainNumVertices(fs); err != nil {
-		return nil, err
-	}
-	l.check(fs)
-	out := slices.Clone(l.vec(fs[0], l.name))
-	for d := 1; d < len(fs); d++ {
-		v := l.vec(fs[d], l.name)
-		next := make([]int64, 0, len(out)*len(v))
-		for _, x := range out {
-			for _, y := range v {
-				z, ok := l.op(x, y)
-				if !ok {
-					return nil, overflow(l.name, d)
-				}
-				next = append(next, z)
-			}
-		}
-		out = next
-	}
-	return out, nil
 }
 
 // hist returns the law's value → count histogram over all of C by
 // folding the factors' histograms — no n_C-long vector, cost the product
 // of the factors' distinct-value counts. Its counts sum to n_C, so it
 // refuses a chain whose n_C overflows.
-func (l vertexLaw) hist(fs []*Factor) (map[int64]int64, error) {
-	if _, err := ChainNumVertices(fs); err != nil {
-		return nil, err
-	}
-	l.check(fs)
-	var out map[int64]int64
-	for d, f := range fs {
+func (l vector) hist(fs []*Factor) (map[int64]int64, error) {
+	name := l.name + " histogram"
+	return foldHistograms(fs, name, func(f *Factor) map[int64]int64 {
 		h := map[int64]int64{}
-		for _, v := range l.vec(f, l.name+" histogram") {
+		for _, v := range l.vec(f, name) {
 			h[v]++
 		}
-		if d == 0 {
-			out = h
-		} else if out = combine(out, h, l.op); out == nil {
-			return nil, overflow(l.name+" histogram", d)
+		return h
+	}, l.op)
+}
+
+// histogramSteps, plus the factors' vertices and arcs, bounds each
+// combine of a histogram fold: it costs |out|·|h_d| steps and may make as
+// many keys, which for a law whose values do not collapse (the product
+// for d and t, Cor. 1's step) is n_C itself once every value is distinct.
+// A fold that would pass the bound is refused rather than built.
+const histogramSteps = 1 << 20
+
+// foldHistograms folds the factors' histograms, keyed by what the law's
+// op takes of a digit, through combine.
+func foldHistograms[K comparable](fs []*Factor, law string, h func(*Factor) map[K]int64, op func(x, y K) (K, bool)) (map[K]int64, error) {
+	if _, err := numVertices(fs); err != nil {
+		return nil, err
+	}
+	limit := int64(histogramSteps)
+	for _, f := range fs {
+		limit += f.N() + f.G.NumArcs()
+	}
+	out := h(fs[0])
+	for d := 1; d < len(fs); d++ {
+		hd := h(fs[d])
+		if steps, ok := core.CheckedMul(int64(len(out)), int64(len(hd))); !ok || steps > limit {
+			return nil, fmt.Errorf("groundtruth: chain %s would combine %d×%d keys at factor %d, over the %d its factors allow", law, len(out), len(hd), d, limit)
+		}
+		if out = combine(out, hd, op); out == nil {
+			return nil, overflow(law, d)
 		}
 	}
 	return out, nil
@@ -224,11 +191,12 @@ func (l vertexLaw) hist(fs []*Factor) (map[int64]int64, error) {
 
 // combine returns the value → count histogram of op(x, y) over all pairs
 // of a value x counted in hx and a value y counted in hy — the one
-// combine under every vertex law's histogram: the product for d, the
-// scaled product for t, the max (Unreachable if either side is) for ε.
-// It returns nil when op or a count overflows.
-func combine(hx, hy map[int64]int64, op func(x, y int64) (int64, bool)) map[int64]int64 {
-	out := map[int64]int64{}
+// combine under every histogram law: the product for d, the scaled
+// product for t, the max (Unreachable if either side is) for ε, and
+// Cor. 1's step over a digit's (t, d) pair. It returns nil when op or a
+// count overflows.
+func combine[K comparable](hx, hy map[K]int64, op func(x, y K) (K, bool)) map[K]int64 {
+	out := map[K]int64{}
 	for x, cx := range hx {
 		for y, cy := range hy {
 			v, okV := op(x, y)
@@ -242,60 +210,34 @@ func combine(hx, hy map[int64]int64, op func(x, y int64) (int64, bool)) map[int6
 	return out
 }
 
-// ChainDegreeAt returns d_p = Π_d d_{coords[d]} — the degree law
-// composes across any chain because d_C = d_A ⊗ d_B composes. Over the
-// +I factors it is the degree of ⊗(A_d+I), (d_i + 1)·(d_k + 1) for two
-// factors. A degree never exceeds n_C, which the ChainIndex the
-// coordinates came from holds in an int64, so the product cannot
-// overflow.
-func ChainDegreeAt(fs []*Factor, coords []int64) int64 {
-	d, _ := degreeLaw.at(fs, coords)
-	return d
-}
-
-// ChainDegreeHistogram returns the histogram of d_C = ⊗ d_d, checked.
-func ChainDegreeHistogram(fs []*Factor) (map[int64]int64, error) { return degreeLaw.hist(fs) }
-
-// ChainVertexTrianglesAt returns t_p = 2^{k−1}·Π_d t_{coords[d]} for
-// loop-free factors (induction on t_C = 2·t_A⊗t_B), checked.
-func ChainVertexTrianglesAt(fs []*Factor, coords []int64) (int64, error) {
-	return triangleLaw.at(fs, coords)
-}
-
-// ChainVertexTriangleHistogram returns the histogram of
-// t_C = 2^{k−1}·⊗ t_d for loop-free factors, checked.
-func ChainVertexTriangleHistogram(fs []*Factor) (map[int64]int64, error) {
-	return triangleLaw.hist(fs)
-}
-
-// ChainEccentricityAt returns ε_p = max_d ε_{coords[d]} for factors with
-// full self loops (Cor. 4 by induction). Unreachable if any factor's
-// vertex is in a disconnected component.
-func ChainEccentricityAt(fs []*Factor, coords []int64) int64 {
-	e, _ := eccentricityLaw.at(fs, coords) // maxHops never fails
-	return e
-}
-
-// ChainEccentricities materializes ε_C for every product vertex — linear
-// in n_C from sublinear factor storage, as the paper advertises.
-func ChainEccentricities(fs []*Factor) ([]int64, error) { return eccentricityLaw.all(fs) }
-
-// ChainEccentricityHistogram returns the ε histogram of the chain
-// product by folding the factors' ε histograms under the max law — Fig. 1
-// for heterogeneous chains without materializing anything. Cost is
-// O(k·diam²) after factor eccentricities. Its counts sum to n_C, so it
-// refuses a chain whose n_C overflows.
-func ChainEccentricityHistogram(fs []*Factor) (map[int64]int64, error) {
-	return eccentricityLaw.hist(fs)
-}
-
-// ChainCoordsOf returns the mixed-radix coordinates of product vertex p.
-func ChainCoordsOf(fs []*Factor, p int64) ([]int64, error) {
+// chainIndex returns the mixed-radix index of the chain's product.
+func chainIndex(fs []*Factor) (core.ChainIndex, error) {
 	dims := make([]int64, len(fs))
 	for d, f := range fs {
 		dims[d] = f.N()
 	}
-	ci, err := core.NewChainIndex(dims)
+	return core.NewChainIndex(dims)
+}
+
+// ChainEccentricities materializes ε_C for every product vertex — linear
+// in n_C from sublinear factor storage, as the paper advertises — under
+// Cor. 4's row.
+func ChainEccentricities(fs []*Factor) ([]int64, error) {
+	lawEccentricity.require(fs, nil, nil)
+	ci, err := chainIndex(fs)
+	if err != nil {
+		return nil, err
+	}
+	out, coords := make([]int64, ci.NumVertices()), make([]int64, len(fs))
+	for p := range out {
+		out[p] = value(eccentricities.at(fs, ci.SplitInto(int64(p), coords)))
+	}
+	return out, nil
+}
+
+// ChainCoordsOf returns the mixed-radix coordinates of product vertex p.
+func ChainCoordsOf(fs []*Factor, p int64) ([]int64, error) {
+	ci, err := chainIndex(fs)
 	if err != nil {
 		return nil, err
 	}

@@ -250,6 +250,26 @@ func TestChainEccentricityAtNeedsLoops(t *testing.T) {
 	wantPanic(t, "Cor. 4", func() { ChainEccentricityAt([]*Factor{p2, p2}, []int64{0, 0}) })
 }
 
+// Cor. 3 and Thm. 3 need full self loops too: loop-free P₂ ⊗ P₂ is two
+// disjoint edges, so its materialized diameter and hops(0, 1) read
+// Unreachable, where the max law over P₂'s diameter answers 2. Thm. 5 and
+// Cor. 5 ask full loops of A alone.
+func TestChainDistanceLawsNeedFullLoops(t *testing.T) {
+	c := materializeChain(t, gen.Path(2), gen.Path(2))
+	if d, h := analytics.Diameter(c), analytics.Hops(c, 0)[1]; d != analytics.Unreachable || h != analytics.Unreachable {
+		t.Fatalf("materialized P₂⊗P₂: diameter %d, hops(0,1) %d, want both Unreachable", d, h)
+	}
+	p2, p2l := NewFactor(gen.Path(2)).WithDistances(), NewFactor(gen.Path(2).WithFullSelfLoops()).WithDistances()
+	fs := []*Factor{p2, p2}
+	wantPanic(t, "Cor. 3 requires full self loops", func() { ChainDiameter(fs) })
+	wantPanic(t, "Thm. 3 requires full self loops", func() { ChainHopsFrom(fs, []int64{0, 0})([]int64{0, 1}) })
+	wantPanic(t, "Cor. 5 requires full self loops", func() { DiameterBounds(p2, p2l) })
+	wantPanic(t, "Thm. 5 requires full self loops", func() { HopsBoundsAt(p2, p2l, 0, 1) })
+	if lo, hi := DiameterBounds(p2l, p2); lo != 2 || hi != 3 {
+		t.Errorf("Cor. 5 on (P₂+I)⊗P₂: [%d,%d], want [2,3]", lo, hi)
+	}
+}
+
 // t_C = 2·t_A ⊗ t_B needs loop-free factors: on (K₃+I)⊗(K₃+I) every
 // vertex is in 28 triangles, where the law would answer 2.
 func TestChainVertexTrianglesAtNeedsLoopFree(t *testing.T) {

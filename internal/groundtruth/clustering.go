@@ -9,19 +9,16 @@ func Theta(di, dk int64) float64 {
 	return float64((di-1)*(dk-1)) / float64(di*dk-1)
 }
 
-// ChainVertexClusteringAt returns the ground-truth vertex clustering
-// coefficient η_p = 2t_p/(d_p(d_p − 1)) of the loop-free product ⊗A_d,
-// read from the degree and triangle laws at p's coordinates. At k = 2 it
-// is Thm. 1's η_C(p) = θ_p·η_A(i)·η_B(k) where both digits' degrees are
-// at least 2. NaN when d_p is below 2 (η undefined there); an error when
-// t_p overflows.
-func ChainVertexClusteringAt(fs []*Factor, coords []int64) (float64, error) {
-	requireLoopFree(fs, "Thm. 1")
-	deg := float64(ChainDegreeAt(fs, coords))
+// vertexClustering is η_p = 2t_p/(d_p(d_p − 1)) of the loop-free product
+// ⊗A_d, read from the degree and triangle laws at p's coordinates. At
+// k = 2 it is Thm. 1's η_C(p) = θ_p·η_A(i)·η_B(k) where both digits'
+// degrees are at least 2. NaN when d_p is below 2 (η undefined there).
+func vertexClustering(fs []*Factor, coords []int64) (float64, error) {
+	deg := float64(value(degrees.at(fs, coords)))
 	if deg < 2 {
 		return math.NaN(), nil
 	}
-	t, err := ChainVertexTrianglesAt(fs, coords)
+	t, err := triangles.at(fs, coords)
 	if err != nil {
 		return 0, err
 	}
@@ -38,20 +35,16 @@ func Phi(di, dj, dk, dl int64) float64 {
 	return float64((min(di, dj)-1)*(min(dk, dl)-1)) / float64(min(di*dk, dj*dl)-1)
 }
 
-// ChainEdgeClusteringAt returns the ground-truth edge clustering
-// coefficient ξ_pq = Δ_pq/(min(d_p, d_q) − 1) of a non-loop edge of the
-// loop-free product ⊗A_d, read from the degree and edge triangle laws at
-// the endpoints' coordinates. At k = 2 it is Thm. 2's
-// ξ_C(p,q) = φ_pq·ξ_A(i,j)·ξ_B(k,l) where every endpoint degree is at
-// least 2. NaN when min(d_p, d_q) is below 2; an error when Δ_pq
-// overflows.
-func ChainEdgeClusteringAt(fs []*Factor, cp, cq []int64) (float64, error) {
-	requireLoopFree(fs, "Thm. 2")
-	m := min(ChainDegreeAt(fs, cp), ChainDegreeAt(fs, cq))
+// edgeClustering is ξ_pq = Δ_pq/(min(d_p, d_q) − 1) of a non-loop edge
+// of ⊗A_d, read from the degree and edge triangle laws. At k = 2 it is
+// Thm. 2's ξ_C(p,q) = φ_pq·ξ_A(i,j)·ξ_B(k,l) where every endpoint degree
+// is at least 2. NaN when min(d_p, d_q) is below 2.
+func edgeClustering(fs []*Factor, cp, cq []int64) (float64, error) {
+	m := min(value(degrees.at(fs, cp)), value(degrees.at(fs, cq)))
 	if m < 2 {
 		return math.NaN(), nil
 	}
-	tri, err := ChainEdgeTrianglesAt(fs, cp, cq)
+	tri, err := edgeTriangles(fs, cp, cq)
 	if err != nil {
 		return 0, err
 	}

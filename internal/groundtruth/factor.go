@@ -121,20 +121,3 @@ func (f *Factor) EdgeTri(i, j int64) int64 {
 	}
 	return f.Tri.Arc[idx]
 }
-
-// RequireNoSelfLoops panics if the factor has self loops; used by formulas
-// whose hypotheses demand A∘I = O (e.g. Thm. 1, Cor. 1).
-func (f *Factor) RequireNoSelfLoops(formula string) {
-	if f.G.NumSelfLoops() != 0 {
-		panic(fmt.Sprintf("groundtruth: %s requires a loop-free factor, got %d self loops", formula, f.G.NumSelfLoops()))
-	}
-}
-
-// RequireFullSelfLoops panics if any vertex of the factor lacks a self
-// loop; used by the distance formulas (Thm. 3, Cor. 3–4, Thm. 4) whose
-// hypothesis is A∘I = I.
-func (f *Factor) RequireFullSelfLoops(formula string) {
-	if f.G.NumSelfLoops() != f.G.NumVertices() {
-		panic(fmt.Sprintf("groundtruth: %s requires full self loops, got %d/%d", formula, f.G.NumSelfLoops(), f.G.NumVertices()))
-	}
-}

@@ -250,30 +250,30 @@ func TestCor2PanicsOnLoop(t *testing.T) {
 	_, _ = ChainEdgeTrianglesFullLoopsAt([]*Factor{a, a}, []int64{0, 0}, []int64{0, 0})
 }
 
+// TestRequireGuards holds the rows' hypothesis check to each kind of
+// loop hypothesis: a loop-free law refuses a factor with a loop, a
+// full-loop law one that lacks any loop, and no law refuses a factor
+// inside its hypothesis.
 func TestRequireGuards(t *testing.T) {
 	loopy, _ := graph.NewUndirected(2, []graph.Edge{{U: 0, V: 0}, {U: 0, V: 1}})
-	f := NewFactor(loopy)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("RequireNoSelfLoops should panic")
-			}
-		}()
-		f.RequireNoSelfLoops("test")
-	}()
 	bare, _ := graph.NewUndirected(2, []graph.Edge{{U: 0, V: 1}})
-	fb := NewFactor(bare)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("RequireFullSelfLoops should panic")
-			}
-		}()
-		fb.RequireFullSelfLoops("test")
-	}()
-	// And the happy paths must not panic.
-	fb.RequireNoSelfLoops("test")
-	NewFactor(bare.WithFullSelfLoops()).RequireFullSelfLoops("test")
+	for _, c := range []struct {
+		law    *Law
+		g      *graph.Graph
+		refuse bool
+	}{
+		{lawGlobalTriangles, loopy, true},
+		{lawGlobalTriangles, bare, false},
+		{lawDiameter, bare, true},
+		{lawDiameter, loopy, true}, // one loop of two
+		{lawDiameter, bare.WithFullSelfLoops(), false},
+		{lawDegree, loopy, false},
+	} {
+		err := c.law.check([]*Factor{NewFactor(c.g)}, []int64{0}, nil)
+		if (err != nil) != c.refuse {
+			t.Errorf("%s on %v: refusal %v, want one: %v", c.law.Name, c.g, err, c.refuse)
+		}
+	}
 }
 
 func TestEdgeTriPanicsOnNonArc(t *testing.T) {
@@ -675,7 +675,7 @@ func FuzzMaxLaw(f *testing.F) {
 			return
 		}
 		split := min(int(data[0]), len(data)-1)
-		for _, law := range []vertexLaw{eccentricityLaw, degreeLaw, triangleLaw} {
+		for _, law := range []vector{eccentricities, degrees, triangles} {
 			vals := make([]int64, len(data)-1)
 			for i, b := range data[1:] {
 				if vals[i] = int64(b%8) - 1; law.name != "eccentricity" {

@@ -10,14 +10,7 @@ import (
 // (Cor. 1, Cor. 2), folded over the chain. The +I laws fold because
 // (A+I)⊗(B+I) = C′+I with C′ loop-free, so each two-factor law applies
 // digit by digit to a small state of the loop-free part accumulated so
-// far. Every form takes the loop-free A_d and checks that first.
-
-// requireLoopFree holds every factor to the law's A∘I = O hypothesis.
-func requireLoopFree(fs []*Factor, law string) {
-	for _, f := range fs {
-		f.RequireNoSelfLoops(law)
-	}
-}
+// far. Every form takes the loop-free A_d; its row checks that first.
 
 // arith is checked arithmetic on nonnegative counts: an overflow anywhere
 // in an expression sets bad.
@@ -38,41 +31,69 @@ func (a *arith) add(xs ...int64) int64 {
 	return s
 }
 
-// ChainEdgeTrianglesAt returns Δ_pq = Π_d Δ_d(cp[d], cq[d]) for a non-loop
-// edge (p,q) of ⊗A_d (Δ_C = Δ_A ⊗ Δ_B by induction), checked.
-func ChainEdgeTrianglesAt(fs []*Factor, cp, cq []int64) (int64, error) {
-	requireLoopFree(fs, "Δ_C = Π Δ_d")
+// globalTriangles is τ_C = 6^{k−1}·Π τ_d, by induction on
+// τ_C = 6·τ_A·τ_B.
+func globalTriangles(fs []*Factor) (int64, error) {
+	return fold(fs, "triangle count", func(_ int, f *Factor) int64 { return f.Tri.Global }, scaled(6))
+}
+
+// edgeTriangles is Δ_pq = Π_d Δ_d(cp[d], cq[d]), by induction on
+// Δ_C = Δ_A ⊗ Δ_B.
+func edgeTriangles(fs []*Factor, cp, cq []int64) (int64, error) {
 	return fold(fs, "edge triangle count", func(d int, f *Factor) int64 { return f.EdgeTri(cp[d], cq[d]) }, core.CheckedMul)
 }
 
-// ChainVertexTrianglesFullLoopsAt returns t_p of ⊗(A_d+I) (Cor. 1 as a
-// fold), checked. The state (t′, d′) of the loop-free part takes each
-// next digit's (t, d) as
+// cor1Step is Cor. 1 as a step over the loop-free part's state x =
+// (t′, d′) and a digit's y = (t, d):
 //
 //	t′ ← 2t′t + 3(t′d + d′d + d′t) + t′ + t,   d′ ← (d′+1)(d+1) − 1.
-func ChainVertexTrianglesFullLoopsAt(fs []*Factor, coords []int64) (int64, error) {
-	requireLoopFree(fs, "Cor. 1")
+//
+// It reports false on overflow.
+func cor1Step(x, y [2]int64) ([2]int64, bool) {
 	var a arith
-	t, dg := fs[0].Tri.Vertex[coords[0]], fs[0].Deg[coords[0]]
-	for d := 1; d < len(fs); d++ {
-		td, dd := fs[d].Tri.Vertex[coords[d]], fs[d].Deg[coords[d]]
-		t = a.add(a.mul(2, a.mul(t, td)), a.mul(3, a.add(a.mul(t, dd), a.mul(dg, dd), a.mul(dg, td))), t, td)
-		if dg = a.mul(dg+1, dd+1) - 1; a.bad {
-			return 0, overflow("Cor. 1 vertex triangle count", d)
-		}
-	}
-	return t, nil
+	t, dg, td, dd := x[0], x[1], y[0], y[1]
+	t = a.add(a.mul(2, a.mul(t, td)), a.mul(3, a.add(a.mul(t, dd), a.mul(dg, dd), a.mul(dg, td))), t, td)
+	dg = a.mul(dg+1, dd+1) - 1
+	return [2]int64{t, dg}, !a.bad
 }
 
-// ChainGlobalTrianglesFullLoops returns τ of ⊗(A_d+I), checked: Cor. 1
-// summed over C in factor aggregates. The state (S_t, S_d, N) — Σ t′,
-// Σ d′ and n of the loop-free part — takes each next factor's T = 3τ_d,
-// D = arcs_d and n as
+// cor1At is t_p of ⊗(A_d+I): Cor. 1 as a fold of cor1Step over p's digits.
+func cor1At(fs []*Factor, coords []int64) (int64, error) {
+	x, err := fold(fs, "Cor. 1 vertex triangle count", func(d int, f *Factor) [2]int64 {
+		return [2]int64{f.Tri.Vertex[coords[d]], f.Deg[coords[d]]}
+	}, cor1Step)
+	return x[0], err
+}
+
+// cor1Histogram is the t histogram of ⊗(A_d+I). t′ depends on each
+// digit's (t, d) pair alone, so it folds the factors' joint (t, d)
+// histograms under cor1Step and then counts each t′ — cost the product of
+// the factors' distinct-pair counts, nothing n_C long.
+func cor1Histogram(fs []*Factor) (map[int64]int64, error) {
+	joint, err := foldHistograms(fs, "Cor. 1 vertex triangle histogram", func(f *Factor) map[[2]int64]int64 {
+		h := map[[2]int64]int64{}
+		for i, t := range f.Tri.Vertex {
+			h[[2]int64{t, f.Deg[i]}]++
+		}
+		return h
+	}, cor1Step)
+	if err != nil {
+		return nil, err
+	}
+	out := map[int64]int64{}
+	for x, c := range joint {
+		out[x[0]] += c // the counts sum to n_C
+	}
+	return out, nil
+}
+
+// cor1Global is τ of ⊗(A_d+I): Cor. 1 summed over C in factor
+// aggregates. The state (S_t, S_d, N) — Σ t′, Σ d′ and n of the loop-free
+// part — takes each next factor's T = 3τ_d, D = arcs_d and n as
 //
 //	S_t ← 2S_tT + 3(S_tD + S_dD + S_dT) + S_t·n + N·T,
 //	S_d ← (S_d+N)(D+n) − N·n,   N ← N·n,   and τ = S_t/3.
-func ChainGlobalTrianglesFullLoops(fs []*Factor) (int64, error) {
-	requireLoopFree(fs, "Cor. 1")
+func cor1Global(fs []*Factor) (int64, error) {
 	var a arith
 	st, sd, n := a.mul(3, fs[0].Tri.Global), fs[0].G.NumArcs(), fs[0].N()
 	for d := 1; d < len(fs); d++ {
@@ -86,11 +107,11 @@ func ChainGlobalTrianglesFullLoops(fs []*Factor) (int64, error) {
 	return st / 3, nil
 }
 
-// ChainEdgeTrianglesFullLoopsAt returns Δ_pq for a non-loop edge (p,q) of
-// ⊗(A_d+I) (Cor. 2 as a fold), checked. The state is (Δ′, d′_p, diag):
-// the loop-free part's count, p's degree there, and whether p's and q's
-// digits so far agree. Each next digit (i, j), with Δ = Δ_d(i,j) and
-// d = d_d(i), applies one of Cor. 2's three cases:
+// cor2At is Δ_pq for a non-loop edge (p,q) of ⊗(A_d+I), Cor. 2 as a
+// fold. The state is (Δ′, d′_p, diag): the loop-free part's count, p's
+// degree there, and whether p's and q's digits so far agree. Each next
+// digit (i, j), with Δ = Δ_d(i,j) and d = d_d(i), applies one of Cor. 2's
+// three cases:
 //
 //	off the diagonal, digit off it:  Δ′ ← Δ′Δ + 2(Δ′ + Δ) + 2
 //	on the diagonal, digit off it:   Δ′ ← Δ(d′_p + 1) + 2d′_p
@@ -99,8 +120,7 @@ func ChainGlobalTrianglesFullLoops(fs []*Factor) (int64, error) {
 // These are the appendix's (C² − 2C + I) ∘ (C − I) expanded by cases; the
 // paper's printed formula overcounts the diagonal ones by 2 (on
 // (K₂+I)⊗(K₂+I) = K₄ with loops it gives 4 where every edge is in 2).
-func ChainEdgeTrianglesFullLoopsAt(fs []*Factor, cp, cq []int64) (int64, error) {
-	requireLoopFree(fs, "Cor. 2")
+func cor2At(fs []*Factor, cp, cq []int64) (int64, error) {
 	var a arith
 	tri, dg, diag := fs[0].EdgeTri(cp[0], cq[0]), fs[0].Deg[cp[0]], cp[0] == cq[0]
 	for d := 1; d < len(fs); d++ {
@@ -119,9 +139,6 @@ func ChainEdgeTrianglesFullLoopsAt(fs []*Factor, cp, cq []int64) (int64, error) 
 		if dg = a.mul(dg+1, dd+1) - 1; a.bad {
 			return 0, overflow("Cor. 2 edge triangle count", d)
 		}
-	}
-	if diag {
-		panic("groundtruth: Cor. 2 applies to edges with p ≠ q, got a self loop")
 	}
 	return tri, nil
 }

@@ -3,6 +3,7 @@ package groundtruth
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"kronlab/internal/analytics"
@@ -12,9 +13,9 @@ import (
 )
 
 // checkChainTriangleLaws holds the triangle and clustering chain laws of
-// loop-free factors gs to exact counts on the materialized products: Δ_C
-// and both clustering forms to ⊗A_d, Cor. 1 (point and global) and
-// Cor. 2 to ⊗(A_d+I). A clustering law answers NaN exactly where the
+// loop-free factors gs to exact counts on the materialized products: Δ_C,
+// the t histogram and both clustering forms to ⊗A_d, Cor. 1 (point,
+// global and histogram) and Cor. 2 to ⊗(A_d+I). A clustering law answers NaN exactly where the
 // measured coefficient is undefined (a product degree below 2), and the
 // measured value everywhere else.
 func checkChainTriangleLaws(t *testing.T, gs []*graph.Graph) {
@@ -50,6 +51,12 @@ func checkChainTriangleLaws(t *testing.T, gs []*graph.Graph) {
 	}
 	if got, err := ChainGlobalTrianglesFullLoops(fs); err != nil || got != ltri.Global {
 		t.Fatalf("Cor. 1 τ: law %d (err %v), measured %d", got, err, ltri.Global)
+	}
+	if got, err := ChainVertexTriangleHistogram(fs); err != nil || !reflect.DeepEqual(got, histOf(tri.Vertex)) {
+		t.Fatalf("t histogram: law %v (err %v), measured %v", got, err, histOf(tri.Vertex))
+	}
+	if got, err := ChainVertexTriangleHistogramFullLoops(fs); err != nil || !reflect.DeepEqual(got, histOf(ltri.Vertex)) {
+		t.Fatalf("Cor. 1 histogram: law %v (err %v), measured %v", got, err, histOf(ltri.Vertex))
 	}
 	idx := int64(-1)
 	plain.Arcs(func(u, v int64) bool {

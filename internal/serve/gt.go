@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -15,12 +18,11 @@ import (
 )
 
 // gtRequest carries the resolved inputs of one ground-truth query: the
-// per-position factors at the summary tier the property needs (shared
-// pointers for repeated factors) plus the mixed-radix product indexing.
-// All formula evaluation below is O(k)–O(diam) against the cached
-// summaries — the paper's sublinear serving claim.
+// registered factors' hashes, how the chain was spelled, which product
+// was asked and the mixed-radix product indexing. All formula evaluation
+// is O(k)–O(diam) against the cached factor summaries — the paper's
+// sublinear serving claim.
 type gtRequest struct {
-	fs     []*groundtruth.Factor
 	hashes []string
 	pair   bool // asked as /gt/{a}/{b}: responses carry a/b (and i/k), not chain/k (and coords)
 	loops  bool // query the ⊗(A_d+I) product
@@ -32,109 +34,145 @@ type gtRequest struct {
 // GET /gt/{chain}/{property} — two spellings of one query over the
 // factor list resolveChain returns. Common query parameters: loops=1
 // queries the full-self-loop product ⊗(A_d+I) instead of ⊗A_d; p (and q)
-// address product vertices (edges); sa/sb give factor community vertex
-// lists.
+// address product vertices (a pair, or an edge); hist=1 asks for the
+// value → count histogram over every product vertex; sa/sb give factor
+// community vertex lists.
 //
-// summary, degree, triangles (global, per vertex and per edge, loops=1
-// included), clustering, diameter, eccentricity, closeness and hops
-// compose across any chain. The laws the paper gives for C = A⊗B only —
-// community, and the Weichsel component count inside summary — answer
-// when the list has two factors, however it was spelled.
+// Every property but summary and community is a set of rows of
+// groundtruth.Laws, answered by gtLaw at any k. summary reads the graphs
+// alone; community, and the Weichsel component count inside summary,
+// answer when the list has two factors, however it was spelled.
 func (s *Server) handleGroundTruth(w http.ResponseWriter, r *http.Request) {
 	gs, hashes, pair, ok := s.resolveChain(w, r)
 	if !ok {
 		return
 	}
-	loops := r.URL.Query().Get("loops") == "1"
-	prop := r.PathValue("property")
-	if prop == "community" && !pairOnly(w, len(gs), prop+" ground truth") {
-		return
-	}
-
-	// Which summary variant/tier does the property need?
-	distProp := prop == "diameter" || prop == "eccentricity" || prop == "closeness" || prop == "hops"
-	tier := distProp && prop != "hops" // hops sweeps the factor graphs instead
-	// The distance laws and the degree law run on the +I factors: the
-	// degree of ⊗(A_d+I) is the degree law over them.
-	loopVariant := loops && (distProp || prop == "degree")
-	for i, g := range gs {
-		if distProp && !loops && g.NumSelfLoops() != g.NumVertices() {
-			// Thm. 3–5 hypotheses: without loops=1 the registered factors
-			// themselves must carry full self loops.
-			writeError(w, http.StatusBadRequest,
-				"distance ground truth requires full-self-loop factors (factor %d is not); pass loops=1 to query ⊗(A_d+I)", i)
-			return
-		}
-		if (loops && !distProp || prop == "triangles" || prop == "clustering") && g.NumSelfLoops() != 0 {
-			// The triangle and clustering laws, and under loops=1 Cor. 1/2,
-			// Thm. 6 and the degree formula, take loop-free factors: the
-			// construction supplies the +I loops.
-			writeError(w, http.StatusBadRequest,
-				"%s ground truth requires loop-free registered factors (factor %d has loops; loops=1 adds them)", prop, i)
-			return
-		}
-	}
-
-	req := &gtRequest{fs: make([]*groundtruth.Factor, len(gs)), hashes: hashes, pair: pair, loops: loops}
-	if prop == "summary" { // it reads the graphs alone: no factor summary is built
-		s.gtSummary(w, req, gs)
-		return
-	}
+	req := &gtRequest{hashes: hashes, pair: pair, loops: r.URL.Query().Get("loops") == "1"}
 	dims := make([]int64, len(gs))
-	for i := range gs {
-		f, err := s.cache.Get(r.Context(), SummaryKey{Hash: hashes[i], Loops: loopVariant, Distances: tier},
-			func() (*groundtruth.Factor, error) {
-				g := gs[i]
-				if loopVariant {
-					g = g.WithFullSelfLoops()
-				}
-				f := groundtruth.NewFactor(g)
-				if tier {
-					f = f.WithDistances()
-				}
-				return f, nil
-			})
-		if err != nil {
-			writeError(w, statusForContextErr(err), "resolving factor summaries: %v", err)
-			return
-		}
-		req.fs[i], dims[i] = f, f.N()
+	for i, g := range gs {
+		dims[i] = g.NumVertices()
 	}
 	req.ci, req.ciErr = core.NewChainIndex(dims)
-
-	switch prop {
-	case "degree":
-		s.gtDegree(w, r, req)
-	case "triangles":
-		s.gtTriangles(w, r, req)
-	case "clustering":
-		s.gtClustering(w, r, req)
-	case "diameter":
-		writeJSON(w, http.StatusOK, req.base(map[string]any{
-			"diameter": hopValue(groundtruth.ChainDiameter(req.fs)),
-		}))
-	case "eccentricity":
-		s.gtEccentricity(w, r, req)
-	case "closeness":
-		s.gtCloseness(w, r, req)
-	case "hops":
-		s.gtHops(w, r, req)
-	case "community":
-		s.gtCommunity(w, r, req)
+	switch prop := r.PathValue("property"); prop {
+	case "summary": // it reads the graphs alone: no factor summary is built
+		s.gtSummary(w, req, gs)
+	case "community": // Thm. 6, which the paper states for C = A⊗B
+		if len(gs) != 2 {
+			writeError(w, http.StatusBadRequest,
+				"community ground truth is a two-factor law (the paper states it for C = A⊗B); this chain has %d factors", len(gs))
+			return
+		}
+		s.gtCommunity(w, r, req, gs)
 	default:
-		writeError(w, http.StatusNotFound,
-			"unknown property %q (have summary, degree, triangles, clustering, diameter, eccentricity, closeness, hops, community)", prop)
+		s.gtLaw(w, r, req, gs, prop)
 	}
 }
 
-// pairOnly guards a law the paper states for two factors: it reports
-// whether k = 2, writing the 400 that names the hypothesis otherwise.
-func pairOnly(w http.ResponseWriter, k int, what string) bool {
-	if k != 2 {
-		writeError(w, http.StatusBadRequest,
-			"%s is a two-factor law (the paper states it for C = A⊗B); this chain has %d factors", what, k)
+// gtLaw answers property from its row of groundtruth.Laws: hist=1, p and
+// q, or p give the shapes to try, the most specific first (a law that
+// reads fewer parameters than were given ignores the rest),
+// groundtruth.Resolve the row and the cached factor summaries it reads,
+// and the row its value — or the 400 that states its hypothesis.
+func (s *Server) gtLaw(w http.ResponseWriter, r *http.Request, req *gtRequest, gs []*graph.Graph, prop string) {
+	if !slices.ContainsFunc(groundtruth.Laws, func(l *groundtruth.Law) bool { return l.Property == prop }) {
+		writeError(w, http.StatusNotFound,
+			"unknown property %q (have summary, degree, triangles, clustering, diameter, eccentricity, closeness, hops, community)", prop)
+		return
 	}
-	return k == 2
+	p, hasP, errP := req.vertexParam(r, "p")
+	q, hasQ, errQ := req.vertexParam(r, "q")
+	if err := cmp.Or(errP, errQ); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	shapes := []groundtruth.Shape{groundtruth.Global}
+	switch {
+	case r.URL.Query().Get("hist") == "1":
+		shapes = []groundtruth.Shape{groundtruth.Histogram}
+	case hasP && hasQ:
+		shapes = []groundtruth.Shape{groundtruth.PerPair, groundtruth.PerVertex, groundtruth.Global}
+	case hasP:
+		shapes = []groundtruth.Shape{groundtruth.PerVertex, groundtruth.Global}
+	}
+	var row *groundtruth.Law
+	var fs []*groundtruth.Factor
+	var err error
+	for _, shape := range shapes {
+		if row, fs, err = groundtruth.Resolve(prop, shape, gs, req.loops, func(d int, plusI, distances bool) (*groundtruth.Factor, error) {
+			return s.summary(r.Context(), req.hashes[d], gs[d], plusI, distances)
+		}); row != nil {
+			break
+		}
+	}
+	var cp, cq []int64
+	if hasP {
+		cp = req.ci.Split(p)
+	}
+	if hasQ {
+		cq = req.ci.Split(q)
+	}
+	var v any
+	if err == nil {
+		v, err = row.Eval(fs, cp, cq)
+	}
+	switch {
+	case row == nil:
+		writeError(w, http.StatusBadRequest, "%v: p= asks for a vertex, p=&q= an arc or pair, hist=1 a histogram, none of them the whole product", err)
+		return
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		writeError(w, statusForContextErr(err), "resolving factor summaries: %v", err)
+		return
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	key := strings.ReplaceAll(row.Name, " ", "_")
+	if row.Shape == groundtruth.Histogram {
+		key = "histogram"
+	}
+	out := map[string]any{key: jsonValue(v)}
+	switch row.Shape {
+	case groundtruth.PerVertex:
+		out["p"] = p
+		if req.pair {
+			out["i"], out["k"] = cp[0], cp[1]
+		} else {
+			out["coords"] = cp
+		}
+	case groundtruth.PerArc, groundtruth.PerPair:
+		out["p"], out["q"] = p, q
+	}
+	writeJSON(w, http.StatusOK, req.base(out))
+}
+
+// summary returns registered factor g's cached summary — of its +I form
+// when plusI, with the distance tier when distances.
+func (s *Server) summary(ctx context.Context, hash string, g *graph.Graph, plusI, distances bool) (*groundtruth.Factor, error) {
+	return s.cache.Get(ctx, SummaryKey{Hash: hash, Loops: plusI, Distances: distances},
+		func() (*groundtruth.Factor, error) { return groundtruth.Summarize(g, plusI, distances), nil })
+}
+
+// jsonValue renders a law's value: analytics.Unreachable (no path) and
+// NaN (an undefined coefficient) as null, a histogram with its values as
+// decimal keys.
+func jsonValue(v any) any {
+	switch v := v.(type) {
+	case int64:
+		if v == analytics.Unreachable {
+			return nil
+		}
+	case float64:
+		if math.IsNaN(v) {
+			return nil
+		}
+	case map[int64]int64:
+		out := make(map[string]int64, len(v))
+		for x, c := range v {
+			out[strconv.FormatInt(x, 10)] = c
+		}
+		return out
+	}
+	return v
 }
 
 // base stamps the product identification onto a response body, in the
@@ -170,68 +208,19 @@ func (req *gtRequest) vertexParam(r *http.Request, name string) (int64, bool, er
 	return p, true, nil
 }
 
-// vertex parses the required p, writing the 400 itself: need when p is
-// missing, the parse error otherwise.
-func (req *gtRequest) vertex(w http.ResponseWriter, r *http.Request, need string) (int64, bool) {
-	p, ok, err := req.vertexParam(r, "p")
-	if err == nil && !ok {
-		err = errors.New(need)
-	}
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-	}
-	return p, err == nil
-}
-
-// vertexParams parses p and q in one go, writing the 400 itself — also,
-// when edge is set, for a pair that is not a non-loop product edge.
-func (req *gtRequest) vertexParams(w http.ResponseWriter, r *http.Request, edge bool) (p, q int64, hasP, hasQ, ok bool) {
-	p, hasP, err := req.vertexParam(r, "p")
-	if err == nil {
-		q, hasQ, err = req.vertexParam(r, "q")
-	}
-	if err == nil && edge && hasP && hasQ && !req.isProductEdge(p, q) {
-		err = fmt.Errorf("(%d,%d) is not a non-loop edge of the product", p, q)
-	}
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return 0, 0, false, false, false
-	}
-	return p, q, hasP, hasQ, true
-}
-
-// hopValue maps analytics.Unreachable to a JSON null.
-func hopValue(h int64) any {
-	if h == analytics.Unreachable {
-		return nil
-	}
-	return h
-}
-
-// floatValue maps NaN (undefined clustering) to a JSON null.
-func floatValue(f float64) any {
-	if math.IsNaN(f) {
-		return nil
-	}
-	return f
-}
-
-// isProductEdge reports whether (p,q) is a non-loop arc of the queried
-// product: an arc in every factor, the +I loops counting under loops=1.
-func (req *gtRequest) isProductEdge(p, q int64) bool {
-	if p == q {
-		return false
-	}
-	cp, cq := req.ci.Split(p), req.ci.Split(q)
-	for d, f := range req.fs {
-		if !f.G.HasArc(cp[d], cq[d]) && !(req.loops && cp[d] == cq[d]) {
-			return false
+// gtSummary answers the counts n_C, arcs_C and m_C — rows of the law
+// table, whose hypothesis it checks — and, for two factors, Weichsel's
+// component count, from the graphs alone.
+func (s *Server) gtSummary(w http.ResponseWriter, req *gtRequest, gs []*graph.Graph) {
+	for _, l := range groundtruth.Laws {
+		if l.Property != "" {
+			continue // the counts are the rows no property asks for
+		}
+		if _, err := l.Bind(gs, req.loops, nil); err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
 		}
 	}
-	return true
-}
-
-func (s *Server) gtSummary(w http.ResponseWriter, req *gtRequest, gs []*graph.Graph) {
 	ch, err := core.NewChain(gs...)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -253,139 +242,6 @@ func (s *Server) gtSummary(w http.ResponseWriter, req *gtRequest, gs []*graph.Gr
 		}
 	}
 	writeJSON(w, http.StatusOK, req.base(out))
-}
-
-func (s *Server) gtDegree(w http.ResponseWriter, r *http.Request, req *gtRequest) {
-	p, ok := req.vertex(w, r, "degree needs p=<product vertex>")
-	if !ok {
-		return
-	}
-	coords := req.ci.Split(p)
-	out := map[string]any{"p": p, "degree": groundtruth.ChainDegreeAt(req.fs, coords)}
-	if req.pair {
-		out["i"], out["k"] = coords[0], coords[1]
-	} else {
-		out["coords"] = coords
-	}
-	writeJSON(w, http.StatusOK, req.base(out))
-}
-
-func (s *Server) gtTriangles(w http.ResponseWriter, r *http.Request, req *gtRequest) {
-	p, q, hasP, hasQ, ok := req.vertexParams(w, r, true)
-	if !ok {
-		return
-	}
-	var out map[string]any
-	var tri int64
-	var err error
-	switch {
-	case hasP && hasQ: // edge count Δ_pq
-		if req.loops {
-			tri, err = groundtruth.ChainEdgeTrianglesFullLoopsAt(req.fs, req.ci.Split(p), req.ci.Split(q)) // Cor. 2
-		} else {
-			tri, err = groundtruth.ChainEdgeTrianglesAt(req.fs, req.ci.Split(p), req.ci.Split(q)) // Δ_C = Π Δ_d
-		}
-		out = map[string]any{"p": p, "q": q, "edge_triangles": tri}
-	case hasP: // vertex count t_p
-		if req.loops {
-			tri, err = groundtruth.ChainVertexTrianglesFullLoopsAt(req.fs, req.ci.Split(p)) // Cor. 1
-		} else {
-			tri, err = groundtruth.ChainVertexTrianglesAt(req.fs, req.ci.Split(p)) // t_C = 2^{k−1}·Π t_d
-		}
-		out = map[string]any{"p": p, "vertex_triangles": tri}
-	default: // global count τ_C
-		if req.loops {
-			tri, err = groundtruth.ChainGlobalTrianglesFullLoops(req.fs) // Cor. 1, summed
-		} else {
-			tri, err = groundtruth.ChainGlobalTriangles(req.fs) // τ_C = 6^{k−1}·Π τ_d
-		}
-		out = map[string]any{"global_triangles": tri}
-	}
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, req.base(out))
-}
-
-func (s *Server) gtClustering(w http.ResponseWriter, r *http.Request, req *gtRequest) {
-	if req.loops {
-		writeError(w, http.StatusBadRequest, "clustering ground truth (Thm. 1/2) applies to the loop-free product; drop loops=1")
-		return
-	}
-	p, q, hasP, hasQ, ok := req.vertexParams(w, r, true)
-	if !ok {
-		return
-	}
-	var out map[string]any
-	var cc float64
-	var err error
-	switch {
-	case hasP && hasQ:
-		cc, err = groundtruth.ChainEdgeClusteringAt(req.fs, req.ci.Split(p), req.ci.Split(q)) // Thm. 2
-		out = map[string]any{"p": p, "q": q, "edge_clustering": floatValue(cc)}
-	case hasP:
-		cc, err = groundtruth.ChainVertexClusteringAt(req.fs, req.ci.Split(p)) // Thm. 1
-		out = map[string]any{"p": p, "vertex_clustering": floatValue(cc)}
-	default:
-		writeError(w, http.StatusBadRequest, "clustering needs p=<vertex> or p,q=<edge>")
-		return
-	}
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, req.base(out))
-}
-
-func (s *Server) gtEccentricity(w http.ResponseWriter, r *http.Request, req *gtRequest) {
-	if r.URL.Query().Get("hist") == "1" {
-		// O(k·diam·log diam) histogram over all n_C vertices without
-		// materializing ε_C.
-		hist, err := groundtruth.ChainEccentricityHistogram(req.fs)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		out := make(map[string]int64, len(hist))
-		for e, c := range hist {
-			out[strconv.FormatInt(e, 10)] = c
-		}
-		writeJSON(w, http.StatusOK, req.base(map[string]any{"histogram": out}))
-		return
-	}
-	p, ok := req.vertex(w, r, "eccentricity needs p=<product vertex> or hist=1")
-	if !ok {
-		return
-	}
-	writeJSON(w, http.StatusOK, req.base(map[string]any{
-		"p": p, "eccentricity": hopValue(groundtruth.ChainEccentricityAt(req.fs, req.ci.Split(p))),
-	}))
-}
-
-func (s *Server) gtCloseness(w http.ResponseWriter, r *http.Request, req *gtRequest) {
-	p, ok := req.vertex(w, r, "closeness needs p=<product vertex>")
-	if !ok {
-		return
-	}
-	// Thm. 4 in Sec. V-B's compressed form: O(k·diam) per query.
-	z := groundtruth.ChainClosenessAt(req.fs, req.ci.Split(p))
-	writeJSON(w, http.StatusOK, req.base(map[string]any{"p": p, "closeness": z}))
-}
-
-func (s *Server) gtHops(w http.ResponseWriter, r *http.Request, req *gtRequest) {
-	p, q, hasP, hasQ, ok := req.vertexParams(w, r, false)
-	if !ok {
-		return
-	}
-	if !hasP || !hasQ {
-		writeError(w, http.StatusBadRequest, "hops needs p=<vertex>&q=<vertex>")
-		return
-	}
-	writeJSON(w, http.StatusOK, req.base(map[string]any{
-		"p": p, "q": q,
-		"hops": hopValue(groundtruth.ChainHopsFrom(req.fs, req.ci.Split(p))(req.ci.Split(q))),
-	}))
 }
 
 // parseVertexList parses a comma-separated factor vertex list.
@@ -412,12 +268,28 @@ func parseVertexList(raw string, n int64, name string) ([]int64, error) {
 	return out, nil
 }
 
-func (s *Server) gtCommunity(w http.ResponseWriter, r *http.Request, req *gtRequest) {
+// gtCommunity answers Thm. 6, which the paper states for (A+I)⊗(B+I) of
+// two loop-free factors.
+func (s *Server) gtCommunity(w http.ResponseWriter, r *http.Request, req *gtRequest, gs []*graph.Graph) {
 	if !req.loops {
 		writeError(w, http.StatusBadRequest, "community ground truth (Thm. 6) is for the loops=1 product (A+I)⊗(B+I)")
 		return
 	}
-	a, b := req.fs[0], req.fs[1]
+	fs := make([]*groundtruth.Factor, 2)
+	for i, g := range gs {
+		if g.NumSelfLoops() != 0 {
+			writeError(w, http.StatusBadRequest,
+				"community ground truth (Thm. 6) requires loop-free registered factors (factor %d has loops; loops=1 adds them)", i)
+			return
+		}
+		f, err := s.summary(r.Context(), req.hashes[i], g, false, false)
+		if err != nil {
+			writeError(w, statusForContextErr(err), "resolving factor summaries: %v", err)
+			return
+		}
+		fs[i] = f
+	}
+	a, b := fs[0], fs[1]
 	setA, err := parseVertexList(r.URL.Query().Get("sa"), a.N(), "sa")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)

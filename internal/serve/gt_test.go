@@ -117,9 +117,17 @@ func TestGroundTruthOneHandlerTwoSpellings(t *testing.T) {
 		{ha, hb, "hops?loops=1&p=3&q=20", 200},
 		{ha, hb, "community?loops=1&sa=0,1&sb=1,2", 200},
 		{hl, hl, "diameter", 200},
+		{hl, hl, "diameter?p=3", 200}, // a global law ignores a vertex
+		{ha, hb, "triangles?hist=1", 200},
+		{ha, hb, "triangles?loops=1&hist=1", 200},
 		{hl, hl, "hops?p=0&q=7", 200},
 		{hl, hl, "closeness?p=3", 200},
-		{ha, hb, "diameter", 400},          // loop-free factors, no loops=1
+		{ha, hb, "degree?hist=1", 200},
+		{hl, hl, "diameter?loops=1", 200},   // the +I leaves full loops full
+		{ha, hb, "diameter", 400},           // loop-free factors, no loops=1
+		{hl, hl, "degree?p=3&loops=1", 400}, // ⊗(A_d+I) of looped A_d
+		{hl, hl, "degree?hist=1&loops=1", 400},
+		{hl, hl, "summary?loops=1", 400},
 		{hl, hl, "triangles?loops=1", 400}, // the construction adds the loops
 		{ha, hb, "clustering?p=7&loops=1", 400},
 		{ha, hb, "community?sa=0&sb=0", 400}, // Thm. 6 needs loops=1
@@ -138,7 +146,7 @@ func TestGroundTruthOneHandlerTwoSpellings(t *testing.T) {
 				!reflect.DeepEqual(chain["chain"], []any{tc.fa, tc.fb}) {
 				t.Errorf("%s: chain spelling identifies itself as %v", tc.query, chain)
 			}
-			if strings.HasPrefix(tc.query, "degree") &&
+			if strings.HasPrefix(tc.query, "degree?p") &&
 				!reflect.DeepEqual(chain["coords"], []any{pair["i"], pair["k"]}) {
 				t.Errorf("%s: coords %v vs i=%v k=%v", tc.query, chain["coords"], pair["i"], pair["k"])
 			}
@@ -171,9 +179,10 @@ func TestGroundTruthOneHandlerTwoSpellings(t *testing.T) {
 }
 
 // TestGroundTruthChainTrianglesAndClustering: at k = 3 the triangle laws
-// (per vertex, per edge and in all, plain and loops=1) and both
-// clustering laws answer, and their values are those measured on the
-// materialized ⊗A_d and ⊗(A_d+I) of three different factors.
+// (per vertex, per edge, in all and as a histogram, plain and loops=1),
+// the degree histograms and both clustering laws answer, and their
+// values are those measured on the materialized ⊗A_d and ⊗(A_d+I) of
+// three different factors.
 func TestGroundTruthChainTrianglesAndClustering(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	gs := []*graph.Graph{gen.PrefAttach(5, 2, 41), gen.Clique(4), gen.Ring(3)}
@@ -202,6 +211,21 @@ func TestGroundTruthChainTrianglesAndClustering(t *testing.T) {
 	}
 	want("triangles", "global_triangles", float64(tri.Global))
 	want("triangles?loops=1", "global_triangles", float64(ltri.Global))
+	// hist=1 answers every histogram row: the degree and t histograms of
+	// both products, counted on the materialized ones.
+	for query, measured := range map[string][]int64{
+		"degree?hist=1": plain.Degrees(), "degree?loops=1&hist=1": looped.Degrees(),
+		"triangles?hist=1": tri.Vertex, "triangles?loops=1&hist=1": ltri.Vertex,
+	} {
+		counts := map[string]any{}
+		for _, v := range measured {
+			c, _ := counts[fmt.Sprint(v)].(float64)
+			counts[fmt.Sprint(v)] = c + 1
+		}
+		if got := getJSON(t, url+query, http.StatusOK)["histogram"]; !reflect.DeepEqual(got, counts) {
+			t.Errorf("%s: %v, measured %v", query, got, counts)
+		}
+	}
 	for p := int64(0); p < plain.NumVertices(); p += 7 {
 		want(fmt.Sprintf("triangles?p=%d", p), "vertex_triangles", float64(tri.Vertex[p]))
 		want(fmt.Sprintf("triangles?loops=1&p=%d", p), "vertex_triangles", float64(ltri.Vertex[p]))
@@ -219,4 +243,27 @@ func TestGroundTruthChainTrianglesAndClustering(t *testing.T) {
 			want(fmt.Sprintf("triangles?loops=1&p=%d&q=%d", e.U, e.V), "edge_triangles", float64(ltri.Arc[x]))
 		}
 	}
+}
+
+// TestGroundTruthHistogramBound: a histogram fold whose combine would
+// pass its factors' size is refused before it is built. Cor. 1's joint
+// (t, d) keys of PrefAttach(2000, 4, 1) number 154, so power=2 combines
+// 154² of them and answers, where power=4 would build up to 154⁴ ≈ 5.6·10⁸
+// keys and is a 400; the ε histogram, whose max law collapses its keys,
+// answers at power=5.
+func TestGroundTruthHistogramBound(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	url := ts.URL + "/gt/" + registerText(t, ts, gen.PrefAttach(2000, 4, 1), "") + "/"
+	hist := getJSON(t, url+"triangles?power=2&loops=1&hist=1", http.StatusOK)["histogram"].(map[string]any)
+	var n float64
+	for _, c := range hist {
+		n += c.(float64)
+	}
+	if n != 2000*2000 {
+		t.Errorf("power=2 Cor. 1 histogram counts %v vertices, want 4·10⁶", n)
+	}
+	if msg, _ := getJSON(t, url+"triangles?power=4&loops=1&hist=1", http.StatusBadRequest)["error"].(string); !strings.Contains(msg, "keys") {
+		t.Errorf("power=4: error %q does not name the key bound", msg)
+	}
+	getJSON(t, url+"eccentricity?power=5&loops=1&hist=1", http.StatusOK)
 }

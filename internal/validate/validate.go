@@ -1,21 +1,18 @@
 // Package validate packages the paper's central use case — validating a
 // graph system's output at scales where no trusted implementation exists
-// — as a reusable check battery. Given the two factors and a claimed
+// — as a reusable check battery. Given a chain of factors and a claimed
 // product graph (e.g. produced by the system under test), Run holds it to
-// every law of the paper's Sec. I table: global counts, degrees at every
-// vertex, triangles per vertex, per arc and in all, Thm. 1 clustering,
-// hop distances, eccentricities and the diameter, community counts and
-// densities under a Kronecker partition — and to Weichsel connectivity.
-// Per-vertex and per-arc laws are sampled, or checked everywhere when
-// the sample count covers them. Every check compares a Kronecker formula
-// against a measurement on the claimed product, so a single wrong edge
-// is overwhelmingly likely to trip at least one check; the law package
-// states the laws, and this one is where they meet a product.
+// every row of groundtruth.Laws that describes the product, each against
+// one measurement of its quantity on the product through
+// internal/analytics, sampled or everywhere; and, for two factors, to
+// community counts and densities under a Kronecker partition and to
+// Weichsel connectivity. A single wrong edge is overwhelmingly likely to
+// trip at least one check.
 package validate
 
 import (
-	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"sort"
@@ -42,14 +39,7 @@ type Report struct {
 }
 
 // OK reports whether every check passed.
-func (r *Report) OK() bool {
-	for _, c := range r.Checks {
-		if !c.OK {
-			return false
-		}
-	}
-	return true
-}
+func (r *Report) OK() bool { return len(r.Failures()) == 0 }
 
 // Failures returns the failed checks.
 func (r *Report) Failures() []Check {
@@ -77,30 +67,34 @@ func (r *Report) String() string {
 
 // Options configures a validation run.
 type Options struct {
-	// SelfLoops asserts the claimed product is (A+I) ⊗ (B+I) rather than
-	// A ⊗ B; triangle checks then use the Cor. 1/2 formulas and distance
-	// checks are enabled (their hypothesis requires the loops).
+	// SelfLoops asserts the claimed product is ⊗(A_d+I) rather than ⊗A_d:
+	// the rows that describe it are checked, Cor. 1/2's triangle laws and
+	// the distance laws (whose hypothesis needs the loops) among them.
 	SelfLoops bool
 	// Samples is the number of random vertices (arcs) a per-vertex
-	// (per-arc) check visits; at least the vertex (arc) count visits
-	// every one, and the diameter is checked only then. Default 64.
+	// (per-arc) check visits — the same ones for every check, so the
+	// distance checks at a vertex share one sweep from it; at least the
+	// vertex (arc) count visits every one, and the laws whose measurement
+	// sweeps from every vertex (the diameter and the ε histogram) are
+	// checked only then. Default 64.
 	Samples int
 	// Seed drives sample selection. A fixed default keeps reports
 	// reproducible.
 	Seed int64
 	// PartitionA/PartitionB, when both non-nil, enable the Thm. 6
-	// community checks over the full Kronecker partition.
+	// community checks over the full Kronecker partition of two factors.
 	PartitionA, PartitionB [][]int64
-	// SkipDistances disables the BFS-based hop/eccentricity spot checks
-	// (which cost O(samples·(n_C+m_C))).
+	// SkipDistances disables the BFS-based checks (hops, ε, the diameter,
+	// closeness and the ε histogram), which cost O(samples·(n_C+m_C)).
 	SkipDistances bool
 }
 
-// run is one Run in progress: the report its checks add to and the draws
-// its per-item checks sample with.
+// run is one Run in progress: the report its checks add to, and the
+// seed every sampled check draws with — so every per-vertex check visits
+// the same vertices, and the distance checks share one sweep from each.
 type run struct {
 	rep     Report
-	rng     *rand.Rand
+	seed    int64
 	samples int64
 }
 
@@ -118,11 +112,11 @@ func (r *run) each(name, law, noun string, n, k int64, bad func(i int64) string)
 	if k == n {
 		scope = fmt.Sprintf("all %d %s", n, noun)
 	}
-	actual := "all match"
+	rng, actual := rand.New(rand.NewSource(r.seed)), "all match"
 	for s := int64(0); s < k && actual == "all match"; s++ {
 		i := s
 		if k < n {
-			i = r.rng.Int63n(n)
+			i = rng.Int63n(n)
 		}
 		if msg := bad(i); msg != "" {
 			actual = msg
@@ -131,165 +125,239 @@ func (r *run) each(name, law, noun string, n, k int64, bad func(i int64) string)
 	r.add(name+" ("+scope+")", law, "all match", actual)
 }
 
-// Run validates the claimed product c against loop-free factors a and b:
-// every law of the paper's Sec. I table, each predicted from the factors
-// and measured on c.
-func Run(a, b, c *graph.Graph, opts Options) (*Report, error) {
-	if a.NumSelfLoops() != 0 || b.NumSelfLoops() != 0 {
-		return nil, fmt.Errorf("validate: input factors must be loop-free (SelfLoops adds the +I)")
+// product is the claimed product c, with the analytics its measurements
+// share computed on first use. One BFS row from a vertex gives its hops,
+// ε and ζ, so each distance check reads the sweeps the others made.
+type product struct {
+	c       *graph.Graph
+	tri     *analytics.TriangleStats
+	eta, xi []float64
+	hopsAt  int64 // the vertex hops holds a row from
+	hops    []int64
+	ecc     map[int64]int64 // ε and ζ of each vertex a row was read from
+	zeta    map[int64]float64
+}
+
+func newProduct(c *graph.Graph) *product {
+	return &product{c: c, ecc: map[int64]int64{}, zeta: map[int64]float64{}}
+}
+
+func (m *product) triangles() *analytics.TriangleStats {
+	if m.tri == nil {
+		m.tri = analytics.Triangles(m.c)
+	}
+	return m.tri
+}
+
+// once returns *v, computing it from c on first use.
+func (m *product) once(v *[]float64, of func(*graph.Graph) []float64) []float64 {
+	if *v == nil {
+		*v = of(m.c)
+	}
+	return *v
+}
+
+// hopsFrom returns c's hop row from p, keeping the last one: a per-pair
+// check reads one row for every q.
+func (m *product) hopsFrom(p int64) []int64 {
+	if m.hops == nil || m.hopsAt != p {
+		m.hops, m.hopsAt = analytics.Hops(m.c, p), p
+		m.ecc[p], m.zeta[p] = analytics.EccentricityOf(m.hops), analytics.ClosenessOf(m.hops)
+	}
+	return m.hops
+}
+
+// swept returns p once a row has been read from it.
+func (m *product) swept(p int64) int64 {
+	if _, ok := m.ecc[p]; !ok {
+		m.hopsFrom(p)
+	}
+	return p
+}
+
+// eccentricities returns every vertex's ε.
+func (m *product) eccentricities() []int64 {
+	out := make([]int64, m.c.NumVertices())
+	for p := range out {
+		out[p] = m.ecc[m.swept(int64(p))]
+	}
+	return out
+}
+
+// item addresses what a law is measured at: vertex p, arc x from p to q,
+// or pair (p, q).
+type item struct{ p, q, x int64 }
+
+// measurements reads each law's quantity off the claimed product, by the
+// law's name: the quantity is the same whichever product a row describes,
+// so the Cor. 1 and loop-free vertex triangle rows share one. The
+// distance laws — the rows that take full loops — read BFS sweeps.
+var measurements = map[string]func(m *product, at item) any{
+	"vertices":                  func(m *product, _ item) any { return m.c.NumVertices() },
+	"edges":                     func(m *product, _ item) any { return m.c.NumEdges() },
+	"arcs":                      func(m *product, _ item) any { return m.c.NumArcs() },
+	"degree":                    func(m *product, at item) any { return m.c.Degree(at.p) },
+	"degree histogram":          func(m *product, _ item) any { return histogram(m.c.Degrees()) },
+	"vertex triangles":          func(m *product, at item) any { return m.triangles().Vertex[at.p] },
+	"vertex triangle histogram": func(m *product, _ item) any { return histogram(m.triangles().Vertex) },
+	"edge triangles":            func(m *product, at item) any { return m.triangles().Arc[at.x] },
+	"global triangles":          func(m *product, _ item) any { return m.triangles().Global },
+	"vertex clustering":         func(m *product, at item) any { return m.once(&m.eta, analytics.VertexClustering)[at.p] },
+	"edge clustering":           func(m *product, at item) any { return m.once(&m.xi, analytics.EdgeClustering)[at.x] },
+	"hops":                      func(m *product, at item) any { return m.hopsFrom(at.p)[at.q] },
+	"eccentricity":              func(m *product, at item) any { return m.ecc[m.swept(at.p)] },
+	"closeness":                 func(m *product, at item) any { return m.zeta[m.swept(at.p)] },
+	"eccentricity histogram":    func(m *product, _ item) any { return histogram(m.eccentricities()) },
+	"diameter":                  func(m *product, _ item) any { return analytics.DiameterOf(m.eccentricities()) },
+}
+
+func histogram(vs []int64) map[int64]int64 {
+	h := map[int64]int64{}
+	for _, v := range vs {
+		h[v]++
+	}
+	return h
+}
+
+// mismatch describes what differs between a law's value at it and its
+// measurement, or returns "": coefficients within 1e-9 (relative past 1),
+// NaN where both are undefined; counts and hops exactly.
+func mismatch(it item, pair bool, want, got any) string {
+	w, wf := want.(float64)
+	g, gf := got.(float64)
+	switch {
+	case wf && gf && (math.IsNaN(w) && math.IsNaN(g) || math.Abs(w-g) <= 1e-9*max(1, math.Abs(g))) || !wf && want == got:
+		return ""
+	case pair:
+		return fmt.Sprintf("at (%d,%d): want %v, got %v", it.p, it.q, want, got)
+	}
+	return fmt.Sprintf("at %d: want %v, got %v", it.p, want, got)
+}
+
+// law holds the claimed product m.c, indexed by ci, to row l over the
+// factors fs Bind gave: once for a global law or a histogram, at the
+// sampled vertices, arcs or pairs of a local one.
+func (r *run) law(l *groundtruth.Law, fs []*groundtruth.Factor, m *product, ci core.ChainIndex) {
+	read := measurements[l.Name]
+	n := m.c.NumVertices()
+	cp, cq := make([]int64, len(fs)), make([]int64, len(fs))
+	// at evaluates the law at (p, q) and compares it with the measurement.
+	at := func(it item, p, q []int64) string {
+		want, err := l.Eval(fs, p, q)
+		if err != nil {
+			return err.Error()
+		}
+		return mismatch(it, q != nil, want, read(m, it))
+	}
+	switch l.Shape {
+	case groundtruth.Global:
+		want, err := l.Eval(fs, nil, nil)
+		if err != nil {
+			want = err
+		}
+		r.add(l.Name, l.Formula, want, read(m, item{}))
+	case groundtruth.PerVertex:
+		r.each(l.Name, l.Formula, "vertices", n, r.samples, func(p int64) string {
+			return at(item{p: p}, ci.SplitInto(p, cp), nil)
+		})
+	case groundtruth.PerArc:
+		offsets := m.c.RowOffsets()
+		r.each(l.Name, l.Formula, "arcs", m.c.NumArcs(), r.samples, func(x int64) string {
+			u := int64(sort.Search(int(n), func(v int) bool { return offsets[v+1] > x }))
+			v := m.c.Neighbors(u)[x-offsets[u]]
+			if u == v {
+				return "" // a law of non-loop arcs
+			}
+			return at(item{p: u, q: v, x: x}, ci.SplitInto(u, cp), ci.SplitInto(v, cq))
+		})
+	case groundtruth.PerPair: // from each sampled p to every q
+		r.each(l.Name, l.Formula, "vertices", n, r.samples, func(p int64) string {
+			from, err := l.From(fs, ci.SplitInto(p, cp))
+			if err != nil {
+				return err.Error()
+			}
+			for q := int64(0); q < n; q++ {
+				it := item{p: p, q: q}
+				if msg := mismatch(it, true, from(ci.SplitInto(q, cq)), read(m, it)); msg != "" {
+					return msg
+				}
+			}
+			return ""
+		})
+	case groundtruth.Histogram:
+		want, err := l.Eval(fs, nil, nil)
+		got := read(m, item{}).(map[int64]int64)
+		actual := "all match"
+		if w, _ := want.(map[int64]int64); err != nil || !maps.Equal(w, got) {
+			actual = fmt.Sprintf("want %v (%v), got %v", want, err, got)
+		}
+		r.add(fmt.Sprintf("%s (all %d values)", l.Name, len(got)), l.Formula, "all match", actual)
+	}
+}
+
+// Run validates the claimed product c against the chain of loop-free
+// factors gs: every row of groundtruth.Laws that describes ⊗A_d — or
+// ⊗(A_d+I) under SelfLoops — predicted from the factors and measured on
+// c; and for two factors the community laws and Weichsel connectivity.
+func Run(gs []*graph.Graph, c *graph.Graph, opts Options) (*Report, error) {
+	for d, g := range gs {
+		if g.NumSelfLoops() != 0 {
+			return nil, fmt.Errorf("validate: input factors must be loop-free (SelfLoops adds the +I); factor %d has %d", d, g.NumSelfLoops())
+		}
 	}
 	pa, pb := opts.PartitionA, opts.PartitionB
-	if pa != nil && pb != nil && !opts.SelfLoops {
+	communities := pa != nil && pb != nil
+	switch {
+	case communities && len(gs) != 2:
+		return nil, fmt.Errorf("validate: community checks are two-factor laws (Thm. 6); the chain has %d factors", len(gs))
+	case communities && !opts.SelfLoops:
 		return nil, fmt.Errorf("validate: community checks require SelfLoops mode (Thm. 6 hypothesis)")
 	}
 	if opts.Samples <= 0 {
 		opts.Samples = 64
 	}
-	r := &run{rng: rand.New(rand.NewSource(opts.Seed)), samples: int64(opts.Samples)}
-	// law states a law for the claimed product: plain for A ⊗ B, looped
-	// for (A+I) ⊗ (B+I).
-	law := func(plain, looped string) string {
-		if opts.SelfLoops {
-			return looped
-		}
-		return plain
+	r := &run{seed: opts.Seed, samples: int64(opts.Samples)}
+	dims := make([]int64, len(gs))
+	for d, g := range gs {
+		dims[d] = g.NumVertices()
 	}
-
-	fa, fb := groundtruth.NewFactor(a), groundtruth.NewFactor(b)
-	// fs is the chain the triangle laws take (loop-free factors, the
-	// Cor. 1/2 forms add the loops), fe the chain of the claimed product
-	// itself (its +I factors under SelfLoops, fs itself otherwise).
-	fs := []*groundtruth.Factor{fa, fb}
-	effA, effB, fe := a, b, fs
-	if opts.SelfLoops {
-		effA, effB = a.WithFullSelfLoops(), b.WithFullSelfLoops()
-		fe = []*groundtruth.Factor{groundtruth.NewFactor(effA), groundtruth.NewFactor(effB)}
-	}
-
-	// Global counts.
-	nC, errN := groundtruth.ChainNumVertices(fs)
-	mC, errM := groundtruth.ChainNumEdges(fe)
-	arcsWant, errA := groundtruth.ChainNumArcs(fe)
-	if err := errors.Join(errN, errM, errA); err != nil {
-		return nil, fmt.Errorf("validate: %w", err)
-	}
-	r.add("vertices", "n_C = n_A·n_B", nC, c.NumVertices())
-	r.add("edges", law("m_C = 2·m_A·m_B", "m_C = (arcs_C + n_C)/2"), mC, c.NumEdges())
-	r.add("arcs", law("arcs_C = arcs_A·arcs_B", "arcs_C = (arcs_A+n_A)·(arcs_B+n_B)"), arcsWant, c.NumArcs())
-	if c.NumVertices() != nC {
-		// Remaining checks index into c; bail out with what we have.
-		return &r.rep, nil
-	}
-	ci := core.MustChainIndex(fa.N(), fb.N()) // n_C fits: checked above
-	cp, cq := make([]int64, 2), make([]int64, 2)
-
-	// Degrees, at every vertex: the check costs what counting them does.
-	r.each("degree", law("d_C = d_A ⊗ d_B", "d_C = (d_A+1) ⊗ (d_B+1)"), "vertices", nC, nC, func(p int64) string {
-		if want := groundtruth.ChainDegreeAt(fe, ci.SplitInto(p, cp)); c.Degree(p) != want {
-			return fmt.Sprintf("d_%d: want %d, got %d", p, want, c.Degree(p))
-		}
-		return ""
-	})
-
-	// Triangles: per vertex, per arc, and in all.
-	cTri := analytics.Triangles(c)
-	vertexTriangles, edgeTriangles, globalTriangles := groundtruth.ChainVertexTrianglesAt, groundtruth.ChainEdgeTrianglesAt, groundtruth.ChainGlobalTriangles
-	if opts.SelfLoops { // Cor. 1/2 take the loop-free fs and add the +I themselves
-		vertexTriangles, edgeTriangles, globalTriangles = groundtruth.ChainVertexTrianglesFullLoopsAt, groundtruth.ChainEdgeTrianglesFullLoopsAt, groundtruth.ChainGlobalTrianglesFullLoops
-	}
-	r.each("vertex triangles", law("t_C = 2·t_A ⊗ t_B", "t_C by Cor. 1"), "vertices", nC, r.samples, func(p int64) string {
-		want, err := vertexTriangles(fs, ci.SplitInto(p, cp))
-		if err != nil {
-			return err.Error()
-		}
-		if cTri.Vertex[p] != want {
-			return fmt.Sprintf("t_%d: want %d, got %d", p, want, cTri.Vertex[p])
-		}
-		return ""
-	})
-	offsets := c.RowOffsets()
-	r.each("edge triangles", law("Δ_C = Δ_A ⊗ Δ_B", "Δ_C by Cor. 2"), "arcs", c.NumArcs(), r.samples, func(x int64) string {
-		u := int64(sort.Search(int(nC), func(v int) bool { return offsets[v+1] > x }))
-		v := c.Neighbors(u)[x-offsets[u]]
-		ci.SplitInto(u, cp)
-		ci.SplitInto(v, cq)
-		switch {
-		case u == v:
-			return "" // Cor. 2 counts the triangles of p ≠ q only
-		case !effA.HasArc(cp[0], cq[0]) || !effB.HasArc(cp[1], cq[1]):
-			return fmt.Sprintf("arc (%d,%d) is not in the product", u, v)
-		}
-		want, err := edgeTriangles(fs, cp, cq)
-		if err != nil {
-			return err.Error()
-		}
-		if cTri.Arc[x] != want {
-			return fmt.Sprintf("Δ_(%d,%d): want %d, got %d", u, v, want, cTri.Arc[x])
-		}
-		return ""
-	})
-	wantTau, err := globalTriangles(fs)
+	ci, err := core.NewChainIndex(dims)
 	if err != nil {
 		return nil, fmt.Errorf("validate: %w", err)
 	}
-	r.add("global triangles", law("τ_C = 6·τ_A·τ_B", "τ_C = Σ_p t_p/3 (Cor. 1)"), wantTau, cTri.Global)
-
-	// Vertex clustering (Thm. 1), whose θ needs loop-free factors.
-	if !opts.SelfLoops {
-		cc := analytics.VertexClustering(c)
-		eta := func(f *groundtruth.Factor, i int64) float64 {
-			return 2 * float64(f.Tri.Vertex[i]) / float64(f.Deg[i]*(f.Deg[i]-1))
+	nC := ci.NumVertices()
+	src := groundtruth.Summaries(gs)
+	m := newProduct(c)
+	for _, l := range groundtruth.Laws {
+		fs, err := l.Bind(gs, opts.SelfLoops, src)
+		if err != nil {
+			continue // the row describes another product
 		}
-		r.each("clustering", "η_C = θ·η_A·η_B ≥ ⅓·η_A·η_B", "vertices", nC, r.samples, func(p int64) string {
-			want, err := groundtruth.ChainVertexClusteringAt(fs, ci.SplitInto(p, cp))
-			if err != nil {
-				return err.Error()
-			}
-			if math.IsNaN(want) {
-				return "" // η is undefined below degree 2
-			}
-			if bound := eta(fa, cp[0]) * eta(fb, cp[1]) / 3; math.Abs(cc[p]-want) > 1e-9 || cc[p] < bound-1e-12 {
-				return fmt.Sprintf("η_%d: want %.6g ≥ %.6g, got %.6g", p, want, bound, cc[p])
-			}
-			return ""
-		})
+		// The distance laws' global and histogram values read every
+		// vertex's sweep: they are checked only when the sample covers C.
+		switch whole := l.Shape == groundtruth.Global || l.Shape == groundtruth.Histogram; {
+		case c.NumVertices() != nC && l.Shape != groundtruth.Global: // the rest index into c
+		case l.Takes == groundtruth.FullLoops && (opts.SkipDistances || whole && r.samples < nC):
+		default:
+			r.law(l, fs, m, ci)
+		}
 	}
-
-	// Hops and eccentricity (Thm. 3 / Cor. 4) need full self loops; the
-	// diameter (Cor. 3) is the largest ε once every vertex is checked.
-	if opts.SelfLoops && !opts.SkipDistances {
-		fd := []*groundtruth.Factor{fe[0].WithDistances(), fe[1].WithDistances()}
-		var diam int64
-		r.each("hops+eccentricity", "hops_C = max{hops_A, hops_B}; ε_C = max{ε_A, ε_B}", "vertices", nC, r.samples, func(p int64) string {
-			hopsFrom := groundtruth.ChainHopsFrom(fe, ci.SplitInto(p, cp))
-			var ecc int64
-			for q, h := range analytics.Hops(c, p) {
-				if want := hopsFrom(ci.SplitInto(int64(q), cq)); h != want {
-					return fmt.Sprintf("hops(%d,%d): want %d, got %d", p, q, want, h)
-				}
-				ecc = analytics.MaxHops(ecc, h)
-			}
-			if want := groundtruth.ChainEccentricityAt(fd, cp); ecc != want {
-				return fmt.Sprintf("ε_%d: want %d, got %d", p, want, ecc)
-			}
-			diam = analytics.MaxHops(diam, ecc)
-			return ""
-		})
-		if r.samples >= nC {
-			r.add("diameter", "diam = max{diam_A, diam_B}", groundtruth.ChainDiameter(fd), diam)
-		}
+	if c.NumVertices() != nC || len(gs) != 2 {
+		return &r.rep, nil
 	}
 
 	// Communities over the Kronecker partition: counts exact (Thm. 6),
 	// densities within Cor. 6/7's bounds.
-	if pa != nil && pb != nil {
+	fa, _ := src(0, false, false)
+	fb, _ := src(1, false, false)
+	if communities {
 		pc := core.KronPartition(pa, pb, fb.N())
 		sets := fmt.Sprint(len(pc))
 		if !analytics.IsPartition(c, pc) {
 			sets = "not a partition of C"
 		}
 		r.add(fmt.Sprintf("communities (%d×%d)", len(pa), len(pb)), "|Π_C| = |Π_A|·|Π_B|", groundtruth.NumCommunities(pa, pb), sets)
-		statsA, statsB := analytics.Communities(a, pa), analytics.Communities(b, pb)
+		statsA, statsB := analytics.Communities(fa.G, pa), analytics.Communities(fb.G, pb)
 		want := groundtruth.CommunitiesKron(fa, fb, pa, pb, statsA, statsB)
 		got := analytics.Communities(c, pc)
 		n := int64(len(pc))
@@ -311,9 +379,11 @@ func Run(a, b, c *graph.Graph, opts Options) (*Report, error) {
 		})
 	}
 
-	// Connectivity (Weichsel, ref [1]), when both factors are connected
-	// and have an edge.
-	if wantComp, err := groundtruth.ProductComponents(effA, effB); err == nil {
+	// Connectivity (Weichsel, ref [1]) of the product's own factors, when
+	// both are connected and have an edge.
+	ea, _ := src(0, opts.SelfLoops, false)
+	eb, _ := src(1, opts.SelfLoops, false)
+	if wantComp, err := groundtruth.ProductComponents(ea.G, eb.G); err == nil {
 		_, gotComp := c.ConnectedComponents()
 		r.add("components (Weichsel)", "1, or 2 when both factors are bipartite", wantComp, gotComp)
 	}

@@ -8,11 +8,13 @@ import (
 	"kronlab/internal/core"
 	"kronlab/internal/gen"
 	"kronlab/internal/graph"
+	"kronlab/internal/groundtruth"
 )
 
 // TestScalingLawsAllHold checks both products of experiment E1's four
 // factor pairs everywhere — every vertex, arc and community — and holds
-// the two reports together to every row of the paper's Sec. I table.
+// the two reports together to every row of the law table and to the
+// community laws.
 func TestScalingLawsAllHold(t *testing.T) {
 	lcc := func(g *graph.Graph) *graph.Graph { c, _ := g.LargestComponent(); return c }
 	sbmA, partA := gen.SBM(gen.SBMParams{BlockSizes: gen.EqualBlocks(3, 8), PIn: 0.7, POut: 0.1, Seed: 3})
@@ -40,11 +42,11 @@ func TestScalingLawsAllHold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := Run(pr.a, pr.b, c, Options{Samples: math.MaxInt})
+		plain, err := Run([]*graph.Graph{pr.a, pr.b}, c, Options{Samples: math.MaxInt})
 		if err != nil {
 			t.Fatal(err)
 		}
-		looped, err := Run(pr.a, pr.b, cl, Options{SelfLoops: true, Samples: math.MaxInt, PartitionA: pr.pa, PartitionB: pr.pb})
+		looped, err := Run([]*graph.Graph{pr.a, pr.b}, cl, Options{SelfLoops: true, Samples: math.MaxInt, PartitionA: pr.pa, PartitionB: pr.pb})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,9 +60,12 @@ func TestScalingLawsAllHold(t *testing.T) {
 			}
 			names += ch.Name + "\n"
 		}
-		for _, q := range []string{"vertices", "edges", "degree", "vertex triangles", "edge triangles",
-			"global triangles", "clustering", "hops+eccentricity", "diameter", "communities",
-			"internal density", "external density"} {
+		for _, l := range groundtruth.Laws {
+			if !strings.Contains(names, l.Name+" ") && !strings.Contains(names, l.Name+"\n") {
+				t.Errorf("%v ⊗ %v: no %s check among\n%s", pr.a, pr.b, l.Name, names)
+			}
+		}
+		for _, q := range []string{"communities", "internal density", "external density"} {
 			if !strings.Contains(names, q) {
 				t.Errorf("%v ⊗ %v: no %s check among\n%s", pr.a, pr.b, q, names)
 			}
@@ -75,7 +80,7 @@ func TestRunPassesOnCorrectProduct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(a, b, c, Options{Samples: 32})
+	rep, err := Run([]*graph.Graph{a, b}, c, Options{Samples: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +98,7 @@ func TestRunPassesWithSelfLoopsAndCommunities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(a, a, c, Options{
+	rep, err := Run([]*graph.Graph{a, a}, c, Options{
 		SelfLoops: true, Samples: 16,
 		PartitionA: pa, PartitionB: pa,
 	})
@@ -115,8 +120,8 @@ func TestRunPassesWithSelfLoopsAndCommunities(t *testing.T) {
 }
 
 // On (2K₂+I)⊗(P₃+I) the disconnected factor leaves every product vertex
-// Unreachable: ε is −1 on both sides of the hops+eccentricity check, not
-// the largest finite hop.
+// Unreachable: ε is −1 on both sides of the eccentricity check, not the
+// largest finite hop, and the diameter and ε histogram agree.
 func TestRunPassesOnDisconnectedFactor(t *testing.T) {
 	twoK2, err := graph.NewUndirected(4, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}})
 	if err != nil {
@@ -127,19 +132,21 @@ func TestRunPassesOnDisconnectedFactor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(twoK2, p3, c, Options{SelfLoops: true, Samples: 16})
+	rep, err := Run([]*graph.Graph{twoK2, p3}, c, Options{SelfLoops: true, Samples: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.OK() {
 		t.Fatalf("true product failed validation:\n%s", rep)
 	}
-	found := false
-	for _, ch := range rep.Checks {
-		found = found || strings.HasPrefix(ch.Name, "hops+eccentricity")
-	}
-	if !found {
-		t.Errorf("no hops+eccentricity check ran:\n%s", rep)
+	for _, want := range []string{"hops (", "eccentricity (", "eccentricity histogram (", "diameter"} {
+		found := false
+		for _, ch := range rep.Checks {
+			found = found || strings.HasPrefix(ch.Name, want)
+		}
+		if !found {
+			t.Errorf("no %s check ran:\n%s", want, rep)
+		}
 	}
 }
 
@@ -163,7 +170,7 @@ func TestRunCatchesSingleEdgePerturbations(t *testing.T) {
 		"edge added": mustAddEdge(t, c),
 	}
 	for name, bad := range cases {
-		rep, err := Run(a, b, bad, Options{Samples: 64})
+		rep, err := Run([]*graph.Graph{a, b}, bad, Options{Samples: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +204,7 @@ func TestRunCatchesWrongVertexCount(t *testing.T) {
 	a := gen.Ring(5)
 	b := gen.Ring(4)
 	wrong, _ := graph.New(7, nil)
-	rep, err := Run(a, b, wrong, Options{})
+	rep, err := Run([]*graph.Graph{a, b}, wrong, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,12 +218,12 @@ func TestRunCatchesWrongVertexCount(t *testing.T) {
 
 func TestRunOptionValidation(t *testing.T) {
 	a := gen.Ring(4).WithFullSelfLoops()
-	if _, err := Run(a, a, a, Options{SelfLoops: true}); err == nil {
+	if _, err := Run([]*graph.Graph{a, a}, a, Options{SelfLoops: true}); err == nil {
 		t.Error("looped input factors with SelfLoops mode should error")
 	}
 	bare := gen.Ring(4)
 	c, _ := core.Product(bare, bare)
-	if _, err := Run(bare, bare, c, Options{PartitionA: [][]int64{{0}}, PartitionB: [][]int64{{0}}}); err == nil {
+	if _, err := Run([]*graph.Graph{bare, bare}, c, Options{PartitionA: [][]int64{{0}}, PartitionB: [][]int64{{0}}}); err == nil {
 		t.Error("community checks without SelfLoops should error")
 	}
 }
