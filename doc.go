@@ -20,8 +20,8 @@
 //	internal/gen         factor-graph generators (RMAT, SBM, ER, cliques, …)
 //	internal/rejection   hash-based probabilistic edge rejection (Def. 8)
 //	internal/dist        simulated distributed cluster + 1D/2D generators
-//	internal/havoq       asynchronous visitor engine (distributed BFS,
-//	                     eccentricity, triangle counting)
+//	internal/havoq       level-synchronous distributed engine (distributed
+//	                     BFS, eccentricity, triangle counting)
 //
 // The runnable surface is cmd/krongen, cmd/groundtruth, cmd/experiments and
 // the programs under examples/.

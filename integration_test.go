@@ -1,5 +1,5 @@
 // Cross-module integration tests: full pipelines from factor files
-// through distributed generation, the asynchronous engine, and
+// through distributed generation, the distributed engine, and
 // ground-truth validation — plus exec tests of the actual CLI binaries.
 package kronlab_test
 
@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -102,7 +103,7 @@ func TestFilePipeline(t *testing.T) {
 }
 
 // TestFullStackEccentricity is the complete Fig. 1 pipeline: generate
-// distributedly, re-home into the async engine, compute exact distributed
+// distributedly, re-home onto havoq's ranks, compute exact distributed
 // eccentricities, and compare with Cor. 4 and with the landmark
 // approximation's fidelity.
 func TestFullStackEccentricity(t *testing.T) {
@@ -463,9 +464,10 @@ func TestDecorateCLI(t *testing.T) {
 // TestExperimentsCLIList checks the registry wiring, and runs every
 // experiment that takes a few seconds or less end to end — weak-scaling
 // (E3) among them, which puts both plan layouts through the engine,
-// community (E9, about 2 s at under 200 MB) and closeness (E7, about 4 s
-// at about 11 MB). A failed check exits the command 1. eccentricity and
-// spectral take 10–50 s each and are left out.
+// community (E9, about 2 s at under 200 MB), closeness (E7, about 4 s at
+// about 11 MB) and eccentricity (E6, about 4 s on 2 CPUs). A failed check
+// exits the command 1. spectral (E12, about 5 s of dense spectra) is
+// left out.
 func TestExperimentsCLIList(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary")
@@ -483,7 +485,8 @@ func TestExperimentsCLIList(t *testing.T) {
 		}
 	}
 	for _, id := range []string{"scaling-laws", "generator", "weak-scaling", "triangles",
-		"clustering", "closeness", "diameter", "community", "cliques", "rejection", "extensions"} {
+		"clustering", "eccentricity", "closeness", "diameter", "community", "cliques",
+		"rejection", "extensions"} {
 		out, err = exec.Command(bin, "-exp", id).CombinedOutput()
 		if err != nil {
 			t.Fatalf("experiments -exp %s: %v\n%s", id, err, out)
@@ -491,6 +494,26 @@ func TestExperimentsCLIList(t *testing.T) {
 		if strings.Contains(string(out), "FAIL") {
 			t.Errorf("%s experiment reported FAIL:\n%s", id, out)
 		}
+	}
+}
+
+// TestExamplesRun builds and runs havoq's two non-test callers: the Fig. 1
+// walk-through must match Cor. 4 at every vertex of its reduced-scale
+// product, and the validation demo's distributed counter must run.
+func TestExamplesRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary")
+	}
+	out, err := exec.Command(buildTool(t, "kronlab/examples/eccentricity", "eccentricity")).CombinedOutput()
+	if err != nil {
+		t.Fatalf("examples/eccentricity: %v\n%s", err, out)
+	}
+	m := regexp.MustCompile(`matches Cor\. 4 at (\d+)/(\d+) vertices`).FindSubmatch(out)
+	if m == nil || string(m[1]) != string(m[2]) {
+		t.Errorf("examples/eccentricity does not match Cor. 4 everywhere:\n%s", out)
+	}
+	if out, err := exec.Command(buildTool(t, "kronlab/examples/validation", "validation")).CombinedOutput(); err != nil {
+		t.Fatalf("examples/validation: %v\n%s", err, out)
 	}
 }
 

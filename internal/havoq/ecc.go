@@ -53,11 +53,12 @@ func (dg *DistGraph) ExactEccentricities() (*EccResult, error) {
 			pick = v
 		}
 	}
+	sw, h := newSweeper(dg), make([]int64, n)
 	sweeps := 0
 	wantMaxUpper := true
 	for nResolved < n {
 		s := pick
-		h := dg.BFS(s)
+		sw.from(s, h)
 		sweeps++
 		var eccS int64
 		for _, d := range h {

@@ -48,24 +48,3 @@ func BenchmarkExactEccentricities(b *testing.B) {
 		}
 	}
 }
-
-// Engine message rate: a flood visitor that forwards a fixed hop budget,
-// isolating mailbox and termination overhead from algorithmic work.
-func BenchmarkEngineMessageRate(b *testing.B) {
-	g := gen.Ring(1_000)
-	dg, err := Build(g, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := NewEngine(dg)
-		e.Run([]Msg{{Target: 0, A: 20_000}}, func(rank int, m Msg, send func(Msg)) {
-			if m.A == 0 {
-				return
-			}
-			send(Msg{Target: (m.Target + 1) % g.NumVertices(), A: m.A - 1})
-		})
-		b.ReportMetric(float64(e.Visited()), "msgs/op")
-	}
-}

@@ -87,7 +87,7 @@ func TestDistributedBFSMatchesSerial(t *testing.T) {
 		gen.Star(9).WithFullSelfLoops(),
 	}
 	for gi, g := range graphs {
-		for _, r := range []int{1, 2, 5} {
+		for _, r := range []int{1, 2, 5, 7} {
 			dg := mustBuild(t, g, r)
 			for src := int64(0); src < g.NumVertices(); src += 7 {
 				want := analytics.BFS(g, src)
@@ -125,21 +125,24 @@ func TestExactEccentricitiesMatchesBruteForce(t *testing.T) {
 		gen.Grid(4, 5).WithFullSelfLoops(),
 		gen.Clique(6).WithFullSelfLoops(),
 	}
+	// At R = 7, Clique(6)+I leaves rank 6 with no vertex.
 	for gi, g := range graphs {
-		dg := mustBuild(t, g, 3)
-		res, err := dg.ExactEccentricities()
-		if err != nil {
-			t.Fatalf("graph %d: %v", gi, err)
-		}
-		want := analytics.Eccentricities(g)
-		if !reflect.DeepEqual(res.Ecc, want) {
-			t.Fatalf("graph %d: eccentricities differ\n got %v\nwant %v", gi, res.Ecc, want)
-		}
-		if res.Sweeps <= 0 || res.Sweeps > int(g.NumVertices()) {
-			t.Errorf("graph %d: sweeps = %d out of range", gi, res.Sweeps)
-		}
-		if res.Diameter() != analytics.Diameter(g) {
-			t.Errorf("graph %d: diameter %d, want %d", gi, res.Diameter(), analytics.Diameter(g))
+		for _, r := range []int{1, 2, 4, 7} {
+			dg := mustBuild(t, g, r)
+			res, err := dg.ExactEccentricities()
+			if err != nil {
+				t.Fatalf("graph %d R=%d: %v", gi, r, err)
+			}
+			want := analytics.Eccentricities(g)
+			if !reflect.DeepEqual(res.Ecc, want) {
+				t.Fatalf("graph %d R=%d: eccentricities differ\n got %v\nwant %v", gi, r, res.Ecc, want)
+			}
+			if res.Sweeps <= 0 || res.Sweeps > int(g.NumVertices()) {
+				t.Errorf("graph %d R=%d: sweeps = %d out of range", gi, r, res.Sweeps)
+			}
+			if res.Diameter() != analytics.Diameter(g) {
+				t.Errorf("graph %d R=%d: diameter %d, want %d", gi, r, res.Diameter(), analytics.Diameter(g))
+			}
 		}
 	}
 }
@@ -176,7 +179,7 @@ func TestDistributedTrianglesMatchExact(t *testing.T) {
 	}
 	for gi, g := range graphs {
 		want := analytics.Triangles(g)
-		for _, r := range []int{1, 3, 6} {
+		for _, r := range []int{1, 3, 6, 7} {
 			dg := mustBuild(t, g, r)
 			got := dg.Triangles()
 			if got.Global != want.Global {
@@ -206,17 +209,6 @@ func TestPropertyTriangles(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestEngineEmptySeeds(t *testing.T) {
-	dg := mustBuild(t, gen.Ring(5), 2)
-	e := NewEngine(dg)
-	e.Run(nil, func(rank int, m Msg, send func(Msg)) {
-		t.Error("visit called with no seeds")
-	})
-	if e.Visited() != 0 {
-		t.Error("visited should be 0")
 	}
 }
 

@@ -1,10 +1,11 @@
-// Package havoq is a small asynchronous distributed graph engine modeled
-// on HavoqGT (the paper's ref [18]), the framework the paper's generator
-// ships in. It provides a vertex-partitioned distributed graph store and
-// an asynchronous visitor-queue engine with quiescence-based termination,
-// on top of which distributed BFS, exact vertex eccentricity (the
+// Package havoq is a small distributed graph engine modeled on HavoqGT
+// (the paper's ref [18]), the framework the paper's generator ships in.
+// It provides a vertex-partitioned distributed graph store over R ranks
+// and a level-synchronous exchange, in which the ranks run in supersteps
+// and send records to each other's owners between them. On it run a
+// level-synchronous distributed BFS, exact vertex eccentricity (the
 // bound-pruning algorithm of ref [3]) and distributed triangle counting
-// (degree-ordered wedge checks, ref [23]) are implemented. These are the
+// (degree-ordered wedge checks, ref [23]). These are the
 // "trusted distributed algorithms" the paper validates its ground-truth
 // formulas against in Fig. 1.
 package havoq
@@ -31,6 +32,9 @@ func (dg *DistGraph) Owner(v int64) int { return int(v % int64(dg.R)) }
 
 // localIndex returns v's slot in its owner's arrays.
 func (dg *DistGraph) localIndex(v int64) int64 { return v / int64(dg.R) }
+
+// vertex returns the vertex in slot li of rank's arrays.
+func (dg *DistGraph) vertex(rank int, li int) int64 { return int64(li)*int64(dg.R) + int64(rank) }
 
 // Build partitions g across r ranks by v mod r.
 func Build(g *graph.Graph, r int) (*DistGraph, error) {

@@ -5,22 +5,16 @@ package havoq
 // from lower to higher (degree, id) rank, enumerate wedges at their
 // minimum vertex, and ship each wedge to the owner of one endpoint to
 // test closure. Self loops never participate (Def. 5 strips the
-// diagonal). Message kinds:
-//
-//	kindSeed  — enumerate wedges at Target
-//	kindCheck — does edge (Target, A) exist? wedge apex is B
-//	kindInc   — credit one triangle to Target
-const (
-	kindSeed uint8 = iota
-	kindCheck
-	kindInc
-)
+// diagonal).
 
 // TriangleResult holds distributed triangle-count output.
 type TriangleResult struct {
-	Vertex   []int64 // t_v per vertex
-	Global   int64   // τ
-	Messages int64   // visitor messages processed, for cost reporting
+	Vertex []int64 // t_v per vertex
+	Global int64   // τ
+	// Messages counts the records the supersteps exchange (wedge checks
+	// and closure credits), those a rank sends itself included, for cost
+	// reporting.
+	Messages int64
 }
 
 // less reports whether u precedes v in the degree-then-id total order
@@ -33,57 +27,68 @@ func (dg *DistGraph) less(u, v int64) bool {
 	return u < v
 }
 
-// Triangles counts triangles with the asynchronous engine. Per-vertex
-// counts and the global count are exact for undirected graphs; ordering
-// uses locally readable degrees (a degree exchange in a real cluster,
-// a shared read in this simulation).
+// Triangles counts triangles in three supersteps of the exchange.
+// Per-vertex counts and the global count are exact for undirected graphs;
+// ordering uses locally readable degrees (a degree exchange in a real
+// cluster, a shared read in this simulation).
 func (dg *DistGraph) Triangles() *TriangleResult {
 	counts := make([][]int64, dg.R)
 	for r := range counts {
 		counts[r] = make([]int64, len(dg.rows[r]))
 	}
-	seeds := make([]Msg, 0, dg.N)
-	for v := int64(0); v < dg.N; v++ {
-		seeds = append(seeds, Msg{Target: v, Kind: kindSeed})
-	}
-	e := NewEngine(dg)
-	e.Run(seeds, func(rank int, m Msg, send func(Msg)) {
-		switch m.Kind {
-		case kindSeed:
-			u := m.Target
-			row := dg.rows[rank][dg.localIndex(u)]
-			// adj⁺(u): neighbors after u in the total order, loops dropped.
-			var higher []int64
+	x := newExchange(dg.R)
+	// 1. Each rank enumerates the wedges (v, u, w) at its own vertices u,
+	// v and w both after u and v before w, and sends (v, w, u) to owner(v).
+	checks := x.superstep(func(rank int, _, out [][]int64) {
+		var higher []int64
+		for li, row := range dg.rows[rank] {
+			u := dg.vertex(rank, li)
+			higher = higher[:0]
 			for _, w := range row {
 				if w != u && dg.less(u, w) {
 					higher = append(higher, w)
 				}
 			}
-			for i := 0; i < len(higher); i++ {
-				for j := i + 1; j < len(higher); j++ {
-					v, w := higher[i], higher[j]
+			for i, a := range higher {
+				for _, b := range higher[i+1:] {
+					v, w := a, b
 					if dg.less(w, v) {
 						v, w = w, v
 					}
-					send(Msg{Target: v, Kind: kindCheck, A: w, B: u})
+					o := dg.Owner(v)
+					out[o] = append(out[o], v, w, u)
 				}
 			}
-		case kindCheck:
-			v, w, u := m.Target, m.A, m.B
-			row := dg.rows[rank][dg.localIndex(v)]
-			for _, x := range row {
-				if x == w {
-					counts[rank][dg.localIndex(v)]++
-					send(Msg{Target: u, Kind: kindInc})
-					send(Msg{Target: w, Kind: kindInc})
-					break
+		}
+	}) / 3
+	// 2. owner(v) closes each wedge whose arc (v, w) it holds: it credits
+	// v and sends a credit each to owner(u) and owner(w).
+	credits := x.superstep(func(rank int, in, out [][]int64) {
+		for _, recs := range in {
+			for i := 0; i < len(recs); i += 3 {
+				v, w, u := recs[i], recs[i+1], recs[i+2]
+				lv := dg.localIndex(v)
+				for _, y := range dg.rows[rank][lv] {
+					if y == w {
+						counts[rank][lv]++
+						ou, ow := dg.Owner(u), dg.Owner(w)
+						out[ou] = append(out[ou], u)
+						out[ow] = append(out[ow], w)
+						break
+					}
 				}
 			}
-		case kindInc:
-			counts[rank][dg.localIndex(m.Target)]++
 		}
 	})
-	res := &TriangleResult{Vertex: make([]int64, dg.N), Messages: e.Visited()}
+	// 3. Each rank applies its credits.
+	x.superstep(func(rank int, in, _ [][]int64) {
+		for _, recs := range in {
+			for _, v := range recs {
+				counts[rank][dg.localIndex(v)]++
+			}
+		}
+	})
+	res := &TriangleResult{Vertex: make([]int64, dg.N), Messages: checks + credits}
 	for v := int64(0); v < dg.N; v++ {
 		res.Vertex[v] = counts[dg.Owner(v)][dg.localIndex(v)]
 		res.Global += res.Vertex[v]

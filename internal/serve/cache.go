@@ -12,8 +12,8 @@ import (
 
 // SummaryKey identifies one cacheable factor summary: the factor's
 // registry hash, whether the +I (full self loops) variant is wanted, and
-// whether the distance tier (hop matrix, eccentricities, diameter) is
-// included. Distinct keys are distinct cache entries, and a
+// whether the distance tier (per-vertex cumulative hop profiles,
+// eccentricities, diameter) is included. Distinct keys are distinct cache entries, and a
 // groundtruth.Factor is never written after it is built, so a summary is
 // never mutated after it is published.
 type SummaryKey struct {
