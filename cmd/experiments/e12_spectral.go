@@ -8,6 +8,7 @@ import (
 	"kronlab/internal/analytics"
 	"kronlab/internal/core"
 	"kronlab/internal/gen"
+	"kronlab/internal/graph"
 	"kronlab/internal/spectral"
 )
 
@@ -45,7 +46,7 @@ func runSpectral(w io.Writer) error {
 			maxDiff = d
 		}
 	}
-	lam, err := spectral.PowerIteration(a, b, 300)
+	lam, err := spectral.PowerIteration([]*graph.Graph{a, b}, 300)
 	if err != nil {
 		return err
 	}

@@ -7,105 +7,12 @@ import (
 	"kronlab/internal/analytics"
 	"kronlab/internal/core"
 	"kronlab/internal/gen"
-	"kronlab/internal/graph"
 	"kronlab/internal/groundtruth"
-	"kronlab/internal/labeled"
 )
 
-// runExtensions is an extension experiment covering the lineage the paper
-// explicitly points to ("we ... extended these results to the many types
-// of directed graphs and labeled graphs" [11]) plus Kronecker powers:
-//
-//   - directed laws: in/out degree, 3-cycle and transitive-triad counts,
-//   - labeled laws: labeled arc counts and the ordered labeled triangle
-//     tensor,
-//   - power laws: A^{⊗k} versions of the Sec. I table.
+// runExtensions is an extension experiment: the Sec. I table's laws for
+// Kronecker powers A^{⊗k}, the chain of k copies of one factor.
 func runExtensions(w io.Writer) error {
-	// --- Directed laws. ---
-	arcsOf := func(n, m int64, seed int64) *graph.Graph {
-		// Deterministic pseudo-random DAG-ish directed factor.
-		var arcs []graph.Edge
-		s := seed
-		for i := int64(0); i < m; i++ {
-			s = s*6364136223846793005 + 1442695040888963407
-			u := (s >> 33) % n
-			if u < 0 {
-				u = -u
-			}
-			s = s*6364136223846793005 + 1442695040888963407
-			v := (s >> 33) % n
-			if v < 0 {
-				v = -v
-			}
-			if u != v {
-				arcs = append(arcs, graph.Edge{U: u, V: v})
-			}
-		}
-		g, err := graph.New(n, arcs)
-		if err != nil {
-			panic(err)
-		}
-		return g
-	}
-	da := arcsOf(20, 60, 1)
-	db := arcsOf(18, 55, 2)
-	fa, fb := groundtruth.NewDirectedFactor(da), groundtruth.NewDirectedFactor(db)
-	dc, err := core.Product(da, db)
-	if err != nil {
-		return err
-	}
-	exact := analytics.DirectedTriangles(dc)
-	cycOK := groundtruth.GlobalCycleTriangles(fa, fb) == exact.CycleGlobal
-	transOK := groundtruth.GlobalTransitive(fa, fb) == exact.TransGlobal
-	perVertexOK := true
-	for p := int64(0); p < dc.NumVertices(); p++ {
-		if groundtruth.CycleTrianglesAt(fa, fb, p) != exact.CycleVertex[p] {
-			perVertexOK = false
-			break
-		}
-	}
-	table(w, []string{"Directed law", "Predicted", "Measured", "OK"}, [][]string{
-		{"global 3-cycles τ° = 3·τ°_A·τ°_B", fmtInt(groundtruth.GlobalCycleTriangles(fa, fb)), fmtInt(exact.CycleGlobal), check(cycOK)},
-		{"global transitive triads T = T_A·T_B", fmtInt(groundtruth.GlobalTransitive(fa, fb)), fmtInt(exact.TransGlobal), check(transOK)},
-		{"per-vertex cycle counts", "vector", "vector", check(perVertexOK)},
-	})
-
-	// --- Labeled laws. ---
-	lgA := mustLabeled(gen.ER(14, 0.35, 3), 2, 4)
-	lgB := mustLabeled(gen.ER(12, 0.4, 5), 3, 6)
-	lc, err := labeled.Product(lgA, lgB)
-	if err != nil {
-		return err
-	}
-	arcPred := labeled.KronArcCounts(lgA, lgB)
-	arcGot := lc.ArcCounts()
-	arcOK := true
-	for x := range arcGot {
-		for y := range arcGot[x] {
-			if arcGot[x][y] != arcPred[x][y] {
-				arcOK = false
-			}
-		}
-	}
-	triPred := labeled.KronOrderedTriangles(lgA, lgB)
-	triGot := lc.OrderedTriangles()
-	triOK := true
-	for x := range triGot {
-		for y := range triGot[x] {
-			for z := range triGot[x][y] {
-				if triGot[x][y][z] != triPred[x][y][z] {
-					triOK = false
-				}
-			}
-		}
-	}
-	fmt.Fprintln(w)
-	table(w, []string{"Labeled law", "Size", "OK"}, [][]string{
-		{"arc counts by label pair multiply", fmt.Sprintf("%d×%d classes", lc.K, lc.K), check(arcOK)},
-		{"ordered labeled triangle tensor multiplies", fmt.Sprintf("%d³ entries", lc.K), check(triOK)},
-	})
-
-	// --- Power laws A^{⊗3}. ---
 	pg := gen.PrefAttach(7, 2, 7)
 	pf := groundtruth.NewFactor(pg)
 	const k = 3
@@ -127,7 +34,6 @@ func runExtensions(w io.Writer) error {
 		return err
 	}
 	powOK := powM == pc.NumEdges() && powTau == pcTri.Global
-	fmt.Fprintln(w)
 	table(w, []string{"Power law (A^{⊗3})", "Predicted", "Measured", "OK"}, [][]string{
 		{"m = 2^{k−1}·m_A^k", fmtInt(powM), fmtInt(pc.NumEdges()), check(powOK)},
 		{"τ = 6^{k−1}·τ_A^k", fmtInt(powTau), fmtInt(pcTri.Global), check(powOK)},
@@ -135,17 +41,4 @@ func runExtensions(w io.Writer) error {
 	fmt.Fprintf(w, "\n(Extension beyond the paper's evaluation; laws follow by induction\n")
 	fmt.Fprintf(w, "from the two-factor results and are unit-tested per entry.)\n")
 	return nil
-}
-
-// mustLabeled assigns deterministic labels v mod k to g's vertices.
-func mustLabeled(g *graph.Graph, k int64, _ int64) *labeled.Graph {
-	labels := make([]int64, g.NumVertices())
-	for v := range labels {
-		labels[v] = int64(v) % k
-	}
-	lg, err := labeled.New(g, labels, k)
-	if err != nil {
-		panic(err)
-	}
-	return lg
 }

@@ -47,7 +47,7 @@ var registry = []experiment{
 	{"cliques", "E10: Ex. 1 — disjoint cliques and SBM squaring", runCliques},
 	{"rejection", "E11: Def. 8 — probabilistic edge rejection", runRejection},
 	{"spectral", "E12 (extension): spectral exploitability of the Kronecker structure", runSpectral},
-	{"extensions", "E13 (extension): directed, labeled, and power-law ground truth", runExtensions},
+	{"extensions", "E13 (extension): power-law ground truth", runExtensions},
 }
 
 func main() {

@@ -37,14 +37,6 @@ func BenchmarkTrianglesExact(b *testing.B) {
 	}
 }
 
-func BenchmarkDirectedTriangles(b *testing.B) {
-	g := benchGraph(b, 3_000, 30_000, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DirectedTriangles(g)
-	}
-}
-
 func BenchmarkVertexClustering(b *testing.B) {
 	g := benchGraph(b, 5_000, 50_000, 4)
 	b.ResetTimer()

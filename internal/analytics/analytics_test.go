@@ -579,37 +579,3 @@ func TestIsBipartite(t *testing.T) {
 		t.Error("empty graph is vacuously bipartite")
 	}
 }
-
-// ---------- eigenvector centrality ----------
-
-func TestEigenvectorCentralityKnown(t *testing.T) {
-	// K4: Perron vector uniform, λ = 3.
-	k4 := mustUnd(t, 4, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 1, V: 2}, {U: 1, V: 3}, {U: 2, V: 3}})
-	vec, lam := EigenvectorCentrality(k4, 200)
-	if math.Abs(lam-3) > 1e-9 {
-		t.Errorf("K4 λ = %v, want 3", lam)
-	}
-	for v, x := range vec {
-		if math.Abs(x-0.5) > 1e-9 {
-			t.Errorf("K4 x(%d) = %v, want 0.5", v, x)
-		}
-	}
-	// Star: center dominates; λ = √(n−1).
-	star := mustUnd(t, 5, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 0, V: 4}})
-	vec, lam = EigenvectorCentrality(star, 400)
-	if math.Abs(lam-2) > 1e-6 {
-		t.Errorf("star λ = %v, want 2", lam)
-	}
-	if vec[0] <= vec[1] {
-		t.Error("star center must dominate leaves")
-	}
-	// Edge cases.
-	empty, _ := graph.New(0, nil)
-	if v, _ := EigenvectorCentrality(empty, 5); v != nil {
-		t.Error("empty graph should return nil")
-	}
-	bare, _ := graph.New(3, nil)
-	if _, lam := EigenvectorCentrality(bare, 5); lam != 0 {
-		t.Error("edgeless λ should be 0")
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"kronlab/internal/analytics"
-	"kronlab/internal/core"
 	"kronlab/internal/graph"
 )
 
@@ -29,26 +28,4 @@ func ProductComponents(a, b *graph.Graph) (int64, error) {
 		return 2, nil
 	}
 	return 1, nil
-}
-
-// EigenvectorCentralityKron returns the ground-truth eigenvector
-// centrality of C = A ⊗ B from factor centralities: if x_A and x_B are
-// the (unit) Perron vectors of A and B, then x_A ⊗ x_B is a unit
-// eigenvector of A ⊗ B with eigenvalue λ_A·λ_B, and for connected
-// non-bipartite factors it is C's Perron vector restricted to the
-// component containing the mass — so eigenvector centrality is exactly
-// controllable, the counterpart of the paper's distance-based centrality
-// formulas for spectral centrality. iters is forwarded to the factor
-// power iterations.
-func EigenvectorCentralityKron(a, b *Factor, iters int) (vec []float64, lambda float64) {
-	xa, la := analytics.EigenvectorCentrality(a.G, iters)
-	xb, lb := analytics.EigenvectorCentrality(b.G, iters)
-	ix := core.NewIndex(b.N())
-	vec = make([]float64, a.N()*b.N())
-	for i, va := range xa {
-		for k, vb := range xb {
-			vec[ix.Gamma(int64(i), int64(k))] = va * vb
-		}
-	}
-	return vec, la * lb
 }

@@ -806,29 +806,3 @@ func TestWeichselProductComponents(t *testing.T) {
 		t.Error("disconnected factors should error")
 	}
 }
-
-// Eigenvector centrality law: x_C = x_A ⊗ x_B and λ_C = λ_A·λ_B, checked
-// against direct power iteration on the materialized product. Requires
-// connected non-bipartite factors so the Perron vector is unique; full
-// self loops guarantee non-bipartiteness.
-func TestEigenvectorCentralityKron(t *testing.T) {
-	rng := rand.New(rand.NewSource(601))
-	for trial := 0; trial < 6; trial++ {
-		ga := randomConnectedLoopFree(rng, 7).WithFullSelfLoops()
-		gb := randomConnectedLoopFree(rng, 7).WithFullSelfLoops()
-		a, b := NewFactor(ga), NewFactor(gb)
-		c := mustProduct(t, ga, gb)
-		pred, lamPred := EigenvectorCentralityKron(a, b, 400)
-		got, lamGot := analytics.EigenvectorCentrality(c, 400)
-		if math.Abs(lamPred-lamGot) > 1e-6*math.Max(1, lamGot) {
-			t.Fatalf("trial %d: λ law %v vs %v", trial, lamPred, lamGot)
-		}
-		// Eigenvectors agree up to sign; Perron vectors are positive so
-		// direct comparison is fine once both are positive.
-		for p := range pred {
-			if math.Abs(pred[p]-got[p]) > 1e-5 {
-				t.Fatalf("trial %d: x(%d) law %v vs %v", trial, p, pred[p], got[p])
-			}
-		}
-	}
-}

@@ -5,6 +5,7 @@ import (
 
 	"kronlab/internal/core"
 	"kronlab/internal/gen"
+	"kronlab/internal/graph"
 )
 
 // Implicit Kronecker matvec vs a direct multiply on the materialized
@@ -18,7 +19,7 @@ func BenchmarkKronMatVecImplicit(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := KronMatVec(a, bb, x); err != nil {
+		if _, err := KronMatVec([]*graph.Graph{a, bb}, x); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -48,7 +49,7 @@ func BenchmarkKronMatVecMaterialized(b *testing.B) {
 	}
 }
 
-func BenchmarkJacobiEig(b *testing.B) {
+func BenchmarkAdjacencyEig(b *testing.B) {
 	g := gen.ER(64, 0.3, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -198,7 +198,7 @@ func TestKronMatVecMatchesMaterializedProduct(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	got, err := KronMatVec(a, b, x)
+	got, err := KronMatVec([]*graph.Graph{a, b}, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestKronMatVecMatchesMaterializedProduct(t *testing.T) {
 			t.Fatalf("y[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
-	if _, err := KronMatVec(a, b, x[:3]); err == nil {
+	if _, err := KronMatVec([]*graph.Graph{a, b}, x[:3]); err == nil {
 		t.Error("wrong-length x should error")
 	}
 }
@@ -221,7 +221,7 @@ func TestKronMatVecMatchesMaterializedProduct(t *testing.T) {
 func TestPowerIterationMatchesEigMaxProduct(t *testing.T) {
 	a := gen.Clique(4) // λmax = 3
 	b := gen.Clique(3) // λmax = 2
-	lam, err := PowerIteration(a, b, 60)
+	lam, err := PowerIteration([]*graph.Graph{a, b}, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestPowerIterationMatchesEigMaxProduct(t *testing.T) {
 	eigA, _ := AdjacencyEig(ga)
 	eigB, _ := AdjacencyEig(gb)
 	want := eigA[len(eigA)-1] * eigB[len(eigB)-1]
-	lam, err = PowerIteration(ga, gb, 200)
+	lam, err = PowerIteration([]*graph.Graph{ga, gb}, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,13 +245,76 @@ func TestPowerIterationMatchesEigMaxProduct(t *testing.T) {
 
 func TestPowerIterationEdgeCases(t *testing.T) {
 	empty, _ := graph.New(0, nil)
-	if _, err := PowerIteration(empty, empty, 5); err == nil {
+	if _, err := PowerIteration([]*graph.Graph{empty, empty}, 5); err == nil {
 		t.Error("empty product should error")
 	}
 	// Edgeless graphs: dominant eigenvalue 0.
 	bare, _ := graph.New(3, nil)
-	lam, err := PowerIteration(bare, bare, 5)
+	lam, err := PowerIteration([]*graph.Graph{bare, bare}, 5)
 	if err != nil || lam != 0 {
 		t.Errorf("edgeless: λ = %v, err %v", lam, err)
+	}
+}
+
+// The chain forms at k = 3, on three different factors (5·6·7 = 210
+// product vertices), against the materialized chain: the spectrum as a
+// multiset, the implicit matvec on a random vector, and power
+// iteration's λmax.
+func TestKronChainSpectralForms(t *testing.T) {
+	factors := []*graph.Graph{gen.Clique(5), gen.PrefAttach(6, 2, 12), gen.Ring(7)}
+	ch, err := core.NewChain(factors...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := ch.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spectra := make([][]float64, len(factors))
+	for d, g := range factors {
+		if spectra[d], err = AdjacencyEig(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pred := KronEigenvalues(spectra...)
+	got, err := AdjacencyEig(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pred) != len(got) {
+		t.Fatalf("spectrum sizes: law %d, product %d", len(pred), len(got))
+	}
+	for i := range got {
+		if !approx(got[i], pred[i], 1e-9) {
+			t.Fatalf("eig[%d]: product %v, law %v", i, got[i], pred[i])
+		}
+	}
+
+	rng := rand.New(rand.NewSource(13))
+	x := make([]float64, c.NumVertices())
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	y, err := KronMatVec(factors, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, len(x))
+	c.Arcs(func(u, v int64) bool {
+		want[u] += x[v]
+		return true
+	})
+	for i := range want {
+		if !approx(y[i], want[i], 1e-9) {
+			t.Fatalf("y[%d] = %v, want %v", i, y[i], want[i])
+		}
+	}
+
+	lam, err := PowerIteration(factors, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lmax := got[len(got)-1]; !approx(lam, lmax, 1e-6*lmax) {
+		t.Errorf("power iteration λmax %v, product spectrum %v", lam, lmax)
 	}
 }
