@@ -42,7 +42,6 @@ var (
 
 	sbmG     *graph.Graph
 	sbmParts [][]int64
-	sbmFac   *groundtruth.Factor
 	sbmStats []analytics.CommunityStats
 	sbmC     *graph.Graph
 )
@@ -71,7 +70,6 @@ func fixtures(b *testing.B) {
 		gnutFac = groundtruth.NewFactor(gnut).WithDistances()
 
 		sbmG, sbmParts = gen.SBM(gen.SBMParams{BlockSizes: gen.EqualBlocks(4, 30), PIn: 0.35, POut: 0.02, Seed: 5})
-		sbmFac = groundtruth.NewFactor(sbmG)
 		sbmStats = analytics.Communities(sbmG, sbmParts)
 		sbmC, err = core.ProductWithSelfLoops(sbmG, sbmG)
 		if err != nil {
@@ -103,7 +101,7 @@ func BenchmarkE1ScalingLaws(b *testing.B) {
 			opts validate.Options
 		}{
 			{c, validate.Options{Samples: math.MaxInt}},
-			{cl, validate.Options{SelfLoops: true, Samples: math.MaxInt, PartitionA: pa, PartitionB: pa}},
+			{cl, validate.Options{SelfLoops: true, Samples: math.MaxInt, Partitions: [][][]int64{pa, pa}}},
 		} {
 			if rep, err := validate.Run([]*graph.Graph{a, bb}, run.c, run.opts); err != nil || !rep.OK() {
 				b.Fatalf("validate.Run: %v\n%s", err, rep)
@@ -410,8 +408,8 @@ func BenchmarkE9CommunityGroundTruth(b *testing.B) {
 	fixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := groundtruth.CommunitiesKron(sbmFac, sbmFac, sbmParts, sbmParts, sbmStats, sbmStats)
-		if len(s) != len(sbmParts)*len(sbmParts) {
+		s, err := groundtruth.CommunitiesKron([]*graph.Graph{sbmG, sbmG}, [][]analytics.CommunityStats{sbmStats, sbmStats})
+		if err != nil || len(s) != len(sbmParts)*len(sbmParts) {
 			b.Fatal("wrong count")
 		}
 	}
@@ -423,7 +421,7 @@ func BenchmarkE9CommunityExact(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for ai := range sbmParts {
 			for bi := range sbmParts {
-				sc := core.KronSet(sbmParts[ai], sbmParts[bi], sbmFac.N())
+				sc := core.KronSet(sbmParts[ai], sbmParts[bi], sbmG.NumVertices())
 				analytics.Community(sbmC, sc)
 			}
 		}

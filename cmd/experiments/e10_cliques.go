@@ -8,6 +8,7 @@ import (
 	"kronlab/internal/analytics"
 	"kronlab/internal/core"
 	"kronlab/internal/gen"
+	"kronlab/internal/graph"
 	"kronlab/internal/groundtruth"
 )
 
@@ -58,9 +59,11 @@ func runCliques(w io.Writer) error {
 	s, k := int64(10), 60
 	a, pa := gen.SBM(gen.SBMParams{BlockSizes: gen.EqualBlocks(k, s), PIn: rho0, POut: rho1, Seed: 31})
 	n := float64(a.NumVertices())
-	fa := groundtruth.NewFactor(a)
 	statsA := analytics.Communities(a, pa)
-	statsC := groundtruth.CommunitiesKron(fa, fa, pa, pa, statsA, statsA)
+	statsC, err := groundtruth.CommunitiesKron([]*graph.Graph{a, a}, [][]analytics.CommunityStats{statsA, statsA})
+	if err != nil {
+		return err
+	}
 	var sumIn, sumOut float64
 	for _, st := range statsC {
 		sumIn += st.RhoIn

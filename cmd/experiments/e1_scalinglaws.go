@@ -60,7 +60,7 @@ func runScalingLaws(w io.Writer) error {
 			return err
 		}
 		looped, err := validate.Run([]*graph.Graph{pr.a, pr.b}, cl, validate.Options{SelfLoops: true, Samples: math.MaxInt,
-			PartitionA: pr.pa, PartitionB: pr.pb})
+			Partitions: [][][]int64{pr.pa, pr.pb}})
 		if err != nil {
 			return err
 		}

@@ -8,6 +8,7 @@ import (
 	"kronlab/internal/analytics"
 	"kronlab/internal/core"
 	"kronlab/internal/gen"
+	"kronlab/internal/graph"
 	"kronlab/internal/groundtruth"
 )
 
@@ -33,21 +34,23 @@ func runCommunity(w io.Writer) error {
 		BlockSizes: gen.EqualBlocks(blocks, 606),
 		PIn:        0.065, POut: 2.2e-4, Seed: 99, PInBlocks: pin,
 	})
-	fa := groundtruth.NewFactor(a)
 	statsA := analytics.Communities(a, pa)
 
 	faL := groundtruth.NewFactor(a.WithFullSelfLoops())
-	nC, errN := groundtruth.ChainNumVertices([]*groundtruth.Factor{fa, fa})
+	nC, errN := groundtruth.ChainNumVertices([]*groundtruth.Factor{faL, faL})
 	mC, errM := groundtruth.ChainNumEdges([]*groundtruth.Factor{faL, faL})
 	if err := errors.Join(errN, errM); err != nil {
 		return err
 	}
-	statsC := groundtruth.CommunitiesKron(fa, fa, pa, pa, statsA, statsA)
+	statsC, err := groundtruth.CommunitiesKron([]*graph.Graph{a, a}, [][]analytics.CommunityStats{statsA, statsA})
+	if err != nil {
+		return err
+	}
 
 	minInA, maxInA, minOutA, maxOutA := densityRanges(statsA)
 	minInC, maxInC, minOutC, maxOutC := densityRanges(statsC)
 	table(w, []string{"", "A", "C = (A+I) ⊗ (A+I)"}, [][]string{
-		{"Vertices", fmtInt(fa.N()), fmtInt(nC)},
+		{"Vertices", fmtInt(a.NumVertices()), fmtInt(nC)},
 		{"Edges", fmtInt(a.NumEdges()), fmtInt(mC)},
 		{"# comms", fmt.Sprint(len(pa)), fmt.Sprint(len(statsC))},
 		{"ρ_in", fmt.Sprintf("[%s, %s]", fmtFloat(minInA), fmtFloat(maxInA)), fmt.Sprintf("[%s, %s]", fmtFloat(minInC), fmtFloat(maxInC))},
@@ -75,12 +78,15 @@ func runCommunity(w io.Writer) error {
 	for ai := range pa {
 		for bi := range pa {
 			sa, sb := statsA[ai], statsA[bi]
-			pred := groundtruth.CommunityKron(fa, fa, sa, sb)
+			pred, err := groundtruth.CommunityKron([]*graph.Graph{a, a}, []analytics.CommunityStats{sa, sb})
+			if err != nil {
+				return err
+			}
 			if sa.Size > 1 && sb.Size > 1 && pred.RhoIn < groundtruth.RhoInLowerBound(sa, sb)-1e-12 {
 				boundsOK = false
 			}
 			if sa.MOut >= sa.Size && sb.MOut >= sb.Size &&
-				pred.RhoOut > groundtruth.RhoOutUpperBound(fa, fa, sa, sb)+1e-12 {
+				pred.RhoOut > groundtruth.RhoOutUpperBound(a, a, sa, sb)+1e-12 {
 				boundsOK = false
 			}
 		}
@@ -90,7 +96,6 @@ func runCommunity(w io.Writer) error {
 
 	// Reduced scale: validate Thm. 6 counts against a materialized product.
 	small, psmall := gen.SBM(gen.SBMParams{BlockSizes: gen.EqualBlocks(4, 40), PIn: 0.3, POut: 0.02, Seed: 7})
-	fsm := groundtruth.NewFactor(small)
 	c, err := core.ProductWithSelfLoops(small, small)
 	if err != nil {
 		return err
@@ -100,8 +105,11 @@ func runCommunity(w io.Writer) error {
 	for ai := range psmall {
 		for bi := range psmall {
 			total++
-			pred := groundtruth.CommunityKron(fsm, fsm, statsSmall[ai], statsSmall[bi])
-			sc := core.KronSet(psmall[ai], psmall[bi], fsm.N())
+			pred, err := groundtruth.CommunityKron([]*graph.Graph{small, small}, []analytics.CommunityStats{statsSmall[ai], statsSmall[bi]})
+			if err != nil {
+				return err
+			}
+			sc := core.KronSet(psmall[ai], psmall[bi], small.NumVertices())
 			meas := analytics.Community(c, sc)
 			if pred.MIn == meas.MIn && pred.MOut == meas.MOut {
 				okCount++

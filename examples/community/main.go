@@ -13,6 +13,7 @@ import (
 	"kronlab/internal/analytics"
 	"kronlab/internal/core"
 	"kronlab/internal/gen"
+	"kronlab/internal/graph"
 	"kronlab/internal/groundtruth"
 )
 
@@ -24,7 +25,6 @@ func main() {
 		BlockSizes: gen.EqualBlocks(5, 24),
 		PIn:        0.4, POut: 0.02, Seed: 42,
 	})
-	fa := groundtruth.NewFactor(a)
 	statsA := analytics.Communities(a, pa)
 	fmt.Printf("factor A: %v with %d communities\n", a, len(pa))
 	for i, s := range statsA {
@@ -34,9 +34,13 @@ func main() {
 
 	// Product communities — all 25 of them — from Thm. 6, no product
 	// materialization required.
-	statsC := groundtruth.CommunitiesKron(fa, fa, pa, pa, statsA, statsA)
+	gs := []*graph.Graph{a, a}
+	statsC, err := groundtruth.CommunitiesKron(gs, [][]analytics.CommunityStats{statsA, statsA})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nC = (A+I) ⊗ (A+I): %d vertices, %d Kronecker communities (Def. 16)\n",
-		fa.N()*fa.N(), len(statsC))
+		a.NumVertices()*a.NumVertices(), len(statsC))
 	fmt.Println("first few product communities (Thm. 6 ground truth):")
 	for i := 0; i < 5; i++ {
 		s := statsC[i]
@@ -49,15 +53,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sc := core.KronSet(pa[1], pa[2], fa.N())
+	sc := core.KronSet(pa[1], pa[2], a.NumVertices())
 	measured := analytics.Community(c, sc)
-	predicted := groundtruth.CommunityKron(fa, fa, statsA[1], statsA[2])
+	predicted, err := groundtruth.CommunityKron(gs, []analytics.CommunityStats{statsA[1], statsA[2]})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nvalidation on S_A^(1) ⊗ S_A^(2): predicted m_in=%d m_out=%d, measured m_in=%d m_out=%d\n",
 		predicted.MIn, predicted.MOut, measured.MIn, measured.MOut)
 
 	// Scaling-law bounds.
 	lo := groundtruth.RhoInLowerBound(statsA[1], statsA[2])
-	hi := groundtruth.RhoOutUpperBound(fa, fa, statsA[1], statsA[2])
+	hi := groundtruth.RhoOutUpperBound(a, a, statsA[1], statsA[2])
 	fmt.Printf("Cor. 6: ρ_in = %.5f ≥ %.5f (⅓·ρ_in·ρ_in bound)  %v\n",
 		predicted.RhoIn, lo, predicted.RhoIn >= lo)
 	fmt.Printf("Cor. 7 (corrected): ρ_out = %.6f ≤ %.6f  %v\n",

@@ -33,17 +33,18 @@ func Community(g *graph.Graph, s []int64) CommunityStats {
 			}
 		}
 	}
-	cs := CommunityStats{
-		Size: int64(len(s)),
-		MIn:  arcsInside / 2,
-		MOut: arcsOut,
-	}
-	n := g.NumVertices()
+	return CommunityStats{Size: int64(len(s)), MIn: arcsInside / 2, MOut: arcsOut}.WithDensities(g.NumVertices())
+}
+
+// WithDensities returns cs with ρ_in and ρ_out read off its counts, for a
+// community of an n-vertex graph.
+func (cs CommunityStats) WithDensities(n int64) CommunityStats {
+	cs.RhoIn, cs.RhoOut = 0, 0
 	if cs.Size >= 2 {
-		cs.RhoIn = 2 * float64(cs.MIn) / float64(cs.Size*(cs.Size-1))
+		cs.RhoIn = 2 * float64(cs.MIn) / (float64(cs.Size) * float64(cs.Size-1))
 	}
 	if cs.Size >= 1 && cs.Size < n {
-		cs.RhoOut = float64(cs.MOut) / float64(cs.Size*(n-cs.Size))
+		cs.RhoOut = float64(cs.MOut) / (float64(cs.Size) * float64(n-cs.Size))
 	}
 	return cs
 }

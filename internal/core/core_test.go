@@ -220,7 +220,7 @@ func TestKronSet(t *testing.T) {
 func TestKronPartitionCoversProduct(t *testing.T) {
 	pa := [][]int64{{0, 1}, {2}}
 	pb := [][]int64{{0}, {1, 2}}
-	pc := KronPartition(pa, pb, 3)
+	pc := KronPartition([][][]int64{pa, pb}, []int64{3, 3})
 	if len(pc) != 4 {
 		t.Fatalf("|Π_C| = %d, want 4", len(pc))
 	}

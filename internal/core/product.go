@@ -83,15 +83,21 @@ func KronSet(sa, sb []int64, nB int64) []int64 {
 	return out
 }
 
-// KronPartition returns the Kronecker partition Π_C = Π_A ⊗ Π_B
-// (Def. 16): the a_max·b_max sets S_A^(a) ⊗ S_B^(b), ordered with the
-// B-partition index varying fastest.
-func KronPartition(pa, pb [][]int64, nB int64) [][]int64 {
-	out := make([][]int64, 0, len(pa)*len(pb))
-	for _, sa := range pa {
-		for _, sb := range pb {
-			out = append(out, KronSet(sa, sb, nB))
+// KronPartition returns the Kronecker partition Π_1 ⊗ … ⊗ Π_k
+// (Def. 16) of the factors' partitions parts, folded pairwise as
+// Π_C = Π_A ⊗ Π_B: the Π_d |Π_d| sets S_1 ⊗ … ⊗ S_k in ChainIndex
+// numbering, ordered with the last factor's partition index varying
+// fastest. dims are the factors' vertex counts (dims[0] is not read).
+func KronPartition(parts [][][]int64, dims []int64) [][]int64 {
+	out := parts[0]
+	for d := 1; d < len(parts); d++ {
+		next := make([][]int64, 0, len(out)*len(parts[d]))
+		for _, sa := range out {
+			for _, sb := range parts[d] {
+				next = append(next, KronSet(sa, sb, dims[d]))
+			}
 		}
+		out = next
 	}
 	return out
 }

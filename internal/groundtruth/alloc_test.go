@@ -3,7 +3,9 @@ package groundtruth
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
+	"kronlab/internal/analytics"
 	"kronlab/internal/graph"
 )
 
@@ -60,5 +62,33 @@ func TestChainLawsAllocateInFactorSpace(t *testing.T) {
 		if got := after.TotalAlloc - before.TotalAlloc; got > budget {
 			t.Errorf("%s allocated %d B on n_C = 2⁴⁰, over %d B (2× the factors' CSR)", law.Name, got, budget)
 		}
+	}
+}
+
+// TestCommunitiesKronAllocatesItsResults folds Thm. 6 over W₁₀₂₄^{⊗4},
+// n_C = 2⁴⁰, with four communities a factor, and bounds its bytes by its
+// 4⁴ results plus 1 KB: the fold reads factor statistics only.
+func TestCommunitiesKronAllocatesItsResults(t *testing.T) {
+	g := wheel(t, 1024)
+	parts := make([][]int64, 4)
+	for v := int64(0); v < g.NumVertices(); v++ {
+		parts[v%4] = append(parts[v%4], v)
+	}
+	stats := analytics.Communities(g, parts)
+	gs := []*graph.Graph{g, g, g, g}
+	ss := [][]analytics.CommunityStats{stats, stats, stats, stats}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out, err := CommunitiesKron(gs, ss)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 256 {
+		t.Fatalf("%d communities, want 4⁴", len(out))
+	}
+	budget := uint64(len(out))*uint64(unsafe.Sizeof(out[0])) + 1024
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Errorf("CommunitiesKron allocated %d B on n_C = 2⁴⁰, over %d B (its results and 1 KB)", got, budget)
 	}
 }

@@ -1,44 +1,72 @@
 package groundtruth
 
-import "kronlab/internal/analytics"
+import (
+	"fmt"
+	"math"
+
+	"kronlab/internal/analytics"
+	"kronlab/internal/core"
+	"kronlab/internal/graph"
+)
 
 // CommunityKron computes the exact ground-truth CommunityStats of the
-// Kronecker community S_C = S_A ⊗ S_B in C = (A+I) ⊗ (B+I) from factor
-// community statistics only (Thm. 6):
+// Kronecker community S_1⊗…⊗S_k in ⊗(A_d+I) of the loop-free factors gs
+// from each factor community's statistics ss[d] alone: Thm. 6, stated
+// for C = (A+I)⊗(B+I), folded over the chain. ⊗ is associative and
+// (A+I)⊗(B+I) = C′+I with C′ loop-free, so each step is Thm. 6 with A
+// the product so far:
 //
 //	m_in(S_C)  = 2·m_in(S_A)·m_in(S_B) + m_in(S_A)·|S_B| + |S_A|·m_in(S_B)
 //	m_out(S_C) = m_out(S_A)·(½·m_out(S_B) + |S_B| + 2·m_in(S_B))
 //	           + m_out(S_B)·(½·m_out(S_A) + |S_A| + 2·m_in(S_A))
 //
-// Both factors must be loop-free; the +I loops are supplied by the
-// construction and excluded from edge counts (C − I_C convention).
-func CommunityKron(a, b *Factor, sa, sb analytics.CommunityStats) analytics.CommunityStats {
-	nC := a.N() * b.N()
-	sizeC := sa.Size * sb.Size
-	mIn := 2*sa.MIn*sb.MIn + sa.MIn*sb.Size + sa.Size*sb.MIn
-	// The two ½·m_out products merge into a single m_out(S_A)·m_out(S_B).
-	mOut := sa.MOut*sb.MOut + sa.MOut*(sb.Size+2*sb.MIn) + sb.MOut*(sa.Size+2*sa.MIn)
-	cs := analytics.CommunityStats{Size: sizeC, MIn: mIn, MOut: mOut}
-	if sizeC >= 2 {
-		cs.RhoIn = 2 * float64(mIn) / float64(sizeC*(sizeC-1))
-	}
-	if sizeC >= 1 && sizeC < nC {
-		cs.RhoOut = float64(mOut) / float64(sizeC*(nC-sizeC))
-	}
-	return cs
-}
-
-// CommunitiesKron computes ground-truth stats for the whole Kronecker
-// partition Π_C = Π_A ⊗ Π_B (Def. 16) from factor partitions, ordered
-// with the B index varying fastest (matching core.KronPartition).
-func CommunitiesKron(a, b *Factor, pa, pb [][]int64, statsA, statsB []analytics.CommunityStats) []analytics.CommunityStats {
-	out := make([]analytics.CommunityStats, 0, len(pa)*len(pb))
-	for ai := range pa {
-		for bi := range pb {
-			out = append(out, CommunityKron(a, b, statsA[ai], statsB[bi]))
+// ρ_in and ρ_out are read off the final counts and n_C = Π n_d. The +I
+// loops are supplied by the construction and excluded from edge counts
+// (C − I_C convention). A count that overflows int64 is an error.
+func CommunityKron(gs []*graph.Graph, ss []analytics.CommunityStats) (analytics.CommunityStats, error) {
+	ok := true
+	mul := func(x, y int64) int64 { p, fits := core.CheckedMul(x, y); ok = ok && fits; return p }
+	add := func(x, y int64) int64 { ok = ok && x <= math.MaxInt64-y; return x + y }
+	a, nC := ss[0], gs[0].NumVertices()
+	for d := 1; d < len(gs); d++ {
+		b := ss[d]
+		a = analytics.CommunityStats{
+			Size: mul(a.Size, b.Size),
+			MIn:  add(add(mul(2, mul(a.MIn, b.MIn)), mul(a.MIn, b.Size)), mul(a.Size, b.MIn)),
+			// The two ½·m_out products merge into a single m_out(S_A)·m_out(S_B).
+			MOut: add(add(mul(a.MOut, b.MOut), mul(a.MOut, add(b.Size, mul(2, b.MIn)))), mul(b.MOut, add(a.Size, mul(2, a.MIn)))),
+		}
+		if nC = mul(nC, gs[d].NumVertices()); !ok {
+			return analytics.CommunityStats{}, overflow("Thm. 6 count", d)
 		}
 	}
-	return out
+	return a.WithDensities(nC), nil
+}
+
+// CommunitiesKron computes CommunityKron for every community of the
+// Kronecker partition Π_1⊗…⊗Π_k (Def. 16), from stats[d] =
+// analytics.Communities(gs[d], Π_d), in core.KronPartition's order: the
+// last factor's index varies fastest, as in a core.ChainIndex.
+func CommunitiesKron(gs []*graph.Graph, stats [][]analytics.CommunityStats) ([]analytics.CommunityStats, error) {
+	dims := make([]int64, len(stats))
+	for d, s := range stats {
+		dims[d] = int64(len(s))
+	}
+	ci, err := core.NewChainIndex(dims)
+	if err != nil {
+		return nil, fmt.Errorf("groundtruth: Kronecker partition: %w", err)
+	}
+	out := make([]analytics.CommunityStats, ci.NumVertices())
+	coords, ss := make([]int64, len(stats)), make([]analytics.CommunityStats, len(stats))
+	for x := range out {
+		for d, i := range ci.SplitInto(int64(x), coords) {
+			ss[d] = stats[d][i]
+		}
+		if out[x], err = CommunityKron(gs, ss); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // RhoInLowerBound returns the Cor. 6 bound
@@ -49,39 +77,28 @@ func RhoInLowerBound(sa, sb analytics.CommunityStats) float64 {
 }
 
 // RhoOutUpperBound returns a provable version of the Cor. 7 scaling law
-// ρ_out(S_C) ≤ const(ω)·Ω·ρ_out(S_A)·ρ_out(S_B), requiring the paper's
-// hypothesis m_out(S_A) ≥ |S_A| and m_out(S_B) ≥ |S_B|.
-//
-// NOTE — deviation from the paper as printed. With
-// ω = max(m_in(S_A)/m_out(S_A), m_in(S_B)/m_out(S_B)), bounding each term
-// of Thm. 6's m_out(S_C) by the hypothesis gives
-//
-//	m_out(S_C) ≤ (3 + 4ω)·m_out(S_A)·m_out(S_B),
-//
-// not the paper's (1 + 3ω) — e.g. two communities with m_in = 0,
-// m_out = |S| give m_out(S_C) near 3·m_out(S_A)·m_out(S_B) > 1·…
-// Likewise the exact size-ratio factor relating ρ_out(S_C) to the product
-// of factor densities is
-//
-//	Ω = (n_A·n_B − |S_A||S_B|) / ((n_A − |S_A|)·(n_B − |S_B|)),
-//
-// for which the paper's (1+s)/(1−s) with s = |S_A||S_B|/(n_A n_B) is a
-// valid approximation only when |S_A| ≪ n_A and |S_B| ≪ n_B (both
-// expressions → 1). The paper's qualitative claim — external density is
-// controlled from above by ρ_out(S_A)·ρ_out(S_B) times a modest factor —
-// survives intact; this function returns the tight corrected bound, which
-// the tests verify is an actual upper bound on the exact Thm. 6 density.
-func RhoOutUpperBound(a, b *Factor, sa, sb analytics.CommunityStats) float64 {
+// ρ_out(S_C) ≤ (3+4ω)·Ω·ρ_out(S_A)·ρ_out(S_B) for C = (A+I)⊗(B+I), with
+// ω = max(m_in(S_A)/m_out(S_A), m_in(S_B)/m_out(S_B)) and the exact size
+// ratio Ω = (n_A·n_B − |S_A||S_B|) / ((n_A − |S_A|)·(n_B − |S_B|)),
+// requiring the paper's hypothesis m_out(S) ≥ |S| on both sides. The
+// printed (1+3ω) and Ω ≈ (1+s)/(1−s) are not valid bounds (DESIGN §4a).
+func RhoOutUpperBound(a, b *graph.Graph, sa, sb analytics.CommunityStats) float64 {
 	omega := float64(sa.MIn) / float64(sa.MOut)
 	if w := float64(sb.MIn) / float64(sb.MOut); w > omega {
 		omega = w
 	}
-	num := float64(a.N()*b.N() - sa.Size*sb.Size)
-	den := float64((a.N() - sa.Size) * (b.N() - sb.Size))
+	nA, nB := a.NumVertices(), b.NumVertices()
+	num := float64(nA*nB - sa.Size*sb.Size)
+	den := float64((nA - sa.Size) * (nB - sb.Size))
 	return (3 + 4*omega) * (num / den) * sa.RhoOut * sb.RhoOut
 }
 
-// NumCommunities returns |Π_C| = |Π_A|·|Π_B| (Sec. I table).
-func NumCommunities(pa, pb [][]int64) int64 {
-	return int64(len(pa)) * int64(len(pb))
+// NumCommunities returns |Π_C| = Π_d |Π_d| (Sec. I table) for a product
+// whose vertex count fits in int64 (|Π_C| ≤ n_C).
+func NumCommunities(parts [][][]int64) int64 {
+	n := int64(1)
+	for _, p := range parts {
+		n *= int64(len(p))
+	}
+	return n
 }

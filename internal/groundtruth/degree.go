@@ -8,24 +8,30 @@ import (
 )
 
 // ProductComponents returns the ground-truth number of connected
-// components of C = A ⊗ B for CONNECTED undirected factors with at least
-// one edge each, by Weichsel's theorem (the paper's ref [1]): the tensor
-// product of two connected graphs is connected iff at least one factor
-// has an odd closed walk (is non-bipartite, counting self loops); if both
-// are bipartite the product splits into exactly 2 components.
+// components of ⊗A_d for CONNECTED undirected factors with at least one
+// edge each, by Weichsel's theorem (the paper's ref [1]) folded over the
+// chain: the tensor product of two connected graphs is connected iff at
+// least one factor has an odd closed walk (is non-bipartite, counting
+// self loops); if both are bipartite it splits into exactly 2
+// components, each connected and bipartite; and a product with a
+// bipartite factor is bipartite. So b bipartite factors give
+// 2^max(b−1, 0) components.
 //
-// The full-self-loop construction (A+I)⊗(B+I) is therefore always
-// connected for connected factors — the design reason the paper's
-// distance formulas assume loops.
-func ProductComponents(a, b *graph.Graph) (int64, error) {
-	if !a.IsConnected() || !b.IsConnected() {
-		return 0, fmt.Errorf("groundtruth: Weichsel's theorem needs connected factors")
+// The full-self-loop construction ⊗(A_d+I) is therefore always connected
+// for connected factors — the design reason the paper's distance
+// formulas assume loops.
+func ProductComponents(gs []*graph.Graph) (int64, error) {
+	b := 0
+	for d, g := range gs {
+		if !g.IsConnected() || g.NumEdges() == 0 {
+			return 0, fmt.Errorf("groundtruth: Weichsel's theorem needs connected factors with an edge; factor %d is not", d)
+		}
+		if analytics.IsBipartite(g) {
+			b++
+		}
 	}
-	if a.NumEdges() == 0 || b.NumEdges() == 0 {
-		return 0, fmt.Errorf("groundtruth: factors need at least one edge")
+	if b > 63 {
+		return 0, overflow("component count", len(gs)-1)
 	}
-	if analytics.IsBipartite(a) && analytics.IsBipartite(b) {
-		return 2, nil
-	}
-	return 1, nil
+	return 1 << max(b-1, 0), nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"kronlab/internal/analytics"
 	"kronlab/internal/gen"
+	"kronlab/internal/graph"
 	"kronlab/internal/groundtruth"
 )
 
@@ -38,9 +39,9 @@ func ExampleChainDiameter() {
 // ExampleCommunityKron computes Thm. 6 community counts for the product
 // of two disjoint-clique factors.
 func ExampleCommunityKron() {
-	a := groundtruth.NewFactor(gen.DisjointCliques(2, 3))
-	sa := analytics.Community(a.G, []int64{0, 1, 2}) // one clique
-	sc := groundtruth.CommunityKron(a, a, sa, sa)
+	a := gen.DisjointCliques(2, 3)
+	sa := analytics.Community(a, []int64{0, 1, 2}) // one clique
+	sc, _ := groundtruth.CommunityKron([]*graph.Graph{a, a}, []analytics.CommunityStats{sa, sa})
 	fmt.Println(sc.Size, sc.MIn, sc.MOut)
 	// Output: 9 36 0
 }

@@ -9,6 +9,7 @@ import (
 
 	"kronlab/internal/analytics"
 	"kronlab/internal/core"
+	"kronlab/internal/gen"
 	"kronlab/internal/graph"
 )
 
@@ -540,7 +541,6 @@ func TestThm6CommunityCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	for trial := 0; trial < 15; trial++ {
 		ga, gb := randomLoopFree(rng, 9), randomLoopFree(rng, 9)
-		a, b := NewFactor(ga), NewFactor(gb)
 		c, err := core.ProductWithSelfLoops(ga, gb)
 		if err != nil {
 			t.Fatal(err)
@@ -551,8 +551,8 @@ func TestThm6CommunityCounts(t *testing.T) {
 		statsB := analytics.Communities(gb, pb)
 		for ai := range pa {
 			for bi := range pb {
-				pred := CommunityKron(a, b, statsA[ai], statsB[bi])
-				sc := core.KronSet(pa[ai], pb[bi], b.N())
+				pred, _ := CommunityKron([]*graph.Graph{ga, gb}, []analytics.CommunityStats{statsA[ai], statsB[bi]})
+				sc := core.KronSet(pa[ai], pb[bi], gb.NumVertices())
 				meas := analytics.Community(c, sc)
 				if pred.MIn != meas.MIn {
 					t.Fatalf("trial %d: m_in predicted %d, exact %d", trial, pred.MIn, meas.MIn)
@@ -572,7 +572,6 @@ func TestCor6Cor7Bounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	for trial := 0; trial < 15; trial++ {
 		ga, gb := randomLoopFree(rng, 10), randomLoopFree(rng, 10)
-		a, b := NewFactor(ga), NewFactor(gb)
 		pa := randomPartition(rng, ga.NumVertices(), 3)
 		pb := randomPartition(rng, gb.NumVertices(), 3)
 		statsA := analytics.Communities(ga, pa)
@@ -580,17 +579,58 @@ func TestCor6Cor7Bounds(t *testing.T) {
 		for ai := range pa {
 			for bi := range pb {
 				sa, sb := statsA[ai], statsB[bi]
-				pred := CommunityKron(a, b, sa, sb)
+				pred, _ := CommunityKron([]*graph.Graph{ga, gb}, []analytics.CommunityStats{sa, sb})
 				if sa.Size > 1 && sb.Size > 1 {
 					if lo := RhoInLowerBound(sa, sb); pred.RhoIn < lo-1e-12 {
 						t.Fatalf("trial %d: Cor.6 violated: ρ_in %v < bound %v", trial, pred.RhoIn, lo)
 					}
 				}
 				if sa.MOut >= sa.Size && sb.MOut >= sb.Size {
-					if hi := RhoOutUpperBound(a, b, sa, sb); pred.RhoOut > hi+1e-12 {
+					if hi := RhoOutUpperBound(ga, gb, sa, sb); pred.RhoOut > hi+1e-12 {
 						t.Fatalf("trial %d: Cor.7 violated: ρ_out %v > bound %v", trial, pred.RhoOut, hi)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestCommunitiesKronChain folds Thm. 6 over three different loop-free
+// factors and holds every community of the Kronecker partition to its
+// counts and densities on the materialized ⊗(A_d+I).
+func TestCommunitiesKronChain(t *testing.T) {
+	rng := rand.New(rand.NewSource(109))
+	for trial := 0; trial < 6; trial++ {
+		gs := []*graph.Graph{randomLoopFree(rng, 6), randomLoopFree(rng, 5), randomLoopFree(rng, 4)}
+		ch, err := core.NewChain(gs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := ch.WithFullSelfLoops().Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts := make([][][]int64, len(gs))
+		stats := make([][]analytics.CommunityStats, len(gs))
+		dims := make([]int64, len(gs))
+		for d, g := range gs {
+			parts[d] = randomPartition(rng, g.NumVertices(), 2)
+			stats[d] = analytics.Communities(g, parts[d])
+			dims[d] = g.NumVertices()
+		}
+		pred, err := CommunitiesKron(gs, stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		meas := analytics.Communities(c, core.KronPartition(parts, dims))
+		if int64(len(pred)) != NumCommunities(parts) || len(pred) != len(meas) {
+			t.Fatalf("trial %d: %d communities predicted, %d measured, |Π_C| = %d", trial, len(pred), len(meas), NumCommunities(parts))
+		}
+		for x := range pred {
+			p, m := pred[x], meas[x]
+			if p.Size != m.Size || p.MIn != m.MIn || p.MOut != m.MOut ||
+				math.Abs(p.RhoIn-m.RhoIn) > 1e-12 || math.Abs(p.RhoOut-m.RhoOut) > 1e-12 {
+				t.Fatalf("trial %d, S_%d: predicted %+v, measured %+v", trial, x, p, m)
 			}
 		}
 	}
@@ -632,7 +672,7 @@ func TestEx1DisjointCliques(t *testing.T) {
 }
 
 func TestNumCommunities(t *testing.T) {
-	if NumCommunities([][]int64{{0}, {1}}, [][]int64{{0}, {1}, {2}}) != 6 {
+	if NumCommunities([][][]int64{{{0}, {1}}, {{0}, {1}, {2}}}) != 6 {
 		t.Error("|Π_C| should be 6")
 	}
 }
@@ -765,7 +805,7 @@ func TestWeichselProductComponents(t *testing.T) {
 		{"loops force connectivity", even(4).WithFullSelfLoops(), even(6).WithFullSelfLoops(), 1},
 	}
 	for _, tc := range cases {
-		got, err := ProductComponents(tc.a, tc.b)
+		got, err := ProductComponents([]*graph.Graph{tc.a, tc.b})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -788,7 +828,7 @@ func TestWeichselProductComponents(t *testing.T) {
 		if ga.NumEdges() == 0 || gb.NumEdges() == 0 {
 			continue
 		}
-		pred, err := ProductComponents(ga, gb)
+		pred, err := ProductComponents([]*graph.Graph{ga, gb})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -800,9 +840,38 @@ func TestWeichselProductComponents(t *testing.T) {
 			t.Fatalf("trial %d: Weichsel predicted %d, measured %d", trial, pred, meas)
 		}
 	}
+	// Every triple of K₂, P₃, K₃, C₄ and K₂ with a loop: b bipartite
+	// factors give 2^max(b−1, 0) components of the materialized product.
+	k2loop, err := graph.NewUndirected(2, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := []*graph.Graph{gen.Path(2), gen.Path(3), gen.Clique(3), gen.Ring(4), k2loop}
+	for _, x := range small {
+		for _, y := range small {
+			for _, z := range small {
+				gs := []*graph.Graph{x, y, z}
+				pred, err := ProductComponents(gs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ch, err := core.NewChain(gs...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c, err := ch.Materialize()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, meas := c.ConnectedComponents(); meas != pred {
+					t.Errorf("%v ⊗ %v ⊗ %v: Weichsel predicted %d, measured %d", x, y, z, pred, meas)
+				}
+			}
+		}
+	}
 	// Error paths.
 	dis, _ := graph.NewUndirected(3, []graph.Edge{{U: 0, V: 1}})
-	if _, err := ProductComponents(dis, dis); err == nil {
+	if _, err := ProductComponents([]*graph.Graph{dis, dis}); err == nil {
 		t.Error("disconnected factors should error")
 	}
 }

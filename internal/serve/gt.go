@@ -35,13 +35,14 @@ type gtRequest struct {
 // factor list resolveChain returns. Common query parameters: loops=1
 // queries the full-self-loop product ⊗(A_d+I) instead of ⊗A_d; p (and q)
 // address product vertices (a pair, or an edge); hist=1 asks for the
-// value → count histogram over every product vertex; sa/sb give factor
-// community vertex lists.
+// value → count histogram over every product vertex; s, once per factor
+// in chain order (or sa and sb for two factors), gives factor community
+// vertex lists.
 //
 // Every property but summary and community is a set of rows of
 // groundtruth.Laws, answered by gtLaw at any k. summary reads the graphs
-// alone; community, and the Weichsel component count inside summary,
-// answer when the list has two factors, however it was spelled.
+// alone; community folds Thm. 6 over the chain from each factor's
+// community, at any k too.
 func (s *Server) handleGroundTruth(w http.ResponseWriter, r *http.Request) {
 	gs, hashes, pair, ok := s.resolveChain(w, r)
 	if !ok {
@@ -56,17 +57,16 @@ func (s *Server) handleGroundTruth(w http.ResponseWriter, r *http.Request) {
 	switch prop := r.PathValue("property"); prop {
 	case "summary": // it reads the graphs alone: no factor summary is built
 		s.gtSummary(w, req, gs)
-	case "community": // Thm. 6, which the paper states for C = A⊗B
-		if len(gs) != 2 {
-			writeError(w, http.StatusBadRequest,
-				"community ground truth is a two-factor law (the paper states it for C = A⊗B); this chain has %d factors", len(gs))
-			return
-		}
+	case "community":
 		s.gtCommunity(w, r, req, gs)
 	default:
 		s.gtLaw(w, r, req, gs, prop)
 	}
 }
+
+// maxHistogramKeys caps a histogram's body, which a fold within
+// groundtruth's combine bound can still give tens of thousands of keys.
+const maxHistogramKeys = 1 << 16
 
 // gtLaw answers property from its row of groundtruth.Laws: hist=1, p and
 // q, or p give the shapes to try, the most specific first (a law that
@@ -124,6 +124,10 @@ func (s *Server) gtLaw(w http.ResponseWriter, r *http.Request, req *gtRequest, g
 		return
 	case err != nil:
 		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if h, ok := v.(map[int64]int64); ok && len(h) > maxHistogramKeys {
+		writeError(w, http.StatusBadRequest, "the %s has %d keys, over the %d (2¹⁶) keys a response carries", row.Name, len(h), maxHistogramKeys)
 		return
 	}
 	key := strings.ReplaceAll(row.Name, " ", "_")
@@ -209,8 +213,8 @@ func (req *gtRequest) vertexParam(r *http.Request, name string) (int64, bool, er
 }
 
 // gtSummary answers the counts n_C, arcs_C and m_C — rows of the law
-// table, whose hypothesis it checks — and, for two factors, Weichsel's
-// component count, from the graphs alone.
+// table, whose hypothesis it checks — and Weichsel's component count,
+// from the graphs alone.
 func (s *Server) gtSummary(w http.ResponseWriter, req *gtRequest, gs []*graph.Graph) {
 	for _, l := range groundtruth.Laws {
 		if l.Property != "" {
@@ -235,11 +239,9 @@ func (s *Server) gtSummary(w http.ResponseWriter, req *gtRequest, gs []*graph.Gr
 		return
 	}
 	out := map[string]any{"n": ch.NumVertices(), "arcs": arcs, "edges": edges}
-	// Weichsel component count: two connected factors with an edge each.
-	if f := ch.Factors(); len(f) == 2 {
-		if comps, err := groundtruth.ProductComponents(f[0], f[1]); err == nil {
-			out["components"] = comps
-		}
+	// Weichsel component count: connected factors with an edge each.
+	if comps, err := groundtruth.ProductComponents(ch.Factors()); err == nil {
+		out["components"] = comps
 	}
 	writeJSON(w, http.StatusOK, req.base(out))
 }
@@ -268,44 +270,51 @@ func parseVertexList(raw string, n int64, name string) ([]int64, error) {
 	return out, nil
 }
 
-// gtCommunity answers Thm. 6, which the paper states for (A+I)⊗(B+I) of
-// two loop-free factors.
+// gtCommunity answers Thm. 6 folded over the chain
+// (groundtruth.CommunityKron) for ⊗(A_d+I) of loop-free factors, from
+// one community per factor: s= once per factor, in chain order, or for
+// two factors sa= and sb=. The answer echoes the sets under the names
+// they were asked by.
 func (s *Server) gtCommunity(w http.ResponseWriter, r *http.Request, req *gtRequest, gs []*graph.Graph) {
+	q := r.URL.Query()
+	raw, names := q["s"], []string{"s"}
+	if raw == nil && len(gs) == 2 {
+		raw, names = []string{q.Get("sa"), q.Get("sb")}, []string{"sa", "sb"}
+	}
 	if !req.loops {
 		writeError(w, http.StatusBadRequest, "community ground truth (Thm. 6) is for the loops=1 product (A+I)⊗(B+I)")
 		return
 	}
-	fs := make([]*groundtruth.Factor, 2)
-	for i, g := range gs {
-		if g.NumSelfLoops() != 0 {
-			writeError(w, http.StatusBadRequest,
-				"community ground truth (Thm. 6) requires loop-free registered factors (factor %d has loops; loops=1 adds them)", i)
-			return
+	if len(raw) != len(gs) {
+		writeError(w, http.StatusBadRequest,
+			"community needs one s=<comma-separated factor vertices> per factor, in chain order: %d given for %d factors", len(raw), len(gs))
+		return
+	}
+	sets, stats := make([][]int64, len(gs)), make([]analytics.CommunityStats, len(gs))
+	for d, g := range gs {
+		var err error
+		if sets[d], err = parseVertexList(raw[d], g.NumVertices(), names[min(d, len(names)-1)]); g.NumSelfLoops() != 0 {
+			err = fmt.Errorf("community ground truth (Thm. 6) requires loop-free registered factors (factor %d has loops; loops=1 adds them)", d)
 		}
-		f, err := s.summary(r.Context(), req.hashes[i], g, false, false)
 		if err != nil {
-			writeError(w, statusForContextErr(err), "resolving factor summaries: %v", err)
+			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		fs[i] = f
+		stats[d] = analytics.Community(g, sets[d])
 	}
-	a, b := fs[0], fs[1]
-	setA, err := parseVertexList(r.URL.Query().Get("sa"), a.N(), "sa")
+	cs, err := groundtruth.CommunityKron(gs, stats)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	setB, err := parseVertexList(r.URL.Query().Get("sb"), b.N(), "sb")
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	statsA := analytics.Community(a.G, setA)
-	statsB := analytics.Community(b.G, setB)
-	cs := groundtruth.CommunityKron(a, b, statsA, statsB) // Thm. 6
-	writeJSON(w, http.StatusOK, req.base(map[string]any{
-		"sa": setA, "sb": setB,
+	out := map[string]any{
 		"size": cs.Size, "m_in": cs.MIn, "m_out": cs.MOut,
 		"rho_in": cs.RhoIn, "rho_out": cs.RhoOut,
-	}))
+	}
+	if len(names) == 2 {
+		out["sa"], out["sb"] = sets[0], sets[1]
+	} else {
+		out["s"] = sets
+	}
+	writeJSON(w, http.StatusOK, req.base(out))
 }

@@ -77,9 +77,9 @@ func TestGroundTruthSummaryComponents(t *testing.T) {
 // TestGroundTruthOneHandlerTwoSpellings: /gt/{a}/{b}/{prop} and
 // /gt/{a},{b}/{prop} are one query. Every property — including the laws
 // the paper gives for two factors only — must answer the same values in
-// both spellings, each under its own identification keys; at k = 3 the
-// two-factor law (community) refuses with a 400 that names the
-// hypothesis.
+// both spellings, each under its own identification keys; at k = 3
+// summary's component count and community answer the materialized
+// product's values.
 func TestGroundTruthOneHandlerTwoSpellings(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	a := gen.PrefAttach(6, 2, 41)
@@ -164,17 +164,40 @@ func TestGroundTruthOneHandlerTwoSpellings(t *testing.T) {
 		t.Errorf("k=2 chain summary lacks the Weichsel component count: %v", sum)
 	}
 
-	// k = 3: the chain laws still answer, the two-factor law names its
-	// hypothesis.
+	// k = 3: summary's Weichsel count and community's Thm. 6 fold answer,
+	// and equal the materialized ⊗A_d's components and the community
+	// S_1⊗S_2⊗S_3 counted on the materialized ⊗(A_d+I).
 	k3 := fmt.Sprintf("%s/gt/%s,%s,%s/", ts.URL, ha, hb, ha)
-	if sum := getJSON(t, k3+"summary", 200); sum["components"] != nil || sum["k"] != float64(3) {
-		t.Errorf("k=3 summary: %v", sum)
+	ch, err := core.NewChain(a, b, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := ch.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	looped, err := ch.WithFullSelfLoops().Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, comps := plain.ConnectedComponents()
+	if sum := getJSON(t, k3+"summary", 200); sum["components"] != float64(comps) || sum["k"] != float64(3) {
+		t.Errorf("k=3 summary: %v, want %d components", sum, comps)
 	}
 	getJSON(t, k3+"triangles?p=7", 200)
-	for _, q := range []string{"community?loops=1&sa=0&sb=0"} {
-		if resp := getJSON(t, k3+q, http.StatusBadRequest); !strings.Contains(resp["error"].(string), "two-factor law") {
-			t.Errorf("k=3 %s: error %q does not name the two-factor hypothesis", q, resp["error"])
-		}
+	sets := [][]int64{{0, 1, 4}, {1, 2}, {3, 5}}
+	sc := core.KronPartition([][][]int64{{sets[0]}, {sets[1]}, {sets[2]}}, []int64{6, 5, 6})[0]
+	meas := analytics.Community(looped, sc)
+	got := getJSON(t, k3+"community?loops=1&s=0,1,4&s=1,2&s=3,5", 200)
+	if got["size"] != float64(meas.Size) || got["m_in"] != float64(meas.MIn) || got["m_out"] != float64(meas.MOut) ||
+		math.Abs(got["rho_in"].(float64)-meas.RhoIn) > 1e-12 || math.Abs(got["rho_out"].(float64)-meas.RhoOut) > 1e-12 {
+		t.Errorf("k=3 community: %v, measured %+v", got, meas)
+	}
+	if want := []any{[]any{0.0, 1.0, 4.0}, []any{1.0, 2.0}, []any{3.0, 5.0}}; !reflect.DeepEqual(got["s"], want) {
+		t.Errorf("k=3 community echoes s=%v, want %v", got["s"], want)
+	}
+	if resp := getJSON(t, k3+"community?loops=1&sa=0&sb=0", http.StatusBadRequest); !strings.Contains(resp["error"].(string), "one s=") {
+		t.Errorf("k=3 community with sa/sb: error %q does not ask for one s= per factor", resp["error"])
 	}
 }
 
@@ -250,7 +273,7 @@ func TestGroundTruthChainTrianglesAndClustering(t *testing.T) {
 // (t, d) keys of PrefAttach(2000, 4, 1) number 154, so power=2 combines
 // 154² of them and answers, where power=4 would build up to 154⁴ ≈ 5.6·10⁸
 // keys and is a 400; the ε histogram, whose max law collapses its keys,
-// answers at power=5.
+// answers at power=5; and a histogram past 2¹⁶ keys is a 400.
 func TestGroundTruthHistogramBound(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	url := ts.URL + "/gt/" + registerText(t, ts, gen.PrefAttach(2000, 4, 1), "") + "/"
@@ -266,4 +289,11 @@ func TestGroundTruthHistogramBound(t *testing.T) {
 		t.Errorf("power=4: error %q does not name the key bound", msg)
 	}
 	getJSON(t, url+"eccentricity?power=5&loops=1&hist=1", http.StatusOK)
+	// A fold within the combine bound can still have more keys than a
+	// response carries: the degree histogram has 12,125 at power=3 and
+	// 90,462 at power=4, past the 2¹⁶ cap.
+	getJSON(t, url+"degree?power=3&hist=1", http.StatusOK)
+	if msg, _ := getJSON(t, url+"degree?power=4&hist=1", http.StatusBadRequest)["error"].(string); !strings.Contains(msg, "65536") {
+		t.Errorf("degree power=4: error %q does not name the 2¹⁶-key cap", msg)
+	}
 }

@@ -230,11 +230,19 @@ func KronMatVec(factors []*graph.Graph, x []float64) ([]float64, error) {
 	if int64(len(x)) != n {
 		return nil, fmt.Errorf("spectral: KronMatVec length %d, want %d", len(x), n)
 	}
-	y, t := append([]float64(nil), x...), make([]float64, n)
+	y := append([]float64(nil), x...)
 	if n == 0 {
 		return y, nil
 	}
-	inner := n
+	y, _ = kronMatVec(factors, y, make([]float64, n))
+	return y, nil
+}
+
+// kronMatVec is KronMatVec over caller-owned buffers: y holds x on entry,
+// t is scratch of the same length, and it returns them swapped as the
+// modes leave them — the product first, the other buffer second.
+func kronMatVec(factors []*graph.Graph, y, t []float64) ([]float64, []float64) {
+	inner := int64(len(y))
 	for _, g := range factors {
 		span := inner
 		inner /= g.NumVertices()
@@ -242,7 +250,7 @@ func KronMatVec(factors []*graph.Graph, x []float64) ([]float64, error) {
 		applyMode(g, t, y, span, inner)
 		y, t = t, y
 	}
-	return y, nil
+	return y, t
 }
 
 // applyMode adds g applied along one mode of src into dst: each slab of
@@ -287,7 +295,8 @@ func numVertices(factors []*graph.Graph) (int64, error) {
 // PowerIteration estimates the dominant eigenvalue (largest |λ|) of
 // A₁ ⊗ … ⊗ A_k via the implicit operator, returning the
 // Rayleigh-quotient estimate after iters steps from a deterministic start
-// vector.
+// vector. Its three product-sized vectors are allocated once: a step
+// allocates nothing.
 func PowerIteration(factors []*graph.Graph, iters int) (float64, error) {
 	n, err := numVertices(factors)
 	if err != nil {
@@ -308,11 +317,10 @@ func PowerIteration(factors []*graph.Graph, iters int) (float64, error) {
 		x[i] /= norm0
 	}
 	var lambda float64
+	y, t := make([]float64, n), make([]float64, n)
 	for it := 0; it < iters; it++ {
-		y, err := KronMatVec(factors, x)
-		if err != nil {
-			return 0, err
-		}
+		copy(y, x)
+		y, t = kronMatVec(factors, y, t)
 		var norm float64
 		for _, v := range y {
 			norm += v * v
@@ -329,7 +337,7 @@ func PowerIteration(factors []*graph.Graph, iters int) (float64, error) {
 		for i := range y {
 			y[i] /= norm
 		}
-		x = y
+		x, y = y, x
 	}
 	return lambda, nil
 }

@@ -256,6 +256,22 @@ func TestPowerIterationEdgeCases(t *testing.T) {
 	}
 }
 
+// PowerIteration's allocations do not grow with iters: its steps run
+// over buffers it allocates once.
+func TestPowerIterationAllocationsIndependentOfIters(t *testing.T) {
+	factors := []*graph.Graph{gen.Ring(7), gen.Clique(5), gen.Path(4)}
+	allocs := func(iters int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := PowerIteration(factors, iters); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(2), allocs(60); many != few {
+		t.Errorf("PowerIteration made %v allocations at 60 steps, %v at 2", many, few)
+	}
+}
+
 // The chain forms at k = 3, on three different factors (5·6·7 = 210
 // product vertices), against the materialized chain: the spectrum as a
 // multiset, the implicit matvec on a random vector, and power

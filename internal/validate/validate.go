@@ -4,10 +4,10 @@
 // product graph (e.g. produced by the system under test), Run holds it to
 // every row of groundtruth.Laws that describes the product, each against
 // one measurement of its quantity on the product through
-// internal/analytics, sampled or everywhere; and, for two factors, to
-// community counts and densities under a Kronecker partition and to
-// Weichsel connectivity. A single wrong edge is overwhelmingly likely to
-// trip at least one check.
+// internal/analytics, sampled or everywhere; to Weichsel connectivity;
+// and to community counts under a Kronecker partition (with Cor. 6/7's
+// density bounds for two factors). A single wrong edge is overwhelmingly
+// likely to trip at least one check.
 package validate
 
 import (
@@ -16,6 +16,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"kronlab/internal/analytics"
 	"kronlab/internal/core"
@@ -81,9 +82,9 @@ type Options struct {
 	// Seed drives sample selection. A fixed default keeps reports
 	// reproducible.
 	Seed int64
-	// PartitionA/PartitionB, when both non-nil, enable the Thm. 6
-	// community checks over the full Kronecker partition of two factors.
-	PartitionA, PartitionB [][]int64
+	// Partitions, when non-nil, gives one partition per factor and enables
+	// the Thm. 6 community checks over their Kronecker partition.
+	Partitions [][][]int64
 	// SkipDistances disables the BFS-based checks (hops, ε, the diameter,
 	// closeness and the ε histogram), which cost O(samples·(n_C+m_C)).
 	SkipDistances bool
@@ -298,20 +299,18 @@ func (r *run) law(l *groundtruth.Law, fs []*groundtruth.Factor, m *product, ci c
 // Run validates the claimed product c against the chain of loop-free
 // factors gs: every row of groundtruth.Laws that describes ⊗A_d — or
 // ⊗(A_d+I) under SelfLoops — predicted from the factors and measured on
-// c; and for two factors the community laws and Weichsel connectivity.
+// c; Weichsel connectivity; and, under SelfLoops with Partitions, the
+// community counts of Thm. 6 folded over the chain, with Cor. 6/7's
+// density bounds for two factors, the pair the paper states them for.
 func Run(gs []*graph.Graph, c *graph.Graph, opts Options) (*Report, error) {
 	for d, g := range gs {
 		if g.NumSelfLoops() != 0 {
 			return nil, fmt.Errorf("validate: input factors must be loop-free (SelfLoops adds the +I); factor %d has %d", d, g.NumSelfLoops())
 		}
 	}
-	pa, pb := opts.PartitionA, opts.PartitionB
-	communities := pa != nil && pb != nil
-	switch {
-	case communities && len(gs) != 2:
-		return nil, fmt.Errorf("validate: community checks are two-factor laws (Thm. 6); the chain has %d factors", len(gs))
-	case communities && !opts.SelfLoops:
-		return nil, fmt.Errorf("validate: community checks require SelfLoops mode (Thm. 6 hypothesis)")
+	parts := opts.Partitions
+	if parts != nil && (len(parts) != len(gs) || !opts.SelfLoops) {
+		return nil, fmt.Errorf("validate: community checks need one partition per factor (%d for %d) and SelfLoops mode (Thm. 6 hypothesis)", len(parts), len(gs))
 	}
 	if opts.Samples <= 0 {
 		opts.Samples = 64
@@ -342,50 +341,74 @@ func Run(gs []*graph.Graph, c *graph.Graph, opts Options) (*Report, error) {
 			r.law(l, fs, m, ci)
 		}
 	}
-	if c.NumVertices() != nC || len(gs) != 2 {
+	if c.NumVertices() != nC {
 		return &r.rep, nil
 	}
-
-	// Communities over the Kronecker partition: counts exact (Thm. 6),
-	// densities within Cor. 6/7's bounds.
-	fa, _ := src(0, false, false)
-	fb, _ := src(1, false, false)
-	if communities {
-		pc := core.KronPartition(pa, pb, fb.N())
-		sets := fmt.Sprint(len(pc))
-		if !analytics.IsPartition(c, pc) {
-			sets = "not a partition of C"
-		}
-		r.add(fmt.Sprintf("communities (%d×%d)", len(pa), len(pb)), "|Π_C| = |Π_A|·|Π_B|", groundtruth.NumCommunities(pa, pb), sets)
-		statsA, statsB := analytics.Communities(fa.G, pa), analytics.Communities(fb.G, pb)
-		want := groundtruth.CommunitiesKron(fa, fb, pa, pb, statsA, statsB)
-		got := analytics.Communities(c, pc)
-		n := int64(len(pc))
-		r.each("internal density", "m_in exact (Thm. 6); ρ_in ≥ ⅓·ρ_in·ρ_in (Cor. 6)", "communities", n, n, func(x int64) string {
-			sa, sb := statsA[x/int64(len(pb))], statsB[x%int64(len(pb))]
-			if w, g := want[x], got[x]; w.MIn != g.MIn || sa.Size > 1 && sb.Size > 1 && g.RhoIn < groundtruth.RhoInLowerBound(sa, sb)-1e-12 {
-				return fmt.Sprintf("S_%d: m_in want %d, got %d; ρ_in %.6g ≥ %.6g", x, w.MIn, g.MIn, g.RhoIn, groundtruth.RhoInLowerBound(sa, sb))
-			}
-			return ""
-		})
-		r.each("external density", "m_out exact (Thm. 6); ρ_out ≤ (3+4ω)Ω·ρ_out·ρ_out (corrected Cor. 7)", "communities", n, n, func(x int64) string {
-			sa, sb := statsA[x/int64(len(pb))], statsB[x%int64(len(pb))]
-			// Cor. 7's hypothesis: m_out(S) ≥ |S| on both sides.
-			bounded := sa.MOut >= sa.Size && sb.MOut >= sb.Size
-			if w, g := want[x], got[x]; w.MOut != g.MOut || bounded && g.RhoOut > groundtruth.RhoOutUpperBound(fa, fb, sa, sb)+1e-12 {
-				return fmt.Sprintf("S_%d: m_out want %d, got %d; ρ_out %.6g", x, w.MOut, g.MOut, g.RhoOut)
-			}
-			return ""
-		})
+	if parts != nil {
+		r.communities(gs, parts, dims, c)
 	}
-
 	// Connectivity (Weichsel, ref [1]) of the product's own factors, when
-	// both are connected and have an edge.
-	ea, _ := src(0, opts.SelfLoops, false)
-	eb, _ := src(1, opts.SelfLoops, false)
-	if wantComp, err := groundtruth.ProductComponents(ea.G, eb.G); err == nil {
+	// each is connected and has an edge.
+	ch, _ := core.NewChain(gs...)
+	if opts.SelfLoops {
+		ch = ch.WithFullSelfLoops()
+	}
+	if wantComp, err := groundtruth.ProductComponents(ch.Factors()); err == nil {
 		_, gotComp := c.ConnectedComponents()
-		r.add("components (Weichsel)", "1, or 2 when both factors are bipartite", wantComp, gotComp)
+		law := "1, or 2 when both factors are bipartite"
+		if len(gs) != 2 {
+			law = "2^max(b−1, 0) for b bipartite factors"
+		}
+		r.add("components (Weichsel)", law, wantComp, gotComp)
 	}
 	return &r.rep, nil
+}
+
+// communities holds c = ⊗(A_d+I) to the Kronecker partition of the
+// factors' partitions parts: counts exact (Thm. 6 folded over the
+// chain), and for two factors densities within Cor. 6/7's bounds.
+func (r *run) communities(gs []*graph.Graph, parts [][][]int64, dims []int64, c *graph.Graph) {
+	pc := core.KronPartition(parts, dims)
+	sets := fmt.Sprint(len(pc))
+	if !analytics.IsPartition(c, pc) {
+		sets = "not a partition of C"
+	}
+	sizes := make([]string, len(parts))
+	stats := make([][]analytics.CommunityStats, len(parts))
+	for d, p := range parts {
+		sizes[d], stats[d] = fmt.Sprint(len(p)), analytics.Communities(gs[d], p)
+	}
+	r.add(fmt.Sprintf("communities (%s)", strings.Join(sizes, "×")), "|Π_C| = |Π_A|·|Π_B|", groundtruth.NumCommunities(parts), sets)
+	want, err := groundtruth.CommunitiesKron(gs, stats)
+	if err != nil {
+		r.add("community counts", "Thm. 6", err, "")
+		return
+	}
+	got := analytics.Communities(c, pc)
+	n, k := int64(len(pc)), len(gs)
+	// Cor. 6/7 bound a pair's densities by its factor communities': S_x's
+	// first and last.
+	ends := func(x int64) (analytics.CommunityStats, analytics.CommunityStats) {
+		return stats[0][x*int64(len(stats[0]))/n], stats[k-1][x%int64(len(stats[k-1]))]
+	}
+	inLaw, outLaw := "m_in exact (Thm. 6)", "m_out exact (Thm. 6)"
+	if k == 2 {
+		inLaw += "; ρ_in ≥ ⅓·ρ_in·ρ_in (Cor. 6)"
+		outLaw += "; ρ_out ≤ (3+4ω)Ω·ρ_out·ρ_out (corrected Cor. 7)"
+	}
+	r.each("internal density", inLaw, "communities", n, n, func(x int64) string {
+		w, g := want[x], got[x]
+		if sa, sb := ends(x); w.MIn != g.MIn || k == 2 && sa.Size > 1 && sb.Size > 1 && g.RhoIn < groundtruth.RhoInLowerBound(sa, sb)-1e-12 {
+			return fmt.Sprintf("S_%d: m_in want %d, got %d; ρ_in %.6g", x, w.MIn, g.MIn, g.RhoIn)
+		}
+		return ""
+	})
+	r.each("external density", outLaw, "communities", n, n, func(x int64) string {
+		w, g := want[x], got[x]
+		// Cor. 7's hypothesis: m_out(S) ≥ |S| on both sides.
+		if sa, sb := ends(x); w.MOut != g.MOut || k == 2 && sa.MOut >= sa.Size && sb.MOut >= sb.Size && g.RhoOut > groundtruth.RhoOutUpperBound(gs[0], gs[1], sa, sb)+1e-12 {
+			return fmt.Sprintf("S_%d: m_out want %d, got %d; ρ_out %.6g", x, w.MOut, g.MOut, g.RhoOut)
+		}
+		return ""
+	})
 }

@@ -46,7 +46,7 @@ func TestScalingLawsAllHold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		looped, err := Run([]*graph.Graph{pr.a, pr.b}, cl, Options{SelfLoops: true, Samples: math.MaxInt, PartitionA: pr.pa, PartitionB: pr.pb})
+		looped, err := Run([]*graph.Graph{pr.a, pr.b}, cl, Options{SelfLoops: true, Samples: math.MaxInt, Partitions: [][][]int64{pr.pa, pr.pb}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestRunPassesWithSelfLoopsAndCommunities(t *testing.T) {
 	}
 	rep, err := Run([]*graph.Graph{a, a}, c, Options{
 		SelfLoops: true, Samples: 16,
-		PartitionA: pa, PartitionB: pa,
+		Partitions: [][][]int64{pa, pa},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -116,6 +116,39 @@ func TestRunPassesWithSelfLoopsAndCommunities(t *testing.T) {
 	}
 	if !found {
 		t.Error("community check missing")
+	}
+}
+
+// A k = 3 chain takes one partition per factor: the community counts
+// fold Thm. 6 over the chain and hold at every community of the
+// materialized ⊗(A_d+I), and Weichsel's count holds too.
+func TestRunChainCommunities(t *testing.T) {
+	a, pa := gen.SBM(gen.SBMParams{BlockSizes: gen.EqualBlocks(2, 5), PIn: 0.6, POut: 0.1, Seed: 1})
+	b, pb := gen.SBM(gen.SBMParams{BlockSizes: gen.EqualBlocks(3, 3), PIn: 0.7, POut: 0.3, Seed: 4})
+	gs := []*graph.Graph{a, b, gen.Path(4)}
+	ch, err := core.NewChain(gs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := ch.WithFullSelfLoops().Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := [][][]int64{pa, pb, {{0, 1}, {2, 3}}}
+	rep, err := Run(gs, c, Options{SelfLoops: true, Samples: 16, Partitions: parts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Fatalf("k = 3 looped product failed validation:\n%s", rep)
+	}
+	for _, q := range []string{"communities (2×3×2)", "internal density (all 12 communities)", "external density (all 12 communities)", "components (Weichsel)"} {
+		if !strings.Contains(rep.String(), q) {
+			t.Errorf("no %s check among\n%s", q, rep)
+		}
+	}
+	if _, err := Run(gs, c, Options{SelfLoops: true, Partitions: parts[:2]}); err == nil {
+		t.Error("two partitions for three factors should error")
 	}
 }
 
@@ -223,7 +256,7 @@ func TestRunOptionValidation(t *testing.T) {
 	}
 	bare := gen.Ring(4)
 	c, _ := core.Product(bare, bare)
-	if _, err := Run([]*graph.Graph{bare, bare}, c, Options{PartitionA: [][]int64{{0}}, PartitionB: [][]int64{{0}}}); err == nil {
+	if _, err := Run([]*graph.Graph{bare, bare}, c, Options{Partitions: [][][]int64{{{0}}, {{0}}}}); err == nil {
 		t.Error("community checks without SelfLoops should error")
 	}
 }
