@@ -55,7 +55,7 @@ func runGenerator(w io.Writer) error {
 			fmtInt(st.EdgesGenerated),
 			fmtInt(ideal),
 			fmt.Sprintf("%.2f", skew),
-			fmtInt(res.MaxRankStorage()),
+			fmtInt(st.MaxStored()),
 			fmt.Sprintf("%.1fM/s", float64(st.EdgesGenerated)/elapsed.Seconds()/1e6),
 		})
 	}
@@ -70,15 +70,21 @@ func runGenerator(w io.Writer) error {
 		"the rank that generates it.\n\n")
 
 	// The volume law of routing, counted in one pass over the product per R:
-	// under 1D a rank produces the arcs of its PartitionArcs slice of A's
-	// arcs, and a map of both endpoints would ship every arc it places
-	// elsewhere, 16 bytes each.
+	// under 1D a rank produces the arcs of its tile's slice of A's arcs, and
+	// a map of both endpoints would ship every arc it places elsewhere, 16
+	// bytes each.
 	rows = nil
 	for _, r := range rs {
-		var producer []int // by head arc
-		for p, part := range dist.PartitionArcs(a.ArcSlice(), r) {
-			for range part {
-				producer = append(producer, p)
+		plan, err := dist.PlanChain1D(ch, r)
+		if err != nil {
+			return err
+		}
+		var producer []int // by head arc, in the plan's rank order
+		for rk, tiles := range plan.Tiles {
+			for _, t := range tiles {
+				for range t.AArcs {
+					producer = append(producer, rk)
+				}
 			}
 		}
 		stored := make([]int64, r)

@@ -76,9 +76,8 @@ func runClustering(w io.Writer) error {
 	}
 	okCount, total := 0, 0
 	ccExact := analytics.VertexClustering(c)
-	ix2 := core.NewIndex(fs.N())
 	for p := int64(0); p < c.NumVertices(); p++ {
-		i, k := ix2.Split(p)
+		i, k := p/fs.N(), p%fs.N()
 		if fs.Deg[i] < 2 || fs.Deg[k] < 2 {
 			continue
 		}

@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
+
+	"kronlab/internal/analytics"
 )
 
 // scatterPoint is one marked point of an ASCII scatter plot.
@@ -64,28 +65,11 @@ func asciiScatter(w io.Writer, title, xlabel, ylabel string, pts []scatterPoint,
 	fmt.Fprintf(w, "          %-8.2f%s%8.2f\n```\n", minX, strings.Repeat(" ", width-16), maxX)
 }
 
-// histogramLines renders a value→count map as sorted "value count bar"
-// lines inside a code fence — the Fig. 1 medium.
+// histogramLines renders a value→count map as analytics.Histogram's
+// sorted "value | bar count" lines under a title inside a code fence — the
+// Fig. 1 medium.
 func histogramLines(w io.Writer, title string, hist map[int64]int64, barWidth int) {
-	keys := make([]int64, 0, len(hist))
-	var maxC int64 = 1
-	for k, c := range hist {
-		keys = append(keys, k)
-		if c > maxC {
-			maxC = c
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	fmt.Fprintf(w, "```\n%s\n", title)
-	for _, k := range keys {
-		c := hist[k]
-		bar := int(float64(barWidth) * float64(c) / float64(maxC))
-		if c > 0 && bar == 0 {
-			bar = 1
-		}
-		fmt.Fprintf(w, "%6d | %-*s %d\n", k, barWidth, strings.Repeat("#", bar), c)
-	}
-	fmt.Fprintln(w, "```")
+	fmt.Fprintf(w, "```\n%s\n%s```\n", title, analytics.HistogramOf(hist).Render(barWidth))
 }
 
 // fmtInt renders ints with thousands separators for readable tables.

@@ -37,21 +37,42 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintf(tw, "%d\t1D\t%d\t%d\n", r, dist.EffectiveParallelism1D(a, r), res1.MaxRankStorage())
+		fmt.Fprintf(tw, "%d\t1D\t%d\t%d\n", r, busyRanks(ch, r, false), res1.Stats.MaxStored())
 		res2, err := dist.GenerateChain(ch, r, dist.OwnerBySource, true)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintf(tw, "%d\t2D\t%d\t%d\n", r, dist.EffectiveParallelism2D(a, b, r), res2.MaxRankStorage())
+		fmt.Fprintf(tw, "%d\t2D\t%d\t%d\n", r, busyRanks(ch, r, true), res2.Stats.MaxStored())
 	}
 	if err := tw.Flush(); err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("\nThe Rem. 1 wall: a tiny A (ring of 16 → 32 arcs) against a big B.")
-	tiny := gen.Ring(16)
+	tiny, err := core.NewChain(gen.Ring(16), b)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, r := range []int{16, 32, 64, 128} {
 		fmt.Printf("  R=%3d: 1D busy ranks %3d, 2D busy ranks %3d\n",
-			r, dist.EffectiveParallelism1D(tiny, r), dist.EffectiveParallelism2D(tiny, b, r))
+			r, busyRanks(tiny, r, false), busyRanks(tiny, r, true))
 	}
+}
+
+// busyRanks returns the ranks the 1D or 2D plan of ch on r ranks gives
+// arcs to.
+func busyRanks(ch *core.Chain, r int, twoD bool) (busy int) {
+	plan, err := dist.PlanChain1D(ch, r)
+	if twoD {
+		plan, err = dist.PlanChain2D(ch, r)
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, n := range plan.RankArcs() {
+		if n > 0 {
+			busy++
+		}
+	}
+	return busy
 }

@@ -1,3 +1,12 @@
+// Package core implements the paper's primary contribution: Kronecker
+// block-index arithmetic (the α, β, γ maps of Sec. II-A, ChainIndex's
+// Split and Join at k = 2), streaming and materialized nonstochastic
+// Kronecker product generation C = A ⊗ B and the full-self-loop variant
+// C = (A+I) ⊗ (B+I) (Sec. III), and Kronecker products of vertex sets and
+// partitions (Defs. 14 and 16).
+//
+// All indices are 0-based (the paper is 1-based); the maps satisfy the
+// same composition law γ(α(p), β(p)) = p.
 package core
 
 import (
@@ -26,8 +35,9 @@ func CheckedMul(a, b int64) (int64, bool) {
 }
 
 // ChainIndex maps between a vertex of A₁⊗A₂⊗…⊗Aₖ and its k factor
-// coordinates — the mixed-radix generalization of the two-factor α/β/γ
-// maps (Index). Vertex p decomposes as p = Σ_d digit[d]·stride[d]
+// coordinates — the mixed-radix generalization of the two-factor maps
+// α(p) = ⌊p / n_B⌋, β(p) = p mod n_B and γ(i, k) = i·n_B + k, which are
+// Split and Join at k = 2. Vertex p decomposes as p = Σ_d digit[d]·stride[d]
 // with stride[d] = Π_{e>d} n_e: the leftmost digit is the outermost
 // factor, matching the left-fold associativity of KronPower and
 // Chain.Materialize.

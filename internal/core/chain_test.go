@@ -35,13 +35,28 @@ func TestChainIndexDigitsAndStrides(t *testing.T) {
 			t.Fatalf("digit %d of 59 = %d, want %d", d, w, want)
 		}
 	}
-	// k = 2 digits specialize to α/β.
+	// k = 2 digits specialize to α(p) = ⌊p / n_B⌋ and β(p) = p mod n_B,
+	// and Join to γ(i, k) = i·n_B + k.
 	two := MustChainIndex(7, 11)
-	ix := NewIndex(11)
 	for p := int64(0); p < 77; p++ {
-		if d := two.Split(p); d[0] != ix.Alpha(p) || d[1] != ix.Beta(p) {
-			t.Fatalf("digits of %d disagree with α/β", p)
+		if d := two.Split(p); d[0] != p/11 || d[1] != p%11 || two.Join(d) != d[0]*11+d[1] {
+			t.Fatalf("digits of %d disagree with α/β/γ", p)
 		}
+	}
+}
+
+// TestIndexMapsKnown checks the worked example of Sec. II-A on the k = 2
+// ChainIndex: p = 10 with n_B = 4 has α = 2, β = 2, and γ(2, 2) = 10.
+func TestIndexMapsKnown(t *testing.T) {
+	ix := MustChainIndex(3, 4)
+	if d := ix.Split(10); d[0] != 2 || d[1] != 2 {
+		t.Fatalf("Split(10) with n_B = 4 = %v, want [2 2]", d)
+	}
+	if p := ix.Join([]int64{2, 2}); p != 10 {
+		t.Fatalf("Join([2 2]) with n_B = 4 = %d, want 10", p)
+	}
+	if d := ix.Split(7); d[0] != 1 || d[1] != 3 {
+		t.Fatalf("Split(7) with n_B = 4 = %v, want [1 3]", d)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"kronlab/internal/graph"
 	"kronlab/internal/matrix"
@@ -25,71 +24,6 @@ func randomGraph(rng *rand.Rand, maxN int64, loops bool) *graph.Graph {
 		panic(err)
 	}
 	return g
-}
-
-func TestIndexMapsKnown(t *testing.T) {
-	ix := NewIndex(4)
-	// p = 10, nB = 4 → α = 2, β = 2, γ(2,2) = 10.
-	if ix.Alpha(10) != 2 || ix.Beta(10) != 2 {
-		t.Fatalf("Alpha/Beta(10) = (%d,%d), want (2,2)", ix.Alpha(10), ix.Beta(10))
-	}
-	if ix.Gamma(2, 2) != 10 {
-		t.Fatalf("Gamma(2,2) = %d, want 10", ix.Gamma(2, 2))
-	}
-	i, k := ix.Split(7)
-	if i != 1 || k != 3 {
-		t.Fatalf("Split(7) = (%d,%d), want (1,3)", i, k)
-	}
-}
-
-// Property: γ(α(p), β(p)) = p for all p ≥ 0 — the composition law of
-// Sec. II-A.
-func TestPropertyIndexBijection(t *testing.T) {
-	f := func(pRaw int64, nRaw uint16) bool {
-		n := int64(nRaw%1000) + 1
-		p := pRaw
-		if p < 0 {
-			p = -p
-		}
-		ix := NewIndex(n)
-		return ix.Gamma(ix.Alpha(p), ix.Beta(p)) == p
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: the inverse direction — α(γ(i,k)) = i, β(γ(i,k)) = k for
-// 0 ≤ k < n.
-func TestPropertyIndexInverse(t *testing.T) {
-	f := func(iRaw int64, kRaw, nRaw uint16) bool {
-		n := int64(nRaw%1000) + 1
-		k := int64(kRaw) % n
-		i := iRaw
-		if i < 0 {
-			i = -i
-		}
-		i %= 1 << 30
-		ix := NewIndex(n)
-		p := ix.Gamma(i, k)
-		return ix.Alpha(p) == i && ix.Beta(p) == k
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestNewIndexPanicsOnNonPositive(t *testing.T) {
-	for _, n := range []int64{0, -3} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewIndex(%d): expected panic", n)
-				}
-			}()
-			NewIndex(n)
-		}()
-	}
 }
 
 // Product vs the dense-matrix oracle: pattern(A) ⊗ pattern(B) as a matrix

@@ -16,12 +16,13 @@ func ExampleProduct() {
 	// Output: graph{n=6 m=6 loops=0}
 }
 
-// ExampleIndex shows the block-index maps of Sec. II-A.
-func ExampleIndex() {
-	ix := core.NewIndex(4) // block size n_B = 4
-	i, k := ix.Split(10)
-	fmt.Println(i, k, ix.Gamma(i, k))
-	// Output: 2 2 10
+// ExampleChainIndex shows the block-index maps of Sec. II-A: at k = 2,
+// Split is (α, β) and Join is γ.
+func ExampleChainIndex() {
+	ix := core.MustChainIndex(3, 4) // block size n_B = 4
+	ik := ix.Split(10)
+	fmt.Println(ik, ix.Join(ik))
+	// Output: [2 2] 10
 }
 
 // ExampleStreamProduct enumerates product arcs without materializing C.

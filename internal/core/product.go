@@ -9,17 +9,18 @@ import (
 
 // StreamProduct enumerates the arcs of C = A ⊗ B without materializing C:
 // for every arc (i,j) of A and every arc (k,l) of B it yields the product
-// arc (γ(i,k), γ(j,l)). Iteration stops early if yield returns false.
+// arc (γ(i,k), γ(j,l)), γ(i,k) = i·n_B + k. Iteration stops early if
+// yield returns false.
 //
 // This is exactly the expansion each processor performs in the paper's
 // generator (Sec. III): a processor holding a subset of A's arcs and all
 // of B streams its share of C's arcs.
 func StreamProduct(a, b *graph.Graph, yield func(u, v int64) bool) {
-	ix := NewIndex(b.NumVertices())
+	nB := b.NumVertices()
 	stop := false
 	a.Arcs(func(i, j int64) bool {
 		b.Arcs(func(k, l int64) bool {
-			if !yield(ix.Gamma(i, k), ix.Gamma(j, l)) {
+			if !yield(i*nB+k, j*nB+l) {
 				stop = true
 				return false
 			}
@@ -70,14 +71,13 @@ func ProductWithSelfLoops(a, b *graph.Graph) (*graph.Graph, error) {
 }
 
 // KronSet returns the Kronecker product of vertex sets S_A ⊗ S_B
-// (Def. 14): { γ(i,k) : i ∈ S_A, k ∈ S_B }, in ascending order when the
-// inputs are ascending.
+// (Def. 14): { γ(i,k) = i·nB + k : i ∈ S_A, k ∈ S_B }, in ascending order
+// when the inputs are ascending.
 func KronSet(sa, sb []int64, nB int64) []int64 {
-	ix := NewIndex(nB)
 	out := make([]int64, 0, len(sa)*len(sb))
 	for _, i := range sa {
 		for _, k := range sb {
-			out = append(out, ix.Gamma(i, k))
+			out = append(out, i*nB+k)
 		}
 	}
 	return out

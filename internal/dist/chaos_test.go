@@ -135,11 +135,7 @@ func handoffCrash(rank int) CrashSpec {
 // that rank's product-edge count — the deterministic target for a
 // mid-expansion crash.
 func plannedWork(p Plan) (rank int, edges int64) {
-	for rk, tiles := range p.Tiles {
-		var w int64
-		for _, tl := range tiles {
-			w += p.Arcs(tl)
-		}
+	for rk, w := range p.RankArcs() {
 		if w > edges {
 			rank, edges = rk, w
 		}

@@ -31,7 +31,7 @@ func BenchmarkOwnerMapAblation(b *testing.B) {
 					b.Fatal(err)
 				}
 				ideal := float64(res.TotalStored()) / 8
-				imbalance = float64(res.MaxRankStorage()) / ideal
+				imbalance = float64(res.Stats.MaxStored()) / ideal
 			}
 			b.ReportMetric(imbalance, "max/ideal")
 		})

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -155,7 +156,7 @@ func TestExchangeLargeVolume(t *testing.T) {
 
 func TestPartitionArcs(t *testing.T) {
 	arcs := make([]graph.Edge, 10)
-	parts := PartitionArcs(arcs, 3)
+	parts := partitionArcs(arcs, 3)
 	if len(parts) != 3 {
 		t.Fatalf("parts = %d", len(parts))
 	}
@@ -167,7 +168,7 @@ func TestPartitionArcs(t *testing.T) {
 		t.Errorf("partition lost arcs: %d", total)
 	}
 	// More parts than arcs → trailing empties, no panic.
-	parts = PartitionArcs(arcs[:2], 5)
+	parts = partitionArcs(arcs[:2], 5)
 	var nonEmpty int
 	for _, p := range parts {
 		if len(p) > 0 {
@@ -273,8 +274,8 @@ func TestStatsAccounting(t *testing.T) {
 	if res.TotalStored() != res.Stats.EdgesGenerated {
 		t.Errorf("stored %d != generated %d", res.TotalStored(), res.Stats.EdgesGenerated)
 	}
-	if res.MaxRankStorage() > res.TotalStored() || res.MaxRankStorage() == 0 {
-		t.Errorf("MaxRankStorage %d out of range", res.MaxRankStorage())
+	if m := res.Stats.MaxStored(); m > res.TotalStored() || m == 0 {
+		t.Errorf("MaxStored %d out of range", m)
 	}
 }
 
@@ -300,12 +301,12 @@ func TestGrid2D(t *testing.T) {
 		{1, 1, 1}, {2, 2, 1}, {3, 2, 2}, {4, 2, 2}, {5, 3, 2}, {9, 3, 3}, {10, 4, 3},
 	}
 	for _, c := range cases {
-		g := NewGrid2D(c.r)
+		g := newGrid2D(c.r)
 		if g.RHalf != c.rh || g.Q != c.q {
-			t.Errorf("Grid2D(%d) = %+v, want (%d,%d)", c.r, g, c.rh, c.q)
+			t.Errorf("grid2D(%d) = %+v, want (%d,%d)", c.r, g, c.rh, c.q)
 		}
 		if g.Tiles() < c.r {
-			t.Errorf("Grid2D(%d): %d tiles < %d ranks", c.r, g.Tiles(), c.r)
+			t.Errorf("grid2D(%d): %d tiles < %d ranks", c.r, g.Tiles(), c.r)
 		}
 		// Tile coordinates are a bijection onto the grid.
 		seen := make(map[[2]int]bool)
@@ -317,22 +318,67 @@ func TestGrid2D(t *testing.T) {
 			seen[[2]int{a, b}] = true
 		}
 		if len(seen) != g.Tiles() {
-			t.Errorf("Grid2D(%d): tile map not injective", c.r)
+			t.Errorf("grid2D(%d): tile map not injective", c.r)
 		}
 	}
 }
 
-// Rem. 1's point: with R > |arcs_A|, 1D parallelism saturates while 2D
-// keeps more ranks busy.
-func TestEffectiveParallelism(t *testing.T) {
-	a := gen.ER(6, 0.3, 7) // few arcs
+// RankArcs is what a run with no owner generates at each rank, at 1D and
+// 2D, k = 2 and 3, whole and sliced; it sums to TotalArcs, and under 1D
+// exactly min(R, |arcs_A|) ranks are busy — Rem. 1's wall, which 2D
+// passes.
+func TestPlanRankArcs(t *testing.T) {
+	a := gen.ER(6, 0.3, 7) // few arcs: the 1D wall sits inside the sweep
 	b := gen.ER(30, 0.3, 8)
-	r := int(a.NumArcs()) * 4
-	if EffectiveParallelism1D(a, r) != int(a.NumArcs()) {
-		t.Errorf("1D parallelism should cap at |arcs_A| = %d", a.NumArcs())
-	}
-	if e2 := EffectiveParallelism2D(a, b, r); e2 <= int(a.NumArcs()) {
-		t.Errorf("2D parallelism %d should exceed the 1D cap %d", e2, a.NumArcs())
+	for _, ch := range []*core.Chain{mustChain(a, b), mustChain(a, b, gen.Ring(3))} {
+		for _, r := range []int{1, 2, 3, 8, 33, 64, 256} {
+			for _, twoD := range []bool{false, true} {
+				plan, err := planForChain(ch, r, twoD)
+				if err != nil {
+					t.Fatal(err)
+				}
+				total, err := plan.TotalArcs()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sliced, err := plan.Slice(total/3, total/2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range []struct {
+					name string
+					plan Plan
+				}{{"whole", plan}, {"sliced", sliced}} {
+					name := fmt.Sprintf("k=%d/R=%d/twoD=%v/%s", ch.K(), r, twoD, p.name)
+					got := p.plan.RankArcs()
+					st, err := Run(context.Background(), Config{Plan: p.plan, Sink: &CountSink{}})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if !slices.Equal(got, st.PerRankGenerated) {
+						t.Errorf("%s: RankArcs %v, run generated %v", name, got, st.PerRankGenerated)
+					}
+					want, _ := p.plan.TotalArcs()
+					var sum int64
+					busy := 0
+					for _, n := range got {
+						sum += n
+						if n > 0 {
+							busy++
+						}
+					}
+					if sum != want {
+						t.Errorf("%s: RankArcs sum to %d, TotalArcs %d", name, sum, want)
+					}
+					if p.name == "whole" && !twoD && busy != min(r, int(a.NumArcs())) {
+						t.Errorf("%s: %d busy ranks, want min(R, |arcs_A|) = %d", name, busy, min(r, int(a.NumArcs())))
+					}
+					if p.name == "whole" && twoD && r > int(a.NumArcs()) && busy <= int(a.NumArcs()) {
+						t.Errorf("%s: %d busy ranks, no more than the 1D wall %d", name, busy, a.NumArcs())
+					}
+				}
+			}
+		}
 	}
 }
 

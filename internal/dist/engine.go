@@ -127,7 +127,7 @@ func PlanChain1D(ch *core.Chain, r int) (Plan, error) {
 	}
 	// ArcSlice shares the factor's cached flat arc list: tiles only read
 	// their head-arc windows, so no per-plan copy is needed.
-	parts := PartitionArcs(head.ArcSlice(), r)
+	parts := partitionArcs(head.ArcSlice(), r)
 	whole := int(tail[0].NumArcs())
 	tiles := make([][]Tile, r)
 	for rk := 0; rk < r; rk++ {
@@ -138,7 +138,7 @@ func PlanChain1D(ch *core.Chain, r int) (Plan, error) {
 
 // PlanChain2D builds the Rem. 1 decomposition of a chain: the head is
 // split into R½ parts and the first tail factor into Q parts (see
-// Grid2D), each an arc range [Lo, Hi) of the factor at PartitionArcs'
+// grid2D), each an arc range [Lo, Hi) of the factor at partitionArcs'
 // cuts — the factor is held once, by the plan, and a part builds nothing;
 // deeper tail factors ride whole — they are already the smallest
 // replicated state, and splitting them would multiply tile counts without
@@ -151,10 +151,10 @@ func PlanChain2D(ch *core.Chain, r int) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	grid := NewGrid2D(r)
-	aParts := PartitionArcs(head.ArcSlice(), grid.RHalf)
+	grid := newGrid2D(r)
+	aParts := partitionArcs(head.ArcSlice(), grid.RHalf)
 	cuts := make([]int, grid.Q+1)
-	for j, part := range PartitionArcs(tail[0].ArcSlice(), grid.Q) {
+	for j, part := range partitionArcs(tail[0].ArcSlice(), grid.Q) {
 		cuts[j+1] = cuts[j] + len(part)
 	}
 	tiles := make([][]Tile, r)

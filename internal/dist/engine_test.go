@@ -43,7 +43,7 @@ func TestPlanValidation(t *testing.T) {
 	for _, ts := range p.Tiles {
 		tiles += len(ts)
 	}
-	if grid := NewGrid2D(6); tiles != grid.Tiles() {
+	if grid := newGrid2D(6); tiles != grid.Tiles() {
 		t.Errorf("plan assigns %d tiles, grid has %d", tiles, grid.Tiles())
 	}
 }
@@ -76,15 +76,15 @@ func TestRunRefusesUnwalkablePlan(t *testing.T) {
 // gridStreams is what each tile of the 2D plan of ch at r ranks expands to,
 // by tile ID, built without the plan: the arcs of Chain.Arcs whose head arc
 // lies in the tile's part of the head and whose first tail arc lies in its
-// part of the first tail factor, both parts PartitionArcs', in Chain.Arcs'
+// part of the first tail factor, both parts partitionArcs', in Chain.Arcs'
 // order — the stream of the chain of the two parts as graphs and the rest of
 // the tail.
 func gridStreams(ch *core.Chain, r int) [][]graph.Edge {
 	f := ch.Factors()
-	grid := NewGrid2D(r)
+	grid := newGrid2D(r)
 	partOf := func(g *graph.Graph, parts int) []int {
 		var of []int
-		for p, part := range PartitionArcs(g.ArcSlice(), parts) {
+		for p, part := range partitionArcs(g.ArcSlice(), parts) {
 			for range part {
 				of = append(of, p)
 			}

@@ -26,18 +26,6 @@ func (res *Result) TotalStored() int64 {
 	return t
 }
 
-// MaxRankStorage returns the largest per-rank arc count — the paper's
-// per-processor storage term O(|E_A|/R + |E_B|) plus owned output.
-func (res *Result) MaxRankStorage() int64 {
-	var m int64
-	for _, s := range res.PerRank {
-		if int64(len(s)) > m {
-			m = int64(len(s))
-		}
-	}
-	return m
-}
-
 // Collect merges all per-rank stored arcs into a single Graph — the
 // oracle check that the distributed run produced exactly C = A ⊗ B, and
 // krongen's whole-graph output. The merged slice is sized from
@@ -50,10 +38,10 @@ func (res *Result) Collect() (*graph.Graph, error) {
 	return graph.New(res.NC, arcs)
 }
 
-// PartitionArcs splits arcs into parts contiguous blocks of near-equal
+// partitionArcs splits arcs into parts contiguous blocks of near-equal
 // size (the "evenly distributed across the R processors" of Sec. III).
 // Parts beyond len(arcs) are empty.
-func PartitionArcs(arcs []graph.Edge, parts int) [][]graph.Edge {
+func partitionArcs(arcs []graph.Edge, parts int) [][]graph.Edge {
 	out := make([][]graph.Edge, parts)
 	n := int64(len(arcs))
 	p := int64(parts)
@@ -149,56 +137,28 @@ func chainSourceHashLoads(ch *core.Chain, r int) []int64 {
 	return loads
 }
 
-// Grid2D is the processor grid of Rem. 1: R½ = ⌈√R⌉ columns of A-parts by
+// grid2D is the processor grid of Rem. 1: R½ = ⌈√R⌉ columns of A-parts by
 // Q = ⌈R/R½⌉ rows of B-parts. The paper's assignment
 // C_ρ = A_{ρ%R½} ⊗ B_{⌊ρ/R½⌋} covers every (A-part, B-part) tile only when
 // R = R½·Q exactly; for general R we assign the R½·Q tiles round-robin to
 // ranks (tile t → rank t % R), so some ranks own two tiles — a correctness
 // completion of the paper's sketch.
-type Grid2D struct {
+type grid2D struct {
 	RHalf, Q int
 }
 
-// NewGrid2D returns the 2D decomposition for r ranks.
-func NewGrid2D(r int) Grid2D {
+// newGrid2D returns the 2D decomposition for r ranks.
+func newGrid2D(r int) grid2D {
 	rh := int(math.Ceil(math.Sqrt(float64(r))))
 	q := (r + rh - 1) / rh
-	return Grid2D{RHalf: rh, Q: q}
+	return grid2D{RHalf: rh, Q: q}
 }
 
 // Tiles returns the number of (A-part, B-part) tiles R½·Q.
-func (g Grid2D) Tiles() int { return g.RHalf * g.Q }
+func (g grid2D) Tiles() int { return g.RHalf * g.Q }
 
 // TileOf returns the (A-part, B-part) coordinates of tile t.
-func (g Grid2D) TileOf(t int) (aPart, bPart int) { return t % g.RHalf, t / g.RHalf }
-
-// EffectiveParallelism1D returns the number of ranks that receive any work
-// under 1D partitioning: min(R, |arcs_A|) — the Rem. 1 scalability wall.
-func EffectiveParallelism1D(a *graph.Graph, r int) int {
-	if int64(r) > a.NumArcs() {
-		return int(a.NumArcs())
-	}
-	return r
-}
-
-// EffectiveParallelism2D returns the number of ranks with work under the
-// 2D decomposition: min(R, arcs_A·arcs_B tiles with both parts nonempty).
-func EffectiveParallelism2D(a, b *graph.Graph, r int) int {
-	grid := NewGrid2D(r)
-	aBusy := grid.RHalf
-	if int64(aBusy) > a.NumArcs() {
-		aBusy = int(a.NumArcs())
-	}
-	bBusy := grid.Q
-	if int64(bBusy) > b.NumArcs() {
-		bBusy = int(b.NumArcs())
-	}
-	busy := aBusy * bBusy
-	if busy > r {
-		busy = r
-	}
-	return busy
-}
+func (g grid2D) TileOf(t int) (aPart, bPart int) { return t % g.RHalf, t / g.RHalf }
 
 // GenerateChainToStore runs the chain generator with each rank streaming
 // its owned edges to its own shard of an on-disk store — the full

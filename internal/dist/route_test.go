@@ -39,7 +39,7 @@ type tileWork struct {
 // head ⊗ tail.
 func splitTiles(head *graph.Graph, tail []*graph.Graph, tiles int) []tileWork {
 	var out []tileWork
-	for tile, part := range PartitionArcs(head.ArcSlice(), tiles) {
+	for tile, part := range partitionArcs(head.ArcSlice(), tiles) {
 		out = append(out, tileWork{tile, part, tail, core.NewTailCursor(tail)})
 	}
 	return out

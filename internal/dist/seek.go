@@ -60,6 +60,20 @@ func (p Plan) TotalArcs() (int64, error) {
 	return total, nil
 }
 
+// RankArcs returns the arcs each rank's tiles generate, Arcs summed over
+// Tiles[r]: what a run with no owner expands at each rank, a sliced plan's
+// windows counted. A rank planned none is idle — under 1D, every rank past
+// the head's arc count (Rem. 1's wall).
+func (p Plan) RankArcs() []int64 {
+	out := make([]int64, len(p.Tiles))
+	for rk, ts := range p.Tiles {
+		for _, t := range ts {
+			out[rk] += p.Arcs(t)
+		}
+	}
+	return out
+}
+
 // Slice returns a derived plan generating exactly limit arcs of the
 // stream starting at offset (limit < 0 = through the end): tiles fully
 // before the window are dropped, the boundary tiles are windowed via

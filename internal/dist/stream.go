@@ -9,19 +9,15 @@ import (
 	"kronlab/internal/graph"
 )
 
-// DefaultStreamBatch is the batch size StreamChainFrom uses when the
-// caller passes batch ≤ 0: large enough to amortize channel traffic, small
-// enough to keep cancellation latency and per-rank buffering low.
-const DefaultStreamBatch = 1024
-
 // StreamChainFrom runs the Sec. III generator (1D partitioning, or Rem.
 // 1's 2D grid with twoD) over the factor chain A₁⊗…⊗Aₖ on r concurrent
 // expander ranks and delivers a contiguous range of the product's
-// deterministic edge stream to emit in batches: limit arcs (< 0 = through
-// the end) starting at global arc offset. It is the engine run with the
-// single-consumer streaming sink: instead of routing edges to per-rank
-// storage, all ranks feed one consumer — kronserve's HTTP response writer
-// — so memory stays O(r·batch) no matter how large |E_C| is. The skipped
+// deterministic edge stream to emit in batches of up to batch arcs (≤ 0:
+// DefaultBatchSize): limit arcs (< 0 = through the end) starting at global
+// arc offset. It is the engine run with the single-consumer streaming
+// sink: instead of routing edges to per-rank storage, all ranks feed one
+// consumer — kronserve's HTTP response writer — so memory stays
+// O(r·batch) no matter how large |E_C| is. The skipped
 // prefix is never generated — the plan is sliced up front (Plan.Slice
 // locates the start tile and in-tile position in O(tiles) from
 // closed-form arc counts) and each boundary rank starts mid-tile via the
@@ -63,7 +59,7 @@ func StreamChainFrom(ctx context.Context, ch *core.Chain, r int, twoD bool, batc
 // optional fault schedule for the recovery suites.
 func streamPlan(ctx context.Context, plan Plan, batch int, rec Recovery, faults *FaultPlan, emit func([]graph.Edge) error) (Stats, error) {
 	if batch <= 0 {
-		batch = DefaultStreamBatch
+		batch = DefaultBatchSize
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()

@@ -172,11 +172,7 @@ func TestStreamRecoversExactlyOnce(t *testing.T) {
 		} else {
 			assertSameOrder(t, "clean 1d stream", want, serialArcs(t, ch, 0))
 		}
-		for rank := 0; rank < r; rank++ {
-			var work int64
-			for _, tl := range plan.Tiles[rank] {
-				work += plan.Arcs(tl)
-			}
+		for rank, work := range plan.RankArcs() {
 			for _, pt := range []FaultPoint{FaultBeforeSinkSetup, FaultMidExpansion, FaultAfterWalk} {
 				name := fmt.Sprintf("twoD=%v/rank%d/%v", twoD, rank, pt)
 				spec := CrashSpec{Rank: rank, Point: pt}

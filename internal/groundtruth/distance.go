@@ -1,9 +1,6 @@
 package groundtruth
 
-import (
-	"kronlab/internal/analytics"
-	"kronlab/internal/core"
-)
+import "kronlab/internal/analytics"
 
 // HopsBoundsAt returns the Thm. 5 sandwich for C = A ⊗ B when A has full
 // self loops and B is merely undirected:
@@ -14,9 +11,8 @@ import (
 // loops.
 func HopsBoundsAt(a, b *Factor, p, q int64) (lo, hi int64) {
 	requireLoopedA("Thm. 5", "hops bounds", a)
-	ix := core.NewIndex(b.N())
-	i, k := ix.Split(p)
-	j, l := ix.Split(q)
+	i, k := p/b.N(), p%b.N()
+	j, l := q/b.N(), q%b.N()
 	return bounds(hopsFrom([]*Factor{a, b}, []int64{i, k})([]int64{j, l}))
 }
 
@@ -50,8 +46,7 @@ func bounds(m int64) (lo, hi int64) {
 // distance tier, O(n_A+n_B) storage, O(n_A·n_B) time. Unreachable pairs
 // contribute 0. It is the reference ChainClosenessAt is held to.
 func ClosenessAt(a, b *Factor, p int64) float64 {
-	ix := core.NewIndex(b.N())
-	i, k := ix.Split(p)
+	i, k := p/b.N(), p%b.N()
 	rowA, rowB := analytics.Hops(a.G, i), analytics.Hops(b.G, k)
 	var s float64
 	for _, ha := range rowA {

@@ -8,7 +8,43 @@ import (
 	"testing"
 
 	"kronlab/internal/gen"
+	"kronlab/internal/graph"
 )
+
+// TestSummariesShareTriangles: a Source's summary with the distance tier is
+// WithDistances of its memoised summary without it, whichever is asked
+// first, so a degree row and a distance row on one factor form count the
+// factor's triangles once.
+func TestSummariesShareTriangles(t *testing.T) {
+	g := gen.PrefAttach(12, 2, 5)
+	for _, plusI := range []bool{false, true} {
+		for _, distFirst := range []bool{false, true} {
+			src := Summaries([]*graph.Graph{g})
+			order := []bool{false, true}
+			if distFirst {
+				order = []bool{true, false}
+			}
+			got := map[bool]*Factor{}
+			for _, distances := range order {
+				f, err := src(0, plusI, distances)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[distances] = f
+			}
+			basic, dist := got[false], got[true]
+			if basic.Tri != dist.Tri || &basic.Deg[0] != &dist.Deg[0] || basic.G != dist.G {
+				t.Errorf("plusI=%v distFirst=%v: the distance summary does not share the summary's graph, degrees and triangles", plusI, distFirst)
+			}
+			if basic.distTier != nil || dist.distTier == nil {
+				t.Errorf("plusI=%v distFirst=%v: tiers swapped", plusI, distFirst)
+			}
+			if loops := basic.G.NumSelfLoops(); (loops == basic.N()) != plusI {
+				t.Errorf("plusI=%v: summary of a graph with %d loops", plusI, loops)
+			}
+		}
+	}
+}
 
 // TestDistanceLawsShareOneFactor runs every distance law from several
 // goroutines on one shared factor with the distance tier, as kronserve's

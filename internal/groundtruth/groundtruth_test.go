@@ -297,9 +297,8 @@ func TestThm1VertexClustering(t *testing.T) {
 		a, b := NewFactor(ga), NewFactor(gb)
 		c := mustProduct(t, ga, gb)
 		exact := analytics.VertexClustering(c)
-		ix := core.NewIndex(b.N())
 		for p := int64(0); p < c.NumVertices(); p++ {
-			i, k := ix.Split(p)
+			i, k := p/b.N(), p%b.N()
 			if a.Deg[i] < 2 || b.Deg[k] < 2 {
 				continue
 			}
@@ -336,7 +335,7 @@ func TestThm2EdgeClustering(t *testing.T) {
 		a, b := NewFactor(ga), NewFactor(gb)
 		c := mustProduct(t, ga, gb)
 		exact := analytics.EdgeClustering(c)
-		ix := core.NewIndex(b.N())
+		nB := b.N()
 		idx := int64(-1)
 		c.Arcs(func(u, v int64) bool {
 			idx++
@@ -345,8 +344,8 @@ func TestThm2EdgeClustering(t *testing.T) {
 			}
 			// Thm. 2 hypothesis: Δ_ij, Δ_kl > 0 and all four factor
 			// degrees ≥ 2. Outside it, the law does not apply.
-			i, k := ix.Split(u)
-			j, l := ix.Split(v)
+			i, k := u/nB, u%nB
+			j, l := v/nB, v%nB
 			if a.Deg[i] < 2 || a.Deg[j] < 2 || b.Deg[k] < 2 || b.Deg[l] < 2 ||
 				a.EdgeTri(i, j) == 0 || b.EdgeTri(k, l) == 0 {
 				return true

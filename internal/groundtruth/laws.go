@@ -282,28 +282,34 @@ func (l *Law) From(fs []*Factor, p []int64) (func(q []int64) int64, error) {
 // on: of its +I form when plusI, with the distance tier when distances.
 type Source func(d int, plusI, distances bool) (*Factor, error)
 
-// Summarize builds the summary a Source returns for g.
-func Summarize(g *graph.Graph, plusI, distances bool) *Factor {
+// Summarize builds the summary without the distance tier a Source
+// returns for g. The one with it is WithDistances of that summary, so the
+// two share degrees and triangles, counted once per factor form.
+func Summarize(g *graph.Graph, plusI bool) *Factor {
 	if plusI {
 		g = g.WithFullSelfLoops()
 	}
-	f := NewFactor(g)
-	if distances {
-		f = f.WithDistances()
-	}
-	return f
+	return NewFactor(g)
 }
 
-// Summaries returns a Source over gs that builds each summary once.
+// Summaries returns a Source over gs that builds each summary once, the
+// distance tier over the memoised summary without it.
 func Summaries(gs []*graph.Graph) Source {
 	memo := map[[3]any]*Factor{}
-	return func(d int, plusI, distances bool) (*Factor, error) {
+	var src Source
+	src = func(d int, plusI, distances bool) (*Factor, error) {
 		k := [3]any{d, plusI, distances}
 		if memo[k] == nil {
-			memo[k] = Summarize(gs[d], plusI, distances)
+			if distances {
+				f, _ := src(d, plusI, false)
+				memo[k] = f.WithDistances()
+			} else {
+				memo[k] = Summarize(gs[d], plusI)
+			}
 		}
 		return memo[k], nil
 	}
+	return src
 }
 
 // Bind checks the law against the product asked of the registered

@@ -150,10 +150,22 @@ func (s *Server) gtLaw(w http.ResponseWriter, r *http.Request, req *gtRequest, g
 }
 
 // summary returns registered factor g's cached summary — of its +I form
-// when plusI, with the distance tier when distances.
+// when plusI, with the distance tier when distances. The distance entry is
+// built over the cached entry without it, so the two share degrees and
+// triangles. Its build waits for that entry whatever ctx does: a build is
+// shared, and one waiter's cancellation must not fail it for the others.
 func (s *Server) summary(ctx context.Context, hash string, g *graph.Graph, plusI, distances bool) (*groundtruth.Factor, error) {
 	return s.cache.Get(ctx, SummaryKey{Hash: hash, Loops: plusI, Distances: distances},
-		func() (*groundtruth.Factor, error) { return groundtruth.Summarize(g, plusI, distances), nil })
+		func() (*groundtruth.Factor, error) {
+			if !distances {
+				return groundtruth.Summarize(g, plusI), nil
+			}
+			f, err := s.summary(context.WithoutCancel(ctx), hash, g, plusI, false)
+			if err != nil {
+				return nil, err
+			}
+			return f.WithDistances(), nil
+		})
 }
 
 // jsonValue renders a law's value: analytics.Unreachable (no path) and

@@ -205,8 +205,9 @@ func TestSummarySingleflight(t *testing.T) {
 			t.Fatalf("response %d differs: %s vs %s", i, results[i], results[0])
 		}
 	}
-	if builds := s.Metrics().SummaryBuilds.Load(); builds != 2 {
-		t.Errorf("summary built %d times for 2 factors under %d parallel requests, want exactly 2",
+	// Two entries a factor: the summary and its distance tier over it.
+	if builds := s.Metrics().SummaryBuilds.Load(); builds != 4 {
+		t.Errorf("summary built %d times for 2 factors under %d parallel requests, want exactly 4",
 			builds, parallel)
 	}
 	if hits := s.Metrics().CacheHits.Load() + s.Metrics().CacheMisses.Load(); hits == 0 {
@@ -287,6 +288,29 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached in 5s")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSummaryDistanceTierSharesTriangles: the distance entry is built over
+// the cached entry without the tier, so a degree query followed by a
+// diameter query on one factor form counts its triangles once.
+func TestSummaryDistanceTierSharesTriangles(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	g := gen.PrefAttach(14, 2, 3)
+	ctx := context.Background()
+	basic, err := s.summary(ctx, "h", g, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist, err := s.summary(ctx, "h", g, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if basic.Tri != dist.Tri || &basic.Deg[0] != &dist.Deg[0] {
+		t.Error("the distance entry does not share the cached entry's degrees and triangles")
+	}
+	if builds := s.Metrics().SummaryBuilds.Load(); builds != 2 {
+		t.Errorf("%d builds, want 2: the entry and its distance tier", builds)
 	}
 }
 
