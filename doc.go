@@ -23,6 +23,7 @@
 //	internal/havoq       level-synchronous distributed engine (distributed
 //	                     BFS, eccentricity, triangle counting)
 //
-// The runnable surface is cmd/krongen, cmd/groundtruth, cmd/experiments and
-// the programs under examples/.
+// The runnable surface is cmd/krongen, cmd/groundtruth, cmd/validate,
+// cmd/kronserve and cmd/experiments; example_test.go is the quickstart, a
+// godoc Example whose output go test checks.
 package kronlab

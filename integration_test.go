@@ -10,7 +10,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 
@@ -465,7 +464,9 @@ func TestDecorateCLI(t *testing.T) {
 // names, end to end — weak-scaling (E3) among them, which puts both plan
 // layouts through the engine, community (E9, about 2 s at under 200 MB),
 // closeness (E7, about 4 s at about 11 MB) and eccentricity (E6, about
-// 4 s on 2 CPUs). A failed check exits the command 1.
+// 4 s on 2 CPUs). A failed check exits the command 1. Each experiment is
+// a parallel subtest named by its id, so a failure names every experiment
+// that failed.
 func TestExperimentsCLIList(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary")
@@ -484,34 +485,19 @@ func TestExperimentsCLIList(t *testing.T) {
 	if len(ids) == 0 {
 		t.Fatal("experiments -list names no experiment")
 	}
+	// The experiments share no path: E2, the one that writes, makes its
+	// own temporary directory.
 	for _, id := range ids {
-		out, err = exec.Command(bin, "-exp", id).CombinedOutput()
-		if err != nil {
-			t.Fatalf("experiments -exp %s: %v\n%s", id, err, out)
-		}
-		if strings.Contains(string(out), "FAIL") {
-			t.Errorf("%s experiment reported FAIL:\n%s", id, out)
-		}
-	}
-}
-
-// TestExamplesRun builds and runs havoq's two non-test callers: the Fig. 1
-// walk-through must match Cor. 4 at every vertex of its reduced-scale
-// product, and the validation demo's distributed counter must run.
-func TestExamplesRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary")
-	}
-	out, err := exec.Command(buildTool(t, "kronlab/examples/eccentricity", "eccentricity")).CombinedOutput()
-	if err != nil {
-		t.Fatalf("examples/eccentricity: %v\n%s", err, out)
-	}
-	m := regexp.MustCompile(`matches Cor\. 4 at (\d+)/(\d+) vertices`).FindSubmatch(out)
-	if m == nil || string(m[1]) != string(m[2]) {
-		t.Errorf("examples/eccentricity does not match Cor. 4 everywhere:\n%s", out)
-	}
-	if out, err := exec.Command(buildTool(t, "kronlab/examples/validation", "validation")).CombinedOutput(); err != nil {
-		t.Fatalf("examples/validation: %v\n%s", err, out)
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			out, err := exec.Command(bin, "-exp", id).CombinedOutput()
+			if err != nil {
+				t.Fatalf("experiments -exp %s: %v\n%s", id, err, out)
+			}
+			if strings.Contains(string(out), "FAIL") {
+				t.Errorf("%s experiment reported FAIL:\n%s", id, out)
+			}
+		})
 	}
 }
 

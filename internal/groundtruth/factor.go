@@ -88,22 +88,23 @@ func (f *Factor) distances(law string) *distTier {
 	return f.distTier
 }
 
-// CostBytes estimates the resident size of f: the CSR graph, degree and
-// triangle vectors, and — when present — the distance tier's profiles,
-// Σ(ε_i+1) counts and a slice header a vertex. kronserve's LRU budgets on
-// this.
-func (f *Factor) CostBytes() int64 {
+// CostBytes estimates the resident size of f in two parts: base, the CSR
+// graph and the degree and triangle vectors, which every copy
+// WithDistances makes shares; and distances, the distance tier's
+// profiles, Σ(ε_i+1) counts and a slice header a vertex, 0 without the
+// tier. kronserve's LRU budgets on these, counting a shared base once.
+func (f *Factor) CostBytes() (base, distances int64) {
 	n, arcs := f.N(), f.G.NumArcs()
-	cost := (n+1)*8 + arcs*8 // CSR offsets + adjacency
-	cost += n * 8            // Deg
-	cost += n*8 + arcs*8 + 8 // Tri.Vertex, Tri.Arc, Tri.Global
+	base = (n+1)*8 + arcs*8  // CSR offsets + adjacency
+	base += n * 8            // Deg
+	base += n*8 + arcs*8 + 8 // Tri.Vertex, Tri.Arc, Tri.Global
 	if f.distTier != nil {
 		for _, r := range f.Profile {
-			cost += int64(len(r)+3) * 8 // R_i and its header
+			distances += int64(len(r)+3) * 8 // R_i and its header
 		}
-		cost += n*8 + 8 // Ecc, Diam
+		distances += n*8 + 8 // Ecc, Diam
 	}
-	return cost
+	return base, distances
 }
 
 // N returns the factor's vertex count.

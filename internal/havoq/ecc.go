@@ -119,14 +119,3 @@ func (dg *DistGraph) ExactEccentricities() (*EccResult, error) {
 	}
 	return &EccResult{Ecc: ecc, Sweeps: sweeps}, nil
 }
-
-// Diameter returns max_v ε(v) from an ExactEccentricities run.
-func (r *EccResult) Diameter() int64 {
-	var d int64
-	for _, e := range r.Ecc {
-		if e > d {
-			d = e
-		}
-	}
-	return d
-}

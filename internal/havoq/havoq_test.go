@@ -140,9 +140,6 @@ func TestExactEccentricitiesMatchesBruteForce(t *testing.T) {
 			if res.Sweeps <= 0 || res.Sweeps > int(g.NumVertices()) {
 				t.Errorf("graph %d R=%d: sweeps = %d out of range", gi, r, res.Sweeps)
 			}
-			if res.Diameter() != analytics.Diameter(g) {
-				t.Errorf("graph %d R=%d: diameter %d, want %d", gi, r, res.Diameter(), analytics.Diameter(g))
-			}
 		}
 	}
 }

@@ -4,9 +4,9 @@ import (
 	"container/list"
 	"context"
 	"fmt"
-
 	"sync"
 
+	"kronlab/internal/analytics"
 	"kronlab/internal/groundtruth"
 )
 
@@ -36,10 +36,12 @@ type call struct {
 
 // SummaryCache is a size-bounded LRU of factor summaries with
 // singleflight deduplication: N concurrent requests for the same key cost
-// exactly one build. The byte budget is accounted with
-// groundtruth.Factor.CostBytes; the distance tier of a factor is a
-// separate (larger) entry from its basic tier, so cheap degree/triangle
-// queries never pay for hop profiles they don't need.
+// exactly one build. The distance tier of a factor is a separate (larger)
+// entry from its basic tier, so cheap degree/triangle queries never pay
+// for hop profiles they don't need. The byte budget is accounted with
+// groundtruth.Factor.CostBytes, each resident byte once: an entry pays for
+// its distance tier, and the base it shares with the entry below it is
+// paid while any resident entry holds it.
 type SummaryCache struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -47,13 +49,13 @@ type SummaryCache struct {
 	ll       *list.List // front = most recent; values are *cacheEntry
 	items    map[SummaryKey]*list.Element
 	inflight map[SummaryKey]*call
+	holders  map[*analytics.TriangleStats]int64 // resident entries by the base they share
 	metrics  *Metrics
 }
 
 type cacheEntry struct {
-	key  SummaryKey
-	f    *groundtruth.Factor
-	cost int64
+	key SummaryKey
+	f   *groundtruth.Factor
 }
 
 // NewSummaryCache returns a cache with the given byte budget. A budget
@@ -65,6 +67,7 @@ func NewSummaryCache(maxBytes int64, m *Metrics) *SummaryCache {
 		ll:       list.New(),
 		items:    make(map[SummaryKey]*list.Element),
 		inflight: make(map[SummaryKey]*call),
+		holders:  make(map[*analytics.TriangleStats]int64),
 		metrics:  m,
 	}
 }
@@ -112,16 +115,34 @@ func (c *SummaryCache) Get(ctx context.Context, key SummaryKey, build func() (*g
 // until the budget holds. The newest entry itself is never evicted even
 // when it alone exceeds the budget — serving beats strict accounting.
 func (c *SummaryCache) insertLocked(key SummaryKey, f *groundtruth.Factor) {
-	cost := f.CostBytes()
-	c.curBytes += cost
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, f: f, cost: cost})
+	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, f: f})
+	c.chargeLocked(f, 1)
 	for c.curBytes > c.maxBytes && c.ll.Len() > 1 {
 		back := c.ll.Back()
 		e := back.Value.(*cacheEntry)
 		c.ll.Remove(back)
 		delete(c.items, e.key)
-		c.curBytes -= e.cost
+		c.chargeLocked(e.f, -1)
 		c.metrics.CacheEvictions.Add(1)
+	}
+}
+
+// chargeLocked adds (sign 1) or removes (sign −1) a resident summary's
+// bytes: its distance tier always, its base — the degrees and triangles
+// WithDistances shares — only as the first entry to hold it arrives or
+// the last one leaves. So evicting a base entry under a resident distance
+// entry frees nothing: its cost stays with the entry still holding it.
+func (c *SummaryCache) chargeLocked(f *groundtruth.Factor, sign int64) {
+	base, distances := f.CostBytes()
+	c.curBytes += sign * distances
+	held := c.holders[f.Tri]
+	if held == 0 || held+sign == 0 {
+		c.curBytes += sign * base
+	}
+	if held += sign; held == 0 {
+		delete(c.holders, f.Tri)
+	} else {
+		c.holders[f.Tri] = held
 	}
 }
 

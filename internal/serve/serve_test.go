@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -314,13 +316,96 @@ func TestSummaryDistanceTierSharesTriangles(t *testing.T) {
 	}
 }
 
+// TestCacheCountsSharedBytesOnce: over a degree, triangles, diameter
+// query sequence, the cache's Bytes() stays within 5 % of the bytes its
+// resident summaries reach, each array counted once — the distance entry
+// shares its base with the +I summary below it — and stays so once that
+// summary is evicted from under it.
+func TestCacheCountsSharedBytesOnce(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	ha := registerText(t, ts, gen.PrefAttach(600, 45, 3), "")
+	within := func(when string) {
+		t.Helper()
+		var fs []any
+		for el := s.cache.ll.Front(); el != nil; el = el.Next() {
+			fs = append(fs, el.Value.(*cacheEntry).f)
+		}
+		got, want := s.cache.Bytes(), residentBytes(fs...)
+		if math.Abs(float64(got-want)) > 0.05*float64(want) {
+			t.Errorf("after %s: Bytes() = %d, the %d resident summaries hold %d distinct bytes",
+				when, got, len(fs), want)
+		}
+	}
+	get := func(q string) { getJSON(t, ts.URL+"/gt/"+ha+"/"+ha+"/"+q, http.StatusOK) }
+	for _, q := range []string{"degree?loops=1&p=0", "triangles?loops=1", "diameter?loops=1"} {
+		get(q)
+		within(q)
+	}
+	// Touch the loop-free summary (Cor. 1 read it), then the distance
+	// entry: the +I summary under it is the coldest. A budget that holds
+	// the distance entry and one more small one evicts both summaries.
+	get("degree?p=0")
+	get("diameter?loops=1")
+	distKey := SummaryKey{Hash: ha, Loops: true, Distances: true}
+	small := groundtruth.NewFactor(gen.Ring(3))
+	s.cache.mu.Lock()
+	base, tier := s.cache.items[distKey].Value.(*cacheEntry).f.CostBytes()
+	smallBase, _ := small.CostBytes()
+	s.cache.maxBytes = base + tier + smallBase
+	s.cache.insertLocked(SummaryKey{Hash: "small"}, small)
+	_, kept := s.cache.items[distKey]
+	s.cache.mu.Unlock()
+	if n := s.cache.Len(); n != 2 || !kept {
+		t.Fatalf("%d resident entries (distance entry kept: %v), want it and the small one", n, kept)
+	}
+	within("evicting the +I summary from under its distance tier")
+}
+
+// residentBytes sums the bytes the values reach through pointers, slices
+// and struct fields, each pointed-to value and each backing array once.
+func residentBytes(vs ...any) int64 {
+	seen := map[uintptr]bool{}
+	var total int64
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if v.IsNil() || seen[v.Pointer()] {
+				return
+			}
+			seen[v.Pointer()] = true
+			total += int64(v.Type().Elem().Size())
+			walk(v.Elem())
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		case reflect.Slice:
+			if v.Cap() == 0 || seen[v.Pointer()] {
+				return
+			}
+			seen[v.Pointer()] = true
+			total += int64(v.Cap()) * int64(v.Type().Elem().Size())
+			if k := v.Type().Elem().Kind(); k == reflect.Pointer || k == reflect.Slice {
+				for i := 0; i < v.Len(); i++ {
+					walk(v.Index(i))
+				}
+			}
+		}
+	}
+	for _, v := range vs {
+		walk(reflect.ValueOf(v))
+	}
+	return total
+}
+
 func TestCacheEvictionBudget(t *testing.T) {
 	m := NewMetrics()
 	g1 := gen.PrefAttach(20, 2, 1)
 	g2 := gen.PrefAttach(20, 2, 2)
-	s1 := groundtruth.NewFactor(g1)
+	s1, _ := groundtruth.NewFactor(g1).CostBytes()
 	// Budget fits exactly one basic summary.
-	c := NewSummaryCache(s1.CostBytes()+8, m)
+	c := NewSummaryCache(s1+8, m)
 
 	ctx := context.Background()
 	build := func(g *graph.Graph) func() (*groundtruth.Factor, error) {

@@ -16,8 +16,8 @@ import (
 )
 
 // The reachability guard. Every top-level declaration under internal/ must
-// be reached, transitively, from a declaration of cmd/, examples/, bench/
-// or the root package's non-test files — or be listed in
+// be reached, transitively, from a declaration of cmd/, bench/ or the root
+// package's non-test files — or be listed in
 // testdata/unreached.txt with the reason it stays. A listed line that is
 // reached, or names nothing, fails too, so the list stays exactly what
 // nothing reaches.
@@ -380,7 +380,7 @@ func mentions(src, name string) bool {
 }
 
 // TestNothingUnreached fails on a declaration under internal/ that no
-// command, example, benchmark or root-package file reaches and that
+// command, benchmark or root-package file reaches and that
 // testdata/unreached.txt does not list, and on a listed line that is
 // reached, names nothing, repeats, or gives no valid reason.
 func TestNothingUnreached(t *testing.T) {
