@@ -51,8 +51,8 @@ func fixtures(b *testing.B) {
 	fixOnce.Do(func() {
 		benchA = gen.MustRMAT(gen.Graph500Params(5, 10))
 		benchB = gen.MustRMAT(gen.Graph500Params(5, 11))
-		benchFacA = groundtruth.NewFactor(benchA)
-		benchFacB = groundtruth.NewFactor(benchB)
+		benchFacA = groundtruth.NewFactor(benchA, groundtruth.Triangles)
+		benchFacB = groundtruth.NewFactor(benchB, groundtruth.Triangles)
 		var err error
 		benchCh, err = core.NewChain(benchA, benchB)
 		if err != nil {
@@ -67,7 +67,7 @@ func fixtures(b *testing.B) {
 			panic(err)
 		}
 		gnut = gen.GnutellaLike(2019).WithFullSelfLoops()
-		gnutFac = groundtruth.NewFactor(gnut).WithDistances()
+		gnutFac = groundtruth.NewFactor(gnut, groundtruth.Distances)
 
 		sbmG, sbmParts = gen.SBM(gen.SBMParams{BlockSizes: gen.EqualBlocks(4, 30), PIn: 0.35, POut: 0.02, Seed: 5})
 		sbmStats = analytics.Communities(sbmG, sbmParts)
@@ -378,15 +378,14 @@ func BenchmarkE7ClosenessCompressed(b *testing.B) {
 	}
 }
 
-// BenchmarkWithDistances builds the distance tier of E6's and E7's
+// BenchmarkDistanceTier builds the distance tier of E6's and E7's
 // gnutella-like factor: one BFS sweep a vertex, and what the tier keeps.
-func BenchmarkWithDistances(b *testing.B) {
+func BenchmarkDistanceTier(b *testing.B) {
 	fixtures(b)
-	f := groundtruth.NewFactor(gnut)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.WithDistances()
+		groundtruth.NewFactor(gnut, groundtruth.Distances)
 	}
 }
 
@@ -394,7 +393,7 @@ func BenchmarkWithDistances(b *testing.B) {
 
 func BenchmarkE8DiameterGroundTruth(b *testing.B) {
 	ring := gen.Ring(64).WithFullSelfLoops()
-	fr := groundtruth.NewFactor(ring).WithDistances()
+	fr := groundtruth.NewFactor(ring, groundtruth.Distances)
 	fixtures(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

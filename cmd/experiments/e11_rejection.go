@@ -18,7 +18,7 @@ import (
 // measure.
 func runRejection(w io.Writer) error {
 	a := connected(gen.PrefAttach(40, 3, 121))
-	fa := groundtruth.NewFactor(a)
+	fa := groundtruth.NewFactor(a, groundtruth.Triangles)
 	c, err := core.Product(a, a)
 	if err != nil {
 		return err

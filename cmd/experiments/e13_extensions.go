@@ -14,7 +14,7 @@ import (
 // Kronecker powers A^{⊗k}, the chain of k copies of one factor.
 func runExtensions(w io.Writer) error {
 	pg := gen.PrefAttach(7, 2, 7)
-	pf := groundtruth.NewFactor(pg)
+	pf := groundtruth.NewFactor(pg, groundtruth.Triangles)
 	const k = 3
 	pc, err := core.KronPower(pg, k)
 	if err != nil {

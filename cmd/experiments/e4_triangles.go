@@ -20,7 +20,7 @@ import (
 func runTriangles(w io.Writer) error {
 	a := connected(gen.PrefAttach(60, 3, 11))
 	b := connected(gen.MustRMAT(gen.Graph500Params(6, 12)))
-	fs := []*groundtruth.Factor{groundtruth.NewFactor(a), groundtruth.NewFactor(b)}
+	fs := []*groundtruth.Factor{groundtruth.NewFactor(a, groundtruth.Triangles), groundtruth.NewFactor(b, groundtruth.Triangles)}
 
 	start := time.Now()
 	c, err := core.ProductWithSelfLoops(a, b)

@@ -19,7 +19,7 @@ import (
 func runClustering(w io.Writer) error {
 	a := connected(gen.PrefAttach(40, 3, 21))
 	b := connected(gen.PrefAttach(40, 3, 22))
-	fa, fb := groundtruth.NewFactor(a), groundtruth.NewFactor(b)
+	fa, fb := groundtruth.NewFactor(a, 0), groundtruth.NewFactor(b, 0)
 
 	// θ distribution over product vertices.
 	thetaHist := map[int64]int64{} // bucketed by percent
@@ -44,7 +44,7 @@ func runClustering(w io.Writer) error {
 	// min-degree-1 ends; use double-stars so all degrees ≥ 2 but highly
 	// disassortative, then measure the φ spread.
 	ds := doubleStar(24)
-	fd := groundtruth.NewFactor(ds)
+	fd := groundtruth.NewFactor(ds, 0)
 	minPhi, maxPhi := math.Inf(1), math.Inf(-1)
 	ds.Arcs(func(u, v int64) bool {
 		if u == v {
@@ -69,7 +69,7 @@ func runClustering(w io.Writer) error {
 
 	// Thm. 1 equality spot check against exact clustering on a product.
 	small := connected(gen.PrefAttach(14, 2, 23))
-	fs := groundtruth.NewFactor(small)
+	fs := groundtruth.NewFactor(small, groundtruth.Triangles)
 	c, err := core.Product(small, small)
 	if err != nil {
 		return err

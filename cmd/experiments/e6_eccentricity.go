@@ -29,9 +29,8 @@ import (
 func runEccentricity(w io.Writer) error {
 	// --- Full scale: the Fig. 1 tables and histograms. ---
 	a := gen.GnutellaLike(2019).WithFullSelfLoops()
-	fa := groundtruth.NewFactor(a)
 	start := time.Now()
-	fa = fa.WithDistances()
+	fa := groundtruth.NewFactor(a, groundtruth.Distances)
 	factorTime := time.Since(start)
 
 	square := []*groundtruth.Factor{fa, fa}
@@ -65,7 +64,7 @@ func runEccentricity(w io.Writer) error {
 	// --- eccentricity algorithm (ref [3]) on a materialized product. ---
 	small, _ := gen.PrefAttach(60, 2, 77).LargestComponent()
 	sl := small.WithFullSelfLoops()
-	fs := groundtruth.NewFactor(sl).WithDistances()
+	fs := groundtruth.NewFactor(sl, groundtruth.Distances)
 	ch, err := core.NewChain(sl, sl)
 	if err != nil {
 		return err

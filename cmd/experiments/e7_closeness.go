@@ -19,7 +19,7 @@ import (
 func runCloseness(w io.Writer) error {
 	// Full scale: gnutella-like factor, sample r vertices of C.
 	a := gen.GnutellaLike(2019).WithFullSelfLoops()
-	fa := groundtruth.NewFactor(a).WithDistances()
+	fa := groundtruth.NewFactor(a, groundtruth.Distances)
 	square, ix := []*groundtruth.Factor{fa, fa}, core.MustChainIndex(fa.N(), fa.N())
 	const samples = 32
 	stride := fa.N() * fa.N() / samples
@@ -56,7 +56,7 @@ func runCloseness(w io.Writer) error {
 	// Reduced scale: validate against BFS on a materialized product.
 	small, _ := gen.PrefAttach(40, 2, 88).LargestComponent()
 	sl := small.WithFullSelfLoops()
-	fs := groundtruth.NewFactor(sl).WithDistances()
+	fs := groundtruth.NewFactor(sl, groundtruth.Distances)
 	smallSq, smallIx := []*groundtruth.Factor{fs, fs}, core.MustChainIndex(fs.N(), fs.N())
 	c, err := core.Product(sl, sl)
 	if err != nil {

@@ -18,12 +18,13 @@ import (
 // diameter is exactly max.
 func runDiameter(w io.Writer) error {
 	b := connected(gen.MustRMAT(gen.Graph500Params(5, 55))) // small-world B
-	fbLoop := groundtruth.NewFactor(b.WithFullSelfLoops()).WithDistances()
+	fbLoop := groundtruth.NewFactor(b.WithFullSelfLoops(), groundtruth.Distances)
+	diamB := analytics.Diameter(b) // connected: never Unreachable
 
 	var rows [][]string
 	for _, n := range []int64{8, 16, 32, 64} {
 		ring := gen.Ring(n).WithFullSelfLoops()
-		fr := groundtruth.NewFactor(ring).WithDistances()
+		fr := groundtruth.NewFactor(ring, groundtruth.Distances)
 
 		// Cor. 3 (both factors looped): exact equality.
 		c3, err := core.Product(ring, b.WithFullSelfLoops())
@@ -33,14 +34,15 @@ func runDiameter(w io.Writer) error {
 		exact3 := analytics.Diameter(c3)
 		pred3 := groundtruth.ChainDiameter([]*groundtruth.Factor{fr, fbLoop})
 
-		// Cor. 5 (A looped, B bare): sandwich.
-		fb := groundtruth.NewFactor(b).WithDistances()
+		// Cor. 5 (A looped, B bare): the sandwich around the factors' own
+		// diameters, max{diam_A, diam_B} ≤ diam(C) ≤ max{diam_A, diam_B} + 1.
 		c5, err := core.Product(ring, b)
 		if err != nil {
 			return err
 		}
 		exact5 := analytics.Diameter(c5)
-		lo, hi := groundtruth.DiameterBounds(fr, fb)
+		lo := max(fr.Diam, diamB)
+		hi := lo + 1
 
 		rows = append(rows, []string{
 			fmt.Sprintf("Ring(%d)+I", n),

@@ -36,7 +36,7 @@ func runCommunity(w io.Writer) error {
 	})
 	statsA := analytics.Communities(a, pa)
 
-	faL := groundtruth.NewFactor(a.WithFullSelfLoops())
+	faL := groundtruth.NewFactor(a.WithFullSelfLoops(), 0)
 	nC, errN := groundtruth.ChainNumVertices([]*groundtruth.Factor{faL, faL})
 	mC, errM := groundtruth.ChainNumEdges([]*groundtruth.Factor{faL, faL})
 	if err := errors.Join(errN, errM); err != nil {

@@ -124,8 +124,9 @@ func main() {
 	if *closeness > 0 {
 		n := min(int64(*closeness), nC)
 		fmt.Printf("\ncloseness centrality (Thm. 4, compressed form):\n")
+		ix := must(core.NewChainIndex([]int64{zeta.fs[0].N(), zeta.fs[1].N()}))
 		for p := int64(0); p < n; p++ {
-			fmt.Printf("  ζ_C(%d) = %.4f\n", p, zeta.at(must(groundtruth.ChainCoordsOf(zeta.fs, p))))
+			fmt.Printf("  ζ_C(%d) = %.4f\n", p, zeta.at(ix.Split(p)))
 		}
 	}
 }

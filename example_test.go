@@ -54,7 +54,7 @@ func Example() {
 
 	// Ground truth from the factor chain [A, B]; every count is checked
 	// against int64 overflow.
-	fs := []*groundtruth.Factor{groundtruth.NewFactor(a), groundtruth.NewFactor(b)}
+	fs := []*groundtruth.Factor{groundtruth.NewFactor(a, groundtruth.Triangles), groundtruth.NewFactor(b, groundtruth.Triangles)}
 	nC, errN := groundtruth.ChainNumVertices(fs)
 	mC, errM := groundtruth.ChainNumEdges(fs)
 	tauC, errT := groundtruth.ChainGlobalTriangles(fs)

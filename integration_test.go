@@ -94,7 +94,7 @@ func TestFilePipeline(t *testing.T) {
 		t.Fatal("binary round trip lost structure")
 	}
 
-	fa, fb := groundtruth.NewFactor(a), groundtruth.NewFactor(b)
+	fa, fb := groundtruth.NewFactor(a, groundtruth.Triangles), groundtruth.NewFactor(b, groundtruth.Triangles)
 	want, err := groundtruth.ChainGlobalTriangles([]*groundtruth.Factor{fa, fb})
 	if got := analytics.GlobalTriangles(cLoaded); err != nil || got != want {
 		t.Fatalf("triangles on reloaded product: %d, ground truth %d (err %v)", got, want, err)
@@ -108,7 +108,7 @@ func TestFilePipeline(t *testing.T) {
 func TestFullStackEccentricity(t *testing.T) {
 	a, _ := gen.PrefAttach(30, 2, 3).LargestComponent()
 	al := a.WithFullSelfLoops()
-	fa := groundtruth.NewFactor(al).WithDistances()
+	fa := groundtruth.NewFactor(al, groundtruth.Distances)
 
 	res := generate(t, al, al, 3, false)
 	dg, err := havoq.BuildFromParts(res.NC, 3, res.PerRank)

@@ -57,8 +57,8 @@ func allocBytes(f func()) uint64 {
 func TestChainLawsAllocateInFactorSpace(t *testing.T) {
 	g := wheel(t, 1024)
 	gl := g.WithFullSelfLoops()
-	fs := copies(NewFactor(g), 4)                  // the loop-free chain ⊗W
-	fl := copies(NewFactor(gl).WithDistances(), 4) // ⊗(W+I), with the distance tier
+	fs := copies(NewFactor(g, Triangles), 4)  // the loop-free chain ⊗W
+	fl := copies(NewFactor(gl, Distances), 4) // ⊗(W+I), with the distance tier
 	hub, rim := []int64{0, 0, 0, 0}, []int64{1, 2, 3, 4}
 	budget := 2 * (csrBytes(g) + csrBytes(gl))
 	for _, law := range Laws {

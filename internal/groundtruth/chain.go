@@ -78,7 +78,7 @@ func numEdges(fs []*Factor) (int64, error) {
 // diameter is Cor. 3's max law over the factors' diameters; it never
 // fails.
 func diameter(fs []*Factor) (int64, error) {
-	return fold(fs, "diameter", func(_ int, f *Factor) int64 { return f.distances("diameter").Diam }, maxHops)
+	return fold(fs, "diameter", func(_ int, f *Factor) int64 { return f.Diam }, maxHops)
 }
 
 // hopsFrom sweeps each factor graph once from src's digit — no distance
@@ -107,7 +107,7 @@ func hops(fs []*Factor, src, dst []int64) (int64, error) { return hopsFrom(fs, s
 func closenessAt(fs []*Factor, coords []int64) (float64, error) {
 	top := 0
 	for d, f := range fs {
-		top = max(top, len(f.distances("closeness").Profile[coords[d]])-1)
+		top = max(top, len(f.Profile[coords[d]])-1)
 	}
 	var s float64
 	var prev int64 // N(≤0) = 0: hops are at least 1
@@ -129,19 +129,18 @@ func closenessAt(fs []*Factor, coords []int64) (float64, error) {
 // under the same op.
 type vector struct {
 	name string
-	vec  func(*Factor, string) []int64 // the factor's vector, read for the named use
+	vec  func(*Factor) []int64 // the factor's vector
 	op   func(acc, v int64) (int64, bool)
 }
 
 var (
-	degrees   = vector{"degree", func(f *Factor, _ string) []int64 { return f.Deg }, core.CheckedMul}
-	triangles = vector{"vertex triangle count", func(f *Factor, _ string) []int64 { return f.Tri.Vertex }, scaled(2)}
-	// eccentricities reads the distance tier.
-	eccentricities = vector{"eccentricity", func(f *Factor, use string) []int64 { return f.distances(use).Ecc }, maxHops}
+	degrees        = vector{"degree", func(f *Factor) []int64 { return f.Deg }, core.CheckedMul}
+	triangles      = vector{"vertex triangle count", func(f *Factor) []int64 { return f.Tri.Vertex }, scaled(2)}
+	eccentricities = vector{"eccentricity", func(f *Factor) []int64 { return f.Ecc }, maxHops}
 )
 
 func (l vector) at(fs []*Factor, coords []int64) (int64, error) {
-	return fold(fs, l.name, func(d int, f *Factor) int64 { return l.vec(f, l.name)[coords[d]] }, l.op)
+	return fold(fs, l.name, func(d int, f *Factor) int64 { return l.vec(f)[coords[d]] }, l.op)
 }
 
 // hist returns the law's value → count histogram over all of C by
@@ -149,10 +148,9 @@ func (l vector) at(fs []*Factor, coords []int64) (int64, error) {
 // of the factors' distinct-value counts. Its counts sum to n_C, so it
 // refuses a chain whose n_C overflows.
 func (l vector) hist(fs []*Factor) (map[int64]int64, error) {
-	name := l.name + " histogram"
-	return foldHistograms(fs, name, func(f *Factor) map[int64]int64 {
+	return foldHistograms(fs, l.name+" histogram", func(f *Factor) map[int64]int64 {
 		h := map[int64]int64{}
-		for _, v := range l.vec(f, name) {
+		for _, v := range l.vec(f) {
 			h[v]++
 		}
 		return h
@@ -210,21 +208,16 @@ func combine[K comparable](hx, hy map[K]int64, op func(x, y K) (K, bool)) map[K]
 	return out
 }
 
-// chainIndex returns the mixed-radix index of the chain's product.
-func chainIndex(fs []*Factor) (core.ChainIndex, error) {
-	dims := make([]int64, len(fs))
-	for d, f := range fs {
-		dims[d] = f.N()
-	}
-	return core.NewChainIndex(dims)
-}
-
 // ChainEccentricities materializes ε_C for every product vertex — linear
 // in n_C from sublinear factor storage, as the paper advertises — under
 // Cor. 4's row.
 func ChainEccentricities(fs []*Factor) ([]int64, error) {
 	lawEccentricity.require(fs, nil, nil)
-	ci, err := chainIndex(fs)
+	dims := make([]int64, len(fs))
+	for d, f := range fs {
+		dims[d] = f.N()
+	}
+	ci, err := core.NewChainIndex(dims)
 	if err != nil {
 		return nil, err
 	}
@@ -233,13 +226,4 @@ func ChainEccentricities(fs []*Factor) ([]int64, error) {
 		out[p] = value(eccentricities.at(fs, ci.SplitInto(int64(p), coords)))
 	}
 	return out, nil
-}
-
-// ChainCoordsOf returns the mixed-radix coordinates of product vertex p.
-func ChainCoordsOf(fs []*Factor, p int64) ([]int64, error) {
-	ci, err := chainIndex(fs)
-	if err != nil {
-		return nil, err
-	}
-	return ci.Split(p), nil
 }

@@ -28,12 +28,24 @@ func materializeChain(t *testing.T, gs ...*graph.Graph) *graph.Graph {
 	return c
 }
 
-func factorsOf(gs ...*graph.Graph) []*Factor {
+func factorsOf(tiers Tiers, gs ...*graph.Graph) []*Factor {
 	fs := make([]*Factor, len(gs))
 	for i, g := range gs {
-		fs[i] = NewFactor(g)
+		fs[i] = NewFactor(g, tiers)
 	}
 	return fs
+}
+
+// eccentricityAt is Cor. 4's row at p.
+func eccentricityAt(fs []*Factor, p []int64) int64 {
+	return value(at[int64](lawEccentricity, fs, p, nil))
+}
+
+// hopsRow is Thm. 3's row from p, panicking with the row's refusal
+// outside its hypothesis.
+func hopsRow(fs []*Factor, p []int64) func(q []int64) int64 {
+	lawHops.require(fs, p, nil)
+	return lawHops.from(fs, p)
 }
 
 func chainIndexFor(t *testing.T, fs []*Factor) core.ChainIndex {
@@ -55,12 +67,12 @@ func TestChainCountingLawsAgainstMaterialized(t *testing.T) {
 	gb := randomConnectedLoopFree(rng, 4)
 	gc := randomConnectedLoopFree(rng, 3)
 	c := materializeChain(t, ga, gb, gc)
-	fs := factorsOf(ga, gb, gc)
+	fs := factorsOf(Triangles, ga, gb, gc)
 
 	if n, err := ChainNumVertices(fs); err != nil || n != c.NumVertices() {
 		t.Errorf("n law: %d (err %v) != %d", n, err, c.NumVertices())
 	}
-	if arcs, err := ChainNumArcs(fs); err != nil || arcs != c.NumArcs() {
+	if arcs, err := at[int64](lawArcs, fs, nil, nil); err != nil || arcs != c.NumArcs() {
 		t.Errorf("arc law: %d (err %v) != %d", arcs, err, c.NumArcs())
 	}
 	if m, err := ChainNumEdges(fs); err != nil || m != c.NumEdges() {
@@ -92,7 +104,7 @@ func TestChainNumEdgesWithLoops(t *testing.T) {
 	gb := randomConnectedLoopFree(rng, 3)
 	gc := randomConnectedLoopFree(rng, 3).WithFullSelfLoops()
 	c := materializeChain(t, ga, gb, gc)
-	fs := factorsOf(ga, gb, gc)
+	fs := factorsOf(Triangles, ga, gb, gc)
 	if m, err := ChainNumEdges(fs); err != nil || m != c.NumEdges() {
 		t.Errorf("m law with loops: %d (err %v) != %d", m, err, c.NumEdges())
 	}
@@ -120,15 +132,12 @@ func TestChainDistanceLawsAgainstMaterialized(t *testing.T) {
 func checkChainDistanceLaws(t *testing.T, gs []*graph.Graph) {
 	t.Helper()
 	c := materializeChain(t, gs...)
-	fs := factorsOf(gs...)
-	for i, f := range fs {
-		fs[i] = f.WithDistances()
-	}
+	fs := factorsOf(Distances, gs...)
 	ci := chainIndexFor(t, fs)
 
 	exactEcc := analytics.Eccentricities(c)
 	for p := int64(0); p < c.NumVertices(); p++ {
-		if got := ChainEccentricityAt(fs, ci.Split(p)); got != exactEcc[p] {
+		if got := eccentricityAt(fs, ci.Split(p)); got != exactEcc[p] {
 			t.Fatalf("ε law fails at %d: %d != %d", p, got, exactEcc[p])
 		}
 	}
@@ -138,7 +147,7 @@ func checkChainDistanceLaws(t *testing.T, gs []*graph.Graph) {
 	rows := analytics.AllPairsHops(c)
 	for p := int64(0); p < c.NumVertices(); p += 3 {
 		for q := int64(0); q < c.NumVertices(); q += 5 {
-			if got := ChainHopsFrom(fs, ci.Split(p))(ci.Split(q)); got != rows[p][q] {
+			if got := hopsRow(fs, ci.Split(p))(ci.Split(q)); got != rows[p][q] {
 				t.Fatalf("hops law fails at (%d,%d): %d != %d", p, q, got, rows[p][q])
 			}
 		}
@@ -157,23 +166,12 @@ func checkChainDistanceLaws(t *testing.T, gs []*graph.Graph) {
 	}
 }
 
-func TestChainCoordsOf(t *testing.T) {
-	fs := factorsOf(clique3WithLoops(t), triangleGraph(t))
-	coords, err := ChainCoordsOf(fs, 7)
-	if err != nil || len(coords) != 2 {
-		t.Fatalf("coords = %v, err %v", coords, err)
-	}
-	if got := coords[0]*3 + coords[1]; got != 7 {
-		t.Fatalf("coords %v do not recompose to 7", coords)
-	}
-}
-
 func TestChainAndPowerCountOverflow(t *testing.T) {
 	// A 3-vertex, 9-arc clique-with-loops factor: n^k fits far past the
 	// point where arcs^k overflows.
-	f := NewFactor(clique3WithLoops(t))
+	f := NewFactor(clique3WithLoops(t), Distances)
 	fs := copies(f, 21)
-	if _, err := ChainNumArcs(fs); err == nil {
+	if _, err := at[int64](lawArcs, fs, nil, nil); err == nil {
 		t.Error("want arc-count overflow at 9^21")
 	}
 	if _, err := ChainNumEdges(fs); err == nil {
@@ -186,7 +184,7 @@ func TestChainAndPowerCountOverflow(t *testing.T) {
 	// The power laws are the chain laws over k copies: a loop-free
 	// 3-clique has m = 3 and τ = 1, so m_C = 2^{k−1}·3^k and τ_C = 6^{k−1}
 	// both overflow at k = 40 (6^39 ≫ 2^63).
-	lf := NewFactor(triangleGraph(t))
+	lf := NewFactor(triangleGraph(t), Triangles)
 	if _, err := ChainNumEdges(copies(lf, 40)); err == nil {
 		t.Error("want ChainNumEdges overflow at k=40")
 	}
@@ -198,7 +196,7 @@ func TestChainAndPowerCountOverflow(t *testing.T) {
 	}
 	// Per-vertex counts overflow before n_C does: on K₁₀₀^{⊗5} (n_C =
 	// 10¹⁰) t_p = 2⁴·4851⁵ ≈ 4.3e19 at every p.
-	k100 := copies(NewFactor(gen.Clique(100)), 5)
+	k100 := copies(NewFactor(gen.Clique(100), Triangles), 5)
 	if tp, err := ChainVertexTrianglesAt(k100, make([]int64, 5)); err == nil {
 		t.Errorf("want vertex-triangle overflow on K100^5, got %d", tp)
 	}
@@ -246,57 +244,54 @@ func wantPanic(t *testing.T, law string, call func()) {
 // at (0,0) is −1 (the product is two disjoint edges), where the max law
 // would answer 2.
 func TestChainEccentricityAtNeedsLoops(t *testing.T) {
-	p2 := NewFactor(gen.Path(2)).WithDistances()
-	wantPanic(t, "Cor. 4", func() { ChainEccentricityAt([]*Factor{p2, p2}, []int64{0, 0}) })
+	p2 := NewFactor(gen.Path(2), Distances)
+	wantPanic(t, "Cor. 4", func() { eccentricityAt([]*Factor{p2, p2}, []int64{0, 0}) })
 }
 
 // Cor. 3 and Thm. 3 need full self loops too: loop-free P₂ ⊗ P₂ is two
 // disjoint edges, so its materialized diameter and hops(0, 1) read
 // Unreachable, where the max law over P₂'s diameter answers 2. Thm. 5 and
-// Cor. 5 ask full loops of A alone.
+// Cor. 5 ask full loops of A alone: (P₂+I) ⊗ P₂ is connected, and its
+// diameter 2 lies in the sandwich [2, 3] around max{diam_A, diam_B}.
 func TestChainDistanceLawsNeedFullLoops(t *testing.T) {
 	c := materializeChain(t, gen.Path(2), gen.Path(2))
 	if d, h := analytics.Diameter(c), analytics.Hops(c, 0)[1]; d != analytics.Unreachable || h != analytics.Unreachable {
 		t.Fatalf("materialized P₂⊗P₂: diameter %d, hops(0,1) %d, want both Unreachable", d, h)
 	}
-	p2, p2l := NewFactor(gen.Path(2)).WithDistances(), NewFactor(gen.Path(2).WithFullSelfLoops()).WithDistances()
+	p2, p2l := NewFactor(gen.Path(2), Distances), NewFactor(gen.Path(2).WithFullSelfLoops(), Distances)
 	fs := []*Factor{p2, p2}
 	wantPanic(t, "Cor. 3 requires full self loops", func() { ChainDiameter(fs) })
-	wantPanic(t, "Thm. 3 requires full self loops", func() { ChainHopsFrom(fs, []int64{0, 0})([]int64{0, 1}) })
-	wantPanic(t, "Cor. 5 requires full self loops", func() { DiameterBounds(p2, p2l) })
-	wantPanic(t, "Thm. 5 requires full self loops", func() { HopsBoundsAt(p2, p2l, 0, 1) })
-	if lo, hi := DiameterBounds(p2l, p2); lo != 2 || hi != 3 {
-		t.Errorf("Cor. 5 on (P₂+I)⊗P₂: [%d,%d], want [2,3]", lo, hi)
+	wantPanic(t, "Thm. 3 requires full self loops", func() { hopsRow(fs, []int64{0, 0})([]int64{0, 1}) })
+	lo, hi := diameterBounds(p2l, p2)
+	if d := analytics.Diameter(materializeChain(t, p2l.G, p2.G)); lo != 2 || hi != 3 || d < lo || d > hi {
+		t.Errorf("Cor. 5 on (P₂+I)⊗P₂: diameter %d, bounds [%d,%d], want 2 in [2,3]", d, lo, hi)
 	}
 }
 
 // t_C = 2·t_A ⊗ t_B needs loop-free factors: on (K₃+I)⊗(K₃+I) every
 // vertex is in 28 triangles, where the law would answer 2.
 func TestChainVertexTrianglesAtNeedsLoopFree(t *testing.T) {
-	k3 := NewFactor(clique3WithLoops(t))
+	k3 := NewFactor(clique3WithLoops(t), Triangles)
 	wantPanic(t, "t_C = 2^{k−1}·⊗t_d", func() { _, _ = ChainVertexTrianglesAt([]*Factor{k3, k3}, []int64{0, 0}) })
 }
 
 // τ_C = 6·τ_A·τ_B needs loop-free factors: (K₃+I)⊗(K₃+I) has Cor. 1's
 // 84 triangles, where the law would answer 6.
 func TestChainGlobalTrianglesNeedsLoopFree(t *testing.T) {
-	k3 := NewFactor(clique3WithLoops(t))
+	k3 := NewFactor(clique3WithLoops(t), Triangles)
 	wantPanic(t, "τ_C = 6^{k−1}·Π τ_d", func() { _, _ = ChainGlobalTriangles([]*Factor{k3, k3}) })
 }
 
-// checkChainClosenessAndHops holds ChainHopsFrom at every pair and
+// checkChainClosenessAndHops holds the hops row at every pair and
 // ChainClosenessAt at every vertex of the full-loop chain gs to the
 // materialized product.
 func checkChainClosenessAndHops(t *testing.T, gs []*graph.Graph) {
 	t.Helper()
 	c := materializeChain(t, gs...)
-	fs := factorsOf(gs...)
-	for i, f := range fs {
-		fs[i] = f.WithDistances()
-	}
+	fs := factorsOf(Distances, gs...)
 	ci := chainIndexFor(t, fs)
 	for p := int64(0); p < c.NumVertices(); p++ {
-		hopsFrom := ChainHopsFrom(fs, ci.Split(p))
+		hopsFrom := hopsRow(fs, ci.Split(p))
 		for q, h := range analytics.Hops(c, p) {
 			if got := hopsFrom(ci.Split(int64(q))); got != h {
 				t.Fatalf("hops law fails at (%d,%d): %d != %d", p, q, got, h)

@@ -12,8 +12,8 @@ import (
 // ExampleChainGlobalTriangles reads off τ_C = 6·τ_A·τ_B without
 // generating C.
 func ExampleChainGlobalTriangles() {
-	a := groundtruth.NewFactor(gen.Clique(4)) // τ = 4
-	b := groundtruth.NewFactor(gen.Clique(5)) // τ = 10
+	a := groundtruth.NewFactor(gen.Clique(4), groundtruth.Triangles) // τ = 4
+	b := groundtruth.NewFactor(gen.Clique(5), groundtruth.Triangles) // τ = 10
 	fmt.Println(groundtruth.ChainGlobalTriangles([]*groundtruth.Factor{a, b}))
 	// Output: 240 <nil>
 }
@@ -21,8 +21,8 @@ func ExampleChainGlobalTriangles() {
 // ExampleChainDegreeAt multiplies the factor degrees at a product
 // vertex's coordinates.
 func ExampleChainDegreeAt() {
-	a := groundtruth.NewFactor(gen.Star(5)) // center degree 4
-	b := groundtruth.NewFactor(gen.Ring(6)) // all degrees 2
+	a := groundtruth.NewFactor(gen.Star(5), 0) // center degree 4
+	b := groundtruth.NewFactor(gen.Ring(6), 0) // all degrees 2
 	// Product vertex γ(0, 3): the star center paired with ring vertex 3.
 	fmt.Println(groundtruth.ChainDegreeAt([]*groundtruth.Factor{a, b}, []int64{0, 3}))
 	// Output: 8
@@ -30,8 +30,8 @@ func ExampleChainDegreeAt() {
 
 // ExampleChainDiameter applies the max law to looped factors (Cor. 3).
 func ExampleChainDiameter() {
-	a := groundtruth.NewFactor(gen.Ring(10).WithFullSelfLoops()).WithDistances() // diam 5
-	b := groundtruth.NewFactor(gen.Path(4).WithFullSelfLoops()).WithDistances()  // diam 3
+	a := groundtruth.NewFactor(gen.Ring(10).WithFullSelfLoops(), groundtruth.Distances) // diam 5
+	b := groundtruth.NewFactor(gen.Path(4).WithFullSelfLoops(), groundtruth.Distances)  // diam 3
 	fmt.Println(groundtruth.ChainDiameter([]*groundtruth.Factor{a, b}))
 	// Output: 5
 }

@@ -3,18 +3,19 @@
 // for loop-free factors and for full-self-loop products (Cor. 1, Cor. 2),
 // vertex and edge clustering coefficient scaling laws (Thm. 1, Thm. 2),
 // hop distance, diameter, eccentricity and closeness centrality
-// (Thm. 3–5, Cor. 3–5, including the compressed histogram form of
-// Sec. V-B), and internal/external community edge counts and densities
-// (Thm. 6, Cor. 6, Cor. 7).
+// (Thm. 3, Cor. 3, Cor. 4, Thm. 4, including the compressed histogram
+// form of Sec. V-B), and internal/external community edge counts and
+// densities (Thm. 6, Cor. 6, Cor. 7).
 //
 // Formulas take factor-level quantities (degrees, triangle counts, hop
 // profiles) computed once per factor with internal/analytics; a Factor
-// bundles them. NewFactor builds degrees and triangles; WithDistances
-// returns a copy that adds the hop profiles, eccentricities and diameter,
-// which the distance laws read and panic naming themselves without. A Factor is
-// never written after it is returned, so concurrent readers share one.
-// Everything here runs in time polynomial in the factor sizes —
-// sublinear in |E_C| — which is the paper's point.
+// bundles them. NewFactor(g, tiers) builds g's degrees and only the tiers
+// asked: Triangles, Distances, both or neither. Each row of Laws names the
+// tiers it reads, Bind asks its Source for exactly those, and a row handed
+// a factor without one refuses it by name. A Factor is never written
+// after it is returned, so concurrent readers share one. Everything here
+// runs in time polynomial in the factor sizes — sublinear in |E_C| —
+// which is the paper's point.
 package groundtruth
 
 import (
@@ -24,87 +25,87 @@ import (
 	"kronlab/internal/graph"
 )
 
+// Tiers is a set of a Factor's parts beyond its graph and degrees, each
+// built only when asked.
+type Tiers uint8
+
+const (
+	// Triangles is t (vertex), Δ (arc) and τ (global): analytics.Triangles.
+	Triangles Tiers = 1 << iota
+	// Distances is each vertex's cumulative hop profile R_i
+	// (analytics.HopProfiles, no n×n matrix), eccentricities and the
+	// diameter: O(n·(n+arcs)) time, Σ(ε_i+1) counts.
+	Distances
+)
+
 // Factor bundles a factor graph with the exact per-factor statistics the
-// Kronecker formulas consume. Build one per factor with NewFactor, adding
-// the distance tier with WithDistances where a distance law will read it;
-// the cost is polynomial in the (small) factor, never in the product.
+// Kronecker formulas consume; the cost is polynomial in the (small)
+// factor, never in the product.
 type Factor struct {
 	G   *graph.Graph
 	Deg []int64                  // degree vector d
-	Tri *analytics.TriangleStats // t (vertex), Δ (arc), τ (global)
+	Tri *analytics.TriangleStats // t, Δ, τ; nil without Triangles
 
-	*distTier // nil unless built by WithDistances
+	*distTier // nil without Distances
 }
 
-// distTier is a factor's distance data: each vertex's cumulative hop
-// profile (analytics.HopProfiles), eccentricities, and the diameter. Its
-// fields read through a Factor without the tier dereference nil — a
-// panic, never a silent 0.
+// distTier is a factor's distance data. ε_i is R_i's last hop when R_i
+// reaches all n vertices, Unreachable otherwise.
 type distTier struct {
 	Profile [][]int64
 	Ecc     []int64
 	Diam    int64
 }
 
-// NewFactor computes degrees and triangle statistics for g.
-func NewFactor(g *graph.Graph) *Factor {
-	return &Factor{
-		G:   g,
-		Deg: g.Degrees(),
-		Tri: analytics.Triangles(g),
+// NewFactor computes g's degrees and the tiers asked.
+func NewFactor(g *graph.Graph, tiers Tiers) *Factor {
+	f := &Factor{G: g, Deg: g.Degrees()}
+	if tiers&Triangles != 0 {
+		f.Tri = analytics.Triangles(g)
 	}
-}
-
-// WithDistances returns a Factor sharing f's graph, degrees and triangles
-// that also holds every vertex's hop profile R_i, eccentricities and
-// diameter — the tier the distance laws (Cor. 3–5, Sec. V-B) read. ε_i is
-// R_i's last hop when R_i reaches all n vertices, Unreachable otherwise.
-// It returns f itself when f already has them. Cost O(n·(n+arcs)) time,
-// Σ(ε_i+1) counts.
-func (f *Factor) WithDistances() *Factor {
-	if f.distTier != nil {
-		return f
-	}
-	t := &distTier{Profile: analytics.HopProfiles(f.G), Ecc: make([]int64, f.N())}
-	for i, r := range t.Profile {
-		ecc := int64(len(r) - 1)
-		if r[ecc] < f.N() {
-			ecc = analytics.Unreachable
+	if tiers&Distances != 0 {
+		t := &distTier{Profile: analytics.HopProfiles(g), Ecc: make([]int64, f.N())}
+		for i, r := range t.Profile {
+			ecc := int64(len(r) - 1)
+			if r[ecc] < f.N() {
+				ecc = analytics.Unreachable
+			}
+			t.Ecc[i] = ecc
+			t.Diam = analytics.MaxHops(t.Diam, ecc)
 		}
-		t.Ecc[i] = ecc
-		t.Diam = analytics.MaxHops(t.Diam, ecc)
+		f.distTier = t
 	}
-	c := *f
-	c.distTier = t
-	return &c
+	return f
 }
 
-// distances returns f's distance tier, panicking with the law's name when
-// f was built without WithDistances — a law never builds it in place.
-func (f *Factor) distances(law string) *distTier {
-	if f.distTier == nil {
-		panic(fmt.Sprintf("groundtruth: %s needs the distance tier; build the factor with WithDistances", law))
+// tiers returns the tiers f holds.
+func (f *Factor) tiers() Tiers {
+	var t Tiers
+	if f.Tri != nil {
+		t |= Triangles
 	}
-	return f.distTier
+	if f.distTier != nil {
+		t |= Distances
+	}
+	return t
 }
 
-// CostBytes estimates the resident size of f in two parts: base, the CSR
-// graph and the degree and triangle vectors, which every copy
-// WithDistances makes shares; and distances, the distance tier's
-// profiles, Σ(ε_i+1) counts and a slice header a vertex, 0 without the
-// tier. kronserve's LRU budgets on these, counting a shared base once.
-func (f *Factor) CostBytes() (base, distances int64) {
-	n, arcs := f.N(), f.G.NumArcs()
-	base = (n+1)*8 + arcs*8  // CSR offsets + adjacency
-	base += n * 8            // Deg
-	base += n*8 + arcs*8 + 8 // Tri.Vertex, Tri.Arc, Tri.Global
+// CostBytes estimates the bytes NewFactor built for f: the degree vector
+// and each tier it holds, not the graph it was handed. kronserve's LRU
+// budgets on it.
+func (f *Factor) CostBytes() int64 {
+	n := f.N()
+	b := n * 8 // Deg
+	if f.Tri != nil {
+		b += n*8 + f.G.NumArcs()*8 + 8 // Tri.Vertex, Tri.Arc, Tri.Global
+	}
 	if f.distTier != nil {
 		for _, r := range f.Profile {
-			distances += int64(len(r)+3) * 8 // R_i and its header
+			b += int64(len(r)+3) * 8 // R_i and its header
 		}
-		distances += n*8 + 8 // Ecc, Diam
+		b += n*8 + 8 // Ecc, Diam
 	}
-	return base, distances
+	return b
 }
 
 // N returns the factor's vertex count.

@@ -11,37 +11,33 @@ import (
 	"kronlab/internal/graph"
 )
 
-// TestSummariesShareTriangles: a Source's summary with the distance tier is
-// WithDistances of its memoised summary without it, whichever is asked
-// first, so a degree row and a distance row on one factor form count the
-// factor's triangles once.
-func TestSummariesShareTriangles(t *testing.T) {
+// TestSummariesBuildTheTiersAsked: a Source builds each summary it is
+// asked for once, over the +I form when asked, holding exactly the tiers
+// asked, and two summaries of one factor share no tier: each is built
+// from scratch.
+func TestSummariesBuildTheTiersAsked(t *testing.T) {
 	g := gen.PrefAttach(12, 2, 5)
+	src := Summaries([]*graph.Graph{g})
 	for _, plusI := range []bool{false, true} {
-		for _, distFirst := range []bool{false, true} {
-			src := Summaries([]*graph.Graph{g})
-			order := []bool{false, true}
-			if distFirst {
-				order = []bool{true, false}
+		seen := map[*int64]Tiers{}
+		for _, tiers := range []Tiers{0, Triangles, Distances, Triangles | Distances} {
+			f, err := src(0, plusI, tiers)
+			if err != nil {
+				t.Fatal(err)
 			}
-			got := map[bool]*Factor{}
-			for _, distances := range order {
-				f, err := src(0, plusI, distances)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got[distances] = f
+			if again, _ := src(0, plusI, tiers); again != f {
+				t.Errorf("plusI=%v tiers=%b: a second ask built the summary again", plusI, tiers)
 			}
-			basic, dist := got[false], got[true]
-			if basic.Tri != dist.Tri || &basic.Deg[0] != &dist.Deg[0] || basic.G != dist.G {
-				t.Errorf("plusI=%v distFirst=%v: the distance summary does not share the summary's graph, degrees and triangles", plusI, distFirst)
+			if f.tiers() != tiers {
+				t.Errorf("plusI=%v: asked for tiers %b, built %b", plusI, tiers, f.tiers())
 			}
-			if basic.distTier != nil || dist.distTier == nil {
-				t.Errorf("plusI=%v distFirst=%v: tiers swapped", plusI, distFirst)
-			}
-			if loops := basic.G.NumSelfLoops(); (loops == basic.N()) != plusI {
+			if loops := f.G.NumSelfLoops(); (loops == f.N()) != plusI {
 				t.Errorf("plusI=%v: summary of a graph with %d loops", plusI, loops)
 			}
+			if other, ok := seen[&f.Deg[0]]; ok {
+				t.Errorf("plusI=%v: tiers %b share their degrees with tiers %b", plusI, tiers, other)
+			}
+			seen[&f.Deg[0]] = tiers
 		}
 	}
 }
@@ -53,9 +49,9 @@ func TestSummariesShareTriangles(t *testing.T) {
 // race here, because no goroutine touches the factor before they start.
 func TestDistanceLawsShareOneFactor(t *testing.T) {
 	g := randomConnectedLoopFree(rand.New(rand.NewSource(503)), 9).WithFullSelfLoops()
-	ref := NewFactor(g).WithDistances()
+	ref := NewFactor(g, Distances)
 	want := []*Factor{ref, ref}
-	f := NewFactor(g).WithDistances()
+	f := NewFactor(g, Distances)
 	fs := []*Factor{f, f}
 	ci := chainIndexFor(t, want)
 	wantHist, _ := ChainEccentricityHistogram(want)
@@ -74,11 +70,11 @@ func TestDistanceLawsShareOneFactor(t *testing.T) {
 			}
 			for p := w; p < ci.NumVertices(); p += workers {
 				c, c0 := ci.Split(p), ci.Split(0)
-				if e := ChainEccentricityAt(fs, c); e != ChainEccentricityAt(want, c) {
-					t.Errorf("ε(%d) = %d, want %d", p, e, ChainEccentricityAt(want, c))
+				if e := eccentricityAt(fs, c); e != eccentricityAt(want, c) {
+					t.Errorf("ε(%d) = %d, want %d", p, e, eccentricityAt(want, c))
 				}
-				if h := ChainHopsFrom(fs, c)(c0); h != ChainHopsFrom(want, c)(c0) {
-					t.Errorf("hops(%d, 0) = %d, want %d", p, h, ChainHopsFrom(want, c)(c0))
+				if h := hopsRow(fs, c)(c0); h != hopsRow(want, c)(c0) {
+					t.Errorf("hops(%d, 0) = %d, want %d", p, h, hopsRow(want, c)(c0))
 				}
 				if z := ChainClosenessAt(fs, c); z != ChainClosenessAt(want, c) {
 					t.Errorf("ζ(%d) = %v, want %v", p, z, ChainClosenessAt(want, c))
@@ -89,35 +85,59 @@ func TestDistanceLawsShareOneFactor(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDistanceLawsNeedTheTier hands every law that reads the distance
-// tier a factor built without WithDistances: each must panic naming
-// itself, where reading the missing tier would answer a diameter of 0.
-// Hops and the direct closeness sum sweep the graphs and need no tier.
-func TestDistanceLawsNeedTheTier(t *testing.T) {
-	f := NewFactor(gen.Path(3).WithFullSelfLoops())
-	if d := f.WithDistances(); d == f || d.G != f.G || d.WithDistances() != d {
-		t.Fatal("WithDistances must return a new factor over the same graph, and itself once it has the tier")
+// refusesWithout hands every row that reads tier factors built without
+// it: each must refuse naming the tier and itself, where reading the
+// missing tier would answer a diameter of 0 or dereference nil triangles.
+func refusesWithout(t *testing.T, tier Tiers, name string) {
+	t.Helper()
+	for _, l := range Laws {
+		if l.Tiers&tier == 0 {
+			continue
+		}
+		g := gen.Path(3)
+		if l.Takes == FullLoops {
+			g = g.WithFullSelfLoops()
+		}
+		f := NewFactor(g, l.Tiers&^tier)
+		// (0,0)–(1,1) is an arc of P₃⊗P₃, so a per-arc row reaches the tiers.
+		_, err := l.Eval([]*Factor{f, f}, []int64{0, 0}, []int64{1, 1})
+		if err == nil || !strings.Contains(err.Error(), "needs the "+name+" tier") || !strings.Contains(err.Error(), "("+l.Name+")") {
+			t.Errorf("%s without the %s tier: %v, want a refusal naming the tier and the row", l.Name, name, err)
+		}
 	}
+}
+
+// TestDistanceLawsNeedTheTier: the rows that read the distance tier
+// refuse a factor built without it, and the typed API panics with that
+// refusal. Hops and the direct closeness sum sweep the graphs and need
+// no tier.
+func TestDistanceLawsNeedTheTier(t *testing.T) {
+	refusesWithout(t, Distances, "distance")
+	f := NewFactor(gen.Path(3).WithFullSelfLoops(), Triangles)
 	fs, zero := []*Factor{f, f}, []int64{0, 0}
 	for _, c := range []struct {
 		law  string
 		call func()
 	}{
 		{"diameter", func() { ChainDiameter(fs) }},
-		{"diameter", func() { DiameterBounds(f, f) }},
-		{"eccentricity", func() { ChainEccentricityAt(fs, zero) }},
 		{"eccentricity", func() { _, _ = ChainEccentricities(fs) }},
 		{"eccentricity histogram", func() { _, _ = ChainEccentricityHistogram(fs) }},
 		{"closeness", func() { ChainClosenessAt(fs, zero) }},
 	} {
-		func() {
-			defer func() {
-				msg, _ := recover().(string)
-				if !strings.Contains(msg, c.law+" needs the distance tier") {
-					t.Errorf("%s without the tier: panic %q, want one naming the law", c.law, msg)
-				}
-			}()
-			c.call()
-		}()
+		wantPanic(t, "needs the distance tier, which factor 0 was built without ("+c.law+")", c.call)
 	}
+	if h := hopsRow(fs, zero)([]int64{2, 2}); h != 2 {
+		t.Errorf("hops from (0,0) to (2,2) without the tier: %d, want 2", h)
+	}
+	if z := ClosenessAt(f, f, 0); z <= 0 {
+		t.Errorf("direct closeness without the tier: %v", z)
+	}
+}
+
+// TestTriangleLawsNeedTheTier: the rows that read the triangle tier —
+// clustering among them — refuse a factor built without it.
+func TestTriangleLawsNeedTheTier(t *testing.T) {
+	refusesWithout(t, Triangles, "triangle")
+	f := NewFactor(gen.Path(3), 0)
+	wantPanic(t, "needs the triangle tier, which factor 0 was built without (global triangles)", func() { _, _ = ChainGlobalTriangles([]*Factor{f, f}) })
 }

@@ -58,7 +58,7 @@ func TestDegreeLaw(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 20; trial++ {
 		ga, gb := randomLoopFree(rng, 9), randomLoopFree(rng, 9)
-		a, b := NewFactor(ga), NewFactor(gb)
+		a, b := NewFactor(ga, 0), NewFactor(gb, 0)
 		c := mustProduct(t, ga, gb)
 		fs := []*Factor{a, b}
 		checkDegreeLaw(t, fs, c)
@@ -75,7 +75,7 @@ func TestDegreeLawWithSelfLoops(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		ga, gb := randomLoopFree(rng, 8), randomLoopFree(rng, 8)
 		// The degree law over the +I factors is the degree of (A+I)⊗(B+I).
-		fs := []*Factor{NewFactor(ga.WithFullSelfLoops()), NewFactor(gb.WithFullSelfLoops())}
+		fs := []*Factor{NewFactor(ga.WithFullSelfLoops(), 0), NewFactor(gb.WithFullSelfLoops(), 0)}
 		c, err := core.ProductWithSelfLoops(ga, gb)
 		if err != nil {
 			t.Fatal(err)
@@ -84,8 +84,8 @@ func TestDegreeLawWithSelfLoops(t *testing.T) {
 	}
 }
 
-// checkDegreeLaw holds ChainDegreeAt at every vertex, and
-// ChainDegreeHistogram, to the materialized product c.
+// checkDegreeLaw holds ChainDegreeAt at every vertex, and the degree
+// histogram row, to the materialized product c.
 func checkDegreeLaw(t *testing.T, fs []*Factor, c *graph.Graph) {
 	t.Helper()
 	ci := chainIndexFor(t, fs)
@@ -94,7 +94,7 @@ func checkDegreeLaw(t *testing.T, fs []*Factor, c *graph.Graph) {
 			t.Fatalf("d_%d = %d, predicted %d", p, c.Degree(p), got)
 		}
 	}
-	if h, err := ChainDegreeHistogram(fs); err != nil || !reflect.DeepEqual(h, histOf(c.Degrees())) {
+	if h, err := at[map[int64]int64](lawDegreeHistogram, fs, nil, nil); err != nil || !reflect.DeepEqual(h, histOf(c.Degrees())) {
 		t.Fatalf("degree histogram %v (err %v), want %v", h, err, histOf(c.Degrees()))
 	}
 }
@@ -105,7 +105,7 @@ func TestVertexTriangleLaw(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 20; trial++ {
 		ga, gb := randomLoopFree(rng, 9), randomLoopFree(rng, 9)
-		a, b := NewFactor(ga), NewFactor(gb)
+		a, b := NewFactor(ga, Triangles), NewFactor(gb, Triangles)
 		c := mustProduct(t, ga, gb)
 		exact := analytics.Triangles(c)
 		fs := []*Factor{a, b}
@@ -115,7 +115,7 @@ func TestVertexTriangleLaw(t *testing.T) {
 				t.Fatalf("trial %d: t_%d exact %d, predicted %d (err %v)", trial, p, exact.Vertex[p], got, err)
 			}
 		}
-		if h, err := ChainVertexTriangleHistogram(fs); err != nil || !reflect.DeepEqual(h, histOf(exact.Vertex)) {
+		if h, err := at[map[int64]int64](lawTriangleHistogram, fs, nil, nil); err != nil || !reflect.DeepEqual(h, histOf(exact.Vertex)) {
 			t.Fatalf("trial %d: triangle histogram %v (err %v), want %v", trial, h, err, histOf(exact.Vertex))
 		}
 		if got, err := ChainGlobalTriangles(fs); err != nil || got != exact.Global {
@@ -128,7 +128,7 @@ func TestEdgeTriangleLaw(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 20; trial++ {
 		ga, gb := randomLoopFree(rng, 8), randomLoopFree(rng, 8)
-		a, b := NewFactor(ga), NewFactor(gb)
+		a, b := NewFactor(ga, Triangles), NewFactor(gb, Triangles)
 		c := mustProduct(t, ga, gb)
 		exact := analytics.Triangles(c)
 		fs := []*Factor{a, b}
@@ -139,7 +139,7 @@ func TestEdgeTriangleLaw(t *testing.T) {
 			if u == v {
 				return true
 			}
-			if got, err := ChainEdgeTrianglesAt(fs, ci.Split(u), ci.Split(v)); err != nil || got != exact.Arc[idx] {
+			if got, err := at[int64](lawEdgeTriangles, fs, ci.Split(u), ci.Split(v)); err != nil || got != exact.Arc[idx] {
 				t.Fatalf("trial %d: Δ(%d,%d) exact %d, predicted %d (err %v)",
 					trial, u, v, exact.Arc[idx], got, err)
 			}
@@ -154,7 +154,7 @@ func TestCor1VertexTrianglesFullLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	for trial := 0; trial < 20; trial++ {
 		ga, gb := randomLoopFree(rng, 8), randomLoopFree(rng, 8)
-		a, b := NewFactor(ga), NewFactor(gb)
+		a, b := NewFactor(ga, Triangles), NewFactor(gb, Triangles)
 		c, err := core.ProductWithSelfLoops(ga, gb)
 		if err != nil {
 			t.Fatal(err)
@@ -177,7 +177,7 @@ func TestCor1VertexTrianglesFullLoops(t *testing.T) {
 func TestCor1KnownExample(t *testing.T) {
 	// A = B = K2: C = (K2+I)⊗(K2+I) = K4 with loops; t_p = 3 everywhere.
 	k2, _ := graph.NewUndirected(2, []graph.Edge{{U: 0, V: 1}})
-	a := NewFactor(k2)
+	a := NewFactor(k2, Triangles)
 	ci := core.MustChainIndex(2, 2)
 	for p := int64(0); p < 4; p++ {
 		if got, err := ChainVertexTrianglesFullLoopsAt([]*Factor{a, a}, ci.Split(p)); err != nil || got != 3 {
@@ -190,7 +190,7 @@ func TestCor2EdgeTrianglesFullLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 20; trial++ {
 		ga, gb := randomLoopFree(rng, 7), randomLoopFree(rng, 7)
-		a, b := NewFactor(ga), NewFactor(gb)
+		a, b := NewFactor(ga, Triangles), NewFactor(gb, Triangles)
 		c, err := core.ProductWithSelfLoops(ga, gb)
 		if err != nil {
 			t.Fatal(err)
@@ -219,7 +219,7 @@ func TestCor2EdgeTrianglesFullLoops(t *testing.T) {
 // count (and the appendix expansion) give 2.
 func TestCor2PaperTypo(t *testing.T) {
 	k2, _ := graph.NewUndirected(2, []graph.Edge{{U: 0, V: 1}})
-	a := NewFactor(k2)
+	a := NewFactor(k2, Triangles)
 	c, err := core.ProductWithSelfLoops(k2, k2)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +242,7 @@ func TestCor2PaperTypo(t *testing.T) {
 
 func TestCor2PanicsOnLoop(t *testing.T) {
 	k2, _ := graph.NewUndirected(2, []graph.Edge{{U: 0, V: 1}})
-	a := NewFactor(k2)
+	a := NewFactor(k2, Triangles)
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic for p == q")
@@ -270,7 +270,7 @@ func TestRequireGuards(t *testing.T) {
 		{lawDiameter, bare.WithFullSelfLoops(), false},
 		{lawDegree, loopy, false},
 	} {
-		err := c.law.check([]*Factor{NewFactor(c.g)}, []int64{0}, nil)
+		err := c.law.check([]*Factor{NewFactor(c.g, c.law.Tiers)}, []int64{0}, nil)
 		if (err != nil) != c.refuse {
 			t.Errorf("%s on %v: refusal %v, want one: %v", c.law.Name, c.g, err, c.refuse)
 		}
@@ -279,7 +279,7 @@ func TestRequireGuards(t *testing.T) {
 
 func TestEdgeTriPanicsOnNonArc(t *testing.T) {
 	k2, _ := graph.NewUndirected(3, []graph.Edge{{U: 0, V: 1}})
-	f := NewFactor(k2)
+	f := NewFactor(k2, Triangles)
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic for non-arc")
@@ -294,7 +294,7 @@ func TestThm1VertexClustering(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for trial := 0; trial < 15; trial++ {
 		ga, gb := randomLoopFree(rng, 9), randomLoopFree(rng, 9)
-		a, b := NewFactor(ga), NewFactor(gb)
+		a, b := NewFactor(ga, Triangles), NewFactor(gb, Triangles)
 		c := mustProduct(t, ga, gb)
 		exact := analytics.VertexClustering(c)
 		for p := int64(0); p < c.NumVertices(); p++ {
@@ -332,7 +332,7 @@ func TestThm2EdgeClustering(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 15; trial++ {
 		ga, gb := randomLoopFree(rng, 8), randomLoopFree(rng, 8)
-		a, b := NewFactor(ga), NewFactor(gb)
+		a, b := NewFactor(ga, Triangles), NewFactor(gb, Triangles)
 		c := mustProduct(t, ga, gb)
 		exact := analytics.EdgeClustering(c)
 		nB := b.N()
@@ -350,7 +350,7 @@ func TestThm2EdgeClustering(t *testing.T) {
 				a.EdgeTri(i, j) == 0 || b.EdgeTri(k, l) == 0 {
 				return true
 			}
-			pred, err := ChainEdgeClusteringAt([]*Factor{a, b}, []int64{i, k}, []int64{j, l})
+			pred, err := at[float64](lawEdgeClustering, []*Factor{a, b}, []int64{i, k}, []int64{j, l})
 			if err != nil || math.IsNaN(pred) {
 				t.Fatalf("trial %d: ξ(%d,%d) NaN under Thm.2 hypothesis", trial, u, v)
 			}
@@ -382,14 +382,14 @@ func TestThm3HopsMaxLaw(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		ga := randomConnectedLoopFree(rng, 7).WithFullSelfLoops()
 		gb := randomConnectedLoopFree(rng, 7).WithFullSelfLoops()
-		a, b := NewFactor(ga).WithDistances(), NewFactor(gb).WithDistances()
+		a, b := NewFactor(ga, Distances), NewFactor(gb, Distances)
 		c := mustProduct(t, ga, gb)
 		rows := analytics.AllPairsHops(c)
 		fs := []*Factor{a, b}
 		ci := chainIndexFor(t, fs)
 		for p := int64(0); p < c.NumVertices(); p++ {
 			for q := int64(0); q < c.NumVertices(); q++ {
-				if got := ChainHopsFrom(fs, ci.Split(p))(ci.Split(q)); got != rows[p][q] {
+				if got := hopsRow(fs, ci.Split(p))(ci.Split(q)); got != rows[p][q] {
 					t.Fatalf("trial %d: hops(%d,%d) exact %d, predicted %d",
 						trial, p, q, rows[p][q], got)
 				}
@@ -403,7 +403,7 @@ func TestCor4Eccentricity(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		ga := randomConnectedLoopFree(rng, 8).WithFullSelfLoops()
 		gb := randomConnectedLoopFree(rng, 8).WithFullSelfLoops()
-		a, b := NewFactor(ga).WithDistances(), NewFactor(gb).WithDistances()
+		a, b := NewFactor(ga, Distances), NewFactor(gb, Distances)
 		c := mustProduct(t, ga, gb)
 		exact := analytics.Eccentricities(c)
 		pred, err := ChainEccentricities([]*Factor{a, b})
@@ -423,12 +423,34 @@ func TestCor3Diameter(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		ga := randomConnectedLoopFree(rng, 8).WithFullSelfLoops()
 		gb := randomConnectedLoopFree(rng, 8).WithFullSelfLoops()
-		a, b := NewFactor(ga).WithDistances(), NewFactor(gb).WithDistances()
+		a, b := NewFactor(ga, Distances), NewFactor(gb, Distances)
 		c := mustProduct(t, ga, gb)
 		if got, want := ChainDiameter([]*Factor{a, b}), analytics.Diameter(c); got != want {
 			t.Fatalf("trial %d: diameter predicted %d, exact %d", trial, got, want)
 		}
 	}
+}
+
+// sandwich returns Thm. 5's and Cor. 5's ±1 bounds [m, m+1] around the
+// max law's m, Unreachable on both sides when m is.
+func sandwich(m int64) (lo, hi int64) {
+	if m == analytics.Unreachable {
+		return m, m
+	}
+	return m, m + 1
+}
+
+// diameterBounds is Cor. 5 for A with full self loops and B merely
+// undirected: max{diam_A, diam_B} ≤ diam(A⊗B) ≤ max{diam_A, diam_B} + 1.
+func diameterBounds(a, b *Factor) (lo, hi int64) {
+	return sandwich(analytics.MaxHops(a.Diam, b.Diam))
+}
+
+// hopsBounds is Thm. 5 at product vertices p and q of A⊗B:
+// max{hops_A, hops_B} ≤ hops_C(p,q) ≤ max{hops_A, hops_B} + 1.
+func hopsBounds(a, b *Factor, p, q int64) (lo, hi int64) {
+	n := b.N()
+	return sandwich(hopsFrom([]*Factor{a, b}, []int64{p / n, p % n})([]int64{q / n, q % n}))
 }
 
 func TestThm5AndCor5Bounds(t *testing.T) {
@@ -437,20 +459,20 @@ func TestThm5AndCor5Bounds(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		ga := randomConnectedLoopFree(rng, 7).WithFullSelfLoops()
 		gb := randomConnectedLoopFree(rng, 7)
-		a, b := NewFactor(ga).WithDistances(), NewFactor(gb).WithDistances()
+		a, b := NewFactor(ga, Distances), NewFactor(gb, Distances)
 		c := mustProduct(t, ga, gb)
 		if !c.IsSymmetric() {
 			t.Fatal("product should be symmetric")
 		}
 		rows := analytics.AllPairsHops(c)
-		diamLo, diamHi := DiameterBounds(a, b)
+		diamLo, diamHi := diameterBounds(a, b)
 		cd := analytics.Diameter(c)
 		if cd != analytics.Unreachable && (cd < diamLo || cd > diamHi) {
 			t.Fatalf("trial %d: diam %d outside [%d,%d]", trial, cd, diamLo, diamHi)
 		}
 		for p := int64(0); p < c.NumVertices(); p++ {
 			for q := int64(0); q < c.NumVertices(); q++ {
-				lo, hi := HopsBoundsAt(a, b, p, q)
+				lo, hi := hopsBounds(a, b, p, q)
 				h := rows[p][q]
 				if h == analytics.Unreachable {
 					continue // B disconnected pairs may be unreachable in C
@@ -471,7 +493,7 @@ func TestThm4ClosenessDirect(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		ga := randomConnectedLoopFree(rng, 7).WithFullSelfLoops()
 		gb := randomConnectedLoopFree(rng, 7).WithFullSelfLoops()
-		a, b := NewFactor(ga).WithDistances(), NewFactor(gb).WithDistances()
+		a, b := NewFactor(ga, Distances), NewFactor(gb, Distances)
 		c := mustProduct(t, ga, gb)
 		for p := int64(0); p < c.NumVertices(); p++ {
 			exact := analytics.Closeness(c, p)
@@ -489,7 +511,7 @@ func TestClosenessCompressedMatchesDirect(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		ga := randomConnectedLoopFree(rng, 9).WithFullSelfLoops()
 		gb := randomConnectedLoopFree(rng, 9).WithFullSelfLoops()
-		a, b := NewFactor(ga).WithDistances(), NewFactor(gb).WithDistances()
+		a, b := NewFactor(ga, Distances), NewFactor(gb, Distances)
 		fs := []*Factor{a, b}
 		ci := chainIndexFor(t, fs)
 		for p := int64(0); p < a.N()*b.N(); p += 3 {
@@ -508,7 +530,7 @@ func TestClosenessCompressedMatchesDirect(t *testing.T) {
 func TestClosenessCompressedDisconnected(t *testing.T) {
 	ga, _ := graph.NewUndirected(3, []graph.Edge{{U: 0, V: 1}})
 	gal := ga.WithFullSelfLoops()
-	a := NewFactor(gal).WithDistances()
+	a := NewFactor(gal, Distances)
 	fs := []*Factor{a, a}
 	ci, c := chainIndexFor(t, fs), mustProduct(t, gal, gal)
 	for p := int64(0); p < c.NumVertices(); p++ {
@@ -758,7 +780,7 @@ func TestEccentricityHistogramMatchesVector(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	ga := randomConnectedLoopFree(rng, 8).WithFullSelfLoops()
 	gb := randomConnectedLoopFree(rng, 8).WithFullSelfLoops()
-	fs := []*Factor{NewFactor(ga).WithDistances(), NewFactor(gb).WithDistances()}
+	fs := []*Factor{NewFactor(ga, Distances), NewFactor(gb, Distances)}
 	hist, err := ChainEccentricityHistogram(fs)
 	if err != nil {
 		t.Fatal(err)

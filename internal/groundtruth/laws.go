@@ -7,10 +7,11 @@ import (
 )
 
 // The law table: one row per ground-truth law of a chain product, and the
-// only place a law's hypothesis is stated and checked. The exported
-// Chain* functions are the typed API: each goes through its row, which
-// checks the hypothesis before reading any factor and panics naming the
-// law where it fails. Callers that take the hypothesis from a user —
+// only place a law's hypothesis — and the factor tiers it reads — is
+// stated and checked. The exported Chain* functions are a typed API over
+// the rows callers outside the table use: each goes through its row,
+// which checks the hypothesis before reading any factor and panics naming
+// the law where it fails. Callers that take the hypothesis from a user —
 // kronserve, cmd/groundtruth, internal/validate — find rows with Resolve
 // or iterate Laws, and get the row's refusal as an error.
 
@@ -37,14 +38,15 @@ const (
 // Law is one row of the table. Takes and PlusI are its hypothesis: the
 // factors it takes, and whether it describes ⊗(A_d+I) of them (Cor. 1/2
 // take loop-free A_d and add the +I themselves) rather than their ⊗.
+// Tiers is what it reads of each factor beyond the graph and degrees.
 type Law struct {
-	Name      string // the quantity, which reports and kronserve answer under
-	Property  string // the kronserve property that asks for it; "" for the counts summary reads off the graphs
-	Formula   string // its FORMULAS.md text, which refusals and panics name
-	Takes     Loops
-	PlusI     bool
-	Distances bool // it reads the distance tier (Factor.WithDistances)
-	Shape     Shape
+	Name     string // the quantity, which reports and kronserve answer under
+	Property string // the kronserve property that asks for it; "" for the counts summary reads off the graphs
+	Formula  string // its FORMULAS.md text, which refusals and panics name
+	Takes    Loops
+	PlusI    bool
+	Tiers    Tiers // the factor tiers its body reads
+	Shape    Shape
 	// eval is the body: an int64, a float64 or a histogram at p (and q),
 	// where the row has checked the hypothesis; from is a per-pair body
 	// from p, for every q at once.
@@ -74,21 +76,21 @@ var (
 	lawArcs                  = &Law{Name: "arcs", Formula: "arcs_C = Π arcs_d", Shape: Global, eval: whole(numArcs)}
 	lawDegree                = &Law{Name: "degree", Property: "degree", Formula: "d_C = ⊗d_d", Shape: PerVertex, eval: vertex(degrees.at)}
 	lawDegreeHistogram       = &Law{Name: "degree histogram", Property: "degree", Formula: "d_C = ⊗d_d", Shape: Histogram, eval: whole(degrees.hist)}
-	lawVertexTriangles       = &Law{Name: "vertex triangles", Property: "triangles", Formula: "t_C = 2^{k−1}·⊗t_d", Takes: LoopFree, Shape: PerVertex, eval: vertex(triangles.at)}
-	lawCor1VertexTriangles   = &Law{Name: "vertex triangles", Property: "triangles", Formula: "Cor. 1", Takes: LoopFree, PlusI: true, Shape: PerVertex, eval: vertex(cor1At)}
-	lawTriangleHistogram     = &Law{Name: "vertex triangle histogram", Property: "triangles", Formula: "t_C = 2^{k−1}·⊗t_d", Takes: LoopFree, Shape: Histogram, eval: whole(triangles.hist)}
-	lawCor1TriangleHistogram = &Law{Name: "vertex triangle histogram", Property: "triangles", Formula: "Cor. 1", Takes: LoopFree, PlusI: true, Shape: Histogram, eval: whole(cor1Histogram)}
-	lawEdgeTriangles         = &Law{Name: "edge triangles", Property: "triangles", Formula: "Δ_C = Π Δ_d", Takes: LoopFree, Shape: PerArc, eval: pair(edgeTriangles)}
-	lawCor2EdgeTriangles     = &Law{Name: "edge triangles", Property: "triangles", Formula: "Cor. 2", Takes: LoopFree, PlusI: true, Shape: PerArc, eval: pair(cor2At)}
-	lawGlobalTriangles       = &Law{Name: "global triangles", Property: "triangles", Formula: "τ_C = 6^{k−1}·Π τ_d", Takes: LoopFree, Shape: Global, eval: whole(globalTriangles)}
-	lawCor1GlobalTriangles   = &Law{Name: "global triangles", Property: "triangles", Formula: "Cor. 1", Takes: LoopFree, PlusI: true, Shape: Global, eval: whole(cor1Global)}
-	lawVertexClustering      = &Law{Name: "vertex clustering", Property: "clustering", Formula: "Thm. 1", Takes: LoopFree, Shape: PerVertex, eval: vertex(vertexClustering)}
-	lawEdgeClustering        = &Law{Name: "edge clustering", Property: "clustering", Formula: "Thm. 2", Takes: LoopFree, Shape: PerArc, eval: pair(edgeClustering)}
+	lawVertexTriangles       = &Law{Name: "vertex triangles", Property: "triangles", Formula: "t_C = 2^{k−1}·⊗t_d", Takes: LoopFree, Tiers: Triangles, Shape: PerVertex, eval: vertex(triangles.at)}
+	lawCor1VertexTriangles   = &Law{Name: "vertex triangles", Property: "triangles", Formula: "Cor. 1", Takes: LoopFree, PlusI: true, Tiers: Triangles, Shape: PerVertex, eval: vertex(cor1At)}
+	lawTriangleHistogram     = &Law{Name: "vertex triangle histogram", Property: "triangles", Formula: "t_C = 2^{k−1}·⊗t_d", Takes: LoopFree, Tiers: Triangles, Shape: Histogram, eval: whole(triangles.hist)}
+	lawCor1TriangleHistogram = &Law{Name: "vertex triangle histogram", Property: "triangles", Formula: "Cor. 1", Takes: LoopFree, PlusI: true, Tiers: Triangles, Shape: Histogram, eval: whole(cor1Histogram)}
+	lawEdgeTriangles         = &Law{Name: "edge triangles", Property: "triangles", Formula: "Δ_C = Π Δ_d", Takes: LoopFree, Tiers: Triangles, Shape: PerArc, eval: pair(edgeTriangles)}
+	lawCor2EdgeTriangles     = &Law{Name: "edge triangles", Property: "triangles", Formula: "Cor. 2", Takes: LoopFree, PlusI: true, Tiers: Triangles, Shape: PerArc, eval: pair(cor2At)}
+	lawGlobalTriangles       = &Law{Name: "global triangles", Property: "triangles", Formula: "τ_C = 6^{k−1}·Π τ_d", Takes: LoopFree, Tiers: Triangles, Shape: Global, eval: whole(globalTriangles)}
+	lawCor1GlobalTriangles   = &Law{Name: "global triangles", Property: "triangles", Formula: "Cor. 1", Takes: LoopFree, PlusI: true, Tiers: Triangles, Shape: Global, eval: whole(cor1Global)}
+	lawVertexClustering      = &Law{Name: "vertex clustering", Property: "clustering", Formula: "Thm. 1", Takes: LoopFree, Tiers: Triangles, Shape: PerVertex, eval: vertex(vertexClustering)}
+	lawEdgeClustering        = &Law{Name: "edge clustering", Property: "clustering", Formula: "Thm. 2", Takes: LoopFree, Tiers: Triangles, Shape: PerArc, eval: pair(edgeClustering)}
 	lawHops                  = &Law{Name: "hops", Property: "hops", Formula: "Thm. 3", Takes: FullLoops, Shape: PerPair, eval: pair(hops), from: hopsFrom}
-	lawEccentricity          = &Law{Name: "eccentricity", Property: "eccentricity", Formula: "Cor. 4", Takes: FullLoops, Distances: true, Shape: PerVertex, eval: vertex(eccentricities.at)}
-	lawEccentricityHistogram = &Law{Name: "eccentricity histogram", Property: "eccentricity", Formula: "Cor. 4", Takes: FullLoops, Distances: true, Shape: Histogram, eval: whole(eccentricities.hist)}
-	lawDiameter              = &Law{Name: "diameter", Property: "diameter", Formula: "Cor. 3", Takes: FullLoops, Distances: true, Shape: Global, eval: whole(diameter)}
-	lawCloseness             = &Law{Name: "closeness", Property: "closeness", Formula: "Thm. 4", Takes: FullLoops, Distances: true, Shape: PerVertex, eval: vertex(closenessAt)}
+	lawEccentricity          = &Law{Name: "eccentricity", Property: "eccentricity", Formula: "Cor. 4", Takes: FullLoops, Tiers: Distances, Shape: PerVertex, eval: vertex(eccentricities.at)}
+	lawEccentricityHistogram = &Law{Name: "eccentricity histogram", Property: "eccentricity", Formula: "Cor. 4", Takes: FullLoops, Tiers: Distances, Shape: Histogram, eval: whole(eccentricities.hist)}
+	lawDiameter              = &Law{Name: "diameter", Property: "diameter", Formula: "Cor. 3", Takes: FullLoops, Tiers: Distances, Shape: Global, eval: whole(diameter)}
+	lawCloseness             = &Law{Name: "closeness", Property: "closeness", Formula: "Thm. 4", Takes: FullLoops, Tiers: Distances, Shape: PerVertex, eval: vertex(closenessAt)}
 )
 
 // Laws is the table, in the order reports list it.
@@ -100,7 +102,7 @@ var Laws = []*Law{
 	lawHops, lawEccentricity, lawEccentricityHistogram, lawDiameter, lawCloseness,
 }
 
-// The typed API, one function per row: the row's value at coordinates
+// The typed API, one function per row it covers: the row's value at coordinates
 // p (and q), a core.ChainIndex split of product vertices. Counts are
 // checked — a chain a handful of factors deep overflows int64 easily, and
 // a law refuses it rather than wrap — but for the degree and ε, which
@@ -111,20 +113,12 @@ var Laws = []*Law{
 // ChainNumVertices returns n_C = Π n_d.
 func ChainNumVertices(fs []*Factor) (int64, error) { return at[int64](lawVertices, fs, nil, nil) }
 
-// ChainNumArcs returns arcs_C = Π arcs_d.
-func ChainNumArcs(fs []*Factor) (int64, error) { return at[int64](lawArcs, fs, nil, nil) }
-
 // ChainNumEdges returns m_C = (arcs_C + loops_C)/2, for loop-free factors
 // the paper's m_C = 2^{k−1}·Π m_d.
 func ChainNumEdges(fs []*Factor) (int64, error) { return at[int64](lawEdges, fs, nil, nil) }
 
 // ChainDegreeAt returns d_p = Π_d d_{p[d]}.
 func ChainDegreeAt(fs []*Factor, p []int64) int64 { return value(at[int64](lawDegree, fs, p, nil)) }
-
-// ChainDegreeHistogram returns the histogram of d_C = ⊗d_d.
-func ChainDegreeHistogram(fs []*Factor) (map[int64]int64, error) {
-	return at[map[int64]int64](lawDegreeHistogram, fs, nil, nil)
-}
 
 // ChainVertexTrianglesAt returns t_p = 2^{k−1}·Π_d t_{p[d]}.
 func ChainVertexTrianglesAt(fs []*Factor, p []int64) (int64, error) {
@@ -134,22 +128,6 @@ func ChainVertexTrianglesAt(fs []*Factor, p []int64) (int64, error) {
 // ChainVertexTrianglesFullLoopsAt returns t_p of ⊗(A_d+I) (Cor. 1).
 func ChainVertexTrianglesFullLoopsAt(fs []*Factor, p []int64) (int64, error) {
 	return at[int64](lawCor1VertexTriangles, fs, p, nil)
-}
-
-// ChainVertexTriangleHistogram returns the histogram of t_C = 2^{k−1}·⊗t_d.
-func ChainVertexTriangleHistogram(fs []*Factor) (map[int64]int64, error) {
-	return at[map[int64]int64](lawTriangleHistogram, fs, nil, nil)
-}
-
-// ChainVertexTriangleHistogramFullLoops returns the t histogram of
-// ⊗(A_d+I) (Cor. 1).
-func ChainVertexTriangleHistogramFullLoops(fs []*Factor) (map[int64]int64, error) {
-	return at[map[int64]int64](lawCor1TriangleHistogram, fs, nil, nil)
-}
-
-// ChainEdgeTrianglesAt returns Δ_pq = Π_d Δ_d(p[d], q[d]).
-func ChainEdgeTrianglesAt(fs []*Factor, p, q []int64) (int64, error) {
-	return at[int64](lawEdgeTriangles, fs, p, q)
 }
 
 // ChainEdgeTrianglesFullLoopsAt returns Δ_pq of ⊗(A_d+I) (Cor. 2).
@@ -170,23 +148,6 @@ func ChainGlobalTrianglesFullLoops(fs []*Factor) (int64, error) {
 // ChainVertexClusteringAt returns η_p (Thm. 1); NaN where d_p < 2.
 func ChainVertexClusteringAt(fs []*Factor, p []int64) (float64, error) {
 	return at[float64](lawVertexClustering, fs, p, nil)
-}
-
-// ChainEdgeClusteringAt returns ξ_pq (Thm. 2); NaN where min(d_p, d_q) < 2.
-func ChainEdgeClusteringAt(fs []*Factor, p, q []int64) (float64, error) {
-	return at[float64](lawEdgeClustering, fs, p, q)
-}
-
-// ChainHopsFrom returns hops from p to any q (Thm. 3), analytics.Unreachable
-// where there is no path: one sweep per factor graph, then O(k) per q.
-func ChainHopsFrom(fs []*Factor, p []int64) func(q []int64) int64 {
-	lawHops.require(fs, p, nil)
-	return hopsFrom(fs, p)
-}
-
-// ChainEccentricityAt returns ε_p = max_d ε_{p[d]} (Cor. 4).
-func ChainEccentricityAt(fs []*Factor, p []int64) int64 {
-	return value(at[int64](lawEccentricity, fs, p, nil))
 }
 
 // ChainEccentricityHistogram returns the ε histogram (Fig. 1 at any k).
@@ -227,14 +188,22 @@ func (l *Law) admits(d int, loops, n int64) error {
 }
 
 // check returns why the law does not hold on fs at (p, q): a factor
-// outside its hypothesis, or — for a per-arc law — a pair that is no
-// non-loop arc of the product it describes: joined by an arc in every
-// digit or, under the +I, an equal one, and not equal in all.
+// outside its hypothesis or built without a tier the law reads, or — for
+// a per-arc law — a pair that is no non-loop arc of the product it
+// describes: joined by an arc in every digit or, under the +I, an equal
+// one, and not equal in all.
 func (l *Law) check(fs []*Factor, p, q []int64) error {
 	arc, same := true, true
 	for d, f := range fs {
 		if err := l.admits(d, f.G.NumSelfLoops(), f.N()); err != nil {
 			return err
+		}
+		if missing := l.Tiers &^ f.tiers(); missing != 0 {
+			name := "triangle"
+			if missing&Triangles == 0 {
+				name = "distance"
+			}
+			return fmt.Errorf("%s needs the %s tier, which factor %d was built without (%s)", l.Formula, name, d, l.Name)
 		}
 		if l.Shape == PerArc {
 			arc = arc && (f.G.HasArc(p[d], q[d]) || l.PlusI && p[d] == q[d])
@@ -279,43 +248,40 @@ func (l *Law) From(fs []*Factor, p []int64) (func(q []int64) int64, error) {
 }
 
 // A Source returns the summary of registered factor d a row is evaluated
-// on: of its +I form when plusI, with the distance tier when distances.
-type Source func(d int, plusI, distances bool) (*Factor, error)
+// on: of its +I form when plusI, holding the tiers asked.
+type Source func(d int, plusI bool, tiers Tiers) (*Factor, error)
 
-// Summarize builds the summary without the distance tier a Source
-// returns for g. The one with it is WithDistances of that summary, so the
-// two share degrees and triangles, counted once per factor form.
-func Summarize(g *graph.Graph, plusI bool) *Factor {
+// Summarize builds the summary a Source returns for g: a Factor of g, or
+// of its +I form when plusI, with the tiers asked.
+func Summarize(g *graph.Graph, plusI bool, tiers Tiers) *Factor {
 	if plusI {
 		g = g.WithFullSelfLoops()
 	}
-	return NewFactor(g)
+	return NewFactor(g, tiers)
 }
 
-// Summaries returns a Source over gs that builds each summary once, the
-// distance tier over the memoised summary without it.
+// Summaries returns a Source over gs that builds each summary it is asked
+// for once, from scratch: summaries of one factor share no tier.
 func Summaries(gs []*graph.Graph) Source {
-	memo := map[[3]any]*Factor{}
-	var src Source
-	src = func(d int, plusI, distances bool) (*Factor, error) {
-		k := [3]any{d, plusI, distances}
+	type key struct {
+		d     int
+		plusI bool
+		tiers Tiers
+	}
+	memo := map[key]*Factor{}
+	return func(d int, plusI bool, tiers Tiers) (*Factor, error) {
+		k := key{d, plusI, tiers}
 		if memo[k] == nil {
-			if distances {
-				f, _ := src(d, plusI, false)
-				memo[k] = f.WithDistances()
-			} else {
-				memo[k] = Summarize(gs[d], plusI)
-			}
+			memo[k] = Summarize(gs[d], plusI, tiers)
 		}
 		return memo[k], nil
 	}
-	return src
 }
 
 // Bind checks the law against the product asked of the registered
 // factors gs — ⊗A_d, or ⊗(A_d+I) when plusI — and returns the factors it
 // reads: src's summaries of gs, or of their +I forms where a law of ⊗
-// answers for ⊗(A_d+I). ⊗(A_d+I) is asked of loop-free A_d, but by the
+// answers for ⊗(A_d+I), holding exactly the tiers the law reads. ⊗(A_d+I) is asked of loop-free A_d, but by the
 // laws that take full loops, which the +I gives them whatever A_d's. Its
 // error states the hypothesis that fails; nothing is built before every
 // factor passes, and with a nil src nothing is built at all.
@@ -345,7 +311,7 @@ func (l *Law) Bind(gs []*graph.Graph, plusI bool, src Source) ([]*Factor, error)
 	fs := make([]*Factor, len(gs))
 	for d := range gs {
 		var err error
-		if fs[d], err = src(d, onI, l.Distances); err != nil {
+		if fs[d], err = src(d, onI, l.Tiers); err != nil {
 			return nil, err
 		}
 	}

@@ -47,7 +47,7 @@ func TestKronPowerMatchesIteratedProduct(t *testing.T) {
 func TestPowerLawsAgainstMaterializedCube(t *testing.T) {
 	rng := rand.New(rand.NewSource(307))
 	ga := randomConnectedLoopFree(rng, 5)
-	a := NewFactor(ga)
+	a := NewFactor(ga, Triangles)
 	const k = 3
 	fs := copies(a, k)
 	c, err := core.KronPower(ga, k)
@@ -79,7 +79,7 @@ func TestPowerLawsAgainstMaterializedCube(t *testing.T) {
 func TestPowerDistanceLaws(t *testing.T) {
 	rng := rand.New(rand.NewSource(311))
 	ga := randomConnectedLoopFree(rng, 4).WithFullSelfLoops()
-	a := NewFactor(ga).WithDistances()
+	a := NewFactor(ga, Distances)
 	const k = 3
 	fs := copies(a, k)
 	c, err := core.KronPower(ga, k)
@@ -89,7 +89,7 @@ func TestPowerDistanceLaws(t *testing.T) {
 	exactEcc := analytics.Eccentricities(c)
 	px := core.MustChainIndex(a.N(), a.N(), a.N()) // k = 3 equal radices
 	for p := int64(0); p < c.NumVertices(); p++ {
-		if got := ChainEccentricityAt(fs, px.Split(p)); got != exactEcc[p] {
+		if got := eccentricityAt(fs, px.Split(p)); got != exactEcc[p] {
 			t.Fatalf("ε law fails at %d: %d != %d", p, got, exactEcc[p])
 		}
 	}
@@ -101,7 +101,7 @@ func TestPowerDistanceLaws(t *testing.T) {
 	rows := analytics.AllPairsHops(c)
 	for p := int64(0); p < c.NumVertices(); p += 5 {
 		for q := int64(0); q < c.NumVertices(); q += 7 {
-			if got := ChainHopsFrom(fs, px.Split(p))(px.Split(q)); got != rows[p][q] {
+			if got := hopsRow(fs, px.Split(p))(px.Split(q)); got != rows[p][q] {
 				t.Fatalf("hops law fails at (%d,%d): %d != %d", p, q, got, rows[p][q])
 			}
 		}
@@ -111,7 +111,7 @@ func TestPowerDistanceLaws(t *testing.T) {
 func TestPowerEccentricityHistogram(t *testing.T) {
 	rng := rand.New(rand.NewSource(313))
 	ga := randomConnectedLoopFree(rng, 5).WithFullSelfLoops()
-	a := NewFactor(ga).WithDistances()
+	a := NewFactor(ga, Distances)
 	for _, k := range []int{1, 2, 3} {
 		c, err := core.KronPower(ga, k)
 		if err != nil {

@@ -32,7 +32,7 @@ func checkChainTriangleLaws(t *testing.T, gs []*graph.Graph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := factorsOf(gs...)
+	fs := factorsOf(Triangles, gs...)
 	ci := chainIndexFor(t, fs)
 	near := func(law, exact float64) bool {
 		return math.IsNaN(law) && math.IsNaN(exact) || math.Abs(law-exact) <= 1e-9
@@ -52,20 +52,20 @@ func checkChainTriangleLaws(t *testing.T, gs []*graph.Graph) {
 	if got, err := ChainGlobalTrianglesFullLoops(fs); err != nil || got != ltri.Global {
 		t.Fatalf("Cor. 1 τ: law %d (err %v), measured %d", got, err, ltri.Global)
 	}
-	if got, err := ChainVertexTriangleHistogram(fs); err != nil || !reflect.DeepEqual(got, histOf(tri.Vertex)) {
+	if got, err := at[map[int64]int64](lawTriangleHistogram, fs, nil, nil); err != nil || !reflect.DeepEqual(got, histOf(tri.Vertex)) {
 		t.Fatalf("t histogram: law %v (err %v), measured %v", got, err, histOf(tri.Vertex))
 	}
-	if got, err := ChainVertexTriangleHistogramFullLoops(fs); err != nil || !reflect.DeepEqual(got, histOf(ltri.Vertex)) {
+	if got, err := at[map[int64]int64](lawCor1TriangleHistogram, fs, nil, nil); err != nil || !reflect.DeepEqual(got, histOf(ltri.Vertex)) {
 		t.Fatalf("Cor. 1 histogram: law %v (err %v), measured %v", got, err, histOf(ltri.Vertex))
 	}
 	idx := int64(-1)
 	plain.Arcs(func(u, v int64) bool {
 		idx++
 		cu, cv := ci.Split(u), ci.Split(v)
-		if got, err := ChainEdgeTrianglesAt(fs, cu, cv); err != nil || got != tri.Arc[idx] {
+		if got, err := at[int64](lawEdgeTriangles, fs, cu, cv); err != nil || got != tri.Arc[idx] {
 			t.Fatalf("Δ(%d,%d): law %d (err %v), measured %d", u, v, got, err, tri.Arc[idx])
 		}
-		if got, err := ChainEdgeClusteringAt(fs, cu, cv); err != nil || !near(got, xi[idx]) {
+		if got, err := at[float64](lawEdgeClustering, fs, cu, cv); err != nil || !near(got, xi[idx]) {
 			t.Fatalf("ξ(%d,%d): law %v (err %v), measured %v", u, v, got, err, xi[idx])
 		}
 		return true
@@ -153,7 +153,7 @@ func addFactorSeeds(f *testing.F) {
 func TestChainClusteringAtLowDigitDegree(t *testing.T) {
 	gs := []*graph.Graph{gen.Path(2), gen.Clique(4)}
 	c := materializeChain(t, gs...)
-	fs := factorsOf(gs...)
+	fs := factorsOf(Triangles, gs...)
 	ci := chainIndexFor(t, fs)
 	if eta := analytics.VertexClustering(c)[0]; eta != 0 {
 		t.Fatalf("measured η_0 = %v, want 0", eta)
@@ -164,7 +164,7 @@ func TestChainClusteringAtLowDigitDegree(t *testing.T) {
 	if eta, err := ChainVertexClusteringAt(fs, ci.Split(0)); err != nil || eta != 0 {
 		t.Errorf("η_0 = %v (err %v), want 0", eta, err)
 	}
-	if xi, err := ChainEdgeClusteringAt(fs, ci.Split(0), ci.Split(5)); err != nil || xi != 0 {
+	if xi, err := at[float64](lawEdgeClustering, fs, ci.Split(0), ci.Split(5)); err != nil || xi != 0 {
 		t.Errorf("ξ(0,5) = %v (err %v), want 0", xi, err)
 	}
 }
@@ -186,12 +186,12 @@ func TestChainLoopFreeLawsRefuseLoops(t *testing.T) {
 	if d := analytics.EdgeTriangles(c, 0, 4); d != 7 {
 		t.Fatalf("measured Δ(0,4) = %d, want 7", d)
 	}
-	fs := factorsOf(k3, k3)
+	fs := factorsOf(Triangles, k3, k3)
 	p, q := []int64{0, 0}, []int64{1, 1}
 	for law, call := range map[string]func(){
 		"Thm. 1":      func() { _, _ = ChainVertexClusteringAt(fs, p) },
-		"Thm. 2":      func() { _, _ = ChainEdgeClusteringAt(fs, p, q) },
-		"Δ_C = Π Δ_d": func() { _, _ = ChainEdgeTrianglesAt(fs, p, q) },
+		"Thm. 2":      func() { _, _ = at[float64](lawEdgeClustering, fs, p, q) },
+		"Δ_C = Π Δ_d": func() { _, _ = at[int64](lawEdgeTriangles, fs, p, q) },
 		"Cor. 1":      func() { _, _ = ChainVertexTrianglesFullLoopsAt(fs, p) },
 		"Cor. 2":      func() { _, _ = ChainEdgeTrianglesFullLoopsAt(fs, p, q) },
 	} {
@@ -204,7 +204,7 @@ func TestChainLoopFreeLawsRefuseLoops(t *testing.T) {
 // (K₁₀₀+I)^{⊗5} = K_{10¹⁰}+I every vertex is in C(10¹⁰−1, 2) ≈ 5·10¹⁹
 // triangles.
 func TestChainFullLoopTrianglesOverflow(t *testing.T) {
-	fs := copies(NewFactor(gen.Clique(100)), 5)
+	fs := copies(NewFactor(gen.Clique(100), Triangles), 5)
 	p, q := make([]int64, 5), []int64{0, 0, 0, 0, 1}
 	if got, err := ChainVertexTrianglesFullLoopsAt(fs, p); err == nil {
 		t.Errorf("want Cor. 1 overflow, got %d", got)

@@ -3,27 +3,22 @@ package serve
 import (
 	"container/list"
 	"context"
-	"fmt"
 	"sync"
 
-	"kronlab/internal/analytics"
 	"kronlab/internal/groundtruth"
 )
 
 // SummaryKey identifies one cacheable factor summary: the factor's
 // registry hash, whether the +I (full self loops) variant is wanted, and
-// whether the distance tier (per-vertex cumulative hop profiles,
-// eccentricities, diameter) is included. Distinct keys are distinct cache entries, and a
-// groundtruth.Factor is never written after it is built, so a summary is
-// never mutated after it is published.
+// the tiers it holds beyond the degrees (groundtruth.Triangles,
+// groundtruth.Distances) — those of the law row that asked. Distinct keys
+// are distinct entries, each built from scratch, and a groundtruth.Factor
+// is never written after it is built, so a summary is never mutated after
+// it is published.
 type SummaryKey struct {
-	Hash      string
-	Loops     bool
-	Distances bool
-}
-
-func (k SummaryKey) String() string {
-	return fmt.Sprintf("%.12s/loops=%v/dist=%v", k.Hash, k.Loops, k.Distances)
+	Hash  string
+	Loops bool
+	Tiers groundtruth.Tiers
 }
 
 // call is an in-flight summary build shared by all requests that asked
@@ -31,17 +26,14 @@ func (k SummaryKey) String() string {
 type call struct {
 	done chan struct{}
 	f    *groundtruth.Factor
-	err  error
 }
 
 // SummaryCache is a size-bounded LRU of factor summaries with
 // singleflight deduplication: N concurrent requests for the same key cost
-// exactly one build. The distance tier of a factor is a separate (larger)
-// entry from its basic tier, so cheap degree/triangle queries never pay
-// for hop profiles they don't need. The byte budget is accounted with
-// groundtruth.Factor.CostBytes, each resident byte once: an entry pays for
-// its distance tier, and the base it shares with the entry below it is
-// paid while any resident entry holds it.
+// exactly one build. A degree query's entry holds degrees alone and a
+// diameter query's no triangles, so no query pays for a tier it does not
+// read. No entry shares an array the cache charges with another, so
+// Bytes() is the sum of the resident entries' bytes (entryBytes).
 type SummaryCache struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -49,13 +41,24 @@ type SummaryCache struct {
 	ll       *list.List // front = most recent; values are *cacheEntry
 	items    map[SummaryKey]*list.Element
 	inflight map[SummaryKey]*call
-	holders  map[*analytics.TriangleStats]int64 // resident entries by the base they share
 	metrics  *Metrics
 }
 
 type cacheEntry struct {
-	key SummaryKey
-	f   *groundtruth.Factor
+	key   SummaryKey
+	f     *groundtruth.Factor
+	bytes int64 // entryBytes(key, f)
+}
+
+// entryBytes is what the cache charges an entry: the degrees and tiers
+// NewFactor built, plus, under Loops, the +I graph the entry built for
+// itself. The loop-free graph is the registry's and charged to no entry.
+func entryBytes(key SummaryKey, f *groundtruth.Factor) int64 {
+	b := f.CostBytes()
+	if key.Loops {
+		b += (f.N() + 1 + f.G.NumArcs()) * 8 // CSR offsets + adjacency
+	}
+	return b
 }
 
 // NewSummaryCache returns a cache with the given byte budget. A budget
@@ -67,7 +70,6 @@ func NewSummaryCache(maxBytes int64, m *Metrics) *SummaryCache {
 		ll:       list.New(),
 		items:    make(map[SummaryKey]*list.Element),
 		inflight: make(map[SummaryKey]*call),
-		holders:  make(map[*analytics.TriangleStats]int64),
 		metrics:  m,
 	}
 }
@@ -75,7 +77,7 @@ func NewSummaryCache(maxBytes int64, m *Metrics) *SummaryCache {
 // Get returns the summary for key, building it with build at most once no
 // matter how many goroutines ask concurrently. Waiters abandon the wait
 // (but not the build) when ctx is done.
-func (c *SummaryCache) Get(ctx context.Context, key SummaryKey, build func() (*groundtruth.Factor, error)) (*groundtruth.Factor, error) {
+func (c *SummaryCache) Get(ctx context.Context, key SummaryKey, build func() *groundtruth.Factor) (*groundtruth.Factor, error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
@@ -89,7 +91,7 @@ func (c *SummaryCache) Get(ctx context.Context, key SummaryKey, build func() (*g
 		c.mu.Unlock()
 		select {
 		case <-cl.done:
-			return cl.f, cl.err
+			return cl.f, nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -99,50 +101,30 @@ func (c *SummaryCache) Get(ctx context.Context, key SummaryKey, build func() (*g
 	c.mu.Unlock()
 
 	c.metrics.SummaryBuilds.Add(1)
-	cl.f, cl.err = build()
+	cl.f = build()
 	close(cl.done)
 
 	c.mu.Lock()
 	delete(c.inflight, key)
-	if cl.err == nil {
-		c.insertLocked(key, cl.f)
-	}
+	c.insertLocked(key, cl.f)
 	c.mu.Unlock()
-	return cl.f, cl.err
+	return cl.f, nil
 }
 
 // insertLocked adds a freshly built entry and evicts from the cold end
 // until the budget holds. The newest entry itself is never evicted even
 // when it alone exceeds the budget — serving beats strict accounting.
 func (c *SummaryCache) insertLocked(key SummaryKey, f *groundtruth.Factor) {
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, f: f})
-	c.chargeLocked(f, 1)
+	e := &cacheEntry{key: key, f: f, bytes: entryBytes(key, f)}
+	c.items[key] = c.ll.PushFront(e)
+	c.curBytes += e.bytes
 	for c.curBytes > c.maxBytes && c.ll.Len() > 1 {
 		back := c.ll.Back()
 		e := back.Value.(*cacheEntry)
 		c.ll.Remove(back)
 		delete(c.items, e.key)
-		c.chargeLocked(e.f, -1)
+		c.curBytes -= e.bytes
 		c.metrics.CacheEvictions.Add(1)
-	}
-}
-
-// chargeLocked adds (sign 1) or removes (sign −1) a resident summary's
-// bytes: its distance tier always, its base — the degrees and triangles
-// WithDistances shares — only as the first entry to hold it arrives or
-// the last one leaves. So evicting a base entry under a resident distance
-// entry frees nothing: its cost stays with the entry still holding it.
-func (c *SummaryCache) chargeLocked(f *groundtruth.Factor, sign int64) {
-	base, distances := f.CostBytes()
-	c.curBytes += sign * distances
-	held := c.holders[f.Tri]
-	if held == 0 || held+sign == 0 {
-		c.curBytes += sign * base
-	}
-	if held += sign; held == 0 {
-		delete(c.holders, f.Tri)
-	} else {
-		c.holders[f.Tri] = held
 	}
 }
 

@@ -121,7 +121,7 @@ func TestChainPowerQuery(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	a := gen.PrefAttach(5, 2, 21)
 	ha := registerText(t, ts, a, "alpha")
-	fa := groundtruth.NewFactor(a)
+	fa := groundtruth.NewFactor(a, 0)
 
 	// Chain keys resolve like factor keys: by name too.
 	sum := getJSON(t, ts.URL+"/gt/alpha/summary?power=3", http.StatusOK)

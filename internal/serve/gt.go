@@ -71,8 +71,9 @@ const maxHistogramKeys = 1 << 16
 // gtLaw answers property from its row of groundtruth.Laws: hist=1, p and
 // q, or p give the shapes to try, the most specific first (a law that
 // reads fewer parameters than were given ignores the rest),
-// groundtruth.Resolve the row and the cached factor summaries it reads,
-// and the row its value — or the 400 that states its hypothesis.
+// groundtruth.Resolve the row and the cached factor summaries it reads —
+// one entry per factor, keyed by the tiers the row reads —, and the row
+// its value — or the 400 that states its hypothesis.
 func (s *Server) gtLaw(w http.ResponseWriter, r *http.Request, req *gtRequest, gs []*graph.Graph, prop string) {
 	if !slices.ContainsFunc(groundtruth.Laws, func(l *groundtruth.Law) bool { return l.Property == prop }) {
 		writeError(w, http.StatusNotFound,
@@ -98,8 +99,9 @@ func (s *Server) gtLaw(w http.ResponseWriter, r *http.Request, req *gtRequest, g
 	var fs []*groundtruth.Factor
 	var err error
 	for _, shape := range shapes {
-		if row, fs, err = groundtruth.Resolve(prop, shape, gs, req.loops, func(d int, plusI, distances bool) (*groundtruth.Factor, error) {
-			return s.summary(r.Context(), req.hashes[d], gs[d], plusI, distances)
+		if row, fs, err = groundtruth.Resolve(prop, shape, gs, req.loops, func(d int, plusI bool, tiers groundtruth.Tiers) (*groundtruth.Factor, error) {
+			return s.cache.Get(r.Context(), SummaryKey{Hash: req.hashes[d], Loops: plusI, Tiers: tiers},
+				func() *groundtruth.Factor { return groundtruth.Summarize(gs[d], plusI, tiers) })
 		}); row != nil {
 			break
 		}
@@ -147,25 +149,6 @@ func (s *Server) gtLaw(w http.ResponseWriter, r *http.Request, req *gtRequest, g
 		out["p"], out["q"] = p, q
 	}
 	writeJSON(w, http.StatusOK, req.base(out))
-}
-
-// summary returns registered factor g's cached summary — of its +I form
-// when plusI, with the distance tier when distances. The distance entry is
-// built over the cached entry without it, so the two share degrees and
-// triangles. Its build waits for that entry whatever ctx does: a build is
-// shared, and one waiter's cancellation must not fail it for the others.
-func (s *Server) summary(ctx context.Context, hash string, g *graph.Graph, plusI, distances bool) (*groundtruth.Factor, error) {
-	return s.cache.Get(ctx, SummaryKey{Hash: hash, Loops: plusI, Distances: distances},
-		func() (*groundtruth.Factor, error) {
-			if !distances {
-				return groundtruth.Summarize(g, plusI), nil
-			}
-			f, err := s.summary(context.WithoutCancel(ctx), hash, g, plusI, false)
-			if err != nil {
-				return nil, err
-			}
-			return f.WithDistances(), nil
-		})
 }
 
 // jsonValue renders a law's value: analytics.Unreachable (no path) and

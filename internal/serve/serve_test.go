@@ -6,11 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -207,9 +205,9 @@ func TestSummarySingleflight(t *testing.T) {
 			t.Fatalf("response %d differs: %s vs %s", i, results[i], results[0])
 		}
 	}
-	// Two entries a factor: the summary and its distance tier over it.
-	if builds := s.Metrics().SummaryBuilds.Load(); builds != 4 {
-		t.Errorf("summary built %d times for 2 factors under %d parallel requests, want exactly 4",
+	// One entry a factor: its +I form with the distance tier.
+	if builds := s.Metrics().SummaryBuilds.Load(); builds != 2 {
+		t.Errorf("summary built %d times for 2 factors under %d parallel requests, want exactly 2",
 			builds, parallel)
 	}
 	if hits := s.Metrics().CacheHits.Load() + s.Metrics().CacheMisses.Load(); hits == 0 {
@@ -293,128 +291,123 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
-// TestSummaryDistanceTierSharesTriangles: the distance entry is built over
-// the cached entry without the tier, so a degree query followed by a
-// diameter query on one factor form counts its triangles once.
-func TestSummaryDistanceTierSharesTriangles(t *testing.T) {
-	s, _ := newTestServer(t, Config{})
-	g := gen.PrefAttach(14, 2, 3)
-	ctx := context.Background()
-	basic, err := s.summary(ctx, "h", g, true, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dist, err := s.summary(ctx, "h", g, true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if basic.Tri != dist.Tri || &basic.Deg[0] != &dist.Deg[0] {
-		t.Error("the distance entry does not share the cached entry's degrees and triangles")
-	}
-	if builds := s.Metrics().SummaryBuilds.Load(); builds != 2 {
-		t.Errorf("%d builds, want 2: the entry and its distance tier", builds)
+// TestSummaryBuildsOnlyTheTiersItsRowReads: on a fresh server, a degree
+// query — point or histogram — builds no triangle and no distance tier,
+// and a diameter query no triangle tier, at loops=0 (over a factor with
+// full loops) and at loops=1; each builds one entry per key.
+func TestSummaryBuildsOnlyTheTiersItsRowReads(t *testing.T) {
+	for _, c := range []struct {
+		query string
+		may   groundtruth.Tiers // the tiers the query's entries may hold
+	}{
+		{"degree?p=1&loops=", 0},
+		{"degree?hist=1&loops=", 0},
+		{"diameter?loops=", groundtruth.Distances},
+	} {
+		for _, loops := range []string{"0", "1"} {
+			s, ts := newTestServer(t, Config{})
+			a := gen.PrefAttach(14, 2, 3)
+			if loops == "0" {
+				a = a.WithFullSelfLoops()
+			}
+			ha := registerText(t, ts, a, "")
+			getJSON(t, ts.URL+"/gt/"+ha+"/"+ha+"/"+c.query+loops, http.StatusOK)
+			built := map[groundtruth.Tiers]int{}
+			s.cache.mu.Lock()
+			for el := s.cache.ll.Front(); el != nil; el = el.Next() {
+				e := el.Value.(*cacheEntry)
+				built[e.key.Tiers]++
+				if e.key.Tiers&^c.may != 0 || (e.f.Tri != nil) != (e.key.Tiers&groundtruth.Triangles != 0) {
+					t.Errorf("%s%s built tiers %b, may build %b", c.query, loops, e.key.Tiers, c.may)
+				}
+			}
+			n := s.cache.ll.Len()
+			s.cache.mu.Unlock()
+			if builds := s.Metrics().SummaryBuilds.Load(); builds != 1 || n != 1 || built[c.may] != 1 {
+				t.Errorf("%s%s: %d builds, %d entries (%v by tiers), want one with tiers %b", c.query, loops, builds, n, built, c.may)
+			}
+		}
 	}
 }
 
-// TestCacheCountsSharedBytesOnce: over a degree, triangles, diameter
-// query sequence, the cache's Bytes() stays within 5 % of the bytes its
-// resident summaries reach, each array counted once — the distance entry
-// shares its base with the +I summary below it — and stays so once that
-// summary is evicted from under it.
-func TestCacheCountsSharedBytesOnce(t *testing.T) {
+// TestCacheBytesAreItsEntries: over degree, triangles, diameter and hops
+// queries at both loops, then an eviction, Bytes() equals the sum of the
+// resident entries' bytes after every step, and no two resident entries
+// share an array the cache charges: degrees, triangles, hop profiles or a
+// +I graph.
+func TestCacheBytesAreItsEntries(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	ha := registerText(t, ts, gen.PrefAttach(600, 45, 3), "")
-	within := func(when string) {
+	exact := func(when string) {
 		t.Helper()
-		var fs []any
+		s.cache.mu.Lock()
+		defer s.cache.mu.Unlock()
+		var sum int64
+		owner := map[any]SummaryKey{}
 		for el := s.cache.ll.Front(); el != nil; el = el.Next() {
-			fs = append(fs, el.Value.(*cacheEntry).f)
+			e := el.Value.(*cacheEntry)
+			sum += e.f.CostBytes()
+			charged := []any{&e.f.Deg[0]}
+			if e.f.Tri != nil {
+				charged = append(charged, e.f.Tri)
+			}
+			if e.key.Tiers&groundtruth.Distances != 0 {
+				charged = append(charged, &e.f.Profile[0])
+			}
+			if e.key.Loops {
+				sum += (e.f.N() + 1 + e.f.G.NumArcs()) * 8
+				charged = append(charged, e.f.G)
+			}
+			for _, a := range charged {
+				if other, ok := owner[a]; ok {
+					t.Errorf("after %s: %+v and %+v share a charged array", when, e.key, other)
+				}
+				owner[a] = e.key
+			}
 		}
-		got, want := s.cache.Bytes(), residentBytes(fs...)
-		if math.Abs(float64(got-want)) > 0.05*float64(want) {
-			t.Errorf("after %s: Bytes() = %d, the %d resident summaries hold %d distinct bytes",
-				when, got, len(fs), want)
+		if s.cache.curBytes != sum {
+			t.Errorf("after %s: Bytes() = %d, the %d resident entries hold %d", when, s.cache.curBytes, s.cache.ll.Len(), sum)
 		}
 	}
 	get := func(q string) { getJSON(t, ts.URL+"/gt/"+ha+"/"+ha+"/"+q, http.StatusOK) }
-	for _, q := range []string{"degree?loops=1&p=0", "triangles?loops=1", "diameter?loops=1"} {
+	for _, q := range []string{"degree?p=0", "degree?loops=1&p=0", "triangles", "triangles?loops=1", "diameter?loops=1", "hops?loops=1&p=0&q=1"} {
 		get(q)
-		within(q)
+		exact(q)
 	}
-	// Touch the loop-free summary (Cor. 1 read it), then the distance
-	// entry: the +I summary under it is the coldest. A budget that holds
-	// the distance entry and one more small one evicts both summaries.
-	get("degree?p=0")
+	if n := s.cache.Len(); n != 4 {
+		t.Fatalf("%d resident entries, want 4: degrees at both loops, triangles, and the +I distance tier", n)
+	}
+	// A budget that holds the distance entry and a ring's degrees evicts
+	// every other entry once the ring's degree entry arrives.
 	get("diameter?loops=1")
-	distKey := SummaryKey{Hash: ha, Loops: true, Distances: true}
-	small := groundtruth.NewFactor(gen.Ring(3))
+	distKey := SummaryKey{Hash: ha, Loops: true, Tiers: groundtruth.Distances}
 	s.cache.mu.Lock()
-	base, tier := s.cache.items[distKey].Value.(*cacheEntry).f.CostBytes()
-	smallBase, _ := small.CostBytes()
-	s.cache.maxBytes = base + tier + smallBase
-	s.cache.insertLocked(SummaryKey{Hash: "small"}, small)
-	_, kept := s.cache.items[distKey]
+	s.cache.maxBytes = s.cache.items[distKey].Value.(*cacheEntry).bytes + 3*8
 	s.cache.mu.Unlock()
-	if n := s.cache.Len(); n != 2 || !kept {
-		t.Fatalf("%d resident entries (distance entry kept: %v), want it and the small one", n, kept)
+	hr := registerText(t, ts, gen.Ring(3), "")
+	getJSON(t, ts.URL+"/gt/"+hr+"/"+hr+"/degree?p=0", http.StatusOK)
+	if n := s.cache.Len(); n != 2 {
+		t.Fatalf("%d resident entries after eviction, want the distance entry and the ring's degrees", n)
 	}
-	within("evicting the +I summary from under its distance tier")
-}
-
-// residentBytes sums the bytes the values reach through pointers, slices
-// and struct fields, each pointed-to value and each backing array once.
-func residentBytes(vs ...any) int64 {
-	seen := map[uintptr]bool{}
-	var total int64
-	var walk func(v reflect.Value)
-	walk = func(v reflect.Value) {
-		switch v.Kind() {
-		case reflect.Pointer:
-			if v.IsNil() || seen[v.Pointer()] {
-				return
-			}
-			seen[v.Pointer()] = true
-			total += int64(v.Type().Elem().Size())
-			walk(v.Elem())
-		case reflect.Struct:
-			for i := 0; i < v.NumField(); i++ {
-				walk(v.Field(i))
-			}
-		case reflect.Slice:
-			if v.Cap() == 0 || seen[v.Pointer()] {
-				return
-			}
-			seen[v.Pointer()] = true
-			total += int64(v.Cap()) * int64(v.Type().Elem().Size())
-			if k := v.Type().Elem().Kind(); k == reflect.Pointer || k == reflect.Slice {
-				for i := 0; i < v.Len(); i++ {
-					walk(v.Index(i))
-				}
-			}
-		}
-	}
-	for _, v := range vs {
-		walk(reflect.ValueOf(v))
-	}
-	return total
+	exact("eviction")
 }
 
 func TestCacheEvictionBudget(t *testing.T) {
 	m := NewMetrics()
 	g1 := gen.PrefAttach(20, 2, 1)
 	g2 := gen.PrefAttach(20, 2, 2)
-	s1, _ := groundtruth.NewFactor(g1).CostBytes()
-	// Budget fits exactly one basic summary.
+	s1 := groundtruth.NewFactor(g1, groundtruth.Triangles).CostBytes()
+	// Budget fits exactly one triangle summary.
 	c := NewSummaryCache(s1+8, m)
 
 	ctx := context.Background()
-	build := func(g *graph.Graph) func() (*groundtruth.Factor, error) {
-		return func() (*groundtruth.Factor, error) { return groundtruth.NewFactor(g), nil }
+	build := func(g *graph.Graph) func() *groundtruth.Factor {
+		return func() *groundtruth.Factor { return groundtruth.NewFactor(g, groundtruth.Triangles) }
 	}
-	if _, err := c.Get(ctx, SummaryKey{Hash: "h1"}, build(g1)); err != nil {
+	if _, err := c.Get(ctx, SummaryKey{Hash: "h1", Tiers: groundtruth.Triangles}, build(g1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(ctx, SummaryKey{Hash: "h2"}, build(g2)); err != nil {
+	if _, err := c.Get(ctx, SummaryKey{Hash: "h2", Tiers: groundtruth.Triangles}, build(g2)); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 1 {
@@ -424,16 +417,16 @@ func TestCacheEvictionBudget(t *testing.T) {
 		t.Errorf("evictions = %d, want 1", m.CacheEvictions.Load())
 	}
 	// h1 was evicted: asking again rebuilds.
-	if _, err := c.Get(ctx, SummaryKey{Hash: "h1"}, build(g1)); err != nil {
+	if _, err := c.Get(ctx, SummaryKey{Hash: "h1", Tiers: groundtruth.Triangles}, build(g1)); err != nil {
 		t.Fatal(err)
 	}
 	if m.SummaryBuilds.Load() != 3 {
 		t.Errorf("builds = %d, want 3 (h1, h2, h1 again)", m.SummaryBuilds.Load())
 	}
 	// An entry larger than the whole budget is still admitted (and alone).
-	big := groundtruth.NewFactor(gen.PrefAttach(40, 3, 3)).WithDistances()
-	if _, err := c.Get(ctx, SummaryKey{Hash: "big", Distances: true},
-		func() (*groundtruth.Factor, error) { return big, nil }); err != nil {
+	big := groundtruth.NewFactor(gen.PrefAttach(40, 3, 3), groundtruth.Distances)
+	if _, err := c.Get(ctx, SummaryKey{Hash: "big", Tiers: groundtruth.Distances},
+		func() *groundtruth.Factor { return big }); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 1 {

@@ -18,7 +18,7 @@ import (
 func Example_buggyCounter() {
 	a := gen.PrefAttach(50, 3, 1)
 	b := gen.MustRMAT(gen.Graph500Params(6, 2))
-	fs := []*groundtruth.Factor{groundtruth.NewFactor(a), groundtruth.NewFactor(b)}
+	fs := []*groundtruth.Factor{groundtruth.NewFactor(a, groundtruth.Triangles), groundtruth.NewFactor(b, groundtruth.Triangles)}
 
 	c, _ := core.Product(a, b)
 	want, _ := groundtruth.ChainGlobalTriangles(fs)

@@ -111,7 +111,7 @@ func FuzzLaws(f *testing.F) {
 				default:
 					read := make([]*groundtruth.Factor, len(gs))
 					for d := range gs {
-						read[d], _ = src(d, plusI, l.Distances)
+						read[d], _ = src(d, plusI, l.Tiers)
 					}
 					if v, err := l.Eval(read, zero, zero); err == nil {
 						t.Errorf("%v, +I %v: %s (%s) answered %v outside its hypothesis (%v)", gs, plusI, l.Name, l.Formula, v, err)
@@ -123,11 +123,10 @@ func FuzzLaws(f *testing.F) {
 }
 
 // TestEveryLawHasARowAndAMeasurement reads internal/groundtruth's source:
-// every exported Chain* law — but ChainCoordsOf, a helper, and
-// ChainEccentricities, which materializes ε_C — must go through exactly
-// one row of the Laws table, and each row through exactly one of them;
-// and every row must have a measurement here and state a formula
-// FORMULAS.md holds.
+// every exported Chain* law — but ChainEccentricities, which materializes
+// ε_C — must go through exactly one row of the Laws table, and each row
+// through at most one of them; and every row must have a measurement here
+// and state a formula FORMULAS.md holds.
 func TestEveryLawHasARowAndAMeasurement(t *testing.T) {
 	files, err := filepath.Glob("../groundtruth/*.go")
 	if err != nil {
@@ -146,7 +145,7 @@ func TestEveryLawHasARowAndAMeasurement(t *testing.T) {
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
-				if d.Recv == nil && strings.HasPrefix(d.Name.Name, "Chain") && d.Name.Name != "ChainCoordsOf" && d.Name.Name != "ChainEccentricities" {
+				if d.Recv == nil && strings.HasPrefix(d.Name.Name, "Chain") && d.Name.Name != "ChainEccentricities" {
 					laws = append(laws, d)
 				}
 			case *ast.GenDecl:
@@ -176,8 +175,8 @@ func TestEveryLawHasARowAndAMeasurement(t *testing.T) {
 		}
 	}
 	for row, fns := range rows {
-		if len(fns) != 1 {
-			t.Errorf("row %s is the row of %v, want one Chain* law", row, fns)
+		if len(fns) > 1 {
+			t.Errorf("row %s is the row of %v, want at most one Chain* law", row, fns)
 		}
 	}
 	if len(rows) != len(groundtruth.Laws) {
