@@ -89,7 +89,7 @@ func main() {
 	power := flag.Int("power", 0, "generate the Kronecker power A^{⊗k} instead of A ⊗ B (any mode)")
 	chainSpec := flag.String("chain", "", "comma-separated edge-list files A1,A2,...: generate the factor chain A1⊗A2⊗… (instead of -a/-b)")
 	outPath := flag.String("out", "", "output file for C (default: stdout)")
-	mode := flag.String("mode", "1d", "partitioning: 1d (head arcs split across ranks) or 2d (a grid of head and first-tail parts)")
+	mode := flag.String("mode", "1d", "partitioning: 1d (head arcs split across ranks) or 2d (head parts crossed with first-tail ranges, the cut that evens the busiest rank)")
 	ranks := flag.Int("ranks", 4, "simulated ranks (1 is a serial run); a store has one shard per rank")
 	selfLoops := flag.Bool("self-loops", false, "generate the full-self-loop product ⊗(A_d+I)")
 	binary := flag.Bool("binary", false, "write the binary edge-list format")

@@ -664,7 +664,9 @@ func TestRecoverExhaustedBudgetStaysLoud(t *testing.T) {
 }
 
 // TestCheckpointsAssignOneRule: the checkpoint table's one fold and one
-// assignment rule. On a 2D plan where rank 0 holds two tiles, each process
+// assignment rule. On a plan where rank 0 holds two tiles — the 2D plan at
+// R = 4 with rank 3's tile dealt to rank 0 by hand, since a planned rank
+// holds at most one — each process
 // reports absolute per-(rank, tile) counts — rank 1's tile stored whole on
 // ranks 0 and 1, every other tile in part — and set makes a process's rows
 // exactly its absolutes (a second identical report does not add), ignores
@@ -673,10 +675,11 @@ func TestRecoverExhaustedBudgetStaysLoud(t *testing.T) {
 // rank in plan order; the committed tile is absent.
 func TestCheckpointsAssignOneRule(t *testing.T) {
 	const r = 3
-	plan, err := PlanChain2D(mustChain(gen.ER(6, 0.5, 271), gen.PrefAttach(6, 2, 272)), r)
+	plan, err := PlanChain2D(mustChain(gen.ER(6, 0.5, 271), gen.PrefAttach(6, 2, 272)), r+1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan.R, plan.Tiles = r, [][]Tile{append(plan.Tiles[0], plan.Tiles[r]...), plan.Tiles[1], plan.Tiles[2]}
 	if len(plan.Tiles[0]) < 2 {
 		t.Fatalf("rank 0 holds %d tiles, the test needs two", len(plan.Tiles[0]))
 	}

@@ -3,6 +3,8 @@ package dist
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/rand"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -296,31 +298,82 @@ func TestCountOnly(t *testing.T) {
 	}
 }
 
-func TestGrid2D(t *testing.T) {
-	cases := []struct{ r, rh, q int }{
-		{1, 1, 1}, {2, 2, 1}, {3, 2, 2}, {4, 2, 2}, {5, 3, 2}, {9, 3, 3}, {10, 4, 3},
+// TestPlan2DShapes: over seeded random chains at k = 2 and 3, an empty and
+// a loop-only factor among them, the 2D plan at every R ∈ [1, 512] gives
+// each rank at most one tile, its own ID, its tiles' FullArcs sum to the
+// chain's arcs, and its busiest rank carries no more than the 1D plan's
+// nor the grid's (gridMaxArcs).
+func TestPlan2DShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(63))
+	factor := func() *graph.Graph {
+		return gen.ER(1+rng.Int63n(12), 0.1+0.8*rng.Float64(), rng.Int63())
 	}
-	for _, c := range cases {
-		g := newGrid2D(c.r)
-		if g.RHalf != c.rh || g.Q != c.q {
-			t.Errorf("grid2D(%d) = %+v, want (%d,%d)", c.r, g, c.rh, c.q)
+	empty, _ := graph.New(3, nil)
+	loops, _ := graph.New(4, []graph.Edge{{U: 0, V: 0}, {U: 1, V: 1}, {U: 2, V: 2}, {U: 3, V: 3}})
+	var chains []*core.Chain
+	for i := 0; i < 12; i++ {
+		chains = append(chains, mustChain(factor(), factor()), mustChain(factor(), factor(), factor()))
+	}
+	chains = append(chains, mustChain(factor(), empty), mustChain(empty, factor(), factor()),
+		mustChain(loops, factor()), mustChain(factor(), loops, factor()), mustChain(loops, loops))
+	for _, ch := range chains {
+		want, err := ch.NumArcs()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if g.Tiles() < c.r {
-			t.Errorf("grid2D(%d): %d tiles < %d ranks", c.r, g.Tiles(), c.r)
+		f := ch.Factors()
+		rest := want
+		if f[0].NumArcs() > 0 && f[1].NumArcs() > 0 {
+			rest /= f[0].NumArcs() * f[1].NumArcs()
 		}
-		// Tile coordinates are a bijection onto the grid.
-		seen := make(map[[2]int]bool)
-		for t0 := 0; t0 < g.Tiles(); t0++ {
-			a, b := g.TileOf(t0)
-			if a < 0 || a >= g.RHalf || b < 0 || b >= g.Q {
-				t.Fatalf("tile %d out of grid: (%d,%d)", t0, a, b)
+		for r := 1; r <= 512; r++ {
+			name := fmt.Sprintf("|arcs| %d × %d × %d, R = %d", f[0].NumArcs(), f[1].NumArcs(), rest, r)
+			plan, err := PlanChain2D(ch, r)
+			if err != nil {
+				t.Fatal(err)
 			}
-			seen[[2]int{a, b}] = true
-		}
-		if len(seen) != g.Tiles() {
-			t.Errorf("grid2D(%d): tile map not injective", c.r)
+			oneD, err := PlanChain1D(ch, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sum int64
+			for rk, ts := range plan.Tiles {
+				if len(ts) > 1 || len(ts) == 1 && ts[0].ID != rk {
+					t.Fatalf("%s: rank %d holds tiles %+v", name, rk, ts)
+				}
+				for _, tl := range ts {
+					sum += plan.FullArcs(tl)
+				}
+			}
+			if sum != want {
+				t.Fatalf("%s: tiles sum to %d arcs, the chain has %d", name, sum, want)
+			}
+			busiest := slices.Max(plan.RankArcs())
+			if oneD := slices.Max(oneD.RankArcs()); busiest > oneD {
+				t.Fatalf("%s: busiest rank %d arcs, 1D's %d", name, busiest, oneD)
+			}
+			if grid := gridMaxArcs(f[0].NumArcs(), f[1].NumArcs(), rest, r); busiest > grid {
+				t.Fatalf("%s: busiest rank %d arcs, the grid's %d", name, busiest, grid)
+			}
 		}
 	}
+}
+
+// gridMaxArcs is the busiest rank's arcs under the ⌈√R⌉ grid dealt round
+// robin, the reference model TestPlan2DShapes holds the H × T cut to:
+// R½ = ⌈√R⌉ parts of the head's nA arcs by Q = ⌈R/R½⌉ parts of the first
+// tail factor's nB, at partitionArcs' cuts, tile t = (t % R½, ⌊t/R½⌋)
+// dealt to rank t % R — so past R tiles some ranks hold two — and each
+// tile's arcs times rest, the deeper factors' arcs.
+func gridMaxArcs(nA, nB, rest int64, r int) int64 {
+	rh := int(math.Ceil(math.Sqrt(float64(r))))
+	q := (r + rh - 1) / rh
+	part := func(n int64, parts, i int) int64 { return (int64(i)+1)*n/int64(parts) - int64(i)*n/int64(parts) }
+	load := make([]int64, r)
+	for tl := 0; tl < rh*q; tl++ {
+		load[tl%r] += part(nA, rh, tl%rh) * part(nB, q, tl/rh) * rest
+	}
+	return slices.Max(load)
 }
 
 // RankArcs is what a run with no owner generates at each rank, at 1D and

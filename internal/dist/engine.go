@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime/pprof"
 	"sync/atomic"
 	"time"
@@ -30,7 +31,7 @@ var (
 
 // Tile is one unit of expansion work: a slice of head-factor arcs crossed
 // with the plan's tail (Plan.Tail) — arcs [Lo, Hi) of its first factor's
-// ArcSlice, all of them under 1D partitioning and one of Q parts under 2D,
+// ArcSlice, all of them under 1D partitioning and one of T ranges under 2D,
 // and the rest of the tail whole. A two-factor product is the chain whose
 // tail is [B]. ID is the tile's plan-wide identity: it is stable across run
 // attempts, which is what checkpoints and a replay's resume at a stored
@@ -118,59 +119,76 @@ func planFactors(ch *core.Chain, r int) (head *graph.Graph, tail []*graph.Graph,
 // PlanChain1D builds the Sec. III decomposition of a factor chain: the
 // tail A₂⊗…⊗Aₖ is replicated on every rank and the arcs of the head A₁
 // are evenly distributed, so rank ρ expands the single tile
-// A₁,ρ ⊗ (A₂⊗…⊗Aₖ). Per-rank replicated storage is O(|E_A₁|/R + Σ|E_T|)
-// — the tail is held as factors, never materialized.
-func PlanChain1D(ch *core.Chain, r int) (Plan, error) {
+// A₁,ρ ⊗ (A₂⊗…⊗Aₖ) — the cut of shape R × 1 (planForChain). Per-rank
+// replicated storage is O(|E_A₁|/R + Σ|E_T|) — the tail is held as
+// factors, never materialized.
+func PlanChain1D(ch *core.Chain, r int) (Plan, error) { return planForChain(ch, r, false) }
+
+// PlanChain2D builds the Rem. 1 decomposition of a chain: the cut of the
+// shape H × T, H·T ≤ R, that leaves the busiest rank the fewest arcs
+// (shape2D). It keeps ranks busy past 1D's wall of |E_A₁| and reads
+// O(|E_A₁|/H + |E_A₂|/T + Σ|E_rest|) factor arcs a rank: Rem. 1's
+// per-rank storage term, which here, with the factors held once per
+// process, is the working set a rank's walk streams.
+func PlanChain2D(ch *core.Chain, r int) (Plan, error) { return planForChain(ch, r, true) }
+
+// planForChain builds the one cut every plan is: H parts of the head's
+// arcs crossed with T arc ranges [Lo, Hi) of the first tail factor, both
+// at partitionArcs' cuts, and the rest of the tail whole — deeper factors
+// are already the smallest replicated state. Rank ρ < H·T expands the one
+// tile ID ρ, head part ρ % H crossed with range ⌊ρ/H⌋: the paper's
+// C_ρ = A_{ρ%R½} ⊗ B_{⌊ρ/R½⌋} with R½ generalised to H. Ranks past H·T
+// are idle. 1D is R × 1; twoD takes shape2D's. A range is index
+// arithmetic over the factor's arc count: planning builds no graph and
+// reads no tail arc.
+func planForChain(ch *core.Chain, r int, twoD bool) (Plan, error) {
 	head, tail, err := planFactors(ch, r)
 	if err != nil {
 		return Plan{}, err
+	}
+	nB := tail[0].NumArcs()
+	h, t := r, 1
+	if twoD {
+		h, t = shape2D(head.NumArcs(), nB, r)
 	}
 	// ArcSlice shares the factor's cached flat arc list: tiles only read
 	// their head-arc windows, so no per-plan copy is needed.
-	parts := partitionArcs(head.ArcSlice(), r)
-	whole := int(tail[0].NumArcs())
+	parts := partitionArcs(head.ArcSlice(), h)
 	tiles := make([][]Tile, r)
-	for rk := 0; rk < r; rk++ {
-		tiles[rk] = []Tile{{ID: rk, AArcs: parts[rk], Hi: whole}}
+	for rk := 0; rk < h*t; rk++ {
+		j := int64(rk / h)
+		lo, hi := int(j*nB/int64(t)), int((j+1)*nB/int64(t))
+		tiles[rk] = []Tile{{ID: rk, AArcs: parts[rk%h], Lo: lo, Hi: hi}}
 	}
 	return Plan{R: r, NC: ch.NumVertices(), Dims: ch.Index().Dims(), Tail: tail, Tiles: tiles}, nil
 }
 
-// PlanChain2D builds the Rem. 1 decomposition of a chain: the head is
-// split into R½ parts and the first tail factor into Q parts (see
-// grid2D), each an arc range [Lo, Hi) of the factor at partitionArcs'
-// cuts — the factor is held once, by the plan, and a part builds nothing;
-// deeper tail factors ride whole — they are already the smallest
-// replicated state, and splitting them would multiply tile counts without
-// reducing the O(|E_A₁|/R½ + |E_A₂|/Q + Σ|E_rest|) factor arcs a rank
-// reads: Rem. 1's per-rank storage term, which here, with the factors held
-// once per process, is the working set a rank's walk streams. The R½·Q
-// tiles are assigned round-robin to ranks.
-func PlanChain2D(ch *core.Chain, r int) (Plan, error) {
-	head, tail, err := planFactors(ch, r)
-	if err != nil {
-		return Plan{}, err
+// shape2D returns the H × T cut of nA head arcs by nB arcs of the first
+// tail factor on r ranks, H·T ≤ r, whose busiest tile ⌈nA/H⌉·⌈nB/T⌉
+// (partitionArcs' largest parts) is least; ties go to the smaller Rem. 1
+// storage term nA/H + nB/T, then to the smaller H. No side is cut into
+// more parts than it has arcs — a part past them is empty, and the
+// busiest tile stays what it was — so each H takes T = min(⌊r/H⌋, nB):
+// more parts never add work.
+func shape2D(nA, nB int64, r int) (h, t int) {
+	ceil := func(n, p int64) int64 { return (n + p - 1) / p }
+	var bh, bt, best int64 = 1, 1, -1
+	for hh := int64(1); hh <= min(int64(r), max(nA, 1)); hh++ {
+		tt := min(int64(r)/hh, max(nB, 1))
+		work := ceil(nA, hh) * ceil(nB, tt)
+		if best < 0 || work < best || work == best && lessStorage(nA, nB, hh, tt, bh, bt) {
+			bh, bt, best = hh, tt, work
+		}
 	}
-	grid := newGrid2D(r)
-	aParts := partitionArcs(head.ArcSlice(), grid.RHalf)
-	cuts := make([]int, grid.Q+1)
-	for j, part := range partitionArcs(tail[0].ArcSlice(), grid.Q) {
-		cuts[j+1] = cuts[j] + len(part)
-	}
-	tiles := make([][]Tile, r)
-	for t := 0; t < grid.Tiles(); t++ {
-		ai, bj := grid.TileOf(t)
-		tiles[t%r] = append(tiles[t%r], Tile{ID: t, AArcs: aParts[ai], Lo: cuts[bj], Hi: cuts[bj+1]})
-	}
-	return Plan{R: r, NC: ch.NumVertices(), Dims: ch.Index().Dims(), Tail: tail, Tiles: tiles}, nil
+	return int(bh), int(bt)
 }
 
-// planForChain dispatches between the two decompositions.
-func planForChain(ch *core.Chain, r int, twoD bool) (Plan, error) {
-	if twoD {
-		return PlanChain2D(ch, r)
-	}
-	return PlanChain1D(ch, r)
+// lessStorage reports nA/h1 + nB/t1 < nA/h2 + nB/t2 exactly: cross
+// multiplied in 128 bits.
+func lessStorage(nA, nB, h1, t1, h2, t2 int64) bool {
+	lh, ll := bits.Mul64(uint64(nA*t1+nB*h1), uint64(h2*t2))
+	rh, rl := bits.Mul64(uint64(nA*t2+nB*h2), uint64(h1*t1))
+	return lh < rh || lh == rh && ll < rl
 }
 
 // RankSink consumes the edges owned by one rank. It lives across the

@@ -38,13 +38,11 @@ func TestPlanValidation(t *testing.T) {
 	if p.R != 6 || p.NC != 16 {
 		t.Errorf("PlanChain2D r=6: R=%d NC=%d", p.R, p.NC)
 	}
-	// Every tile of the grid is assigned to exactly one rank.
-	var tiles int
-	for _, ts := range p.Tiles {
-		tiles += len(ts)
-	}
-	if grid := newGrid2D(6); tiles != grid.Tiles() {
-		t.Errorf("plan assigns %d tiles, grid has %d", tiles, grid.Tiles())
+	// Ring(4)² cuts 2 × 3: ranks 0–5 hold tiles 0–5, one each.
+	for rk, ts := range p.Tiles {
+		if len(ts) != 1 || ts[0].ID != rk {
+			t.Errorf("rank %d holds %+v, want tile %d alone", rk, ts, rk)
+		}
 	}
 }
 
@@ -73,15 +71,14 @@ func TestRunRefusesUnwalkablePlan(t *testing.T) {
 	}
 }
 
-// gridStreams is what each tile of the 2D plan of ch at r ranks expands to,
-// by tile ID, built without the plan: the arcs of Chain.Arcs whose head arc
-// lies in the tile's part of the head and whose first tail arc lies in its
-// part of the first tail factor, both parts partitionArcs', in Chain.Arcs'
-// order — the stream of the chain of the two parts as graphs and the rest of
-// the tail.
-func gridStreams(ch *core.Chain, r int) [][]graph.Edge {
+// gridStreams is what each tile of the h × t cut of ch expands to, by tile
+// ID, built without the plan: the arcs of Chain.Arcs whose head arc lies in
+// the tile's part ID % h of the head and whose first tail arc lies in its
+// part ⌊ID/h⌋ of the first tail factor, both parts partitionArcs', in
+// Chain.Arcs' order — the stream of the chain of the two parts as graphs
+// and the rest of the tail.
+func gridStreams(ch *core.Chain, h, t int) [][]graph.Edge {
 	f := ch.Factors()
-	grid := newGrid2D(r)
 	partOf := func(g *graph.Graph, parts int) []int {
 		var of []int
 		for p, part := range partitionArcs(g.ArcSlice(), parts) {
@@ -91,16 +88,16 @@ func gridStreams(ch *core.Chain, r int) [][]graph.Edge {
 		}
 		return of
 	}
-	aPart, bPart := partOf(f[0], grid.RHalf), partOf(f[1], grid.Q)
+	aPart, bPart := partOf(f[0], h), partOf(f[1], t)
 	rest := int64(1)
 	for _, g := range f[2:] {
 		rest *= g.NumArcs()
 	}
-	out := make([][]graph.Edge, grid.Tiles())
+	out := make([][]graph.Edge, h*t)
 	i := int64(0)
 	ch.Arcs(func(u, v int64) bool {
-		t := aPart[i/(rest*f[1].NumArcs())] + bPart[(i/rest)%f[1].NumArcs()]*grid.RHalf
-		out[t] = append(out[t], graph.Edge{U: u, V: v})
+		id := aPart[i/(rest*f[1].NumArcs())] + bPart[(i/rest)%f[1].NumArcs()]*h
+		out[id] = append(out[id], graph.Edge{U: u, V: v})
 		i++
 		return true
 	})
@@ -133,7 +130,9 @@ func TestPlan2DPartsMatchGridStreams(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			streams := gridStreams(sh.ch, r)
+			f := sh.ch.Factors()
+			h, ht := shape2D(f[0].NumArcs(), f[1].NumArcs(), r)
+			streams := gridStreams(sh.ch, h, ht)
 			var global []graph.Edge
 			for _, s := range streams {
 				global = append(global, s...)
@@ -193,6 +192,44 @@ func TestPlan2DPartsMatchGridStreams(t *testing.T) {
 	}
 	if !midRowCut {
 		t.Fatal("no tile's range cuts a row of the innermost factor mid-row; pick other factors")
+	}
+}
+
+// TestPlan2DShapesMatchChainArcs: 2D cuts that are neither R × 1 nor
+// square — 2 × 3 at R = 6, 4 × 12 at R = 48, and 5 × 2 at R = 11, which
+// leaves a rank idle — over Ring(10) ⊗ Ring(12) (20 × 24 arcs) and that
+// chain ⊗ Ring(3) generate exactly Chain.Arcs, with no owner and under
+// OwnerBySource; with no owner rank ρ < H·T gets tile ρ's gridStreams
+// stream in order, and the rest nothing.
+func TestPlan2DShapesMatchChainArcs(t *testing.T) {
+	for _, ch := range []*core.Chain{mustChain(gen.Ring(10), gen.Ring(12)), mustChain(gen.Ring(10), gen.Ring(12), gen.Ring(3))} {
+		serial := sortedArcs(serialArcs(t, ch, 0))
+		for _, c := range []struct{ r, h, t int }{{6, 2, 3}, {48, 4, 12}, {11, 5, 2}} {
+			name := fmt.Sprintf("k=%d R=%d", ch.K(), c.r)
+			plan, err := PlanChain2D(ch, c.r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			streams := gridStreams(ch, c.h, c.t)
+			for _, owner := range []Owner{nil, OwnerBySource} {
+				mem := NewMemorySink(c.r)
+				if _, err := Run(context.Background(), Config{Plan: plan, Owner: owner, Sink: mem}); err != nil {
+					t.Fatalf("%s owner %T: %v", name, owner, err)
+				}
+				var all []graph.Edge
+				for rk, arcs := range mem.PerRank {
+					if owner == nil {
+						var want []graph.Edge
+						if rk < c.h*c.t {
+							want = streams[rk]
+						}
+						assertSameOrder(t, fmt.Sprintf("%s rank %d", name, rk), arcs, want)
+					}
+					all = append(all, arcs...)
+				}
+				assertSameOrder(t, fmt.Sprintf("%s owner %T: every rank's arcs", name, owner), sortedArcs(all), serial)
+			}
+		}
 	}
 }
 

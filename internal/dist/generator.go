@@ -2,7 +2,6 @@ package dist
 
 import (
 	"context"
-	"math"
 
 	"kronlab/internal/core"
 	"kronlab/internal/graph"
@@ -57,7 +56,7 @@ func partitionArcs(arcs []graph.Edge, parts int) [][]graph.Edge {
 // A₁⊗…⊗Aₖ on a simulated cluster of r ranks with an in-memory sink: the
 // head's arcs are the split dimension — evenly distributed under the
 // paper's Sec. III 1D partitioning, crossed with parts of the first tail
-// factor under Rem. 1's 2D grid (twoD) — each rank folds the replicated
+// factor under Rem. 1's 2D cut (twoD) — each rank folds the replicated
 // tail lazily through the chain kernel, and every edge is generated and
 // stored at the rank owner names (nil: OwnerBySource). Any owner but
 // OwnerBySource and a BlockOwner is refused, as Run refuses it. Per-rank memory is
@@ -136,29 +135,6 @@ func chainSourceHashLoads(ch *core.Chain, r int) []int64 {
 	rec(0, 0, 1)
 	return loads
 }
-
-// grid2D is the processor grid of Rem. 1: R½ = ⌈√R⌉ columns of A-parts by
-// Q = ⌈R/R½⌉ rows of B-parts. The paper's assignment
-// C_ρ = A_{ρ%R½} ⊗ B_{⌊ρ/R½⌋} covers every (A-part, B-part) tile only when
-// R = R½·Q exactly; for general R we assign the R½·Q tiles round-robin to
-// ranks (tile t → rank t % R), so some ranks own two tiles — a correctness
-// completion of the paper's sketch.
-type grid2D struct {
-	RHalf, Q int
-}
-
-// newGrid2D returns the 2D decomposition for r ranks.
-func newGrid2D(r int) grid2D {
-	rh := int(math.Ceil(math.Sqrt(float64(r))))
-	q := (r + rh - 1) / rh
-	return grid2D{RHalf: rh, Q: q}
-}
-
-// Tiles returns the number of (A-part, B-part) tiles R½·Q.
-func (g grid2D) Tiles() int { return g.RHalf * g.Q }
-
-// TileOf returns the (A-part, B-part) coordinates of tile t.
-func (g grid2D) TileOf(t int) (aPart, bPart int) { return t % g.RHalf, t / g.RHalf }
 
 // GenerateChainToStore runs the chain generator with each rank streaming
 // its owned edges to its own shard of an on-disk store — the full

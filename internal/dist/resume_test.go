@@ -36,7 +36,8 @@ func TestRecoverySeeksToStoredPrefix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			streams := gridStreams(ch, r)
+			h, ht := shape2D(ch.Head().NumArcs(), ch.Tail()[0].NumArcs(), r)
+			streams := gridStreams(ch, h, ht)
 			if !twoD {
 				streams = make([][]graph.Edge, r)
 				at := int64(0)

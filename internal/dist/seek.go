@@ -9,8 +9,8 @@ package dist
 // windowed (Tile.Skip/Take) to generate exactly a contiguous range of the
 // stream. Under 1D partitioning the stream order equals the
 // serial chain enumeration (core.Chain.Arcs); under 2D it is the
-// deterministic tile-grid order — either way the layout plus rank count
-// fully determine the byte stream, which is what makes resume exact.
+// deterministic order of the H × T cut — either way the layout plus rank
+// count fully determine the byte stream, which is what makes resume exact.
 
 import (
 	"fmt"
@@ -20,10 +20,9 @@ import (
 )
 
 // orderedTiles returns every tile of the plan in ascending ID order —
-// the canonical stream order. Per-rank tile lists are already
-// ID-increasing (PlanChain1D: one tile per rank, ID = rank; PlanChain2D:
-// round-robin assignment appends in increasing tile ID), so the global
-// sort is a merge of sorted lists; sort.Slice handles the general case.
+// the canonical stream order. A planned rank holds at most one tile, its
+// own ID (planForChain), so the plan's tiles are already in order;
+// sort.Slice handles hand-built plans.
 func (p Plan) orderedTiles() []Tile {
 	var out []Tile
 	for _, ts := range p.Tiles {

@@ -10,7 +10,7 @@ import (
 )
 
 // StreamChainFrom runs the Sec. III generator (1D partitioning, or Rem.
-// 1's 2D grid with twoD) over the factor chain A₁⊗…⊗Aₖ on r concurrent
+// 1's 2D cut with twoD) over the factor chain A₁⊗…⊗Aₖ on r concurrent
 // expander ranks and delivers a contiguous range of the product's
 // deterministic edge stream to emit in batches of up to batch arcs (≤ 0:
 // DefaultBatchSize): limit arcs (< 0 = through the end) starting at global
@@ -36,7 +36,7 @@ import (
 // plan-ID order, each tile's edges in the kernel's fixed expansion
 // order. Under 1D partitioning this equals the serial chain enumeration
 // (core.Chain.Arcs) regardless of r; under 2D it is the deterministic
-// tile-grid order for that (layout, r). Identical (chain, layout, r,
+// order of the plan's H × T cut for that (layout, r). Identical (chain, layout, r,
 // offset) always yield the identical byte stream — the property HTTP
 // Range/resume-token serving depends on.
 //

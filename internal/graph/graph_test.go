@@ -300,8 +300,9 @@ func TestNewMatchesSortReference(t *testing.T) {
 	}
 }
 
-// FuzzNew holds New and NewUndirected to the sort-based reference on
-// arbitrary arc lists: data is read as pairs of signed bytes, so negative
+// FuzzNew holds New and NewUndirected to the sort-based reference, and
+// up to 2¹⁸ vertices New's graph plus I to withLoopsByNew, on arbitrary
+// arc lists: data is read as pairs of signed bytes, so negative
 // and out-of-range endpoints, duplicates and hub rows all turn up. A lift
 // of l (mod 25) adds 2^l − 1 to n and to every endpoint, so ids straddle
 // a power of two up to 2²⁴ and reach past 16 and 24 bits; at l = 0 they
@@ -333,6 +334,9 @@ func FuzzNew(f *testing.F) {
 		got, err := New(n, arcs)
 		want, wantErr := newBySort(n, arcs)
 		sameConstruction(t, "New", got, err, want, wantErr)
+		if err == nil && n <= 1<<18 {
+			sameConstruction(t, "WithFullSelfLoops", got.WithFullSelfLoops(), nil, withLoopsByNew(got), nil)
+		}
 		got, err = NewUndirected(n, arcs)
 		want, wantErr = newUndirectedBySort(n, arcs)
 		sameConstruction(t, "NewUndirected", got, err, want, wantErr)
@@ -448,6 +452,42 @@ func TestWithFullSelfLoops(t *testing.T) {
 	if !gl.Equal(gl2) {
 		t.Error("WithFullSelfLoops not idempotent")
 	}
+	// Byte for byte the rebuild by New, on every construction case of up to
+	// 2¹⁸ vertices and on random graphs, some of whose rows hold loops.
+	var graphs []*Graph
+	for _, c := range constructionCases() {
+		if c.n > 1<<18 {
+			continue
+		}
+		for _, build := range []func(int64, []Edge) (*Graph, error){New, NewUndirected} {
+			if g, err := build(c.n, c.arcs); err == nil {
+				graphs = append(graphs, g)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(31))
+	for range 20 {
+		graphs = append(graphs, randomGraph(rng, 25))
+	}
+	for i, g := range graphs {
+		sameConstruction(t, fmt.Sprintf("graph %d %v", i, g), g.WithFullSelfLoops(), nil, withLoopsByNew(g), nil)
+	}
+}
+
+// withLoopsByNew is WithFullSelfLoops' reference: g's arcs and every loop
+// g lacks, rebuilt by New.
+func withLoopsByNew(g *Graph) *Graph {
+	arcs := g.ArcList()
+	for v := int64(0); v < g.n; v++ {
+		if !g.HasSelfLoop(v) {
+			arcs = append(arcs, Edge{v, v})
+		}
+	}
+	out, err := New(g.n, arcs)
+	if err != nil {
+		panic(err)
+	}
+	return out
 }
 
 func TestStripSelfLoopsInvertsAdd(t *testing.T) {

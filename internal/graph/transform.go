@@ -1,18 +1,22 @@
 package graph
 
+import "slices"
+
 // WithFullSelfLoops returns A + I: a copy of g with a self loop added at
 // every vertex. Existing self loops are preserved (the adjacency pattern is
-// boolean, so A + I saturates at 1).
+// boolean, so A + I saturates at 1). One pass over the CSR: each row is
+// copied with v inserted at its sorted place, unless it is there already.
 func (g *Graph) WithFullSelfLoops() *Graph {
-	arcs := g.ArcList()
+	out := &Graph{n: g.n, offsets: make([]int64, g.n+1), adj: make([]int64, 0, int64(len(g.adj))+g.n-g.loops), loops: g.n}
 	for v := int64(0); v < g.n; v++ {
-		if !g.HasSelfLoop(v) {
-			arcs = append(arcs, Edge{v, v})
+		row := g.adj[g.offsets[v]:g.offsets[v+1]]
+		i, found := slices.BinarySearch(row, v)
+		out.adj = append(out.adj, row[:i]...)
+		if !found {
+			out.adj = append(out.adj, v)
 		}
-	}
-	out, err := New(g.n, arcs)
-	if err != nil {
-		panic("graph: WithFullSelfLoops: " + err.Error()) // arcs from a valid graph cannot be out of range
+		out.adj = append(out.adj, row[i:]...)
+		out.offsets[v+1] = int64(len(out.adj))
 	}
 	return out
 }

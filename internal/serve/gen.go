@@ -37,19 +37,32 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 const resumeTokenPrefix = "kr1"
 
 // streamDigest fingerprints everything that determines the stream's
-// content and order: the factor hashes, the loops transform, the layout,
-// the effective rank count and the wire format. A resume token minted for
-// one digest is refused for any other — resuming a different stream (or
-// the same chain under a different layout) would silently return wrong
+// content and order: the factor hashes, the loops transform, the plan's
+// cut — its H × T shape, read off the plan, not the layout flag that
+// picked it — and rank count, and the wire format. A resume token minted
+// for one digest is refused for any other — resuming a different stream
+// (the same chain cut another way included) would silently return wrong
 // bytes. The client-side window (offset/limit/Range) is deliberately
 // excluded: a token names a position in the one underlying stream, from
-// wherever the cut happened.
-func streamDigest(hashes []string, loops bool, twoD bool, ranks int, binaryFmt bool) string {
+// wherever the stream was cut.
+func streamDigest(hashes []string, loops bool, plan dist.Plan, binaryFmt bool) string {
 	h := fnv.New64a()
 	for _, fh := range hashes {
 		fmt.Fprintf(h, "%s,", fh)
 	}
-	fmt.Fprintf(h, "|loops=%t|twoD=%t|ranks=%d|binary=%t", loops, twoD, ranks, binaryFmt)
+	// Tile ρ crosses head part ρ % H with range ⌊ρ/H⌋ of the first tail
+	// factor, and only a factor's one range can be empty, so the H tiles
+	// of the first range are those that start at the factor's first arc.
+	tiles, heads := 0, 0
+	for _, ts := range plan.Tiles {
+		for _, tl := range ts {
+			tiles++
+			if tl.Lo == 0 {
+				heads++
+			}
+		}
+	}
+	fmt.Fprintf(h, "|loops=%t|cut=%dx%d|ranks=%d|binary=%t", loops, heads, tiles/heads, plan.R, binaryFmt)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
@@ -193,7 +206,15 @@ func (s *Server) streamChainEdges(w http.ResponseWriter, r *http.Request, gs []*
 		return
 	}
 
-	digest := streamDigest(hashes, loops, twoD, ranks, binaryFmt)
+	plan, err := dist.PlanChain1D(ch, ranks)
+	if twoD {
+		plan, err = dist.PlanChain2D(ch, ranks)
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	digest := streamDigest(hashes, loops, plan, binaryFmt)
 
 	// offset=, resume= and a binary Range header all name the stream's
 	// start position; accepting two at once would mean silently ignoring

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -138,22 +139,23 @@ func TestGenerateResumeTokenRefusals(t *testing.T) {
 	base := fmt.Sprintf("%s/gen/%s/%s/edges", ts.URL, ha, hb)
 
 	// Mint a real token at a pinned layout, then replay it against
-	// requests whose stream digest differs — layout, ranks, format and
-	// loops all change the stream, so all must refuse.
-	first := genGet(t, base+"?limit=2&ranks=2", "")
+	// requests whose stream digest differs — the cut (layout=2d cuts these
+	// factors' 22 × 6 arcs 2 × 2 at four ranks, 1d 4 × 1), ranks, format
+	// and loops all change the stream, so all must refuse.
+	first := genGet(t, base+"?limit=2&ranks=4", "")
 	readAll(t, first)
 	token := first.Trailer.Get("X-Kronlab-Resume-Token")
 	if token == "" {
 		t.Fatal("no resume token")
 	}
 	for _, q := range []string{
-		"?resume=" + token + "&ranks=2&layout=2d",
+		"?resume=" + token + "&ranks=4&layout=2d",
 		"?resume=" + token + "&ranks=3",
-		"?resume=" + token + "&ranks=2&format=binary",
-		"?resume=" + token + "&ranks=2&loops=1",
+		"?resume=" + token + "&ranks=4&format=binary",
+		"?resume=" + token + "&ranks=4&loops=1",
 		"?resume=garbage",
 		"?resume=kr1.0123456789abcdef.0",         // wrong digest
-		"?resume=" + token + "&ranks=2&offset=1", // two start positions
+		"?resume=" + token + "&ranks=4&offset=1", // two start positions
 	} {
 		resp := genGet(t, base+q, "")
 		readAll(t, resp)
@@ -162,10 +164,29 @@ func TestGenerateResumeTokenRefusals(t *testing.T) {
 		}
 	}
 	// The token is honored by an otherwise-identical request.
-	resp := genGet(t, base+"?resume="+token+"&ranks=2", "")
+	resp := genGet(t, base+"?resume="+token+"&ranks=4", "")
 	readAll(t, resp)
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("valid resume refused: status %d", resp.StatusCode)
+	}
+	// A token names the cut, not the layout flag: at two ranks both
+	// layouts cut 2 × 1, one stream, so a 1d token resumes a 2d request.
+	two := genGet(t, base+"?limit=2&ranks=2", "")
+	readAll(t, two)
+	resp = genGet(t, base+"?layout=2d&ranks=2&resume="+two.Trailer.Get("X-Kronlab-Resume-Token"), "")
+	readAll(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("a token of the same cut under the other layout: status %d, want 200", resp.StatusCode)
+	}
+	// A layout=2d&ranks=5 token whose digest spelled the layout flag, as
+	// tokens did while the 2D plan was a grid dealt round robin, names a
+	// position in a stream of another order: refused, never resumed.
+	flag := fnv.New64a()
+	fmt.Fprintf(flag, "%s,%s,|loops=false|twoD=true|ranks=5|binary=false", ha, hb)
+	resp = genGet(t, fmt.Sprintf("%s?layout=2d&ranks=5&resume=kr1.%016x.3", base, flag.Sum64()), "")
+	readAll(t, resp)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("a token digested with twoD=true: status %d, want 400", resp.StatusCode)
 	}
 }
 
