@@ -237,17 +237,28 @@ func BenchmarkE3WeakScaling(b *testing.B) {
 	}
 }
 
+// lawRow is the row of groundtruth.Laws that gives property in shape for
+// ⊗gs, or ⊗(A_d+I) of them when plusI.
+func lawRow(b *testing.B, property string, shape groundtruth.Shape, gs []*graph.Graph, plusI bool) *groundtruth.Law {
+	l, _, err := groundtruth.Resolve(property, shape, gs, plusI, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return l
+}
+
 // --- E4: Cor. 1/2 triangle ground truth vs exact counting ---
 
 func BenchmarkE4TriangleGroundTruth(b *testing.B) {
 	fixtures(b)
+	cor1 := lawRow(b, "triangles", groundtruth.PerVertex, []*graph.Graph{benchA, benchB}, true)
 	fs := []*groundtruth.Factor{benchFacA, benchFacB}
 	ci := core.MustChainIndex(benchFacA.N(), benchFacB.N())
 	coords := make([]int64, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for p := int64(0); p < ci.NumVertices(); p++ {
-			if _, err := groundtruth.ChainVertexTrianglesFullLoopsAt(fs, ci.SplitInto(p, coords)); err != nil {
+			if _, err := cor1.Eval(fs, ci.SplitInto(p, coords), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -281,6 +292,7 @@ func BenchmarkE4TriangleDistributed(b *testing.B) {
 
 func BenchmarkE5ClusteringGroundTruth(b *testing.B) {
 	fixtures(b)
+	thm1 := lawRow(b, "clustering", groundtruth.PerVertex, []*graph.Graph{benchA, benchB}, false)
 	fs := []*groundtruth.Factor{benchFacA, benchFacB}
 	ci := core.MustChainIndex(benchFacA.N(), benchFacB.N())
 	coords := make([]int64, 2)
@@ -288,11 +300,11 @@ func BenchmarkE5ClusteringGroundTruth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var s float64
 		for p := int64(0); p < ci.NumVertices(); p += 7 {
-			eta, err := groundtruth.ChainVertexClusteringAt(fs, ci.SplitInto(p, coords))
+			eta, err := thm1.Eval(fs, ci.SplitInto(p, coords), nil)
 			if err != nil {
 				b.Fatal(err)
 			}
-			s += eta
+			s += eta.(float64)
 		}
 	}
 }
@@ -395,9 +407,12 @@ func BenchmarkE8DiameterGroundTruth(b *testing.B) {
 	ring := gen.Ring(64).WithFullSelfLoops()
 	fr := groundtruth.NewFactor(ring, groundtruth.Distances)
 	fixtures(b)
+	cor3 := lawRow(b, "diameter", groundtruth.Global, []*graph.Graph{ring, gnut}, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		groundtruth.ChainDiameter([]*groundtruth.Factor{fr, gnutFac})
+		if _, err := cor3.Eval([]*groundtruth.Factor{fr, gnutFac}, nil, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

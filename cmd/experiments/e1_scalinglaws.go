@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
 
 	"kronlab/internal/core"
 	"kronlab/internal/gen"
@@ -55,26 +54,14 @@ func runScalingLaws(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		plain, err := validate.Run([]*graph.Graph{pr.a, pr.b}, c, validate.Options{Samples: math.MaxInt})
-		if err != nil {
-			return err
-		}
-		looped, err := validate.Run([]*graph.Graph{pr.a, pr.b}, cl, validate.Options{SelfLoops: true, Samples: math.MaxInt,
-			Partitions: [][][]int64{pr.pa, pr.pb}})
-		if err != nil {
-			return err
-		}
+		gs := []*graph.Graph{pr.a, pr.b}
 		fmt.Fprintf(w, "### %s\n\n", pr.name)
-		var cells [][]string
-		for _, rep := range []struct {
-			c      string
-			checks []validate.Check
-		}{{"A⊗B", plain.Checks}, {"(A+I)⊗(B+I)", looped.Checks}} {
-			for _, ch := range rep.checks {
-				cells = append(cells, []string{rep.c, ch.Name, strings.ReplaceAll(ch.Law, "|", "\\|"), ch.Expected, ch.Actual, check(ch.OK)})
-			}
+		if err := validated(w,
+			claim{"A⊗B", gs, c, validate.Options{Samples: math.MaxInt}},
+			claim{"(A+I)⊗(B+I)", gs, cl, validate.Options{SelfLoops: true, Samples: math.MaxInt, Partitions: [][][]int64{pr.pa, pr.pb}}},
+		); err != nil {
+			return err
 		}
-		table(w, []string{"C", "Check", "Law", "Predicted", "Measured", "OK"}, cells)
 		fmt.Fprintln(w)
 	}
 	return nil

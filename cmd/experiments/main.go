@@ -23,7 +23,11 @@ import (
 	"io"
 	"log"
 	"os"
+	"strings"
 	"time"
+
+	"kronlab/internal/graph"
+	"kronlab/internal/validate"
 )
 
 // experiment is one regenerable paper artifact.
@@ -136,6 +140,32 @@ func table(w io.Writer, header []string, rows [][]string) {
 	for _, r := range rows {
 		writeRow(r)
 	}
+}
+
+// claim is a materialized product and the loop-free factors it claims to
+// be the product of, named as a validation table's C column shows it.
+type claim struct {
+	name string
+	gs   []*graph.Graph
+	c    *graph.Graph
+	opts validate.Options
+}
+
+// validated holds each claim to its factors' laws through validate.Run
+// and renders every check of every claim as one table.
+func validated(w io.Writer, claims ...claim) error {
+	var cells [][]string
+	for _, cl := range claims {
+		rep, err := validate.Run(cl.gs, cl.c, cl.opts)
+		if err != nil {
+			return err
+		}
+		for _, ch := range rep.Checks {
+			cells = append(cells, []string{cl.name, ch.Name, strings.ReplaceAll(ch.Law, "|", "\\|"), ch.Expected, ch.Actual, check(ch.OK)})
+		}
+	}
+	table(w, []string{"C", "Check", "Law", "Predicted", "Measured", "OK"}, cells)
+	return nil
 }
 
 // failures counts the checks that failed, so that the run exits 1 after

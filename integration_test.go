@@ -462,9 +462,11 @@ func TestDecorateCLI(t *testing.T) {
 
 // TestExperimentsCLIList runs every experiment `experiments -list`
 // names, end to end — weak-scaling (E3) among them, which puts both plan
-// layouts through the engine, community (E9, about 2 s at under 200 MB),
-// closeness (E7, about 4 s at about 11 MB) and eccentricity (E6, about
-// 4 s on 2 CPUs). A failed check exits the command 1. Each experiment is
+// layouts through the engine. Under go test -v on 2 CPUs, with the
+// subtests sharing them, the slowest read: closeness (E7) 3.8–5.3 s,
+// eccentricity (E6) 2.8–4.2 s, diameter (E8) 0.9–1.6 s, triangles (E4)
+// 0.8–1.1 s and community (E9) 0.5–0.8 s at about 190 MB; the rest
+// 0.6 s or less. A failed check exits the command 1. Each experiment is
 // a parallel subtest named by its id, so a failure names every experiment
 // that failed.
 func TestExperimentsCLIList(t *testing.T) {

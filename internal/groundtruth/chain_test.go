@@ -41,6 +41,11 @@ func eccentricityAt(fs []*Factor, p []int64) int64 {
 	return value(at[int64](lawEccentricity, fs, p, nil))
 }
 
+// diameterOf is Cor. 3's row.
+func diameterOf(fs []*Factor) int64 {
+	return value(at[int64](lawDiameter, fs, nil, nil))
+}
+
 // hopsRow is Thm. 3's row from p, panicking with the row's refusal
 // outside its hypothesis.
 func hopsRow(fs []*Factor, p []int64) func(q []int64) int64 {
@@ -141,7 +146,7 @@ func checkChainDistanceLaws(t *testing.T, gs []*graph.Graph) {
 			t.Fatalf("ε law fails at %d: %d != %d", p, got, exactEcc[p])
 		}
 	}
-	if got := ChainDiameter(fs); got != analytics.Diameter(c) {
+	if got := diameterOf(fs); got != analytics.Diameter(c) {
 		t.Errorf("diameter law: %d != %d", got, analytics.Diameter(c))
 	}
 	rows := analytics.AllPairsHops(c)
@@ -260,7 +265,7 @@ func TestChainDistanceLawsNeedFullLoops(t *testing.T) {
 	}
 	p2, p2l := NewFactor(gen.Path(2), Distances), NewFactor(gen.Path(2).WithFullSelfLoops(), Distances)
 	fs := []*Factor{p2, p2}
-	wantPanic(t, "Cor. 3 requires full self loops", func() { ChainDiameter(fs) })
+	wantPanic(t, "Cor. 3 requires full self loops", func() { diameterOf(fs) })
 	wantPanic(t, "Thm. 3 requires full self loops", func() { hopsRow(fs, []int64{0, 0})([]int64{0, 1}) })
 	lo, hi := diameterBounds(p2l, p2)
 	if d := analytics.Diameter(materializeChain(t, p2l.G, p2.G)); lo != 2 || hi != 3 || d < lo || d > hi {

@@ -28,12 +28,16 @@ func ExampleChainDegreeAt() {
 	// Output: 8
 }
 
-// ExampleChainDiameter applies the max law to looped factors (Cor. 3).
-func ExampleChainDiameter() {
-	a := groundtruth.NewFactor(gen.Ring(10).WithFullSelfLoops(), groundtruth.Distances) // diam 5
-	b := groundtruth.NewFactor(gen.Path(4).WithFullSelfLoops(), groundtruth.Distances)  // diam 3
-	fmt.Println(groundtruth.ChainDiameter([]*groundtruth.Factor{a, b}))
-	// Output: 5
+// ExampleLaw_Eval finds Cor. 3's row, the max law over the diameters of
+// the factors with full self loops, and evaluates it on (A+I)⊗(B+I).
+func ExampleLaw_Eval() {
+	gs := []*graph.Graph{gen.Ring(10), gen.Path(4)} // diam 5 and 3
+	diameter, fs, err := groundtruth.Resolve("diameter", groundtruth.Global, gs, true, groundtruth.Summaries(gs))
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(diameter.Eval(fs, nil, nil))
+	// Output: 5 <nil>
 }
 
 // ExampleCommunityKron computes Thm. 6 community counts for the product

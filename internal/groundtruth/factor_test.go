@@ -14,12 +14,13 @@ import (
 // TestSummariesBuildTheTiersAsked: a Source builds each summary it is
 // asked for once, over the +I form when asked, holding exactly the tiers
 // asked, and two summaries of one factor share no tier: each is built
-// from scratch.
+// from scratch. The +I summaries of a factor read one +I graph.
 func TestSummariesBuildTheTiersAsked(t *testing.T) {
 	g := gen.PrefAttach(12, 2, 5)
 	src := Summaries([]*graph.Graph{g})
 	for _, plusI := range []bool{false, true} {
 		seen := map[*int64]Tiers{}
+		graphs := map[*graph.Graph]bool{}
 		for _, tiers := range []Tiers{0, Triangles, Distances, Triangles | Distances} {
 			f, err := src(0, plusI, tiers)
 			if err != nil {
@@ -38,6 +39,10 @@ func TestSummariesBuildTheTiersAsked(t *testing.T) {
 				t.Errorf("plusI=%v: tiers %b share their degrees with tiers %b", plusI, tiers, other)
 			}
 			seen[&f.Deg[0]] = tiers
+			graphs[f.G] = true
+		}
+		if plusI && len(graphs) != 1 {
+			t.Errorf("the +I summaries read %d graphs, want one", len(graphs))
 		}
 	}
 }
@@ -62,8 +67,8 @@ func TestDistanceLawsShareOneFactor(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if d := ChainDiameter(fs); d != ChainDiameter(want) {
-				t.Errorf("diameter %d, want %d", d, ChainDiameter(want))
+			if d := diameterOf(fs); d != diameterOf(want) {
+				t.Errorf("diameter %d, want %d", d, diameterOf(want))
 			}
 			if h, _ := ChainEccentricityHistogram(fs); !reflect.DeepEqual(h, wantHist) {
 				t.Errorf("ε histogram %v, want %v", h, wantHist)
@@ -119,7 +124,7 @@ func TestDistanceLawsNeedTheTier(t *testing.T) {
 		law  string
 		call func()
 	}{
-		{"diameter", func() { ChainDiameter(fs) }},
+		{"diameter", func() { diameterOf(fs) }},
 		{"eccentricity", func() { _, _ = ChainEccentricities(fs) }},
 		{"eccentricity histogram", func() { _, _ = ChainEccentricityHistogram(fs) }},
 		{"closeness", func() { ChainClosenessAt(fs, zero) }},

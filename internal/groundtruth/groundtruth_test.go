@@ -163,7 +163,7 @@ func TestCor1VertexTrianglesFullLoops(t *testing.T) {
 		fs := []*Factor{a, b}
 		ci := chainIndexFor(t, fs)
 		for p := int64(0); p < c.NumVertices(); p++ {
-			if pred, err := ChainVertexTrianglesFullLoopsAt(fs, ci.Split(p)); err != nil || exact.Vertex[p] != pred {
+			if pred, err := at[int64](lawCor1VertexTriangles, fs, ci.Split(p), nil); err != nil || exact.Vertex[p] != pred {
 				t.Fatalf("trial %d: Cor.1 t_%d exact %d, predicted %d (err %v)",
 					trial, p, exact.Vertex[p], pred, err)
 			}
@@ -180,7 +180,7 @@ func TestCor1KnownExample(t *testing.T) {
 	a := NewFactor(k2, Triangles)
 	ci := core.MustChainIndex(2, 2)
 	for p := int64(0); p < 4; p++ {
-		if got, err := ChainVertexTrianglesFullLoopsAt([]*Factor{a, a}, ci.Split(p)); err != nil || got != 3 {
+		if got, err := at[int64](lawCor1VertexTriangles, []*Factor{a, a}, ci.Split(p), nil); err != nil || got != 3 {
 			t.Errorf("K2⊗K2 Cor.1 t_%d = %d (err %v), want 3", p, got, err)
 		}
 	}
@@ -204,7 +204,7 @@ func TestCor2EdgeTrianglesFullLoops(t *testing.T) {
 			if u == v {
 				return true
 			}
-			if got, err := ChainEdgeTrianglesFullLoopsAt(fs, ci.Split(u), ci.Split(v)); err != nil || got != exact.Arc[idx] {
+			if got, err := at[int64](lawCor2EdgeTriangles, fs, ci.Split(u), ci.Split(v)); err != nil || got != exact.Arc[idx] {
 				t.Fatalf("trial %d: Cor.2 Δ(%d,%d) exact %d, predicted %d (err %v)",
 					trial, u, v, exact.Arc[idx], got, err)
 			}
@@ -229,7 +229,7 @@ func TestCor2PaperTypo(t *testing.T) {
 	if exact != 2 {
 		t.Fatalf("exact Δ(0,1) on K4 = %d, want 2", exact)
 	}
-	if got, err := ChainEdgeTrianglesFullLoopsAt([]*Factor{a, a}, []int64{0, 0}, []int64{0, 1}); err != nil || got != exact {
+	if got, err := at[int64](lawCor2EdgeTriangles, []*Factor{a, a}, []int64{0, 0}, []int64{0, 1}); err != nil || got != exact {
 		t.Fatalf("corrected Cor.2 = %d (err %v), exact %d", got, err, exact)
 	}
 	// The printed formula: Δkl(di+1)δ(i,j) + 2(diδ(i,j) + dkδ(k,l) + 1)
@@ -248,7 +248,7 @@ func TestCor2PanicsOnLoop(t *testing.T) {
 			t.Error("expected panic for p == q")
 		}
 	}()
-	_, _ = ChainEdgeTrianglesFullLoopsAt([]*Factor{a, a}, []int64{0, 0}, []int64{0, 0})
+	_, _ = at[int64](lawCor2EdgeTriangles, []*Factor{a, a}, []int64{0, 0}, []int64{0, 0})
 }
 
 // TestRequireGuards holds the rows' hypothesis check to each kind of
@@ -302,7 +302,7 @@ func TestThm1VertexClustering(t *testing.T) {
 			if a.Deg[i] < 2 || b.Deg[k] < 2 {
 				continue
 			}
-			pred, err := ChainVertexClusteringAt([]*Factor{a, b}, []int64{i, k})
+			pred, err := at[float64](lawVertexClustering, []*Factor{a, b}, []int64{i, k}, nil)
 			if err != nil || math.Abs(exact[p]-pred) > 1e-9 {
 				t.Fatalf("trial %d: η(%d) exact %v, predicted %v (err %v)", trial, p, exact[p], pred, err)
 			}
@@ -425,7 +425,7 @@ func TestCor3Diameter(t *testing.T) {
 		gb := randomConnectedLoopFree(rng, 8).WithFullSelfLoops()
 		a, b := NewFactor(ga, Distances), NewFactor(gb, Distances)
 		c := mustProduct(t, ga, gb)
-		if got, want := ChainDiameter([]*Factor{a, b}), analytics.Diameter(c); got != want {
+		if got, want := diameterOf([]*Factor{a, b}), analytics.Diameter(c); got != want {
 			t.Fatalf("trial %d: diameter predicted %d, exact %d", trial, got, want)
 		}
 	}

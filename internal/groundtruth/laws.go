@@ -107,8 +107,9 @@ var Laws = []*Law{
 // checked — a chain a handful of factors deep overflows int64 easily, and
 // a law refuses it rather than wrap — but for the degree and ε, which
 // cannot overflow (a degree is at most n_C). A law of ⊗ over the +I
-// factors answers for ⊗(A_d+I), the degree there too; the FullLoops
-// functions are Cor. 1/2's laws of ⊗(A_d+I) over loop-free A_d.
+// factors answers for ⊗(A_d+I), the degree there too;
+// ChainGlobalTrianglesFullLoops is Cor. 1's law of ⊗(A_d+I) over
+// loop-free A_d.
 
 // ChainNumVertices returns n_C = Π n_d.
 func ChainNumVertices(fs []*Factor) (int64, error) { return at[int64](lawVertices, fs, nil, nil) }
@@ -125,16 +126,6 @@ func ChainVertexTrianglesAt(fs []*Factor, p []int64) (int64, error) {
 	return at[int64](lawVertexTriangles, fs, p, nil)
 }
 
-// ChainVertexTrianglesFullLoopsAt returns t_p of ⊗(A_d+I) (Cor. 1).
-func ChainVertexTrianglesFullLoopsAt(fs []*Factor, p []int64) (int64, error) {
-	return at[int64](lawCor1VertexTriangles, fs, p, nil)
-}
-
-// ChainEdgeTrianglesFullLoopsAt returns Δ_pq of ⊗(A_d+I) (Cor. 2).
-func ChainEdgeTrianglesFullLoopsAt(fs []*Factor, p, q []int64) (int64, error) {
-	return at[int64](lawCor2EdgeTriangles, fs, p, q)
-}
-
 // ChainGlobalTriangles returns τ_C = 6^{k−1}·Π τ_d.
 func ChainGlobalTriangles(fs []*Factor) (int64, error) {
 	return at[int64](lawGlobalTriangles, fs, nil, nil)
@@ -145,18 +136,10 @@ func ChainGlobalTrianglesFullLoops(fs []*Factor) (int64, error) {
 	return at[int64](lawCor1GlobalTriangles, fs, nil, nil)
 }
 
-// ChainVertexClusteringAt returns η_p (Thm. 1); NaN where d_p < 2.
-func ChainVertexClusteringAt(fs []*Factor, p []int64) (float64, error) {
-	return at[float64](lawVertexClustering, fs, p, nil)
-}
-
 // ChainEccentricityHistogram returns the ε histogram (Fig. 1 at any k).
 func ChainEccentricityHistogram(fs []*Factor) (map[int64]int64, error) {
 	return at[map[int64]int64](lawEccentricityHistogram, fs, nil, nil)
 }
-
-// ChainDiameter returns diam(C) = max_d diam(A_d) (Cor. 3).
-func ChainDiameter(fs []*Factor) int64 { return value(at[int64](lawDiameter, fs, nil, nil)) }
 
 // ChainClosenessAt returns ζ_p (Thm. 4, Sec. V-B's compressed form).
 func ChainClosenessAt(fs []*Factor, p []int64) float64 {
@@ -261,7 +244,8 @@ func Summarize(g *graph.Graph, plusI bool, tiers Tiers) *Factor {
 }
 
 // Summaries returns a Source over gs that builds each summary it is asked
-// for once, from scratch: summaries of one factor share no tier.
+// for once, from scratch: summaries of one factor share no tier. A
+// factor's +I form is built once, and its summaries read that one graph.
 func Summaries(gs []*graph.Graph) Source {
 	type key struct {
 		d     int
@@ -269,10 +253,18 @@ func Summaries(gs []*graph.Graph) Source {
 		tiers Tiers
 	}
 	memo := map[key]*Factor{}
+	plusIs := make([]*graph.Graph, len(gs))
 	return func(d int, plusI bool, tiers Tiers) (*Factor, error) {
 		k := key{d, plusI, tiers}
 		if memo[k] == nil {
-			memo[k] = Summarize(gs[d], plusI, tiers)
+			g := gs[d]
+			if plusI {
+				if plusIs[d] == nil {
+					plusIs[d] = g.WithFullSelfLoops()
+				}
+				g = plusIs[d]
+			}
+			memo[k] = NewFactor(g, tiers)
 		}
 		return memo[k], nil
 	}

@@ -94,7 +94,7 @@ func TestPowerDistanceLaws(t *testing.T) {
 		}
 	}
 	// Cor. 3 collapses under identical factors: diam(A^{⊗k}) = diam(A).
-	if d := ChainDiameter(fs); d != analytics.Diameter(c) || d != a.Diam {
+	if d := diameterOf(fs); d != analytics.Diameter(c) || d != a.Diam {
 		t.Errorf("diameter law: %d, materialized %d, diam(A) %d", d, analytics.Diameter(c), a.Diam)
 	}
 	// Hop law spot checks.

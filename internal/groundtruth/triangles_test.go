@@ -42,10 +42,10 @@ func checkChainTriangleLaws(t *testing.T, gs []*graph.Graph) {
 	ltri := analytics.Triangles(looped)
 	for p := int64(0); p < plain.NumVertices(); p++ {
 		cp := ci.Split(p)
-		if got, err := ChainVertexClusteringAt(fs, cp); err != nil || !near(got, eta[p]) {
+		if got, err := at[float64](lawVertexClustering, fs, cp, nil); err != nil || !near(got, eta[p]) {
 			t.Fatalf("η_%d: law %v (err %v), measured %v", p, got, err, eta[p])
 		}
-		if got, err := ChainVertexTrianglesFullLoopsAt(fs, cp); err != nil || got != ltri.Vertex[p] {
+		if got, err := at[int64](lawCor1VertexTriangles, fs, cp, nil); err != nil || got != ltri.Vertex[p] {
 			t.Fatalf("Cor. 1 t_%d: law %d (err %v), measured %d", p, got, err, ltri.Vertex[p])
 		}
 	}
@@ -75,7 +75,7 @@ func checkChainTriangleLaws(t *testing.T, gs []*graph.Graph) {
 		if idx++; u == v {
 			return true
 		}
-		if got, err := ChainEdgeTrianglesFullLoopsAt(fs, ci.Split(u), ci.Split(v)); err != nil || got != ltri.Arc[idx] {
+		if got, err := at[int64](lawCor2EdgeTriangles, fs, ci.Split(u), ci.Split(v)); err != nil || got != ltri.Arc[idx] {
 			t.Fatalf("Cor. 2 Δ(%d,%d): law %d (err %v), measured %d", u, v, got, err, ltri.Arc[idx])
 		}
 		return true
@@ -161,7 +161,7 @@ func TestChainClusteringAtLowDigitDegree(t *testing.T) {
 	if xi := analytics.EdgeClustering(c)[c.ArcIndex(0, 5)]; xi != 0 {
 		t.Fatalf("measured ξ(0,5) = %v, want 0", xi)
 	}
-	if eta, err := ChainVertexClusteringAt(fs, ci.Split(0)); err != nil || eta != 0 {
+	if eta, err := at[float64](lawVertexClustering, fs, ci.Split(0), nil); err != nil || eta != 0 {
 		t.Errorf("η_0 = %v (err %v), want 0", eta, err)
 	}
 	if xi, err := at[float64](lawEdgeClustering, fs, ci.Split(0), ci.Split(5)); err != nil || xi != 0 {
@@ -189,11 +189,11 @@ func TestChainLoopFreeLawsRefuseLoops(t *testing.T) {
 	fs := factorsOf(Triangles, k3, k3)
 	p, q := []int64{0, 0}, []int64{1, 1}
 	for law, call := range map[string]func(){
-		"Thm. 1":      func() { _, _ = ChainVertexClusteringAt(fs, p) },
+		"Thm. 1":      func() { _, _ = at[float64](lawVertexClustering, fs, p, nil) },
 		"Thm. 2":      func() { _, _ = at[float64](lawEdgeClustering, fs, p, q) },
 		"Δ_C = Π Δ_d": func() { _, _ = at[int64](lawEdgeTriangles, fs, p, q) },
-		"Cor. 1":      func() { _, _ = ChainVertexTrianglesFullLoopsAt(fs, p) },
-		"Cor. 2":      func() { _, _ = ChainEdgeTrianglesFullLoopsAt(fs, p, q) },
+		"Cor. 1":      func() { _, _ = at[int64](lawCor1VertexTriangles, fs, p, nil) },
+		"Cor. 2":      func() { _, _ = at[int64](lawCor2EdgeTriangles, fs, p, q) },
 	} {
 		wantPanic(t, law+" requires a loop-free factor", call)
 	}
@@ -206,13 +206,13 @@ func TestChainLoopFreeLawsRefuseLoops(t *testing.T) {
 func TestChainFullLoopTrianglesOverflow(t *testing.T) {
 	fs := copies(NewFactor(gen.Clique(100), Triangles), 5)
 	p, q := make([]int64, 5), []int64{0, 0, 0, 0, 1}
-	if got, err := ChainVertexTrianglesFullLoopsAt(fs, p); err == nil {
+	if got, err := at[int64](lawCor1VertexTriangles, fs, p, nil); err == nil {
 		t.Errorf("want Cor. 1 overflow, got %d", got)
 	}
 	if got, err := ChainGlobalTrianglesFullLoops(fs); err == nil {
 		t.Errorf("want Cor. 1 τ overflow, got %d", got)
 	}
-	if got, err := ChainEdgeTrianglesFullLoopsAt(fs, p, q); err != nil || got != 1e10-2 {
+	if got, err := at[int64](lawCor2EdgeTriangles, fs, p, q); err != nil || got != 1e10-2 {
 		t.Errorf("Cor. 2 Δ on K_{10¹⁰}: %d (err %v), want 10¹⁰−2", got, err)
 	}
 }

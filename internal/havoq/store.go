@@ -21,7 +21,8 @@ import (
 type DistGraph struct {
 	R int
 	N int64
-	// rows[r][v/R] is the adjacency of owned vertex v on rank r.
+	// rows[r][v/R] is the adjacency of owned vertex v on rank r, sorted
+	// ascending as the graph's rows are.
 	rows [][][]int64
 	// degs[r][v/R] is the degree of owned vertex v.
 	degs [][]int64

@@ -1,5 +1,7 @@
 package havoq
 
+import "slices"
+
 // Distributed triangle counting by degree-ordered wedge checks, after the
 // approach of the paper's ref [23] (Pearce, HPEC'17): orient each edge
 // from lower to higher (degree, id) rank, enumerate wedges at their
@@ -61,21 +63,19 @@ func (dg *DistGraph) Triangles() *TriangleResult {
 			}
 		}
 	}) / 3
-	// 2. owner(v) closes each wedge whose arc (v, w) it holds: it credits
-	// v and sends a credit each to owner(u) and owner(w).
+	// 2. owner(v) closes each wedge whose arc (v, w) it holds — a binary
+	// search of v's sorted row: it credits v and sends a credit each to
+	// owner(u) and owner(w).
 	credits := x.superstep(func(rank int, in, out [][]int64) {
 		for _, recs := range in {
 			for i := 0; i < len(recs); i += 3 {
 				v, w, u := recs[i], recs[i+1], recs[i+2]
 				lv := dg.localIndex(v)
-				for _, y := range dg.rows[rank][lv] {
-					if y == w {
-						counts[rank][lv]++
-						ou, ow := dg.Owner(u), dg.Owner(w)
-						out[ou] = append(out[ou], u)
-						out[ow] = append(out[ow], w)
-						break
-					}
+				if _, closed := slices.BinarySearch(dg.rows[rank][lv], w); closed {
+					counts[rank][lv]++
+					ou, ow := dg.Owner(u), dg.Owner(w)
+					out[ou] = append(out[ou], u)
+					out[ow] = append(out[ow], w)
 				}
 			}
 		}
