@@ -25,7 +25,7 @@ func runCliques(w io.Writer) error {
 		xa, ya, xb, yb := cfg[0], cfg[1], cfg[2], cfg[3]
 		a := gen.DisjointCliques(xa, ya)
 		b := gen.DisjointCliques(xb, yb)
-		c, err := core.ProductWithSelfLoops(a, b)
+		c, err := core.Product(a.WithFullSelfLoops(), b.WithFullSelfLoops())
 		if err != nil {
 			return err
 		}

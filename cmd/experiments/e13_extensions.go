@@ -16,16 +16,16 @@ import (
 // validate.Run to A^{⊗3} and (A+I)^{⊗3}, materialized.
 func runExtensions(w io.Writer) error {
 	pg := gen.PrefAttach(7, 2, 7)
-	const k = 3
-	pc, err := core.KronPower(pg, k)
+	gs := []*graph.Graph{pg, pg, pg} // A^{⊗3} is the chain of three copies
+	pc, err := core.Product(gs...)
 	if err != nil {
 		return err
 	}
-	pcl, err := core.KronPower(pg.WithFullSelfLoops(), k)
+	pl := pg.WithFullSelfLoops()
+	pcl, err := core.Product(pl, pl, pl)
 	if err != nil {
 		return err
 	}
-	gs := []*graph.Graph{pg, pg, pg} // A^{⊗k} is the chain of k copies
 	fmt.Fprintf(w, "A = PrefAttach(7,2); every law of A^{⊗3} and (A+I)^{⊗3}, m = 2^{k−1}·m_A^k\n")
 	fmt.Fprintf(w, "and τ = 6^{k−1}·τ_A^k among them, at every vertex and arc:\n\n")
 	if err := validated(w,

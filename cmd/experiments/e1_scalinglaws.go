@@ -50,7 +50,7 @@ func runScalingLaws(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		cl, err := core.ProductWithSelfLoops(pr.a, pr.b)
+		cl, err := core.Product(pr.a.WithFullSelfLoops(), pr.b.WithFullSelfLoops())
 		if err != nil {
 			return err
 		}

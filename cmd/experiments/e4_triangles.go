@@ -27,7 +27,7 @@ func runTriangles(w io.Writer) error {
 	gs := []*graph.Graph{a, b}
 
 	start := time.Now()
-	c, err := core.ProductWithSelfLoops(a, b)
+	c, err := core.Product(a.WithFullSelfLoops(), b.WithFullSelfLoops())
 	if err != nil {
 		return err
 	}

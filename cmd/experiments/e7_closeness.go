@@ -56,7 +56,7 @@ func runCloseness(w io.Writer) error {
 
 	// Reduced scale: validate against BFS on a materialized product.
 	small := connected(gen.PrefAttach(40, 2, 88))
-	c, err := core.ProductWithSelfLoops(small, small)
+	c, err := core.Product(small.WithFullSelfLoops(), small.WithFullSelfLoops())
 	if err != nil {
 		return err
 	}

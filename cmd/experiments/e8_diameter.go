@@ -32,7 +32,7 @@ func runDiameter(w io.Writer) error {
 		fr := groundtruth.NewFactor(ring.WithFullSelfLoops(), groundtruth.Distances)
 
 		// Cor. 3 (both factors looped): exact equality, checked below.
-		c3, err := core.ProductWithSelfLoops(ring, b)
+		c3, err := core.Product(ring.WithFullSelfLoops(), b.WithFullSelfLoops())
 		if err != nil {
 			return err
 		}

@@ -96,7 +96,7 @@ func runCommunity(w io.Writer) error {
 
 	// Reduced scale: validate Thm. 6 counts against a materialized product.
 	small, psmall := gen.SBM(gen.SBMParams{BlockSizes: gen.EqualBlocks(4, 40), PIn: 0.3, POut: 0.02, Seed: 7})
-	c, err := core.ProductWithSelfLoops(small, small)
+	c, err := core.Product(small.WithFullSelfLoops(), small.WithFullSelfLoops())
 	if err != nil {
 		return err
 	}

@@ -53,7 +53,7 @@ func TestEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	CL, err := core.ProductWithSelfLoops(a, b)
+	CL, err := core.Product(a.WithFullSelfLoops(), b.WithFullSelfLoops())
 	if err != nil {
 		t.Fatal(err)
 	}

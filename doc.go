@@ -2,11 +2,12 @@
 // Generation with Ground Truth of Many Graph Properties" (Steil, Priest,
 // Sanders, Pearce, La Fond, Iwabuchi — IEEE IPDPS Workshops 2019).
 //
-// The library generates nonstochastic Kronecker product graphs C = A ⊗ B
-// (and the full-self-loop variant C = (A+I) ⊗ (B+I)) from two small factor
-// graphs, serially or on a simulated distributed cluster, and computes
-// ground-truth values for many graph analytics on C directly from the
-// factors: degrees, vertex/edge/global triangle counts, clustering
+// The library generates nonstochastic Kronecker product graphs
+// C = A₁ ⊗ … ⊗ Aₖ (C = A ⊗ B at k = 2, and the full-self-loop variant
+// over the +I factors) from small factor graphs — streamed on a simulated
+// distributed cluster, or materialized serially by core.Product, the
+// reference the cluster is checked against — and computes ground-truth
+// values for many graph analytics on C directly from the factors: degrees, vertex/edge/global triangle counts, clustering
 // coefficients, hop distances, diameter, vertex eccentricity, closeness
 // centrality, and internal/external community edge counts and densities.
 //

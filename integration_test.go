@@ -527,11 +527,7 @@ func TestKrongenChainCLI(t *testing.T) {
 	if err := cmd.Run(); err != nil {
 		t.Fatalf("krongen -chain: %v\n%s", err, stderr.String())
 	}
-	ch, err := core.NewChain(gs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ch.Materialize()
+	want, err := core.Product(gs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,7 +577,7 @@ func TestKrongenChainCLI(t *testing.T) {
 }
 
 // TestKrongenPowerStoreCLI: -power now runs through the distributed
-// chain engine (no serial KronPower materialization); the 1d store
+// chain engine (no serial materialization); the 1d store
 // stream must still equal the serial power edge-for-edge.
 func TestKrongenPowerStoreCLI(t *testing.T) {
 	if testing.Short() {
@@ -609,16 +605,16 @@ func TestKrongenPowerStoreCLI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.KronPower(a, 3)
+	want, err := core.Product(a, a, a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !onDisk.Equal(want) {
-		t.Fatal("distributed power store stream differs from serial KronPower")
+		t.Fatal("distributed power store stream differs from the serial product")
 	}
 }
 
-// TestKrongenPowerCLI checks the -power flag against core.KronPower.
+// TestKrongenPowerCLI checks the -power flag against core.Product.
 func TestKrongenPowerCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary")
@@ -638,7 +634,7 @@ func TestKrongenPowerCLI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.KronPower(a, 3)
+	want, err := core.Product(a, a, a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,10 @@
 // Package core implements the paper's primary contribution: Kronecker
 // block-index arithmetic (the α, β, γ maps of Sec. II-A, ChainIndex's
-// Split and Join at k = 2), streaming and materialized nonstochastic
-// Kronecker product generation C = A ⊗ B and the full-self-loop variant
-// C = (A+I) ⊗ (B+I) (Sec. III), and Kronecker products of vertex sets and
-// partitions (Defs. 14 and 16).
+// Split and Join at k = 2), nonstochastic Kronecker product generation
+// over a factor chain A₁ ⊗ … ⊗ Aₖ — streamed (Chain.Arcs, the TailCursor
+// walk) or materialized (Product), the full-self-loop variant being the
+// chain of the +I factors (Sec. III) — and Kronecker products of vertex
+// sets and partitions (Defs. 14 and 16).
 //
 // All indices are 0-based (the paper is 1-based); the maps satisfy the
 // same composition law γ(α(p), β(p)) = p.
@@ -39,8 +40,7 @@ func CheckedMul(a, b int64) (int64, bool) {
 // α(p) = ⌊p / n_B⌋, β(p) = p mod n_B and γ(i, k) = i·n_B + k, which are
 // Split and Join at k = 2. Vertex p decomposes as p = Σ_d digit[d]·stride[d]
 // with stride[d] = Π_{e>d} n_e: the leftmost digit is the outermost
-// factor, matching the left-fold associativity of KronPower and
-// Chain.Materialize.
+// factor, matching the left fold of Product.
 type ChainIndex struct {
 	dims    []int64 // per-factor vertex counts, leftmost outermost
 	strides []int64 // strides[d] = Π_{e>d} dims[e]; strides[k-1] = 1
@@ -157,8 +157,8 @@ func NewChain(factors ...*graph.Graph) (*Chain, error) {
 }
 
 // PowerChain returns the chain A⊗A⊗…⊗A of k copies — A^{⊗k} as a chain,
-// so the distributed engine can generate powers without the serial
-// KronPower materialization.
+// which the distributed engine streams and Product(ch.Factors()...)
+// materializes.
 func PowerChain(a *graph.Graph, k int) (*Chain, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: PowerChain needs k ≥ 1, got %d", k)
@@ -222,8 +222,9 @@ func (c *Chain) NumEdges() (edges, arcs int64, err error) {
 	return (arcs + loops) / 2, arcs, nil
 }
 
-// WithFullSelfLoops returns the chain (A₁+I)⊗…⊗(Aₖ+I), the k-factor
-// form of ProductWithSelfLoops.
+// WithFullSelfLoops returns the chain (A₁+I)⊗…⊗(Aₖ+I), the product of
+// Cor. 1, Cor. 2 and Thm. 6 (each factor's existing loops are kept by
+// the +I saturation).
 func (c *Chain) WithFullSelfLoops() *Chain {
 	factors := make([]*graph.Graph, len(c.factors))
 	for d, g := range c.factors {
@@ -238,10 +239,11 @@ func (c *Chain) WithFullSelfLoops() *Chain {
 
 // Arcs enumerates the arcs of the chain product in canonical order —
 // factor 1 arcs outermost, factor k arcs innermost, each factor in CSR
-// arc order — without materializing anything. For k = 2 this is exactly
-// StreamProduct's order. It is the per-arc reference implementation the
-// blocked TailCursor path is tested against. Iteration stops early if
-// yield returns false.
+// arc order — without materializing anything. For k = 2 this is Sec. II's
+// nested loop: every arc (i,j) of A, then every arc (k,l) of B, yields
+// (γ(i,k), γ(j,l)). It is the per-arc reference enumeration Product fills
+// from and the blocked TailCursor path is tested against. Iteration stops
+// early if yield returns false.
 func (c *Chain) Arcs(yield func(u, v int64) bool) {
 	var rec func(d int, u, v int64) bool
 	rec = func(d int, u, v int64) bool {
@@ -294,23 +296,6 @@ func (c *Chain) ArcsFrom(offset int64, yield func(u, v int64) bool) (int64, erro
 			}
 		}
 	}
-}
-
-// Materialize builds the chain product as a Graph, folding left exactly
-// like KronPower — the serial reference the distributed chain paths are
-// compared against. It is meant for small chains (tests, closed-form
-// cross-checks); real generation streams.
-func (c *Chain) Materialize() (*graph.Graph, error) {
-	arcsTotal, err := c.NumArcs()
-	if err != nil {
-		return nil, err
-	}
-	arcs := make([]graph.Edge, 0, arcsTotal)
-	c.Arcs(func(u, v int64) bool {
-		arcs = append(arcs, graph.Edge{U: u, V: v})
-		return true
-	})
-	return graph.New(c.NumVertices(), arcs)
 }
 
 // TailCursor lazily enumerates the composed arcs of a factor list

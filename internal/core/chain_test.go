@@ -143,63 +143,52 @@ func TestNewChainValidation(t *testing.T) {
 	}
 }
 
-func TestChainMaterializeMatchesKronPower(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 10; trial++ {
-		a := randomGraph(rng, 5, true)
-		for k := 1; k <= 3; k++ {
-			want, err := KronPower(a, k)
-			if err != nil {
-				t.Fatalf("KronPower: %v", err)
-			}
-			ch, err := PowerChain(a, k)
-			if err != nil {
-				t.Fatalf("PowerChain: %v", err)
-			}
-			got, err := ch.Materialize()
-			if err != nil {
-				t.Fatalf("Materialize: %v", err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("trial %d k=%d: chain materialization differs from KronPower", trial, k)
-			}
-		}
-	}
-}
-
-func TestChainMaterializeMatchesLeftFold(t *testing.T) {
+// TestProductLeftFold holds DESIGN's left-fold identity: the product of
+// a factor list is the product of its first k−1 factors times the last,
+// Product(Product(A₁,A₂),A₃) = Product(A₁,A₂,A₃), and one factor is its
+// own product.
+func TestProductLeftFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 10; trial++ {
 		a := randomGraph(rng, 4, true)
 		b := randomGraph(rng, 3, false)
 		c := randomGraph(rng, 4, true)
-		ab, err := Product(a, b)
-		if err != nil {
-			t.Fatalf("Product(a,b): %v", err)
-		}
-		want, err := Product(ab, c)
-		if err != nil {
-			t.Fatalf("Product(ab,c): %v", err)
-		}
-		got, err := chainOf(t, a, b, c).Materialize()
-		if err != nil {
-			t.Fatalf("Materialize: %v", err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("trial %d: heterogeneous chain differs from left-fold product", trial)
+		for _, fs := range [][]*graph.Graph{{a}, {a, b, c}} {
+			got, err := Product(fs...)
+			if err != nil {
+				t.Fatalf("Product: %v", err)
+			}
+			want := fs[0]
+			for _, f := range fs[1:] {
+				if want, err = Product(want, f); err != nil {
+					t.Fatalf("Product: %v", err)
+				}
+			}
+			if !got.Equal(want) {
+				t.Fatalf("trial %d k=%d: product differs from the left fold", trial, len(fs))
+			}
 		}
 	}
 }
 
-func TestChainArcsOrderMatchesStreamProduct(t *testing.T) {
+// TestChainArcsOrderMatchesNestedLoop holds Chain.Arcs at k = 2 to
+// Sec. II's nested loop, written out: every arc (i,j) of A outermost,
+// every arc (k,l) of B inside it, yielding (γ(i,k), γ(j,l)) with
+// γ(i,k) = i·n_B + k.
+func TestChainArcsOrderMatchesNestedLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	a := randomGraph(rng, 5, true)
 	b := randomGraph(rng, 4, false)
+	if a.NumArcs() < 2 || b.NumArcs() < 2 {
+		t.Fatalf("factors need ≥ 2 arcs each for the order to show, got %d and %d", a.NumArcs(), b.NumArcs())
+	}
 	var want, got []graph.Edge
-	StreamProduct(a, b, func(u, v int64) bool {
-		want = append(want, graph.Edge{U: u, V: v})
-		return true
-	})
+	nB := b.NumVertices()
+	for _, x := range a.ArcSlice() {
+		for _, y := range b.ArcSlice() {
+			want = append(want, graph.Edge{U: x.U*nB + y.U, V: x.V*nB + y.V})
+		}
+	}
 	chainOf(t, a, b).Arcs(func(u, v int64) bool {
 		got = append(got, graph.Edge{U: u, V: v})
 		return true
@@ -209,7 +198,7 @@ func TestChainArcsOrderMatchesStreamProduct(t *testing.T) {
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("arc %d: got %v, want %v (order must match StreamProduct)", i, got[i], want[i])
+			t.Fatalf("arc %d: got %v, want %v (order must be Sec. II's nested loop)", i, got[i], want[i])
 		}
 	}
 }
@@ -233,9 +222,9 @@ func TestChainNumEdgesMatchesMaterialized(t *testing.T) {
 			randomGraph(rng, 4, true),
 			randomGraph(rng, 3, trial%2 == 0),
 			randomGraph(rng, 3, true))
-		g, err := ch.Materialize()
+		g, err := Product(ch.Factors()...)
 		if err != nil {
-			t.Fatalf("Materialize: %v", err)
+			t.Fatalf("Product: %v", err)
 		}
 		edges, arcs, err := ch.NumEdges()
 		if err != nil {
@@ -251,16 +240,16 @@ func TestChainNumEdgesMatchesMaterialized(t *testing.T) {
 func TestChainWithFullSelfLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	a, b := randomGraph(rng, 4, false), randomGraph(rng, 3, false)
-	want, err := ProductWithSelfLoops(a, b)
+	want, err := Product(a.WithFullSelfLoops(), b.WithFullSelfLoops())
 	if err != nil {
-		t.Fatalf("ProductWithSelfLoops: %v", err)
+		t.Fatalf("Product: %v", err)
 	}
-	got, err := chainOf(t, a, b).WithFullSelfLoops().Materialize()
+	got, err := Product(chainOf(t, a, b).WithFullSelfLoops().Factors()...)
 	if err != nil {
-		t.Fatalf("Materialize: %v", err)
+		t.Fatalf("Product: %v", err)
 	}
 	if !got.Equal(want) {
-		t.Fatal("chain +I differs from ProductWithSelfLoops")
+		t.Fatal("chain +I differs from the product of the +I factors")
 	}
 }
 
@@ -284,8 +273,8 @@ func TestChainNumArcsOverflow(t *testing.T) {
 	if _, _, err := ch.NumEdges(); err == nil {
 		t.Fatal("want edge-count overflow error at 9^21")
 	}
-	if _, err := ch.Materialize(); err == nil {
-		t.Fatal("Materialize must refuse an overflowing chain")
+	if _, err := Product(ch.Factors()...); err == nil {
+		t.Fatal("Product must refuse an overflowing chain")
 	}
 }
 
@@ -365,9 +354,9 @@ func TestTailCursorExpandMatchesExpandBlock(t *testing.T) {
 		// the cursor IS the kernel's B-block, generated on the fly.
 		rng := rand.New(rand.NewSource(53))
 		tail := []*graph.Graph{randomGraph(rng, 4, true), randomGraph(rng, 3, true)}
-		tailG, err := chainOf(t, tail...).Materialize()
+		tailG, err := Product(tail...)
 		if err != nil {
-			t.Fatalf("Materialize: %v", err)
+			t.Fatalf("Product: %v", err)
 		}
 		nT := tailG.NumVertices()
 		aArc := graph.Edge{U: 2, V: 5}

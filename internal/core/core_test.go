@@ -26,39 +26,35 @@ func randomGraph(rng *rand.Rand, maxN int64, loops bool) *graph.Graph {
 	return g
 }
 
-// Product vs the dense-matrix oracle: pattern(A) ⊗ pattern(B) as a matrix
-// equals the adjacency of Product(A, B).
+// Product vs the dense-matrix oracle: pattern(A₁) ⊗ … ⊗ pattern(Aₖ) as a
+// matrix equals the adjacency of Product(A₁, …, Aₖ) — for two factors
+// with loops, for the +I factors of loop-free ones ((A+I)⊗(B+I), the
+// product of Cor. 1, Cor. 2 and Thm. 6), and for three factors.
 func TestProductMatchesMatrixOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 25; trial++ {
-		a := randomGraph(rng, 8, true)
-		b := randomGraph(rng, 8, true)
-		c, err := Product(a, b)
+	check := func(trial int, want *matrix.Dense, fs ...*graph.Graph) {
+		t.Helper()
+		c, err := Product(fs...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := matrix.FromGraph(a).Kron(matrix.FromGraph(b))
-		got := matrix.FromGraph(c)
-		if !got.Equal(want) {
-			t.Fatalf("trial %d: product adjacency mismatch\nA=%v\nB=%v", trial, a, b)
+		if !matrix.FromGraph(c).Equal(want) {
+			t.Fatalf("trial %d: product adjacency mismatch over %v", trial, fs)
 		}
 	}
-}
-
-func TestProductWithSelfLoopsMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
+	m := matrix.FromGraph
+	plusI := func(g *graph.Graph) *matrix.Dense { return m(g).Add(matrix.Identity(int(g.NumVertices()))) }
+	for trial := 0; trial < 25; trial++ {
+		a, b := randomGraph(rng, 8, true), randomGraph(rng, 8, true)
+		check(trial, m(a).Kron(m(b)), a, b)
+	}
 	for trial := 0; trial < 15; trial++ {
-		a := randomGraph(rng, 7, false)
-		b := randomGraph(rng, 7, false)
-		c, err := ProductWithSelfLoops(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ma := matrix.FromGraph(a).Add(matrix.Identity(int(a.NumVertices())))
-		mb := matrix.FromGraph(b).Add(matrix.Identity(int(b.NumVertices())))
-		if !matrix.FromGraph(c).Equal(ma.Kron(mb)) {
-			t.Fatalf("trial %d: (A+I)⊗(B+I) mismatch", trial)
-		}
+		a, b := randomGraph(rng, 7, false), randomGraph(rng, 7, false)
+		check(trial, plusI(a).Kron(plusI(b)), a.WithFullSelfLoops(), b.WithFullSelfLoops())
+	}
+	for trial := 0; trial < 10; trial++ {
+		a, b, c := randomGraph(rng, 5, true), randomGraph(rng, 4, false), randomGraph(rng, 5, true)
+		check(trial, m(a).Kron(m(b)).Kron(m(c)), a, b, c)
 	}
 }
 
@@ -75,7 +71,10 @@ func TestProductEdgeCountLaw(t *testing.T) {
 		if c.NumEdges() != 2*a.NumEdges()*b.NumEdges() {
 			t.Fatalf("trial %d: m_C=%d want %d", trial, c.NumEdges(), 2*a.NumEdges()*b.NumEdges())
 		}
-		edges, arcs := productEdges(t, a, b)
+		edges, arcs, err := chainOf(t, a, b).NumEdges()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if edges != c.NumEdges() || arcs != c.NumArcs() {
 			t.Fatalf("trial %d: Chain.NumEdges=(%d,%d) want (%d,%d)",
 				trial, edges, arcs, c.NumEdges(), c.NumArcs())
@@ -92,27 +91,15 @@ func TestNumProductEdgesWithLoops(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		edges, arcs := productEdges(t, a, b)
+		edges, arcs, err := chainOf(t, a, b).NumEdges()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if edges != c.NumEdges() || arcs != c.NumArcs() {
 			t.Fatalf("trial %d: predicted (%d,%d), got (%d,%d)",
 				trial, edges, arcs, c.NumEdges(), c.NumArcs())
 		}
 	}
-}
-
-// productEdges is the edge and arc count of A ⊗ B from the two-factor
-// chain, without generating it.
-func productEdges(t *testing.T, a, b *graph.Graph) (edges, arcs int64) {
-	t.Helper()
-	ch, err := NewChain(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	edges, arcs, err = ch.NumEdges()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return edges, arcs
 }
 
 func TestProductSymmetryPreserved(t *testing.T) {
@@ -127,19 +114,6 @@ func TestProductSymmetryPreserved(t *testing.T) {
 		if !c.IsSymmetric() {
 			t.Fatalf("trial %d: product of symmetric factors must be symmetric", trial)
 		}
-	}
-}
-
-func TestStreamProductEarlyStop(t *testing.T) {
-	a := randomGraph(rand.New(rand.NewSource(13)), 6, true)
-	b := randomGraph(rand.New(rand.NewSource(14)), 6, true)
-	var seen int64
-	StreamProduct(a, b, func(u, v int64) bool {
-		seen++
-		return seen < 5
-	})
-	if seen != 5 && a.NumArcs()*b.NumArcs() >= 5 {
-		t.Errorf("early stop: yielded %d arcs, want 5", seen)
 	}
 }
 
@@ -204,7 +178,7 @@ func cliqueWithLoops(n int64) *graph.Graph {
 }
 
 // Kronecker products are associative: (A⊗B)⊗C = A⊗(B⊗C), which is what
-// makes KronPower's left fold canonical.
+// makes Product's left fold canonical.
 func TestProductAssociativity(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 10; trial++ {

@@ -25,11 +25,12 @@ func ExampleChainIndex() {
 	// Output: [2 2] 10
 }
 
-// ExampleStreamProduct enumerates product arcs without materializing C.
-func ExampleStreamProduct() {
+// ExampleChain_Arcs enumerates product arcs without materializing C.
+func ExampleChain_Arcs() {
 	k2, _ := graph.NewUndirected(2, []graph.Edge{{U: 0, V: 1}})
+	ch, _ := core.NewChain(k2, k2)
 	count := 0
-	core.StreamProduct(k2, k2, func(u, v int64) bool {
+	ch.Arcs(func(u, v int64) bool {
 		count++
 		return true
 	})
@@ -37,10 +38,11 @@ func ExampleStreamProduct() {
 	// Output: 4
 }
 
-// ExampleKronPower builds the third Kronecker power of an edge.
-func ExampleKronPower() {
+// ExampleProduct_power builds the third Kronecker power of an edge as the
+// product of three factors.
+func ExampleProduct_power() {
 	k2, _ := graph.NewUndirected(2, []graph.Edge{{U: 0, V: 1}})
-	c, _ := core.KronPower(k2, 3)
+	c, _ := core.Product(k2, k2, k2)
 	fmt.Println(c.NumVertices(), c.NumEdges())
 	// Output: 8 4
 }

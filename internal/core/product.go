@@ -1,33 +1,33 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 
 	"kronlab/internal/graph"
 )
 
-// StreamProduct enumerates the arcs of C = A ⊗ B without materializing C:
-// for every arc (i,j) of A and every arc (k,l) of B it yields the product
-// arc (γ(i,k), γ(j,l)), γ(i,k) = i·n_B + k. Iteration stops early if
-// yield returns false.
-//
-// This is exactly the expansion each processor performs in the paper's
-// generator (Sec. III): a processor holding a subset of A's arcs and all
-// of B streams its share of C's arcs.
-func StreamProduct(a, b *graph.Graph, yield func(u, v int64) bool) {
-	nB := b.NumVertices()
-	stop := false
-	a.Arcs(func(i, j int64) bool {
-		b.Arcs(func(k, l int64) bool {
-			if !yield(i*nB+k, j*nB+l) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		return !stop
+// Product materializes the chain product A₁ ⊗ … ⊗ Aₖ (Def. 1, folded
+// left) as a Graph on Π n_d vertices, filled from Chain.Arcs — the serial
+// reference the distributed paths are compared against, so it shares no
+// code with the engine's TailCursor walk. It fails if the vertex or arc
+// count overflows int64. It is meant for small products (tests,
+// closed-form cross-checks); real generation streams. If every factor is
+// symmetric, so is the product.
+func Product(factors ...*graph.Graph) (*graph.Graph, error) {
+	c, err := NewChain(factors...)
+	if err != nil {
+		return nil, err
+	}
+	total, err := c.NumArcs()
+	if err != nil {
+		return nil, err
+	}
+	arcs := make([]graph.Edge, 0, total)
+	c.Arcs(func(u, v int64) bool {
+		arcs = append(arcs, graph.Edge{U: u, V: v})
+		return true
 	})
+	return graph.New(c.NumVertices(), arcs)
 }
 
 // ExpandBlock appends the product arcs of one A-arc against a slice of
@@ -36,7 +36,7 @@ func StreamProduct(a, b *graph.Graph, yield func(u, v int64) bool) {
 // the paper's Sec. III expansion for two factors in plain Go, the γ
 // offsets hoisted out — the reference the tests hold the cursor's packed
 // walk to. Pass bArcs = b.ArcSlice() and nB = b.NumVertices(); the order
-// is then StreamProduct's.
+// is then Chain.Arcs' at k = 2.
 func ExpandBlock(aArc graph.Edge, bArcs []graph.Edge, nB int64, out []graph.Edge) []graph.Edge {
 	u0, v0, n := aArc.U*nB, aArc.V*nB, len(out)
 	out = slices.Grow(out, len(bArcs))[:n+len(bArcs)]
@@ -45,29 +45,6 @@ func ExpandBlock(aArc graph.Edge, bArcs []graph.Edge, nB int64, out []graph.Edge
 		dst[i] = graph.Edge{U: u0 + e.U, V: v0 + e.V}
 	}
 	return out
-}
-
-// Product materializes C = A ⊗ B as a Graph on n_A·n_B vertices.
-// If A and B are symmetric, so is C.
-func Product(a, b *graph.Graph) (*graph.Graph, error) {
-	nC := a.NumVertices() * b.NumVertices()
-	if a.NumVertices() != 0 && nC/a.NumVertices() != b.NumVertices() {
-		return nil, fmt.Errorf("core: product vertex count overflows int64: %d * %d", a.NumVertices(), b.NumVertices())
-	}
-	arcs := make([]graph.Edge, 0, a.NumArcs()*b.NumArcs())
-	StreamProduct(a, b, func(u, v int64) bool {
-		arcs = append(arcs, graph.Edge{U: u, V: v})
-		return true
-	})
-	return graph.New(nC, arcs)
-}
-
-// ProductWithSelfLoops materializes C = (A+I_A) ⊗ (B+I_B), the
-// "full self loops in both factors" construction used by Cor. 1, Cor. 2
-// and Thm. 6. The inputs are used as given (existing loops are preserved
-// by the +I saturation).
-func ProductWithSelfLoops(a, b *graph.Graph) (*graph.Graph, error) {
-	return Product(a.WithFullSelfLoops(), b.WithFullSelfLoops())
 }
 
 // KronSet returns the Kronecker product of vertex sets S_A ⊗ S_B

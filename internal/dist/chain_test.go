@@ -3,7 +3,7 @@ package dist
 // Chain-engine equivalence tests: the distributed generator at k>2 —
 // in-proc 1D/2D, streamed, stored, TCP cluster, and
 // crash-then-recover across real process boundaries — must reproduce the
-// serial chain product (core.KronPower / Chain.Materialize)
+// serial chain product (core.Product)
 // edge-for-edge. Two-factor parity stays covered by the existing suites;
 // these pin the generalized code path.
 
@@ -34,11 +34,7 @@ func powerChain3(t *testing.T) (*core.Chain, *graph.Graph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.KronPower(a, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ch, want
+	return ch, mustProduct(t, ch.Factors()...)
 }
 
 // heteroChain3 is a heterogeneous three-factor chain plus its serial
@@ -49,11 +45,7 @@ func heteroChain3(t *testing.T) (*core.Chain, *graph.Graph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ch.Materialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ch, want
+	return ch, mustProduct(t, ch.Factors()...)
 }
 
 // TestGenerateChainMatchesSerial sweeps decomposition × owner (nil, the
@@ -227,7 +219,7 @@ func TestChainPlanHashSensitivity(t *testing.T) {
 }
 
 // TestChainClusterParity folds a 4-process TCP cluster into this test
-// process and diffs the shared k=3 store against core.KronPower.
+// process and diffs the shared k=3 store against core.Product.
 func TestChainClusterParity(t *testing.T) {
 	ch, want := powerChain3(t)
 	for _, tc := range []struct {
@@ -368,10 +360,8 @@ func TestChainClusterKillRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.KronPower(chainKillFactor(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := chainKillFactor()
+	want := mustProduct(t, f, f, f)
 	node := tcp.NewNodeOn(lns[0], 0, PlanHash(plan))
 	defer node.Close()
 

@@ -21,20 +21,14 @@ import (
 )
 
 // referenceArcs collects the chain's arc stream from the serial per-edge
-// reference: core.StreamProduct, the path the paper's Sec. II describes
-// and the kernel replaced, for a two-factor product; core.Chain.Arcs for
-// a deeper chain.
+// reference, core.Chain.Arcs: at k = 2 the nested loop the paper's
+// Sec. II describes and the kernel replaced.
 func referenceArcs(ch *core.Chain) []graph.Edge {
 	var arcs []graph.Edge
-	yield := func(u, v int64) bool {
+	ch.Arcs(func(u, v int64) bool {
 		arcs = append(arcs, graph.Edge{U: u, V: v})
 		return true
-	}
-	if f := ch.Factors(); len(f) == 2 {
-		core.StreamProduct(f[0], f[1], yield)
-	} else {
-		ch.Arcs(yield)
-	}
+	})
 	return arcs
 }
 

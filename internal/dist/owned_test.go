@@ -547,9 +547,10 @@ func TestOwnerSideCounters(t *testing.T) {
 	}
 }
 
-func mustProduct(t *testing.T, a, b *graph.Graph) *graph.Graph {
+// mustProduct is core.Product of fs, the serial reference.
+func mustProduct(t *testing.T, fs ...*graph.Graph) *graph.Graph {
 	t.Helper()
-	g, err := core.Product(a, b)
+	g, err := core.Product(fs...)
 	if err != nil {
 		t.Fatal(err)
 	}

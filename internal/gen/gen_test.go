@@ -289,7 +289,7 @@ func TestSKGDegeneratesToNonstochasticPower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.KronPower(base, 3)
+	want, err := core.Product(base, base, base)
 	if err != nil {
 		t.Fatal(err)
 	}

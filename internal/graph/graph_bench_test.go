@@ -89,7 +89,7 @@ func BenchmarkArcSlice(b *testing.B) {
 	}
 }
 
-// productArcs lists the arcs of a ⊗ b in the order core.StreamProduct
+// productArcs lists the arcs of a ⊗ b in the order core.Chain.Arcs
 // yields them — a's arcs in CSR order, each against b's — which this
 // package cannot import. Every row of the product comes out ascending,
 // but consecutive arcs land in different rows.

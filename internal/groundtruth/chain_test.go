@@ -13,21 +13,6 @@ import (
 	"kronlab/internal/graph"
 )
 
-// materializeChain builds the heterogeneous product the Chain* laws are
-// checked against, by left-folding core.Product.
-func materializeChain(t *testing.T, gs ...*graph.Graph) *graph.Graph {
-	t.Helper()
-	ch, err := core.NewChain(gs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := ch.Materialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 func factorsOf(tiers Tiers, gs ...*graph.Graph) []*Factor {
 	fs := make([]*Factor, len(gs))
 	for i, g := range gs {
@@ -71,7 +56,7 @@ func TestChainCountingLawsAgainstMaterialized(t *testing.T) {
 	ga := randomConnectedLoopFree(rng, 5)
 	gb := randomConnectedLoopFree(rng, 4)
 	gc := randomConnectedLoopFree(rng, 3)
-	c := materializeChain(t, ga, gb, gc)
+	c := mustProduct(t, ga, gb, gc)
 	fs := factorsOf(Triangles, ga, gb, gc)
 
 	if n, err := ChainNumVertices(fs); err != nil || n != c.NumVertices() {
@@ -108,7 +93,7 @@ func TestChainNumEdgesWithLoops(t *testing.T) {
 	ga := randomConnectedLoopFree(rng, 4).WithFullSelfLoops()
 	gb := randomConnectedLoopFree(rng, 3)
 	gc := randomConnectedLoopFree(rng, 3).WithFullSelfLoops()
-	c := materializeChain(t, ga, gb, gc)
+	c := mustProduct(t, ga, gb, gc)
 	fs := factorsOf(Triangles, ga, gb, gc)
 	if m, err := ChainNumEdges(fs); err != nil || m != c.NumEdges() {
 		t.Errorf("m law with loops: %d (err %v) != %d", m, err, c.NumEdges())
@@ -136,7 +121,7 @@ func TestChainDistanceLawsAgainstMaterialized(t *testing.T) {
 
 func checkChainDistanceLaws(t *testing.T, gs []*graph.Graph) {
 	t.Helper()
-	c := materializeChain(t, gs...)
+	c := mustProduct(t, gs...)
 	fs := factorsOf(Distances, gs...)
 	ci := chainIndexFor(t, fs)
 
@@ -259,7 +244,7 @@ func TestChainEccentricityAtNeedsLoops(t *testing.T) {
 // Cor. 5 ask full loops of A alone: (P₂+I) ⊗ P₂ is connected, and its
 // diameter 2 lies in the sandwich [2, 3] around max{diam_A, diam_B}.
 func TestChainDistanceLawsNeedFullLoops(t *testing.T) {
-	c := materializeChain(t, gen.Path(2), gen.Path(2))
+	c := mustProduct(t, gen.Path(2), gen.Path(2))
 	if d, h := analytics.Diameter(c), analytics.Hops(c, 0)[1]; d != analytics.Unreachable || h != analytics.Unreachable {
 		t.Fatalf("materialized P₂⊗P₂: diameter %d, hops(0,1) %d, want both Unreachable", d, h)
 	}
@@ -268,7 +253,7 @@ func TestChainDistanceLawsNeedFullLoops(t *testing.T) {
 	wantPanic(t, "Cor. 3 requires full self loops", func() { diameterOf(fs) })
 	wantPanic(t, "Thm. 3 requires full self loops", func() { hopsRow(fs, []int64{0, 0})([]int64{0, 1}) })
 	lo, hi := diameterBounds(p2l, p2)
-	if d := analytics.Diameter(materializeChain(t, p2l.G, p2.G)); lo != 2 || hi != 3 || d < lo || d > hi {
+	if d := analytics.Diameter(mustProduct(t, p2l.G, p2.G)); lo != 2 || hi != 3 || d < lo || d > hi {
 		t.Errorf("Cor. 5 on (P₂+I)⊗P₂: diameter %d, bounds [%d,%d], want 2 in [2,3]", d, lo, hi)
 	}
 }
@@ -292,7 +277,7 @@ func TestChainGlobalTrianglesNeedsLoopFree(t *testing.T) {
 // materialized product.
 func checkChainClosenessAndHops(t *testing.T, gs []*graph.Graph) {
 	t.Helper()
-	c := materializeChain(t, gs...)
+	c := mustProduct(t, gs...)
 	fs := factorsOf(Distances, gs...)
 	ci := chainIndexFor(t, fs)
 	for p := int64(0); p < c.NumVertices(); p++ {

@@ -43,9 +43,10 @@ func randomConnectedLoopFree(rng *rand.Rand, maxN int64) *graph.Graph {
 	}
 }
 
-func mustProduct(t *testing.T, a, b *graph.Graph) *graph.Graph {
+// mustProduct materializes the product the laws are checked against.
+func mustProduct(t *testing.T, gs ...*graph.Graph) *graph.Graph {
 	t.Helper()
-	c, err := core.Product(a, b)
+	c, err := core.Product(gs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +77,7 @@ func TestDegreeLawWithSelfLoops(t *testing.T) {
 		ga, gb := randomLoopFree(rng, 8), randomLoopFree(rng, 8)
 		// The degree law over the +I factors is the degree of (A+I)⊗(B+I).
 		fs := []*Factor{NewFactor(ga.WithFullSelfLoops(), 0), NewFactor(gb.WithFullSelfLoops(), 0)}
-		c, err := core.ProductWithSelfLoops(ga, gb)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := mustProduct(t, ga.WithFullSelfLoops(), gb.WithFullSelfLoops())
 		checkDegreeLaw(t, fs, c)
 	}
 }
@@ -155,10 +153,7 @@ func TestCor1VertexTrianglesFullLoops(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		ga, gb := randomLoopFree(rng, 8), randomLoopFree(rng, 8)
 		a, b := NewFactor(ga, Triangles), NewFactor(gb, Triangles)
-		c, err := core.ProductWithSelfLoops(ga, gb)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := mustProduct(t, ga.WithFullSelfLoops(), gb.WithFullSelfLoops())
 		exact := analytics.Triangles(c)
 		fs := []*Factor{a, b}
 		ci := chainIndexFor(t, fs)
@@ -191,10 +186,7 @@ func TestCor2EdgeTrianglesFullLoops(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		ga, gb := randomLoopFree(rng, 7), randomLoopFree(rng, 7)
 		a, b := NewFactor(ga, Triangles), NewFactor(gb, Triangles)
-		c, err := core.ProductWithSelfLoops(ga, gb)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := mustProduct(t, ga.WithFullSelfLoops(), gb.WithFullSelfLoops())
 		exact := analytics.Triangles(c)
 		fs := []*Factor{a, b}
 		ci := chainIndexFor(t, fs)
@@ -220,10 +212,7 @@ func TestCor2EdgeTrianglesFullLoops(t *testing.T) {
 func TestCor2PaperTypo(t *testing.T) {
 	k2, _ := graph.NewUndirected(2, []graph.Edge{{U: 0, V: 1}})
 	a := NewFactor(k2, Triangles)
-	c, err := core.ProductWithSelfLoops(k2, k2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := mustProduct(t, k2.WithFullSelfLoops(), k2.WithFullSelfLoops())
 	// Edge p=γ(0,0)=0, q=γ(0,1)=1 (A-side diagonal, i=j=0).
 	exact := analytics.EdgeTriangles(c, 0, 1)
 	if exact != 2 {
@@ -562,10 +551,7 @@ func TestThm6CommunityCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	for trial := 0; trial < 15; trial++ {
 		ga, gb := randomLoopFree(rng, 9), randomLoopFree(rng, 9)
-		c, err := core.ProductWithSelfLoops(ga, gb)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := mustProduct(t, ga.WithFullSelfLoops(), gb.WithFullSelfLoops())
 		pa := randomPartition(rng, ga.NumVertices(), 3)
 		pb := randomPartition(rng, gb.NumVertices(), 3)
 		statsA := analytics.Communities(ga, pa)
@@ -627,10 +613,7 @@ func TestCommunitiesKronChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := ch.WithFullSelfLoops().Materialize()
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := mustProduct(t, ch.WithFullSelfLoops().Factors()...)
 		parts := make([][][]int64, len(gs))
 		stats := make([][]analytics.CommunityStats, len(gs))
 		dims := make([]int64, len(gs))
@@ -676,10 +659,7 @@ func TestEx1DisjointCliques(t *testing.T) {
 		return g
 	}
 	ga, gb := cliques(2, 3), cliques(3, 2)
-	c, err := core.ProductWithSelfLoops(ga, gb)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := mustProduct(t, ga.WithFullSelfLoops(), gb.WithFullSelfLoops())
 	_, count := c.ConnectedComponents()
 	if count != 6 {
 		t.Fatalf("components = %d, want 2·3 = 6", count)
@@ -833,10 +813,7 @@ func TestWeichselProductComponents(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%s: predicted %d, want %d", tc.name, got, tc.want)
 		}
-		c, err := core.Product(tc.a, tc.b)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := mustProduct(t, tc.a, tc.b)
 		if _, meas := c.ConnectedComponents(); meas != got {
 			t.Errorf("%s: predicted %d, measured %d", tc.name, got, meas)
 		}
@@ -853,10 +830,7 @@ func TestWeichselProductComponents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := core.Product(ga, gb)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := mustProduct(t, ga, gb)
 		if _, meas := c.ConnectedComponents(); meas != pred {
 			t.Fatalf("trial %d: Weichsel predicted %d, measured %d", trial, pred, meas)
 		}
@@ -876,14 +850,7 @@ func TestWeichselProductComponents(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ch, err := core.NewChain(gs...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				c, err := ch.Materialize()
-				if err != nil {
-					t.Fatal(err)
-				}
+				c := mustProduct(t, gs...)
 				if _, meas := c.ConnectedComponents(); meas != pred {
 					t.Errorf("%v ⊗ %v ⊗ %v: Weichsel predicted %d, measured %d", x, y, z, pred, meas)
 				}

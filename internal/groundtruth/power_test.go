@@ -6,11 +6,12 @@ import (
 
 	"kronlab/internal/analytics"
 	"kronlab/internal/core"
+	"kronlab/internal/graph"
 )
 
 // The Kronecker power A^{⊗k} is the chain of k copies of A: these tests
 // hold the Chain* laws, fed one Factor k times, to the materialized
-// core.KronPower.
+// product of k copies.
 
 // copies returns the factor list of A^{⊗k}.
 func copies(a *Factor, k int) []*Factor {
@@ -21,26 +22,22 @@ func copies(a *Factor, k int) []*Factor {
 	return fs
 }
 
+// A^{⊗k} is the product of the k copies PowerChain lists: A⊗A at k = 2,
+// A itself at k = 1, and no power at k = 0.
 func TestKronPowerMatchesIteratedProduct(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	a := randomLoopFree(rng, 5)
-	c2, err := core.KronPower(a, 2)
-	if err != nil {
-		t.Fatal(err)
+	for k, want := range map[int]*graph.Graph{1: a, 2: mustProduct(t, a, a)} {
+		ch, err := core.PowerChain(a, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !mustProduct(t, ch.Factors()...).Equal(want) {
+			t.Errorf("A^{⊗%d} differs from the iterated product", k)
+		}
 	}
-	want, err := core.Product(a, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c2.Equal(want) {
-		t.Fatal("KronPower(2) != A⊗A")
-	}
-	if _, err := core.KronPower(a, 0); err == nil {
+	if _, err := core.PowerChain(a, 0); err == nil {
 		t.Error("k=0 should error")
-	}
-	c1, err := core.KronPower(a, 1)
-	if err != nil || !c1.Equal(a) {
-		t.Error("KronPower(1) should be A itself")
 	}
 }
 
@@ -50,10 +47,7 @@ func TestPowerLawsAgainstMaterializedCube(t *testing.T) {
 	a := NewFactor(ga, Triangles)
 	const k = 3
 	fs := copies(a, k)
-	c, err := core.KronPower(ga, k)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := mustProduct(t, ga, ga, ga)
 	if n, err := ChainNumVertices(fs); err != nil || n != c.NumVertices() {
 		t.Errorf("n law: %d (err %v) != %d", n, err, c.NumVertices())
 	}
@@ -82,10 +76,7 @@ func TestPowerDistanceLaws(t *testing.T) {
 	a := NewFactor(ga, Distances)
 	const k = 3
 	fs := copies(a, k)
-	c, err := core.KronPower(ga, k)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := mustProduct(t, ga, ga, ga)
 	exactEcc := analytics.Eccentricities(c)
 	px := core.MustChainIndex(a.N(), a.N(), a.N()) // k = 3 equal radices
 	for p := int64(0); p < c.NumVertices(); p++ {
@@ -113,10 +104,11 @@ func TestPowerEccentricityHistogram(t *testing.T) {
 	ga := randomConnectedLoopFree(rng, 5).WithFullSelfLoops()
 	a := NewFactor(ga, Distances)
 	for _, k := range []int{1, 2, 3} {
-		c, err := core.KronPower(ga, k)
+		ch, err := core.PowerChain(ga, k)
 		if err != nil {
 			t.Fatal(err)
 		}
+		c := mustProduct(t, ch.Factors()...)
 		want := map[int64]int64{}
 		for _, e := range analytics.Eccentricities(c) {
 			want[e]++

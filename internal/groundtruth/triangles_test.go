@@ -24,14 +24,8 @@ func checkChainTriangleLaws(t *testing.T, gs []*graph.Graph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := ch.Materialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	looped, err := ch.WithFullSelfLoops().Materialize()
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := mustProduct(t, ch.Factors()...)
+	looped := mustProduct(t, ch.WithFullSelfLoops().Factors()...)
 	fs := factorsOf(Triangles, gs...)
 	ci := chainIndexFor(t, fs)
 	near := func(law, exact float64) bool {
@@ -152,7 +146,7 @@ func addFactorSeeds(f *testing.F) {
 // no triangle, so η = 0, and edge (0,5) — (0,0)–(1,1) — has ξ = 0.
 func TestChainClusteringAtLowDigitDegree(t *testing.T) {
 	gs := []*graph.Graph{gen.Path(2), gen.Clique(4)}
-	c := materializeChain(t, gs...)
+	c := mustProduct(t, gs...)
 	fs := factorsOf(Triangles, gs...)
 	ci := chainIndexFor(t, fs)
 	if eta := analytics.VertexClustering(c)[0]; eta != 0 {
@@ -176,10 +170,7 @@ func TestChainClusteringAtLowDigitDegree(t *testing.T) {
 // factors would answer 1/18 and 1.
 func TestChainLoopFreeLawsRefuseLoops(t *testing.T) {
 	k3 := clique3WithLoops(t)
-	c, err := core.Product(k3, k3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := mustProduct(t, k3, k3)
 	if eta := analytics.VertexClustering(c)[0]; math.Abs(eta-7.0/9) > 1e-12 {
 		t.Fatalf("measured η_0 = %v, want 7/9", eta)
 	}

@@ -30,11 +30,7 @@ func TestChainGroundTruthLaws(t *testing.T) {
 		registerText(t, ts, c, ""),
 	}, ",")
 
-	ch, err := core.NewChain(a, b, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mat, err := ch.Materialize()
+	mat, err := core.Product(a, b, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +60,7 @@ func TestChainGroundTruthLaws(t *testing.T) {
 	}
 
 	// Distance laws run on the ⊗(A_d+I) product under loops=1.
-	chLoops, err := core.NewChain(a.WithFullSelfLoops(), b.WithFullSelfLoops(), c.WithFullSelfLoops())
-	if err != nil {
-		t.Fatal(err)
-	}
-	matL, err := chLoops.Materialize()
+	matL, err := core.Product(a.WithFullSelfLoops(), b.WithFullSelfLoops(), c.WithFullSelfLoops())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +173,7 @@ func TestChainGenerateMatchesSerial(t *testing.T) {
 		registerText(t, ts, c, ""),
 	}, ",")
 
-	ch, err := core.NewChain(a, b, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mat, err := ch.Materialize()
+	mat, err := core.Product(a, b, c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,11 +172,11 @@ func TestGroundTruthOneHandlerTwoSpellings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := ch.Materialize()
+	plain, err := core.Product(ch.Factors()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	looped, err := ch.WithFullSelfLoops().Materialize()
+	looped, err := core.Product(ch.WithFullSelfLoops().Factors()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +213,11 @@ func TestGroundTruthChainTrianglesAndClustering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := ch.Materialize()
+	plain, err := core.Product(ch.Factors()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	looped, err := ch.WithFullSelfLoops().Materialize()
+	looped, err := core.Product(ch.WithFullSelfLoops().Factors()...)
 	if err != nil {
 		t.Fatal(err)
 	}

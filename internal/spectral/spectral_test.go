@@ -278,11 +278,7 @@ func TestPowerIterationAllocationsIndependentOfIters(t *testing.T) {
 // iteration's λmax.
 func TestKronChainSpectralForms(t *testing.T) {
 	factors := []*graph.Graph{gen.Clique(5), gen.PrefAttach(6, 2, 12), gen.Ring(7)}
-	ch, err := core.NewChain(factors...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := ch.Materialize()
+	c, err := core.Product(factors...)
 	if err != nil {
 		t.Fatal(err)
 	}

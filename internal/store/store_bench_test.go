@@ -12,13 +12,14 @@ import (
 func BenchmarkStreamToStore(b *testing.B) {
 	a := gen.MustRMAT(gen.Graph500Params(5, 1))
 	bb := gen.MustRMAT(gen.Graph500Params(5, 2))
-	n := a.NumVertices() * bb.NumVertices()
+	ch, err := core.NewChain(a, bb)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.SetBytes(a.NumArcs() * bb.NumArcs() * 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		writeStore(b, b.TempDir(), n, 4, nil, func(yield func(u, v int64) bool) {
-			core.StreamProduct(a, bb, yield)
-		})
+		writeStore(b, b.TempDir(), ch.NumVertices(), 4, nil, ch.Arcs)
 	}
 }
 

@@ -309,9 +309,11 @@ func TestIterShardRange(t *testing.T) {
 func TestStoreProductPipeline(t *testing.T) {
 	a := gen.PrefAttach(10, 2, 8)
 	b := gen.ER(8, 0.5, 9)
-	st := writeStore(t, t.TempDir(), a.NumVertices()*b.NumVertices(), 4, nil, func(yield func(u, v int64) bool) {
-		core.StreamProduct(a, b, yield)
-	})
+	ch, err := core.NewChain(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := writeStore(t, t.TempDir(), ch.NumVertices(), 4, nil, ch.Arcs)
 	loaded, err := st.LoadGraph()
 	if err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ func Example_buggyCounter() {
 	got := buggyTriangleCount(c)
 	fmt.Printf("A ⊗ B:         ground truth %d, counter %d, %s\n", want, got, verdict(got == want))
 
-	cl, _ := core.ProductWithSelfLoops(a, b)
+	cl, _ := core.Product(a.WithFullSelfLoops(), b.WithFullSelfLoops())
 	want, _ = groundtruth.ChainGlobalTrianglesFullLoops(fs)
 	got = buggyTriangleCount(cl)
 	fmt.Printf("(A+I) ⊗ (B+I): ground truth %d, counter %d, %s\n", want, got, verdict(got == want))

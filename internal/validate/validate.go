@@ -133,8 +133,6 @@ type product struct {
 	c       *graph.Graph
 	tri     *analytics.TriangleStats
 	eta, xi []float64
-	hopsAt  int64 // the vertex hops holds a row from
-	hops    []int64
 	ecc     map[int64]int64 // ε and ζ of each vertex a row was read from
 	zeta    map[int64]float64
 }
@@ -158,14 +156,11 @@ func (m *product) once(v *[]float64, of func(*graph.Graph) []float64) []float64 
 	return *v
 }
 
-// hopsFrom returns c's hop row from p, keeping the last one: a per-pair
-// check reads one row for every q.
+// hopsFrom returns c's hop row from p, noting p's ε and ζ.
 func (m *product) hopsFrom(p int64) []int64 {
-	if m.hops == nil || m.hopsAt != p {
-		m.hops, m.hopsAt = analytics.Hops(m.c, p), p
-		m.ecc[p], m.zeta[p] = analytics.EccentricityOf(m.hops), analytics.ClosenessOf(m.hops)
-	}
-	return m.hops
+	row := analytics.Hops(m.c, p)
+	m.ecc[p], m.zeta[p] = analytics.EccentricityOf(row), analytics.ClosenessOf(row)
+	return row
 }
 
 // swept returns p once a row has been read from it.
@@ -186,7 +181,7 @@ func (m *product) eccentricities() []int64 {
 }
 
 // item addresses what a law is measured at: vertex p, arc x from p to q,
-// or pair (p, q).
+// or, for a per-pair law, p: its measurement is the row to every q.
 type item struct{ p, q, x int64 }
 
 // measurements reads each law's quantity off the claimed product, by the
@@ -205,7 +200,7 @@ var measurements = map[string]func(m *product, at item) any{
 	"global triangles":          func(m *product, _ item) any { return m.triangles().Global },
 	"vertex clustering":         func(m *product, at item) any { return m.once(&m.eta, analytics.VertexClustering)[at.p] },
 	"edge clustering":           func(m *product, at item) any { return m.once(&m.xi, analytics.EdgeClustering)[at.x] },
-	"hops":                      func(m *product, at item) any { return m.hopsFrom(at.p)[at.q] },
+	"hops":                      func(m *product, at item) any { return m.hopsFrom(at.p) }, // the row to every q
 	"eccentricity":              func(m *product, at item) any { return m.ecc[m.swept(at.p)] },
 	"closeness":                 func(m *product, at item) any { return m.zeta[m.swept(at.p)] },
 	"eccentricity histogram":    func(m *product, _ item) any { return histogram(m.eccentricities()) },
@@ -261,26 +256,40 @@ func (r *run) law(l *groundtruth.Law, fs []*groundtruth.Factor, m *product, ci c
 		r.each(l.Name, l.Formula, "vertices", n, r.samples, func(p int64) string {
 			return at(item{p: p}, ci.SplitInto(p, cp), nil)
 		})
-	case groundtruth.PerArc:
-		offsets := m.c.RowOffsets()
-		r.each(l.Name, l.Formula, "arcs", m.c.NumArcs(), r.samples, func(x int64) string {
-			u := int64(sort.Search(int(n), func(v int) bool { return offsets[v+1] > x }))
-			v := m.c.Neighbors(u)[x-offsets[u]]
-			if u == v {
-				return "" // a law of non-loop arcs
+	case groundtruth.PerArc: // a law of non-loop arcs: the i-th of them, at most one loop a row
+		offsets, before := m.c.RowOffsets(), make([]int64, n+1) // before[u]: non-loop arcs in rows < u
+		for u := int64(0); u < n; u++ {
+			before[u+1] = before[u] + m.c.Degree(u)
+			if m.c.HasSelfLoop(u) {
+				before[u+1]--
 			}
+		}
+		r.each(l.Name, l.Formula, "arcs", before[n], r.samples, func(i int64) string {
+			u := int64(sort.Search(int(n), func(v int) bool { return before[v+1] > i }))
+			x := offsets[u] + i - before[u]
+			if loop := m.c.ArcIndex(u, u); loop >= 0 && x >= loop {
+				x++
+			}
+			v := m.c.Neighbors(u)[x-offsets[u]]
 			return at(item{p: u, q: v, x: x}, ci.SplitInto(u, cp), ci.SplitInto(v, cq))
 		})
-	case groundtruth.PerPair: // from each sampled p to every q
+	case groundtruth.PerPair: // from each sampled p to every q, q's digits stepped as an odometer
+		dims := ci.Dims()
 		r.each(l.Name, l.Formula, "vertices", n, r.samples, func(p int64) string {
 			from, err := l.From(fs, ci.SplitInto(p, cp))
 			if err != nil {
 				return err.Error()
 			}
-			for q := int64(0); q < n; q++ {
-				it := item{p: p, q: q}
-				if msg := mismatch(it, true, from(ci.SplitInto(q, cq)), read(m, it)); msg != "" {
-					return msg
+			clear(cq)
+			for q, got := range read(m, item{p: p}).([]int64) {
+				if want := from(cq); want != got {
+					return fmt.Sprintf("at (%d,%d): want %d, got %d", p, q, want, got)
+				}
+				for d := len(cq) - 1; d >= 0; d-- {
+					if cq[d]++; cq[d] < dims[d] {
+						break
+					}
+					cq[d] = 0
 				}
 			}
 			return ""

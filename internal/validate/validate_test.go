@@ -38,7 +38,7 @@ func TestScalingLawsAllHold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl, err := core.ProductWithSelfLoops(pr.a, pr.b)
+		cl, err := core.Product(pr.a.WithFullSelfLoops(), pr.b.WithFullSelfLoops())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestRunPassesOnCorrectProduct(t *testing.T) {
 
 func TestRunPassesWithSelfLoopsAndCommunities(t *testing.T) {
 	a, pa := gen.SBM(gen.SBMParams{BlockSizes: gen.EqualBlocks(2, 8), PIn: 0.6, POut: 0.1, Seed: 3})
-	c, err := core.ProductWithSelfLoops(a, a)
+	c, err := core.Product(a.WithFullSelfLoops(), a.WithFullSelfLoops())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestRunChainCommunities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := ch.WithFullSelfLoops().Materialize()
+	c, err := core.Product(ch.WithFullSelfLoops().Factors()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestRunPassesOnDisconnectedFactor(t *testing.T) {
 		t.Fatal(err)
 	}
 	p3 := gen.Path(3)
-	c, err := core.ProductWithSelfLoops(twoK2, p3)
+	c, err := core.Product(twoK2.WithFullSelfLoops(), p3.WithFullSelfLoops())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,6 +179,35 @@ func TestRunPassesOnDisconnectedFactor(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("no %s check ran:\n%s", want, rep)
+		}
+	}
+}
+
+// A per-arc law holds at non-loop arcs, so its check counts and draws
+// only those: (A+I)⊗(A+I) for A one edge among ten vertices has 144 arcs,
+// 100 of them loops, and 64 samples cover the other 44.
+func TestPerArcCheckCountsNonLoopArcs(t *testing.T) {
+	a, err := graph.NewUndirected(10, []graph.Edge{{U: 0, V: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.Product(a.WithFullSelfLoops(), a.WithFullSelfLoops())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.NumArcs() != 144 || c.NumSelfLoops() != 100 {
+		t.Fatalf("product has %d arcs, %d loops; want 144, 100", c.NumArcs(), c.NumSelfLoops())
+	}
+	for _, samples := range []int{64, math.MaxInt} {
+		rep, err := Run([]*graph.Graph{a, a}, c, Options{SelfLoops: true, Samples: samples})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.OK() {
+			t.Fatalf("true product failed validation:\n%s", rep)
+		}
+		if !strings.Contains(rep.String(), "edge triangles (all 44 arcs)") {
+			t.Errorf("samples %d: want the check of all 44 non-loop arcs among\n%s", samples, rep)
 		}
 	}
 }

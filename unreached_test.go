@@ -58,7 +58,7 @@ type decl struct {
 
 // id names a declaration as the allowlist does: its directory under
 // internal/, a dot, and its key (analytics.EdgeTriangles,
-// core.Chain.Materialize, dist/transport/tcp.NewFaultState).
+// core.Chain.Arcs, dist/transport/tcp.NewFaultState).
 func (d *decl) id() string {
 	return strings.TrimPrefix(d.pkg.dir, "internal/") + "." + d.key
 }
