@@ -15,7 +15,7 @@
 //
 //	flags: [-out C.txt] [-mode 1d|2d] [-ranks R] [-self-loops]
 //	       [-binary] [-stats] [-store DIR]
-//	       [-offset N] [-limit M] [-gomaxprocs N]
+//	       [-offset N] [-limit M]
 //	       [-cluster-peers H:P,H:P,... -cluster-self N [-retries K]
 //	        [-head-retries K] [-hb-interval D] [-hb-deadline D]
 //	        [-dial-timeout D]]
@@ -106,15 +106,7 @@ func main() {
 	dialTimeout := flag.Duration("dial-timeout", 0, "cluster mode: dial and handshake timeout (0 = 10s default); raise on slow networks")
 	dumpStore := flag.String("dump-store", "", "load an existing store at this directory and write it as an edge list (to -out or stdout); no generation")
 	dumpArcs := flag.Bool("dump-arcs", false, "with -dump-store: write every stored arc as a headerless \"u v\" line instead of the canonical undirected edge list (windowed stores are not arc-symmetric)")
-	gomaxprocs := flag.Int("gomaxprocs", 0, "cap the OS threads running Go code (0 = runtime default); makes core-count sweeps scriptable without env juggling")
 	flag.Parse()
-
-	if *gomaxprocs < 0 {
-		log.Fatalf("-gomaxprocs must be ≥ 0, got %d", *gomaxprocs)
-	}
-	if *gomaxprocs > 0 {
-		runtime.GOMAXPROCS(*gomaxprocs)
-	}
 
 	if *dumpStore != "" {
 		st, err := store.Open(*dumpStore)
@@ -195,41 +187,26 @@ func main() {
 	}
 
 	// --- Build the factor chain; every generation path below consumes it. ---
-	var ch *core.Chain
-	var err error
+	paths := []string{*aPath, *bPath}
 	switch {
 	case *chainSpec != "":
-		paths := strings.Split(*chainSpec, ",")
-		factors := make([]*graph.Graph, len(paths))
-		for i, p := range paths {
-			p = strings.TrimSpace(p)
-			if p == "" {
-				log.Fatalf("-chain has an empty entry in %q", *chainSpec)
-			}
-			factors[i], err = graph.LoadUndirected(p)
-			if err != nil {
-				log.Fatalf("loading chain factor %d: %v", i+1, err)
-			}
-		}
-		ch, err = core.NewChain(factors...)
+		paths = strings.Split(*chainSpec, ",")
 	case *power >= 2:
-		var a *graph.Graph
-		a, err = graph.LoadUndirected(*aPath)
-		if err != nil {
-			log.Fatalf("loading A: %v", err)
+		paths = paths[:1]
+	}
+	factors := make([]*graph.Graph, len(paths))
+	for i, p := range paths {
+		if p = strings.TrimSpace(p); p == "" {
+			log.Fatalf("-chain has an empty entry in %q", *chainSpec)
 		}
-		ch, err = core.PowerChain(a, *power)
-	default:
-		var a, b *graph.Graph
-		a, err = graph.LoadUndirected(*aPath)
-		if err != nil {
-			log.Fatalf("loading A: %v", err)
+		var err error
+		if factors[i], err = graph.LoadUndirected(p); err != nil {
+			log.Fatalf("loading factor %d (%s): %v", i+1, p, err)
 		}
-		b, err = graph.LoadUndirected(*bPath)
-		if err != nil {
-			log.Fatalf("loading B: %v", err)
-		}
-		ch, err = core.NewChain(a, b)
+	}
+	ch, err := core.NewChain(factors...)
+	if *power >= 2 {
+		ch, err = core.PowerChain(factors[0], *power)
 	}
 	if err != nil {
 		log.Fatalf("building factor chain: %v", err)

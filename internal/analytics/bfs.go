@@ -61,15 +61,15 @@ func BFS(g *graph.Graph, src int64) []int64 {
 // hypothesis of full self loops, hops(i,i) = 1 always.
 func Hops(g *graph.Graph, src int64) []int64 {
 	h := BFS(g, src)
-	h[src] = diagonal(g, src)
+	h[src] = diagonal(g, src, false)
 	return h
 }
 
-// diagonal returns hops(v,v): 1 if v has a self loop, 2 if v has any
-// neighbor, and Unreachable for an isolated vertex.
-func diagonal(g *graph.Graph, v int64) int64 {
+// diagonal returns hops(v,v): 1 if v has a self loop — always in g+I —,
+// 2 if v has any neighbor, and Unreachable for an isolated vertex.
+func diagonal(g *graph.Graph, v int64, plusI bool) int64 {
 	switch {
-	case g.HasSelfLoop(v):
+	case plusI || g.HasSelfLoop(v):
 		return 1
 	case g.Degree(v) > 0:
 		return 2
@@ -95,14 +95,20 @@ func AllPairsHops(g *graph.Graph) [][]int64 {
 // Unreachable vertices enter no profile, and the diagonal counts as in
 // Hops, so R_i[0] = 0. One sweep a vertex over one pair of buffers:
 // O(n·(n+arcs)) time, Σ(H_i+1) counts.
-func HopProfiles(g *graph.Graph) [][]int64 {
+func HopProfiles(g *graph.Graph) [][]int64 { return hopProfiles(g, false) }
+
+// HopProfilesPlusI is HopProfiles of g+I, read off g: the +I puts every
+// diagonal at hop 1, and distances between distinct vertices ignore loops.
+func HopProfilesPlusI(g *graph.Graph) [][]int64 { return hopProfiles(g, true) }
+
+func hopProfiles(g *graph.Graph, plusI bool) [][]int64 {
 	n := g.NumVertices()
 	dist, queue := unreached(n), make([]int64, 0, n)
 	out := make([][]int64, n)
 	for i := range out {
 		src := int64(i)
 		queue = sweep(g, src, dist, queue)
-		diag := diagonal(g, src)
+		diag := diagonal(g, src, plusI)
 		r := make([]int64, max(dist[queue[len(queue)-1]], diag)+1)
 		for _, j := range queue[1:] {
 			r[dist[j]]++

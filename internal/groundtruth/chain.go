@@ -58,7 +58,7 @@ func numVertices(fs []*Factor) (int64, error) {
 }
 
 func numArcs(fs []*Factor) (int64, error) {
-	return fold(fs, "arc count", func(_ int, f *Factor) int64 { return f.G.NumArcs() }, core.CheckedMul)
+	return fold(fs, "arc count", func(_ int, f *Factor) int64 { return f.arcs }, core.CheckedMul)
 }
 
 // numEdges: arcs and loops both multiply across factors and
@@ -68,7 +68,7 @@ func numEdges(fs []*Factor) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	loops, err := fold(fs, "loop count", func(_ int, f *Factor) int64 { return f.G.NumSelfLoops() }, core.CheckedMul)
+	loops, err := fold(fs, "loop count", func(_ int, f *Factor) int64 { return f.loops }, core.CheckedMul)
 	if err != nil {
 		return 0, err
 	}
@@ -86,7 +86,7 @@ func diameter(fs []*Factor) (int64, error) {
 func hopsFrom(fs []*Factor, src []int64) func(dst []int64) int64 {
 	rows := make([][]int64, len(fs))
 	for d, f := range fs {
-		rows[d] = analytics.Hops(f.G, src[d])
+		rows[d] = f.hops(src[d])
 	}
 	return func(dst []int64) int64 {
 		return value(fold(fs, "hops", func(d int, _ *Factor) int64 { return rows[d][dst[d]] }, maxHops))
@@ -172,7 +172,7 @@ func foldHistograms[K comparable](fs []*Factor, law string, h func(*Factor) map[
 	}
 	limit := int64(histogramSteps)
 	for _, f := range fs {
-		limit += f.N() + f.G.NumArcs()
+		limit += f.N() + f.arcs
 	}
 	out := h(fs[0])
 	for d := 1; d < len(fs); d++ {

@@ -20,13 +20,19 @@ import (
 // The full-self-loop construction ⊗(A_d+I) is therefore always connected
 // for connected factors — the design reason the paper's distance
 // formulas assume loops.
-func ProductComponents(gs []*graph.Graph) (int64, error) {
+func ProductComponents(gs []*graph.Graph) (int64, error) { return components(gs, false) }
+
+// ProductComponentsPlusI is ProductComponents of ⊗(A_d+I), read off the
+// A_d: a loop is an edge and an odd closed walk, so it is 1 for connected A_d.
+func ProductComponentsPlusI(gs []*graph.Graph) (int64, error) { return components(gs, true) }
+
+func components(gs []*graph.Graph, plusI bool) (int64, error) {
 	b := 0
 	for d, g := range gs {
-		if !g.IsConnected() || g.NumEdges() == 0 {
+		if !g.IsConnected() || !plusI && g.NumEdges() == 0 {
 			return 0, fmt.Errorf("groundtruth: Weichsel's theorem needs connected factors with an edge; factor %d is not", d)
 		}
-		if analytics.IsBipartite(g) {
+		if !plusI && analytics.IsBipartite(g) {
 			b++
 		}
 	}

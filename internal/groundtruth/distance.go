@@ -9,7 +9,7 @@ import "kronlab/internal/analytics"
 // contribute 0. It is the reference ChainClosenessAt is held to.
 func ClosenessAt(a, b *Factor, p int64) float64 {
 	i, k := p/b.N(), p%b.N()
-	rowA, rowB := analytics.Hops(a.G, i), analytics.Hops(b.G, k)
+	rowA, rowB := a.hops(i), b.hops(k)
 	var s float64
 	for _, ha := range rowA {
 		for _, hb := range rowB {

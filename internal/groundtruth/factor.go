@@ -10,12 +10,13 @@
 // Formulas take factor-level quantities (degrees, triangle counts, hop
 // profiles) computed once per factor with internal/analytics; a Factor
 // bundles them. NewFactor(g, tiers) builds g's degrees and only the tiers
-// asked: Triangles, Distances, both or neither. Each row of Laws names the
-// tiers it reads, Bind asks its Source for exactly those, and a row handed
-// a factor without one refuses it by name. A Factor is never written
-// after it is returned, so concurrent readers share one. Everything here
-// runs in time polynomial in the factor sizes — sublinear in |E_C| —
-// which is the paper's point.
+// asked: Triangles, Distances, both or neither; Summarize(g, true, tiers)
+// builds those of g+I from g itself, the loops implied. Each row of Laws
+// names the tiers it reads, Bind asks its Source for exactly those, and a
+// row handed a factor without one refuses it by name. A Factor is never
+// written after it is returned, so concurrent readers share one.
+// Everything here runs in time polynomial in the factor sizes — sublinear
+// in |E_C| — which is the paper's point.
 package groundtruth
 
 import (
@@ -42,9 +43,10 @@ const (
 // Kronecker formulas consume; the cost is polynomial in the (small)
 // factor, never in the product.
 type Factor struct {
-	G   *graph.Graph
-	Deg []int64                  // degree vector d
-	Tri *analytics.TriangleStats // t, Δ, τ; nil without Triangles
+	G           *graph.Graph
+	loops, arcs int64                    // of the graph described: G, or G+I read off G
+	Deg         []int64                  // degree vector d
+	Tri         *analytics.TriangleStats // t, Δ, τ; nil without Triangles
 
 	*distTier // nil without Distances
 }
@@ -58,13 +60,29 @@ type distTier struct {
 }
 
 // NewFactor computes g's degrees and the tiers asked.
-func NewFactor(g *graph.Graph, tiers Tiers) *Factor {
-	f := &Factor{G: g, Deg: g.Degrees()}
+func NewFactor(g *graph.Graph, tiers Tiers) *Factor { return Summarize(g, false, tiers) }
+
+// Summarize builds the summary a Source returns for g: a Factor of g, or
+// of g+I when plusI, with the tiers asked. The +I is read off g, whose BFS
+// distances between distinct vertices and triangle counts ignore loops:
+// only the degrees, arc and loop counts and hop diagonals differ.
+func Summarize(g *graph.Graph, plusI bool, tiers Tiers) *Factor {
+	f := &Factor{G: g, loops: g.NumSelfLoops(), arcs: g.NumArcs(), Deg: g.Degrees()}
+	profiles := analytics.HopProfiles
+	if plusI {
+		for v := range f.Deg {
+			if f.loops == 0 || !g.HasSelfLoop(int64(v)) {
+				f.Deg[v]++ // the loop the +I adds
+			}
+		}
+		f.arcs, f.loops = f.arcs+f.N()-f.loops, f.N()
+		profiles = analytics.HopProfilesPlusI
+	}
 	if tiers&Triangles != 0 {
 		f.Tri = analytics.Triangles(g)
 	}
 	if tiers&Distances != 0 {
-		t := &distTier{Profile: analytics.HopProfiles(g), Ecc: make([]int64, f.N())}
+		t := &distTier{Profile: profiles(g), Ecc: make([]int64, f.N())}
 		for i, r := range t.Profile {
 			ecc := int64(len(r) - 1)
 			if r[ecc] < f.N() {
@@ -90,7 +108,7 @@ func (f *Factor) tiers() Tiers {
 	return t
 }
 
-// CostBytes estimates the bytes NewFactor built for f: the degree vector
+// CostBytes estimates the bytes Summarize built for f: the degree vector
 // and each tier it holds, not the graph it was handed. kronserve's LRU
 // budgets on it.
 func (f *Factor) CostBytes() int64 {
@@ -110,6 +128,15 @@ func (f *Factor) CostBytes() int64 {
 
 // N returns the factor's vertex count.
 func (f *Factor) N() int64 { return f.G.NumVertices() }
+
+// hops returns the factor's hop row from src; with every loop, 1 on the diagonal.
+func (f *Factor) hops(src int64) []int64 {
+	h := analytics.Hops(f.G, src)
+	if f.loops == f.N() {
+		h[src] = 1
+	}
+	return h
+}
 
 // EdgeTri returns Δ_ij for the factor, with the Cor. 2 convention that
 // diagonal entries (i = j) are 0 for loop-free factors.

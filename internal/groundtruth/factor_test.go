@@ -1,6 +1,7 @@
 package groundtruth
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -12,15 +13,14 @@ import (
 )
 
 // TestSummariesBuildTheTiersAsked: a Source builds each summary it is
-// asked for once, over the +I form when asked, holding exactly the tiers
+// asked for once, of the +I form when asked, holding exactly the tiers
 // asked, and two summaries of one factor share no tier: each is built
-// from scratch. The +I summaries of a factor read one +I graph.
+// from scratch. Every summary, +I ones too, reads the factor itself.
 func TestSummariesBuildTheTiersAsked(t *testing.T) {
 	g := gen.PrefAttach(12, 2, 5)
 	src := Summaries([]*graph.Graph{g})
 	for _, plusI := range []bool{false, true} {
 		seen := map[*int64]Tiers{}
-		graphs := map[*graph.Graph]bool{}
 		for _, tiers := range []Tiers{0, Triangles, Distances, Triangles | Distances} {
 			f, err := src(0, plusI, tiers)
 			if err != nil {
@@ -32,17 +32,92 @@ func TestSummariesBuildTheTiersAsked(t *testing.T) {
 			if f.tiers() != tiers {
 				t.Errorf("plusI=%v: asked for tiers %b, built %b", plusI, tiers, f.tiers())
 			}
-			if loops := f.G.NumSelfLoops(); (loops == f.N()) != plusI {
+			if loops := f.loops; (loops == f.N()) != plusI {
 				t.Errorf("plusI=%v: summary of a graph with %d loops", plusI, loops)
 			}
 			if other, ok := seen[&f.Deg[0]]; ok {
 				t.Errorf("plusI=%v: tiers %b share their degrees with tiers %b", plusI, tiers, other)
 			}
 			seen[&f.Deg[0]] = tiers
-			graphs[f.G] = true
+			if f.G != g {
+				t.Errorf("plusI=%v tiers=%b: the summary reads a copy of the factor", plusI, tiers)
+			}
 		}
-		if plusI && len(graphs) != 1 {
-			t.Errorf("the +I summaries read %d graphs, want one", len(graphs))
+	}
+}
+
+// TestSummarizePlusIMatchesTheCopy is the +I flag's row-by-row oracle:
+// every row of Laws gives the same value, or the same refusal, over
+// Summarize(g, true, tiers) as over NewFactor(g.WithFullSelfLoops(),
+// tiers) — at every vertex, pair and histogram — on chains of two and
+// three factors with no loops, some loops and all loops (an isolated
+// vertex and K₁ among them), and on the disconnected (2K₂+I)⊗(P₃+I).
+// The direct closeness sum is held to it on the two-factor chains.
+func TestSummarizePlusIMatchesTheCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(661))
+	undirected := func(n int64, edges ...graph.Edge) *graph.Graph {
+		g, err := graph.NewUndirected(n, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	withLoopsAt := func(g *graph.Graph, vs ...int64) *graph.Graph {
+		edges := g.ArcList()
+		for _, v := range vs {
+			edges = append(edges, graph.Edge{U: v, V: v})
+		}
+		return undirected(g.NumVertices(), edges...)
+	}
+	loopFree := func() *graph.Graph { return randomConnectedLoopFree(rng, 5) }
+	someLoops := withLoopsAt(gen.Path(4), 0, 2)
+	isolated := undirected(3, graph.Edge{U: 0, V: 1}, graph.Edge{U: 1, V: 1})
+	k1 := undirected(1)
+	twoK2 := undirected(4, graph.Edge{U: 0, V: 1}, graph.Edge{U: 2, V: 3})
+	for _, gs := range [][]*graph.Graph{
+		{loopFree(), someLoops},
+		{loopFree().WithFullSelfLoops(), isolated},
+		{loopFree(), withLoopsAt(loopFree(), 1)},
+		{twoK2, gen.Path(3)},
+		{loopFree(), someLoops, loopFree().WithFullSelfLoops()},
+		{k1, isolated, loopFree()},
+		{loopFree(), loopFree(), loopFree()},
+	} {
+		for _, l := range Laws {
+			flagged, copied := make([]*Factor, len(gs)), make([]*Factor, len(gs))
+			for d, g := range gs {
+				flagged[d], copied[d] = Summarize(g, true, l.Tiers), NewFactor(g.WithFullSelfLoops(), l.Tiers)
+			}
+			ci := chainIndexFor(t, copied)
+			same := func(p, q []int64) {
+				got, errGot := l.Eval(flagged, p, q)
+				want, errWant := l.Eval(copied, p, q)
+				if g, w := fmt.Sprint(got, errGot), fmt.Sprint(want, errWant); g != w {
+					t.Errorf("%s (%s) at %v, %v over %d factors: %s over the flag, %s over the copy", l.Name, l.Formula, p, q, len(gs), g, w)
+				}
+			}
+			n := ci.NumVertices()
+			switch l.Shape {
+			case Global, Histogram:
+				same(nil, nil)
+			case PerVertex:
+				for p := range n {
+					same(ci.Split(p), nil)
+				}
+			case PerArc, PerPair:
+				for p := range n {
+					for q := range n {
+						same(ci.Split(p), ci.Split(q))
+					}
+				}
+			}
+			if len(gs) == 2 && l == lawDiameter {
+				for p := range n {
+					if got, want := ClosenessAt(flagged[0], flagged[1], p), ClosenessAt(copied[0], copied[1], p); got != want {
+						t.Errorf("direct closeness at %d: %v over the flag, %v over the copy", p, got, want)
+					}
+				}
+			}
 		}
 	}
 }

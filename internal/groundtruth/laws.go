@@ -178,7 +178,7 @@ func (l *Law) admits(d int, loops, n int64) error {
 func (l *Law) check(fs []*Factor, p, q []int64) error {
 	arc, same := true, true
 	for d, f := range fs {
-		if err := l.admits(d, f.G.NumSelfLoops(), f.N()); err != nil {
+		if err := l.admits(d, f.loops, f.N()); err != nil {
 			return err
 		}
 		if missing := l.Tiers &^ f.tiers(); missing != 0 {
@@ -234,18 +234,9 @@ func (l *Law) From(fs []*Factor, p []int64) (func(q []int64) int64, error) {
 // on: of its +I form when plusI, holding the tiers asked.
 type Source func(d int, plusI bool, tiers Tiers) (*Factor, error)
 
-// Summarize builds the summary a Source returns for g: a Factor of g, or
-// of its +I form when plusI, with the tiers asked.
-func Summarize(g *graph.Graph, plusI bool, tiers Tiers) *Factor {
-	if plusI {
-		g = g.WithFullSelfLoops()
-	}
-	return NewFactor(g, tiers)
-}
-
 // Summaries returns a Source over gs that builds each summary it is asked
-// for once, from scratch: summaries of one factor share no tier. A
-// factor's +I form is built once, and its summaries read that one graph.
+// for once, from scratch, by Summarize: summaries of one factor share no
+// tier, and a +I summary reads the factor itself.
 func Summaries(gs []*graph.Graph) Source {
 	type key struct {
 		d     int
@@ -253,18 +244,10 @@ func Summaries(gs []*graph.Graph) Source {
 		tiers Tiers
 	}
 	memo := map[key]*Factor{}
-	plusIs := make([]*graph.Graph, len(gs))
 	return func(d int, plusI bool, tiers Tiers) (*Factor, error) {
 		k := key{d, plusI, tiers}
 		if memo[k] == nil {
-			g := gs[d]
-			if plusI {
-				if plusIs[d] == nil {
-					plusIs[d] = g.WithFullSelfLoops()
-				}
-				g = plusIs[d]
-			}
-			memo[k] = NewFactor(g, tiers)
+			memo[k] = Summarize(gs[d], plusI, tiers)
 		}
 		return memo[k], nil
 	}

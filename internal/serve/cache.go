@@ -33,7 +33,8 @@ type call struct {
 // exactly one build. A degree query's entry holds degrees alone and a
 // diameter query's no triangles, so no query pays for a tier it does not
 // read. No entry shares an array the cache charges with another, so
-// Bytes() is the sum of the resident entries' bytes (entryBytes).
+// Bytes() is the sum of the resident entries' CostBytes; the graph, which
+// a +I summary reads too, is the registry's and charged to no entry.
 type SummaryCache struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -47,18 +48,7 @@ type SummaryCache struct {
 type cacheEntry struct {
 	key   SummaryKey
 	f     *groundtruth.Factor
-	bytes int64 // entryBytes(key, f)
-}
-
-// entryBytes is what the cache charges an entry: the degrees and tiers
-// NewFactor built, plus, under Loops, the +I graph the entry built for
-// itself. The loop-free graph is the registry's and charged to no entry.
-func entryBytes(key SummaryKey, f *groundtruth.Factor) int64 {
-	b := f.CostBytes()
-	if key.Loops {
-		b += (f.N() + 1 + f.G.NumArcs()) * 8 // CSR offsets + adjacency
-	}
-	return b
+	bytes int64 // f.CostBytes()
 }
 
 // NewSummaryCache returns a cache with the given byte budget. A budget
@@ -115,7 +105,7 @@ func (c *SummaryCache) Get(ctx context.Context, key SummaryKey, build func() *gr
 // until the budget holds. The newest entry itself is never evicted even
 // when it alone exceeds the budget — serving beats strict accounting.
 func (c *SummaryCache) insertLocked(key SummaryKey, f *groundtruth.Factor) {
-	e := &cacheEntry{key: key, f: f, bytes: entryBytes(key, f)}
+	e := &cacheEntry{key: key, f: f, bytes: f.CostBytes()}
 	c.items[key] = c.ll.PushFront(e)
 	c.curBytes += e.bytes
 	for c.curBytes > c.maxBytes && c.ll.Len() > 1 {

@@ -144,8 +144,8 @@ func (s *Server) streamChainEdges(w http.ResponseWriter, r *http.Request, gs []*
 	q := r.URL.Query()
 	loops := q.Get("loops") == "1"
 	if loops {
-		for i, g := range gs {
-			gs[i] = g.WithFullSelfLoops()
+		for i, h := range hashes {
+			gs[i] = s.reg.PlusI(h)
 		}
 	}
 

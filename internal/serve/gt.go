@@ -207,35 +207,33 @@ func (req *gtRequest) vertexParam(r *http.Request, name string) (int64, bool, er
 	return p, true, nil
 }
 
-// gtSummary answers the counts n_C, arcs_C and m_C — rows of the law
-// table, whose hypothesis it checks — and Weichsel's component count,
-// from the graphs alone.
+// gtSummary answers the counts n_C, arcs_C and m_C — the rows no property
+// asks for, over uncached degree-only summaries — and Weichsel's
+// component count, from the graphs alone.
 func (s *Server) gtSummary(w http.ResponseWriter, req *gtRequest, gs []*graph.Graph) {
+	src, out := groundtruth.Summaries(gs), map[string]any{}
 	for _, l := range groundtruth.Laws {
 		if l.Property != "" {
-			continue // the counts are the rows no property asks for
+			continue
 		}
-		if _, err := l.Bind(gs, req.loops, nil); err != nil {
+		key := l.Name // vertices, edges, arcs
+		if key == "vertices" {
+			key = "n"
+		}
+		fs, err := l.Bind(gs, req.loops, src)
+		if err == nil {
+			out[key], err = l.Eval(fs, nil, nil)
+		}
+		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	}
-	ch, err := core.NewChain(gs...)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+	components := groundtruth.ProductComponents
 	if req.loops {
-		ch = ch.WithFullSelfLoops()
+		components = groundtruth.ProductComponentsPlusI
 	}
-	edges, arcs, err := ch.NumEdges()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	out := map[string]any{"n": ch.NumVertices(), "arcs": arcs, "edges": edges}
-	// Weichsel component count: connected factors with an edge each.
-	if comps, err := groundtruth.ProductComponents(ch.Factors()); err == nil {
+	if comps, err := components(gs); err == nil {
 		out["components"] = comps
 	}
 	writeJSON(w, http.StatusOK, req.base(out))

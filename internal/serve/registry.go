@@ -30,8 +30,10 @@ type Registry struct {
 }
 
 type factorEntry struct {
-	info FactorInfo
-	g    *graph.Graph
+	info  FactorInfo
+	g     *graph.Graph
+	once  sync.Once
+	plusI *graph.Graph // g+I, built on the first PlusI
 }
 
 // NewRegistry returns an empty registry.
@@ -79,6 +81,16 @@ func (r *Registry) Get(hash string) (*graph.Graph, FactorInfo, bool) {
 		return nil, FactorInfo{}, false
 	}
 	return e.g, e.info, true
+}
+
+// PlusI returns the +I form of the factor at an exact hash, built on the
+// first ask and kept as long as the factor: every loops=1 stream reads it.
+func (r *Registry) PlusI(hash string) *graph.Graph {
+	r.mu.RLock()
+	e := r.byHash[hash]
+	r.mu.RUnlock()
+	e.once.Do(func() { e.plusI = e.g.WithFullSelfLoops() })
+	return e.plusI
 }
 
 // minPrefix is the shortest hash prefix Resolve accepts; shorter strings

@@ -333,8 +333,8 @@ func TestSummaryBuildsOnlyTheTiersItsRowReads(t *testing.T) {
 // TestCacheBytesAreItsEntries: over degree, triangles, diameter and hops
 // queries at both loops, then an eviction, Bytes() equals the sum of the
 // resident entries' bytes after every step, and no two resident entries
-// share an array the cache charges: degrees, triangles, hop profiles or a
-// +I graph.
+// share an array the cache charges: degrees, triangles or hop profiles.
+// No entry holds a graph of its own: a +I entry reads the registered one.
 func TestCacheBytesAreItsEntries(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	ha := registerText(t, ts, gen.PrefAttach(600, 45, 3), "")
@@ -353,10 +353,6 @@ func TestCacheBytesAreItsEntries(t *testing.T) {
 			}
 			if e.key.Tiers&groundtruth.Distances != 0 {
 				charged = append(charged, &e.f.Profile[0])
-			}
-			if e.key.Loops {
-				sum += (e.f.N() + 1 + e.f.G.NumArcs()) * 8
-				charged = append(charged, e.f.G)
 			}
 			for _, a := range charged {
 				if other, ok := owner[a]; ok {
@@ -390,6 +386,69 @@ func TestCacheBytesAreItsEntries(t *testing.T) {
 		t.Fatalf("%d resident entries after eviction, want the distance entry and the ring's degrees", n)
 	}
 	exact("eviction")
+}
+
+// TestCacheLoopsDegreeEntryCostsItsDegrees: a loops=1 degree entry is
+// charged exactly what the loops=0 one is, n degrees, and reads the
+// registered graph: the +I is read off it, not built.
+func TestCacheLoopsDegreeEntryCostsItsDegrees(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	a := gen.PrefAttach(600, 45, 3)
+	ha := registerText(t, ts, a, "")
+	for _, loops := range []string{"0", "1"} {
+		getJSON(t, ts.URL+"/gt/"+ha+"/"+ha+"/degree?p=1&loops="+loops, http.StatusOK)
+	}
+	g, _, _ := s.reg.Get(ha)
+	cost := map[bool]int64{}
+	s.cache.mu.Lock()
+	defer s.cache.mu.Unlock()
+	for el := s.cache.ll.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*cacheEntry)
+		cost[e.key.Loops] = e.bytes
+		if e.f.G != g {
+			t.Errorf("the loops=%v degree entry reads a copy of the factor", e.key.Loops)
+		}
+	}
+	if want := a.NumVertices() * 8; len(cost) != 2 || cost[false] != want || cost[true] != want {
+		t.Errorf("degree entries cost %v by loops, want %d bytes each", cost, want)
+	}
+}
+
+// TestGenerateLoopsCachesOnePlusIGraph: concurrent loops=1 streams of a
+// power chain read the one +I graph the registry builds on the first ask,
+// and each streams every arc of (A+I)^{⊗3}.
+func TestGenerateLoopsCachesOnePlusIGraph(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	a := gen.PrefAttach(10, 2, 6)
+	ha := registerText(t, ts, a, "")
+	d := a.NumArcs() + a.NumVertices()
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Get(ts.URL + "/gen/" + ha + "/edges?power=3&loops=1")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			lines := 0
+			if _, err := io.Copy(io.Discard, newLineCounter(resp.Body, &lines)); err != nil {
+				t.Error(err)
+			}
+			if int64(lines) != d*d*d {
+				t.Errorf("loops=1 power=3 streamed %d arcs, want %d", lines, d*d*d)
+			}
+		}()
+	}
+	wg.Wait()
+	s.reg.mu.RLock()
+	built := s.reg.byHash[ha].plusI
+	s.reg.mu.RUnlock()
+	if built == nil || s.reg.PlusI(ha) != built || built.NumSelfLoops() != a.NumVertices() {
+		t.Errorf("the registry holds +I graph %v after the streams, want one with %d loops", built, a.NumVertices())
+	}
 }
 
 func TestCacheEvictionBudget(t *testing.T) {
