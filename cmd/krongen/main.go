@@ -29,9 +29,12 @@
 // -offset k·(arcs/S) -limit arcs/S — without ever generating the skipped
 // prefix (the start position is located arithmetically). Windowed output
 // is headerless "u v" arc lines (or a windowed store with -store); the
-// whole-graph -binary format is refused. Under -mode 1d the window is the
-// same stretch of the canonical enumeration (core.Chain.ArcsFrom) for any
-// -ranks; 2d windows are deterministic per (layout, ranks).
+// whole-graph -binary format is refused. A windowed edge list is one
+// rank's walk of the plan cut for -ranks (dist.StreamChainFrom): -ranks
+// picks the cut and so the order, not a number of expanders. Under -mode
+// 1d the window is the same stretch of the canonical enumeration
+// (core.Chain.ArcsFrom) for any -ranks; 2d windows are deterministic per
+// (layout, ranks).
 //
 // With -store the product streams to a sharded on-disk store instead of
 // an edge-list file, one shard per simulated rank and O(batch) memory per

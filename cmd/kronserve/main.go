@@ -34,8 +34,8 @@
 // -pprof-mutex and -pprof-block arm the runtime's contention profiles
 // (runtime.SetMutexProfileFraction / runtime.SetBlockProfileRate), which
 // are off by default; with them set, /debug/pprof/mutex and
-// /debug/pprof/block show where the freelist, the stream hand-offs and the
-// async sink queues actually contend. A mutex
+// /debug/pprof/block show where the freelists and the async sink queues
+// actually contend. A mutex
 // fraction of 5 and a block rate of 10000 (10µs) are cheap enough to
 // leave on for a whole contention hunt.
 //

@@ -369,10 +369,9 @@ func TestClusterOneShotAfterCancelledRun(t *testing.T) {
 }
 
 // TestExchangeAbortReturnsPooledBuffersOnCancel is the buffer-leak
-// regression for the one place batches are still staged: a stream whose
-// context is cancelled by its consumer after the first batch — every rank
-// with a partial hand-off batch staged in its sink, some with full ones
-// parked in their channels — must give every pooled buffer back.
+// regression for a stream whose context is cancelled by its consumer
+// after the first batch, with the walking rank's scratch block and widened
+// block checked out: it must give every pooled buffer back.
 func TestExchangeAbortReturnsPooledBuffersOnCancel(t *testing.T) {
 	ch := mustChain(gen.ER(8, 0.5, 241), gen.PrefAttach(7, 2, 242))
 	ctx, cancel := context.WithCancel(context.Background())

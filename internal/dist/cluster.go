@@ -26,8 +26,8 @@ import (
 	"kronlab/internal/graph"
 )
 
-// edgeWireBytes is the accounting size of one edge handed to a stream's
-// consumer: two int64 endpoints (store.RecordSize).
+// edgeWireBytes is the accounting size of one edge handed to an ordered
+// stream's consumer: two int64 endpoints (store.RecordSize).
 const edgeWireBytes = 16
 
 // Stats aggregates a run's counters. The scalar fields are totals over all
@@ -67,12 +67,9 @@ type Stats struct {
 	PerRankStored    []int64 // edges stored by each rank's sink (engine runs)
 
 	// Recovery counters (zero on a run that needed no retry and resumed
-	// nothing). A replay
-	// resumes every tile at what its ranks already stored, so after a retry
-	// the generated counters still equal the stored ones — but for the
-	// ordered stream, whose replay generates again a tile's last edge held
-	// back by a failed attempt (streamRankSink): at most one per rank per
-	// failed attempt.
+	// nothing). A replay resumes every tile at what its ranks already
+	// stored, so after a retry the generated counters still equal the
+	// stored ones.
 	RetriesPerRank []int64 // attempts re-run, attributed to the rank at fault
 	// RecoveredRuns is 1 when the run succeeded after retries, or when its
 	// head resumed a run a dead head began (the workers' first joins
@@ -191,24 +188,34 @@ func (c *cluster) Stats() Stats {
 // them. When parent is cancelled, or any rank's body returns an error,
 // every walking rank stops at its next block. The root cause — the first
 // rank error, or the external cancellation — is returned in preference to
-// the secondary context errors the other ranks observe.
+// the secondary context errors the other ranks observe. A process hosting
+// one rank runs its body on the calling goroutine — no goroutine per run,
+// and an ordered stream's emit runs on its caller's (StreamChainFrom) —
+// and puts the caller's labels back after the walk's.
 func (c *cluster) run(parent context.Context, body func(rk *Rank) error) error {
 	ctx, cancel := context.WithCancelCause(parent)
 	c.ctx, c.cancelCtx = ctx, cancel
 	c.stop.Store(false)
 	defer cancel(nil)
 	errs := make([]error, len(c.ranks))
-	var wg sync.WaitGroup
-	for i := range c.ranks {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if errs[i] = body(&c.ranks[i]); errs[i] != nil {
-				c.cancel(errs[i])
-			}
-		}(i)
+	if len(c.ranks) == 1 {
+		if errs[0] = body(&c.ranks[0]); errs[0] != nil {
+			c.cancel(errs[0])
+		}
+		pprof.SetGoroutineLabels(parent)
+	} else {
+		var wg sync.WaitGroup
+		for i := range c.ranks {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				if errs[i] = body(&c.ranks[i]); errs[i] != nil {
+					c.cancel(errs[i])
+				}
+			}(i)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	if cause := context.Cause(ctx); cause != nil && !errors.Is(cause, context.Canceled) {
 		return cause
 	}
@@ -220,12 +227,11 @@ func (c *cluster) run(parent context.Context, body func(rk *Rank) error) error {
 	return nil
 }
 
-// edgeBufs recycles edge buffers for its users: the fenced sink of a rank
-// whose sink takes no packed blocks its widened block (fencedRankSink.store,
-// endAttempt), and the stream sink its hand-off batches, which the consumer
-// gives back (streamSink.getBuf, recycle); packedBufs recycles each rank's
-// scratch block, checked out per attempt (runAttempt). They are
-// package-level freelists rather than per-cluster
+// edgeBufs recycles the widened block of a rank whose sink takes no packed
+// blocks (fencedRankSink.store, endAttempt) — the ordered stream's among
+// them; packedBufs recycles each rank's scratch block, checked out per
+// attempt (runAttempt). They are package-level freelists rather than
+// per-cluster
 // sync.Pools because short-lived clusters (one per generation run, one per
 // kronserve request) reuse each other's buffers, and pushing a plain slice
 // header onto a slice stack does not box it into an interface the way

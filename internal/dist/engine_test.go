@@ -844,8 +844,8 @@ func goroutineRecord(fn string) string {
 // TestPhaseLabels: the walk is labelled at phase boundaries, so a rank is
 // named by what it is doing without a swap per block. A rank held inside
 // its sink mid-walk reads phase=expand — also under a source owner, whose
-// partition runs as phase=filter before the ranks start — and a rank blocked in a
-// stream hand-off, waiting on the consumer, reads phase=store.
+// partition runs as phase=filter before the ranks start. A one-rank run
+// walks on its caller's goroutine and gives the caller its labels back.
 func TestPhaseLabels(t *testing.T) {
 	ch := mustChain(gen.ER(20, 0.5, 39), gen.ER(20, 0.5, 40))
 	plan, err := PlanChain1D(ch, 1)
@@ -870,26 +870,24 @@ func TestPhaseLabels(t *testing.T) {
 		}
 	}
 
-	release := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		_, err := streamPlan(context.Background(), plan, 16, Recovery{}, nil, func([]graph.Edge) error {
-			<-release
-			return nil
-		})
-		done <- err
-	}()
-	// The rank passes through the hand-off's fast path, labelled expand,
-	// until the channel is full; from then on it waits in the hand-off.
 	var rec string
-	for deadline := time.Now().Add(10 * time.Second); !strings.Contains(rec, `"phase":"store"`) && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		rec = goroutineRecord("dist.(*streamRankSink).handOff")
-	}
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(rec, `"phase":"store"`) {
-		t.Fatalf("a rank blocked in a stream hand-off is not labelled phase=store:\n%s", rec)
+	pprof.Do(context.Background(), pprof.Labels("caller", "kept"), func(ctx context.Context) {
+		if _, err := Run(ctx, Config{Plan: plan, Sink: &CountSink{}}); err != nil {
+			t.Fatal(err)
+		}
+		// A goroutine starts with its creator's labels.
+		release := make(chan struct{})
+		go parkWithLabels(release)
+		for deadline := time.Now().Add(10 * time.Second); rec == "" && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			rec = goroutineRecord("dist.parkWithLabels+")
+		}
+		close(release)
+	})
+	if !strings.Contains(rec, `"caller":"kept"`) || strings.Contains(rec, `"phase"`) {
+		t.Fatalf("a one-rank run did not give its caller its labels back:\n%s", rec)
 	}
 }
+
+// parkWithLabels blocks until release is closed: a goroutine parked in it
+// shows its creator's labels in a goroutine profile.
+func parkWithLabels(release chan struct{}) { <-release }

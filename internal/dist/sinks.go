@@ -1,8 +1,6 @@
 package dist
 
 import (
-	"context"
-	"fmt"
 	"runtime/pprof"
 	"sync/atomic"
 
@@ -32,10 +30,8 @@ type BlockStorer interface {
 
 // TileBlockStorer is the tile-aware variant of BlockStorer: the engine
 // frames deliveries by tile already (batches never mix tiles), and a
-// sink that needs the framing — the ordered stream sink flushes at tile
-// boundaries so its consumer can interleave ranks in global tile order —
-// implements this instead. When a RankSink implements both, the engine
-// prefers TileBlockStorer.
+// sink that needs the framing implements this instead. When a RankSink
+// implements both, the engine prefers TileBlockStorer.
 type TileBlockStorer interface {
 	StoreTileBlock(tile int, edges []graph.Edge) (int64, error)
 }
@@ -357,198 +353,4 @@ func (t *storeRankSink) Close() error {
 	}
 	t.s.counts[t.rk.ID()] = t.sw.Count()
 	return t.sw.Close()
-}
-
-// streamBatch is one tile-framed delivery from an expander rank to the
-// stream consumer.
-type streamBatch struct {
-	tile  int
-	edges []graph.Edge
-}
-
-// streamSink feeds a single consumer from every expander rank through
-// per-rank channels of tile-framed batches — the serving sink behind
-// StreamChainFrom. Per-rank channels (rather than one shared channel) are
-// what make the stream deterministic: each rank's channel is FIFO and its
-// tile sequence is ID-increasing, so the consumer can walk tiles in
-// global ID order pulling each tile's batches from its owning rank,
-// with backpressure (small channel depth) bounding how far ahead other
-// ranks run. Batches are pooled; the consumer returns each batch after
-// use via recycle, and the outstanding counter is the leak probe.
-//
-// Delivery never depends on Close: a rank hands every batch over from
-// inside an attempt, on its own goroutine — full batches as they fill,
-// and a tile's sub-batch tail the moment the tile's closed-form arc count
-// (arcs, from the plan) is complete. Close runs after the run's last
-// attempt, when the consumer may already be waiting for the run itself.
-type streamSink struct {
-	ctx   context.Context
-	chans []chan streamBatch // one per rank
-	batch int
-	arcs  map[int]int64 // Plan.Arcs per plan tile ID
-
-	outstanding int64 // buffers checked out of edgeBufs and not yet recycled
-	messages    int64
-	routed      int64
-	bytes       int64
-}
-
-// streamChanDepth is the per-rank channel depth: enough to decouple a
-// rank's expansion from the consumer's emit without letting ahead-running
-// ranks buffer unboundedly (per-rank stream memory stays O(batch)).
-const streamChanDepth = 2
-
-func newStreamSink(ctx context.Context, batch int, plan Plan) *streamSink {
-	s := &streamSink{
-		ctx:   ctx,
-		chans: make([]chan streamBatch, plan.R),
-		batch: batch,
-		arcs:  make(map[int]int64),
-	}
-	for i := range s.chans {
-		s.chans[i] = make(chan streamBatch, streamChanDepth)
-	}
-	for _, tiles := range plan.Tiles {
-		for _, t := range tiles {
-			s.arcs[t.ID] = plan.Arcs(t)
-		}
-	}
-	return s
-}
-
-func (s *streamSink) getBuf() []graph.Edge {
-	atomic.AddInt64(&s.outstanding, 1)
-	return edgeBufs.get(s.batch)
-}
-
-// recycle returns a consumed batch to the package freelist.
-func (s *streamSink) recycle(b []graph.Edge) {
-	if cap(b) == 0 {
-		return
-	}
-	atomic.AddInt64(&s.outstanding, -1)
-	edgeBufs.put(b)
-}
-
-// Rank implements Sink.
-func (s *streamSink) Rank(rk *Rank) (RankSink, error) {
-	return &streamRankSink{s: s, rk: rk, rank: rk.ID(), tile: -1, buf: s.getBuf()}, nil
-}
-
-// streamRankSink buffers one rank's edges between hand-offs; every
-// delivered batch carries a single tile.
-//
-// What "stored" means here, for the checkpoint table: an edge counts as
-// stored once it is in buf — the instance and its buffer outlive a
-// torn-down attempt, so buffered edges reach the consumer on a later
-// hand-off and the replay must not generate them again — with one
-// exception: the edge that completes a tile is acknowledged only when the
-// tile's tail has been handed over. A tile therefore commits exactly when
-// the consumer has all of it. A tail hand-off that teardown interrupts
-// leaves the tile one edge short of its closed-form count; the ordinary
-// replay brings the rank back to that tile, seeks to its last edge, and
-// the hand-off is made again.
-type streamRankSink struct {
-	s    *streamSink
-	rk   *Rank // for the attempt context — hand-offs must not outlive teardown
-	rank int
-	tile int   // tile the rank is on; -1 before the first
-	left int64 // edges of that tile not yet accepted
-	buf  []graph.Edge
-}
-
-// Store is unreachable: the engine always prefers the StoreTileBlock
-// fast path. It refuses rather than guessing a tile frame.
-func (t *streamRankSink) Store(graph.Edge) error {
-	return fmt.Errorf("dist: stream sink requires tile-framed block delivery")
-}
-
-// StoreTileBlock implements TileBlockStorer: the batch is copied into the
-// rank buffer in chunks that honor the hand-off threshold, and the chunk
-// that completes the tile takes the tile's tail with it. A rank leaves a
-// tile only when it is complete, so a tile switch finds the buffer empty.
-func (t *streamRankSink) StoreTileBlock(tile int, edges []graph.Edge) (int64, error) {
-	return buffer(t, tile, edges, 0, 0, appendEdges)
-}
-
-// StorePackedBlock implements PackedBlockStorer: StoreTileBlock, with the
-// arcs widened into the rank buffer as they are copied in.
-func (t *streamRankSink) StorePackedBlock(tile int, arcs []uint64, u0, v0 int64) (int64, error) {
-	return buffer(t, tile, arcs, u0, v0, core.ExpandPacked)
-}
-
-// buffer is StoreTileBlock in either form, the block, based at (u0, v0),
-// added to the rank buffer by add.
-func buffer[B graph.Edge | uint64](t *streamRankSink, tile int, block []B, u0, v0 int64, add func([]graph.Edge, []B, int64, int64) []graph.Edge) (int64, error) {
-	if tile != t.tile {
-		t.tile, t.left = tile, t.s.arcs[tile]
-	}
-	var stored int64
-	for len(block) > 0 {
-		if room := t.s.batch - len(t.buf); room > 0 {
-			n := min(len(block), room)
-			t.buf = add(t.buf, block[:n], u0, v0)
-			stored += int64(n)
-			t.left -= int64(n)
-			block = block[n:]
-		}
-		if len(t.buf) >= t.s.batch || t.left == 0 {
-			if err := t.handOff(); err != nil {
-				// Teardown cut the hand-off: the buffer keeps the rest of the
-				// block too, past batch until its next hand-off, so a replay
-				// generates none of it again — but for the tile's last edge,
-				// held back (see the type comment).
-				t.buf = add(t.buf, block, u0, v0)
-				stored += int64(len(block))
-				t.left -= int64(len(block))
-				if t.left == 0 {
-					t.buf = t.buf[:len(t.buf)-1]
-					t.left++
-					stored--
-				}
-				return stored, err
-			}
-		}
-	}
-	return stored, nil
-}
-
-// handOff sends the buffered batch to the consumer, accounting it as
-// delivered traffic only on successful delivery — a batch dropped by
-// cancellation is never counted. It runs on the rank goroutine during an
-// attempt, so it also watches the attempt context: when another rank
-// crashes, the consumer is waiting on that rank's channel in tile order
-// and may never drain this one — the attempt teardown must be allowed to
-// unblock the send, leaving the buffered edges in buf for the next
-// attempt. A send that has to wait for the consumer is labelled
-// phase=store for the wait.
-func (t *streamRankSink) handOff() error {
-	b := streamBatch{tile: t.tile, edges: t.buf}
-	select {
-	case t.s.chans[t.rank] <- b:
-	default:
-		t.rk.waitStore()
-		defer t.rk.endWaitStore()
-		select {
-		case t.s.chans[t.rank] <- b:
-		case <-t.s.ctx.Done():
-			return context.Cause(t.s.ctx)
-		case <-t.rk.c.ctx.Done():
-			return context.Cause(t.rk.c.ctx)
-		}
-	}
-	atomic.AddInt64(&t.s.messages, 1)
-	atomic.AddInt64(&t.s.routed, int64(len(t.buf)))
-	atomic.AddInt64(&t.s.bytes, int64(len(t.buf))*edgeWireBytes)
-	t.buf = t.s.getBuf()
-	return nil
-}
-
-// Close returns the rank's buffer to the pool. After a run that succeeded
-// it is empty — every tile's tail went out with the tile; after one that
-// failed, whatever is left was never owed to the consumer.
-func (t *streamRankSink) Close() error {
-	t.s.recycle(t.buf)
-	t.buf = nil
-	return nil
 }

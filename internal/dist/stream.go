@@ -3,34 +3,31 @@ package dist
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"kronlab/internal/core"
 	"kronlab/internal/graph"
 )
 
-// StreamChainFrom runs the Sec. III generator (1D partitioning, or Rem.
-// 1's 2D cut with twoD) over the factor chain A₁⊗…⊗Aₖ on r concurrent
-// expander ranks and delivers a contiguous range of the product's
-// deterministic edge stream to emit in batches of up to batch arcs (≤ 0:
-// DefaultBatchSize): limit arcs (< 0 = through the end) starting at global
-// arc offset. It is the engine run with the single-consumer streaming
-// sink: instead of routing edges to per-rank storage, all ranks feed one
-// consumer — kronserve's HTTP response writer — so memory stays
-// O(r·batch) no matter how large |E_C| is. The skipped
-// prefix is never generated — the plan is sliced up front (Plan.Slice
-// locates the start tile and in-tile position in O(tiles) from
-// closed-form arc counts) and each boundary rank starts mid-tile via the
-// kernel's windowed expansion.
+// StreamChainFrom delivers a contiguous range of the deterministic edge
+// stream of the factor chain A₁⊗…⊗Aₖ, cut by the Sec. III generator (1D
+// partitioning, or Rem. 1's 2D cut with twoD) at r ranks, to emit in
+// batches of up to batch arcs (≤ 0: DefaultBatchSize): limit arcs (< 0 =
+// through the end) starting at global arc offset. An ordered stream has one
+// consumer reading one sequence, so there is no store to split: r fixes the
+// plan's cut, and with it the order, and one rank walks every tile of it in
+// that order, emitting each block as it is stored (emitSink) — memory stays
+// O(batch) no matter how large |E_C| is. The skipped prefix is never
+// generated — the plan is sliced up front (Plan.Slice locates the start
+// tile and in-tile position in O(tiles) from closed-form arc counts) and
+// the boundary tiles start mid-tile via the kernel's windowed expansion.
 //
-// emit is called from a single goroutine (the caller's); the batch slice
-// is recycled after emit returns and must not be retained. The stream
-// stops early when ctx is cancelled or emit returns an error; either way
-// the expander ranks are torn down before StreamChainFrom returns — every
-// failure mode completes or errors, never hangs (see DESIGN.md §3a,
-// "Failure semantics"). Stats counters follow the Generate* conventions,
-// with every delivered edge accounted in Messages, EdgesRouted and
-// BytesSent as traffic to the consumer.
+// emit is called on the caller's goroutine; the batch slice is reused
+// after emit returns and must not be retained. The stream stops early when
+// ctx is cancelled or emit returns an error, and every failure mode
+// completes or errors, never hangs (see DESIGN.md §3a, "Failure
+// semantics"). Stats counters follow the Generate* conventions, with every
+// delivered edge accounted in Messages, EdgesRouted and BytesSent as
+// traffic to the consumer.
 //
 // The stream order is canonical and reproducible: tiles in ascending
 // plan-ID order, each tile's edges in the kernel's fixed expansion
@@ -41,9 +38,8 @@ import (
 // Range/resume-token serving depends on.
 //
 // rec is the retry policy (see Recovery). A recovered stream delivers
-// every edge exactly once: a replay resumes every tile at what its rank
-// already accepted, and a tile commits only once the consumer has all of
-// it (see streamRankSink).
+// every edge exactly once: what the rank counts as stored is what emit
+// accepted, and a replay resumes every tile there.
 func StreamChainFrom(ctx context.Context, ch *core.Chain, r int, twoD bool, batch int, offset, limit int64, rec Recovery, emit func([]graph.Edge) error) (Stats, error) {
 	if r < 1 {
 		return Stats{}, fmt.Errorf("dist: stream needs ≥ 1 rank, got %d", r)
@@ -56,83 +52,42 @@ func StreamChainFrom(ctx context.Context, ch *core.Chain, r int, twoD bool, batc
 }
 
 // streamPlan is StreamChainFrom on an already-built plan, with an
-// optional fault schedule for the recovery suites.
+// optional fault schedule for the recovery suites: the engine run on one
+// rank holding every tile of plan in ID order.
 func streamPlan(ctx context.Context, plan Plan, batch int, rec Recovery, faults *FaultPlan, emit func([]graph.Edge) error) (Stats, error) {
-	if batch <= 0 {
-		batch = DefaultBatchSize
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	sink := newStreamSink(ctx, batch, plan)
-	var st Stats
-	var runErr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		st, runErr = Run(ctx, Config{Plan: plan, Sink: sink, Recovery: rec, BatchSize: batch, Faults: faults})
-		for _, c := range sink.chans {
-			close(c)
-		}
-	}()
-
-	// The consumer walks tiles in global ID order, pulling each tile's
-	// batches from its owning rank's channel until the tile's closed-form
-	// arc count is satisfied. Per-rank FIFO delivery plus ID-increasing
-	// per-rank tile lists guarantee the next batch on the needed channel
-	// belongs to the needed tile; the check stays as a loud invariant.
-	rankOf := plan.tileRanks()
-	var emitErr error
-consume:
-	for _, t := range plan.orderedTiles() {
-		for got, expect := int64(0), plan.Arcs(t); got < expect; {
-			b, ok := <-sink.chans[rankOf[t.ID]]
-			if !ok {
-				break consume // the run is over: the stream ended early (error or cancel)
-			}
-			if b.tile != t.ID {
-				emitErr = fmt.Errorf("dist: stream order violated: got tile %d, want %d", b.tile, t.ID)
-				cancel()
-				sink.recycle(b.edges)
-				break consume
-			}
-			got += int64(len(b.edges))
-			if emitErr != nil || ctx.Err() != nil {
-				sink.recycle(b.edges)
-				continue
-			}
-			err := emit(b.edges)
-			// Recycle unconditionally — the emit-error path must return
-			// the batch to the pool too, or the buffer leaks.
-			sink.recycle(b.edges)
-			if err != nil {
-				emitErr = err
-				cancel()
-			}
-		}
-	}
-	// Drain so expander ranks blocked on a hand-off can exit; every
-	// leftover batch goes back to the pool.
-	for _, c := range sink.chans {
-		for b := range c {
-			sink.recycle(b.edges)
-		}
-	}
-	<-done
-
+	one := Plan{R: 1, NC: plan.NC, Dims: plan.Dims, Tail: plan.Tail, Tiles: [][]Tile{plan.orderedTiles()}}
+	sink := &emitSink{emit: emit}
+	st, err := Run(ctx, Config{Plan: one, Sink: sink, Recovery: rec, BatchSize: batch, Faults: faults})
 	// Delivery to the consumer is the stream's communication.
-	st.Messages = atomic.LoadInt64(&sink.messages)
-	st.EdgesRouted = atomic.LoadInt64(&sink.routed)
-	st.BytesSent = atomic.LoadInt64(&sink.bytes)
-	// Leak probe: the stream sink keeps its own tally of the buffers it
-	// checked out of edgeBufs; fold its balance into the run's counter.
-	st.OutstandingBufs += atomic.LoadInt64(&sink.outstanding)
-	switch {
-	case emitErr != nil:
-		return st, emitErr
-	case context.Cause(ctx) != nil:
-		return st, context.Cause(ctx)
-	default:
-		return st, runErr
-	}
+	st.Messages, st.EdgesRouted, st.BytesSent = sink.batches, sink.arcs, sink.arcs*edgeWireBytes
+	return st, err
 }
+
+// emitSink is the ordered stream's sink: each block the rank stores, which
+// the engine has widened into its reused block (fencedRankSink.store), goes
+// to emit whole, and counts as stored only once emit accepted it.
+type emitSink struct {
+	emit          func([]graph.Edge) error
+	batches, arcs int64
+}
+
+// Rank implements Sink; the stream has one rank.
+func (s *emitSink) Rank(*Rank) (RankSink, error) { return s, nil }
+
+// Store is unreachable: the engine prefers StoreBlock.
+func (s *emitSink) Store(e graph.Edge) error {
+	_, err := s.StoreBlock([]graph.Edge{e})
+	return err
+}
+
+// StoreBlock implements BlockStorer.
+func (s *emitSink) StoreBlock(edges []graph.Edge) (int64, error) {
+	if err := s.emit(edges); err != nil {
+		return 0, err
+	}
+	s.batches++
+	s.arcs += int64(len(edges))
+	return int64(len(edges)), nil
+}
+
+func (s *emitSink) Close() error { return nil }

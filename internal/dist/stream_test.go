@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -116,10 +118,10 @@ func TestStreamMatchesProduct(t *testing.T) {
 }
 
 // TestStreamTileNotMultipleOfBatch is the case the two sink lifetimes used
-// to sit on either side of: every rank ends its tile on a sub-batch tail
-// (ER(20,.5)² has 39140 arcs; no tile is a multiple of 1024 or 16), with
-// and without a retry budget. With a budget the tail used to wait for a
-// Close that came after the attempt, and the stream hung.
+// to sit on either side of: every tile of the plan ends on a sub-batch
+// tail (ER(20,.5)² has 39140 arcs; no tile is a multiple of 1024 or 16),
+// with and without a retry budget. With a budget the tail used to wait for
+// a Close that came after the attempt, and the stream hung.
 func TestStreamTileNotMultipleOfBatch(t *testing.T) {
 	ch := mustChain(gen.ER(20, 0.5, 1), gen.ER(20, 0.5, 2))
 	serial := serialArcs(t, ch, 0)
@@ -143,10 +145,12 @@ func TestStreamTileNotMultipleOfBatch(t *testing.T) {
 	}
 }
 
-// TestStreamRecoversExactlyOnce injects one rank crash at every fault
-// point on every rank, 1D and 2D: the recovered stream is the clean
-// stream, arc for arc — under 1D, core.Chain.ArcsFrom itself — with
-// nothing delivered twice and every buffer returned.
+// TestStreamRecoversExactlyOnce crashes the stream's one walking rank
+// once, 1D and 2D: before its sink is set up, after its walk, and
+// mid-expansion at positions of the stream (streamCrashes). The recovered
+// stream is the clean stream, arc for arc — under 1D, core.Chain.ArcsFrom
+// itself — with nothing generated or delivered twice and every buffer
+// returned.
 func TestStreamRecoversExactlyOnce(t *testing.T) {
 	ch := mustChain(gen.PrefAttach(9, 2, 91), gen.ER(8, 0.5, 92))
 	const r, batch = 3, 16
@@ -172,118 +176,130 @@ func TestStreamRecoversExactlyOnce(t *testing.T) {
 		} else {
 			assertSameOrder(t, "clean 1d stream", want, serialArcs(t, ch, 0))
 		}
-		for rank, work := range plan.RankArcs() {
-			for _, pt := range []FaultPoint{FaultBeforeSinkSetup, FaultMidExpansion, FaultAfterWalk} {
-				name := fmt.Sprintf("twoD=%v/rank%d/%v", twoD, rank, pt)
-				spec := CrashSpec{Rank: rank, Point: pt}
-				if pt == FaultMidExpansion {
-					spec.After = work / 2 // die with half the rank's arcs accepted
-				}
-				faults := &FaultPlan{Crashes: []CrashSpec{spec}}
+		for _, spec := range streamCrashes(t, plan, want) {
+			name := fmt.Sprintf("twoD=%v/%v after %d", twoD, spec.Point, spec.After)
+			faults := &FaultPlan{Crashes: []CrashSpec{spec}}
 
-				// No budget: the crash is returned unchanged.
-				_, st, err := stream(faults, Recovery{})
-				var rc *RankCrashError
-				if !errors.As(err, &rc) || rc.Rank != rank || rc.Point != pt {
-					t.Fatalf("%s, no retries: err = %v, want the injected crash", name, err)
-				}
-				if st.OutstandingBufs != 0 {
-					t.Fatalf("%s, no retries: %d buffers outstanding", name, st.OutstandingBufs)
-				}
+			// No budget: the crash is returned unchanged.
+			_, st, err := stream(faults, Recovery{})
+			var rc *RankCrashError
+			if !errors.As(err, &rc) || rc.Rank != 0 || rc.Point != spec.Point {
+				t.Fatalf("%s, no retries: err = %v, want the injected crash", name, err)
+			}
+			if st.OutstandingBufs != 0 {
+				t.Fatalf("%s, no retries: %d buffers outstanding", name, st.OutstandingBufs)
+			}
 
-				// One retry: the stream is the clean stream.
-				got, st, err := stream(faults, Recovery{MaxRetries: 1})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				assertSameOrder(t, name, got, want)
-				if st.OutstandingBufs != 0 {
-					t.Fatalf("%s: %d buffers outstanding", name, st.OutstandingBufs)
-				}
-				if st.RecoveredRuns != 1 || st.RetriesPerRank[rank] != 1 {
-					t.Fatalf("%s: RecoveredRuns=%d RetriesPerRank=%v, want one retry blamed on rank %d",
-						name, st.RecoveredRuns, st.RetriesPerRank, rank)
-				}
-				// What every rank had accepted of the tiles it was on is
-				// resumed past on the replay, not generated again (the tiles
-				// it had finished are committed and not replayed at all):
-				// only a tile's last edge, held back by a hand-off the
-				// teardown cut, is generated twice — one per rank at most.
-				if extra := st.EdgesGenerated - int64(len(want)); extra < 0 || extra > r {
-					t.Fatalf("%s: generated %d arcs, want the stream's %d plus at most %d held back", name, st.EdgesGenerated, len(want), r)
-				}
-				if st.EdgesRouted != int64(len(want)) {
-					t.Fatalf("%s: %d arcs handed to the consumer, want %d", name, st.EdgesRouted, len(want))
-				}
+			// One retry: the stream is the clean stream.
+			got, st, err := stream(faults, Recovery{MaxRetries: 1})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			assertSameOrder(t, name, got, want)
+			if st.OutstandingBufs != 0 {
+				t.Fatalf("%s: %d buffers outstanding", name, st.OutstandingBufs)
+			}
+			if st.RecoveredRuns != 1 || st.TotalRetries() != 1 {
+				t.Fatalf("%s: RecoveredRuns=%d RetriesPerRank=%v, want one retry", name, st.RecoveredRuns, st.RetriesPerRank)
+			}
+			// What emit accepted is stored: the replay resumes every tile
+			// there and generates none of it again.
+			if st.EdgesGenerated != int64(len(want)) {
+				t.Fatalf("%s: generated %d arcs, want the stream's %d", name, st.EdgesGenerated, len(want))
+			}
+			if st.EdgesRouted != int64(len(want)) {
+				t.Fatalf("%s: %d arcs handed to the consumer, want %d", name, st.EdgesRouted, len(want))
 			}
 		}
 	}
 }
 
-// TestStreamSinkHoldsBackTileTail drives the one hand-off a replay has to
-// cover on its own: teardown interrupts the hand-off of a tile's tail. The sink must report the tile one arc short — so the tile does
-// not commit and the rank is sent back to it — and then complete the
-// hand-off, every arc once, when the replay delivers that arc.
-func TestStreamSinkHoldsBackTileTail(t *testing.T) {
-	plan, err := PlanChain1D(mustChain(gen.Ring(3), gen.Ring(4)), 1)
+// streamCrashes are the crashes the recovery suites put on plan's ordered
+// stream, whose arcs are stream: each at rank 0, the stream's one walking
+// rank — before its sink is set up, after its walk, and mid-expansion one
+// arc into the stream's last tile of ten arcs or more, inside a row near
+// that tile's middle, at its last arc, and at 90 % of the stream.
+func streamCrashes(t testing.TB, plan Plan, stream []graph.Edge) []CrashSpec {
+	t.Helper()
+	var before, at int64 = -1, 0
+	var in []graph.Edge
+	for _, tl := range plan.orderedTiles() {
+		if n := plan.Arcs(tl); n >= 10 {
+			before, in = at, stream[at:at+n]
+		}
+		at += plan.Arcs(tl)
+	}
+	if before < 0 {
+		t.Fatalf("the stream has no tile of 10 arcs or more")
+	}
+	mid := len(in) / 2
+	for mid < len(in)-1 && in[mid-1].U != in[mid].U {
+		mid++
+	}
+	return []CrashSpec{
+		{Point: FaultBeforeSinkSetup},
+		{Point: FaultAfterWalk},
+		{Point: FaultMidExpansion, After: before + 1},
+		{Point: FaultMidExpansion, After: before + int64(mid)},
+		{Point: FaultMidExpansion, After: before + int64(len(in)) - 1},
+		{Point: FaultMidExpansion, After: int64(len(stream)) * 9 / 10},
+	}
+}
+
+// TestStreamEmitOnCallerGoroutine holds StreamChainFrom to its word: emit
+// runs on the goroutine that called it, at every rank count, also across
+// a recovered crash.
+func TestStreamEmitOnCallerGoroutine(t *testing.T) {
+	ch := mustChain(gen.PrefAttach(9, 2, 93), gen.ER(8, 0.5, 94))
+	total, err := ch.NumArcs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tile := plan.Tiles[0][0]
-	var arcs []graph.Edge
-	for _, a := range tile.AArcs {
-		arcs = core.ExpandBlock(a, plan.Tail[0].ArcSlice(), plan.Tail[0].NumVertices(), arcs)
+	for _, r := range []int{1, 3, 8} {
+		for _, crash := range []bool{false, true} {
+			t.Run(fmt.Sprintf("R=%d/crash=%v", r, crash), func(t *testing.T) {
+				caller := goroutineID()
+				var calls, elsewhere int
+				emit := func([]graph.Edge) error {
+					calls++
+					if goroutineID() != caller {
+						elsewhere++
+					}
+					return nil
+				}
+				var st Stats
+				var err error
+				if crash {
+					plan, perr := planForChain(ch, r, false)
+					if perr != nil {
+						t.Fatal(perr)
+					}
+					faults := &FaultPlan{Crashes: []CrashSpec{{Point: FaultMidExpansion, After: total / 2}}}
+					st, err = streamPlan(watchdogCtx(t), plan, 16, Recovery{MaxRetries: 1}, faults, emit)
+				} else {
+					st, err = StreamChainFrom(watchdogCtx(t), ch, r, false, 16, 0, -1, Recovery{}, emit)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if crash && st.RecoveredRuns != 1 {
+					t.Fatalf("RecoveredRuns = %d, want the crash to have fired and been recovered", st.RecoveredRuns)
+				}
+				if calls == 0 || elsewhere != 0 {
+					t.Fatalf("%d of %d emit calls ran off the caller's goroutine", elsewhere, calls)
+				}
+			})
+		}
 	}
-	n := int64(len(arcs))
-	if n != plan.Arcs(tile) || n < 2 {
-		t.Fatalf("test tile has %d arcs, plan says %d", n, plan.Arcs(tile))
-	}
+}
 
-	sink := newStreamSink(watchdogCtx(t), int(n)+10, plan) // only tile completion hands off
-	c, err := newCluster(1, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := sink.Rank(&Rank{id: 0, c: c})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbs := rs.(TileBlockStorer)
-
-	// Attempt 0: the consumer is busy elsewhere (channel full) and the
-	// attempt is torn down while the tail waits.
-	for i := 0; i < streamChanDepth; i++ {
-		sink.chans[0] <- streamBatch{tile: -1}
-	}
-	boom := errors.New("another rank died")
-	c.cancel(boom)
-	stored, err := tbs.StoreTileBlock(tile.ID, arcs)
-	if !errors.Is(err, boom) || stored != n-1 {
-		t.Fatalf("interrupted tail hand-off: stored %d, err %v; want %d and the teardown cause", stored, err, n-1)
-	}
-
-	// Attempt 1: the replay seeks past the n-1 stored arcs and delivers the
-	// last one.
-	c.Reset()
-	for i := 0; i < streamChanDepth; i++ {
-		<-sink.chans[0]
-	}
-	stored, err = tbs.StoreTileBlock(tile.ID, arcs[n-1:])
-	if err != nil || stored != 1 {
-		t.Fatalf("replayed last arc: stored %d, err %v", stored, err)
-	}
-	b := <-sink.chans[0]
-	if b.tile != tile.ID {
-		t.Fatalf("handed over tile %d, want %d", b.tile, tile.ID)
-	}
-	assertSameOrder(t, "tile handed over after replay", b.edges, arcs)
-	sink.recycle(b.edges)
-	if err := rs.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if sink.outstanding != 0 {
-		t.Fatalf("%d stream buffers outstanding", sink.outstanding)
-	}
+// goroutineID returns the calling goroutine's id, read off its stack
+// header ("goroutine 7 [running]:").
+func goroutineID() string {
+	var buf [64]byte
+	n := runtime.Stack(buf[:], false)
+	id, _, _ := strings.Cut(strings.TrimPrefix(string(buf[:n]), "goroutine "), " ")
+	return id
 }
 
 func TestStreamEmitErrorStops(t *testing.T) {

@@ -59,8 +59,12 @@ func (g *Graph) LargestComponent() (*Graph, []int64) {
 }
 
 // IsConnected reports whether g has exactly one connected component
-// (the empty graph is not connected).
+// (the empty graph is not connected). The sweep runs on the first call
+// and its answer is cached on the graph. Safe for concurrent use.
 func (g *Graph) IsConnected() bool {
-	_, count := g.ConnectedComponents()
-	return count == 1
+	g.connectedOnce.Do(func() {
+		_, count := g.ConnectedComponents()
+		g.connected = count == 1
+	})
+	return g.connected
 }

@@ -51,6 +51,9 @@ type Graph struct {
 
 	narrowOnce sync.Once
 	narrow     []uint32 // ArcSlice as u | v<<16, built lazily by NarrowArcs
+
+	connectedOnce sync.Once
+	connected     bool // IsConnected, swept once
 }
 
 // New builds a Graph on n vertices from the given arcs. Each arc is

@@ -28,11 +28,20 @@ func ProductComponentsPlusI(gs []*graph.Graph) (int64, error) { return component
 
 func components(gs []*graph.Graph, plusI bool) (int64, error) {
 	b := 0
+	bipartite := make(map[*graph.Graph]bool, len(gs)) // a power's factor is swept once
 	for d, g := range gs {
 		if !g.IsConnected() || !plusI && g.NumEdges() == 0 {
 			return 0, fmt.Errorf("groundtruth: Weichsel's theorem needs connected factors with an edge; factor %d is not", d)
 		}
-		if !plusI && analytics.IsBipartite(g) {
+		if plusI {
+			continue
+		}
+		is, ok := bipartite[g]
+		if !ok {
+			is = analytics.IsBipartite(g)
+			bipartite[g] = is
+		}
+		if is {
 			b++
 		}
 	}

@@ -122,12 +122,15 @@ func parseRangeHeader(h string) (byteRange, bool) {
 
 // streamChainEdges is the one generate-stream implementation behind both
 // /gen/{a}/{b}/edges and /gen/{chain}/edges: the chain product's arcs,
-// produced by the dist chain engine on bounded concurrency and streamed
-// without ever materializing the product server-side.
+// produced by the dist chain engine — one rank walking the plan on the
+// handler's goroutine — and streamed without ever materializing the
+// product server-side.
 //
 // Query parameters: loops=1 generates ⊗(A_d+I); layout=1d|2d picks the
-// partitioning (default 1d); ranks=N the expander count (default
-// GOMAXPROCS-bounded by Config.MaxRanks); format=ndjson|binary the wire
+// partitioning (default 1d); ranks=N the rank count the plan is cut for
+// (default Config.MaxInflight, capped by Config.MaxRanks) — it fixes the
+// plan's H × T cut, and so the stream order and the resume digest, not a
+// number of expanders; format=ndjson|binary the wire
 // format (default ndjson; binary is the 16-byte record format of
 // internal/store); limit=N truncates the stream after N arcs; offset=N
 // starts the stream N arcs in — the skipped prefix is never generated
@@ -357,7 +360,7 @@ func (s *Server) streamChainEdges(w http.ResponseWriter, r *http.Request, gs []*
 				_, err = fmt.Fprintf(bw, "{\"u\":%d,\"v\":%d}\n", e.U, e.V)
 			}
 			if err != nil {
-				return err // client went away; the stream tears down the expanders
+				return err // client went away; the error ends the stream
 			}
 			written++
 		}

@@ -61,8 +61,8 @@ type Config struct {
 	// Default 64.
 	MaxRanks int
 	// GenTimeout bounds one generation stream end to end; the deadline
-	// propagates as context.WithTimeout into the dist engine, which tears
-	// the expander ranks down when it fires. Default 5m.
+	// propagates as context.WithTimeout into the dist engine, which stops
+	// the stream's walk when it fires. Default 5m.
 	GenTimeout time.Duration
 	// GenRetries is the retry budget passed to generation runs
 	// (dist.Recovery.MaxRetries): a rank crash inside the engine is
@@ -268,7 +268,7 @@ func (s *Server) timed(h http.HandlerFunc) http.HandlerFunc {
 
 // genTimed bounds a generation stream by Config.GenTimeout and cancels it
 // when the server starts draining — the context reaches the dist engine,
-// which tears the expander ranks down, so the handler returns (with its
+// which stops the stream's walk, so the handler returns (with its
 // completion trailer) instead of holding http.Server.Shutdown open.
 func (s *Server) genTimed(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
