@@ -392,7 +392,7 @@ func BenchmarkE7ClosenessCompressed(b *testing.B) {
 }
 
 // BenchmarkDistanceTier builds the distance tier of E6's and E7's
-// gnutella-like factor: one BFS sweep a vertex, and what the tier keeps.
+// gnutella-like factor: ε by ref [3]'s bound rule, and the diameter.
 func BenchmarkDistanceTier(b *testing.B) {
 	fixtures(b)
 	b.ReportAllocs()

@@ -3,8 +3,6 @@ package analytics
 import (
 	"math"
 	"math/rand"
-	"reflect"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -194,50 +192,6 @@ func TestClosenessPath(t *testing.T) {
 	// Center: hops = (1, 2, 1) → 1 + 1/2 + 1 = 2.5.
 	if z := Closeness(g, 1); math.Abs(z-2.5) > 1e-12 {
 		t.Errorf("ζ(1) = %v, want 2.5", z)
-	}
-}
-
-// TestHopProfiles holds each R_i to its hop row: R_i[h] counts the row's
-// finite entries ≤ h, the diagonal at hop 1 (a loop) or 2 (a neighbor),
-// and the profile ends at the row's largest finite hop.
-func TestHopProfiles(t *testing.T) {
-	isolated := mustUnd(t, 3, []graph.Edge{{U: 0, V: 1}})
-	for _, c := range []struct {
-		name string
-		g    *graph.Graph
-		want [][]int64
-	}{
-		{"P₃", path(t, 3), [][]int64{{0, 1, 3}, {0, 2, 3}, {0, 1, 3}}},
-		{"K₃+I", triangle(t).WithFullSelfLoops(), [][]int64{{0, 3}, {0, 3}, {0, 3}}},
-		{"K₂ and an isolated vertex", isolated, [][]int64{{0, 1, 2}, {0, 1, 2}, {0}}},
-		{"K₂+I and a looped vertex", isolated.WithFullSelfLoops(), [][]int64{{0, 2}, {0, 2}, {0, 1}}},
-	} {
-		if got := HopProfiles(c.g); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("%s: profiles %v, want %v", c.name, got, c.want)
-		}
-	}
-
-	rng := rand.New(rand.NewSource(37))
-	for trial := 0; trial < 30; trial++ {
-		g := randomGraph(rng, 10, trial%2 == 0)
-		for i, r := range HopProfiles(g) {
-			row := Hops(g, int64(i))
-			top := slices.Max(append(row, 0))
-			if int64(len(r)) != top+1 {
-				t.Fatalf("trial %d: R_%d has %d entries, its largest finite hop is %d", trial, i, len(r), top)
-			}
-			for h := range r {
-				var n int64
-				for _, d := range row {
-					if d != Unreachable && d <= int64(h) {
-						n++
-					}
-				}
-				if r[h] != n {
-					t.Fatalf("trial %d: R_%d[%d] = %d, the row counts %d", trial, i, h, r[h], n)
-				}
-			}
-		}
 	}
 }
 

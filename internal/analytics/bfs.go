@@ -89,44 +89,6 @@ func AllPairsHops(g *graph.Graph) [][]int64 {
 	return rows
 }
 
-// HopProfiles returns every vertex's cumulative hop profile
-// R_i[h] = #{j : hops(i,j) ≤ h} (Def. 9) for h up to H_i, the largest
-// finite hop from i: R_i[H_i] = n exactly when ε_i = H_i is finite.
-// Unreachable vertices enter no profile, and the diagonal counts as in
-// Hops, so R_i[0] = 0. One sweep a vertex over one pair of buffers:
-// O(n·(n+arcs)) time, Σ(H_i+1) counts.
-func HopProfiles(g *graph.Graph) [][]int64 { return hopProfiles(g, false) }
-
-// HopProfilesPlusI is HopProfiles of g+I, read off g: the +I puts every
-// diagonal at hop 1, and distances between distinct vertices ignore loops.
-func HopProfilesPlusI(g *graph.Graph) [][]int64 { return hopProfiles(g, true) }
-
-func hopProfiles(g *graph.Graph, plusI bool) [][]int64 {
-	n := g.NumVertices()
-	dist, queue := unreached(n), make([]int64, 0, n)
-	out := make([][]int64, n)
-	for i := range out {
-		src := int64(i)
-		queue = sweep(g, src, dist, queue)
-		diag := diagonal(g, src, plusI)
-		r := make([]int64, max(dist[queue[len(queue)-1]], diag)+1)
-		for _, j := range queue[1:] {
-			r[dist[j]]++
-		}
-		if diag != Unreachable {
-			r[diag]++
-		}
-		for h := 1; h < len(r); h++ {
-			r[h] += r[h-1]
-		}
-		for _, j := range queue {
-			dist[j] = Unreachable
-		}
-		out[i] = r
-	}
-	return out
-}
-
 // IsBipartite reports whether g is 2-colorable, treating arcs as
 // undirected. A self loop makes a graph non-bipartite (an odd closed
 // walk). Needed by Weichsel's connectivity theorem for Kronecker

@@ -98,29 +98,50 @@ func hops(fs []*Factor, src, dst []int64) (int64, error) { return hopsFrom(fs, s
 
 // closenessAt is Thm. 4 in Sec. V-B's compressed form, at any k. By
 // Thm. 3, hops(p,q) ≤ h exactly when every digit pair is within h, so
-// with R_d the factors' hop profiles, ε a profile's last hop,
+// with R_d digit c_d's cumulative hop profile, read off the hop row
+// hopsFrom sweeps, and ε_d its last hop,
 //
-//	N(≤h) = Π_d R_d[c_d][min(h, ε)],   ζ_p = Σ_{h≥1} (N(≤h) − N(≤h−1))/h.
+//	N(≤h) = Π_d R_d[min(h, ε_d)],   ζ_p = Σ_{h≥1} (N(≤h) − N(≤h−1))/h.
 //
 // An unreachable pair enters no profile, so a disconnected factor needs
-// no special case. N(≤h) ≤ n_C fits an int64. Cost O(k·max ε).
+// no special case. N(≤h) ≤ n_C fits an int64. Cost: a sweep a factor,
+// then O(k·max ε).
 func closenessAt(fs []*Factor, coords []int64) (float64, error) {
-	top := 0
+	profiles, top := make([][]int64, len(fs)), 0
 	for d, f := range fs {
-		top = max(top, len(f.Profile[coords[d]])-1)
+		profiles[d] = profile(f.hops(coords[d]))
+		top = max(top, len(profiles[d])-1)
 	}
 	var s float64
 	var prev int64 // N(≤0) = 0: hops are at least 1
 	for h := 1; h <= top; h++ {
 		n := int64(1)
-		for d, f := range fs {
-			r := f.Profile[coords[d]]
+		for _, r := range profiles {
 			n *= r[min(h, len(r)-1)]
 		}
 		s += float64(n-prev) / float64(h)
 		prev = n
 	}
 	return s, nil
+}
+
+// profile returns a hop row's cumulative profile: R[h] counts the row's
+// finite entries ≤ h, the diagonal among them, up to its largest.
+func profile(row []int64) []int64 {
+	var top int64
+	for _, h := range row {
+		top = max(top, h)
+	}
+	r := make([]int64, top+1)
+	for _, h := range row {
+		if h != analytics.Unreachable {
+			r[h]++
+		}
+	}
+	for h := 1; h < len(r); h++ {
+		r[h] += r[h-1]
+	}
+	return r
 }
 
 // vector is a law on product vertices: a per-factor vector v_d and the

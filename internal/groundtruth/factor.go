@@ -7,10 +7,11 @@
 // form of Sec. V-B), and internal/external community edge counts and
 // densities (Thm. 6, Cor. 6, Cor. 7).
 //
-// Formulas take factor-level quantities (degrees, triangle counts, hop
-// profiles) computed once per factor with internal/analytics; a Factor
-// bundles them. NewFactor(g, tiers) builds g's degrees and only the tiers
-// asked: Triangles, Distances, both or neither; Summarize(g, true, tiers)
+// Formulas take factor-level quantities (degrees, triangle counts,
+// eccentricities) computed once per factor with internal/analytics, and
+// hop rows swept from a vertex's digits; a Factor bundles the former.
+// NewFactor(g, tiers) builds g's degrees and only the tiers asked:
+// Triangles, Distances, both or neither; Summarize(g, true, tiers)
 // builds those of g+I from g itself, the loops implied. Each row of Laws
 // names the tiers it reads, Bind asks its Source for exactly those, and a
 // row handed a factor without one refuses it by name. A Factor is never
@@ -33,9 +34,9 @@ type Tiers uint8
 const (
 	// Triangles is t (vertex), Δ (arc) and τ (global): analytics.Triangles.
 	Triangles Tiers = 1 << iota
-	// Distances is each vertex's cumulative hop profile R_i
-	// (analytics.HopProfiles, no n×n matrix), eccentricities and the
-	// diameter: O(n·(n+arcs)) time, Σ(ε_i+1) counts.
+	// Distances is every vertex's eccentricity and the diameter, by ref
+	// [3]'s bound rule (analytics.PrunedEccentricities): a sweep per
+	// source it picks, at most n, and n+1 counts.
 	Distances
 )
 
@@ -51,12 +52,11 @@ type Factor struct {
 	*distTier // nil without Distances
 }
 
-// distTier is a factor's distance data. ε_i is R_i's last hop when R_i
-// reaches all n vertices, Unreachable otherwise.
+// distTier is a factor's distance data: ε_i = max_j hops(i, j),
+// Unreachable on a factor that is not connected, and the largest of them.
 type distTier struct {
-	Profile [][]int64
-	Ecc     []int64
-	Diam    int64
+	Ecc  []int64
+	Diam int64
 }
 
 // NewFactor computes g's degrees and the tiers asked.
@@ -68,7 +68,6 @@ func NewFactor(g *graph.Graph, tiers Tiers) *Factor { return Summarize(g, false,
 // only the degrees, arc and loop counts and hop diagonals differ.
 func Summarize(g *graph.Graph, plusI bool, tiers Tiers) *Factor {
 	f := &Factor{G: g, loops: g.NumSelfLoops(), arcs: g.NumArcs(), Deg: g.Degrees()}
-	profiles := analytics.HopProfiles
 	if plusI {
 		for v := range f.Deg {
 			if f.loops == 0 || !g.HasSelfLoop(int64(v)) {
@@ -76,20 +75,16 @@ func Summarize(g *graph.Graph, plusI bool, tiers Tiers) *Factor {
 			}
 		}
 		f.arcs, f.loops = f.arcs+f.N()-f.loops, f.N()
-		profiles = analytics.HopProfilesPlusI
 	}
 	if tiers&Triangles != 0 {
 		f.Tri = analytics.Triangles(g)
 	}
 	if tiers&Distances != 0 {
-		t := &distTier{Profile: profiles(g), Ecc: make([]int64, f.N())}
-		for i, r := range t.Profile {
-			ecc := int64(len(r) - 1)
-			if r[ecc] < f.N() {
-				ecc = analytics.Unreachable
-			}
-			t.Ecc[i] = ecc
-			t.Diam = analytics.MaxHops(t.Diam, ecc)
+		// The rule needs a symmetric g, which every loader builds with
+		// graph.NewUndirected.
+		t := &distTier{Ecc: analytics.PrunedEccentricities(g, plusI)}
+		for _, e := range t.Ecc {
+			t.Diam = analytics.MaxHops(t.Diam, e)
 		}
 		f.distTier = t
 	}
@@ -118,9 +113,6 @@ func (f *Factor) CostBytes() int64 {
 		b += n*8 + f.G.NumArcs()*8 + 8 // Tri.Vertex, Tri.Arc, Tri.Global
 	}
 	if f.distTier != nil {
-		for _, r := range f.Profile {
-			b += int64(len(r)+3) * 8 // R_i and its header
-		}
 		b += n*8 + 8 // Ecc, Diam
 	}
 	return b

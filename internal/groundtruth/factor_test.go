@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"kronlab/internal/analytics"
 	"kronlab/internal/gen"
 	"kronlab/internal/graph"
 )
@@ -41,6 +42,103 @@ func TestSummariesBuildTheTiersAsked(t *testing.T) {
 			seen[&f.Deg[0]] = tiers
 			if f.G != g {
 				t.Errorf("plusI=%v tiers=%b: the summary reads a copy of the factor", plusI, tiers)
+			}
+		}
+	}
+}
+
+// TestSummariesShareARepeatedFactor: over [g, g, g], a power's factor
+// list, a Source builds one summary per (plusI, tiers) and returns it at
+// every position.
+func TestSummariesShareARepeatedFactor(t *testing.T) {
+	g := gen.PrefAttach(12, 2, 5)
+	src := Summaries([]*graph.Graph{g, g, g})
+	for _, plusI := range []bool{false, true} {
+		for _, tiers := range []Tiers{0, Triangles, Distances, Triangles | Distances} {
+			first, _ := src(0, plusI, tiers)
+			for d := 1; d < 3; d++ {
+				if f, _ := src(d, plusI, tiers); f != first {
+					t.Errorf("plusI=%v tiers=%b: position %d has a summary of its own", plusI, tiers, d)
+				}
+			}
+		}
+	}
+}
+
+// TestDistanceTierMatchesBruteForce: the distance tier's ε, by the bound
+// rule, is analytics.Eccentricities — one sweep a vertex — of g, or of
+// g.WithFullSelfLoops() under the +I, and its diameter their fold from
+// 0: 0 on the empty graph. Over the empty graph, K₁ with and without its
+// loop, stars, paths, disconnected graphs, preferential-attachment graphs
+// with and without full loops, and seeded random graphs with some loops.
+func TestDistanceTierMatchesBruteForce(t *testing.T) {
+	undirected := func(n int64, edges ...graph.Edge) *graph.Graph {
+		g, err := graph.NewUndirected(n, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	graphs := []*graph.Graph{
+		undirected(0), undirected(1), undirected(1, graph.Edge{}),
+		gen.Star(6), gen.Path(2), gen.Path(9), gen.Ring(7), gen.Grid(3, 4),
+		undirected(4, graph.Edge{U: 0, V: 1}, graph.Edge{U: 2, V: 3}),
+		undirected(3, graph.Edge{U: 0, V: 1}),
+		gen.PrefAttach(60, 1, 3), gen.PrefAttach(80, 2, 4),
+	}
+	for _, g := range graphs[3:] {
+		graphs = append(graphs, g.WithFullSelfLoops())
+	}
+	rng := rand.New(rand.NewSource(6901))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Int63n(16)
+		var edges []graph.Edge
+		for m := rng.Int63n(3 * n); m > 0; m-- {
+			edges = append(edges, graph.Edge{U: rng.Int63n(n), V: rng.Int63n(n)})
+		}
+		graphs = append(graphs, undirected(n, edges...))
+	}
+	for gi, g := range graphs {
+		for _, plusI := range []bool{false, true} {
+			h := g
+			if plusI {
+				h = g.WithFullSelfLoops()
+			}
+			want := analytics.Eccentricities(h)
+			var diam int64
+			for _, e := range want {
+				diam = analytics.MaxHops(diam, e)
+			}
+			f := Summarize(g, plusI, Distances)
+			if !reflect.DeepEqual(f.Ecc, want) || f.Diam != diam {
+				t.Fatalf("graph %d (n=%d, %d loops) plusI=%v: ε %v diam %d, want %v diam %d", gi, g.NumVertices(), g.NumSelfLoops(), plusI, f.Ecc, f.Diam, want, diam)
+			}
+		}
+	}
+}
+
+// TestProfileOfAHopRow holds profile to its hop row: R[h] counts the
+// row's finite entries ≤ h, the diagonal at hop 1 (a loop) or 2 (a
+// neighbor), and ends at the row's largest finite hop.
+func TestProfileOfAHopRow(t *testing.T) {
+	isolated, err := graph.NewUndirected(3, []graph.Edge{{U: 0, V: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		want [][]int64
+	}{
+		{"P₃", gen.Path(3), [][]int64{{0, 1, 3}, {0, 2, 3}, {0, 1, 3}}},
+		{"K₃+I", gen.Clique(3).WithFullSelfLoops(), [][]int64{{0, 3}, {0, 3}, {0, 3}}},
+		{"K₂ and an isolated vertex", isolated, [][]int64{{0, 1, 2}, {0, 1, 2}, {0}}},
+		{"K₂+I and a looped vertex", isolated.WithFullSelfLoops(), [][]int64{{0, 2}, {0, 2}, {0, 1}}},
+	} {
+		f := NewFactor(c.g, 0)
+		for i, want := range c.want {
+			if got := profile(f.hops(int64(i))); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: R_%d = %v, want %v", c.name, i, got, want)
 			}
 		}
 	}
@@ -189,7 +287,7 @@ func refusesWithout(t *testing.T, tier Tiers, name string) {
 
 // TestDistanceLawsNeedTheTier: the rows that read the distance tier
 // refuse a factor built without it, and the typed API panics with that
-// refusal. Hops and the direct closeness sum sweep the graphs and need
+// refusal. Hops and closeness, in both forms, sweep the graphs and need
 // no tier.
 func TestDistanceLawsNeedTheTier(t *testing.T) {
 	refusesWithout(t, Distances, "distance")
@@ -202,15 +300,14 @@ func TestDistanceLawsNeedTheTier(t *testing.T) {
 		{"diameter", func() { diameterOf(fs) }},
 		{"eccentricity", func() { _, _ = ChainEccentricities(fs) }},
 		{"eccentricity histogram", func() { _, _ = ChainEccentricityHistogram(fs) }},
-		{"closeness", func() { ChainClosenessAt(fs, zero) }},
 	} {
 		wantPanic(t, "needs the distance tier, which factor 0 was built without ("+c.law+")", c.call)
 	}
 	if h := hopsRow(fs, zero)([]int64{2, 2}); h != 2 {
 		t.Errorf("hops from (0,0) to (2,2) without the tier: %d, want 2", h)
 	}
-	if z := ClosenessAt(f, f, 0); z <= 0 {
-		t.Errorf("direct closeness without the tier: %v", z)
+	if z, zc := ClosenessAt(f, f, 0), ChainClosenessAt(fs, zero); z <= 0 || zc != z {
+		t.Errorf("closeness without the tier: direct %v, compressed %v", z, zc)
 	}
 }
 

@@ -90,7 +90,7 @@ var (
 	lawEccentricity          = &Law{Name: "eccentricity", Property: "eccentricity", Formula: "Cor. 4", Takes: FullLoops, Tiers: Distances, Shape: PerVertex, eval: vertex(eccentricities.at)}
 	lawEccentricityHistogram = &Law{Name: "eccentricity histogram", Property: "eccentricity", Formula: "Cor. 4", Takes: FullLoops, Tiers: Distances, Shape: Histogram, eval: whole(eccentricities.hist)}
 	lawDiameter              = &Law{Name: "diameter", Property: "diameter", Formula: "Cor. 3", Takes: FullLoops, Tiers: Distances, Shape: Global, eval: whole(diameter)}
-	lawCloseness             = &Law{Name: "closeness", Property: "closeness", Formula: "Thm. 4", Takes: FullLoops, Tiers: Distances, Shape: PerVertex, eval: vertex(closenessAt)}
+	lawCloseness             = &Law{Name: "closeness", Property: "closeness", Formula: "Thm. 4", Takes: FullLoops, Shape: PerVertex, eval: vertex(closenessAt)}
 )
 
 // Laws is the table, in the order reports list it.
@@ -236,16 +236,18 @@ type Source func(d int, plusI bool, tiers Tiers) (*Factor, error)
 
 // Summaries returns a Source over gs that builds each summary it is asked
 // for once, from scratch, by Summarize: summaries of one factor share no
-// tier, and a +I summary reads the factor itself.
+// tier, and a +I summary reads the factor itself. Summarize is a function
+// of the graph, so a graph at several positions of gs — a power's — is
+// summarised once.
 func Summaries(gs []*graph.Graph) Source {
 	type key struct {
-		d     int
+		g     *graph.Graph
 		plusI bool
 		tiers Tiers
 	}
 	memo := map[key]*Factor{}
 	return func(d int, plusI bool, tiers Tiers) (*Factor, error) {
-		k := key{d, plusI, tiers}
+		k := key{gs[d], plusI, tiers}
 		if memo[k] == nil {
 			memo[k] = Summarize(gs[d], plusI, tiers)
 		}

@@ -323,7 +323,7 @@ func (s *Server) streamChainEdges(w http.ResponseWriter, r *http.Request, gs []*
 
 	bw := bufio.NewWriterSize(w, 1<<16)
 	flusher, _ := w.(http.Flusher)
-	var written int64
+	var written, flushedAt int64 // flushedAt: written at the last flush
 	var rec [store.RecordSize]byte
 	// writeBytes applies the byte-exact Range window: trim the skipped
 	// prefix of the first record, truncate the last to the budget. The
@@ -364,9 +364,15 @@ func (s *Server) streamChainEdges(w http.ResponseWriter, r *http.Request, gs []*
 			}
 			written++
 		}
-		// Flush per batch so the stream reaches the client while the
-		// generator is still running; a long product otherwise sits in
-		// bufio and the response buffers until the run completes.
+		// Flush once a batch of arcs is out, so the stream reaches the
+		// client while the generator is still running — a long product
+		// otherwise sits in bufio until the run completes — and a product
+		// whose tail is shorter than a batch, which the walk emits in
+		// tail-sized blocks, is not flushed block by block.
+		if written-flushedAt < dist.DefaultBatchSize {
+			return nil
+		}
+		flushedAt = written
 		if err := bw.Flush(); err != nil {
 			return err
 		}
@@ -380,9 +386,11 @@ func (s *Server) streamChainEdges(w http.ResponseWriter, r *http.Request, gs []*
 	stats, err := dist.StreamChainFrom(r.Context(), ch, ranks, twoD, 0, offset, streamLimit, recov, emit)
 	s.metrics.AddGenStats(stats)
 	complete := err == nil || errors.Is(err, errStreamLimit)
-	if complete {
-		_ = bw.Flush()
-	}
+	// Flush on every exit: the trailers count every arc written to bw,
+	// so a cut stream's unflushed arcs must reach the client too, or its
+	// resume token points past them. A flush to a client that has gone
+	// away only returns an error.
+	_ = bw.Flush()
 	// Trailer values: with the names declared up front, setting them on
 	// the header map after the body is written sends them as trailers.
 	w.Header().Set("X-Kronlab-Complete", strconv.FormatBool(complete))

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"kronlab/internal/core"
+	"kronlab/internal/dist"
 	"kronlab/internal/gen"
 	"kronlab/internal/graph"
 	"kronlab/internal/groundtruth"
@@ -292,9 +293,10 @@ func waitFor(t *testing.T, cond func() bool) {
 }
 
 // TestSummaryBuildsOnlyTheTiersItsRowReads: on a fresh server, a degree
-// query — point or histogram — builds no triangle and no distance tier,
-// and a diameter query no triangle tier, at loops=0 (over a factor with
-// full loops) and at loops=1; each builds one entry per key.
+// query — point or histogram — and a closeness query, which sweeps its
+// digits, build no triangle and no distance tier, and a diameter query
+// no triangle tier, at loops=0 (over a factor with full loops) and at
+// loops=1; each builds one entry per key.
 func TestSummaryBuildsOnlyTheTiersItsRowReads(t *testing.T) {
 	for _, c := range []struct {
 		query string
@@ -303,6 +305,7 @@ func TestSummaryBuildsOnlyTheTiersItsRowReads(t *testing.T) {
 		{"degree?p=1&loops=", 0},
 		{"degree?hist=1&loops=", 0},
 		{"diameter?loops=", groundtruth.Distances},
+		{"closeness?p=1&loops=", 0},
 	} {
 		for _, loops := range []string{"0", "1"} {
 			s, ts := newTestServer(t, Config{})
@@ -333,7 +336,7 @@ func TestSummaryBuildsOnlyTheTiersItsRowReads(t *testing.T) {
 // TestCacheBytesAreItsEntries: over degree, triangles, diameter and hops
 // queries at both loops, then an eviction, Bytes() equals the sum of the
 // resident entries' bytes after every step, and no two resident entries
-// share an array the cache charges: degrees, triangles or hop profiles.
+// share an array the cache charges: degrees, triangles or eccentricities.
 // No entry holds a graph of its own: a +I entry reads the registered one.
 func TestCacheBytesAreItsEntries(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
@@ -352,7 +355,7 @@ func TestCacheBytesAreItsEntries(t *testing.T) {
 				charged = append(charged, e.f.Tri)
 			}
 			if e.key.Tiers&groundtruth.Distances != 0 {
-				charged = append(charged, &e.f.Profile[0])
+				charged = append(charged, &e.f.Ecc[0])
 			}
 			for _, a := range charged {
 				if other, ok := owner[a]; ok {
@@ -677,6 +680,26 @@ func TestGenerateFlushesIncrementally(t *testing.T) {
 	}
 }
 
+// TestGenerateFlushesPerBatch: over a product whose innermost factor has
+// fewer arcs than a batch — the walk emits it in tail-sized blocks — the
+// stream is flushed once per batch of arcs and at the end, not per block.
+func TestGenerateFlushesPerBatch(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	a, b := gen.ER(60, 0.5, 41), gen.Ring(5) // b: 10 arcs a head arc
+	ha, hb := registerText(t, ts, a, ""), registerText(t, ts, b, "")
+	arcs := a.NumArcs() * b.NumArcs()
+	for _, q := range []string{"", "?format=binary", "?ranks=3"} {
+		rec := &flushRecorder{}
+		s.ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/gen/%s/%s/edges%s", ha, hb, q), nil))
+		if rec.status != 0 && rec.status != http.StatusOK {
+			t.Fatalf("%q: status %d: %s", q, rec.status, rec.body.Bytes())
+		}
+		if most := (arcs+dist.DefaultBatchSize-1)/dist.DefaultBatchSize + 1; int64(rec.flushes) > most {
+			t.Errorf("%q: %d flushes for %d arcs, want at most %d", q, rec.flushes, arcs, most)
+		}
+	}
+}
+
 // TestGenerateCompletionTrailer: a finished stream must carry the
 // declared trailers — complete=true and the exact arc count — and a
 // client-requested limit= truncation still counts as complete.
@@ -799,13 +822,26 @@ func TestDrainModeRefusesHeavy(t *testing.T) {
 // TestShutdownCancelsGenStream: BeginShutdown must cancel an in-flight
 // generation stream — the handler finishes with complete=false in the
 // trailer instead of holding the connection (and http.Server.Shutdown)
-// open until the product is exhausted.
+// open until the product is exhausted. The cut stream delivers every arc
+// its trailer counts, so resuming it on another server reproduces the
+// uncut stream — also when the tail has fewer arcs than a batch, where
+// the cut can fall between flushes.
 func TestShutdownCancelsGenStream(t *testing.T) {
+	// Each product is large enough that the stream must block on client
+	// backpressure (~1M arcs ≈ 19 MB of NDJSON) long before it completes.
+	for _, tc := range []struct {
+		name string
+		a, b *graph.Graph
+	}{
+		{"batch-tail", gen.ER(60, 0.3, 93), gen.ER(60, 0.3, 94)},
+		{"short-tail", gen.ER(400, 0.3, 95), gen.Ring(10)}, // 20 arcs a head arc
+	} {
+		t.Run(tc.name, func(t *testing.T) { shutdownCutsAndResumes(t, tc.a, tc.b) })
+	}
+}
+
+func shutdownCutsAndResumes(t *testing.T, a, b *graph.Graph) {
 	s, ts := newTestServer(t, Config{})
-	// Large enough that the stream must block on client backpressure
-	// (~1M product edges ≈ 19 MB of NDJSON) long before it completes.
-	a := gen.ER(60, 0.3, 93)
-	b := gen.ER(60, 0.3, 94)
 	ha := registerText(t, ts, a, "")
 	hb := registerText(t, ts, b, "")
 	total := a.NumArcs() * b.NumArcs()
@@ -815,7 +851,8 @@ func TestShutdownCancelsGenStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if _, err := io.ReadFull(resp.Body, make([]byte, 1024)); err != nil {
+	head := make([]byte, 1024)
+	if _, err := io.ReadFull(resp.Body, head); err != nil {
 		t.Fatalf("reading stream head: %v", err)
 	}
 	s.BeginShutdown()
@@ -835,5 +872,21 @@ func TestShutdownCancelsGenStream(t *testing.T) {
 	}
 	if int64(len(rest)) > total*20 {
 		t.Fatalf("stream kept flowing after shutdown: read %d bytes", len(rest))
+	}
+	cut := append(head, rest...)
+	if lines := int64(bytes.Count(cut, []byte("\n"))); lines != written || !bytes.HasSuffix(cut, []byte("\n")) {
+		t.Fatalf("cut stream delivered %d arcs (%d bytes), trailer counts %d", lines, len(cut), written)
+	}
+
+	// The draining server refuses new streams; resume on a fresh one.
+	_, ts2 := newTestServer(t, Config{})
+	base := fmt.Sprintf("%s/gen/%s/%s/edges", ts2.URL, registerText(t, ts2, a, ""), registerText(t, ts2, b, ""))
+	full := readAll(t, genGet(t, base, ""))
+	resumed := genGet(t, base+"?resume="+resp.Trailer.Get("X-Kronlab-Resume-Token"), "")
+	if resumed.StatusCode != http.StatusOK {
+		t.Fatalf("resume: status %d: %s", resumed.StatusCode, readAll(t, resumed))
+	}
+	if !bytes.Equal(append(cut, readAll(t, resumed)...), full) {
+		t.Fatal("cut stream plus its resumption differs from the uncut stream")
 	}
 }

@@ -297,3 +297,48 @@ func TestReportString(t *testing.T) {
 		t.Errorf("report rendering: %q", s)
 	}
 }
+
+// TestRunBuildsTheDistanceTiersItChecks counts the distance summaries Run
+// asks its Source for and the ones it builds. Under SkipDistances it
+// builds none. On E7's shape, (A+I)⊗(A+I) with gs = [A, A], it builds one:
+// the ε row asks for each factor's, and closeness, which sweeps its
+// digits, asks for none; over every vertex the ε histogram and the
+// diameter ask too, and share it.
+func TestRunBuildsTheDistanceTiersItChecks(t *testing.T) {
+	var asks int
+	built := map[*groundtruth.Factor]bool{}
+	summaries = func(gs []*graph.Graph) groundtruth.Source {
+		src := groundtruth.Summaries(gs)
+		return func(d int, plusI bool, tiers groundtruth.Tiers) (*groundtruth.Factor, error) {
+			f, err := src(d, plusI, tiers)
+			if tiers&groundtruth.Distances != 0 {
+				asks++
+				built[f] = true
+			}
+			return f, err
+		}
+	}
+	t.Cleanup(func() { summaries = groundtruth.Summaries })
+	a, _ := gen.PrefAttach(20, 2, 88).LargestComponent()
+	c, err := core.Product(a.WithFullSelfLoops(), a.WithFullSelfLoops())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		opts         Options
+		asks, builds int
+	}{
+		{Options{SelfLoops: true, Samples: math.MaxInt, SkipDistances: true}, 0, 0},
+		{Options{SelfLoops: true, Samples: 100}, 2, 1},
+		{Options{SelfLoops: true, Samples: math.MaxInt}, 6, 1},
+	} {
+		asks, built = 0, map[*groundtruth.Factor]bool{}
+		rep, err := Run([]*graph.Graph{a, a}, c, tc.opts)
+		if err != nil || !rep.OK() {
+			t.Fatalf("%+v: %v\n%v", tc.opts, err, rep)
+		}
+		if asks != tc.asks || len(built) != tc.builds {
+			t.Errorf("%+v: %d distance asks, %d built; want %d and %d", tc.opts, asks, len(built), tc.asks, tc.builds)
+		}
+	}
+}
